@@ -1,7 +1,7 @@
 //! Allocator throughput benchmark — see `pwm_bench::netbench`.
 //!
 //! ```text
-//! netbench [smoke] [--only LABEL] [--queue heap|ladder] [--out PATH]
+//! netbench [smoke] [--only LABEL] [--out PATH]
 //!          [--min-events-per-sec N] [--micro [ROUNDS]]
 //! ```
 //!
@@ -20,20 +20,16 @@
 //! machine-readable JSON report is printed to stdout and, with `--out`,
 //! also written to PATH (conventionally `BENCH_net.json`).
 //!
-//! The suite carries every scenario twice — once per event-queue
-//! implementation (ladder rows keep the full-recompute baseline; heap rows
-//! are incremental-only twins). `--queue heap|ladder` keeps only one side
-//! of that head-to-head. `--micro [ROUNDS]` skips the scenario suite
-//! entirely and runs the queue micro-benchmark (`pwm_bench::queuebench`,
-//! default 1M rounds per probe) — per-operation heap-vs-ladder costs at
-//! the 100k pending-event population.
+//! `--micro [ROUNDS]` skips the scenario suite entirely and runs the queue
+//! micro-benchmark (`pwm_bench::queuebench`, default 1M rounds per probe) —
+//! per-operation event-queue costs at the 100k pending-event population,
+//! the machine-speed row of the EXPERIMENTS.md calibration protocol.
 
 use pwm_bench::netbench::{
     report_json, run_scenario, smoke_suite, standard_suite, write_suppression_ok,
 };
 use pwm_bench::queuebench;
 use pwm_obs::global_logger;
-use pwm_sim::QueueKind;
 
 fn main() {
     let log = global_logger();
@@ -42,22 +38,11 @@ fn main() {
     let mut out: Option<String> = None;
     let mut min_events_per_sec: Option<f64> = None;
     let mut only: Option<String> = None;
-    let mut queue: Option<QueueKind> = None;
     let mut micro: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "smoke" => smoke = true,
-            "--queue" => {
-                i += 1;
-                match args.get(i).and_then(|v| QueueKind::parse(v)) {
-                    Some(k) => queue = Some(k),
-                    None => {
-                        log.error("--queue requires `heap` or `ladder`");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--micro" => {
                 // Optional round count; any non-numeric next token belongs
                 // to another flag.
@@ -102,8 +87,8 @@ fn main() {
             other => {
                 log.error(&format!("unknown argument: {other}"));
                 eprintln!(
-                    "usage: netbench [smoke] [--only LABEL] [--queue heap|ladder] \
-                     [--out PATH] [--min-events-per-sec N] [--micro [ROUNDS]]"
+                    "usage: netbench [smoke] [--only LABEL] [--out PATH] \
+                     [--min-events-per-sec N] [--micro [ROUNDS]]"
                 );
                 std::process::exit(2);
             }
@@ -115,14 +100,10 @@ fn main() {
         log.info(&format!(
             "netbench: queue micro-benchmark, {rounds} rounds per probe"
         ));
-        let mut results = queuebench::run_suite(rounds);
-        if let Some(k) = queue {
-            results.retain(|r| r.queue == k);
-        }
+        let results = queuebench::run_suite(rounds);
         for r in &results {
             log.info(&format!(
-                "queuebench: {:>6} {:<16} {:>12.0} ops/s ({:.1} ns/op)",
-                r.queue.name(),
+                "queuebench: {:<16} {:>12.0} ops/s ({:.1} ns/op)",
                 r.op,
                 r.ops_per_sec,
                 r.ns_per_op(),
@@ -149,13 +130,6 @@ fn main() {
         suite.retain(|s| &s.label == label);
         if suite.is_empty() {
             log.error(&format!("--only {label}: no such scenario in the suite"));
-            std::process::exit(2);
-        }
-    }
-    if let Some(k) = queue {
-        suite.retain(|s| s.queue == k);
-        if suite.is_empty() {
-            log.error(&format!("--queue {}: nothing left to run", k.name()));
             std::process::exit(2);
         }
     }

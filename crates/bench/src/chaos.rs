@@ -27,7 +27,7 @@ use pwm_core::{
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{paper_testbed, Network, StreamModel};
-use pwm_sim::{seeded_windows, FaultPlan, QueueKind, SimDuration, SimRng, SimTime};
+use pwm_sim::{seeded_windows, FaultPlan, SimDuration, SimRng, SimTime};
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 
 /// Everything that parameterizes a chaos run (the faults themselves are
@@ -70,9 +70,6 @@ pub struct ChaosConfig {
     pub transfer_failure_prob: f64,
     /// Probability a failed transfer is fatal (job fails immediately).
     pub fatal_failure_prob: f64,
-    /// Event-queue implementation for both the network and the executor —
-    /// chaos runs must be reproducible under either.
-    pub queue: QueueKind,
 }
 
 impl Default for ChaosConfig {
@@ -95,7 +92,6 @@ impl Default for ChaosConfig {
             replicas: 2,
             transfer_failure_prob: 0.05,
             fatal_failure_prob: 0.0,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -230,7 +226,7 @@ pub fn run_chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
     let mut fault_events = links.describe();
     fault_events.extend(services.describe());
 
-    let mut network = Network::with_seed_queue(topo, StreamModel::default(), seed, cfg.queue);
+    let mut network = Network::with_seed(topo, StreamModel::default(), seed);
     network.set_fault_plan(links);
 
     let policy = PolicyConfig::default()
@@ -270,7 +266,6 @@ pub fn run_chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
         clock: Some(clock),
         workflow_id: WorkflowId(seed),
         watch_link: Some(wan),
-        queue: cfg.queue,
         ..ExecutorConfig::default()
     };
     let executor = WorkflowExecutor::new(&executable, &site, network, transport, exec_cfg);

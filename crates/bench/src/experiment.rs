@@ -15,7 +15,7 @@ use pwm_core::{
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{paper_testbed, LinkId, Network, StreamModel};
 use pwm_obs::Obs;
-use pwm_sim::{QueueKind, SimDuration, Summary};
+use pwm_sim::{SimDuration, Summary};
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 
 /// Which staging policy governs the run.
@@ -74,11 +74,6 @@ pub struct MontageExperiment {
     pub staging_job_limit: usize,
     /// Policy callout round-trip latency (paper notes this overhead).
     pub policy_call_latency: SimDuration,
-    /// Event-queue implementation for the network engine. Both ship exact
-    /// `(time, seq)` ordering, so runs are bit-identical across kinds; the
-    /// knob exists so the determinism suite can prove that, and so a run
-    /// can be pinned to the heap oracle when bisecting a queue suspicion.
-    pub queue: QueueKind,
 }
 
 impl MontageExperiment {
@@ -94,7 +89,6 @@ impl MontageExperiment {
             transfer_failure_prob: 0.0,
             staging_job_limit: 20,
             policy_call_latency: SimDuration::from_millis(75),
-            queue: QueueKind::default(),
         }
     }
 
@@ -151,7 +145,7 @@ impl MontageExperiment {
         let executable =
             plan(&workflow, &site, &replicas, &planner_cfg).expect("montage plan must succeed");
 
-        let network = Network::with_seed_queue(topo, StreamModel::default(), seed, self.queue);
+        let network = Network::with_seed(topo, StreamModel::default(), seed);
         // Traced runs share one Obs across executor, network, and policy
         // service; the shared clock lets the service stamp its evaluation
         // instants with the executor's virtual time.

@@ -34,7 +34,7 @@
 
 use pwm_net::{AllocStats, FlowSpec, HostId, Network, StreamModel, Topology, TransferRecord};
 use pwm_obs::{global_logger, JsonValue};
-use pwm_sim::{QueueKind, SimDuration, SimTime};
+use pwm_sim::{SimDuration, SimTime};
 use std::time::Instant;
 
 /// One benchmark configuration: a topology shape plus per-mode step budgets.
@@ -60,10 +60,6 @@ pub struct NetbenchScenario {
     pub steps_full: u64,
     /// Seed for the network RNG and the workload generator.
     pub seed: u64,
-    /// Pending-event structure the engine runs on. Rows are emitted per
-    /// queue so `BENCH_net.json` records the heap/ladder head-to-head
-    /// instead of overwriting history.
-    pub queue: QueueKind,
 }
 
 impl NetbenchScenario {
@@ -85,18 +81,8 @@ pub fn standard_suite() -> Vec<NetbenchScenario> {
         steps_incremental: si,
         steps_full: sf,
         seed: 42,
-        queue: QueueKind::Ladder,
     };
-    // Heap twin of a ladder row: incremental only (`steps_full: 0`) — the
-    // full-recompute baseline measures the allocator, not the queue, so
-    // running it once per label (on the ladder row) keeps the suite's cost
-    // flat while the incremental head-to-head is recorded per queue.
-    let heap_twin = |s: &NetbenchScenario| NetbenchScenario {
-        queue: QueueKind::Heap,
-        steps_full: 0,
-        ..s.clone()
-    };
-    let mut suite = vec![
+    vec![
         base("clustered-clean-100", 10, 4000, 2000),
         base("clustered-clean-1k", 100, 4000, 500),
         base("clustered-clean-10k", 1000, 1500, 40),
@@ -117,16 +103,13 @@ pub fn standard_suite() -> Vec<NetbenchScenario> {
             shared_backbone: true,
             ..base("shared-backbone-1k", 100, 400, 300)
         },
-    ];
-    let twins: Vec<NetbenchScenario> = suite.iter().map(heap_twin).collect();
-    suite.extend(twins);
-    suite
+    ]
 }
 
 /// The CI smoke configuration: the 1k-flow clustered-clean scenario with
 /// reduced step budgets so the job finishes in seconds.
 pub fn smoke_suite() -> Vec<NetbenchScenario> {
-    let ladder = NetbenchScenario {
+    vec![NetbenchScenario {
         label: "clustered-clean-1k".to_string(),
         clusters: 100,
         flows_per_cluster: 10,
@@ -135,14 +118,7 @@ pub fn smoke_suite() -> Vec<NetbenchScenario> {
         steps_incremental: 1500,
         steps_full: 200,
         seed: 42,
-        queue: QueueKind::Ladder,
-    };
-    let heap = NetbenchScenario {
-        queue: QueueKind::Heap,
-        steps_full: 0,
-        ..ladder.clone()
-    };
-    vec![ladder, heap]
+    }]
 }
 
 /// What one (scenario, mode) run measured.
@@ -298,7 +274,7 @@ pub fn run_mode(s: &NetbenchScenario, full: bool) -> ModeResult {
     } else {
         clean_model()
     };
-    let mut net = Network::with_seed_queue(topo, model, s.seed, s.queue);
+    let mut net = Network::with_seed(topo, model, s.seed);
     net.set_full_recompute(full);
     let mut rng = Lcg::new(s.seed ^ 0xdead_beef);
     for (i, &(src, dst)) in pairs.iter().enumerate() {
@@ -351,9 +327,8 @@ pub fn run_mode(s: &NetbenchScenario, full: bool) -> ModeResult {
 pub fn run_scenario(s: &NetbenchScenario) -> ScenarioReport {
     let log = global_logger();
     log.info(&format!(
-        "netbench: {} [{}] ({} flows, {} clusters{}{}) — full-recompute baseline",
+        "netbench: {} ({} flows, {} clusters{}{}) — full-recompute baseline",
         s.label,
-        s.queue.name(),
         s.flows(),
         s.clusters,
         if s.shared_backbone { ", shared" } else { "" },
@@ -461,10 +436,6 @@ pub fn report_json(reports: &[ScenarioReport]) -> JsonValue {
                         JsonValue::Obj(vec![
                             ("label".into(), JsonValue::Str(r.scenario.label.clone())),
                             (
-                                "queue".into(),
-                                JsonValue::Str(r.scenario.queue.name().into()),
-                            ),
-                            (
                                 "concurrent_flows".into(),
                                 JsonValue::Int(r.scenario.flows() as i64),
                             ),
@@ -556,7 +527,6 @@ mod tests {
             steps_incremental: 20,
             steps_full: 20,
             seed: 7,
-            queue: QueueKind::Ladder,
         };
         let inc = run_mode(&s, false);
         let full = run_mode(&s, true);
@@ -582,7 +552,6 @@ mod tests {
             steps_incremental: 200,
             steps_full: 0,
             seed: 42,
-            queue: QueueKind::Ladder,
         };
         let inc = run_mode(&s, false);
         assert!(inc.events > 0 && inc.stats.flows_allocated > 0);
@@ -605,7 +574,6 @@ mod tests {
             steps_incremental: 10,
             steps_full: 0,
             seed: 3,
-            queue: QueueKind::Ladder,
         };
         let rep = run_scenario(&s);
         assert_eq!(rep.full.events, 0);
@@ -650,7 +618,6 @@ mod tests {
             steps_incremental: 10,
             steps_full: 10,
             seed: 3,
-            queue: QueueKind::Heap,
         };
         let rep = run_scenario(&s);
         let doc = report_json(&[rep]);

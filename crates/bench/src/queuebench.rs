@@ -1,25 +1,23 @@
-//! Event-queue micro-benchmark: heap vs ladder on the operations the
-//! network engine's hot loop is made of, at the 100k pending-event
-//! population the netbench 100k scenario sustains. Promoted from the
-//! `#[ignore]`d `heap_micro` probes in pwm-sim so the comparison runs as
-//! one reportable suite (`netbench --micro`).
+//! Event-queue micro-benchmark: the operations the network engine's hot
+//! loop is made of, at the 100k pending-event population the netbench 100k
+//! scenario sustains, run as one reportable suite (`netbench --micro`). It
+//! touches nothing but the queue, so it doubles as the machine-speed row
+//! of the EXPERIMENTS.md calibration protocol.
 //!
-//! Each probe runs both queue implementations through the *same*
-//! deterministic op sequence with static dispatch (generics, not the
-//! `DynQueue` enum) so the numbers isolate data-structure cost from
-//! engine overhead. Probes:
+//! Each probe drives a deterministic op sequence, isolating data-structure
+//! cost from engine overhead. Probes:
 //!
 //! * `pop_push` — pop the earliest event, schedule a replacement a short
 //!   pseudo-random delay out (the completion→replacement churn cycle).
 //! * `pop_push_far` — same, with replacements spread over a wide horizon
-//!   (deep heap sifts; ladder rung placements).
+//!   (rung placements across the whole ladder).
 //! * `reschedule` — move a random pending event to a new far-future time
 //!   (the completion-ETA respin on every rate change).
 //! * `cancel_schedule` — cancel a random pending event and schedule a
 //!   replacement (the cancel-heavy pattern reschedule replaced in PR 7).
 
 use pwm_obs::JsonValue;
-use pwm_sim::{EventQueue, LadderQueue, QueueKind, SimDuration, SimQueue, SimTime};
+use pwm_sim::{LadderQueue, SimDuration, SimTime};
 use std::time::Instant;
 
 /// Pending-event population every probe sustains.
@@ -42,11 +40,9 @@ impl Lcg {
     }
 }
 
-/// One (queue, op) measurement.
+/// One probe's measurement.
 #[derive(Debug, Clone)]
 pub struct MicroResult {
-    /// Which implementation ran.
-    pub queue: QueueKind,
     /// Probe name.
     pub op: &'static str,
     /// Operations in the timed window.
@@ -64,12 +60,11 @@ impl MicroResult {
     }
 }
 
-fn measure<Q: SimQueue<u32>>(
-    queue: QueueKind,
+fn measure(
     op: &'static str,
     rounds: u64,
-    q: &mut Q,
-    mut body: impl FnMut(&mut Q),
+    q: &mut LadderQueue<u32>,
+    mut body: impl FnMut(&mut LadderQueue<u32>),
 ) -> MicroResult {
     let started = Instant::now();
     for _ in 0..rounds {
@@ -77,7 +72,6 @@ fn measure<Q: SimQueue<u32>>(
     }
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     MicroResult {
-        queue,
         op,
         rounds,
         wall_secs,
@@ -87,7 +81,7 @@ fn measure<Q: SimQueue<u32>>(
 
 /// Fill `q` with [`POPULATION`] events spread over ~600 simulated seconds
 /// and return their handles.
-fn populate<Q: SimQueue<u32>>(q: &mut Q, rng: &mut Lcg) -> Vec<pwm_sim::EventHandle> {
+fn populate(q: &mut LadderQueue<u32>, rng: &mut Lcg) -> Vec<pwm_sim::EventHandle> {
     (0..POPULATION as u32)
         .map(|i| {
             let t = SimTime::from_micros(1 + rng.next() % 600_000_000);
@@ -96,20 +90,18 @@ fn populate<Q: SimQueue<u32>>(q: &mut Q, rng: &mut Lcg) -> Vec<pwm_sim::EventHan
         .collect()
 }
 
-fn run_probes<Q: SimQueue<u32>>(
-    queue: QueueKind,
-    rounds: u64,
-    make: impl Fn() -> Q,
-) -> Vec<MicroResult> {
+/// Run every probe, `rounds` operations each (the `--micro` default is 1M;
+/// tests use a small budget).
+pub fn run_suite(rounds: u64) -> Vec<MicroResult> {
     let mut out = Vec::new();
 
     // pop_push: replacements land a short delay out (≤ 2 simulated
     // seconds), the near-future half of the engine's churn.
     {
         let mut rng = Lcg::new(42);
-        let mut q = make();
+        let mut q = LadderQueue::new();
         populate(&mut q, &mut rng);
-        out.push(measure(queue, "pop_push", rounds, &mut q, |q| {
+        out.push(measure("pop_push", rounds, &mut q, |q| {
             let (t, v) = q.pop().expect("population never drains");
             q.schedule_at(t + SimDuration::from_micros(1 + rng.next() % 2_000_000), v);
         }));
@@ -118,9 +110,9 @@ fn run_probes<Q: SimQueue<u32>>(
     // pop_push_far: replacements spread over the full 600 s horizon.
     {
         let mut rng = Lcg::new(42);
-        let mut q = make();
+        let mut q = LadderQueue::new();
         populate(&mut q, &mut rng);
-        out.push(measure(queue, "pop_push_far", rounds, &mut q, |q| {
+        out.push(measure("pop_push_far", rounds, &mut q, |q| {
             let (t, v) = q.pop().expect("population never drains");
             q.schedule_at(
                 t + SimDuration::from_micros(1 + rng.next() % 600_000_000),
@@ -132,9 +124,9 @@ fn run_probes<Q: SimQueue<u32>>(
     // reschedule: respin a random pending event to a fresh far time.
     {
         let mut rng = Lcg::new(7);
-        let mut q = make();
+        let mut q = LadderQueue::new();
         let handles = populate(&mut q, &mut rng);
-        out.push(measure(queue, "reschedule", rounds, &mut q, |q| {
+        out.push(measure("reschedule", rounds, &mut q, |q| {
             let k = (rng.next() as usize) % POPULATION;
             let t = SimTime::from_micros(1 + rng.next() % 600_000_000);
             assert!(q.reschedule(handles[k], t));
@@ -144,9 +136,9 @@ fn run_probes<Q: SimQueue<u32>>(
     // cancel_schedule: the pre-reschedule churn pattern.
     {
         let mut rng = Lcg::new(7);
-        let mut q = make();
+        let mut q = LadderQueue::new();
         let mut handles = populate(&mut q, &mut rng);
-        out.push(measure(queue, "cancel_schedule", rounds, &mut q, |q| {
+        out.push(measure("cancel_schedule", rounds, &mut q, |q| {
             let k = (rng.next() as usize) % POPULATION;
             assert!(q.cancel(handles[k]));
             let t = SimTime::from_micros(1 + rng.next() % 600_000_000);
@@ -155,18 +147,6 @@ fn run_probes<Q: SimQueue<u32>>(
     }
 
     out
-}
-
-/// Run every probe on every queue kind. `rounds` operations per probe
-/// (the `--micro` default is 1M; tests use a small budget).
-pub fn run_suite(rounds: u64) -> Vec<MicroResult> {
-    let mut results = run_probes(QueueKind::Heap, rounds, EventQueue::<u32>::new);
-    results.extend(run_probes(
-        QueueKind::Ladder,
-        rounds,
-        LadderQueue::<u32>::new,
-    ));
-    results
 }
 
 /// Render micro-bench results as a JSON document (the `--micro` output).
@@ -185,7 +165,6 @@ pub fn report_json(results: &[MicroResult]) -> JsonValue {
                     .iter()
                     .map(|r| {
                         JsonValue::Obj(vec![
-                            ("queue".into(), JsonValue::Str(r.queue.name().into())),
                             ("op".into(), JsonValue::Str(r.op.into())),
                             ("rounds".into(), JsonValue::Int(r.rounds as i64)),
                             ("wall_secs".into(), JsonValue::Float(r.wall_secs)),
@@ -204,16 +183,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_runs_every_probe_on_every_queue() {
+    fn suite_runs_every_probe() {
         let results = run_suite(2_000);
-        assert_eq!(results.len(), 8, "4 probes × 2 queues");
+        assert_eq!(results.len(), 4);
         for r in &results {
-            assert!(
-                r.ops_per_sec > 0.0,
-                "{:?} {} measured nothing",
-                r.queue,
-                r.op
-            );
+            assert!(r.ops_per_sec > 0.0, "{} measured nothing", r.op);
         }
         let doc = report_json(&results);
         let parsed = JsonValue::parse(&doc.render()).expect("queuebench JSON must parse");
@@ -222,7 +196,7 @@ mod tests {
                 .get("results")
                 .and_then(|r| r.as_arr())
                 .map(|a| a.len()),
-            Some(8)
+            Some(4)
         );
     }
 }

@@ -238,6 +238,7 @@ impl ShardedPolicyService {
         // Partition every group across shards, preserving in-group order.
         // sub_groups[s] holds (group index, specs) pairs for shard s.
         let n = self.shards.len();
+        let group_count = groups.len();
         let mut sub_groups: Vec<Vec<(usize, Vec<TransferSpec>)>> = vec![Vec::new(); n];
         for (gi, group) in groups.into_iter().enumerate() {
             let mut per_shard: Vec<Vec<TransferSpec>> = vec![Vec::new(); n];
@@ -250,14 +251,10 @@ impl ShardedPolicyService {
                 }
             }
         }
-        let group_count = sub_groups
-            .iter()
-            .flat_map(|g| g.iter().map(|(gi, _)| gi + 1))
-            .max()
-            .unwrap_or(0);
 
         // One batched pass per involved shard, then stitch each group's
-        // per-shard slices back together.
+        // per-shard slices back together (an empty group keeps its place
+        // with no slices).
         let mut merged: Vec<Vec<Vec<TransferAdvice>>> = vec![Vec::new(); group_count];
         for (s, subs) in sub_groups.into_iter().enumerate() {
             if subs.is_empty() {

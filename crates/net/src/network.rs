@@ -12,14 +12,14 @@
 //! # Event-driven core
 //!
 //! The engine's own discontinuities — a connection finishing setup, a flow
-//! draining at its current rate — live in an indexed [`EventQueue`] rather
+//! draining at its current rate — live in a [`LadderQueue`] rather
 //! than being rediscovered by per-flow scans. Flow state is a
 //! struct-of-arrays [`FlowTable`]; byte progress is integrated *lazily*
 //! (each slot stores `(remaining, rate, rate_since)` and the engine
 //! evaluates the linear motion on demand), so advancing time is O(1) in the
 //! number of flows. When an allocation actually changes a flow's rate, its
 //! completion-ETA event is cancelled and rescheduled — the cancel-heavy
-//! workload the indexed queue's O(1)-locate cancellation exists for. A rate
+//! workload the queue's O(1)-locate cancellation exists for. A rate
 //! that moves by less than [`RATE_EPS`] keeps both its value and its
 //! pending ETA event untouched.
 //!
@@ -44,7 +44,7 @@ use crate::sharing::{max_min_rates, FlowDemand, RateAllocator};
 use crate::timeline::{LinkTimeline, UtilizationSample};
 use crate::topology::{LinkId, Topology};
 use pwm_obs::{Counter, Gauge, Obs, SpanId};
-use pwm_sim::{DynQueue, FaultEvent, FaultPlan, QueueKind, SimDuration, SimQueue, SimRng, SimTime};
+use pwm_sim::{FaultEvent, FaultPlan, LadderQueue, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 
 /// Completion slop: a flow whose remaining bytes drop below this is done.
@@ -231,8 +231,7 @@ pub struct Network {
     /// Struct-of-arrays live-flow state (see [`FlowTable`]).
     flows: FlowTable,
     /// Connect/Complete discontinuities, indexed for O(1)-locate cancel.
-    /// Implementation chosen per run (see [`Network::with_seed_queue`]).
-    sched: DynQueue<NetEvent>,
+    sched: LadderQueue<NetEvent>,
     /// Per-link hot state, one row per link (see [`LinkHot`]).
     links: Vec<LinkHot>,
     next_flow_id: u64,
@@ -332,10 +331,10 @@ struct NetObs {
     flow_parents: BTreeMap<FlowId, SpanId>,
 }
 
-/// Cached handles for the sim-loop queue-health series, labeled with the
-/// queue kind. The occupancy gauges expose the ladder's geometry (current
-/// bucket / rungs / overflow); they read zero under the heap, which has no
-/// bucket structure.
+/// Cached handles for the sim-loop queue-health series. The occupancy
+/// gauges expose the ladder's geometry (current bucket / rungs / overflow).
+/// Every series carries the constant label `queue="ladder"`, which scrapers
+/// of the exported series set key on.
 struct QueueObs {
     depth: Gauge,
     current_bucket: Gauge,
@@ -346,38 +345,38 @@ struct QueueObs {
 }
 
 impl QueueObs {
-    fn new(obs: &Obs, queue: QueueKind) -> Self {
-        let q = queue.name();
+    fn new(obs: &Obs) -> Self {
+        let labels = [("queue", "ladder")];
         QueueObs {
             depth: obs.registry.gauge(
                 "sim_queue_depth",
                 "Live events pending in the simulation event queue",
-                &[("queue", q)],
+                &labels,
             ),
             current_bucket: obs.registry.gauge(
                 "sim_queue_current_bucket_events",
                 "Events in the ladder queue's sorted current bucket",
-                &[("queue", q)],
+                &labels,
             ),
             rung_events: obs.registry.gauge(
                 "sim_queue_rung_events",
                 "Events bucketed in ladder-queue rungs",
-                &[("queue", q)],
+                &labels,
             ),
             overflow_events: obs.registry.gauge(
                 "sim_queue_overflow_events",
                 "Far-future events staged in the ladder queue's overflow list",
-                &[("queue", q)],
+                &labels,
             ),
             active_rungs: obs.registry.gauge(
                 "sim_queue_active_rungs",
                 "Ladder-queue rungs currently spawned",
-                &[("queue", q)],
+                &labels,
             ),
             cancelled: obs.registry.counter(
                 "sim_queue_cancelled_total",
                 "Events cancelled before firing over the queue's lifetime",
-                &[("queue", q)],
+                &labels,
             ),
         }
     }
@@ -403,20 +402,6 @@ impl Network {
 
     /// Build a network with an explicit seed for per-flow weight jitter.
     pub fn with_seed(topology: Topology, model: StreamModel, seed: u64) -> Self {
-        Self::with_seed_queue(topology, model, seed, QueueKind::default())
-    }
-
-    /// Build a network choosing the pending-event structure explicitly.
-    /// Both kinds produce bit-identical runs (the ladder preserves exact
-    /// `(time, seq)` order); the choice only trades queue-operation cost
-    /// profiles, so it is a benchmarking/validation knob, not a semantic
-    /// one.
-    pub fn with_seed_queue(
-        topology: Topology,
-        model: StreamModel,
-        seed: u64,
-        queue: QueueKind,
-    ) -> Self {
         let link_count = topology.link_count();
         let links = (0..link_count)
             .map(|ix| {
@@ -460,7 +445,7 @@ impl Network {
             topology,
             model,
             flows: FlowTable::new(),
-            sched: DynQueue::new(queue),
+            sched: LadderQueue::new(),
             links,
             next_flow_id: 0,
             now: SimTime::ZERO,
@@ -533,7 +518,7 @@ impl Network {
                 )
             })
             .collect();
-        let queue = QueueObs::new(&obs, self.sched.kind());
+        let queue = QueueObs::new(&obs);
         queue.refresh(self.sched.health());
         let net_obs = NetObs {
             obs,

@@ -45,8 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-#[cfg(feature = "legacy-facts")]
-pub mod legacy;
 pub mod memory;
 #[cfg(test)]
 mod naive;
@@ -54,8 +52,6 @@ pub mod query;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
-#[cfg(feature = "legacy-facts")]
-pub use legacy::LegacyWorkingMemory;
 pub use memory::{Fact, FactHandle, FactId, WorkingMemory};
 pub use query::{count_where, exists, group_by, max_by, select, sum_by};
 pub use rule::{Match, Rule, RuleBuilder, Watch};

@@ -19,8 +19,7 @@
 //! Iteration order is insertion order (handles are monotonically increasing
 //! and the per-slab list appends at the tail), so rule evaluation is
 //! reproducible and exactly matches the legacy `BTreeMap` store, which is
-//! preserved as [`crate::legacy::LegacyWorkingMemory`] behind the
-//! `legacy-facts` feature to serve as the differential-test oracle.
+//! preserved as the differential-test oracle in `tests/legacy/mod.rs`.
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap};

@@ -13,13 +13,14 @@
 //! must return `None` via the generation mismatch, never a stale or
 //! recycled fact.
 //!
-//! Runs only with the `legacy-facts` feature (default-on), which keeps the
-//! oracle compiled. `PWM_PROPTEST_CASES` raises the case count for the CI
-//! differential job.
-#![cfg(feature = "legacy-facts")]
+//! The oracle lives beside this file as the `legacy` module.
+//! `PWM_PROPTEST_CASES` raises the case count for the CI differential job.
 
+mod legacy;
+
+use legacy::LegacyWorkingMemory;
 use proptest::prelude::*;
-use pwm_rules::{FactHandle, FactId, LegacyWorkingMemory, WorkingMemory};
+use pwm_rules::{FactHandle, FactId, WorkingMemory};
 use std::any::TypeId;
 
 #[derive(Debug, PartialEq, Clone)]

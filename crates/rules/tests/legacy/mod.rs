@@ -1,21 +1,18 @@
 //! The pre-arena fact store, preserved as a differential-test oracle.
 //!
 //! [`LegacyWorkingMemory`] is the original `BTreeMap<FactHandle, Box<dyn
-//! Fact>>` implementation that [`crate::WorkingMemory`] replaced: every fact
-//! behind its own heap allocation, every typed access paying a
+//! Fact>>` implementation that [`pwm_rules::WorkingMemory`] replaced: every
+//! fact behind its own heap allocation, every typed access paying a
 //! `downcast_ref`, iteration hopping through per-type `BTreeSet`s. It is
 //! deliberately kept byte-for-byte semantically identical to the store it
 //! was — same handle numbering, same insertion-order iteration, same
 //! generation/type-generation/changed-log behaviour — so the facts
-//! differential suite (`tests/facts_differential.rs`) can drive both stores
-//! through identical command sequences and fail loudly on any observable
-//! divergence in the arena rewrite.
-//!
-//! Compiled only with the `legacy-facts` feature (on by default so the
-//! differential suite runs in a stock `cargo test`). Production code must
-//! not depend on this module.
+//! differential suite (`tests/facts_differential.rs`, whose module this is)
+//! can drive both stores through identical command sequences and fail
+//! loudly on any observable divergence in the arena rewrite. It needs only
+//! the public [`Fact`] trait and [`FactHandle`]'s public `u64`.
 
-use crate::memory::{Fact, FactHandle};
+use pwm_rules::{Fact, FactHandle};
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -120,10 +117,10 @@ impl TypeLog {
     }
 }
 
-/// The original boxed-fact store: the oracle the arena [`crate::WorkingMemory`]
-/// is differentially tested against. API and observable behaviour are a
-/// strict subset-match of the arena store (everything except [`crate::FactId`],
-/// which has no legacy equivalent).
+/// The original boxed-fact store: the oracle the arena
+/// [`pwm_rules::WorkingMemory`] is differentially tested against. API and
+/// observable behaviour are a strict subset-match of the arena store
+/// (everything except [`pwm_rules::FactId`], which has no legacy equivalent).
 #[derive(Default)]
 pub struct LegacyWorkingMemory {
     slots: BTreeMap<FactHandle, Slot>,
@@ -279,11 +276,6 @@ impl LegacyWorkingMemory {
     /// Handles of all facts of type `T`, insertion order.
     pub fn handles<T: Fact>(&self) -> Vec<FactHandle> {
         self.iter::<T>().map(|(h, _)| h).collect()
-    }
-
-    /// First fact of type `T` matching `pred`.
-    pub fn find<T: Fact>(&self, pred: impl Fn(&T) -> bool) -> Option<(FactHandle, &T)> {
-        self.iter::<T>().find(|(_, t)| pred(t))
     }
 
     /// Register a hash index over facts of type `T`, keyed by `extract`.

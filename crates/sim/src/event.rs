@@ -1,150 +1,24 @@
-//! Deterministic pending-event set.
-//!
-//! [`EventQueue`] is the heart of the simulator: a priority queue of
-//! `(time, sequence, payload)` entries. Ties in time are broken by insertion
-//! sequence, so two runs with the same schedule produce byte-identical event
-//! orders — a prerequisite for seeded reproducibility of every experiment in
-//! the benchmark harness.
-//!
-//! The queue is an *indexed* 4-ary heap: alongside the heap array it keeps a
-//! handle → heap-position slab that is maintained through every sift, so
-//! [`EventQueue::cancel`] locates its entry in O(1) and removes it in
-//! O(log n). There is no lazy-deletion corpse pile and no compaction pause —
-//! a cancelled event leaves the heap immediately, `len` is always exact, and
-//! cancel-heavy workloads (ETA reschedules in the network layer cancel far
-//! more events than they fire) pay the same logarithmic cost as scheduling.
-//!
-//! Hot-path engineering, sized for ~100k pending events:
-//!
-//! * **Slab position index, not a hash map.** A handle is a `(slot,
-//!   generation)` pair packed in a `u64`; the slot indexes a dense
-//!   `Vec<Slot>` holding the entry's current heap position. Every sift swap
-//!   updates two plain array words — no hashing, no probing, no growth
-//!   rehash. Generations make stale handles (already fired or cancelled)
-//!   detectably dead, so `cancel` keeps its exact true/false contract even
-//!   though slots are recycled.
-//! * **4-ary layout.** Quartering the depth halves the levels a pop's
-//!   sift-down walks, and the four children sit in at most two cache lines.
-//! * **In-place [`EventQueue::reschedule`].** Moving an event to a new time
-//!   — the dominant operation under ETA churn — re-keys the entry where it
-//!   sits and restores the invariant with a single sift, instead of paying
-//!   a full remove plus a fresh insert.
+//! Shared vocabulary of the pending-event set: the [`EventHandle`] a
+//! scheduled event is cancelled or rescheduled by, and the [`QueueHealth`]
+//! snapshot the observability exports read. The queue itself is
+//! [`crate::ladder::LadderQueue`].
 
-use crate::time::{SimDuration, SimTime};
-
-/// Heap arity.
-const D: usize = 4;
-/// `Slot::pos` value meaning "not currently pending".
-const NO_POS: u32 = u32::MAX;
-
-/// The operations every pending-event structure must provide, with the
-/// exact-order contract the simulator is built on: events pop in strict
-/// `(time, seq)` lexicographic order, where `seq` is assigned at schedule
-/// (and re-assigned by [`SimQueue::reschedule`]) from one monotone counter.
-///
-/// Two implementations ship: the indexed 4-ary heap [`EventQueue`]
-/// (O(log n) everywhere, kept as the differential-test oracle) and the
-/// [`crate::ladder::LadderQueue`] (amortized O(1) per operation via
-/// epoch-bucketed rungs). [`DynQueue`] selects between them at runtime.
-/// Both are *exact*: no binning ever reorders a pop, so a driver swapping
-/// one for the other is bit-identical, not just statistically close.
-pub trait SimQueue<E> {
-    /// Current virtual time (time of the most recently popped event).
-    fn now(&self) -> SimTime;
-    /// Number of events popped so far (diagnostic).
-    fn events_processed(&self) -> u64;
-    /// Number of live events still pending.
-    fn len(&self) -> usize;
-    /// True when no live events remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Schedule `payload` at absolute time `at` (panics if in the past).
-    fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle;
-    /// Schedule `payload` after a relative delay from now.
-    fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventHandle {
-        let at = self.now() + delay;
-        self.schedule_at(at, payload)
-    }
-    /// Cancel a pending event; `true` iff this call prevented it firing.
-    fn cancel(&mut self, handle: EventHandle) -> bool;
-    /// Move a pending event to a new time with a fresh sequence number
-    /// (fires after existing same-instant ties); `false` if not pending.
-    fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> bool;
-    /// Cancelled entries still buried in the structure (0 for both
-    /// shipped implementations — removal is eager).
-    fn backlog(&self) -> usize {
-        0
-    }
-    /// Time of the next live event, if any, without popping it.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Pop the next live event, advancing the clock to its timestamp.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-    /// Pop the next live event only if it fires at or before `horizon`.
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)>;
-    /// Drain every event firing at or before `horizon` into `out`, in pop
-    /// order. Semantically a `pop_until` loop; implementations with a
-    /// sorted current bucket override it to peel the whole batch off in
-    /// one pass (the same-timestamp coalescing the network engine's
-    /// `advance` leans on).
-    fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        while let Some(ev) = self.pop_until(horizon) {
-            out.push(ev);
-        }
-    }
-    /// Advance the clock manually; panics if moving backwards.
-    fn advance_to(&mut self, at: SimTime);
-    /// Queue-health snapshot for observability exports.
-    fn health(&self) -> QueueHealth;
-}
-
-/// Which [`SimQueue`] implementation a [`DynQueue`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// The indexed 4-ary heap ([`EventQueue`]) — O(log n), the oracle.
-    Heap,
-    /// The ladder queue ([`crate::ladder::LadderQueue`]) — amortized O(1).
-    #[default]
-    Ladder,
-}
-
-impl QueueKind {
-    /// Stable lowercase name (`"heap"` / `"ladder"`), used in benchmark
-    /// reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Ladder => "ladder",
-        }
-    }
-
-    /// Parse a [`QueueKind::name`] string.
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "ladder" => Some(QueueKind::Ladder),
-            _ => None,
-        }
-    }
-}
-
-/// A point-in-time health snapshot of a pending-event structure, shaped
-/// for gauge export (`sim_queue_depth`, `sim_queue_cancelled_total`,
-/// bucket-occupancy gauges). The ladder-geometry fields are zero for the
-/// heap, which has no bucket structure.
+/// A point-in-time health snapshot of the pending-event set, shaped for
+/// gauge export (`sim_queue_depth`, `sim_queue_cancelled_total`,
+/// bucket-occupancy gauges).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueHealth {
     /// Live events pending.
     pub depth: usize,
     /// Events cancelled over the queue's lifetime.
     pub cancelled_total: u64,
-    /// Events in the sorted current bucket (ladder only).
+    /// Events in the sorted current bucket.
     pub current_bucket_events: usize,
-    /// Events bucketed in rungs (ladder only).
+    /// Events bucketed in rungs.
     pub rung_events: usize,
-    /// Far-future events in the overflow staging area (ladder only).
+    /// Far-future events in the overflow staging area.
     pub overflow_events: usize,
-    /// Rungs currently spawned (ladder only).
+    /// Rungs currently spawned.
     pub active_rungs: usize,
 }
 
@@ -184,739 +58,5 @@ impl EventHandle {
     #[inline]
     pub fn from_raw(raw: u64) -> Self {
         EventHandle(raw)
-    }
-}
-
-/// Per-handle-slot bookkeeping: the liveness generation and, while pending,
-/// the entry's current heap index.
-struct Slot {
-    gen: u32,
-    pos: u32,
-}
-
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    payload: E,
-}
-
-/// A deterministic discrete-event queue with a virtual clock.
-///
-/// The clock advances only when events are popped; scheduling in the past is
-/// a logic error and panics, as it would silently reorder causality.
-pub struct EventQueue<E> {
-    /// 4-ary min-heap ordered by `(at, seq)`; earliest entry at index 0.
-    heap: Vec<Entry<E>>,
-    /// Handle-slot slab; `slots[s].pos` is the heap index while pending.
-    slots: Vec<Slot>,
-    /// Retired handle slots available for reuse.
-    free: Vec<u32>,
-    next_seq: u64,
-    now: SimTime,
-    popped: u64,
-    cancelled: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-            cancelled: 0,
-        }
-    }
-
-    /// Current virtual time (time of the most recently popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events popped so far (diagnostic).
-    pub fn events_processed(&self) -> u64 {
-        self.popped
-    }
-
-    /// Number of live events still pending. Exact: cancelled events leave
-    /// the heap immediately.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `payload` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current clock.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={} requested={}",
-            self.now,
-            at
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ix = self.heap.len() as u32;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].pos = ix;
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot { gen: 0, pos: ix });
-                s
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(Entry {
-            at,
-            seq,
-            slot,
-            payload,
-        });
-        self.sift_up(ix as usize);
-        EventHandle::pack(slot, gen)
-    }
-
-    /// Schedule `payload` after a relative delay from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventHandle {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Heap index of `handle`'s entry, if the event is still pending.
-    #[inline]
-    fn live_pos(&self, handle: EventHandle) -> Option<usize> {
-        let s = handle.slot();
-        match self.slots.get(s) {
-            Some(slot) if slot.gen == handle.gen() && slot.pos != NO_POS => Some(slot.pos as usize),
-            _ => None,
-        }
-    }
-
-    /// Retire a handle slot once its event fired or was cancelled: bump the
-    /// generation (staling any outstanding handles) and recycle the slot.
-    #[inline]
-    fn retire(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.pos = NO_POS;
-        self.free.push(slot);
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. this call actually prevented it from firing).
-    /// Already-fired, already-cancelled, and never-issued handles all return
-    /// `false`. O(log n); the position slab makes the lookup O(1).
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let Some(ix) = self.live_pos(handle) else {
-            return false;
-        };
-        let entry = self.take_at(ix);
-        self.retire(entry.slot);
-        self.cancelled += 1;
-        true
-    }
-
-    /// Move a still-pending event to a new firing time, keeping its payload
-    /// and handle. Exactly equivalent to a cancel plus a fresh
-    /// `schedule_at` (the entry is re-keyed with a fresh sequence number,
-    /// so it fires after anything already scheduled at the same instant),
-    /// but restores the heap invariant with a single sift from the entry's
-    /// current position instead of a remove plus an insert. Returns `false`
-    /// — without scheduling anything — if the handle is no longer pending.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current clock.
-    pub fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> bool {
-        let Some(ix) = self.live_pos(handle) else {
-            return false;
-        };
-        assert!(
-            at >= self.now,
-            "cannot reschedule into the past: now={} requested={}",
-            self.now,
-            at
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let old_at = self.heap[ix].at;
-        self.heap[ix].at = at;
-        self.heap[ix].seq = seq;
-        // The fresh seq makes the new key strictly larger at equal `at`, so
-        // the entry can only move one way: up for a strictly earlier time,
-        // down otherwise. One sift, not two.
-        if at < old_at {
-            self.sift_up(ix);
-        } else {
-            self.sift_down(ix);
-        }
-        true
-    }
-
-    /// Number of cancelled entries still buried in the heap (diagnostic).
-    /// Always zero for the indexed heap — removal is eager — kept so
-    /// monitoring call sites compile unchanged.
-    pub fn backlog(&self) -> usize {
-        0
-    }
-
-    /// Time of the next live event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
-    }
-
-    /// Pop the next live event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.take_at(0);
-        self.retire(entry.slot);
-        debug_assert!(entry.at >= self.now, "event queue produced time travel");
-        self.now = entry.at;
-        self.popped += 1;
-        Some((entry.at, entry.payload))
-    }
-
-    /// Pop the next live event only if it fires at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Advance the clock manually (e.g. to a rate-recomputation instant that
-    /// is not itself an event). Panics if moving backwards.
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "clock cannot move backwards");
-        self.now = at;
-    }
-
-    /// True when entry `a` orders strictly before entry `b` in pop order.
-    #[inline]
-    fn before(&self, a: usize, b: usize) -> bool {
-        let (ea, eb) = (&self.heap[a], &self.heap[b]);
-        (ea.at, ea.seq) < (eb.at, eb.seq)
-    }
-
-    /// Swap two heap entries and keep the position slab consistent.
-    #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.slots[self.heap[a].slot as usize].pos = a as u32;
-        self.slots[self.heap[b].slot as usize].pos = b as u32;
-    }
-
-    fn sift_up(&mut self, mut ix: usize) {
-        while ix > 0 {
-            let parent = (ix - 1) / D;
-            if self.before(ix, parent) {
-                self.swap(ix, parent);
-                ix = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut ix: usize) {
-        loop {
-            let first = D * ix + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let last = (first + D).min(self.heap.len());
-            let mut smallest = first;
-            for child in first + 1..last {
-                if self.before(child, smallest) {
-                    smallest = child;
-                }
-            }
-            if self.before(smallest, ix) {
-                self.swap(ix, smallest);
-                ix = smallest;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Remove and return the entry at heap index `ix`, restoring the heap
-    /// invariant. The caller is responsible for retiring the entry's handle
-    /// slot (both `cancel` and `pop` do).
-    fn take_at(&mut self, ix: usize) -> Entry<E> {
-        let last = self.heap.len() - 1;
-        self.heap.swap(ix, last);
-        let entry = self.heap.pop().expect("take_at on empty heap");
-        if ix < self.heap.len() {
-            self.slots[self.heap[ix].slot as usize].pos = ix as u32;
-            // The swapped-in tail element can violate the invariant in either
-            // direction relative to its new parent.
-            self.sift_up(ix);
-            self.sift_down(ix);
-        }
-        entry
-    }
-
-    /// Queue-health snapshot. The heap has no bucket geometry, so only the
-    /// depth and cancellation counters are populated.
-    pub fn health(&self) -> QueueHealth {
-        QueueHealth {
-            depth: self.heap.len(),
-            cancelled_total: self.cancelled,
-            ..QueueHealth::default()
-        }
-    }
-}
-
-impl<E> SimQueue<E> for EventQueue<E> {
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn events_processed(&self) -> u64 {
-        EventQueue::events_processed(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
-        EventQueue::schedule_at(self, at, payload)
-    }
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        EventQueue::cancel(self, handle)
-    }
-    fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> bool {
-        EventQueue::reschedule(self, handle, at)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        EventQueue::pop_until(self, horizon)
-    }
-    fn advance_to(&mut self, at: SimTime) {
-        EventQueue::advance_to(self, at)
-    }
-    fn health(&self) -> QueueHealth {
-        EventQueue::health(self)
-    }
-}
-
-/// Runtime-selected pending-event structure: a two-variant enum instead of
-/// a generic parameter, so `Network` and the workflow executor can switch
-/// queues per run (benchmark head-to-heads, cross-queue determinism tests)
-/// without the type parameter infecting every downstream signature. The
-/// per-call variant branch is perfectly predicted in any single run and is
-/// noise next to the memory traffic either queue generates.
-pub enum DynQueue<E> {
-    /// Indexed 4-ary heap.
-    Heap(EventQueue<E>),
-    /// Ladder queue.
-    Ladder(crate::ladder::LadderQueue<E>),
-}
-
-impl<E> DynQueue<E> {
-    /// Create an empty queue of the requested kind, clock at
-    /// [`SimTime::ZERO`].
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => DynQueue::Heap(EventQueue::new()),
-            QueueKind::Ladder => DynQueue::Ladder(crate::ladder::LadderQueue::new()),
-        }
-    }
-
-    /// Which implementation this queue dispatches to.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            DynQueue::Heap(_) => QueueKind::Heap,
-            DynQueue::Ladder(_) => QueueKind::Ladder,
-        }
-    }
-}
-
-impl<E> Default for DynQueue<E> {
-    fn default() -> Self {
-        DynQueue::new(QueueKind::default())
-    }
-}
-
-macro_rules! dyn_dispatch {
-    ($self:ident, $q:ident => $body:expr) => {
-        match $self {
-            DynQueue::Heap($q) => $body,
-            DynQueue::Ladder($q) => $body,
-        }
-    };
-}
-
-impl<E> SimQueue<E> for DynQueue<E> {
-    fn now(&self) -> SimTime {
-        dyn_dispatch!(self, q => q.now())
-    }
-    fn events_processed(&self) -> u64 {
-        dyn_dispatch!(self, q => q.events_processed())
-    }
-    fn len(&self) -> usize {
-        dyn_dispatch!(self, q => q.len())
-    }
-    fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
-        dyn_dispatch!(self, q => q.schedule_at(at, payload))
-    }
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        dyn_dispatch!(self, q => q.cancel(handle))
-    }
-    fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> bool {
-        dyn_dispatch!(self, q => q.reschedule(handle, at))
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        dyn_dispatch!(self, q => q.peek_time())
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        dyn_dispatch!(self, q => q.pop())
-    }
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        dyn_dispatch!(self, q => q.pop_until(horizon))
-    }
-    fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        match self {
-            DynQueue::Heap(q) => {
-                while let Some(ev) = q.pop_until(horizon) {
-                    out.push(ev);
-                }
-            }
-            DynQueue::Ladder(q) => SimQueue::drain_until(q, horizon, out),
-        }
-    }
-    fn advance_to(&mut self, at: SimTime) {
-        dyn_dispatch!(self, q => q.advance_to(at))
-    }
-    fn health(&self) -> QueueHealth {
-        dyn_dispatch!(self, q => q.health())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn q() -> EventQueue<&'static str> {
-        EventQueue::new()
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = q();
-        q.schedule_at(SimTime::from_secs(3), "c");
-        q.schedule_at(SimTime::from_secs(1), "a");
-        q.schedule_at(SimTime::from_secs(2), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = q();
-        let t = SimTime::from_secs(1);
-        q.schedule_at(t, "first");
-        q.schedule_at(t, "second");
-        q.schedule_at(t, "third");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = q();
-        q.schedule_at(SimTime::from_secs(5), "x");
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = q();
-        q.schedule_at(SimTime::from_secs(10), "base");
-        q.pop();
-        q.schedule_in(SimDuration::from_secs(2), "later");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(12));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_past_panics() {
-        let mut q = q();
-        q.schedule_at(SimTime::from_secs(10), "x");
-        q.pop();
-        q.schedule_at(SimTime::from_secs(1), "too-late");
-    }
-
-    #[test]
-    fn cancellation_suppresses_event() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "dead");
-        q.schedule_at(SimTime::from_secs(2), "alive");
-        assert!(q.cancel(h));
-        assert_eq!(q.len(), 1);
-        let (_, e) = q.pop().unwrap();
-        assert_eq!(e, "alive");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancelling_fired_event_returns_false() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "x");
-        q.pop();
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn double_cancel_returns_false() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "x");
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn pop_until_respects_horizon() {
-        let mut q = q();
-        q.schedule_at(SimTime::from_secs(1), "early");
-        q.schedule_at(SimTime::from_secs(10), "late");
-        assert_eq!(q.pop_until(SimTime::from_secs(5)).unwrap().1, "early");
-        assert!(q.pop_until(SimTime::from_secs(5)).is_none());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "dead");
-        q.schedule_at(SimTime::from_secs(2), "alive");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn advance_to_moves_clock_without_events() {
-        let mut q = q();
-        q.advance_to(SimTime::from_secs(4));
-        assert_eq!(q.now(), SimTime::from_secs(4));
-        q.schedule_in(SimDuration::from_secs(1), "x");
-        assert_eq!(q.pop().unwrap().0, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn cancel_heavy_workload_keeps_len_honest_and_heap_compact() {
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for i in 0..4_000u64 {
-            handles.push(q.schedule_at(SimTime::from_micros(i), i));
-        }
-        // Cancel 99% of the queue without popping anything — removal is
-        // eager, so `len` tracks every cancellation exactly.
-        let mut live = 4_000usize;
-        for (i, h) in handles.iter().enumerate() {
-            if i % 100 != 0 {
-                assert!(q.cancel(*h));
-                live -= 1;
-                assert_eq!(q.len(), live);
-            }
-        }
-        assert_eq!(q.len(), 40);
-        // Eager-removal invariant: no dead entries linger, ever.
-        assert_eq!(q.backlog(), 0);
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 40);
-        assert_eq!(q.backlog(), 0);
-    }
-
-    #[test]
-    fn compaction_preserves_order_and_cancel_semantics() {
-        let mut q = q();
-        let t = SimTime::from_secs(1);
-        let doomed: Vec<_> = (0..8).map(|_| q.schedule_at(t, "dead")).collect();
-        q.schedule_at(t, "a");
-        q.schedule_at(t, "b");
-        for h in &doomed {
-            assert!(q.cancel(*h));
-        }
-        // Cancelling a second time must still report "already dead".
-        assert!(!q.cancel(doomed[0]));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn reschedule_moves_event_and_keeps_handle() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "moved");
-        q.schedule_at(SimTime::from_secs(2), "fixed");
-        assert!(q.reschedule(h, SimTime::from_secs(3)));
-        assert_eq!(q.len(), 2);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order,
-            vec![
-                (SimTime::from_secs(2), "fixed"),
-                (SimTime::from_secs(3), "moved"),
-            ]
-        );
-    }
-
-    #[test]
-    fn reschedule_to_same_instant_fires_after_existing_ties() {
-        // Re-keying takes a fresh sequence number, exactly as a cancel +
-        // schedule would: the moved event loses its FIFO seniority.
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "moved");
-        q.schedule_at(SimTime::from_secs(1), "stayed");
-        assert!(q.reschedule(h, SimTime::from_secs(1)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["stayed", "moved"]);
-    }
-
-    #[test]
-    fn reschedule_of_dead_handle_is_rejected() {
-        let mut q = q();
-        let h = q.schedule_at(SimTime::from_secs(1), "x");
-        assert!(q.cancel(h));
-        assert!(!q.reschedule(h, SimTime::from_secs(2)));
-        assert_eq!(q.len(), 0);
-        let h2 = q.schedule_at(SimTime::from_secs(3), "y");
-        q.pop();
-        assert!(!q.reschedule(h2, SimTime::from_secs(4)), "fired handle");
-    }
-
-    #[test]
-    fn stale_handle_does_not_alias_recycled_slot() {
-        // Slot recycling must not let an old handle cancel a newer event.
-        let mut q = q();
-        let dead = q.schedule_at(SimTime::from_secs(1), "first");
-        assert!(q.cancel(dead));
-        let _alive = q.schedule_at(SimTime::from_secs(2), "second");
-        assert!(!q.cancel(dead), "stale handle hit the recycled slot");
-        assert!(!q.reschedule(dead, SimTime::from_secs(9)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "second");
-    }
-
-    #[test]
-    fn events_processed_counts_pops() {
-        let mut q = q();
-        for i in 0..5 {
-            q.schedule_at(SimTime::from_secs(i), "e");
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.events_processed(), 5);
-    }
-
-    #[test]
-    fn interleaved_cancel_schedule_pop_keeps_exact_order() {
-        // Remove-from-middle exercises both sift directions of `take_at`.
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for i in 0..64u64 {
-            // Zig-zag times so heap layout differs from pop order.
-            let t = if i % 2 == 0 { 1000 - i } else { i };
-            handles.push((t, q.schedule_at(SimTime::from_micros(t), (t, i))));
-        }
-        // Cancel every third event.
-        let mut expect: Vec<(u64, u64)> = Vec::new();
-        for (i, (t, h)) in handles.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(q.cancel(*h));
-            } else {
-                expect.push((*t, i as u64));
-            }
-        }
-        expect.sort_by_key(|&(t, i)| (t, i));
-        let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(got, expect);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Events always pop in nondecreasing time order, with FIFO ties.
-        #[test]
-        fn pops_are_time_ordered(times in proptest::collection::vec(0u64..10_000, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule_at(SimTime::from_micros(t), i);
-            }
-            let mut last = SimTime::ZERO;
-            let mut seen_at: Vec<(SimTime, usize)> = Vec::new();
-            while let Some((t, ix)) = q.pop() {
-                prop_assert!(t >= last);
-                last = t;
-                seen_at.push((t, ix));
-            }
-            prop_assert_eq!(seen_at.len(), times.len());
-            // FIFO within equal timestamps.
-            for w in seen_at.windows(2) {
-                if w[0].0 == w[1].0 {
-                    prop_assert!(w[0].1 < w[1].1);
-                }
-            }
-        }
-
-        /// Cancelling an arbitrary subset suppresses exactly that subset.
-        #[test]
-        fn cancellation_is_exact(
-            times in proptest::collection::vec(0u64..1_000, 1..100),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-        ) {
-            let mut q = EventQueue::new();
-            let handles: Vec<_> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (i, q.schedule_at(SimTime::from_micros(t), i)))
-                .collect();
-            let mut cancelled = std::collections::BTreeSet::new();
-            for (i, h) in &handles {
-                if *cancel_mask.get(*i).unwrap_or(&false) {
-                    prop_assert!(q.cancel(*h));
-                    cancelled.insert(*i);
-                }
-            }
-            let mut survived = std::collections::BTreeSet::new();
-            while let Some((_, ix)) = q.pop() {
-                survived.insert(ix);
-            }
-            for i in 0..times.len() {
-                prop_assert_eq!(survived.contains(&i), !cancelled.contains(&i));
-            }
-        }
     }
 }

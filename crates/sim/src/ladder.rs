@@ -1,9 +1,16 @@
 //! # Ladder event queue — amortized O(1) pending-event set
 //!
-//! The indexed 4-ary heap in [`crate::event`] is exact and compact, but
-//! every pop walks ~log₄(n) scattered cache lines and profiling at 100k
-//! pending events shows `sift_down` alone eating ~24% of a network-engine
-//! run (DESIGN.md §11). This module is the calendar-queue-family answer:
+//! [`LadderQueue`] is the heart of the simulator: a priority queue of
+//! `(time, sequence, payload)` entries. Ties in time are broken by insertion
+//! sequence, so two runs with the same schedule produce byte-identical event
+//! orders — a prerequisite for seeded reproducibility of every experiment in
+//! the benchmark harness. The clock advances only when events are popped;
+//! scheduling in the past is a logic error and panics, as it would silently
+//! reorder causality.
+//!
+//! A binary or d-ary heap walks ~log(n) scattered cache lines on every pop,
+//! which at 100k pending events dominated a network-engine run (DESIGN.md
+//! §11). This module is the calendar-queue-family answer:
 //! timestamps are binned into **rungs** of [`NB`] buckets each, buckets
 //! are only sorted when they become the **current bucket**, and the sorted
 //! current bucket is popped from its tail — so the steady-state cost per
@@ -31,24 +38,24 @@
 //!    never land in an already-consumed bucket.
 //! 3. **Within a window, `(time, seq)` sorting decides.** The current
 //!    bucket is sorted descending by `(time, seq)` and popped from the
-//!    tail, which is exactly the heap's lexicographic pop order; `seq`
+//!    tail, which is exactly lexicographic `(time, seq)` pop order; `seq`
 //!    values are unique so the order is total and deterministic.
 //!
 //! Together: every pop takes the minimum `(time, seq)` over the whole
-//! structure, so a driver using the ladder is **bit-identical** to one
-//! using the heap — locked down by the lockstep differential suite and
-//! the cross-queue same-seed determinism test.
+//! structure — locked down by the lockstep differential suite against a
+//! sorted-`Vec` reference (`tests/event_differential.rs`).
 //!
 //! ## Cancellation and reschedule
 //!
-//! The same handle→slot generation scheme as the heap: each entry records
-//! its handle slot, each slot records the entry's current location
-//! (area + rung + bucket + position). Cancel is an O(1) `swap_remove`
-//! from a bucket (or an ordered remove from the small current bucket);
-//! reschedule is remove + re-place with a fresh sequence number, exactly
-//! the heap's cancel-plus-schedule semantics.
+//! A handle is a `(slot, generation)` pair: each entry records its handle
+//! slot, each slot records the entry's current location (area + rung +
+//! bucket + position), and generations make stale handles (already fired
+//! or cancelled) detectably dead even though slots are recycled. Cancel is
+//! an O(1) `swap_remove` from a bucket (or an ordered remove from the small
+//! current bucket); reschedule is remove + re-place with a fresh sequence
+//! number, exactly cancel-plus-schedule semantics.
 
-use crate::event::{EventHandle, QueueHealth, SimQueue};
+use crate::event::{EventHandle, QueueHealth};
 use crate::time::{SimDuration, SimTime};
 
 /// Buckets per rung. 64 keeps a rung's bucket array at one page of `Vec`
@@ -130,8 +137,8 @@ struct Rung<E> {
     buckets: Vec<Vec<Entry<E>>>,
 }
 
-/// An exact-order ladder queue; drop-in for [`crate::EventQueue`] via the
-/// [`SimQueue`] trait. See the module docs for the structure and the
+/// The simulator's deterministic event queue with a virtual clock: an
+/// exact-order ladder queue. See the module docs for the structure and the
 /// exactness argument.
 pub struct LadderQueue<E> {
     /// Sorted **descending** by `(at, seq)`; the next event to fire is at
@@ -149,7 +156,7 @@ pub struct LadderQueue<E> {
     /// no rungs exist). Unordered; re-binned into a fresh base rung when
     /// the rung stack drains.
     overflow: Vec<Entry<E>>,
-    /// Handle-slot slab (same generation scheme as the heap).
+    /// Handle-slot slab.
     slots: Vec<Slot>,
     /// Retired handle slots available for reuse.
     free: Vec<u32>,
@@ -285,10 +292,11 @@ impl<E> LadderQueue<E> {
     }
 
     /// Move a still-pending event to a new firing time, keeping its
-    /// payload and handle. Identical semantics to the heap: the entry is
-    /// re-keyed with a fresh sequence number, so it fires after anything
-    /// already scheduled at the same instant. Returns `false` — without
-    /// scheduling anything — if the handle is no longer pending.
+    /// payload and handle. Exactly equivalent to a cancel plus a fresh
+    /// `schedule_at`: the entry is re-keyed with a fresh sequence number,
+    /// so it fires after anything already scheduled at the same instant.
+    /// Returns `false` — without scheduling anything — if the handle is no
+    /// longer pending.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current clock.
@@ -309,12 +317,6 @@ impl<E> LadderQueue<E> {
         self.place(entry);
         self.ensure_cur();
         true
-    }
-
-    /// Cancelled entries still buried in the structure. Always zero —
-    /// removal is eager.
-    pub fn backlog(&self) -> usize {
-        0
     }
 
     /// Time of the next live event, if any, without popping it. O(1):
@@ -695,45 +697,6 @@ impl<E> LadderQueue<E> {
     }
 }
 
-impl<E> SimQueue<E> for LadderQueue<E> {
-    fn now(&self) -> SimTime {
-        LadderQueue::now(self)
-    }
-    fn events_processed(&self) -> u64 {
-        LadderQueue::events_processed(self)
-    }
-    fn len(&self) -> usize {
-        LadderQueue::len(self)
-    }
-    fn schedule_at(&mut self, at: SimTime, payload: E) -> EventHandle {
-        LadderQueue::schedule_at(self, at, payload)
-    }
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        LadderQueue::cancel(self, handle)
-    }
-    fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> bool {
-        LadderQueue::reschedule(self, handle, at)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        LadderQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        LadderQueue::pop(self)
-    }
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        LadderQueue::pop_until(self, horizon)
-    }
-    fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        LadderQueue::drain_until(self, horizon, out)
-    }
-    fn advance_to(&mut self, at: SimTime) {
-        LadderQueue::advance_to(self, at)
-    }
-    fn health(&self) -> QueueHealth {
-        LadderQueue::health(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,5 +896,65 @@ mod tests {
         q.schedule_at(SimTime::from_secs(2), "x");
         q.pop();
         q.schedule_at(SimTime::from_secs(1), "too late");
+    }
+
+    #[test]
+    fn schedule_in_is_relative() {
+        let mut q = q();
+        q.schedule_at(SimTime::from_secs(10), "base");
+        q.pop();
+        q.schedule_in(SimDuration::from_secs(2), "later");
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_secs(12));
+    }
+
+    #[test]
+    fn pop_until_respects_horizon() {
+        let mut q = q();
+        q.schedule_at(SimTime::from_secs(1), "early");
+        q.schedule_at(SimTime::from_secs(10), "late");
+        assert_eq!(q.pop_until(SimTime::from_secs(5)).unwrap().1, "early");
+        assert!(q.pop_until(SimTime::from_secs(5)).is_none());
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn peek_time_skips_cancelled() {
+        let mut q = q();
+        let h = q.schedule_at(SimTime::from_secs(1), "dead");
+        q.schedule_at(SimTime::from_secs(2), "alive");
+        q.cancel(h);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn advance_to_moves_clock_without_events() {
+        let mut q = q();
+        q.advance_to(SimTime::from_secs(4));
+        assert_eq!(q.now(), SimTime::from_secs(4));
+        q.schedule_in(SimDuration::from_secs(1), "x");
+        assert_eq!(q.pop().unwrap().0, SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn events_processed_counts_pops() {
+        let mut q = q();
+        for i in 0..5 {
+            q.schedule_at(SimTime::from_secs(i), "e");
+        }
+        while q.pop().is_some() {}
+        assert_eq!(q.events_processed(), 5);
+    }
+
+    #[test]
+    fn reschedule_of_dead_handle_is_rejected() {
+        let mut q = q();
+        let h = q.schedule_at(SimTime::from_secs(1), "x");
+        assert!(q.cancel(h));
+        assert!(!q.reschedule(h, SimTime::from_secs(2)));
+        assert_eq!(q.len(), 0);
+        let h2 = q.schedule_at(SimTime::from_secs(3), "y");
+        q.pop();
+        assert!(!q.reschedule(h2, SimTime::from_secs(4)), "fired handle");
     }
 }

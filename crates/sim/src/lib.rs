@@ -4,8 +4,9 @@
 //!
 //! * [`time`] — integer microsecond virtual clock ([`SimTime`],
 //!   [`SimDuration`]), exact and platform-independent.
-//! * [`event`] — deterministic pending-event set ([`EventQueue`]) with
-//!   insertion-order tie-breaking and O(log n) scheduling.
+//! * [`ladder`] — deterministic pending-event set ([`LadderQueue`]) with
+//!   insertion-order tie-breaking and amortized O(1) scheduling; [`event`]
+//!   holds its [`EventHandle`] and [`QueueHealth`] vocabulary.
 //! * [`rng`] — seed-derivable random streams ([`SimRng`]) so experiments are
 //!   reproducible run-to-run and component-to-component.
 //! * [`fault`] — deterministic fault plans ([`FaultPlan`]): seeded,
@@ -15,18 +16,18 @@
 //!   points the benchmark harness reports.
 //! * [`trace`] — bounded in-memory trace log for post-mortems and tests.
 //!
-//! The kernel is intentionally *polling-style*: owners of an [`EventQueue`]
+//! The kernel is intentionally *polling-style*: owners of a [`LadderQueue`]
 //! pop typed events in a loop and mutate their own state, which sidesteps the
 //! borrow gymnastics of callback-style simulators while keeping the event
 //! order fully deterministic.
 //!
 //! ```
-//! use pwm_sim::{EventQueue, SimDuration, SimTime};
+//! use pwm_sim::{LadderQueue, SimDuration, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Tick(u32) }
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = LadderQueue::new();
 //! q.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
 //! q.schedule_in(SimDuration::from_secs(2), Ev::Tick(2));
 //! let (t, ev) = q.pop().unwrap();
@@ -44,7 +45,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{DynQueue, EventHandle, EventQueue, QueueHealth, QueueKind, SimQueue};
+pub use event::{EventHandle, QueueHealth};
 pub use fault::{seeded_windows, CrashPoint, FaultEvent, FaultPlan, FaultWindow};
 pub use histogram::Histogram;
 pub use ladder::LadderQueue;

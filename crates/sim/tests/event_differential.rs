@@ -1,5 +1,4 @@
-//! Differential harness: both shipped event queues — the indexed 4-ary heap
-//! [`EventQueue`] and the epoch-bucketed [`LadderQueue`] — model-checked in
+//! Differential harness: the epoch-bucketed [`LadderQueue`] model-checked in
 //! lockstep against a naive sorted-`Vec` reference.
 //!
 //! The reference keeps every pending event in a plain `Vec` and does a
@@ -7,25 +6,24 @@
 //! by inspection. Random schedule/cancel/reschedule/pop interleavings
 //! (including cancel-of-popped, double-cancel, reschedule-of-dead,
 //! same-timestamp bursts, and far-future outliers that land in the ladder's
-//! top rungs or overflow) must observe identical behaviour from all three:
+//! top rungs or overflow) must observe identical behaviour from both:
 //! same pop stream, same cancel/reschedule return values, same `len`, same
 //! `peek_time`. The ladder additionally has its internal invariants checked
-//! as the interleaving runs. Storm regression tests then pin the performance
-//! claims: no O(n)-per-cancel scans in the heap, and no reordering or
-//! corpse leaks in the ladder under a cancel/reschedule storm, while pop
-//! order stays exactly `(time, seq)`.
+//! as the interleaving runs. A storm regression then pins the performance
+//! claims: no O(n)-per-cancel scans, no reordering and no corpse leaks under
+//! a cancel/reschedule storm, while pop order stays exactly `(time, seq)`.
 
 use proptest::prelude::*;
-use pwm_sim::{EventQueue, LadderQueue, SimDuration, SimQueue, SimTime};
+use pwm_sim::{LadderQueue, SimDuration, SimTime};
 
 /// Naive reference queue: unsorted `Vec` of `(time, seq, key)`, linear scans
 /// everywhere. `seq` is assigned from one monotone counter at schedule *and*
-/// on successful reschedule — exactly the contract both real queues
-/// implement — so min-by `(time, seq)` reproduces the FIFO-within-ties
+/// on successful reschedule — exactly the contract the real queue
+/// implements — so min-by `(time, seq)` reproduces the FIFO-within-ties
 /// contract, including reschedules re-joining the back of a same-instant
 /// tie group. `key` is the caller's stable name for the event (the real
-/// queues use their [`pwm_sim::EventHandle`]s; the reference uses the
-/// index into the test's parallel handle arrays).
+/// queue uses its [`pwm_sim::EventHandle`]s; the reference uses the
+/// index into the test's handle array).
 struct RefQueue {
     pending: Vec<(SimTime, u64, u32)>,
     next_seq: u64,
@@ -114,7 +112,7 @@ enum Op {
     DoubleCancel(usize),
     /// Reschedule the `k`-th handle to `now + dt` — may move it across
     /// rungs, into the current bucket, or target a dead event (no-op
-    /// `false` on all queues).
+    /// `false` on both queues).
     Reschedule(usize, u64),
     Pop,
     PopUntil(u64),
@@ -126,7 +124,7 @@ enum Op {
 /// Schedule/reschedule offsets mix dense near-term times (heavy
 /// same-instant tie pressure at small values), exact-zero delays, and
 /// far-future outliers minutes-to-days out — the latter land in the
-/// ladder's top rungs or overflow heap and must still pop in exact order.
+/// ladder's top rungs or overflow list and must still pop in exact order.
 fn arb_dt() -> impl Strategy<Value = u64> {
     prop_oneof![
         5 => 0u64..10_000,
@@ -156,18 +154,16 @@ proptest! {
             .unwrap_or(256),
     })]
 
-    /// Lockstep execution: every observable of the indexed heap AND the
-    /// ladder matches the sorted-Vec reference after every operation, and
-    /// the ladder's internal invariants hold throughout.
+    /// Lockstep execution: every observable of the ladder matches the
+    /// sorted-Vec reference after every operation, and the ladder's
+    /// internal invariants hold throughout.
     #[test]
-    fn both_queues_match_reference(ops in proptest::collection::vec(arb_op(), 1..400)) {
-        let mut h: EventQueue<u32> = EventQueue::new();
+    fn ladder_matches_reference(ops in proptest::collection::vec(arb_op(), 1..400)) {
         let mut l: LadderQueue<u32> = LadderQueue::new();
         let mut r = RefQueue::new();
-        // Parallel handle arrays: hh[i], lh[i], and reference key i name the
-        // same logical event. Event payloads are the key, so pop streams
-        // compare by identity, not just by timestamp.
-        let mut hh = Vec::new();
+        // lh[i] and reference key i name the same logical event. Event
+        // payloads are the key, so pop streams compare by identity, not
+        // just by timestamp.
         let mut lh = Vec::new();
         for (step, op) in ops.into_iter().enumerate() {
             match op {
@@ -178,42 +174,33 @@ proptest! {
                     };
                     let at = r.now + SimDuration::from_micros(dt);
                     for _ in 0..n {
-                        let key = hh.len() as u32;
-                        hh.push(h.schedule_at(at, key));
+                        let key = lh.len() as u32;
                         lh.push(l.schedule_at(at, key));
                         r.schedule_at(at, key);
                     }
                 }
-                Op::Cancel(k) | Op::DoubleCancel(k) | Op::Reschedule(k, _) if hh.is_empty() => {
+                Op::Cancel(k) | Op::DoubleCancel(k) | Op::Reschedule(k, _) if lh.is_empty() => {
                     let _ = k; // nothing issued yet; skip
                 }
                 Op::Cancel(k) => {
-                    let ix = k % hh.len();
-                    let want = r.cancel(ix as u32);
-                    prop_assert_eq!(h.cancel(hh[ix]), want);
-                    prop_assert_eq!(l.cancel(lh[ix]), want);
+                    let ix = k % lh.len();
+                    prop_assert_eq!(l.cancel(lh[ix]), r.cancel(ix as u32));
                 }
                 Op::DoubleCancel(k) => {
-                    let ix = k % hh.len();
+                    let ix = k % lh.len();
                     for _ in 0..2 {
-                        let want = r.cancel(ix as u32);
-                        prop_assert_eq!(h.cancel(hh[ix]), want);
-                        prop_assert_eq!(l.cancel(lh[ix]), want);
+                        prop_assert_eq!(l.cancel(lh[ix]), r.cancel(ix as u32));
                     }
                     // The second attempt must have been a no-op `false`.
                     prop_assert!(!l.cancel(lh[ix]));
                 }
                 Op::Reschedule(k, dt) => {
-                    let ix = k % hh.len();
+                    let ix = k % lh.len();
                     let at = r.now + SimDuration::from_micros(dt);
-                    let want = r.reschedule(ix as u32, at);
-                    prop_assert_eq!(h.reschedule(hh[ix], at), want);
-                    prop_assert_eq!(l.reschedule(lh[ix], at), want);
+                    prop_assert_eq!(l.reschedule(lh[ix], at), r.reschedule(ix as u32, at));
                 }
                 Op::Pop => {
-                    let want = r.pop();
-                    prop_assert_eq!(h.pop(), want);
-                    prop_assert_eq!(l.pop(), want);
+                    prop_assert_eq!(l.pop(), r.pop());
                 }
                 Op::PopUntil(dt) => {
                     let horizon = r.now + SimDuration::from_micros(dt);
@@ -221,7 +208,6 @@ proptest! {
                         Some(t) if t <= horizon => r.pop(),
                         _ => None,
                     };
-                    prop_assert_eq!(h.pop_until(horizon), want);
                     prop_assert_eq!(l.pop_until(horizon), want);
                 }
                 Op::Drain(dt) => {
@@ -233,29 +219,25 @@ proptest! {
                             _ => break,
                         }
                     }
-                    let (mut hg, mut lg) = (Vec::new(), Vec::new());
-                    SimQueue::drain_until(&mut h, horizon, &mut hg);
-                    l.drain_until(horizon, &mut lg);
-                    prop_assert_eq!(&hg, &want);
-                    prop_assert_eq!(&lg, &want);
+                    let mut got = Vec::new();
+                    l.drain_until(horizon, &mut got);
+                    prop_assert_eq!(&got, &want);
                 }
                 Op::Peek => {
-                    prop_assert_eq!(h.peek_time(), r.peek_time());
                     prop_assert_eq!(l.peek_time(), r.peek_time());
                 }
             }
-            prop_assert_eq!(h.len(), r.len());
             prop_assert_eq!(l.len(), r.len());
             prop_assert_eq!(l.is_empty(), r.len() == 0);
+            prop_assert_eq!(l.now(), r.now);
             if step % 16 == 0 {
                 l.check_invariants();
             }
         }
         l.check_invariants();
-        // Drain all three: the tails must agree event for event.
+        // Drain both: the tails must agree event for event.
         loop {
             let want = r.pop();
-            prop_assert_eq!(h.pop(), want);
             prop_assert_eq!(l.pop(), want);
             if want.is_none() {
                 break;
@@ -264,102 +246,54 @@ proptest! {
         l.check_invariants();
     }
 
-    /// Cancelling a popped event returns `false` and never resurrects it,
-    /// on both queues.
+    /// Cancelling a popped event returns `false` and never resurrects it.
     #[test]
     fn cancel_of_popped_is_inert(times in proptest::collection::vec(0u64..1_000, 1..60)) {
-        let mut h: EventQueue<usize> = EventQueue::new();
         let mut l: LadderQueue<usize> = LadderQueue::new();
-        let mut hh = Vec::new();
+        let mut r = RefQueue::new();
         let mut lh = Vec::new();
         for (i, &t) in times.iter().enumerate() {
-            hh.push(h.schedule_at(SimTime::from_micros(t), i));
             lh.push(l.schedule_at(SimTime::from_micros(t), i));
+            r.schedule_at(SimTime::from_micros(t), i as u32);
         }
-        let total = times.len();
-        let mut popped = 0;
-        while let Some(a) = h.pop() {
-            prop_assert_eq!(l.pop(), Some(a));
-            popped += 1;
+        while let Some((t, key)) = r.pop() {
+            prop_assert_eq!(l.pop(), Some((t, key as usize)));
         }
         prop_assert_eq!(l.pop(), None);
-        prop_assert_eq!(popped, total);
         // Every handle's event has fired; all must refuse cancel and
         // reschedule alike.
         let far = SimTime::from_secs(1_000_000);
-        for (a, b) in hh.iter().zip(&lh) {
-            prop_assert!(!h.cancel(*a), "heap cancel of popped event returned true");
-            prop_assert!(!l.cancel(*b), "ladder cancel of popped event returned true");
-            prop_assert!(!h.reschedule(*a, far));
-            prop_assert!(!l.reschedule(*b, far));
+        for h in &lh {
+            prop_assert!(!l.cancel(*h), "cancel of popped event returned true");
+            prop_assert!(!l.reschedule(*h, far));
         }
-        prop_assert!(h.is_empty());
         prop_assert!(l.is_empty());
         l.check_invariants();
     }
 }
 
-/// Regression: 100k schedules and ~99k cancels must complete in bounded
-/// time. The previous lazy-deletion queue did an O(n) heap scan per cancel
-/// (≈5·10⁹ comparisons for this workload — minutes in a debug build); the
-/// indexed heap does ~log n work per operation (&lt;10⁷ total). The generous
-/// wall-clock bound fails the old implementation by orders of magnitude
-/// while staying robust to CI noise, and the surviving events must still
-/// pop in exact (time, seq) order.
+/// Cancel/reschedule storm: 60k events across dense same-timestamp clusters
+/// plus far-future outliers, then a storm that cancels a third, reschedules
+/// a third (some into the far future, some back near `now`, landing across
+/// every rung), and leaves a third — after which the ladder must pop exactly
+/// the `(time, seq)`-sorted survivors, its invariants must hold (`len`
+/// equals what the areas hold: no corpse leaks), and the whole thing must
+/// finish in bounded time (no O(n) scans, no compaction stalls). The
+/// reference here is a per-key `(time, seq)` table sorted once at the end —
+/// `RefQueue`'s linear scans would take minutes at this size.
 #[test]
-fn cancel_heavy_workload_has_no_compaction_stalls() {
-    const N: u64 = 100_000;
-    let started = std::time::Instant::now();
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut handles = Vec::with_capacity(N as usize);
-    for i in 0..N {
-        // Reversed times: the next event to fire is the last scheduled, so
-        // cancels hit entries buried at every heap depth.
-        handles.push(q.schedule_at(SimTime::from_micros(N - i), i));
-    }
-    let mut survivors = Vec::new();
-    for (i, h) in handles.iter().enumerate() {
-        if i % 100 == 7 {
-            survivors.push((N - i as u64, i as u64));
-        } else {
-            assert!(q.cancel(*h));
-        }
-    }
-    assert_eq!(q.len(), survivors.len());
-    assert_eq!(q.backlog(), 0, "indexed heap must not keep corpses");
-    survivors.sort();
-    let mut got = Vec::new();
-    let mut last = SimTime::ZERO;
-    while let Some((t, payload)) = q.pop() {
-        assert!(t >= last, "pop order regressed in time");
-        last = t;
-        got.push((t.as_micros(), payload));
-    }
-    assert_eq!(
-        got, survivors,
-        "surviving events must pop in (time, seq) order"
-    );
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(10),
-        "cancel-heavy workload stalled: took {:?}",
-        started.elapsed()
-    );
-}
-
-/// Cancel/reschedule storm, ladder vs heap: 60k events across dense
-/// same-timestamp clusters plus far-future outliers, then a storm that
-/// cancels a third, reschedules a third (some into the far future, some
-/// back near `now`, landing across every rung), and leaves a third — after
-/// which both queues must produce byte-identical pop streams, the ladder's
-/// invariants must hold, and the whole thing must finish in bounded time
-/// (no O(n) scans, no compaction stalls, no corpse leaks).
-#[test]
-fn ladder_survives_cancel_reschedule_storm_identically_to_heap() {
+fn ladder_survives_cancel_reschedule_storm_in_exact_order() {
     const N: usize = 60_000;
     let started = std::time::Instant::now();
-    let mut h: EventQueue<u32> = EventQueue::new();
     let mut l: LadderQueue<u32> = LadderQueue::new();
-    let (mut hh, mut lh) = (Vec::with_capacity(N), Vec::with_capacity(N));
+    let mut lh = Vec::with_capacity(N);
+    // model[i] = Some((time, seq)) while event i is pending.
+    let mut model: Vec<Option<(SimTime, u64)>> = Vec::with_capacity(N);
+    let mut next_seq = 0u64;
+    let mut fresh_seq = || {
+        next_seq += 1;
+        next_seq - 1
+    };
     for i in 0..N {
         // Dense clusters of 16 same-instant events, with every 97th event a
         // far-future outlier (top rungs / overflow territory).
@@ -368,14 +302,14 @@ fn ladder_survives_cancel_reschedule_storm_identically_to_heap() {
         } else {
             SimTime::from_micros((i / 16) as u64)
         };
-        hh.push(h.schedule_at(t, i as u32));
         lh.push(l.schedule_at(t, i as u32));
+        model.push(Some((t, fresh_seq())));
     }
     l.check_invariants();
     for i in 0..N {
         match i % 3 {
             0 => {
-                assert_eq!(h.cancel(hh[i]), l.cancel(lh[i]));
+                assert_eq!(l.cancel(lh[i]), model[i].take().is_some());
             }
             1 => {
                 // Alternate between yanking events out to the far future
@@ -385,39 +319,39 @@ fn ladder_survives_cancel_reschedule_storm_identically_to_heap() {
                 } else {
                     SimTime::from_micros((i / 8) as u64)
                 };
-                assert_eq!(h.reschedule(hh[i], at), l.reschedule(lh[i], at));
+                assert_eq!(l.reschedule(lh[i], at), model[i].is_some());
+                if model[i].is_some() {
+                    model[i] = Some((at, fresh_seq()));
+                }
             }
             _ => {}
         }
     }
     l.check_invariants();
-    assert_eq!(h.len(), l.len());
-    assert_eq!(l.backlog(), 0, "ladder must not keep corpses");
     // Double-storm: cancel half of what was just rescheduled.
     for i in (1..N).step_by(6) {
-        assert_eq!(h.cancel(hh[i]), l.cancel(lh[i]));
+        assert_eq!(l.cancel(lh[i]), model[i].take().is_some());
     }
-    assert_eq!(h.len(), l.len());
-    let mut drained = 0usize;
-    let mut last = (SimTime::ZERO, 0u32);
-    loop {
-        let a = h.pop();
-        let b = l.pop();
-        assert_eq!(a, b, "pop streams diverged after {drained} events");
-        match a {
-            Some(ev) => {
-                assert!(ev.0 >= last.0, "pop order regressed in time");
-                last = ev;
-                drained += 1;
-            }
-            None => break,
-        }
+    let mut want: Vec<(SimTime, u64, u32)> = model
+        .iter()
+        .enumerate()
+        .filter_map(|(i, m)| m.map(|(t, seq)| (t, seq, i as u32)))
+        .collect();
+    want.sort();
+    assert_eq!(l.len(), want.len());
+    for (drained, &(t, _, key)) in want.iter().enumerate() {
+        assert_eq!(
+            l.pop(),
+            Some((t, key)),
+            "pop stream diverged after {drained} events"
+        );
         if drained.is_multiple_of(8192) {
             l.check_invariants();
         }
     }
+    assert_eq!(l.pop(), None);
     l.check_invariants();
-    assert!(l.is_empty() && h.is_empty());
+    assert!(l.is_empty());
     assert!(
         started.elapsed() < std::time::Duration::from_secs(20),
         "cancel/reschedule storm stalled: took {:?}",

@@ -28,7 +28,7 @@ use pwm_core::{
 };
 use pwm_net::{FlowSpec, LinkId, Network};
 use pwm_obs::{Obs, SpanId};
-use pwm_sim::{DynQueue, QueueKind, SimDuration, SimQueue, SimRng, SimTime, Trace};
+use pwm_sim::{LadderQueue, SimDuration, SimRng, SimTime, Trace};
 use pwm_storage::{BackendSpec, CostMeter, StorageLayer};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -137,10 +137,6 @@ pub struct ExecutorConfig {
     /// lifecycle counters, and attaches the same handle to the network so
     /// flow spans nest under their transfer spans.
     pub obs: Option<Obs>,
-    /// Pending-event structure for the executor's own timers (job
-    /// completions, backoffs). Both kinds are exact-order, so runs are
-    /// bit-identical either way; this is a benchmarking/validation knob.
-    pub queue: QueueKind,
     /// The recovery plane: fault schedules, the integrity model, and the
     /// re-planning knobs (see [`crate::recovery`]). `None` — or an inert
     /// config — leaves the event stream byte-identical to a build without
@@ -189,7 +185,6 @@ impl Default for ExecutorConfig {
             cleanup_job_limit: None,
             storage: None,
             obs: None,
-            queue: QueueKind::default(),
             recovery: None,
             producer_rerun_delay: SimDuration::from_secs(30),
             halt_at: None,
@@ -284,7 +279,7 @@ pub struct WorkflowExecutor<'p> {
     config: ExecutorConfig,
     transport: Box<dyn PolicyTransport>,
     network: Network,
-    events: DynQueue<Ev>,
+    events: LadderQueue<Ev>,
     now: SimTime,
     rng: SimRng,
     trace: Trace,
@@ -388,7 +383,7 @@ impl<'p> WorkflowExecutor<'p> {
             plan,
             transport,
             network,
-            events: DynQueue::new(config.queue),
+            events: LadderQueue::new(),
             now: SimTime::ZERO,
             rng,
             trace: Trace::default(),

@@ -70,16 +70,16 @@ done
 [ "$netbench_ok" = 1 ] || { echo "netbench smoke failed 3/3 attempts" >&2; exit 1; }
 test -s target/netbench/BENCH_net.json || { echo "netbench report is empty" >&2; exit 1; }
 
-# Differential job: the arena fact store and both event queues (indexed
-# heap and ladder) are locked to their straightforward oracles (legacy
-# map-backed working memory, sorted-Vec queue) by randomized lockstep
-# suites — the queue suite drives heap and ladder side by side through
-# cancel/reschedule storms, same-instant bursts, and far-future outliers,
-# checking the ladder's internal invariants as it goes. The workspace
-# run above already exercises them at the default case budgets (128 / 256);
-# this release pass raises the budget 8x so CI walks a much deeper slice
-# of the command space. PWM_PROPTEST_CASES is read at *compile* time
-# (option_env!), so it is set on the cargo invocation, not the binary.
+# Differential job: the arena fact store and the ladder event queue are
+# locked to their straightforward oracles (legacy map-backed working
+# memory, sorted-Vec queue) by randomized lockstep suites — the queue suite
+# drives the ladder through cancel/reschedule storms, same-instant bursts,
+# and far-future outliers, checking its internal invariants as it goes.
+# The workspace run above already exercises them at the default case
+# budgets (128 / 256); this release pass raises the budget 8x so CI walks a
+# much deeper slice of the command space. PWM_PROPTEST_CASES is read at
+# *compile* time (option_env!), so it is set on the cargo invocation, not
+# the binary.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
@@ -128,5 +128,13 @@ mkdir -p target/resiliencebench
 timeout 120 ./target/release/resiliencebench smoke \
   --out target/resiliencebench/BENCH_resilience.json > /dev/null
 test -s target/resiliencebench/BENCH_resilience.json || { echo "resiliencebench report is empty" >&2; exit 1; }
+
+# E2ebench job: the whole-stack benchmark's own gate (benchmark/check.sh) —
+# its unit tests (incl. BENCHMARK.json-vs-tables equality), then two smoke
+# suites of one seed whose exact counts and simulated statistics must agree
+# to the last bit. Smoke timings are printed but too short to be judged;
+# the timed comparison is the driver's, through benchmark/run.sh.
+echo "== e2ebench check (whole-stack benchmark gate) =="
+bash benchmark/check.sh
 
 echo "CI OK"

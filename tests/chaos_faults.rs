@@ -7,7 +7,7 @@
 //! and makespan.
 
 use pwm_bench::{run_chaos, ChaosConfig};
-use pwm_sim::{QueueKind, SimDuration, SimTime};
+use pwm_sim::{SimDuration, SimTime};
 
 /// A compact scenario so debug-mode runs stay quick: two WAN flaps, one
 /// degradation window, and a 45 s replica-crash outage early in the run.
@@ -51,50 +51,19 @@ fn montage_survives_link_flaps_and_a_replica_outage() {
 
 #[test]
 fn same_seed_reproduces_fault_sequence_and_makespan() {
-    // The determinism contract must hold under either event-queue
-    // implementation — the heap oracle and the ladder queue.
-    for queue in [QueueKind::Heap, QueueKind::Ladder] {
-        let cfg = ChaosConfig {
-            queue,
-            ..scenario()
-        };
-        let a = run_chaos(&cfg, 17);
-        let b = run_chaos(&cfg, 17);
-        // Bit-for-bit identical fault schedule and outcome.
-        assert_eq!(a.fault_events, b.fault_events);
-        assert_eq!(a.stats.makespan, b.stats.makespan);
-        assert_eq!(a.stats.transfer_retries, b.stats.transfer_retries);
-        assert_eq!(a.injected_service_failures, b.injected_service_failures);
-        assert_eq!(a.failovers, b.failovers);
-        // A different seed perturbs the schedule and hence the makespan.
-        let c = run_chaos(&cfg, 18);
-        assert_ne!(a.stats.makespan, c.stats.makespan, "queue {queue:?}");
-        assert_ne!(a.fault_events, c.fault_events, "queue {queue:?}");
-    }
-}
-
-#[test]
-fn queue_kinds_agree_on_the_chaos_outcome() {
-    // Same seed, same faults, different queue implementation: the
-    // simulated physics must not depend on the queue's internals.
-    let heap = run_chaos(
-        &ChaosConfig {
-            queue: QueueKind::Heap,
-            ..scenario()
-        },
-        17,
-    );
-    let ladder = run_chaos(
-        &ChaosConfig {
-            queue: QueueKind::Ladder,
-            ..scenario()
-        },
-        17,
-    );
-    assert_eq!(heap.fault_events, ladder.fault_events);
-    assert_eq!(heap.stats.makespan, ladder.stats.makespan);
-    assert_eq!(heap.stats.transfer_retries, ladder.stats.transfer_retries);
-    assert_eq!(heap.stats.bytes_staged, ladder.stats.bytes_staged);
+    let cfg = scenario();
+    let a = run_chaos(&cfg, 17);
+    let b = run_chaos(&cfg, 17);
+    // Bit-for-bit identical fault schedule and outcome.
+    assert_eq!(a.fault_events, b.fault_events);
+    assert_eq!(a.stats.makespan, b.stats.makespan);
+    assert_eq!(a.stats.transfer_retries, b.stats.transfer_retries);
+    assert_eq!(a.injected_service_failures, b.injected_service_failures);
+    assert_eq!(a.failovers, b.failovers);
+    // A different seed perturbs the schedule and hence the makespan.
+    let c = run_chaos(&cfg, 18);
+    assert_ne!(a.stats.makespan, c.stats.makespan);
+    assert_ne!(a.fault_events, c.fault_events);
 }
 
 #[test]

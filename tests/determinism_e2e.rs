@@ -1,6 +1,6 @@
 //! End-to-end determinism: the raw-speed core must not cost reproducibility.
 //!
-//! The arena fact store, the indexed event queue (in-place `reschedule`
+//! The arena fact store, the ladder event queue (in-place `reschedule`
 //! instead of cancel + schedule), and the SoA flow table all recycle ids and
 //! slots aggressively. Any order-sensitivity introduced there — iterating in
 //! slot order instead of id order, a reschedule firing before a same-instant
@@ -19,7 +19,7 @@
 //! trivially satisfied by an empty or constant artifact.
 
 use pwm_bench::{mb, run_chaos, ChaosConfig, MontageExperiment, PolicyMode};
-use pwm_sim::{QueueKind, SimDuration, SimTime};
+use pwm_sim::{SimDuration, SimTime};
 
 #[test]
 fn same_seed_traced_runs_are_bit_identical() {
@@ -52,36 +52,6 @@ fn same_seed_traced_runs_are_bit_identical() {
     assert!(
         trace_a != obs_c.tracer.chrome_trace_json(),
         "seed must perturb the trace export"
-    );
-}
-
-/// Swapping the event-queue implementation must be invisible: the ladder
-/// queue bins events by epoch internally, but its pop order is exactly
-/// `(time, seq)` — the same total order as the indexed-heap oracle — so a
-/// full-stack run must be *bit-identical* under either queue, floats and
-/// per-transfer record streams included. This is the end-to-end half of the
-/// exactness argument; the per-operation half is the lockstep differential
-/// suite in `crates/sim/tests/event_differential.rs`.
-#[test]
-fn same_seed_runs_are_bit_identical_across_queue_kinds() {
-    let mut exp = MontageExperiment::paper_setup(mb(10), 8, PolicyMode::Greedy { threshold: 50 });
-    exp.queue = QueueKind::Ladder;
-    let (stats_ladder, obs_ladder) = exp.run_once_traced(42);
-    exp.queue = QueueKind::Heap;
-    let (stats_heap, obs_heap) = exp.run_once_traced(42);
-
-    assert_eq!(
-        stats_ladder, stats_heap,
-        "RunStats diverged between ladder and heap queues"
-    );
-    assert!(stats_ladder.success);
-    assert!(
-        !stats_ladder.transfers.is_empty(),
-        "equality would be vacuous without transfer records"
-    );
-    assert!(
-        obs_ladder.tracer.chrome_trace_json() == obs_heap.tracer.chrome_trace_json(),
-        "trace exports diverged between ladder and heap queues"
     );
 }
 

@@ -200,9 +200,8 @@ fn sharded_session_metrics_carry_per_shard_labels() {
 
 /// The simulation event queue's health series reach the Prometheus render
 /// end to end: a traced run (executor → network → queue) publishes
-/// `sim_queue_*` gauges labeled with the queue kind, and the ladder's
-/// geometry series (current bucket / rungs / overflow) are present. Pinning
-/// the experiment to the heap oracle relabels the same series.
+/// `sim_queue_*` gauges labeled `queue="ladder"`, and the ladder's geometry
+/// series (current bucket / rungs / overflow) are present.
 #[test]
 fn queue_health_series_reach_the_metrics_render() {
     let (stats, obs) = small_experiment().run_once_traced(7);
@@ -230,15 +229,4 @@ fn queue_health_series_reach_the_metrics_render() {
             .unwrap_or_else(|| panic!("{name} must render a numeric sample"));
         assert!(v.is_finite() && v >= 0.0, "{name} rendered {v}");
     }
-
-    // The queue knob relabels the series with the heap oracle's name.
-    let mut exp = small_experiment();
-    exp.queue = pwm_sim::QueueKind::Heap;
-    let (stats, obs) = exp.run_once_traced(7);
-    assert!(stats.success);
-    let text = obs.registry.render_prometheus();
-    assert!(
-        text.contains("sim_queue_depth{queue=\"heap\"}"),
-        "heap-pinned run must label queue series with queue=\"heap\":\n{text}"
-    );
 }

@@ -283,6 +283,53 @@ fn sharded_batched_service_matches_single_domain_on_a_montage_session() {
     assert_eq!(lhs, rhs, "host-pair ledgers diverged");
 }
 
+/// The batched entry point's "aligns 1:1 with `groups`" contract holds for
+/// empty groups wherever they sit: single, one-shard and four-shard
+/// services all return one advice list per request group, each as long as
+/// its group.
+#[test]
+fn empty_groups_keep_their_place_in_sharded_and_single_sessions() {
+    let spec = |n: u64| TransferSpec {
+        source: Url::new("gsiftp", format!("src-{n}"), format!("/d/f{n}.dat")),
+        dest: Url::new("file", format!("dst-{n}"), format!("/s/f{n}.dat")),
+        bytes: 1_000_000,
+        requested_streams: None,
+        workflow: WorkflowId(1),
+        cluster: None,
+        priority: None,
+    };
+    let shapes: Vec<Vec<Vec<TransferSpec>>> = vec![
+        vec![vec![], vec![spec(1), spec(2)], vec![spec(3)]],
+        vec![vec![spec(4)], vec![], vec![spec(5), spec(6)]],
+        vec![vec![spec(7)], vec![], vec![]],
+        vec![vec![], vec![]],
+    ];
+    for groups in shapes {
+        let want: Vec<usize> = groups.iter().map(Vec::len).collect();
+        let counts = |advice: Vec<Vec<TransferAdvice>>| -> Vec<usize> {
+            advice.iter().map(Vec::len).collect()
+        };
+        let config = PolicyConfig::default();
+        let mut single = PolicyService::new(config.clone());
+        let one_shard = ShardedPolicyService::new(config.clone(), 1);
+        let four_shards = ShardedPolicyService::new(config, 4);
+        assert_eq!(
+            counts(single.evaluate_transfer_groups(groups.clone())),
+            want
+        );
+        assert_eq!(
+            counts(one_shard.evaluate_transfer_groups(groups.clone())),
+            want,
+            "one shard"
+        );
+        assert_eq!(
+            counts(four_shards.evaluate_transfer_groups(groups)),
+            want,
+            "four shards"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Per-shard WAL crash recovery.
 // ---------------------------------------------------------------------------
