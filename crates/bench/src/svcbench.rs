@@ -39,7 +39,7 @@ const HOST_PAIRS: usize = 64;
 pub struct SvcbenchScenario {
     /// Cell name as it appears in `BENCH_svc.json`.
     pub label: String,
-    /// Policy-service shards (1 = plain unsharded service).
+    /// Policy-service shards (1 = the paper's centralized service).
     pub shards: u16,
     /// Requests pipelined per window (1 = one request per round-trip).
     pub depth: usize,
@@ -149,11 +149,7 @@ pub fn run_cell(s: &SvcbenchScenario) -> CellResult {
     let session = "svc";
     let config = PolicyConfig::default().with_default_streams(4);
     let controller = PolicyController::new(config.clone());
-    if s.shards <= 1 {
-        controller.create_session(session, config);
-    } else {
-        controller.create_sharded_session(session, config, s.shards);
-    }
+    controller.create_sharded_session(session, config, s.shards);
     let server = PolicyRestServer::start_with_limits(
         controller,
         ServerLimits {

@@ -2,17 +2,18 @@
 //!
 //! Fig. 1: "A Policy Controller manages communication between the web
 //! interface and the policy engine." [`PolicyController`] owns one or more
-//! named policy sessions behind a lock so that concurrent HTTP handler
-//! threads (see `pwm-rest`) can delegate requests safely, and routes each
-//! request to the right session.
+//! named policy sessions — each a [`ShardedPolicyService`], one shard
+//! unless the session was created with more — so that concurrent HTTP
+//! handler threads (see `pwm-rest`) can delegate requests safely, and
+//! routes each request to the right session.
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::PolicyConfig;
 use crate::durable::DurabilityConfig;
 use crate::model::{CleanupSpec, TransferSpec};
-use crate::service::{MemorySnapshot, PolicyService, RuleCounters, ServiceStats};
+use crate::service::{MemorySnapshot, RuleCounters, ServiceStats};
 use crate::shard::ShardedPolicyService;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pwm_obs::Obs;
 use std::collections::BTreeMap;
 use std::io;
@@ -38,25 +39,14 @@ impl std::fmt::Display for ControllerError {
 }
 impl std::error::Error for ControllerError {}
 
-/// One live session behind the controller: either a single policy engine
-/// behind its own lock, or a sharded engine with per-shard locks. Cloning
-/// clones the `Arc`, so the session map's lock is never held while a
-/// request runs — sessions contend only on their own locks.
-#[derive(Clone)]
-enum SessionEntry {
-    Single(Arc<Mutex<PolicyService>>),
-    Sharded(Arc<ShardedPolicyService>),
-}
-
 /// Thread-safe front door to one or more policy sessions.
 ///
-/// Lock domains are per session (and, for sharded sessions, per shard):
-/// the controller-level map lock is a read-mostly `RwLock` held only long
-/// enough to clone a session handle, so traffic on one session never
-/// blocks another.
+/// Lock domains are per shard of each session: the controller-level map
+/// lock is a read-mostly `RwLock` held only long enough to clone a session
+/// handle, so traffic on one session never blocks another.
 #[derive(Clone)]
 pub struct PolicyController {
-    inner: Arc<RwLock<BTreeMap<String, SessionEntry>>>,
+    inner: Arc<RwLock<BTreeMap<String, Arc<ShardedPolicyService>>>>,
     /// Shared metrics registry for all sessions. Each session gets its own
     /// tracer (via [`Obs::with_fresh_tracer`]) so trace dumps are
     /// per-session while `/metrics` exposition is controller-wide.
@@ -74,38 +64,36 @@ impl PolicyController {
         controller
     }
 
-    fn insert(&self, name: String, entry: SessionEntry) {
-        self.inner.write().insert(name, entry);
-    }
-
-    /// Create (or replace) a named session. The session shares the
-    /// controller's metrics registry (labeled `session=<name>`) and gets a
-    /// fresh tracer.
-    pub fn create_session(&self, name: impl Into<String>, config: PolicyConfig) {
-        let name = name.into();
-        let mut service = PolicyService::new(config);
+    /// Install (or replace) a session under `name`: it shares the
+    /// controller's metrics registry (labeled `session=<name>`, plus
+    /// `shard="N"` when it has more than one shard) and gets a fresh
+    /// tracer.
+    fn install(&self, name: String, service: ShardedPolicyService) {
         service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
+        self.inner.write().insert(name, Arc::new(service));
     }
 
-    /// Create (or replace) a sharded session: policy memory is split over
+    /// Create (or replace) a named one-shard session.
+    pub fn create_session(&self, name: impl Into<String>, config: PolicyConfig) {
+        self.create_sharded_session(name, config, 1);
+    }
+
+    /// Create (or replace) a session whose policy memory is split over
     /// `shards` independent engines by `(source, dest)` host pair (see
-    /// [`ShardedPolicyService`]). Metrics carry `session=<name>` plus a
-    /// per-shard `shard="N"` label.
+    /// [`ShardedPolicyService`]).
     pub fn create_sharded_session(
         &self,
         name: impl Into<String>,
         config: PolicyConfig,
         shards: u16,
     ) {
-        let name = name.into();
-        let service = ShardedPolicyService::new(config, shards);
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
+        self.install(name.into(), ShardedPolicyService::new(config, shards));
     }
 
-    /// Create (or replace) a sharded session whose shards each write-ahead
-    /// log and snapshot under `dcfg.dir/shard-N`.
+    /// Create (or replace) a durable session: every state-mutating request
+    /// is write-ahead logged and snapshotted for crash recovery, shard `N`
+    /// under `dcfg.dir/shard-N` — or, with one shard, under `dcfg.dir`
+    /// itself.
     pub fn create_sharded_durable_session(
         &self,
         name: impl Into<String>,
@@ -113,73 +101,57 @@ impl PolicyController {
         shards: u16,
         dcfg: DurabilityConfig,
     ) -> io::Result<()> {
-        let name = name.into();
         let service = ShardedPolicyService::new(config, shards);
         service.enable_durability(&dcfg)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
+        self.install(name.into(), service);
         Ok(())
     }
 
-    /// Recover a sharded session from per-shard durability directories
-    /// under `dir` (the warm-failover path; logging is not resumed).
+    /// Recover a session from the durability directories a `shards`-shard
+    /// durable session wrote under `dir` (snapshot + log replay) without
+    /// resuming logging — the warm-failover path, where a successor
+    /// replica replays the failed primary's log. Use
+    /// [`PolicyController::resume_durable_session`] when the recovered
+    /// session should keep persisting itself.
     pub fn recover_sharded_session(
         &self,
         name: impl Into<String>,
         shards: u16,
         dir: &Path,
     ) -> io::Result<()> {
-        let name = name.into();
-        let service = ShardedPolicyService::recover_from(dir, shards)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Sharded(Arc::new(service)));
+        self.install(
+            name.into(),
+            ShardedPolicyService::recover_from(dir, shards)?,
+        );
         Ok(())
     }
 
-    /// Create (or replace) a durable session: like
-    /// [`PolicyController::create_session`], but every state-mutating
-    /// request is write-ahead logged and snapshotted under `dcfg.dir` for
-    /// crash recovery.
+    /// [`PolicyController::create_sharded_durable_session`] with one shard.
     pub fn create_durable_session(
         &self,
         name: impl Into<String>,
         config: PolicyConfig,
         dcfg: DurabilityConfig,
     ) -> io::Result<()> {
-        let name = name.into();
-        let mut service = PolicyService::new(config);
-        service.enable_durability(dcfg)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
-        Ok(())
+        self.create_sharded_durable_session(name, config, 1, dcfg)
     }
 
-    /// Recover a session from a durability directory (snapshot + log
-    /// replay) without resuming logging — the warm-failover path, where a
-    /// successor replica replays the failed primary's log. Use
-    /// [`PolicyController::resume_durable_session`] when the recovered
-    /// session should keep persisting itself.
+    /// [`PolicyController::recover_sharded_session`] with one shard.
     pub fn recover_session(&self, name: impl Into<String>, dir: &Path) -> io::Result<()> {
-        let name = name.into();
-        let mut service = PolicyService::recover_from(dir)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
-        Ok(())
+        self.recover_sharded_session(name, 1, dir)
     }
 
-    /// Recover a session from `dcfg.dir` and resume durable operation.
-    /// Re-enabling compacts naturally: the resumed log starts from a fresh
-    /// snapshot of the recovered state.
+    /// Recover a one-shard session from `dcfg.dir` and resume durable
+    /// operation. Re-enabling compacts naturally: the resumed log starts
+    /// from a fresh snapshot of the recovered state.
     pub fn resume_durable_session(
         &self,
         name: impl Into<String>,
         dcfg: DurabilityConfig,
     ) -> io::Result<()> {
-        let name = name.into();
-        let mut service = PolicyService::recover_from(&dcfg.dir)?;
-        service.enable_durability(dcfg)?;
-        service.set_obs(self.obs.with_fresh_tracer(), &name);
-        self.insert(name, SessionEntry::Single(Arc::new(Mutex::new(service))));
+        let service = ShardedPolicyService::recover_from(&dcfg.dir, 1)?;
+        service.enable_durability(&dcfg)?;
+        self.install(name.into(), service);
         Ok(())
     }
 
@@ -194,38 +166,33 @@ impl PolicyController {
         self.obs.registry.render_prometheus()
     }
 
-    /// Chrome-trace JSON for one session's tracer (shard 0's tracer for a
-    /// sharded session).
+    /// Chrome-trace JSON for one session's tracer (all shards of a session
+    /// share it).
     pub fn trace_chrome_json(&self, session: &str) -> Result<String, ControllerError> {
         let fallback = || pwm_obs::Tracer::default().chrome_trace_json();
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().trace_chrome_json().unwrap_or_else(fallback)),
-            SessionEntry::Sharded(s) => Ok(s.trace_chrome_json().unwrap_or_else(fallback)),
-        }
+        Ok(self
+            .entry(session)?
+            .trace_chrome_json()
+            .unwrap_or_else(fallback))
     }
 
     /// Redirect a session's observability onto an external handle — shared
     /// registry *and* tracer. Traced bench runs use this to merge policy
     /// spans into the same export as the executor's and network's spans.
     pub fn attach_obs(&self, session: &str, obs: Obs) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_obs(obs, session),
-            SessionEntry::Sharded(s) => s.set_obs(obs, session),
-        }
+        self.entry(session)?.set_obs(obs, session);
         Ok(())
     }
 
     /// Attach a shared sim clock to a session so its evaluations emit
-    /// sim-time trace instants (see [`PolicyService::set_sim_clock`]).
+    /// sim-time trace instants (see
+    /// [`crate::PolicyService::set_sim_clock`]).
     pub fn set_sim_clock(
         &self,
         session: &str,
         clock: crate::chaos::SharedSimClock,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_sim_clock(clock),
-            SessionEntry::Sharded(s) => s.set_sim_clock(clock),
-        }
+        self.entry(session)?.set_sim_clock(clock);
         Ok(())
     }
 
@@ -239,18 +206,10 @@ impl PolicyController {
         self.inner.read().keys().cloned().collect()
     }
 
-    /// Shard count of a session (1 for unsharded sessions).
-    pub fn session_shards(&self, session: &str) -> Result<u16, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(_) => Ok(1),
-            SessionEntry::Sharded(s) => Ok(s.shard_count()),
-        }
-    }
-
     /// Clone a session handle out of the map. The map's read lock is
     /// released before the caller touches the session, so requests only
-    /// contend on their own session's (or shard's) lock.
-    fn entry(&self, name: &str) -> Result<SessionEntry, ControllerError> {
+    /// contend on their own session's shard locks.
+    fn entry(&self, name: &str) -> Result<Arc<ShardedPolicyService>, ControllerError> {
         self.inner
             .read()
             .get(name)
@@ -264,15 +223,11 @@ impl PolicyController {
         session: &str,
         batch: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_transfers(batch)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_transfers(batch)),
-        }
+        Ok(self.entry(session)?.evaluate_transfers(batch))
     }
 
     /// Delegate several pipelined request groups to a session in one
-    /// batched rules pass per lock domain (see
-    /// [`PolicyService::evaluate_transfer_groups`] and
+    /// batched rules pass per involved shard (see
     /// [`ShardedPolicyService::evaluate_transfer_groups`]). The result
     /// aligns 1:1 with `groups`.
     pub fn evaluate_transfer_groups(
@@ -280,10 +235,7 @@ impl PolicyController {
         session: &str,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Result<Vec<Vec<TransferAdvice>>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_transfer_groups(groups)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_transfer_groups(groups)),
-        }
+        Ok(self.entry(session)?.evaluate_transfer_groups(groups))
     }
 
     /// Delegate transfer outcomes to a session.
@@ -292,10 +244,7 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<TransferOutcome>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_transfers(outcomes),
-            SessionEntry::Sharded(s) => s.report_transfers(outcomes),
-        }
+        self.entry(session)?.report_transfers(outcomes);
         Ok(())
     }
 
@@ -305,10 +254,7 @@ impl PolicyController {
         session: &str,
         batch: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().evaluate_cleanups(batch)),
-            SessionEntry::Sharded(s) => Ok(s.evaluate_cleanups(batch)),
-        }
+        Ok(self.entry(session)?.evaluate_cleanups(batch))
     }
 
     /// Delegate cleanup outcomes to a session.
@@ -317,71 +263,49 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<CleanupOutcome>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_cleanups(outcomes),
-            SessionEntry::Sharded(s) => s.report_cleanups(outcomes),
-        }
+        self.entry(session)?.report_cleanups(outcomes);
         Ok(())
     }
 
     /// Delegate infrastructure health observations to a session (broadcast
-    /// to every shard of a sharded session).
+    /// to every shard).
     pub fn report_health(
         &self,
         session: &str,
         events: Vec<crate::model::HealthEvent>,
     ) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().report_health(events),
-            SessionEntry::Sharded(s) => s.report_health(events),
-        }
+        self.entry(session)?.report_health(events);
         Ok(())
     }
 
     /// Snapshot a session's policy memory (merged across shards).
     pub fn snapshot(&self, session: &str) -> Result<MemorySnapshot, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().snapshot()),
-            SessionEntry::Sharded(s) => Ok(s.snapshot()),
-        }
+        Ok(self.entry(session)?.snapshot())
     }
 
     /// A session's monitoring counters (summed across shards).
     pub fn stats(&self, session: &str) -> Result<ServiceStats, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().stats()),
-            SessionEntry::Sharded(s) => Ok(s.stats()),
-        }
+        Ok(self.entry(session)?.stats())
     }
 
     /// A session's per-rule engine counters (summed across shards).
     pub fn rule_stats(&self, session: &str) -> Result<Vec<RuleCounters>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().rule_stats()),
-            SessionEntry::Sharded(s) => Ok(s.rule_stats()),
-        }
+        Ok(self.entry(session)?.rule_stats())
     }
 
     /// A session's audit records with sequence ≥ `since` (concatenated
-    /// shard by shard for sharded sessions — each shard numbers its own
-    /// ring).
+    /// shard by shard — each shard numbers its own ring).
     pub fn audit_since(
         &self,
         session: &str,
         since: u64,
     ) -> Result<Vec<crate::audit::AuditRecord>, ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => Ok(s.lock().audit_since(since)),
-            SessionEntry::Sharded(s) => Ok(s.audit_since(since)),
-        }
+        Ok(self.entry(session)?.audit_since(since))
     }
 
-    /// Reconfigure a session in place (all shards for sharded sessions).
+    /// Reconfigure a session in place (all shards).
     pub fn set_config(&self, session: &str, config: PolicyConfig) -> Result<(), ControllerError> {
-        match self.entry(session)? {
-            SessionEntry::Single(s) => s.lock().set_config(config),
-            SessionEntry::Sharded(s) => s.set_config(config),
-        }
+        self.entry(session)?.set_config(config);
         Ok(())
     }
 }
@@ -392,9 +316,15 @@ mod tests {
     use crate::model::{Url, WorkflowId};
 
     fn spec(n: u32) -> TransferSpec {
+        spec_on("", n)
+    }
+
+    /// Like `spec`, on host pair `s{pair} -> d{pair}` (distinct pairs
+    /// spread over the shards of a multi-shard session).
+    fn spec_on(pair: &str, n: u32) -> TransferSpec {
         TransferSpec {
-            source: Url::new("gsiftp", "s", format!("/f{n}")),
-            dest: Url::new("file", "d", format!("/f{n}")),
+            source: Url::new("gsiftp", format!("s{pair}"), format!("/f{n}")),
+            dest: Url::new("file", format!("d{pair}"), format!("/f{n}")),
             bytes: 1,
             requested_streams: None,
             workflow: WorkflowId(1),
@@ -500,6 +430,9 @@ mod tests {
         )
         .unwrap();
         let before = c.snapshot("durable").unwrap();
+        // One shard logs in `dir` itself, where a bare engine reads it.
+        let bare = crate::PolicyService::recover_from(&dir).unwrap();
+        assert_eq!(bare.snapshot(), before);
 
         // A brand-new controller (the restarted process) recovers it.
         let c2 = PolicyController::new(PolicyConfig::default());
@@ -518,6 +451,92 @@ mod tests {
     }
 
     #[test]
+    fn sharded_durable_session_recovers_into_a_fresh_controller() {
+        let dir = crate::durable::scratch_dir("ctl-sharded-recover");
+        let c = PolicyController::new(PolicyConfig::default());
+        c.create_sharded_durable_session(
+            "grid",
+            PolicyConfig::default(),
+            4,
+            DurabilityConfig::new(&dir).with_snapshot_every(3),
+        )
+        .unwrap();
+        // Stage 16 files over 16 host pairs, complete them all, then clean
+        // half of them up.
+        let batch: Vec<TransferSpec> = (0..16).map(|i| spec_on(&i.to_string(), i)).collect();
+        let advice = c.evaluate_transfers("grid", batch.clone()).unwrap();
+        let done = |id| TransferOutcome { id, success: true };
+        c.report_transfers("grid", advice.iter().map(|a| done(a.id)).collect())
+            .unwrap();
+        let cleanups: Vec<CleanupSpec> = batch[..8]
+            .iter()
+            .map(|t| CleanupSpec {
+                file: t.dest.clone(),
+                workflow: t.workflow,
+            })
+            .collect();
+        let cleaned = c.evaluate_cleanups("grid", cleanups).unwrap();
+        assert!(cleaned.iter().all(|a| a.should_execute()));
+        let outcomes = cleaned
+            .iter()
+            .map(|a| CleanupOutcome {
+                id: a.id,
+                success: true,
+            })
+            .collect();
+        c.report_cleanups("grid", outcomes).unwrap();
+        for s in 0..4 {
+            assert!(dir.join(format!("shard-{s}")).is_dir(), "shard {s} WAL dir");
+        }
+
+        let c2 = PolicyController::new(PolicyConfig::default());
+        c2.recover_sharded_session("grid", 4, &dir).unwrap();
+        assert_eq!(c2.snapshot("grid").unwrap(), c.snapshot("grid").unwrap());
+        assert_eq!(c2.stats("grid").unwrap(), c.stats("grid").unwrap());
+        assert_eq!(c2.snapshot("grid").unwrap().staged_files, 8);
+        // Dedup memory survived: a still-staged file is suppressed, a
+        // cleaned-up one is staged again.
+        let again = c2
+            .evaluate_transfers("grid", vec![batch[12].clone(), batch[2].clone()])
+            .unwrap();
+        let executes = |t: &TransferSpec| {
+            let a = again.iter().find(|a| a.dest == t.dest).unwrap();
+            a.should_execute()
+        };
+        assert!(!executes(&batch[12]), "staged file must stay suppressed");
+        assert!(executes(&batch[2]), "cleaned-up file must stage again");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sim_clock_and_obs_attach_in_either_order() {
+        use crate::chaos::SharedSimClock;
+        for clock_first in [true, false] {
+            let c = PolicyController::new(PolicyConfig::default());
+            let obs = Obs::new();
+            let clock = SharedSimClock::new();
+            clock.set(pwm_sim::SimTime::from_secs(3));
+            if clock_first {
+                c.set_sim_clock(DEFAULT_SESSION, clock).unwrap();
+                c.attach_obs(DEFAULT_SESSION, obs.clone()).unwrap();
+            } else {
+                c.attach_obs(DEFAULT_SESSION, obs.clone()).unwrap();
+                c.set_sim_clock(DEFAULT_SESSION, clock).unwrap();
+            }
+            c.evaluate_transfers(DEFAULT_SESSION, vec![spec(1)])
+                .unwrap();
+            let events = obs.tracer.events();
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.name == "evaluate_transfers"
+                        && e.start == pwm_sim::SimTime::from_secs(3)),
+                "clock_first={clock_first}: no sim-time evaluation instant in {events:?}"
+            );
+        }
+    }
+
+    #[test]
     fn recover_session_from_empty_dir_errors() {
         let dir = crate::durable::scratch_dir("ctl-empty");
         let c = PolicyController::new(PolicyConfig::default());
@@ -528,7 +547,10 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
+        // The same threads hammer a one-shard and a four-shard session:
+        // each session (and each shard) is its own lock domain.
         let c = PolicyController::new(PolicyConfig::default());
+        c.create_sharded_session("grid", PolicyConfig::default(), 4);
         let mut handles = Vec::new();
         for thread in 0..8 {
             let c = c.clone();
@@ -537,6 +559,17 @@ mod tests {
                     let n = thread * 100 + i;
                     c.evaluate_transfers(DEFAULT_SESSION, vec![spec(n)])
                         .unwrap();
+                    let advice = c
+                        .evaluate_transfers("grid", vec![spec_on(&i.to_string(), n)])
+                        .unwrap();
+                    c.report_transfers(
+                        "grid",
+                        vec![TransferOutcome {
+                            id: advice[0].id,
+                            success: true,
+                        }],
+                    )
+                    .unwrap();
                 }
             }));
         }
@@ -544,5 +577,9 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.stats(DEFAULT_SESSION).unwrap().transfer_requests, 160);
+        let grid = c.stats("grid").unwrap();
+        assert_eq!(grid.transfer_requests, 160);
+        assert_eq!(grid.transfers_completed, 160);
+        assert_eq!(c.snapshot("grid").unwrap().staged_files, 160);
     }
 }

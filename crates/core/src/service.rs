@@ -127,11 +127,8 @@ pub struct HostPairSnapshot {
 struct ServiceObs {
     obs: Obs,
     /// Base label set identifying this service: `session="..."` plus, for
-    /// a shard of a sharded session, `shard="N"`.
+    /// a shard of a multi-shard session, `shard="N"`.
     labels: Vec<(String, String)>,
-    /// Optional sim clock: when present, evaluations also emit trace
-    /// instants stamped with simulated time (deterministic across runs).
-    clock: Option<SharedSimClock>,
     /// Stats as of the previous publish, so counters receive deltas.
     last: ServiceStats,
     /// Audit-ring evictions as of the previous publish.
@@ -245,6 +242,11 @@ pub struct PolicyService {
     stats: ServiceStats,
     audit: AuditLog,
     obs: Option<ServiceObs>,
+    /// Optional sim clock: when present (and observability is attached),
+    /// evaluations also emit trace instants stamped with simulated time
+    /// (deterministic across runs). Kept beside `obs`, not inside it, so
+    /// re-attaching observability does not drop the clock.
+    sim_clock: Option<SharedSimClock>,
     durability: Option<Durability>,
     /// When the occupancy gauges were last swept (throttling clock; not
     /// part of durable state — it only paces metric publication).
@@ -294,6 +296,7 @@ impl PolicyService {
             stats: ServiceStats::default(),
             audit,
             obs: None,
+            sim_clock: None,
             durability: None,
             last_gauge_sweep: None,
             fast_path: true,
@@ -351,27 +354,16 @@ impl PolicyService {
     }
 
     /// Attach observability: service counters, gauges, and advice-latency
-    /// histograms go to `obs.registry` labeled `session=<session>`; trace
-    /// instants go to `obs.tracer` once a sim clock is attached with
-    /// [`PolicyService::set_sim_clock`]. Per-rule engine counters are
-    /// published to the same registry.
-    pub fn set_obs(&mut self, obs: Obs, session: &str) {
-        self.set_obs_labeled(obs, vec![("session".to_string(), session.to_string())]);
-    }
-
-    /// Like [`PolicyService::set_obs`], but for one shard of a sharded
-    /// session: every metric additionally carries `shard="N"`.
-    pub fn set_obs_sharded(&mut self, obs: Obs, session: &str, shard: u16) {
-        self.set_obs_labeled(
-            obs,
-            vec![
-                ("session".to_string(), session.to_string()),
-                ("shard".to_string(), shard.to_string()),
-            ],
-        );
-    }
-
-    fn set_obs_labeled(&mut self, obs: Obs, labels: Vec<(String, String)>) {
+    /// histograms go to `obs.registry` labeled `session=<session>` plus,
+    /// when `shard` is given (one shard of a multi-shard session),
+    /// `shard="N"`; trace instants go to `obs.tracer` while a sim clock is
+    /// attached with [`PolicyService::set_sim_clock`] (in either order).
+    /// Per-rule engine counters are published to the same registry.
+    pub fn set_obs(&mut self, obs: Obs, session: &str, shard: Option<u16>) {
+        let mut labels = vec![("session".to_string(), session.to_string())];
+        if let Some(shard) = shard {
+            labels.push(("shard".to_string(), shard.to_string()));
+        }
         let refs: Vec<(&str, &str)> = labels
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
@@ -380,7 +372,6 @@ impl PolicyService {
         self.obs = Some(ServiceObs {
             obs,
             labels,
-            clock: None,
             last: self.stats,
             last_audit_dropped: self.audit.dropped(),
         });
@@ -602,9 +593,7 @@ impl PolicyService {
     /// instants stamped with sim time (kept out of traces otherwise, since
     /// a wall-clock stamp would break same-seed trace determinism).
     pub fn set_sim_clock(&mut self, clock: SharedSimClock) {
-        if let Some(o) = &mut self.obs {
-            o.clock = Some(clock);
-        }
+        self.sim_clock = Some(clock);
     }
 
     /// Record one evaluation pass on the attached observability sinks:
@@ -721,7 +710,7 @@ impl PolicyService {
                 )
                 .set(f64::from(*peak));
         }
-        if let Some(clock) = &o.clock {
+        if let Some(clock) = &self.sim_clock {
             o.obs.tracer.instant(
                 kind,
                 "policy",
@@ -1267,12 +1256,6 @@ impl PolicyService {
     /// observability is attached.
     pub fn trace_chrome_json(&self) -> Option<String> {
         self.obs.as_ref().map(|o| o.obs.tracer.chrome_trace_json())
-    }
-
-    /// JSONL dump of this service's tracer (one event object per line), or
-    /// `None` when no observability is attached.
-    pub fn trace_jsonl(&self) -> Option<String> {
-        self.obs.as_ref().map(|o| o.obs.tracer.jsonl())
     }
 
     /// Snapshot of policy memory for monitoring.

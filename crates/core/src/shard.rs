@@ -15,7 +15,14 @@
 //! Identifier namespacing: shard `s` mints transfer/cleanup/group ids from
 //! base `s << `[`SHARD_ID_BITS`], so ids stay globally unique and outcome
 //! reports route back by id alone. Shard 0's base is 0 — a one-shard
-//! sharded service assigns exactly the ids an unsharded service would.
+//! service assigns exactly the ids a bare [`PolicyService`] would.
+//!
+//! This is the one session type the controller stores; the paper's
+//! centralized service is the one-shard case. Everything that exists to
+//! tell shards apart follows the shard count: with one shard the four
+//! request paths hand the call straight to the only engine (no partition,
+//! no merge), metrics carry no `shard` label, and the WAL lives in the
+//! durability directory itself instead of a `shard-N` subdirectory.
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::{OrderingPolicy, PolicyConfig};
@@ -113,17 +120,16 @@ impl ShardedPolicyService {
         ShardedPolicyService { ring, shards }
     }
 
-    /// Rebuild every shard from its durability directory under `base`
-    /// (see [`ShardedPolicyService::shard_dir`]). Durability is *not*
-    /// re-enabled on the recovered shards.
+    /// Rebuild every shard from its durability directory (the layout
+    /// [`ShardedPolicyService::enable_durability`] writes). Durability is
+    /// *not* re-enabled on the recovered shards.
     pub fn recover_from(base: &Path, shards: u16) -> io::Result<Self> {
         assert!(shards > 0, "a sharded service needs at least one shard");
         let ring = HashRing::new(shards);
         let mut recovered = Vec::with_capacity(shards as usize);
         for s in 0..shards {
-            recovered.push(Mutex::new(PolicyService::recover_from(&Self::shard_dir(
-                base, s,
-            ))?));
+            let dir = Self::shard_dir(base, s, shards);
+            recovered.push(Mutex::new(PolicyService::recover_from(&dir)?));
         }
         Ok(ShardedPolicyService {
             ring,
@@ -131,9 +137,14 @@ impl ShardedPolicyService {
         })
     }
 
-    /// The durability directory of shard `s` under `base`.
-    pub fn shard_dir(base: &Path, s: u16) -> PathBuf {
-        base.join(format!("shard-{s}"))
+    /// The durability directory of shard `s` of `shards`: `base` itself
+    /// for a one-shard service, `base/shard-s` otherwise.
+    fn shard_dir(base: &Path, s: u16, shards: u16) -> PathBuf {
+        if shards == 1 {
+            base.to_path_buf()
+        } else {
+            base.join(format!("shard-{s}"))
+        }
     }
 
     /// Number of shards.
@@ -152,12 +163,12 @@ impl ShardedPolicyService {
     }
 
     /// Enable per-shard durability: shard `s` logs and snapshots under
-    /// `cfg.dir/shard-s`, inheriting `cfg`'s compaction period and crash
-    /// injection.
+    /// `cfg.dir/shard-s` (a one-shard service under `cfg.dir` itself),
+    /// inheriting `cfg`'s compaction period and crash injection.
     pub fn enable_durability(&self, cfg: &DurabilityConfig) -> io::Result<()> {
         for (s, shard) in self.shards.iter().enumerate() {
             let mut scfg = cfg.clone();
-            scfg.dir = Self::shard_dir(&cfg.dir, s as u16);
+            scfg.dir = Self::shard_dir(&cfg.dir, s as u16, self.ring.shards);
             shard.lock().enable_durability(scfg)?;
         }
         Ok(())
@@ -169,11 +180,14 @@ impl ShardedPolicyService {
     }
 
     /// Attach observability: shard `s`'s metrics carry
-    /// `session=<session>, shard="s"`; all shards share `obs`'s registry
-    /// and tracer.
+    /// `session=<session>, shard="s"` — a one-shard service has no shards
+    /// to tell apart and carries `session` only; all shards share `obs`'s
+    /// registry and tracer.
     pub fn set_obs(&self, obs: pwm_obs::Obs, session: &str) {
+        let labelled = self.shards.len() > 1;
         for (s, shard) in self.shards.iter().enumerate() {
-            shard.lock().set_obs_sharded(obs.clone(), session, s as u16);
+            let shard_label = labelled.then_some(s as u16);
+            shard.lock().set_obs(obs.clone(), session, shard_label);
         }
     }
 
@@ -215,11 +229,16 @@ impl ShardedPolicyService {
     /// most **one rules pass per involved shard** (each shard sees its
     /// slice of every group as one
     /// [`PolicyService::evaluate_transfer_groups`] call). Group boundaries
-    /// are preserved: the result aligns 1:1 with `groups`.
+    /// are preserved: the result aligns 1:1 with `groups`. With one shard
+    /// there is nothing to partition or merge, so the only engine's answer
+    /// is the result.
     pub fn evaluate_transfer_groups(
         &self,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Vec<Vec<TransferAdvice>> {
+        if let [only] = &self.shards[..] {
+            return only.lock().evaluate_transfer_groups(groups);
+        }
         let by_priority = self.shards[0].lock().config().ordering == OrderingPolicy::ByPriority;
         // Priorities for the cross-shard merge comparator (advice does not
         // carry the spec's priority).
@@ -276,6 +295,9 @@ impl ShardedPolicyService {
     /// id's namespace bits. Ids outside every shard's namespace are
     /// dropped, matching the single service's treatment of unknown ids.
     pub fn report_transfers(&self, outcomes: Vec<TransferOutcome>) {
+        if let [only] = &self.shards[..] {
+            return only.lock().report_transfers(outcomes);
+        }
         let mut per_shard: Vec<Vec<TransferOutcome>> = vec![Vec::new(); self.shards.len()];
         for o in outcomes {
             let s = PolicyService::shard_of_transfer(o.id) as usize;
@@ -293,6 +315,9 @@ impl ShardedPolicyService {
     /// Evaluate cleanups: each request is routed to the shard owning the
     /// file's resource; results come back in request order.
     pub fn evaluate_cleanups(&self, batch: Vec<CleanupSpec>) -> Vec<CleanupAdvice> {
+        if let [only] = &self.shards[..] {
+            return only.lock().evaluate_cleanups(batch);
+        }
         let mut per_shard: Vec<Vec<CleanupSpec>> = vec![Vec::new(); self.shards.len()];
         // remember (shard, position) per original index
         let mut route = Vec::with_capacity(batch.len());
@@ -317,6 +342,9 @@ impl ShardedPolicyService {
 
     /// Report cleanup outcomes, routed by id namespace.
     pub fn report_cleanups(&self, outcomes: Vec<CleanupOutcome>) {
+        if let [only] = &self.shards[..] {
+            return only.lock().report_cleanups(outcomes);
+        }
         let mut per_shard: Vec<Vec<CleanupOutcome>> = vec![Vec::new(); self.shards.len()];
         for o in outcomes {
             let s = PolicyService::shard_of_cleanup(o.id) as usize;

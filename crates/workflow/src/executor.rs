@@ -28,7 +28,7 @@ use pwm_core::{
 };
 use pwm_net::{FlowSpec, LinkId, Network};
 use pwm_obs::{Obs, SpanId};
-use pwm_sim::{LadderQueue, SimDuration, SimRng, SimTime, Trace};
+use pwm_sim::{LadderQueue, SimDuration, SimRng, SimTime};
 use pwm_storage::{BackendSpec, CostMeter, StorageLayer};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -282,7 +282,6 @@ pub struct WorkflowExecutor<'p> {
     events: LadderQueue<Ev>,
     now: SimTime,
     rng: SimRng,
-    trace: Trace,
 
     state: Vec<JobState>,
     pending_parents: Vec<usize>,
@@ -386,7 +385,6 @@ impl<'p> WorkflowExecutor<'p> {
             events: LadderQueue::new(),
             now: SimTime::ZERO,
             rng,
-            trace: Trace::default(),
             state: vec![JobState::Waiting; n],
             pending_parents: plan.jobs().iter().map(|j| j.parents.len()).collect(),
             ready_compute: ReadyQueue::default(),
@@ -481,27 +479,15 @@ impl<'p> WorkflowExecutor<'p> {
     /// Run to completion; returns the statistics and the network (for
     /// post-run inspection of link peaks and ledgers).
     pub fn run(self) -> (RunStats, Network) {
-        let (stats, network, _trace) = self.run_traced();
+        let (stats, network, _cp) = self.run_checkpointed();
         (stats, network)
     }
 
-    /// Like [`WorkflowExecutor::run`], additionally returning the lifecycle
-    /// trace (job starts/finishes, transfer events, retries, fallbacks).
-    pub fn run_traced(self) -> (RunStats, Network, Trace) {
-        let (stats, network, trace, _cp) = self.run_impl();
-        (stats, network, trace)
-    }
-
-    /// Like [`WorkflowExecutor::run_traced`], additionally returning the
+    /// Like [`WorkflowExecutor::run`], additionally returning the
     /// [`Checkpoint`] of the completed-job frontier — the resume token when
     /// [`ExecutorConfig::halt_at`] stopped the run mid-DAG (and simply the
     /// full job list when it ran to completion).
-    pub fn run_checkpointed(self) -> (RunStats, Network, Checkpoint) {
-        let (stats, network, _trace, cp) = self.run_impl();
-        (stats, network, cp)
-    }
-
-    fn run_impl(mut self) -> (RunStats, Network, Trace, Checkpoint) {
+    pub fn run_checkpointed(mut self) -> (RunStats, Network, Checkpoint) {
         let total = self.plan.len();
         loop {
             // With fault events scheduled past the DAG's completion, the
@@ -576,7 +562,7 @@ impl<'p> WorkflowExecutor<'p> {
             storage,
             recovery: self.rec_active.then(|| std::mem::take(&mut self.recovery)),
         };
-        (stats, self.network, self.trace, checkpoint)
+        (stats, self.network, checkpoint)
     }
 
     /// The job's kind as a metric label / trace category value.
@@ -703,11 +689,6 @@ impl<'p> WorkflowExecutor<'p> {
             self.compute_slots_free -= 1;
             self.state[job] = JobState::Running;
             self.open_job_span(job);
-            self.trace.info(
-                self.now,
-                "executor",
-                format!("compute job {} started", self.plan.jobs()[job].name),
-            );
             let (runtime_s, output_bytes) = match &self.plan.jobs()[job].kind {
                 PlanJobKind::Compute {
                     runtime_s,
@@ -735,11 +716,6 @@ impl<'p> WorkflowExecutor<'p> {
             self.state[job] = JobState::Running;
             self.open_job_span(job);
             self.staging_jobs_run += 1;
-            self.trace.info(
-                self.now,
-                "executor",
-                format!("staging job {} released", self.plan.jobs()[job].name),
-            );
             self.events.schedule_at(
                 self.now + self.config.job_init_overhead,
                 Ev::StagingInit(job),
@@ -837,16 +813,6 @@ impl<'p> WorkflowExecutor<'p> {
                         // default stream count (fail-safe, not fail-stop).
                         self.note_fallback(job);
                         let streams = self.config.fallback_streams.max(1);
-                        self.trace.warn(
-                            self.now,
-                            "ptt",
-                            format!(
-                                "policy service unreachable for job {}; executing submitted list \
-                                 with {} stream(s)",
-                                self.plan.jobs()[job].name,
-                                streams
-                            ),
-                        );
                         let run = self.staging_runs.get_mut(&job).expect("staging run state");
                         run.advice = run
                             .specs
@@ -936,14 +902,6 @@ impl<'p> WorkflowExecutor<'p> {
                         // worst case is deleting a file another workflow
                         // could have reused (a lost optimization, never a
                         // correctness issue).
-                        self.trace.warn(
-                            self.now,
-                            "ptt",
-                            format!(
-                                "policy service unreachable for cleanup {}; deleting submitted list",
-                                self.plan.jobs()[job].name
-                            ),
-                        );
                         specs
                             .iter()
                             .enumerate()
@@ -1050,7 +1008,7 @@ impl<'p> WorkflowExecutor<'p> {
             .clone();
         self.recovery.host_crashes += 1;
         match crash.target {
-            CrashTarget::ComputeNode(node) => {
+            CrashTarget::ComputeNode(_) => {
                 // The node's cores die with whatever was running on them:
                 // pick victims deterministically (lowest job id first).
                 let cores = self.cores_per_node as usize;
@@ -1061,14 +1019,6 @@ impl<'p> WorkflowExecutor<'p> {
                     })
                     .take(cores)
                     .collect();
-                self.trace.warn(
-                    self.now,
-                    "recovery",
-                    format!(
-                        "compute node {node} crashed; {} running job(s) killed",
-                        victims.len()
-                    ),
-                );
                 for &j in &victims {
                     self.compute_epoch[j] += 1;
                     // The attempt is gone but its core stays dead (slot not
@@ -1080,11 +1030,6 @@ impl<'p> WorkflowExecutor<'p> {
             }
             CrashTarget::Host { host, name } => {
                 let up_at = crash.at + crash.restart_after;
-                self.trace.warn(
-                    self.now,
-                    "recovery",
-                    format!("host {name} crashed; flows endpointed there are dead"),
-                );
                 self.down_hosts.insert(name.clone(), up_at);
                 self.kill_flows_at(host);
                 self.report_health_events(vec![HealthEvent::HostDown { host: name }]);
@@ -1101,22 +1046,15 @@ impl<'p> WorkflowExecutor<'p> {
             .crashes[i]
             .clone();
         match crash.target {
-            CrashTarget::ComputeNode(node) => {
+            CrashTarget::ComputeNode(_) => {
                 for j in self.crash_requeue.remove(&i).unwrap_or_default() {
                     self.compute_slots_free += 1;
                     let priority = self.plan.jobs()[j].priority;
                     self.ready_compute.push(priority, j);
                 }
-                self.trace.info(
-                    self.now,
-                    "recovery",
-                    format!("compute node {node} restarted; killed jobs re-queued"),
-                );
             }
             CrashTarget::Host { name, .. } => {
                 self.down_hosts.remove(&name);
-                self.trace
-                    .info(self.now, "recovery", format!("host {name} restarted"));
                 self.report_health_events(vec![HealthEvent::HostUp { host: name }]);
             }
         }
@@ -1131,11 +1069,6 @@ impl<'p> WorkflowExecutor<'p> {
             .backend_outages[i]
             .clone();
         self.recovery.backend_outages += 1;
-        self.trace.warn(
-            self.now,
-            "recovery",
-            format!("storage backend {} went down", outage.backend),
-        );
         // Policy-guided: kill the doomed flows now and let re-planning
         // steer them to a live backend; the BackendDown fact removes the
         // backend from the selection candidates. Naive: flows stall on the
@@ -1161,11 +1094,6 @@ impl<'p> WorkflowExecutor<'p> {
             .expect("recovery config")
             .backend_outages[i]
             .clone();
-        self.trace.info(
-            self.now,
-            "recovery",
-            format!("storage backend {} recovered", outage.backend),
-        );
         self.report_health_events(vec![HealthEvent::BackendUp {
             backend: outage.backend,
         }]);
@@ -1188,7 +1116,7 @@ impl<'p> WorkflowExecutor<'p> {
                     obs.tracer.end_span(span, self.now);
                 }
             }
-            self.infra_transfer_failure(job, advice_ix, "killed by host fault");
+            self.infra_transfer_failure(job, advice_ix);
         }
     }
 
@@ -1196,19 +1124,11 @@ impl<'p> WorkflowExecutor<'p> {
     /// report the failure so the service clears its in-progress entry, then
     /// schedule a re-evaluation. Unlike injected transient failures this
     /// consumes no retry budget and draws no randomness.
-    fn infra_transfer_failure(&mut self, job: usize, advice_ix: usize, why: &str) {
+    fn infra_transfer_failure(&mut self, job: usize, advice_ix: usize) {
         let Some(run) = self.staging_runs.get(&job) else {
             return;
         };
         let advice_id = run.advice[advice_ix].id;
-        self.trace.warn(
-            self.now,
-            "recovery",
-            format!(
-                "transfer of job {} {why}; re-planning",
-                self.plan.jobs()[job].name
-            ),
-        );
         self.note_policy_call();
         self.report_transfers_or_queue(vec![TransferOutcome {
             id: advice_id,
@@ -1281,11 +1201,6 @@ impl<'p> WorkflowExecutor<'p> {
             run.src_hosts.insert(spec_ix, alt.host);
             run.retrying = Some(advice_ix);
             self.recovery.replica_failovers += 1;
-            self.trace.info(
-                self.now,
-                "recovery",
-                format!("re-planning {file}: failing over to replica {}", alt.url),
-            );
             self.events.schedule_at(
                 self.now + self.config.policy_call_latency,
                 Ev::RetryEvaluate(job),
@@ -1298,11 +1213,6 @@ impl<'p> WorkflowExecutor<'p> {
             self.strikes.remove(&(cur_host.clone(), cur_path.clone()));
             run.retrying = Some(advice_ix);
             self.recovery.producer_reruns += 1;
-            self.trace.warn(
-                self.now,
-                "recovery",
-                format!("no clean replica of {file}; re-running its producer"),
-            );
             self.report_health_events(vec![HealthEvent::ReplicaCleared {
                 host: cur_host,
                 file: cur_path,
@@ -1321,11 +1231,6 @@ impl<'p> WorkflowExecutor<'p> {
                 .copied()
                 .unwrap_or(self.now + self.config.retry_backoff_base);
             let at = up_at.max(self.now) + self.config.policy_call_latency;
-            self.trace.info(
-                self.now,
-                "recovery",
-                format!("source {cur_host} down; parking retry until {at}"),
-            );
             self.events.schedule_at(at, Ev::RetryEvaluate(job));
         }
     }
@@ -1374,19 +1279,6 @@ impl<'p> WorkflowExecutor<'p> {
                 .as_ref()
                 .map(|r| r.quarantine_strikes.max(1))
                 .unwrap_or(u32::MAX);
-        self.trace.warn(
-            self.now,
-            "recovery",
-            format!(
-                "checksum mismatch on {file} from {src_host} (strike {}){}",
-                strikes,
-                if quarantine {
-                    "; quarantining replica"
-                } else {
-                    ""
-                }
-            ),
-        );
         if quarantine {
             self.recovery.quarantines += 1;
         }
@@ -1561,21 +1453,6 @@ impl<'p> WorkflowExecutor<'p> {
                 tag,
             };
             self.flow_owner.insert(tag, (job, ix));
-            self.trace.info(
-                self.now,
-                "ptt",
-                format!(
-                    "transfer {} -> {} started with {} streams{}",
-                    pt.source,
-                    pt.dest,
-                    advice.streams,
-                    match &advice.backend {
-                        Some(b) if self.storage_flows.contains_key(&tag) =>
-                            format!(" via backend {b}"),
-                        _ => String::new(),
-                    }
-                ),
-            );
             let flow_id = self
                 .network
                 .start_flow_with_setup(self.now, flow, extra_setup);
@@ -1629,19 +1506,6 @@ impl<'p> WorkflowExecutor<'p> {
                 // retrying; fatal ones (missing source, permissions) never
                 // succeed no matter how many attempts remain.
                 let fatal = self.rng.chance(self.config.fatal_failure_prob);
-                self.trace.warn(
-                    self.now,
-                    "ptt",
-                    format!(
-                        "transfer failed for job {} ({})",
-                        self.plan.jobs()[job].name,
-                        if fatal {
-                            "fatal"
-                        } else {
-                            "transient; retrying"
-                        }
-                    ),
-                );
                 self.note_policy_call();
                 self.report_transfers_or_queue(vec![TransferOutcome {
                     id: advice_id,
@@ -1746,11 +1610,6 @@ impl<'p> WorkflowExecutor<'p> {
         self.state[job] = JobState::Done;
         self.jobs_done += 1;
         self.close_job_span(job, "done");
-        self.trace.info(
-            self.now,
-            "executor",
-            format!("job {} finished", self.plan.jobs()[job].name),
-        );
         for child in self.plan.jobs()[job].children.clone() {
             self.pending_parents[child.0] -= 1;
             if self.pending_parents[child.0] == 0 && self.state[child.0] == JobState::Waiting {
@@ -2061,11 +1920,11 @@ mod tests {
         let mut cfg = ExecutorConfig::default();
         cfg.fallback_streams = 4;
         let exec = WorkflowExecutor::new(&p, &site, network, Box::new(Dead), cfg);
-        let (stats, _net, trace) = exec.run_traced();
+        let (stats, _net) = exec.run();
         assert!(stats.success, "dead service must not stop the workflow");
         assert!(
-            !trace.grep("with 4 stream(s)").is_empty(),
-            "fallback should advertise the configured stream count"
+            !stats.transfers.is_empty() && stats.transfers.iter().all(|t| t.streams == 4),
+            "every fallback transfer should run with the configured stream count"
         );
         // The cleanup fail-safe drained scratch even with the service down.
         assert_eq!(stats.final_scratch_bytes, 0.0, "scratch drained fail-safe");
@@ -2243,23 +2102,35 @@ mod tests {
 
     #[test]
     fn trace_records_job_and_transfer_lifecycle() {
-        let (network, site, mut rc, gridftp) = testbed();
-        register_inputs(&mut rc, 3, gridftp);
-        let wf = wide_workflow(3, 1_000_000);
-        let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
-        let controller = PolicyController::new(PolicyConfig::default());
-        let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));
-        let exec = WorkflowExecutor::new(&p, &site, network, transport, ExecutorConfig::default());
-        let (stats, _net, trace) = exec.run_traced();
+        let obs = pwm_obs::Obs::new();
+        let mut cfg = ExecutorConfig::default();
+        cfg.obs = Some(obs.clone());
+        let (stats, _, _) = run_with_policy(3, 1_000_000, PolicyConfig::default(), cfg);
         assert!(stats.success);
-        assert!(!trace.grep("staging job").is_empty());
-        assert!(!trace.grep("compute job").is_empty());
-        assert!(!trace.grep("streams").is_empty());
-        assert!(!trace.grep("finished").is_empty());
-        // Records are time-ordered.
-        let times: Vec<_> = trace.records().map(|r| r.at).collect();
-        for w in times.windows(2) {
-            assert!(w[0] <= w[1]);
+        let events = obs.tracer.events();
+        let has = |cat: &str, key: &str, value: Option<&str>| {
+            events.iter().any(|e| {
+                e.cat == cat
+                    && e.args
+                        .iter()
+                        .any(|(k, v)| k == key && value.is_none_or(|want| v == want))
+            })
+        };
+        assert!(has("stage_in", "state", Some("done")), "staging job ran");
+        assert!(has("compute", "state", Some("done")), "compute job ran");
+        assert!(has("transfer", "streams", None), "transfers carry streams");
+        // The export is sim-time ordered, and no span starts before the
+        // span that caused it.
+        for w in events.windows(2) {
+            assert!(w[0].start <= w[1].start, "{:?} after {:?}", w[1], w[0]);
+        }
+        for e in &events {
+            if let Some(parent) = events.iter().find(|p| Some(p.id) == e.parent) {
+                assert!(
+                    parent.start <= e.start,
+                    "{e:?} before its parent {parent:?}"
+                );
+            }
         }
     }
 

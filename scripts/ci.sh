@@ -21,7 +21,10 @@ cargo test -q --release --offline --test chaos_faults
 
 # Observability job: a traced paper-setup run must export a valid,
 # non-empty Chrome trace, and a live /metrics scrape over the REST
-# interface must succeed. Both commands exit nonzero on failure.
+# interface must succeed. Both commands exit nonzero on failure. The
+# scrape's series set (names + labels; values and the wall-clock latency
+# `_bucket` lines stripped) is pinned by scripts/metrics_series.txt, so a
+# renamed metric or a changed label fails here instead of passing silently.
 echo "== repro --trace + /metrics scrape =="
 cargo build -q --release --offline -p pwm-bench --bin repro
 TRACE_OUT="$(mktemp /tmp/pwm-trace.XXXXXX.json)"
@@ -29,7 +32,9 @@ trap 'rm -f "$TRACE_OUT"' EXIT
 ./target/release/repro --trace "$TRACE_OUT" 1
 test -s "$TRACE_OUT" || { echo "trace export is empty" >&2; exit 1; }
 ./target/release/repro validate-trace "$TRACE_OUT"
-./target/release/repro scrape-metrics > /dev/null
+./target/release/repro scrape-metrics \
+  | grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort \
+  | diff scripts/metrics_series.txt -
 
 # Crash-recovery job: the durability acceptance suite in release mode
 # (seeded WAL crash points, warm-failover invariants, recovery

@@ -17,9 +17,9 @@
 //!    that applied exactly the commands that shard's disk retained.
 
 use pwm_core::{
-    AuditRecord, CrashPoint, DurabilityConfig, HashRing, PolicyConfig, PolicyEvent, PolicyService,
-    ShardedPolicyService, TransferAction, TransferAdvice, TransferOutcome, TransferSpec, Url,
-    WorkflowId,
+    AuditRecord, CrashPoint, DurabilityConfig, HashRing, OrderingPolicy, PolicyConfig, PolicyEvent,
+    PolicyService, ShardedPolicyService, TransferAction, TransferAdvice, TransferOutcome,
+    TransferSpec, Url, WorkflowId,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::paper_testbed;
@@ -187,10 +187,29 @@ fn audit_content(r: &AuditRecord) -> String {
 
 #[test]
 fn sharded_batched_service_matches_single_domain_on_a_montage_session() {
+    sharded_matches_single_domain(OrderingPolicy::ByUrl, montage_stage_in_groups(1));
+}
+
+/// The same session under the priority ordering, with priorities that
+/// differ inside every request group — the one ordering where the one-shard
+/// hand-off (the engine's own sort) and the cross-shard merge (a re-sort by
+/// the priorities the router saw) could disagree.
+#[test]
+fn sharded_batched_service_matches_single_domain_under_priority_ordering() {
+    let mut groups = montage_stage_in_groups(1);
+    for group in &mut groups {
+        for (i, spec) in group.iter_mut().enumerate() {
+            spec.priority = Some((i % 3) as i32);
+        }
+    }
+    sharded_matches_single_domain(OrderingPolicy::ByPriority, groups);
+}
+
+fn sharded_matches_single_domain(ordering: OrderingPolicy, groups: Vec<Vec<TransferSpec>>) {
     let config = PolicyConfig::default()
         .with_default_streams(8)
-        .with_threshold(50);
-    let groups = montage_stage_in_groups(1);
+        .with_threshold(50)
+        .with_ordering(ordering);
 
     let mut single = PolicyService::new(config.clone());
     let sharded = ShardedPolicyService::new(config.clone(), 4);
