@@ -13,13 +13,12 @@
 //!    an external service.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pwm_bench::{mb, MontageExperiment, PolicyMode};
+use pwm_bench::{mb, MontageExperiment, PaperWorld, PolicyMode};
 use pwm_core::transport::InProcessTransport;
 use pwm_core::{PolicyConfig, PolicyController, PriorityAlgorithm, WorkflowId, DEFAULT_SESSION};
-use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
-use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_net::{Network, StreamModel};
 use pwm_sim::SimDuration;
-use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor};
+use pwm_workflow::{plan, ExecutorConfig, PlannerConfig, WorkflowExecutor};
 use std::hint::black_box;
 
 fn seeds() -> Vec<u64> {
@@ -90,27 +89,13 @@ fn ablation_priority() {
 /// staged files.
 fn ablation_sharing() {
     println!("== Ablation: staged-file sharing across workflows (50 MB extras) ==");
-    let (topo, gridftp, apache, nfs) = paper_testbed();
-    let site = ComputeSite {
-        name: "obelix".into(),
-        nodes: 9,
-        cores_per_node: 6,
-        storage_host: nfs,
-        storage_host_name: "obelix-nfs".into(),
-        scratch_dir: "/scratch".into(),
-    };
+    let world = PaperWorld::testbed();
     // Same generator seed → identical file names → shareable staging.
-    let workflow = montage_workflow(&MontageConfig {
-        extra_file_bytes: mb(50),
-        seed: 1,
-        ..Default::default()
-    });
-    let replicas = montage_replicas(&workflow, ("apache-isi", apache), ("gridftp-vm", gridftp));
     let planner_cfg = PlannerConfig {
         cleanup: false, // keep files so the second workflow can share them
         ..Default::default()
     };
-    let executable = plan(&workflow, &site, &replicas, &planner_cfg).unwrap();
+    let executable = world.plan_montage(mb(50), 1, &planner_cfg);
 
     let controller = PolicyController::new(
         PolicyConfig::default()
@@ -122,7 +107,7 @@ fn ablation_sharing() {
         "workflow", "makespan(s)", "bytes staged", "skipped"
     );
     for wf in 0..2u64 {
-        let network = Network::with_seed(topo.clone(), StreamModel::default(), wf + 1);
+        let network = Network::with_seed(world.topology.clone(), StreamModel::default(), wf + 1);
         let transport = Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION));
         let cfg = ExecutorConfig {
             seed: wf + 1,
@@ -130,7 +115,7 @@ fn ablation_sharing() {
             policy_call_latency: SimDuration::from_millis(75),
             ..Default::default()
         };
-        let exec = WorkflowExecutor::new(&executable, &site, network, transport, cfg);
+        let exec = WorkflowExecutor::new(&executable, &world.site, network, transport, cfg);
         let (stats, _) = exec.run();
         println!(
             "{:<12}{:>12.0}{:>16.0}{:>10}",
@@ -278,43 +263,26 @@ fn ablation_workloads() {
         "{:<22}{:>14}{:>14}{:>16}",
         "workload", "no-policy(s)", "greedy-50(s)", "dedup-saved(GB)"
     );
-    let (topo, gridftp, _apache, nfs) = paper_testbed();
-    let site = ComputeSite {
-        name: "obelix".into(),
-        nodes: 9,
-        cores_per_node: 6,
-        storage_host: nfs,
-        storage_host_name: "obelix-nfs".into(),
-        scratch_dir: "/scratch".into(),
+    let world = PaperWorld::testbed();
+    let single_source = |wf: pwm_workflow::AbstractWorkflow| {
+        let rc = single_source_replicas(&wf, "gridftp-vm", world.gridftp);
+        plan(&wf, &world.site, &rc, &PlannerConfig::default()).unwrap()
     };
-    let workloads: Vec<(&str, pwm_workflow::AbstractWorkflow)> = vec![
+    let workloads = [
         (
             "cybershake (shared)",
-            cybershake_like(&CyberShakeConfig::default()),
+            single_source(cybershake_like(&CyberShakeConfig::default())),
         ),
         (
             "epigenomics (lanes)",
-            epigenomics_like(&EpigenomicsConfig::default()),
+            single_source(epigenomics_like(&EpigenomicsConfig::default())),
         ),
-        ("montage 10MB aug", {
-            montage_workflow(&MontageConfig {
-                extra_file_bytes: mb(10),
-                seed: 1,
-                ..Default::default()
-            })
-        }),
+        (
+            "montage 10MB aug",
+            world.plan_montage(mb(10), 1, &PlannerConfig::default()),
+        ),
     ];
-    for (label, wf) in workloads {
-        let rc = if label.starts_with("montage") {
-            montage_replicas(
-                &wf,
-                ("apache-isi", pwm_net::HostId(1)),
-                ("gridftp-vm", gridftp),
-            )
-        } else {
-            single_source_replicas(&wf, "gridftp-vm", gridftp)
-        };
-        let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
+    for (label, p) in workloads {
         let mut results = Vec::new();
         for policy in [false, true] {
             let transport: Box<dyn PolicyTransport> = if policy {
@@ -327,10 +295,10 @@ fn ablation_workloads() {
             } else {
                 Box::new(NoPolicyTransport::new(4))
             };
-            let network = Network::with_seed(topo.clone(), StreamModel::default(), 3);
+            let network = Network::with_seed(world.topology.clone(), StreamModel::default(), 3);
             let exec = WorkflowExecutor::new(
                 &p,
-                &site,
+                &world.site,
                 network,
                 transport,
                 ExecutorConfig {

@@ -1,39 +1,148 @@
-//! Reproduce the paper's tables and figures as text.
+//! The one front end of `pwm-bench`: the paper's tables and figures as
+//! text, the fault scenarios, and the four layer benchmarks.
 //!
 //! ```text
 //! repro table4            # Table IV (analytic + via the full service)
 //! repro fig5 [seeds]      # Fig. 5 (threshold 50, sizes 0..1 GB)
-//! repro fig6..fig9        # threshold comparisons at 10/100/500/1000 MB
+//! repro fig6..fig9|figb   # threshold comparisons at 10/100/500/1000 MB; balanced
 //! repro all [seeds]       # everything (default 5 seeds per point)
+//! repro csv [seeds]       # every figure as plotting-ready CSV
 //! repro shapes [seeds]    # the headline shape comparisons only (fast)
-//! repro storage           # storage-backend makespan-vs-cost frontier
-//! repro resilience        # fault-intensity ladder: policy-guided vs naive recovery
+//! repro timeline [MB]     # WAN utilization of one greedy-50 run
 //! repro chaos [seed]      # fault-injection scenario + per-fault-class ablation
 //! repro crash [seed]      # mid-run policy-service crash: cold vs warm recovery
 //! repro --trace <out.json> [seed]   # traced paper-setup run → Chrome-trace JSON
 //! repro validate-trace <path>       # check a Chrome-trace export (CI gate)
 //! repro scrape-metrics              # run + scrape /metrics over HTTP (CI gate)
+//!
+//! repro net        [smoke] [--out PATH] [--only LABEL] [--min-events-per-sec N] [--micro [ROUNDS]]
+//! repro svc        [smoke] [--out PATH] [--min-speedup X]
+//! repro storage    [smoke] [--out PATH]
+//! repro resilience [smoke] [--out PATH]
 //! ```
 //!
-//! Progress and diagnostics go to stderr through the `pwm-obs` leveled
-//! logger (`PWM_LOG=error|warn|info|debug`); result tables stay on stdout.
+//! The four bench subcommands print their JSON report on stdout and, with
+//! `--out`, also write it to PATH (conventionally `BENCH_net.json`,
+//! `BENCH_svc.json`, `BENCH_storage.json`, `BENCH_resilience.json`);
+//! `smoke` runs the reduced CI configuration. They exit 1 when a floor or
+//! an invariant is missed and 2 on a usage error:
+//!
+//! * `net` — allocator throughput, incremental engine against the
+//!   full-recompute baseline (`pwm_bench::netbench`). `--only LABEL` keeps
+//!   one scenario; `--min-events-per-sec N` fails any scenario whose
+//!   *incremental* events/s falls below N; every turbulent scenario must
+//!   also suppress unchanged rate writes. `--micro [ROUNDS]` skips the
+//!   suite and runs the event-queue micro-benchmark
+//!   (`pwm_bench::queuebench`, default 1M rounds per probe) — the
+//!   machine-speed row of the EXPERIMENTS.md calibration protocol.
+//! * `svc` — the (shards × pipeline depth) grid against the live REST
+//!   server (`pwm_bench::svcbench`). `--min-speedup X` fails unless the
+//!   best cell beats the request-per-round-trip baseline by X.
+//! * `storage` — fixed-backend comparators against policy-picked staging
+//!   (`pwm_bench::storagebench`); fails on any cost-accounting or
+//!   frontier-shape violation.
+//! * `resilience` — the fault-intensity ladder, policy-guided against naive
+//!   recovery, every cell run twice (`pwm_bench::resilience`); fails on an
+//!   incomplete workflow, a determinism mismatch, a staged-bytes mismatch,
+//!   or a turbulent speedup below the committed floor.
+//!
+//! Progress and diagnostics (each suite's per-row results included) go to
+//! stderr through the `pwm-obs` leveled logger
+//! (`PWM_LOG=error|warn|info|debug`); results stay on stdout.
 
+use pwm_bench::netbench::NetbenchScenario;
 use pwm_bench::{
-    chaos_ablation, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_ablation,
-    render_crash, render_csv, render_figure, render_table4, run_chaos, run_crash, table4_analytic,
-    table4_via_service, ChaosConfig, CrashConfig, Figure,
+    chaos_ablation, fig5, fig6, fig7, fig8, fig9, fig_balanced, netbench, point, queuebench,
+    render_ablation, render_crash, render_csv, render_figure, render_table4, resilience, run_chaos,
+    run_crash, storagebench, svcbench, table4_analytic, table4_via_service, ChaosConfig,
+    CrashConfig, Figure,
 };
-use pwm_obs::global_logger;
+use pwm_obs::{global_logger, JsonValue};
+
+type FigureFn = fn(usize) -> Figure;
+/// A subcommand's handler, given the arguments after its name.
+type Handler = fn(&[String]);
+
+/// Every figure `all` and `csv` regenerate.
+const FIGURES: [(&str, FigureFn); 6] = [
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("figb", fig_balanced),
+];
+
+/// Every subcommand. `main` dispatches through this table and [`usage`] is
+/// built from it, so the usage line cannot fall behind what is accepted.
+const SUBCOMMANDS: [(&str, Handler); 19] = [
+    ("table4", |_| table4()),
+    ("fig5", |rest| figure(fig5(seeds(rest)))),
+    ("fig6", |rest| figure(fig6(seeds(rest)))),
+    ("fig7", |rest| figure(fig7(seeds(rest)))),
+    ("fig8", |rest| figure(fig8(seeds(rest)))),
+    ("fig9", |rest| figure(fig9(seeds(rest)))),
+    ("figb", |rest| figure(fig_balanced(seeds(rest)))),
+    ("all", |rest| {
+        let seeds = seeds(rest);
+        table4();
+        for (name, fig) in FIGURES {
+            global_logger().info(&format!("rendering {name} ({seeds} seeds per point)"));
+            figure(fig(seeds));
+        }
+    }),
+    ("csv", |rest| {
+        for (_, fig) in FIGURES {
+            print!("{}", render_csv(&fig(seeds(rest))));
+        }
+    }),
+    ("shapes", |rest| shapes(seeds(rest))),
+    ("timeline", |rest| timeline(arg_or(rest, 100))),
+    ("chaos", |rest| chaos(arg_or(rest, 7))),
+    ("crash", |rest| crash(arg_or(rest, 7))),
+    ("net", |rest| bench("net", rest)),
+    ("svc", |rest| bench("svc", rest)),
+    ("storage", |rest| bench("storage", rest)),
+    ("resilience", |rest| bench("resilience", rest)),
+    ("validate-trace", |rest| match rest.first() {
+        Some(path) => validate_trace(path),
+        None => die(2, "validate-trace requires a path"),
+    }),
+    ("scrape-metrics", |_| scrape_metrics()),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: repro [{}] [args] | repro --trace OUT.json [seed]",
+        names.join("|")
+    )
+}
+
+/// Log `message` at error level and exit with `code` (1: the run failed or
+/// missed a floor or invariant; 2: usage error).
+fn die(code: i32, message: &str) -> ! {
+    global_logger().error(message);
+    std::process::exit(code)
+}
+
+/// The first argument after the subcommand, parsed, or `default`.
+fn arg_or<T: std::str::FromStr>(rest: &[String], default: T) -> T {
+    rest.first().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// Seeds per figure point (default 5, at least 1).
+fn seeds(rest: &[String]) -> usize {
+    arg_or(rest, 5).max(1)
+}
 
 fn main() {
-    let log = global_logger();
     let args: Vec<String> = std::env::args().skip(1).collect();
 
     // `repro --trace <out.json> [seed]`: one traced run, exported and exit.
     if let Some(ix) = args.iter().position(|a| a == "--trace") {
         let Some(path) = args.get(ix + 1) else {
-            log.error("--trace requires an output path");
-            std::process::exit(2);
+            die(2, "--trace requires an output path");
         };
         let seed: u64 = args.get(ix + 2).and_then(|s| s.parse().ok()).unwrap_or(1);
         traced_run(path, seed);
@@ -41,64 +150,209 @@ fn main() {
     }
 
     let what = args.first().map(String::as_str).unwrap_or("all");
-    let seeds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5).max(1);
+    match SUBCOMMANDS.iter().find(|(name, _)| *name == what) {
+        Some((_, run)) => run(args.get(1..).unwrap_or_default()),
+        None => die(2, &format!("unknown target {what:?}; {}", usage())),
+    }
+}
 
-    match what {
-        "table4" => table4(),
-        "fig5" => figure(fig5(seeds)),
-        "fig6" => figure(fig6(seeds)),
-        "fig7" => figure(fig7(seeds)),
-        "fig8" => figure(fig8(seeds)),
-        "fig9" => figure(fig9(seeds)),
-        "figb" => figure(fig_balanced(seeds)),
-        "timeline" => timeline(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100)),
-        "chaos" => chaos(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(7)),
-        "crash" => crash(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(7)),
-        "shapes" => shapes(seeds),
-        "storage" => storage(),
-        "resilience" => resilience(),
-        "validate-trace" => {
-            let Some(path) = args.get(1) else {
-                log.error("validate-trace requires a path");
-                std::process::exit(2);
-            };
-            validate_trace(path);
-        }
-        "scrape-metrics" => scrape_metrics(),
-        "all" => {
-            table4();
-            for (name, f) in [
-                ("fig5", fig5(seeds)),
-                ("fig6", fig6(seeds)),
-                ("fig7", fig7(seeds)),
-                ("fig8", fig8(seeds)),
-                ("fig9", fig9(seeds)),
-                ("figb", fig_balanced(seeds)),
-            ] {
-                log.info(&format!("rendering {name} ({seeds} seeds per point)"));
-                figure(f);
+/// What follows `repro net|svc|storage|resilience` on the command line.
+#[derive(Debug, Default, PartialEq)]
+struct BenchArgs {
+    smoke: bool,
+    out: Option<String>,
+    only: Option<String>,
+    micro: Option<u64>,
+    min_events_per_sec: Option<f64>,
+    min_speedup: Option<f64>,
+}
+
+fn bench_usage(sub: &str) -> String {
+    let own = match sub {
+        "net" => " [--only LABEL] [--min-events-per-sec N] [--micro [ROUNDS]]",
+        "svc" => " [--min-speedup X]",
+        _ => "",
+    };
+    format!("usage: repro {sub} [smoke] [--out PATH]{own}")
+}
+
+/// The one parser behind the four bench subcommands; a flag is known only
+/// to the subcommand that owns it. `Err` is a usage error (exit 2).
+fn parse_bench_args(sub: &str, args: &[String]) -> Result<BenchArgs, String> {
+    let mut parsed = BenchArgs::default();
+    let mut it = args.iter().peekable();
+    while let Some(arg) = it.next() {
+        match (sub, arg.as_str()) {
+            (_, "smoke") => parsed.smoke = true,
+            (_, "--out") => {
+                parsed.out = Some(it.next().ok_or("--out requires a path argument")?.clone());
             }
-        }
-        "csv" => {
-            // Plotting-ready CSV for every figure on stdout.
-            for f in [
-                fig5(seeds),
-                fig6(seeds),
-                fig7(seeds),
-                fig8(seeds),
-                fig9(seeds),
-                fig_balanced(seeds),
-            ] {
-                print!("{}", render_csv(&f));
+            ("net", "--only") => {
+                parsed.only = Some(it.next().ok_or("--only requires a scenario label")?.clone());
             }
-        }
-        other => {
-            log.error(&format!(
-                "unknown target {other:?}; try table4|fig5..fig9|figb|csv|shapes|storage|resilience|chaos|crash|validate-trace|scrape-metrics|all [seeds]"
-            ));
-            std::process::exit(2);
+            ("net", "--micro") => {
+                // Optional round count; any other next token is an argument
+                // in its own right.
+                let rounds = it.peek().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                if rounds.is_some() {
+                    it.next();
+                }
+                parsed.micro = Some(rounds.unwrap_or(1_000_000));
+            }
+            ("net", "--min-events-per-sec") => {
+                let floor = it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 0.0);
+                parsed.min_events_per_sec =
+                    Some(floor.ok_or("--min-events-per-sec requires a non-negative number")?);
+            }
+            ("svc", "--min-speedup") => {
+                let min = it.next().and_then(|v| v.parse().ok());
+                parsed.min_speedup = Some(min.ok_or("--min-speedup requires a numeric argument")?);
+            }
+            (_, other) => return Err(format!("unknown argument: {other}")),
         }
     }
+    Ok(parsed)
+}
+
+/// Run one layer benchmark: parse, run the suite (each logs its own
+/// progress and per-row results), then the shared tail — the JSON report on
+/// stdout and in `--out`, every floor or invariant miss logged, exit 1 if
+/// there was one.
+fn bench(sub: &str, args: &[String]) {
+    let log = global_logger();
+    let usage_error = |message: String| -> ! {
+        log.error(&message);
+        eprintln!("{}", bench_usage(sub));
+        std::process::exit(2)
+    };
+    let parsed = parse_bench_args(sub, args).unwrap_or_else(|e| usage_error(e));
+    let (doc, violations) = match sub {
+        "net" => net(&parsed).unwrap_or_else(|e| usage_error(e)),
+        "svc" => svc(&parsed),
+        "storage" => {
+            let s = if parsed.smoke {
+                storagebench::smoke_scenario()
+            } else {
+                storagebench::standard_scenario()
+            };
+            let points = storagebench::run_suite(&s);
+            let doc = storagebench::report_json(&s, &points);
+            (doc, storagebench::check_invariants(&points))
+        }
+        "resilience" => {
+            let s = if parsed.smoke {
+                resilience::smoke_scenario()
+            } else {
+                resilience::standard_scenario()
+            };
+            let cells = resilience::run_suite(&s);
+            let doc = resilience::report_json(&s, &cells);
+            (doc, resilience::check_invariants(&s, &cells))
+        }
+        _ => unreachable!("bench() serves the four bench subcommands only"),
+    };
+    let text = doc.render();
+    println!("{text}");
+    if let Some(path) = &parsed.out {
+        std::fs::write(path, format!("{text}\n"))
+            .unwrap_or_else(|e| die(1, &format!("failed to write {path}: {e}")));
+        log.info(&format!("repro {sub}: report written to {path}"));
+    }
+    for v in &violations {
+        log.error(&format!("repro {sub}: {v}"));
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Keep only the scenario labelled `label`; an unknown label is a usage
+/// error.
+fn only_scenario(
+    mut suite: Vec<NetbenchScenario>,
+    label: &str,
+) -> Result<Vec<NetbenchScenario>, String> {
+    suite.retain(|s| s.label == label);
+    if suite.is_empty() {
+        return Err(format!("--only {label}: no such scenario in the suite"));
+    }
+    Ok(suite)
+}
+
+/// `repro net`: report and floor / write-suppression misses; `Err` for an
+/// `--only` label the suite does not have.
+fn net(args: &BenchArgs) -> Result<(JsonValue, Vec<String>), String> {
+    if let Some(rounds) = args.micro {
+        let log = global_logger();
+        log.info(&format!(
+            "repro net: queue micro-benchmark, {rounds} rounds per probe"
+        ));
+        let results = queuebench::run_suite(rounds);
+        for r in &results {
+            log.info(&format!(
+                "queuebench: {:<16} {:>12.0} ops/s ({:.1} ns/op)",
+                r.op,
+                r.ops_per_sec,
+                r.ns_per_op(),
+            ));
+        }
+        return Ok((queuebench::report_json(&results), Vec::new()));
+    }
+
+    let mut suite = if args.smoke {
+        netbench::smoke_suite()
+    } else {
+        netbench::standard_suite()
+    };
+    if let Some(label) = &args.only {
+        suite = only_scenario(suite, label)?;
+    }
+    let reports: Vec<_> = suite.iter().map(netbench::run_scenario).collect();
+    let mut violations = Vec::new();
+    if let Some(floor) = args.min_events_per_sec {
+        for r in &reports {
+            if r.incremental.events_per_sec < floor {
+                violations.push(format!(
+                    "{} incremental {:.0} events/s is below the floor of {:.0}",
+                    r.scenario.label, r.incremental.events_per_sec, floor
+                ));
+            }
+        }
+    }
+    for r in reports.iter().filter(|r| r.scenario.turbulent) {
+        if !netbench::write_suppression_ok(&r.incremental) {
+            violations.push(format!(
+                "{} wrote {} unchanged rates over {} events \
+                 (expected ≲ 1 per event; rate-write suppression regressed)",
+                r.scenario.label, r.incremental.stats.unchanged_writes, r.incremental.events,
+            ));
+        }
+    }
+    Ok((netbench::report_json(&reports), violations))
+}
+
+/// `repro svc`: report and, under `--min-speedup`, a best-cell miss.
+fn svc(args: &BenchArgs) -> (JsonValue, Vec<String>) {
+    let suite = if args.smoke {
+        svcbench::smoke_suite()
+    } else {
+        svcbench::standard_suite()
+    };
+    let results = svcbench::run_suite(&suite);
+    let mut violations = Vec::new();
+    if let Some(min) = args.min_speedup {
+        let speedup = svcbench::best_speedup(&results);
+        if speedup.is_nan() || speedup < min {
+            violations.push(format!(
+                "best speedup {speedup:.2}x below required {min:.2}x"
+            ));
+        } else {
+            global_logger().info(&format!(
+                "repro svc: best speedup {speedup:.2}x ≥ required {min:.2}x"
+            ));
+        }
+    }
+    (svcbench::report_json(&results), violations)
 }
 
 /// One traced paper-setup run (greedy-50 @8 streams, 100 MB extras),
@@ -112,17 +366,9 @@ fn traced_run(path: &str, seed: u64) {
     let exp = MontageExperiment::paper_setup(mb(100), 8, PolicyMode::Greedy { threshold: 50 });
     let (stats, obs) = exp.run_once_traced(seed);
     let trace = obs.tracer.chrome_trace_json();
-    let events = match pwm_obs::validate_chrome_trace(&trace) {
-        Ok(n) => n,
-        Err(e) => {
-            log.error(&format!("exported trace failed validation: {e}"));
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(path, &trace) {
-        log.error(&format!("cannot write {path}: {e}"));
-        std::process::exit(1);
-    }
+    let events = pwm_obs::validate_chrome_trace(&trace)
+        .unwrap_or_else(|e| die(1, &format!("exported trace failed validation: {e}")));
+    std::fs::write(path, &trace).unwrap_or_else(|e| die(1, &format!("cannot write {path}: {e}")));
     log.info(&format!("wrote {events} events to {path}"));
     log.debug(&format!(
         "metrics after run:\n{}",
@@ -137,20 +383,11 @@ fn traced_run(path: &str, seed: u64) {
 
 /// Validate a Chrome-trace export on disk; nonzero exit on failure.
 fn validate_trace(path: &str) {
-    let log = global_logger();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            log.error(&format!("cannot read {path}: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, &format!("cannot read {path}: {e}")));
     match pwm_obs::validate_chrome_trace(&text) {
         Ok(events) => println!("valid {path} events {events}"),
-        Err(e) => {
-            log.error(&format!("invalid trace {path}: {e}"));
-            std::process::exit(1);
-        }
+        Err(e) => die(1, &format!("invalid trace {path}: {e}")),
     }
 }
 
@@ -159,15 +396,9 @@ fn validate_trace(path: &str) {
 fn scrape_metrics() {
     use pwm_core::{PolicyConfig, PolicyController, PolicyTransport, DEFAULT_SESSION};
     use pwm_rest::{PolicyRestClient, PolicyRestServer};
-    let log = global_logger();
     let controller = PolicyController::new(PolicyConfig::default());
-    let server = match PolicyRestServer::start(controller) {
-        Ok(s) => s,
-        Err(e) => {
-            log.error(&format!("cannot start REST server: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let server = PolicyRestServer::start(controller)
+        .unwrap_or_else(|e| die(1, &format!("cannot start REST server: {e}")));
     let mut client = PolicyRestClient::new(server.addr(), DEFAULT_SESSION);
     let spec = pwm_core::TransferSpec {
         source: pwm_core::Url::new("gsiftp", "gridftp-vm", "/data/f1"),
@@ -179,21 +410,15 @@ fn scrape_metrics() {
         priority: None,
     };
     if let Err(e) = client.evaluate_transfers(vec![spec]) {
-        log.error(&format!("policy call failed: {e}"));
-        std::process::exit(1);
+        die(1, &format!("policy call failed: {e}"));
     }
-    let text = match client.metrics() {
-        Ok(t) => t,
-        Err(e) => {
-            log.error(&format!("/metrics scrape failed: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let text = client
+        .metrics()
+        .unwrap_or_else(|e| die(1, &format!("/metrics scrape failed: {e}")));
     if !text.contains("pwm_policy_transfer_requests_total{session=\"default\"} 1") {
-        log.error(&format!("scrape missing expected counter:\n{text}"));
-        std::process::exit(1);
+        die(1, &format!("scrape missing expected counter:\n{text}"));
     }
-    log.info("scrape ok");
+    global_logger().info("scrape ok");
     print!("{text}");
 }
 
@@ -202,7 +427,6 @@ fn timeline(extra_mb: u64) {
     use pwm_bench::{mb, MontageExperiment, PolicyMode};
     let exp = MontageExperiment::paper_setup(mb(extra_mb), 8, PolicyMode::Greedy { threshold: 50 });
     let (stats, network, wan) = exp.run_once_detailed(1);
-    let wan = wan.expect("paper testbed has a WAN link");
     let tl = network.timeline(wan).expect("timeline recorded");
     println!(
         "WAN utilization, greedy-50 @8 streams, {} MB extras ({} samples, makespan {:.0}s):",
@@ -325,69 +549,6 @@ fn headline(f: &Figure) {
     }
 }
 
-/// The storage-backend makespan-vs-cost frontier as a text table (the
-/// `storagebench` bin emits the JSON form).
-fn resilience() {
-    use pwm_bench::{resilience_invariants, resilience_standard, run_resiliencebench, speedup_at};
-    let s = resilience_standard();
-    let cells = run_resiliencebench(&s);
-    println!("== resilience ladder: {} ==", s.label);
-    println!(
-        "  {:<10} {:<14} {:>12} {:>8} {:>14}",
-        "intensity", "mode", "makespan", "success", "deterministic"
-    );
-    for c in &cells {
-        println!(
-            "  {:<10} {:<14} {:>11.2}s {:>8} {:>14}",
-            c.intensity,
-            c.mode(),
-            c.stats.makespan_secs(),
-            c.stats.success,
-            c.deterministic
-        );
-    }
-    for rung in ["calm", "rough", "turbulent"] {
-        if let Some(ratio) = speedup_at(&cells, rung) {
-            println!("  speedup[{rung}]: {ratio:.2}x (naive / policy-guided)");
-        }
-    }
-    let violations = resilience_invariants(&s, &cells);
-    for v in &violations {
-        global_logger().error(&format!("invariant violated: {v}"));
-    }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
-}
-
-fn storage() {
-    use pwm_bench::{check_invariants, pareto_frontier, run_storagebench, storagebench_standard};
-    let s = storagebench_standard();
-    let points = run_storagebench(&s);
-    let frontier = pareto_frontier(&points);
-    println!("== storage frontier: {} ==", s.label);
-    println!(
-        "  {:<24} {:>12} {:>12}  frontier",
-        "run", "makespan", "dollars"
-    );
-    for (i, p) in points.iter().enumerate() {
-        println!(
-            "  {:<24} {:>11.2}s {:>12.6}  {}",
-            p.label,
-            p.makespan_secs,
-            p.dollars,
-            if frontier.contains(&i) { "*" } else { "" }
-        );
-    }
-    let violations = check_invariants(&points);
-    for v in &violations {
-        global_logger().error(&format!("invariant violated: {v}"));
-    }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
-}
-
 /// Quick shape check across the four sizes at default 8 streams.
 fn shapes(seeds: usize) {
     for (name, f) in [
@@ -410,5 +571,107 @@ fn shapes(seeds: usize) {
         }
         headline(&f);
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(sub: &str, args: &[&str]) -> Result<BenchArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_bench_args(sub, &args)
+    }
+
+    #[test]
+    fn smoke_out_and_strays_parse_alike_for_every_bench_subcommand() {
+        for sub in ["net", "svc", "storage", "resilience"] {
+            assert_eq!(parse(sub, &[]), Ok(BenchArgs::default()));
+            let parsed = parse(sub, &["smoke", "--out", "r.json"]).unwrap();
+            assert!(parsed.smoke && parsed.out.as_deref() == Some("r.json"));
+            let err = parse(sub, &["smoke", "--out"]).unwrap_err();
+            assert_eq!(err, "--out requires a path argument");
+            let err = parse(sub, &["smoke", "--frobnicate"]).unwrap_err();
+            assert_eq!(err, "unknown argument: --frobnicate");
+        }
+    }
+
+    #[test]
+    fn a_flag_is_known_only_to_the_subcommand_that_owns_it() {
+        assert!(parse("svc", &["--min-events-per-sec", "1"]).is_err());
+        assert!(parse("storage", &["--micro"]).is_err());
+        assert!(parse("resilience", &["--only", "1k"]).is_err());
+        assert!(parse("net", &["--min-speedup", "2"]).is_err());
+        // ...and each usage line names exactly what its parser accepts.
+        assert!(bench_usage("net").ends_with("[--min-events-per-sec N] [--micro [ROUNDS]]"));
+        assert!(bench_usage("svc").ends_with("[--out PATH] [--min-speedup X]"));
+        assert!(bench_usage("storage").ends_with("[smoke] [--out PATH]"));
+    }
+
+    #[test]
+    fn micro_takes_an_optional_round_count() {
+        assert_eq!(parse("net", &["--micro"]).unwrap().micro, Some(1_000_000));
+        let parsed = parse("net", &["--micro", "5000"]).unwrap();
+        assert_eq!(parsed.micro, Some(5000));
+        // A following token that is not a count belongs to another flag.
+        let parsed = parse("net", &["--micro", "--out", "m.json"]).unwrap();
+        assert_eq!(parsed.micro, Some(1_000_000));
+        assert_eq!(parsed.out.as_deref(), Some("m.json"));
+        // Zero rounds is not a count, so it is left as a stray argument.
+        let err = parse("net", &["--micro", "0"]).unwrap_err();
+        assert_eq!(err, "unknown argument: 0");
+    }
+
+    #[test]
+    fn numeric_floors_are_validated() {
+        let parsed = parse("net", &["smoke", "--min-events-per-sec", "250000"]).unwrap();
+        assert_eq!(parsed.min_events_per_sec, Some(250_000.0));
+        assert!(parse("net", &["--min-events-per-sec", "-1"]).is_err());
+        assert!(parse("net", &["--min-events-per-sec"]).is_err());
+        let parsed = parse("svc", &["--min-speedup", "2"]).unwrap();
+        assert_eq!(parsed.min_speedup, Some(2.0));
+        assert!(parse("svc", &["--min-speedup", "fast"]).is_err());
+    }
+
+    #[test]
+    fn only_keeps_one_scenario_and_rejects_an_unknown_label() {
+        assert!(parse("net", &["--only"]).is_err());
+        let suite = netbench::smoke_suite();
+        let label = suite[0].label.clone();
+        let parsed = parse("net", &["--only", &label]).unwrap();
+        assert_eq!(parsed.only.as_ref(), Some(&label));
+        let kept = only_scenario(suite, &label).unwrap();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].label, label);
+        let err = only_scenario(netbench::standard_suite(), "no-such-scenario").unwrap_err();
+        assert_eq!(
+            err,
+            "--only no-such-scenario: no such scenario in the suite"
+        );
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand_once() {
+        let usage = usage();
+        let listed: Vec<&str> = usage
+            .split(['[', ']'])
+            .nth(1)
+            .expect("usage brackets the subcommand list")
+            .split('|')
+            .collect();
+        assert_eq!(listed.len(), SUBCOMMANDS.len());
+        for (i, (name, _)) in SUBCOMMANDS.iter().enumerate() {
+            assert_eq!(listed[i], *name);
+            assert!(!listed[..i].contains(name), "{name} is listed twice");
+        }
+        // The bench front ends and every figure `all` / `csv` loop over are
+        // subcommands; the deleted bins' names are not.
+        for name in ["net", "svc", "storage", "resilience"]
+            .into_iter()
+            .chain(FIGURES.map(|(name, _)| name))
+        {
+            assert!(listed.contains(&name), "{name} is not a subcommand");
+        }
+        assert!(!listed.contains(&"netbench") && !listed.contains(&"storagebench"));
     }
 }

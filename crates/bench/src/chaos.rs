@@ -18,17 +18,17 @@
 //! [`chaos_ablation`] reruns the same seed under each fault class alone to
 //! attribute the makespan inflation.
 
+use crate::experiment::PaperWorld;
 use pwm_core::chaos::{ChaosTransport, ServiceFault, SharedSimClock};
 use pwm_core::transport::{InProcessTransport, PolicyTransport};
 use pwm_core::{
     AllocationPolicy, FailoverTransport, MemorySnapshot, PolicyConfig, PolicyController,
     WorkflowId, DEFAULT_SESSION,
 };
-use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::fault::{LinkFault, LinkFaultKind};
-use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_net::{Network, StreamModel};
 use pwm_sim::{seeded_windows, FaultPlan, SimDuration, SimRng, SimTime};
-use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
+use pwm_workflow::{ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 
 /// Everything that parameterizes a chaos run (the faults themselves are
 /// derived from these knobs plus the run seed).
@@ -133,39 +133,24 @@ fn link_plan(cfg: &ChaosConfig, seed: u64, wan: pwm_net::LinkId) -> FaultPlan<Li
     if !cfg.link_faults {
         return plan;
     }
-    let mut rng = SimRng::for_component(seed, "chaos-link-flaps");
-    for w in seeded_windows(
-        &mut rng,
-        cfg.flaps,
-        cfg.fault_horizon,
-        cfg.flap_duration.0,
-        cfg.flap_duration.1,
-    ) {
-        plan.add(
-            w.start,
-            w.duration,
-            LinkFault {
-                link: wan,
-                kind: LinkFaultKind::Down,
-            },
-        );
-    }
-    let mut rng = SimRng::for_component(seed, "chaos-link-degrade");
-    for w in seeded_windows(
-        &mut rng,
-        cfg.degradations,
-        cfg.fault_horizon,
-        cfg.degrade_duration.0,
-        cfg.degrade_duration.1,
-    ) {
-        plan.add(
-            w.start,
-            w.duration,
-            LinkFault {
-                link: wan,
-                kind: LinkFaultKind::Degrade(cfg.degrade_factor),
-            },
-        );
+    for (component, count, (shortest, longest), kind) in [
+        (
+            "chaos-link-flaps",
+            cfg.flaps,
+            cfg.flap_duration,
+            LinkFaultKind::Down,
+        ),
+        (
+            "chaos-link-degrade",
+            cfg.degradations,
+            cfg.degrade_duration,
+            LinkFaultKind::Degrade(cfg.degrade_factor),
+        ),
+    ] {
+        let mut rng = SimRng::for_component(seed, component);
+        for w in seeded_windows(&mut rng, count, cfg.fault_horizon, shortest, longest) {
+            plan.add(w.start, w.duration, LinkFault { link: wan, kind });
+        }
     }
     plan
 }
@@ -192,41 +177,15 @@ fn service_plan(cfg: &ChaosConfig, seed: u64) -> FaultPlan<ServiceFault> {
 
 /// Run the chaos scenario once.
 pub fn run_chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
-    let (topo, gridftp, apache, nfs) = paper_testbed();
-    let wan = topo
-        .links()
-        .find(|(_, l)| l.name == "wan-tacc-isi")
-        .map(|(id, _)| id)
-        .expect("paper testbed has the WAN link");
-    let site = ComputeSite {
-        name: "obelix".into(),
-        nodes: 9,
-        cores_per_node: 6,
-        storage_host: nfs,
-        storage_host_name: "obelix-nfs".into(),
-        scratch_dir: "/scratch".into(),
-    };
-    let workflow = montage_workflow(&MontageConfig {
-        extra_file_bytes: cfg.extra_file_bytes,
-        seed,
-        ..Default::default()
-    });
-    let replicas = montage_replicas(&workflow, ("apache-isi", apache), ("gridftp-vm", gridftp));
-    let planner_cfg = PlannerConfig {
-        clustering_factor: None,
-        cleanup: true,
-        stage_out: false,
-        output_site: None,
-        priority: None,
-    };
-    let executable = plan(&workflow, &site, &replicas, &planner_cfg).expect("montage plan");
+    let world = PaperWorld::testbed();
+    let executable = world.plan_montage(cfg.extra_file_bytes, seed, &PlannerConfig::default());
 
-    let links = link_plan(cfg, seed, wan);
+    let links = link_plan(cfg, seed, world.wan);
     let services = service_plan(cfg, seed);
     let mut fault_events = links.describe();
     fault_events.extend(services.describe());
 
-    let mut network = Network::with_seed(topo, StreamModel::default(), seed);
+    let mut network = Network::with_seed(world.topology, StreamModel::default(), seed);
     network.set_fault_plan(links);
 
     let policy = PolicyConfig::default()
@@ -265,10 +224,10 @@ pub fn run_chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
         policy_call_latency: SimDuration::from_millis(75),
         clock: Some(clock),
         workflow_id: WorkflowId(seed),
-        watch_link: Some(wan),
+        watch_link: Some(world.wan),
         ..ExecutorConfig::default()
     };
-    let executor = WorkflowExecutor::new(&executable, &site, network, transport, exec_cfg);
+    let executor = WorkflowExecutor::new(&executable, &world.site, network, transport, exec_cfg);
     let (stats, _network) = executor.run();
 
     ChaosReport {

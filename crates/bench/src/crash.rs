@@ -22,16 +22,16 @@
 //! [`CrashReport::violations`] lists any invariant breaches (the `repro
 //! crash` subcommand exits nonzero if it is non-empty).
 
+use crate::experiment::PaperWorld;
 use pwm_core::chaos::{ChaosTransport, ServiceFault, SharedSimClock};
 use pwm_core::transport::InProcessTransport;
 use pwm_core::{
     read_recovery, AllocationPolicy, CrashPoint, DurabilityConfig, FailoverTransport,
     MemorySnapshot, PolicyConfig, PolicyController, WorkflowId, DEFAULT_SESSION,
 };
-use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
-use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_net::{Network, StreamModel};
 use pwm_sim::{FaultPlan, SimDuration, SimRng, SimTime};
-use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
+use pwm_workflow::{ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -184,34 +184,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_once(cfg: &CrashConfig, seed: u64, crash: CrashPoint, warm: bool) -> CrashRunReport {
-    let (topo, gridftp, apache, nfs) = paper_testbed();
-    let wan = topo
-        .links()
-        .find(|(_, l)| l.name == "wan-tacc-isi")
-        .map(|(id, _)| id)
-        .expect("paper testbed has the WAN link");
-    let site = ComputeSite {
-        name: "obelix".into(),
-        nodes: 9,
-        cores_per_node: 6,
-        storage_host: nfs,
-        storage_host_name: "obelix-nfs".into(),
-        scratch_dir: "/scratch".into(),
-    };
-    let workflow = montage_workflow(&MontageConfig {
-        extra_file_bytes: cfg.extra_file_bytes,
-        seed,
-        ..Default::default()
-    });
-    let replicas = montage_replicas(&workflow, ("apache-isi", apache), ("gridftp-vm", gridftp));
-    let planner_cfg = PlannerConfig {
-        clustering_factor: None,
-        cleanup: true,
-        stage_out: false,
-        output_site: None,
-        priority: None,
-    };
-    let executable = plan(&workflow, &site, &replicas, &planner_cfg).expect("montage plan");
+    let world = PaperWorld::testbed();
+    let executable = world.plan_montage(cfg.extra_file_bytes, seed, &PlannerConfig::default());
 
     let policy = PolicyConfig::default()
         .with_default_streams(cfg.default_streams)
@@ -278,13 +252,13 @@ fn run_once(cfg: &CrashConfig, seed: u64, crash: CrashPoint, warm: bool) -> Cras
         policy_call_latency: SimDuration::from_millis(75),
         clock: Some(clock),
         workflow_id: WorkflowId(seed),
-        watch_link: Some(wan),
+        watch_link: Some(world.wan),
         ..ExecutorConfig::default()
     };
     let executor = WorkflowExecutor::new(
         &executable,
-        &site,
-        network_with(topo, seed),
+        &world.site,
+        Network::with_seed(world.topology, StreamModel::default(), seed),
         Box::new(chain),
         exec_cfg,
     );
@@ -300,10 +274,6 @@ fn run_once(cfg: &CrashConfig, seed: u64, crash: CrashPoint, warm: bool) -> Cras
         recovered_snapshot: rec.map(|(s, _)| s),
         backup_snapshot,
     }
-}
-
-fn network_with(topo: pwm_net::Topology, seed: u64) -> Network {
-    Network::with_seed(topo, StreamModel::default(), seed)
 }
 
 /// Run the crash scenario: same seed and crash point, cold then warm.

@@ -13,10 +13,78 @@ use pwm_core::{
     WorkflowId, DEFAULT_SESSION,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
-use pwm_net::{paper_testbed, LinkId, Network, StreamModel};
+use pwm_net::{paper_testbed, HostId, LinkId, Network, StreamModel, Topology};
 use pwm_obs::Obs;
 use pwm_sim::{SimDuration, Summary};
-use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
+use pwm_workflow::{
+    plan, ComputeSite, ExecutablePlan, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor,
+};
+
+/// The paper's testbed (Section V) wired for a run: the TACC→ISI topology,
+/// its two data sources, the WAN bottleneck every figure watches, and the
+/// Obelix compute site. Every Montage scenario in this crate (figures,
+/// chaos, crash, ablations) starts from [`PaperWorld::testbed`].
+#[derive(Debug, Clone)]
+pub struct PaperWorld {
+    /// Testbed topology; hand it to [`Network::with_seed`].
+    pub topology: Topology,
+    /// GridFTP VM at TACC, source of the WAN-staged extra files.
+    pub gridftp: HostId,
+    /// Local Apache host serving the ordinary Montage inputs.
+    pub apache: HostId,
+    /// The 28 Mbit/s TACC→ISI bottleneck link.
+    pub wan: LinkId,
+    /// Obelix: 9 nodes × 6 cores with NFS scratch.
+    pub site: ComputeSite,
+}
+
+impl PaperWorld {
+    /// The testbed step: topology, WAN link lookup, and the compute site.
+    pub fn testbed() -> Self {
+        let (topology, gridftp, apache, nfs) = paper_testbed();
+        let wan = topology
+            .links()
+            .find(|(_, l)| l.name == "wan-tacc-isi")
+            .map(|(id, _)| id)
+            .expect("paper testbed has the WAN link");
+        PaperWorld {
+            topology,
+            gridftp,
+            apache,
+            wan,
+            site: ComputeSite {
+                name: "obelix".into(),
+                nodes: 9,
+                cores_per_node: 6,
+                storage_host: nfs,
+                storage_host_name: "obelix-nfs".into(),
+                scratch_dir: "/scratch".into(),
+            },
+        }
+    }
+
+    /// The Montage step: the augmented 1-degree Montage workflow for `seed`
+    /// (89 staging jobs, `extra_file_bytes` of WAN-staged extras each),
+    /// inputs on Apache and extras on the GridFTP VM, planned onto the site.
+    pub fn plan_montage(
+        &self,
+        extra_file_bytes: u64,
+        seed: u64,
+        planner: &PlannerConfig,
+    ) -> ExecutablePlan {
+        let workflow = montage_workflow(&MontageConfig {
+            extra_file_bytes,
+            seed,
+            ..Default::default()
+        });
+        let replicas = montage_replicas(
+            &workflow,
+            ("apache-isi", self.apache),
+            ("gridftp-vm", self.gridftp),
+        );
+        plan(&workflow, &self.site, &replicas, planner).expect("montage plan must succeed")
+    }
+}
 
 /// Which staging policy governs the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,41 +179,22 @@ impl MontageExperiment {
     /// Run one seed, additionally returning the post-run [`Network`] (with a
     /// utilization timeline recorded on the WAN bottleneck) and the WAN link
     /// id.
-    pub fn run_once_detailed(&self, seed: u64) -> (RunStats, Network, Option<LinkId>) {
+    pub fn run_once_detailed(&self, seed: u64) -> (RunStats, Network, LinkId) {
         self.run_inner(seed, None)
     }
 
-    fn run_inner(&self, seed: u64, obs: Option<Obs>) -> (RunStats, Network, Option<LinkId>) {
-        let (topo, gridftp, apache, nfs) = paper_testbed();
-        let wan: Option<LinkId> = topo
-            .links()
-            .find(|(_, l)| l.name == "wan-tacc-isi")
-            .map(|(id, _)| id);
-        let site = ComputeSite {
-            name: "obelix".into(),
-            nodes: 9,
-            cores_per_node: 6,
-            storage_host: nfs,
-            storage_host_name: "obelix-nfs".into(),
-            scratch_dir: "/scratch".into(),
-        };
-        let workflow = montage_workflow(&MontageConfig {
-            extra_file_bytes: self.extra_file_bytes,
+    fn run_inner(&self, seed: u64, obs: Option<Obs>) -> (RunStats, Network, LinkId) {
+        let world = PaperWorld::testbed();
+        let executable = world.plan_montage(
+            self.extra_file_bytes,
             seed,
-            ..Default::default()
-        });
-        let replicas = montage_replicas(&workflow, ("apache-isi", apache), ("gridftp-vm", gridftp));
-        let planner_cfg = PlannerConfig {
-            clustering_factor: self.clustering_factor,
-            cleanup: true,
-            stage_out: false,
-            output_site: None,
-            priority: self.priority,
-        };
-        let executable =
-            plan(&workflow, &site, &replicas, &planner_cfg).expect("montage plan must succeed");
-
-        let network = Network::with_seed(topo, StreamModel::default(), seed);
+            &PlannerConfig {
+                clustering_factor: self.clustering_factor,
+                priority: self.priority,
+                ..PlannerConfig::default()
+            },
+        );
+        let network = Network::with_seed(world.topology, StreamModel::default(), seed);
         // Traced runs share one Obs across executor, network, and policy
         // service; the shared clock lets the service stamp its evaluation
         // instants with the executor's virtual time.
@@ -206,16 +255,17 @@ impl MontageExperiment {
             cleanup_duration: SimDuration::from_millis(500),
             transfer_failure_prob: self.transfer_failure_prob,
             workflow_id: WorkflowId(seed),
-            watch_link: wan,
+            watch_link: Some(world.wan),
             watch_timeline: true,
             cleanup_job_limit: None,
             clock,
             obs,
             ..ExecutorConfig::default()
         };
-        let executor = WorkflowExecutor::new(&executable, &site, network, transport, exec_cfg);
+        let executor =
+            WorkflowExecutor::new(&executable, &world.site, network, transport, exec_cfg);
         let (stats, network) = executor.run();
-        (stats, network, wan)
+        (stats, network, world.wan)
     }
 
     /// Run several seeds; returns the makespan summary (seconds) and the

@@ -36,11 +36,14 @@ pub struct Figure {
     pub series: Vec<Series>,
 }
 
-fn sweep(extra_bytes: u64, mode: PolicyMode, seeds: &[u64]) -> Series {
+/// One series: `mode` swept over [`DEFAULT_STREAMS`], on the workflow
+/// clustered by `clustering` (`None` = the paper's unclustered Montage).
+fn sweep(extra_bytes: u64, mode: PolicyMode, clustering: Option<u32>, seeds: &[u64]) -> Series {
     let points = DEFAULT_STREAMS
         .iter()
         .map(|&d| {
-            let exp = MontageExperiment::paper_setup(extra_bytes, d, mode);
+            let mut exp = MontageExperiment::paper_setup(extra_bytes, d, mode);
+            exp.clustering_factor = clustering;
             let (summary, _) = exp.run_seeds(seeds);
             (d, summary)
         })
@@ -69,7 +72,7 @@ pub fn fig5(seeds_per_point: usize) -> Figure {
     let series = fig5_sizes()
         .iter()
         .map(|&bytes| {
-            let mut s = sweep(bytes, PolicyMode::Greedy { threshold: 50 }, &seeds);
+            let mut s = sweep(bytes, PolicyMode::Greedy { threshold: 50 }, None, &seeds);
             s.label = if bytes == 0 {
                 "no extra data".to_string()
             } else {
@@ -91,7 +94,14 @@ fn threshold_comparison_figure(name: &str, extra_bytes: u64, seeds_per_point: us
     let seeds = default_seeds(seeds_per_point);
     let mut series: Vec<Series> = THRESHOLDS
         .iter()
-        .map(|&t| sweep(extra_bytes, PolicyMode::Greedy { threshold: t }, &seeds))
+        .map(|&t| {
+            sweep(
+                extra_bytes,
+                PolicyMode::Greedy { threshold: t },
+                None,
+                &seeds,
+            )
+        })
         .collect();
     series.push(no_policy_point(extra_bytes, &seeds));
     Figure {
@@ -131,31 +141,16 @@ pub fn fig9(seeds_per_point: usize) -> Figure {
 pub fn fig_balanced(seeds_per_point: usize) -> Figure {
     let seeds = default_seeds(seeds_per_point);
     let cluster_factor = 4;
-    let mut series = Vec::new();
-    for (label, mode) in [
-        ("greedy-48", PolicyMode::Greedy { threshold: 48 }),
-        (
-            "balanced-48/4",
-            PolicyMode::Balanced {
-                threshold: 48,
-                cluster_factor,
-            },
-        ),
-    ] {
-        let points = DEFAULT_STREAMS
-            .iter()
-            .map(|&d| {
-                let mut exp = MontageExperiment::paper_setup(mb(100), d, mode);
-                exp.clustering_factor = Some(cluster_factor);
-                let (summary, _) = exp.run_seeds(&seeds);
-                (d, summary)
-            })
-            .collect();
-        series.push(Series {
-            label: label.to_string(),
-            points,
-        });
-    }
+    let series = [
+        PolicyMode::Greedy { threshold: 48 },
+        PolicyMode::Balanced {
+            threshold: 48,
+            cluster_factor,
+        },
+    ]
+    .into_iter()
+    .map(|mode| sweep(mb(100), mode, Some(cluster_factor), &seeds))
+    .collect();
     Figure {
         name: "Ext. Fig. B".into(),
         caption: "Greedy vs balanced allocation at matched thresholds; clustered \

@@ -1,6 +1,7 @@
 //! # pwm-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation:
+//! Regenerates every table and figure of the paper's evaluation, and holds
+//! the four layer benchmarks whose reports are committed as `BENCH_*.json`:
 //!
 //! * [`table4`] — "Maximum streams for simultaneous transfers", computed
 //!   both analytically and through the full Policy Service; both must match
@@ -8,19 +9,34 @@
 //! * [`figures`] — Figures 5–9: augmented-Montage makespans versus default
 //!   streams per transfer, across extra-file sizes and greedy thresholds,
 //!   with the no-policy comparator.
-//! * [`experiment`] — the shared runner (paper testbed topology, 89-staging-
-//!   job Montage, staging-job limit 20, retries 5, cleanup on, seeded ≥ 5×).
+//! * [`experiment`] — the paper world ([`experiment::PaperWorld`]: testbed
+//!   topology, Obelix site, 89-staging-job Montage plan) and the shared
+//!   runner on top of it (staging-job limit 20, retries 5, cleanup on,
+//!   seeded ≥ 5×).
 //! * [`chaos`] — the fault-injection scenario: the same Montage run under
 //!   seeded WAN flaps/degradations and policy-service outages, with a
 //!   per-fault-class ablation of the makespan inflation.
+//! * [`crash`] — a mid-run Policy Service death on the same run: cold
+//!   (empty-memory) versus warm (log-shipped) backup recovery and the
+//!   recovery invariants.
+//! * [`netbench`] — allocator throughput of the incremental network engine
+//!   against the full-recompute baseline (`BENCH_net.json`), with
+//!   [`queuebench`], the event-queue micro-benchmark, as its calibration
+//!   row.
+//! * [`svcbench`] — Policy Service front-end throughput over the live REST
+//!   server, shards × pipeline depth (`BENCH_svc.json`).
 //! * [`storagebench`] — the makespan-versus-dollar-cost frontier over the
 //!   `pwm-storage` backend trio: fixed-backend comparators against
 //!   policy-picked (greedy-cheapest / latency-floor / budget-capped)
-//!   staging, recorded in `BENCH_storage.json`.
+//!   staging (`BENCH_storage.json`).
+//! * [`resilience`] — the fault-intensity ladder, policy-guided versus
+//!   naive-retry recovery (`BENCH_resilience.json`).
 //!
-//! Entry points: `cargo run --release -p pwm-bench --bin repro -- all`
-//! prints every table/figure; `cargo bench` runs the Criterion benches that
-//! regenerate each one.
+//! One front end reaches all of it: `cargo run --release -p pwm-bench --bin
+//! repro -- all` prints every table/figure, `repro net|svc|storage|resilience
+//! [smoke] [--out PATH]` runs a layer benchmark and prints its JSON report;
+//! `cargo bench` runs the Criterion benches (`table4`, `figures`,
+//! `ablations`).
 
 #![warn(missing_docs)]
 
@@ -37,19 +53,9 @@ pub mod table4;
 
 pub use chaos::{chaos_ablation, render_ablation, run_chaos, ChaosConfig, ChaosReport, ChaosRow};
 pub use crash::{render_crash, run_crash, CrashConfig, CrashReport, CrashRunReport};
-pub use experiment::{default_seeds, mb, MontageExperiment, PolicyMode};
+pub use experiment::{default_seeds, mb, MontageExperiment, PaperWorld, PolicyMode};
 pub use figures::{
     fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render as render_figure, render_csv, Figure,
     Series,
-};
-pub use resilience::{
-    check_invariants as resilience_invariants, intensity_ladder, run_suite as run_resiliencebench,
-    smoke_scenario as resilience_smoke, speedup_at, standard_scenario as resilience_standard,
-    Intensity, ResilienceCell, ResilienceScenario, MIN_TURBULENT_SPEEDUP,
-};
-pub use storagebench::{
-    check_invariants, pareto_frontier, policy_beats_worst_fixed, run_suite as run_storagebench,
-    smoke_scenario as storagebench_smoke, standard_scenario as storagebench_standard,
-    FrontierPoint, StoragebenchScenario,
 };
 pub use table4::{render as render_table4, table4_analytic, table4_via_service, Table4Row};

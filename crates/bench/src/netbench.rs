@@ -1,4 +1,4 @@
-//! Allocator throughput benchmark (`netbench` bin).
+//! Allocator throughput benchmark (`repro net`).
 //!
 //! Drives `pwm-net` end-to-end — flow churn, setup, rate recomputation,
 //! completion — at 100 / 1 000 / 10 000 concurrent flows and measures how
@@ -165,7 +165,7 @@ impl ModeResult {
 /// orders of magnitude: every refresh dirtied every ramping flow's links
 /// even while the flow was link-limited, producing 1.5M unchanged writes
 /// (~1 000 per event) in a 1 500-event window; the residual today is
-/// ~0.4 per event. The `netbench` binary enforces this predicate on every
+/// ~0.4 per event. `repro net` enforces this predicate on every
 /// turbulent scenario it runs.
 pub fn write_suppression_ok(m: &ModeResult) -> bool {
     m.stats.unchanged_writes <= m.events + 32
@@ -186,15 +186,16 @@ pub struct ScenarioReport {
     pub speedup_recomputes: f64,
 }
 
-/// Deterministic workload generator (splitmix-style); no external RNG crate.
-struct Lcg(u64);
+/// Deterministic workload generator (splitmix-style); no external RNG
+/// crate. Also drives the op mix of [`crate::queuebench`].
+pub(crate) struct Lcg(u64);
 
 impl Lcg {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6_364_136_223_846_793_005)

@@ -1,6 +1,6 @@
 //! Event-queue micro-benchmark: the operations the network engine's hot
 //! loop is made of, at the 100k pending-event population the netbench 100k
-//! scenario sustains, run as one reportable suite (`netbench --micro`). It
+//! scenario sustains, run as one reportable suite (`repro net --micro`). It
 //! touches nothing but the queue, so it doubles as the machine-speed row
 //! of the EXPERIMENTS.md calibration protocol.
 //!
@@ -16,29 +16,13 @@
 //! * `cancel_schedule` — cancel a random pending event and schedule a
 //!   replacement (the cancel-heavy pattern reschedule replaced in PR 7).
 
+use crate::netbench::Lcg;
 use pwm_obs::JsonValue;
 use pwm_sim::{LadderQueue, SimDuration, SimTime};
 use std::time::Instant;
 
 /// Pending-event population every probe sustains.
 const POPULATION: usize = 100_000;
-
-/// Deterministic op-mix generator (same constants as netbench's Lcg).
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 33
-    }
-}
 
 /// One probe's measurement.
 #[derive(Debug, Clone)]

@@ -1,4 +1,4 @@
-//! Resilience benchmark (`resiliencebench` bin): end-to-end failure
+//! Resilience benchmark (`repro resilience`): end-to-end failure
 //! domains under policy-guided versus naive-retry recovery.
 //!
 //! One staging-heavy workflow runs against the `pwm-storage` ec2 trio while
@@ -32,6 +32,7 @@
 //! * in the turbulent cell, policy-guided recovery beats naive retry on
 //!   makespan by at least [`MIN_TURBULENT_SPEEDUP`].
 
+use crate::storagebench::{install_site, StoragebenchScenario};
 use pwm_core::{
     InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION,
 };
@@ -39,11 +40,10 @@ use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{Network, StreamModel, Topology};
 use pwm_obs::{global_logger, JsonValue};
 use pwm_sim::{FaultPlan, SimDuration, SimTime};
-use pwm_storage::{ec2_trio, CorruptionModel, StorageLayer};
+use pwm_storage::{ec2_trio, CorruptionModel};
 use pwm_workflow::{
-    plan, AbstractJob, AbstractWorkflow, BackendOutage, ComputeSite, CrashTarget, ExecutorConfig,
-    HostCrash, PlannerConfig, RecoveryConfig, ReplicaCatalog, RunStats, StorageRuntime,
-    WorkflowExecutor,
+    plan, BackendOutage, CrashTarget, ExecutorConfig, HostCrash, PlannerConfig, RecoveryConfig,
+    ReplicaCatalog, RunStats, StorageRuntime, WorkflowExecutor,
 };
 
 /// Makespan ratio (naive / guided) the turbulent cell must reach — the
@@ -54,24 +54,10 @@ pub const MIN_TURBULENT_SPEEDUP: f64 = 1.2;
 /// naive placement funnels straight into the fault).
 pub const OUTAGE_BACKEND: &str = "nfs-std";
 
-/// One resiliencebench workload: a wide fan of staging+compute jobs whose
-/// inputs live on a deliberately slow preferred source with a fast mirror.
-#[derive(Debug, Clone)]
-pub struct ResilienceScenario {
-    /// Scenario name as it appears in `BENCH_resilience.json`.
-    pub label: String,
-    /// Independent compute jobs (each stages one input file).
-    pub jobs: usize,
-    /// Bytes per staged input file.
-    pub file_bytes: u64,
-    /// Master seed (runtime jitter, network RNG, corruption draws).
-    pub seed: u64,
-}
-
-/// The committed-report scenario: 16 × 24 MB over a 12.5 MB/s source NIC
-/// keeps staging alive past every fault-window start.
-pub fn standard_scenario() -> ResilienceScenario {
-    ResilienceScenario {
+/// The committed-report scenario: storagebench's wide fan, 16 × 24 MB over
+/// a 12.5 MB/s source NIC, keeps staging alive past every fault-window start.
+pub fn standard_scenario() -> StoragebenchScenario {
+    StoragebenchScenario {
         label: "wide-16x24MB".into(),
         jobs: 16,
         file_bytes: 24_000_000,
@@ -80,8 +66,8 @@ pub fn standard_scenario() -> ResilienceScenario {
 }
 
 /// The CI smoke scenario: same shape, half the jobs.
-pub fn smoke_scenario() -> ResilienceScenario {
-    ResilienceScenario {
+pub fn smoke_scenario() -> StoragebenchScenario {
+    StoragebenchScenario {
         label: "wide-8x24MB".into(),
         jobs: 8,
         file_bytes: 24_000_000,
@@ -154,15 +140,14 @@ impl ResilienceCell {
 /// Run one cell once. Everything physical — topology, fault windows,
 /// corruption draws — is identical across modes; only `report_health`
 /// differs.
-pub fn run_cell(s: &ResilienceScenario, it: &Intensity, guided: bool) -> RunStats {
+pub fn run_cell(s: &StoragebenchScenario, it: &Intensity, guided: bool) -> RunStats {
     let trio = ec2_trio();
     let mut topo = Topology::new();
     // The preferred source is the slow path; the mirror is 4× faster, so
     // failing over is worth it even without a fault.
     let datasrc = topo.add_host("datasrc", 12.5e6);
     let mirror = topo.add_host("mirrorsrc", 50.0e6);
-    let frontend = topo.add_host("site-nfs", 1.0e9);
-    let layer = StorageLayer::install(&mut topo, frontend, &trio);
+    let (site, layer) = install_site(&mut topo, &trio);
     let datasrc_link = topo.host(datasrc).access_link;
     let outage_backend = layer.backend(OUTAGE_BACKEND).expect("trio backend");
     let outage_link = topo.host(outage_backend.host).access_link;
@@ -193,26 +178,9 @@ pub fn run_cell(s: &ResilienceScenario, it: &Intensity, guided: bool) -> RunStat
     let mut network = Network::with_seed(topo, StreamModel::default(), s.seed);
     network.set_fault_plan(faults);
 
-    let site = ComputeSite {
-        name: "site".into(),
-        nodes: 9,
-        cores_per_node: 6,
-        storage_host: frontend,
-        storage_host_name: "site-nfs".into(),
-        scratch_dir: "/scratch".into(),
-    };
-    let mut wf = AbstractWorkflow::new("resilience");
+    let wf = s.workflow("resilience");
     let mut rc = ReplicaCatalog::new();
     for i in 0..s.jobs {
-        wf.add_job(AbstractJob {
-            name: format!("work_{i}"),
-            transformation: "work".into(),
-            runtime_s: 5.0,
-            inputs: vec![format!("in_{i}")],
-            outputs: vec![format!("out_{i}")],
-        });
-        wf.set_file_size(format!("in_{i}"), s.file_bytes);
-        wf.set_file_size(format!("out_{i}"), 1_000);
         // Preferred replica first (planning uses it), mirror second
         // (failover walks the rest).
         rc.insert(
@@ -278,37 +246,28 @@ pub fn run_cell(s: &ResilienceScenario, it: &Intensity, guided: bool) -> RunStat
 
 /// Run the full sweep: every intensity × both modes, each cell twice for
 /// the determinism check.
-pub fn run_suite(s: &ResilienceScenario) -> Vec<ResilienceCell> {
+pub fn run_suite(s: &StoragebenchScenario) -> Vec<ResilienceCell> {
     let log = global_logger();
     let mut cells = Vec::new();
     for it in intensity_ladder() {
         for guided in [true, false] {
-            let mode = if guided {
-                "policy-guided"
-            } else {
-                "naive-retry"
-            };
-            log.info(&format!(
-                "resiliencebench: {} — {}/{}",
-                s.label, it.name, mode
-            ));
             let first = run_cell(s, &it, guided);
             let second = run_cell(s, &it, guided);
-            let deterministic = first == second;
+            let cell = ResilienceCell {
+                intensity: it.name.into(),
+                guided,
+                deterministic: first == second,
+                stats: first,
+            };
             log.info(&format!(
                 "resiliencebench: {:>9}/{:<13} makespan {:8.2}s  success {}  deterministic {}",
                 it.name,
-                mode,
-                first.makespan_secs(),
-                first.success,
-                deterministic
+                cell.mode(),
+                cell.stats.makespan_secs(),
+                cell.stats.success,
+                cell.deterministic
             ));
-            cells.push(ResilienceCell {
-                intensity: it.name.into(),
-                guided,
-                stats: first,
-                deterministic,
-            });
+            cells.push(cell);
         }
     }
     cells
@@ -330,7 +289,7 @@ pub fn speedup_at(cells: &[ResilienceCell], intensity: &str) -> Option<f64> {
 
 /// Check every committed-report invariant; returns human-readable
 /// violations (empty ⇒ the report is sound).
-pub fn check_invariants(s: &ResilienceScenario, cells: &[ResilienceCell]) -> Vec<String> {
+pub fn check_invariants(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> Vec<String> {
     let mut violations = Vec::new();
     let expected_bytes = (s.jobs as u64 * s.file_bytes) as f64;
     for c in cells {
@@ -421,7 +380,7 @@ fn cell_json(c: &ResilienceCell) -> JsonValue {
 }
 
 /// Render a result set as the `BENCH_resilience.json` document.
-pub fn report_json(s: &ResilienceScenario, cells: &[ResilienceCell]) -> JsonValue {
+pub fn report_json(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> JsonValue {
     let speedups: Vec<JsonValue> = intensity_ladder()
         .iter()
         .filter_map(|it| {
@@ -463,8 +422,8 @@ pub fn report_json(s: &ResilienceScenario, cells: &[ResilienceCell]) -> JsonValu
 mod tests {
     use super::*;
 
-    fn tiny() -> ResilienceScenario {
-        ResilienceScenario {
+    fn tiny() -> StoragebenchScenario {
+        StoragebenchScenario {
             label: "tiny-4x6MB".into(),
             jobs: 4,
             file_bytes: 6_000_000,

@@ -1,4 +1,4 @@
-//! Storage-backend frontier benchmark (`storagebench` bin).
+//! Storage-backend frontier benchmark (`repro storage`).
 //!
 //! Runs one wide staging-heavy workflow against the `pwm-storage` ec2 trio
 //! of backends (shared NFS / parallel FS / object store) on a LAN topology
@@ -23,7 +23,7 @@
 //!   at equal-or-better makespan — the reason the policy family exists.
 
 use pwm_core::{
-    InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, DEFAULT_SESSION,
+    InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION,
 };
 use pwm_net::{Network, StreamModel, Topology};
 use pwm_obs::{global_logger, JsonValue};
@@ -33,18 +33,39 @@ use pwm_workflow::{
     ReplicaCatalog, StorageRuntime, WorkflowExecutor,
 };
 
-/// One storagebench workload: a wide fan of independent staging+compute
-/// jobs, every input pulled from a fat-NIC data source on the site LAN.
+/// One storage-site workload, shared with [`crate::resilience`]: a wide fan
+/// of independent staging+compute jobs, every input pulled from a data
+/// source on the site LAN.
 #[derive(Debug, Clone)]
 pub struct StoragebenchScenario {
-    /// Scenario name as it appears in `BENCH_storage.json`.
+    /// Scenario name as it appears in the JSON report.
     pub label: String,
     /// Independent compute jobs (each stages one input file).
     pub jobs: usize,
     /// Bytes per staged input file.
     pub file_bytes: u64,
-    /// Master seed for runtime jitter and the network RNG.
+    /// Master seed (runtime jitter, network RNG, corruption draws).
     pub seed: u64,
+}
+
+impl StoragebenchScenario {
+    /// The fan: job `work_i` (5 s) reads `in_i` (`file_bytes`, to be given
+    /// a replica by the caller) and writes a 1 kB `out_i`.
+    pub(crate) fn workflow(&self, name: &str) -> AbstractWorkflow {
+        let mut wf = AbstractWorkflow::new(name);
+        for i in 0..self.jobs {
+            wf.add_job(AbstractJob {
+                name: format!("work_{i}"),
+                transformation: "work".into(),
+                runtime_s: 5.0,
+                inputs: vec![format!("in_{i}")],
+                outputs: vec![format!("out_{i}")],
+            });
+            wf.set_file_size(format!("in_{i}"), self.file_bytes);
+            wf.set_file_size(format!("out_{i}"), 1_000);
+        }
+        wf
+    }
 }
 
 /// The committed-report scenario: 24 × 64 MB keeps every backend envelope
@@ -99,17 +120,16 @@ pub fn half_fleet_budget(s: &StoragebenchScenario, backends: &[BackendSpec]) -> 
     pwm_core::estimated_dollars(fastest, s.file_bytes) * (s.jobs as f64 / 2.0)
 }
 
-/// Site LAN topology: a fat-NIC data source and the site storage frontend,
-/// directly routed, with the backend trio installed behind the frontend.
-/// Every staged flow's bottleneck is the chosen backend's envelope link.
-fn build_site(
+/// Add the site storage frontend to `topo` (after the caller's data
+/// sources), install `backends` behind it, and return the compute site in
+/// front of it. Every staged flow's bottleneck is the chosen backend's
+/// envelope link.
+pub(crate) fn install_site(
+    topo: &mut Topology,
     backends: &[BackendSpec],
-    seed: u64,
-) -> (Network, ComputeSite, ReplicaCatalog, StorageLayer) {
-    let mut topo = Topology::new();
-    let datasrc = topo.add_host("datasrc", 1.0e9);
+) -> (ComputeSite, StorageLayer) {
     let frontend = topo.add_host("site-nfs", 1.0e9);
-    let layer = StorageLayer::install(&mut topo, frontend, backends);
+    let layer = StorageLayer::install(topo, frontend, backends);
     let site = ComputeSite {
         name: "site".into(),
         nodes: 9,
@@ -118,9 +138,7 @@ fn build_site(
         storage_host_name: "site-nfs".into(),
         scratch_dir: "/scratch".into(),
     };
-    let network = Network::with_seed(topo, StreamModel::default(), seed);
-    let _ = datasrc;
-    (network, site, ReplicaCatalog::new(), layer)
+    (site, layer)
 }
 
 /// Run one (scenario, backend subset, policy) combination to a frontier
@@ -136,23 +154,17 @@ pub fn run_point(
     // The topology always installs the full trio so every run shares one
     // network shape; only the *registered profiles* differ.
     let trio = ec2_trio();
-    let (network, site, mut rc, layer) = build_site(&trio, s.seed);
-    let datasrc = network.topology().host_by_name("datasrc").expect("datasrc");
+    let mut topo = Topology::new();
+    let datasrc = topo.add_host("datasrc", 1.0e9); // fat NIC: never the bottleneck
+    let (site, layer) = install_site(&mut topo, &trio);
+    let network = Network::with_seed(topo, StreamModel::default(), s.seed);
 
-    let mut wf = AbstractWorkflow::new("storagebench");
+    let wf = s.workflow("storagebench");
+    let mut rc = ReplicaCatalog::new();
     for i in 0..s.jobs {
-        wf.add_job(AbstractJob {
-            name: format!("work_{i}"),
-            transformation: "work".into(),
-            runtime_s: 5.0,
-            inputs: vec![format!("in_{i}")],
-            outputs: vec![format!("out_{i}")],
-        });
-        wf.set_file_size(format!("in_{i}"), s.file_bytes);
-        wf.set_file_size(format!("out_{i}"), 1_000);
         rc.insert(
             format!("in_{i}"),
-            pwm_core::Url::new("gsiftp", "datasrc", format!("/data/in_{i}")),
+            Url::new("gsiftp", "datasrc", format!("/data/in_{i}")),
             datasrc,
         );
     }

@@ -17,8 +17,8 @@ use crate::http::{render_request, try_parse_response, HttpError, Method, WireFor
 use crate::wire::*;
 use pwm_core::transport::{PolicyTransport, TransportError};
 use pwm_core::{
-    CleanupAdvice, CleanupOutcome, CleanupSpec, PolicyConfig, TransferAdvice, TransferOutcome,
-    TransferSpec,
+    CleanupAdvice, CleanupOutcome, CleanupSpec, HealthEvent, PolicyConfig, TransferAdvice,
+    TransferOutcome, TransferSpec,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -401,6 +401,14 @@ impl PolicyTransport for PolicyRestClient {
                 )?;
             }
         }
+        Ok(())
+    }
+
+    /// JSON regardless of [`Self::with_format`]: the recovery family has no
+    /// XML schema.
+    fn report_health(&mut self, events: Vec<HealthEvent>) -> Result<(), TransportError> {
+        let path = format!("/sessions/{}/health", self.session);
+        let _: AckEnvelope = self.call(Method::Post, &path, &HealthReportEnvelope { events })?;
         Ok(())
     }
 }

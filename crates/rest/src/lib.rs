@@ -11,8 +11,9 @@
 //!   renderer),
 //! * [`xml`] — the XML wire encoding (the paper: "XML or JSON"), selected
 //!   per request by the Content-Type header,
-//! * [`http`] — a minimal HTTP/1.1 reader/writer with incremental parsers
-//!   for keep-alive pipelining (the Tomcat substitute),
+//! * [`http`] — minimal HTTP/1.1 framing: incremental parsers and
+//!   renderers over byte buffers, for keep-alive pipelining (the Tomcat
+//!   substitute),
 //! * [`poller`] — the `poll(2)` readiness shim and self-pipe waker behind
 //!   the event loop,
 //! * [`server`] — [`PolicyRestServer`], a nonblocking event-driven loopback
@@ -50,6 +51,6 @@ pub use http::{Method, Request, Response, WireFormat};
 pub use server::{PolicyRestServer, ServerLimits};
 pub use wire::{
     AckEnvelope, CleanupCompletionEnvelope, CleanupRequestEnvelope, CleanupResponseEnvelope,
-    ErrorEnvelope, StatusEnvelope, TransferCompletionEnvelope, TransferRequestEnvelope,
-    TransferResponseEnvelope,
+    ErrorEnvelope, HealthReportEnvelope, StatusEnvelope, TransferCompletionEnvelope,
+    TransferRequestEnvelope, TransferResponseEnvelope,
 };

@@ -23,6 +23,7 @@
 //! | POST   | `/sessions/{s}/transfers/complete` | TransferCompletionEnvelope → Ack |
 //! | POST   | `/sessions/{s}/cleanups` | CleanupRequestEnvelope → CleanupResponseEnvelope |
 //! | POST   | `/sessions/{s}/cleanups/complete` | CleanupCompletionEnvelope → Ack |
+//! | POST   | `/sessions/{s}/health` | HealthReportEnvelope → Ack (JSON only) |
 //! | GET    | `/sessions/{s}/status` | — → StatusEnvelope |
 //! | GET    | `/sessions/{s}/log` | — → `[AuditRecord]` (the monitoring log) |
 //! | GET    | `/sessions/{s}/trace` | — → Chrome-trace JSON (load in Perfetto) |
@@ -598,6 +599,12 @@ fn route(request: &Request, controller: &PolicyController) -> Response {
                 })
             }
         },
+        (Method::Post, ["sessions", session, "health"]) => {
+            with_body::<HealthReportEnvelope>(request, |env| {
+                controller.report_health(session, env.events)?;
+                Ok(json_response(&AckEnvelope::ok()))
+            })
+        }
         (Method::Get, ["sessions", session, "log"]) => match controller.audit_since(session, 0) {
             Ok(records) => json_response(&records),
             Err(e) => controller_error(e),
@@ -688,7 +695,7 @@ fn json_response<T: serde::Serialize>(value: &T) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{read_response, write_request};
+    use crate::http::{render_request, try_parse_response};
 
     fn start() -> (PolicyRestServer, SocketAddr) {
         let controller = PolicyController::new(PolicyConfig::default());
@@ -697,31 +704,47 @@ mod tests {
         (server, addr)
     }
 
-    fn call(addr: SocketAddr, method: Method, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    /// One `Connection: close` request on a fresh connection.
+    fn call_in(
+        addr: SocketAddr,
+        format: WireFormat,
+        method: Method,
+        path: &str,
+        body: &[u8],
+    ) -> (u16, Vec<u8>) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_request(&mut stream, method, path, body).unwrap();
-        read_response(&mut stream).unwrap()
+        stream
+            .write_all(&render_request(format, method, path, body, false))
+            .unwrap();
+        read_pipelined(&mut stream, 1).remove(0)
     }
 
-    /// Read `n` pipelined responses off one stream. The blocking
-    /// `read_response` would discard bytes of the next response that
-    /// arrive in the same segment, so this accumulates and parses
-    /// incrementally like a real pipelining client.
-    fn read_pipelined(stream: &mut TcpStream, n: usize) -> Vec<(u16, Vec<u8>)> {
+    fn call(addr: SocketAddr, method: Method, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+        call_in(addr, WireFormat::Json, method, path, body)
+    }
+
+    /// Read `n` responses off one stream, accumulating and parsing
+    /// incrementally like the pipelining client (bytes of the next response
+    /// may arrive in the same segment). `None` when the server closes or
+    /// the socket errors before the n-th response is complete.
+    fn try_read_responses(stream: &mut TcpStream, n: usize) -> Option<Vec<(u16, Vec<u8>)>> {
         let mut buf = Vec::new();
         let mut out = Vec::new();
         while out.len() < n {
-            if let Some((status, body, consumed)) = crate::http::try_parse_response(&buf).unwrap() {
+            if let Some((status, body, consumed)) = try_parse_response(&buf).ok()? {
                 buf.drain(..consumed);
                 out.push((status, body));
                 continue;
             }
             let mut chunk = [0u8; 8192];
-            let got = stream.read(&mut chunk).unwrap();
-            assert!(got > 0, "server closed mid-pipeline");
+            let got = stream.read(&mut chunk).ok().filter(|&got| got > 0)?;
             buf.extend_from_slice(&chunk[..got]);
         }
-        out
+        Some(out)
+    }
+
+    fn read_pipelined(stream: &mut TcpStream, n: usize) -> Vec<(u16, Vec<u8>)> {
+        try_read_responses(stream, n).expect("server closed mid-pipeline")
     }
 
     #[test]
@@ -752,10 +775,7 @@ mod tests {
     }
 
     fn call_xml(addr: SocketAddr, method: Method, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-        use crate::http::{write_request_in, WireFormat};
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_request_in(&mut stream, WireFormat::Xml, method, path, body).unwrap();
-        read_response(&mut stream).unwrap()
+        call_in(addr, WireFormat::Xml, method, path, body)
     }
 
     #[test]
@@ -984,7 +1004,7 @@ mod tests {
         use std::io::Write;
         // Headers never finish: the slow-loris pattern.
         stream.write_all(b"GET /health HTTP/1.1\r\n").unwrap();
-        let (status, _) = read_response(&mut stream).unwrap();
+        let (status, _) = read_pipelined(&mut stream, 1).remove(0);
         assert_eq!(status, 408);
     }
 
@@ -1007,8 +1027,8 @@ mod tests {
         // The drain answered the partial request with a clean 503 before
         // closing (or the connection was never registered under scheduling
         // races).
-        if let Ok((status, _)) = read_response(&mut stream) {
-            assert_eq!(status, 503);
+        if let Some(responses) = try_read_responses(&mut stream, 1) {
+            assert_eq!(responses[0].0, 503);
         }
     }
 
@@ -1203,8 +1223,15 @@ mod tests {
             TcpStream::connect(addr).is_err() || {
                 // The OS may accept briefly; a request must at least fail.
                 let mut s = TcpStream::connect(addr).unwrap();
-                write_request(&mut s, Method::Get, "/health", b"").ok();
-                read_response(&mut s).is_err()
+                s.write_all(&render_request(
+                    WireFormat::Json,
+                    Method::Get,
+                    "/health",
+                    b"",
+                    false,
+                ))
+                .ok();
+                try_read_responses(&mut s, 1).is_none()
             }
         );
     }

@@ -6,8 +6,8 @@
 //! testable independently of the in-memory types.
 
 use pwm_core::{
-    CleanupAdvice, CleanupOutcome, CleanupSpec, MemorySnapshot, RuleCounters, ServiceStats,
-    TransferAdvice, TransferOutcome, TransferSpec,
+    CleanupAdvice, CleanupOutcome, CleanupSpec, HealthEvent, MemorySnapshot, RuleCounters,
+    ServiceStats, TransferAdvice, TransferOutcome, TransferSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +51,14 @@ pub struct CleanupResponseEnvelope {
 pub struct CleanupCompletionEnvelope {
     /// Outcomes of executed cleanups.
     pub outcomes: Vec<CleanupOutcome>,
+}
+
+/// POST `/sessions/{name}/health` request body (JSON only: the recovery
+/// family has no XML schema).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HealthReportEnvelope {
+    /// Infrastructure health observations, in the order they were made.
+    pub events: Vec<HealthEvent>,
 }
 
 /// GET `/sessions/{name}/status` response body.

@@ -48,10 +48,8 @@ pub mod engine;
 pub mod memory;
 #[cfg(test)]
 mod naive;
-pub mod query;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
 pub use memory::{Fact, FactHandle, FactId, WorkingMemory};
-pub use query::{count_where, exists, group_by, max_by, select, sum_by};
 pub use rule::{Match, Rule, RuleBuilder, Watch};

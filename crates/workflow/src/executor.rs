@@ -154,10 +154,6 @@ pub struct ExecutorConfig {
     /// of re-running. Partially staged files are deduplicated by the Policy
     /// Service's `AlreadyStaged` advice when the same controller is reused.
     pub resume_from: Option<Checkpoint>,
-    /// Order ready cleanup jobs by the $/GB·h of the backends their files
-    /// occupy (priciest residency evicted first) instead of plan priority
-    /// alone. Only meaningful with a storage runtime attached.
-    pub cleanup_price_order: bool,
 }
 
 impl Default for ExecutorConfig {
@@ -189,7 +185,6 @@ impl Default for ExecutorConfig {
             producer_rerun_delay: SimDuration::from_secs(30),
             halt_at: None,
             resume_from: None,
-            cleanup_price_order: false,
         }
     }
 }
@@ -652,6 +647,20 @@ impl<'p> WorkflowExecutor<'p> {
         );
     }
 
+    /// Un-jittered delay before retry number `attempt` (1-based): the base,
+    /// multiplied by the factor per further attempt, capped.
+    fn retry_backoff(&self, attempt: u32) -> SimDuration {
+        self.config
+            .retry_backoff_base
+            .mul_f64(
+                self.config
+                    .retry_backoff_factor
+                    .max(1.0)
+                    .powi(attempt.saturating_sub(1) as i32),
+            )
+            .min(self.config.retry_backoff_cap)
+    }
+
     fn mark_ready(&mut self, job: usize) {
         debug_assert_eq!(self.state[job], JobState::Waiting);
         self.state[job] = JobState::Ready;
@@ -661,22 +670,7 @@ impl<'p> WorkflowExecutor<'p> {
             PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } => {
                 self.ready_staging.push(priority, job)
             }
-            PlanJobKind::Cleanup { ref files } => {
-                let mut priority = priority;
-                if self.config.cleanup_price_order {
-                    if let Some(rt) = &self.config.storage {
-                        priority = priority.saturating_add(cleanup_price_boost(
-                            files.iter().map(|(u, _)| u.to_string()),
-                            |dest| {
-                                self.staged_on_backend.get(dest).and_then(|(backend, _)| {
-                                    rt.layer.backend(backend).map(|b| b.spec.cost.per_gb_hour)
-                                })
-                            },
-                        ));
-                    }
-                }
-                self.ready_cleanup.push(priority, job)
-            }
+            PlanJobKind::Cleanup { .. } => self.ready_cleanup.push(priority, job),
         }
     }
 
@@ -1297,16 +1291,7 @@ impl<'p> WorkflowExecutor<'p> {
         let run = self.staging_runs.get_mut(&job).expect("staging run state");
         run.retrying = Some(advice_ix);
         let attempt = run.exec_attempts.get(&advice_ix).copied().unwrap_or(1);
-        let backoff = self
-            .config
-            .retry_backoff_base
-            .mul_f64(
-                self.config
-                    .retry_backoff_factor
-                    .max(1.0)
-                    .powi(attempt.saturating_sub(1) as i32),
-            )
-            .min(self.config.retry_backoff_cap);
+        let backoff = self.retry_backoff(attempt);
         self.events.schedule_at(
             self.now + self.config.policy_call_latency + backoff,
             Ev::RetryEvaluate(job),
@@ -1526,15 +1511,7 @@ impl<'p> WorkflowExecutor<'p> {
                 // waits base, each further one doubles (factor), capped.
                 let attempt = self.config.retries.saturating_sub(run.attempts_left);
                 let backoff = self
-                    .config
-                    .retry_backoff_base
-                    .mul_f64(
-                        self.config
-                            .retry_backoff_factor
-                            .max(1.0)
-                            .powi(attempt.saturating_sub(1) as i32),
-                    )
-                    .min(self.config.retry_backoff_cap)
+                    .retry_backoff(attempt)
                     .mul_f64(self.rng.jitter(self.config.retry_jitter));
                 if let Some(obs) = &self.config.obs {
                     obs.registry
@@ -1640,20 +1617,6 @@ impl<'p> WorkflowExecutor<'p> {
             }
         }
     }
-}
-
-/// Priority boost for a cleanup job under price-ordered eviction: the
-/// priciest $/GB·h residency among the job's files, scaled onto an integer
-/// ladder well above plan priorities so price dominates and ties fall back
-/// to plan order. Pure function of its inputs — `price_of` maps a file's
-/// destination URL to the residency rate of the backend holding it (`None`
-/// when the file is not on a metered backend).
-fn cleanup_price_boost(
-    files: impl Iterator<Item = String>,
-    price_of: impl Fn(&str) -> Option<f64>,
-) -> i32 {
-    let max_price = files.filter_map(|f| price_of(&f)).fold(0.0_f64, f64::max);
-    (max_price * 1e7).round() as i32
 }
 
 #[cfg(test)]
@@ -2686,27 +2649,6 @@ mod tests {
             full.bytes_staged
         );
         assert!(resumed.staging_jobs <= full.staging_jobs);
-    }
-
-    #[test]
-    fn cleanup_price_boost_orders_priciest_first() {
-        let price = |f: &str| match f {
-            "s3://a" => Some(0.000_05),
-            "pfs://b" => Some(0.001_2),
-            "nfs://c" => Some(0.000_1),
-            _ => None,
-        };
-        let boost =
-            |files: &[&str]| cleanup_price_boost(files.iter().map(|s| s.to_string()), price);
-        // The priciest residency dominates the boost.
-        assert_eq!(boost(&["pfs://b", "nfs://c"]), 12_000);
-        assert_eq!(boost(&["s3://a"]), 500);
-        assert_eq!(boost(&["nfs://c"]), 1_000);
-        // Eviction order: pfs > nfs > s3 > unmetered.
-        assert!(boost(&["pfs://b"]) > boost(&["nfs://c"]));
-        assert!(boost(&["nfs://c"]) > boost(&["s3://a"]));
-        assert_eq!(boost(&["unknown"]), 0);
-        assert_eq!(boost(&[]), 0);
     }
 
     #[test]

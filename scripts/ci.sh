@@ -25,6 +25,8 @@ cargo test -q --release --offline --test chaos_faults
 # scrape's series set (names + labels; values and the wall-clock latency
 # `_bucket` lines stripped) is pinned by scripts/metrics_series.txt, so a
 # renamed metric or a changed label fails here instead of passing silently.
+# `repro` is the one pwm-bench front end: built once here, it also serves
+# the crash job and the four bench-smoke jobs below.
 echo "== repro --trace + /metrics scrape =="
 cargo build -q --release --offline -p pwm-bench --bin repro
 TRACE_OUT="$(mktemp /tmp/pwm-trace.XXXXXX.json)"
@@ -45,7 +47,7 @@ cargo test -q --release --offline --test crash_recovery
 echo "== repro crash =="
 ./target/release/repro crash 7 > /dev/null
 
-# Netbench job: the 1k-flow allocator-throughput smoke in release mode.
+# Netbench job (`repro net`): the 1k-flow allocator-throughput smoke.
 # The run itself takes ~1 s. `--min-events-per-sec 250000` is the engine
 # floor: with the ladder queue and the cache-packed hot rows the committed
 # BENCH_net.json records well over 1M events/s for this scenario, so a 4x+
@@ -61,11 +63,10 @@ echo "== repro crash =="
 # failing one) is recorded as a build artifact next to the committed
 # BENCH_net.json (full suite).
 echo "== netbench smoke (1k flows, 250k events/s floor, best of 3) =="
-cargo build -q --release --offline -p pwm-bench --bin netbench
 mkdir -p target/netbench
 netbench_ok=0
 for attempt in 1 2 3; do
-  if timeout 120 ./target/release/netbench smoke --min-events-per-sec 250000 \
+  if timeout 120 ./target/release/repro net smoke --min-events-per-sec 250000 \
     --out target/netbench/BENCH_net.json > /dev/null; then
     netbench_ok=1
     break
@@ -91,7 +92,7 @@ PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
 
-# Svcbench job: the Policy Service front-end smoke grid in release mode —
+# Svcbench job (`repro svc`): the Policy Service front-end smoke grid —
 # three cells (connect-per-request baseline, pipelined/batched, sharded)
 # against the live event-driven REST server. `--min-speedup 2` makes the
 # run exit nonzero unless the batched path beats the pre-change
@@ -99,38 +100,35 @@ PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
 # committed BENCH_svc.json shows >5x); this catches regressions that
 # silently knock the event loop back to request-per-round-trip economics.
 echo "== svcbench smoke (policy front end) =="
-cargo build -q --release --offline -p pwm-bench --bin svcbench
 mkdir -p target/svcbench
-timeout 300 ./target/release/svcbench smoke --min-speedup 2 \
+timeout 300 ./target/release/repro svc smoke --min-speedup 2 \
   --out target/svcbench/BENCH_svc.json > /dev/null
 test -s target/svcbench/BENCH_svc.json || { echo "svcbench report is empty" >&2; exit 1; }
 
-# Storagebench job: the storage-backend frontier smoke in release mode —
+# Storagebench job (`repro storage`): the storage-backend frontier smoke —
 # three fixed-backend comparators (NFS / parallel FS / object store)
-# against the three policy-picked runs over the same trio. The bin exits
+# against the three policy-picked runs over the same trio. It exits
 # nonzero on any cost-invariant violation: inconsistent accounting
 # (component sums, metered bytes != staged bytes), a non-monotone
 # makespan-vs-dollars Pareto frontier, or no policy-picked run beating
 # the worst fixed backend on cost at equal-or-better makespan. The full
 # suite's JSON is committed as BENCH_storage.json.
 echo "== storagebench smoke (backend cost frontier) =="
-cargo build -q --release --offline -p pwm-bench --bin storagebench
 mkdir -p target/storagebench
-timeout 120 ./target/release/storagebench smoke \
+timeout 120 ./target/release/repro storage smoke \
   --out target/storagebench/BENCH_storage.json > /dev/null
 test -s target/storagebench/BENCH_storage.json || { echo "storagebench report is empty" >&2; exit 1; }
 
-# Resiliencebench job: the failure-domain sweep smoke in release mode —
+# Resiliencebench job (`repro resilience`): the failure-domain sweep smoke —
 # the fault-intensity ladder (calm / rough / turbulent) × policy-guided vs
-# naive-retry recovery, every cell run twice. The bin exits nonzero on any
+# naive-retry recovery, every cell run twice. It exits nonzero on any
 # incomplete workflow at any swept intensity, any same-seed determinism
 # mismatch, staged bytes differing from one clean copy per input, or a
 # turbulent-cell policy-guided speedup below the committed 1.2x floor.
 # The full suite's JSON is committed as BENCH_resilience.json.
 echo "== resiliencebench smoke (failure domains, guided vs naive) =="
-cargo build -q --release --offline -p pwm-bench --bin resiliencebench
 mkdir -p target/resiliencebench
-timeout 120 ./target/release/resiliencebench smoke \
+timeout 120 ./target/release/repro resilience smoke \
   --out target/resiliencebench/BENCH_resilience.json > /dev/null
 test -s target/resiliencebench/BENCH_resilience.json || { echo "resiliencebench report is empty" >&2; exit 1; }
 

@@ -74,6 +74,39 @@ fn json_and_xml_clients_share_one_session() {
     assert!(!second[0].should_execute());
 }
 
+/// Health reports reach a REST-backed session: after `HostDown` goes over
+/// the wire, a transfer sourced at that host is suppressed, exactly as with
+/// the in-process transport.
+#[test]
+fn health_reports_reach_the_service_over_rest() {
+    use pwm_core::{HealthEvent, SuppressReason, TransferAction};
+    let controller = PolicyController::new(PolicyConfig::default());
+    let server = PolicyRestServer::start(controller).unwrap();
+    // An XML client too: health reports are JSON whatever the format.
+    for format in [WireFormat::Json, WireFormat::Xml] {
+        let session = format!("health-{format:?}");
+        let mut client = PolicyRestClient::new(server.addr(), &session).with_format(format);
+        client.put_config(&PolicyConfig::default()).unwrap();
+        client
+            .report_health(vec![HealthEvent::HostDown {
+                host: "gridftp-vm".into(),
+            }])
+            .unwrap();
+        let advice = client.evaluate_transfers(vec![spec(1)]).unwrap();
+        assert_eq!(
+            advice[0].action,
+            TransferAction::Skip(SuppressReason::SourceHostDown)
+        );
+        client
+            .report_health(vec![HealthEvent::HostUp {
+                host: "gridftp-vm".into(),
+            }])
+            .unwrap();
+        let advice = client.evaluate_transfers(vec![spec(2)]).unwrap();
+        assert!(advice[0].should_execute());
+    }
+}
+
 /// Graceful shutdown under pipelined load: while several connections are
 /// mid-window, `shutdown()` must answer every fully-received request (200),
 /// 503 the partially-received one, flush whole frames, and only then close
