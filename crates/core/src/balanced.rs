@@ -11,12 +11,30 @@
 use crate::config::AllocationPolicy;
 use crate::ctx::PolicyCtx;
 use crate::ledger::balanced_grant;
-use crate::model::{ClusterAllocFact, ClusterId, HostPairFact, TransferFact};
+use crate::model::{ClusterAllocFact, ClusterId, GroupId, HostPairFact, TransferFact};
 use crate::rules_base::batch_transfers;
-use pwm_rules::{Rule, Session};
+use pwm_rules::{FactHandle, Rule, Session, WorkingMemory};
+
+/// Indexed probe: the stream ledger of one cluster on one host pair's group,
+/// if any ("create the per-cluster ledger" keeps them unique).
+fn cluster_ledger_for(
+    wm: &WorkingMemory,
+    group: GroupId,
+    cluster: ClusterId,
+) -> Option<(FactHandle, &ClusterAllocFact)> {
+    wm.find_by::<ClusterAllocFact, (GroupId, ClusterId)>(&(group, cluster))
+}
 
 /// Install the balanced allocation rules.
 pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
+    // Alpha memories for the joins below: cluster ledgers by (group,
+    // cluster), host-pair ledgers by the group minted for them.
+    session
+        .wm
+        .register_index::<ClusterAllocFact, (GroupId, ClusterId)>(|c| (c.group, c.cluster));
+    session
+        .wm
+        .register_index::<HostPairFact, GroupId>(|p| p.group);
     // "Retrieve the number of clusters used in the system" + create the
     // per-cluster ledger the first time a cluster appears on a host pair.
     session.add_rule(
@@ -29,7 +47,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     return Vec::new();
                 }
                 let mut out = Vec::new();
-                let mut pending: Vec<(crate::model::GroupId, ClusterId)> = Vec::new();
+                let mut pending: Vec<(GroupId, ClusterId)> = Vec::new();
                 for (h, t) in batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
@@ -37,13 +55,11 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     let (Some(group), cluster) = (t.group, t.cluster_or_default()) else {
                         continue;
                     };
-                    let exists = wm
-                        .iter::<ClusterAllocFact>()
-                        .any(|(_, c)| c.group == group && c.cluster == cluster)
+                    let exists = cluster_ledger_for(wm, group, cluster).is_some()
                         || pending.contains(&(group, cluster));
                     if !exists {
                         pending.push((group, cluster));
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -53,10 +69,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (t.group.expect("grouped"), t.cluster_or_default())
                 };
-                if wm
-                    .find::<ClusterAllocFact>(|c| c.group == group && c.cluster == cluster)
-                    .is_none()
-                {
+                if cluster_ledger_for(wm, group, cluster).is_none() {
                     wm.insert(ClusterAllocFact {
                         group,
                         cluster,
@@ -89,15 +102,13 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     }
                     let Some(group) = t.group else { continue };
                     let cluster = t.cluster_or_default();
-                    let Some((ch, _)) =
-                        wm.find::<ClusterAllocFact>(|c| c.group == group && c.cluster == cluster)
-                    else {
+                    let Some((ch, _)) = cluster_ledger_for(wm, group, cluster) else {
                         continue;
                     };
-                    let Some((ph, _)) = wm.find::<HostPairFact>(|p| p.group == group) else {
+                    let Some((ph, _)) = wm.find_by::<HostPairFact, GroupId>(&group) else {
                         continue;
                     };
-                    out.push(vec![h, ch, ph]);
+                    out.push([h, ch, ph].into());
                 }
                 out
             })
@@ -153,10 +164,8 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     }
                     let Some(group) = t.group else { continue };
                     let cluster = t.cluster_or_default();
-                    if let Some((ch, _)) =
-                        wm.find::<ClusterAllocFact>(|c| c.group == group && c.cluster == cluster)
-                    {
-                        out.push(vec![h, ch]);
+                    if let Some((ch, _)) = cluster_ledger_for(wm, group, cluster) {
+                        out.push([h, ch].into());
                     }
                 }
                 out

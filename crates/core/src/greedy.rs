@@ -36,7 +36,7 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
                     }
                     if let Some((ph, _)) = host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
                     {
-                        out.push(vec![h, ph]);
+                        out.push([h, ph].into());
                     }
                 }
                 out

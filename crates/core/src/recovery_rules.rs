@@ -63,7 +63,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                         .find_by::<SuspectReplicaFact, (String, String)>(&key)
                         .is_some_and(|(_, s)| s.quarantined);
                     if quarantined {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -90,7 +90,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                         .find_by::<HostDownFact, String>(&t.spec.source.host)
                         .is_some()
                     {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out

@@ -7,8 +7,8 @@
 
 use crate::ctx::PolicyCtx;
 use crate::model::{
-    CleanupFact, CleanupState, HostPairFact, ResourceFact, ResourceState, SuppressReason,
-    TransferFact, TransferState, Url,
+    CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
+    SuppressReason, TransferFact, TransferId, TransferState, Url,
 };
 use pwm_rules::{FactHandle, Rule, Session, WorkingMemory};
 
@@ -21,26 +21,33 @@ pub(crate) fn resource_for<'a>(
     wm.find_by::<ResourceFact, Url>(dest)
 }
 
-/// FNV-1a key of a transfer's (source, destination) URL pair. Transfer
-/// facts are indexed by this so the dedup rules probe a tiny hash bucket
-/// instead of scanning every resident transfer; bucket hits re-verify the
-/// actual URLs, so a collision costs a compare, never a wrong match.
-pub(crate) fn transfer_pair_key(source: &Url, dest: &Url) -> u64 {
+/// FNV-1a over `fields`, each closed by a unit separator.
+fn fnv_fields(fields: &[&str]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
+    for field in fields {
+        for &b in field.as_bytes() {
             hash ^= b as u64;
             hash = hash.wrapping_mul(0x1_0000_01b3);
         }
         hash ^= 0x1f;
         hash = hash.wrapping_mul(0x1_0000_01b3);
-    };
-    for url in [source, dest] {
-        eat(url.scheme.as_bytes());
-        eat(url.host.as_bytes());
-        eat(url.path.as_bytes());
     }
     hash
+}
+
+/// FNV-1a key of a transfer's (source, destination) URL pair. Transfer
+/// facts are indexed by this so the dedup rules probe a tiny hash bucket
+/// instead of scanning every resident transfer; bucket hits re-verify the
+/// actual URLs, so a collision costs a compare, never a wrong match.
+pub(crate) fn transfer_pair_key(source: &Url, dest: &Url) -> u64 {
+    fnv_fields(&[
+        &source.scheme,
+        &source.host,
+        &source.path,
+        &dest.scheme,
+        &dest.host,
+        &dest.path,
+    ])
 }
 
 /// Iterate only the transfers of the batch currently under evaluation —
@@ -54,12 +61,16 @@ pub(crate) fn batch_transfers<'a>(
 
 /// Indexed probe: the allocation ledger for a (source, destination) host
 /// pair, if any. Pairs are unique ("generate a unique group ID" guards).
+/// Ledgers are bucketed by an FNV-1a key of the two host names, so a probe
+/// borrows them instead of building an owned `(String, String)`; bucket hits
+/// re-verify the names.
 pub(crate) fn host_pair_for<'a>(
     wm: &'a WorkingMemory,
     src_host: &str,
     dst_host: &str,
 ) -> Option<(FactHandle, &'a HostPairFact)> {
-    wm.find_by::<HostPairFact, (String, String)>(&(src_host.to_string(), dst_host.to_string()))
+    wm.iter_by::<HostPairFact, u64>(&fnv_fields(&[src_host, dst_host]))
+        .find(|(_, p)| p.src_host == src_host && p.dst_host == dst_host)
 }
 
 /// Install the Table I rules into a session.
@@ -72,9 +83,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
         .register_index::<ResourceFact, Url>(|r| r.dest.clone());
     session
         .wm
-        .register_index::<HostPairFact, (String, String)>(|p| {
-            (p.src_host.clone(), p.dst_host.clone())
-        });
+        .register_index::<HostPairFact, u64>(|p| fnv_fields(&[&p.src_host, &p.dst_host]));
     // Dedup support: transfers bucketed by (source, dest) pair hash so the
     // duplicate / already-in-progress rules compare against the handful of
     // transfers sharing a pair instead of the whole population, and by the
@@ -85,6 +94,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session
         .wm
         .register_index::<TransferFact, bool>(|t| t.in_current_batch);
+    // Outcome reports name their fact by the id the service minted.
+    session
+        .wm
+        .register_index::<TransferFact, TransferId>(|t| t.id);
+    session
+        .wm
+        .register_index::<CleanupFact, CleanupId>(|c| c.id);
     // "Remove duplicate transfers from the transfer list": a batch transfer
     // whose (source, dest) already appears earlier in the same batch is
     // suppressed.
@@ -107,7 +123,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                             && u.spec.dest == t.spec.dest
                     });
                     if earlier_dup {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -142,7 +158,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                             && u.spec.dest == t.spec.dest
                     });
                     if in_progress {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -173,7 +189,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     let staged = resource_for(wm, &t.spec.dest)
                         .is_some_and(|(_, r)| r.state == ResourceState::Staged);
                     if staged {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -202,7 +218,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     }
                     let exists = resource_for(wm, &t.spec.dest).is_some();
                     if !exists {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -242,7 +258,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 for (h, t) in batch_transfers(wm) {
                     if let Some((rh, r)) = resource_for(wm, &t.spec.dest) {
                         if !r.users.contains(&t.spec.workflow) {
-                            out.push(vec![h, rh]);
+                            out.push([h, rh].into());
                         }
                     }
                 }
@@ -268,16 +284,15 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .watches::<HostPairFact>()
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
-                let mut seen: Vec<(String, String)> = Vec::new();
+                let mut seen: Vec<(&str, &str)> = Vec::new();
                 for (h, t) in batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = (t.spec.source.host.clone(), t.spec.dest.host.clone());
-                    let exists = wm.find_by::<HostPairFact, (String, String)>(&key).is_some();
-                    if !exists && !seen.contains(&key) {
-                        seen.push(key);
-                        out.push(vec![h]);
+                    let pair = (t.spec.source.host.as_str(), t.spec.dest.host.as_str());
+                    if host_pair_for(wm, pair.0, pair.1).is_none() && !seen.contains(&pair) {
+                        seen.push(pair);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -317,7 +332,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     }
                     if let Some((ph, _)) = host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
                     {
-                        out.push(vec![h, ph]);
+                        out.push([h, ph].into());
                     }
                 }
                 out
@@ -454,7 +469,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                             && matches!(u.state, CleanupState::Pending | CleanupState::InProgress)
                     });
                     if dup {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out
@@ -481,7 +496,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     }
                     if let Some((rh, r)) = resource_for(wm, &c.spec.file) {
                         if r.users.contains(&c.spec.workflow) {
-                            out.push(vec![h, rh]);
+                            out.push([h, rh].into());
                         }
                     }
                 }
@@ -516,7 +531,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     }
                     if let Some((_, r)) = resource_for(wm, &c.spec.file) {
                         if !r.users.is_empty() {
-                            out.push(vec![h]);
+                            out.push([h].into());
                         }
                     }
                 }

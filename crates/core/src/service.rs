@@ -27,11 +27,12 @@ use crate::model::{
     TransferState,
 };
 use crate::recovery_rules::install_recovery_rules;
-use crate::rules_base::{install_base_rules, resource_for, transfer_pair_key};
+use crate::rules_base::{host_pair_for, install_base_rules, resource_for, transfer_pair_key};
 use crate::storage_rules::install_storage_rules;
 use pwm_obs::{Counter, Gauge, Histogram, Obs};
-use pwm_rules::Session;
+use pwm_rules::{FactHandle, Session};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -121,6 +122,77 @@ pub struct HostPairSnapshot {
     pub peak_allocated: u32,
 }
 
+/// The occupancy gauges, in the order [`PolicyService::note_evaluation`]
+/// counts them.
+const OCCUPANCY_GAUGES: [(&str, &str); 4] = [
+    (
+        "pwm_policy_in_progress_transfers",
+        "Transfers handed out and not yet reported",
+    ),
+    (
+        "pwm_policy_staged_files",
+        "Files known to be staged at their destination",
+    ),
+    ("pwm_policy_staging_files", "Files currently being staged"),
+    (
+        "pwm_policy_in_progress_cleanups",
+        "Cleanups handed out and not yet reported",
+    ),
+];
+
+impl ServiceStats {
+    /// The monotone counters the stats are published as: name, help, value.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 9] {
+        [
+            (
+                "pwm_policy_transfer_requests_total",
+                "Transfer requests received",
+                self.transfer_requests,
+            ),
+            (
+                "pwm_policy_transfers_executed_total",
+                "Transfers advised to execute",
+                self.transfers_executed,
+            ),
+            (
+                "pwm_policy_transfers_suppressed_total",
+                "Transfers removed from the request list",
+                self.transfers_suppressed,
+            ),
+            (
+                "pwm_policy_transfers_completed_total",
+                "Transfer completions reported",
+                self.transfers_completed,
+            ),
+            (
+                "pwm_policy_transfers_failed_total",
+                "Transfer failures reported",
+                self.transfers_failed,
+            ),
+            (
+                "pwm_policy_cleanup_requests_total",
+                "Cleanup requests received",
+                self.cleanup_requests,
+            ),
+            (
+                "pwm_policy_cleanups_executed_total",
+                "Cleanups advised to execute",
+                self.cleanups_executed,
+            ),
+            (
+                "pwm_policy_cleanups_suppressed_total",
+                "Cleanups removed from the request list",
+                self.cleanups_suppressed,
+            ),
+            (
+                "pwm_policy_rule_firings_total",
+                "Rule firings across all evaluations",
+                self.rule_firings,
+            ),
+        ]
+    }
+}
+
 /// Observability attachment for one service: shared metrics registry plus a
 /// per-session tracer, with the delta baseline for publishing [`ServiceStats`]
 /// as monotone counters.
@@ -133,103 +205,122 @@ struct ServiceObs {
     last: ServiceStats,
     /// Audit-ring evictions as of the previous publish.
     last_audit_dropped: u64,
+    /// Registry handles, each resolved the first time its series is written
+    /// (a series exists once it has a value) and kept: the registry lookup
+    /// takes a lock and formats the label set, a kept handle is an atomic.
+    latency: Vec<(&'static str, Histogram)>,
+    counters: [Option<Counter>; 9],
+    audit_dropped: Option<Counter>,
+    occupancy: Option<[Gauge; 4]>,
+    /// Allocated and peak-allocated stream gauges per host-pair ledger,
+    /// keyed by the ledger fact's handle.
+    pairs: HashMap<FactHandle, [Gauge; 2]>,
+}
+
+/// Label pairs as the borrowed slice shape the registry expects.
+fn label_refs(labels: &[(String, String)]) -> Vec<(&str, &str)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect()
 }
 
 impl ServiceObs {
-    /// The base labels as the borrowed slice shape the registry expects.
-    fn label_refs(&self) -> Vec<(&str, &str)> {
-        self.labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect()
-    }
-
     /// Advice latency histogram for one request kind (wall-clock, metrics
     /// only — never written into traces, which must stay deterministic).
-    fn advice_latency(&self, kind: &'static str) -> Histogram {
-        let mut labels = self.label_refs();
-        labels.push(("kind", kind));
-        self.obs.registry.histogram(
-            "pwm_policy_advice_latency_micros",
-            "Wall-clock latency of one policy evaluation (rule firing pass), microseconds",
-            &labels,
-        )
+    fn advice_latency(&mut self, kind: &'static str) -> &Histogram {
+        let at = self.latency.iter().position(|(k, _)| *k == kind);
+        let at = at.unwrap_or_else(|| {
+            let mut labels = label_refs(&self.labels);
+            labels.push(("kind", kind));
+            let histogram = self.obs.registry.histogram(
+                "pwm_policy_advice_latency_micros",
+                "Wall-clock latency of one policy evaluation (rule firing pass), microseconds",
+                &labels,
+            );
+            self.latency.push((kind, histogram));
+            self.latency.len() - 1
+        });
+        &self.latency[at].1
     }
 
-    fn counter(&self, name: &str, help: &str) -> Counter {
-        self.obs.registry.counter(name, help, &self.label_refs())
-    }
-
-    fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.obs.registry.gauge(name, help, &self.label_refs())
+    /// The allocated / peak-allocated stream gauges of one host-pair ledger.
+    fn pair_gauges(&mut self, handle: FactHandle, pair: &HostPairFact) -> &[Gauge; 2] {
+        let ServiceObs {
+            pairs, labels, obs, ..
+        } = self;
+        pairs.entry(handle).or_insert_with(|| {
+            let mut labels = label_refs(labels);
+            labels.push(("src", &pair.src_host));
+            labels.push(("dst", &pair.dst_host));
+            [
+                (
+                    "pwm_policy_allocated_streams",
+                    "Streams currently allocated between a host pair",
+                ),
+                (
+                    "pwm_policy_peak_allocated_streams",
+                    "High-water mark of streams allocated between a host pair",
+                ),
+            ]
+            .map(|(name, help)| obs.registry.gauge(name, help, &labels))
+        })
     }
 
     /// Publish the delta between `stats` and the last published snapshot
-    /// onto the registry's counters.
-    fn publish_stats(&mut self, stats: ServiceStats) {
-        let pairs: [(&str, &str, u64, u64); 9] = [
-            (
-                "pwm_policy_transfer_requests_total",
-                "Transfer requests received",
-                stats.transfer_requests,
-                self.last.transfer_requests,
-            ),
-            (
-                "pwm_policy_transfers_executed_total",
-                "Transfers advised to execute",
-                stats.transfers_executed,
-                self.last.transfers_executed,
-            ),
-            (
-                "pwm_policy_transfers_suppressed_total",
-                "Transfers removed from the request list",
-                stats.transfers_suppressed,
-                self.last.transfers_suppressed,
-            ),
-            (
-                "pwm_policy_transfers_completed_total",
-                "Transfer completions reported",
-                stats.transfers_completed,
-                self.last.transfers_completed,
-            ),
-            (
-                "pwm_policy_transfers_failed_total",
-                "Transfer failures reported",
-                stats.transfers_failed,
-                self.last.transfers_failed,
-            ),
-            (
-                "pwm_policy_cleanup_requests_total",
-                "Cleanup requests received",
-                stats.cleanup_requests,
-                self.last.cleanup_requests,
-            ),
-            (
-                "pwm_policy_cleanups_executed_total",
-                "Cleanups advised to execute",
-                stats.cleanups_executed,
-                self.last.cleanups_executed,
-            ),
-            (
-                "pwm_policy_cleanups_suppressed_total",
-                "Cleanups removed from the request list",
-                stats.cleanups_suppressed,
-                self.last.cleanups_suppressed,
-            ),
-            (
-                "pwm_policy_rule_firings_total",
-                "Rule firings across all evaluations",
-                stats.rule_firings,
-                self.last.rule_firings,
-            ),
-        ];
-        for (name, help, now, then) in pairs {
-            let delta = now.saturating_sub(then);
-            if delta > 0 {
-                self.counter(name, help).add(delta);
+    /// onto the registry's counters, and likewise the audit ring's
+    /// evictions.
+    fn publish_stats(&mut self, stats: ServiceStats, audit_dropped: u64) {
+        let ServiceObs {
+            counters,
+            labels,
+            obs,
+            ..
+        } = self;
+        if stats != self.last {
+            let then = self.last.counters();
+            for (i, (name, help, now)) in stats.counters().into_iter().enumerate() {
+                let delta = now.saturating_sub(then[i].2);
+                if delta > 0 {
+                    counters[i]
+                        .get_or_insert_with(|| {
+                            obs.registry.counter(name, help, &label_refs(labels))
+                        })
+                        .add(delta);
+                }
             }
+            self.last = stats;
         }
-        self.last = stats;
+        let dropped_delta = audit_dropped.saturating_sub(self.last_audit_dropped);
+        if dropped_delta > 0 {
+            self.audit_dropped
+                .get_or_insert_with(|| {
+                    obs.registry.counter(
+                        "pwm_policy_audit_dropped_total",
+                        "Audit records evicted by the retention ring",
+                        &label_refs(labels),
+                    )
+                })
+                .add(dropped_delta);
+            self.last_audit_dropped = audit_dropped;
+        }
+    }
+
+    /// Set the four occupancy gauges, in [`OCCUPANCY_GAUGES`] order.
+    fn set_occupancy(&mut self, counts: [usize; 4]) {
+        let ServiceObs {
+            occupancy,
+            labels,
+            obs,
+            ..
+        } = self;
+        let gauges = occupancy.get_or_insert_with(|| {
+            let labels = label_refs(labels);
+            OCCUPANCY_GAUGES.map(|(name, help)| obs.registry.gauge(name, help, &labels))
+        });
+        for (gauge, count) in gauges.iter().zip(counts) {
+            gauge.set(count as f64);
+        }
     }
 }
 
@@ -347,10 +438,7 @@ impl PolicyService {
     /// True when policy memory holds a staging/staged resource for `file`
     /// (used to route cleanup requests to the shard that owns the file).
     pub fn has_resource(&self, file: &crate::model::Url) -> bool {
-        self.session
-            .wm
-            .find::<ResourceFact>(|r| r.dest == *file)
-            .is_some()
+        resource_for(&self.session.wm, file).is_some()
     }
 
     /// Attach observability: service counters, gauges, and advice-latency
@@ -364,16 +452,18 @@ impl PolicyService {
         if let Some(shard) = shard {
             labels.push(("shard".to_string(), shard.to_string()));
         }
-        let refs: Vec<(&str, &str)> = labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        self.session.set_obs(obs.registry.clone(), &refs);
+        self.session
+            .set_obs(obs.registry.clone(), &label_refs(&labels));
         self.obs = Some(ServiceObs {
             obs,
             labels,
             last: self.stats,
             last_audit_dropped: self.audit.dropped(),
+            latency: Vec::new(),
+            counters: Default::default(),
+            audit_dropped: None,
+            occupancy: None,
+            pairs: HashMap::new(),
         });
     }
 
@@ -474,7 +564,7 @@ impl PolicyService {
     /// iteration — and therefore advice ordering — observes.
     pub fn durable_state(&self) -> DurableState {
         let wm = &self.session.wm;
-        let mut facts: Vec<(pwm_rules::FactHandle, DurableFact)> = Vec::new();
+        let mut facts: Vec<(FactHandle, DurableFact)> = Vec::new();
         facts.extend(
             wm.iter::<TransferFact>()
                 .map(|(h, f)| (h, DurableFact::Transfer(f.clone()))),
@@ -600,27 +690,23 @@ impl PolicyService {
     /// latency histogram, stats counter deltas, occupancy gauges, and (with
     /// a sim clock) a trace instant.
     fn note_evaluation(&mut self, kind: &'static str, micros: u64, batch: usize, firings: usize) {
-        if self.obs.is_none() {
-            return;
-        }
-        let stats = self.stats;
-        let audit_dropped = self.audit.dropped();
-        // Occupancy gauges require a sweep over every resident fact (plus a
-        // label-set lookup per host pair), which is O(memory) work per
-        // evaluation — the dominant cost once policy memory holds tens of
-        // thousands of facts. Publish them on every pass while memory is
-        // small (so tests and small sessions observe fresh gauges), then
-        // decimate. Counters and latency histograms stay per-pass.
-        let publish_gauges = self.session.wm.len() <= GAUGE_SWEEP_RESIDENT_CAP
+        let Some(o) = &mut self.obs else { return };
+        o.advice_latency(kind).record(micros);
+        o.publish_stats(self.stats, self.audit.dropped());
+        // Occupancy gauges require a sweep over every resident fact, which
+        // is O(memory) work per evaluation — the dominant cost once policy
+        // memory holds tens of thousands of facts. Publish them on every
+        // pass while memory is small (so tests and small sessions observe
+        // fresh gauges), then decimate. Counters and latency histograms
+        // stay per-pass.
+        let wm = &self.session.wm;
+        if wm.len() <= GAUGE_SWEEP_RESIDENT_CAP
             || self
                 .last_gauge_sweep
-                .is_none_or(|t| t.elapsed() >= GAUGE_SWEEP_INTERVAL);
-        if publish_gauges {
+                .is_none_or(|t| t.elapsed() >= GAUGE_SWEEP_INTERVAL)
+        {
             self.last_gauge_sweep = Some(Instant::now());
-        }
-        let snapshot_counts = publish_gauges.then(|| {
-            let wm = &self.session.wm;
-            [
+            o.set_occupancy([
                 wm.iter::<TransferFact>()
                     .filter(|(_, t)| t.state == TransferState::InProgress)
                     .count(),
@@ -633,82 +719,12 @@ impl PolicyService {
                 wm.iter::<CleanupFact>()
                     .filter(|(_, c)| c.state == CleanupState::InProgress)
                     .count(),
-            ]
-        });
-        let pair_allocations: Vec<(String, String, u32, u32)> = if publish_gauges {
-            self.session
-                .wm
-                .iter::<HostPairFact>()
-                .map(|(_, p)| {
-                    (
-                        p.src_host.clone(),
-                        p.dst_host.clone(),
-                        p.allocated,
-                        p.peak_allocated,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let Some(o) = &mut self.obs else { return };
-        o.advice_latency(kind).record(micros);
-        o.publish_stats(stats);
-        let dropped_delta = audit_dropped.saturating_sub(o.last_audit_dropped);
-        if dropped_delta > 0 {
-            o.counter(
-                "pwm_policy_audit_dropped_total",
-                "Audit records evicted by the retention ring",
-            )
-            .add(dropped_delta);
-            o.last_audit_dropped = audit_dropped;
-        }
-        if let Some(counts) = snapshot_counts {
-            for (name, help, value) in [
-                (
-                    "pwm_policy_in_progress_transfers",
-                    "Transfers handed out and not yet reported",
-                    counts[0],
-                ),
-                (
-                    "pwm_policy_staged_files",
-                    "Files known to be staged at their destination",
-                    counts[1],
-                ),
-                (
-                    "pwm_policy_staging_files",
-                    "Files currently being staged",
-                    counts[2],
-                ),
-                (
-                    "pwm_policy_in_progress_cleanups",
-                    "Cleanups handed out and not yet reported",
-                    counts[3],
-                ),
-            ] {
-                o.gauge(name, help).set(value as f64);
+            ]);
+            for (h, pair) in wm.iter::<HostPairFact>() {
+                let [allocated, peak] = o.pair_gauges(h, pair);
+                allocated.set(f64::from(pair.allocated));
+                peak.set(f64::from(pair.peak_allocated));
             }
-        }
-        for (src, dst, allocated, peak) in &pair_allocations {
-            let mut labels = o.label_refs();
-            labels.push(("src", src.as_str()));
-            labels.push(("dst", dst.as_str()));
-            o.obs
-                .registry
-                .gauge(
-                    "pwm_policy_allocated_streams",
-                    "Streams currently allocated between a host pair",
-                    &labels,
-                )
-                .set(f64::from(*allocated));
-            o.obs
-                .registry
-                .gauge(
-                    "pwm_policy_peak_allocated_streams",
-                    "High-water mark of streams allocated between a host pair",
-                    &labels,
-                )
-                .set(f64::from(*peak));
         }
         if let Some(clock) = &self.sim_clock {
             o.obs.tracer.instant(
@@ -825,7 +841,7 @@ impl PolicyService {
         self.stats.transfer_requests += total as u64;
 
         struct Row {
-            handle: pwm_rules::FactHandle,
+            handle: FactHandle,
             advice: TransferAdvice,
             priority: i32,
         }
@@ -1033,7 +1049,11 @@ impl PolicyService {
         }
         let batch_len = outcomes.len();
         for outcome in outcomes {
-            if let Some((h, _)) = self.session.wm.find::<TransferFact>(|t| t.id == outcome.id) {
+            if let Some((h, _)) = self
+                .session
+                .wm
+                .find_by::<TransferFact, TransferId>(&outcome.id)
+            {
                 self.session.wm.update::<TransferFact>(h, |t| {
                     t.state = if outcome.success {
                         TransferState::Completed
@@ -1136,7 +1156,11 @@ impl PolicyService {
         }
         let batch_len = outcomes.len();
         for outcome in outcomes {
-            if let Some((h, _)) = self.session.wm.find::<CleanupFact>(|c| c.id == outcome.id) {
+            if let Some((h, _)) = self
+                .session
+                .wm
+                .find_by::<CleanupFact, CleanupId>(&outcome.id)
+            {
                 if outcome.success {
                     self.session.wm.update::<CleanupFact>(h, |c| {
                         c.state = CleanupState::Completed;
@@ -1236,20 +1260,12 @@ impl PolicyService {
 
     /// Streams currently allocated between a host pair.
     pub fn allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        self.session
-            .wm
-            .find::<HostPairFact>(|p| p.src_host == src_host && p.dst_host == dst_host)
-            .map(|(_, p)| p.allocated)
-            .unwrap_or(0)
+        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.allocated)
     }
 
     /// Peak streams ever allocated between a host pair (Table IV).
     pub fn peak_allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        self.session
-            .wm
-            .find::<HostPairFact>(|p| p.src_host == src_host && p.dst_host == dst_host)
-            .map(|(_, p)| p.peak_allocated)
-            .unwrap_or(0)
+        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.peak_allocated)
     }
 
     /// Chrome-trace JSON of this service's tracer, or `None` when no
@@ -1490,6 +1506,48 @@ mod tests {
             workflow: WorkflowId(2),
         }]);
         assert!(c2[0].should_execute());
+    }
+
+    /// Cleanup routing probes `has_resource` on every shard; it must answer
+    /// what a scan of the resources would, through the file's life.
+    #[test]
+    fn has_resource_agrees_with_a_scan() {
+        let mut svc = greedy_service(4, 50);
+        let agree = |svc: &PolicyService, n: u32| {
+            let file = spec_n(n, 1).dest;
+            let scanned = svc
+                .session
+                .wm
+                .find::<ResourceFact>(|r| r.dest == file)
+                .is_some();
+            assert_eq!(svc.has_resource(&file), scanned, "file {n}");
+            scanned
+        };
+        assert!(!agree(&svc, 1), "nothing staged yet");
+        let advice = svc.evaluate_transfers(vec![spec_n(1, 1), spec_n(2, 1)]);
+        assert!(agree(&svc, 1), "staging");
+        svc.report_transfers(vec![
+            TransferOutcome {
+                id: advice[0].id,
+                success: true,
+            },
+            TransferOutcome {
+                id: advice[1].id,
+                success: false,
+            },
+        ]);
+        assert!(agree(&svc, 1), "staged");
+        assert!(!agree(&svc, 2), "failed staging drops the resource");
+        assert!(!agree(&svc, 3), "never requested");
+        let cleanups = svc.evaluate_cleanups(vec![CleanupSpec {
+            file: spec_n(1, 1).dest,
+            workflow: WorkflowId(1),
+        }]);
+        svc.report_cleanups(vec![CleanupOutcome {
+            id: cleanups[0].id,
+            success: true,
+        }]);
+        assert!(!agree(&svc, 1), "just retracted by the completed cleanup");
     }
 
     #[test]

@@ -241,15 +241,16 @@ impl ShardedPolicyService {
         }
         let by_priority = self.shards[0].lock().config().ordering == OrderingPolicy::ByPriority;
         // Priorities for the cross-shard merge comparator (advice does not
-        // carry the spec's priority).
-        let mut priorities: BTreeMap<(Url, Url), i32> = BTreeMap::new();
+        // carry the spec's priority), source → dest → priority so the
+        // comparator looks them up by reference.
+        let mut priorities: Priorities = BTreeMap::new();
         if by_priority {
             for g in &groups {
                 for spec in g {
-                    priorities.insert(
-                        (spec.source.clone(), spec.dest.clone()),
-                        spec.priority.unwrap_or(0),
-                    );
+                    priorities
+                        .entry(spec.source.clone())
+                        .or_default()
+                        .insert(spec.dest.clone(), spec.priority.unwrap_or(0));
                 }
             }
         }
@@ -319,24 +320,27 @@ impl ShardedPolicyService {
             return only.lock().evaluate_cleanups(batch);
         }
         let mut per_shard: Vec<Vec<CleanupSpec>> = vec![Vec::new(); self.shards.len()];
-        // remember (shard, position) per original index
+        // The shard each request went to, in request order.
         let mut route = Vec::with_capacity(batch.len());
         for spec in batch {
             let s = self.shard_for_cleanup(&spec.file) as usize;
-            route.push((s, per_shard[s].len()));
+            route.push(s);
             per_shard[s].push(spec);
         }
-        let mut results: Vec<Vec<CleanupAdvice>> = Vec::with_capacity(per_shard.len());
+        let mut results: Vec<std::vec::IntoIter<CleanupAdvice>> =
+            Vec::with_capacity(per_shard.len());
         for (s, bucket) in per_shard.into_iter().enumerate() {
             results.push(if bucket.is_empty() {
-                Vec::new()
+                Vec::new().into_iter()
             } else {
-                self.shards[s].lock().evaluate_cleanups(bucket)
+                self.shards[s].lock().evaluate_cleanups(bucket).into_iter()
             });
         }
+        // A shard answers its bucket in order, so draining each shard's
+        // answers along the route restores request order.
         route
             .into_iter()
-            .map(|(s, pos)| results[s][pos].clone())
+            .map(|s| results[s].next().expect("one advice per routed cleanup"))
             .collect()
     }
 
@@ -414,18 +418,17 @@ impl ShardedPolicyService {
         merged
     }
 
-    /// Per-rule counters summed across shards, in shard 0's installation
-    /// order.
+    /// Per-rule counters summed across shards, in installation order —
+    /// which every shard shares, each being built by [`PolicyService::new`].
     pub fn rule_stats(&self) -> Vec<RuleCounters> {
         let mut merged: Vec<RuleCounters> = self.shards[0].lock().rule_stats();
         for shard in &self.shards[1..] {
-            for c in shard.lock().rule_stats() {
-                if let Some(m) = merged.iter_mut().find(|m| m.name == c.name) {
-                    m.evaluations += c.evaluations;
-                    m.matches += c.matches;
-                    m.firings += c.firings;
-                    m.eval_nanos += c.eval_nanos;
-                }
+            for (m, c) in merged.iter_mut().zip(shard.lock().rule_stats()) {
+                debug_assert_eq!(m.name, c.name, "shards install the same rules");
+                m.evaluations += c.evaluations;
+                m.matches += c.matches;
+                m.firings += c.firings;
+                m.eval_nanos += c.eval_nanos;
             }
         }
         merged
@@ -468,6 +471,9 @@ impl ShardedPolicyService {
     }
 }
 
+/// Requested priority by source, then destination URL.
+type Priorities = BTreeMap<Url, BTreeMap<Url, i32>>;
+
 /// Merge per-shard advice slices of one request group into a single list
 /// ordered like the single-domain service orders a batch: executing
 /// transfers first, then (under the priority policy) priority descending,
@@ -477,13 +483,15 @@ impl ShardedPolicyService {
 fn merge_advice(
     slices: Vec<Vec<TransferAdvice>>,
     by_priority: bool,
-    priorities: &BTreeMap<(Url, Url), i32>,
+    priorities: &Priorities,
 ) -> Vec<TransferAdvice> {
     let mut all: Vec<TransferAdvice> = slices.into_iter().flatten().collect();
     let prio = |a: &TransferAdvice| -> i32 {
-        *priorities
-            .get(&(a.source.clone(), a.dest.clone()))
-            .unwrap_or(&0)
+        priorities
+            .get(&a.source)
+            .and_then(|by_dest| by_dest.get(&a.dest))
+            .copied()
+            .unwrap_or(0)
     };
     all.sort_by(|a, b| {
         b.should_execute()

@@ -147,7 +147,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         .next()
                         .is_some()
                     {
-                        out.push(vec![h]);
+                        out.push([h].into());
                     }
                 }
                 out

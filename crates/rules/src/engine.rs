@@ -34,7 +34,7 @@
 //! for tuples of up to two facts (the common case: `when_each` rules and
 //! pairwise joins) are stored inline without heap allocation.
 
-use crate::memory::{FactHandle, WorkingMemory};
+use crate::memory::{FactHandle, MintedBuild, WorkingMemory};
 use crate::rule::{Match, Rule};
 use pwm_obs::{Counter, Registry};
 use std::collections::HashSet;
@@ -65,26 +65,28 @@ enum RefractionKey {
 }
 
 impl RefractionKey {
-    fn new(rule: usize, m: &Match, wm: &WorkingMemory) -> Self {
+    /// The key of `m` at its facts' current versions, or `None` when a
+    /// handle in the tuple is no longer live.
+    fn new(rule: usize, m: &Match, wm: &WorkingMemory) -> Option<Self> {
         let rule = rule as u32;
         if m.len() <= INLINE_FACTS {
             let mut facts = [(FactHandle(0), 0u64); INLINE_FACTS];
             for (slot, h) in facts.iter_mut().zip(m.iter()) {
-                *slot = (*h, wm.version(*h).unwrap_or(0));
+                *slot = (*h, wm.version(*h)?);
             }
-            RefractionKey::Inline {
+            Some(RefractionKey::Inline {
                 rule,
                 len: m.len() as u8,
                 facts,
-            }
+            })
         } else {
-            RefractionKey::Heap {
+            Some(RefractionKey::Heap {
                 rule,
                 facts: m
                     .iter()
-                    .map(|h| (*h, wm.version(*h).unwrap_or(0)))
-                    .collect(),
-            }
+                    .map(|h| Some((*h, wm.version(*h)?)))
+                    .collect::<Option<_>>()?,
+            })
         }
     }
 
@@ -128,9 +130,6 @@ pub struct FiringReport {
     /// True if the engine stopped due to the firing budget rather than
     /// quiescence.
     pub budget_exhausted: bool,
-    /// Per-rule counter deltas for *this run* (installation order): what was
-    /// evaluated, matched and fired while reaching quiescence.
-    pub rule_stats: Vec<RuleStats>,
 }
 
 const LOG_CAP: usize = 10_000;
@@ -144,6 +143,9 @@ const GC_MIN_WATERMARK: usize = 256;
 struct RuleState {
     /// Last matcher output (the rule's agenda segment).
     matches: Vec<Match>,
+    /// The buffer `matches` was merged out of by the last delta refresh,
+    /// kept so the next one merges back into it instead of allocating.
+    spare: Vec<Match>,
     /// Working-memory generation `matches` was computed at.
     valid_at: u64,
     /// False until the matcher has run at least once (or after
@@ -162,23 +164,26 @@ struct RuleState {
 }
 
 impl RuleState {
-    fn counters(&self) -> (u64, u64, u64, u64) {
-        (
+    /// `[evaluations, matches, firings, eval_nanos]`, cumulative.
+    fn counters(&self) -> [u64; 4] {
+        [
             self.evaluations,
             self.matched,
             self.firings,
             self.eval_nanos,
-        )
+        ]
     }
 }
 
-/// Registry handles for one rule's counter series, created lazily the
-/// first time the rule appears in a published report.
-struct RuleMetrics {
-    evaluations: Counter,
-    matches: Counter,
-    firings: Counter,
-    eval_nanos: Counter,
+/// What one rule has published so far.
+#[derive(Default)]
+struct RuleObs {
+    /// The rule's counters as of the last publish (as of attachment before
+    /// the first), so each publish adds only what moved since.
+    published: [u64; 4],
+    /// The rule's counter series, in [`RuleState::counters`] order; created
+    /// the first time the rule is published.
+    metrics: Option<[Counter; 4]>,
 }
 
 /// Metrics hookup for a session: the shared registry, base labels stamped
@@ -187,62 +192,52 @@ struct RuleMetrics {
 struct SessionObs {
     registry: Registry,
     labels: Vec<(String, String)>,
-    per_rule: Vec<Option<RuleMetrics>>,
+    per_rule: Vec<RuleObs>,
 }
 
 impl SessionObs {
-    fn rule_metrics(&mut self, idx: usize, rule_name: &str) -> &RuleMetrics {
-        if self.per_rule.len() <= idx {
-            self.per_rule.resize_with(idx + 1, || None);
-        }
-        let slot = &mut self.per_rule[idx];
-        if slot.is_none() {
-            let mut labels: Vec<(&str, &str)> = self
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            labels.push(("rule", rule_name));
-            *slot = Some(RuleMetrics {
-                evaluations: self.registry.counter(
-                    "pwm_rules_evaluations_total",
-                    "Matcher (re-)evaluations per rule",
-                    &labels,
-                ),
-                matches: self.registry.counter(
-                    "pwm_rules_matches_total",
-                    "Fact tuples returned by matchers per rule",
-                    &labels,
-                ),
-                firings: self.registry.counter(
-                    "pwm_rules_firings_total",
-                    "Rule action firings per rule",
-                    &labels,
-                ),
-                eval_nanos: self.registry.counter(
-                    "pwm_rules_eval_nanos_total",
-                    "Cumulative wall-clock nanoseconds spent in matchers per rule",
-                    &labels,
-                ),
-            });
-        }
-        slot.as_ref().expect("slot just filled")
-    }
-
-    fn publish(&mut self, stats: &[RuleStats]) {
-        for (idx, s) in stats.iter().enumerate() {
-            if s.evaluations == 0 && s.matches == 0 && s.firings == 0 && s.eval_nanos == 0 {
-                // Nothing moved; skip the handle lookup entirely for clean
-                // rules (the common case under incremental matching).
-                if self.per_rule.get(idx).map(Option::is_some) == Some(true) {
-                    continue;
-                }
+    /// Add what every rule's counters moved since the last publish. A rule
+    /// whose series exist and whose counters stood still — the common case
+    /// under incremental matching — costs one array compare.
+    fn publish<Ctx>(&mut self, rules: &[Rule<Ctx>], states: &[RuleState]) {
+        let SessionObs {
+            registry,
+            labels,
+            per_rule,
+        } = self;
+        per_rule.resize_with(rules.len(), RuleObs::default);
+        for ((rule, state), obs) in rules.iter().zip(states).zip(per_rule) {
+            let now = state.counters();
+            if obs.metrics.is_some() && now == obs.published {
+                continue;
             }
-            let m = self.rule_metrics(idx, &s.name);
-            m.evaluations.add(s.evaluations);
-            m.matches.add(s.matches);
-            m.firings.add(s.firings);
-            m.eval_nanos.add(s.eval_nanos);
+            let metrics = obs.metrics.get_or_insert_with(|| {
+                let mut labels: Vec<(&str, &str)> = labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                labels.push(("rule", rule.name()));
+                [
+                    (
+                        "pwm_rules_evaluations_total",
+                        "Matcher (re-)evaluations per rule",
+                    ),
+                    (
+                        "pwm_rules_matches_total",
+                        "Fact tuples returned by matchers per rule",
+                    ),
+                    ("pwm_rules_firings_total", "Rule action firings per rule"),
+                    (
+                        "pwm_rules_eval_nanos_total",
+                        "Cumulative wall-clock nanoseconds spent in matchers per rule",
+                    ),
+                ]
+                .map(|(name, help)| registry.counter(name, help, &labels))
+            });
+            for ((counter, now), was) in metrics.iter().zip(now).zip(obs.published) {
+                counter.add(now - was);
+            }
+            obs.published = now;
         }
     }
 }
@@ -254,7 +249,9 @@ pub struct Session<Ctx> {
     pub wm: WorkingMemory,
     rules: Vec<Rule<Ctx>>,
     states: Vec<RuleState>,
-    fired: HashSet<RefractionKey>,
+    fired: HashSet<RefractionKey, MintedBuild>,
+    /// Scratch for [`Session::delta_refresh`]'s changed-handle list.
+    changed: Vec<FactHandle>,
     /// Rule indices sorted by (salience desc, installation order); rebuilt
     /// lazily after `add_rule` instead of per firing.
     order: Vec<usize>,
@@ -272,7 +269,8 @@ impl<Ctx> Session<Ctx> {
             wm: WorkingMemory::new(),
             rules: Vec::new(),
             states: Vec::new(),
-            fired: HashSet::new(),
+            fired: HashSet::default(),
+            changed: Vec::new(),
             order: Vec::new(),
             order_valid: true,
             max_firings: 100_000,
@@ -294,7 +292,14 @@ impl<Ctx> Session<Ctx> {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            per_rule: Vec::new(),
+            per_rule: self
+                .states
+                .iter()
+                .map(|state| RuleObs {
+                    published: state.counters(),
+                    metrics: None,
+                })
+                .collect(),
         });
     }
 
@@ -391,8 +396,6 @@ impl<Ctx> Session<Ctx> {
 
     /// Run rules to quiescence. Returns what fired.
     pub fn fire_all(&mut self, ctx: &mut Ctx) -> FiringReport {
-        let baseline: Vec<(u64, u64, u64, u64)> =
-            self.states.iter().map(RuleState::counters).collect();
         let mut firings = 0;
         let mut log = Vec::new();
         let mut budget_exhausted = false;
@@ -415,28 +418,13 @@ impl<Ctx> Session<Ctx> {
                 None => break,
             }
         }
-        let rule_stats = self
-            .rules
-            .iter()
-            .zip(&self.states)
-            .zip(baseline)
-            .map(|((rule, state), (ev0, ma0, fi0, ns0))| RuleStats {
-                name: rule.name_arc(),
-                salience: rule.salience(),
-                evaluations: state.evaluations - ev0,
-                matches: state.matched - ma0,
-                firings: state.firings - fi0,
-                eval_nanos: state.eval_nanos - ns0,
-            })
-            .collect::<Vec<_>>();
         if let Some(obs) = &mut self.obs {
-            obs.publish(&rule_stats);
+            obs.publish(&self.rules, &self.states);
         }
         FiringReport {
             firings,
             log,
             budget_exhausted,
-            rule_stats,
         }
     }
 
@@ -455,6 +443,7 @@ impl<Ctx> Session<Ctx> {
         state: &mut RuleState,
         wm: &WorkingMemory,
         ctx: &Ctx,
+        changed: &mut Vec<FactHandle>,
     ) -> bool {
         if !state.computed {
             return false;
@@ -465,40 +454,41 @@ impl<Ctx> Session<Ctx> {
         let Some(changes) = wm.changed_since(each.type_id, state.valid_at) else {
             return false;
         };
-        let mut changed: Vec<FactHandle> = changes.iter().map(|&(_, h)| h).collect();
+        changed.clear();
+        changed.extend(changes.iter().map(|&(_, h)| h));
         changed.sort_unstable();
         changed.dedup();
         if changed.is_empty() {
             return true;
         }
-        let probe = &each.probe;
-        let pass: Vec<bool> = changed.iter().map(|&h| (probe)(wm, ctx, h)).collect();
-        let mut merged = Vec::with_capacity(state.matches.len() + changed.len());
+        // Each changed handle is probed once, when the merge reaches it.
+        let passes = |h: FactHandle| (each.probe)(wm, ctx, h);
+        let mut merged = std::mem::take(&mut state.spare);
+        merged.clear();
         let mut ci = 0;
         for m in &state.matches {
             let h = m[0];
             while ci < changed.len() && changed[ci] < h {
-                if pass[ci] {
-                    merged.push(vec![changed[ci]]);
+                if passes(changed[ci]) {
+                    merged.push([changed[ci]].into());
                 }
                 ci += 1;
             }
             if ci < changed.len() && changed[ci] == h {
-                if pass[ci] {
-                    merged.push(vec![h]);
+                if passes(h) {
+                    merged.push(m.clone());
                 }
                 ci += 1;
                 continue;
             }
             merged.push(m.clone());
         }
-        while ci < changed.len() {
-            if pass[ci] {
-                merged.push(vec![changed[ci]]);
+        for &h in &changed[ci..] {
+            if passes(h) {
+                merged.push([h].into());
             }
-            ci += 1;
         }
-        state.matches = merged;
+        state.spare = std::mem::replace(&mut state.matches, merged);
         true
     }
 
@@ -525,7 +515,7 @@ impl<Ctx> Session<Ctx> {
             let state = &mut self.states[idx];
             if !state.computed || rule.watch().is_dirty(&self.wm, state.valid_at) {
                 let started = Instant::now();
-                if !Self::delta_refresh(rule, state, &self.wm, ctx) {
+                if !Self::delta_refresh(rule, state, &self.wm, ctx, &mut self.changed) {
                     state.matches = rule.matches(&self.wm, ctx);
                 }
                 state.eval_nanos += started.elapsed().as_nanos() as u64;
@@ -541,23 +531,20 @@ impl<Ctx> Session<Ctx> {
             let mut pos = state.scan_from;
             while pos < state.matches.len() {
                 let m = &state.matches[pos];
-                // A tuple containing a stale handle can arise if a matcher
-                // returned handles that another firing retracted; skip it.
-                if m.iter().any(|h| !self.wm.contains(*h)) {
-                    pos += 1;
-                    state.scan_from = pos;
-                    continue;
+                // Skip refracted tuples, and tuples holding a stale handle:
+                // a matcher may have returned one another firing retracted.
+                match RefractionKey::new(idx, m, &self.wm) {
+                    Some(key) if !self.fired.contains(&key) => {
+                        // The caller refracts this tuple before firing, so
+                        // the next scan may resume here.
+                        state.scan_from = pos;
+                        return Some((idx, m.clone(), key));
+                    }
+                    _ => {
+                        pos += 1;
+                        state.scan_from = pos;
+                    }
                 }
-                let key = RefractionKey::new(idx, m, &self.wm);
-                if self.fired.contains(&key) {
-                    pos += 1;
-                    state.scan_from = pos;
-                    continue;
-                }
-                // The caller refracts this tuple before firing, so the next
-                // scan may resume here.
-                state.scan_from = pos;
-                return Some((idx, m.clone(), key));
             }
             state.exhausted = true;
         }
@@ -792,7 +779,7 @@ mod tests {
                     let mut out = Vec::new();
                     for (ch, _) in wm.iter::<Counter>() {
                         for (ih, _) in wm.iter::<Item>() {
-                            out.push(vec![ch, ih]);
+                            out.push([ch, ih].into());
                         }
                     }
                     out
@@ -845,11 +832,7 @@ mod tests {
             "Counter rule re-evaluated while its watched type was clean"
         );
         assert!(after[1].evaluations > before[1].evaluations);
-        // The per-run report shows the same: zero evaluations for the clean
-        // rule, at least one for the dirty rule.
-        assert_eq!(report.rule_stats[0].evaluations, 0);
-        assert!(report.rule_stats[1].evaluations >= 1);
-        assert_eq!(report.rule_stats[1].firings, 1);
+        assert_eq!(after[1].firings, before[1].firings + 1);
     }
 
     #[test]
@@ -927,7 +910,7 @@ mod tests {
                 .when(|wm, _| {
                     let hs = wm.handles::<Counter>();
                     if hs.len() == 3 {
-                        vec![hs]
+                        vec![hs[..].into()]
                     } else {
                         vec![]
                     }
@@ -984,7 +967,7 @@ mod tests {
                     let mut out = Vec::new();
                     for (c, _) in wm.iter::<Counter>() {
                         for (i, _) in wm.iter::<Item>() {
-                            out.push(vec![c, i]);
+                            out.push([c, i].into());
                         }
                     }
                     out

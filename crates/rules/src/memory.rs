@@ -16,6 +16,12 @@
 //! through a stale id sees the generation mismatch and returns `None`, never
 //! another fact that happens to reuse the slot.
 //!
+//! Everything kept per fact type — the slab, the dirty generation, the
+//! change log and the secondary indexes — sits in one `TypeTable` record.
+//! A handle resolves to `(table, slot)` through the store's only other map,
+//! so a handle-based operation pays one probe and a type-based one (`iter`,
+//! `find_by`, `type_generation`) one probe of a map with a dozen entries.
+//!
 //! Iteration order is insertion order (handles are monotonically increasing
 //! and the per-slab list appends at the tail), so rule evaluation is
 //! reproducible and exactly matches the legacy `BTreeMap` store, which is
@@ -24,8 +30,33 @@
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
+
+/// Multiply-rotate hasher (the FxHash recipe) for tables whose keys this
+/// process mints itself: `TypeId`s and [`FactHandle`]s here, refraction keys
+/// in the engine. Nothing a request body carries reaches it — tables keyed by
+/// request data ([`KeyIndex`]) keep std's keyed SipHash.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MintedHasher(u64);
+
+impl Hasher for MintedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) type MintedBuild = BuildHasherDefault<MintedHasher>;
 
 /// Marker trait for values storable in working memory.
 ///
@@ -317,10 +348,11 @@ impl<T: Fact> ErasedSlab for TypedSlab<T> {
     }
 }
 
-/// Where one handle's fact lives: which typed slab, and which slot in it.
+/// Where one handle's fact lives: which type table, and which slot of its
+/// slab.
 #[derive(Clone, Copy)]
 struct HandleEntry {
-    type_id: TypeId,
+    table: u32,
     slot: u32,
 }
 
@@ -447,29 +479,55 @@ impl TypeLog {
     }
 }
 
+/// Everything the store keeps about one fact type, so an operation that
+/// knows its type (or its handle) reaches the slab, the dirty mark, the
+/// change log and the indexes through one lookup.
+struct TypeTable {
+    type_id: TypeId,
+    /// The generational arena holding the facts (a `TypedSlab<T>`).
+    slab: Box<dyn ErasedSlab>,
+    /// Dirty mark: the global generation at which a fact of this type was
+    /// last inserted/updated/retracted (0 = never). The incremental engine
+    /// compares it against the generation a rule's match cache was computed
+    /// at, so a mutation to type `T` only invalidates rules watching `T`.
+    generation: u64,
+    /// Recently mutated handles (see [`TypeLog`]).
+    log: TypeLog,
+    /// Secondary indexes over this type, by key type.
+    indexes: Vec<(TypeId, Box<dyn ErasedIndex>)>,
+}
+
+impl TypeTable {
+    fn slab<T: Fact>(&self) -> &TypedSlab<T> {
+        self.slab
+            .as_any()
+            .downcast_ref::<TypedSlab<T>>()
+            .expect("slab type")
+    }
+
+    /// Stamp a mutation of `handle` at global generation `gen`.
+    fn touch(&mut self, gen: u64, handle: FactHandle) {
+        self.generation = gen;
+        self.log.push(gen, handle);
+    }
+}
+
 /// The fact store.
 #[derive(Default)]
 pub struct WorkingMemory {
-    /// One generational arena per fact type.
-    slabs: HashMap<TypeId, Box<dyn ErasedSlab>>,
-    /// handle → (slab, slot). Entries are removed on retract, so membership
+    /// One record per fact type, in first-use order.
+    tables: Vec<TypeTable>,
+    /// Fact type → position in `tables`.
+    table_of: HashMap<TypeId, u32, MintedBuild>,
+    /// handle → (table, slot). Entries are removed on retract, so membership
     /// doubles as liveness and the map never grows past the live fact count.
-    handle_index: HashMap<u64, HandleEntry>,
+    handle_index: HashMap<u64, HandleEntry, MintedBuild>,
     next_handle: u64,
     /// Live facts across all slabs.
     live: usize,
     /// Bumped on every insert/update/retract; engines watch it to detect
     /// quiescence.
     generation: u64,
-    /// Per-type dirty marks: the global generation at which each fact type
-    /// was last inserted/updated/retracted. The incremental engine compares
-    /// these against the generation a rule's match cache was computed at, so
-    /// a mutation to type `T` only invalidates rules watching `T`.
-    type_gen: HashMap<TypeId, u64>,
-    /// Secondary indexes, keyed by (fact type, key type).
-    indexes: HashMap<(TypeId, TypeId), Box<dyn ErasedIndex>>,
-    /// Per-type mutation logs (see [`TypeLog`]).
-    type_log: HashMap<TypeId, TypeLog>,
 }
 
 impl fmt::Debug for WorkingMemory {
@@ -487,44 +545,60 @@ impl WorkingMemory {
         Self::default()
     }
 
-    fn slab<T: Fact>(&self) -> Option<&TypedSlab<T>> {
-        self.slabs.get(&TypeId::of::<T>()).map(|s| {
-            s.as_any()
-                .downcast_ref::<TypedSlab<T>>()
-                .expect("slab type")
+    fn table(&self, type_id: TypeId) -> Option<&TypeTable> {
+        self.table_of
+            .get(&type_id)
+            .map(|&i| &self.tables[i as usize])
+    }
+
+    /// Position of `T`'s table, created empty on first use.
+    fn table_index_or_new<T: Fact>(&mut self) -> u32 {
+        let type_id = TypeId::of::<T>();
+        *self.table_of.entry(type_id).or_insert_with(|| {
+            self.tables.push(TypeTable {
+                type_id,
+                slab: Box::new(TypedSlab::<T>::new()),
+                generation: 0,
+                log: TypeLog::default(),
+                indexes: Vec::new(),
+            });
+            (self.tables.len() - 1) as u32
         })
+    }
+
+    /// The table and slot a live handle of type `T` resolves to.
+    fn locate<T: Fact>(&self, handle: FactHandle) -> Option<(&TypeTable, u32)> {
+        let entry = self.handle_index.get(&handle.0)?;
+        let table = &self.tables[entry.table as usize];
+        (table.type_id == TypeId::of::<T>()).then_some((table, entry.slot))
     }
 
     /// Insert a fact, returning its handle.
     pub fn insert<T: Fact>(&mut self, fact: T) -> FactHandle {
         let handle = FactHandle(self.next_handle);
         self.next_handle += 1;
-        let type_id = TypeId::of::<T>();
-        let slab = self
-            .slabs
-            .entry(type_id)
-            .or_insert_with(|| Box::new(TypedSlab::<T>::new()))
+        self.generation += 1;
+        let table_ix = self.table_index_or_new::<T>();
+        let table = &mut self.tables[table_ix as usize];
+        let slab = table
+            .slab
             .as_any_mut()
             .downcast_mut::<TypedSlab<T>>()
             .expect("slab type");
         let slot = slab.alloc(fact, handle);
         let value: &T = slab.value(slot);
-        for (_, idx) in self
-            .indexes
-            .iter_mut()
-            .filter(|((ft, _), _)| *ft == type_id)
-        {
+        for (_, idx) in &mut table.indexes {
             idx.on_insert(handle, slot, value);
         }
-        self.handle_index
-            .insert(handle.0, HandleEntry { type_id, slot });
+        table.touch(self.generation, handle);
+        self.handle_index.insert(
+            handle.0,
+            HandleEntry {
+                table: table_ix,
+                slot,
+            },
+        );
         self.live += 1;
-        self.generation += 1;
-        self.type_gen.insert(type_id, self.generation);
-        self.type_log
-            .entry(type_id)
-            .or_default()
-            .push(self.generation, handle);
         handle
     }
 
@@ -533,83 +607,58 @@ impl WorkingMemory {
         let Some(entry) = self.handle_index.remove(&handle.0) else {
             return false;
         };
-        self.slabs
-            .get_mut(&entry.type_id)
-            .expect("handle entry implies slab")
-            .remove_slot(entry.slot);
-        for (_, idx) in self
-            .indexes
-            .iter_mut()
-            .filter(|((ft, _), _)| *ft == entry.type_id)
-        {
+        self.generation += 1;
+        let table = &mut self.tables[entry.table as usize];
+        table.slab.remove_slot(entry.slot);
+        for (_, idx) in &mut table.indexes {
             idx.on_remove(handle);
         }
+        table.touch(self.generation, handle);
         self.live -= 1;
-        self.generation += 1;
-        self.type_gen.insert(entry.type_id, self.generation);
-        self.type_log
-            .entry(entry.type_id)
-            .or_default()
-            .push(self.generation, handle);
         true
     }
 
     /// Immutable access to a fact of known type.
     pub fn get<T: Fact>(&self, handle: FactHandle) -> Option<&T> {
-        let entry = self.handle_index.get(&handle.0)?;
-        if entry.type_id != TypeId::of::<T>() {
-            return None;
-        }
-        Some(
-            self.slab::<T>()
-                .expect("handle entry implies slab")
-                .value(entry.slot),
-        )
+        let (table, slot) = self.locate::<T>(handle)?;
+        Some(table.slab::<T>().value(slot))
     }
 
     /// Typed generational id of a live fact, or `None` if the handle is
     /// stale or names a different type. The id supports direct slab probes
     /// via [`WorkingMemory::get_id`] with ABA-safe staleness detection.
     pub fn fact_id<T: Fact>(&self, handle: FactHandle) -> Option<FactId<T>> {
-        let entry = self.handle_index.get(&handle.0)?;
-        if entry.type_id != TypeId::of::<T>() {
-            return None;
-        }
-        let slab = self.slab::<T>().expect("handle entry implies slab");
+        let (table, slot) = self.locate::<T>(handle)?;
         Some(FactId {
-            slot: entry.slot,
-            gen: slab.generation_of(entry.slot),
+            slot,
+            gen: table.slab::<T>().generation_of(slot),
             _marker: PhantomData,
         })
     }
 
-    /// Probe by typed id: direct slab indexing, no hash lookup, no
+    /// Probe by typed id: direct slab indexing, no handle lookup, no
     /// downcast-per-fact. Returns `None` once the fact has been retracted —
     /// the slot generation was bumped, so even a recycled slot cannot serve
     /// a stale id.
     pub fn get_id<T: Fact>(&self, id: FactId<T>) -> Option<&T> {
-        self.slab::<T>()?.value_checked(id.slot, id.gen)
+        self.table(TypeId::of::<T>())?
+            .slab::<T>()
+            .value_checked(id.slot, id.gen)
     }
 
     /// Mutate a fact in place; bumps its version (making rules eligible to
     /// re-fire on it). Returns `false` if the handle is stale or the type is
     /// wrong.
     pub fn update<T: Fact>(&mut self, handle: FactHandle, f: impl FnOnce(&mut T)) -> bool {
-        let type_id = TypeId::of::<T>();
-        let Some(&HandleEntry {
-            type_id: actual,
-            slot,
-        }) = self.handle_index.get(&handle.0)
-        else {
+        let Some(&HandleEntry { table, slot }) = self.handle_index.get(&handle.0) else {
             return false;
         };
-        if actual != type_id {
+        let table = &mut self.tables[table as usize];
+        if table.type_id != TypeId::of::<T>() {
             return false;
         }
-        let slab = self
-            .slabs
-            .get_mut(&type_id)
-            .expect("handle entry implies slab")
+        let slab = table
+            .slab
             .as_any_mut()
             .downcast_mut::<TypedSlab<T>>()
             .expect("slab type");
@@ -618,27 +667,12 @@ impl WorkingMemory {
         // Re-key under the post-update value — the closure may have changed
         // indexed fields. The index compares against its reverse map, so an
         // unchanged key costs one extract.
-        let value: &T = self
-            .slabs
-            .get(&type_id)
-            .expect("slab persists")
-            .as_any()
-            .downcast_ref::<TypedSlab<T>>()
-            .expect("slab type")
-            .value(slot);
-        for (_, idx) in self
-            .indexes
-            .iter_mut()
-            .filter(|((ft, _), _)| *ft == type_id)
-        {
+        let value: &T = slab.value(slot);
+        for (_, idx) in &mut table.indexes {
             idx.on_update(handle, slot, value);
         }
         self.generation += 1;
-        self.type_gen.insert(type_id, self.generation);
-        self.type_log
-            .entry(type_id)
-            .or_default()
-            .push(self.generation, handle);
+        table.touch(self.generation, handle);
         true
     }
 
@@ -647,9 +681,8 @@ impl WorkingMemory {
     pub fn version(&self, handle: FactHandle) -> Option<u64> {
         let entry = self.handle_index.get(&handle.0)?;
         Some(
-            self.slabs
-                .get(&entry.type_id)
-                .expect("handle entry implies slab")
+            self.tables[entry.table as usize]
+                .slab
                 .version_of(entry.slot),
         )
     }
@@ -664,7 +697,7 @@ impl WorkingMemory {
     /// whose match cache was computed at generation `g` is stale for type
     /// `T` iff `type_generation(T) > g`.
     pub fn type_generation(&self, type_id: TypeId) -> u64 {
-        self.type_gen.get(&type_id).copied().unwrap_or(0)
+        self.table(type_id).map_or(0, |t| t.generation)
     }
 
     /// Typed convenience wrapper over [`WorkingMemory::type_generation`].
@@ -676,9 +709,9 @@ impl WorkingMemory {
     /// the typed slab's intrusive list: contiguous storage, one downcast
     /// for the whole call.
     pub fn iter<T: Fact>(&self) -> impl Iterator<Item = (FactHandle, &T)> {
-        self.slab::<T>()
+        self.table(TypeId::of::<T>())
             .into_iter()
-            .flat_map(|slab| slab.iter_slots().map(|(h, _, t)| (h, t)))
+            .flat_map(|table| table.slab::<T>().iter_slots().map(|(h, _, t)| (h, t)))
     }
 
     /// Handles of all facts of type `T`, insertion order.
@@ -686,7 +719,9 @@ impl WorkingMemory {
         self.iter::<T>().map(|(h, _)| h).collect()
     }
 
-    /// First fact of type `T` matching `pred`.
+    /// First fact of type `T` matching `pred` — a linear scan; anything a
+    /// request path looks up by key belongs behind
+    /// [`WorkingMemory::register_index`] instead.
     pub fn find<T: Fact>(&self, pred: impl Fn(&T) -> bool) -> Option<(FactHandle, &T)> {
         self.iter::<T>().find(|(_, t)| pred(t))
     }
@@ -708,18 +743,31 @@ impl WorkingMemory {
             map: HashMap::new(),
             back: HashMap::new(),
         };
-        if let Some(slab) = self.slab::<T>() {
-            for (h, slot, t) in slab.iter_slots() {
-                index.link(h, slot, extract(t));
-            }
+        let table_ix = self.table_index_or_new::<T>();
+        let table = &mut self.tables[table_ix as usize];
+        for (h, slot, t) in table.slab::<T>().iter_slots() {
+            index.link(h, slot, extract(t));
         }
-        self.indexes
-            .insert((TypeId::of::<T>(), TypeId::of::<K>()), Box::new(index));
+        let key_type = TypeId::of::<K>();
+        table.indexes.retain(|(k, _)| *k != key_type);
+        table.indexes.push((key_type, Box::new(index)));
     }
 
-    fn key_index<T: Fact, K: Eq + Hash + Clone + Send + 'static>(&self) -> &KeyIndex<T, K> {
-        self.indexes
-            .get(&(TypeId::of::<T>(), TypeId::of::<K>()))
+    /// `T`'s table and its index keyed by `K`. Panics if no such index was
+    /// registered.
+    fn key_index<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
+        &self,
+    ) -> (&TypeTable, &KeyIndex<T, K>) {
+        let key_type = TypeId::of::<K>();
+        self.table(TypeId::of::<T>())
+            .and_then(|table| {
+                let (_, idx) = table.indexes.iter().find(|(k, _)| *k == key_type)?;
+                let idx = idx
+                    .as_any()
+                    .downcast_ref::<KeyIndex<T, K>>()
+                    .expect("index shape matches its registration key");
+                Some((table, idx))
+            })
             .unwrap_or_else(|| {
                 panic!(
                     "no index over {} keyed by {}; call register_index first",
@@ -727,9 +775,6 @@ impl WorkingMemory {
                     std::any::type_name::<K>()
                 )
             })
-            .as_any()
-            .downcast_ref::<KeyIndex<T, K>>()
-            .expect("index shape matches its registration key")
     }
 
     /// Handles of facts of type `T` whose indexed key equals `key`, in
@@ -739,6 +784,7 @@ impl WorkingMemory {
         key: &K,
     ) -> Vec<FactHandle> {
         self.key_index::<T, K>()
+            .1
             .map
             .get(key)
             .map(|set| set.keys().copied().collect())
@@ -754,16 +800,14 @@ impl WorkingMemory {
         &'a self,
         key: &K,
     ) -> impl Iterator<Item = (FactHandle, &'a T)> + 'a {
-        let slab = self.slab::<T>();
-        self.key_index::<T, K>()
+        let (table, index) = self.key_index::<T, K>();
+        let slab = table.slab::<T>();
+        index
             .map
             .get(key)
             .into_iter()
             .flat_map(|set| set.iter())
-            .map(move |(&h, &slot)| {
-                let slab = slab.expect("indexed fact implies slab");
-                (h, slab.value(slot))
-            })
+            .map(move |(&h, &slot)| (h, slab.value(slot)))
     }
 
     /// Handles of facts of `type_id` mutated (inserted, updated or
@@ -772,8 +816,8 @@ impl WorkingMemory {
     /// must then fall back to a full scan). Retracted handles appear in the
     /// result; callers filter with [`WorkingMemory::contains`].
     pub fn changed_since(&self, type_id: TypeId, gen: u64) -> Option<&[(u64, FactHandle)]> {
-        match self.type_log.get(&type_id) {
-            Some(log) => log.since(gen),
+        match self.table(type_id) {
+            Some(table) => table.log.since(gen),
             // Type never mutated: nothing changed since any generation.
             None => Some(&[]),
         }
@@ -786,14 +830,15 @@ impl WorkingMemory {
         &self,
         key: &K,
     ) -> Option<(FactHandle, &T)> {
-        let (&handle, &slot) = self.key_index::<T, K>().map.get(key)?.iter().next()?;
-        let slab = self.slab::<T>().expect("indexed fact implies slab");
-        Some((handle, slab.value(slot)))
+        let (table, index) = self.key_index::<T, K>();
+        let (&handle, &slot) = index.map.get(key)?.iter().next()?;
+        Some((handle, table.slab::<T>().value(slot)))
     }
 
     /// Number of facts of type `T`.
     pub fn count<T: Fact>(&self) -> usize {
-        self.slab::<T>().map(|s| s.len).unwrap_or(0)
+        self.table(TypeId::of::<T>())
+            .map_or(0, |table| table.slab::<T>().len)
     }
 
     /// Total facts of all types.

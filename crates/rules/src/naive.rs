@@ -177,7 +177,7 @@ mod equivalence {
                 for (ah, a) in wm.iter::<A>() {
                     for (bh, b) in wm.iter::<B>() {
                         if a.0 % 2 == b.0 % 2 {
-                            out.push(vec![ah, bh]);
+                            out.push([ah, bh].into());
                         }
                     }
                 }

@@ -18,11 +18,61 @@ use crate::memory::{FactHandle, WorkingMemory};
 use std::any::TypeId;
 use std::sync::Arc;
 
-/// A matched fact tuple: the handles a rule instance binds to.
+/// Handles a [`Match`] holds inline: the widest join the policy rules make
+/// (transfer × cluster ledger × host-pair ledger). Wider tuples spill to the
+/// heap.
+const INLINE_HANDLES: usize = 3;
+
+/// A matched fact tuple: the handles a rule instance binds to, readable as a
+/// `[FactHandle]` slice. Build one from an array or a slice
+/// (`[h].into()`, `[h, other].into()`); tuples of up to three handles are
+/// stored inline, so matchers and the engine's match caches allocate nothing
+/// per tuple.
 ///
 /// The engine keys refraction on `(rule, handles, versions-of-handles)`, so a
 /// rule re-fires on a tuple only after one of its facts is updated.
-pub type Match = Vec<FactHandle>;
+#[derive(Debug, Clone)]
+pub struct Match(Tuple);
+
+#[derive(Debug, Clone)]
+enum Tuple {
+    Inline {
+        len: u8,
+        handles: [FactHandle; INLINE_HANDLES],
+    },
+    Heap(Box<[FactHandle]>),
+}
+
+impl std::ops::Deref for Match {
+    type Target = [FactHandle];
+    fn deref(&self) -> &[FactHandle] {
+        match &self.0 {
+            Tuple::Inline { len, handles } => &handles[..*len as usize],
+            Tuple::Heap(handles) => handles,
+        }
+    }
+}
+
+impl From<&[FactHandle]> for Match {
+    fn from(tuple: &[FactHandle]) -> Match {
+        if tuple.len() <= INLINE_HANDLES {
+            let mut handles = [FactHandle(0); INLINE_HANDLES];
+            handles[..tuple.len()].copy_from_slice(tuple);
+            Match(Tuple::Inline {
+                len: tuple.len() as u8,
+                handles,
+            })
+        } else {
+            Match(Tuple::Heap(tuple.into()))
+        }
+    }
+}
+
+impl<const N: usize> From<[FactHandle; N]> for Match {
+    fn from(tuple: [FactHandle; N]) -> Match {
+        tuple.as_slice().into()
+    }
+}
 
 type Matcher<Ctx> = Box<dyn Fn(&WorkingMemory, &Ctx) -> Vec<Match> + Send>;
 type Action<Ctx> = Box<dyn FnMut(&mut WorkingMemory, &mut Ctx, &Match) + Send>;
@@ -186,7 +236,7 @@ impl<Ctx> RuleBuilder<Ctx> {
         self.matcher = Some(Box::new(move |wm, ctx| {
             wm.iter::<T>()
                 .filter(|(_, t)| scan_pred(t, ctx))
-                .map(|(h, _)| vec![h])
+                .map(|(h, _)| [h].into())
                 .collect()
         }));
         // The same predicate, re-runnable for one handle: the engine's
@@ -206,15 +256,13 @@ impl<Ctx> RuleBuilder<Ctx> {
         mut self,
         pred: impl Fn(&WorkingMemory, &Ctx) -> bool + Send + 'static,
     ) -> Self {
-        self.matcher = Some(Box::new(
-            move |wm, ctx| {
-                if pred(wm, ctx) {
-                    vec![vec![]]
-                } else {
-                    vec![]
-                }
-            },
-        ));
+        self.matcher = Some(Box::new(move |wm, ctx| {
+            if pred(wm, ctx) {
+                vec![[].into()]
+            } else {
+                vec![]
+            }
+        }));
         self
     }
 
@@ -284,7 +332,8 @@ mod tests {
             .then(|_, _, _| {});
         assert!(r.matches(&wm, &()).is_empty());
         wm.insert(Num(20));
-        assert_eq!(r.matches(&wm, &()), vec![Vec::<FactHandle>::new()]);
+        let ms = r.matches(&wm, &());
+        assert!(ms.len() == 1 && ms[0].is_empty(), "one empty tuple");
     }
 
     #[test]
@@ -321,8 +370,7 @@ mod tests {
             .then(|wm, _, m| {
                 wm.update::<Num>(m[0], |n| n.0 += 1);
             });
-        let m = vec![h];
-        r.fire(&mut wm, &mut (), &m);
+        r.fire(&mut wm, &mut (), &[h].into());
         assert_eq!(wm.get::<Num>(h).unwrap().0, 4);
     }
 

@@ -5,7 +5,13 @@
 //! stores; after every command each observable the rule engine consumes must
 //! agree exactly — returned handles, operation results, fact values,
 //! iteration order, versions, the global generation, per-type generations,
-//! and the `changed_since` delta log. A generic mini rule evaluator then
+//! and the `changed_since` delta log. Indexed lookups (`find_by`, `iter_by`,
+//! `lookup_by`) are additionally held to the oracle's *filtered scan* —
+//! insertion order, first = lowest handle — for an index registered before
+//! any fact exists and for one registered mid-sequence over whatever facts
+//! exist by then: the Policy Service's own lookups rely on an index probe
+//! answering exactly what `find` over the type would. A generic mini rule
+//! evaluator then
 //! replays identical workloads over both stores and must produce identical
 //! firing-report counters (evaluations / matches / firings), since those
 //! counters are pure functions of exactly the observables compared above.
@@ -52,6 +58,9 @@ enum Cmd {
     /// Record the current generation; subsequent `changed_since` checks
     /// compare both logs from this point.
     Checkpoint,
+    /// Register the Beta-by-string index (back-filling the Betas alive by
+    /// then); from here on it is checked after every command.
+    IndexBeta,
 }
 
 fn arb_cmd() -> impl Strategy<Value = Cmd> {
@@ -65,11 +74,50 @@ fn arb_cmd() -> impl Strategy<Value = Cmd> {
         2 => any::<usize>().prop_map(Cmd::Probe),
         1 => (0u64..8).prop_map(Cmd::LookupByKey),
         1 => Just(Cmd::Checkpoint),
+        1 => Just(Cmd::IndexBeta),
     ]
 }
 
+/// The indexed lookups of `arena` under `key` against a filtered scan of the
+/// oracle: same facts in insertion order, `find_by` the lowest handle.
+fn assert_index_matches_scan<T, K>(
+    arena: &WorkingMemory,
+    legacy: &LegacyWorkingMemory,
+    key: &K,
+    extract: fn(&T) -> K,
+) where
+    T: pwm_rules::Fact + Clone + PartialEq,
+    K: Eq + std::hash::Hash + Clone + Send + std::fmt::Debug + 'static,
+{
+    let scan: Vec<(FactHandle, T)> = legacy
+        .iter::<T>()
+        .filter(|(_, t)| extract(t) == *key)
+        .map(|(h, t)| (h, t.clone()))
+        .collect();
+    let by: Vec<(FactHandle, T)> = arena
+        .iter_by::<T, K>(key)
+        .map(|(h, t)| (h, t.clone()))
+        .collect();
+    assert_eq!(by, scan, "iter_by({key:?}) is not the filtered scan");
+    assert_eq!(
+        arena.lookup_by::<T, K>(key),
+        scan.iter().map(|(h, _)| *h).collect::<Vec<_>>(),
+        "lookup_by({key:?}) is not the filtered scan"
+    );
+    assert_eq!(
+        arena.find_by::<T, K>(key).map(|(h, t)| (h, t.clone())),
+        scan.first().cloned(),
+        "find_by({key:?}) is not the scan's first hit"
+    );
+}
+
 /// Compare every engine-visible observable of the two stores.
-fn assert_stores_agree(arena: &WorkingMemory, legacy: &LegacyWorkingMemory, checkpoint: u64) {
+fn assert_stores_agree(
+    arena: &WorkingMemory,
+    legacy: &LegacyWorkingMemory,
+    checkpoint: u64,
+    beta_indexed: bool,
+) {
     assert_eq!(arena.len(), legacy.len());
     assert_eq!(arena.is_empty(), legacy.is_empty());
     assert_eq!(arena.count::<Alpha>(), legacy.count::<Alpha>());
@@ -96,13 +144,22 @@ fn assert_stores_agree(arena: &WorkingMemory, legacy: &LegacyWorkingMemory, chec
         legacy.iter::<Beta>().map(|(h, b)| (h, b.clone())).collect();
     assert_eq!(a_beta, l_beta, "Beta iteration diverged");
     for ty in [TypeId::of::<Alpha>(), TypeId::of::<Beta>()] {
+        assert_eq!(arena.type_generation(ty), legacy.type_generation(ty));
         assert_eq!(
             arena.changed_since(ty, checkpoint),
             legacy.changed_since(ty, checkpoint),
             "changed_since diverged"
         );
     }
+    if beta_indexed {
+        for n in 0..50u64 {
+            assert_index_matches_scan::<Beta, String>(arena, legacy, &format!("b{n}"), |b| {
+                b.s.clone()
+            });
+        }
+    }
     for key in 0..8u64 {
+        assert_index_matches_scan::<Alpha, u64>(arena, legacy, &key, |a| a.key);
         assert_eq!(
             arena.lookup_by::<Alpha, u64>(&key),
             legacy.lookup_by::<Alpha, u64>(&key),
@@ -149,6 +206,7 @@ proptest! {
         // retired ones must probe to None at the end.
         let mut ids: Vec<(FactHandle, FactId<Alpha>)> = Vec::new();
         let mut checkpoint = 0u64;
+        let mut beta_indexed = false;
         for cmd in cmds {
             match cmd {
                 Cmd::InsertA(n, key) => {
@@ -203,10 +261,14 @@ proptest! {
                     );
                 }
                 Cmd::Checkpoint => checkpoint = arena.generation(),
+                Cmd::IndexBeta => {
+                    arena.register_index::<Beta, String>(|b| b.s.clone());
+                    beta_indexed = true;
+                }
                 // Handle-bearing commands before the first insert: no-ops.
                 Cmd::UpdateA(..) | Cmd::UpdateWrongType(_) | Cmd::Retract(_) | Cmd::Probe(_) => {}
             }
-            assert_stores_agree(&arena, &legacy, checkpoint);
+            assert_stores_agree(&arena, &legacy, checkpoint, beta_indexed);
         }
         // Use-after-retract: every id whose handle is gone must miss via
         // generation mismatch; every live one must still resolve.

@@ -10,10 +10,14 @@
 //! 2. **Clean types are not re-evaluated.** Transfer-only traffic never
 //!    touches `CleanupFact`, so rules that only watch cleanup-side types
 //!    must show zero additional evaluations in the per-rule counters.
+//! 3. **Cleanup routing does not scan policy memory.** A sharded session
+//!    finds the shard owning a cleanup's file by probing each shard's
+//!    resource index; 10× the resident staged files must leave the cost of
+//!    a cleanup request about where it was.
 
 use pwm_core::{
-    CleanupOutcome, CleanupSpec, PolicyConfig, PolicyService, TransferOutcome, TransferSpec, Url,
-    WorkflowId,
+    CleanupOutcome, CleanupSpec, PolicyConfig, PolicyService, ShardedPolicyService,
+    TransferOutcome, TransferSpec, Url, WorkflowId,
 };
 use std::time::{Duration, Instant};
 
@@ -145,5 +149,104 @@ fn transfer_traffic_does_not_reevaluate_cleanup_only_rules() {
     assert!(
         evals(&service, TRANSFER_RULE) > transfer_before,
         "transfer rule should have been re-evaluated by transfer traffic"
+    );
+}
+
+/// A file staged between one of eight host pairs, so a 4-shard session
+/// spreads the set over its shards.
+fn spread_spec(n: usize, workflow: u64) -> TransferSpec {
+    let mut s = spec(&format!("spread_{n}"), workflow);
+    s.source.host = format!("gridftp-{}", n % 8);
+    s.dest.host = format!("scratch-{}", n % 8);
+    s
+}
+
+/// Stage `specs` through `service` and report every approved transfer done.
+fn stage(service: &ShardedPolicyService, specs: Vec<TransferSpec>) {
+    let advice = service.evaluate_transfers(specs);
+    service.report_transfers(
+        advice
+            .iter()
+            .filter(|a| a.should_execute())
+            .map(|a| TransferOutcome {
+                id: a.id,
+                success: true,
+            })
+            .collect(),
+    );
+}
+
+/// Time spent in `evaluate_cleanups` over `iters` shared-file lifecycles
+/// against a 4-shard session holding `resident` staged files, best of
+/// `repeats`: workflow 1 stages eight files and completes them, workflow 2
+/// asks for the same files (suppressed, but now a user), workflow 1's
+/// cleanups are refused while workflow 2 still uses the files, workflow 2's —
+/// the last user's — execute and are reported done, which returns policy
+/// memory to the resident set.
+fn cleanup_advice_time(resident: usize, iters: usize, repeats: usize) -> Duration {
+    let mut best = Duration::MAX;
+    for _ in 0..repeats {
+        let service = ShardedPolicyService::new(
+            PolicyConfig::default()
+                .with_default_streams(8)
+                .with_threshold(1_000_000),
+            4,
+        );
+        let files: Vec<usize> = (0..resident).collect();
+        for chunk in files.chunks(16) {
+            stage(&service, chunk.iter().map(|&n| spread_spec(n, 7)).collect());
+        }
+        let mut spent = Duration::ZERO;
+        for i in 0..iters {
+            let churn: Vec<usize> = (0..8).map(|k| resident + i * 8 + k).collect();
+            stage(&service, churn.iter().map(|&n| spread_spec(n, 1)).collect());
+            let shared =
+                service.evaluate_transfers(churn.iter().map(|&n| spread_spec(n, 2)).collect());
+            assert!(shared.iter().all(|a| !a.should_execute()));
+            for (workflow, last_user) in [(1, false), (2, true)] {
+                let cleanups: Vec<CleanupSpec> = churn
+                    .iter()
+                    .map(|&n| CleanupSpec {
+                        file: spread_spec(n, workflow).dest,
+                        workflow: WorkflowId(workflow),
+                    })
+                    .collect();
+                let start = Instant::now();
+                let advice = service.evaluate_cleanups(cleanups);
+                spent += start.elapsed();
+                assert!(
+                    advice.iter().all(|a| a.should_execute() == last_user),
+                    "a shared file is deleted by its last user only"
+                );
+                service.report_cleanups(
+                    advice
+                        .iter()
+                        .filter(|a| a.should_execute())
+                        .map(|a| CleanupOutcome {
+                            id: a.id,
+                            success: true,
+                        })
+                        .collect(),
+                );
+            }
+        }
+        assert_eq!(service.snapshot().staged_files, resident);
+        best = best.min(spent);
+    }
+    best
+}
+
+#[test]
+fn sharded_cleanup_advice_does_not_scan_resident_files() {
+    let iters = 12;
+    let small = cleanup_advice_time(500, iters, 3);
+    let large = cleanup_advice_time(5_000, iters, 3);
+    // Routing by a scan of each shard's resources made a cleanup spec cost
+    // O(resident files) — more than 3× here, where the rules pass is the
+    // fixed part. Index probes leave it flat; 2× is the noise allowance.
+    let limit = small.saturating_mul(2);
+    assert!(
+        large < limit,
+        "cleanup advice with 10x resident files took {large:?}, more than 2x the baseline {small:?}"
     );
 }
