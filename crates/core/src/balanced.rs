@@ -13,7 +13,7 @@ use crate::ctx::PolicyCtx;
 use crate::ledger::balanced_grant;
 use crate::model::{ClusterAllocFact, ClusterId, GroupId, HostPairFact, TransferFact};
 use crate::rules_base::batch_transfers;
-use pwm_rules::{FactHandle, Rule, Session, WorkingMemory};
+use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
 
 /// Indexed probe: the stream ledger of one cluster on one host pair's group,
 /// if any ("create the per-cluster ledger" keeps them unique).
@@ -40,7 +40,9 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: create the per-cluster ledger")
             .salience(52)
-            .watches::<TransferFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
+            )
             .watches::<ClusterAllocFact>()
             .when(|wm, ctx: &PolicyCtx| {
                 if ctx.config.allocation != AllocationPolicy::Balanced {
@@ -88,9 +90,15 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: enforce the per-cluster threshold on a transfer")
             .salience(50)
-            .watches::<TransferFact>()
+            .requires::<ClusterAllocFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH
+                    | TransferFact::SUPPRESSED
+                    | TransferFact::GROUP
+                    | TransferFact::STREAMS,
+            )
             .watches::<ClusterAllocFact>()
-            .watches::<HostPairFact>()
+            .watches_fields::<HostPairFact>(Fields::NONE)
             .when(|wm, ctx: &PolicyCtx| {
                 if ctx.config.allocation != AllocationPolicy::Balanced {
                     return Vec::new();
@@ -130,11 +138,11 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                 wm.update::<ClusterAllocFact>(m[1], |c| c.allocated += grant);
                 // The host-pair ledger still tracks the pair-wide totals for
                 // monitoring and release accounting.
-                wm.update::<HostPairFact>(m[2], |p| {
+                wm.update_fields::<HostPairFact>(m[2], HostPairFact::ALLOCATED, |p| {
                     p.allocated += grant;
                     p.peak_allocated = p.peak_allocated.max(p.allocated);
                 });
-                wm.update::<TransferFact>(m[0], |t| {
+                wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
                     t.streams = Some(grant);
                     t.charged_streams = grant;
                 });
@@ -147,7 +155,13 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: release the cluster ledger on completion or failure")
             .salience(71) // must run before the Table I removal rules (70)
-            .watches::<TransferFact>()
+            .requires::<ClusterAllocFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::STATE
+                    | TransferFact::GROUP
+                    | TransferFact::STREAMS
+                    | TransferFact::RELEASE,
+            )
             .watches::<ClusterAllocFact>()
             .when(|wm, ctx: &PolicyCtx| {
                 if ctx.config.allocation != AllocationPolicy::Balanced {
@@ -181,7 +195,9 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                 // Prevent double release if rules re-evaluate before the
                 // Table I rule retracts the fact; the charge itself must stay
                 // visible for the host-pair release in the Table I rules.
-                wm.update::<TransferFact>(m[0], |t| t.cluster_released = true);
+                wm.update_fields::<TransferFact>(m[0], TransferFact::RELEASE, |t| {
+                    t.cluster_released = true
+                });
             }),
     );
 }
@@ -355,6 +371,47 @@ mod tests {
         assert_eq!(c.allocated, 0);
         let (_, p) = s.wm.find::<HostPairFact>(|_| true).unwrap();
         assert_eq!(p.allocated, 0);
+    }
+
+    #[test]
+    fn ledger_joins_wake_when_a_reconfigured_service_creates_the_first_ledger() {
+        use crate::service::PolicyService;
+        // Both joins name `ClusterAllocFact` as required: under greedy no
+        // ledger exists and they are never evaluated.
+        let greedy = balanced_cfg(40, 2, 8).with_allocation(AllocationPolicy::Greedy);
+        let mut svc = PolicyService::new(greedy);
+        let advice = svc.evaluate_transfers(vec![spec(100, 0)]);
+        svc.report_transfers(vec![crate::advice::TransferOutcome {
+            id: advice[0].id,
+            success: true,
+        }]);
+        let joins = |svc: &PolicyService| -> Vec<u64> {
+            svc.rule_stats()
+                .iter()
+                .filter(|r| r.name.starts_with("balanced:") && !r.name.contains("create"))
+                .map(|r| r.evaluations)
+                .collect()
+        };
+        assert_eq!(joins(&svc), vec![0, 0]);
+        // Switched to balanced, the very next batch creates a ledger, which
+        // lifts the guard in the same rules pass: the grants are Table III's.
+        svc.set_config(balanced_cfg(40, 2, 8));
+        let advice = svc.evaluate_transfers((0..4).map(|i| spec(i, 0)).collect());
+        let streams: Vec<u32> = advice.iter().map(|a| a.streams).collect();
+        assert_eq!(streams, vec![8, 8, 4, 1]);
+        assert!(joins(&svc).iter().all(|&evaluations| evaluations > 0));
+        // And the release join gives the share back.
+        svc.report_transfers(
+            advice
+                .iter()
+                .map(|a| crate::advice::TransferOutcome {
+                    id: a.id,
+                    success: true,
+                })
+                .collect(),
+        );
+        let advice = svc.evaluate_transfers(vec![spec(50, 0)]);
+        assert_eq!(advice[0].streams, 8);
     }
 
     #[test]

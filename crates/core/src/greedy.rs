@@ -11,7 +11,7 @@ use crate::ctx::PolicyCtx;
 use crate::ledger::greedy_grant;
 use crate::model::{HostPairFact, TransferFact};
 use crate::rules_base::{batch_transfers, host_pair_for};
-use pwm_rules::{Rule, Session};
+use pwm_rules::{Fields, Rule, Session};
 
 /// Install the greedy allocation rules (salience 50, i.e. after all Table I
 /// bookkeeping has settled for the batch).
@@ -23,8 +23,10 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("greedy: enforce the parallel-streams threshold on a transfer")
             .salience(50)
-            .watches::<TransferFact>()
-            .watches::<HostPairFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STREAMS,
+            )
+            .watches_fields::<HostPairFact>(Fields::NONE)
             .when(|wm, ctx: &PolicyCtx| {
                 if ctx.config.allocation != crate::config::AllocationPolicy::Greedy {
                     return Vec::new();
@@ -56,11 +58,11 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
                     .expect("matched host pair")
                     .allocated;
                 let grant = greedy_grant(allocated, requested, threshold);
-                wm.update::<HostPairFact>(m[1], |p| {
+                wm.update_fields::<HostPairFact>(m[1], HostPairFact::ALLOCATED, |p| {
                     p.allocated += grant;
                     p.peak_allocated = p.peak_allocated.max(p.allocated);
                 });
-                wm.update::<TransferFact>(m[0], |t| {
+                wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
                     t.streams = Some(grant);
                     t.charged_streams = grant;
                 });

@@ -6,6 +6,7 @@
 //! resources (staged files with workflow refcounts), cleanups, and host-pair
 //! groups.
 
+use pwm_rules::Fields;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -194,6 +195,24 @@ pub struct TransferFact {
     pub backend_released: bool,
 }
 
+/// Field groups of a [`TransferFact`], for rules that read and writers that
+/// write only part of it. `id` and `spec` never change after insertion and
+/// need no group.
+impl TransferFact {
+    /// `in_current_batch`.
+    pub const BATCH: Fields = Fields::bit(0);
+    /// `suppressed`.
+    pub const SUPPRESSED: Fields = Fields::bit(1);
+    /// `state`.
+    pub const STATE: Fields = Fields::bit(2);
+    /// `group`.
+    pub const GROUP: Fields = Fields::bit(3);
+    /// `streams` and `charged_streams`.
+    pub const STREAMS: Fields = Fields::bit(4);
+    /// `backend`, `backend_released` and `cluster_released`.
+    pub const RELEASE: Fields = Fields::bit(5);
+}
+
 /// Why a request was removed from the list returned to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SuppressReason {
@@ -239,6 +258,14 @@ pub struct ResourceFact {
     pub state: ResourceState,
     /// Transfer that is currently producing the file (while `Staging`).
     pub producer: Option<TransferId>,
+}
+
+/// Field groups of a [`ResourceFact`]; `dest` and `source` never change.
+impl ResourceFact {
+    /// `state` and `producer`.
+    pub const STATE: Fields = Fields::bit(0);
+    /// `users`.
+    pub const USERS: Fields = Fields::bit(1);
 }
 
 /// Lifecycle of a cleanup operation.
@@ -291,6 +318,13 @@ pub struct HostPairFact {
     pub allocated: u32,
     /// High-water mark of `allocated` (Table IV reproduces this).
     pub peak_allocated: u32,
+}
+
+/// Field groups of a [`HostPairFact`]; the host names and the group never
+/// change, so a rule that only looks a ledger up watches [`Fields::NONE`].
+impl HostPairFact {
+    /// `allocated` and `peak_allocated`.
+    pub const ALLOCATED: Fields = Fields::bit(0);
 }
 
 /// Per-(host pair, cluster) ledger used by the balanced policy.

@@ -50,7 +50,8 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("recovery: suppress transfers from a quarantined replica")
             .salience(93)
-            .watches::<TransferFact>()
+            .requires::<SuspectReplicaFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<SuspectReplicaFact>()
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
@@ -69,7 +70,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, _, m| {
-                wm.update::<TransferFact>(m[0], |t| {
+                wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                     t.suppressed = Some(SuppressReason::SourceQuarantined);
                 });
             }),
@@ -78,7 +79,8 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("recovery: suppress transfers sourced at a down host")
             .salience(92)
-            .watches::<TransferFact>()
+            .requires::<HostDownFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<HostDownFact>()
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
@@ -96,7 +98,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, _, m| {
-                wm.update::<TransferFact>(m[0], |t| {
+                wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                     t.suppressed = Some(SuppressReason::SourceHostDown);
                 });
             }),
@@ -186,6 +188,83 @@ mod tests {
         }]);
         let advice = svc.evaluate_transfers(vec![spec("apache-isi", "/bad.fits")]);
         assert_eq!(advice[0].action, TransferAction::Execute);
+    }
+
+    /// Evaluations so far of the two recovery rules.
+    fn recovery_evaluations(svc: &PolicyService) -> u64 {
+        let rules = svc.rule_stats();
+        let recovery: Vec<_> = rules
+            .iter()
+            .filter(|r| r.name.starts_with("recovery:"))
+            .collect();
+        assert_eq!(recovery.len(), 2);
+        recovery.iter().map(|r| r.evaluations).sum()
+    }
+
+    #[test]
+    fn recovery_rules_cost_nothing_until_a_health_fact_arms_them() {
+        use crate::advice::{CleanupOutcome, TransferOutcome};
+        use crate::model::CleanupSpec;
+        let mut svc = PolicyService::new(PolicyConfig::default());
+        // A whole lifecycle with no health fact in memory.
+        let advice = svc.evaluate_transfers(vec![
+            spec("apache-isi", "/a.fits"),
+            spec("apache-isi", "/b.fits"),
+        ]);
+        svc.report_transfers(
+            advice
+                .iter()
+                .map(|a| TransferOutcome {
+                    id: a.id,
+                    success: true,
+                })
+                .collect(),
+        );
+        let cleanups = svc.evaluate_cleanups(vec![CleanupSpec {
+            file: advice[0].dest.clone(),
+            workflow: WorkflowId(1),
+        }]);
+        svc.report_cleanups(vec![CleanupOutcome {
+            id: cleanups[0].id,
+            success: true,
+        }]);
+        assert_eq!(recovery_evaluations(&svc), 0);
+
+        // Each kind of health fact arms its rule for the very next batch...
+        svc.report_health(vec![HealthEvent::SuspectReplica {
+            host: "apache-isi".into(),
+            file: "/bad.fits".into(),
+            quarantine: true,
+        }]);
+        let advice = svc.evaluate_transfers(vec![spec("apache-isi", "/bad.fits")]);
+        assert_eq!(
+            advice[0].action,
+            TransferAction::Skip(SuppressReason::SourceQuarantined)
+        );
+        svc.report_health(vec![HealthEvent::HostDown {
+            host: "gridftp-vm".into(),
+        }]);
+        let advice = svc.evaluate_transfers(vec![spec("gridftp-vm", "/c.fits")]);
+        assert_eq!(
+            advice[0].action,
+            TransferAction::Skip(SuppressReason::SourceHostDown)
+        );
+
+        // ...and clearing the last one disarms it again.
+        svc.report_health(vec![
+            HealthEvent::ReplicaCleared {
+                host: "apache-isi".into(),
+                file: "/bad.fits".into(),
+            },
+            HealthEvent::HostUp {
+                host: "gridftp-vm".into(),
+            },
+        ]);
+        let armed = recovery_evaluations(&svc);
+        assert!(armed > 0);
+        let advice = svc.evaluate_transfers(vec![spec("gridftp-vm", "/c.fits")]);
+        assert_eq!(advice[0].action, TransferAction::Execute);
+        assert_eq!(recovery_evaluations(&svc), armed);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::model::{
     CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
     SuppressReason, TransferFact, TransferId, TransferState, Url,
 };
-use pwm_rules::{FactHandle, Rule, Session, WorkingMemory};
+use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
 
 /// Indexed probe: the resource tracking the staged file at `dest`, if any.
 /// Resources are unique per destination ("create a resource" guards on it).
@@ -74,6 +74,11 @@ pub(crate) fn host_pair_for<'a>(
 }
 
 /// Install the Table I rules into a session.
+///
+/// Every rule declares the field groups its matcher reads and every action
+/// the groups it writes (see [`pwm_rules::Fields`]): a batch of transfers is
+/// walked by a dozen rules that each care about one or two fields of it, and
+/// a write to `group` or `streams` should not re-run the dedup matchers.
 pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     // Alpha memories for the equality joins below: rules probe resources by
     // destination URL and ledgers by host pair instead of scanning the full
@@ -107,7 +112,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove duplicate transfers from the transfer list")
             .salience(100)
-            .watches::<TransferFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -130,7 +135,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             })
             .then(|wm, ctx, m| {
                 if ctx.config.dedup {
-                    wm.update::<TransferFact>(m[0], |t| {
+                    wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::DuplicateInBatch);
                     });
                 }
@@ -142,7 +147,9 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove transfers that are already in progress")
             .salience(95)
-            .watches::<TransferFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STATE,
+            )
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -165,7 +172,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             })
             .then(|wm, ctx, m| {
                 if ctx.config.dedup {
-                    wm.update::<TransferFact>(m[0], |t| {
+                    wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::AlreadyInProgress);
                     });
                 }
@@ -178,8 +185,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove transfers whose file is already staged")
             .salience(94)
-            .watches::<TransferFact>()
-            .watches::<ResourceFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
+            .watches_fields::<ResourceFact>(ResourceFact::STATE)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -196,7 +203,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             })
             .then(|wm, ctx, m| {
                 if ctx.config.dedup {
-                    wm.update::<TransferFact>(m[0], |t| {
+                    wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::AlreadyStaged);
                     });
                 }
@@ -208,8 +215,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("create a resource for a new transfer")
             .salience(90)
-            .watches::<TransferFact>()
-            .watches::<ResourceFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
+            .watches_fields::<ResourceFact>(Fields::NONE)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -251,8 +258,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("associate a transfer with a resource")
             .salience(89)
-            .watches::<TransferFact>()
-            .watches::<ResourceFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH)
+            .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -270,7 +277,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     .expect("matched transfer")
                     .spec
                     .workflow;
-                wm.update::<ResourceFact>(m[1], |r| {
+                wm.update_fields::<ResourceFact>(m[1], ResourceFact::USERS, |r| {
                     r.users.insert(workflow);
                 });
             }),
@@ -280,8 +287,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("generate a unique group ID for a host pair")
             .salience(85)
-            .watches::<TransferFact>()
-            .watches::<HostPairFact>()
+            .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
+            .watches_fields::<HostPairFact>(Fields::NONE)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 let mut seen: Vec<(&str, &str)> = Vec::new();
@@ -322,8 +329,10 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("assign the group ID to a transfer")
             .salience(84)
-            .watches::<TransferFact>()
-            .watches::<HostPairFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
+            )
+            .watches_fields::<HostPairFact>(Fields::NONE)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
@@ -339,7 +348,9 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             })
             .then(|wm, _, m| {
                 let group = wm.get::<HostPairFact>(m[1]).expect("matched pair").group;
-                wm.update::<TransferFact>(m[0], |t| t.group = Some(group));
+                wm.update_fields::<TransferFact>(m[0], TransferFact::GROUP, |t| {
+                    t.group = Some(group)
+                });
             }),
     );
 
@@ -347,10 +358,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("assign a default level of parallel streams")
             .salience(80)
-            .when_each::<TransferFact>(|t, _: &PolicyCtx| t.in_current_batch && t.streams.is_none())
+            .when_each_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::STREAMS,
+                |t, _: &PolicyCtx| t.in_current_batch && t.streams.is_none(),
+            )
             .then(|wm, ctx, m| {
                 let default = ctx.config.default_streams;
-                wm.update::<TransferFact>(m[0], |t| {
+                wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
                     t.streams = Some(t.spec.requested_streams.unwrap_or(default));
                 });
             }),
@@ -360,9 +374,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("ensure each transfer has at least one parallel stream")
             .salience(20)
-            .when_each::<TransferFact>(|t, _: &PolicyCtx| t.streams == Some(0))
+            .when_each_fields::<TransferFact>(TransferFact::STREAMS, |t, _: &PolicyCtx| {
+                t.streams == Some(0)
+            })
             .then(|wm, _, m| {
-                wm.update::<TransferFact>(m[0], |t| t.streams = Some(1));
+                wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
+                    t.streams = Some(1)
+                });
             }),
     );
 
@@ -374,7 +392,9 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove a transfer that has completed")
             .salience(70)
-            .when_each::<TransferFact>(|t, _: &PolicyCtx| t.state == TransferState::Completed)
+            .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
+                t.state == TransferState::Completed
+            })
             .then(|wm, _, m| {
                 let (id, charged, src_host, dst_host, dest) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
@@ -388,7 +408,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 };
                 release_streams(wm, &src_host, &dst_host, id, charged);
                 if let Some((rh, _)) = resource_for(wm, &dest) {
-                    wm.update::<ResourceFact>(rh, |r| {
+                    wm.update_fields::<ResourceFact>(rh, ResourceFact::STATE, |r| {
                         if r.producer == Some(id) {
                             r.state = ResourceState::Staged;
                             r.producer = None;
@@ -404,7 +424,9 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove a transfer that has failed")
             .salience(70)
-            .when_each::<TransferFact>(|t, _: &PolicyCtx| t.state == TransferState::Failed)
+            .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
+                t.state == TransferState::Failed
+            })
             .then(|wm, _, m| {
                 let (id, charged, src_host, dst_host, dest) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
@@ -440,7 +462,7 @@ fn release_streams(
         return;
     }
     if let Some((ph, _)) = host_pair_for(wm, src_host, dst_host) {
-        wm.update::<HostPairFact>(ph, |p| {
+        wm.update_fields::<HostPairFact>(ph, HostPairFact::ALLOCATED, |p| {
             p.allocated = p.allocated.saturating_sub(charged);
         });
     }
@@ -487,7 +509,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
         Rule::new("detach a transfer from the resource on cleanup request")
             .salience(58)
             .watches::<CleanupFact>()
-            .watches::<ResourceFact>()
+            .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, c) in wm.iter::<CleanupFact>() {
@@ -508,7 +530,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     .expect("matched cleanup")
                     .spec
                     .workflow;
-                wm.update::<ResourceFact>(m[1], |r| {
+                wm.update_fields::<ResourceFact>(m[1], ResourceFact::USERS, |r| {
                     r.users.remove(&workflow);
                 });
             }),
@@ -522,7 +544,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
         Rule::new("remove cleanups for resources still in use")
             .salience(55)
             .watches::<CleanupFact>()
-            .watches::<ResourceFact>()
+            .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, c) in wm.iter::<CleanupFact>() {

@@ -131,7 +131,10 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("storage: pick the staging backend for a transfer")
             .salience(40)
-            .watches::<TransferFact>()
+            .requires::<BackendProfileFact>()
+            .watches_fields::<TransferFact>(
+                TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::RELEASE,
+            )
             .watches::<BackendProfileFact>()
             .when(|wm, ctx: &PolicyCtx| {
                 if ctx.config.storage == StoragePolicy::Off {
@@ -193,7 +196,9 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         dollars_committed: est,
                     });
                 }
-                wm.update::<TransferFact>(m[0], |t| t.backend = Some(name));
+                wm.update_fields::<TransferFact>(m[0], TransferFact::RELEASE, |t| {
+                    t.backend = Some(name)
+                });
             }),
     );
 
@@ -204,11 +209,14 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("storage: release the backend charge of a finished transfer")
             .salience(72)
-            .when_each::<TransferFact>(|t, _: &PolicyCtx| {
-                t.backend.is_some()
-                    && !t.backend_released
-                    && matches!(t.state, TransferState::Completed | TransferState::Failed)
-            })
+            .when_each_fields::<TransferFact>(
+                TransferFact::STATE | TransferFact::RELEASE,
+                |t, _: &PolicyCtx| {
+                    t.backend.is_some()
+                        && !t.backend_released
+                        && matches!(t.state, TransferState::Completed | TransferState::Failed)
+                },
+            )
             .then(|wm, _, m| {
                 let (backend, bytes, file, workflow, completed) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
@@ -242,7 +250,9 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         });
                     }
                 }
-                wm.update::<TransferFact>(m[0], |t| t.backend_released = true);
+                wm.update_fields::<TransferFact>(m[0], TransferFact::RELEASE, |t| {
+                    t.backend_released = true
+                });
             }),
     );
 }

@@ -7,7 +7,9 @@
 //! in-process and over-the-wire policy callouts without code changes.
 //!
 //! The client keeps one HTTP/1.1 connection alive across calls and
-//! reconnects transparently when the server has closed it (one retry).
+//! reconnects transparently when the server has closed it (one retry, and
+//! only when the failure shows no live server took the request: these calls
+//! are not idempotent).
 //! [`PolicyRestClient::evaluate_transfers_pipelined`] writes a whole window
 //! of requests before reading any response — the server batches such a
 //! window into a single rules pass, which is the mechanism svcbench
@@ -31,6 +33,22 @@ use std::time::Duration;
 struct ClientConn {
     stream: TcpStream,
     leftover: Vec<u8>,
+    /// True from a `send` until the first response byte arrives.
+    awaiting_first_byte: bool,
+    /// Set by a failure that shows no live server answered what was sent:
+    /// the peer had closed or reset the connection before writing a byte
+    /// back. Only then may the request be sent again.
+    unanswered: bool,
+}
+
+/// The errors a peer that has closed the connection produces (as opposed to
+/// a timeout, behind which a live server may be working on the request).
+fn peer_gone(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::*;
+    matches!(
+        e.kind(),
+        BrokenPipe | ConnectionReset | ConnectionAborted | NotConnected | UnexpectedEof
+    )
 }
 
 impl ClientConn {
@@ -45,14 +63,20 @@ impl ClientConn {
         Ok(ClientConn {
             stream,
             leftover: Vec::new(),
+            awaiting_first_byte: false,
+            unanswered: false,
         })
     }
 
     fn send(&mut self, wire: &[u8]) -> Result<(), TransportError> {
+        self.awaiting_first_byte = true;
         self.stream
             .write_all(wire)
             .and_then(|_| self.stream.flush())
-            .map_err(|e| TransportError::Io(format!("send: {e}")))
+            .map_err(|e| {
+                self.unanswered = peer_gone(&e);
+                TransportError::Io(format!("send: {e}"))
+            })
     }
 
     /// Read one response, preserving any bytes of the next pipelined
@@ -68,13 +92,15 @@ impl ClientConn {
                 Err(e) => return Err(TransportError::Io(format!("recv: {e}"))),
             }
             let mut chunk = [0u8; 16 * 1024];
-            let n = self
-                .stream
-                .read(&mut chunk)
-                .map_err(|e| TransportError::Io(format!("recv: {}", HttpError::from(e))))?;
+            let n = self.stream.read(&mut chunk).map_err(|e| {
+                self.unanswered = self.awaiting_first_byte && peer_gone(&e);
+                TransportError::Io(format!("recv: {}", HttpError::from(e)))
+            })?;
             if n == 0 {
+                self.unanswered = self.awaiting_first_byte;
                 return Err(TransportError::Io("recv: connection closed".into()));
             }
+            self.awaiting_first_byte = false;
             self.leftover.extend_from_slice(&chunk[..n]);
         }
     }
@@ -142,8 +168,14 @@ impl PolicyRestClient {
     }
 
     /// Run `op` against the persistent connection. A reused connection may
-    /// be stale (the server timed it out between calls), so an I/O failure
-    /// on a reused connection is retried once on a fresh one.
+    /// be stale (the server timed it out between calls), so a failure on a
+    /// reused connection that shows the request went [unanswered] is retried
+    /// once on a fresh one. Any other failure — a read timeout above all —
+    /// is returned: the service may already have applied the request, and a
+    /// second `evaluate_transfers` would come back `AlreadyInProgress` for
+    /// transfers nobody is running.
+    ///
+    /// [unanswered]: ClientConn::unanswered
     fn with_conn<R>(
         &self,
         op: impl Fn(&mut ClientConn) -> Result<R, TransportError>,
@@ -153,11 +185,13 @@ impl PolicyRestClient {
         if slot.is_none() {
             *slot = Some(ClientConn::connect(self.addr, self.timeout)?);
         }
-        match op(slot.as_mut().expect("connection just ensured")) {
+        let conn = slot.as_mut().expect("connection just ensured");
+        match op(conn) {
             Ok(r) => Ok(r),
             Err(e) => {
+                let stale = reused && conn.unanswered;
                 *slot = None;
-                if !reused {
+                if !stale {
                     return Err(e);
                 }
                 // Stale keep-alive connection: reconnect and retry once.
@@ -609,6 +643,84 @@ mod tests {
         let advice = client.evaluate_transfers_pipelined(&groups).unwrap();
         let executed = advice.iter().filter(|g| g[0].should_execute()).count();
         assert_eq!(executed, 1, "same file three times in one window");
+    }
+
+    /// A hand-driven server: `script` gets the listener, and returns how
+    /// many complete requests it read.
+    fn stub_server(
+        script: impl FnOnce(std::net::TcpListener) -> usize + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (addr, std::thread::spawn(move || script(listener)))
+    }
+
+    /// Block until one complete request has arrived on `stream`.
+    fn read_request(stream: &mut TcpStream) {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while crate::http::try_parse_request(&buf, 1 << 20)
+            .unwrap()
+            .is_none()
+        {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "client hung up mid-request");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    fn answer_no_advice(stream: &mut TcpStream) {
+        let response = crate::http::Response::ok_json(r#"{"advice":[]}"#);
+        stream
+            .write_all(&crate::http::render_response(&response, true))
+            .unwrap();
+    }
+
+    #[test]
+    fn stale_keep_alive_connection_is_replaced_and_the_request_resent() {
+        let (addr, server) = stub_server(|listener| {
+            // Answer one request, then drop the connection the way an idle
+            // timeout does; the re-sent request arrives on a second one.
+            let (mut first, _) = listener.accept().unwrap();
+            read_request(&mut first);
+            answer_no_advice(&mut first);
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            read_request(&mut second);
+            answer_no_advice(&mut second);
+            2
+        });
+        let mut client = PolicyRestClient::new(addr, DEFAULT_SESSION);
+        assert!(client.evaluate_transfers(vec![spec(1)]).unwrap().is_empty());
+        assert!(client.evaluate_transfers(vec![spec(2)]).unwrap().is_empty());
+        assert_eq!(server.join().unwrap(), 2);
+    }
+
+    #[test]
+    fn a_request_the_server_took_but_never_answered_is_not_sent_twice() {
+        let (release, stalled) = std::sync::mpsc::channel::<()>();
+        let (addr, server) = stub_server(move |listener| {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_request(&mut conn);
+            answer_no_advice(&mut conn);
+            // The second request is read — for all the client can tell,
+            // applied — and never answered.
+            read_request(&mut conn);
+            let _ = stalled.recv();
+            // A re-sent copy would be waiting here, on this connection or on
+            // a new one.
+            listener.set_nonblocking(true).unwrap();
+            conn.set_nonblocking(true).unwrap();
+            let resent_here = matches!(conn.read(&mut [0u8; 1]), Ok(n) if n > 0);
+            2 + usize::from(resent_here) + usize::from(listener.accept().is_ok())
+        });
+        let mut client =
+            PolicyRestClient::new(addr, DEFAULT_SESSION).with_timeout(Duration::from_millis(200));
+        client.evaluate_transfers(vec![spec(1)]).unwrap();
+        let err = client.evaluate_transfers(vec![spec(2)]).unwrap_err();
+        assert!(matches!(err, TransportError::Io(_)), "{err:?}");
+        release.send(()).unwrap();
+        assert_eq!(server.join().unwrap(), 2, "the stalled request was re-sent");
     }
 
     #[test]

@@ -12,15 +12,30 @@
 //!
 //! Matching is incremental (a Rete-lite): each rule keeps its last matcher
 //! output as a cached *agenda segment*, stamped with the working-memory
-//! generation it was computed at. The matcher is only re-run when a fact
-//! type the rule [watches](crate::rule::Watch) has been mutated since that
-//! stamp — [`WorkingMemory`] maintains a per-type dirty generation fed by
-//! `insert`/`update`/`retract`. A rule whose cached segment has been fully
-//! refracted is marked *exhausted* and skipped in O(1) until it turns dirty
-//! again, so quiescence checks no longer pay O(rules × facts) per firing.
-//! Because live refraction entries are never removed while a cache is valid
-//! (GC only drops entries with retracted facts), a per-rule scan cursor
-//! additionally skips already-refracted tuples without re-hashing them.
+//! generation it was computed at. The matcher is only re-run when something
+//! the rule [watches](crate::rule::Watch) — a fact type, or named
+//! [`Fields`](crate::Fields) of one — has been mutated since that stamp;
+//! [`WorkingMemory`] maintains the per-type and per-field dirty generations,
+//! fed by `insert`/`update`/`update_fields`/`retract`, and a rule reads them
+//! through table positions resolved when it was installed. A rule whose
+//! cached segment has been fully refracted is marked *exhausted* and skipped
+//! in O(1) until it turns dirty again, so quiescence checks no longer pay
+//! O(rules × facts) per firing. Because live refraction entries are never
+//! removed (GC only drops entries with retracted facts) and fact versions
+//! only move when a watched type is mutated, a per-rule scan cursor
+//! additionally skips already-refracted tuples without re-hashing them; a
+//! mutation the matcher does not read keeps the segment but rewinds the
+//! cursor, since it bumped a version and may have re-armed a tuple. A rule
+//! that [requires](crate::RuleBuilder::requires) a fact type is passed over
+//! outright while no such fact is live.
+//!
+//! Debug builds check every one of these shortcuts: whenever the engine
+//! decides about a rule without running its matcher, it also runs the
+//! matcher from scratch and panics, naming the rule, unless the first live
+//! un-refracted tuple is the one the shortcut chose (none, for a skipped
+//! rule). That is exactly the condition under which the shortcut cannot
+//! change which rule fires next, so an under-declared watch fails the first
+//! test that exercises it.
 //!
 //! Matchers must be pure functions of (working memory, ctx). The engine
 //! deliberately does **not** watch `Ctx`: like Drools globals, a ctx change
@@ -35,7 +50,7 @@
 //! pairwise joins) are stored inline without heap allocation.
 
 use crate::memory::{FactHandle, MintedBuild, WorkingMemory};
-use crate::rule::{Match, Rule};
+use crate::rule::{Freshness, Match, Rule};
 use pwm_obs::{Counter, Registry};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -114,7 +129,8 @@ pub struct RuleStats {
     pub matches: u64,
     /// Times the rule's action fired.
     pub firings: u64,
-    /// Cumulative wall-clock time spent in the matcher, in nanoseconds.
+    /// Wall-clock time spent in the matcher, in nanoseconds — estimated
+    /// from one timed evaluation in 16, which stands for all 16.
     pub eval_nanos: u64,
 }
 
@@ -134,6 +150,11 @@ pub struct FiringReport {
 
 const LOG_CAP: usize = 10_000;
 
+/// One matcher evaluation in this many is timed (per rule, starting with the
+/// first) and charged that many times over: two clock reads cost about as
+/// much as a typical policy matcher.
+const EVAL_TIMING_SAMPLE: u64 = 16;
+
 /// Refraction GC threshold: `maybe_gc_refraction` does nothing until the
 /// fired set reaches this size (then doubles the watermark after each sweep).
 const GC_MIN_WATERMARK: usize = 256;
@@ -148,6 +169,9 @@ struct RuleState {
     spare: Vec<Match>,
     /// Working-memory generation `matches` was computed at.
     valid_at: u64,
+    /// Generation `matches` was last scanned at (≥ `valid_at`): `exhausted`
+    /// and `scan_from` hold while no watched type is mutated after it.
+    seen_at: u64,
     /// False until the matcher has run at least once (or after
     /// [`Session::invalidate_agenda`]).
     computed: bool,
@@ -229,7 +253,7 @@ impl SessionObs {
                     ("pwm_rules_firings_total", "Rule action firings per rule"),
                     (
                         "pwm_rules_eval_nanos_total",
-                        "Cumulative wall-clock nanoseconds spent in matchers per rule",
+                        "Wall-clock nanoseconds spent in matchers per rule, estimated from one timed evaluation in 16",
                     ),
                 ]
                 .map(|(name, help)| registry.counter(name, help, &labels))
@@ -322,7 +346,8 @@ impl<Ctx> Session<Ctx> {
     }
 
     /// Install a rule. Order of installation breaks salience ties.
-    pub fn add_rule(&mut self, rule: Rule<Ctx>) {
+    pub fn add_rule(&mut self, mut rule: Rule<Ctx>) {
+        rule.resolve(&mut self.wm);
         self.rules.push(rule);
         self.states.push(RuleState::default());
         self.order_valid = false;
@@ -451,7 +476,10 @@ impl<Ctx> Session<Ctx> {
         let Some(each) = rule.each() else {
             return false;
         };
-        let Some(changes) = wm.changed_since(each.type_id, state.valid_at) else {
+        let Some(changes) = wm
+            .table_at(each.table.position())
+            .changed_since(state.valid_at)
+        else {
             return false;
         };
         changed.clear();
@@ -513,42 +541,100 @@ impl<Ctx> Session<Ctx> {
             let idx = self.order[oi];
             let rule = &self.rules[idx];
             let state = &mut self.states[idx];
-            if !state.computed || rule.watch().is_dirty(&self.wm, state.valid_at) {
-                let started = Instant::now();
+            if rule.cannot_match(&self.wm) {
+                // Left as it is: the insert that lifts the guard dirties it.
+                #[cfg(debug_assertions)]
+                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "guarded");
+                continue;
+            }
+            let freshness = if state.computed {
+                rule.watch()
+                    .freshness(&self.wm, state.valid_at, state.seen_at)
+            } else {
+                Freshness::Dirty
+            };
+            if freshness == Freshness::Dirty {
+                let started = state
+                    .evaluations
+                    .is_multiple_of(EVAL_TIMING_SAMPLE)
+                    .then(Instant::now);
                 if !Self::delta_refresh(rule, state, &self.wm, ctx, &mut self.changed) {
                     state.matches = rule.matches(&self.wm, ctx);
                 }
-                state.eval_nanos += started.elapsed().as_nanos() as u64;
+                if let Some(started) = started {
+                    state.eval_nanos += EVAL_TIMING_SAMPLE * started.elapsed().as_nanos() as u64;
+                }
                 state.evaluations += 1;
                 state.matched += state.matches.len() as u64;
                 state.valid_at = self.wm.generation();
                 state.computed = true;
-                state.exhausted = false;
-                state.scan_from = 0;
-            } else if state.exhausted {
+            } else if freshness == Freshness::Clean && state.exhausted {
+                #[cfg(debug_assertions)]
+                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "clean");
                 continue;
             }
+            if freshness != Freshness::Clean {
+                state.seen_at = self.wm.generation();
+                state.exhausted = false;
+                state.scan_from = 0;
+            }
             let mut pos = state.scan_from;
+            let mut found = None;
             while pos < state.matches.len() {
                 let m = &state.matches[pos];
                 // Skip refracted tuples, and tuples holding a stale handle:
                 // a matcher may have returned one another firing retracted.
                 match RefractionKey::new(idx, m, &self.wm) {
                     Some(key) if !self.fired.contains(&key) => {
-                        // The caller refracts this tuple before firing, so
-                        // the next scan may resume here.
-                        state.scan_from = pos;
-                        return Some((idx, m.clone(), key));
+                        found = Some((idx, m.clone(), key));
+                        break;
                     }
-                    _ => {
-                        pos += 1;
-                        state.scan_from = pos;
-                    }
+                    _ => pos += 1,
                 }
             }
-            state.exhausted = true;
+            // The caller refracts a found tuple before firing, so the next
+            // scan may resume at it.
+            state.scan_from = pos;
+            state.exhausted = found.is_none();
+            #[cfg(debug_assertions)]
+            if freshness != Freshness::Dirty {
+                let chosen = found.as_ref().map(|(_, m, _)| m);
+                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, chosen, "cached");
+            }
+            if found.is_some() {
+                return found;
+            }
         }
         None
+    }
+
+    /// The debug oracle: `rule` was decided on without running its matcher —
+    /// passed over (`chosen` is `None`) or served from its cached matches.
+    /// Run the matcher from scratch; the first live un-refracted tuple must
+    /// be `chosen`, or the rule's `watches`/`requires`, or an
+    /// `update_fields` it depends on, declare less than is read or written
+    /// (or ctx changed under the matcher with no `invalidate_agenda`).
+    #[cfg(debug_assertions)]
+    fn check_shortcut(
+        rule: &Rule<Ctx>,
+        idx: usize,
+        wm: &WorkingMemory,
+        ctx: &Ctx,
+        fired: &HashSet<RefractionKey, MintedBuild>,
+        chosen: Option<&Match>,
+        why: &str,
+    ) {
+        let fresh = rule
+            .matches(wm, ctx)
+            .into_iter()
+            .find(|m| RefractionKey::new(idx, m, wm).is_some_and(|key| !fired.contains(&key)));
+        assert!(
+            fresh.as_deref() == chosen.map(|m| &**m),
+            "rule `{}` was {why} and not re-evaluated, which chose {chosen:?}, but its matcher \
+             now yields {fresh:?} first: a watch, a `requires` or an `update_fields` \
+             under-declares what it reads or writes, or ctx changed without `invalidate_agenda`",
+            rule.name(),
+        );
     }
 }
 
@@ -561,7 +647,8 @@ impl<Ctx> Default for Session<Ctx> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::any::TypeId;
+    use crate::memory::Fields;
+    use crate::rule::{Watch, WatchedType};
 
     #[derive(Debug)]
     struct Counter(u64);
@@ -867,6 +954,9 @@ mod tests {
         let mut threshold = 10;
         assert_eq!(s.fire_all(&mut threshold).firings, 0);
         threshold = 3;
+        // Release builds keep serving the stale agenda; a debug build's
+        // oracle would reject this pass as an un-announced change.
+        #[cfg(not(debug_assertions))]
         assert_eq!(
             s.fire_all(&mut threshold).firings,
             0,
@@ -950,6 +1040,157 @@ mod tests {
         assert!(text.contains("pwm_rules_matches_total{rule=\"observe\",session=\"default\"} 1"));
     }
 
+    #[derive(Debug)]
+    struct Job {
+        ready: bool,
+        note: u32,
+    }
+
+    impl Job {
+        const READY: Fields = Fields::bit(0);
+        const NOTE: Fields = Fields::bit(1);
+    }
+
+    #[test]
+    fn a_write_to_an_unread_field_does_not_reevaluate() {
+        let mut s: Session<()> = Session::new();
+        let h = s.wm.insert(Job {
+            ready: false,
+            note: 0,
+        });
+        s.add_rule(
+            Rule::new("start-ready-jobs")
+                .when_each_fields::<Job>(Job::READY, |j, _| j.ready)
+                .then(|_, _, _| {}),
+        );
+        s.add_rule(
+            Rule::new("watch-everything")
+                .when_each::<Job>(|j, _| j.ready)
+                .then(|_, _, _| {}),
+        );
+        s.fire_all(&mut ());
+        let before = s.rule_stats();
+        s.wm.update_fields::<Job>(h, Job::NOTE, |j| j.note += 1);
+        assert_eq!(s.fire_all(&mut ()).firings, 0);
+        let after = s.rule_stats();
+        assert_eq!(after[0].evaluations, before[0].evaluations);
+        assert_eq!(after[1].evaluations, before[1].evaluations + 1);
+        // The field it reads wakes it; so does a plain update.
+        s.wm.update_fields::<Job>(h, Job::READY, |j| j.ready = true);
+        assert_eq!(s.fire_all(&mut ()).firings, 2);
+        s.wm.update::<Job>(h, |j| j.note += 1);
+        assert_eq!(s.fire_all(&mut ()).firings, 2);
+        assert_eq!(s.rule_stats()[0].evaluations, before[0].evaluations + 2);
+    }
+
+    #[test]
+    fn a_write_to_an_unread_field_still_rearms_a_matching_rule() {
+        // Refraction is keyed on fact versions and every write bumps one:
+        // the rule keeps its cached match but must fire on it again.
+        let mut s: Session<u64> = Session::new();
+        let h = s.wm.insert(Job {
+            ready: true,
+            note: 0,
+        });
+        s.add_rule(
+            Rule::new("count-ready")
+                .when_each_fields::<Job>(Job::READY, |j, _| j.ready)
+                .then(|_, fired: &mut u64, _| *fired += 1),
+        );
+        let mut fired = 0;
+        s.fire_all(&mut fired);
+        s.wm.update_fields::<Job>(h, Job::NOTE, |j| j.note += 1);
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 2);
+        assert_eq!(s.rule_stats()[0].evaluations, 1, "served from the cache");
+    }
+
+    #[test]
+    fn a_rule_is_not_evaluated_while_a_required_type_is_empty() {
+        let mut s: Session<u64> = Session::new();
+        s.wm.insert(Counter(1));
+        s.add_rule(
+            Rule::new("pair-up")
+                .requires::<Item>()
+                .watches::<Counter>()
+                .watches::<Item>()
+                .when(|wm, _| {
+                    let mut out = Vec::new();
+                    for (c, _) in wm.iter::<Counter>() {
+                        for (i, _) in wm.iter::<Item>() {
+                            out.push([c, i].into());
+                        }
+                    }
+                    out
+                })
+                .then(|_, fired: &mut u64, _| *fired += 1),
+        );
+        let mut fired = 0;
+        s.fire_all(&mut fired);
+        s.wm.insert(Counter(2));
+        s.fire_all(&mut fired);
+        assert_eq!((fired, s.rule_stats()[0].evaluations), (0, 0));
+        // The first Item lifts the guard, on the very next pass.
+        let item = s.wm.insert(Item { priority: None });
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 2);
+        // And it comes back down with the last one.
+        s.wm.retract(item);
+        let evaluations = s.rule_stats()[0].evaluations;
+        s.wm.insert(Counter(3));
+        s.fire_all(&mut fired);
+        assert_eq!((fired, s.rule_stats()[0].evaluations), (2, evaluations));
+        s.wm.insert(Item { priority: None });
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rule `reads-more-than-it-says` was cached")]
+    fn the_debug_oracle_names_an_under_declared_rule() {
+        let mut s: Session<()> = Session::new();
+        let h = s.wm.insert(Job {
+            ready: false,
+            note: 0,
+        });
+        s.add_rule(
+            Rule::new("reads-more-than-it-says")
+                .when_each_fields::<Job>(Job::READY, |j, _| j.ready || j.note > 0)
+                .then(|_, _, _| {}),
+        );
+        s.fire_all(&mut ());
+        s.wm.update_fields::<Job>(h, Job::NOTE, |j| j.note = 1);
+        s.fire_all(&mut ());
+    }
+
+    #[test]
+    fn evaluation_time_is_estimated_from_a_sample() {
+        let mut s: Session<()> = Session::new();
+        let h = s.wm.insert(Counter(0));
+        s.add_rule(
+            Rule::new("spin")
+                .when_each::<Counter>(|_, _| {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    false
+                })
+                .then(|_, _, _| {}),
+        );
+        // The first evaluation is timed and stands for sixteen.
+        s.fire_all(&mut ());
+        let first = s.rule_stats()[0].eval_nanos;
+        assert!(first >= EVAL_TIMING_SAMPLE * 200_000, "{first}");
+        for _ in 1..EVAL_TIMING_SAMPLE {
+            s.wm.update::<Counter>(h, |c| c.0 += 1);
+            s.fire_all(&mut ());
+        }
+        let stats = &s.rule_stats()[0];
+        assert_eq!((stats.evaluations, stats.eval_nanos), (16, first));
+        s.wm.update::<Counter>(h, |c| c.0 += 1);
+        s.fire_all(&mut ());
+        assert!(s.rule_stats()[0].eval_nanos > first);
+    }
+
     #[test]
     fn declared_join_watch_reacts_to_both_types() {
         // A join rule with explicit watches must re-arm when either watched
@@ -976,7 +1217,10 @@ mod tests {
         );
         assert_eq!(
             s.rules[0].watch(),
-            &crate::rule::Watch::Types(vec![TypeId::of::<Counter>(), TypeId::of::<Item>()])
+            &Watch::Types(vec![
+                WatchedType::of::<Counter>(Fields::ALL),
+                WatchedType::of::<Item>(Fields::ALL)
+            ])
         );
         let mut fired = 0;
         s.fire_all(&mut fired);

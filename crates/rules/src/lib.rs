@@ -17,8 +17,13 @@
 //! matcher reads ([`rule::Watch`]; `when_each` infers it, join rules use
 //! [`RuleBuilder::watches`]), working memory tracks a per-type dirty
 //! generation, and the session caches each rule's matches between firings —
-//! re-evaluating a matcher only when a watched type actually changed. See
-//! the [`engine`] module docs for the agenda design and its invariants.
+//! re-evaluating a matcher only when a watched type actually changed. A
+//! watch can be narrowed to the [`Fields`] a matcher reads
+//! ([`RuleBuilder::watches_fields`], fed by
+//! [`WorkingMemory::update_fields`]), and a rule can name a fact type it
+//! cannot match without ([`RuleBuilder::requires`]). See the [`engine`]
+//! module docs for the agenda design, its invariants and the debug-build
+//! oracle that checks every evaluation the agenda skips.
 //!
 //! ```
 //! use pwm_rules::{Rule, Session};
@@ -51,5 +56,5 @@ mod naive;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
-pub use memory::{Fact, FactHandle, FactId, WorkingMemory};
-pub use rule::{Match, Rule, RuleBuilder, Watch};
+pub use memory::{Fact, FactHandle, FactId, Fields, WorkingMemory};
+pub use rule::{Match, Rule, RuleBuilder, Watch, WatchedType};

@@ -82,6 +82,57 @@ impl<T: Any + fmt::Debug + Send> Fact for T {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FactHandle(pub u64);
 
+/// A set of *field groups* of one fact type — the unit of property
+/// reactivity. A fact type names its groups as constants
+/// (`const STATE: Fields = Fields::bit(0)`), a writer says which groups a
+/// mutation touched ([`WorkingMemory::update_fields`]) and a rule says which
+/// groups its matcher reads ([`crate::RuleBuilder::watches_fields`]); the
+/// engine re-evaluates the rule only when the two sets meet.
+///
+/// Fields never written after insertion (a fact's identity) need no bit:
+/// `insert`, `retract` and plain [`WorkingMemory::update`] touch *every*
+/// field, declared or not, so [`Fields::NONE`] already means "the fact's
+/// existence and identity only".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fields(u32);
+
+impl Fields {
+    /// Field groups one fact type may declare.
+    pub const MAX: u32 = 32;
+    /// No declared group: existence and identity only.
+    pub const NONE: Fields = Fields(0);
+    /// Every field, declared or not.
+    pub const ALL: Fields = Fields(u32::MAX);
+
+    /// The `n`-th field group of a fact type (`n < Fields::MAX`).
+    pub const fn bit(n: u32) -> Fields {
+        assert!(
+            n < Fields::MAX,
+            "a fact type declares at most 32 field groups"
+        );
+        Fields(1 << n)
+    }
+
+    /// Positions of the groups in the set, ascending.
+    fn positions(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let position = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                position
+            })
+        })
+    }
+}
+
+impl std::ops::BitOr for Fields {
+    type Output = Fields;
+    fn bitor(self, other: Fields) -> Fields {
+        Fields(self.0 | other.0)
+    }
+}
+
 /// Sentinel slot index for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
@@ -159,7 +210,6 @@ struct TypedSlab<T> {
     free_head: u32,
     head: u32,
     tail: u32,
-    len: usize,
 }
 
 impl<T> TypedSlab<T> {
@@ -169,7 +219,6 @@ impl<T> TypedSlab<T> {
             free_head: NIL,
             head: NIL,
             tail: NIL,
-            len: 0,
         }
     }
 
@@ -214,7 +263,6 @@ impl<T> TypedSlab<T> {
             self.head = slot;
         }
         self.tail = slot;
-        self.len += 1;
         slot
     }
 
@@ -251,7 +299,6 @@ impl<T> TypedSlab<T> {
         }
         self.slots[slot as usize].gen = self.slots[slot as usize].gen.wrapping_add(1);
         self.free_head = slot;
-        self.len -= 1;
         value
     }
 
@@ -480,9 +527,9 @@ impl TypeLog {
 }
 
 /// Everything the store keeps about one fact type, so an operation that
-/// knows its type (or its handle) reaches the slab, the dirty mark, the
+/// knows its type (or its handle) reaches the slab, the dirty marks, the
 /// change log and the indexes through one lookup.
-struct TypeTable {
+pub(crate) struct TypeTable {
     type_id: TypeId,
     /// The generational arena holding the facts (a `TypedSlab<T>`).
     slab: Box<dyn ErasedSlab>,
@@ -491,6 +538,13 @@ struct TypeTable {
     /// compares it against the generation a rule's match cache was computed
     /// at, so a mutation to type `T` only invalidates rules watching `T`.
     generation: u64,
+    /// Generation of the last mutation that touched *every* field: an
+    /// insert, a retract or a plain `update`.
+    structural: u64,
+    /// Per field group, the generation of the last `update_fields` naming it.
+    field_generations: [u64; Fields::MAX as usize],
+    /// Live facts of this type.
+    live: usize,
     /// Recently mutated handles (see [`TypeLog`]).
     log: TypeLog,
     /// Secondary indexes over this type, by key type.
@@ -505,10 +559,44 @@ impl TypeTable {
             .expect("slab type")
     }
 
-    /// Stamp a mutation of `handle` at global generation `gen`.
-    fn touch(&mut self, gen: u64, handle: FactHandle) {
+    /// Stamp a mutation of `handle`'s `fields` at global generation `gen`.
+    fn touch(&mut self, gen: u64, handle: FactHandle, fields: Fields) {
         self.generation = gen;
+        if fields == Fields::ALL {
+            self.structural = gen;
+        } else {
+            for position in fields.positions() {
+                self.field_generations[position] = gen;
+            }
+        }
         self.log.push(gen, handle);
+    }
+
+    /// Generation of the last mutation of any fact of this type.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// True when a mutation after generation `gen` touched one of `fields`
+    /// (every insert, retract and plain update touches all of them).
+    pub(crate) fn touched_since(&self, fields: Fields, gen: u64) -> bool {
+        if fields == Fields::ALL {
+            return self.generation > gen;
+        }
+        self.structural > gen
+            || fields
+                .positions()
+                .any(|position| self.field_generations[position] > gen)
+    }
+
+    /// Live facts of this type.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// See [`WorkingMemory::changed_since`].
+    pub(crate) fn changed_since(&self, gen: u64) -> Option<&[(u64, FactHandle)]> {
+        self.log.since(gen)
     }
 }
 
@@ -551,19 +639,29 @@ impl WorkingMemory {
             .map(|&i| &self.tables[i as usize])
     }
 
-    /// Position of `T`'s table, created empty on first use.
-    fn table_index_or_new<T: Fact>(&mut self) -> u32 {
+    /// Position of `T`'s table, created empty on first use. Positions never
+    /// change, so the engine resolves a rule's watched types to them once
+    /// and reads [`WorkingMemory::table_at`] from then on.
+    pub(crate) fn table_index_or_new<T: Fact>(&mut self) -> u32 {
         let type_id = TypeId::of::<T>();
         *self.table_of.entry(type_id).or_insert_with(|| {
             self.tables.push(TypeTable {
                 type_id,
                 slab: Box::new(TypedSlab::<T>::new()),
                 generation: 0,
+                structural: 0,
+                field_generations: [0; Fields::MAX as usize],
+                live: 0,
                 log: TypeLog::default(),
                 indexes: Vec::new(),
             });
             (self.tables.len() - 1) as u32
         })
+    }
+
+    /// The table at a position [`WorkingMemory::table_index_or_new`] returned.
+    pub(crate) fn table_at(&self, position: u32) -> &TypeTable {
+        &self.tables[position as usize]
     }
 
     /// The table and slot a live handle of type `T` resolves to.
@@ -590,7 +688,8 @@ impl WorkingMemory {
         for (_, idx) in &mut table.indexes {
             idx.on_insert(handle, slot, value);
         }
-        table.touch(self.generation, handle);
+        table.touch(self.generation, handle, Fields::ALL);
+        table.live += 1;
         self.handle_index.insert(
             handle.0,
             HandleEntry {
@@ -613,7 +712,8 @@ impl WorkingMemory {
         for (_, idx) in &mut table.indexes {
             idx.on_remove(handle);
         }
-        table.touch(self.generation, handle);
+        table.touch(self.generation, handle, Fields::ALL);
+        table.live -= 1;
         self.live -= 1;
         true
     }
@@ -648,8 +748,24 @@ impl WorkingMemory {
 
     /// Mutate a fact in place; bumps its version (making rules eligible to
     /// re-fire on it). Returns `false` if the handle is stale or the type is
-    /// wrong.
+    /// wrong. Touches every field, so every rule watching `T` re-evaluates:
+    /// always safe, whatever `f` writes.
     pub fn update<T: Fact>(&mut self, handle: FactHandle, f: impl FnOnce(&mut T)) -> bool {
+        self.update_fields(handle, Fields::ALL, f)
+    }
+
+    /// [`WorkingMemory::update`] for a writer that knows what it writes:
+    /// `f` changes only fields in the groups `fields`, so only rules whose
+    /// matcher reads one of those groups re-evaluate. The version still
+    /// bumps — a rule that keeps matching the fact is re-armed on it either
+    /// way. Naming fewer groups than `f` writes is the unsafe direction (a
+    /// reader is not told); naming more is merely slower.
+    pub fn update_fields<T: Fact>(
+        &mut self,
+        handle: FactHandle,
+        fields: Fields,
+        f: impl FnOnce(&mut T),
+    ) -> bool {
         let Some(&HandleEntry { table, slot }) = self.handle_index.get(&handle.0) else {
             return false;
         };
@@ -672,7 +788,7 @@ impl WorkingMemory {
             idx.on_update(handle, slot, value);
         }
         self.generation += 1;
-        table.touch(self.generation, handle);
+        table.touch(self.generation, handle, fields);
         true
     }
 
@@ -817,7 +933,7 @@ impl WorkingMemory {
     /// result; callers filter with [`WorkingMemory::contains`].
     pub fn changed_since(&self, type_id: TypeId, gen: u64) -> Option<&[(u64, FactHandle)]> {
         match self.table(type_id) {
-            Some(table) => table.log.since(gen),
+            Some(table) => table.changed_since(gen),
             // Type never mutated: nothing changed since any generation.
             None => Some(&[]),
         }
@@ -837,8 +953,7 @@ impl WorkingMemory {
 
     /// Number of facts of type `T`.
     pub fn count<T: Fact>(&self) -> usize {
-        self.table(TypeId::of::<T>())
-            .map_or(0, |table| table.slab::<T>().len)
+        self.table(TypeId::of::<T>()).map_or(0, TypeTable::live)
     }
 
     /// Total facts of all types.

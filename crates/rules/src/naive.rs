@@ -106,16 +106,27 @@ impl<Ctx> NaiveSession<Ctx> {
 }
 
 /// Randomized equivalence: the incremental agenda must be observationally
-/// identical to the naive engine on arbitrary fact/firing scripts.
+/// identical to the naive engine on arbitrary fact/firing scripts. The naive
+/// engine ignores `watches_fields` and `requires` — it runs every matcher —
+/// so identical firing logs show the declarations only ever skip work.
 mod equivalence {
     use super::NaiveSession;
     use crate::engine::Session;
-    use crate::memory::FactHandle;
+    use crate::memory::{FactHandle, Fields};
     use crate::rule::Rule;
     use proptest::prelude::*;
 
+    /// `n` drives most rules; `tag` only the tag rule.
     #[derive(Debug)]
-    struct A(u32);
+    struct A {
+        n: u32,
+        tag: u32,
+    }
+
+    impl A {
+        const N: Fields = Fields::bit(0);
+        const TAG: Fields = Fields::bit(1);
+    }
 
     #[derive(Debug)]
     struct B(u32);
@@ -129,7 +140,12 @@ mod equivalence {
     enum Op {
         InsertA(u32),
         InsertB(u32),
+        /// Plain `update` of `A::n` (touches every field).
         UpdateA(usize),
+        /// `update_fields(A::N)`.
+        BumpA(usize),
+        /// `update_fields(A::TAG)`.
+        TagA(usize),
         UpdateB(usize),
         Retract(usize),
         Fire,
@@ -138,7 +154,7 @@ mod equivalence {
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..8, 0u32..12).prop_map(|(tag, n)| match tag {
+        (0u8..10, 0u32..12).prop_map(|(tag, n)| match tag {
             0 => Op::InsertA(n),
             1 => Op::InsertB(n),
             2 => Op::UpdateA(n as usize),
@@ -146,21 +162,33 @@ mod equivalence {
             4 => Op::Retract(n as usize),
             5 => Op::ResetRefraction,
             6 => Op::GcRefraction,
+            7 => Op::BumpA(n as usize),
+            8 => Op::TagA(n as usize),
             _ => Op::Fire,
         })
     }
 
-    /// The shared rule set, exercising every matcher form: chaining
-    /// `when_each`, a declared-watch two-type join, a high-salience
-    /// retraction rule, a `when_once`, and a negative-salience observer.
-    /// Installed identically into both engines.
+    /// The shared rule set, exercising every matcher form and declaration:
+    /// chaining `when_each` rules over one field group each, a two-type join
+    /// that requires one of its types and reads one field group of the
+    /// other, a high-salience retraction rule, a `when_once`, and a
+    /// negative-salience observer that reads no field at all — it stays
+    /// refracted until *any* write re-arms it, the case a field-clean rule
+    /// must rewind its cursor for. Installed identically into both engines.
     fn install_rules(add: &mut dyn FnMut(Rule<Ctx>)) {
         add(Rule::new("bump-small-a")
             .salience(5)
-            .when_each::<A>(|a, _| a.0 < 3)
+            .when_each_fields::<A>(A::N, |a, _| a.n < 3)
             .then(|wm, ctx: &mut Ctx, m| {
-                wm.update::<A>(m[0], |a| a.0 += 1);
+                wm.update_fields::<A>(m[0], A::N, |a| a.n += 1);
                 ctx.push("bump".into());
+            }));
+        add(Rule::new("even-out-odd-tags")
+            .salience(4)
+            .when_each_fields::<A>(A::TAG, |a, _| a.tag % 2 == 1)
+            .then(|wm, ctx: &mut Ctx, m| {
+                wm.update_fields::<A>(m[0], A::TAG, |a| a.tag += 1);
+                ctx.push("tag".into());
             }));
         add(Rule::new("retract-large-b")
             .salience(8)
@@ -170,13 +198,14 @@ mod equivalence {
                 ctx.push("retract".into());
             }));
         add(Rule::new("parity-join")
-            .watches::<A>()
+            .requires::<B>()
+            .watches_fields::<A>(A::N)
             .watches::<B>()
             .when(|wm, _| {
                 let mut out = Vec::new();
                 for (ah, a) in wm.iter::<A>() {
                     for (bh, b) in wm.iter::<B>() {
-                        if a.0 % 2 == b.0 % 2 {
+                        if a.n % 2 == b.0 % 2 {
                             out.push([ah, bh].into());
                         }
                     }
@@ -196,7 +225,7 @@ mod equivalence {
             .then(|_, ctx: &mut Ctx, _| ctx.push("once".into())));
         add(Rule::new("observe-a")
             .salience(-1)
-            .when_each::<A>(|_, _| true)
+            .when_each_fields::<A>(Fields::NONE, |_, _| true)
             .then(|_, ctx: &mut Ctx, _| ctx.push("observe".into())));
     }
 
@@ -211,6 +240,7 @@ mod equivalence {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn incremental_matches_naive_on_random_scripts(
             ops in proptest::collection::vec(op_strategy(), 0..40)
@@ -224,36 +254,53 @@ mod equivalence {
             // Both sessions start empty and see the same inserts, so handle
             // values line up; indexed ops address the i-th insertion.
             let mut handles: Vec<FactHandle> = Vec::new();
+            let pick = |handles: &Vec<FactHandle>, i: usize| {
+                handles.get(i % handles.len().max(1)).copied()
+            };
             for op in &ops {
-                match op {
+                match *op {
                     Op::InsertA(n) => {
-                        let h = inc.wm.insert(A(*n));
-                        let h2 = nai.wm.insert(A(*n));
+                        let h = inc.wm.insert(A { n, tag: n / 2 });
+                        let h2 = nai.wm.insert(A { n, tag: n / 2 });
                         prop_assert_eq!(h, h2);
                         handles.push(h);
                     }
                     Op::InsertB(n) => {
-                        let h = inc.wm.insert(B(*n));
-                        let h2 = nai.wm.insert(B(*n));
+                        let h = inc.wm.insert(B(n));
+                        let h2 = nai.wm.insert(B(n));
                         prop_assert_eq!(h, h2);
                         handles.push(h);
                     }
                     Op::UpdateA(i) => {
-                        if let Some(&h) = handles.get(i % handles.len().max(1)) {
-                            let a = inc.wm.update::<A>(h, |a| a.0 += 1);
-                            let b = nai.wm.update::<A>(h, |a| a.0 += 1);
+                        if let Some(h) = pick(&handles, i) {
+                            let a = inc.wm.update::<A>(h, |a| a.n += 1);
+                            let b = nai.wm.update::<A>(h, |a| a.n += 1);
+                            prop_assert_eq!(a, b);
+                        }
+                    }
+                    Op::BumpA(i) => {
+                        if let Some(h) = pick(&handles, i) {
+                            let a = inc.wm.update_fields::<A>(h, A::N, |a| a.n += 1);
+                            let b = nai.wm.update_fields::<A>(h, A::N, |a| a.n += 1);
+                            prop_assert_eq!(a, b);
+                        }
+                    }
+                    Op::TagA(i) => {
+                        if let Some(h) = pick(&handles, i) {
+                            let a = inc.wm.update_fields::<A>(h, A::TAG, |a| a.tag += 1);
+                            let b = nai.wm.update_fields::<A>(h, A::TAG, |a| a.tag += 1);
                             prop_assert_eq!(a, b);
                         }
                     }
                     Op::UpdateB(i) => {
-                        if let Some(&h) = handles.get(i % handles.len().max(1)) {
+                        if let Some(h) = pick(&handles, i) {
                             let a = inc.wm.update::<B>(h, |b| b.0 += 1);
                             let b = nai.wm.update::<B>(h, |b| b.0 += 1);
                             prop_assert_eq!(a, b);
                         }
                     }
                     Op::Retract(i) => {
-                        if let Some(&h) = handles.get(i % handles.len().max(1)) {
+                        if let Some(h) = pick(&handles, i) {
                             let a = inc.wm.retract(h);
                             let b = nai.wm.retract(h);
                             prop_assert_eq!(a, b);

@@ -12,9 +12,13 @@
 //! one of its watched types has been mutated since the last evaluation;
 //! `when_each::<T>` subscribes to `T` automatically, join rules built with
 //! [`RuleBuilder::when`] declare reads via [`RuleBuilder::watches`], and
-//! undeclared rules conservatively watch everything.
+//! undeclared rules conservatively watch everything. A declaration can be
+//! narrowed to the [`Fields`] of `T` the matcher reads
+//! ([`RuleBuilder::watches_fields`], [`RuleBuilder::when_each_fields`]) and
+//! a rule can name a type without which it cannot match
+//! ([`RuleBuilder::requires`]).
 
-use crate::memory::{FactHandle, WorkingMemory};
+use crate::memory::{Fact, FactHandle, Fields, WorkingMemory};
 use std::any::TypeId;
 use std::sync::Arc;
 
@@ -83,30 +87,128 @@ type EachProbe<Ctx> = Box<dyn Fn(&WorkingMemory, &Ctx, FactHandle) -> bool + Sen
 /// uses this to refresh a stale match cache by re-probing only the handles
 /// that actually changed instead of re-scanning every fact of the type.
 pub(crate) struct EachMatch<Ctx> {
-    pub(crate) type_id: TypeId,
+    pub(crate) table: TableRef,
     pub(crate) probe: EachProbe<Ctx>,
 }
 
-/// Which fact types a rule's matcher reads.
+/// A fact type a rule names, resolved to the position of the type's table
+/// when the rule is installed — the engine's per-firing checks then read the
+/// table directly instead of probing a `TypeId` map.
+#[derive(Clone, Copy)]
+pub(crate) struct TableRef {
+    type_id: TypeId,
+    /// `WorkingMemory::table_index_or_new::<T>`, kept because the type
+    /// itself is erased here.
+    locate: fn(&mut WorkingMemory) -> u32,
+    /// Table position; meaningful once [`Watch::resolve`] ran.
+    position: u32,
+}
+
+impl TableRef {
+    fn of<T: Fact>() -> Self {
+        TableRef {
+            type_id: TypeId::of::<T>(),
+            locate: WorkingMemory::table_index_or_new::<T>,
+            position: u32::MAX,
+        }
+    }
+
+    fn resolve(&mut self, wm: &mut WorkingMemory) {
+        self.position = (self.locate)(wm);
+    }
+
+    pub(crate) fn position(&self) -> u32 {
+        self.position
+    }
+}
+
+/// One watched fact type and the fields of it the matcher reads.
+#[derive(Clone, Copy)]
+pub struct WatchedType {
+    table: TableRef,
+    fields: Fields,
+}
+
+impl WatchedType {
+    /// A watch on `fields` of `T` ([`Fields::ALL`]: the whole fact).
+    pub fn of<T: Fact>(fields: Fields) -> Self {
+        WatchedType {
+            table: TableRef::of::<T>(),
+            fields,
+        }
+    }
+}
+
+impl PartialEq for WatchedType {
+    fn eq(&self, other: &Self) -> bool {
+        self.table.type_id == other.table.type_id && self.fields == other.fields
+    }
+}
+
+impl std::fmt::Debug for WatchedType {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}/{:?}", self.table.type_id, self.fields)
+    }
+}
+
+/// Which facts a rule's matcher reads.
 ///
 /// This is the rule's subscription in the engine's dirty-set propagation: a
-/// matcher is only re-evaluated when a watched type changed. `All` is the
-/// conservative default for rules that never declared their reads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// matcher is only re-evaluated when a watched field of a watched type
+/// changed. `All` is the conservative default for rules that never declared
+/// their reads.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Watch {
     /// Re-evaluate whenever *any* fact changes (no declaration).
     All,
-    /// Re-evaluate only when one of these fact types changes.
-    Types(Vec<TypeId>),
+    /// Re-evaluate only when one of these changes.
+    Types(Vec<WatchedType>),
+}
+
+/// What a rule's watched facts did since the rule last looked at them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Freshness {
+    /// Nothing watched was mutated: cached matches and the position reached
+    /// in them both stand.
+    Clean,
+    /// A watched type was mutated, but only in fields the matcher does not
+    /// read: the cached matches stand, yet a fact in them may carry a new
+    /// version, so they must be scanned again from the start.
+    Touched,
+    /// Something the matcher reads changed: re-evaluate.
+    Dirty,
 }
 
 impl Watch {
-    /// True when a memory at generation `now` may produce different matches
-    /// than one seen at `valid_at`, as far as this watch set can tell.
-    pub fn is_dirty(&self, wm: &WorkingMemory, valid_at: u64) -> bool {
+    /// Point every watched type at its table in `wm` (created if new).
+    pub(crate) fn resolve(&mut self, wm: &mut WorkingMemory) {
+        if let Watch::Types(types) = self {
+            for watched in types {
+                watched.table.resolve(wm);
+            }
+        }
+    }
+
+    /// Compare `wm` with what a rule saw: `valid_at` is the generation its
+    /// cached matches were computed at, `seen_at` (≥ `valid_at`) the one it
+    /// last scanned them at. Array reads only — no map probe.
+    pub(crate) fn freshness(&self, wm: &WorkingMemory, valid_at: u64, seen_at: u64) -> Freshness {
         match self {
-            Watch::All => wm.generation() > valid_at,
-            Watch::Types(types) => types.iter().any(|t| wm.type_generation(*t) > valid_at),
+            Watch::All if wm.generation() > valid_at => Freshness::Dirty,
+            Watch::All => Freshness::Clean,
+            Watch::Types(types) => {
+                let mut freshness = Freshness::Clean;
+                for watched in types {
+                    let table = wm.table_at(watched.table.position);
+                    if table.generation() > seen_at {
+                        if table.touched_since(watched.fields, valid_at) {
+                            return Freshness::Dirty;
+                        }
+                        freshness = Freshness::Touched;
+                    }
+                }
+                freshness
+            }
         }
     }
 }
@@ -118,6 +220,7 @@ pub struct Rule<Ctx> {
     matcher: Matcher<Ctx>,
     action: Action<Ctx>,
     watch: Watch,
+    requires: Vec<TableRef>,
     each: Option<EachMatch<Ctx>>,
 }
 
@@ -131,6 +234,7 @@ impl<Ctx> Rule<Ctx> {
             matcher: None,
             action: None,
             watched_types: None,
+            requires: Vec::new(),
             each: None,
         }
     }
@@ -151,9 +255,29 @@ impl<Ctx> Rule<Ctx> {
         self.salience
     }
 
-    /// The fact types this rule's matcher reads.
+    /// The facts this rule's matcher reads.
     pub fn watch(&self) -> &Watch {
         &self.watch
+    }
+
+    /// Resolve the types the rule names to their tables in `wm`; the engine
+    /// calls this once, when the rule is installed.
+    pub(crate) fn resolve(&mut self, wm: &mut WorkingMemory) {
+        self.watch.resolve(wm);
+        for required in &mut self.requires {
+            required.resolve(wm);
+        }
+        if let Some(each) = &mut self.each {
+            each.table.resolve(wm);
+        }
+    }
+
+    /// True while a [required](RuleBuilder::requires) type has no live fact:
+    /// the matcher cannot return anything.
+    pub(crate) fn cannot_match(&self, wm: &WorkingMemory) -> bool {
+        self.requires
+            .iter()
+            .any(|required| wm.table_at(required.position).live() == 0)
     }
 
     pub(crate) fn matches(&self, wm: &WorkingMemory, ctx: &Ctx) -> Vec<Match> {
@@ -188,7 +312,8 @@ pub struct RuleBuilder<Ctx> {
     action: Option<Action<Ctx>>,
     /// `None` = never declared (→ [`Watch::All`] unless `when_each` infers);
     /// `Some(types)` = explicit subscription list.
-    watched_types: Option<Vec<TypeId>>,
+    watched_types: Option<Vec<WatchedType>>,
+    requires: Vec<TableRef>,
     each: Option<EachMatch<Ctx>>,
 }
 
@@ -206,12 +331,38 @@ impl<Ctx> RuleBuilder<Ctx> {
     /// tuple. The engine then skips re-evaluating the matcher while all
     /// declared types are unchanged. Omitting the declaration is always
     /// safe (the rule watches everything); under-declaring is not.
-    pub fn watches<T: crate::memory::Fact>(mut self) -> Self {
-        let id = TypeId::of::<T>();
+    pub fn watches<T: Fact>(self) -> Self {
+        self.watches_fields::<T>(Fields::ALL)
+    }
+
+    /// [`RuleBuilder::watches`] narrowed to the field groups of `T` the
+    /// matcher reads (Drools' property reactivity): a
+    /// [`WorkingMemory::update_fields`] that names none of them no longer
+    /// re-evaluates the matcher. Inserts, retracts and plain updates of `T`
+    /// always do, so [`Fields::NONE`] declares a matcher that reads only
+    /// whether a `T` exists and what never changes about it. Repeated
+    /// declarations for one type add up. Declare every group the matcher
+    /// reads on any fact of the type, including facts it only filters out.
+    pub fn watches_fields<T: Fact>(mut self, fields: Fields) -> Self {
+        let watched = WatchedType::of::<T>(fields);
         let types = self.watched_types.get_or_insert_with(Vec::new);
-        if !types.contains(&id) {
-            types.push(id);
+        match types
+            .iter_mut()
+            .find(|w| w.table.type_id == watched.table.type_id)
+        {
+            Some(existing) => existing.fields = existing.fields | fields,
+            None => types.push(watched),
         }
+        self
+    }
+
+    /// Declare that the matcher returns nothing while no fact of type `T` is
+    /// live. The engine then passes over the rule without running the
+    /// matcher until a `T` is inserted. The rule must also watch `T` (it
+    /// reads it), which is what wakes it on that insert; [`RuleBuilder::then`]
+    /// panics otherwise.
+    pub fn requires<T: Fact>(mut self) -> Self {
+        self.requires.push(TableRef::of::<T>());
         self
     }
 
@@ -227,8 +378,18 @@ impl<Ctx> RuleBuilder<Ctx> {
     /// Convenience matcher over all facts of one type passing a predicate:
     /// each matching fact becomes a single-handle tuple. Automatically
     /// subscribes the rule to type `T` (dirty-set propagation).
-    pub fn when_each<T: crate::memory::Fact>(
+    pub fn when_each<T: Fact>(
+        self,
+        pred: impl Fn(&T, &Ctx) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        self.when_each_fields(Fields::ALL, pred)
+    }
+
+    /// [`RuleBuilder::when_each`] for a predicate that reads only `fields`
+    /// of `T` (see [`RuleBuilder::watches_fields`]).
+    pub fn when_each_fields<T: Fact>(
         mut self,
+        fields: Fields,
         pred: impl Fn(&T, &Ctx) -> bool + Send + Sync + 'static,
     ) -> Self {
         let pred = Arc::new(pred);
@@ -242,10 +403,10 @@ impl<Ctx> RuleBuilder<Ctx> {
         // The same predicate, re-runnable for one handle: the engine's
         // delta path refreshes a stale cache by probing only changed facts.
         self.each = Some(EachMatch {
-            type_id: TypeId::of::<T>(),
+            table: TableRef::of::<T>(),
             probe: Box::new(move |wm, ctx, h| wm.get::<T>(h).is_some_and(|t| pred(t, ctx))),
         });
-        self.watches::<T>()
+        self.watches_fields::<T>(fields)
     }
 
     /// Matcher that fires once (empty tuple) when a condition over the whole
@@ -272,6 +433,15 @@ impl<Ctx> RuleBuilder<Ctx> {
         action: impl FnMut(&mut WorkingMemory, &mut Ctx, &Match) + Send + 'static,
     ) -> Rule<Ctx> {
         self.action = Some(Box::new(action));
+        if let Some(types) = &self.watched_types {
+            assert!(
+                self.requires
+                    .iter()
+                    .all(|r| types.iter().any(|w| w.table.type_id == r.type_id)),
+                "rule `{}` requires a fact type it does not watch: nothing would wake it",
+                self.name
+            );
+        }
         Rule {
             name: Arc::from(self.name.as_str()),
             salience: self.salience,
@@ -281,6 +451,7 @@ impl<Ctx> RuleBuilder<Ctx> {
                 Some(types) => Watch::Types(types),
                 None => Watch::All,
             },
+            requires: self.requires,
             each: self.each,
         }
     }
@@ -356,6 +527,7 @@ mod tests {
             matcher: None,
             action: None,
             watched_types: None,
+            requires: Vec::new(),
             each: None,
         }
         .then(|_, _, _| {});
@@ -379,7 +551,10 @@ mod tests {
         let r: Rule<()> = Rule::new("evens")
             .when_each::<Num>(|n, _| n.0 % 2 == 0)
             .then(|_, _, _| {});
-        assert_eq!(r.watch(), &Watch::Types(vec![TypeId::of::<Num>()]));
+        assert_eq!(
+            r.watch(),
+            &Watch::Types(vec![WatchedType::of::<Num>(Fields::ALL)])
+        );
     }
 
     #[test]
@@ -398,25 +573,86 @@ mod tests {
             .then(|_, _, _| {});
         assert_eq!(
             r.watch(),
-            &Watch::Types(vec![TypeId::of::<Num>(), TypeId::of::<Other>()])
+            &Watch::Types(vec![
+                WatchedType::of::<Num>(Fields::ALL),
+                WatchedType::of::<Other>(Fields::ALL)
+            ])
         );
+    }
+
+    #[test]
+    fn field_declarations_for_one_type_add_up() {
+        let r: Rule<()> = Rule::new("join")
+            .watches_fields::<Num>(Fields::bit(0))
+            .watches_fields::<Num>(Fields::bit(2))
+            .watches_fields::<Other>(Fields::NONE)
+            .when(|_, _| vec![])
+            .then(|_, _, _| {});
+        assert_eq!(
+            r.watch(),
+            &Watch::Types(vec![
+                WatchedType::of::<Num>(Fields::bit(0) | Fields::bit(2)),
+                WatchedType::of::<Other>(Fields::NONE)
+            ])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a fact type it does not watch")]
+    fn requiring_an_unwatched_type_panics() {
+        let _: Rule<()> = Rule::new("never-woken")
+            .requires::<Other>()
+            .watches::<Num>()
+            .when(|_, _| vec![])
+            .then(|_, _, _| {});
     }
 
     #[test]
     fn watch_dirtiness_is_per_type() {
         let mut wm = WorkingMemory::new();
         wm.insert(Num(1));
-        let at = wm.generation();
-        let watch_num = Watch::Types(vec![TypeId::of::<Num>()]);
+        let mut watch_num = Watch::Types(vec![WatchedType::of::<Num>(Fields::ALL)]);
+        watch_num.resolve(&mut wm);
         let watch_all = Watch::All;
-        assert!(!watch_num.is_dirty(&wm, at));
+        let at = wm.generation();
+        assert_eq!(watch_num.freshness(&wm, at, at), Freshness::Clean);
         wm.insert(Other(1));
-        assert!(
-            !watch_num.is_dirty(&wm, at),
+        assert_eq!(
+            watch_num.freshness(&wm, at, at),
+            Freshness::Clean,
             "Other must not dirty Num watch"
         );
-        assert!(watch_all.is_dirty(&wm, at));
+        assert_eq!(watch_all.freshness(&wm, at, at), Freshness::Dirty);
         wm.insert(Num(2));
-        assert!(watch_num.is_dirty(&wm, at));
+        assert_eq!(watch_num.freshness(&wm, at, at), Freshness::Dirty);
+    }
+
+    #[test]
+    fn watch_dirtiness_is_per_field() {
+        const LOW: Fields = Fields::bit(0);
+        const HIGH: Fields = Fields::bit(1);
+        let mut wm = WorkingMemory::new();
+        let h = wm.insert(Num(1));
+        let mut reads_low = Watch::Types(vec![WatchedType::of::<Num>(LOW)]);
+        let mut reads_identity = Watch::Types(vec![WatchedType::of::<Num>(Fields::NONE)]);
+        reads_low.resolve(&mut wm);
+        reads_identity.resolve(&mut wm);
+        let at = wm.generation();
+        // A write to a field neither reads keeps both matchers' output but
+        // bumped a version: cached tuples must be scanned again.
+        wm.update_fields::<Num>(h, HIGH, |n| n.0 += 2);
+        assert_eq!(reads_low.freshness(&wm, at, at), Freshness::Touched);
+        assert_eq!(reads_identity.freshness(&wm, at, at), Freshness::Touched);
+        let seen = wm.generation();
+        assert_eq!(reads_low.freshness(&wm, at, seen), Freshness::Clean);
+        wm.update_fields::<Num>(h, LOW | HIGH, |n| n.0 += 1);
+        assert_eq!(reads_low.freshness(&wm, at, seen), Freshness::Dirty);
+        assert_eq!(reads_identity.freshness(&wm, at, seen), Freshness::Touched);
+        // Plain updates, inserts and retracts touch every field.
+        wm.update::<Num>(h, |n| n.0 += 1);
+        assert_eq!(reads_identity.freshness(&wm, at, seen), Freshness::Dirty);
+        let at = wm.generation();
+        wm.retract(h);
+        assert_eq!(reads_identity.freshness(&wm, at, at), Freshness::Dirty);
     }
 }

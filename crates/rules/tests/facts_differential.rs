@@ -26,7 +26,7 @@ mod legacy;
 
 use legacy::LegacyWorkingMemory;
 use proptest::prelude::*;
-use pwm_rules::{FactHandle, FactId, WorkingMemory};
+use pwm_rules::{FactHandle, FactId, Fields, WorkingMemory};
 use std::any::TypeId;
 
 #[derive(Debug, PartialEq, Clone)]
@@ -224,7 +224,14 @@ proptest! {
                 }
                 Cmd::UpdateA(ix, key) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
-                    let ra = arena.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
+                    // To every observable compared here a field-scoped
+                    // update is an update: the store differs only in which
+                    // watchers it tells.
+                    let ra = if key % 2 == 0 {
+                        arena.update::<Alpha>(h, |a| { a.n += 1; a.key = key; })
+                    } else {
+                        arena.update_fields::<Alpha>(h, Fields::bit(0), |a| { a.n += 1; a.key = key; })
+                    };
                     let rl = legacy.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
                     prop_assert_eq!(ra, rl, "update result diverged");
                 }

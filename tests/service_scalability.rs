@@ -1,7 +1,7 @@
 //! Scalability of the incremental rule-matching engine (ISSUE: the Policy
 //! Service hot path).
 //!
-//! Two properties of the agenda + dirty-set design are asserted here:
+//! Four properties of the agenda + dirty-set design are asserted here:
 //!
 //! 1. **Sub-quadratic advice latency.** A transfer lifecycle against a
 //!    session holding 10× more resident staged files must cost well under
@@ -10,7 +10,10 @@
 //! 2. **Clean types are not re-evaluated.** Transfer-only traffic never
 //!    touches `CleanupFact`, so rules that only watch cleanup-side types
 //!    must show zero additional evaluations in the per-rule counters.
-//! 3. **Cleanup routing does not scan policy memory.** A sharded session
+//! 3. **A firing re-evaluates the rules that read what it wrote.** One
+//!    transfer group's matcher evaluations stay under a pinned count that
+//!    type-level watches exceed.
+//! 4. **Cleanup routing does not scan policy memory.** A sharded session
 //!    finds the shard owning a cleanup's file by probing each shard's
 //!    resource index; 10× the resident staged files must leave the cost of
 //!    a cleanup request about where it was.
@@ -154,6 +157,29 @@ fn transfer_traffic_does_not_reevaluate_cleanup_only_rules() {
 
 /// A file staged between one of eight host pairs, so a 4-shard session
 /// spreads the set over its shards.
+#[test]
+fn a_transfer_group_evaluates_only_the_rules_its_firings_concern() {
+    // Two new transfers and one duplicate of a staged file: 11 firings, each
+    // writing one or two fields of one fact. Re-evaluating every rule that
+    // watches the written fact's type after each firing takes 111 matcher
+    // evaluations; field-level watches and `requires` guards take 33.
+    let mut service = service_with_resident_files(20);
+    let evaluations = |service: &PolicyService| -> u64 {
+        service.rule_stats().iter().map(|r| r.evaluations).sum()
+    };
+    let firings_before = service.stats().rule_firings;
+    let before = evaluations(&service);
+    let advice = service.evaluate_transfers(vec![
+        spec("fresh_a", 7),
+        spec("fresh_b", 7),
+        spec("resident_0_0", 7),
+    ]);
+    assert_eq!(advice.iter().filter(|a| a.should_execute()).count(), 2);
+    assert_eq!(service.stats().rule_firings - firings_before, 11);
+    let spent = evaluations(&service) - before;
+    assert!(spent <= 40, "{spent} matcher evaluations for one group");
+}
+
 fn spread_spec(n: usize, workflow: u64) -> TransferSpec {
     let mut s = spec(&format!("spread_{n}"), workflow);
     s.source.host = format!("gridftp-{}", n % 8);
