@@ -234,7 +234,7 @@ impl PolicyConfig {
 }
 
 mod pair_thresholds_serde {
-    use serde::{Deserialize, Serialize, Value};
+    use serde::{Deserialize, Reader, Serialize, Writer};
     use std::collections::BTreeMap;
 
     /// Wire form: a list of `{src_host, dst_host, threshold}` entries (tuple
@@ -246,7 +246,7 @@ mod pair_thresholds_serde {
         threshold: u32,
     }
 
-    pub fn serialize(map: &BTreeMap<(String, String), u32>) -> Value {
+    pub fn serialize(map: &BTreeMap<(String, String), u32>, w: &mut Writer) {
         let entries: Vec<Entry> = map
             .iter()
             .map(|((s, d), t)| Entry {
@@ -255,11 +255,13 @@ mod pair_thresholds_serde {
                 threshold: *t,
             })
             .collect();
-        entries.to_value()
+        entries.serialize(w);
     }
 
-    pub fn deserialize(v: &Value) -> Result<BTreeMap<(String, String), u32>, serde::Error> {
-        let entries = Vec::<Entry>::from_value(v)?;
+    pub fn deserialize(
+        r: &mut Reader<'_>,
+    ) -> Result<BTreeMap<(String, String), u32>, serde::Error> {
+        let entries = Vec::<Entry>::deserialize(r)?;
         Ok(entries
             .into_iter()
             .map(|e| ((e.src_host, e.dst_host), e.threshold))

@@ -463,17 +463,22 @@ pub enum HealthEvent {
 /// has no set impls, so the set crosses the wire as a sorted id array.
 mod workflow_set_serde {
     use super::WorkflowId;
-    use serde::{Deserialize, Serialize, Value};
+    use serde::{Deserialize, Reader, Serialize, Writer};
     use std::collections::BTreeSet;
 
     /// Set → sorted array of raw workflow ids.
-    pub fn serialize(set: &BTreeSet<WorkflowId>) -> Value {
-        set.iter().map(|w| w.0).collect::<Vec<u64>>().to_value()
+    pub fn serialize(set: &BTreeSet<WorkflowId>, w: &mut Writer) {
+        w.begin_array();
+        for id in set {
+            w.element();
+            id.0.serialize(w);
+        }
+        w.end_array();
     }
 
     /// Array of raw ids → set (duplicates collapse).
-    pub fn deserialize(value: &Value) -> Result<BTreeSet<WorkflowId>, serde::Error> {
-        Ok(Vec::<u64>::from_value(value)?
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<BTreeSet<WorkflowId>, serde::Error> {
+        Ok(Vec::<u64>::deserialize(r)?
             .into_iter()
             .map(WorkflowId)
             .collect())

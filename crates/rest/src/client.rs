@@ -15,7 +15,9 @@
 //! window into a single rules pass, which is the mechanism svcbench
 //! measures.
 
-use crate::http::{render_request, try_parse_response, HttpError, Method, WireFormat};
+use crate::http::{
+    render_request, try_parse_response, write_request, HttpError, Method, WireFormat,
+};
 use crate::wire::*;
 use pwm_core::transport::{PolicyTransport, TransportError};
 use pwm_core::{
@@ -33,6 +35,9 @@ use std::time::Duration;
 struct ClientConn {
     stream: TcpStream,
     leftover: Vec<u8>,
+    /// What `read` fills: zeroed once per connection, so a read costs a copy
+    /// of the bytes that arrived.
+    scratch: Box<[u8]>,
     /// True from a `send` until the first response byte arrives.
     awaiting_first_byte: bool,
     /// Set by a failure that shows no live server answered what was sent:
@@ -63,6 +68,7 @@ impl ClientConn {
         Ok(ClientConn {
             stream,
             leftover: Vec::new(),
+            scratch: vec![0u8; 16 * 1024].into_boxed_slice(),
             awaiting_first_byte: false,
             unanswered: false,
         })
@@ -91,8 +97,7 @@ impl ClientConn {
                 Ok(None) => {}
                 Err(e) => return Err(TransportError::Io(format!("recv: {e}"))),
             }
-            let mut chunk = [0u8; 16 * 1024];
-            let n = self.stream.read(&mut chunk).map_err(|e| {
+            let n = self.stream.read(&mut self.scratch).map_err(|e| {
                 self.unanswered = self.awaiting_first_byte && peer_gone(&e);
                 TransportError::Io(format!("recv: {}", HttpError::from(e)))
             })?;
@@ -101,7 +106,7 @@ impl ClientConn {
                 return Err(TransportError::Io("recv: connection closed".into()));
             }
             self.awaiting_first_byte = false;
-            self.leftover.extend_from_slice(&chunk[..n]);
+            self.leftover.extend_from_slice(&self.scratch[..n]);
         }
     }
 }
@@ -242,17 +247,15 @@ impl PolicyRestClient {
         let path = format!("/sessions/{}/transfers", self.session);
         let mut wire = Vec::new();
         for group in groups {
-            let body = serde_json::to_vec(&TransferRequestEnvelope {
-                transfers: group.clone(),
-            })
-            .map_err(|e| TransportError::Io(format!("encode: {e}")))?;
-            wire.extend_from_slice(&render_request(
+            let body = TransferRequestEnvelope::encode_borrowed(group);
+            write_request(
+                &mut wire,
                 WireFormat::Json,
                 Method::Post,
                 &path,
                 &body,
                 true,
-            ));
+            );
         }
         let responses = self.with_conn(|conn| {
             conn.send(&wire)?;
@@ -721,6 +724,42 @@ mod tests {
         assert!(matches!(err, TransportError::Io(_)), "{err:?}");
         release.send(()).unwrap();
         assert_eq!(server.join().unwrap(), 2, "the stalled request was re-sent");
+    }
+
+    #[test]
+    fn read_one_keeps_the_bytes_of_the_next_response_in_the_same_segment() {
+        let body = |n: usize| format!(r#"{{"advice":[],"pad":"{}"}}"#, "x".repeat(n));
+        let (addr, server) = stub_server(move |listener| {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_request(&mut conn);
+            // Two whole responses and the head of a third in one segment
+            // (the third longer than one read), the rest in a second.
+            let mut wire = Vec::new();
+            for n in [1, 2, 40_000] {
+                let response = crate::http::Response::ok_json(body(n));
+                wire.extend_from_slice(&crate::http::render_response(&response, true));
+            }
+            let cut = wire.len() - 39_000;
+            conn.write_all(&wire[..cut]).unwrap();
+            conn.write_all(&wire[cut..]).unwrap();
+            1
+        });
+        let mut conn = ClientConn::connect(addr, Duration::from_secs(5)).unwrap();
+        conn.send(&render_request(
+            WireFormat::Json,
+            Method::Get,
+            "/health",
+            b"",
+            true,
+        ))
+        .unwrap();
+        for n in [1, 2, 40_000] {
+            let (status, got) = conn.read_one().unwrap();
+            assert_eq!(status, 200);
+            assert_eq!(got, body(n).into_bytes());
+        }
+        assert!(conn.leftover.is_empty());
+        assert_eq!(server.join().unwrap(), 1);
     }
 
     #[test]

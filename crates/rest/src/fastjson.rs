@@ -1,10 +1,12 @@
 //! Hand-rolled JSON codec for the hot transfer-advice wire envelopes.
 //!
-//! The vendored `serde_json` round-trips every document through a `Value`
-//! tree (parse → tree → `from_value`, and `to_value` → tree → render), which
-//! costs roughly half the Policy Service's per-request CPU on the advice
-//! path. This module short-circuits the two envelopes the event loop
-//! serves at rate:
+//! This module was written when the vendored `serde_json` built a value tree
+//! between every document and its struct and cost about half a request. The
+//! derived codec streams now, which leaves little of that gap: for the
+//! three-spec envelopes the benchmark sends, the derived decode takes 1.75 µs
+//! against 1.72 µs here, the derived encode 0.89 µs against 0.43 µs here
+//! (0.7 kB bodies, release build). What remains special about the two
+//! envelopes the event loop serves at rate:
 //!
 //! * [`parse_transfer_request`] decodes the canonical
 //!   `{"transfers":[...]}` request body directly from bytes. It accepts a
@@ -475,6 +477,28 @@ mod tests {
                 "must fall back on: {body}"
             );
         }
+    }
+
+    /// How Python's `json.dumps` writes a character outside the BMP. Any
+    /// escape sends the body to the serde path, so the two decoders cannot
+    /// disagree on it: the pair is one scalar, half a pair is refused.
+    #[test]
+    fn escaped_non_bmp_characters_take_the_serde_path() {
+        let canonical = serde_bytes(vec![spec(1)]);
+        let canonical = std::str::from_utf8(&canonical).unwrap();
+        let pair = canonical.replace("/d/f1.dat", r"/d/\ud83d\ude00.dat");
+        assert_eq!(parse_transfer_request(pair.as_bytes()), None);
+        let decoded: TransferRequestEnvelope = serde_json::from_str(&pair).unwrap();
+        assert_eq!(decoded.transfers[0].source.path, "/d/\u{1f600}.dat");
+        // Written raw, the same character takes the fast path to the same spec.
+        let raw = canonical.replace("/d/f1.dat", "/d/\u{1f600}.dat");
+        assert_eq!(
+            parse_transfer_request(raw.as_bytes()),
+            Some(decoded.transfers)
+        );
+        let lone = canonical.replace("/d/f1.dat", r"/d/\ud83d.dat");
+        assert_eq!(parse_transfer_request(lone.as_bytes()), None);
+        assert!(serde_json::from_str::<TransferRequestEnvelope>(&lone).is_err());
     }
 
     #[test]

@@ -357,6 +357,19 @@ pub fn render_request(
     keep_alive: bool,
 ) -> Vec<u8> {
     let mut wire = Vec::with_capacity(160 + body.len());
+    write_request(&mut wire, format, method, path, body, keep_alive);
+    wire
+}
+
+/// [`render_request`] appended to `wire` (a pipelined window is one buffer).
+pub(crate) fn write_request(
+    wire: &mut Vec<u8>,
+    format: WireFormat,
+    method: Method,
+    path: &str,
+    body: &[u8],
+    keep_alive: bool,
+) {
     let _ = write!(
         wire,
         "{} {} HTTP/1.1\r\nHost: localhost\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
@@ -367,14 +380,19 @@ pub fn render_request(
         if keep_alive { "keep-alive" } else { "close" },
     );
     wire.extend_from_slice(body);
+}
+
+/// Serialize one response to bytes.
+pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(128 + response.body.len());
+    write_response(&mut wire, response, keep_alive);
     wire
 }
 
-/// Serialize one response to bytes. The event-driven server appends these
-/// to a connection's write buffer, so pipelined responses flush in one
-/// write.
-pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
-    let mut wire = Vec::with_capacity(128 + response.body.len());
+/// [`render_response`] appended to `wire`: the event-driven server writes
+/// straight into a connection's write buffer, so pipelined responses flush
+/// in one write and a body is copied once.
+pub(crate) fn write_response(wire: &mut Vec<u8>, response: &Response, keep_alive: bool) {
     let _ = write!(
         wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
@@ -385,7 +403,6 @@ pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
         if keep_alive { "keep-alive" } else { "close" },
     );
     wire.extend_from_slice(&response.body);
-    wire
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! | PUT    | `/sessions/{s}/config` | PolicyConfig → Ack (creates the session if absent) |
 
 use crate::http::{
-    render_response, try_parse_request, HttpError, Method, Request, Response, WireFormat,
+    try_parse_request, write_response, HttpError, Method, Request, Response, WireFormat,
 };
 use crate::poller::{poll_fds, PollFd, WakePipe, Waker, POLL_IN, POLL_OUT};
 use crate::wire::*;
@@ -171,6 +171,9 @@ impl LoopMetrics {
     }
 }
 
+/// Bytes one `read` may deliver (the event loop's scratch buffer).
+const READ_CHUNK: usize = 16 * 1024;
+
 enum ConnState {
     /// Reading and serving requests.
     Open,
@@ -206,20 +209,29 @@ impl Conn {
     }
 
     fn push_response(&mut self, response: &Response, keep_alive: bool) {
-        self.wbuf
-            .extend_from_slice(&render_response(response, keep_alive));
+        write_response(&mut self.wbuf, response, keep_alive);
         if !keep_alive {
             self.state = ConnState::Closing;
         }
     }
 
-    /// Read until `WouldBlock`; true when the peer closed its write side.
-    fn drain_read(&mut self) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
+    /// Append what the socket holds to `rbuf`, reading through `scratch`
+    /// (the event loop's one read buffer: zeroed once, so a read costs a
+    /// copy of the bytes that arrived and nothing per byte that did not).
+    /// A read that does not fill `scratch` emptied the socket, so no second
+    /// `read` is issued just to see `WouldBlock`: `poll` is level-triggered
+    /// and reports anything that arrives later, end of stream included, on
+    /// the next turn. True when the peer closed its write side.
+    fn drain_read(&mut self, scratch: &mut [u8]) -> bool {
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(scratch) {
                 Ok(0) => return true,
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&scratch[..n]);
+                    if n < scratch.len() {
+                        return false;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return true,
@@ -264,13 +276,15 @@ fn event_loop(
         return;
     }
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut draining = false;
     let mut drain_deadline = Instant::now();
 
     loop {
         // Poll set: [wake, listener?, conns...]. Indices into `fds` for
         // the connection entries start at `conn_base`.
-        let mut fds = Vec::with_capacity(conns.len() + 2);
+        fds.clear();
         fds.push(PollFd::new(wake.fd(), POLL_IN));
         let listener_slot = (!draining).then(|| {
             fds.push(PollFd::new(listener.as_raw_fd(), POLL_IN));
@@ -314,7 +328,7 @@ fn event_loop(
         if !draining {
             for (i, c) in conns.iter_mut().enumerate() {
                 if matches!(c.state, ConnState::Open) && fds[conn_base + i].readable() {
-                    let eof = c.drain_read();
+                    let eof = c.drain_read(&mut scratch);
                     c.deadline = now + limits.read_timeout;
                     serve_buffered(c, &controller, &limits, &metrics);
                     if eof {
@@ -342,7 +356,7 @@ fn event_loop(
             drain_deadline = now + limits.read_timeout;
             for c in conns.iter_mut() {
                 if matches!(c.state, ConnState::Open) {
-                    c.drain_read();
+                    c.drain_read(&mut scratch);
                     serve_buffered(c, &controller, &limits, &metrics);
                     if !c.rbuf.is_empty() {
                         c.push_response(&Response::error(503, "server shutting down"), false);
@@ -400,10 +414,11 @@ fn serve_buffered(
 ) {
     let mut parsed: Vec<Request> = Vec::new();
     let mut fatal: Option<Response> = None;
+    let mut consumed = 0;
     loop {
-        match try_parse_request(&c.rbuf, limits.max_body) {
-            Ok(Some((request, consumed))) => {
-                c.rbuf.drain(..consumed);
+        match try_parse_request(&c.rbuf[consumed..], limits.max_body) {
+            Ok(Some((request, len))) => {
+                consumed += len;
                 parsed.push(request);
             }
             Ok(None) => break,
@@ -417,6 +432,7 @@ fn serve_buffered(
             }
         }
     }
+    c.rbuf.drain(..consumed);
 
     metrics.requests.add(parsed.len() as u64);
     let mut i = 0;
@@ -425,11 +441,11 @@ fn serve_buffered(
         // requests addressed to one session.
         if let Some(session) = batchable_session(&parsed[i]) {
             let mut j = i + 1;
-            while j < parsed.len() && batchable_session(&parsed[j]).as_deref() == Some(&session) {
+            while j < parsed.len() && batchable_session(&parsed[j]) == Some(session) {
                 j += 1;
             }
             if j - i >= 2 {
-                serve_batched(c, &parsed[i..j], &session, controller, metrics);
+                serve_batched(c, &parsed[i..j], session, controller, metrics);
                 c.served += (j - i) as u64;
                 i = j;
                 continue;
@@ -457,18 +473,31 @@ fn serve_buffered(
 /// Is this request eligible for the batched advice path? JSON POSTs to
 /// `/sessions/{s}/transfers` on a keep-alive connection; returns the
 /// session name.
-fn batchable_session(request: &Request) -> Option<String> {
+fn batchable_session(request: &Request) -> Option<&str> {
     if request.method != Method::Post || !request.keep_alive {
         return None;
     }
     if !matches!(request.format, WireFormat::Json | WireFormat::Text) {
         return None;
     }
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["sessions", session, "transfers"] => Some(session.to_string()),
+    let (segments, len) = path_segments(&request.path);
+    match segments[..len] {
+        ["sessions", session, "transfers"] => Some(session),
         _ => None,
     }
+}
+
+/// The non-empty `/`-separated segments of a request path (the first `.1`
+/// entries of `.0`), without allocating: no route has more than four, so a
+/// fifth only has to make the path match none of them.
+fn path_segments(path: &str) -> ([&str; 5], usize) {
+    let mut segments = [""; 5];
+    let mut len = 0;
+    for segment in path.split('/').filter(|s| !s.is_empty()).take(5) {
+        segments[len] = segment;
+        len += 1;
+    }
+    (segments, len)
 }
 
 /// Answer a run of pipelined transfer-evaluate requests with one batched
@@ -482,23 +511,28 @@ fn serve_batched(
     controller: &PolicyController,
     metrics: &LoopMetrics,
 ) {
-    let decoded: Vec<Result<Vec<TransferSpec>, String>> = run
+    // Each decoded group moves into the one batched call; what stays behind
+    // per request is only why it was refused, if it was.
+    let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(run.len());
+    let refused: Vec<Option<String>> = run
         .iter()
         .map(|r| {
             // The fast codec only accepts the canonical envelope shape; any
             // unusual body falls back to the reference decoder (and its
             // error messages).
-            if let Some(transfers) = crate::fastjson::parse_transfer_request(&r.body) {
-                return Ok(transfers);
+            let decoded = match crate::fastjson::parse_transfer_request(&r.body) {
+                Some(transfers) => Ok(transfers),
+                None => serde_json::from_slice::<TransferRequestEnvelope>(&r.body)
+                    .map(|env| env.transfers),
+            };
+            match decoded {
+                Ok(transfers) => {
+                    groups.push(transfers);
+                    None
+                }
+                Err(e) => Some(format!("bad json: {e}")),
             }
-            serde_json::from_slice::<TransferRequestEnvelope>(&r.body)
-                .map(|env| env.transfers)
-                .map_err(|e| format!("bad json: {e}"))
         })
-        .collect();
-    let groups: Vec<Vec<TransferSpec>> = decoded
-        .iter()
-        .filter_map(|d| d.as_ref().ok().cloned())
         .collect();
     let mut advice_groups = match controller.evaluate_transfer_groups(session, groups) {
         Ok(groups) => groups.into_iter(),
@@ -511,21 +545,21 @@ fn serve_batched(
         }
     };
     metrics.batched.add(run.len() as u64);
-    for d in decoded {
-        let response = match d {
-            Ok(_) => {
+    for r in refused {
+        let response = match r {
+            None => {
                 let advice = advice_groups.next().unwrap_or_default();
                 Response::ok_json(crate::fastjson::render_transfer_response(&advice))
             }
-            Err(message) => Response::error(400, &message),
+            Some(message) => Response::error(400, &message),
         };
         c.push_response(&response, true);
     }
 }
 
 fn route(request: &Request, controller: &PolicyController) -> Response {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method, segments.as_slice()) {
+    let (segments, len) = path_segments(&request.path);
+    match (request.method, &segments[..len]) {
         (Method::Get, ["health"]) => Response::ok_json(br#"{"status":"ok"}"#.to_vec()),
         (Method::Get, ["metrics"]) => Response::ok_text(controller.render_metrics().into_bytes()),
         (Method::Get, ["sessions", session, "trace"]) => {
@@ -1126,6 +1160,127 @@ mod tests {
         assert_eq!(statuses, [200, 400, 200]);
         let third: TransferResponseEnvelope = serde_json::from_slice(&responses[2].1).unwrap();
         assert!(!third.advice[0].should_execute(), "dedup across the batch");
+    }
+
+    fn spec_for(path: &str) -> pwm_core::TransferSpec {
+        pwm_core::TransferSpec {
+            source: pwm_core::Url::new("gsiftp", "s", path),
+            dest: pwm_core::Url::new("file", "d", path),
+            bytes: 1,
+            requested_streams: None,
+            workflow: pwm_core::WorkflowId(1),
+            cluster: None,
+            priority: None,
+        }
+    }
+
+    fn transfers_request(path: &str) -> Vec<u8> {
+        let env = TransferRequestEnvelope {
+            transfers: vec![spec_for(path)],
+        };
+        render_request(
+            WireFormat::Json,
+            Method::Post,
+            "/sessions/default/transfers",
+            &serde_json::to_vec(&env).unwrap(),
+            true,
+        )
+    }
+
+    /// Returns once the event loop has taken a turn that began after this
+    /// call: a fresh connection's request is answered in the same pass that
+    /// reads every earlier connection's pending bytes, so whatever another
+    /// stream wrote before has been consumed by then.
+    fn wait_for_a_loop_turn(addr: SocketAddr) {
+        assert_eq!(call(addr, Method::Get, "/health", b"").0, 200);
+    }
+
+    #[test]
+    fn deeply_nested_body_is_refused_and_the_server_survives() {
+        let (_server, addr) = start();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // 20 kB of `[`: one stack frame per level would overflow the loop
+        // thread's stack and abort the process.
+        let mut hostile = br#"{"cleanups":"#.to_vec();
+        hostile.resize(hostile.len() + 20_000, b'[');
+        for path in ["/sessions/default/cleanups", "/sessions/default/transfers"] {
+            stream
+                .write_all(&render_request(
+                    WireFormat::Json,
+                    Method::Post,
+                    path,
+                    &hostile,
+                    true,
+                ))
+                .unwrap();
+            let (status, body) = read_pipelined(&mut stream, 1).remove(0);
+            assert_eq!(status, 400);
+            let refused: ErrorEnvelope = serde_json::from_slice(&body).unwrap();
+            assert!(refused.error.contains("nesting"), "{}", refused.error);
+        }
+        // The same connection goes on being served, and so does a new one.
+        stream.write_all(&transfers_request("/after")).unwrap();
+        assert_eq!(read_pipelined(&mut stream, 1)[0].0, 200);
+        assert_eq!(call(addr, Method::Get, "/health", b"").0, 200);
+    }
+
+    #[test]
+    fn request_split_mid_header_and_mid_body_is_answered() {
+        let (_server, addr) = start();
+        let wire = transfers_request("/split");
+        let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        // Three segments, each read (short) by its own loop turn: the cut
+        // points fall inside the header block and inside the body.
+        let cuts = [head_end / 2, head_end + 4 + (wire.len() - head_end - 4) / 2];
+        stream.write_all(&wire[..cuts[0]]).unwrap();
+        wait_for_a_loop_turn(addr);
+        stream.write_all(&wire[cuts[0]..cuts[1]]).unwrap();
+        wait_for_a_loop_turn(addr);
+        stream.write_all(&wire[cuts[1]..]).unwrap();
+        let (status, body) = read_pipelined(&mut stream, 1).remove(0);
+        assert_eq!(status, 200);
+        let env: TransferResponseEnvelope = serde_json::from_slice(&body).unwrap();
+        assert_eq!(env.advice[0].source.path, "/split");
+    }
+
+    #[test]
+    fn pipelined_window_larger_than_one_read_is_answered_in_full() {
+        let (_server, addr) = start();
+        let mut wire = Vec::new();
+        let mut sent = 0;
+        while wire.len() < 5 * READ_CHUNK {
+            wire.extend_from_slice(&transfers_request(&format!("/window/{sent}")));
+            sent += 1;
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&wire).unwrap();
+        let responses = read_pipelined(&mut stream, sent);
+        for (n, (status, body)) in responses.iter().enumerate() {
+            assert_eq!(*status, 200);
+            let env: TransferResponseEnvelope = serde_json::from_slice(body).unwrap();
+            assert_eq!(env.advice[0].source.path, format!("/window/{n}"));
+            assert!(env.advice[0].should_execute());
+        }
+    }
+
+    #[test]
+    fn client_that_half_closes_after_its_last_request_is_answered_then_closed() {
+        let (_server, addr) = start();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut wire = transfers_request("/last/0");
+        wire.extend_from_slice(&transfers_request("/last/1"));
+        stream.write_all(&wire).unwrap();
+        // The FIN sits behind the requests: the turn that reads them stops
+        // at the short read and answers; a later turn sees the end of
+        // stream and closes.
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let responses = read_pipelined(&mut stream, 2);
+        assert!(responses.iter().all(|(status, _)| *status == 200));
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "nothing follows the last response");
     }
 
     #[test]

@@ -18,6 +18,25 @@ pub struct TransferRequestEnvelope {
     pub transfers: Vec<TransferSpec>,
 }
 
+impl TransferRequestEnvelope {
+    /// The encoding of an envelope holding `transfers`, written from the
+    /// borrow: a pipelining client encodes many groups it goes on owning.
+    pub(crate) fn encode_borrowed(transfers: &[TransferSpec]) -> Vec<u8> {
+        // The derive has no lifetime support, so this mirrors by hand the
+        // one-field object it generates (`borrowed_encoding_matches` below).
+        struct Borrowed<'a>(&'a [TransferSpec]);
+        impl Serialize for Borrowed<'_> {
+            fn serialize(&self, w: &mut serde::Writer) {
+                w.begin_object();
+                w.key("transfers");
+                self.0.serialize(w);
+                w.end_object();
+            }
+        }
+        serde_json::to_vec(&Borrowed(transfers)).expect("wire envelopes always encode")
+    }
+}
+
 /// POST `/sessions/{name}/transfers` response body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferResponseEnvelope {
@@ -118,6 +137,24 @@ mod tests {
         let json = serde_json::to_string(&env).unwrap();
         let back: TransferRequestEnvelope = serde_json::from_str(&json).unwrap();
         assert_eq!(env, back);
+    }
+
+    #[test]
+    fn borrowed_encoding_matches() {
+        let spec = TransferSpec {
+            source: Url::parse("gsiftp://src/a \"b\"").unwrap(),
+            dest: Url::parse("file:///dst/a").unwrap(),
+            bytes: 42,
+            requested_streams: Some(2),
+            workflow: WorkflowId(7),
+            cluster: None,
+            priority: Some(-1),
+        };
+        for transfers in [vec![], vec![spec.clone()], vec![spec.clone(), spec]] {
+            let borrowed = TransferRequestEnvelope::encode_borrowed(&transfers);
+            let owned = serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap();
+            assert_eq!(borrowed, owned);
+        }
     }
 
     #[test]

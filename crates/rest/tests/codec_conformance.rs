@@ -1,0 +1,1645 @@
+//! Conformance suite for the vendored JSON codec (`third_party/serde*`),
+//! run by tier-1 because `third_party/*` is outside the workspace.
+//!
+//! 1. **Golden bytes.** The literals below were printed by a build of the
+//!    commit *before* the codec stopped building a `Value` tree
+//!    (`serde_json::to_string` / `to_string_pretty` of the values defined
+//!    here). Encoding must reproduce them byte for byte and decoding them
+//!    must reproduce the values: a WAL directory or snapshot written by that
+//!    build has to recover under this one, and clients of either must
+//!    understand the other. Never regenerate a literal to make a test pass.
+//! 2. **Decoding rules**, one case each: what is accepted, what is refused,
+//!    and which error wins.
+//! 3. **Round trips** over the wire envelopes with hostile strings.
+//! 4. **A pipelined window with a malformed middle request** through a live
+//!    server: the good groups keep their own advice.
+
+#![allow(clippy::too_many_lines)]
+
+use proptest::prelude::*;
+use pwm_core::model::*;
+use pwm_core::*;
+use pwm_rest::*;
+use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+
+// ---------------------------------------------------------------------------
+// 1. Golden bytes
+// ---------------------------------------------------------------------------
+
+fn url(scheme: &str, host: &str, path: &str) -> Url {
+    Url::new(scheme, host, path)
+}
+
+/// Every optional field set, and strings that need each kind of escape.
+fn full_spec() -> TransferSpec {
+    TransferSpec {
+        source: url(
+            "gsiftp",
+            "gridftp-vm.tacc",
+            "/data/\"q\"\\b\n\t\u{1}é中🦀.dat",
+        ),
+        dest: url("file", "", "/scratch/f1.dat"),
+        bytes: 18_446_744_073_709_551_615,
+        requested_streams: Some(8),
+        workflow: WorkflowId(7),
+        cluster: Some(ClusterId(3)),
+        priority: Some(-2),
+    }
+}
+
+fn plain_spec() -> TransferSpec {
+    TransferSpec {
+        source: url("http", "apache.isi", "/f2.dat"),
+        dest: url("file", "obelix-nfs", "/scratch/f2.dat"),
+        bytes: 1_000_000,
+        requested_streams: None,
+        workflow: WorkflowId(1),
+        cluster: None,
+        priority: None,
+    }
+}
+
+fn cleanup_spec() -> CleanupSpec {
+    CleanupSpec {
+        file: url("file", "obelix-nfs", "/scratch/f2.dat"),
+        workflow: WorkflowId(1),
+    }
+}
+
+fn advice() -> Vec<TransferAdvice> {
+    vec![
+        TransferAdvice {
+            id: TransferId(0),
+            source: full_spec().source,
+            dest: full_spec().dest,
+            action: TransferAction::Execute,
+            streams: 8,
+            group: GroupId(1),
+            order: 0,
+            backend: Some("obj-s3".into()),
+        },
+        TransferAdvice {
+            id: TransferId(1),
+            source: plain_spec().source,
+            dest: plain_spec().dest,
+            action: TransferAction::Skip(SuppressReason::AlreadyStaged),
+            streams: 0,
+            group: GroupId(2),
+            order: 1,
+            backend: None,
+        },
+    ]
+}
+
+fn health_events() -> Vec<HealthEvent> {
+    vec![
+        HealthEvent::HostDown {
+            host: "tacc".into(),
+        },
+        HealthEvent::HostUp {
+            host: "tacc".into(),
+        },
+        HealthEvent::BackendDown {
+            backend: "obj-s3".into(),
+        },
+        HealthEvent::BackendUp {
+            backend: "obj-s3".into(),
+        },
+        HealthEvent::SuspectReplica {
+            host: "isi".into(),
+            file: "/f2.dat".into(),
+            quarantine: true,
+        },
+        HealthEvent::ReplicaCleared {
+            host: "isi".into(),
+            file: "/f2.dat".into(),
+        },
+    ]
+}
+
+fn config() -> PolicyConfig {
+    PolicyConfig::default()
+        .with_pair_threshold("tacc", "isi", 20)
+        .with_pair_threshold("isi", "tacc", 30)
+        .with_allocation(AllocationPolicy::Balanced)
+        .with_ordering(OrderingPolicy::ByPriority)
+        .with_cluster_factor(4)
+        .with_audit_retention(128)
+        .with_backend(pwm_storage::ec2_trio().remove(2), "obelix-nfs")
+        .with_storage(StoragePolicy::LatencyFloor {
+            max_setup_s: 0.25,
+            min_bandwidth_bps: 1e8,
+        })
+}
+
+fn resource_fact() -> ResourceFact {
+    ResourceFact {
+        dest: plain_spec().dest,
+        source: plain_spec().source,
+        users: [WorkflowId(9), WorkflowId(2)].into_iter().collect(),
+        state: ResourceState::Staged,
+        producer: Some(TransferId(1)),
+    }
+}
+
+fn snapshot() -> MemorySnapshot {
+    MemorySnapshot {
+        in_progress_transfers: 1,
+        staged_files: 1,
+        staging_files: 0,
+        in_progress_cleanups: 0,
+        host_pairs: vec![HostPairSnapshot {
+            src_host: "apache.isi".into(),
+            dst_host: "obelix-nfs".into(),
+            allocated: 4,
+            peak_allocated: 8,
+        }],
+    }
+}
+
+fn stats() -> ServiceStats {
+    ServiceStats {
+        transfer_requests: 2,
+        transfers_executed: 1,
+        transfers_suppressed: 1,
+        rule_firings: 11,
+        ..ServiceStats::default()
+    }
+}
+
+fn durable_state() -> DurableState {
+    DurableState {
+        applied_seq: 3,
+        config: PolicyConfig::default(),
+        next_transfer: 2,
+        next_cleanup: 1,
+        next_group: 3,
+        stats: stats(),
+        audit_capacity: 4096,
+        audit_next_seq: 2,
+        audit_records: vec![
+            AuditRecord {
+                seq: 0,
+                event: PolicyEvent::TransferEvaluated {
+                    id: TransferId(0),
+                    streams: 4,
+                    skipped: None,
+                },
+            },
+            AuditRecord {
+                seq: 1,
+                event: PolicyEvent::CleanupEvaluated {
+                    id: CleanupId(0),
+                    skipped: Some(SuppressReason::ResourceInUse),
+                },
+            },
+            AuditRecord {
+                seq: 2,
+                event: PolicyEvent::ConfigChanged,
+            },
+        ],
+        facts: vec![
+            DurableFact::Transfer(TransferFact {
+                id: TransferId(0),
+                spec: plain_spec(),
+                state: TransferState::InProgress,
+                streams: Some(4),
+                charged_streams: 4,
+                group: Some(GroupId(2)),
+                in_current_batch: false,
+                suppressed: None,
+                cluster_released: false,
+                backend: None,
+                backend_released: false,
+            }),
+            DurableFact::Resource(resource_fact()),
+            DurableFact::Cleanup(CleanupFact {
+                id: CleanupId(0),
+                spec: cleanup_spec(),
+                state: CleanupState::Pending,
+                in_current_batch: true,
+                suppressed: Some(SuppressReason::ResourceInUse),
+            }),
+            DurableFact::HostPair(HostPairFact {
+                src_host: "apache.isi".into(),
+                dst_host: "obelix-nfs".into(),
+                group: GroupId(2),
+                allocated: 4,
+                peak_allocated: 8,
+            }),
+            DurableFact::ClusterAlloc(ClusterAllocFact {
+                group: GroupId(2),
+                cluster: ClusterId(3),
+                allocated: 2,
+            }),
+            DurableFact::BackendLoad(BackendLoadFact {
+                backend: "obj-s3".into(),
+                active: 1,
+                bytes_assigned: 1.5e9,
+                dollars_committed: 0.000_125,
+            }),
+            DurableFact::HostDown(HostDownFact {
+                host: "tacc".into(),
+            }),
+            DurableFact::SuspectReplica(SuspectReplicaFact {
+                host: "isi".into(),
+                file: "/f2.dat".into(),
+                strikes: 2,
+                quarantined: false,
+            }),
+        ],
+        summary: snapshot(),
+    }
+}
+
+fn wal(seq: u64, cmd: WalCommand) -> WalRecord {
+    WalRecord { seq, cmd }
+}
+
+/// `value` encodes to exactly `compact` / `pretty`, and both decode to it.
+fn golden<T>(value: &T, compact: &str, pretty: &str)
+where
+    T: Serialize + Deserialize + PartialEq + Debug,
+{
+    assert_eq!(serde_json::to_string(value).unwrap(), compact);
+    assert_eq!(serde_json::to_vec(value).unwrap(), compact.as_bytes());
+    assert_eq!(serde_json::to_string_pretty(value).unwrap(), pretty);
+    assert_eq!(
+        &serde_json::from_slice::<T>(compact.as_bytes()).unwrap(),
+        value
+    );
+    assert_eq!(&serde_json::from_str::<T>(pretty).unwrap(), value);
+}
+
+#[test]
+fn golden_transfer_request_envelope() {
+    let value: TransferRequestEnvelope = TransferRequestEnvelope {
+        transfers: vec![full_spec(), plain_spec()],
+    };
+    golden(
+        &value,
+        r#"{"transfers":[{"source":{"scheme":"gsiftp","host":"gridftp-vm.tacc","path":"/data/\"q\"\\b\n\t\u0001é中🦀.dat"},"dest":{"scheme":"file","host":"","path":"/scratch/f1.dat"},"bytes":18446744073709551615,"requested_streams":8,"workflow":7,"cluster":3,"priority":-2},{"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"bytes":1000000,"requested_streams":null,"workflow":1,"cluster":null,"priority":null}]}"#,
+        r#"{
+  "transfers": [
+    {
+      "source": {
+        "scheme": "gsiftp",
+        "host": "gridftp-vm.tacc",
+        "path": "/data/\"q\"\\b\n\t\u0001é中🦀.dat"
+      },
+      "dest": {
+        "scheme": "file",
+        "host": "",
+        "path": "/scratch/f1.dat"
+      },
+      "bytes": 18446744073709551615,
+      "requested_streams": 8,
+      "workflow": 7,
+      "cluster": 3,
+      "priority": -2
+    },
+    {
+      "source": {
+        "scheme": "http",
+        "host": "apache.isi",
+        "path": "/f2.dat"
+      },
+      "dest": {
+        "scheme": "file",
+        "host": "obelix-nfs",
+        "path": "/scratch/f2.dat"
+      },
+      "bytes": 1000000,
+      "requested_streams": null,
+      "workflow": 1,
+      "cluster": null,
+      "priority": null
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_transfer_response_envelope() {
+    let value: TransferResponseEnvelope = TransferResponseEnvelope { advice: advice() };
+    golden(
+        &value,
+        r#"{"advice":[{"id":0,"source":{"scheme":"gsiftp","host":"gridftp-vm.tacc","path":"/data/\"q\"\\b\n\t\u0001é中🦀.dat"},"dest":{"scheme":"file","host":"","path":"/scratch/f1.dat"},"action":"Execute","streams":8,"group":1,"order":0,"backend":"obj-s3"},{"id":1,"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"action":{"Skip":"AlreadyStaged"},"streams":0,"group":2,"order":1,"backend":null}]}"#,
+        r#"{
+  "advice": [
+    {
+      "id": 0,
+      "source": {
+        "scheme": "gsiftp",
+        "host": "gridftp-vm.tacc",
+        "path": "/data/\"q\"\\b\n\t\u0001é中🦀.dat"
+      },
+      "dest": {
+        "scheme": "file",
+        "host": "",
+        "path": "/scratch/f1.dat"
+      },
+      "action": "Execute",
+      "streams": 8,
+      "group": 1,
+      "order": 0,
+      "backend": "obj-s3"
+    },
+    {
+      "id": 1,
+      "source": {
+        "scheme": "http",
+        "host": "apache.isi",
+        "path": "/f2.dat"
+      },
+      "dest": {
+        "scheme": "file",
+        "host": "obelix-nfs",
+        "path": "/scratch/f2.dat"
+      },
+      "action": {
+        "Skip": "AlreadyStaged"
+      },
+      "streams": 0,
+      "group": 2,
+      "order": 1,
+      "backend": null
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_transfer_completion_envelope() {
+    let value: TransferCompletionEnvelope = TransferCompletionEnvelope {
+        outcomes: vec![
+            TransferOutcome {
+                id: TransferId(0),
+                success: true,
+            },
+            TransferOutcome {
+                id: TransferId(1),
+                success: false,
+            },
+        ],
+    };
+    golden(
+        &value,
+        r#"{"outcomes":[{"id":0,"success":true},{"id":1,"success":false}]}"#,
+        r#"{
+  "outcomes": [
+    {
+      "id": 0,
+      "success": true
+    },
+    {
+      "id": 1,
+      "success": false
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_cleanup_request_envelope() {
+    let value: CleanupRequestEnvelope = CleanupRequestEnvelope {
+        cleanups: vec![cleanup_spec()],
+    };
+    golden(
+        &value,
+        r#"{"cleanups":[{"file":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"workflow":1}]}"#,
+        r#"{
+  "cleanups": [
+    {
+      "file": {
+        "scheme": "file",
+        "host": "obelix-nfs",
+        "path": "/scratch/f2.dat"
+      },
+      "workflow": 1
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_cleanup_response_envelope() {
+    let value: CleanupResponseEnvelope = CleanupResponseEnvelope {
+        advice: vec![
+            CleanupAdvice {
+                id: CleanupId(0),
+                file: cleanup_spec().file,
+                action: CleanupAction::Execute,
+            },
+            CleanupAdvice {
+                id: CleanupId(1),
+                file: full_spec().source,
+                action: CleanupAction::Skip(SuppressReason::DuplicateCleanup),
+            },
+        ],
+    };
+    golden(
+        &value,
+        r#"{"advice":[{"id":0,"file":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"action":"Execute"},{"id":1,"file":{"scheme":"gsiftp","host":"gridftp-vm.tacc","path":"/data/\"q\"\\b\n\t\u0001é中🦀.dat"},"action":{"Skip":"DuplicateCleanup"}}]}"#,
+        r#"{
+  "advice": [
+    {
+      "id": 0,
+      "file": {
+        "scheme": "file",
+        "host": "obelix-nfs",
+        "path": "/scratch/f2.dat"
+      },
+      "action": "Execute"
+    },
+    {
+      "id": 1,
+      "file": {
+        "scheme": "gsiftp",
+        "host": "gridftp-vm.tacc",
+        "path": "/data/\"q\"\\b\n\t\u0001é中🦀.dat"
+      },
+      "action": {
+        "Skip": "DuplicateCleanup"
+      }
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_cleanup_completion_envelope() {
+    let value: CleanupCompletionEnvelope = CleanupCompletionEnvelope {
+        outcomes: vec![CleanupOutcome {
+            id: CleanupId(0),
+            success: true,
+        }],
+    };
+    golden(
+        &value,
+        r#"{"outcomes":[{"id":0,"success":true}]}"#,
+        r#"{
+  "outcomes": [
+    {
+      "id": 0,
+      "success": true
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_health_report_envelope() {
+    let value: HealthReportEnvelope = HealthReportEnvelope {
+        events: health_events(),
+    };
+    golden(
+        &value,
+        r#"{"events":[{"HostDown":{"host":"tacc"}},{"HostUp":{"host":"tacc"}},{"BackendDown":{"backend":"obj-s3"}},{"BackendUp":{"backend":"obj-s3"}},{"SuspectReplica":{"host":"isi","file":"/f2.dat","quarantine":true}},{"ReplicaCleared":{"host":"isi","file":"/f2.dat"}}]}"#,
+        r#"{
+  "events": [
+    {
+      "HostDown": {
+        "host": "tacc"
+      }
+    },
+    {
+      "HostUp": {
+        "host": "tacc"
+      }
+    },
+    {
+      "BackendDown": {
+        "backend": "obj-s3"
+      }
+    },
+    {
+      "BackendUp": {
+        "backend": "obj-s3"
+      }
+    },
+    {
+      "SuspectReplica": {
+        "host": "isi",
+        "file": "/f2.dat",
+        "quarantine": true
+      }
+    },
+    {
+      "ReplicaCleared": {
+        "host": "isi",
+        "file": "/f2.dat"
+      }
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_status_envelope() {
+    let value: StatusEnvelope = StatusEnvelope {
+        snapshot: snapshot(),
+        stats: stats(),
+        rules: vec![RuleCounters {
+            name: "dedup-in-batch".into(),
+            salience: -10,
+            evaluations: 5,
+            matches: 2,
+            firings: 1,
+            eval_nanos: 1200,
+        }],
+    };
+    golden(
+        &value,
+        r#"{"snapshot":{"in_progress_transfers":1,"staged_files":1,"staging_files":0,"in_progress_cleanups":0,"host_pairs":[{"src_host":"apache.isi","dst_host":"obelix-nfs","allocated":4,"peak_allocated":8}]},"stats":{"transfer_requests":2,"transfers_executed":1,"transfers_suppressed":1,"transfers_completed":0,"transfers_failed":0,"cleanup_requests":0,"cleanups_executed":0,"cleanups_suppressed":0,"rule_firings":11},"rules":[{"name":"dedup-in-batch","salience":-10,"evaluations":5,"matches":2,"firings":1,"eval_nanos":1200}]}"#,
+        r#"{
+  "snapshot": {
+    "in_progress_transfers": 1,
+    "staged_files": 1,
+    "staging_files": 0,
+    "in_progress_cleanups": 0,
+    "host_pairs": [
+      {
+        "src_host": "apache.isi",
+        "dst_host": "obelix-nfs",
+        "allocated": 4,
+        "peak_allocated": 8
+      }
+    ]
+  },
+  "stats": {
+    "transfer_requests": 2,
+    "transfers_executed": 1,
+    "transfers_suppressed": 1,
+    "transfers_completed": 0,
+    "transfers_failed": 0,
+    "cleanup_requests": 0,
+    "cleanups_executed": 0,
+    "cleanups_suppressed": 0,
+    "rule_firings": 11
+  },
+  "rules": [
+    {
+      "name": "dedup-in-batch",
+      "salience": -10,
+      "evaluations": 5,
+      "matches": 2,
+      "firings": 1,
+      "eval_nanos": 1200
+    }
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_ack_envelope() {
+    let value: AckEnvelope = AckEnvelope::ok();
+    golden(
+        &value,
+        r#"{"status":"ok"}"#,
+        r#"{
+  "status": "ok"
+}"#,
+    );
+}
+
+#[test]
+fn golden_error_envelope() {
+    let value: ErrorEnvelope = ErrorEnvelope {
+        error: "bad json: expected `,` or `}` at byte 7".into(),
+    };
+    golden(
+        &value,
+        r#"{"error":"bad json: expected `,` or `}` at byte 7"}"#,
+        r#"{
+  "error": "bad json: expected `,` or `}` at byte 7"
+}"#,
+    );
+}
+
+#[test]
+fn golden_empty_transfer_request_envelope() {
+    let value: TransferRequestEnvelope = TransferRequestEnvelope { transfers: vec![] };
+    golden(
+        &value,
+        r#"{"transfers":[]}"#,
+        r#"{
+  "transfers": []
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_evaluate_transfers() {
+    let value: WalRecord = wal(1, WalCommand::EvaluateTransfers(vec![full_spec()]));
+    golden(
+        &value,
+        r#"{"seq":1,"cmd":{"EvaluateTransfers":[{"source":{"scheme":"gsiftp","host":"gridftp-vm.tacc","path":"/data/\"q\"\\b\n\t\u0001é中🦀.dat"},"dest":{"scheme":"file","host":"","path":"/scratch/f1.dat"},"bytes":18446744073709551615,"requested_streams":8,"workflow":7,"cluster":3,"priority":-2}]}}"#,
+        r#"{
+  "seq": 1,
+  "cmd": {
+    "EvaluateTransfers": [
+      {
+        "source": {
+          "scheme": "gsiftp",
+          "host": "gridftp-vm.tacc",
+          "path": "/data/\"q\"\\b\n\t\u0001é中🦀.dat"
+        },
+        "dest": {
+          "scheme": "file",
+          "host": "",
+          "path": "/scratch/f1.dat"
+        },
+        "bytes": 18446744073709551615,
+        "requested_streams": 8,
+        "workflow": 7,
+        "cluster": 3,
+        "priority": -2
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_evaluate_transfer_groups() {
+    let value: WalRecord = wal(
+        2,
+        WalCommand::EvaluateTransferGroups(vec![vec![plain_spec()], vec![]]),
+    );
+    golden(
+        &value,
+        r#"{"seq":2,"cmd":{"EvaluateTransferGroups":[[{"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"bytes":1000000,"requested_streams":null,"workflow":1,"cluster":null,"priority":null}],[]]}}"#,
+        r#"{
+  "seq": 2,
+  "cmd": {
+    "EvaluateTransferGroups": [
+      [
+        {
+          "source": {
+            "scheme": "http",
+            "host": "apache.isi",
+            "path": "/f2.dat"
+          },
+          "dest": {
+            "scheme": "file",
+            "host": "obelix-nfs",
+            "path": "/scratch/f2.dat"
+          },
+          "bytes": 1000000,
+          "requested_streams": null,
+          "workflow": 1,
+          "cluster": null,
+          "priority": null
+        }
+      ],
+      []
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_report_transfers() {
+    let value: WalRecord = wal(
+        3,
+        WalCommand::ReportTransfers(vec![TransferOutcome {
+            id: TransferId(0),
+            success: true,
+        }]),
+    );
+    golden(
+        &value,
+        r#"{"seq":3,"cmd":{"ReportTransfers":[{"id":0,"success":true}]}}"#,
+        r#"{
+  "seq": 3,
+  "cmd": {
+    "ReportTransfers": [
+      {
+        "id": 0,
+        "success": true
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_evaluate_cleanups() {
+    let value: WalRecord = wal(4, WalCommand::EvaluateCleanups(vec![cleanup_spec()]));
+    golden(
+        &value,
+        r#"{"seq":4,"cmd":{"EvaluateCleanups":[{"file":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"workflow":1}]}}"#,
+        r#"{
+  "seq": 4,
+  "cmd": {
+    "EvaluateCleanups": [
+      {
+        "file": {
+          "scheme": "file",
+          "host": "obelix-nfs",
+          "path": "/scratch/f2.dat"
+        },
+        "workflow": 1
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_report_cleanups() {
+    let value: WalRecord = wal(
+        5,
+        WalCommand::ReportCleanups(vec![CleanupOutcome {
+            id: CleanupId(0),
+            success: false,
+        }]),
+    );
+    golden(
+        &value,
+        r#"{"seq":5,"cmd":{"ReportCleanups":[{"id":0,"success":false}]}}"#,
+        r#"{
+  "seq": 5,
+  "cmd": {
+    "ReportCleanups": [
+      {
+        "id": 0,
+        "success": false
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_set_config() {
+    let value: WalRecord = wal(6, WalCommand::SetConfig(PolicyConfig::default()));
+    golden(
+        &value,
+        r#"{"seq":6,"cmd":{"SetConfig":{"default_streams":4,"default_threshold":50,"pair_thresholds":[],"allocation":"Greedy","ordering":"ByUrl","cluster_factor":1,"dedup":true,"audit_retention":null,"backends":[],"storage":"Off"}}}"#,
+        r#"{
+  "seq": 6,
+  "cmd": {
+    "SetConfig": {
+      "default_streams": 4,
+      "default_threshold": 50,
+      "pair_thresholds": [],
+      "allocation": "Greedy",
+      "ordering": "ByUrl",
+      "cluster_factor": 1,
+      "dedup": true,
+      "audit_retention": null,
+      "backends": [],
+      "storage": "Off"
+    }
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_wal_report_health() {
+    let value: WalRecord = wal(
+        7,
+        WalCommand::ReportHealth(vec![HealthEvent::HostDown {
+            host: "tacc".into(),
+        }]),
+    );
+    golden(
+        &value,
+        r#"{"seq":7,"cmd":{"ReportHealth":[{"HostDown":{"host":"tacc"}}]}}"#,
+        r#"{
+  "seq": 7,
+  "cmd": {
+    "ReportHealth": [
+      {
+        "HostDown": {
+          "host": "tacc"
+        }
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_durable_state() {
+    let value: DurableState = durable_state();
+    golden(
+        &value,
+        r#"{"applied_seq":3,"config":{"default_streams":4,"default_threshold":50,"pair_thresholds":[],"allocation":"Greedy","ordering":"ByUrl","cluster_factor":1,"dedup":true,"audit_retention":null,"backends":[],"storage":"Off"},"next_transfer":2,"next_cleanup":1,"next_group":3,"stats":{"transfer_requests":2,"transfers_executed":1,"transfers_suppressed":1,"transfers_completed":0,"transfers_failed":0,"cleanup_requests":0,"cleanups_executed":0,"cleanups_suppressed":0,"rule_firings":11},"audit_capacity":4096,"audit_next_seq":2,"audit_records":[{"seq":0,"event":{"TransferEvaluated":{"id":0,"streams":4,"skipped":null}}},{"seq":1,"event":{"CleanupEvaluated":{"id":0,"skipped":"ResourceInUse"}}},{"seq":2,"event":"ConfigChanged"}],"facts":[{"Transfer":{"id":0,"spec":{"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"bytes":1000000,"requested_streams":null,"workflow":1,"cluster":null,"priority":null},"state":"InProgress","streams":4,"charged_streams":4,"group":2,"in_current_batch":false,"suppressed":null,"cluster_released":false,"backend":null,"backend_released":false}},{"Resource":{"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"users":[2,9],"state":"Staged","producer":1}},{"Cleanup":{"id":0,"spec":{"file":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"workflow":1},"state":"Pending","in_current_batch":true,"suppressed":"ResourceInUse"}},{"HostPair":{"src_host":"apache.isi","dst_host":"obelix-nfs","group":2,"allocated":4,"peak_allocated":8}},{"ClusterAlloc":{"group":2,"cluster":3,"allocated":2}},{"BackendLoad":{"backend":"obj-s3","active":1,"bytes_assigned":1500000000,"dollars_committed":0.000125}},{"HostDown":{"host":"tacc"}},{"SuspectReplica":{"host":"isi","file":"/f2.dat","strikes":2,"quarantined":false}}],"summary":{"in_progress_transfers":1,"staged_files":1,"staging_files":0,"in_progress_cleanups":0,"host_pairs":[{"src_host":"apache.isi","dst_host":"obelix-nfs","allocated":4,"peak_allocated":8}]}}"#,
+        r#"{
+  "applied_seq": 3,
+  "config": {
+    "default_streams": 4,
+    "default_threshold": 50,
+    "pair_thresholds": [],
+    "allocation": "Greedy",
+    "ordering": "ByUrl",
+    "cluster_factor": 1,
+    "dedup": true,
+    "audit_retention": null,
+    "backends": [],
+    "storage": "Off"
+  },
+  "next_transfer": 2,
+  "next_cleanup": 1,
+  "next_group": 3,
+  "stats": {
+    "transfer_requests": 2,
+    "transfers_executed": 1,
+    "transfers_suppressed": 1,
+    "transfers_completed": 0,
+    "transfers_failed": 0,
+    "cleanup_requests": 0,
+    "cleanups_executed": 0,
+    "cleanups_suppressed": 0,
+    "rule_firings": 11
+  },
+  "audit_capacity": 4096,
+  "audit_next_seq": 2,
+  "audit_records": [
+    {
+      "seq": 0,
+      "event": {
+        "TransferEvaluated": {
+          "id": 0,
+          "streams": 4,
+          "skipped": null
+        }
+      }
+    },
+    {
+      "seq": 1,
+      "event": {
+        "CleanupEvaluated": {
+          "id": 0,
+          "skipped": "ResourceInUse"
+        }
+      }
+    },
+    {
+      "seq": 2,
+      "event": "ConfigChanged"
+    }
+  ],
+  "facts": [
+    {
+      "Transfer": {
+        "id": 0,
+        "spec": {
+          "source": {
+            "scheme": "http",
+            "host": "apache.isi",
+            "path": "/f2.dat"
+          },
+          "dest": {
+            "scheme": "file",
+            "host": "obelix-nfs",
+            "path": "/scratch/f2.dat"
+          },
+          "bytes": 1000000,
+          "requested_streams": null,
+          "workflow": 1,
+          "cluster": null,
+          "priority": null
+        },
+        "state": "InProgress",
+        "streams": 4,
+        "charged_streams": 4,
+        "group": 2,
+        "in_current_batch": false,
+        "suppressed": null,
+        "cluster_released": false,
+        "backend": null,
+        "backend_released": false
+      }
+    },
+    {
+      "Resource": {
+        "dest": {
+          "scheme": "file",
+          "host": "obelix-nfs",
+          "path": "/scratch/f2.dat"
+        },
+        "source": {
+          "scheme": "http",
+          "host": "apache.isi",
+          "path": "/f2.dat"
+        },
+        "users": [
+          2,
+          9
+        ],
+        "state": "Staged",
+        "producer": 1
+      }
+    },
+    {
+      "Cleanup": {
+        "id": 0,
+        "spec": {
+          "file": {
+            "scheme": "file",
+            "host": "obelix-nfs",
+            "path": "/scratch/f2.dat"
+          },
+          "workflow": 1
+        },
+        "state": "Pending",
+        "in_current_batch": true,
+        "suppressed": "ResourceInUse"
+      }
+    },
+    {
+      "HostPair": {
+        "src_host": "apache.isi",
+        "dst_host": "obelix-nfs",
+        "group": 2,
+        "allocated": 4,
+        "peak_allocated": 8
+      }
+    },
+    {
+      "ClusterAlloc": {
+        "group": 2,
+        "cluster": 3,
+        "allocated": 2
+      }
+    },
+    {
+      "BackendLoad": {
+        "backend": "obj-s3",
+        "active": 1,
+        "bytes_assigned": 1500000000,
+        "dollars_committed": 0.000125
+      }
+    },
+    {
+      "HostDown": {
+        "host": "tacc"
+      }
+    },
+    {
+      "SuspectReplica": {
+        "host": "isi",
+        "file": "/f2.dat",
+        "strikes": 2,
+        "quarantined": false
+      }
+    }
+  ],
+  "summary": {
+    "in_progress_transfers": 1,
+    "staged_files": 1,
+    "staging_files": 0,
+    "in_progress_cleanups": 0,
+    "host_pairs": [
+      {
+        "src_host": "apache.isi",
+        "dst_host": "obelix-nfs",
+        "allocated": 4,
+        "peak_allocated": 8
+      }
+    ]
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_policy_config_with_pair_thresholds() {
+    let value: PolicyConfig = config();
+    golden(
+        &value,
+        r#"{"default_streams":4,"default_threshold":50,"pair_thresholds":[{"src_host":"isi","dst_host":"tacc","threshold":30},{"src_host":"tacc","dst_host":"isi","threshold":20}],"allocation":"Balanced","ordering":"ByPriority","cluster_factor":4,"dedup":true,"audit_retention":128,"backends":[{"profile":{"name":"obj-s3","kind":"ObjectStore","bandwidth_bps":150000000,"iops":0,"io_bytes":0,"request_overhead_s":0.05,"request_latency_s":0.01,"chunk_bytes":33554432,"cost":{"per_gb_hour":0.00005,"per_request":0.0005,"per_gb_egress":0.09}},"site":"obelix-nfs"}],"storage":{"LatencyFloor":{"max_setup_s":0.25,"min_bandwidth_bps":100000000}}}"#,
+        r#"{
+  "default_streams": 4,
+  "default_threshold": 50,
+  "pair_thresholds": [
+    {
+      "src_host": "isi",
+      "dst_host": "tacc",
+      "threshold": 30
+    },
+    {
+      "src_host": "tacc",
+      "dst_host": "isi",
+      "threshold": 20
+    }
+  ],
+  "allocation": "Balanced",
+  "ordering": "ByPriority",
+  "cluster_factor": 4,
+  "dedup": true,
+  "audit_retention": 128,
+  "backends": [
+    {
+      "profile": {
+        "name": "obj-s3",
+        "kind": "ObjectStore",
+        "bandwidth_bps": 150000000,
+        "iops": 0,
+        "io_bytes": 0,
+        "request_overhead_s": 0.05,
+        "request_latency_s": 0.01,
+        "chunk_bytes": 33554432,
+        "cost": {
+          "per_gb_hour": 0.00005,
+          "per_request": 0.0005,
+          "per_gb_egress": 0.09
+        }
+      },
+      "site": "obelix-nfs"
+    }
+  ],
+  "storage": {
+    "LatencyFloor": {
+      "max_setup_s": 0.25,
+      "min_bandwidth_bps": 100000000
+    }
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_resource_fact_with_two_users() {
+    let value: ResourceFact = resource_fact();
+    golden(
+        &value,
+        r#"{"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"users":[2,9],"state":"Staged","producer":1}"#,
+        r#"{
+  "dest": {
+    "scheme": "file",
+    "host": "obelix-nfs",
+    "path": "/scratch/f2.dat"
+  },
+  "source": {
+    "scheme": "http",
+    "host": "apache.isi",
+    "path": "/f2.dat"
+  },
+  "users": [
+    2,
+    9
+  ],
+  "state": "Staged",
+  "producer": 1
+}"#,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 2. Decoding rules
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Probe {
+    count: u32,
+    name: String,
+    #[serde(default)]
+    tags: Vec<u8>,
+    delta: Option<i64>,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Unit,
+    Newtype(u32),
+    Pair(u32, String),
+    Named { x: f64, y: Option<bool> },
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Pair(u32, String);
+
+fn decode<T: Deserialize>(text: &str) -> Result<T, String> {
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+fn probe(count: u32, name: &str, tags: &[u8], delta: Option<i64>) -> Probe {
+    Probe {
+        count,
+        name: name.into(),
+        tags: tags.to_vec(),
+        delta,
+    }
+}
+
+#[test]
+fn whitespace_between_every_token_and_reordered_keys() {
+    let text =
+        " \t\r\n{ \"delta\" : -5 , \"tags\" : [ 1 , 2 ] , \"name\" : \"n\" , \"count\" : 3 } \n";
+    assert_eq!(decode(text), Ok(probe(3, "n", &[1, 2], Some(-5))));
+}
+
+#[test]
+fn unknown_fields_are_ignored_whatever_their_shape() {
+    let text = r#"{"x":{"deep":[1,{"y":null}],"s":"é\n"},"count":1,"z":[],"name":"n","w":-1.5e3}"#;
+    assert_eq!(decode(text), Ok(probe(1, "n", &[], None)));
+    // ... but their syntax is still checked.
+    for bad in [
+        r#"{"x":[1,],"count":1,"name":"n"}"#,
+        r#"{"x":"\q","count":1,"name":"n"}"#,
+        r#"{"x":tru,"count":1,"name":"n"}"#,
+        r#"{"x":1-2,"count":1,"name":"n"}"#,
+    ] {
+        assert!(decode::<Probe>(bad).is_err(), "{bad}");
+    }
+}
+
+#[test]
+fn the_first_duplicate_key_wins() {
+    let text = r#"{"count":1,"name":"first","count":2,"name":"second"}"#;
+    assert_eq!(decode(text), Ok(probe(1, "first", &[], None)));
+    // Later duplicates are not even type-checked, only parsed.
+    let text = r#"{"count":1,"name":"n","count":"two","delta":null,"delta":7}"#;
+    assert_eq!(decode(text), Ok(probe(1, "n", &[], None)));
+}
+
+#[test]
+fn absent_and_null_options_are_none_and_defaults_fill_in() {
+    assert_eq!(
+        decode(r#"{"count":1,"name":"n"}"#),
+        Ok(probe(1, "n", &[], None))
+    );
+    assert_eq!(
+        decode(r#"{"count":1,"name":"n","delta":null}"#),
+        Ok(probe(1, "n", &[], None))
+    );
+    // `default` covers absence only: null is not a list.
+    assert!(decode::<Probe>(r#"{"count":1,"name":"n","tags":null}"#).is_err());
+    let missing = decode::<Probe>(r#"{"name":"n"}"#).unwrap_err();
+    assert!(missing.contains("missing field `count`"), "{missing}");
+    assert!(decode::<Probe>("[]")
+        .unwrap_err()
+        .contains("expected object"));
+}
+
+#[test]
+fn integers_refuse_floats_and_floats_accept_integers() {
+    for float in ["1.0", "1e2", "-0.0", "99999999999999999999"] {
+        assert!(decode::<u32>(float).is_err(), "{float}");
+        assert!(decode::<i64>(float).is_err(), "{float}");
+        assert!(decode::<f64>(float).is_ok(), "{float}");
+    }
+    assert_eq!(decode::<f64>("7"), Ok(7.0));
+    assert_eq!(decode::<f32>("-7"), Ok(-7.0));
+    assert_eq!(decode::<f64>("18446744073709551615"), Ok(u64::MAX as f64));
+}
+
+#[test]
+fn integer_ranges_are_exact() {
+    assert_eq!(decode::<u64>("18446744073709551615"), Ok(u64::MAX));
+    assert_eq!(decode::<i64>("9223372036854775807"), Ok(i64::MAX));
+    assert_eq!(decode::<i64>("-9223372036854775808"), Ok(i64::MIN));
+    assert_eq!(decode::<u8>("255"), Ok(255));
+    assert_eq!(decode::<i8>("-128"), Ok(-128));
+    assert!(decode::<i64>("9223372036854775808").is_err());
+    assert!(decode::<u64>("-1").is_err());
+    assert!(decode::<u8>("256").is_err());
+    assert!(decode::<i8>("-129").is_err());
+    assert!(decode::<u32>("4294967296").is_err());
+    assert_eq!(
+        serde_json::to_string(&u64::MAX).unwrap(),
+        "18446744073709551615"
+    );
+    assert_eq!(
+        serde_json::to_string(&i64::MIN).unwrap(),
+        "-9223372036854775808"
+    );
+}
+
+#[test]
+fn floats_print_shortest_round_trip_and_non_finite_as_null() {
+    for (value, text) in [
+        (0.1f64, "0.1"),
+        (1e8, "100000000"),
+        (1.5e9, "1500000000"),
+        (-0.000_125, "-0.000125"),
+        (1e300, &format!("1{}", "0".repeat(300))),
+        (f64::NAN, "null"),
+        (f64::INFINITY, "null"),
+    ] {
+        assert_eq!(serde_json::to_string(&value).unwrap(), text);
+    }
+    // An f32 widens first, so its decimal expansion is the f64's.
+    assert_eq!(
+        serde_json::to_string(&0.1f32).unwrap(),
+        "0.10000000149011612"
+    );
+}
+
+#[test]
+fn enums_are_externally_tagged_with_exactly_one_key() {
+    assert_eq!(decode(r#""Unit""#), Ok(Shape::Unit));
+    assert_eq!(decode(r#"{"Newtype":4}"#), Ok(Shape::Newtype(4)));
+    assert_eq!(
+        decode(r#" { "Pair" : [ 4 , "s" ] } "#),
+        Ok(Shape::Pair(4, "s".into()))
+    );
+    assert_eq!(
+        decode(r#"{"Named":{"y":true,"x":2,"extra":0}}"#),
+        Ok(Shape::Named {
+            x: 2.0,
+            y: Some(true)
+        })
+    );
+    for bad in [
+        r#"{}"#,
+        r#"{"Newtype":4,"Newtype":4}"#,
+        r#"{"Newtype":4,"Unit":null}"#,
+        r#"{"Unit":null}"#,
+        r#""Newtype""#,
+        r#""Nope""#,
+        r#"{"Nope":1}"#,
+        r#"{"Named":{"y":true}}"#,
+        r#"["Unit"]"#,
+        "4",
+        "null",
+    ] {
+        assert!(decode::<Shape>(bad).is_err(), "{bad}");
+    }
+    assert_eq!(serde_json::to_string(&Shape::Unit).unwrap(), r#""Unit""#);
+    assert_eq!(
+        serde_json::to_string(&Shape::Pair(4, "s".into())).unwrap(),
+        r#"{"Pair":[4,"s"]}"#
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&Shape::Named { x: 0.5, y: None }).unwrap(),
+        "{\n  \"Named\": {\n    \"x\": 0.5,\n    \"y\": null\n  }\n}"
+    );
+}
+
+#[test]
+fn tuples_have_exact_arity() {
+    assert_eq!(decode(r#"[1,"a"]"#), Ok(Pair(1, "a".into())));
+    for bad in [r#"[]"#, r#"[1]"#, r#"[1,"a",2]"#, r#"{"0":1,"1":"a"}"#] {
+        assert!(decode::<Pair>(bad).is_err(), "{bad}");
+    }
+    assert!(decode::<Shape>(r#"{"Pair":[4]}"#).is_err());
+    assert!(decode::<Shape>(r#"{"Pair":[4,"s",0]}"#).is_err());
+    assert_eq!(
+        serde_json::to_string(&Pair(1, "a".into())).unwrap(),
+        r#"[1,"a"]"#
+    );
+}
+
+#[test]
+fn trailing_characters_and_truncated_bodies_are_refused() {
+    let whole = r#"{"count":1,"name":"n","tags":[1,2],"delta":3}"#;
+    assert!(decode::<Probe>(whole).is_ok());
+    assert!(decode::<Probe>(&format!("{whole} \n")).is_ok());
+    for junk in ["x", "{}", ",", "]", "\u{0}"] {
+        let refused = decode::<Probe>(&format!("{whole}{junk}")).unwrap_err();
+        assert!(
+            refused.contains("trailing characters"),
+            "{junk:?}: {refused}"
+        );
+    }
+    for cut in 0..whole.len() {
+        assert!(decode::<Probe>(&whole[..cut]).is_err(), "{}", &whole[..cut]);
+    }
+}
+
+#[test]
+fn the_whole_body_must_be_utf8() {
+    // The bad byte sits in a value no field reads.
+    let mut body = br#"{"count":1,"name":"n","ignored":"#.to_vec();
+    body.extend_from_slice(b"\"\xff\"}");
+    let refused = serde_json::from_slice::<Probe>(&body)
+        .unwrap_err()
+        .to_string();
+    assert!(refused.contains("invalid utf-8"), "{refused}");
+}
+
+#[test]
+fn a_syntax_error_anywhere_wins_over_a_type_error() {
+    // `count` has the wrong type at byte 9; the document breaks at byte 36.
+    let both = r#"{"count":"three","name":"n","tags":[1 2]}"#;
+    let refused = decode::<Probe>(both).unwrap_err();
+    assert!(
+        refused.contains("expected `,` or `]` at byte 38"),
+        "{refused}"
+    );
+    // With the syntax repaired, the type error is what remains.
+    let typed = r#"{"count":"three","name":"n","tags":[1,2]}"#;
+    assert_eq!(decode::<Probe>(typed).unwrap_err(), "expected integer");
+    // Same for a refused enum and a short tuple in front of the damage.
+    let refused = decode::<Vec<Shape>>(r#"["Nope",{"Pair":[1]},"#).unwrap_err();
+    assert!(refused.contains("unexpected end of input"), "{refused}");
+}
+
+#[test]
+fn escapes_decode_and_surrogate_pairs_combine() {
+    assert_eq!(
+        decode::<String>(r#""\"\\\/\b\f\n\r\tAé中""#),
+        Ok("\"\\/\u{8}\u{c}\n\r\tAé中".to_string())
+    );
+    // How Python's json.dumps spells U+1F600.
+    assert_eq!(
+        decode::<String>(r#""\ud83d\ude00""#),
+        Ok("\u{1f600}".to_string())
+    );
+    assert_eq!(
+        decode::<String>(r#""a\uD83D\uDE00b""#),
+        Ok("a\u{1f600}b".to_string())
+    );
+    let envelope: CleanupRequestEnvelope = serde_json::from_str(
+        r#"{"cleanups":[{"file":{"scheme":"file","host":"isi","path":"/s/\ud83e\udd80.dat"},"workflow":1}]}"#,
+    )
+    .unwrap();
+    assert_eq!(envelope.cleanups[0].file.path, "/s/🦀.dat");
+    for lone in [
+        r#""\ud83d""#,
+        r#""\ud83d rest""#,
+        r#""\ud83d\n""#,
+        r#""\ud83dA""#,
+        r#""\ud83d\ud83d""#,
+        r#""\ude00""#,
+        r#""\ude00\ud83d""#,
+    ] {
+        assert!(decode::<String>(lone).is_err(), "{lone}");
+    }
+    for bad in [r#""\u12""#, r#""\u12g4""#, r#""\x41""#, r#""open"#, r#""\"#] {
+        assert!(decode::<String>(bad).is_err(), "{bad}");
+    }
+}
+
+#[test]
+fn nesting_is_capped_in_typed_reads_and_in_skipped_values() {
+    let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+    let objects = |depth: usize| "{\"k\":".repeat(depth) + "0" + &"}".repeat(depth);
+    // Skipped: the nested value is an unknown field, one level down already.
+    for nested in [arrays(127), objects(127)] {
+        let text = format!(r#"{{"count":1,"name":"n","ignored":{nested}}}"#);
+        assert_eq!(decode(&text), Ok(probe(1, "n", &[], None)));
+    }
+    for nested in [arrays(128), objects(128)] {
+        let text = format!(r#"{{"count":1,"name":"n","ignored":{nested}}}"#);
+        let refused = decode::<Probe>(&text).unwrap_err();
+        assert!(refused.contains("nesting deeper than 128"), "{refused}");
+    }
+    // Typed: nothing in the workspace nests 128 deep, so read through a
+    // type that does — a list of lists of ... — by hand.
+    #[derive(Debug, PartialEq)]
+    struct Deep(usize);
+    impl Deserialize for Deep {
+        fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+            r.begin_array()?;
+            let mut depth = 1;
+            while r.array_next()? {
+                depth += Deep::deserialize(r)?.0;
+            }
+            Ok(Deep(depth))
+        }
+    }
+    assert_eq!(decode(&arrays(128)), Ok(Deep(128)));
+    assert!(decode::<Deep>(&arrays(129))
+        .unwrap_err()
+        .contains("nesting deeper than 128"));
+    // Unclosed and far beyond the cap: refused at the cap, without recursing
+    // to the end of the input first.
+    assert!(decode::<Deep>(&"[".repeat(100_000))
+        .unwrap_err()
+        .contains("nesting deeper than 128"));
+    assert!(decode::<Probe>(&"{\"count\":".repeat(100_000)).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// 3. Round trips
+// ---------------------------------------------------------------------------
+
+/// Quotes, backslashes, control bytes, and 2-, 3- and 4-byte UTF-8.
+fn arb_string() -> impl Strategy<Value = String> {
+    const PALETTE: &[char] = &[
+        'a',
+        'Z',
+        '/',
+        '.',
+        ' ',
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '中',
+        '\u{2028}',
+        '🦀',
+        '\u{10ffff}',
+    ];
+    proptest::collection::vec(
+        any::<u8>().prop_map(|b| PALETTE[usize::from(b) % PALETTE.len()]),
+        0..16,
+    )
+    .prop_map(|cs| cs.into_iter().collect())
+}
+
+fn arb_url() -> impl Strategy<Value = Url> {
+    (arb_string(), arb_string(), arb_string()).prop_map(|(scheme, host, path)| Url {
+        scheme,
+        host,
+        path,
+    })
+}
+
+fn arb_reason() -> impl Strategy<Value = Option<SuppressReason>> {
+    const REASONS: &[Option<SuppressReason>] = &[
+        None,
+        Some(SuppressReason::DuplicateInBatch),
+        Some(SuppressReason::AlreadyInProgress),
+        Some(SuppressReason::AlreadyStaged),
+        Some(SuppressReason::DuplicateCleanup),
+        Some(SuppressReason::ResourceInUse),
+        Some(SuppressReason::SourceQuarantined),
+        Some(SuppressReason::SourceHostDown),
+    ];
+    any::<u8>().prop_map(|b| REASONS[usize::from(b) % REASONS.len()])
+}
+
+fn arb_spec() -> impl Strategy<Value = TransferSpec> {
+    (
+        (arb_url(), arb_url(), any::<u64>()),
+        (
+            proptest::option::of(any::<u32>()),
+            any::<u64>(),
+            proptest::option::of(any::<u32>()),
+            proptest::option::of(any::<i32>()),
+        ),
+    )
+        .prop_map(
+            |((source, dest, bytes), (requested_streams, workflow, cluster, priority))| {
+                TransferSpec {
+                    source,
+                    dest,
+                    bytes,
+                    requested_streams,
+                    workflow: WorkflowId(workflow),
+                    cluster: cluster.map(ClusterId),
+                    priority,
+                }
+            },
+        )
+}
+
+fn arb_advice() -> impl Strategy<Value = TransferAdvice> {
+    (
+        (any::<u64>(), arb_url(), arb_url(), arb_reason()),
+        (
+            any::<u32>(),
+            any::<u64>(),
+            any::<u32>(),
+            proptest::option::of(arb_string()),
+        ),
+    )
+        .prop_map(
+            |((id, source, dest, reason), (streams, group, order, backend))| TransferAdvice {
+                id: TransferId(id),
+                source,
+                dest,
+                action: reason.map_or(TransferAction::Execute, TransferAction::Skip),
+                streams,
+                group: GroupId(group),
+                order,
+                backend,
+            },
+        )
+}
+
+fn arb_cleanup_advice() -> impl Strategy<Value = CleanupAdvice> {
+    (any::<u64>(), arb_url(), arb_reason()).prop_map(|(id, file, reason)| CleanupAdvice {
+        id: CleanupId(id),
+        file,
+        action: reason.map_or(CleanupAction::Execute, CleanupAction::Skip),
+    })
+}
+
+fn round_trip<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) {
+    let compact = serde_json::to_vec(value).unwrap();
+    assert_eq!(&serde_json::from_slice::<T>(&compact).unwrap(), value);
+    let pretty = serde_json::to_string_pretty(value).unwrap();
+    assert_eq!(&serde_json::from_str::<T>(&pretty).unwrap(), value);
+}
+
+proptest! {
+    #[test]
+    fn transfer_requests_round_trip(transfers in proptest::collection::vec(arb_spec(), 0..4)) {
+        round_trip(&TransferRequestEnvelope { transfers });
+    }
+
+    #[test]
+    fn transfer_responses_round_trip(advice in proptest::collection::vec(arb_advice(), 0..4)) {
+        round_trip(&TransferResponseEnvelope { advice });
+    }
+
+    #[test]
+    fn cleanup_responses_round_trip(advice in proptest::collection::vec(arb_cleanup_advice(), 0..6)) {
+        round_trip(&CleanupResponseEnvelope { advice });
+    }
+
+    /// Arbitrary bytes are decoded or refused, never a panic or a hang.
+    #[test]
+    fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let _ = serde_json::from_slice::<TransferRequestEnvelope>(&bytes);
+        const JSONISH: &[u8] = b"{}[]\",:\\u0dtrfn-1.e ";
+        let jsonish: Vec<u8> = bytes.iter().map(|b| JSONISH[usize::from(*b) % JSONISH.len()]).collect();
+        let _ = serde_json::from_slice::<TransferRequestEnvelope>(&jsonish);
+        let _ = serde_json::from_slice::<Vec<Shape>>(&jsonish);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 4. A malformed request in the middle of a pipelined window
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_malformed_middle_request_leaves_its_neighbours_their_own_advice() {
+    use std::io::{Read, Write};
+    let server = PolicyRestServer::start(PolicyController::new(PolicyConfig::default())).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let post = |body: &[u8]| {
+        http::render_request(
+            WireFormat::Json,
+            Method::Post,
+            "/sessions/default/transfers",
+            body,
+            true,
+        )
+    };
+    // The first group takes the fast codec, the last one (escapes) the
+    // general one; both are moved, not copied, into the one rules pass.
+    let first = vec![plain_spec(), plain_spec()];
+    let last = vec![full_spec()];
+    let mut wire = post(
+        &serde_json::to_vec(&TransferRequestEnvelope {
+            transfers: first.clone(),
+        })
+        .unwrap(),
+    );
+    wire.extend_from_slice(&post(br#"{"transfers":[{"source":"#));
+    wire.extend_from_slice(&post(
+        &serde_json::to_vec(&TransferRequestEnvelope {
+            transfers: last.clone(),
+        })
+        .unwrap(),
+    ));
+    stream.write_all(&wire).unwrap();
+
+    let mut buf = Vec::new();
+    let mut responses = Vec::new();
+    while responses.len() < 3 {
+        if let Some((status, body, consumed)) = http::try_parse_response(&buf).unwrap() {
+            buf.drain(..consumed);
+            responses.push((status, body));
+            continue;
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "server closed mid-window");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let statuses: Vec<u16> = responses.iter().map(|(status, _)| *status).collect();
+    assert_eq!(statuses, [200, 400, 200]);
+    let advice_of = |body: &[u8]| {
+        serde_json::from_slice::<TransferResponseEnvelope>(body)
+            .unwrap()
+            .advice
+    };
+    let (a, c) = (advice_of(&responses[0].1), advice_of(&responses[2].1));
+    assert_eq!(a.len(), 2);
+    assert!(a
+        .iter()
+        .all(|advice| advice.source == first[0].source && advice.dest == first[0].dest));
+    assert!(
+        a[0].should_execute() && !a[1].should_execute(),
+        "duplicate within the group"
+    );
+    assert_eq!(c.len(), 1);
+    assert_eq!((&c[0].source, &c[0].dest), (&last[0].source, &last[0].dest));
+    assert!(c[0].should_execute());
+    let refused: ErrorEnvelope = serde_json::from_slice(&responses[1].1).unwrap();
+    assert!(refused.error.starts_with("bad json: "), "{}", refused.error);
+}
