@@ -31,10 +31,12 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     // cluster), host-pair ledgers by the group minted for them.
     session
         .wm
-        .register_index::<ClusterAllocFact, (GroupId, ClusterId)>(|c| (c.group, c.cluster));
+        .register_index::<ClusterAllocFact, (GroupId, ClusterId)>(Fields::NONE, |c| {
+            (c.group, c.cluster)
+        });
     session
         .wm
-        .register_index::<HostPairFact, GroupId>(|p| p.group);
+        .register_index::<HostPairFact, GroupId>(Fields::NONE, |p| p.group);
     // "Retrieve the number of clusters used in the system" + create the
     // per-cluster ledger the first time a cluster appears on a host pair.
     session.add_rule(

@@ -51,6 +51,7 @@ pub mod ctx;
 pub mod durable;
 pub mod failover;
 pub mod greedy;
+mod keys;
 pub mod ledger;
 pub mod model;
 pub mod priority;

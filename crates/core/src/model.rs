@@ -303,6 +303,18 @@ pub struct CleanupFact {
     pub suppressed: Option<SuppressReason>,
 }
 
+/// Field groups of a [`CleanupFact`]; `id` and `spec` never change. Every
+/// cleanup rule still watches the whole fact — the groups let a writer tell
+/// the indexes (keyed by `id` and by `spec.file`) that it changed neither.
+impl CleanupFact {
+    /// `in_current_batch`.
+    pub const BATCH: Fields = Fields::bit(0);
+    /// `suppressed`.
+    pub const SUPPRESSED: Fields = Fields::bit(1);
+    /// `state`.
+    pub const STATE: Fields = Fields::bit(2);
+}
+
 /// The per-(source host, destination host) allocation ledger fact used by
 /// the greedy and balanced policies ("Generate a unique group ID for a
 /// source and destination host pair").

@@ -28,24 +28,19 @@ use crate::ctx::PolicyCtx;
 use crate::model::TransferFact;
 use crate::model::{BackendDownFact, HostDownFact, SuppressReason, SuspectReplicaFact};
 use crate::rules_base::batch_transfers;
-use pwm_rules::{Rule, Session};
+use pwm_rules::{Fields, Rule, Session};
 
 /// Install the recovery policy family (two suppression rules and the
 /// alpha-memory indexes the family probes).
 pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     // All equality joins: down hosts by name, down backends by name, suspect
     // replicas by (host, file).
-    session
-        .wm
-        .register_index::<HostDownFact, String>(|h| h.host.clone());
-    session
-        .wm
-        .register_index::<BackendDownFact, String>(|b| b.backend.clone());
-    session
-        .wm
-        .register_index::<SuspectReplicaFact, (String, String)>(|s| {
-            (s.host.clone(), s.file.clone())
-        });
+    let wm = &mut session.wm;
+    wm.register_index::<HostDownFact, String>(Fields::NONE, |h| h.host.clone());
+    wm.register_index::<BackendDownFact, String>(Fields::NONE, |b| b.backend.clone());
+    wm.register_index::<SuspectReplicaFact, (String, String)>(Fields::NONE, |s| {
+        (s.host.clone(), s.file.clone())
+    });
 
     session.add_rule(
         Rule::new("recovery: suppress transfers from a quarantined replica")

@@ -6,48 +6,39 @@
 //! policies (Tables II/III, salience 50) charge streams.
 
 use crate::ctx::PolicyCtx;
+use crate::keys::{PairKey, UrlKey};
 use crate::model::{
     CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
     SuppressReason, TransferFact, TransferId, TransferState, Url,
 };
 use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
 
-/// Indexed probe: the resource tracking the staged file at `dest`, if any.
-/// Resources are unique per destination ("create a resource" guards on it).
+/// Indexed probe: the resource tracking the staged file at `dest`, whose
+/// digest is `key`, if any. Resources are unique per destination ("create a
+/// resource" guards on it); bucket hits re-verify the URL, so a digest
+/// collision costs a compare, never a wrong match.
 pub(crate) fn resource_for<'a>(
     wm: &'a WorkingMemory,
+    key: UrlKey,
     dest: &Url,
 ) -> Option<(FactHandle, &'a ResourceFact)> {
-    wm.find_by::<ResourceFact, Url>(dest)
+    wm.iter_by::<ResourceFact, UrlKey>(&key)
+        .find(|(_, r)| r.dest == *dest)
 }
 
-/// FNV-1a over `fields`, each closed by a unit separator.
-fn fnv_fields(fields: &[&str]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for field in fields {
-        for &b in field.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        }
-        hash ^= 0x1f;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
+/// The digest a live transfer is bucketed under: of its `spec.dest`,
+/// computed once when the fact was inserted. The same key probes the
+/// transfers sharing the destination (the dedup rules, which re-verify
+/// source and destination) and the destination's resource.
+pub(crate) fn dest_key(wm: &WorkingMemory, transfer: FactHandle) -> UrlKey {
+    *wm.key_of::<TransferFact, UrlKey>(transfer)
+        .expect("live transfer is indexed by destination")
 }
 
-/// FNV-1a key of a transfer's (source, destination) URL pair. Transfer
-/// facts are indexed by this so the dedup rules probe a tiny hash bucket
-/// instead of scanning every resident transfer; bucket hits re-verify the
-/// actual URLs, so a collision costs a compare, never a wrong match.
-pub(crate) fn transfer_pair_key(source: &Url, dest: &Url) -> u64 {
-    fnv_fields(&[
-        &source.scheme,
-        &source.host,
-        &source.path,
-        &dest.scheme,
-        &dest.host,
-        &dest.path,
-    ])
+/// The digest a live cleanup is bucketed under: of its `spec.file`.
+fn file_key(wm: &WorkingMemory, cleanup: FactHandle) -> UrlKey {
+    *wm.key_of::<CleanupFact, UrlKey>(cleanup)
+        .expect("live cleanup is indexed by file")
 }
 
 /// Iterate only the transfers of the batch currently under evaluation —
@@ -61,7 +52,8 @@ pub(crate) fn batch_transfers<'a>(
 
 /// Indexed probe: the allocation ledger for a (source, destination) host
 /// pair, if any. Pairs are unique ("generate a unique group ID" guards).
-/// Ledgers are bucketed by an FNV-1a key of the two host names, so a probe
+/// Ledgers are bucketed by the keyed digest of the two host names — the
+/// same policy as URLs, since a request chooses its hosts — so a probe
 /// borrows them instead of building an owned `(String, String)`; bucket hits
 /// re-verify the names.
 pub(crate) fn host_pair_for<'a>(
@@ -69,7 +61,7 @@ pub(crate) fn host_pair_for<'a>(
     src_host: &str,
     dst_host: &str,
 ) -> Option<(FactHandle, &'a HostPairFact)> {
-    wm.iter_by::<HostPairFact, u64>(&fnv_fields(&[src_host, dst_host]))
+    wm.iter_by::<HostPairFact, PairKey>(&PairKey::of(src_host, dst_host))
         .find(|(_, p)| p.src_host == src_host && p.dst_host == dst_host)
 }
 
@@ -81,31 +73,25 @@ pub(crate) fn host_pair_for<'a>(
 /// a write to `group` or `streams` should not re-run the dedup matchers.
 pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     // Alpha memories for the equality joins below: rules probe resources by
-    // destination URL and ledgers by host pair instead of scanning the full
-    // fact population on every re-evaluation.
-    session
-        .wm
-        .register_index::<ResourceFact, Url>(|r| r.dest.clone());
-    session
-        .wm
-        .register_index::<HostPairFact, u64>(|p| fnv_fields(&[&p.src_host, &p.dst_host]));
-    // Dedup support: transfers bucketed by (source, dest) pair hash so the
-    // duplicate / already-in-progress rules compare against the handful of
-    // transfers sharing a pair instead of the whole population, and by the
-    // current-batch flag so every batch-scoped rule walks O(batch) facts.
-    session
-        .wm
-        .register_index::<TransferFact, u64>(|t| transfer_pair_key(&t.spec.source, &t.spec.dest));
-    session
-        .wm
-        .register_index::<TransferFact, bool>(|t| t.in_current_batch);
+    // destination and ledgers by host pair instead of scanning the full fact
+    // population on every re-evaluation. Every key but the batch flag reads
+    // identity fields only, so no `update_fields` re-keys it.
+    let wm = &mut session.wm;
+    wm.register_index::<ResourceFact, UrlKey>(Fields::NONE, |r| UrlKey::of(&r.dest));
+    wm.register_index::<HostPairFact, PairKey>(Fields::NONE, |p| {
+        PairKey::of(&p.src_host, &p.dst_host)
+    });
+    // Dedup support: transfers bucketed by destination so the duplicate /
+    // already-in-progress rules compare against the handful of transfers
+    // sharing one instead of the whole population (and reuse the key for the
+    // destination's resource), cleanups by file likewise, and transfers by
+    // the current-batch flag so every batch-scoped rule walks O(batch) facts.
+    wm.register_index::<TransferFact, UrlKey>(Fields::NONE, |t| UrlKey::of(&t.spec.dest));
+    wm.register_index::<CleanupFact, UrlKey>(Fields::NONE, |c| UrlKey::of(&c.spec.file));
+    wm.register_index::<TransferFact, bool>(TransferFact::BATCH, |t| t.in_current_batch);
     // Outcome reports name their fact by the id the service minted.
-    session
-        .wm
-        .register_index::<TransferFact, TransferId>(|t| t.id);
-    session
-        .wm
-        .register_index::<CleanupFact, CleanupId>(|c| c.id);
+    wm.register_index::<TransferFact, TransferId>(Fields::NONE, |t| t.id);
+    wm.register_index::<CleanupFact, CleanupId>(Fields::NONE, |c| c.id);
     // "Remove duplicate transfers from the transfer list": a batch transfer
     // whose (source, dest) already appears earlier in the same batch is
     // suppressed.
@@ -119,8 +105,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = transfer_pair_key(&t.spec.source, &t.spec.dest);
-                    let earlier_dup = wm.iter_by::<TransferFact, u64>(&key).any(|(uh, u)| {
+                    let key = dest_key(wm, h);
+                    let earlier_dup = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(uh, u)| {
                         uh < h
                             && u.in_current_batch
                             && u.suppressed.is_none()
@@ -156,8 +142,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = transfer_pair_key(&t.spec.source, &t.spec.dest);
-                    let in_progress = wm.iter_by::<TransferFact, u64>(&key).any(|(uh, u)| {
+                    let key = dest_key(wm, h);
+                    let in_progress = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(uh, u)| {
                         uh != h
                             && !u.in_current_batch
                             && u.state == TransferState::InProgress
@@ -193,7 +179,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let staged = resource_for(wm, &t.spec.dest)
+                    let staged = resource_for(wm, dest_key(wm, h), &t.spec.dest)
                         .is_some_and(|(_, r)| r.state == ResourceState::Staged);
                     if staged {
                         out.push([h].into());
@@ -223,7 +209,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let exists = resource_for(wm, &t.spec.dest).is_some();
+                    let exists = resource_for(wm, dest_key(wm, h), &t.spec.dest).is_some();
                     if !exists {
                         out.push([h].into());
                     }
@@ -263,7 +249,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in batch_transfers(wm) {
-                    if let Some((rh, r)) = resource_for(wm, &t.spec.dest) {
+                    if let Some((rh, r)) = resource_for(wm, dest_key(wm, h), &t.spec.dest) {
                         if !r.users.contains(&t.spec.workflow) {
                             out.push([h, rh].into());
                         }
@@ -396,20 +382,11 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 t.state == TransferState::Completed
             })
             .then(|wm, _, m| {
-                let (id, charged, src_host, dst_host, dest) = {
-                    let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
-                    (
-                        t.id,
-                        t.charged_streams,
-                        t.spec.source.host.clone(),
-                        t.spec.dest.host.clone(),
-                        t.spec.dest.clone(),
-                    )
-                };
-                release_streams(wm, &src_host, &dst_host, id, charged);
-                if let Some((rh, _)) = resource_for(wm, &dest) {
+                let done = Finished::of(wm, m[0]);
+                done.release_streams(wm);
+                if let Some(rh) = done.resource {
                     wm.update_fields::<ResourceFact>(rh, ResourceFact::STATE, |r| {
-                        if r.producer == Some(id) {
+                        if r.producer == Some(done.id) {
                             r.state = ResourceState::Staged;
                             r.producer = None;
                         }
@@ -428,19 +405,11 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 t.state == TransferState::Failed
             })
             .then(|wm, _, m| {
-                let (id, charged, src_host, dst_host, dest) = {
-                    let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
-                    (
-                        t.id,
-                        t.charged_streams,
-                        t.spec.source.host.clone(),
-                        t.spec.dest.host.clone(),
-                        t.spec.dest.clone(),
-                    )
-                };
-                release_streams(wm, &src_host, &dst_host, id, charged);
-                if let Some((rh, r)) = resource_for(wm, &dest) {
-                    if r.producer == Some(id) && r.state == ResourceState::Staging {
+                let done = Finished::of(wm, m[0]);
+                done.release_streams(wm);
+                if let Some(rh) = done.resource {
+                    let r = wm.get::<ResourceFact>(rh).expect("probed resource");
+                    if r.producer == Some(done.id) && r.state == ResourceState::Staging {
                         wm.retract(rh);
                     }
                 }
@@ -451,20 +420,41 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     install_cleanup_rules(session);
 }
 
-fn release_streams(
-    wm: &mut pwm_rules::WorkingMemory,
-    src_host: &str,
-    dst_host: &str,
-    _id: crate::model::TransferId,
+/// What settling a finished (completed or failed) transfer writes, probed
+/// before anything is written so nothing of the fact has to be cloned.
+struct Finished {
+    id: TransferId,
     charged: u32,
-) {
-    if charged == 0 {
-        return;
+    /// The host pair's ledger, when streams were charged to it.
+    ledger: Option<FactHandle>,
+    /// The resource tracking the transfer's destination.
+    resource: Option<FactHandle>,
+}
+
+impl Finished {
+    fn of(wm: &WorkingMemory, transfer: FactHandle) -> Finished {
+        let t = wm.get::<TransferFact>(transfer).expect("matched transfer");
+        let ledger = (t.charged_streams != 0)
+            .then(|| host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host))
+            .flatten()
+            .map(|(ph, _)| ph);
+        let resource = resource_for(wm, dest_key(wm, transfer), &t.spec.dest).map(|(rh, _)| rh);
+        Finished {
+            id: t.id,
+            charged: t.charged_streams,
+            ledger,
+            resource,
+        }
     }
-    if let Some((ph, _)) = host_pair_for(wm, src_host, dst_host) {
-        wm.update_fields::<HostPairFact>(ph, HostPairFact::ALLOCATED, |p| {
-            p.allocated = p.allocated.saturating_sub(charged);
-        });
+
+    /// Give the charged streams back to the host pair's ledger.
+    fn release_streams(&self, wm: &mut WorkingMemory) {
+        if let Some(ph) = self.ledger {
+            let charged = self.charged;
+            wm.update_fields::<HostPairFact>(ph, HostPairFact::ALLOCATED, |p| {
+                p.allocated = p.allocated.saturating_sub(charged);
+            });
+        }
     }
 }
 
@@ -483,7 +473,8 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    let dup = wm.iter::<CleanupFact>().any(|(uh, u)| {
+                    let key = file_key(wm, h);
+                    let dup = wm.iter_by::<CleanupFact, UrlKey>(&key).any(|(uh, u)| {
                         uh != h
                             && u.spec.file == c.spec.file
                             && u.suppressed.is_none()
@@ -497,7 +488,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, _, m| {
-                wm.update::<CleanupFact>(m[0], |c| {
+                wm.update_fields::<CleanupFact>(m[0], CleanupFact::SUPPRESSED, |c| {
                     c.suppressed = Some(SuppressReason::DuplicateCleanup);
                 });
             }),
@@ -516,7 +507,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    if let Some((rh, r)) = resource_for(wm, &c.spec.file) {
+                    if let Some((rh, r)) = resource_for(wm, file_key(wm, h), &c.spec.file) {
                         if r.users.contains(&c.spec.workflow) {
                             out.push([h, rh].into());
                         }
@@ -551,7 +542,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    if let Some((_, r)) = resource_for(wm, &c.spec.file) {
+                    if let Some((_, r)) = resource_for(wm, file_key(wm, h), &c.spec.file) {
                         if !r.users.is_empty() {
                             out.push([h].into());
                         }
@@ -560,7 +551,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                 out
             })
             .then(|wm, _, m| {
-                wm.update::<CleanupFact>(m[0], |c| {
+                wm.update_fields::<CleanupFact>(m[0], CleanupFact::SUPPRESSED, |c| {
                     c.suppressed = Some(SuppressReason::ResourceInUse);
                 });
             }),
@@ -573,16 +564,12 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
             .salience(54)
             .when_each::<CleanupFact>(|c, _: &PolicyCtx| c.state == CleanupState::Completed)
             .then(|wm, _, m| {
-                let file = wm
-                    .get::<CleanupFact>(m[0])
-                    .expect("matched cleanup")
-                    .spec
-                    .file
-                    .clone();
-                if let Some((rh, r)) = resource_for(wm, &file) {
-                    if r.users.is_empty() {
-                        wm.retract(rh);
-                    }
+                let c = wm.get::<CleanupFact>(m[0]).expect("matched cleanup");
+                let unused = resource_for(wm, file_key(wm, m[0]), &c.spec.file)
+                    .filter(|(_, r)| r.users.is_empty())
+                    .map(|(rh, _)| rh);
+                if let Some(rh) = unused {
+                    wm.retract(rh);
                 }
                 wm.retract(m[0]);
             }),

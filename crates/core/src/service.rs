@@ -19,6 +19,7 @@ use crate::durable::{
     read_recovery, Durability, DurabilityConfig, DurableFact, DurableState, WalCommand, WalRecord,
 };
 use crate::greedy::install_greedy_rules;
+use crate::keys::UrlKey;
 use crate::model::SuppressReason;
 use crate::model::{
     BackendDownFact, BackendLoadFact, BackendProfileFact, CleanupFact, CleanupId, CleanupSpec,
@@ -27,7 +28,7 @@ use crate::model::{
     TransferState,
 };
 use crate::recovery_rules::install_recovery_rules;
-use crate::rules_base::{host_pair_for, install_base_rules, resource_for, transfer_pair_key};
+use crate::rules_base::{host_pair_for, install_base_rules, resource_for};
 use crate::storage_rules::install_storage_rules;
 use pwm_obs::{Counter, Gauge, Histogram, Obs};
 use pwm_rules::{FactHandle, Session};
@@ -439,7 +440,13 @@ impl PolicyService {
     /// True when policy memory holds a staging/staged resource for `file`
     /// (used to route cleanup requests to the shard that owns the file).
     pub fn has_resource(&self, file: &crate::model::Url) -> bool {
-        resource_for(&self.session.wm, file).is_some()
+        self.has_resource_keyed(UrlKey::of(file), file)
+    }
+
+    /// [`PolicyService::has_resource`] for a caller probing several shards
+    /// with one digest of `file`.
+    pub(crate) fn has_resource_keyed(&self, key: UrlKey, file: &crate::model::Url) -> bool {
+        resource_for(&self.session.wm, key, file).is_some()
     }
 
     /// Attach observability: service counters, gauges, and advice-latency
@@ -1007,8 +1014,9 @@ impl PolicyService {
             return None;
         }
         let wm = &self.session.wm;
-        let key = transfer_pair_key(&spec.source, &spec.dest);
-        let busy = wm.iter_by::<TransferFact, u64>(&key).any(|(_, u)| {
+        // One digest of the destination serves both probes.
+        let key = UrlKey::of(&spec.dest);
+        let busy = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(_, u)| {
             u.state == TransferState::InProgress
                 && u.spec.source == spec.source
                 && u.spec.dest == spec.dest
@@ -1016,7 +1024,7 @@ impl PolicyService {
         if busy {
             return None;
         }
-        let (_, r) = resource_for(wm, &spec.dest)?;
+        let (_, r) = resource_for(wm, key, &spec.dest)?;
         if r.state != ResourceState::Staged || !r.users.contains(&spec.workflow) {
             return None;
         }
@@ -1137,10 +1145,14 @@ impl PolicyService {
             });
             if advice.should_execute() {
                 self.stats.cleanups_executed += 1;
-                self.session.wm.update::<CleanupFact>(h, |c| {
-                    c.state = CleanupState::InProgress;
-                    c.in_current_batch = false;
-                });
+                self.session.wm.update_fields::<CleanupFact>(
+                    h,
+                    CleanupFact::STATE | CleanupFact::BATCH,
+                    |c| {
+                        c.state = CleanupState::InProgress;
+                        c.in_current_batch = false;
+                    },
+                );
             } else {
                 self.stats.cleanups_suppressed += 1;
                 self.session.wm.retract(h);
@@ -1168,9 +1180,11 @@ impl PolicyService {
                 .find_by::<CleanupFact, CleanupId>(&outcome.id)
             {
                 if outcome.success {
-                    self.session.wm.update::<CleanupFact>(h, |c| {
-                        c.state = CleanupState::Completed;
-                    });
+                    self.session
+                        .wm
+                        .update_fields::<CleanupFact>(h, CleanupFact::STATE, |c| {
+                            c.state = CleanupState::Completed;
+                        });
                 } else {
                     self.session.wm.retract(h);
                 }
@@ -1773,6 +1787,92 @@ mod tests {
         assert_eq!(
             fast.stats().transfer_requests,
             slow.stats().transfer_requests
+        );
+    }
+
+    /// A history in which every digest-keyed probe has a neighbour to
+    /// confuse it with: two destinations, one staged and one still staging,
+    /// duplicates of both, cleanups of both. Returns everything observable.
+    fn digest_history(
+        svc: &mut PolicyService,
+    ) -> (Vec<TransferAdvice>, Vec<CleanupAdvice>, DurableState) {
+        let cleanup = |n: u32, wf: u64| CleanupSpec {
+            file: spec_n(n, wf).dest,
+            workflow: WorkflowId(wf),
+        };
+        let mut transfers = svc.evaluate_transfers(vec![spec_n(1, 1), spec_n(2, 1)]);
+        // f1 is staged; f2 stays in progress.
+        svc.report_transfers(vec![TransferOutcome {
+            id: transfers[0].id,
+            success: true,
+        }]);
+        // The short circuit (f1, same workflow), then the full pass for a
+        // second workflow on both files, a duplicate of f1 in the batch.
+        transfers.extend(svc.evaluate_transfers(vec![spec_n(1, 1)]));
+        transfers.extend(svc.evaluate_transfers(vec![spec_n(1, 2), spec_n(2, 2), spec_n(1, 2)]));
+        // Cleanups: the staging f2 and the staged f1 while shared, then f1's
+        // last user twice in one batch.
+        let mut cleanups = svc.evaluate_cleanups(vec![cleanup(2, 1), cleanup(1, 1)]);
+        cleanups.extend(svc.evaluate_cleanups(vec![cleanup(1, 2), cleanup(1, 2)]));
+        let done = cleanups
+            .iter()
+            .filter(|c| c.should_execute())
+            .map(|c| CleanupOutcome {
+                id: c.id,
+                success: true,
+            })
+            .collect();
+        svc.report_cleanups(done);
+        // f1's resource is gone, f2's is not.
+        transfers.extend(svc.evaluate_transfers(vec![spec_n(1, 3), spec_n(2, 3)]));
+        (transfers, cleanups, svc.durable_state())
+    }
+
+    /// "A collision costs a compare, never a wrong match": with every URL
+    /// and host-pair digest forced to one value, all resources, transfers
+    /// and cleanups share a bucket — and the advice, the audit trail and the
+    /// facts left in memory are exactly what distinct digests give. Buckets
+    /// are walked in handle order, so nothing depends on a digest's value
+    /// either (two processes draw different keys).
+    #[test]
+    fn colliding_digests_cost_a_compare_never_a_wrong_match() {
+        use crate::keys::{collide::with_constant_digest, UrlKey};
+        let (f1, f2) = (spec_n(1, 1).dest, spec_n(2, 1).dest);
+        assert_ne!(UrlKey::of(&f1), UrlKey::of(&f2));
+        let real = digest_history(&mut greedy_service(4, 50));
+        let collided = with_constant_digest(|| {
+            assert_eq!(UrlKey::of(&f1), UrlKey::of(&f2));
+            digest_history(&mut greedy_service(4, 50))
+        });
+        assert_eq!(real, collided);
+
+        // And the history is not vacuous: each probe had to tell f1 from f2.
+        let (transfers, cleanups, _) = real;
+        let actions: Vec<TransferAction> = transfers.iter().map(|a| a.action).collect();
+        use SuppressReason::*;
+        use TransferAction::{Execute, Skip};
+        assert_eq!(
+            actions,
+            vec![
+                Execute,
+                Execute,
+                Skip(AlreadyStaged),
+                Skip(AlreadyStaged),
+                Skip(DuplicateInBatch),
+                Skip(AlreadyInProgress),
+                Execute,
+                Skip(AlreadyInProgress),
+            ]
+        );
+        let actions: Vec<CleanupAction> = cleanups.iter().map(|a| a.action).collect();
+        assert_eq!(
+            actions,
+            vec![
+                CleanupAction::Skip(ResourceInUse),
+                CleanupAction::Skip(ResourceInUse),
+                CleanupAction::Execute,
+                CleanupAction::Skip(DuplicateCleanup),
+            ]
         );
     }
 }

@@ -27,6 +27,7 @@
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::{OrderingPolicy, PolicyConfig};
 use crate::durable::DurabilityConfig;
+use crate::keys::UrlKey;
 use crate::model::{CleanupSpec, TransferSpec, Url};
 use crate::service::{HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats};
 use parking_lot::Mutex;
@@ -208,8 +209,9 @@ impl ShardedPolicyService {
     /// the cleanup will execute unsuppressed wherever it lands) a
     /// deterministic ring fallback on the file's host.
     pub fn shard_for_cleanup(&self, file: &Url) -> u16 {
+        let key = UrlKey::of(file);
         for (s, shard) in self.shards.iter().enumerate() {
-            if shard.lock().has_resource(file) {
+            if shard.lock().has_resource_keyed(key, file) {
                 return s as u16;
             }
         }

@@ -24,11 +24,12 @@
 
 use crate::config::StoragePolicy;
 use crate::ctx::PolicyCtx;
+use crate::keys::UrlKey;
 use crate::model::{
     BackendLoadFact, BackendProfileFact, StagedOnFact, TransferFact, TransferState,
 };
-use crate::rules_base::batch_transfers;
-use pwm_rules::{Rule, Session};
+use crate::rules_base::{batch_transfers, dest_key};
+use pwm_rules::{Fields, Rule, Session};
 use pwm_storage::BackendSpec;
 
 /// Residency horizon assumed when estimating a transfer's $/GB·h component
@@ -114,16 +115,12 @@ fn select_backend<'a>(
 /// profiles are configured and a [`StoragePolicy`] other than `Off` is set.
 pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     // Profiles probed by destination site, ledgers and staged-on records by
-    // backend name / file URL: all equality joins, all indexed.
-    session
-        .wm
-        .register_index::<BackendProfileFact, String>(|b| b.site.clone());
-    session
-        .wm
-        .register_index::<BackendLoadFact, String>(|l| l.backend.clone());
-    session
-        .wm
-        .register_index::<StagedOnFact, crate::model::Url>(|s| s.file.clone());
+    // backend name / file digest: all equality joins, all indexed, all on
+    // fields never written after insertion.
+    let wm = &mut session.wm;
+    wm.register_index::<BackendProfileFact, String>(Fields::NONE, |b| b.site.clone());
+    wm.register_index::<BackendLoadFact, String>(Fields::NONE, |l| l.backend.clone());
+    wm.register_index::<StagedOnFact, UrlKey>(Fields::NONE, |s| UrlKey::of(&s.file));
 
     // Selection: after dedup/grouping/allocation have settled (salience 40 <
     // the allocation families' 50), assign each executing batch transfer a
@@ -235,7 +232,11 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                     });
                 }
                 if completed {
-                    if let Some((sh, _)) = wm.find_by::<StagedOnFact, crate::model::Url>(&file) {
+                    let staged_on = wm
+                        .iter_by::<StagedOnFact, UrlKey>(&dest_key(wm, m[0]))
+                        .find(|(_, s)| s.file == file)
+                        .map(|(sh, _)| sh);
+                    if let Some(sh) = staged_on {
                         wm.update::<StagedOnFact>(sh, |s| {
                             s.backend = backend.clone();
                             s.bytes = bytes;

@@ -1019,6 +1019,23 @@ mod tests {
     }
 
     #[test]
+    fn refraction_keys_differing_only_in_len_hash_apart() {
+        use std::hash::BuildHasher;
+        // A one-fact tuple over (handle 0, version 0) and the zero padding
+        // of an empty tuple carry the same words; only `len` — a `u8`, one
+        // multiply under `MintedHasher` — tells them apart.
+        let key = |len| RefractionKey::Inline {
+            rule: 3,
+            len,
+            facts: [(FactHandle(0), 0); INLINE_FACTS],
+        };
+        let build = MintedBuild::default();
+        assert_ne!(key(0), key(1));
+        assert_ne!(build.hash_one(key(0)), build.hash_one(key(1)));
+        assert_ne!(build.hash_one(key(1)), build.hash_one(key(2)));
+    }
+
+    #[test]
     fn registry_counters_track_rule_activity() {
         let registry = Registry::new();
         let mut s: Session<()> = Session::new();

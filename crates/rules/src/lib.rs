@@ -56,5 +56,5 @@ mod naive;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
-pub use memory::{Fact, FactHandle, FactId, Fields, WorkingMemory};
+pub use memory::{Fact, FactHandle, FactId, Fields, IndexKey, MintedBuild, WorkingMemory};
 pub use rule::{Match, Rule, RuleBuilder, Watch, WatchedType};

@@ -22,23 +22,39 @@
 //! so a handle-based operation pays one probe and a type-based one (`iter`,
 //! `find_by`, `type_generation`) one probe of a map with a dozen entries.
 //!
+//! A secondary index (`KeyIndex`) costs a write only what that write can
+//! change. It declares the [`Fields`] its key reads, so
+//! [`WorkingMemory::update_fields`] re-extracts a key only when the written
+//! groups meet them (insert, retract and plain `update` touch every field
+//! and so every index); it remembers each fact's key by arena slot, so a
+//! re-key compare, a removal and [`WorkingMemory::key_of`] are a `Vec` index
+//! and no hash; and its key type picks the postings map's hasher
+//! ([`IndexKey`]): one multiply for keys this process mints, SipHash for
+//! keys a request or a config file can choose. Debug builds re-extract the
+//! key of every index a field-masked update skipped and panic on a
+//! difference — the index counterpart of the engine's skip oracle.
+//!
 //! Iteration order is insertion order (handles are monotonically increasing
 //! and the per-slab list appends at the tail), so rule evaluation is
 //! reproducible and exactly matches the legacy `BTreeMap` store, which is
 //! preserved as the differential-test oracle in `tests/legacy/mod.rs`.
 
 use std::any::{Any, TypeId};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 
 /// Multiply-rotate hasher (the FxHash recipe) for tables whose keys this
 /// process mints itself: `TypeId`s and [`FactHandle`]s here, refraction keys
-/// in the engine. Nothing a request body carries reaches it — tables keyed by
-/// request data ([`KeyIndex`]) keep std's keyed SipHash.
+/// in the engine, and index keys that are service-minted ids or keyed
+/// digests ([`IndexKey`]). Nothing a request body can choose reaches it —
+/// such keys keep std's keyed SipHash. Every fixed-width integer a derived
+/// `Hash` emits (fields, lengths, enum discriminants) is one multiply; only
+/// byte strings take the chunked path.
 #[derive(Default, Clone, Copy)]
-pub(crate) struct MintedHasher(u64);
+pub struct MintedHasher(u64);
 
 impl Hasher for MintedHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -48,15 +64,63 @@ impl Hasher for MintedHasher {
             self.write_u64(u64::from_le_bytes(word));
         }
     }
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
     }
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
-pub(crate) type MintedBuild = BuildHasherDefault<MintedHasher>;
+/// [`MintedHasher`] as a `BuildHasher`: what an [`IndexKey`] names as its
+/// `Build` when every key of its type is minted by this process.
+pub type MintedBuild = BuildHasherDefault<MintedHasher>;
+
+/// A type an index can be keyed by. The key type — not the caller — picks
+/// the hasher of the index's postings map: [`MintedBuild`] when every value
+/// of the type is minted by this process (a service-assigned id, a keyed
+/// digest, a flag), so no input can steer two keys into one bucket;
+/// `RandomState` (keyed SipHash) when a request body or a config file can
+/// choose the value. The std types implemented here follow that rule:
+/// strings, integers and tuples may carry outside data and keep SipHash.
+pub trait IndexKey: Eq + Hash + Clone + Send + 'static {
+    /// Hasher of the key → postings map.
+    type Build: BuildHasher + Default + Send;
+}
+
+macro_rules! outside_keys {
+    ($($ty:ty),*) => {$(
+        impl IndexKey for $ty {
+            type Build = RandomState;
+        }
+    )*};
+}
+outside_keys!(String, u32, u64);
+
+impl<A, B> IndexKey for (A, B)
+where
+    A: Eq + Hash + Clone + Send + 'static,
+    B: Eq + Hash + Clone + Send + 'static,
+{
+    type Build = RandomState;
+}
+
+/// Two values: nothing to collide.
+impl IndexKey for bool {
+    type Build = MintedBuild;
+}
 
 /// Marker trait for values storable in working memory.
 ///
@@ -85,9 +149,11 @@ pub struct FactHandle(pub u64);
 /// A set of *field groups* of one fact type — the unit of property
 /// reactivity. A fact type names its groups as constants
 /// (`const STATE: Fields = Fields::bit(0)`), a writer says which groups a
-/// mutation touched ([`WorkingMemory::update_fields`]) and a rule says which
-/// groups its matcher reads ([`crate::RuleBuilder::watches_fields`]); the
-/// engine re-evaluates the rule only when the two sets meet.
+/// mutation touched ([`WorkingMemory::update_fields`]), a rule says which
+/// groups its matcher reads ([`crate::RuleBuilder::watches_fields`]) and an
+/// index which groups its key reads ([`WorkingMemory::register_index`]); the
+/// engine re-evaluates the rule, and the store re-keys the index, only when
+/// the two sets meet.
 ///
 /// Fields never written after insertion (a fact's identity) need no bit:
 /// `insert`, `retract` and plain [`WorkingMemory::update`] touch *every*
@@ -111,6 +177,11 @@ impl Fields {
             "a fact type declares at most 32 field groups"
         );
         Fields(1 << n)
+    }
+
+    /// True when the two sets share a group.
+    fn meets(self, other: Fields) -> bool {
+        self.0 & other.0 != 0
     }
 
     /// Positions of the groups in the set, ascending.
@@ -403,19 +474,34 @@ struct HandleEntry {
     slot: u32,
 }
 
-/// Type-erased secondary index, maintained on every insert/update/retract.
-/// The concrete type is always [`KeyIndex<T, K>`]; erasure lets
-/// [`WorkingMemory`] hold indexes over arbitrary fact/key type pairs. The
-/// callbacks carry the fact's arena slot so lookups can later jump straight
-/// into the typed slab.
+/// Type-erased secondary index, maintained on insert, retract and every
+/// update that can change its key. The concrete type is always
+/// [`KeyIndex<T, K>`]; erasure lets [`WorkingMemory`] hold indexes over
+/// arbitrary fact/key type pairs. The callbacks carry the fact's arena slot:
+/// it addresses the index's reverse map, and lookups later jump through it
+/// straight into the typed slab.
 trait ErasedIndex: Send {
     fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any);
-    fn on_remove(&mut self, handle: FactHandle);
-    /// Re-key after an in-place mutation. The index keeps a reverse map of
-    /// each handle's current key, so an update whose key did not change is a
-    /// cheap compare instead of a remove + insert.
+    fn on_remove(&mut self, handle: FactHandle, slot: u32);
+    /// Re-key after an in-place mutation. The index remembers each slot's
+    /// current key, so an update whose key did not change is an extract and
+    /// a compare instead of a remove + insert.
     fn on_update(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any);
+    /// Debug oracle for an `update_fields` that skipped this index: the key
+    /// extracted from the written fact must still be the stored one.
+    #[cfg(debug_assertions)]
+    fn assert_key_unchanged(&self, slot: u32, fact: &dyn Any, written: Fields);
     fn as_any(&self) -> &dyn Any;
+}
+
+/// One registered index of a [`TypeTable`].
+struct IndexEntry {
+    key_type: TypeId,
+    /// Field groups the key is extracted from ([`Fields::NONE`]: identity
+    /// fields only). An `update_fields` that names none of them cannot
+    /// change the key and skips the index.
+    reads: Fields,
+    index: Box<dyn ErasedIndex>,
 }
 
 /// Hash index from an extracted key to the handles bearing it — the alpha
@@ -423,28 +509,34 @@ trait ErasedIndex: Send {
 /// every fact of the type. Each posting also records the fact's arena slot,
 /// so [`WorkingMemory::iter_by`] resolves facts by direct slab indexing:
 /// one slab downcast per *call*, zero downcasts per fact. Postings are
-/// handle-ordered, so indexed lookups see facts in the same insertion order
-/// as [`WorkingMemory::iter`].
-struct KeyIndex<T: Fact, K: Eq + Hash + Clone + Send + 'static> {
+/// handle-ordered — never hash-ordered — so indexed lookups see facts in the
+/// same insertion order as [`WorkingMemory::iter`], whatever the hasher and
+/// whatever its per-process key.
+struct KeyIndex<T: Fact, K: IndexKey> {
     extract: fn(&T) -> K,
-    /// key → (handle → slot), handle-ascending.
-    map: HashMap<K, BTreeMap<FactHandle, u32>>,
-    /// Each indexed handle's current key, so removals and no-op re-keys
-    /// never re-extract from a stale fact value.
-    back: HashMap<FactHandle, K>,
+    /// key → (handle → slot), handle-ascending; hashed as `K` prescribes.
+    map: HashMap<K, BTreeMap<FactHandle, u32>, K::Build>,
+    /// Each indexed fact's current key, by arena slot (`None`: slot free),
+    /// so removals and no-op re-keys never re-extract from a stale fact
+    /// value and [`WorkingMemory::key_of`] reads a key without computing it.
+    back: Vec<Option<K>>,
 }
 
-impl<T: Fact, K: Eq + Hash + Clone + Send + 'static> KeyIndex<T, K> {
+impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
     fn link(&mut self, handle: FactHandle, slot: u32, key: K) {
         self.map
             .entry(key.clone())
             .or_default()
             .insert(handle, slot);
-        self.back.insert(handle, key);
+        let slot = slot as usize;
+        if slot >= self.back.len() {
+            self.back.resize(slot + 1, None);
+        }
+        self.back[slot] = Some(key);
     }
 
-    fn unlink(&mut self, handle: FactHandle) {
-        if let Some(key) = self.back.remove(&handle) {
+    fn unlink(&mut self, handle: FactHandle, slot: u32) {
+        if let Some(key) = self.back.get_mut(slot as usize).and_then(Option::take) {
             if let Some(set) = self.map.get_mut(&key) {
                 set.remove(&handle);
                 if set.is_empty() {
@@ -453,26 +545,43 @@ impl<T: Fact, K: Eq + Hash + Clone + Send + 'static> KeyIndex<T, K> {
             }
         }
     }
-}
 
-impl<T: Fact, K: Eq + Hash + Clone + Send + 'static> ErasedIndex for KeyIndex<T, K> {
-    fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
-        let t = fact.downcast_ref::<T>().expect("index fact type");
-        self.link(handle, slot, (self.extract)(t));
+    fn key_at(&self, slot: u32) -> Option<&K> {
+        self.back.get(slot as usize)?.as_ref()
     }
 
-    fn on_remove(&mut self, handle: FactHandle) {
-        self.unlink(handle);
+    fn extract_from(&self, fact: &dyn Any) -> K {
+        (self.extract)(fact.downcast_ref::<T>().expect("index fact type"))
+    }
+}
+
+impl<T: Fact, K: IndexKey> ErasedIndex for KeyIndex<T, K> {
+    fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
+        self.link(handle, slot, self.extract_from(fact));
+    }
+
+    fn on_remove(&mut self, handle: FactHandle, slot: u32) {
+        self.unlink(handle, slot);
     }
 
     fn on_update(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
-        let t = fact.downcast_ref::<T>().expect("index fact type");
-        let key = (self.extract)(t);
-        if self.back.get(&handle) == Some(&key) {
+        let key = self.extract_from(fact);
+        if self.key_at(slot) == Some(&key) {
             return;
         }
-        self.unlink(handle);
+        self.unlink(handle, slot);
         self.link(handle, slot, key);
+    }
+
+    #[cfg(debug_assertions)]
+    fn assert_key_unchanged(&self, slot: u32, fact: &dyn Any, written: Fields) {
+        assert!(
+            self.key_at(slot) == Some(&self.extract_from(fact)),
+            "index over {} keyed by {} was skipped by an update of {written:?} that changed \
+             its key: register_index must declare every field group the key reads",
+            std::any::type_name::<T>(),
+            std::any::type_name::<K>(),
+        );
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -547,8 +656,8 @@ pub(crate) struct TypeTable {
     live: usize,
     /// Recently mutated handles (see [`TypeLog`]).
     log: TypeLog,
-    /// Secondary indexes over this type, by key type.
-    indexes: Vec<(TypeId, Box<dyn ErasedIndex>)>,
+    /// Secondary indexes over this type, one per key type.
+    indexes: Vec<IndexEntry>,
 }
 
 impl TypeTable {
@@ -557,6 +666,19 @@ impl TypeTable {
             .as_any()
             .downcast_ref::<TypedSlab<T>>()
             .expect("slab type")
+    }
+
+    /// This table's index keyed by `K`, if one was registered.
+    fn index<T: Fact, K: IndexKey>(&self) -> Option<&KeyIndex<T, K>> {
+        let key_type = TypeId::of::<K>();
+        let entry = self.indexes.iter().find(|e| e.key_type == key_type)?;
+        Some(
+            entry
+                .index
+                .as_any()
+                .downcast_ref::<KeyIndex<T, K>>()
+                .expect("index shape matches its registration key"),
+        )
     }
 
     /// Stamp a mutation of `handle`'s `fields` at global generation `gen`.
@@ -598,6 +720,14 @@ impl TypeTable {
     pub(crate) fn changed_since(&self, gen: u64) -> Option<&[(u64, FactHandle)]> {
         self.log.since(gen)
     }
+}
+
+fn no_index<T, K>() -> ! {
+    panic!(
+        "no index over {} keyed by {}; call register_index first",
+        std::any::type_name::<T>(),
+        std::any::type_name::<K>()
+    )
 }
 
 /// The fact store.
@@ -685,8 +815,8 @@ impl WorkingMemory {
             .expect("slab type");
         let slot = slab.alloc(fact, handle);
         let value: &T = slab.value(slot);
-        for (_, idx) in &mut table.indexes {
-            idx.on_insert(handle, slot, value);
+        for entry in &mut table.indexes {
+            entry.index.on_insert(handle, slot, value);
         }
         table.touch(self.generation, handle, Fields::ALL);
         table.live += 1;
@@ -709,8 +839,8 @@ impl WorkingMemory {
         self.generation += 1;
         let table = &mut self.tables[entry.table as usize];
         table.slab.remove_slot(entry.slot);
-        for (_, idx) in &mut table.indexes {
-            idx.on_remove(handle);
+        for index in &mut table.indexes {
+            index.index.on_remove(handle, entry.slot);
         }
         table.touch(self.generation, handle, Fields::ALL);
         table.live -= 1;
@@ -758,8 +888,10 @@ impl WorkingMemory {
     /// `f` changes only fields in the groups `fields`, so only rules whose
     /// matcher reads one of those groups re-evaluate. The version still
     /// bumps — a rule that keeps matching the fact is re-armed on it either
-    /// way. Naming fewer groups than `f` writes is the unsafe direction (a
-    /// reader is not told); naming more is merely slower.
+    /// way. Likewise only indexes whose key reads one of those groups are
+    /// re-keyed. Naming fewer groups than `f` writes is the unsafe direction
+    /// (a reader is not told; debug builds panic on an index left stale);
+    /// naming more is merely slower.
     pub fn update_fields<T: Fact>(
         &mut self,
         handle: FactHandle,
@@ -780,12 +912,17 @@ impl WorkingMemory {
             .expect("slab type");
         f(slab.value_mut(slot));
         slab.bump_version(slot);
-        // Re-key under the post-update value — the closure may have changed
-        // indexed fields. The index compares against its reverse map, so an
-        // unchanged key costs one extract.
+        // Re-key under the post-update value the indexes whose key the
+        // closure may have changed. The index compares against the slot's
+        // stored key, so an unchanged key costs one extract.
         let value: &T = slab.value(slot);
-        for (_, idx) in &mut table.indexes {
-            idx.on_update(handle, slot, value);
+        for entry in &mut table.indexes {
+            if fields == Fields::ALL || entry.reads.meets(fields) {
+                entry.index.on_update(handle, slot, value);
+            } else {
+                #[cfg(debug_assertions)]
+                entry.index.assert_key_unchanged(slot, value, fields);
+            }
         }
         self.generation += 1;
         table.touch(self.generation, handle, fields);
@@ -842,22 +979,23 @@ impl WorkingMemory {
         self.iter::<T>().find(|(_, t)| pred(t))
     }
 
-    /// Register a hash index over facts of type `T`, keyed by `extract`.
-    /// Existing facts are back-filled, and the index is maintained on every
-    /// subsequent insert/update/retract. One index per (fact type, key type)
-    /// pair; re-registering replaces the index.
+    /// Register a hash index over facts of type `T`, keyed by `extract`,
+    /// which reads only identity fields (never written after insertion
+    /// except by plain [`WorkingMemory::update`]) and the field groups
+    /// `reads` — [`Fields::NONE`] for a pure identity key. Existing facts
+    /// are back-filled, and the index is maintained on every insert,
+    /// retract, plain update and every [`WorkingMemory::update_fields`]
+    /// naming a group in `reads`. One index per (fact type, key type) pair;
+    /// re-registering replaces the index.
     ///
     /// Equality joins probe the index via [`WorkingMemory::find_by`] in O(1)
     /// instead of scanning every fact of the type — the alpha memory of a
     /// Rete network.
-    pub fn register_index<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
-        &mut self,
-        extract: fn(&T) -> K,
-    ) {
+    pub fn register_index<T: Fact, K: IndexKey>(&mut self, reads: Fields, extract: fn(&T) -> K) {
         let mut index = KeyIndex::<T, K> {
             extract,
-            map: HashMap::new(),
-            back: HashMap::new(),
+            map: HashMap::default(),
+            back: Vec::new(),
         };
         let table_ix = self.table_index_or_new::<T>();
         let table = &mut self.tables[table_ix as usize];
@@ -865,40 +1003,37 @@ impl WorkingMemory {
             index.link(h, slot, extract(t));
         }
         let key_type = TypeId::of::<K>();
-        table.indexes.retain(|(k, _)| *k != key_type);
-        table.indexes.push((key_type, Box::new(index)));
+        table.indexes.retain(|e| e.key_type != key_type);
+        table.indexes.push(IndexEntry {
+            key_type,
+            reads,
+            index: Box::new(index),
+        });
     }
 
     /// `T`'s table and its index keyed by `K`. Panics if no such index was
     /// registered.
-    fn key_index<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
-        &self,
-    ) -> (&TypeTable, &KeyIndex<T, K>) {
-        let key_type = TypeId::of::<K>();
+    fn key_index<T: Fact, K: IndexKey>(&self) -> (&TypeTable, &KeyIndex<T, K>) {
         self.table(TypeId::of::<T>())
-            .and_then(|table| {
-                let (_, idx) = table.indexes.iter().find(|(k, _)| *k == key_type)?;
-                let idx = idx
-                    .as_any()
-                    .downcast_ref::<KeyIndex<T, K>>()
-                    .expect("index shape matches its registration key");
-                Some((table, idx))
-            })
-            .unwrap_or_else(|| {
-                panic!(
-                    "no index over {} keyed by {}; call register_index first",
-                    std::any::type_name::<T>(),
-                    std::any::type_name::<K>()
-                )
-            })
+            .and_then(|table| Some((table, table.index::<T, K>()?)))
+            .unwrap_or_else(|| no_index::<T, K>())
+    }
+
+    /// The key `handle`'s fact is currently indexed under, read back from
+    /// the index instead of re-extracted (a digest key is computed once per
+    /// fact, at insertion). `None` if the handle is stale or names another
+    /// type. Panics if no such index was registered.
+    pub fn key_of<T: Fact, K: IndexKey>(&self, handle: FactHandle) -> Option<&K> {
+        let (table, slot) = self.locate::<T>(handle)?;
+        table
+            .index::<T, K>()
+            .unwrap_or_else(|| no_index::<T, K>())
+            .key_at(slot)
     }
 
     /// Handles of facts of type `T` whose indexed key equals `key`, in
     /// insertion order. Panics if no such index was registered.
-    pub fn lookup_by<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
-        &self,
-        key: &K,
-    ) -> Vec<FactHandle> {
+    pub fn lookup_by<T: Fact, K: IndexKey>(&self, key: &K) -> Vec<FactHandle> {
         self.key_index::<T, K>()
             .1
             .map
@@ -912,7 +1047,7 @@ impl WorkingMemory {
     /// registered. This is the alpha-memory join path: the index posting
     /// carries each fact's arena slot, so resolution is direct typed-slab
     /// indexing — one downcast per call, not per fact.
-    pub fn iter_by<'a, T: Fact, K: Eq + Hash + Clone + Send + 'static>(
+    pub fn iter_by<'a, T: Fact, K: IndexKey>(
         &'a self,
         key: &K,
     ) -> impl Iterator<Item = (FactHandle, &'a T)> + 'a {
@@ -942,10 +1077,7 @@ impl WorkingMemory {
     /// First (lowest-handle) fact of type `T` whose indexed key equals
     /// `key` — the indexed equivalent of [`WorkingMemory::find`] with a
     /// key-equality predicate. Panics if no such index was registered.
-    pub fn find_by<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
-        &self,
-        key: &K,
-    ) -> Option<(FactHandle, &T)> {
+    pub fn find_by<T: Fact, K: IndexKey>(&self, key: &K) -> Option<(FactHandle, &T)> {
         let (table, index) = self.key_index::<T, K>();
         let (&handle, &slot) = index.map.get(key)?.iter().next()?;
         Some((handle, table.slab::<T>().value(slot)))
@@ -1114,7 +1246,7 @@ mod tests {
     fn index_backfills_and_tracks_mutations() {
         let mut wm = WorkingMemory::new();
         let h1 = wm.insert(Cleanup { file: "a".into() });
-        wm.register_index::<Cleanup, String>(|c| c.file.clone());
+        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
         // Back-filled.
         assert_eq!(
             wm.find_by::<Cleanup, String>(&"a".to_string()).unwrap().0,
@@ -1141,7 +1273,7 @@ mod tests {
     #[test]
     fn index_lookup_is_insertion_ordered() {
         let mut wm = WorkingMemory::new();
-        wm.register_index::<Cleanup, String>(|c| c.file.clone());
+        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
         let h1 = wm.insert(Cleanup { file: "x".into() });
         let h2 = wm.insert(Cleanup { file: "x".into() });
         wm.insert(Cleanup { file: "y".into() });
@@ -1155,9 +1287,90 @@ mod tests {
             h1
         );
         // Indexes on other types are untouched by Cleanup traffic.
-        wm.register_index::<Transfer, u32>(|t| t.id);
+        wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.id);
         let ht = wm.insert(Transfer { id: 7, streams: 0 });
         assert_eq!(wm.find_by::<Transfer, u32>(&7).unwrap().0, ht);
+    }
+
+    /// Field groups of [`Transfer`]: `id` is identity, `streams` a group.
+    const STREAMS: Fields = Fields::bit(0);
+    const OTHER: Fields = Fields::bit(1);
+
+    #[test]
+    fn an_update_that_names_no_key_field_extracts_no_key() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static EXTRACTS: AtomicUsize = AtomicUsize::new(0);
+        let mut wm = WorkingMemory::new();
+        wm.register_index::<Transfer, u32>(STREAMS, |t| {
+            EXTRACTS.fetch_add(1, Ordering::Relaxed);
+            t.streams
+        });
+        let h = wm.insert(Transfer { id: 1, streams: 4 });
+        assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), 1, "one at insert");
+        for _ in 0..10 {
+            assert!(wm.update_fields::<Transfer>(h, OTHER, |t| t.id += 1));
+        }
+        // The debug oracle re-extracts what was skipped; the index itself
+        // never does.
+        let oracle = if cfg!(debug_assertions) { 10 } else { 0 };
+        assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), oracle);
+        assert!(wm.update_fields::<Transfer>(h, STREAMS, |t| t.streams = 8));
+        assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), 1, "a named group");
+        assert_eq!(wm.lookup_by::<Transfer, u32>(&8), vec![h]);
+        assert!(wm.lookup_by::<Transfer, u32>(&4).is_empty());
+        assert!(wm.update::<Transfer>(h, |t| t.streams = 2));
+        assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), 1, "a plain update");
+        assert_eq!(wm.key_of::<Transfer, u32>(h), Some(&2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Transfer keyed by u32 was skipped by an update of Fields(2)")]
+    fn the_debug_oracle_names_an_under_declared_index() {
+        let mut wm = WorkingMemory::new();
+        // The key reads `streams` but declares no group.
+        wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.streams);
+        let h = wm.insert(Transfer { id: 1, streams: 4 });
+        wm.update_fields::<Transfer>(h, OTHER, |t| t.streams = 8);
+    }
+
+    #[test]
+    fn key_of_reads_the_stored_key_and_slot_reuse_does_not_leak_it() {
+        let mut wm = WorkingMemory::new();
+        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let h1 = wm.insert(Cleanup { file: "a".into() });
+        let ht = wm.insert(Transfer { id: 1, streams: 0 });
+        assert_eq!(wm.key_of::<Cleanup, String>(h1), Some(&"a".to_string()));
+        assert_eq!(wm.key_of::<Cleanup, String>(ht), None, "another type");
+        wm.retract(h1);
+        assert_eq!(wm.key_of::<Cleanup, String>(h1), None, "stale handle");
+        // The next Cleanup recycles h1's slot; the old key must be gone from
+        // the reverse map and the postings alike.
+        let h2 = wm.insert(Cleanup { file: "b".into() });
+        assert_eq!(wm.key_of::<Cleanup, String>(h2), Some(&"b".to_string()));
+        assert!(wm.lookup_by::<Cleanup, String>(&"a".to_string()).is_empty());
+        assert_eq!(wm.lookup_by::<Cleanup, String>(&"b".to_string()), vec![h2]);
+        wm.retract(h2);
+        assert!(wm.lookup_by::<Cleanup, String>(&"b".to_string()).is_empty());
+    }
+
+    #[test]
+    fn minted_hasher_spreads_narrow_integers() {
+        use std::collections::HashSet;
+        let build = MintedBuild::default();
+        let bytes: HashSet<u64> = (0u8..=255).map(|b| build.hash_one(b)).collect();
+        assert_eq!(bytes.len(), 256);
+        let words: HashSet<u64> = (0u32..4096).map(|w| build.hash_one(w)).collect();
+        assert_eq!(words.len(), 4096);
+        // A narrow write is the one-multiply path, not a zero-padded chunk
+        // of the byte path that happens to agree with it.
+        assert_eq!(build.hash_one(7u8), build.hash_one(7u64));
+        assert_eq!(build.hash_one(7usize), build.hash_one(7u64));
+        assert_eq!(build.hash_one(-1isize), build.hash_one(u64::MAX));
+        // Table positions come from the low bits, hashbrown's tags from the
+        // top seven: small ids must differ in both.
+        let low: HashSet<u64> = (0u32..128).map(|w| build.hash_one(w) & 127).collect();
+        assert_eq!(low.len(), 128);
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //! agree exactly — returned handles, operation results, fact values,
 //! iteration order, versions, the global generation, per-type generations,
 //! and the `changed_since` delta log. Indexed lookups (`find_by`, `iter_by`,
-//! `lookup_by`) are additionally held to the oracle's *filtered scan* —
-//! insertion order, first = lowest handle — for an index registered before
-//! any fact exists and for one registered mid-sequence over whatever facts
-//! exist by then: the Policy Service's own lookups rely on an index probe
-//! answering exactly what `find` over the type would. A generic mini rule
+//! `lookup_by`, `key_of`) are additionally held to the oracle's *filtered
+//! scan* — insertion order, first = lowest handle — for an index registered
+//! before any fact exists and for one registered mid-sequence over whatever
+//! facts exist by then: the Policy Service's own lookups rely on an index
+//! probe answering exactly what `find` over the type would. The Alpha index
+//! declares the field group its key reads, and the command stream carries
+//! `update_fields` under random masks — some naming that group and really
+//! changing the key, most not — so the index is also held, after every
+//! command, to one rebuilt from scratch over the same facts: skipping the
+//! re-key of an update that cannot change the key must never leave a
+//! posting or a stored key behind. A generic mini rule
 //! evaluator then
 //! replays identical workloads over both stores and must produce identical
 //! firing-report counters (evaluations / matches / firings), since those
@@ -35,6 +41,21 @@ struct Alpha {
     key: u64,
 }
 
+/// Field groups of [`Alpha`]: the index key reads `KEY` only.
+const N: Fields = Fields::bit(0);
+const KEY: Fields = Fields::bit(1);
+/// A group no field of `Alpha` belongs to (writers may over-declare).
+const SPARE: Fields = Fields::bit(7);
+
+/// The same key extraction as the maintained `u64` index under a second key
+/// type, so an index rebuilt from scratch can sit beside the maintained one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Rebuilt(u64);
+
+impl pwm_rules::IndexKey for Rebuilt {
+    type Build = pwm_rules::MintedBuild;
+}
+
 #[derive(Debug, PartialEq, Clone)]
 struct Beta {
     s: String,
@@ -48,6 +69,9 @@ enum Cmd {
     InsertA(u64, u64),
     InsertB(u64),
     UpdateA(usize, u64),
+    /// `update_fields::<Alpha>` under the mask whose groups the low three
+    /// bits pick (`N`, `KEY`, `SPARE`); the key changes iff it names `KEY`.
+    UpdateFieldsA(usize, u8, u64),
     /// `update::<Beta>` aimed at whatever handle `ix` names — usually an
     /// Alpha, so the typed-miss path is exercised.
     UpdateWrongType(usize),
@@ -68,6 +92,8 @@ fn arb_cmd() -> impl Strategy<Value = Cmd> {
         4 => (0u64..50, 0u64..8).prop_map(|(n, k)| Cmd::InsertA(n, k)),
         2 => (0u64..50).prop_map(Cmd::InsertB),
         3 => (any::<usize>(), 0u64..8).prop_map(|(ix, k)| Cmd::UpdateA(ix, k)),
+        4 => (any::<usize>(), 0u8..8, 0u64..8)
+            .prop_map(|(ix, groups, k)| Cmd::UpdateFieldsA(ix, groups, k)),
         1 => any::<usize>().prop_map(Cmd::UpdateWrongType),
         2 => any::<usize>().prop_map(Cmd::Retract),
         1 => Just(Cmd::RetractAllB),
@@ -87,7 +113,7 @@ fn assert_index_matches_scan<T, K>(
     extract: fn(&T) -> K,
 ) where
     T: pwm_rules::Fact + Clone + PartialEq,
-    K: Eq + std::hash::Hash + Clone + Send + std::fmt::Debug + 'static,
+    K: pwm_rules::IndexKey + std::fmt::Debug,
 {
     let scan: Vec<(FactHandle, T)> = legacy
         .iter::<T>()
@@ -158,8 +184,25 @@ fn assert_stores_agree(
             });
         }
     }
+    for (h, _) in legacy.iter::<Alpha>() {
+        assert_eq!(
+            arena.key_of::<Alpha, u64>(h),
+            legacy.key_of::<Alpha, u64>(h),
+            "key_of({h:?}) diverged"
+        );
+        assert_eq!(
+            arena.key_of::<Alpha, u64>(h),
+            arena.key_of::<Alpha, Rebuilt>(h).map(|k| &k.0),
+            "key_of({h:?}) is not the rebuilt index's"
+        );
+    }
     for key in 0..8u64 {
         assert_index_matches_scan::<Alpha, u64>(arena, legacy, &key, |a| a.key);
+        assert_eq!(
+            arena.lookup_by::<Alpha, u64>(&key),
+            arena.lookup_by::<Alpha, Rebuilt>(&Rebuilt(key)),
+            "lookup_by({key}) is not the rebuilt index's"
+        );
         assert_eq!(
             arena.lookup_by::<Alpha, u64>(&key),
             legacy.lookup_by::<Alpha, u64>(&key),
@@ -199,7 +242,7 @@ proptest! {
     fn arena_store_matches_legacy_store(cmds in proptest::collection::vec(arb_cmd(), 1..120)) {
         let mut arena = WorkingMemory::new();
         let mut legacy = LegacyWorkingMemory::new();
-        arena.register_index::<Alpha, u64>(|a| a.key);
+        arena.register_index::<Alpha, u64>(KEY, |a| a.key);
         legacy.register_index::<Alpha, u64>(|a| a.key);
         let mut handles: Vec<FactHandle> = Vec::new();
         // Ids of every Alpha ever inserted, with the handle they named;
@@ -224,16 +267,32 @@ proptest! {
                 }
                 Cmd::UpdateA(ix, key) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
-                    // To every observable compared here a field-scoped
-                    // update is an update: the store differs only in which
-                    // watchers it tells.
-                    let ra = if key % 2 == 0 {
-                        arena.update::<Alpha>(h, |a| { a.n += 1; a.key = key; })
-                    } else {
-                        arena.update_fields::<Alpha>(h, Fields::bit(0), |a| { a.n += 1; a.key = key; })
-                    };
+                    // A plain update touches every field, the key included.
+                    let ra = arena.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
                     let rl = legacy.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
                     prop_assert_eq!(ra, rl, "update result diverged");
+                }
+                Cmd::UpdateFieldsA(ix, groups, key) if !handles.is_empty() => {
+                    let h = handles[ix % handles.len()];
+                    let mask = [N, KEY, SPARE]
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(bit, _)| groups >> bit & 1 == 1)
+                        .fold(Fields::NONE, |mask, (_, group)| mask | group);
+                    // An honest writer: it changes the key only under a mask
+                    // that says so. To every other observable compared here
+                    // a field-scoped update is an update — the store differs
+                    // only in which watchers and indexes it tells.
+                    let rekeys = groups & 0b010 != 0;
+                    let write = |a: &mut Alpha| {
+                        a.n += 1;
+                        if rekeys {
+                            a.key = key;
+                        }
+                    };
+                    let ra = arena.update_fields::<Alpha>(h, mask, write);
+                    let rl = legacy.update::<Alpha>(h, write);
+                    prop_assert_eq!(ra, rl, "update_fields result diverged");
                 }
                 Cmd::UpdateWrongType(ix) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
@@ -269,12 +328,19 @@ proptest! {
                 }
                 Cmd::Checkpoint => checkpoint = arena.generation(),
                 Cmd::IndexBeta => {
-                    arena.register_index::<Beta, String>(|b| b.s.clone());
+                    arena.register_index::<Beta, String>(Fields::NONE, |b| b.s.clone());
                     beta_indexed = true;
                 }
                 // Handle-bearing commands before the first insert: no-ops.
-                Cmd::UpdateA(..) | Cmd::UpdateWrongType(_) | Cmd::Retract(_) | Cmd::Probe(_) => {}
+                Cmd::UpdateA(..)
+                | Cmd::UpdateFieldsA(..)
+                | Cmd::UpdateWrongType(_)
+                | Cmd::Retract(_)
+                | Cmd::Probe(_) => {}
             }
+            // Re-registering replaces the index with one back-filled from
+            // the facts as they stand: the maintained index's reference.
+            arena.register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
             assert_stores_agree(&arena, &legacy, checkpoint, beta_indexed);
         }
         // Use-after-retract: every id whose handle is gone must miss via

@@ -337,6 +337,14 @@ impl LegacyWorkingMemory {
             .filter_map(move |h| self.get::<T>(*h).map(|t| (*h, t)))
     }
 
+    /// The key `handle`'s fact is currently indexed under.
+    pub fn key_of<T: Fact, K: Eq + Hash + Clone + Send + 'static>(
+        &self,
+        handle: FactHandle,
+    ) -> Option<&K> {
+        self.key_index::<T, K>().back.get(&handle)
+    }
+
     /// Handles of facts of `type_id` mutated at generations strictly after
     /// `gen`, oldest first, or `None` if the per-type log has been
     /// compacted past `gen`.

@@ -85,7 +85,7 @@ test -s target/netbench/BENCH_net.json || { echo "netbench report is empty" >&2;
 
 # Advice floor: the Policy Service front end with 10k files resident on 4
 # shards (`advice_hot` of the whole-stack benchmark) must answer at least
-# 14 000 requests/s. Every lookup the service does by key — the shard owning a
+# 16 500 requests/s. Every lookup the service does by key — the shard owning a
 # cleanup's file, the fact an outcome report names, a host pair's ledger — is
 # an index probe, and a rules pass evaluates only the matchers that read what
 # the last firing wrote. One lookup falling back to a scan of policy memory
@@ -94,22 +94,25 @@ test -s target/netbench/BENCH_net.json || { echo "netbench report is empty" >&2;
 # `requires` guards and the sampled matcher timing takes the same machine
 # from ~21 000 back to ~16 000. Losing the streaming codec — every document
 # built as a value tree again between its text and its struct — returns the
-# workload from ~27 000 to ~21 000. So the floor sits at about half of what the
+# workload from ~27 000 to ~21 000. Losing the write-proportional alpha
+# indexes — keys digested once per fact and read back, re-keyed only by
+# writes to the fields they read, minted keys hashed in one multiply — takes
+# it from ~33 000 back to ~28 000. So the floor sits at about half of what the
 # code reaches: far outside the noise of a shared runner, far inside the cost
 # of a scan. Best of 3, as for netbench. The run's JSON result is the last
 # line of its output.
-echo "== advice_hot floor (10k resident files, 14000 req/s, best of 3) =="
+echo "== advice_hot floor (10k resident files, 16500 req/s, best of 3) =="
 advice_ok=0
 for attempt in 1 2 3; do
   advice_rate="$(timeout 300 benchmark/run.sh --workload advice_hot --seed 1 --seconds 5 --trace 0 \
     | tail -n 1 | sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' || true)"
   echo "advice_hot attempt ${attempt}: ${advice_rate:-no result} req/s"
-  if [ "${advice_rate:-0}" -ge 14000 ]; then
+  if [ "${advice_rate:-0}" -ge 16500 ]; then
     advice_ok=1
     break
   fi
 done
-[ "$advice_ok" = 1 ] || { echo "advice_hot stayed under 14000 req/s 3/3 attempts" >&2; exit 1; }
+[ "$advice_ok" = 1 ] || { echo "advice_hot stayed under 16500 req/s 3/3 attempts" >&2; exit 1; }
 
 # Differential job: the arena fact store and the ladder event queue are
 # locked to their straightforward oracles (legacy map-backed working
@@ -124,7 +127,11 @@ done
 # checks every matcher evaluation the agenda skips against a from-scratch
 # match and panics first, so only a release build compares the engine as
 # shipped — field-level watches, `requires` guards, no oracle — with the
-# naive evaluator's firing logs.
+# naive evaluator's firing logs. The same holds for the fact store's indexes:
+# a debug `update_fields` re-extracts the key of every index it skipped and
+# panics on a stale one, so only the release run of `facts_differential`
+# shows the field-masked re-keying agreeing with the legacy store and with an
+# index rebuilt from scratch on its own, without that re-extraction.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
