@@ -18,6 +18,7 @@
 
 use crate::catalog::ComputeSite;
 use crate::planner::{ExecutablePlan, PlanJobKind, PlannedTransfer};
+use crate::policy_port::PolicyPort;
 use crate::recovery::{Checkpoint, CrashTarget, RecoveryConfig, RecoveryReport};
 use crate::stats::RunStats;
 use pwm_core::chaos::SharedSimClock;
@@ -272,7 +273,9 @@ impl ReadyQueue {
 pub struct WorkflowExecutor<'p> {
     plan: &'p ExecutablePlan,
     config: ExecutorConfig,
-    transport: Box<dyn PolicyTransport>,
+    /// Every policy interaction goes through the port; completion reports
+    /// wait in its report window until the window closes.
+    policy: PolicyPort,
     network: Network,
     events: LadderQueue<Ev>,
     now: SimTime,
@@ -288,11 +291,6 @@ pub struct WorkflowExecutor<'p> {
     cleanup_in_flight: usize,
     staging_runs: HashMap<usize, StagingRun>,
     cleanup_advice: HashMap<usize, Vec<pwm_core::CleanupAdvice>>,
-    /// Completion reports the transport failed to deliver, queued for
-    /// resend at the next policy interaction (resync on reconnect).
-    pending_transfer_reports: Vec<TransferOutcome>,
-    /// Cleanup reports queued the same way.
-    pending_cleanup_reports: Vec<CleanupOutcome>,
     /// flow tag → (job, advice index)
     flow_owner: HashMap<u64, (usize, usize)>,
     next_tag: u64,
@@ -335,7 +333,6 @@ pub struct WorkflowExecutor<'p> {
     bytes_staged: f64,
     transfers_skipped: usize,
     transfer_retries: u64,
-    policy_calls: u64,
     compute_core_seconds: f64,
     jobs_done: usize,
     jobs_failed: usize,
@@ -375,7 +372,7 @@ impl<'p> WorkflowExecutor<'p> {
         }
         let mut exec = WorkflowExecutor {
             plan,
-            transport,
+            policy: PolicyPort::new(transport, config.fallback_streams, config.obs.clone()),
             network,
             events: LadderQueue::new(),
             now: SimTime::ZERO,
@@ -390,8 +387,6 @@ impl<'p> WorkflowExecutor<'p> {
             cleanup_in_flight: 0,
             staging_runs: HashMap::new(),
             cleanup_advice: HashMap::new(),
-            pending_transfer_reports: Vec::new(),
-            pending_cleanup_reports: Vec::new(),
             flow_owner: HashMap::new(),
             next_tag: 0,
             storage_flows: HashMap::new(),
@@ -412,7 +407,6 @@ impl<'p> WorkflowExecutor<'p> {
             bytes_staged: 0.0,
             transfers_skipped: 0,
             transfer_retries: 0,
-            policy_calls: 0,
             compute_core_seconds: 0.0,
             jobs_done: 0,
             jobs_failed: 0,
@@ -507,6 +501,11 @@ impl<'p> WorkflowExecutor<'p> {
                     break;
                 }
             }
+            // No report crosses a simulated instant: the window closes
+            // while the clock still reads the instant that produced it.
+            if t > self.now {
+                self.policy.close_window();
+            }
             self.now = t;
             if let Some(clock) = &self.config.clock {
                 clock.set(t);
@@ -518,6 +517,7 @@ impl<'p> WorkflowExecutor<'p> {
             }
         }
 
+        self.policy.close_window();
         let finished = self.jobs_done + self.jobs_failed + self.jobs_abandoned;
         debug_assert!(
             finished == total || self.halted,
@@ -548,7 +548,7 @@ impl<'p> WorkflowExecutor<'p> {
             transfers_skipped: self.transfers_skipped,
             transfer_retries: self.transfer_retries,
             failed_jobs: self.jobs_failed,
-            policy_calls: self.policy_calls,
+            policy_calls: self.policy.calls(),
             compute_core_seconds: self.compute_core_seconds,
             peak_wan_streams: self.config.watch_link.map(|l| self.network.peak_streams(l)),
             peak_scratch_bytes: self.peak_scratch_bytes,
@@ -596,20 +596,6 @@ impl<'p> WorkflowExecutor<'p> {
                 &[("kind", self.job_kind(job)), ("state", state)],
             )
             .inc();
-    }
-
-    /// Count one policy-service callout.
-    fn note_policy_call(&mut self) {
-        self.policy_calls += 1;
-        if let Some(obs) = &self.config.obs {
-            obs.registry
-                .counter(
-                    "pwm_workflow_policy_calls_total",
-                    "Policy-service callouts issued by the executor",
-                    &[],
-                )
-                .inc();
-        }
     }
 
     /// Record the advice round-trip that just landed as a span under the
@@ -791,39 +777,12 @@ impl<'p> WorkflowExecutor<'p> {
                 );
             }
             Ev::StagingAdvice(job) => {
-                self.note_policy_call();
                 self.close_rpc_span(job, "advice_rpc");
                 let run = self.staging_runs.get_mut(&job).expect("staging run state");
-                let specs = run.specs.clone();
-                self.flush_pending_reports();
-                match self.transport.evaluate_transfers(specs) {
-                    Ok(advice) => {
-                        let run = self.staging_runs.get_mut(&job).expect("staging run state");
-                        run.advice = advice;
-                    }
-                    Err(_) => {
-                        // Policy service unreachable: fall back to executing
-                        // the submitted list as-is with the configured
-                        // default stream count (fail-safe, not fail-stop).
-                        self.note_fallback(job);
-                        let streams = self.config.fallback_streams.max(1);
-                        let run = self.staging_runs.get_mut(&job).expect("staging run state");
-                        run.advice = run
-                            .specs
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| TransferAdvice {
-                                id: pwm_core::TransferId(u64::MAX - i as u64),
-                                source: s.source.clone(),
-                                dest: s.dest.clone(),
-                                action: pwm_core::TransferAction::Execute,
-                                streams,
-                                group: pwm_core::GroupId(0),
-                                order: i as u32,
-                                backend: None,
-                            })
-                            .collect();
-                    }
+                let (advice, fell_back) = self.policy.evaluate_transfers(&run.specs);
+                run.advice = advice;
+                if fell_back {
+                    self.note_fallback(job);
                 }
                 self.start_next_transfer(job);
             }
@@ -841,21 +800,11 @@ impl<'p> WorkflowExecutor<'p> {
                 let key = (prior.source.to_string(), prior.dest.to_string());
                 let spec_ix = run.by_urls[&key];
                 let spec = run.specs[spec_ix].clone();
-                self.note_policy_call();
-                self.flush_pending_reports();
-                match self.transport.evaluate_transfers(vec![spec]) {
-                    Ok(mut advice) if !advice.is_empty() => {
-                        let fresh = advice.remove(0);
-                        let run = self.staging_runs.get_mut(&job).expect("staging run state");
-                        run.advice[advice_ix] = fresh;
-                        run.next_advice = advice_ix;
-                    }
-                    _ => {
-                        // Keep the old advice; re-execute as-is.
-                        let run = self.staging_runs.get_mut(&job).expect("staging run state");
-                        run.next_advice = advice_ix;
-                    }
+                // Without a fresh answer the old advice is re-executed as-is.
+                if let Some(fresh) = self.policy.reevaluate_transfer(spec) {
+                    run.advice[advice_ix] = fresh;
                 }
+                run.next_advice = advice_ix;
                 self.start_next_transfer(job);
             }
             Ev::ComputeDone(job, epoch) => {
@@ -872,7 +821,6 @@ impl<'p> WorkflowExecutor<'p> {
             Ev::OutageStart(i) => self.on_outage_start(i),
             Ev::OutageEnd(i) => self.on_outage_end(i),
             Ev::CleanupAdvice(job) => {
-                self.note_policy_call();
                 self.close_rpc_span(job, "cleanup_rpc");
                 let files = match &self.plan.jobs()[job].kind {
                     PlanJobKind::Cleanup { files } => files.clone(),
@@ -885,28 +833,10 @@ impl<'p> WorkflowExecutor<'p> {
                     .into_iter()
                     .map(|(file, _bytes)| CleanupSpec { file, workflow })
                     .collect();
-                self.flush_pending_reports();
-                let advice = match self.transport.evaluate_cleanups(specs.clone()) {
-                    Ok(advice) => advice,
-                    Err(_) => {
-                        self.note_fallback(job);
-                        // Policy service unreachable: delete the submitted
-                        // list as-is. Fail-safe mirrors the staging path —
-                        // scratch must drain even during an outage; the
-                        // worst case is deleting a file another workflow
-                        // could have reused (a lost optimization, never a
-                        // correctness issue).
-                        specs
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| pwm_core::CleanupAdvice {
-                                id: pwm_core::CleanupId(u64::MAX - i as u64),
-                                file: s.file.clone(),
-                                action: pwm_core::CleanupAction::Execute,
-                            })
-                            .collect()
-                    }
-                };
+                let (advice, fell_back) = self.policy.evaluate_cleanups(&specs);
+                if fell_back {
+                    self.note_fallback(job);
+                }
                 let any_work = advice.iter().any(|a| a.should_execute());
                 self.cleanup_advice.insert(job, advice);
                 let delay = if any_work {
@@ -948,8 +878,7 @@ impl<'p> WorkflowExecutor<'p> {
                     })
                     .collect();
                 if !outcomes.is_empty() {
-                    self.note_policy_call();
-                    self.report_cleanups_or_queue(outcomes);
+                    self.policy.report_cleanups(outcomes);
                 }
                 self.events.schedule_at(
                     self.now + self.config.policy_call_latency,
@@ -977,8 +906,7 @@ impl<'p> WorkflowExecutor<'p> {
     // ------------------------------------------------------------------
 
     /// Deliver health observations to the Policy Service (policy-guided
-    /// mode only; naive-retry runs never report). Transport errors are
-    /// swallowed — health reporting is advisory, never load-bearing.
+    /// mode only; naive-retry runs never report).
     fn report_health_events(&mut self, events: Vec<HealthEvent>) {
         let guided = self
             .config
@@ -989,7 +917,7 @@ impl<'p> WorkflowExecutor<'p> {
             return;
         }
         self.recovery.health_reports += 1;
-        let _ = self.transport.report_health(events);
+        self.policy.report_health(events);
     }
 
     fn on_crash_start(&mut self, i: usize) {
@@ -1123,8 +1051,7 @@ impl<'p> WorkflowExecutor<'p> {
             return;
         };
         let advice_id = run.advice[advice_ix].id;
-        self.note_policy_call();
-        self.report_transfers_or_queue(vec![TransferOutcome {
+        self.policy.report_transfers(vec![TransferOutcome {
             id: advice_id,
             success: false,
         }]);
@@ -1281,8 +1208,7 @@ impl<'p> WorkflowExecutor<'p> {
             file: src_path,
             quarantine,
         }]);
-        self.note_policy_call();
-        self.report_transfers_or_queue(vec![TransferOutcome {
+        self.policy.report_transfers(vec![TransferOutcome {
             id: advice.id,
             success: false,
         }]);
@@ -1297,45 +1223,6 @@ impl<'p> WorkflowExecutor<'p> {
             Ev::RetryEvaluate(job),
         );
         true
-    }
-
-    /// Resend queued completion reports before the next policy
-    /// interaction. Without this, outcomes from an outage window are lost
-    /// forever: a service that recovers (or a warm successor) would never
-    /// learn which files finished staging and would re-advise them. The
-    /// resync is synchronous and adds no simulated latency, so runs stay
-    /// deterministic for a given seed.
-    fn flush_pending_reports(&mut self) {
-        if !self.pending_transfer_reports.is_empty() {
-            let queued = std::mem::take(&mut self.pending_transfer_reports);
-            if self.transport.report_transfers(queued.clone()).is_err() {
-                self.pending_transfer_reports = queued;
-            }
-        }
-        if !self.pending_cleanup_reports.is_empty() {
-            let queued = std::mem::take(&mut self.pending_cleanup_reports);
-            if self.transport.report_cleanups(queued.clone()).is_err() {
-                self.pending_cleanup_reports = queued;
-            }
-        }
-    }
-
-    /// Report transfer outcomes, queueing them for resync if the policy
-    /// service is unreachable.
-    fn report_transfers_or_queue(&mut self, outcomes: Vec<TransferOutcome>) {
-        self.flush_pending_reports();
-        if self.transport.report_transfers(outcomes.clone()).is_err() {
-            self.pending_transfer_reports.extend(outcomes);
-        }
-    }
-
-    /// Report cleanup outcomes, queueing them for resync if the policy
-    /// service is unreachable.
-    fn report_cleanups_or_queue(&mut self, outcomes: Vec<CleanupOutcome>) {
-        self.flush_pending_reports();
-        if self.transport.report_cleanups(outcomes.clone()).is_err() {
-            self.pending_cleanup_reports.extend(outcomes);
-        }
     }
 
     fn planned_transfers(&self, job: usize) -> &[PlannedTransfer] {
@@ -1360,8 +1247,7 @@ impl<'p> WorkflowExecutor<'p> {
                 let delay = if outcomes.is_empty() {
                     SimDuration::ZERO
                 } else {
-                    self.note_policy_call();
-                    self.report_transfers_or_queue(outcomes);
+                    self.policy.report_transfers(outcomes);
                     self.config.policy_call_latency
                 };
                 self.events
@@ -1491,8 +1377,7 @@ impl<'p> WorkflowExecutor<'p> {
                 // retrying; fatal ones (missing source, permissions) never
                 // succeed no matter how many attempts remain.
                 let fatal = self.rng.chance(self.config.fatal_failure_prob);
-                self.note_policy_call();
-                self.report_transfers_or_queue(vec![TransferOutcome {
+                self.policy.report_transfers(vec![TransferOutcome {
                     id: advice_id,
                     success: false,
                 }]);
@@ -1844,110 +1729,6 @@ mod tests {
         assert!(
             slow > quick + 60.0,
             "slow backoff {slow}s vs quick {quick}s"
-        );
-    }
-
-    #[test]
-    fn fallback_streams_are_configurable() {
-        struct Dead;
-        impl PolicyTransport for Dead {
-            fn evaluate_transfers(
-                &mut self,
-                _b: Vec<TransferSpec>,
-            ) -> Result<Vec<TransferAdvice>, pwm_core::TransportError> {
-                Err(pwm_core::TransportError::Io("down".into()))
-            }
-            fn report_transfers(
-                &mut self,
-                _o: Vec<TransferOutcome>,
-            ) -> Result<(), pwm_core::TransportError> {
-                Err(pwm_core::TransportError::Io("down".into()))
-            }
-            fn evaluate_cleanups(
-                &mut self,
-                _b: Vec<CleanupSpec>,
-            ) -> Result<Vec<pwm_core::CleanupAdvice>, pwm_core::TransportError> {
-                Err(pwm_core::TransportError::Io("down".into()))
-            }
-            fn report_cleanups(
-                &mut self,
-                _o: Vec<CleanupOutcome>,
-            ) -> Result<(), pwm_core::TransportError> {
-                Err(pwm_core::TransportError::Io("down".into()))
-            }
-        }
-        let (network, site, mut rc, gridftp) = testbed();
-        register_inputs(&mut rc, 3, gridftp);
-        let wf = wide_workflow(3, 2_000_000);
-        let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
-        let mut cfg = ExecutorConfig::default();
-        cfg.fallback_streams = 4;
-        let exec = WorkflowExecutor::new(&p, &site, network, Box::new(Dead), cfg);
-        let (stats, _net) = exec.run();
-        assert!(stats.success, "dead service must not stop the workflow");
-        assert!(
-            !stats.transfers.is_empty() && stats.transfers.iter().all(|t| t.streams == 4),
-            "every fallback transfer should run with the configured stream count"
-        );
-        // The cleanup fail-safe drained scratch even with the service down.
-        assert_eq!(stats.final_scratch_bytes, 0.0, "scratch drained fail-safe");
-    }
-
-    #[test]
-    fn failed_completion_reports_are_resynced_on_reconnect() {
-        // The transport drops the first few completion reports (a policy
-        // outage window), then recovers. The executor must queue and
-        // resend them so the service's memory converges anyway.
-        struct FlakyReports {
-            inner: InProcessTransport,
-            failures_left: usize,
-        }
-        impl PolicyTransport for FlakyReports {
-            fn evaluate_transfers(
-                &mut self,
-                b: Vec<TransferSpec>,
-            ) -> Result<Vec<TransferAdvice>, pwm_core::TransportError> {
-                self.inner.evaluate_transfers(b)
-            }
-            fn report_transfers(
-                &mut self,
-                o: Vec<TransferOutcome>,
-            ) -> Result<(), pwm_core::TransportError> {
-                if self.failures_left > 0 {
-                    self.failures_left -= 1;
-                    return Err(pwm_core::TransportError::Io("outage".into()));
-                }
-                self.inner.report_transfers(o)
-            }
-            fn evaluate_cleanups(
-                &mut self,
-                b: Vec<CleanupSpec>,
-            ) -> Result<Vec<pwm_core::CleanupAdvice>, pwm_core::TransportError> {
-                self.inner.evaluate_cleanups(b)
-            }
-            fn report_cleanups(
-                &mut self,
-                o: Vec<CleanupOutcome>,
-            ) -> Result<(), pwm_core::TransportError> {
-                self.inner.report_cleanups(o)
-            }
-        }
-        let (network, site, mut rc, gridftp) = testbed();
-        register_inputs(&mut rc, 4, gridftp);
-        let wf = wide_workflow(4, 1_000_000);
-        let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
-        let controller = PolicyController::new(PolicyConfig::default());
-        let transport = Box::new(FlakyReports {
-            inner: InProcessTransport::new(controller.clone(), DEFAULT_SESSION),
-            failures_left: 2,
-        });
-        let exec = WorkflowExecutor::new(&p, &site, network, transport, ExecutorConfig::default());
-        let (stats, _net) = exec.run();
-        assert!(stats.success);
-        let snap = controller.snapshot(DEFAULT_SESSION).unwrap();
-        assert_eq!(
-            snap.in_progress_transfers, 0,
-            "resynced reports must close every transfer the outage orphaned"
         );
     }
 

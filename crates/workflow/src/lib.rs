@@ -15,8 +15,11 @@
 //! * [`executor`] — a DAGMan-like engine over the `pwm-net` simulator with
 //!   compute slots, the local staging-job limit, per-job retries, and a
 //!   Pegasus-Transfer-Tool state machine that consults the Policy Service
-//!   through `pwm_core::transport::PolicyTransport` and executes approved
-//!   transfers serially in the advised order;
+//!   and executes approved transfers serially in the advised order. Its
+//!   policy traffic goes through one port (`policy_port`), which owns the
+//!   `pwm_core::transport::PolicyTransport`, sends the completion reports
+//!   of one simulated instant as one call, and resends what an outage
+//!   dropped;
 //! * [`stats`] — per-run statistics (makespan, staging goodput, retries,
 //!   peak WAN streams) consumed by the benchmark harness.
 
@@ -28,6 +31,7 @@ pub mod dax;
 pub mod executor;
 pub mod multi;
 pub mod planner;
+mod policy_port;
 pub mod recovery;
 pub mod report;
 pub mod stats;

@@ -82,7 +82,7 @@ pub fn render_report(plan: &ExecutablePlan, stats: &RunStats) -> String {
         stats.peak_scratch_bytes / 1e9,
         stats.final_scratch_bytes / 1e9
     );
-    let _ = writeln!(out, "  policy-service calls: {}", stats.policy_calls);
+    let _ = writeln!(out, "  policy-service wire calls: {}", stats.policy_calls);
 
     // Distributions (WAN-scale transfers only; LAN blips would drown them).
     let wan: Vec<_> = stats

@@ -33,7 +33,10 @@ pub struct RunStats {
     pub transfer_retries: u64,
     /// Jobs that permanently failed.
     pub failed_jobs: usize,
-    /// Calls made to the policy service (advice + reports).
+    /// Wire calls made to the policy service: one per transport invocation
+    /// — advice requests, report windows (a window carries every outcome of
+    /// its instant), resync attempts and health reports — not one per job
+    /// event.
     pub policy_calls: u64,
     /// Sum of busy core-seconds across compute jobs.
     pub compute_core_seconds: f64,

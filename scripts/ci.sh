@@ -114,6 +114,95 @@ for attempt in 1 2 3; do
 done
 [ "$advice_ok" = 1 ] || { echo "advice_hot stayed under 16500 req/s 3/3 attempts" >&2; exit 1; }
 
+# Campaign floor: the whole stack — one executor running 16 merged Montage
+# workflows against the REST Policy Service over loopback while pwm-net
+# simulates the transfers (`campaign` of the whole-stack benchmark) — must
+# finish at least 36 workflows/s. 83 % of that wall-clock is policy round
+# trips, each a fixed five syscalls, so the rate follows the number of wire
+# calls: with the executor's report window (DESIGN.md section 4: the cleanup
+# jobs ending at one instant report in one call, 574 wire calls per workflow)
+# the same machine measures ~73; one report per cleanup job (792 calls) took
+# it to ~61, and a window that closes on every event instead of where the
+# clock moves is the same loss. The floor sits at about half of what the code
+# reaches, as for advice_hot, and is judged best of 3.
+echo "== campaign floor (16 Montage workflows over loopback REST, 36 workflows/s, best of 3) =="
+campaign_ok=0
+for attempt in 1 2 3; do
+  campaign_rate="$(timeout 300 benchmark/run.sh --workload campaign --seed 1 --seconds 5 --trace 0 \
+    | tail -n 1 | sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' || true)"
+  echo "campaign attempt ${attempt}: ${campaign_rate:-no result} workflows/s"
+  if [ "${campaign_rate:-0}" -ge 36 ]; then
+    campaign_ok=1
+    break
+  fi
+done
+[ "$campaign_ok" = 1 ] || { echo "campaign stayed under 36 workflows/s 3/3 attempts" >&2; exit 1; }
+
+# Parent-identity job: the simulated results of this tree against a release
+# build of its parent commit (HEAD^, or HEAD while the tree has uncommitted
+# source changes). `table4` and `fig5 1` must be byte-identical, and so must
+# the series set of the /metrics scrape. The other outputs are compared with
+# the differences the current change is allowed — each a count of wire calls,
+# never a simulated number — filtered out, and each is stated here:
+#  * the executor sends one completion report per report window instead of
+#    one per job (DESIGN.md section 4), so `RunStats::policy_calls`,
+#    `pwm_workflow_policy_calls_total` and the "policy-service wire calls"
+#    line of a run report count fewer calls;
+#  * the Policy Service marks one `policy/report_cleanups` trace instant per
+#    call it answers: `repro --trace` carries one per window, its `batch` the
+#    window's outcomes, and the span ids after it renumber. Every other event
+#    — name, timestamp, duration, argument — must match, and the instants'
+#    `batch` and `firings` must sum to the parent's: the same outcomes were
+#    reported and fired the same rules;
+#  * `repro chaos 7` prints how many calls passed the fault injector; the
+#    fault windows are sim-clock intervals and a window never spans two
+#    instants, so every simulated outcome on the page must match.
+# `repro crash 7` is not compared: its crash points count WAL appends, a
+# durable session appends one record per window, so its bytes may shift with
+# the call count; the crash job above holds it to its invariants.
+echo "== parent identity (simulated results vs a build of the parent commit) =="
+if git status --porcelain -- Cargo.toml Cargo.lock src crates third_party | grep -q .; then
+  parent_rev=HEAD
+else
+  parent_rev='HEAD^'
+fi
+if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
+  rm -rf target/parent-src
+  mkdir -p target/parent-src target/identity
+  git archive "$parent_rev" | tar -x -C target/parent-src
+  CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
+    --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
+  series() { grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort; }
+  trace_events() { sed 's/},{/},\n{/g' "$1"; }
+  trace_rest() {
+    trace_events "$1" | grep -v '"name":"report_cleanups","cat":"policy"' \
+      | sed -E 's/"(span_id|parent)":[0-9]+,?//g'
+  }
+  report_sums() {
+    trace_events "$1" | grep '"name":"report_cleanups","cat":"policy"' \
+      | sed -E 's/.*"batch":"([0-9]+)","firings":"([0-9]+)".*/\1 \2/' \
+      | awk '{ b += $1; f += $2 } END { print b, f }'
+  }
+  for side in parent change; do
+    if [ "$side" = parent ]; then repro=target/parent/release/repro; else repro=target/release/repro; fi
+    out="target/identity/$side"
+    mkdir -p "$out"
+    "$repro" table4 > "$out/table4.txt"
+    "$repro" fig5 1 > "$out/fig5.txt"
+    "$repro" scrape-metrics | series > "$out/series.txt"
+    "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ events [0-9]+ /trace /' > "$out/trace_stdout.txt"
+    trace_rest "$out/run.trace.json" > "$out/trace_rest.txt"
+    report_sums "$out/run.trace.json" > "$out/trace_report_sums.txt"
+    "$repro" chaos 7 | sed -E 's/[0-9]+ calls passed/N calls passed/' > "$out/chaos.txt"
+  done
+  for f in table4 fig5 series trace_stdout trace_rest trace_report_sums chaos; do
+    cmp "target/identity/parent/$f.txt" "target/identity/change/$f.txt" \
+      || { echo "$f differs from the parent commit ($parent_rev)" >&2; exit 1; }
+  done
+else
+  echo "no parent commit to compare with; skipped"
+fi
+
 # Differential job: the arena fact store and the ladder event queue are
 # locked to their straightforward oracles (legacy map-backed working
 # memory, sorted-Vec queue) by randomized lockstep suites — the queue suite
