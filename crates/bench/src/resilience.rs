@@ -198,7 +198,7 @@ pub fn run_cell(s: &StoragebenchScenario, it: &Intensity, guided: bool) -> RunSt
 
     let mut policy = PolicyConfig::default().with_storage(StoragePolicy::GreedyCheapest);
     for spec in &trio {
-        policy = policy.with_backend(spec.clone(), &site.storage_host_name);
+        policy = policy.with_backend(spec.clone(), site.storage_host_name.as_str());
     }
     let controller = PolicyController::new(policy);
     let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));

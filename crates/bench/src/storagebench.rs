@@ -55,11 +55,11 @@ impl StoragebenchScenario {
         let mut wf = AbstractWorkflow::new(name);
         for i in 0..self.jobs {
             wf.add_job(AbstractJob {
-                name: format!("work_{i}"),
+                name: format_args!("work_{i}").into(),
                 transformation: "work".into(),
                 runtime_s: 5.0,
-                inputs: vec![format!("in_{i}")],
-                outputs: vec![format!("out_{i}")],
+                inputs: vec![format_args!("in_{i}").into()],
+                outputs: vec![format_args!("out_{i}").into()],
             });
             wf.set_file_size(format!("in_{i}"), self.file_bytes);
             wf.set_file_size(format!("out_{i}"), 1_000);
@@ -172,7 +172,7 @@ pub fn run_point(
 
     let mut config = PolicyConfig::default().with_storage(policy);
     for spec in profiles {
-        config = config.with_backend(spec.clone(), &site.storage_host_name);
+        config = config.with_backend(spec.clone(), site.storage_host_name.as_str());
     }
     let controller = PolicyController::new(config);
     let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));

@@ -6,6 +6,7 @@
 //! selection of the allocation policy and the transfer-ordering policy.
 
 use crate::model::Url;
+use crate::name::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -88,7 +89,7 @@ pub struct PolicyConfig {
     /// VO administrator would configure. Serialized as an entry list because
     /// JSON object keys must be strings.
     #[serde(with = "pair_thresholds_serde")]
-    pub pair_thresholds: BTreeMap<(String, String), u32>,
+    pub pair_thresholds: BTreeMap<(Name, Name), u32>,
     /// The allocation policy in force.
     pub allocation: AllocationPolicy,
     /// The ordering policy in force.
@@ -141,7 +142,7 @@ impl PolicyConfig {
     /// Threshold in force for a specific host pair.
     pub fn threshold_for(&self, src_host: &str, dst_host: &str) -> u32 {
         self.pair_thresholds
-            .get(&(src_host.to_string(), dst_host.to_string()))
+            .get(&(src_host.into(), dst_host.into()))
             .copied()
             .unwrap_or(self.default_threshold)
     }
@@ -223,8 +224,8 @@ impl PolicyConfig {
     /// Builder-style: add a per-pair threshold override.
     pub fn with_pair_threshold(
         mut self,
-        src_host: impl Into<String>,
-        dst_host: impl Into<String>,
+        src_host: impl Into<Name>,
+        dst_host: impl Into<Name>,
         threshold: u32,
     ) -> Self {
         self.pair_thresholds
@@ -234,6 +235,7 @@ impl PolicyConfig {
 }
 
 mod pair_thresholds_serde {
+    use crate::name::Name;
     use serde::{Deserialize, Reader, Serialize, Writer};
     use std::collections::BTreeMap;
 
@@ -241,12 +243,12 @@ mod pair_thresholds_serde {
     /// map keys have no JSON encoding).
     #[derive(Serialize, Deserialize)]
     struct Entry {
-        src_host: String,
-        dst_host: String,
+        src_host: Name,
+        dst_host: Name,
         threshold: u32,
     }
 
-    pub fn serialize(map: &BTreeMap<(String, String), u32>, w: &mut Writer) {
+    pub fn serialize(map: &BTreeMap<(Name, Name), u32>, w: &mut Writer) {
         let entries: Vec<Entry> = map
             .iter()
             .map(|((s, d), t)| Entry {
@@ -258,9 +260,7 @@ mod pair_thresholds_serde {
         entries.serialize(w);
     }
 
-    pub fn deserialize(
-        r: &mut Reader<'_>,
-    ) -> Result<BTreeMap<(String, String), u32>, serde::Error> {
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<BTreeMap<(Name, Name), u32>, serde::Error> {
         let entries = Vec::<Entry>::deserialize(r)?;
         Ok(entries
             .into_iter()

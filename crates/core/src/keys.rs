@@ -15,14 +15,16 @@
 //!   `WorkingMemory::key_of`. A bucket hit is always re-verified against the
 //!   strings: a collision costs a compare, never a wrong match.
 //! * **Outside values** — backend and host names, `(host, file)` and
-//!   `(group, cluster)` pairs: stored as they arrive, hashed with std's keyed
-//!   SipHash (the `IndexKey` impls of `pwm-rules`).
+//!   `(group, cluster)` pairs: stored as they arrive ([`Name`]s are cloned
+//!   from the fact, which allocates nothing), hashed with std's keyed
+//!   SipHash (the `IndexKey` impls of `pwm-rules`, and [`Name`]'s here).
 //!
 //! Nothing observable depends on a digest's value: postings are
 //! handle-ordered and no index map is ever iterated, so two processes with
 //! different keys give byte-identical advice, traces and snapshots.
 
 use crate::model::{CleanupId, GroupId, TransferId, Url};
+use crate::name::Name;
 use pwm_rules::{IndexKey, MintedBuild};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
@@ -36,6 +38,11 @@ macro_rules! minted_keys {
     )*};
 }
 minted_keys!(TransferId, CleanupId, GroupId, UrlKey, PairKey);
+
+/// A request or a config file chooses the text: keyed SipHash, as `String`.
+impl IndexKey for Name {
+    type Build = RandomState;
+}
 
 /// SipHash of `value` under this process's digest key.
 fn digest(value: impl Hash) -> u64 {
@@ -57,6 +64,12 @@ pub(crate) struct UrlKey(u64);
 impl UrlKey {
     pub(crate) fn of(url: &Url) -> UrlKey {
         UrlKey(digest(url))
+    }
+
+    /// The key of anything that hashes as a [`Url`] does.
+    #[cfg(test)]
+    pub(crate) fn digest_of(url_like: impl Hash) -> UrlKey {
+        UrlKey(digest(url_like))
     }
 }
 

@@ -54,6 +54,7 @@ pub mod greedy;
 mod keys;
 pub mod ledger;
 pub mod model;
+pub mod name;
 pub mod priority;
 pub mod recovery_rules;
 pub mod rules_base;
@@ -84,6 +85,7 @@ pub use model::{
     GroupId, HealthEvent, HostDownFact, StagedOnFact, SuppressReason, SuspectReplicaFact,
     TransferId, TransferSpec, Url, WorkflowId,
 };
+pub use name::Name;
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
 pub use recovery_rules::install_recovery_rules;
 pub use service::{

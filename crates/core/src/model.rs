@@ -6,6 +6,7 @@
 //! resources (staged files with workflow refcounts), cleanups, and host-pair
 //! groups.
 
+use crate::name::Name;
 use pwm_rules::Fields;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -66,11 +67,11 @@ impl fmt::Display for WorkflowId {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Url {
     /// Protocol scheme ("gsiftp", "http", "file", ...).
-    pub scheme: String,
+    pub scheme: Name,
     /// Host name (empty for `file` URLs).
-    pub host: String,
+    pub host: Name,
     /// Absolute path on the host.
-    pub path: String,
+    pub path: Name,
 }
 
 /// Error from [`Url::parse`].
@@ -86,10 +87,10 @@ impl std::error::Error for UrlParseError {}
 
 impl Url {
     /// Build a URL from parts. The path is normalized to start with `/`.
-    pub fn new(scheme: impl Into<String>, host: impl Into<String>, path: impl Into<String>) -> Url {
+    pub fn new(scheme: impl Into<Name>, host: impl Into<Name>, path: impl Into<Name>) -> Url {
         let mut path = path.into();
         if !path.starts_with('/') {
-            path.insert(0, '/');
+            path = format_args!("/{path}").into();
         }
         Url {
             scheme: scheme.into(),
@@ -114,9 +115,9 @@ impl Url {
             return Err(UrlParseError(format!("empty host in {s:?}")));
         }
         Ok(Url {
-            scheme: scheme.to_string(),
-            host: host.to_string(),
-            path: path.to_string(),
+            scheme: scheme.into(),
+            host: host.into(),
+            path: path.into(),
         })
     }
 }
@@ -321,9 +322,9 @@ impl CleanupFact {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostPairFact {
     /// Source host name.
-    pub src_host: String,
+    pub src_host: Name,
     /// Destination host name.
-    pub dst_host: String,
+    pub dst_host: Name,
     /// The group id all transfers on this pair share.
     pub group: GroupId,
     /// Streams currently allocated to in-progress transfers.
@@ -359,7 +360,7 @@ pub struct BackendProfileFact {
     pub profile: pwm_storage::BackendSpec,
     /// Destination-site host name the backend serves; a transfer is
     /// eligible for this backend iff its dest URL names this host.
-    pub site: String,
+    pub site: Name,
 }
 
 /// A file staged onto a specific backend (storage-family bookkeeping,
@@ -398,7 +399,7 @@ pub struct BackendLoadFact {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostDownFact {
     /// Host name as it appears in transfer URLs.
-    pub host: String,
+    pub host: Name,
 }
 
 /// A storage backend currently reported down (recovery family). While
@@ -417,9 +418,9 @@ pub struct BackendDownFact {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuspectReplicaFact {
     /// Host serving the suspect replica.
-    pub host: String,
+    pub host: Name,
     /// File path of the replica on that host.
-    pub file: String,
+    pub file: Name,
     /// Checksum failures observed so far.
     pub strikes: u32,
     /// True once the replica is quarantined (suppression active).
@@ -434,12 +435,12 @@ pub enum HealthEvent {
     /// A host stopped responding (crash, reboot, partition).
     HostDown {
         /// Host name as it appears in transfer URLs.
-        host: String,
+        host: Name,
     },
     /// A previously down host is serving again.
     HostUp {
         /// Host name as it appears in transfer URLs.
-        host: String,
+        host: Name,
     },
     /// A storage backend went dark or was administratively drained.
     BackendDown {
@@ -456,18 +457,18 @@ pub enum HealthEvent {
     /// policy (the service records strikes and suppresses once quarantined).
     SuspectReplica {
         /// Host serving the suspect replica.
-        host: String,
+        host: Name,
         /// File path of the replica.
-        file: String,
+        file: Name,
         /// True when the reporter's strike threshold is reached.
         quarantine: bool,
     },
     /// The replica was re-verified or regenerated; clear its suspicion.
     ReplicaCleared {
         /// Host serving the replica.
-        host: String,
+        host: Name,
         /// File path of the replica.
-        file: String,
+        file: Name,
     },
 }
 

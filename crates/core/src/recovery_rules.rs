@@ -27,6 +27,7 @@
 use crate::ctx::PolicyCtx;
 use crate::model::TransferFact;
 use crate::model::{BackendDownFact, HostDownFact, SuppressReason, SuspectReplicaFact};
+use crate::name::Name;
 use crate::rules_base::batch_transfers;
 use pwm_rules::{Fields, Rule, Session};
 
@@ -36,9 +37,9 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     // All equality joins: down hosts by name, down backends by name, suspect
     // replicas by (host, file).
     let wm = &mut session.wm;
-    wm.register_index::<HostDownFact, String>(Fields::NONE, |h| h.host.clone());
+    wm.register_index::<HostDownFact, Name>(Fields::NONE, |h| h.host.clone());
     wm.register_index::<BackendDownFact, String>(Fields::NONE, |b| b.backend.clone());
-    wm.register_index::<SuspectReplicaFact, (String, String)>(Fields::NONE, |s| {
+    wm.register_index::<SuspectReplicaFact, (Name, Name)>(Fields::NONE, |s| {
         (s.host.clone(), s.file.clone())
     });
 
@@ -56,7 +57,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                     }
                     let key = (t.spec.source.host.clone(), t.spec.source.path.clone());
                     let quarantined = wm
-                        .find_by::<SuspectReplicaFact, (String, String)>(&key)
+                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
                         .is_some_and(|(_, s)| s.quarantined);
                     if quarantined {
                         out.push([h].into());
@@ -84,7 +85,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
                         continue;
                     }
                     if wm
-                        .find_by::<HostDownFact, String>(&t.spec.source.host)
+                        .find_by::<HostDownFact, Name>(&t.spec.source.host)
                         .is_some()
                     {
                         out.push([h].into());

@@ -27,6 +27,7 @@ use crate::model::{
     ResourceState, StagedOnFact, SuspectReplicaFact, TransferFact, TransferId, TransferSpec,
     TransferState,
 };
+use crate::name::Name;
 use crate::recovery_rules::install_recovery_rules;
 use crate::rules_base::{host_pair_for, install_base_rules, resource_for};
 use crate::storage_rules::install_storage_rules;
@@ -115,9 +116,9 @@ pub struct MemorySnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostPairSnapshot {
     /// Source host.
-    pub src_host: String,
+    pub src_host: Name,
     /// Destination host.
-    pub dst_host: String,
+    pub dst_host: Name,
     /// Streams currently allocated.
     pub allocated: u32,
     /// High-water mark of allocated streams (Table IV's quantity).
@@ -409,7 +410,7 @@ impl PolicyService {
         for b in self.ctx.config.backends.clone() {
             self.session.wm.insert(BackendProfileFact {
                 profile: b.profile,
-                site: b.site,
+                site: b.site.into(),
             });
         }
     }
@@ -1219,12 +1220,12 @@ impl PolicyService {
             let wm = &mut self.session.wm;
             match event {
                 HealthEvent::HostDown { host } => {
-                    if wm.find_by::<HostDownFact, String>(&host).is_none() {
+                    if wm.find_by::<HostDownFact, Name>(&host).is_none() {
                         wm.insert(HostDownFact { host });
                     }
                 }
                 HealthEvent::HostUp { host } => {
-                    if let Some(h) = wm.find_by::<HostDownFact, String>(&host).map(|(h, _)| h) {
+                    if let Some(h) = wm.find_by::<HostDownFact, Name>(&host).map(|(h, _)| h) {
                         wm.retract(h);
                     }
                 }
@@ -1248,7 +1249,7 @@ impl PolicyService {
                 } => {
                     let key = (host.clone(), file.clone());
                     if let Some(h) = wm
-                        .find_by::<SuspectReplicaFact, (String, String)>(&key)
+                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
                         .map(|(h, _)| h)
                     {
                         wm.update::<SuspectReplicaFact>(h, |s| {
@@ -1267,7 +1268,7 @@ impl PolicyService {
                 HealthEvent::ReplicaCleared { host, file } => {
                     let key = (host, file);
                     if let Some(h) = wm
-                        .find_by::<SuspectReplicaFact, (String, String)>(&key)
+                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
                         .map(|(h, _)| h)
                     {
                         wm.retract(h);

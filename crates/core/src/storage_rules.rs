@@ -28,6 +28,7 @@ use crate::keys::UrlKey;
 use crate::model::{
     BackendLoadFact, BackendProfileFact, StagedOnFact, TransferFact, TransferState,
 };
+use crate::name::Name;
 use crate::rules_base::{batch_transfers, dest_key};
 use pwm_rules::{Fields, Rule, Session};
 use pwm_storage::BackendSpec;
@@ -118,7 +119,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     // backend name / file digest: all equality joins, all indexed, all on
     // fields never written after insertion.
     let wm = &mut session.wm;
-    wm.register_index::<BackendProfileFact, String>(Fields::NONE, |b| b.site.clone());
+    wm.register_index::<BackendProfileFact, Name>(Fields::NONE, |b| b.site.clone());
     wm.register_index::<BackendLoadFact, String>(Fields::NONE, |l| l.backend.clone());
     wm.register_index::<StagedOnFact, UrlKey>(Fields::NONE, |s| UrlKey::of(&s.file));
 
@@ -143,7 +144,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         continue;
                     }
                     if wm
-                        .iter_by::<BackendProfileFact, String>(&t.spec.dest.host)
+                        .iter_by::<BackendProfileFact, Name>(&t.spec.dest.host)
                         .next()
                         .is_some()
                     {
@@ -158,7 +159,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                     (t.spec.dest.host.clone(), t.spec.bytes)
                 };
                 let mut candidates: Vec<BackendSpec> = wm
-                    .iter_by::<BackendProfileFact, String>(&site)
+                    .iter_by::<BackendProfileFact, Name>(&site)
                     .map(|(_, b)| b.profile.clone())
                     .collect();
                 // Recovery family: a backend reported down is not a

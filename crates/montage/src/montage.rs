@@ -22,6 +22,7 @@
 //! Apache host ("Montage input image files were stored on the Obelix cluster
 //! and staged in via an Apache web server").
 
+use pwm_core::Name;
 use pwm_sim::SimRng;
 use pwm_workflow::{AbstractJob, AbstractWorkflow, ReplicaCatalog};
 
@@ -113,27 +114,27 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
 
     let tile = |i: u32, j: u32| format!("{i:02}_{j:02}");
     let add_compute = |wf: &mut AbstractWorkflow,
-                       name: String,
+                       name: Name,
                        transformation: &str,
-                       mut inputs: Vec<String>,
-                       outputs: Vec<String>| {
+                       mut inputs: Vec<Name>,
+                       outputs: Vec<Name>| {
         // Every compute job reads a small per-job control file from the
         // local Apache server, so every job has an external input and the
         // no-clustering plan has exactly one stage-in job per compute job —
         // the paper's 89.
-        let control = format!("params_{name}.tbl");
+        let control: Name = format_args!("params_{name}.tbl").into();
         wf.set_file_size(&control, 10_000);
         inputs.push(control);
         // The augmentation: one additional (distinct) WAN-staged file per
         // data staging job.
         if config.extra_file_bytes > 0 {
-            let extra = format!("extra_{name}.dat");
+            let extra: Name = format_args!("extra_{name}.dat").into();
             wf.set_file_size(&extra, config.extra_file_bytes);
             inputs.push(extra);
         }
         wf.add_job(AbstractJob {
-            name: name.clone(),
-            transformation: transformation.to_string(),
+            name,
+            transformation: transformation.into(),
             runtime_s: runtime_for(transformation),
             inputs,
             outputs,
@@ -144,9 +145,9 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
     for i in 0..config.rows {
         for j in 0..config.cols {
             let t = tile(i, j);
-            let raw = format!("2mass_{t}.fits");
-            let proj = format!("p_{t}.fits");
-            let area = format!("p_area_{t}.fits");
+            let raw: Name = format_args!("2mass_{t}.fits").into();
+            let proj: Name = format_args!("p_{t}.fits").into();
+            let area: Name = format_args!("p_area_{t}.fits").into();
             // "the average size of 2 MBytes for stage-in files for the most
             // data-intensive Montage job (mProjectPP)"
             set_size(&mut wf, &raw, 2.0e6, 0.15);
@@ -154,7 +155,7 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
             set_size(&mut wf, &area, 4.0e6, 0.1);
             add_compute(
                 &mut wf,
-                format!("mProjectPP_{t}"),
+                format_args!("mProjectPP_{t}").into(),
                 "mProjectPP",
                 vec![raw],
                 vec![proj, area],
@@ -179,14 +180,17 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
     }
     let mut fit_files = Vec::new();
     for (k, (a, b)) in pairs.iter().enumerate() {
-        let fit = format!("fit_{k:03}.txt");
+        let fit: Name = format_args!("fit_{k:03}.txt").into();
         set_size(&mut wf, &fit, 10_000.0, 0.2);
         fit_files.push(fit.clone());
         add_compute(
             &mut wf,
-            format!("mDiffFit_{k:03}"),
+            format_args!("mDiffFit_{k:03}").into(),
             "mDiffFit",
-            vec![format!("p_{a}.fits"), format!("p_{b}.fits")],
+            vec![
+                format_args!("p_{a}.fits").into(),
+                format_args!("p_{b}.fits").into(),
+            ],
             vec![fit],
         );
     }
@@ -195,20 +199,20 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
     set_size(&mut wf, "fits.tbl", 50_000.0, 0.1);
     add_compute(
         &mut wf,
-        "mConcatFit".to_string(),
+        "mConcatFit".into(),
         "mConcatFit",
         fit_files,
-        vec!["fits.tbl".to_string()],
+        vec!["fits.tbl".into()],
     );
 
     // 4. mBgModel computes background corrections.
     set_size(&mut wf, "corrections.tbl", 20_000.0, 0.1);
     add_compute(
         &mut wf,
-        "mBgModel".to_string(),
+        "mBgModel".into(),
         "mBgModel",
-        vec!["fits.tbl".to_string()],
-        vec!["corrections.tbl".to_string()],
+        vec!["fits.tbl".into()],
+        vec!["corrections.tbl".into()],
     );
 
     // 5. mBackground per tile: corrected image.
@@ -216,14 +220,14 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
     for i in 0..config.rows {
         for j in 0..config.cols {
             let t = tile(i, j);
-            let c = format!("c_{t}.fits");
+            let c: Name = format_args!("c_{t}.fits").into();
             set_size(&mut wf, &c, 4.0e6, 0.1);
             corrected.push(c.clone());
             add_compute(
                 &mut wf,
-                format!("mBackground_{t}"),
+                format_args!("mBackground_{t}").into(),
                 "mBackground",
-                vec![format!("p_{t}.fits"), "corrections.tbl".to_string()],
+                vec![format_args!("p_{t}.fits").into(), "corrections.tbl".into()],
                 vec![c],
             );
         }
@@ -233,40 +237,40 @@ pub fn montage_workflow(config: &MontageConfig) -> AbstractWorkflow {
     set_size(&mut wf, "images.tbl", 60_000.0, 0.1);
     add_compute(
         &mut wf,
-        "mImgtbl".to_string(),
+        "mImgtbl".into(),
         "mImgtbl",
         corrected.clone(),
-        vec!["images.tbl".to_string()],
+        vec!["images.tbl".into()],
     );
 
     // 7. mAdd co-adds into the mosaic.
     set_size(&mut wf, "mosaic.fits", 160.0e6, 0.05);
     let mut add_inputs = corrected;
-    add_inputs.push("images.tbl".to_string());
+    add_inputs.push("images.tbl".into());
     add_compute(
         &mut wf,
-        "mAdd".to_string(),
+        "mAdd".into(),
         "mAdd",
         add_inputs,
-        vec!["mosaic.fits".to_string()],
+        vec!["mosaic.fits".into()],
     );
 
     // 8. mShrink and 9. mJPEG finish the pipeline.
     set_size(&mut wf, "shrunken.fits", 20.0e6, 0.05);
     add_compute(
         &mut wf,
-        "mShrink".to_string(),
+        "mShrink".into(),
         "mShrink",
-        vec!["mosaic.fits".to_string()],
-        vec!["shrunken.fits".to_string()],
+        vec!["mosaic.fits".into()],
+        vec!["shrunken.fits".into()],
     );
     set_size(&mut wf, "mosaic.jpg", 2.0e6, 0.05);
     add_compute(
         &mut wf,
-        "mJPEG".to_string(),
+        "mJPEG".into(),
         "mJPEG",
-        vec!["shrunken.fits".to_string()],
-        vec!["mosaic.jpg".to_string()],
+        vec!["shrunken.fits".into()],
+        vec!["mosaic.jpg".into()],
     );
 
     wf
@@ -295,13 +299,13 @@ pub fn montage_replicas(
         if file.starts_with("extra_") {
             rc.insert(
                 &file,
-                pwm_core::Url::new("gsiftp", gridftp.0, format!("/data/{file}")),
+                pwm_core::Url::new("gsiftp", gridftp.0, format_args!("/data/{file}")),
                 gridftp.1,
             );
         } else {
             rc.insert(
                 &file,
-                pwm_core::Url::new("http", apache.0, format!("/montage/{file}")),
+                pwm_core::Url::new("http", apache.0, format_args!("/montage/{file}")),
                 apache.1,
             );
         }
@@ -353,7 +357,7 @@ mod tests {
         let mut extra_count = 0;
         let mut seen = std::collections::BTreeSet::new();
         for job in wf.jobs() {
-            let extras: Vec<&String> = job
+            let extras: Vec<&Name> = job
                 .inputs
                 .iter()
                 .filter(|f| f.starts_with("extra_"))

@@ -4,19 +4,20 @@
 //! benches: pipelines, fork-joins, and seeded random layered DAGs (the shape
 //! family of the Bharathi et al. workflow generator the Pegasus group uses).
 
+use pwm_core::Name;
 use pwm_sim::SimRng;
 use pwm_workflow::{AbstractJob, AbstractWorkflow, ReplicaCatalog};
 
 fn job(
-    name: String,
+    name: Name,
     transformation: &str,
     runtime_s: f64,
-    inputs: Vec<String>,
-    outputs: Vec<String>,
+    inputs: Vec<Name>,
+    outputs: Vec<Name>,
 ) -> AbstractJob {
     AbstractJob {
         name,
-        transformation: transformation.to_string(),
+        transformation: transformation.into(),
         runtime_s,
         inputs,
         outputs,
@@ -31,14 +32,14 @@ pub fn chain(n: usize, input_bytes: u64) -> AbstractWorkflow {
     wf.set_file_size("chain_in", input_bytes);
     for i in 0..n {
         let input = if i == 0 {
-            "chain_in".to_string()
+            Name::from("chain_in")
         } else {
-            format!("link_{}", i - 1)
+            format_args!("link_{}", i - 1).into()
         };
-        let output = format!("link_{i}");
+        let output: Name = format_args!("link_{i}").into();
         wf.set_file_size(&output, 1_000_000);
         wf.add_job(job(
-            format!("stage_{i}"),
+            format_args!("stage_{i}").into(),
             "process",
             4.0,
             vec![input],
@@ -54,7 +55,9 @@ pub fn fork_join(width: usize, input_bytes: u64) -> AbstractWorkflow {
     assert!(width >= 1);
     let mut wf = AbstractWorkflow::new(format!("forkjoin-{width}"));
     wf.set_file_size("seed_in", 100_000);
-    let splits: Vec<String> = (0..width).map(|i| format!("split_{i}")).collect();
+    let splits: Vec<Name> = (0..width)
+        .map(|i| format_args!("split_{i}").into())
+        .collect();
     for s in &splits {
         wf.set_file_size(s, 100_000);
     }
@@ -67,16 +70,16 @@ pub fn fork_join(width: usize, input_bytes: u64) -> AbstractWorkflow {
     ));
     let mut merged_inputs = Vec::new();
     for i in 0..width {
-        let external = format!("work_in_{i}");
-        let out = format!("work_out_{i}");
+        let external: Name = format_args!("work_in_{i}").into();
+        let out: Name = format_args!("work_out_{i}").into();
         wf.set_file_size(&external, input_bytes);
         wf.set_file_size(&out, 500_000);
         merged_inputs.push(out.clone());
         wf.add_job(job(
-            format!("work_{i}"),
+            format_args!("work_{i}").into(),
             "work",
             6.0,
-            vec![format!("split_{i}"), external],
+            vec![format_args!("split_{i}").into(), external],
             vec![out],
         ));
     }
@@ -130,24 +133,24 @@ pub fn random_layered(config: &RandomDagConfig) -> AbstractWorkflow {
     ));
     for level in 0..config.levels {
         for slot in 0..config.width {
-            let name = format!("job_l{level}_s{slot}");
-            let out = format!("out_l{level}_s{slot}");
+            let name: Name = format_args!("job_l{level}_s{slot}").into();
+            let out: Name = format_args!("out_l{level}_s{slot}").into();
             wf.set_file_size(&out, 1_000_000);
             let mut inputs = Vec::new();
             if level == 0 {
-                let external = format!("in_s{slot}");
+                let external: Name = format_args!("in_s{slot}").into();
                 wf.set_file_size(&external, config.input_bytes);
                 inputs.push(external);
             } else {
                 for parent_slot in 0..config.width {
                     if rng.chance(config.edge_prob) {
-                        inputs.push(format!("out_l{}_s{parent_slot}", level - 1));
+                        inputs.push(format_args!("out_l{}_s{parent_slot}", level - 1).into());
                     }
                 }
                 if inputs.is_empty() {
                     // Guarantee connectivity to the previous level.
                     let parent_slot = rng.uniform_u64(0, config.width as u64 - 1);
-                    inputs.push(format!("out_l{}_s{parent_slot}", level - 1));
+                    inputs.push(format_args!("out_l{}_s{parent_slot}", level - 1).into());
                 }
             }
             let runtime = rng.uniform(2.0, 12.0);

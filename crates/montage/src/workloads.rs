@@ -12,6 +12,7 @@
 //!   sequential filtering/mapping stages — a *pipeline-parallel* pattern
 //!   with staging only at the head of each lane.
 
+use pwm_core::Name;
 use pwm_sim::SimRng;
 use pwm_workflow::{AbstractJob, AbstractWorkflow};
 
@@ -48,8 +49,8 @@ pub fn cybershake_like(config: &CyberShakeConfig) -> AbstractWorkflow {
     let mut rng = SimRng::for_component(config.seed, "cybershake");
     let mut wf = AbstractWorkflow::new(format!("cybershake-{}v", config.variations));
 
-    let sgt_names: Vec<String> = (0..config.sgt_files)
-        .map(|i| format!("sgt_{i}.bin"))
+    let sgt_names: Vec<Name> = (0..config.sgt_files)
+        .map(|i| format_args!("sgt_{i}.bin").into())
         .collect();
     for name in &sgt_names {
         wf.set_file_size(name, config.sgt_bytes);
@@ -57,25 +58,25 @@ pub fn cybershake_like(config: &CyberShakeConfig) -> AbstractWorkflow {
 
     let mut peaks = Vec::new();
     for v in 0..config.variations {
-        let seis = format!("seismogram_{v:04}.grm");
-        let peak = format!("peak_{v:04}.bsa");
+        let seis: Name = format_args!("seismogram_{v:04}.grm").into();
+        let peak: Name = format_args!("peak_{v:04}.bsa").into();
         wf.set_file_size(&seis, 200_000);
         wf.set_file_size(&peak, 1_000);
         // Every synthesis job reads every shared SGT file: the
         // sharing-heavy pattern.
         let mut inputs = sgt_names.clone();
-        let rupture = format!("rupture_{v:04}.txt");
+        let rupture: Name = format_args!("rupture_{v:04}.txt").into();
         wf.set_file_size(&rupture, 10_000);
         inputs.push(rupture);
         wf.add_job(AbstractJob {
-            name: format!("SeismogramSynthesis_{v:04}"),
+            name: format_args!("SeismogramSynthesis_{v:04}").into(),
             transformation: "SeismogramSynthesis".into(),
             runtime_s: rng.normal_clamped(25.0, 5.0, 5.0),
             inputs,
             outputs: vec![seis.clone()],
         });
         wf.add_job(AbstractJob {
-            name: format!("PeakValCalcOkaya_{v:04}"),
+            name: format_args!("PeakValCalcOkaya_{v:04}").into(),
             transformation: "PeakValCalcOkaya".into(),
             runtime_s: rng.normal_clamped(1.0, 0.3, 0.2),
             inputs: vec![seis],
@@ -132,16 +133,16 @@ pub fn epigenomics_like(config: &EpigenomicsConfig) -> AbstractWorkflow {
 
     let mut lane_merges = Vec::new();
     for lane in 0..config.lanes {
-        let raw = format!("lane_{lane}.fastq");
+        let raw: Name = format_args!("lane_{lane}.fastq").into();
         wf.set_file_size(&raw, config.lane_bytes);
-        let chunk_names: Vec<String> = (0..config.chunks_per_lane)
-            .map(|c| format!("l{lane}_chunk_{c}.fastq"))
+        let chunk_names: Vec<Name> = (0..config.chunks_per_lane)
+            .map(|c| format_args!("l{lane}_chunk_{c}.fastq").into())
             .collect();
         for name in &chunk_names {
             wf.set_file_size(name, chunk_bytes);
         }
         wf.add_job(AbstractJob {
-            name: format!("fastqSplit_{lane}"),
+            name: format_args!("fastqSplit_{lane}").into(),
             transformation: "fastqSplit".into(),
             runtime_s: rng.normal_clamped(35.0, 8.0, 5.0),
             inputs: vec![raw],
@@ -158,10 +159,10 @@ pub fn epigenomics_like(config: &EpigenomicsConfig) -> AbstractWorkflow {
             ];
             let mut input = chunk.clone();
             for (stage, mean_rt) in stages {
-                let output = format!("l{lane}_c{c}_{stage}.out");
+                let output: Name = format_args!("l{lane}_c{c}_{stage}.out").into();
                 wf.set_file_size(&output, chunk_bytes / 2);
                 wf.add_job(AbstractJob {
-                    name: format!("{stage}_{lane}_{c}"),
+                    name: format_args!("{stage}_{lane}_{c}").into(),
                     transformation: stage.into(),
                     runtime_s: rng.normal_clamped(mean_rt, mean_rt * 0.2, 0.2),
                     inputs: vec![input.clone()],
@@ -171,10 +172,10 @@ pub fn epigenomics_like(config: &EpigenomicsConfig) -> AbstractWorkflow {
             }
             maps.push(input);
         }
-        let merged = format!("lane_{lane}.map");
+        let merged: Name = format_args!("lane_{lane}.map").into();
         wf.set_file_size(&merged, config.lane_bytes / 4);
         wf.add_job(AbstractJob {
-            name: format!("mapMerge_{lane}"),
+            name: format_args!("mapMerge_{lane}").into(),
             transformation: "mapMerge".into(),
             runtime_s: rng.normal_clamped(12.0, 3.0, 2.0),
             inputs: maps,

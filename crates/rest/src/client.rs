@@ -15,9 +15,7 @@
 //! window into a single rules pass, which is the mechanism svcbench
 //! measures.
 
-use crate::http::{
-    render_request, try_parse_response, write_request, HttpError, Method, WireFormat,
-};
+use crate::http::{frame_response, write_request, HttpError, Method, WireFormat};
 use crate::wire::*;
 use pwm_core::transport::{PolicyTransport, TransportError};
 use pwm_core::{
@@ -31,13 +29,19 @@ use std::time::Duration;
 
 /// A keep-alive connection with a buffered reader: pipelined responses may
 /// arrive packed into one segment, so leftovers after one parsed response
-/// must carry over to the next.
+/// must carry over to the next. It also owns the buffers a request is
+/// rendered in, so a call on a warm connection allocates only what it
+/// returns.
 struct ClientConn {
     stream: TcpStream,
     leftover: Vec<u8>,
     /// What `read` fills: zeroed once per connection, so a read costs a copy
     /// of the bytes that arrived.
     scratch: Box<[u8]>,
+    /// The encoded body of the request being rendered.
+    body: String,
+    /// The framed bytes of the request (or pipelined window) being sent.
+    wire: Vec<u8>,
     /// True from a `send` until the first response byte arrives.
     awaiting_first_byte: bool,
     /// Set by a failure that shows no live server answered what was sent:
@@ -69,30 +73,58 @@ impl ClientConn {
             stream,
             leftover: Vec::new(),
             scratch: vec![0u8; 16 * 1024].into_boxed_slice(),
+            body: String::new(),
+            wire: Vec::new(),
             awaiting_first_byte: false,
             unanswered: false,
         })
     }
 
-    fn send(&mut self, wire: &[u8]) -> Result<(), TransportError> {
-        self.awaiting_first_byte = true;
-        self.stream
-            .write_all(wire)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| {
-                self.unanswered = peer_gone(&e);
-                TransportError::Io(format!("send: {e}"))
-            })
+    /// Frame one keep-alive request onto the end of `wire`; `encode` writes
+    /// its body.
+    fn render(
+        &mut self,
+        format: WireFormat,
+        method: Method,
+        path: &str,
+        encode: impl FnOnce(&mut String),
+    ) {
+        self.body.clear();
+        encode(&mut self.body);
+        write_request(
+            &mut self.wire,
+            format,
+            method,
+            path,
+            self.body.as_bytes(),
+            true,
+        );
     }
 
-    /// Read one response, preserving any bytes of the next pipelined
-    /// response that arrived in the same segment.
-    fn read_one(&mut self) -> Result<(u16, Vec<u8>), TransportError> {
+    /// Send what has been rendered, and empty `wire` for the next call.
+    fn send(&mut self) -> Result<(), TransportError> {
+        self.awaiting_first_byte = true;
+        let sent = self
+            .stream
+            .write_all(&self.wire)
+            .and_then(|_| self.stream.flush());
+        self.wire.clear();
+        sent.map_err(|e| {
+            self.unanswered = peer_gone(&e);
+            TransportError::Io(format!("send: {e}"))
+        })
+    }
+
+    /// Read one response and hand its status and body to `read`, in place;
+    /// bytes of the next pipelined response that arrived in the same
+    /// segment stay buffered.
+    fn read_one<R>(&mut self, read: impl FnOnce(u16, &[u8]) -> R) -> Result<R, TransportError> {
         loop {
-            match try_parse_response(&self.leftover) {
+            match frame_response(&self.leftover) {
                 Ok(Some((status, body, consumed))) => {
+                    let out = read(status, &self.leftover[body]);
                     self.leftover.drain(..consumed);
-                    return Ok((status, body));
+                    return Ok(out);
                 }
                 Ok(None) => {}
                 Err(e) => return Err(TransportError::Io(format!("recv: {e}"))),
@@ -111,11 +143,60 @@ impl ClientConn {
     }
 }
 
+/// What a response says: the decoded body of a 200, the service's message
+/// otherwise.
+fn answer<R>(
+    status: u16,
+    body: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<R, TransportError>,
+) -> Result<R, TransportError> {
+    if status != 200 {
+        let message = serde_json::from_slice::<ErrorEnvelope>(body)
+            .map(|e| e.error)
+            .unwrap_or_else(|_| String::from_utf8_lossy(body).to_string());
+        return Err(TransportError::Service(message));
+    }
+    decode(body)
+}
+
+fn decode_json<R: serde::de::DeserializeOwned>(body: &[u8]) -> Result<R, TransportError> {
+    serde_json::from_slice(body).map_err(|e| TransportError::Io(format!("decode: {e}")))
+}
+
+fn decode_text(what: &str, body: &[u8]) -> Result<String, TransportError> {
+    String::from_utf8(body.to_vec())
+        .map_err(|e| TransportError::Io(format!("non-utf8 {what}: {e}")))
+}
+
+/// The request paths of one session's five `PolicyTransport` calls, rendered
+/// when the client is made instead of on every call.
+#[derive(Debug, Clone)]
+struct SessionPaths {
+    transfers: String,
+    transfers_complete: String,
+    cleanups: String,
+    cleanups_complete: String,
+    health: String,
+}
+
+impl SessionPaths {
+    fn of(session: &str) -> SessionPaths {
+        SessionPaths {
+            transfers: format!("/sessions/{session}/transfers"),
+            transfers_complete: format!("/sessions/{session}/transfers/complete"),
+            cleanups: format!("/sessions/{session}/cleanups"),
+            cleanups_complete: format!("/sessions/{session}/cleanups/complete"),
+            health: format!("/sessions/{session}/health"),
+        }
+    }
+}
+
 /// A blocking JSON-over-HTTP client for the policy API with a persistent
 /// keep-alive connection.
 pub struct PolicyRestClient {
     addr: SocketAddr,
     session: String,
+    paths: SessionPaths,
     timeout: Duration,
     format: WireFormat,
     conn: Mutex<Option<ClientConn>>,
@@ -140,6 +221,7 @@ impl Clone for PolicyRestClient {
         PolicyRestClient {
             addr: self.addr,
             session: self.session.clone(),
+            paths: self.paths.clone(),
             timeout: self.timeout,
             format: self.format,
             conn: Mutex::new(None),
@@ -150,9 +232,11 @@ impl Clone for PolicyRestClient {
 impl PolicyRestClient {
     /// Client for `session` on the server at `addr`.
     pub fn new(addr: SocketAddr, session: impl Into<String>) -> Self {
+        let session = session.into();
         PolicyRestClient {
             addr,
-            session: session.into(),
+            paths: SessionPaths::of(&session),
+            session,
             timeout: Duration::from_secs(10),
             format: WireFormat::Json,
             conn: Mutex::new(None),
@@ -210,27 +294,24 @@ impl PolicyRestClient {
         }
     }
 
-    /// Raw round-trip in a specific wire format over the persistent
-    /// connection.
-    fn call_raw(
+    /// One round trip over the persistent connection: `encode` writes the
+    /// request body into the connection's buffer, `decode` reads the body
+    /// of a 200 where it was received. Neither buffer outlives the call, so
+    /// a call allocates what `decode` returns and nothing else. A transport
+    /// failure drops the connection; a refusal by the service does not.
+    fn exchange<R>(
         &self,
         format: WireFormat,
         method: Method,
         path: &str,
-        body: &[u8],
-    ) -> Result<Vec<u8>, TransportError> {
-        let wire = render_request(format, method, path, body, true);
-        let (status, response_body) = self.with_conn(|conn| {
-            conn.send(&wire)?;
-            conn.read_one()
-        })?;
-        if status != 200 {
-            let message = serde_json::from_slice::<ErrorEnvelope>(&response_body)
-                .map(|e| e.error)
-                .unwrap_or_else(|_| String::from_utf8_lossy(&response_body).to_string());
-            return Err(TransportError::Service(message));
-        }
-        Ok(response_body)
+        encode: impl Fn(&mut String),
+        decode: impl Fn(&[u8]) -> Result<R, TransportError>,
+    ) -> Result<R, TransportError> {
+        self.with_conn(|conn| {
+            conn.render(format, method, path, &encode);
+            conn.send()?;
+            conn.read_one(|status, body| answer(status, body, &decode))
+        })?
     }
 
     /// Evaluate several request groups in one pipelined window: all
@@ -244,40 +325,27 @@ impl PolicyRestClient {
         if groups.is_empty() {
             return Ok(Vec::new());
         }
-        let path = format!("/sessions/{}/transfers", self.session);
-        let mut wire = Vec::new();
-        for group in groups {
-            let body = TransferRequestEnvelope::encode_borrowed(group);
-            write_request(
-                &mut wire,
-                WireFormat::Json,
-                Method::Post,
-                &path,
-                &body,
-                true,
-            );
-        }
         let responses = self.with_conn(|conn| {
-            conn.send(&wire)?;
+            for group in groups {
+                conn.render(
+                    WireFormat::Json,
+                    Method::Post,
+                    &self.paths.transfers,
+                    |body| TransferRequestEnvelope::encode_borrowed(group, body),
+                );
+            }
+            conn.send()?;
             let mut responses = Vec::with_capacity(groups.len());
             for _ in groups {
-                responses.push(conn.read_one()?);
+                responses.push(conn.read_one(|status, body| {
+                    answer(status, body, decode_json::<TransferResponseEnvelope>)
+                })?);
             }
             Ok(responses)
         })?;
         responses
             .into_iter()
-            .map(|(status, body)| {
-                if status != 200 {
-                    let message = serde_json::from_slice::<ErrorEnvelope>(&body)
-                        .map(|e| e.error)
-                        .unwrap_or_else(|_| String::from_utf8_lossy(&body).to_string());
-                    return Err(TransportError::Service(message));
-                }
-                serde_json::from_slice::<TransferResponseEnvelope>(&body)
-                    .map(|env| env.advice)
-                    .map_err(|e| TransportError::Io(format!("decode: {e}")))
-            })
+            .map(|response| response.map(|env| env.advice))
             .collect()
     }
 
@@ -287,24 +355,41 @@ impl PolicyRestClient {
         path: &str,
         payload: &Req,
     ) -> Result<Resp, TransportError> {
-        let body =
-            serde_json::to_vec(payload).map_err(|e| TransportError::Io(format!("encode: {e}")))?;
-        let response_body = self.call_raw(WireFormat::Json, method, path, &body)?;
-        serde_json::from_slice(&response_body)
-            .map_err(|e| TransportError::Io(format!("decode: {e}")))
+        self.exchange(
+            WireFormat::Json,
+            method,
+            path,
+            |body| serde_json::to_string_onto(payload, body),
+            decode_json,
+        )
+    }
+
+    /// A request without a body.
+    fn get<R>(
+        &self,
+        path: &str,
+        decode: impl Fn(&[u8]) -> Result<R, TransportError>,
+    ) -> Result<R, TransportError> {
+        self.exchange(WireFormat::Json, Method::Get, path, |_| {}, decode)
     }
 
     fn call_xml<T>(
         &self,
-        method: Method,
         path: &str,
         body: String,
-        decode: impl FnOnce(&str) -> Result<T, crate::xml::XmlError>,
+        decode: impl Fn(&str) -> Result<T, crate::xml::XmlError>,
     ) -> Result<T, TransportError> {
-        let response_body = self.call_raw(WireFormat::Xml, method, path, body.as_bytes())?;
-        let text = std::str::from_utf8(&response_body)
-            .map_err(|e| TransportError::Io(format!("non-utf8 xml response: {e}")))?;
-        decode(text).map_err(|e| TransportError::Io(format!("decode: {e}")))
+        self.exchange(
+            WireFormat::Xml,
+            Method::Post,
+            path,
+            |out| out.push_str(&body),
+            |response| {
+                let text = std::str::from_utf8(response)
+                    .map_err(|e| TransportError::Io(format!("non-utf8 xml response: {e}")))?;
+                decode(text).map_err(|e| TransportError::Io(format!("decode: {e}")))
+            },
+        )
     }
 
     /// GET `/health`; true when the service answers.
@@ -313,9 +398,7 @@ impl PolicyRestClient {
         struct Health {
             status: String,
         }
-        // health takes no payload; send an empty tuple which serializes to null.
-        let result: Result<Health, _> = self.call(Method::Get, "/health", &());
-        matches!(result, Ok(h) if h.status == "ok")
+        matches!(self.get("/health", decode_json::<Health>), Ok(h) if h.status == "ok")
     }
 
     /// PUT the session's policy configuration (creates the session if new).
@@ -331,25 +414,19 @@ impl PolicyRestClient {
     /// GET `/metrics` — the Prometheus text exposition covering every
     /// session on the server.
     pub fn metrics(&self) -> Result<String, TransportError> {
-        let body = self.call_raw(WireFormat::Json, Method::Get, "/metrics", b"")?;
-        String::from_utf8(body).map_err(|e| TransportError::Io(format!("non-utf8 metrics: {e}")))
+        self.get("/metrics", |body| decode_text("metrics", body))
     }
 
     /// GET the session's span trace as Chrome-trace JSON (viewable in
     /// Perfetto / `chrome://tracing`).
     pub fn trace(&self) -> Result<String, TransportError> {
         let path = format!("/sessions/{}/trace", self.session);
-        let body = self.call_raw(WireFormat::Json, Method::Get, &path, b"")?;
-        String::from_utf8(body).map_err(|e| TransportError::Io(format!("non-utf8 trace: {e}")))
+        self.get(&path, |body| decode_text("trace", body))
     }
 
     /// GET the session's status (snapshot + stats).
     pub fn status(&self) -> Result<StatusEnvelope, TransportError> {
-        self.call(
-            Method::Get,
-            &format!("/sessions/{}/status", self.session),
-            &(),
-        )
+        self.get(&format!("/sessions/{}/status", self.session), decode_json)
     }
 }
 
@@ -358,19 +435,18 @@ impl PolicyTransport for PolicyRestClient {
         &mut self,
         batch: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, TransportError> {
-        let path = format!("/sessions/{}/transfers", self.session);
+        let path = &self.paths.transfers;
         match self.format {
             WireFormat::Json | WireFormat::Text => {
                 let resp: TransferResponseEnvelope = self.call(
                     Method::Post,
-                    &path,
+                    path,
                     &TransferRequestEnvelope { transfers: batch },
                 )?;
                 Ok(resp.advice)
             }
             WireFormat::Xml => self.call_xml(
-                Method::Post,
-                &path,
+                path,
                 crate::xml::transfer_request_to_xml(&batch),
                 crate::xml::transfer_response_from_xml,
             ),
@@ -378,19 +454,15 @@ impl PolicyTransport for PolicyRestClient {
     }
 
     fn report_transfers(&mut self, outcomes: Vec<TransferOutcome>) -> Result<(), TransportError> {
-        let path = format!("/sessions/{}/transfers/complete", self.session);
+        let path = &self.paths.transfers_complete;
         match self.format {
             WireFormat::Json | WireFormat::Text => {
-                let _: AckEnvelope = self.call(
-                    Method::Post,
-                    &path,
-                    &TransferCompletionEnvelope { outcomes },
-                )?;
+                let _: AckEnvelope =
+                    self.call(Method::Post, path, &TransferCompletionEnvelope { outcomes })?;
             }
             WireFormat::Xml => {
                 self.call_xml(
-                    Method::Post,
-                    &path,
+                    path,
                     crate::xml::transfer_completion_to_xml(&outcomes),
                     |_ack| Ok(()),
                 )?;
@@ -403,19 +475,18 @@ impl PolicyTransport for PolicyRestClient {
         &mut self,
         batch: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, TransportError> {
-        let path = format!("/sessions/{}/cleanups", self.session);
+        let path = &self.paths.cleanups;
         match self.format {
             WireFormat::Json | WireFormat::Text => {
                 let resp: CleanupResponseEnvelope = self.call(
                     Method::Post,
-                    &path,
+                    path,
                     &CleanupRequestEnvelope { cleanups: batch },
                 )?;
                 Ok(resp.advice)
             }
             WireFormat::Xml => self.call_xml(
-                Method::Post,
-                &path,
+                path,
                 crate::xml::cleanup_request_to_xml(&batch),
                 crate::xml::cleanup_response_from_xml,
             ),
@@ -423,16 +494,15 @@ impl PolicyTransport for PolicyRestClient {
     }
 
     fn report_cleanups(&mut self, outcomes: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-        let path = format!("/sessions/{}/cleanups/complete", self.session);
+        let path = &self.paths.cleanups_complete;
         match self.format {
             WireFormat::Json | WireFormat::Text => {
                 let _: AckEnvelope =
-                    self.call(Method::Post, &path, &CleanupCompletionEnvelope { outcomes })?;
+                    self.call(Method::Post, path, &CleanupCompletionEnvelope { outcomes })?;
             }
             WireFormat::Xml => {
                 self.call_xml(
-                    Method::Post,
-                    &path,
+                    path,
                     crate::xml::cleanup_completion_to_xml(&outcomes),
                     |_ack| Ok(()),
                 )?;
@@ -444,8 +514,11 @@ impl PolicyTransport for PolicyRestClient {
     /// JSON regardless of [`Self::with_format`]: the recovery family has no
     /// XML schema.
     fn report_health(&mut self, events: Vec<HealthEvent>) -> Result<(), TransportError> {
-        let path = format!("/sessions/{}/health", self.session);
-        let _: AckEnvelope = self.call(Method::Post, &path, &HealthReportEnvelope { events })?;
+        let _: AckEnvelope = self.call(
+            Method::Post,
+            &self.paths.health,
+            &HealthReportEnvelope { events },
+        )?;
         Ok(())
     }
 }
@@ -658,8 +731,9 @@ mod tests {
         (addr, std::thread::spawn(move || script(listener)))
     }
 
-    /// Block until one complete request has arrived on `stream`.
-    fn read_request(stream: &mut TcpStream) {
+    /// Block until one complete request has arrived on `stream`; returns
+    /// its bytes.
+    fn read_request(stream: &mut TcpStream) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 4096];
         while crate::http::try_parse_request(&buf, 1 << 20)
@@ -669,6 +743,63 @@ mod tests {
             let n = stream.read(&mut chunk).unwrap();
             assert!(n > 0, "client hung up mid-request");
             buf.extend_from_slice(&chunk[..n]);
+        }
+        buf
+    }
+
+    #[test]
+    fn get_requests_carry_no_body() {
+        let (seen, requests) = std::sync::mpsc::channel();
+        let (addr, server) = stub_server(move |listener| {
+            let (mut conn, _) = listener.accept().unwrap();
+            let answers = [
+                r#"{"status":"ok"}"#.to_string(),
+                serde_json::to_string(&StatusEnvelope {
+                    snapshot: pwm_core::MemorySnapshot {
+                        in_progress_transfers: 0,
+                        staged_files: 0,
+                        staging_files: 0,
+                        in_progress_cleanups: 0,
+                        host_pairs: Vec::new(),
+                    },
+                    stats: Default::default(),
+                    rules: Vec::new(),
+                })
+                .unwrap(),
+                "# metrics".to_string(),
+                "[]".to_string(),
+            ];
+            for answer in answers {
+                seen.send(read_request(&mut conn)).unwrap();
+                let response = crate::http::Response::ok_json(answer);
+                conn.write_all(&crate::http::render_response(&response, true))
+                    .unwrap();
+            }
+            4
+        });
+        let client = PolicyRestClient::new(addr, DEFAULT_SESSION);
+        assert!(client.health());
+        client.status().unwrap();
+        client.metrics().unwrap();
+        client.trace().unwrap();
+        assert_eq!(server.join().unwrap(), 4);
+        let paths = [
+            "/health",
+            "/sessions/default/status",
+            "/metrics",
+            "/sessions/default/trace",
+        ];
+        for (wire, path) in requests.iter().zip(paths) {
+            let text = String::from_utf8(wire).unwrap();
+            assert!(
+                text.starts_with(&format!("GET {path} HTTP/1.1\r\n")),
+                "{text}"
+            );
+            assert!(text.contains("\r\nContent-Length: 0\r\n"), "{text}");
+            assert!(
+                text.ends_with("\r\n\r\n"),
+                "a body follows the head: {text}"
+            );
         }
     }
 
@@ -745,16 +876,10 @@ mod tests {
             1
         });
         let mut conn = ClientConn::connect(addr, Duration::from_secs(5)).unwrap();
-        conn.send(&render_request(
-            WireFormat::Json,
-            Method::Get,
-            "/health",
-            b"",
-            true,
-        ))
-        .unwrap();
+        conn.render(WireFormat::Json, Method::Get, "/health", |_| {});
+        conn.send().unwrap();
         for n in [1, 2, 40_000] {
-            let (status, got) = conn.read_one().unwrap();
+            let (status, got) = conn.read_one(|status, got| (status, got.to_vec())).unwrap();
             assert_eq!(status, 200);
             assert_eq!(got, body(n).into_bytes());
         }

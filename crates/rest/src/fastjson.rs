@@ -26,8 +26,8 @@
 //! the bottom of this file.
 
 use pwm_core::{
-    ClusterId, GroupId, SuppressReason, TransferAction, TransferAdvice, TransferId, TransferSpec,
-    Url, WorkflowId,
+    ClusterId, GroupId, Name, SuppressReason, TransferAction, TransferAdvice, TransferId,
+    TransferSpec, Url, WorkflowId,
 };
 
 // ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ impl<'a> Cursor<'a> {
             if slot.is_some() {
                 return None;
             }
-            *slot = Some(self.string()?.to_string());
+            *slot = Some(Name::from(self.string()?));
             self.ws();
             match self.next()? {
                 b',' => {}
@@ -284,19 +284,25 @@ fn set<T>(slot: &mut Option<T>, value: T) -> Option<()> {
 /// `serde_json::to_vec(&TransferResponseEnvelope { advice })` would.
 pub fn render_transfer_response(advice: &[TransferAdvice]) -> Vec<u8> {
     // ~200 bytes per advice entry in practice; one allocation either way.
-    let mut out = Vec::with_capacity(16 + 224 * advice.len());
-    out.extend_from_slice(b"{\"advice\":[");
-    for (i, a) in advice.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_advice(&mut out, a);
-    }
-    out.extend_from_slice(b"]}");
-    out
+    let mut out = String::with_capacity(16 + 224 * advice.len());
+    write_transfer_response(&mut out, advice);
+    out.into_bytes()
 }
 
-fn push_advice(out: &mut Vec<u8>, a: &TransferAdvice) {
+/// [`render_transfer_response`] onto the end of `out` (the event loop's
+/// response-body buffer).
+pub(crate) fn write_transfer_response(out: &mut String, advice: &[TransferAdvice]) {
+    out.push_str("{\"advice\":[");
+    for (i, a) in advice.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_advice(out, a);
+    }
+    out.push_str("]}");
+}
+
+fn push_advice(out: &mut String, a: &TransferAdvice) {
     let TransferAdvice {
         id: TransferId(id),
         source,
@@ -307,54 +313,54 @@ fn push_advice(out: &mut Vec<u8>, a: &TransferAdvice) {
         order,
         backend,
     } = a;
-    out.extend_from_slice(b"{\"id\":");
+    out.push_str("{\"id\":");
     push_u64(out, *id);
-    out.extend_from_slice(b",\"source\":");
+    out.push_str(",\"source\":");
     push_url(out, source);
-    out.extend_from_slice(b",\"dest\":");
+    out.push_str(",\"dest\":");
     push_url(out, dest);
-    out.extend_from_slice(b",\"action\":");
+    out.push_str(",\"action\":");
     match action {
-        TransferAction::Execute => out.extend_from_slice(b"\"Execute\""),
+        TransferAction::Execute => out.push_str("\"Execute\""),
         TransferAction::Skip(reason) => {
-            out.extend_from_slice(b"{\"Skip\":\"");
-            out.extend_from_slice(match reason {
-                SuppressReason::DuplicateInBatch => b"DuplicateInBatch".as_slice(),
-                SuppressReason::AlreadyInProgress => b"AlreadyInProgress",
-                SuppressReason::AlreadyStaged => b"AlreadyStaged",
-                SuppressReason::DuplicateCleanup => b"DuplicateCleanup",
-                SuppressReason::ResourceInUse => b"ResourceInUse",
-                SuppressReason::SourceQuarantined => b"SourceQuarantined",
-                SuppressReason::SourceHostDown => b"SourceHostDown",
+            out.push_str("{\"Skip\":\"");
+            out.push_str(match reason {
+                SuppressReason::DuplicateInBatch => "DuplicateInBatch",
+                SuppressReason::AlreadyInProgress => "AlreadyInProgress",
+                SuppressReason::AlreadyStaged => "AlreadyStaged",
+                SuppressReason::DuplicateCleanup => "DuplicateCleanup",
+                SuppressReason::ResourceInUse => "ResourceInUse",
+                SuppressReason::SourceQuarantined => "SourceQuarantined",
+                SuppressReason::SourceHostDown => "SourceHostDown",
             });
-            out.extend_from_slice(b"\"}");
+            out.push_str("\"}");
         }
     }
-    out.extend_from_slice(b",\"streams\":");
+    out.push_str(",\"streams\":");
     push_u64(out, u64::from(*streams));
-    out.extend_from_slice(b",\"group\":");
+    out.push_str(",\"group\":");
     push_u64(out, *group);
-    out.extend_from_slice(b",\"order\":");
+    out.push_str(",\"order\":");
     push_u64(out, u64::from(*order));
-    out.extend_from_slice(b",\"backend\":");
+    out.push_str(",\"backend\":");
     match backend {
         Some(name) => push_string(out, name),
-        None => out.extend_from_slice(b"null"),
+        None => out.push_str("null"),
     }
-    out.push(b'}');
+    out.push('}');
 }
 
-fn push_url(out: &mut Vec<u8>, url: &Url) {
-    out.extend_from_slice(b"{\"scheme\":");
+fn push_url(out: &mut String, url: &Url) {
+    out.push_str("{\"scheme\":");
     push_string(out, &url.scheme);
-    out.extend_from_slice(b",\"host\":");
+    out.push_str(",\"host\":");
     push_string(out, &url.host);
-    out.extend_from_slice(b",\"path\":");
+    out.push_str(",\"path\":");
     push_string(out, &url.path);
-    out.push(b'}');
+    out.push('}');
 }
 
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+fn push_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
@@ -365,45 +371,39 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
             break;
         }
     }
-    out.extend_from_slice(&buf[i..]);
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
 /// Write a JSON string with `serde_json`'s exact escape table: `\"`, `\\`,
 /// `\n`, `\r`, `\t`, lowercase `\u00xx` for other control characters;
 /// everything else (including `/` and non-ASCII) verbatim. Clean runs are
-/// copied wholesale — multi-byte UTF-8 continuation bytes are ≥ 0x80 and
-/// never match an escape, so scanning bytewise is safe.
-fn push_string(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
-    let bytes = s.as_bytes();
+/// copied wholesale — an escaped byte is ASCII, so every cut falls on a
+/// character boundary.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
     let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
+    for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.extend_from_slice(&bytes[start..i]);
+        out.push_str(&s[start..i]);
         match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
             c => {
                 const HEX: &[u8; 16] = b"0123456789abcdef";
-                out.extend_from_slice(&[
-                    b'\\',
-                    b'u',
-                    b'0',
-                    b'0',
-                    HEX[usize::from(c >> 4)],
-                    HEX[usize::from(c & 0xf)],
-                ]);
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(c >> 4)]));
+                out.push(char::from(HEX[usize::from(c & 0xf)]));
             }
         }
         start = i + 1;
     }
-    out.extend_from_slice(&bytes[start..]);
-    out.push(b'"');
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -556,9 +556,9 @@ mod tests {
 
     fn arb_url() -> impl Strategy<Value = Url> {
         (arb_string(), arb_string(), arb_string()).prop_map(|(scheme, host, path)| Url {
-            scheme,
-            host,
-            path,
+            scheme: scheme.into(),
+            host: host.into(),
+            path: path.into(),
         })
     }
 

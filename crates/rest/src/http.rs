@@ -11,9 +11,11 @@
 //! [`render_response`] serialize to bytes. The event-driven server and the
 //! pipelining client run them over per-connection accumulation buffers, so
 //! several pipelined messages parse out of one buffer back to back, and
-//! all socket I/O stays with the caller.
+//! all socket I/O stays with the caller. A framed message is located, not
+//! copied: a [`Request`] borrows its path and body from the buffer.
 
 use std::io::Write;
+use std::ops::Range;
 
 /// Supported request methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,21 +84,47 @@ impl WireFormat {
     }
 }
 
-/// A parsed HTTP request.
-#[derive(Debug, Clone)]
-pub struct Request {
+/// A parsed HTTP request, borrowing from the buffer it was parsed out of.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
     /// Request method.
     pub method: Method,
     /// Path component (no query parsing; the API doesn't use queries).
-    pub path: String,
+    pub path: &'a str,
     /// Body bytes (JSON or XML per `format`).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
     /// Negotiated body encoding (from the Content-Type header).
     pub format: WireFormat,
     /// Whether the client wants the connection kept open after the
     /// response (HTTP/1.1 default unless `Connection: close`; HTTP/1.0
     /// default unless `Connection: keep-alive`).
     pub keep_alive: bool,
+}
+
+/// Where a complete request sits in the buffer it was framed in: what a
+/// connection keeps between framing its pipelined requests and serving
+/// them, without holding a borrow of its read buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct RequestFrame {
+    method: Method,
+    path: Range<usize>,
+    body: Range<usize>,
+    format: WireFormat,
+    keep_alive: bool,
+}
+
+impl RequestFrame {
+    /// The request, read out of the buffer this frame was made from.
+    pub(crate) fn request<'a>(&self, buf: &'a [u8]) -> Request<'a> {
+        Request {
+            method: self.method,
+            path: std::str::from_utf8(&buf[self.path.clone()])
+                .expect("the header block was checked when the request was framed"),
+            body: &buf[self.body.clone()],
+            format: self.format,
+            keep_alive: self.keep_alive,
+        }
+    }
 }
 
 /// An HTTP response to serialize.
@@ -140,17 +168,9 @@ impl Response {
 
     /// An error status with an error envelope in the given format.
     pub fn error_in(format: WireFormat, status: u16, message: &str) -> Response {
-        let body = match format {
-            WireFormat::Json => serde_json::to_vec(&crate::wire::ErrorEnvelope {
-                error: message.to_string(),
-            })
-            .unwrap_or_else(|_| b"{\"error\":\"internal\"}".to_vec()),
-            WireFormat::Xml => crate::xml::error_xml(message).into_bytes(),
-            WireFormat::Text => message.as_bytes().to_vec(),
-        };
         Response {
             status,
-            body,
+            body: error_body(format, message).into_bytes(),
             format,
         }
     }
@@ -159,19 +179,31 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Response {
         Self::error_in(WireFormat::Json, status, message)
     }
+}
 
-    fn status_text(&self) -> &'static str {
-        match self.status {
-            200 => "OK",
-            400 => "Bad Request",
-            404 => "Not Found",
-            405 => "Method Not Allowed",
-            408 => "Request Timeout",
-            413 => "Payload Too Large",
-            500 => "Internal Server Error",
-            503 => "Service Unavailable",
-            _ => "Unknown",
-        }
+/// The error envelope carrying `message`, in `format`.
+pub(crate) fn error_body(format: WireFormat, message: &str) -> String {
+    match format {
+        WireFormat::Json => serde_json::to_string(&crate::wire::ErrorEnvelope {
+            error: message.to_string(),
+        })
+        .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string()),
+        WireFormat::Xml => crate::xml::error_xml(message),
+        WireFormat::Text => message.to_string(),
+    }
+}
+
+fn status_text(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        _ => "Unknown",
     }
 }
 
@@ -229,7 +261,15 @@ const MAX_REQUEST: usize = 64 << 20;
 pub fn try_parse_request(
     buf: &[u8],
     max_body: usize,
-) -> Result<Option<(Request, usize)>, HttpError> {
+) -> Result<Option<(Request<'_>, usize)>, HttpError> {
+    Ok(frame_request(buf, max_body)?.map(|(frame, consumed)| (frame.request(buf), consumed)))
+}
+
+/// [`try_parse_request`], locating the request instead of borrowing it.
+pub(crate) fn frame_request(
+    buf: &[u8],
+    max_body: usize,
+) -> Result<Option<(RequestFrame, usize)>, HttpError> {
     let Some(head_end) = find_separator(buf) else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::TooLarge("headers too large".into()));
@@ -249,8 +289,9 @@ pub fn try_parse_request(
         .ok_or_else(|| HttpError::Malformed(format!("bad method in {request_line:?}")))?;
     let path = parts
         .next()
-        .ok_or_else(|| HttpError::Malformed("missing path".into()))?
-        .to_string();
+        .ok_or_else(|| HttpError::Malformed("missing path".into()))?;
+    // `path` is a subslice of `head_text`, which starts where `buf` does.
+    let path_start = path.as_ptr() as usize - head_text.as_ptr() as usize;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; the Connection
     // header overrides either way.
     let mut keep_alive = parts.next() != Some("HTTP/1.0");
@@ -282,10 +323,10 @@ pub fn try_parse_request(
         return Ok(None);
     }
     Ok(Some((
-        Request {
+        RequestFrame {
             method,
-            path,
-            body: buf[body_start..body_start + content_length].to_vec(),
+            path: path_start..path_start + path.len(),
+            body: body_start..body_start + content_length,
             format,
             keep_alive,
         },
@@ -301,6 +342,11 @@ pub fn try_parse_request(
 /// Content-Length (every response this server writes does); connection-
 /// close framing is not supported.
 pub fn try_parse_response(buf: &[u8]) -> Result<Option<(u16, Vec<u8>, usize)>, HttpError> {
+    Ok(frame_response(buf)?.map(|(status, body, consumed)| (status, buf[body].to_vec(), consumed)))
+}
+
+/// [`try_parse_response`], locating the body instead of copying it.
+pub(crate) fn frame_response(buf: &[u8]) -> Result<Option<(u16, Range<usize>, usize)>, HttpError> {
     let Some(head_end) = find_separator(buf) else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::Malformed("response head too large".into()));
@@ -337,7 +383,7 @@ pub fn try_parse_response(buf: &[u8]) -> Result<Option<(u16, Vec<u8>, usize)>, H
     }
     Ok(Some((
         status,
-        buf[body_start..body_start + len].to_vec(),
+        body_start..body_start + len,
         body_start + len,
     )))
 }
@@ -385,24 +431,36 @@ pub(crate) fn write_request(
 /// Serialize one response to bytes.
 pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut wire = Vec::with_capacity(128 + response.body.len());
-    write_response(&mut wire, response, keep_alive);
+    write_response(
+        &mut wire,
+        response.status,
+        response.format,
+        &response.body,
+        keep_alive,
+    );
     wire
 }
 
-/// [`render_response`] appended to `wire`: the event-driven server writes
-/// straight into a connection's write buffer, so pipelined responses flush
-/// in one write and a body is copied once.
-pub(crate) fn write_response(wire: &mut Vec<u8>, response: &Response, keep_alive: bool) {
+/// [`render_response`] appended to `wire`, from the parts: the event-driven
+/// server writes straight into a connection's write buffer, so pipelined
+/// responses flush in one write and a body is copied once.
+pub(crate) fn write_response(
+    wire: &mut Vec<u8>,
+    status: u16,
+    format: WireFormat,
+    body: &[u8],
+    keep_alive: bool,
+) {
     let _ = write!(
         wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        response.status,
-        response.status_text(),
-        response.format.content_type(),
-        response.body.len(),
+        status,
+        status_text(status),
+        format.content_type(),
+        body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    wire.extend_from_slice(&response.body);
+    wire.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -410,7 +468,7 @@ mod tests {
     use super::*;
 
     /// Parse a buffer that must hold exactly one complete request.
-    fn parse_whole(wire: &[u8]) -> Request {
+    fn parse_whole(wire: &[u8]) -> Request<'_> {
         let (request, consumed) = try_parse_request(wire, MAX_REQUEST)
             .unwrap()
             .expect("complete request");
@@ -418,8 +476,8 @@ mod tests {
         request
     }
 
-    fn roundtrip_request(method: Method, path: &str, body: &[u8]) -> Request {
-        parse_whole(&render_request(WireFormat::Json, method, path, body, false))
+    fn rendered(method: Method, path: &str, body: &[u8]) -> Vec<u8> {
+        render_request(WireFormat::Json, method, path, body, false)
     }
 
     fn roundtrip_response(response: &Response) -> (u16, Vec<u8>) {
@@ -433,7 +491,8 @@ mod tests {
 
     #[test]
     fn request_roundtrip() {
-        let r = roundtrip_request(Method::Post, "/sessions/default/transfers", b"{\"x\":1}");
+        let wire = rendered(Method::Post, "/sessions/default/transfers", b"{\"x\":1}");
+        let r = parse_whole(&wire);
         assert_eq!(r.method, Method::Post);
         assert_eq!(r.path, "/sessions/default/transfers");
         assert_eq!(r.body, b"{\"x\":1}");
@@ -441,7 +500,8 @@ mod tests {
 
     #[test]
     fn empty_body_request() {
-        let r = roundtrip_request(Method::Get, "/health", b"");
+        let wire = rendered(Method::Get, "/health", b"");
+        let r = parse_whole(&wire);
         assert_eq!(r.method, Method::Get);
         assert!(r.body.is_empty());
     }
@@ -449,7 +509,8 @@ mod tests {
     #[test]
     fn large_body_roundtrip() {
         let body = vec![b'a'; 100_000];
-        let r = roundtrip_request(Method::Put, "/config", &body);
+        let wire = rendered(Method::Put, "/config", &body);
+        let r = parse_whole(&wire);
         assert_eq!(r.body.len(), 100_000);
     }
 

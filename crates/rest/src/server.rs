@@ -31,7 +31,7 @@
 //! | PUT    | `/sessions/{s}/config` | PolicyConfig → Ack (creates the session if absent) |
 
 use crate::http::{
-    try_parse_request, write_response, HttpError, Method, Request, Response, WireFormat,
+    error_body, frame_request, write_response, HttpError, Method, Request, RequestFrame, WireFormat,
 };
 use crate::poller::{poll_fds, PollFd, WakePipe, Waker, POLL_IN, POLL_OUT};
 use crate::wire::*;
@@ -208,18 +208,34 @@ impl Conn {
         }
     }
 
-    fn push_response(&mut self, response: &Response, keep_alive: bool) {
-        write_response(&mut self.wbuf, response, keep_alive);
+    /// Answer what the connection sent with an error status, and close it.
+    fn push_refusal(&mut self, status: u16, message: &str) {
+        let answer = Answer {
+            status,
+            format: WireFormat::Json,
+        };
+        self.push_answer(answer, &error_body(answer.format, message), false);
+    }
+
+    /// Queue an answer whose body was rendered into the loop's body buffer:
+    /// head and body go straight into the write buffer.
+    fn push_answer(&mut self, answer: Answer, body: &str, keep_alive: bool) {
+        write_response(
+            &mut self.wbuf,
+            answer.status,
+            answer.format,
+            body.as_bytes(),
+            keep_alive,
+        );
         if !keep_alive {
             self.state = ConnState::Closing;
         }
     }
 
     /// Append what the socket holds to `rbuf`, reading through `scratch`
-    /// (the event loop's one read buffer: zeroed once, so a read costs a
-    /// copy of the bytes that arrived and nothing per byte that did not).
-    /// A read that does not fill `scratch` emptied the socket, so no second
-    /// `read` is issued just to see `WouldBlock`: `poll` is level-triggered
+    /// (the event loop's one read chunk, [`Workspace::chunk`]). A read that
+    /// does not fill `scratch` emptied the socket, so no second `read` is
+    /// issued just to see `WouldBlock`: `poll` is level-triggered
     /// and reports anything that arrives later, end of stream included, on
     /// the next turn. True when the peer closed its write side.
     fn drain_read(&mut self, scratch: &mut [u8]) -> bool {
@@ -277,7 +293,11 @@ fn event_loop(
     }
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut work = Workspace {
+        chunk: vec![0u8; READ_CHUNK],
+        frames: Vec::new(),
+        body: String::new(),
+    };
     let mut draining = false;
     let mut drain_deadline = Instant::now();
 
@@ -328,9 +348,9 @@ fn event_loop(
         if !draining {
             for (i, c) in conns.iter_mut().enumerate() {
                 if matches!(c.state, ConnState::Open) && fds[conn_base + i].readable() {
-                    let eof = c.drain_read(&mut scratch);
+                    let eof = c.drain_read(&mut work.chunk);
                     c.deadline = now + limits.read_timeout;
-                    serve_buffered(c, &controller, &limits, &metrics);
+                    serve_buffered(c, &mut work, &controller, &limits, &metrics);
                     if eof {
                         c.state = ConnState::Closing;
                     }
@@ -356,10 +376,10 @@ fn event_loop(
             drain_deadline = now + limits.read_timeout;
             for c in conns.iter_mut() {
                 if matches!(c.state, ConnState::Open) {
-                    c.drain_read(&mut scratch);
-                    serve_buffered(c, &controller, &limits, &metrics);
+                    c.drain_read(&mut work.chunk);
+                    serve_buffered(c, &mut work, &controller, &limits, &metrics);
                     if !c.rbuf.is_empty() {
-                        c.push_response(&Response::error(503, "server shutting down"), false);
+                        c.push_refusal(503, "server shutting down");
                         c.rbuf.clear();
                     }
                     c.state = ConnState::Closing;
@@ -373,7 +393,7 @@ fn event_loop(
                 if !c.rbuf.is_empty() || c.served == 0 {
                     // Mid-request stall (slow loris) or a connection that
                     // never spoke: answer 408 and close.
-                    c.push_response(&Response::error(408, "request read timed out"), false);
+                    c.push_refusal(408, "request read timed out");
                 } else {
                     // Idle keep-alive connection: close silently.
                     c.state = ConnState::Closing;
@@ -402,70 +422,100 @@ fn event_loop(
     }
 }
 
-/// Parse every complete request out of a connection's read buffer and
-/// queue the responses. Runs of ≥ 2 consecutive pipelined JSON
-/// transfer-evaluate requests for the same session collapse into one
-/// batched `evaluate_transfer_groups` controller call.
+/// What the loop thread keeps from one request to the next, so that serving
+/// a request allocates nothing of its own: the read chunk, the list of
+/// requests framed in the connection being served, and the body of the
+/// response being rendered.
+struct Workspace {
+    /// What one `read` may deliver: zeroed once, so a read costs a copy of
+    /// the bytes that arrived and nothing per byte that did not.
+    chunk: Vec<u8>,
+    /// Each framed request with the offset of the bytes it was framed in.
+    frames: Vec<(usize, RequestFrame)>,
+    body: String,
+}
+
+/// Status and encoding of a response whose body is in [`Workspace::body`].
+#[derive(Debug, Clone, Copy)]
+struct Answer {
+    status: u16,
+    format: WireFormat,
+}
+
+/// Frame every complete request in a connection's read buffer, then answer
+/// them in order. Runs of ≥ 2 consecutive pipelined JSON transfer-evaluate
+/// requests for the same session collapse into one batched
+/// `evaluate_transfer_groups` controller call.
 fn serve_buffered(
     c: &mut Conn,
+    work: &mut Workspace,
     controller: &PolicyController,
     limits: &ServerLimits,
     metrics: &LoopMetrics,
 ) {
-    let mut parsed: Vec<Request> = Vec::new();
-    let mut fatal: Option<Response> = None;
+    let Workspace { frames, body, .. } = work;
+    frames.clear();
+    let mut fatal: Option<(u16, String)> = None;
     let mut consumed = 0;
     loop {
-        match try_parse_request(&c.rbuf[consumed..], limits.max_body) {
-            Ok(Some((request, len))) => {
+        match frame_request(&c.rbuf[consumed..], limits.max_body) {
+            Ok(Some((frame, len))) => {
+                frames.push((consumed, frame));
                 consumed += len;
-                parsed.push(request);
             }
             Ok(None) => break,
             Err(e @ HttpError::TooLarge(_)) => {
-                fatal = Some(Response::error(413, &e.to_string()));
+                fatal = Some((413, e.to_string()));
                 break;
             }
             Err(e) => {
-                fatal = Some(Response::error(400, &format!("bad request: {e}")));
+                fatal = Some((400, format!("bad request: {e}")));
                 break;
             }
         }
     }
-    c.rbuf.drain(..consumed);
+    metrics.requests.add(frames.len() as u64);
 
-    metrics.requests.add(parsed.len() as u64);
+    // The requests borrow the read buffer while their answers go to the
+    // same connection's write buffer: lend the read buffer out for the pass.
+    let rbuf = std::mem::take(&mut c.rbuf);
+    let request = |i: usize| {
+        let (at, frame) = &frames[i];
+        frame.request(&rbuf[*at..])
+    };
     let mut i = 0;
-    while i < parsed.len() {
+    while i < frames.len() {
+        let first = request(i);
         // A pipelined run: maximal stretch of batchable transfer-evaluate
         // requests addressed to one session.
-        if let Some(session) = batchable_session(&parsed[i]) {
+        if let Some(session) = batchable_session(&first) {
             let mut j = i + 1;
-            while j < parsed.len() && batchable_session(&parsed[j]) == Some(session) {
+            while j < frames.len() && batchable_session(&request(j)) == Some(session) {
                 j += 1;
             }
             if j - i >= 2 {
-                serve_batched(c, &parsed[i..j], session, controller, metrics);
+                serve_batched(c, (i..j).map(&request), session, controller, metrics, body);
                 c.served += (j - i) as u64;
                 i = j;
                 continue;
             }
         }
-        let request = &parsed[i];
-        let response = route(request, controller);
-        c.push_response(&response, request.keep_alive);
+        body.clear();
+        let answer = route(&first, controller, body);
+        c.push_answer(answer, body, first.keep_alive);
         c.served += 1;
         i += 1;
-        if !request.keep_alive {
+        if !first.keep_alive {
             // Pipelined bytes after an explicit close are undefined
-            // behavior per HTTP; drop them.
-            c.rbuf.clear();
+            // behavior per HTTP; drop them with the lent buffer.
             return;
         }
     }
+    c.rbuf = rbuf;
+    c.rbuf.drain(..consumed);
 
-    if let Some(response) = fatal {
-        c.push_response(&response, false);
+    if let Some((status, message)) = fatal {
+        c.push_refusal(status, &message);
         c.rbuf.clear();
     }
 }
@@ -473,14 +523,14 @@ fn serve_buffered(
 /// Is this request eligible for the batched advice path? JSON POSTs to
 /// `/sessions/{s}/transfers` on a keep-alive connection; returns the
 /// session name.
-fn batchable_session(request: &Request) -> Option<&str> {
+fn batchable_session<'a>(request: &Request<'a>) -> Option<&'a str> {
     if request.method != Method::Post || !request.keep_alive {
         return None;
     }
     if !matches!(request.format, WireFormat::Json | WireFormat::Text) {
         return None;
     }
-    let (segments, len) = path_segments(&request.path);
+    let (segments, len) = path_segments(request.path);
     match segments[..len] {
         ["sessions", session, "transfers"] => Some(session),
         _ => None,
@@ -504,25 +554,26 @@ fn path_segments(path: &str) -> ([&str; 5], usize) {
 /// rules pass. Requests whose bodies fail to decode get their own 400
 /// without disturbing the rest of the run; response order matches request
 /// order (HTTP pipelining contract).
-fn serve_batched(
+fn serve_batched<'a>(
     c: &mut Conn,
-    run: &[Request],
+    run: impl ExactSizeIterator<Item = Request<'a>>,
     session: &str,
     controller: &PolicyController,
     metrics: &LoopMetrics,
+    body: &mut String,
 ) {
     // Each decoded group moves into the one batched call; what stays behind
     // per request is only why it was refused, if it was.
-    let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(run.len());
+    let requests = run.len();
+    let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(requests);
     let refused: Vec<Option<String>> = run
-        .iter()
         .map(|r| {
             // The fast codec only accepts the canonical envelope shape; any
             // unusual body falls back to the reference decoder (and its
             // error messages).
-            let decoded = match crate::fastjson::parse_transfer_request(&r.body) {
+            let decoded = match crate::fastjson::parse_transfer_request(r.body) {
                 Some(transfers) => Ok(transfers),
-                None => serde_json::from_slice::<TransferRequestEnvelope>(&r.body)
+                None => serde_json::from_slice::<TransferRequestEnvelope>(r.body)
                     .map(|env| env.transfers),
             };
             match decoded {
@@ -537,57 +588,79 @@ fn serve_batched(
     let mut advice_groups = match controller.evaluate_transfer_groups(session, groups) {
         Ok(groups) => groups.into_iter(),
         Err(e) => {
-            let response = controller_error(e);
-            for _ in run {
-                c.push_response(&response, true);
+            body.clear();
+            let answer = controller_error(body, e);
+            for _ in 0..requests {
+                c.push_answer(answer, body, true);
             }
             return;
         }
     };
-    metrics.batched.add(run.len() as u64);
+    metrics.batched.add(requests as u64);
     for r in refused {
-        let response = match r {
+        body.clear();
+        let answer = match r {
             None => {
                 let advice = advice_groups.next().unwrap_or_default();
-                Response::ok_json(crate::fastjson::render_transfer_response(&advice))
+                crate::fastjson::write_transfer_response(body, &advice);
+                OK_JSON
             }
-            Some(message) => Response::error(400, &message),
+            Some(message) => refuse(body, WireFormat::Json, 400, &message),
         };
-        c.push_response(&response, true);
+        c.push_answer(answer, body, true);
     }
 }
 
-fn route(request: &Request, controller: &PolicyController) -> Response {
-    let (segments, len) = path_segments(&request.path);
+const OK_JSON: Answer = Answer {
+    status: 200,
+    format: WireFormat::Json,
+};
+
+/// Render the answer to `request` into `body` (empty on entry).
+fn route(request: &Request<'_>, controller: &PolicyController, body: &mut String) -> Answer {
+    let (segments, len) = path_segments(request.path);
     match (request.method, &segments[..len]) {
-        (Method::Get, ["health"]) => Response::ok_json(br#"{"status":"ok"}"#.to_vec()),
-        (Method::Get, ["metrics"]) => Response::ok_text(controller.render_metrics().into_bytes()),
+        (Method::Get, ["health"]) => {
+            body.push_str(r#"{"status":"ok"}"#);
+            OK_JSON
+        }
+        (Method::Get, ["metrics"]) => {
+            *body = controller.render_metrics();
+            Answer {
+                status: 200,
+                format: WireFormat::Text,
+            }
+        }
         (Method::Get, ["sessions", session, "trace"]) => {
             match controller.trace_chrome_json(session) {
-                Ok(json) => Response::ok_json(json.into_bytes()),
-                Err(e) => controller_error(e),
+                Ok(json) => {
+                    *body = json;
+                    OK_JSON
+                }
+                Err(e) => controller_error(body, e),
             }
         }
         (Method::Post, ["sessions", session, "transfers"]) => match request.format {
             WireFormat::Json | WireFormat::Text => {
                 // Canonical bodies take the allocation-light codec; anything
                 // else falls back to the reference serde path.
-                if let Some(transfers) = crate::fastjson::parse_transfer_request(&request.body) {
+                if let Some(transfers) = crate::fastjson::parse_transfer_request(request.body) {
                     match controller.evaluate_transfers(session, transfers) {
                         Ok(advice) => {
-                            Response::ok_json(crate::fastjson::render_transfer_response(&advice))
+                            crate::fastjson::write_transfer_response(body, &advice);
+                            OK_JSON
                         }
-                        Err(e) => controller_error(e),
+                        Err(e) => controller_error(body, e),
                     }
                 } else {
-                    with_body::<TransferRequestEnvelope>(request, |env| {
+                    with_body::<TransferRequestEnvelope>(request, body, |env, body| {
                         let advice = controller.evaluate_transfers(session, env.transfers)?;
-                        Ok(json_response(&TransferResponseEnvelope { advice }))
+                        Ok(json(body, &TransferResponseEnvelope { advice }))
                     })
                 }
             }
             WireFormat::Xml => {
-                with_xml_body(request, xml::transfer_request_from_xml, |transfers| {
+                with_xml_body(request, body, xml::transfer_request_from_xml, |transfers| {
                     let advice = controller.evaluate_transfers(session, transfers)?;
                     Ok(xml::transfer_response_to_xml(&advice))
                 })
@@ -595,53 +668,61 @@ fn route(request: &Request, controller: &PolicyController) -> Response {
         },
         (Method::Post, ["sessions", session, "transfers", "complete"]) => match request.format {
             WireFormat::Json | WireFormat::Text => {
-                with_body::<TransferCompletionEnvelope>(request, |env| {
+                with_body::<TransferCompletionEnvelope>(request, body, |env, body| {
                     controller.report_transfers(session, env.outcomes)?;
-                    Ok(json_response(&AckEnvelope::ok()))
+                    Ok(json(body, &AckEnvelope::ok()))
                 })
             }
-            WireFormat::Xml => {
-                with_xml_body(request, xml::transfer_completion_from_xml, |outcomes| {
+            WireFormat::Xml => with_xml_body(
+                request,
+                body,
+                xml::transfer_completion_from_xml,
+                |outcomes| {
                     controller.report_transfers(session, outcomes)?;
                     Ok(xml::ack_xml())
-                })
-            }
+                },
+            ),
         },
         (Method::Post, ["sessions", session, "cleanups"]) => match request.format {
             WireFormat::Json | WireFormat::Text => {
-                with_body::<CleanupRequestEnvelope>(request, |env| {
+                with_body::<CleanupRequestEnvelope>(request, body, |env, body| {
                     let advice = controller.evaluate_cleanups(session, env.cleanups)?;
-                    Ok(json_response(&CleanupResponseEnvelope { advice }))
-                })
-            }
-            WireFormat::Xml => with_xml_body(request, xml::cleanup_request_from_xml, |cleanups| {
-                let advice = controller.evaluate_cleanups(session, cleanups)?;
-                Ok(xml::cleanup_response_to_xml(&advice))
-            }),
-        },
-        (Method::Post, ["sessions", session, "cleanups", "complete"]) => match request.format {
-            WireFormat::Json | WireFormat::Text => {
-                with_body::<CleanupCompletionEnvelope>(request, |env| {
-                    controller.report_cleanups(session, env.outcomes)?;
-                    Ok(json_response(&AckEnvelope::ok()))
+                    Ok(json(body, &CleanupResponseEnvelope { advice }))
                 })
             }
             WireFormat::Xml => {
-                with_xml_body(request, xml::cleanup_completion_from_xml, |outcomes| {
-                    controller.report_cleanups(session, outcomes)?;
-                    Ok(xml::ack_xml())
+                with_xml_body(request, body, xml::cleanup_request_from_xml, |cleanups| {
+                    let advice = controller.evaluate_cleanups(session, cleanups)?;
+                    Ok(xml::cleanup_response_to_xml(&advice))
                 })
             }
         },
+        (Method::Post, ["sessions", session, "cleanups", "complete"]) => match request.format {
+            WireFormat::Json | WireFormat::Text => {
+                with_body::<CleanupCompletionEnvelope>(request, body, |env, body| {
+                    controller.report_cleanups(session, env.outcomes)?;
+                    Ok(json(body, &AckEnvelope::ok()))
+                })
+            }
+            WireFormat::Xml => with_xml_body(
+                request,
+                body,
+                xml::cleanup_completion_from_xml,
+                |outcomes| {
+                    controller.report_cleanups(session, outcomes)?;
+                    Ok(xml::ack_xml())
+                },
+            ),
+        },
         (Method::Post, ["sessions", session, "health"]) => {
-            with_body::<HealthReportEnvelope>(request, |env| {
+            with_body::<HealthReportEnvelope>(request, body, |env, body| {
                 controller.report_health(session, env.events)?;
-                Ok(json_response(&AckEnvelope::ok()))
+                Ok(json(body, &AckEnvelope::ok()))
             })
         }
         (Method::Get, ["sessions", session, "log"]) => match controller.audit_since(session, 0) {
-            Ok(records) => json_response(&records),
-            Err(e) => controller_error(e),
+            Ok(records) => json(body, &records),
+            Err(e) => controller_error(body, e),
         },
         (Method::Get, ["sessions", session, "status"]) => {
             match (
@@ -649,81 +730,97 @@ fn route(request: &Request, controller: &PolicyController) -> Response {
                 controller.stats(session),
                 controller.rule_stats(session),
             ) {
-                (Ok(snapshot), Ok(stats), Ok(rules)) => json_response(&StatusEnvelope {
-                    snapshot,
-                    stats,
-                    rules,
-                }),
-                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => controller_error(e),
+                (Ok(snapshot), Ok(stats), Ok(rules)) => json(
+                    body,
+                    &StatusEnvelope {
+                        snapshot,
+                        stats,
+                        rules,
+                    },
+                ),
+                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => controller_error(body, e),
             }
         }
         (Method::Put, ["sessions", session, "config"]) => {
-            with_body::<PolicyConfig>(request, |config| {
+            with_body::<PolicyConfig>(request, body, |config, body| {
                 // PUT is an upsert: reconfigure or create.
                 if controller.set_config(session, config.clone()).is_err() {
                     controller.create_session(*session, config);
                 }
-                Ok(json_response(&AckEnvelope::ok()))
+                Ok(json(body, &AckEnvelope::ok()))
             })
         }
         (Method::Delete, ["sessions", session]) => {
             if controller.drop_session(session) {
-                json_response(&AckEnvelope::ok())
+                json(body, &AckEnvelope::ok())
             } else {
-                Response::error(404, &format!("no such policy session: {session}"))
+                let message = format!("no such policy session: {session}");
+                refuse(body, WireFormat::Json, 404, &message)
             }
         }
-        _ => Response::error(404, &format!("no route for {}", request.path)),
+        _ => {
+            let message = format!("no route for {}", request.path);
+            refuse(body, WireFormat::Json, 404, &message)
+        }
     }
 }
 
 /// Decode an XML body, run the handler, and answer in XML.
 fn with_xml_body<T>(
-    request: &Request,
+    request: &Request<'_>,
+    body: &mut String,
     decode: impl FnOnce(&str) -> Result<T, crate::xml::XmlError>,
     f: impl FnOnce(T) -> Result<String, ControllerError>,
-) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
+) -> Answer {
+    let text = match std::str::from_utf8(request.body) {
         Ok(t) => t,
-        Err(_) => return Response::error_in(WireFormat::Xml, 400, "body is not utf-8"),
+        Err(_) => return refuse(body, WireFormat::Xml, 400, "body is not utf-8"),
     };
     match decode(text) {
         Ok(value) => match f(value) {
-            Ok(body) => Response::ok(WireFormat::Xml, body.into_bytes()),
+            Ok(answer) => {
+                *body = answer;
+                Answer {
+                    status: 200,
+                    format: WireFormat::Xml,
+                }
+            }
             Err(e) => match e {
                 ControllerError::NoSuchSession(_) => {
-                    Response::error_in(WireFormat::Xml, 404, &e.to_string())
+                    refuse(body, WireFormat::Xml, 404, &e.to_string())
                 }
             },
         },
-        Err(e) => Response::error_in(WireFormat::Xml, 400, &e.to_string()),
+        Err(e) => refuse(body, WireFormat::Xml, 400, &e.to_string()),
     }
 }
 
 fn with_body<T: serde::de::DeserializeOwned>(
-    request: &Request,
-    f: impl FnOnce(T) -> Result<Response, ControllerError>,
-) -> Response {
-    match serde_json::from_slice::<T>(&request.body) {
-        Ok(value) => match f(value) {
-            Ok(resp) => resp,
-            Err(e) => controller_error(e),
-        },
-        Err(e) => Response::error(400, &format!("bad json: {e}")),
+    request: &Request<'_>,
+    body: &mut String,
+    f: impl FnOnce(T, &mut String) -> Result<Answer, ControllerError>,
+) -> Answer {
+    match serde_json::from_slice::<T>(request.body) {
+        Ok(value) => f(value, body).unwrap_or_else(|e| controller_error(body, e)),
+        Err(e) => refuse(body, WireFormat::Json, 400, &format!("bad json: {e}")),
     }
 }
 
-fn controller_error(e: ControllerError) -> Response {
+fn controller_error(body: &mut String, e: ControllerError) -> Answer {
     match e {
-        ControllerError::NoSuchSession(_) => Response::error(404, &e.to_string()),
+        ControllerError::NoSuchSession(_) => refuse(body, WireFormat::Json, 404, &e.to_string()),
     }
 }
 
-fn json_response<T: serde::Serialize>(value: &T) -> Response {
-    match serde_json::to_vec(value) {
-        Ok(body) => Response::ok_json(body),
-        Err(e) => Response::error(500, &format!("serialization failure: {e}")),
-    }
+/// An error status with its envelope in `format`.
+fn refuse(body: &mut String, format: WireFormat, status: u16, message: &str) -> Answer {
+    body.push_str(&error_body(format, message));
+    Answer { status, format }
+}
+
+fn json<T: serde::Serialize>(body: &mut String, value: &T) -> Answer {
+    serde_json::to_string_onto(value, body);
+    OK_JSON
 }
 
 #[cfg(test)]

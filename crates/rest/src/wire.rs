@@ -6,7 +6,7 @@
 //! testable independently of the in-memory types.
 
 use pwm_core::{
-    CleanupAdvice, CleanupOutcome, CleanupSpec, HealthEvent, MemorySnapshot, RuleCounters,
+    CleanupAdvice, CleanupOutcome, CleanupSpec, HealthEvent, MemorySnapshot, Name, RuleCounters,
     ServiceStats, TransferAdvice, TransferOutcome, TransferSpec,
 };
 use serde::{Deserialize, Serialize};
@@ -20,8 +20,9 @@ pub struct TransferRequestEnvelope {
 
 impl TransferRequestEnvelope {
     /// The encoding of an envelope holding `transfers`, written from the
-    /// borrow: a pipelining client encodes many groups it goes on owning.
-    pub(crate) fn encode_borrowed(transfers: &[TransferSpec]) -> Vec<u8> {
+    /// borrow onto the end of `out`: a pipelining client encodes many groups
+    /// it goes on owning.
+    pub(crate) fn encode_borrowed(transfers: &[TransferSpec], out: &mut String) {
         // The derive has no lifetime support, so this mirrors by hand the
         // one-field object it generates (`borrowed_encoding_matches` below).
         struct Borrowed<'a>(&'a [TransferSpec]);
@@ -33,7 +34,7 @@ impl TransferRequestEnvelope {
                 w.end_object();
             }
         }
-        serde_json::to_vec(&Borrowed(transfers)).expect("wire envelopes always encode")
+        serde_json::to_string_onto(&Borrowed(transfers), out);
     }
 }
 
@@ -97,14 +98,14 @@ pub struct StatusEnvelope {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AckEnvelope {
     /// Always "ok" on success.
-    pub status: String,
+    pub status: Name,
 }
 
 impl AckEnvelope {
     /// The canonical success acknowledgement.
     pub fn ok() -> Self {
         AckEnvelope {
-            status: "ok".to_string(),
+            status: "ok".into(),
         }
     }
 }
@@ -151,8 +152,9 @@ mod tests {
             priority: Some(-1),
         };
         for transfers in [vec![], vec![spec.clone()], vec![spec.clone(), spec]] {
-            let borrowed = TransferRequestEnvelope::encode_borrowed(&transfers);
-            let owned = serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap();
+            let mut borrowed = String::new();
+            TransferRequestEnvelope::encode_borrowed(&transfers, &mut borrowed);
+            let owned = serde_json::to_string(&TransferRequestEnvelope { transfers }).unwrap();
             assert_eq!(borrowed, owned);
         }
     }

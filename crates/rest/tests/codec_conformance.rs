@@ -1460,9 +1460,9 @@ fn arb_string() -> impl Strategy<Value = String> {
 
 fn arb_url() -> impl Strategy<Value = Url> {
     (arb_string(), arb_string(), arb_string()).prop_map(|(scheme, host, path)| Url {
-        scheme,
-        host,
-        path,
+        scheme: scheme.into(),
+        host: host.into(),
+        path: path.into(),
     })
 }
 
@@ -1642,4 +1642,100 @@ fn a_malformed_middle_request_leaves_its_neighbours_their_own_advice() {
     assert!(c[0].should_execute());
     let refused: ErrorEnvelope = serde_json::from_slice(&responses[1].1).unwrap();
     assert!(refused.error.starts_with("bad json: "), "{}", refused.error);
+}
+
+// ---------------------------------------------------------------------------
+// 5. URL fields around the 22-byte inline limit of `pwm_core::Name`
+// ---------------------------------------------------------------------------
+
+/// A 22-byte host (the longest held inline) staging to a 23-byte one (the
+/// shortest held shared); an empty host; and a path whose three-byte
+/// character straddles byte 22. What crosses the wire is the text, whatever
+/// holds it: the literals are what a `String`-field `Url` encoded to.
+fn limit_specs() -> Vec<TransferSpec> {
+    let spec = |source: Url, dest: Url| TransferSpec {
+        source,
+        dest,
+        bytes: 1,
+        requested_streams: None,
+        workflow: WorkflowId(1),
+        cluster: None,
+        priority: None,
+    };
+    vec![
+        spec(
+            url(
+                "gsiftp",
+                "gridftp-012345678.tacc",
+                "/d/twenty-two-bytes.dat",
+            ),
+            url(
+                "file",
+                "obelix-nfs-01234567.isi",
+                "/s/twenty-three-bytes.dat",
+            ),
+        ),
+        spec(
+            url("file", "", "/scratch/montage/2mas中.fits"),
+            url("file", "", "/scratch/montage/2mas🦀é.fits"),
+        ),
+    ]
+}
+
+const LIMIT_SPECS_JSON: &str = r#"{"transfers":[{"source":{"scheme":"gsiftp","host":"gridftp-012345678.tacc","path":"/d/twenty-two-bytes.dat"},"dest":{"scheme":"file","host":"obelix-nfs-01234567.isi","path":"/s/twenty-three-bytes.dat"},"bytes":1,"requested_streams":null,"workflow":1,"cluster":null,"priority":null},{"source":{"scheme":"file","host":"","path":"/scratch/montage/2mas中.fits"},"dest":{"scheme":"file","host":"","path":"/scratch/montage/2mas🦀é.fits"},"bytes":1,"requested_streams":null,"workflow":1,"cluster":null,"priority":null}]}"#;
+
+#[test]
+fn url_fields_at_the_inline_limit_cross_every_codec_unchanged() {
+    let transfers = limit_specs();
+    assert_eq!(transfers[0].source.host.len(), 22);
+    assert_eq!(transfers[0].source.path.len(), 23);
+    assert_eq!(transfers[0].dest.host.len(), 23);
+    assert!(!transfers[1].source.path.is_char_boundary(22));
+    assert!(!transfers[1].dest.path.is_char_boundary(22));
+
+    // Derived serde, both directions.
+    let envelope = TransferRequestEnvelope {
+        transfers: transfers.clone(),
+    };
+    assert_eq!(serde_json::to_string(&envelope).unwrap(), LIMIT_SPECS_JSON);
+    assert_eq!(
+        serde_json::from_str::<TransferRequestEnvelope>(LIMIT_SPECS_JSON).unwrap(),
+        envelope
+    );
+    round_trip(&envelope);
+
+    // The fast codec: same specs in, same bytes out as the derive.
+    assert_eq!(
+        fastjson::parse_transfer_request(LIMIT_SPECS_JSON.as_bytes()),
+        Some(transfers.clone())
+    );
+    let advice: Vec<TransferAdvice> = transfers
+        .iter()
+        .enumerate()
+        .map(|(i, t)| TransferAdvice {
+            id: TransferId(i as u64),
+            source: t.source.clone(),
+            dest: t.dest.clone(),
+            action: TransferAction::Execute,
+            streams: 4,
+            group: GroupId(1),
+            order: i as u32,
+            backend: None,
+        })
+        .collect();
+    assert_eq!(
+        fastjson::render_transfer_response(&advice),
+        serde_json::to_vec(&TransferResponseEnvelope {
+            advice: advice.clone()
+        })
+        .unwrap()
+    );
+
+    // XML carries a URL as its display form.
+    let text = xml::transfer_request_to_xml(&transfers);
+    assert!(text.contains("gsiftp://gridftp-012345678.tacc/d/twenty-two-bytes.dat"));
+    assert!(text.contains("file:///scratch/montage/2mas🦀é.fits"));
+    assert_eq!(xml::transfer_request_from_xml(&text).unwrap(), transfers);
+    let text = xml::transfer_response_to_xml(&advice);
+    assert_eq!(xml::transfer_response_from_xml(&text).unwrap(), advice);
 }

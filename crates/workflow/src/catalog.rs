@@ -6,7 +6,7 @@
 //! site with attached shared storage, plus any number of external data
 //! sources.
 
-use pwm_core::Url;
+use pwm_core::{Name, Url};
 use pwm_net::HostId;
 use std::collections::BTreeMap;
 
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct ComputeSite {
     /// Site name.
-    pub name: String,
+    pub name: Name,
     /// Worker nodes.
     pub nodes: u32,
     /// Cores per node.
@@ -24,9 +24,9 @@ pub struct ComputeSite {
     /// the network simulator.
     pub storage_host: HostId,
     /// Host name of the storage host as it appears in URLs.
-    pub storage_host_name: String,
+    pub storage_host_name: Name,
     /// Scratch directory files are staged into.
-    pub scratch_dir: String,
+    pub scratch_dir: Name,
 }
 
 impl ComputeSite {
@@ -41,7 +41,7 @@ impl ComputeSite {
         Url::new(
             "file",
             self.storage_host_name.clone(),
-            format!("{}/{}/{}", self.scratch_dir, wf, file),
+            format_args!("{}/{}/{}", self.scratch_dir, wf, file),
         )
     }
 }
@@ -63,7 +63,7 @@ pub struct Replica {
 /// host crash or quarantined after checksum failures.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaCatalog {
-    entries: BTreeMap<String, Vec<Replica>>,
+    entries: BTreeMap<Name, Vec<Replica>>,
 }
 
 impl ReplicaCatalog {
@@ -74,7 +74,7 @@ impl ReplicaCatalog {
 
     /// Register a physical location of a logical file. Re-registering the
     /// same URL is a no-op; a new URL becomes an additional replica.
-    pub fn insert(&mut self, file: impl Into<String>, url: Url, host: HostId) {
+    pub fn insert(&mut self, file: impl Into<Name>, url: Url, host: HostId) {
         let list = self.entries.entry(file.into()).or_default();
         if list.iter().all(|r| r.url != url) {
             list.push(Replica { url, host });
@@ -113,7 +113,7 @@ impl ReplicaCatalog {
         for file in files {
             self.insert(
                 file,
-                Url::new(scheme, host_name, format!("{base_path}/{file}")),
+                Url::new(scheme, host_name, format_args!("{base_path}/{file}")),
                 host,
             );
         }

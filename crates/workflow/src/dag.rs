@@ -5,6 +5,7 @@
 //! producer/consumer relations. The planner (see [`crate::planner`]) turns
 //! this into an executable plan with staging and cleanup jobs.
 
+use pwm_core::Name;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Index of a job within an [`AbstractWorkflow`].
@@ -15,15 +16,15 @@ pub struct JobIx(pub usize);
 #[derive(Debug, Clone)]
 pub struct AbstractJob {
     /// Unique job name ("mProjectPP_0007").
-    pub name: String,
+    pub name: Name,
     /// Transformation (executable) name ("mProjectPP").
-    pub transformation: String,
+    pub transformation: Name,
     /// Mean runtime in seconds on one core; the executor adds jitter.
     pub runtime_s: f64,
     /// Logical files read.
-    pub inputs: Vec<String>,
+    pub inputs: Vec<Name>,
     /// Logical files written.
-    pub outputs: Vec<String>,
+    pub outputs: Vec<Name>,
 }
 
 /// Validation failures for an abstract workflow.
@@ -59,7 +60,7 @@ pub struct AbstractWorkflow {
     /// Workflow name ("montage-1deg").
     pub name: String,
     jobs: Vec<AbstractJob>,
-    file_sizes: BTreeMap<String, u64>,
+    file_sizes: BTreeMap<Name, u64>,
 }
 
 impl AbstractWorkflow {
@@ -79,7 +80,7 @@ impl AbstractWorkflow {
     }
 
     /// Record a logical file's size in bytes.
-    pub fn set_file_size(&mut self, file: impl Into<String>, bytes: u64) {
+    pub fn set_file_size(&mut self, file: impl Into<Name>, bytes: u64) {
         self.file_sizes.insert(file.into(), bytes);
     }
 
@@ -114,7 +115,7 @@ impl AbstractWorkflow {
         for (ix, job) in self.jobs.iter().enumerate() {
             for out in &job.outputs {
                 if map.insert(out.as_str(), JobIx(ix)).is_some() {
-                    return Err(WorkflowError::DuplicateProducer(out.clone()));
+                    return Err(WorkflowError::DuplicateProducer(out.to_string()));
                 }
             }
         }
@@ -134,7 +135,7 @@ impl AbstractWorkflow {
 
     /// Files consumed by some job but produced by none — these must be
     /// staged in from external storage.
-    pub fn external_inputs(&self) -> Result<BTreeSet<String>, WorkflowError> {
+    pub fn external_inputs(&self) -> Result<BTreeSet<Name>, WorkflowError> {
         let producers = self.producers()?;
         let mut externals = BTreeSet::new();
         for job in &self.jobs {
@@ -149,13 +150,13 @@ impl AbstractWorkflow {
 
     /// Files produced by some job and consumed by none — workflow outputs
     /// to be staged out.
-    pub fn final_outputs(&self) -> Result<BTreeSet<String>, WorkflowError> {
+    pub fn final_outputs(&self) -> Result<BTreeSet<Name>, WorkflowError> {
         let producers = self.producers()?;
         let consumers = self.consumers();
         Ok(producers
             .keys()
             .filter(|f| !consumers.contains_key(**f))
-            .map(|f| f.to_string())
+            .map(|f| Name::from(*f))
             .collect())
     }
 
@@ -184,11 +185,11 @@ impl AbstractWorkflow {
         let mut names = BTreeSet::new();
         for job in &self.jobs {
             if !names.insert(job.name.as_str()) {
-                return Err(WorkflowError::DuplicateJobName(job.name.clone()));
+                return Err(WorkflowError::DuplicateJobName(job.name.to_string()));
             }
             for f in job.inputs.iter().chain(&job.outputs) {
                 if !self.file_sizes.contains_key(f) {
-                    return Err(WorkflowError::MissingSize(f.clone()));
+                    return Err(WorkflowError::MissingSize(f.to_string()));
                 }
             }
         }
@@ -245,8 +246,8 @@ mod tests {
             name: name.into(),
             transformation: name.split('_').next().unwrap_or(name).into(),
             runtime_s: 5.0,
-            inputs: inputs.iter().map(|s| s.to_string()).collect(),
-            outputs: outputs.iter().map(|s| s.to_string()).collect(),
+            inputs: inputs.iter().map(|&s| s.into()).collect(),
+            outputs: outputs.iter().map(|&s| s.into()).collect(),
         }
     }
 
@@ -264,9 +265,9 @@ mod tests {
     #[test]
     fn external_inputs_and_final_outputs() {
         let wf = pipeline();
-        let ext: Vec<String> = wf.external_inputs().unwrap().into_iter().collect();
+        let ext: Vec<Name> = wf.external_inputs().unwrap().into_iter().collect();
         assert_eq!(ext, vec!["raw.fits"]);
-        let fin: Vec<String> = wf.final_outputs().unwrap().into_iter().collect();
+        let fin: Vec<Name> = wf.final_outputs().unwrap().into_iter().collect();
         assert_eq!(fin, vec!["mosaic.fits"]);
     }
 

@@ -22,6 +22,7 @@
 //! whitespace/comment variations, and rejects anything else loudly.
 
 use crate::dag::{AbstractJob, AbstractWorkflow};
+use pwm_core::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -88,7 +89,7 @@ pub fn parse_dax(text: &str) -> Result<AbstractWorkflow, DaxError> {
         .attr("name")
         .ok_or_else(|| DaxError::Attribute("adag missing name".into()))?;
     let mut workflow = AbstractWorkflow::new(name);
-    let mut sizes: BTreeMap<String, u64> = BTreeMap::new();
+    let mut sizes: BTreeMap<Name, u64> = BTreeMap::new();
 
     loop {
         match parser.next_tag()? {
@@ -109,9 +110,10 @@ pub fn parse_dax(text: &str) -> Result<AbstractWorkflow, DaxError> {
                 loop {
                     match parser.next_tag()? {
                         Tag::SelfClosing(uses) if uses.name == "uses" => {
-                            let file = uses
+                            let file: Name = uses
                                 .attr("file")
-                                .ok_or_else(|| DaxError::Attribute("uses missing file".into()))?;
+                                .ok_or_else(|| DaxError::Attribute("uses missing file".into()))?
+                                .into();
                             let size: u64 = uses
                                 .attr("size")
                                 .unwrap_or_else(|| "0".into())
@@ -137,8 +139,8 @@ pub fn parse_dax(text: &str) -> Result<AbstractWorkflow, DaxError> {
                     }
                 }
                 workflow.add_job(AbstractJob {
-                    name: job_name,
-                    transformation,
+                    name: job_name.into(),
+                    transformation: transformation.into(),
                     runtime_s,
                     inputs,
                     outputs,
@@ -426,11 +428,11 @@ mod tests {
         let mut wf = AbstractWorkflow::new("m");
         for i in 0..89 {
             wf.add_job(AbstractJob {
-                name: format!("job_{i}"),
+                name: format!("job_{i}").into(),
                 transformation: "t".into(),
                 runtime_s: i as f64,
-                inputs: vec![format!("in_{i}")],
-                outputs: vec![format!("out_{i}")],
+                inputs: vec![format!("in_{i}").into()],
+                outputs: vec![format!("out_{i}").into()],
             });
             wf.set_file_size(format!("in_{i}"), i);
             wf.set_file_size(format!("out_{i}"), i * 2);
@@ -470,11 +472,11 @@ mod proptests {
                     wf.set_file_size(f, (i * 1000) as u64);
                 }
                 wf.add_job(AbstractJob {
-                    name: format!("{name}_{i}"),
-                    transformation: name,
+                    name: format!("{name}_{i}").into(),
+                    transformation: name.into(),
                     runtime_s: runtime,
-                    inputs,
-                    outputs,
+                    inputs: inputs.into_iter().map(Name::from).collect(),
+                    outputs: outputs.into_iter().map(Name::from).collect(),
                 });
             }
             let parsed = parse_dax(&to_dax(&wf)).unwrap();

@@ -24,8 +24,8 @@ use crate::stats::RunStats;
 use pwm_core::chaos::SharedSimClock;
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{
-    CleanupOutcome, CleanupSpec, ClusterId, HealthEvent, SuppressReason, TransferAction,
-    TransferAdvice, TransferOutcome, TransferSpec, WorkflowId,
+    CleanupOutcome, CleanupSpec, ClusterId, HealthEvent, Name, SuppressReason, TransferAction,
+    TransferAdvice, TransferOutcome, TransferSpec, Url, WorkflowId,
 };
 use pwm_net::{FlowSpec, LinkId, Network};
 use pwm_obs::{Obs, SpanId};
@@ -65,8 +65,8 @@ impl StorageRuntime {
 struct StagedFlow {
     backend: String,
     bytes: u64,
-    /// Destination URL string — the key cleanup jobs will delete by.
-    dest: String,
+    /// Destination URL — the key cleanup jobs will delete by.
+    dest: Url,
 }
 
 /// Executor tunables.
@@ -237,7 +237,7 @@ struct StagingRun {
     specs: Vec<TransferSpec>,
     /// Map (source, dest) → planned transfer index, for advice → flow
     /// resolution.
-    by_urls: HashMap<(String, String), usize>,
+    by_urls: HashMap<(Url, Url), usize>,
     advice: Vec<TransferAdvice>,
     next_advice: usize,
     outcomes: Vec<TransferOutcome>,
@@ -298,7 +298,7 @@ pub struct WorkflowExecutor<'p> {
     storage_flows: HashMap<u64, StagedFlow>,
     /// dest URL → (backend, bytes) for files resident on a backend, so
     /// cleanup jobs can end their residency in the cost meter.
-    staged_on_backend: HashMap<String, (String, u64)>,
+    staged_on_backend: HashMap<Url, (String, u64)>,
 
     // recovery plane (all empty/untouched when `rec_active` is false)
     /// True when `config.recovery` is present and not inert — the single
@@ -311,12 +311,12 @@ pub struct WorkflowExecutor<'p> {
     /// Compute jobs killed by crash `i`, re-queued when the node restarts.
     crash_requeue: HashMap<usize, Vec<usize>>,
     /// Host name → scheduled restart instant, while the host is down.
-    down_hosts: HashMap<String, SimTime>,
+    down_hosts: HashMap<Name, SimTime>,
     /// Checksum strikes per (source host, source path).
-    strikes: HashMap<(String, String), u32>,
+    strikes: HashMap<(Name, Name), u32>,
     /// Producer-re-run generation per logical file (generation > 0 reads
     /// clean).
-    file_generation: HashMap<String, u32>,
+    file_generation: HashMap<Name, u32>,
     cores_per_node: u32,
     /// Set when `halt_at` stopped the loop before the DAG finished.
     halted: bool,
@@ -446,12 +446,12 @@ impl<'p> WorkflowExecutor<'p> {
         // unfinished frontier re-runs.
         if let Some(cp) = exec.config.resume_from.clone() {
             let done: std::collections::HashSet<&str> =
-                cp.completed_jobs.iter().map(String::as_str).collect();
+                cp.completed_jobs.iter().map(Name::as_str).collect();
             for i in 0..n {
                 if done.contains(exec.plan.jobs()[i].name.as_str()) {
                     exec.state[i] = JobState::Done;
                     exec.jobs_done += 1;
-                    for child in exec.plan.jobs()[i].children.clone() {
+                    for child in &plan.jobs()[i].children {
                         exec.pending_parents[child.0] -= 1;
                     }
                 }
@@ -574,7 +574,7 @@ impl<'p> WorkflowExecutor<'p> {
     fn open_job_span(&mut self, job: usize) {
         let Some(obs) = &self.config.obs else { return };
         let id = obs.tracer.start_span(
-            self.plan.jobs()[job].name.clone(),
+            self.plan.jobs()[job].name.as_str(),
             self.job_kind(job),
             None,
             self.now,
@@ -609,7 +609,7 @@ impl<'p> WorkflowExecutor<'p> {
                 self.job_spans[job],
                 started,
                 self.now,
-                &[("job", self.plan.jobs()[job].name.clone())],
+                &[("job", self.plan.jobs()[job].name.to_string())],
             );
         }
     }
@@ -629,7 +629,7 @@ impl<'p> WorkflowExecutor<'p> {
             "policy_fallback",
             "policy_rpc",
             self.now,
-            &[("job", self.plan.jobs()[job].name.clone())],
+            &[("job", self.plan.jobs()[job].name.to_string())],
         );
     }
 
@@ -748,10 +748,10 @@ impl<'p> WorkflowExecutor<'p> {
                         priority: Some(priority),
                     })
                     .collect();
-                let by_urls: HashMap<(String, String), usize> = transfers
+                let by_urls: HashMap<(Url, Url), usize> = transfers
                     .iter()
                     .enumerate()
-                    .map(|(i, pt)| ((pt.source.to_string(), pt.dest.to_string()), i))
+                    .map(|(i, pt)| ((pt.source.clone(), pt.dest.clone()), i))
                     .collect();
                 self.staging_runs.insert(
                     job,
@@ -796,9 +796,8 @@ impl<'p> WorkflowExecutor<'p> {
                 let Some(advice_ix) = run.retrying.take() else {
                     return;
                 };
-                let prior = run.advice[advice_ix].clone();
-                let key = (prior.source.to_string(), prior.dest.to_string());
-                let spec_ix = run.by_urls[&key];
+                let prior = &run.advice[advice_ix];
+                let spec_ix = run.by_urls[&(prior.source.clone(), prior.dest.clone())];
                 let spec = run.specs[spec_ix].clone();
                 // Without a fresh answer the old advice is re-executed as-is.
                 if let Some(fresh) = self.policy.reevaluate_transfer(spec) {
@@ -822,16 +821,18 @@ impl<'p> WorkflowExecutor<'p> {
             Ev::OutageEnd(i) => self.on_outage_end(i),
             Ev::CleanupAdvice(job) => {
                 self.close_rpc_span(job, "cleanup_rpc");
-                let files = match &self.plan.jobs()[job].kind {
-                    PlanJobKind::Cleanup { files } => files.clone(),
-                    _ => unreachable!("cleanup event for non-cleanup job"),
+                let PlanJobKind::Cleanup { files } = &self.plan.jobs()[job].kind else {
+                    unreachable!("cleanup event for non-cleanup job")
                 };
                 let workflow = self.plan.jobs()[job]
                     .workflow
                     .unwrap_or(self.config.workflow_id);
                 let specs: Vec<CleanupSpec> = files
-                    .into_iter()
-                    .map(|(file, _bytes)| CleanupSpec { file, workflow })
+                    .iter()
+                    .map(|(file, _bytes)| CleanupSpec {
+                        file: file.clone(),
+                        workflow,
+                    })
                     .collect();
                 let (advice, fell_back) = self.policy.evaluate_cleanups(&specs);
                 if fell_back {
@@ -861,9 +862,7 @@ impl<'p> WorkflowExecutor<'p> {
                 }
                 // Deleted files stop accruing residency dollars.
                 for a in advice.iter().filter(|a| a.should_execute()) {
-                    if let Some((backend, bytes)) =
-                        self.staged_on_backend.remove(&a.file.to_string())
-                    {
+                    if let Some((backend, bytes)) = self.staged_on_backend.remove(&a.file) {
                         if let Some(storage) = self.config.storage.as_mut() {
                             storage.meter.on_delete(&backend, bytes, self.now);
                         }
@@ -1072,7 +1071,7 @@ impl<'p> WorkflowExecutor<'p> {
             .map(|r| r.quarantine_strikes.max(1))
             .unwrap_or(u32::MAX);
         self.strikes
-            .get(&(host.to_string(), path.to_string()))
+            .get(&(host.into(), path.into()))
             .is_some_and(|&s| s >= threshold)
     }
 
@@ -1084,7 +1083,7 @@ impl<'p> WorkflowExecutor<'p> {
     fn handle_blocked_source(&mut self, job: usize, advice_ix: usize, quarantined: bool) {
         let run = self.staging_runs.get(&job).expect("staging run state");
         let advice = run.advice[advice_ix].clone();
-        let key = (advice.source.to_string(), advice.dest.to_string());
+        let key = (advice.source.clone(), advice.dest.clone());
         let Some(&spec_ix) = run.by_urls.get(&key) else {
             // Unresolvable advice — count it as skipped like before.
             let run = self.staging_runs.get_mut(&job).expect("staging run state");
@@ -1118,7 +1117,7 @@ impl<'p> WorkflowExecutor<'p> {
             run.advice[advice_ix].source = alt.url.clone();
             run.by_urls.remove(&key);
             run.by_urls
-                .insert((alt.url.to_string(), advice.dest.to_string()), spec_ix);
+                .insert((alt.url.clone(), advice.dest.clone()), spec_ix);
             run.src_hosts.insert(spec_ix, alt.host);
             run.retrying = Some(advice_ix);
             self.recovery.replica_failovers += 1;
@@ -1165,7 +1164,7 @@ impl<'p> WorkflowExecutor<'p> {
         };
         let run = self.staging_runs.get(&job).expect("staging run state");
         let advice = run.advice[advice_ix].clone();
-        let key = (advice.source.to_string(), advice.dest.to_string());
+        let key = (advice.source.clone(), advice.dest.clone());
         let Some(&spec_ix) = run.by_urls.get(&key) else {
             return false;
         };
@@ -1278,7 +1277,7 @@ impl<'p> WorkflowExecutor<'p> {
                 self.transfers_skipped += 1;
                 continue;
             }
-            let key = (advice.source.to_string(), advice.dest.to_string());
+            let key = (advice.source.clone(), advice.dest.clone());
             let Some(&spec_ix) = run.by_urls.get(&key) else {
                 // Advice for a transfer we did not submit — ignore
                 // defensively.
@@ -1311,7 +1310,7 @@ impl<'p> WorkflowExecutor<'p> {
                         StagedFlow {
                             backend: name.clone(),
                             bytes: pt.bytes,
-                            dest: pt.dest.to_string(),
+                            dest: pt.dest.clone(),
                         },
                     );
                 }
@@ -1472,7 +1471,8 @@ impl<'p> WorkflowExecutor<'p> {
         self.state[job] = JobState::Done;
         self.jobs_done += 1;
         self.close_job_span(job, "done");
-        for child in self.plan.jobs()[job].children.clone() {
+        let plan = self.plan;
+        for child in &plan.jobs()[job].children {
             self.pending_parents[child.0] -= 1;
             if self.pending_parents[child.0] == 0 && self.state[child.0] == JobState::Waiting {
                 self.mark_ready(child.0);
@@ -1536,11 +1536,11 @@ mod tests {
         let mut wf = AbstractWorkflow::new("wide");
         for i in 0..n {
             wf.add_job(AbstractJob {
-                name: format!("work_{i}"),
+                name: format!("work_{i}").into(),
                 transformation: "work".into(),
                 runtime_s: 5.0,
-                inputs: vec![format!("in_{i}")],
-                outputs: vec![format!("out_{i}")],
+                inputs: vec![format!("in_{i}").into()],
+                outputs: vec![format!("out_{i}").into()],
             });
             wf.set_file_size(format!("in_{i}"), file_bytes);
             wf.set_file_size(format!("out_{i}"), 1_000);
@@ -1809,11 +1809,11 @@ mod tests {
         let mut wf = AbstractWorkflow::new("shared");
         for i in 0..2 {
             wf.add_job(AbstractJob {
-                name: format!("work_{i}"),
+                name: format!("work_{i}").into(),
                 transformation: "work".into(),
                 runtime_s: 2.0,
                 inputs: vec!["common.dat".into()],
-                outputs: vec![format!("out_{i}")],
+                outputs: vec![format!("out_{i}").into()],
             });
             wf.set_file_size(format!("out_{i}"), 1);
         }
@@ -1938,10 +1938,10 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &priority)| PlanJob {
-                name: format!("stage_{i}"),
+                name: format!("stage_{i}").into(),
                 kind: PlanJobKind::StageIn {
                     transfers: vec![PlannedTransfer {
-                        file: format!("f{i}"),
+                        file: format!("f{i}").into(),
                         bytes: 1_000_000,
                         source: pwm_core::Url::new("gsiftp", "gridftp-vm", format!("/d/f{i}")),
                         dest: pwm_core::Url::new("file", "obelix-nfs", format!("/s/f{i}")),

@@ -24,25 +24,21 @@ use pwm_core::WorkflowId;
 /// (`WorkflowId(base + i)`), which the executor presents to the Policy
 /// Service instead of its own configured id.
 pub fn merge_plans(plans: &[&ExecutablePlan], base_workflow_id: u64) -> ExecutablePlan {
-    let mut jobs: Vec<PlanJob> = Vec::new();
+    let mut jobs: Vec<PlanJob> = Vec::with_capacity(plans.iter().map(|p| p.len()).sum());
     let mut offset = 0usize;
     for (i, plan) in plans.iter().enumerate() {
         let wf = WorkflowId(base_workflow_id + i as u64);
+        let shifted = |ids: &[PlanJobId]| ids.iter().map(|id| PlanJobId(id.0 + offset)).collect();
         for job in plan.jobs() {
-            let mut job = job.clone();
-            job.name = format!("wf{}:{}", wf.0, job.name);
-            job.workflow = Some(wf);
-            job.parents = job
-                .parents
-                .iter()
-                .map(|p| PlanJobId(p.0 + offset))
-                .collect();
-            job.children = job
-                .children
-                .iter()
-                .map(|c| PlanJobId(c.0 + offset))
-                .collect();
-            jobs.push(job);
+            jobs.push(PlanJob {
+                name: format_args!("wf{}:{}", wf.0, job.name).into(),
+                kind: job.kind.clone(),
+                parents: shifted(&job.parents),
+                children: shifted(&job.children),
+                priority: job.priority,
+                level: job.level,
+                workflow: Some(wf),
+            });
         }
         offset += plan.len();
     }
@@ -84,11 +80,11 @@ mod tests {
         let mut wf = AbstractWorkflow::new("shared-campaign");
         for i in 0..6 {
             wf.add_job(AbstractJob {
-                name: format!("work_{tag}_{i}"),
+                name: format!("work_{tag}_{i}").into(),
                 transformation: "work".into(),
                 runtime_s: 3.0,
-                inputs: vec![format!("common_{i}.dat")],
-                outputs: vec![format!("out_{tag}_{i}")],
+                inputs: vec![format!("common_{i}.dat").into()],
+                outputs: vec![format!("out_{tag}_{i}").into()],
             });
             wf.set_file_size(format!("common_{i}.dat"), 30_000_000);
             wf.set_file_size(format!("out_{tag}_{i}"), 1_000);
@@ -195,11 +191,11 @@ mod tests {
             let mut wf = AbstractWorkflow::new(format!("limit-{tag}"));
             for i in 0..15 {
                 wf.add_job(AbstractJob {
-                    name: format!("w_{tag}_{i}"),
+                    name: format!("w_{tag}_{i}").into(),
                     transformation: "w".into(),
                     runtime_s: 1.0,
-                    inputs: vec![format!("in_{tag}_{i}")],
-                    outputs: vec![format!("out_{tag}_{i}")],
+                    inputs: vec![format!("in_{tag}_{i}").into()],
+                    outputs: vec![format!("out_{tag}_{i}").into()],
                 });
                 wf.set_file_size(format!("in_{tag}_{i}"), 20_000_000);
                 wf.set_file_size(format!("out_{tag}_{i}"), 1);

@@ -10,7 +10,7 @@
 
 use crate::catalog::{ComputeSite, ReplicaCatalog};
 use crate::dag::{AbstractWorkflow, JobIx, WorkflowError};
-use pwm_core::{assign_priorities, PriorityAlgorithm, Url, WorkflowGraph};
+use pwm_core::{assign_priorities, Name, PriorityAlgorithm, Url, WorkflowGraph};
 use pwm_net::HostId;
 use std::collections::{BTreeMap, HashMap};
 
@@ -22,7 +22,7 @@ pub struct PlanJobId(pub usize);
 #[derive(Debug, Clone)]
 pub struct PlannedTransfer {
     /// Logical file name.
-    pub file: String,
+    pub file: Name,
     /// Size in bytes.
     pub bytes: u64,
     /// Source URL.
@@ -48,7 +48,7 @@ pub enum PlanJobKind {
     /// Run an application executable.
     Compute {
         /// Transformation name.
-        transformation: String,
+        transformation: Name,
         /// Mean runtime (seconds).
         runtime_s: f64,
         /// Total bytes of the files this job writes to site scratch.
@@ -81,7 +81,7 @@ impl PlanJobKind {
 #[derive(Debug, Clone)]
 pub struct PlanJob {
     /// Unique name ("stage_in_mProjectPP_0007").
-    pub name: String,
+    pub name: Name,
     /// The work.
     pub kind: PlanJobKind,
     /// Jobs that must finish first.
@@ -314,7 +314,7 @@ pub fn plan(
             }
             let replica = replicas
                 .lookup(input)
-                .ok_or_else(|| PlanError::NoReplica(input.clone()))?;
+                .ok_or_else(|| PlanError::NoReplica(input.to_string()))?;
             per_job_transfers[ix].push(PlannedTransfer {
                 file: input.clone(),
                 bytes: workflow.file_size(input).unwrap_or(0),
@@ -335,7 +335,7 @@ pub fn plan(
                 let id = add_job(
                     &mut jobs,
                     PlanJob {
-                        name: format!("stage_in_{}", workflow.job(JobIx(ix)).name),
+                        name: format_args!("stage_in_{}", workflow.job(JobIx(ix)).name).into(),
                         kind: PlanJobKind::StageIn {
                             transfers: transfers.clone(),
                             cluster: None,
@@ -380,7 +380,7 @@ pub fn plan(
                     let id = add_job(
                         &mut jobs,
                         PlanJob {
-                            name: format!("stage_in_l{level}_c{c}"),
+                            name: format_args!("stage_in_l{level}_c{c}").into(),
                             kind: PlanJobKind::StageIn {
                                 transfers,
                                 cluster: Some(c as u32),
@@ -401,7 +401,7 @@ pub fn plan(
     }
 
     // 3. Stage-out jobs for final outputs.
-    let mut stage_out_by_file: HashMap<String, PlanJobId> = HashMap::new();
+    let mut stage_out_by_file: HashMap<Name, PlanJobId> = HashMap::new();
     if config.stage_out {
         let (out_host_name, out_host, out_base) =
             config.output_site.clone().ok_or(PlanError::NoOutputSite)?;
@@ -413,8 +413,8 @@ pub fn plan(
                 source: site.scratch_url(&workflow.name, &file),
                 dest: Url::new(
                     "gsiftp",
-                    out_host_name.clone(),
-                    format!("{out_base}/{file}"),
+                    out_host_name.as_str(),
+                    format_args!("{out_base}/{file}"),
                 ),
                 src_host: site.storage_host,
                 dst_host: out_host,
@@ -422,7 +422,7 @@ pub fn plan(
             let id = add_job(
                 &mut jobs,
                 PlanJob {
-                    name: format!("stage_out_{file}"),
+                    name: format_args!("stage_out_{file}").into(),
                     kind: PlanJobKind::StageOut {
                         transfers: vec![transfer],
                     },
@@ -444,8 +444,8 @@ pub fn plan(
     // computations".
     if config.cleanup {
         // Files on scratch: external inputs (staged in) + produced files.
-        let mut scratch_files: Vec<String> = workflow.external_inputs()?.into_iter().collect();
-        scratch_files.extend(producers.keys().map(|f| f.to_string()));
+        let mut scratch_files: Vec<Name> = workflow.external_inputs()?.into_iter().collect();
+        scratch_files.extend(producers.keys().map(|&f| Name::from(f)));
         scratch_files.sort();
         scratch_files.dedup();
         for file in scratch_files {
@@ -468,7 +468,7 @@ pub fn plan(
             let id = add_job(
                 &mut jobs,
                 PlanJob {
-                    name: format!("cleanup_{file}"),
+                    name: format_args!("cleanup_{file}").into(),
                     kind: PlanJobKind::Cleanup {
                         files: vec![(
                             site.scratch_url(&workflow.name, &file),
@@ -482,10 +482,6 @@ pub fn plan(
                     level,
                 },
             );
-            for p in std::mem::take(&mut jobs[id.0].parents) {
-                // parents were never populated; use link for consistency
-                let _ = p;
-            }
             for p in parents {
                 link(&mut jobs, p, id);
             }
@@ -521,8 +517,8 @@ mod tests {
             name: name.into(),
             transformation: name.split('_').next().unwrap().into(),
             runtime_s: rt,
-            inputs: inputs.iter().map(|s| s.to_string()).collect(),
-            outputs: outputs.iter().map(|s| s.to_string()).collect(),
+            inputs: inputs.iter().map(|&s| s.into()).collect(),
+            outputs: outputs.iter().map(|&s| s.into()).collect(),
         }
     }
 
@@ -830,9 +826,8 @@ mod proptests {
 
             // One cleanup per scratch file (external inputs + produced).
             let scratch_files = {
-                let mut set: std::collections::BTreeSet<String> =
-                    wf.external_inputs().unwrap().into_iter().collect();
-                set.extend(producers.keys().map(|f| f.to_string()));
+                let mut set = wf.external_inputs().unwrap();
+                set.extend(producers.keys().map(|&f| Name::from(f)));
                 set.len()
             };
             let cleanups = p.count_jobs(|j| matches!(j.kind, PlanJobKind::Cleanup { .. }));
@@ -854,25 +849,25 @@ mod proptests {
         let mut wf = AbstractWorkflow::new(format!("rand-{levels}x{width}-{seed}"));
         for level in 0..levels {
             for slot in 0..width {
-                let out = format!("out_{level}_{slot}");
+                let out = Name::from(format!("out_{level}_{slot}"));
                 wf.set_file_size(&out, 1_000);
                 let mut inputs = Vec::new();
                 if level == 0 {
-                    let ext = format!("ext_{slot}");
+                    let ext = Name::from(format!("ext_{slot}"));
                     wf.set_file_size(&ext, 1_000_000);
                     inputs.push(ext);
                 } else {
                     for ps in 0..width {
                         if rng.chance(edge_prob) {
-                            inputs.push(format!("out_{}_{ps}", level - 1));
+                            inputs.push(format!("out_{}_{ps}", level - 1).into());
                         }
                     }
                     if inputs.is_empty() {
-                        inputs.push(format!("out_{}_0", level - 1));
+                        inputs.push(format!("out_{}_0", level - 1).into());
                     }
                 }
                 wf.add_job(AbstractJob {
-                    name: format!("j_{level}_{slot}"),
+                    name: format!("j_{level}_{slot}").into(),
                     transformation: "t".into(),
                     runtime_s: 1.0,
                     inputs,

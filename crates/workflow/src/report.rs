@@ -137,11 +137,11 @@ mod tests {
         let mut wf = AbstractWorkflow::new("report-test");
         for i in 0..4 {
             wf.add_job(AbstractJob {
-                name: format!("work_{i}"),
+                name: format!("work_{i}").into(),
                 transformation: "work".into(),
                 runtime_s: 3.0,
-                inputs: vec![format!("in_{i}")],
-                outputs: vec![format!("out_{i}")],
+                inputs: vec![format!("in_{i}").into()],
+                outputs: vec![format!("out_{i}").into()],
             });
             wf.set_file_size(format!("in_{i}"), 10_000_000);
             wf.set_file_size(format!("out_{i}"), 1_000);

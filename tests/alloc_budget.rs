@@ -1,0 +1,312 @@
+//! Allocation budget of the whole-stack path, as a test.
+//!
+//! The `campaign` shape at small scale — seeded Montage 1° workflows planned,
+//! merged and run by one executor asking a Policy Service over loopback REST
+//! — under a counting `#[global_allocator]`. Heap allocations are counted per
+//! side (the test's thread plans, executes and speaks the client half of the
+//! wire; the server's loop thread does everything else) and held under
+//! ceilings, so a `String` creeping back into a name the request path copies
+//! fails here instead of showing up as a slower benchmark three PRs later.
+//!
+//! Run with `--nocapture` to read the table.
+
+use pwm_core::transport::PolicyTransport;
+use pwm_core::{
+    AllocationPolicy, CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, TransferOutcome,
+    TransferSpec, Url, WorkflowId, DEFAULT_SESSION,
+};
+use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
+use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_rest::{PolicyRestClient, PolicyRestServer};
+use pwm_sim::SimDuration;
+use pwm_workflow::{
+    merge_plans, plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts every allocating call (`alloc`, `alloc_zeroed`, `realloc`) against
+/// the side that made it.
+struct Counting;
+
+/// Allocations by [`DRIVER`] and by every other thread (the server loop).
+static ALLOCATIONS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+const SERVER: usize = 0;
+const DRIVER: usize = 1;
+
+thread_local! {
+    /// Which counter this thread's allocations go to. Const-initialised and
+    /// without a destructor, so reading it inside the allocator allocates
+    /// nothing.
+    static SIDE: Cell<usize> = const { Cell::new(SERVER) };
+}
+
+fn count() {
+    ALLOCATIONS[SIDE.with(Cell::get)].fetch_add(1, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// (driver, server) allocations made while `f` ran.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let read = |side: usize| ALLOCATIONS[side].load(Ordering::Relaxed);
+    let (driver, server) = (read(DRIVER), read(SERVER));
+    let out = f();
+    (out, read(DRIVER) - driver, read(SERVER) - server)
+}
+
+/// One budget line: what was measured, what it read before `pwm_core::Name`
+/// and the reused wire buffers, and its ceiling.
+struct Line {
+    what: &'static str,
+    measured: f64,
+    before: f64,
+    ceiling: f64,
+}
+
+const WORKFLOWS: usize = 2;
+
+#[test]
+fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
+    SIDE.with(|s| s.set(DRIVER));
+
+    let controller = PolicyController::new(
+        PolicyConfig::default()
+            .with_default_streams(8)
+            .with_threshold(50)
+            .with_allocation(AllocationPolicy::Greedy),
+    );
+    let server = PolicyRestServer::start(controller.clone()).expect("loopback server");
+    let (topo, gridftp, apache, nfs) = paper_testbed();
+    let site = ComputeSite {
+        name: "obelix".into(),
+        nodes: 9,
+        cores_per_node: 6,
+        storage_host: nfs,
+        storage_host_name: "obelix-nfs".into(),
+        scratch_dir: "/scratch".into(),
+    };
+
+    let (plans, plan_allocs, _) = counted(|| {
+        (0..WORKFLOWS)
+            .map(|i| {
+                let mut workflow = montage_workflow(&MontageConfig {
+                    extra_file_bytes: 10_000_000,
+                    seed: 1 + i as u64,
+                    ..Default::default()
+                });
+                workflow.name = format!("{}-c{i:02}", workflow.name);
+                let replicas =
+                    montage_replicas(&workflow, ("apache-isi", apache), ("gridftp-vm", gridftp));
+                plan(&workflow, &site, &replicas, &PlannerConfig::default()).expect("plans")
+            })
+            .collect::<Vec<_>>()
+    });
+    let (merged, merge_allocs, _) = counted(|| merge_plans(&plans.iter().collect::<Vec<_>>(), 1));
+
+    let network = Network::with_seed(topo, StreamModel::default(), 1);
+    let client = PolicyRestClient::new(server.addr(), DEFAULT_SESSION);
+    let config = ExecutorConfig {
+        seed: 1,
+        policy_call_latency: SimDuration::from_millis(75),
+        ..ExecutorConfig::default()
+    };
+    let (executor, new_allocs, _) =
+        counted(|| WorkflowExecutor::new(&merged, &site, network, Box::new(client), config));
+    let ((stats, _network), run_allocs, server_allocs) = counted(|| executor.run());
+    assert!(
+        stats.success,
+        "the budget is only meaningful for a clean run"
+    );
+    assert_eq!(
+        controller.snapshot(DEFAULT_SESSION).unwrap().staged_files,
+        0
+    );
+
+    // The client half of one call, alone: a report carries nothing back, and
+    // a one-transfer evaluate carries one advice entry.
+    let mut client = PolicyRestClient::new(server.addr(), DEFAULT_SESSION);
+    let spec = |n: usize| TransferSpec {
+        source: Url::new("gsiftp", "gridftp-vm", format!("/data/budget_{n:04}.dat")),
+        dest: Url::new(
+            "file",
+            "obelix-nfs",
+            format!("/scratch/budget/budget_{n:04}.dat"),
+        ),
+        bytes: 1_000_000,
+        requested_streams: None,
+        workflow: WorkflowId(9),
+        cluster: None,
+        priority: Some(0),
+    };
+    const CALLS: usize = 64;
+    client.evaluate_transfers(vec![spec(CALLS)]).expect("warm");
+    let batches: Vec<Vec<TransferSpec>> = (0..CALLS).map(|n| vec![spec(n)]).collect();
+    let (advice, evaluate_allocs, _) = counted(|| {
+        batches
+            .into_iter()
+            .map(|b| client.evaluate_transfers(b).expect("advice").remove(0))
+            .collect::<Vec<_>>()
+    });
+    let reports: Vec<Vec<TransferOutcome>> = advice
+        .iter()
+        .map(|a| {
+            vec![TransferOutcome {
+                id: a.id,
+                success: true,
+            }]
+        })
+        .collect();
+    let (_, report_allocs, _) = counted(|| {
+        for r in reports {
+            client.report_transfers(r).expect("ack");
+        }
+    });
+    let cleanups: Vec<Vec<CleanupSpec>> = advice
+        .iter()
+        .map(|a| {
+            vec![CleanupSpec {
+                file: a.dest.clone(),
+                workflow: WorkflowId(9),
+            }]
+        })
+        .collect();
+    let (cleanup_advice, cleanup_allocs, _) = counted(|| {
+        cleanups
+            .into_iter()
+            .map(|b| client.evaluate_cleanups(b).expect("advice").remove(0))
+            .collect::<Vec<_>>()
+    });
+    let done: Vec<Vec<CleanupOutcome>> = cleanup_advice
+        .iter()
+        .map(|a| {
+            vec![CleanupOutcome {
+                id: a.id,
+                success: true,
+            }]
+        })
+        .collect();
+    let (_, cleanup_report_allocs, _) = counted(|| {
+        for r in done {
+            client.report_cleanups(r).expect("ack");
+        }
+    });
+    drop(server);
+
+    let per_wf = |n: u64| n as f64 / WORKFLOWS as f64;
+    let per_call = |n: u64| n as f64 / CALLS as f64;
+    let line = |what, measured, before, ceiling| Line {
+        what,
+        measured,
+        before,
+        ceiling,
+    };
+    // Ceilings: 55 % of what the same run allocated when a `Url` was three
+    // `String`s, the plan's names were `String`s and every call rendered
+    // into fresh buffers (`before`, release build) — or the absolute target
+    // where that is lower: 10 per call on the server thread, 6 on the
+    // client's wire path.
+    let lines = [
+        line(
+            "driver: plan, per workflow",
+            per_wf(plan_allocs),
+            11692.5,
+            6430.0,
+        ),
+        line(
+            "driver: merge_plans, per workflow",
+            per_wf(merge_allocs),
+            5405.0,
+            2970.0,
+        ),
+        line(
+            "driver: WorkflowExecutor::new + run, per workflow",
+            per_wf(new_allocs + run_allocs),
+            18126.5,
+            9960.0,
+        ),
+        line(
+            "driver: plan + merge + new + run, per workflow",
+            per_wf(plan_allocs + merge_allocs + new_allocs + run_allocs),
+            35224.0,
+            19370.0,
+        ),
+        line(
+            "server: per policy call of the run",
+            server_allocs as f64 / stats.policy_calls as f64,
+            23.2,
+            10.0,
+        ),
+        line(
+            "client: evaluate_transfers, one spec",
+            per_call(evaluate_allocs),
+            12.0,
+            6.0,
+        ),
+        line(
+            "client: report_transfers, one outcome",
+            per_call(report_allocs),
+            5.0,
+            2.0,
+        ),
+        line(
+            "client: evaluate_cleanups, one spec",
+            per_call(cleanup_allocs),
+            8.0,
+            4.0,
+        ),
+        line(
+            "client: report_cleanups, one outcome",
+            per_call(cleanup_report_allocs),
+            5.0,
+            2.0,
+        ),
+    ];
+    println!(
+        "allocation budget ({WORKFLOWS} Montage 1° workflows, {} policy calls)",
+        stats.policy_calls
+    );
+    println!(
+        "{:<52} {:>10} {:>10} {:>10}",
+        "", "measured", "ceiling", "before"
+    );
+    for l in &lines {
+        println!(
+            "{:<52} {:>10.1} {:>10.1} {:>10.1}",
+            l.what, l.measured, l.ceiling, l.before
+        );
+    }
+    let over: Vec<String> = lines
+        .iter()
+        .filter(|l| l.measured > l.ceiling)
+        .map(|l| {
+            format!(
+                "{}: {:.1} allocations, ceiling {:.1} (it was {:.1} before names were built once)",
+                l.what, l.measured, l.ceiling, l.before
+            )
+        })
+        .collect();
+    assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
+}

@@ -182,8 +182,8 @@ fn a_transfer_group_evaluates_only_the_rules_its_firings_concern() {
 
 fn spread_spec(n: usize, workflow: u64) -> TransferSpec {
     let mut s = spec(&format!("spread_{n}"), workflow);
-    s.source.host = format!("gridftp-{}", n % 8);
-    s.dest.host = format!("scratch-{}", n % 8);
+    s.source.host = format_args!("gridftp-{}", n % 8).into();
+    s.dest.host = format_args!("scratch-{}", n % 8).into();
     s
 }
 
