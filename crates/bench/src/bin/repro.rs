@@ -1,5 +1,5 @@
 //! The one front end of `pwm-bench`: the paper's tables and figures as
-//! text, the fault scenarios, and the four layer benchmarks.
+//! text, the fault scenarios, and the two sim-time layer benchmarks.
 //!
 //! ```text
 //! repro table4            # Table IV (analytic + via the full service)
@@ -15,29 +15,21 @@
 //! repro validate-trace <path>       # check a Chrome-trace export (CI gate)
 //! repro scrape-metrics              # run + scrape /metrics over HTTP (CI gate)
 //!
-//! repro net        [smoke] [--out PATH] [--only LABEL] [--min-events-per-sec N] [--micro [ROUNDS]]
-//! repro svc        [smoke] [--out PATH] [--min-speedup X]
 //! repro storage    [smoke] [--out PATH]
 //! repro resilience [smoke] [--out PATH]
 //! ```
 //!
-//! The four bench subcommands print their JSON report on stdout and, with
-//! `--out`, also write it to PATH (conventionally `BENCH_net.json`,
-//! `BENCH_svc.json`, `BENCH_storage.json`, `BENCH_resilience.json`);
-//! `smoke` runs the reduced CI configuration. They exit 1 when a floor or
-//! an invariant is missed and 2 on a usage error:
+//! Every result is simulated time: seeded, and byte-identical run to run.
+//! Wall-clock throughput of the service, the simulator and the event queue
+//! is measured by `benchmark/run.sh`, not here. An unknown target is a usage
+//! error (exit 2), and so is a numeric argument that is present but does not
+//! parse.
 //!
-//! * `net` — allocator throughput, incremental engine against the
-//!   full-recompute baseline (`pwm_bench::netbench`). `--only LABEL` keeps
-//!   one scenario; `--min-events-per-sec N` fails any scenario whose
-//!   *incremental* events/s falls below N; every turbulent scenario must
-//!   also suppress unchanged rate writes. `--micro [ROUNDS]` skips the
-//!   suite and runs the event-queue micro-benchmark
-//!   (`pwm_bench::queuebench`, default 1M rounds per probe) — the
-//!   machine-speed row of the EXPERIMENTS.md calibration protocol.
-//! * `svc` — the (shards × pipeline depth) grid against the live REST
-//!   server (`pwm_bench::svcbench`). `--min-speedup X` fails unless the
-//!   best cell beats the request-per-round-trip baseline by X.
+//! The two bench subcommands print their JSON report on stdout and, with
+//! `--out`, also write it to PATH (conventionally `BENCH_storage.json`,
+//! `BENCH_resilience.json`); `smoke` runs the reduced CI configuration.
+//! They exit 1 when an invariant is missed and 2 on a usage error:
+//!
 //! * `storage` — fixed-backend comparators against policy-picked staging
 //!   (`pwm_bench::storagebench`); fails on any cost-accounting or
 //!   frontier-shape violation.
@@ -50,14 +42,12 @@
 //! stderr through the `pwm-obs` leveled logger
 //! (`PWM_LOG=error|warn|info|debug`); results stay on stdout.
 
-use pwm_bench::netbench::NetbenchScenario;
 use pwm_bench::{
-    chaos_ablation, fig5, fig6, fig7, fig8, fig9, fig_balanced, netbench, point, queuebench,
-    render_ablation, render_crash, render_csv, render_figure, render_table4, resilience, run_chaos,
-    run_crash, storagebench, svcbench, table4_analytic, table4_via_service, ChaosConfig,
-    CrashConfig, Figure,
+    chaos_ablation, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_ablation,
+    render_crash, render_csv, render_figure, render_table4, resilience, run_chaos, run_crash,
+    storagebench, table4_analytic, table4_via_service, ChaosConfig, CrashConfig, Figure,
 };
-use pwm_obs::{global_logger, JsonValue};
+use pwm_obs::global_logger;
 
 type FigureFn = fn(usize) -> Figure;
 /// A subcommand's handler, given the arguments after its name.
@@ -75,7 +65,7 @@ const FIGURES: [(&str, FigureFn); 6] = [
 
 /// Every subcommand. `main` dispatches through this table and [`usage`] is
 /// built from it, so the usage line cannot fall behind what is accepted.
-const SUBCOMMANDS: [(&str, Handler); 19] = [
+const SUBCOMMANDS: [(&str, Handler); 17] = [
     ("table4", |_| table4()),
     ("fig5", |rest| figure(fig5(seeds(rest)))),
     ("fig6", |rest| figure(fig6(seeds(rest)))),
@@ -97,11 +87,9 @@ const SUBCOMMANDS: [(&str, Handler); 19] = [
         }
     }),
     ("shapes", |rest| shapes(seeds(rest))),
-    ("timeline", |rest| timeline(arg_or(rest, 100))),
-    ("chaos", |rest| chaos(arg_or(rest, 7))),
-    ("crash", |rest| crash(arg_or(rest, 7))),
-    ("net", |rest| bench("net", rest)),
-    ("svc", |rest| bench("svc", rest)),
+    ("timeline", |rest| timeline(arg_or(rest.first(), 100))),
+    ("chaos", |rest| chaos(arg_or(rest.first(), 7))),
+    ("crash", |rest| crash(arg_or(rest.first(), 7))),
     ("storage", |rest| bench("storage", rest)),
     ("resilience", |rest| bench("resilience", rest)),
     ("validate-trace", |rest| match rest.first() {
@@ -126,14 +114,25 @@ fn die(code: i32, message: &str) -> ! {
     std::process::exit(code)
 }
 
-/// The first argument after the subcommand, parsed, or `default`.
-fn arg_or<T: std::str::FromStr>(rest: &[String], default: T) -> T {
-    rest.first().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// A numeric argument: `default` when absent, `Err` when present but
+/// unparsable — `chaos 7x` must not quietly run seed 7.
+fn parse_or<T: std::str::FromStr>(arg: Option<&String>, default: T) -> Result<T, String> {
+    match arg {
+        None => Ok(default),
+        Some(text) => text
+            .parse()
+            .map_err(|_| format!("argument {text:?} is not a number")),
+    }
+}
+
+/// [`parse_or`], with a parse failure reported as a usage error (exit 2).
+fn arg_or<T: std::str::FromStr>(arg: Option<&String>, default: T) -> T {
+    parse_or(arg, default).unwrap_or_else(|e| die(2, &format!("{e}; {}", usage())))
 }
 
 /// Seeds per figure point (default 5, at least 1).
 fn seeds(rest: &[String]) -> usize {
-    arg_or(rest, 5).max(1)
+    arg_or(rest.first(), 5).max(1)
 }
 
 fn main() {
@@ -144,8 +143,7 @@ fn main() {
         let Some(path) = args.get(ix + 1) else {
             die(2, "--trace requires an output path");
         };
-        let seed: u64 = args.get(ix + 2).and_then(|s| s.parse().ok()).unwrap_or(1);
-        traced_run(path, seed);
+        traced_run(path, arg_or(args.get(ix + 2), 1));
         return;
     }
 
@@ -156,59 +154,29 @@ fn main() {
     }
 }
 
-/// What follows `repro net|svc|storage|resilience` on the command line.
+/// What follows `repro storage|resilience` on the command line.
 #[derive(Debug, Default, PartialEq)]
 struct BenchArgs {
     smoke: bool,
     out: Option<String>,
-    only: Option<String>,
-    micro: Option<u64>,
-    min_events_per_sec: Option<f64>,
-    min_speedup: Option<f64>,
 }
 
 fn bench_usage(sub: &str) -> String {
-    let own = match sub {
-        "net" => " [--only LABEL] [--min-events-per-sec N] [--micro [ROUNDS]]",
-        "svc" => " [--min-speedup X]",
-        _ => "",
-    };
-    format!("usage: repro {sub} [smoke] [--out PATH]{own}")
+    format!("usage: repro {sub} [smoke] [--out PATH]")
 }
 
-/// The one parser behind the four bench subcommands; a flag is known only
-/// to the subcommand that owns it. `Err` is a usage error (exit 2).
-fn parse_bench_args(sub: &str, args: &[String]) -> Result<BenchArgs, String> {
+/// The one parser behind the bench subcommands. `Err` is a usage error
+/// (exit 2).
+fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs::default();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match (sub, arg.as_str()) {
-            (_, "smoke") => parsed.smoke = true,
-            (_, "--out") => {
+        match arg.as_str() {
+            "smoke" => parsed.smoke = true,
+            "--out" => {
                 parsed.out = Some(it.next().ok_or("--out requires a path argument")?.clone());
             }
-            ("net", "--only") => {
-                parsed.only = Some(it.next().ok_or("--only requires a scenario label")?.clone());
-            }
-            ("net", "--micro") => {
-                // Optional round count; any other next token is an argument
-                // in its own right.
-                let rounds = it.peek().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
-                if rounds.is_some() {
-                    it.next();
-                }
-                parsed.micro = Some(rounds.unwrap_or(1_000_000));
-            }
-            ("net", "--min-events-per-sec") => {
-                let floor = it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 0.0);
-                parsed.min_events_per_sec =
-                    Some(floor.ok_or("--min-events-per-sec requires a non-negative number")?);
-            }
-            ("svc", "--min-speedup") => {
-                let min = it.next().and_then(|v| v.parse().ok());
-                parsed.min_speedup = Some(min.ok_or("--min-speedup requires a numeric argument")?);
-            }
-            (_, other) => return Err(format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
     Ok(parsed)
@@ -216,19 +184,16 @@ fn parse_bench_args(sub: &str, args: &[String]) -> Result<BenchArgs, String> {
 
 /// Run one layer benchmark: parse, run the suite (each logs its own
 /// progress and per-row results), then the shared tail — the JSON report on
-/// stdout and in `--out`, every floor or invariant miss logged, exit 1 if
-/// there was one.
+/// stdout and in `--out`, every invariant miss logged, exit 1 if there was
+/// one.
 fn bench(sub: &str, args: &[String]) {
     let log = global_logger();
-    let usage_error = |message: String| -> ! {
+    let parsed = parse_bench_args(args).unwrap_or_else(|message| {
         log.error(&message);
         eprintln!("{}", bench_usage(sub));
         std::process::exit(2)
-    };
-    let parsed = parse_bench_args(sub, args).unwrap_or_else(|e| usage_error(e));
+    });
     let (doc, violations) = match sub {
-        "net" => net(&parsed).unwrap_or_else(|e| usage_error(e)),
-        "svc" => svc(&parsed),
         "storage" => {
             let s = if parsed.smoke {
                 storagebench::smoke_scenario()
@@ -249,7 +214,7 @@ fn bench(sub: &str, args: &[String]) {
             let doc = resilience::report_json(&s, &cells);
             (doc, resilience::check_invariants(&s, &cells))
         }
-        _ => unreachable!("bench() serves the four bench subcommands only"),
+        _ => unreachable!("bench() serves the two bench subcommands only"),
     };
     let text = doc.render();
     println!("{text}");
@@ -264,95 +229,6 @@ fn bench(sub: &str, args: &[String]) {
     if !violations.is_empty() {
         std::process::exit(1);
     }
-}
-
-/// Keep only the scenario labelled `label`; an unknown label is a usage
-/// error.
-fn only_scenario(
-    mut suite: Vec<NetbenchScenario>,
-    label: &str,
-) -> Result<Vec<NetbenchScenario>, String> {
-    suite.retain(|s| s.label == label);
-    if suite.is_empty() {
-        return Err(format!("--only {label}: no such scenario in the suite"));
-    }
-    Ok(suite)
-}
-
-/// `repro net`: report and floor / write-suppression misses; `Err` for an
-/// `--only` label the suite does not have.
-fn net(args: &BenchArgs) -> Result<(JsonValue, Vec<String>), String> {
-    if let Some(rounds) = args.micro {
-        let log = global_logger();
-        log.info(&format!(
-            "repro net: queue micro-benchmark, {rounds} rounds per probe"
-        ));
-        let results = queuebench::run_suite(rounds);
-        for r in &results {
-            log.info(&format!(
-                "queuebench: {:<16} {:>12.0} ops/s ({:.1} ns/op)",
-                r.op,
-                r.ops_per_sec,
-                r.ns_per_op(),
-            ));
-        }
-        return Ok((queuebench::report_json(&results), Vec::new()));
-    }
-
-    let mut suite = if args.smoke {
-        netbench::smoke_suite()
-    } else {
-        netbench::standard_suite()
-    };
-    if let Some(label) = &args.only {
-        suite = only_scenario(suite, label)?;
-    }
-    let reports: Vec<_> = suite.iter().map(netbench::run_scenario).collect();
-    let mut violations = Vec::new();
-    if let Some(floor) = args.min_events_per_sec {
-        for r in &reports {
-            if r.incremental.events_per_sec < floor {
-                violations.push(format!(
-                    "{} incremental {:.0} events/s is below the floor of {:.0}",
-                    r.scenario.label, r.incremental.events_per_sec, floor
-                ));
-            }
-        }
-    }
-    for r in reports.iter().filter(|r| r.scenario.turbulent) {
-        if !netbench::write_suppression_ok(&r.incremental) {
-            violations.push(format!(
-                "{} wrote {} unchanged rates over {} events \
-                 (expected ≲ 1 per event; rate-write suppression regressed)",
-                r.scenario.label, r.incremental.stats.unchanged_writes, r.incremental.events,
-            ));
-        }
-    }
-    Ok((netbench::report_json(&reports), violations))
-}
-
-/// `repro svc`: report and, under `--min-speedup`, a best-cell miss.
-fn svc(args: &BenchArgs) -> (JsonValue, Vec<String>) {
-    let suite = if args.smoke {
-        svcbench::smoke_suite()
-    } else {
-        svcbench::standard_suite()
-    };
-    let results = svcbench::run_suite(&suite);
-    let mut violations = Vec::new();
-    if let Some(min) = args.min_speedup {
-        let speedup = svcbench::best_speedup(&results);
-        if speedup.is_nan() || speedup < min {
-            violations.push(format!(
-                "best speedup {speedup:.2}x below required {min:.2}x"
-            ));
-        } else {
-            global_logger().info(&format!(
-                "repro svc: best speedup {speedup:.2}x ≥ required {min:.2}x"
-            ));
-        }
-    }
-    (svcbench::report_json(&results), violations)
 }
 
 /// One traced paper-setup run (greedy-50 @8 streams, 100 MB extras),
@@ -578,76 +454,31 @@ fn shapes(seeds: usize) {
 mod tests {
     use super::*;
 
-    fn parse(sub: &str, args: &[&str]) -> Result<BenchArgs, String> {
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_bench_args(sub, &args)
+        parse_bench_args(&args)
     }
 
     #[test]
     fn smoke_out_and_strays_parse_alike_for_every_bench_subcommand() {
-        for sub in ["net", "svc", "storage", "resilience"] {
-            assert_eq!(parse(sub, &[]), Ok(BenchArgs::default()));
-            let parsed = parse(sub, &["smoke", "--out", "r.json"]).unwrap();
-            assert!(parsed.smoke && parsed.out.as_deref() == Some("r.json"));
-            let err = parse(sub, &["smoke", "--out"]).unwrap_err();
-            assert_eq!(err, "--out requires a path argument");
-            let err = parse(sub, &["smoke", "--frobnicate"]).unwrap_err();
-            assert_eq!(err, "unknown argument: --frobnicate");
+        assert_eq!(parse(&[]), Ok(BenchArgs::default()));
+        let parsed = parse(&["smoke", "--out", "r.json"]).unwrap();
+        assert!(parsed.smoke && parsed.out.as_deref() == Some("r.json"));
+        let err = parse(&["smoke", "--out"]).unwrap_err();
+        assert_eq!(err, "--out requires a path argument");
+        let err = parse(&["smoke", "--frobnicate"]).unwrap_err();
+        assert_eq!(err, "unknown argument: --frobnicate");
+        assert!(bench_usage("storage").ends_with("repro storage [smoke] [--out PATH]"));
+    }
+
+    #[test]
+    fn an_absent_number_is_the_default_and_an_unparsable_one_an_error() {
+        assert_eq!(parse_or(None, 7u64), Ok(7));
+        assert_eq!(parse_or(Some(&"12".to_string()), 7u64), Ok(12));
+        for bad in ["7x", "many", "abc", "-1", ""] {
+            let err = parse_or(Some(&bad.to_string()), 7u64).unwrap_err();
+            assert_eq!(err, format!("argument {bad:?} is not a number"));
         }
-    }
-
-    #[test]
-    fn a_flag_is_known_only_to_the_subcommand_that_owns_it() {
-        assert!(parse("svc", &["--min-events-per-sec", "1"]).is_err());
-        assert!(parse("storage", &["--micro"]).is_err());
-        assert!(parse("resilience", &["--only", "1k"]).is_err());
-        assert!(parse("net", &["--min-speedup", "2"]).is_err());
-        // ...and each usage line names exactly what its parser accepts.
-        assert!(bench_usage("net").ends_with("[--min-events-per-sec N] [--micro [ROUNDS]]"));
-        assert!(bench_usage("svc").ends_with("[--out PATH] [--min-speedup X]"));
-        assert!(bench_usage("storage").ends_with("[smoke] [--out PATH]"));
-    }
-
-    #[test]
-    fn micro_takes_an_optional_round_count() {
-        assert_eq!(parse("net", &["--micro"]).unwrap().micro, Some(1_000_000));
-        let parsed = parse("net", &["--micro", "5000"]).unwrap();
-        assert_eq!(parsed.micro, Some(5000));
-        // A following token that is not a count belongs to another flag.
-        let parsed = parse("net", &["--micro", "--out", "m.json"]).unwrap();
-        assert_eq!(parsed.micro, Some(1_000_000));
-        assert_eq!(parsed.out.as_deref(), Some("m.json"));
-        // Zero rounds is not a count, so it is left as a stray argument.
-        let err = parse("net", &["--micro", "0"]).unwrap_err();
-        assert_eq!(err, "unknown argument: 0");
-    }
-
-    #[test]
-    fn numeric_floors_are_validated() {
-        let parsed = parse("net", &["smoke", "--min-events-per-sec", "250000"]).unwrap();
-        assert_eq!(parsed.min_events_per_sec, Some(250_000.0));
-        assert!(parse("net", &["--min-events-per-sec", "-1"]).is_err());
-        assert!(parse("net", &["--min-events-per-sec"]).is_err());
-        let parsed = parse("svc", &["--min-speedup", "2"]).unwrap();
-        assert_eq!(parsed.min_speedup, Some(2.0));
-        assert!(parse("svc", &["--min-speedup", "fast"]).is_err());
-    }
-
-    #[test]
-    fn only_keeps_one_scenario_and_rejects_an_unknown_label() {
-        assert!(parse("net", &["--only"]).is_err());
-        let suite = netbench::smoke_suite();
-        let label = suite[0].label.clone();
-        let parsed = parse("net", &["--only", &label]).unwrap();
-        assert_eq!(parsed.only.as_ref(), Some(&label));
-        let kept = only_scenario(suite, &label).unwrap();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].label, label);
-        let err = only_scenario(netbench::standard_suite(), "no-such-scenario").unwrap_err();
-        assert_eq!(
-            err,
-            "--only no-such-scenario: no such scenario in the suite"
-        );
     }
 
     #[test]
@@ -665,13 +496,12 @@ mod tests {
             assert!(!listed[..i].contains(name), "{name} is listed twice");
         }
         // The bench front ends and every figure `all` / `csv` loop over are
-        // subcommands; the deleted bins' names are not.
-        for name in ["net", "svc", "storage", "resilience"]
+        // subcommands.
+        for name in ["storage", "resilience"]
             .into_iter()
             .chain(FIGURES.map(|(name, _)| name))
         {
             assert!(listed.contains(&name), "{name} is not a subcommand");
         }
-        assert!(!listed.contains(&"netbench") && !listed.contains(&"storagebench"));
     }
 }

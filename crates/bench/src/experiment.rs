@@ -19,6 +19,7 @@ use pwm_sim::{SimDuration, Summary};
 use pwm_workflow::{
     plan, ComputeSite, ExecutablePlan, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The paper's testbed (Section V) wired for a run: the TACC→ISI topology,
 /// its two data sources, the WAN bottleneck every figure watches, and the
@@ -272,43 +273,34 @@ impl MontageExperiment {
     /// individual run stats, ordered like `seeds`. Each run owns its entire
     /// simulated world, so seeds are embarrassingly parallel; instead of one
     /// thread per seed, a bounded pool of `available_parallelism` workers
-    /// drains a crossbeam job channel, keeping large seed sweeps from
+    /// claims seeds through a shared cursor, keeping large seed sweeps from
     /// oversubscribing the host. Results are identical to a sequential run.
     pub fn run_seeds(&self, seeds: &[u64]) -> (Summary, Vec<RunStats>) {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .min(seeds.len().max(1));
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, u64)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, RunStats)>();
-        let mut runs: Vec<Option<RunStats>> = (0..seeds.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = job_rx.clone();
-                let tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, seed)) = rx.recv() {
-                        tx.send((index, self.run_once(seed)))
-                            .expect("result channel closed before the sweep finished");
-                    }
-                });
-            }
-            drop(job_rx);
-            drop(res_tx);
-            for (index, &seed) in seeds.iter().enumerate() {
-                job_tx
-                    .send((index, seed))
-                    .expect("worker pool hung up early");
-            }
-            drop(job_tx);
-            for (index, stats) in res_rx.iter() {
-                runs[index] = Some(stats);
-            }
+        let cursor = AtomicUsize::new(0);
+        let mut runs: Vec<(usize, RunStats)> = std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(&seed) = seeds.get(index) else { break };
+                            done.push((index, self.run_once(seed)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            pool.into_iter()
+                .flat_map(|worker| worker.join().expect("seed run panicked"))
+                .collect()
         });
-        let runs: Vec<RunStats> = runs
-            .into_iter()
-            .map(|r| r.expect("seed run panicked"))
-            .collect();
+        runs.sort_by_key(|(index, _)| *index);
+        let runs: Vec<RunStats> = runs.into_iter().map(|(_, stats)| stats).collect();
         let makespans: Vec<f64> = runs.iter().map(|r| r.makespan_secs()).collect();
         (Summary::of(&makespans), runs)
     }
@@ -359,8 +351,7 @@ mod tests {
         let (summary, runs) = exp.run_seeds(&seeds);
         assert_eq!(runs.len(), seeds.len());
         for (&seed, run) in seeds.iter().zip(&runs) {
-            let solo = exp.run_once(seed);
-            assert_eq!(run.makespan, solo.makespan, "seed {seed} out of order");
+            assert_eq!(*run, exp.run_once(seed), "seed {seed} out of order");
         }
         assert!(summary.mean > 0.0);
     }

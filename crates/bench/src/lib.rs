@@ -1,7 +1,9 @@
 //! # pwm-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation, and holds
-//! the four layer benchmarks whose reports are committed as `BENCH_*.json`:
+//! the two sim-time layer benchmarks whose reports are committed as
+//! `BENCH_*.json`. Everything here is simulated time: seeded and
+//! byte-reproducible. Wall-clock throughput is measured in `benchmark/`.
 //!
 //! * [`table4`] — "Maximum streams for simultaneous transfers", computed
 //!   both analytically and through the full Policy Service; both must match
@@ -19,12 +21,6 @@
 //! * [`crash`] — a mid-run Policy Service death on the same run: cold
 //!   (empty-memory) versus warm (log-shipped) backup recovery and the
 //!   recovery invariants.
-//! * [`netbench`] — allocator throughput of the incremental network engine
-//!   against the full-recompute baseline (`BENCH_net.json`), with
-//!   [`queuebench`], the event-queue micro-benchmark, as its calibration
-//!   row.
-//! * [`svcbench`] — Policy Service front-end throughput over the live REST
-//!   server, shards × pipeline depth (`BENCH_svc.json`).
 //! * [`storagebench`] — the makespan-versus-dollar-cost frontier over the
 //!   `pwm-storage` backend trio: fixed-backend comparators against
 //!   policy-picked (greedy-cheapest / latency-floor / budget-capped)
@@ -33,7 +29,7 @@
 //!   naive-retry recovery (`BENCH_resilience.json`).
 //!
 //! One front end reaches all of it: `cargo run --release -p pwm-bench --bin
-//! repro -- all` prints every table/figure, `repro net|svc|storage|resilience
+//! repro -- all` prints every table/figure, `repro storage|resilience
 //! [smoke] [--out PATH]` runs a layer benchmark and prints its JSON report;
 //! `cargo bench` runs the Criterion benches (`table4`, `figures`,
 //! `ablations`).
@@ -44,11 +40,8 @@ pub mod chaos;
 pub mod crash;
 pub mod experiment;
 pub mod figures;
-pub mod netbench;
-pub mod queuebench;
 pub mod resilience;
 pub mod storagebench;
-pub mod svcbench;
 pub mod table4;
 
 pub use chaos::{chaos_ablation, render_ablation, run_chaos, ChaosConfig, ChaosReport, ChaosRow};

@@ -483,9 +483,9 @@ impl Network {
     }
 
     /// Force every rate recomputation down the full path (every flow, every
-    /// link, fresh buffers). Benchmark baseline and equivalence-testing
-    /// escape hatch; choose a mode before starting flows and keep it for
-    /// the network's lifetime.
+    /// link, fresh buffers). The reference side of the equivalence tests;
+    /// choose a mode before starting flows and keep it for the network's
+    /// lifetime.
     pub fn set_full_recompute(&mut self, on: bool) {
         self.full_recompute = on;
     }
@@ -1535,8 +1535,8 @@ impl Network {
     }
 
     /// The full recompute: every flow, every link, fresh buffers on each
-    /// call. Kept as the benchmark baseline (`netbench --full`) and the
-    /// reference side of the equivalence tests.
+    /// call. Kept as the reference side of the equivalence tests
+    /// (`tests/net_incremental.rs`).
     fn recompute_rates_full(&mut self) {
         let now = self.now;
         self.stats.recomputes += 1;

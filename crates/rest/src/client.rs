@@ -12,8 +12,8 @@
 //! are not idempotent).
 //! [`PolicyRestClient::evaluate_transfers_pipelined`] writes a whole window
 //! of requests before reading any response — the server batches such a
-//! window into a single rules pass, which is the mechanism svcbench
-//! measures.
+//! window into a single rules pass (counted by
+//! `pwm_rest_batched_requests_total`).
 
 use crate::http::{frame_response, write_request, HttpError, Method, WireFormat};
 use crate::wire::*;

@@ -10,7 +10,8 @@
 //! keep-alive and pipelining are supported, and consecutive pipelined
 //! transfer-evaluate requests for the same session are drained into one
 //! batched `evaluate_transfer_groups` call — one rules pass serves a whole
-//! pipeline window, which is where the svcbench throughput comes from.
+//! pipeline window (`pwm_rest_batched_requests_total` counts the requests
+//! served that way).
 //! Graceful shutdown uses the poller's self-pipe: requests fully received
 //! before shutdown are answered, partial requests get a clean 503.
 //!

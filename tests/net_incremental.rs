@@ -6,11 +6,13 @@
 //! 1e-6 relative on random topologies. These tests close the loop at the
 //! system level: a full `Network` driven through churn produces the same
 //! transfers whether rates come from the incremental engine (the default)
-//! or the preserved full-recompute baseline (`set_full_recompute`), and a
-//! same-seed `MontageExperiment::run_once` is exactly reproducible.
+//! or the preserved full-recompute baseline (`set_full_recompute`), the
+//! incremental engine does less allocator work and writes (almost) no rate
+//! that did not move, and a same-seed `MontageExperiment::run_once` is
+//! exactly reproducible.
 
 use pwm_bench::{MontageExperiment, PolicyMode};
-use pwm_net::{FlowSpec, Network, SimDuration, SimTime, StreamModel, Topology};
+use pwm_net::{AllocStats, FlowSpec, Network, SimDuration, SimTime, StreamModel, Topology};
 
 /// A small multi-cluster topology: three disjoint host pairs with their own
 /// WAN links plus one pair sharing the first cluster's destination, so the
@@ -38,20 +40,25 @@ fn test_topology() -> (Topology, Vec<(pwm_net::HostId, pwm_net::HostId)>) {
     (t, pairs)
 }
 
-/// Drive a churn workload — staggered starts, every completion replaced
-/// until 120 flows have been started, then drain — and return every
-/// completed transfer as `(tag, completed_at, bytes)`, sorted by tag.
-///
-/// Weight jitter is disabled so the per-flow RNG draw order (which can
-/// legitimately differ between modes when near-simultaneous completions
-/// swap) cannot alter flow weights; everything else is the default model,
-/// turbulence included.
-fn run_workload(full_recompute: bool) -> Vec<(u64, SimTime, f64)> {
+/// What one churn run did: every completed transfer as `(tag, completed_at,
+/// bytes)` sorted by tag, the number of `advance` calls, and the allocator's
+/// counters.
+struct Churn {
+    done: Vec<(u64, SimTime, f64)>,
+    events: u64,
+    stats: AllocStats,
+}
+
+/// Drive a churn workload under `model` over the first `clusters` pairs of
+/// [`test_topology`], `per_cluster` flows each at the start — every
+/// completion replaced until 120 flows have been started, then drain.
+fn run_workload(
+    model: StreamModel,
+    full_recompute: bool,
+    clusters: usize,
+    per_cluster: usize,
+) -> Churn {
     let (topo, pairs) = test_topology();
-    let model = StreamModel {
-        flow_weight_jitter: 0.0,
-        ..StreamModel::default()
-    };
     let mut net = Network::with_seed(topo, model, 99);
     net.set_full_recompute(full_recompute);
     let total = 120u64;
@@ -69,16 +76,18 @@ fn run_workload(full_recompute: bool) -> Vec<(u64, SimTime, f64)> {
             },
         );
     };
-    for cluster in 0..pairs.len() {
-        for _ in 0..5 {
+    for cluster in 0..clusters {
+        for _ in 0..per_cluster {
             start(&mut net, cluster, next_tag);
             next_tag += 1;
         }
     }
     let mut done = Vec::new();
+    let mut events = 0u64;
     for _ in 0..100_000 {
         let Some(t) = net.next_wakeup() else { break };
         net.advance(t);
+        events += 1;
         for r in net.take_completed() {
             let cluster = (r.tag % 8) as usize;
             done.push((r.tag, r.completed_at, r.bytes));
@@ -93,7 +102,11 @@ fn run_workload(full_recompute: bool) -> Vec<(u64, SimTime, f64)> {
     }
     assert_eq!(done.len() as u64, total, "workload must drain completely");
     done.sort_by_key(|(tag, _, _)| *tag);
-    done
+    Churn {
+        done,
+        events,
+        stats: net.alloc_stats(),
+    }
 }
 
 /// The incremental engine and the full-recompute baseline agree on *what*
@@ -102,10 +115,19 @@ fn run_workload(full_recompute: bool) -> Vec<(u64, SimTime, f64)> {
 /// chasing the slow-start exponential tail once a flow is `ramp_done`
 /// (caps freeze at ≥ 99.3% of asymptote instead of being re-evaluated
 /// forever), which shifts completion times by a few parts in 1e5.
+///
+/// Weight jitter is disabled so the per-flow RNG draw order (which can
+/// legitimately differ between modes when near-simultaneous completions
+/// swap) cannot alter flow weights; everything else is the default model,
+/// turbulence included.
 #[test]
 fn incremental_matches_full_recompute_end_to_end() {
-    let incremental = run_workload(false);
-    let full = run_workload(true);
+    let model = StreamModel {
+        flow_weight_jitter: 0.0,
+        ..StreamModel::default()
+    };
+    let incremental = run_workload(model.clone(), false, 4, 5).done;
+    let full = run_workload(model, true, 4, 5).done;
     assert_eq!(
         incremental.len(),
         full.len(),
@@ -123,9 +145,33 @@ fn incremental_matches_full_recompute_end_to_end() {
     }
 }
 
+/// Under the default model (turbulence and slow-start on, what the figures
+/// run) the incremental engine re-writes at most about one unmoved rate per
+/// event: a ramping flow's rising cap marks its links dirty only while that
+/// cap binds. Without that gate every event re-allocates every ramping
+/// flow's component (~40 unchanged writes per event on this run). The
+/// whole-stack benchmark applies the same predicate to `netsim_turbulent`.
+///
+/// The predicate is about crowded, link-limited clusters: ten flows on each
+/// of the three disjoint pairs. The entangled fourth pair, and clusters thin
+/// enough that a flow's own cap binds, legitimately re-run a component in
+/// which some rates stand still.
+#[test]
+fn turbulent_churn_suppresses_unchanged_writes() {
+    let churn = run_workload(StreamModel::default(), false, 3, 10);
+    assert!(churn.events > 0 && churn.stats.flows_allocated > 0);
+    assert!(
+        churn.stats.unchanged_writes <= churn.events + 32,
+        "{} unchanged rate writes over {} events ({} flow slots allocated)",
+        churn.stats.unchanged_writes,
+        churn.events,
+        churn.stats.flows_allocated,
+    );
+}
+
 /// The incremental engine does strictly less allocation work than the
-/// baseline on the same workload — the counters that back `BENCH_net.json`
-/// must show it, not just wall-clock.
+/// baseline on the same workload — the allocator's own counters must show
+/// it, not just wall-clock.
 #[test]
 fn incremental_allocates_fewer_flow_slots() {
     let run_stats = |full: bool| {
