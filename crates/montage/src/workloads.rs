@@ -219,8 +219,7 @@ mod tests {
         // jobs.
         let externals = wf.external_inputs().unwrap();
         assert!(externals.contains("sgt_0.bin"));
-        let consumers = wf.consumers();
-        assert_eq!(consumers["sgt_0.bin"].len() as u32, cfg.variations);
+        assert_eq!(wf.consumers("sgt_0.bin").len() as u32, cfg.variations);
     }
 
     #[test]

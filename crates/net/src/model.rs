@@ -146,11 +146,24 @@ impl StreamModel {
 
     /// Turbulence remaining after `dt` of decay from level `t0`.
     pub fn decay_turbulence(&self, t0: f64, dt: SimDuration) -> f64 {
-        let tau = self.turbulence_tau.as_secs_f64();
-        if tau <= 0.0 || t0 == 0.0 {
+        if t0 == 0.0 {
             return 0.0;
         }
-        let t = t0 * (-dt.as_secs_f64() / tau).exp();
+        self.decayed(t0, self.decay_factor(dt))
+    }
+
+    /// Share of a turbulence level left after `dt` of decay.
+    pub fn decay_factor(&self, dt: SimDuration) -> f64 {
+        let tau = self.turbulence_tau.as_secs_f64();
+        if tau <= 0.0 {
+            return 0.0;
+        }
+        (-dt.as_secs_f64() / tau).exp()
+    }
+
+    /// Level `t0` scaled by a [`Self::decay_factor`], clipped to zero.
+    pub fn decayed(&self, t0: f64, factor: f64) -> f64 {
+        let t = t0 * factor;
         if t < 1e-4 {
             0.0
         } else {

@@ -315,6 +315,14 @@ pub struct Network {
     /// Benchmark/testing escape hatch: when true, every recompute takes the
     /// full path (all flows, all links, fresh buffers).
     full_recompute: bool,
+    /// The instant the rates were last recomputed at, until something other
+    /// than a link's membership (which `dirty_links` already tells) makes
+    /// that recompute stale: a fault-plan edit, a newly watched link.
+    rates_as_of: Option<SimTime>,
+    /// The last `(dt, StreamModel::decay_factor(dt))` a capacity refresh
+    /// needed. The turbulent links of one recompute were almost all settled
+    /// by the previous one, so they share a `dt` — and one `exp`.
+    decay_memo: (SimDuration, f64),
 }
 
 /// Observability state attached by [`Network::set_obs`]: the shared handle
@@ -479,6 +487,8 @@ impl Network {
             join_scratch: Vec::new(),
             stats: AllocStats::default(),
             full_recompute: false,
+            rates_as_of: None,
+            decay_memo: (SimDuration::ZERO, 1.0),
         }
     }
 
@@ -567,6 +577,7 @@ impl Network {
     /// the next rate recomputation.
     pub fn set_fault_plan(&mut self, plan: FaultPlan<LinkFault>) {
         self.faults = plan;
+        self.rates_as_of = None;
         if let Some(o) = &self.obs {
             self.emit_fault_instants(o, self.faults.events());
         }
@@ -575,6 +586,7 @@ impl Network {
     /// Schedule one link fault active over `[start, start + duration)`.
     pub fn inject_link_fault(&mut self, start: SimTime, duration: SimDuration, fault: LinkFault) {
         self.faults.add(start, duration, fault);
+        self.rates_as_of = None;
         if let Some(o) = &self.obs {
             // The plan re-sorts on add, so describe the new window directly.
             let added = [FaultEvent {
@@ -604,6 +616,7 @@ impl Network {
     /// Start recording a utilization timeline for `link`.
     pub fn watch_link(&mut self, link: LinkId) {
         self.timelines.entry(link).or_default();
+        self.rates_as_of = None;
     }
 
     /// The recorded timeline for `link`, if watched.
@@ -672,6 +685,26 @@ impl Network {
         let ls = &self.links[link.0 as usize].state;
         self.model
             .decay_turbulence(ls.turbulence, self.now.since(ls.updated_at))
+    }
+
+    /// What the last recompute left every active flow with, ascending by id:
+    /// `(id, rate, remaining, rate_since)`, the anchor its completion ETA was
+    /// scheduled from. For the equivalence suites to compare bit for bit.
+    pub fn flow_rates(&self) -> Vec<(FlowId, f64, f64, SimTime)> {
+        let rows = self
+            .flows
+            .iter()
+            .map(|(id, slot)| (id, &self.flows.hot[slot as usize]));
+        let active = rows.filter(|(_, h)| h.phase == Phase::Active);
+        active
+            .map(|(id, h)| (id, h.rate, h.remaining, h.rate_since))
+            .collect()
+    }
+
+    /// Every link's allocated throughput as of the last recompute, by
+    /// `LinkId` (same use as [`Self::flow_rates`]).
+    pub fn link_throughputs(&self) -> Vec<f64> {
+        self.links.iter().map(|l| l.throughput).collect()
     }
 
     /// Total bytes delivered by completed flows.
@@ -954,8 +987,9 @@ impl Network {
             self.complete_scratch = completes;
             self.recompute_or_skip();
         }
-        // `to` may equal `now` on entry (pure rate refresh): still recompute
-        // so callers starting flows see current conditions.
+        // `to` may equal `now` on entry (pure rate refresh): callers starting
+        // flows see current conditions. When the loop above ran, its last
+        // segment recomputed at `to` and this is a skip.
         if self.active_count > 0 {
             self.recompute_or_skip();
         }
@@ -965,11 +999,24 @@ impl Network {
     }
 
     /// Recompute rates unless it is provably a no-op (counted as a skip).
+    ///
+    /// A recompute is a function of the network's state and `now` alone, and
+    /// running it twice changes nothing the second time: capacities settle
+    /// over `dt = 0`, the allocator sees the same caps and capacities, and
+    /// [`Network::apply_rate`]'s hysteresis keeps every rate it kept. So one
+    /// that already ran at this instant stands until a link's membership
+    /// changes (`dirty_links`) or `rates_as_of` is cleared — a driver that
+    /// asks twice at one instant pays for one answer. Full-recompute mode
+    /// never skips: it is the reference this rule is tested against.
     fn recompute_or_skip(&mut self) {
-        if self.recompute_is_noop() {
+        let ran_at_this_instant = !self.full_recompute
+            && self.rates_as_of == Some(self.now)
+            && self.dirty_links.is_empty();
+        if ran_at_this_instant || self.recompute_is_noop() {
             self.stats.skipped += 1;
         } else {
             self.recompute_rates();
+            self.rates_as_of = Some(self.now);
         }
     }
 
@@ -1191,7 +1238,16 @@ impl Network {
             1.0
         };
         let lh = &mut self.links[ix];
-        lh.state.settle(&self.model, now);
+        let ls = &mut lh.state;
+        // `LinkState::settle`, with the decay factor memoised per `dt`.
+        if now > ls.updated_at {
+            let dt = now - ls.updated_at;
+            if self.decay_memo.0 != dt {
+                self.decay_memo = (dt, self.model.decay_factor(dt));
+            }
+            ls.turbulence = self.model.decayed(ls.turbulence, self.decay_memo.1);
+            ls.updated_at = now;
+        }
         let factor =
             self.model
                 .capacity_factor(lh.state.streams as f64, lh.knee, lh.state.turbulence);

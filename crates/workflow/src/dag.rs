@@ -6,7 +6,7 @@
 //! this into an executable plan with staging and cleanup jobs.
 
 use pwm_core::Name;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Index of a job within an [`AbstractWorkflow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,13 +54,33 @@ impl std::fmt::Display for WorkflowError {
 }
 impl std::error::Error for WorkflowError {}
 
+/// What the workflow knows about one logical file. Files are numbered in the
+/// order they are first mentioned (by a job or by a size), so who makes one,
+/// who reads it and how big it is are `Vec` lookups.
+#[derive(Debug, Clone)]
+pub(crate) struct FileEntry {
+    pub(crate) name: Name,
+    pub(crate) size: Option<u64>,
+    /// The first job listing the file as an output.
+    pub(crate) producer: Option<JobIx>,
+    /// Jobs listing the file as an input, in job order, each once.
+    pub(crate) consumers: Vec<JobIx>,
+}
+
 /// An abstract (resource-independent) workflow.
 #[derive(Debug, Clone, Default)]
 pub struct AbstractWorkflow {
     /// Workflow name ("montage-1deg").
     pub name: String,
     jobs: Vec<AbstractJob>,
-    file_sizes: BTreeMap<Name, u64>,
+    pub(crate) files: Vec<FileEntry>,
+    file_ix: HashMap<Name, usize>,
+    /// File indices of every job's inputs, then outputs, as listed; job `j`
+    /// owns `mentions[mention_end[j - 1]..mention_end[j]]`.
+    mentions: Vec<usize>,
+    mention_end: Vec<usize>,
+    /// The first file a second job (or a second mention) claimed to produce.
+    duplicate_producer: Option<WorkflowError>,
 }
 
 impl AbstractWorkflow {
@@ -68,25 +88,77 @@ impl AbstractWorkflow {
     pub fn new(name: impl Into<String>) -> Self {
         AbstractWorkflow {
             name: name.into(),
-            jobs: Vec::new(),
-            file_sizes: BTreeMap::new(),
+            ..Default::default()
         }
+    }
+
+    /// The file's index, allotted now if this is its first mention.
+    fn intern(&mut self, file: &Name) -> usize {
+        let next = self.files.len();
+        let ix = *self.file_ix.entry(file.clone()).or_insert(next);
+        if ix == next {
+            self.files.push(FileEntry {
+                name: file.clone(),
+                size: None,
+                producer: None,
+                consumers: Vec::new(),
+            });
+        }
+        ix
     }
 
     /// Add a job; returns its index.
     pub fn add_job(&mut self, job: AbstractJob) -> JobIx {
+        let ix = JobIx(self.jobs.len());
+        for input in &job.inputs {
+            let f = self.intern(input);
+            self.mentions.push(f);
+            if self.files[f].consumers.last() != Some(&ix) {
+                self.files[f].consumers.push(ix);
+            }
+        }
+        for output in &job.outputs {
+            let f = self.intern(output);
+            self.mentions.push(f);
+            if self.files[f].producer.is_some() {
+                let twice = WorkflowError::DuplicateProducer(output.to_string());
+                self.duplicate_producer.get_or_insert(twice);
+            }
+            self.files[f].producer.get_or_insert(ix);
+        }
+        self.mention_end.push(self.mentions.len());
         self.jobs.push(job);
-        JobIx(self.jobs.len() - 1)
+        ix
     }
 
     /// Record a logical file's size in bytes.
     pub fn set_file_size(&mut self, file: impl Into<Name>, bytes: u64) {
-        self.file_sizes.insert(file.into(), bytes);
+        let f = self.intern(&file.into());
+        self.files[f].size = Some(bytes);
     }
 
     /// Size of a file, if known.
     pub fn file_size(&self, file: &str) -> Option<u64> {
-        self.file_sizes.get(file).copied()
+        self.file(file)?.size
+    }
+
+    fn file(&self, file: &str) -> Option<&FileEntry> {
+        Some(&self.files[*self.file_ix.get(file)?])
+    }
+
+    /// File indices of a job's inputs and of its outputs, as listed.
+    pub(crate) fn job_files(&self, ix: usize) -> (&[usize], &[usize]) {
+        let start = ix.checked_sub(1).map_or(0, |prev| self.mention_end[prev]);
+        self.mentions[start..self.mention_end[ix]].split_at(self.jobs[ix].inputs.len())
+    }
+
+    /// Indices of the files some job reads or writes, sorted by file name.
+    pub(crate) fn job_files_by_name(&self) -> Vec<usize> {
+        let used =
+            |f: &usize| self.files[*f].producer.is_some() || !self.files[*f].consumers.is_empty();
+        let mut ixs: Vec<usize> = (0..self.files.len()).filter(used).collect();
+        ixs.sort_unstable_by_key(|&f| &self.files[f].name);
+        ixs
     }
 
     /// All jobs in index order.
@@ -109,69 +181,53 @@ impl AbstractWorkflow {
         self.jobs.is_empty()
     }
 
-    /// Map from file name to the job producing it.
-    pub fn producers(&self) -> Result<HashMap<&str, JobIx>, WorkflowError> {
-        let mut map: HashMap<&str, JobIx> = HashMap::new();
-        for (ix, job) in self.jobs.iter().enumerate() {
-            for out in &job.outputs {
-                if map.insert(out.as_str(), JobIx(ix)).is_some() {
-                    return Err(WorkflowError::DuplicateProducer(out.to_string()));
-                }
-            }
-        }
-        Ok(map)
+    /// The job producing a file; `None` for external inputs and unknown
+    /// files.
+    pub fn producer(&self, file: &str) -> Option<JobIx> {
+        self.file(file)?.producer
     }
 
-    /// Map from file name to the jobs consuming it, in job order.
-    pub fn consumers(&self) -> HashMap<&str, Vec<JobIx>> {
-        let mut map: HashMap<&str, Vec<JobIx>> = HashMap::new();
-        for (ix, job) in self.jobs.iter().enumerate() {
-            for input in &job.inputs {
-                map.entry(input.as_str()).or_default().push(JobIx(ix));
-            }
-        }
-        map
+    /// The jobs consuming a file, in job order.
+    pub fn consumers(&self, file: &str) -> &[JobIx] {
+        self.file(file).map_or(&[], |f| &f.consumers)
+    }
+
+    /// `Err` when two jobs claim to produce the same file.
+    fn unique_producers(&self) -> Result<(), WorkflowError> {
+        self.duplicate_producer.clone().map_or(Ok(()), Err)
+    }
+
+    /// Files consumed by some job but produced by none, in index order.
+    fn externals(&self) -> Result<impl Iterator<Item = &FileEntry>, WorkflowError> {
+        self.unique_producers()?;
+        let external = |f: &&FileEntry| f.producer.is_none() && !f.consumers.is_empty();
+        Ok(self.files.iter().filter(external))
     }
 
     /// Files consumed by some job but produced by none — these must be
     /// staged in from external storage.
     pub fn external_inputs(&self) -> Result<BTreeSet<Name>, WorkflowError> {
-        let producers = self.producers()?;
-        let mut externals = BTreeSet::new();
-        for job in &self.jobs {
-            for input in &job.inputs {
-                if !producers.contains_key(input.as_str()) {
-                    externals.insert(input.clone());
-                }
-            }
-        }
-        Ok(externals)
+        Ok(self.externals()?.map(|f| f.name.clone()).collect())
     }
 
     /// Files produced by some job and consumed by none — workflow outputs
     /// to be staged out.
     pub fn final_outputs(&self) -> Result<BTreeSet<Name>, WorkflowError> {
-        let producers = self.producers()?;
-        let consumers = self.consumers();
-        Ok(producers
-            .keys()
-            .filter(|f| !consumers.contains_key(**f))
-            .map(|f| Name::from(*f))
-            .collect())
+        self.unique_producers()?;
+        let last = |f: &&FileEntry| f.producer.is_some() && f.consumers.is_empty();
+        let names = self.files.iter().filter(last).map(|f| f.name.clone());
+        Ok(names.collect())
     }
 
     /// Data-dependency edges `(producer, consumer)` derived from files.
     pub fn edges(&self) -> Result<Vec<(JobIx, JobIx)>, WorkflowError> {
-        let producers = self.producers()?;
+        self.unique_producers()?;
         let mut edges = Vec::new();
-        for (ix, job) in self.jobs.iter().enumerate() {
-            for input in &job.inputs {
-                if let Some(&producer) = producers.get(input.as_str()) {
-                    if producer != JobIx(ix) {
-                        edges.push((producer, JobIx(ix)));
-                    }
-                }
-            }
+        for ix in 0..self.jobs.len() {
+            let made_elsewhere = |p: &JobIx| *p != JobIx(ix);
+            let inputs = self.job_files(ix).0.iter();
+            let producers = inputs.filter_map(|&f| self.files[f].producer.filter(made_elsewhere));
+            edges.extend(producers.map(|p| (p, JobIx(ix))));
         }
         edges.sort_unstable();
         edges.dedup();
@@ -182,37 +238,57 @@ impl AbstractWorkflow {
     /// and acyclic dependencies. Returns the topological level of each job
     /// (roots at level 0) on success.
     pub fn validate(&self) -> Result<Vec<usize>, WorkflowError> {
-        let mut names = BTreeSet::new();
-        for job in &self.jobs {
+        self.levels_over(&self.checked_edges()?)
+    }
+
+    /// Everything [`Self::validate`] checks short of acyclicity, returning
+    /// the edge list the check derived.
+    pub(crate) fn checked_edges(&self) -> Result<Vec<(JobIx, JobIx)>, WorkflowError> {
+        let mut names = HashSet::with_capacity(self.jobs.len());
+        for (ix, job) in self.jobs.iter().enumerate() {
             if !names.insert(job.name.as_str()) {
                 return Err(WorkflowError::DuplicateJobName(job.name.to_string()));
             }
-            for f in job.inputs.iter().chain(&job.outputs) {
-                if !self.file_sizes.contains_key(f) {
-                    return Err(WorkflowError::MissingSize(f.to_string()));
-                }
+            let (inputs, outputs) = self.job_files(ix);
+            if let Some(&f) = inputs
+                .iter()
+                .chain(outputs)
+                .find(|&&f| self.files[f].size.is_none())
+            {
+                return Err(WorkflowError::MissingSize(self.files[f].name.to_string()));
             }
         }
-        self.levels()
+        self.edges()
     }
 
     /// Topological levels (longest path from any root). `Err(Cycle)` if the
     /// dependency graph is cyclic.
     pub fn levels(&self) -> Result<Vec<usize>, WorkflowError> {
-        let edges = self.edges()?;
+        self.levels_over(&self.edges()?)
+    }
+
+    /// [`Self::levels`] over the edge list [`Self::edges`] derived (sorted,
+    /// so a job's children are one run of it).
+    pub(crate) fn levels_over(
+        &self,
+        edges: &[(JobIx, JobIx)],
+    ) -> Result<Vec<usize>, WorkflowError> {
         let n = self.jobs.len();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut first_child = vec![0usize; n + 1];
         let mut indegree = vec![0usize; n];
-        for (a, b) in &edges {
-            children[a.0].push(b.0);
+        for (a, b) in edges {
+            first_child[a.0 + 1] += 1;
             indegree[b.0] += 1;
+        }
+        for j in 0..n {
+            first_child[j + 1] += first_child[j];
         }
         let mut level = vec![0usize; n];
         let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut visited = 0;
         while let Some(j) = queue.pop_front() {
             visited += 1;
-            for &c in &children[j] {
+            for &(_, JobIx(c)) in &edges[first_child[j]..first_child[j + 1]] {
                 level[c] = level[c].max(level[j] + 1);
                 indegree[c] -= 1;
                 if indegree[c] == 0 {
@@ -229,11 +305,7 @@ impl AbstractWorkflow {
 
     /// Total bytes of external input files.
     pub fn external_input_bytes(&self) -> Result<u64, WorkflowError> {
-        Ok(self
-            .external_inputs()?
-            .iter()
-            .map(|f| self.file_size(f).unwrap_or(0))
-            .sum())
+        Ok(self.externals()?.map(|f| f.size.unwrap_or(0)).sum())
     }
 }
 
@@ -355,8 +427,9 @@ mod tests {
         wf.add_job(job("b", &["x"], &[]));
         wf.add_job(job("c", &["x"], &[]));
         wf.set_file_size("x", 1);
-        let consumers = wf.consumers();
-        assert_eq!(consumers["x"], vec![JobIx(1), JobIx(2)]);
+        assert_eq!(wf.consumers("x"), [JobIx(1), JobIx(2)]);
+        assert_eq!(wf.producer("x"), Some(JobIx(0)));
+        assert!(wf.consumers("y").is_empty() && wf.producer("y").is_none());
     }
 
     #[test]

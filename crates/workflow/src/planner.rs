@@ -12,7 +12,7 @@ use crate::catalog::{ComputeSite, ReplicaCatalog};
 use crate::dag::{AbstractWorkflow, JobIx, WorkflowError};
 use pwm_core::{assign_priorities, Name, PriorityAlgorithm, Url, WorkflowGraph};
 use pwm_net::HostId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Index of a job within an [`ExecutablePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -153,12 +153,14 @@ impl ExecutablePlan {
         let n = self.jobs.len();
         let mut indegree = vec![0usize; n];
         for (i, job) in self.jobs.iter().enumerate() {
-            for p in &job.parents {
-                assert!(
-                    self.jobs[p.0].children.contains(&PlanJobId(i)),
-                    "parent/child lists inconsistent"
-                );
-            }
+            // O(edges × degree): checked where tests run, not per plan of a
+            // release campaign.
+            debug_assert!(
+                job.parents
+                    .iter()
+                    .all(|p| self.jobs[p.0].children.contains(&PlanJobId(i))),
+                "parent/child lists inconsistent"
+            );
             indegree[i] = job.parents.len();
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -245,21 +247,37 @@ pub fn plan(
     replicas: &ReplicaCatalog,
     config: &PlannerConfig,
 ) -> Result<ExecutablePlan, PlanError> {
-    let levels = workflow.validate()?;
-    let producers = workflow.producers()?;
-    let consumers = workflow.consumers();
-    let edges = workflow.edges()?;
+    let edges = workflow.checked_edges()?;
+    let levels = workflow.levels_over(&edges)?;
+    let files = &workflow.files;
+    let size = |f: usize| files[f].size.unwrap_or(0);
+    // A file's scratch URL is built once, however many jobs stage or clean it.
+    let mut scratch_urls: Vec<Option<Url>> = vec![None; files.len()];
+    let mut scratch_url = |f: usize| {
+        let build = || site.scratch_url(&workflow.name, &files[f].name);
+        scratch_urls[f].get_or_insert_with(build).clone()
+    };
 
     let mut jobs: Vec<PlanJob> = Vec::new();
-    let add_job = |jobs: &mut Vec<PlanJob>, job: PlanJob| -> PlanJobId {
-        jobs.push(job);
+    let add_job = |jobs: &mut Vec<PlanJob>, name: Name, kind, priority, level| -> PlanJobId {
+        jobs.push(PlanJob {
+            name,
+            kind,
+            parents: Vec::new(),
+            children: Vec::new(),
+            priority,
+            level,
+            workflow: None,
+        });
         PlanJobId(jobs.len() - 1)
     };
+    // Every edge below is unique by construction: `edges` is deduplicated, a
+    // file lists each consumer once, and every other edge has a new job at
+    // one end.
     let link = |jobs: &mut Vec<PlanJob>, parent: PlanJobId, child: PlanJobId| {
-        if !jobs[parent.0].children.contains(&child) {
-            jobs[parent.0].children.push(child);
-            jobs[child.0].parents.push(parent);
-        }
+        debug_assert!(!jobs[parent.0].children.contains(&child));
+        jobs[parent.0].children.push(child);
+        jobs[child.0].parents.push(parent);
     };
 
     // Optional structure-based priorities over the compute-job graph.
@@ -277,26 +295,12 @@ pub fn plan(
     // 1. Compute jobs.
     let mut compute_ids: Vec<PlanJobId> = Vec::with_capacity(workflow.len());
     for (ix, a) in workflow.jobs().iter().enumerate() {
-        let id = add_job(
-            &mut jobs,
-            PlanJob {
-                name: a.name.clone(),
-                kind: PlanJobKind::Compute {
-                    transformation: a.transformation.clone(),
-                    runtime_s: a.runtime_s,
-                    output_bytes: a
-                        .outputs
-                        .iter()
-                        .map(|f| workflow.file_size(f).unwrap_or(0))
-                        .sum(),
-                },
-                parents: Vec::new(),
-                children: Vec::new(),
-                workflow: None,
-                priority: priorities[ix],
-                level: levels[ix],
-            },
-        );
+        let kind = PlanJobKind::Compute {
+            transformation: a.transformation.clone(),
+            runtime_s: a.runtime_s,
+            output_bytes: workflow.job_files(ix).1.iter().map(|&f| size(f)).sum(),
+        };
+        let id = add_job(&mut jobs, a.name.clone(), kind, priorities[ix], levels[ix]);
         compute_ids.push(id);
     }
     for (a, b) in &edges {
@@ -307,19 +311,20 @@ pub fn plan(
     // list, then either emit one stage-in job per compute job (no
     // clustering) or merge them per (level, cluster slot).
     let mut per_job_transfers: Vec<Vec<PlannedTransfer>> = vec![Vec::new(); workflow.len()];
-    for (ix, a) in workflow.jobs().iter().enumerate() {
-        for input in &a.inputs {
-            if producers.contains_key(input.as_str()) {
+    for (ix, transfers) in per_job_transfers.iter_mut().enumerate() {
+        for &f in workflow.job_files(ix).0 {
+            let file = &files[f];
+            if file.producer.is_some() {
                 continue; // intermediate file: lives on shared scratch
             }
             let replica = replicas
-                .lookup(input)
-                .ok_or_else(|| PlanError::NoReplica(input.to_string()))?;
-            per_job_transfers[ix].push(PlannedTransfer {
-                file: input.clone(),
-                bytes: workflow.file_size(input).unwrap_or(0),
+                .lookup(&file.name)
+                .ok_or_else(|| PlanError::NoReplica(file.name.to_string()))?;
+            transfers.push(PlannedTransfer {
+                file: file.name.clone(),
+                bytes: size(f),
                 source: replica.url.clone(),
-                dest: site.scratch_url(&workflow.name, input),
+                dest: scratch_url(f),
                 src_host: replica.host,
                 dst_host: site.storage_host,
             });
@@ -328,25 +333,16 @@ pub fn plan(
 
     match config.clustering_factor {
         None => {
-            for (ix, transfers) in per_job_transfers.iter().enumerate() {
+            for (ix, transfers) in per_job_transfers.into_iter().enumerate() {
                 if transfers.is_empty() {
                     continue;
                 }
-                let id = add_job(
-                    &mut jobs,
-                    PlanJob {
-                        name: format_args!("stage_in_{}", workflow.job(JobIx(ix)).name).into(),
-                        kind: PlanJobKind::StageIn {
-                            transfers: transfers.clone(),
-                            cluster: None,
-                        },
-                        parents: Vec::new(),
-                        children: Vec::new(),
-                        workflow: None,
-                        priority: priorities[ix],
-                        level: levels[ix],
-                    },
-                );
+                let name = format_args!("stage_in_{}", workflow.job(JobIx(ix)).name).into();
+                let kind = PlanJobKind::StageIn {
+                    transfers,
+                    cluster: None,
+                };
+                let id = add_job(&mut jobs, name, kind, priorities[ix], levels[ix]);
                 link(&mut jobs, id, compute_ids[ix]);
             }
         }
@@ -370,28 +366,19 @@ pub fn plan(
                     }
                     let transfers: Vec<PlannedTransfer> = member_jobs
                         .iter()
-                        .flat_map(|&ix| per_job_transfers[ix].iter().cloned())
+                        .flat_map(|&ix| std::mem::take(&mut per_job_transfers[ix]))
                         .collect();
                     let priority = member_jobs
                         .iter()
                         .map(|&ix| priorities[ix])
                         .max()
                         .unwrap_or(0);
-                    let id = add_job(
-                        &mut jobs,
-                        PlanJob {
-                            name: format_args!("stage_in_l{level}_c{c}").into(),
-                            kind: PlanJobKind::StageIn {
-                                transfers,
-                                cluster: Some(c as u32),
-                            },
-                            parents: Vec::new(),
-                            children: Vec::new(),
-                            priority,
-                            level,
-                            workflow: None,
-                        },
-                    );
+                    let name = format_args!("stage_in_l{level}_c{c}").into();
+                    let kind = PlanJobKind::StageIn {
+                        transfers,
+                        cluster: Some(c as u32),
+                    };
+                    let id = add_job(&mut jobs, name, kind, priority, level);
                     for &ix in &member_jobs {
                         link(&mut jobs, id, compute_ids[ix]);
                     }
@@ -400,41 +387,44 @@ pub fn plan(
         }
     }
 
+    // The files on scratch — external inputs (staged in) and produced files
+    // — in name order: the order stage-out and cleanup jobs are emitted in.
+    let scratch_files = if config.stage_out || config.cleanup {
+        workflow.job_files_by_name()
+    } else {
+        Vec::new()
+    };
+
     // 3. Stage-out jobs for final outputs.
-    let mut stage_out_by_file: HashMap<Name, PlanJobId> = HashMap::new();
+    let mut stage_out_of: Vec<Option<PlanJobId>> = vec![None; files.len()];
     if config.stage_out {
         let (out_host_name, out_host, out_base) =
             config.output_site.clone().ok_or(PlanError::NoOutputSite)?;
-        for file in workflow.final_outputs()? {
-            let producer = producers[file.as_str()];
+        for &f in &scratch_files {
+            let file = &files[f];
+            let Some(producer) = file.producer.filter(|_| file.consumers.is_empty()) else {
+                continue;
+            };
+            let name = &file.name;
             let transfer = PlannedTransfer {
-                file: file.clone(),
-                bytes: workflow.file_size(&file).unwrap_or(0),
-                source: site.scratch_url(&workflow.name, &file),
+                file: name.clone(),
+                bytes: size(f),
+                source: scratch_url(f),
                 dest: Url::new(
                     "gsiftp",
                     out_host_name.as_str(),
-                    format_args!("{out_base}/{file}"),
+                    format_args!("{out_base}/{name}"),
                 ),
                 src_host: site.storage_host,
                 dst_host: out_host,
             };
-            let id = add_job(
-                &mut jobs,
-                PlanJob {
-                    name: format_args!("stage_out_{file}").into(),
-                    kind: PlanJobKind::StageOut {
-                        transfers: vec![transfer],
-                    },
-                    parents: Vec::new(),
-                    children: Vec::new(),
-                    workflow: None,
-                    priority: 0,
-                    level: levels[producer.0] + 1,
-                },
-            );
+            let kind = PlanJobKind::StageOut {
+                transfers: vec![transfer],
+            };
+            let job_name = format_args!("stage_out_{name}").into();
+            let id = add_job(&mut jobs, job_name, kind, 0, levels[producer.0] + 1);
             link(&mut jobs, compute_ids[producer.0], id);
-            stage_out_by_file.insert(file, id);
+            stage_out_of[f] = Some(id);
         }
     }
 
@@ -443,45 +433,21 @@ pub fn plan(
     // file is deleted as soon as "data are no longer needed for upcoming
     // computations".
     if config.cleanup {
-        // Files on scratch: external inputs (staged in) + produced files.
-        let mut scratch_files: Vec<Name> = workflow.external_inputs()?.into_iter().collect();
-        scratch_files.extend(producers.keys().map(|&f| Name::from(f)));
-        scratch_files.sort();
-        scratch_files.dedup();
-        for file in scratch_files {
-            let mut parents: Vec<PlanJobId> = Vec::new();
-            if let Some(users) = consumers.get(file.as_str()) {
-                parents.extend(users.iter().map(|ix| compute_ids[ix.0]));
-            }
-            if let Some(&producer) = producers.get(file.as_str()) {
-                if parents.is_empty() {
-                    parents.push(compute_ids[producer.0]);
-                }
-            }
-            if let Some(&so) = stage_out_by_file.get(&file) {
-                parents.push(so);
-            }
+        for &f in &scratch_files {
+            let file = &files[f];
+            let mut parents: Vec<PlanJobId> =
+                file.consumers.iter().map(|ix| compute_ids[ix.0]).collect();
             if parents.is_empty() {
-                continue;
+                parents.extend(file.producer.map(|p| compute_ids[p.0]));
             }
+            parents.extend(stage_out_of[f]);
             let level = parents.iter().map(|p| jobs[p.0].level).max().unwrap_or(0) + 1;
-            let id = add_job(
-                &mut jobs,
-                PlanJob {
-                    name: format_args!("cleanup_{file}").into(),
-                    kind: PlanJobKind::Cleanup {
-                        files: vec![(
-                            site.scratch_url(&workflow.name, &file),
-                            workflow.file_size(&file).unwrap_or(0),
-                        )],
-                    },
-                    parents: Vec::new(),
-                    children: Vec::new(),
-                    workflow: None,
-                    priority: i32::MIN / 2, // cleanups yield to real work
-                    level,
-                },
-            );
+            let kind = PlanJobKind::Cleanup {
+                files: vec![(scratch_url(f), size(f))],
+            };
+            let name = format_args!("cleanup_{}", file.name).into();
+            // Cleanups yield to real work.
+            let id = add_job(&mut jobs, name, kind, i32::MIN / 2, level);
             for p in parents {
                 link(&mut jobs, p, id);
             }
@@ -803,16 +769,10 @@ mod proptests {
 
             // Total planned transfers cover each (job, external input) pair
             // exactly once regardless of clustering.
-            let producers = wf.producers().unwrap();
             let expected_transfers: usize = wf
                 .jobs()
                 .iter()
-                .map(|j| {
-                    j.inputs
-                        .iter()
-                        .filter(|f| !producers.contains_key(f.as_str()))
-                        .count()
-                })
+                .map(|j| j.inputs.iter().filter(|f| wf.producer(f).is_none()).count())
                 .sum();
             let planned: usize = p
                 .jobs()
@@ -827,7 +787,7 @@ mod proptests {
             // One cleanup per scratch file (external inputs + produced).
             let scratch_files = {
                 let mut set = wf.external_inputs().unwrap();
-                set.extend(producers.keys().map(|&f| Name::from(f)));
+                set.extend(wf.jobs().iter().flat_map(|j| j.outputs.iter().cloned()));
                 set.len()
             };
             let cleanups = p.count_jobs(|j| matches!(j.kind, PlanJobKind::Cleanup { .. }));

@@ -119,16 +119,29 @@ bench_floor advice_hot 16500 req/s
 
 # Campaign floor: the whole stack — one executor running 16 merged Montage
 # workflows against the REST Policy Service over loopback while pwm-net
-# simulates the transfers (`campaign`) — must finish at least 36
-# workflows/s. 83 % of that wall-clock is policy round trips, each a fixed
+# simulates the transfers (`campaign`) — must finish at least 55
+# workflows/s. 80 % of that wall-clock is policy round trips, each a fixed
 # five syscalls, so the rate follows the number of wire calls: with the
 # executor's report window (DESIGN.md section 4: the cleanup jobs ending at
 # one instant report in one call, 574 wire calls per workflow) the same
-# machine measures ~80 (~73 while every hop re-allocated the names it
-# copied); one report per cleanup job (792 calls) took it to ~61, and a
+# machine measured ~80, and ~85 once the driver thread stopped doing derived
+# work twice (one rate recompute per simulated instant, one file index per
+# workflow); one report per cleanup job (792 calls) took it to ~61, and a
 # window that closes on every event instead of where the clock moves is the
 # same loss.
-bench_floor campaign 36 workflows/s
+bench_floor campaign 55 workflows/s
+
+# Turbulent-simulator floor: 1000 flows in 100 clusters under the default
+# `StreamModel` — slow start, churn turbulence, weight jitter: what Figs.
+# 5-9, `campaign`, chaos and resilience all run — every completion replaced
+# (`netsim_turbulent`), must advance at least 135 000 events/s. With one
+# recompute per instant (however often `advance` and `start_flow` ask about
+# it) and one `exp(-dt/tau)` per distinct `dt` of a recompute the same
+# machine measures ~270 000. Re-settling every turbulent link with its own
+# `exp` takes it to ~145 000, and recomputing on every ask as well to
+# ~105 000. The only floor the default stream model has until the benchmark
+# gates this workload (ROADMAP item 1(c)).
+bench_floor netsim_turbulent 135000 events/s
 
 # Parent-identity job: the simulated results of this tree against a release
 # build of its parent commit (HEAD^, or HEAD while the tree has uncommitted
@@ -137,7 +150,8 @@ bench_floor campaign 36 workflows/s
 # `repro crash 7`, and the traced paper run — the `--trace` file itself, so
 # no policy call may be added, merged or reordered. A change that means to
 # move one of these says so here and compares what is left of that output; a
-# change that does not (a refactor, an allocation cut) has nothing to filter.
+# change that does not (a refactor, an allocation cut, a recompute the
+# simulator no longer repeats) has nothing to filter, and nothing is filtered.
 echo "== parent identity (simulated results vs a build of the parent commit) =="
 if git status --porcelain -- Cargo.toml Cargo.lock src crates third_party | grep -q .; then
   parent_rev=HEAD

@@ -36,7 +36,8 @@ fn fig7_shape_100mb() {
 }
 
 /// Fig. 8 (500 MB): thresholds 50 and 100 both beat no-policy; 200 degrades
-/// at high stream defaults.
+/// at high stream defaults. The no-policy gap is pinned from both sides: the
+/// paper has 14 %, this stream model 2.5 % (EXPERIMENTS.md, Deviation 1).
 #[test]
 fn fig8_shape_500mb() {
     let g50 = makespan(mb(500), 8, PolicyMode::Greedy { threshold: 50 });
@@ -44,6 +45,15 @@ fn fig8_shape_500mb() {
     let np = makespan(mb(500), 4, PolicyMode::NoPolicy);
     let g200_high = makespan(mb(500), 12, PolicyMode::Greedy { threshold: 200 });
     assert!(g50 < np, "greedy-50 must beat no-policy at 500 MB");
+    assert!(
+        np < g50 * 1.06,
+        "no-policy trails greedy-50 by {:.1}% at 500 MB. EXPERIMENTS.md Deviation 1 records \
+         2.5% (the paper: 14%) and names the cause: a single-knee, partly churn-gated \
+         over-subscription penalty. If a calibration of that penalty widened the gap on \
+         purpose, update Deviation 1 with the new figure, move this bound, and regenerate \
+         the committed sim-time results once; otherwise the stream model moved by accident.",
+        (np / g50 - 1.0) * 100.0
+    );
     assert!(
         g100 < np * 1.04,
         "greedy-100 ({g100:.0}s) should stay competitive with no-policy ({np:.0}s)"
