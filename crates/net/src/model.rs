@@ -153,7 +153,7 @@ impl StreamModel {
     }
 
     /// Share of a turbulence level left after `dt` of decay.
-    pub fn decay_factor(&self, dt: SimDuration) -> f64 {
+    pub(crate) fn decay_factor(&self, dt: SimDuration) -> f64 {
         let tau = self.turbulence_tau.as_secs_f64();
         if tau <= 0.0 {
             return 0.0;
@@ -162,7 +162,7 @@ impl StreamModel {
     }
 
     /// Level `t0` scaled by a [`Self::decay_factor`], clipped to zero.
-    pub fn decayed(&self, t0: f64, factor: f64) -> f64 {
+    pub(crate) fn decayed(&self, t0: f64, factor: f64) -> f64 {
         let t = t0 * factor;
         if t < 1e-4 {
             0.0
@@ -204,8 +204,20 @@ impl LinkState {
 
     /// Decay turbulence up to `now`.
     pub fn settle(&mut self, model: &StreamModel, now: SimTime) {
+        self.settle_with(model, now, |dt| model.decay_factor(dt));
+    }
+
+    /// [`Self::settle`] with `model.decay_factor(dt)` supplied by `factor` (a memo).
+    pub(crate) fn settle_with(
+        &mut self,
+        model: &StreamModel,
+        now: SimTime,
+        factor: impl FnOnce(SimDuration) -> f64,
+    ) {
         if now > self.updated_at {
-            self.turbulence = model.decay_turbulence(self.turbulence, now - self.updated_at);
+            if self.turbulence != 0.0 {
+                self.turbulence = model.decayed(self.turbulence, factor(now - self.updated_at));
+            }
             self.updated_at = now;
         }
     }

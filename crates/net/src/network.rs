@@ -319,9 +319,8 @@ pub struct Network {
     /// than a link's membership (which `dirty_links` already tells) makes
     /// that recompute stale: a fault-plan edit, a newly watched link.
     rates_as_of: Option<SimTime>,
-    /// The last `(dt, StreamModel::decay_factor(dt))` a capacity refresh
-    /// needed. The turbulent links of one recompute were almost all settled
-    /// by the previous one, so they share a `dt` — and one `exp`.
+    /// The last `(dt, StreamModel::decay_factor(dt))` a capacity refresh needed:
+    /// one recompute's turbulent links mostly share a `dt` — and one `exp`.
     decay_memo: (SimDuration, f64),
 }
 
@@ -691,12 +690,9 @@ impl Network {
     /// `(id, rate, remaining, rate_since)`, the anchor its completion ETA was
     /// scheduled from. For the equivalence suites to compare bit for bit.
     pub fn flow_rates(&self) -> Vec<(FlowId, f64, f64, SimTime)> {
-        let rows = self
-            .flows
-            .iter()
-            .map(|(id, slot)| (id, &self.flows.hot[slot as usize]));
-        let active = rows.filter(|(_, h)| h.phase == Phase::Active);
-        active
+        let hot = |(id, slot): (FlowId, u32)| (id, &self.flows.hot[slot as usize]);
+        let rows = self.flows.iter().map(hot);
+        rows.filter(|(_, h)| h.phase == Phase::Active)
             .map(|(id, h)| (id, h.rate, h.remaining, h.rate_since))
             .collect()
     }
@@ -987,9 +983,8 @@ impl Network {
             self.complete_scratch = completes;
             self.recompute_or_skip();
         }
-        // `to` may equal `now` on entry (pure rate refresh): callers starting
-        // flows see current conditions. When the loop above ran, its last
-        // segment recomputed at `to` and this is a skip.
+        // `to` may equal `now` on entry (pure rate refresh: callers starting
+        // flows see current conditions); after a segment above it is a skip.
         if self.active_count > 0 {
             self.recompute_or_skip();
         }
@@ -1001,13 +996,11 @@ impl Network {
     /// Recompute rates unless it is provably a no-op (counted as a skip).
     ///
     /// A recompute is a function of the network's state and `now` alone, and
-    /// running it twice changes nothing the second time: capacities settle
-    /// over `dt = 0`, the allocator sees the same caps and capacities, and
-    /// [`Network::apply_rate`]'s hysteresis keeps every rate it kept. So one
-    /// that already ran at this instant stands until a link's membership
-    /// changes (`dirty_links`) or `rates_as_of` is cleared — a driver that
-    /// asks twice at one instant pays for one answer. Full-recompute mode
-    /// never skips: it is the reference this rule is tested against.
+    /// idempotent: capacities settle over `dt = 0`, the allocator sees the
+    /// same caps and capacities, [`Network::apply_rate`]'s hysteresis keeps
+    /// every rate it kept. So one that ran at this instant stands until a
+    /// link's membership changes (`dirty_links`) or `rates_as_of` is cleared.
+    /// Full-recompute mode never skips: it is the reference of the tests.
     fn recompute_or_skip(&mut self) {
         let ran_at_this_instant = !self.full_recompute
             && self.rates_as_of == Some(self.now)
@@ -1237,17 +1230,14 @@ impl Network {
         } else {
             1.0
         };
+        let (model, memo) = (&self.model, &mut self.decay_memo);
         let lh = &mut self.links[ix];
-        let ls = &mut lh.state;
-        // `LinkState::settle`, with the decay factor memoised per `dt`.
-        if now > ls.updated_at {
-            let dt = now - ls.updated_at;
-            if self.decay_memo.0 != dt {
-                self.decay_memo = (dt, self.model.decay_factor(dt));
+        lh.state.settle_with(model, now, |dt| {
+            if memo.0 != dt {
+                *memo = (dt, model.decay_factor(dt));
             }
-            ls.turbulence = self.model.decayed(ls.turbulence, self.decay_memo.1);
-            ls.updated_at = now;
-        }
+            memo.1
+        });
         let factor =
             self.model
                 .capacity_factor(lh.state.streams as f64, lh.knee, lh.state.turbulence);

@@ -284,7 +284,8 @@ fn arb_script() -> impl Strategy<Value = Script> {
 #[derive(Debug, PartialEq)]
 struct Observed {
     completed: Vec<TransferRecord>,
-    killed: Vec<(FlowId, f64)>,
+    /// `(flow, tag, bytes remaining)` of every flow the kill severed.
+    killed: Vec<(FlowId, u64, f64)>,
     steps: Vec<Step>,
     timeline: Vec<UtilizationSample>,
 }
@@ -299,14 +300,19 @@ struct Step {
     links: Vec<f64>,
 }
 
-fn drive(script: &Script, full_recompute: bool, repeat: bool) -> (Observed, AllocStats) {
+fn drive(
+    script: &Script,
+    model: StreamModel,
+    full_recompute: bool,
+    repeat: bool,
+) -> (Observed, AllocStats) {
     enum Action {
         Start(usize),
         Kill,
         InjectFault,
     }
     let (topo, pairs, wans) = test_topology();
-    let mut net = Network::with_seed(topo, StreamModel::default(), 99);
+    let mut net = Network::with_seed(topo, model, 99);
     net.set_full_recompute(full_recompute);
     net.watch_link(wans[0]);
     let mut actions: Vec<(SimTime, Action)> = (0..script.starts.len())
@@ -353,7 +359,7 @@ fn drive(script: &Script, full_recompute: bool, repeat: bool) -> (Observed, Allo
                 Action::Kill => {
                     let victims = net.kill_flows_touching(t, pairs[script.kill.1].0);
                     seen.killed
-                        .extend(victims.iter().map(|k| (k.flow, k.bytes_remaining)));
+                        .extend(victims.iter().map(|k| (k.flow, k.tag, k.bytes_remaining)));
                 }
                 Action::InjectFault => {
                     let (_, after, lasts, pair, degrade) = script.fault;
@@ -393,36 +399,66 @@ proptest! {
     /// themselves agree as closely as they ever did.
     #[test]
     fn repeating_an_advance_at_one_instant_changes_nothing(script in arb_script()) {
-        let (once, once_stats) = drive(&script, false, false);
-        let (again, again_stats) = drive(&script, false, true);
+        let default = StreamModel::default;
+        let (once, once_stats) = drive(&script, default(), false, false);
+        let (again, again_stats) = drive(&script, default(), false, true);
         prop_assert_eq!(&once, &again);
         prop_assert_eq!(once_stats.recomputes, again_stats.recomputes);
         prop_assert!(again_stats.skipped > once_stats.skipped);
 
-        let (reference, _) = drive(&script, true, false);
-        let (reference_again, _) = drive(&script, true, true);
+        let (reference, _) = drive(&script, default(), true, false);
+        let (reference_again, _) = drive(&script, default(), true, true);
         prop_assert_eq!(&reference, &reference_again);
 
-        // Incremental against the never-skipping reference, at 1 %: these
-        // flows are short enough to live mostly in slow start, where the
-        // incremental engine re-evaluates a rising cap only while it binds
-        // (most scripts agree exactly, the worst seen by 0.15 %). Flows of
-        // the killed host are left out: one that drains about when the kill
-        // lands may die in one mode and finish in the other.
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-2 * b.max(1.0);
-        let by_tag = |seen: &Observed| -> std::collections::BTreeMap<u64, f64> {
-            seen.completed
-                .iter()
-                .filter(|r| script.starts[r.tag as usize].1 != script.kill.1)
-                .map(|r| (r.tag, r.completed_at.as_secs_f64()))
-                .collect()
+        // Incremental against the never-skipping reference: every flow meets
+        // the same fate at the same time within 1 %. Equality is not on
+        // offer: by design the incremental engine re-evaluates a slow-start
+        // cap only while it binds, and these flows are short enough to live
+        // mostly in slow start (worst seen over 10 000 scripts: 0.54 %; the
+        // longer flows of `incremental_matches_full_recompute_end_to_end`
+        // agree at 0.1 %). Weight jitter is off for this leg as it is there:
+        // with it a swapped pair of near-simultaneous completions reorders
+        // the RNG draws (1.6 % seen). A flow of the killed host may drain in
+        // one mode and die in the other only in a photo finish.
+        const TOL: f64 = 1e-2;
+        let model = StreamModel {
+            flow_weight_jitter: 0.0,
+            ..default()
         };
-        let (inc, full) = (by_tag(&once), by_tag(&reference));
+        let (inc, _) = drive(&script, model.clone(), false, false);
+        let (full, _) = drive(&script, model, true, false);
+        let kill_at = script.kill.0 as f64 / 1e3;
+        let close = |a: f64, b: f64| (a - b).abs() <= TOL * b.max(1.0);
+        let (inc, full) = (fates(&inc), fates(&full));
         prop_assert_eq!(inc.keys().collect::<Vec<_>>(), full.keys().collect::<Vec<_>>());
-        for (tag, at) in &inc {
-            prop_assert!(close(*at, full[tag]), "flow {} at {} vs {}", tag, at, full[tag]);
+        for (tag, fate) in &inc {
+            let dust = TOL * script.starts[*tag as usize].2;
+            let same = match (*fate, full[tag]) {
+                (Fate::Done(a), Fate::Done(b)) => close(a, b),
+                (Fate::Killed(a), Fate::Killed(b)) => (a - b).abs() <= dust,
+                (Fate::Done(at), Fate::Killed(left)) | (Fate::Killed(left), Fate::Done(at)) => {
+                    close(at, kill_at) && left <= dust
+                }
+            };
+            prop_assert!(same, "flow {}: {:?} incremental, {:?} full", tag, fate, full[tag]);
         }
     }
+}
+
+/// How a scripted flow ended: completed at (s), or killed with bytes left.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Done(f64),
+    Killed(f64),
+}
+
+fn fates(seen: &Observed) -> std::collections::BTreeMap<u64, Fate> {
+    let done = seen
+        .completed
+        .iter()
+        .map(|r| (r.tag, Fate::Done(r.completed_at.as_secs_f64())));
+    let killed = seen.killed.iter().map(|k| (k.1, Fate::Killed(k.2)));
+    done.chain(killed).collect()
 }
 
 /// What invalidates the last answer at an unchanged instant: a fault-plan
