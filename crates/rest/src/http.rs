@@ -13,8 +13,14 @@
 //! several pipelined messages parse out of one buffer back to back, and
 //! all socket I/O stays with the caller. A framed message is located, not
 //! copied: a [`Request`] borrows its path and body from the buffer.
+//!
+//! One byte-level scanner reads both directions' heads. On a keep-alive
+//! connection the body length is the framing, so a head the two ends could
+//! frame differently is refused rather than guessed at (RFC 9112 §6.3):
+//! two different Content-Lengths, one that is not plain digits, whitespace
+//! between a field name and its colon, and any Transfer-Encoding. The
+//! server answers 400 and closes; the client reports an I/O error.
 
-use std::io::Write;
 use std::ops::Range;
 
 /// Supported request methods.
@@ -76,7 +82,8 @@ impl WireFormat {
     }
 
     fn from_content_type(value: &str) -> WireFormat {
-        if value.trim().starts_with("application/xml") || value.trim().starts_with("text/xml") {
+        let value = value.trim();
+        if value.starts_with("application/xml") || value.starts_with("text/xml") {
             WireFormat::Xml
         } else {
             WireFormat::Json
@@ -148,36 +155,13 @@ impl Response {
         }
     }
 
-    /// 200 with a body in the given format.
-    pub fn ok(format: WireFormat, body: impl Into<Vec<u8>>) -> Response {
-        Response {
-            status: 200,
-            body: body.into(),
-            format,
-        }
-    }
-
-    /// 200 with a plain-text body (Prometheus exposition format).
-    pub fn ok_text(body: impl Into<Vec<u8>>) -> Response {
-        Response {
-            status: 200,
-            body: body.into(),
-            format: WireFormat::Text,
-        }
-    }
-
-    /// An error status with an error envelope in the given format.
-    pub fn error_in(format: WireFormat, status: u16, message: &str) -> Response {
-        Response {
-            status,
-            body: error_body(format, message).into_bytes(),
-            format,
-        }
-    }
-
     /// An error status with a JSON error envelope.
     pub fn error(status: u16, message: &str) -> Response {
-        Self::error_in(WireFormat::Json, status, message)
+        Response {
+            status,
+            body: error_body(WireFormat::Json, message).into_bytes(),
+            format: WireFormat::Json,
+        }
     }
 }
 
@@ -270,67 +254,49 @@ pub(crate) fn frame_request(
     buf: &[u8],
     max_body: usize,
 ) -> Result<Option<(RequestFrame, usize)>, HttpError> {
-    let Some(head_end) = find_separator(buf) else {
+    let Some(head) = Head::scan(buf, "non-utf8 header block")? else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::TooLarge("headers too large".into()));
         }
         return Ok(None);
     };
-    let head_text = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::Malformed("non-utf8 header block".into()))?;
-    let mut lines = head_text.split("\r\n");
-    let request_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request".into()))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or_else(|| HttpError::Malformed(format!("bad method in {request_line:?}")))?;
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing path".into()))?;
-    // `path` is a subslice of `head_text`, which starts where `buf` does.
-    let path_start = path.as_ptr() as usize - head_text.as_ptr() as usize;
+    let [method, path, version] = words(head.start);
+    let method = Method::parse(method)
+        .ok_or_else(|| HttpError::Malformed(format!("bad method in {:?}", head.start)))?;
+    if path.is_empty() {
+        return Err(HttpError::Malformed("missing path".into()));
+    }
+    // `path` is a subslice of the head, which starts where `buf` does.
+    let path_start = path.as_ptr() as usize - buf.as_ptr() as usize;
+    let fields = head.fields?;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; the Connection
     // header overrides either way.
-    let mut keep_alive = parts.next() != Some("HTTP/1.0");
-
-    let mut content_length = 0usize;
-    let mut format = WireFormat::Json;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed("bad content-length".into()))?;
-            } else if name.eq_ignore_ascii_case("content-type") {
-                format = WireFormat::from_content_type(value);
-            } else if name.eq_ignore_ascii_case("connection") {
-                keep_alive = !value.trim().eq_ignore_ascii_case("close");
-            }
-        }
-    }
+    let keep_alive = match fields.connection {
+        Some(value) => !head.text[value].trim().eq_ignore_ascii_case("close"),
+        None => version != "HTTP/1.0",
+    };
+    let content_length = fields.content_length.unwrap_or(0);
     if content_length > max_body.min(MAX_REQUEST) {
         return Err(HttpError::TooLarge(format!(
             "content-length {content_length} exceeds cap {}",
             max_body.min(MAX_REQUEST)
         )));
     }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
+    let end = head.body_start + content_length;
+    if buf.len() < end {
         return Ok(None);
     }
     Ok(Some((
         RequestFrame {
             method,
             path: path_start..path_start + path.len(),
-            body: body_start..body_start + content_length,
-            format,
+            body: head.body_start..end,
+            format: fields.content_type.map_or(WireFormat::Json, |value| {
+                WireFormat::from_content_type(&head.text[value])
+            }),
             keep_alive,
         },
-        body_start + content_length,
+        end,
     )))
 }
 
@@ -347,49 +313,208 @@ pub fn try_parse_response(buf: &[u8]) -> Result<Option<(u16, Vec<u8>, usize)>, H
 
 /// [`try_parse_response`], locating the body instead of copying it.
 pub(crate) fn frame_response(buf: &[u8]) -> Result<Option<(u16, Range<usize>, usize)>, HttpError> {
-    let Some(head_end) = find_separator(buf) else {
+    let Some(head) = Head::scan(buf, "non-utf8 response head")? else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::Malformed("response head too large".into()));
         }
         return Ok(None);
     };
-    let head_text = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpError::Malformed("non-utf8 response head".into()))?;
-    let mut lines = head_text.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty response".into()))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::Malformed(format!("bad status line {status_line:?}")))?;
-    let mut content_length = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
-            }
-        }
-    }
-    let len = content_length
+    let status: u16 = words(head.start)[1]
+        .parse()
+        .map_err(|_| HttpError::Malformed(format!("bad status line {:?}", head.start)))?;
+    let len = head
+        .fields?
+        .content_length
         .ok_or_else(|| HttpError::Malformed("pipelined response without content-length".into()))?;
     if len > MAX_REQUEST {
         return Err(HttpError::Malformed("response too large".into()));
     }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + len {
+    let end = head.body_start + len;
+    if buf.len() < end {
         return Ok(None);
     }
-    Ok(Some((
-        status,
-        body_start..body_start + len,
-        body_start + len,
-    )))
+    Ok(Some((status, head.body_start..end, end)))
 }
 
-fn find_separator(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// A complete message head: everything before the first blank line, UTF-8
+/// as a whole.
+struct Head<'a> {
+    /// The whole head.
+    text: &'a str,
+    /// The request or status line.
+    start: &'a str,
+    /// What the field lines say, or the first of them that is refused: the
+    /// caller reports a bad start line first.
+    fields: Result<Fields, HttpError>,
+    /// Where the body begins, past the blank line.
+    body_start: usize,
+}
+
+impl<'a> Head<'a> {
+    /// The head at the front of `buf`, read in one pass over its lines;
+    /// `None` until its blank line has arrived. Lines end at `\r\n` (a bare
+    /// `\r` or `\n` belongs to its line). A head that is not UTF-8 is refused
+    /// with `non_utf8`, whatever else is wrong with it.
+    fn scan(buf: &'a [u8], non_utf8: &str) -> Result<Option<Head<'a>>, HttpError> {
+        let mut start = None;
+        let mut fields = Ok(Fields::default());
+        let mut line_start = 0;
+        let mut from = 0;
+        let end = loop {
+            let Some(i) = find(&buf[from..], |word| bytes_equal(word, b'\n')) else {
+                return Ok(None);
+            };
+            let nl = from + i;
+            from = nl + 1;
+            if nl == 0 || buf[nl - 1] != b'\r' {
+                continue;
+            }
+            let line = line_start..nl - 1;
+            line_start = from;
+            if start.is_none() {
+                start = Some(line);
+            } else if line.is_empty() {
+                break line.start - 2;
+            } else if let Ok(read) = &mut fields {
+                if let Err(refused) = read.read(buf, line) {
+                    fields = Err(refused);
+                }
+            }
+        };
+        let text =
+            std::str::from_utf8(&buf[..end]).map_err(|_| HttpError::Malformed(non_utf8.into()))?;
+        Ok(Some(Head {
+            text,
+            start: &text[start.expect("the head has a first line")],
+            fields,
+            body_start: from,
+        }))
+    }
+}
+
+// Bytes eight at a time: each helper maps a little-endian word to one with
+// the high bit set in exactly the bytes it flags. Every sum stays inside its
+// byte (seven-bit operands, addends under 0x80), so no flag leaks into a
+// neighbour.
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = ONES << 7;
+const LOW7: u64 = ONES * 0x7f;
+
+/// The bytes of `word` equal to `byte`.
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    let x = word ^ (ONES * u64::from(byte));
+    !(((x & LOW7) + LOW7) | x) & HIGH
+}
+
+/// The bytes of `word` that are not printable ASCII (`!` to `~`).
+fn bytes_unprintable(word: u64) -> u64 {
+    let x = word & LOW7;
+    let printable = (x + ONES * 0x5f) & !(x + ONES) & !word;
+    !printable & HIGH
+}
+
+/// The index of the first byte of `bytes` that `flag` flags, a word to a
+/// step; each of the last few bytes is a word of its own.
+#[inline]
+fn find(bytes: &[u8], flag: impl Fn(u64) -> u64) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    for (n, word) in (&mut words).enumerate() {
+        let flags = flag(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        if flags != 0 {
+            return Some(n * 8 + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| flag(u64::from(b)) & 0x80 != 0)
+        .map(|i| at + i)
+}
+
+/// The first three words of a start line as `str::split_whitespace` finds
+/// them (`""` where there are fewer). Printable ASCII is never whitespace,
+/// so runs of it are skipped a word at a time.
+fn words(line: &str) -> [&str; 3] {
+    let mut words = [""; 3];
+    let mut rest = line;
+    for word in &mut words {
+        rest = rest.trim_start();
+        let mut end = 0;
+        loop {
+            end += find(&rest.as_bytes()[end..], bytes_unprintable).unwrap_or(rest.len() - end);
+            match rest[end..].chars().next() {
+                Some(c) if !c.is_whitespace() => end += c.len_utf8(),
+                _ => break,
+            }
+        }
+        (*word, rest) = rest.split_at(end);
+    }
+    words
+}
+
+/// The header fields framing reads — the types as byte ranges of the head
+/// — where a later line of the same name replaces an earlier one, except
+/// Content-Length, which may only repeat itself.
+#[derive(Default)]
+struct Fields {
+    content_length: Option<usize>,
+    content_type: Option<Range<usize>>,
+    connection: Option<Range<usize>>,
+}
+
+impl Fields {
+    /// Take in the field line at `line` of `buf`. What would let two ends
+    /// frame the same bytes differently is refused (RFC 9112 §5.1, §6.3):
+    /// whitespace between a field name and its colon, a Content-Length that
+    /// is not `1*DIGIT` or that contradicts an earlier one, and any
+    /// Transfer-Encoding. Lines without a colon and unknown fields are
+    /// passed over.
+    fn read(&mut self, buf: &[u8], line: Range<usize>) -> Result<(), HttpError> {
+        let Some(colon) = find(&buf[line.clone()], |word| bytes_equal(word, b':')) else {
+            return Ok(());
+        };
+        let name = &buf[line.start..line.start + colon];
+        let value = line.start + colon + 1..line.end;
+        if matches!(name.last(), Some(b' ' | b'\t')) {
+            return Err(HttpError::Malformed(format!(
+                "whitespace before the colon of {:?}",
+                String::from_utf8_lossy(name)
+            )));
+        }
+        if name.eq_ignore_ascii_case(b"content-length") {
+            let len = content_length(&buf[value])?;
+            if self.content_length.is_some_and(|earlier| earlier != len) {
+                return Err(HttpError::Malformed("conflicting content-length".into()));
+            }
+            self.content_length = Some(len);
+        } else if name.eq_ignore_ascii_case(b"content-type") {
+            self.content_type = Some(value);
+        } else if name.eq_ignore_ascii_case(b"connection") {
+            self.connection = Some(value);
+        } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+            let refused = "transfer-encoding is not supported";
+            return Err(HttpError::Malformed(refused.into()));
+        }
+        Ok(())
+    }
+}
+
+/// A Content-Length value: decimal digits between optional ASCII
+/// whitespace, no sign (leading zeros are digits too).
+fn content_length(value: &[u8]) -> Result<usize, HttpError> {
+    let mut digits = value;
+    while let [b' ' | b'\t'..=b'\r', rest @ ..] = digits {
+        digits = rest;
+    }
+    while let [rest @ .., b' ' | b'\t'..=b'\r'] = digits {
+        digits = rest;
+    }
+    let len = digits.iter().try_fold(0usize, |n, &b| {
+        let digit = usize::from(b.checked_sub(b'0').filter(|d| *d < 10)?);
+        n.checked_mul(10)?.checked_add(digit)
+    });
+    len.filter(|_| !digits.is_empty())
+        .ok_or_else(|| HttpError::Malformed("bad content-length".into()))
 }
 
 /// Serialize one request to bytes. `keep_alive` selects the Connection
@@ -416,16 +541,12 @@ pub(crate) fn write_request(
     body: &[u8],
     keep_alive: bool,
 ) {
-    let _ = write!(
-        wire,
-        "{} {} HTTP/1.1\r\nHost: localhost\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        method.as_str(),
-        path,
-        format.content_type(),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    wire.extend_from_slice(body);
+    wire.reserve(128 + path.len() + body.len());
+    wire.extend_from_slice(method.as_str().as_bytes());
+    wire.push(b' ');
+    wire.extend_from_slice(path.as_bytes());
+    wire.extend_from_slice(b" HTTP/1.1\r\nHost: localhost\r\nContent-Type: ");
+    write_fields_and_body(wire, format, body, keep_alive);
 }
 
 /// Serialize one response to bytes.
@@ -451,16 +572,41 @@ pub(crate) fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) {
-    let _ = write!(
-        wire,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status,
-        status_text(status),
-        format.content_type(),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
+    wire.reserve(128 + body.len());
+    wire.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(wire, usize::from(status));
+    wire.push(b' ');
+    wire.extend_from_slice(status_text(status).as_bytes());
+    wire.extend_from_slice(b"\r\nContent-Type: ");
+    write_fields_and_body(wire, format, body, keep_alive);
+}
+
+/// The head's last three fields, from the Content-Type value on, the blank
+/// line and the body: what a request and a response end with alike.
+fn write_fields_and_body(wire: &mut Vec<u8>, format: WireFormat, body: &[u8], keep_alive: bool) {
+    wire.extend_from_slice(format.content_type().as_bytes());
+    wire.extend_from_slice(b"\r\nContent-Length: ");
+    push_decimal(wire, body.len());
+    wire.extend_from_slice(if keep_alive {
+        b"\r\nConnection: keep-alive\r\n\r\n"
+    } else {
+        b"\r\nConnection: close\r\n\r\n"
+    });
     wire.extend_from_slice(body);
+}
+
+fn push_decimal(wire: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    wire.extend_from_slice(&digits[i..]);
 }
 
 #[cfg(test)]

@@ -5,15 +5,15 @@
 //! policy service over the web using XML or JSON data structures". This
 //! crate is that layer, built from scratch on `std::net`:
 //!
-//! * [`wire`] — the JSON envelopes of the API,
-//! * [`fastjson`] — a hand-rolled codec for the hot transfer-advice
-//!   envelopes (strict-subset parser with serde fallback, byte-identical
-//!   renderer),
+//! * [`wire`] — the JSON envelopes of the API, every one encoded and
+//!   decoded by the one derived codec (`third_party/serde*`),
+//! * [`fastjson`] — two wrappers over that codec kept for the names
+//!   `benchmark/src` calls,
 //! * [`xml`] — the XML wire encoding (the paper: "XML or JSON"), selected
 //!   per request by the Content-Type header,
-//! * [`http`] — minimal HTTP/1.1 framing: incremental parsers and
-//!   renderers over byte buffers, for keep-alive pipelining (the Tomcat
-//!   substitute),
+//! * [`http`] — minimal HTTP/1.1 framing: one byte-level head scanner for
+//!   requests and responses, renderers over byte buffers, for keep-alive
+//!   pipelining (the Tomcat substitute),
 //! * [`poller`] — the `poll(2)` readiness shim and self-pipe waker behind
 //!   the event loop,
 //! * [`server`] — [`PolicyRestServer`], a nonblocking event-driven loopback

@@ -484,14 +484,27 @@ fn serve_buffered(
         let (at, frame) = &frames[i];
         frame.request(&rbuf[*at..])
     };
+    // Each request's path is split once: a request that ends a pipelined run
+    // is kept, split, for the turn that answers it.
+    let routed = |i: usize| {
+        let r = request(i);
+        (r, path_segments(r.path))
+    };
+    let mut next = None;
     let mut i = 0;
     while i < frames.len() {
-        let first = request(i);
+        let (first, (all, len)) = next.take().unwrap_or_else(|| routed(i));
+        let segments = &all[..len];
         // A pipelined run: maximal stretch of batchable transfer-evaluate
         // requests addressed to one session.
-        if let Some(session) = batchable_session(&first) {
+        if let Some(session) = batchable_session(&first, segments) {
             let mut j = i + 1;
-            while j < frames.len() && batchable_session(&request(j)) == Some(session) {
+            while j < frames.len() {
+                let (r, (all, len)) = routed(j);
+                if batchable_session(&r, &all[..len]) != Some(session) {
+                    next = Some((r, (all, len)));
+                    break;
+                }
                 j += 1;
             }
             if j - i >= 2 {
@@ -502,7 +515,7 @@ fn serve_buffered(
             }
         }
         body.clear();
-        let answer = route(&first, controller, body);
+        let answer = route(&first, segments, controller, body);
         c.push_answer(answer, body, first.keep_alive);
         c.served += 1;
         i += 1;
@@ -524,15 +537,14 @@ fn serve_buffered(
 /// Is this request eligible for the batched advice path? JSON POSTs to
 /// `/sessions/{s}/transfers` on a keep-alive connection; returns the
 /// session name.
-fn batchable_session<'a>(request: &Request<'a>) -> Option<&'a str> {
+fn batchable_session<'a>(request: &Request<'a>, segments: &[&'a str]) -> Option<&'a str> {
     if request.method != Method::Post || !request.keep_alive {
         return None;
     }
     if !matches!(request.format, WireFormat::Json | WireFormat::Text) {
         return None;
     }
-    let (segments, len) = path_segments(request.path);
-    match segments[..len] {
+    match segments {
         ["sessions", session, "transfers"] => Some(session),
         _ => None,
     }
@@ -568,23 +580,15 @@ fn serve_batched<'a>(
     let requests = run.len();
     let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(requests);
     let refused: Vec<Option<String>> = run
-        .map(|r| {
-            // The fast codec only accepts the canonical envelope shape; any
-            // unusual body falls back to the reference decoder (and its
-            // error messages).
-            let decoded = match crate::fastjson::parse_transfer_request(r.body) {
-                Some(transfers) => Ok(transfers),
-                None => serde_json::from_slice::<TransferRequestEnvelope>(r.body)
-                    .map(|env| env.transfers),
-            };
-            match decoded {
-                Ok(transfers) => {
-                    groups.push(transfers);
+        .map(
+            |r| match serde_json::from_slice::<TransferRequestEnvelope>(r.body) {
+                Ok(env) => {
+                    groups.push(env.transfers);
                     None
                 }
                 Err(e) => Some(format!("bad json: {e}")),
-            }
-        })
+            },
+        )
         .collect();
     let mut advice_groups = match controller.evaluate_transfer_groups(session, groups) {
         Ok(groups) => groups.into_iter(),
@@ -603,8 +607,7 @@ fn serve_batched<'a>(
         let answer = match r {
             None => {
                 let advice = advice_groups.next().unwrap_or_default();
-                crate::fastjson::write_transfer_response(body, &advice);
-                OK_JSON
+                json(body, &TransferResponseEnvelope { advice })
             }
             Some(message) => refuse(body, WireFormat::Json, 400, &message),
         };
@@ -617,10 +620,15 @@ const OK_JSON: Answer = Answer {
     format: WireFormat::Json,
 };
 
-/// Render the answer to `request` into `body` (empty on entry).
-fn route(request: &Request<'_>, controller: &PolicyController, body: &mut String) -> Answer {
-    let (segments, len) = path_segments(request.path);
-    match (request.method, &segments[..len]) {
+/// Render the answer to `request`, whose path splits into `segments`, into
+/// `body` (empty on entry).
+fn route(
+    request: &Request<'_>,
+    segments: &[&str],
+    controller: &PolicyController,
+    body: &mut String,
+) -> Answer {
+    match (request.method, segments) {
         (Method::Get, ["health"]) => {
             body.push_str(r#"{"status":"ok"}"#);
             OK_JSON
@@ -643,22 +651,10 @@ fn route(request: &Request<'_>, controller: &PolicyController, body: &mut String
         }
         (Method::Post, ["sessions", session, "transfers"]) => match request.format {
             WireFormat::Json | WireFormat::Text => {
-                // Canonical bodies take the allocation-light codec; anything
-                // else falls back to the reference serde path.
-                if let Some(transfers) = crate::fastjson::parse_transfer_request(request.body) {
-                    match controller.evaluate_transfers(session, transfers) {
-                        Ok(advice) => {
-                            crate::fastjson::write_transfer_response(body, &advice);
-                            OK_JSON
-                        }
-                        Err(e) => controller_error(body, e),
-                    }
-                } else {
-                    with_body::<TransferRequestEnvelope>(request, body, |env, body| {
-                        let advice = controller.evaluate_transfers(session, env.transfers)?;
-                        Ok(json(body, &TransferResponseEnvelope { advice }))
-                    })
-                }
+                with_body::<TransferRequestEnvelope>(request, body, |env, body| {
+                    let advice = controller.evaluate_transfers(session, env.transfers)?;
+                    Ok(json(body, &TransferResponseEnvelope { advice }))
+                })
             }
             WireFormat::Xml => {
                 with_xml_body(request, body, xml::transfer_request_from_xml, |transfers| {

@@ -3,7 +3,9 @@
 //! The paper: "A RESTful Web Interface allows access to the policy service
 //! over the web using XML or JSON data structures." We implement the JSON
 //! form with explicit envelope types so the wire format is versionable and
-//! testable independently of the in-memory types.
+//! testable independently of the in-memory types. Every envelope is
+//! encoded and decoded by the derived codec (`third_party/serde*`); the
+//! golden bytes in `tests/codec_conformance.rs` pin what it writes.
 
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, HealthEvent, MemorySnapshot, Name, RuleCounters,
@@ -23,18 +25,29 @@ impl TransferRequestEnvelope {
     /// borrow onto the end of `out`: a pipelining client encodes many groups
     /// it goes on owning.
     pub(crate) fn encode_borrowed(transfers: &[TransferSpec], out: &mut String) {
-        // The derive has no lifetime support, so this mirrors by hand the
-        // one-field object it generates (`borrowed_encoding_matches` below).
-        struct Borrowed<'a>(&'a [TransferSpec]);
-        impl Serialize for Borrowed<'_> {
-            fn serialize(&self, w: &mut serde::Writer) {
-                w.begin_object();
-                w.key("transfers");
-                self.0.serialize(w);
-                w.end_object();
-            }
-        }
-        serde_json::to_string_onto(&Borrowed(transfers), out);
+        serde_json::to_string_onto(&OneMember("\"transfers\":", transfers), out);
+    }
+}
+
+impl TransferResponseEnvelope {
+    /// [`TransferRequestEnvelope::encode_borrowed`] for advice.
+    pub(crate) fn encode_borrowed(advice: &[TransferAdvice], out: &mut String) {
+        serde_json::to_string_onto(&OneMember("\"advice\":", advice), out);
+    }
+}
+
+/// A one-member envelope around a borrowed value, keyed by its member
+/// literal. The derive has no lifetime support, so this mirrors by hand the
+/// one-field object it generates (`borrowed_encoding_matches` below, and
+/// `golden_transfer_response_every_action` in `tests/codec_conformance.rs`).
+struct OneMember<'a, T: ?Sized>(&'static str, &'a T);
+
+impl<T: Serialize + ?Sized> Serialize for OneMember<'_, T> {
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.member(self.0);
+        self.1.serialize(w);
+        w.end_object();
     }
 }
 

@@ -1106,6 +1106,114 @@ fn golden_resource_fact_with_two_users() {
     );
 }
 
+// Every advice shape, captured on the commit before the derived encoder wrote
+// keys and unit variants as precomputed literals (PR 24): one line each, the
+// pretty form with its line breaks escaped.
+
+/// Every escape the writer has — `"`, `\`, `\n`, `\r`, `\t` by name, the other
+/// control characters as `\u00xx` — and what it leaves alone: DEL, U+2028,
+/// two-, three- and four-byte characters.
+const EVERY_ESCAPE: &str = "\"q\"\\b\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{2028}é中🦀";
+
+const EVERY_REASON: [SuppressReason; 7] = [
+    SuppressReason::DuplicateInBatch,
+    SuppressReason::AlreadyInProgress,
+    SuppressReason::AlreadyStaged,
+    SuppressReason::DuplicateCleanup,
+    SuppressReason::ResourceInUse,
+    SuppressReason::SourceQuarantined,
+    SuppressReason::SourceHostDown,
+];
+
+/// `Execute` then a skip for every reason, on URLs at `Name`'s inline limit
+/// and across a multi-byte character; backends escaped, plain and absent.
+fn every_transfer_action() -> Vec<TransferAdvice> {
+    let specs = limit_specs();
+    std::iter::once(TransferAction::Execute)
+        .chain(EVERY_REASON.map(TransferAction::Skip))
+        .enumerate()
+        .map(|(i, action)| TransferAdvice {
+            id: TransferId(i as u64),
+            source: specs[i % 2].source.clone(),
+            dest: specs[i % 2].dest.clone(),
+            action,
+            streams: 8 * i as u32,
+            group: GroupId(i as u64 / 2),
+            order: i as u32,
+            backend: [Some(EVERY_ESCAPE.into()), None, Some("obj-s3".into())][i % 3].clone(),
+        })
+        .collect()
+}
+
+fn every_cleanup_action() -> Vec<CleanupAdvice> {
+    let specs = limit_specs();
+    std::iter::once(CleanupAction::Execute)
+        .chain(EVERY_REASON.map(CleanupAction::Skip))
+        .enumerate()
+        .map(|(i, action)| CleanupAdvice {
+            id: CleanupId(i as u64),
+            file: [&specs[0].dest, &specs[1].source][i % 2].clone(),
+            action,
+        })
+        .collect()
+}
+
+/// The limit specs and one whose URL needs every escape, as the batched
+/// path logs them.
+fn wal_with_every_escape() -> WalRecord {
+    let mut escaped = plain_spec();
+    escaped.source = url(EVERY_ESCAPE, EVERY_ESCAPE, EVERY_ESCAPE);
+    escaped.priority = Some(i32::MIN);
+    wal(
+        8,
+        WalCommand::EvaluateTransferGroups(vec![limit_specs(), vec![escaped]]),
+    )
+}
+
+#[test]
+fn golden_transfer_response_every_action() {
+    let envelope = TransferResponseEnvelope {
+        advice: every_transfer_action(),
+    };
+    // What the server writes from borrowed advice is what the derive writes.
+    assert_eq!(
+        fastjson::render_transfer_response(&envelope.advice),
+        serde_json::to_vec(&envelope).unwrap()
+    );
+    golden(
+        &envelope,
+        "{\"advice\":[{\"id\":0,\"source\":{\"scheme\":\"gsiftp\",\"host\":\"gridftp-012345678.tacc\",\"path\":\"/d/twenty-two-bytes.dat\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":\"Execute\",\"streams\":0,\"group\":0,\"order\":0,\"backend\":\"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"},{\"id\":1,\"source\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"dest\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas🦀é.fits\"},\"action\":{\"Skip\":\"DuplicateInBatch\"},\"streams\":8,\"group\":0,\"order\":1,\"backend\":null},{\"id\":2,\"source\":{\"scheme\":\"gsiftp\",\"host\":\"gridftp-012345678.tacc\",\"path\":\"/d/twenty-two-bytes.dat\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"AlreadyInProgress\"},\"streams\":16,\"group\":1,\"order\":2,\"backend\":\"obj-s3\"},{\"id\":3,\"source\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"dest\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas🦀é.fits\"},\"action\":{\"Skip\":\"AlreadyStaged\"},\"streams\":24,\"group\":1,\"order\":3,\"backend\":\"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"},{\"id\":4,\"source\":{\"scheme\":\"gsiftp\",\"host\":\"gridftp-012345678.tacc\",\"path\":\"/d/twenty-two-bytes.dat\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"DuplicateCleanup\"},\"streams\":32,\"group\":2,\"order\":4,\"backend\":null},{\"id\":5,\"source\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"dest\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas🦀é.fits\"},\"action\":{\"Skip\":\"ResourceInUse\"},\"streams\":40,\"group\":2,\"order\":5,\"backend\":\"obj-s3\"},{\"id\":6,\"source\":{\"scheme\":\"gsiftp\",\"host\":\"gridftp-012345678.tacc\",\"path\":\"/d/twenty-two-bytes.dat\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"SourceQuarantined\"},\"streams\":48,\"group\":3,\"order\":6,\"backend\":\"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"},{\"id\":7,\"source\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"dest\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas🦀é.fits\"},\"action\":{\"Skip\":\"SourceHostDown\"},\"streams\":56,\"group\":3,\"order\":7,\"backend\":null}]}",
+        "{\n  \"advice\": [\n    {\n      \"id\": 0,\n      \"source\": {\n        \"scheme\": \"gsiftp\",\n        \"host\": \"gridftp-012345678.tacc\",\n        \"path\": \"/d/twenty-two-bytes.dat\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": \"Execute\",\n      \"streams\": 0,\n      \"group\": 0,\n      \"order\": 0,\n      \"backend\": \"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"\n    },\n    {\n      \"id\": 1,\n      \"source\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas🦀é.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"DuplicateInBatch\"\n      },\n      \"streams\": 8,\n      \"group\": 0,\n      \"order\": 1,\n      \"backend\": null\n    },\n    {\n      \"id\": 2,\n      \"source\": {\n        \"scheme\": \"gsiftp\",\n        \"host\": \"gridftp-012345678.tacc\",\n        \"path\": \"/d/twenty-two-bytes.dat\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"AlreadyInProgress\"\n      },\n      \"streams\": 16,\n      \"group\": 1,\n      \"order\": 2,\n      \"backend\": \"obj-s3\"\n    },\n    {\n      \"id\": 3,\n      \"source\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas🦀é.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"AlreadyStaged\"\n      },\n      \"streams\": 24,\n      \"group\": 1,\n      \"order\": 3,\n      \"backend\": \"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"\n    },\n    {\n      \"id\": 4,\n      \"source\": {\n        \"scheme\": \"gsiftp\",\n        \"host\": \"gridftp-012345678.tacc\",\n        \"path\": \"/d/twenty-two-bytes.dat\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"DuplicateCleanup\"\n      },\n      \"streams\": 32,\n      \"group\": 2,\n      \"order\": 4,\n      \"backend\": null\n    },\n    {\n      \"id\": 5,\n      \"source\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas🦀é.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"ResourceInUse\"\n      },\n      \"streams\": 40,\n      \"group\": 2,\n      \"order\": 5,\n      \"backend\": \"obj-s3\"\n    },\n    {\n      \"id\": 6,\n      \"source\": {\n        \"scheme\": \"gsiftp\",\n        \"host\": \"gridftp-012345678.tacc\",\n        \"path\": \"/d/twenty-two-bytes.dat\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"SourceQuarantined\"\n      },\n      \"streams\": 48,\n      \"group\": 3,\n      \"order\": 6,\n      \"backend\": \"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"\n    },\n    {\n      \"id\": 7,\n      \"source\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas🦀é.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"SourceHostDown\"\n      },\n      \"streams\": 56,\n      \"group\": 3,\n      \"order\": 7,\n      \"backend\": null\n    }\n  ]\n}",
+    );
+}
+
+#[test]
+fn golden_cleanup_response_every_action() {
+    golden(
+        &CleanupResponseEnvelope { advice: every_cleanup_action() },
+        "{\"advice\":[{\"id\":0,\"file\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":\"Execute\"},{\"id\":1,\"file\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"action\":{\"Skip\":\"DuplicateInBatch\"}},{\"id\":2,\"file\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"AlreadyInProgress\"}},{\"id\":3,\"file\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"action\":{\"Skip\":\"AlreadyStaged\"}},{\"id\":4,\"file\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"DuplicateCleanup\"}},{\"id\":5,\"file\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"action\":{\"Skip\":\"ResourceInUse\"}},{\"id\":6,\"file\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"action\":{\"Skip\":\"SourceQuarantined\"}},{\"id\":7,\"file\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"action\":{\"Skip\":\"SourceHostDown\"}}]}",
+        "{\n  \"advice\": [\n    {\n      \"id\": 0,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": \"Execute\"\n    },\n    {\n      \"id\": 1,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"DuplicateInBatch\"\n      }\n    },\n    {\n      \"id\": 2,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"AlreadyInProgress\"\n      }\n    },\n    {\n      \"id\": 3,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"AlreadyStaged\"\n      }\n    },\n    {\n      \"id\": 4,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"DuplicateCleanup\"\n      }\n    },\n    {\n      \"id\": 5,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"ResourceInUse\"\n      }\n    },\n    {\n      \"id\": 6,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"action\": {\n        \"Skip\": \"SourceQuarantined\"\n      }\n    },\n    {\n      \"id\": 7,\n      \"file\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"action\": {\n        \"Skip\": \"SourceHostDown\"\n      }\n    }\n  ]\n}",
+    );
+}
+
+#[test]
+fn golden_transfer_request_at_the_inline_limit() {
+    golden(
+        &TransferRequestEnvelope { transfers: limit_specs() },
+        LIMIT_SPECS_JSON,
+        "{\n  \"transfers\": [\n    {\n      \"source\": {\n        \"scheme\": \"gsiftp\",\n        \"host\": \"gridftp-012345678.tacc\",\n        \"path\": \"/d/twenty-two-bytes.dat\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"obelix-nfs-01234567.isi\",\n        \"path\": \"/s/twenty-three-bytes.dat\"\n      },\n      \"bytes\": 1,\n      \"requested_streams\": null,\n      \"workflow\": 1,\n      \"cluster\": null,\n      \"priority\": null\n    },\n    {\n      \"source\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas中.fits\"\n      },\n      \"dest\": {\n        \"scheme\": \"file\",\n        \"host\": \"\",\n        \"path\": \"/scratch/montage/2mas🦀é.fits\"\n      },\n      \"bytes\": 1,\n      \"requested_streams\": null,\n      \"workflow\": 1,\n      \"cluster\": null,\n      \"priority\": null\n    }\n  ]\n}",
+    );
+}
+
+#[test]
+fn golden_wal_transfer_groups_with_every_escape() {
+    golden(
+        &wal_with_every_escape(),
+        "{\"seq\":8,\"cmd\":{\"EvaluateTransferGroups\":[[{\"source\":{\"scheme\":\"gsiftp\",\"host\":\"gridftp-012345678.tacc\",\"path\":\"/d/twenty-two-bytes.dat\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs-01234567.isi\",\"path\":\"/s/twenty-three-bytes.dat\"},\"bytes\":1,\"requested_streams\":null,\"workflow\":1,\"cluster\":null,\"priority\":null},{\"source\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas中.fits\"},\"dest\":{\"scheme\":\"file\",\"host\":\"\",\"path\":\"/scratch/montage/2mas🦀é.fits\"},\"bytes\":1,\"requested_streams\":null,\"workflow\":1,\"cluster\":null,\"priority\":null}],[{\"source\":{\"scheme\":\"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\",\"host\":\"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\",\"path\":\"/\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"},\"dest\":{\"scheme\":\"file\",\"host\":\"obelix-nfs\",\"path\":\"/scratch/f2.dat\"},\"bytes\":1000000,\"requested_streams\":null,\"workflow\":1,\"cluster\":null,\"priority\":-2147483648}]]}}",
+        "{\n  \"seq\": 8,\n  \"cmd\": {\n    \"EvaluateTransferGroups\": [\n      [\n        {\n          \"source\": {\n            \"scheme\": \"gsiftp\",\n            \"host\": \"gridftp-012345678.tacc\",\n            \"path\": \"/d/twenty-two-bytes.dat\"\n          },\n          \"dest\": {\n            \"scheme\": \"file\",\n            \"host\": \"obelix-nfs-01234567.isi\",\n            \"path\": \"/s/twenty-three-bytes.dat\"\n          },\n          \"bytes\": 1,\n          \"requested_streams\": null,\n          \"workflow\": 1,\n          \"cluster\": null,\n          \"priority\": null\n        },\n        {\n          \"source\": {\n            \"scheme\": \"file\",\n            \"host\": \"\",\n            \"path\": \"/scratch/montage/2mas中.fits\"\n          },\n          \"dest\": {\n            \"scheme\": \"file\",\n            \"host\": \"\",\n            \"path\": \"/scratch/montage/2mas🦀é.fits\"\n          },\n          \"bytes\": 1,\n          \"requested_streams\": null,\n          \"workflow\": 1,\n          \"cluster\": null,\n          \"priority\": null\n        }\n      ],\n      [\n        {\n          \"source\": {\n            \"scheme\": \"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\",\n            \"host\": \"\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\",\n            \"path\": \"/\\\"q\\\"\\\\b\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{2028}é中🦀\"\n          },\n          \"dest\": {\n            \"scheme\": \"file\",\n            \"host\": \"obelix-nfs\",\n            \"path\": \"/scratch/f2.dat\"\n          },\n          \"bytes\": 1000000,\n          \"requested_streams\": null,\n          \"workflow\": 1,\n          \"cluster\": null,\n          \"priority\": -2147483648\n        }\n      ]\n    ]\n  }\n}",
+    );
+}
+
 // ---------------------------------------------------------------------------
 // 2. Decoding rules
 // ---------------------------------------------------------------------------
@@ -1738,4 +1846,99 @@ fn url_fields_at_the_inline_limit_cross_every_codec_unchanged() {
     assert_eq!(xml::transfer_request_from_xml(&text).unwrap(), transfers);
     let text = xml::transfer_response_to_xml(&advice);
     assert_eq!(xml::transfer_response_from_xml(&text).unwrap(), advice);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Heads two ends could frame differently (RFC 9112 §6.3)
+// ---------------------------------------------------------------------------
+
+/// A keep-alive connection frames each message by its Content-Length, so a
+/// head whose length is ambiguous is refused: guessing would hand its body,
+/// or part of it, to the next request.
+fn refused(head: &str) -> bool {
+    let wire = format!("{head}\r\n\r\nabcde");
+    matches!(
+        http::try_parse_request(wire.as_bytes(), 1 << 20),
+        Err(HttpError::Malformed(_))
+    )
+}
+
+#[test]
+fn conflicting_content_lengths_are_refused() {
+    assert!(refused(
+        "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5"
+    ));
+}
+
+#[test]
+fn a_content_length_with_a_sign_is_refused() {
+    assert!(refused("POST /x HTTP/1.1\r\nContent-Length: +3"));
+}
+
+#[test]
+fn whitespace_before_a_field_colon_is_refused() {
+    assert!(refused("POST /x HTTP/1.1\r\nContent-Length : 5"));
+}
+
+#[test]
+fn any_transfer_encoding_is_refused() {
+    assert!(refused("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked"));
+}
+
+#[test]
+fn a_response_with_a_signed_or_conflicting_length_is_refused() {
+    for head in [
+        "HTTP/1.1 200 OK\r\nContent-Length: +2",
+        "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3",
+    ] {
+        let wire = format!("{head}\r\n\r\n{{}}x");
+        assert!(http::try_parse_response(wire.as_bytes()).is_err(), "{head}");
+    }
+}
+
+/// The server answers an ambiguous head with one 400 and closes: nothing
+/// after it on the connection is framed as a request of its own.
+#[test]
+fn the_server_answers_a_chunked_request_once_and_closes() {
+    use std::io::{Read, Write};
+    let server = PolicyRestServer::start(PolicyController::new(PolicyConfig::default())).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(
+            b"POST /sessions/default/transfers HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              3\r\nabc\r\n0\r\n\r\n",
+        )
+        .unwrap();
+    let mut wire = Vec::new();
+    stream.read_to_end(&mut wire).unwrap();
+    let (status, _, consumed) = http::try_parse_response(&wire).unwrap().unwrap();
+    assert_eq!(
+        (status, consumed),
+        (400, wire.len()),
+        "one answer, then EOF"
+    );
+}
+
+/// The client refuses a response it cannot frame as an I/O error, like a
+/// broken connection, rather than reading a body of a length it guessed.
+#[test]
+fn the_client_reports_a_signed_response_length_as_an_io_error() {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut buf = Vec::new();
+        while http::try_parse_request(&buf, 1 << 20).unwrap().is_none() {
+            let mut chunk = [0u8; 4096];
+            let n = conn.read(&mut chunk).unwrap();
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: +13\r\n\r\n{\"advice\":[]}")
+            .unwrap();
+    });
+    let mut client = PolicyRestClient::new(addr, DEFAULT_SESSION);
+    let err = client.evaluate_transfers(vec![plain_spec()]).unwrap_err();
+    assert!(matches!(err, TransportError::Io(_)), "{err:?}");
+    stub.join().unwrap();
 }

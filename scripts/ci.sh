@@ -114,7 +114,9 @@ bench_floor netsim_churn 1000000 events/s
 # rules pass per request shows here too; that a pipelined window is served
 # by the batched path at all is asserted by tests/observability.rs
 # (`pwm_rest_batched_requests_total` >= 32 for a 32-deep window), and every
-# benchmark run reports the share as `rest.batch_ratio`.
+# benchmark run reports the share as `rest.batch_ratio`. Losing the
+# literal-key codec (member keys and unit variants written and matched as
+# precomputed literals) and the byte-level head scanner: ~39 000 to ~35 500.
 bench_floor advice_hot 16500 req/s
 
 # Campaign floor: the whole stack — one executor running 16 merged Montage
@@ -128,7 +130,9 @@ bench_floor advice_hot 16500 req/s
 # work twice (one rate recompute per simulated instant, one file index per
 # workflow); one report per cleanup job (792 calls) took it to ~61, and a
 # window that closes on every event instead of where the clock moves is the
-# same loss.
+# same loss. Losing the literal-key codec and the byte-level head scanner
+# costs ~4.5 % (~96.5 to ~92.3): the wire edge is a small slice of each
+# round trip, most of which is syscalls.
 bench_floor campaign 55 workflows/s
 
 # Turbulent-simulator floor: 1000 flows in 100 clusters under the default
@@ -201,13 +205,18 @@ fi
 # a debug `update_fields` re-extracts the key of every index it skipped and
 # panics on a stale one, so only the release run of `facts_differential`
 # shows the field-masked re-keying agreeing with the legacy store and with an
-# index rebuilt from scratch on its own, without that re-extraction.
+# index rebuilt from scratch on its own, without that re-extraction. The
+# HTTP head scanner is held to the `str`-splitting parser it replaced, kept
+# as the oracle in crates/rest/tests/http_differential.rs: same message, same
+# "incomplete", same error on every head except those it refuses on purpose.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
 cargo test -q --release --offline -p pwm-rules --lib
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
+PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
+  -p pwm-rest --test http_differential
 
 # Storagebench job (`repro storage`): the storage-backend frontier smoke —
 # three fixed-backend comparators (NFS / parallel FS / object store)
