@@ -9,7 +9,7 @@ pub struct FlowId(pub u64);
 
 /// A request to move one file between two hosts with a given number of
 /// parallel streams.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
     /// Source host.
     pub src: HostId,

@@ -23,8 +23,8 @@
 //! recompute, component sorting) goes through id order, never slot order.
 
 use crate::flow::{FlowId, FlowSpec};
-use crate::topology::LinkId;
-use pwm_sim::{EventHandle, SimDuration, SimTime};
+use crate::routes::Route;
+use pwm_sim::{EventHandle, SimTime};
 use std::collections::VecDeque;
 
 /// Lifecycle phase of a slot. Mirrors [`crate::flow::FlowPhase`] minus the
@@ -42,105 +42,34 @@ pub enum Phase {
     Active,
 }
 
-/// Links a route can hold inline in the [`FlowCold`] row. Routes in this
-/// engine are access-link chains (source access, optional transit, destination
-/// access), so real routes are 1–3 links; longer ones spill to the heap.
-const ROUTE_INLINE: usize = 6;
-
 /// Per-flow constants, written once at `start_flow` and read at activation,
-/// allocation, and completion.
+/// allocation, and completion: one 64-byte line.
 ///
-/// The route is stored *inline* as raw link indices (spilling to a `Vec`
-/// only past [`ROUTE_INLINE`] links): the membership loops at activation and
-/// completion, and the component BFS, all walk a flow's links right after
-/// reading the row — a heap-side `Vec` would cost an extra random cache line
-/// per walk, and the old `route: Vec<LinkId>` + `links: Vec<usize>` pair
-/// cost two.
-#[derive(Debug, Clone)]
+/// The route is a [`Route`] into the network's [`crate::routes::RouteTable`]
+/// (a pool range plus its RTT), not a copy of the links: a row is a fixed
+/// 64 bytes whatever the route's length, moves as plain words, and owns no
+/// heap memory.
+#[derive(Debug, Clone, Copy)]
 pub struct FlowCold {
     /// Immutable request.
     pub spec: FlowSpec,
-    /// Round-trip time of the (fixed) route.
-    pub route_rtt: SimDuration,
+    /// The (fixed) interned route and its RTT.
+    pub route: Route,
     /// When `start_flow` was called.
     pub requested_at: SimTime,
     /// Per-flow fair-share multiplier (TCP unfairness), drawn at start.
     pub weight_factor: f64,
-    /// Inline route storage (raw link indices); valid up to `route_len`.
-    route_inline: [u32; ROUTE_INLINE],
-    /// Links in the route. When it exceeds [`ROUTE_INLINE`], the whole
-    /// route lives in `route_spill` instead.
-    route_len: u8,
-    /// Heap overflow for routes longer than [`ROUTE_INLINE`] links.
-    route_spill: Vec<u32>,
 }
 
-impl FlowCold {
-    /// Build a cold row, copying `route` into inline storage (or the heap
-    /// spill when it is longer than [`ROUTE_INLINE`] links).
-    pub fn new(
-        spec: FlowSpec,
-        route: &[LinkId],
-        route_rtt: SimDuration,
-        requested_at: SimTime,
-        weight_factor: f64,
-    ) -> Self {
-        let mut route_inline = [0u32; ROUTE_INLINE];
-        let mut route_spill = Vec::new();
-        if route.len() <= ROUTE_INLINE {
-            for (cell, l) in route_inline.iter_mut().zip(route) {
-                *cell = l.0;
-            }
-        } else {
-            route_spill.extend(route.iter().map(|l| l.0));
-        }
-        FlowCold {
-            spec,
-            route_rtt,
-            requested_at,
-            weight_factor,
-            route_inline,
-            route_len: route.len().min(ROUTE_INLINE) as u8,
-            route_spill,
-        }
-    }
+const _: () = assert!(
+    std::mem::size_of::<FlowCold>() == 64,
+    "FlowCold must stay exactly one cache line"
+);
 
+impl FlowCold {
     /// Effective stream count (floor of 1).
     pub fn streams(&self) -> u32 {
         self.spec.streams.max(1)
-    }
-
-    /// The route as raw link indices.
-    #[inline]
-    pub fn links(&self) -> &[u32] {
-        if self.route_spill.is_empty() {
-            &self.route_inline[..self.route_len as usize]
-        } else {
-            &self.route_spill
-        }
-    }
-
-    /// Links in the route.
-    #[inline]
-    pub fn link_count(&self) -> usize {
-        if self.route_spill.is_empty() {
-            self.route_len as usize
-        } else {
-            self.route_spill.len()
-        }
-    }
-
-    /// The `k`-th link of the route as a raw index. Indexed access (rather
-    /// than holding [`FlowCold::links`]) lets membership loops mutate other
-    /// engine state between reads.
-    #[inline]
-    pub fn link_at(&self, k: usize) -> usize {
-        if self.route_spill.is_empty() {
-            debug_assert!(k < self.route_len as usize);
-            self.route_inline[k] as usize
-        } else {
-            self.route_spill[k] as usize
-        }
     }
 }
 
@@ -414,22 +343,24 @@ impl Default for FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::HostId;
+    use crate::routes::RouteTable;
+    use crate::topology::Topology;
 
     fn cold(bytes: f64, streams: u32) -> FlowCold {
-        FlowCold::new(
-            FlowSpec {
-                src: HostId(0),
-                dst: HostId(1),
+        let mut topo = Topology::new();
+        let (src, dst) = (topo.add_host("a", 1e6), topo.add_host("b", 1e6));
+        FlowCold {
+            spec: FlowSpec {
+                src,
+                dst,
                 bytes,
                 streams,
                 tag: 0,
             },
-            &[LinkId(0)],
-            SimDuration::from_millis(1),
-            SimTime::ZERO,
-            1.5,
-        )
+            route: RouteTable::new().resolve(&topo, src, dst),
+            requested_at: SimTime::ZERO,
+            weight_factor: 1.5,
+        }
     }
 
     #[test]
@@ -489,45 +420,6 @@ mod tests {
         assert_eq!(t.hot[s].take_eta(), Some(h));
         assert!(t.hot[s].eta().is_none());
         assert!(t.hot[s].take_eta().is_none());
-    }
-
-    #[test]
-    fn route_spills_past_inline_capacity() {
-        let mk = |n: u32| {
-            let route: Vec<LinkId> = (0..n).map(LinkId).collect();
-            FlowCold::new(
-                FlowSpec {
-                    src: HostId(0),
-                    dst: HostId(1),
-                    bytes: 1.0,
-                    streams: 1,
-                    tag: 0,
-                },
-                &route,
-                SimDuration::from_millis(1),
-                SimTime::ZERO,
-                1.0,
-            )
-        };
-        // Inline: typical short route.
-        let short = mk(3);
-        assert_eq!(short.links(), &[0, 1, 2]);
-        assert_eq!(short.link_count(), 3);
-        assert_eq!(short.link_at(2), 2);
-        // Exactly at capacity stays inline.
-        let full = mk(ROUTE_INLINE as u32);
-        assert_eq!(full.link_count(), ROUTE_INLINE);
-        assert!(full.route_spill.is_empty());
-        // Past capacity spills, preserving order and length.
-        let long = mk(9);
-        assert_eq!(long.link_count(), 9);
-        assert_eq!(long.link_at(8), 8);
-        assert_eq!(long.links().len(), 9);
-        assert_eq!(long.links(), (0..9).collect::<Vec<u32>>().as_slice());
-        // Empty route is legal (loopback with no links).
-        let none = mk(0);
-        assert_eq!(none.link_count(), 0);
-        assert!(none.links().is_empty());
     }
 
     #[test]

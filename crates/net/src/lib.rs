@@ -14,7 +14,8 @@
 //!   (why the 1 GB experiments show no clear winner),
 //! * per-file connection setup costs scaling with streams and RTT.
 //!
-//! Module map: [`topology`] (hosts/links/routes), [`model`] (the stream
+//! Module map: [`topology`] (hosts/links/routes), [`routes`] (each host
+//! pair's route interned once for the engine), [`model`] (the stream
 //! performance model and its knobs), [`sharing`] (weighted max-min fair
 //! allocation), [`flow`] (transfer state and records), [`network`] (the
 //! engine), [`metrics`] (post-run aggregation), [`fault`] (deterministic
@@ -42,6 +43,7 @@ mod flow_table;
 pub mod metrics;
 pub mod model;
 pub mod network;
+pub mod routes;
 pub mod sharing;
 pub mod timeline;
 pub mod topology;
@@ -51,6 +53,7 @@ pub use flow::{Flow, FlowId, FlowPhase, FlowSpec, KilledFlow, TransferRecord};
 pub use metrics::{AllocStats, TransferLedger};
 pub use model::{LinkState, StreamModel};
 pub use network::Network;
+pub use routes::{Route, RouteTable};
 pub use sharing::{max_min_rates, FlowDemand, RateAllocator};
 pub use timeline::{LinkTimeline, UtilizationSample};
 pub use topology::{paper_testbed, Host, HostId, Link, LinkId, Topology};

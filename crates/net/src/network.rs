@@ -40,6 +40,7 @@ use crate::flow::{FlowId, FlowSpec, KilledFlow, TransferRecord};
 use crate::flow_table::{FlowCold, FlowTable, Phase};
 use crate::metrics::AllocStats;
 use crate::model::{LinkState, StreamModel};
+use crate::routes::RouteTable;
 use crate::sharing::{max_min_rates, FlowDemand, RateAllocator};
 use crate::timeline::{LinkTimeline, UtilizationSample};
 use crate::topology::{LinkId, Topology};
@@ -60,14 +61,60 @@ const RATE_EPS: f64 = 1e-9;
 /// its own cap (`rate ≈ cap`) rather than by a saturated link.
 const CAP_BOUND_SLACK: f64 = 1e-6;
 
-/// The engine's internal discontinuities, keyed by flow slot.
+/// The engine's internal discontinuities, keyed by flow slot: connection
+/// setup finishing, or a completion ETA at the flow's scheduled rate
+/// (cancelled and rescheduled whenever the rate genuinely changes).
+///
+/// One `u32` — the slot, with the top bit set for a completion — rather than
+/// a two-variant enum: it fits the queue entry's padding, so an entry is a
+/// 24-byte `(at, seq, handle)` key and every bucket sort, shift and push
+/// moves a quarter fewer bytes than with an 8-byte payload.
 #[derive(Debug, Clone, Copy)]
-enum NetEvent {
-    /// Connection setup finishes for the flow in this slot.
-    Connect(u32),
-    /// Completion ETA of the flow in this slot at its scheduled rate.
-    /// Cancelled and rescheduled whenever the rate genuinely changes.
-    Complete(u32),
+struct NetEvent(u32);
+
+impl NetEvent {
+    const COMPLETE: u32 = 1 << 31;
+
+    fn connect(slot: u32) -> Self {
+        debug_assert!(slot < Self::COMPLETE);
+        NetEvent(slot)
+    }
+
+    fn complete(slot: u32) -> Self {
+        debug_assert!(slot < Self::COMPLETE);
+        NetEvent(slot | Self::COMPLETE)
+    }
+
+    fn slot(self) -> u32 {
+        self.0 & !Self::COMPLETE
+    }
+
+    fn is_complete(self) -> bool {
+        self.0 & Self::COMPLETE != 0
+    }
+}
+
+/// Sort `v` ascending by `key`, whose values must be unique (so the order
+/// is the one any sort gives). The engine's per-event sets — activation
+/// candidates, fired completions, a component's flows and links — hold two
+/// to a handful of elements, where one insertion sort beats the standard
+/// library's general small-sort; larger sets go to `sort_unstable_by_key`.
+#[inline]
+fn sort_small_by_key<T: Copy, K: Ord>(v: &mut [T], key: impl Fn(&T) -> K) {
+    if v.len() > 16 {
+        v.sort_unstable_by_key(key);
+        return;
+    }
+    for i in 1..v.len() {
+        let x = v[i];
+        let kx = key(&x);
+        let mut j = i;
+        while j > 0 && key(&v[j - 1]) > kx {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
 }
 
 /// Flow slots a link can hold inline in its [`LinkHot`] row before membership
@@ -177,9 +224,18 @@ impl LinkHot {
         if self.nflows == FLOWS_SPILLED {
             self.flows_spill.insert(pos, slot);
         } else if (self.nflows as usize) < LINK_FLOWS_INLINE {
-            let n = self.nflows as usize;
-            self.flows_inline.copy_within(pos..n, pos + 1);
-            self.flows_inline[pos] = slot;
+            // A fixed-length select over the whole row instead of
+            // `copy_within`: ten lanes of register moves, no `memmove` call.
+            let a = self.flows_inline;
+            for (i, cell) in self.flows_inline.iter_mut().enumerate() {
+                *cell = if i < pos {
+                    a[i]
+                } else if i == pos {
+                    slot
+                } else {
+                    a[i - 1]
+                };
+            }
             self.nflows += 1;
         } else {
             // Crossing into spill: move the whole list to the heap. The
@@ -205,9 +261,17 @@ impl LinkHot {
                 self.flows_spill.clear();
             }
         } else {
-            let n = self.nflows as usize;
-            debug_assert!(pos < n);
-            self.flows_inline.copy_within(pos + 1..n, pos);
+            debug_assert!(pos < self.nflows as usize);
+            // The same fixed-length select as `insert_flow_at`; lanes past
+            // the new `nflows` are don't-care.
+            let a = self.flows_inline;
+            for (i, cell) in self.flows_inline.iter_mut().enumerate() {
+                *cell = if i < pos {
+                    a[i]
+                } else {
+                    a[(i + 1).min(LINK_FLOWS_INLINE - 1)]
+                };
+            }
             self.nflows -= 1;
         }
     }
@@ -242,17 +306,9 @@ pub struct Network {
     rng: SimRng,
     /// Per-host connection accounting (enforces per-host limits).
     hosts: Vec<HostSlot>,
-    /// Dense access-link index per host. The topology's `Host` rows carry
-    /// strings and options; routing every replacement flow through them
-    /// costs scattered cache misses, where this table packs 16 hosts per
-    /// line.
-    host_access: Vec<u32>,
-    /// Dense per-link RTT table (same motivation as `host_access`).
-    link_rtt: Vec<SimDuration>,
-    /// True when the topology has no explicit multi-hop routes, so every
-    /// route is `[src access, dst access]` and `start_flow` can skip the
-    /// route-map lookup entirely.
-    simple_routes: bool,
+    /// Every host pair's route, interned on the pair's first flow: flows
+    /// keep a [`crate::Route`] into it, never a copy of their links.
+    routes: RouteTable,
     /// Opt-in utilization recorders, keyed by watched link.
     timelines: BTreeMap<LinkId, LinkTimeline>,
     /// Scheduled link faults; capacities scale while a window is active.
@@ -268,10 +324,10 @@ pub struct Network {
     // other's churn.
     /// The links with `LinkHot::dirty` set (insertion-ordered, dedup'd).
     dirty_links: Vec<usize>,
-    /// Active flows still in slow-start, id → slot. Their caps rise with
-    /// age, but a recompute is only forced while a flow's cap is actually
-    /// binding (see `recompute_rates` step 2).
-    ramping: BTreeMap<FlowId, u32>,
+    /// Active flows still in slow-start as `(id, slot)`, ascending by id.
+    /// Their caps rise with age, but a recompute is only forced while a
+    /// flow's cap is actually binding (see `recompute_rates` step 2).
+    ramping: Vec<(FlowId, u32)>,
     /// Flows waiting for a connection slot, id → slot (FIFO = id order).
     queued: BTreeMap<FlowId, u32>,
     /// Links with nonzero stored turbulence (membership flag: `LinkHot::
@@ -297,10 +353,6 @@ pub struct Network {
     /// as `seen` bits inside the `LinkHot`/`FlowHot` rows the BFS touches
     /// anyway, cleared via `comp_links`/`comp_flows`.)
     bfs_stack: Vec<usize>,
-    /// Scratch: route buffer reused across `start_flow` calls.
-    route_scratch: Vec<LinkId>,
-    /// Scratch: ramping (id, slot) pairs being examined this recompute.
-    ramp_scratch: Vec<(FlowId, u32)>,
     /// Scratch: raw events drained from the queue in one batched pass per
     /// `advance` segment (same-timestamp coalescing).
     drain_scratch: Vec<(SimTime, NetEvent)>,
@@ -441,13 +493,6 @@ impl Network {
                     .unwrap_or(u32::MAX),
             })
             .collect();
-        let host_access = (0..topology.host_count())
-            .map(|h| topology.host(crate::HostId(h as u32)).access_link.0)
-            .collect();
-        let link_rtt = (0..link_count)
-            .map(|ix| topology.link(LinkId(ix as u32)).rtt)
-            .collect();
-        let simple_routes = topology.route_count() == 0;
         Network {
             topology,
             model,
@@ -461,14 +506,12 @@ impl Network {
             total_flows_completed: 0,
             rng: SimRng::for_component(seed, "network-weights"),
             hosts,
-            host_access,
-            link_rtt,
-            simple_routes,
+            routes: RouteTable::new(),
             timelines: BTreeMap::new(),
             faults: FaultPlan::new(),
             obs: None,
             dirty_links: Vec::new(),
-            ramping: BTreeMap::new(),
+            ramping: Vec::new(),
             queued: BTreeMap::new(),
             turb_links: Vec::new(),
             done_now: Vec::new(),
@@ -478,8 +521,6 @@ impl Network {
             comp_caps: Vec::new(),
             comp_links: Vec::new(),
             bfs_stack: Vec::new(),
-            route_scratch: Vec::new(),
-            ramp_scratch: Vec::new(),
             drain_scratch: Vec::new(),
             connect_scratch: Vec::new(),
             complete_scratch: Vec::new(),
@@ -742,31 +783,21 @@ impl Network {
         self.advance(now);
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        // One reusable route buffer: the cold row stores the route inline,
-        // so steady-state flow turnover allocates nothing. Routes and RTTs
-        // come from the dense tables, not the topology's record rows.
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        if self.simple_routes {
-            route.push(LinkId(self.host_access[spec.src.0 as usize]));
-            if spec.src != spec.dst {
-                route.push(LinkId(self.host_access[spec.dst.0 as usize]));
-            }
-        } else {
-            self.topology.route_into(spec.src, spec.dst, &mut route);
-        }
-        let rtt = route.iter().fold(SimDuration::ZERO, |acc, l| {
-            acc + self.link_rtt[l.0 as usize]
-        });
-        let setup = self.model.setup_time(spec.streams.max(1), rtt);
+        // The pair's interned route: a sorted-row lookup after its first
+        // flow, and the row keeps the range, not the links.
+        let route = self.routes.resolve(&self.topology, spec.src, spec.dst);
+        let setup = self.model.setup_time(spec.streams.max(1), route.rtt);
         let weight_factor = self.rng.jitter(self.model.flow_weight_jitter);
-        let slot = self
-            .flows
-            .insert(id, FlowCold::new(spec, &route, rtt, now, weight_factor));
-        self.route_scratch = route;
+        let cold = FlowCold {
+            spec,
+            route,
+            requested_at: now,
+            weight_factor,
+        };
+        let slot = self.flows.insert(id, cold);
         let h = self
             .sched
-            .schedule_at(now + setup + extra, NetEvent::Connect(slot));
+            .schedule_at(now + setup + extra, NetEvent::connect(slot));
         // The ETA word is unused while connecting; parking the Connect
         // handle there lets a host-crash kill cancel the pending event.
         self.flows.hot[slot as usize].set_eta(Some(h));
@@ -782,7 +813,11 @@ impl Network {
     /// buffer, preserving both sides' capacity — the allocation-free
     /// variant for drivers that drain every step.
     pub fn drain_completed_into(&mut self, out: &mut Vec<TransferRecord>) {
-        out.append(&mut self.completed);
+        // Element moves, not `append`: a step drains one or two records,
+        // and `append` is a `memcpy` call for them.
+        for r in self.completed.drain(..) {
+            out.push(r);
+        }
     }
 
     /// Tear down every live flow with an endpoint at `host` — the network
@@ -835,10 +870,10 @@ impl Network {
                     }
                     self.occupy_slots(src, dst, -1);
                     self.active_count -= 1;
-                    self.ramping.remove(&id);
-                    let nlinks = self.flows.cold[si].link_count();
-                    for k in 0..nlinks {
-                        let ix = self.flows.cold[si].link_at(k);
+                    self.ramp_remove(id);
+                    let route = self.flows.cold[si].route;
+                    for k in 0..route.len() {
+                        let ix = self.routes.link_at(route, k);
                         let lh = &mut self.links[ix];
                         lh.state
                             .membership_change(&self.model, now, -(streams as i64), lh.knee);
@@ -960,17 +995,13 @@ impl Network {
             // its sorted current bucket's tail) before any application.
             self.sched.drain_until(self.now, &mut drained);
             for &(_, ev) in &drained {
-                match ev {
-                    NetEvent::Connect(slot) => {
-                        let row = &mut self.flows.hot[slot as usize];
-                        row.set_eta(None);
-                        connects.push((row.id, slot));
-                    }
-                    NetEvent::Complete(slot) => {
-                        let row = &mut self.flows.hot[slot as usize];
-                        row.set_eta(None);
-                        completes.push((row.id, slot));
-                    }
+                let slot = ev.slot();
+                let row = &mut self.flows.hot[slot as usize];
+                row.set_eta(None);
+                if ev.is_complete() {
+                    completes.push((row.id, slot));
+                } else {
+                    connects.push((row.id, slot));
                 }
             }
             self.drain_scratch = drained;
@@ -1038,7 +1069,7 @@ impl Network {
         if candidates.is_empty() {
             return;
         }
-        candidates.sort_unstable_by_key(|&(id, _)| id);
+        sort_small_by_key(candidates, |&(id, _)| id);
         let mut joins = std::mem::take(&mut self.join_scratch);
         joins.clear();
         for &(id, slot) in candidates.iter() {
@@ -1072,9 +1103,9 @@ impl Network {
         for &(slot, streams) in joins.iter() {
             let si = slot as usize;
             let id = self.flows.hot[si].id;
-            let nlinks = self.flows.cold[si].link_count();
-            for k in 0..nlinks {
-                let ix = self.flows.cold[si].link_at(k);
+            let route = self.flows.cold[si].route;
+            for k in 0..route.len() {
+                let ix = self.routes.link_at(route, k);
                 let lh = &mut self.links[ix];
                 lh.state
                     .membership_change(&self.model, now, streams, lh.knee);
@@ -1092,10 +1123,25 @@ impl Network {
             }
             self.active_count += 1;
             if !self.model.ramp_done(SimDuration::ZERO) {
-                self.ramping.insert(id, slot);
+                // Ids are allocated in increasing order, so this is an
+                // append unless a queued flow activates behind a younger one.
+                match self.ramping.last() {
+                    Some(&(last, _)) if last > id => {
+                        let at = self.ramping.partition_point(|&(r, _)| r < id);
+                        self.ramping.insert(at, (id, slot));
+                    }
+                    _ => self.ramping.push((id, slot)),
+                }
             }
         }
         self.join_scratch = joins;
+    }
+
+    /// Drop `id` from the ramping set if it is there.
+    fn ramp_remove(&mut self, id: FlowId) {
+        if let Ok(at) = self.ramping.binary_search_by_key(&id, |&(r, _)| r) {
+            self.ramping.remove(at);
+        }
     }
 
     /// Record that a link's membership or capacity changed since the last
@@ -1131,7 +1177,7 @@ impl Network {
         if fired.is_empty() {
             return;
         }
-        fired.sort_unstable_by_key(|&(id, _)| id);
+        sort_small_by_key(fired, |&(id, _)| id);
         let now = self.now;
         for &(id, slot) in fired.iter() {
             let si = slot as usize;
@@ -1147,7 +1193,7 @@ impl Network {
                 debug_assert!(rate > 0.0, "early ETA with zero rate");
                 let eta = (now + SimDuration::from_secs_f64(rem / rate))
                     .max(now + SimDuration::from_micros(1));
-                let h = self.sched.schedule_at(eta, NetEvent::Complete(slot));
+                let h = self.sched.schedule_at(eta, NetEvent::complete(slot));
                 self.flows.hot[si].set_eta(Some(h));
                 continue;
             }
@@ -1169,10 +1215,10 @@ impl Network {
             let activated_at = self.flows.hot[si].activated_at;
             self.occupy_slots(src, dst, -1);
             self.active_count -= 1;
-            self.ramping.remove(&id);
-            let nlinks = self.flows.cold[si].link_count();
-            for k in 0..nlinks {
-                let ix = self.flows.cold[si].link_at(k);
+            self.ramp_remove(id);
+            let route = self.flows.cold[si].route;
+            for k in 0..route.len() {
+                let ix = self.routes.link_at(route, k);
                 let lh = &mut self.links[ix];
                 lh.state
                     .membership_change(&self.model, now, -(streams as i64), lh.knee);
@@ -1284,7 +1330,7 @@ impl Network {
                 match row.eta() {
                     Some(h) if self.sched.reschedule(h, eta) => {}
                     _ => {
-                        let h = self.sched.schedule_at(eta, NetEvent::Complete(slot));
+                        let h = self.sched.schedule_at(eta, NetEvent::complete(slot));
                         self.flows.hot[si].set_eta(Some(h));
                     }
                 }
@@ -1357,27 +1403,27 @@ impl Network {
         //    start binding by rising further, so even the ramp-done settle
         //    is skipped for link-limited flows (their last max-min solution
         //    is still exact). Finished ramps just retire from the set.
-        let mut scratch = std::mem::take(&mut self.ramp_scratch);
-        scratch.clear();
-        scratch.extend(self.ramping.iter().map(|(&id, &s)| (id, s)));
-        for &(id, slot) in &scratch {
+        let mut kept = 0;
+        for i in 0..self.ramping.len() {
+            let (id, slot) = self.ramping[i];
             let si = slot as usize;
             debug_assert_eq!(self.flows.hot[si].phase, Phase::Active);
-            if self
+            if !self
                 .model
                 .ramp_done(now.since(self.flows.hot[si].activated_at))
             {
-                self.ramping.remove(&id);
+                self.ramping[kept] = (id, slot);
+                kept += 1;
             }
             if self.flows.hot[si].cap_bound {
-                let nlinks = self.flows.cold[si].link_count();
-                for k in 0..nlinks {
-                    let ix = self.flows.cold[si].link_at(k);
+                let route = self.flows.cold[si].route;
+                for k in 0..route.len() {
+                    let ix = self.routes.link_at(route, k);
                     self.mark_link_dirty(ix);
                 }
             }
         }
-        self.ramp_scratch = scratch;
+        self.ramping.truncate(kept);
 
         // 3. Nothing dirty → the previous allocation still stands.
         if self.dirty_links.is_empty() {
@@ -1405,9 +1451,9 @@ impl Network {
                 if !self.flows.hot[si].seen {
                     self.flows.hot[si].seen = true;
                     self.comp_flows.push(slot);
-                    let nlinks = self.flows.cold[si].link_count();
-                    for k in 0..nlinks {
-                        let other = self.flows.cold[si].link_at(k);
+                    let route = self.flows.cold[si].route;
+                    for k in 0..route.len() {
+                        let other = self.routes.link_at(route, k);
                         if !self.links[other].seen {
                             self.links[other].seen = true;
                             self.bfs_stack.push(other);
@@ -1420,10 +1466,9 @@ impl Network {
         // the order the full pass uses), links ascending by index.
         {
             let hot = &self.flows.hot;
-            self.comp_flows
-                .sort_unstable_by_key(|&s| hot[s as usize].id);
+            sort_small_by_key(&mut self.comp_flows, |&s| hot[s as usize].id);
         }
-        self.comp_links.sort_unstable();
+        sort_small_by_key(&mut self.comp_links, |&ix| ix);
         for i in 0..self.comp_links.len() {
             self.links[self.comp_links[i]].seen = false;
         }
@@ -1447,12 +1492,16 @@ impl Network {
             debug_assert_eq!(self.flows.hot[si].phase, Phase::Active);
             let age = now.since(self.flows.hot[si].activated_at);
             let cold = &self.flows.cold[si];
-            let cap = self.model.flow_cap(cold.streams(), age, cold.route_rtt);
+            let route = cold.route;
+            let cap = self.model.flow_cap(cold.streams(), age, route.rtt);
             let links = &self.links;
             let rate = RateAllocator::single_flow_rate(
                 self.flows.hot[si].weight,
                 cap,
-                cold.links().iter().map(|&l| links[l as usize].capacity),
+                self.routes
+                    .links(route)
+                    .iter()
+                    .map(|&l| links[l as usize].capacity),
             );
             self.apply_rate(slot, now, rate, cap);
             // Same write-back shape as the allocator path: the component
@@ -1462,29 +1511,34 @@ impl Network {
             for i in 0..self.comp_links.len() {
                 self.links[self.comp_links[i]].throughput = 0.0;
             }
-            for k in 0..self.flows.cold[si].link_count() {
-                let ix = self.flows.cold[si].link_at(k);
+            for k in 0..route.len() {
+                let ix = self.routes.link_at(route, k);
                 self.links[ix].throughput += effective;
             }
         } else if !self.comp_flows.is_empty() {
             self.stats.component_runs += 1;
             self.stats.flows_allocated += self.comp_flows.len() as u64;
             self.stats.links_allocated += self.comp_links.len() as u64;
-            let mut alloc = std::mem::take(&mut self.alloc);
-            let mut caps = std::mem::take(&mut self.comp_caps);
-            alloc.begin(self.links.len());
-            caps.clear();
+            // The allocator stays in place (moving its 216 bytes out of
+            // `self` and back was two `memcpy` calls per recompute); its
+            // rates are read back by index below.
+            self.alloc.begin(self.links.len());
+            self.comp_caps.clear();
             for i in 0..self.comp_flows.len() {
                 let si = self.comp_flows[i] as usize;
                 debug_assert_eq!(self.flows.hot[si].phase, Phase::Active);
                 let age = now.since(self.flows.hot[si].activated_at);
                 let cold = &self.flows.cold[si];
-                let cap = self.model.flow_cap(cold.streams(), age, cold.route_rtt);
-                alloc.push_flow(self.flows.hot[si].weight, cap, cold.links());
-                caps.push(cap);
+                let cap = self.model.flow_cap(cold.streams(), age, cold.route.rtt);
+                self.alloc.push_flow(
+                    self.flows.hot[si].weight,
+                    cap,
+                    self.routes.links(cold.route),
+                );
+                self.comp_caps.push(cap);
             }
             let links = &self.links;
-            let rates = alloc.allocate(|l| links[l].capacity);
+            self.alloc.allocate(|l| links[l].capacity);
 
             // 6. Write rates back and rebuild the component's running
             //    throughput totals (links outside the component are exact
@@ -1494,17 +1548,15 @@ impl Network {
             }
             for i in 0..self.comp_flows.len() {
                 let slot = self.comp_flows[i];
-                self.apply_rate(slot, now, rates[i], caps[i]);
+                self.apply_rate(slot, now, self.alloc.rates()[i], self.comp_caps[i]);
                 let si = slot as usize;
                 let effective = self.flows.hot[si].rate;
-                let nlinks = self.flows.cold[si].link_count();
-                for k in 0..nlinks {
-                    let ix = self.flows.cold[si].link_at(k);
+                let route = self.flows.cold[si].route;
+                for k in 0..route.len() {
+                    let ix = self.routes.link_at(route, k);
                     self.links[ix].throughput += effective;
                 }
             }
-            self.comp_caps = caps;
-            self.alloc = alloc;
         } else {
             // Dirty links with no remaining flows (e.g. the last flow on a
             // cluster finished): their allocation drops to zero.
@@ -1570,7 +1622,7 @@ impl Network {
                 match row.eta() {
                     Some(h) if self.sched.reschedule(h, eta) => {}
                     _ => {
-                        let h = self.sched.schedule_at(eta, NetEvent::Complete(slot));
+                        let h = self.sched.schedule_at(eta, NetEvent::complete(slot));
                         self.flows.hot[si].set_eta(Some(h));
                     }
                 }
@@ -1611,18 +1663,9 @@ impl Network {
 
         // Retire finished ramps so `next_wakeup`'s refresh signal converges
         // in full mode too.
-        let mut scratch = std::mem::take(&mut self.ramp_scratch);
-        scratch.clear();
-        scratch.extend(self.ramping.iter().map(|(&id, &s)| (id, s)));
-        for &(id, slot) in &scratch {
-            if self
-                .model
-                .ramp_done(now.since(self.flows.hot[slot as usize].activated_at))
-            {
-                self.ramping.remove(&id);
-            }
-        }
-        self.ramp_scratch = scratch;
+        let (model, hot) = (&self.model, &self.flows.hot);
+        self.ramping
+            .retain(|&(_, slot)| !model.ramp_done(now.since(hot[slot as usize].activated_at)));
 
         let mut slots: Vec<u32> = Vec::new();
         let mut demands = Vec::new();
@@ -1636,7 +1679,12 @@ impl Network {
                 demands.push(FlowDemand {
                     weight: self.flows.hot[si].weight,
                     cap: self.model.flow_cap(cold.streams(), age, rtt),
-                    links: cold.links().iter().map(|&l| l as usize).collect(),
+                    links: self
+                        .routes
+                        .links(cold.route)
+                        .iter()
+                        .map(|&l| l as usize)
+                        .collect(),
                 });
             }
         }

@@ -231,24 +231,18 @@ impl RateAllocator {
         self.spans.push((start, self.links_flat.len() as u32));
         self.weights.push(weight);
         self.caps.push(cap);
+        self.rates.push(0.0);
+        self.fixed.push(false);
     }
 
     /// Run progressive filling over the pushed flows and return one rate
     /// per flow, in push order. `capacity_of(l)` yields the effective
     /// capacity of link `l` — an accessor rather than a slice so callers
     /// can keep capacities packed inside their own per-link rows (it is
-    /// called once per touched link, when seeding residuals). The returned
-    /// slice is valid until the next `begin`.
+    /// called once per touched link, when seeding residuals). Call it once
+    /// per `begin`; the returned slice is valid until the next `begin`.
     pub fn allocate(&mut self, capacity_of: impl Fn(usize) -> f64) -> &[f64] {
         let n = self.weights.len();
-        self.rates.resize(n, 0.0);
-        self.fixed.resize(n, false);
-        for r in self.rates.iter_mut() {
-            *r = 0.0;
-        }
-        for f in self.fixed.iter_mut() {
-            *f = false;
-        }
         for &l in &self.touched {
             self.scratch[l].residual = capacity_of(l);
             self.scratch[l].weight = 0.0;
@@ -332,23 +326,28 @@ impl RateAllocator {
                 }
             }
             // Drop frozen flows from the scan set, returning their weight.
-            let fixed = &self.fixed;
-            let weights = &self.weights;
-            let spans = &self.spans;
-            let links_flat = &self.links_flat;
-            let scratch = &mut self.scratch;
-            self.active.retain(|&i| {
-                if fixed[i] {
-                    let (s, e) = spans[i];
-                    for &l in &links_flat[s as usize..e as usize] {
-                        scratch[l as usize].weight -= weights[i];
+            // An in-place compaction rather than `retain`, whose tail
+            // fix-up is a `memmove` call even when nothing is left to move.
+            let mut kept = 0;
+            for k in 0..self.active.len() {
+                let i = self.active[k];
+                if self.fixed[i] {
+                    let (s, e) = self.spans[i];
+                    for &l in &self.links_flat[s as usize..e as usize] {
+                        self.scratch[l as usize].weight -= self.weights[i];
                     }
-                    false
                 } else {
-                    true
+                    self.active[kept] = i;
+                    kept += 1;
                 }
-            });
+            }
+            self.active.truncate(kept);
         }
+        &self.rates
+    }
+
+    /// The rates of the last [`RateAllocator::allocate`], in push order.
+    pub fn rates(&self) -> &[f64] {
         &self.rates
     }
 

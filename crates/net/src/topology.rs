@@ -140,25 +140,15 @@ impl Topology {
     /// Transfers between a host and itself use only that host's access link
     /// (a local copy still consumes NIC/NFS bandwidth).
     pub fn route(&self, src: HostId, dst: HostId) -> Vec<LinkId> {
-        let mut path = Vec::new();
-        self.route_into(src, dst, &mut path);
-        path
-    }
-
-    /// [`Self::route`] into a caller-owned buffer (cleared first), so hot
-    /// paths can recycle capacity instead of allocating per flow.
-    pub fn route_into(&self, src: HostId, dst: HostId, out: &mut Vec<LinkId>) {
-        out.clear();
-        let src_access = self.hosts[src.0 as usize].access_link;
-        let dst_access = self.hosts[dst.0 as usize].access_link;
-        out.push(src_access);
+        let mut path = vec![self.hosts[src.0 as usize].access_link];
         if src == dst {
-            return;
+            return path;
         }
         if let Some(middle) = self.routes.get(&(src, dst)) {
-            out.extend_from_slice(middle);
+            path.extend_from_slice(middle);
         }
-        out.push(dst_access);
+        path.push(self.hosts[dst.0 as usize].access_link);
+        path
     }
 
     /// Sum of RTTs along an already-computed route.
@@ -186,14 +176,6 @@ impl Topology {
     /// Find a host by name.
     pub fn host_by_name(&self, name: &str) -> Option<HostId> {
         self.host_by_name.get(name).copied()
-    }
-
-    /// Number of explicit (multi-hop) routes installed. Zero means every
-    /// route is the trivial `[src access, dst access]` chain — engines can
-    /// build routes from dense access-link tables without consulting the
-    /// route map.
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
     }
 
     /// Number of links (access + transit).

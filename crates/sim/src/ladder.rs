@@ -395,19 +395,23 @@ impl<E> LadderQueue<E> {
                 || self.cur_hi.saturating_sub(self.now.as_micros()) <= 1
             {
                 // Fast path: into the sorted (descending) current bucket.
+                // The entry sinks from the back by swaps, each fixing the
+                // position of the entry it passes: one loop, and no
+                // `memmove` call for `Vec::insert`'s shift.
                 let key = (entry.at, entry.seq);
                 let ix = self.cur.partition_point(|e| (e.at, e.seq) > key);
                 let slot = entry.slot as usize;
-                self.cur.insert(ix, entry);
+                self.cur.push(entry);
+                for i in (ix + 1..self.cur.len()).rev() {
+                    self.cur.swap(i, i - 1);
+                    self.slots[self.cur[i].slot as usize].loc.pos = i as u32;
+                }
                 self.slots[slot].loc = Loc {
                     area: Area::Cur,
                     rung: 0,
                     bucket: 0,
                     pos: ix as u32,
                 };
-                for i in ix + 1..self.cur.len() {
-                    self.slots[self.cur[i].slot as usize].loc.pos = i as u32;
-                }
                 return;
             }
             // The current bucket has bloated past CUR_SPLIT: demote it
@@ -452,12 +456,13 @@ impl<E> LadderQueue<E> {
     fn remove_at(&mut self, loc: Loc) -> Entry<E> {
         match loc.area {
             Area::Cur => {
+                // The entry rises to the back by swaps, as in `place`.
                 let p = loc.pos as usize;
-                let entry = self.cur.remove(p);
-                for i in p..self.cur.len() {
+                for i in p..self.cur.len() - 1 {
+                    self.cur.swap(i, i + 1);
                     self.slots[self.cur[i].slot as usize].loc.pos = i as u32;
                 }
-                entry
+                self.cur.pop().expect("a current entry was located")
             }
             Area::Rung => {
                 let r = &mut self.rungs[loc.rung as usize];

@@ -125,6 +125,11 @@ impl SimDuration {
     }
 }
 
+/// Fractional seconds to whole microseconds, rounding half away from zero
+/// (what `f64::round` does) without the libm call. Exact: below 2^53
+/// `us - t` is computed without error, so the comparison with 0.5 is the
+/// true fractional part's; from 2^53 up every `f64` is an integer and the
+/// fraction is zero.
 fn secs_to_micros(s: f64) -> u64 {
     if s <= 0.0 {
         0
@@ -133,7 +138,12 @@ fn secs_to_micros(s: f64) -> u64 {
         if us >= u64::MAX as f64 {
             u64::MAX
         } else {
-            us.round() as u64
+            let t = us as u64;
+            if us - t as f64 >= 0.5 {
+                t + 1
+            } else {
+                t
+            }
         }
     }
 }
@@ -278,6 +288,80 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn mul_f64_rejects_negative() {
         let _ = SimDuration::from_secs(1).mul_f64(-1.0);
+    }
+
+    /// The reference: what `secs_to_micros` computed with libm's `round`.
+    fn micros_via_round(s: f64) -> u64 {
+        if s <= 0.0 {
+            0
+        } else {
+            let us = s * 1e6;
+            if us >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                us.round() as u64
+            }
+        }
+    }
+
+    #[test]
+    fn secs_to_micros_rounds_exactly_like_f64_round() {
+        let two52 = 2f64.powi(52);
+        let two53 = 2f64.powi(53);
+        let us = |x: f64| x / 1e6;
+        let mut inputs = vec![
+            // Ties round away from zero, including the even ones.
+            us(0.5),
+            us(1.5),
+            us(2.5),
+            // The largest double below one half must round down.
+            us(0.499_999_999_999_999_94),
+            0.5e-6,
+            1.5e-6,
+            2.5e-6,
+            0.499_999_999_999_999_94,
+            // Around the end of the exactly-fractional range.
+            us(two52 - 0.5),
+            us(two52 + 0.5),
+            us(two53),
+            us(two53 + 2.0),
+            // Near the saturation edge.
+            us(u64::MAX as f64),
+            us(u64::MAX as f64) * (1.0 - f64::EPSILON),
+            us(u64::MAX as f64) * (1.0 + f64::EPSILON),
+            us(2f64.powi(63)),
+            // Subnormals, zeros and the infinities.
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.5e-6,
+        ];
+        // The two ULP neighbours of every hand-picked value too.
+        for x in inputs.clone() {
+            if x.is_finite() && x > 0.0 {
+                inputs.push(f64::from_bits(x.to_bits() - 1));
+                inputs.push(f64::from_bits(x.to_bits() + 1));
+            }
+        }
+        for &x in &inputs {
+            assert_eq!(secs_to_micros(x), micros_via_round(x), "s = {x:e}");
+        }
+        // A seeded sweep: uniform bit patterns (every exponent), halves
+        // near small integers, and values on the microsecond grid.
+        let mut rng = crate::SimRng::seed_from_u64(0x5eed_0001);
+        let mut bits = || rng.uniform_u64(0, u64::MAX);
+        for i in 0..1_200_000u64 {
+            let x = match i % 3 {
+                0 => f64::from_bits(bits() >> 1),
+                1 => us((bits() % 1_000_000) as f64 + 0.5),
+                _ => bits() as f64 / 2f64.powi(40),
+            };
+            assert_eq!(secs_to_micros(x), micros_via_round(x), "s = {x:e}");
+        }
     }
 
     #[test]

@@ -272,6 +272,75 @@ proptest! {
     }
 }
 
+/// Promotion under heavy ties: buckets holding far more than the ladder's
+/// spawn threshold (48) of entries that share one `at`. Refinement cannot
+/// split a single instant, so each such bucket is refined down to 1 µs
+/// rungs and then promoted whole, and the current bucket's sorted order is
+/// all the `(at, seq)` tie order there is. Pops, cancels and reschedules
+/// back into the same instant (re-joining the tie group's tail, which
+/// walks the sorted current bucket) run in lockstep with the reference.
+#[test]
+fn oversized_same_instant_buckets_pop_in_seq_order() {
+    let mut l: LadderQueue<u32> = LadderQueue::new();
+    let mut r = RefQueue::new();
+    let mut lh = Vec::new();
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    // Three instants far enough apart to share no bucket of the base rung's
+    // refinements, each holding 150-250 entries, scheduled interleaved so
+    // every group's seqs are non-contiguous.
+    let instants = [1_000u64, 5_000_000, 5_000_001];
+    for _ in 0..600 {
+        let at = SimTime::from_micros(instants[next(3) as usize]);
+        let key = lh.len() as u32;
+        lh.push(l.schedule_at(at, key));
+        r.schedule_at(at, key);
+    }
+    l.check_invariants();
+    let mut popped = 0;
+    while r.len() > 0 {
+        match next(8) {
+            // Cancel a random issued handle (often one sitting in the
+            // current bucket).
+            0 => {
+                let k = next(lh.len() as u64) as usize;
+                assert_eq!(l.cancel(lh[k]), r.cancel(k as u32));
+            }
+            // Reschedule to the current instant: the entry moves to the
+            // back of the tie group in progress.
+            1 => {
+                let k = next(lh.len() as u64) as usize;
+                let at = r.now.max(SimTime::from_micros(instants[0]));
+                assert_eq!(l.reschedule(lh[k], at), r.reschedule(k as u32, at));
+            }
+            // A fresh event at an instant still ahead of (or at) the clock.
+            2 => {
+                let at = SimTime::from_micros(instants[next(3) as usize]).max(r.now);
+                let key = lh.len() as u32;
+                lh.push(l.schedule_at(at, key));
+                r.schedule_at(at, key);
+            }
+            _ => {
+                assert_eq!(l.pop(), r.pop(), "diverged after {popped} pops");
+                popped += 1;
+            }
+        }
+        assert_eq!(l.len(), r.len());
+        assert_eq!(l.peek_time(), r.peek_time());
+        if popped % 32 == 0 {
+            l.check_invariants();
+        }
+    }
+    assert_eq!(l.pop(), None);
+    l.check_invariants();
+    assert!(popped > 500, "the tie groups were drained by pops");
+}
+
 /// Cancel/reschedule storm: 60k events across dense same-timestamp clusters
 /// plus far-future outliers, then a storm that cancels a third, reschedules
 /// a third (some into the far future, some back near `now`, landing across

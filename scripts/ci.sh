@@ -89,11 +89,14 @@ bench_floor() {
 
 # Simulator floor: 5000 flows in 2500 pair clusters under the clean stream
 # model, every completion replaced (`netsim_churn`), must advance at least
-# 1 000 000 events/s; the last three trajectories measured ~2.2-2.3 M.
+# 1 000 000 events/s; the last three trajectories measured ~2.2-2.3 M,
+# ~2.8-2.9 M once routes were interned per host pair (2 vCPUs, shared).
 # Losing the O(1) ladder queue or the one-line flow rows costs integer
 # factors, and the incremental engine silently falling back to full
 # recomputes costs orders of magnitude (a 1k-flow churn ran at ~400
-# events/s that way).
+# events/s that way). Looking each new flow's route up in the topology's
+# hash map again (and copying its links out) takes ~2.8 M back to ~2.4 M;
+# the libc-free shifts are worth under 1 % on this workload.
 bench_floor netsim_churn 1000000 events/s
 
 # Advice floor: the Policy Service front end with 10k files resident on 4
@@ -209,12 +212,17 @@ fi
 # HTTP head scanner is held to the `str`-splitting parser it replaced, kept
 # as the oracle in crates/rest/tests/http_differential.rs: same message, same
 # "incomplete", same error on every head except those it refuses on purpose.
+# The simulator's interned routes are held to `Topology::route`/`route_rtt`
+# over random topologies (crates/net/tests/interned_routes.rs, 128 cases by
+# default), beside the queue suite.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
 cargo test -q --release --offline -p pwm-rules --lib
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
+PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
+  -p pwm-net --test interned_routes
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
 
