@@ -178,7 +178,8 @@ impl StreamModel {
     }
 }
 
-/// Per-link dynamic state: stream occupancy and turbulence.
+/// Per-link dynamic state: stream occupancy and turbulence. 24 bytes, the
+/// first part of the engine's one-line link row.
 #[derive(Debug, Clone)]
 pub struct LinkState {
     /// Total streams of flows currently active on this link.
@@ -230,8 +231,13 @@ impl LinkState {
         let new = (self.streams as i64 + delta).max(0) as u32;
         self.streams = new;
         self.peak_streams = self.peak_streams.max(new);
-        let load = (self.streams as f64 / knee.max(1.0)).min(3.0);
-        self.turbulence = (self.turbulence + model.turbulence_per_event * load).min(1.5);
+        // A model without turbulence skips the injection: `load` is finite
+        // and in [0, 3], so it would add +0.0 to a level that never exceeds
+        // the 1.5 clip, which changes no bit.
+        if model.turbulence_per_event != 0.0 {
+            let load = (self.streams as f64 / knee.max(1.0)).min(3.0);
+            self.turbulence = (self.turbulence + model.turbulence_per_event * load).min(1.5);
+        }
     }
 }
 

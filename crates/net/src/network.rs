@@ -117,27 +117,24 @@ fn sort_small_by_key<T: Copy, K: Ord>(v: &mut [T], key: impl Fn(&T) -> K) {
     }
 }
 
-/// Flow slots a link can hold inline in its [`LinkHot`] row before membership
-/// spills to the heap. Sized so the whole row is exactly two cache lines.
-const LINK_FLOWS_INLINE: usize = 10;
+/// Flow slots a link holds inline in its [`LinkHot`] row before membership
+/// spills to the network's per-link side table. Sized so the whole row is
+/// exactly one cache line; `netsim_churn`'s links hold at most two flows.
+const LINK_FLOWS_INLINE: usize = 3;
 
 /// Per-link hot state: everything the engine touches when a flow joins or
 /// leaves a link or its effective capacity refreshes, packed into one
-/// 128-byte (two cache line) row. These fields used to live in five parallel
-/// arrays plus the topology's link table *plus* a `Vec<Vec<u32>>` membership
-/// index; at 100k-flow scale every membership event then paid ~5 scattered
-/// cache misses per link touched — two of them just to reach the membership
-/// list (spine entry, then heap data) — which dominated the event loop.
+/// 64-byte line: the capacity math, the flags, and up to
+/// [`LINK_FLOWS_INLINE`] member slots.
 ///
-/// The first 64 bytes hold the capacity math; the second 64 hold the active
-/// flow membership inline (up to [`LINK_FLOWS_INLINE`] slots, covering the
-/// access links that dominate event traffic), adjacent to the line the
-/// engine just touched so the hardware prefetcher gets it nearly free.
-/// Fan-in links (a shared backbone with hundreds of flows) spill to a
-/// per-link heap `Vec` and behave like the old layout.
+/// What a link touch does not need lives beside the rows: the running
+/// throughput (`Network::link_throughput`, written only by a component's
+/// write-back) and the spilled membership (`Network::link_spill`). The side
+/// table is reached only through the `nflows == FLOWS_SPILLED` branch
+/// (`Network::member_at` and friends), never handed out as a slice, so a
+/// touch of an inline link reads its row and nothing else.
 #[repr(C, align(64))]
 struct LinkHot {
-    // --- line 1: capacity math -------------------------------------------
     /// Occupancy and turbulence (streams, peak, turbulence, updated_at).
     state: LinkState,
     /// Congestion knee with any per-link override resolved at build time
@@ -152,9 +149,6 @@ struct LinkHot {
     /// so the capacity refresh and the allocator's residual seeding read
     /// the same cache line they already touched for `state`.
     capacity: f64,
-    /// Running allocated throughput, rebuilt at each component
-    /// reallocation.
-    throughput: f64,
     /// Membership or effective capacity changed since the last recompute
     /// (membership flag for `Network::dirty_links`).
     dirty: bool,
@@ -164,118 +158,30 @@ struct LinkHot {
     /// BFS phase.
     seen: bool,
     /// Flows in `flows_inline`, or [`FLOWS_SPILLED`] when membership lives
-    /// in `flows_spill`.
+    /// in the link's `Network::link_spill` list.
     nflows: u8,
-    /// Explicit padding so the membership half starts on the second line.
-    _pad: [u8; 4],
-    // --- line 2: active-flow membership ----------------------------------
     /// Inline membership: active flow slots on this link, sorted by the
     /// owning `FlowId`. Valid up to `nflows`.
     flows_inline: [u32; LINK_FLOWS_INLINE],
-    /// Heap overflow once membership exceeds [`LINK_FLOWS_INLINE`]; holds
-    /// the *entire* sorted list while active.
-    flows_spill: Vec<u32>,
 }
 
-/// `LinkHot::nflows` marker: membership has spilled to `flows_spill`.
+/// `LinkHot::nflows` marker: membership has spilled to the side table.
 const FLOWS_SPILLED: u8 = u8::MAX;
 
+// Row layouts the per-event path is costed in: a field added later must not
+// quietly push a row onto a second line.
 const _: () = assert!(
-    std::mem::size_of::<LinkHot>() == 128,
-    "LinkHot must stay exactly two cache lines"
+    std::mem::size_of::<LinkHot>() == 64,
+    "LinkHot must stay exactly one cache line"
 );
-
-impl LinkHot {
-    /// Active flow slots on this link, sorted by owning `FlowId`.
-    #[inline]
-    fn flows(&self) -> &[u32] {
-        if self.nflows == FLOWS_SPILLED {
-            &self.flows_spill
-        } else {
-            &self.flows_inline[..self.nflows as usize]
-        }
-    }
-
-    /// Flows currently on the link.
-    #[inline]
-    fn flow_count(&self) -> usize {
-        if self.nflows == FLOWS_SPILLED {
-            self.flows_spill.len()
-        } else {
-            self.nflows as usize
-        }
-    }
-
-    /// The `m`-th member slot. Indexed access (rather than holding
-    /// [`LinkHot::flows`]) lets the BFS mutate other links between reads.
-    #[inline]
-    fn flow_at(&self, m: usize) -> u32 {
-        if self.nflows == FLOWS_SPILLED {
-            self.flows_spill[m]
-        } else {
-            debug_assert!(m < self.nflows as usize);
-            self.flows_inline[m]
-        }
-    }
-
-    /// Insert `slot` at `pos` (from a binary search over `flows()`),
-    /// spilling to the heap when the inline array is full.
-    fn insert_flow_at(&mut self, pos: usize, slot: u32) {
-        if self.nflows == FLOWS_SPILLED {
-            self.flows_spill.insert(pos, slot);
-        } else if (self.nflows as usize) < LINK_FLOWS_INLINE {
-            // A fixed-length select over the whole row instead of
-            // `copy_within`: ten lanes of register moves, no `memmove` call.
-            let a = self.flows_inline;
-            for (i, cell) in self.flows_inline.iter_mut().enumerate() {
-                *cell = if i < pos {
-                    a[i]
-                } else if i == pos {
-                    slot
-                } else {
-                    a[i - 1]
-                };
-            }
-            self.nflows += 1;
-        } else {
-            // Crossing into spill: move the whole list to the heap. The
-            // spill Vec keeps its capacity across episodes, so links that
-            // oscillate around the boundary only pay a small memcpy.
-            self.flows_spill.clear();
-            self.flows_spill.extend_from_slice(&self.flows_inline);
-            self.flows_spill.insert(pos, slot);
-            self.nflows = FLOWS_SPILLED;
-        }
-    }
-
-    /// Remove the member at `pos` (from a binary search over `flows()`),
-    /// un-spilling once a drained list fits inline again with hysteresis.
-    fn remove_flow_at(&mut self, pos: usize) {
-        if self.nflows == FLOWS_SPILLED {
-            self.flows_spill.remove(pos);
-            if self.flows_spill.len() <= LINK_FLOWS_INLINE / 2 {
-                self.nflows = self.flows_spill.len() as u8;
-                for (cell, &s) in self.flows_inline.iter_mut().zip(&self.flows_spill) {
-                    *cell = s;
-                }
-                self.flows_spill.clear();
-            }
-        } else {
-            debug_assert!(pos < self.nflows as usize);
-            // The same fixed-length select as `insert_flow_at`; lanes past
-            // the new `nflows` are don't-care.
-            let a = self.flows_inline;
-            for (i, cell) in self.flows_inline.iter_mut().enumerate() {
-                *cell = if i < pos {
-                    a[i]
-                } else {
-                    a[(i + 1).min(LINK_FLOWS_INLINE - 1)]
-                };
-            }
-            self.nflows -= 1;
-        }
-    }
-}
+const _: () = assert!(
+    std::mem::size_of::<LinkState>() == 24,
+    "LinkState must stay 24 bytes: it opens the one-line LinkHot row"
+);
+const _: () = assert!(
+    std::mem::size_of::<crate::Route>() == 16,
+    "Route must stay 16 bytes: FlowCold and RouteTable rows hold it"
+);
 
 /// Per-host connection accounting, packed so the activation path's
 /// slot-availability check and occupancy bump touch one small row instead of
@@ -298,6 +204,13 @@ pub struct Network {
     sched: LadderQueue<NetEvent>,
     /// Per-link hot state, one row per link (see [`LinkHot`]).
     links: Vec<LinkHot>,
+    /// Per-link allocated throughput as of the last recompute that reached
+    /// the link.
+    link_throughput: Vec<f64>,
+    /// Per-link membership past [`LINK_FLOWS_INLINE`]: the *entire* sorted
+    /// list while the row says `FLOWS_SPILLED`, empty otherwise. A list
+    /// keeps its capacity across spill episodes.
+    link_spill: Vec<Vec<u32>>,
     next_flow_id: u64,
     now: SimTime,
     completed: Vec<TransferRecord>,
@@ -360,8 +273,8 @@ pub struct Network {
     connect_scratch: Vec<(FlowId, u32)>,
     /// Scratch: Complete events drained in the current `advance` segment.
     complete_scratch: Vec<(FlowId, u32)>,
-    /// Scratch: (slot, stream-delta) pairs joining links in `activate_due`.
-    join_scratch: Vec<(u32, i64)>,
+    /// Scratch: slots joining their links in `activate_due`.
+    join_scratch: Vec<u32>,
     /// Allocation-work counters (see [`AllocStats`]).
     stats: AllocStats,
     /// Benchmark/testing escape hatch: when true, every recompute takes the
@@ -470,14 +383,11 @@ impl Network {
                     knee: l.knee_override.unwrap_or(model.knee_streams),
                     base_capacity: l.capacity,
                     capacity: 0.0,
-                    throughput: 0.0,
                     dirty: false,
                     turb: false,
                     seen: false,
                     nflows: 0,
-                    _pad: [0; 4],
                     flows_inline: [0; LINK_FLOWS_INLINE],
-                    flows_spill: Vec::new(),
                 }
             })
             .collect();
@@ -499,6 +409,8 @@ impl Network {
             flows: FlowTable::new(),
             sched: LadderQueue::new(),
             links,
+            link_throughput: vec![0.0; link_count],
+            link_spill: vec![Vec::new(); link_count],
             next_flow_id: 0,
             now: SimTime::ZERO,
             completed: Vec::new(),
@@ -738,10 +650,39 @@ impl Network {
             .collect()
     }
 
+    /// The active flows on `link` in the engine's membership order, which is
+    /// ascending id (for the membership tests).
+    pub fn link_flows(&self, link: LinkId) -> Vec<FlowId> {
+        let ix = link.0 as usize;
+        (0..self.member_count(ix))
+            .map(|m| self.flows.hot[self.member_at(ix, m) as usize].id)
+            .collect()
+    }
+
+    /// The connected component of the flow↔link index around `link`, as a
+    /// recompute's BFS collects it: flows ascending by id, links ascending
+    /// (for the membership tests). Uses the recompute's scratch and changes
+    /// no simulated state.
+    pub fn link_component(&mut self, link: LinkId) -> (Vec<FlowId>, Vec<LinkId>) {
+        let ix = link.0 as usize;
+        self.bfs_stack.clear();
+        self.links[ix].seen = true;
+        self.bfs_stack.push(ix);
+        self.collect_component();
+        let hot = &self.flows.hot;
+        (
+            self.comp_flows
+                .iter()
+                .map(|&s| hot[s as usize].id)
+                .collect(),
+            self.comp_links.iter().map(|&l| LinkId(l as u32)).collect(),
+        )
+    }
+
     /// Every link's allocated throughput as of the last recompute, by
     /// `LinkId` (same use as [`Self::flow_rates`]).
     pub fn link_throughputs(&self) -> Vec<f64> {
-        self.links.iter().map(|l| l.throughput).collect()
+        self.link_throughput.clone()
     }
 
     /// Total bytes delivered by completed flows.
@@ -841,15 +782,9 @@ impl Network {
         let mut killed = Vec::with_capacity(victims.len());
         for (id, slot) in victims {
             let si = slot as usize;
-            let (src, dst, bytes, streams, tag) = {
+            let (src, dst, bytes, tag) = {
                 let cold = &self.flows.cold[si];
-                (
-                    cold.spec.src,
-                    cold.spec.dst,
-                    cold.spec.bytes,
-                    cold.streams(),
-                    cold.spec.tag,
-                )
+                (cold.spec.src, cold.spec.dst, cold.spec.bytes, cold.spec.tag)
             };
             let bytes_remaining = match self.flows.hot[si].phase {
                 Phase::Connecting => {
@@ -871,24 +806,7 @@ impl Network {
                     self.occupy_slots(src, dst, -1);
                     self.active_count -= 1;
                     self.ramp_remove(id);
-                    let route = self.flows.cold[si].route;
-                    for k in 0..route.len() {
-                        let ix = self.routes.link_at(route, k);
-                        let lh = &mut self.links[ix];
-                        lh.state
-                            .membership_change(&self.model, now, -(streams as i64), lh.knee);
-                        self.note_turbulence(ix);
-                        let pos = {
-                            let hot = &self.flows.hot;
-                            self.links[ix]
-                                .flows()
-                                .binary_search_by_key(&id, |&s| hot[s as usize].id)
-                        };
-                        if let Ok(p) = pos {
-                            self.links[ix].remove_flow_at(p);
-                        }
-                        self.mark_link_dirty(ix);
-                    }
+                    self.route_membership(slot, false);
                     rem
                 }
                 Phase::Vacant => continue,
@@ -1065,7 +983,9 @@ impl Network {
     /// flows whose Connect event fired this step.
     fn activate_due(&mut self, candidates: &mut Vec<(FlowId, u32)>) {
         let now = self.now;
-        candidates.extend(self.queued.iter().map(|(&id, &s)| (id, s)));
+        if !self.queued.is_empty() {
+            candidates.extend(self.queued.iter().map(|(&id, &s)| (id, s)));
+        }
         if candidates.is_empty() {
             return;
         }
@@ -1094,33 +1014,15 @@ impl Network {
                     // waiting for a rate or an ETA event.
                     self.done_now.push(slot);
                 }
-                joins.push((slot, self.flows.cold[si].streams() as i64));
+                joins.push(slot);
             } else {
                 self.flows.hot[si].phase = Phase::Queued;
                 self.queued.insert(id, slot);
             }
         }
-        for &(slot, streams) in joins.iter() {
-            let si = slot as usize;
-            let id = self.flows.hot[si].id;
-            let route = self.flows.cold[si].route;
-            for k in 0..route.len() {
-                let ix = self.routes.link_at(route, k);
-                let lh = &mut self.links[ix];
-                lh.state
-                    .membership_change(&self.model, now, streams, lh.knee);
-                self.note_turbulence(ix);
-                let pos = {
-                    let hot = &self.flows.hot;
-                    self.links[ix]
-                        .flows()
-                        .binary_search_by_key(&id, |&s| hot[s as usize].id)
-                };
-                if let Err(p) = pos {
-                    self.links[ix].insert_flow_at(p, slot);
-                }
-                self.mark_link_dirty(ix);
-            }
+        for &slot in joins.iter() {
+            let id = self.flows.hot[slot as usize].id;
+            self.route_membership(slot, true);
             self.active_count += 1;
             if !self.model.ramp_done(SimDuration::ZERO) {
                 // Ids are allocated in increasing order, so this is an
@@ -1135,6 +1037,131 @@ impl Network {
             }
         }
         self.join_scratch = joins;
+    }
+
+    /// Put the flow in `slot` on (`join`) or take it off every link of its
+    /// route at `now`: occupancy and turbulence, membership, dirt.
+    fn route_membership(&mut self, slot: u32, join: bool) {
+        let si = slot as usize;
+        let id = self.flows.hot[si].id;
+        let cold = &self.flows.cold[si];
+        let (route, streams) = (cold.route, cold.streams() as i64);
+        let delta = if join { streams } else { -streams };
+        for k in 0..route.len() {
+            let ix = self.routes.link_at(route, k);
+            let lh = &mut self.links[ix];
+            lh.state
+                .membership_change(&self.model, self.now, delta, lh.knee);
+            self.note_turbulence(ix);
+            if join {
+                self.insert_member(ix, slot, id);
+            } else {
+                self.remove_member(ix, slot);
+            }
+            self.mark_link_dirty(ix);
+        }
+    }
+
+    /// Flows on link `ix`.
+    #[inline]
+    fn member_count(&self, ix: usize) -> usize {
+        let lh = &self.links[ix];
+        if lh.nflows == FLOWS_SPILLED {
+            self.link_spill[ix].len()
+        } else {
+            lh.nflows as usize
+        }
+    }
+
+    /// The `m`-th flow slot on link `ix`, in owning-`FlowId` order.
+    #[inline]
+    fn member_at(&self, ix: usize, m: usize) -> u32 {
+        let lh = &self.links[ix];
+        if lh.nflows == FLOWS_SPILLED {
+            self.link_spill[ix][m]
+        } else {
+            debug_assert!(m < lh.nflows as usize);
+            lh.flows_inline[m]
+        }
+    }
+
+    /// Add flow `id` (in `slot`) to link `ix`'s id-sorted membership,
+    /// spilling the whole list to the side table when the row is full. A
+    /// no-op when it is already there (a route that repeats a link).
+    fn insert_member(&mut self, ix: usize, slot: u32, id: FlowId) {
+        let hot = &self.flows.hot;
+        let by_id = |&s: &u32| hot[s as usize].id;
+        let lh = &mut self.links[ix];
+        if lh.nflows == FLOWS_SPILLED {
+            let list = &mut self.link_spill[ix];
+            if let Err(pos) = list.binary_search_by_key(&id, by_id) {
+                list.insert(pos, slot);
+            }
+            return;
+        }
+        let n = lh.nflows as usize;
+        let Err(pos) = lh.flows_inline[..n].binary_search_by_key(&id, by_id) else {
+            return;
+        };
+        if n < LINK_FLOWS_INLINE {
+            // A fixed-length select over the row's slots instead of
+            // `copy_within`: register moves, no `memmove` call.
+            let a = lh.flows_inline;
+            for (i, cell) in lh.flows_inline.iter_mut().enumerate() {
+                *cell = if i < pos {
+                    a[i]
+                } else if i == pos {
+                    slot
+                } else {
+                    a[i - 1]
+                };
+            }
+            lh.nflows += 1;
+        } else {
+            let list = &mut self.link_spill[ix];
+            list.clear();
+            list.extend_from_slice(&lh.flows_inline);
+            list.insert(pos, slot);
+            lh.nflows = FLOWS_SPILLED;
+        }
+    }
+
+    /// Take the flow in `slot` off link `ix`'s membership, back into the
+    /// row once a spilled list drains to half the inline slots (hysteresis,
+    /// so a link riding the limit does not copy its list back and forth).
+    /// A no-op when it is not there (a route that repeats a link).
+    fn remove_member(&mut self, ix: usize, slot: u32) {
+        let lh = &mut self.links[ix];
+        if lh.nflows == FLOWS_SPILLED {
+            let list = &mut self.link_spill[ix];
+            let Some(pos) = list.iter().position(|&s| s == slot) else {
+                return;
+            };
+            list.remove(pos);
+            if list.len() <= LINK_FLOWS_INLINE / 2 {
+                lh.nflows = list.len() as u8;
+                for (cell, &s) in lh.flows_inline.iter_mut().zip(list.iter()) {
+                    *cell = s;
+                }
+                list.clear();
+            }
+            return;
+        }
+        let n = lh.nflows as usize;
+        let Some(pos) = lh.flows_inline[..n].iter().position(|&s| s == slot) else {
+            return;
+        };
+        // The same fixed-length select as `insert_member`; lanes past the
+        // new `nflows` are don't-care.
+        let a = lh.flows_inline;
+        for (i, cell) in lh.flows_inline.iter_mut().enumerate() {
+            *cell = if i < pos {
+                a[i]
+            } else {
+                a[(i + 1).min(LINK_FLOWS_INLINE - 1)]
+            };
+        }
+        lh.nflows -= 1;
     }
 
     /// Drop `id` from the ramping set if it is there.
@@ -1216,24 +1243,7 @@ impl Network {
             self.occupy_slots(src, dst, -1);
             self.active_count -= 1;
             self.ramp_remove(id);
-            let route = self.flows.cold[si].route;
-            for k in 0..route.len() {
-                let ix = self.routes.link_at(route, k);
-                let lh = &mut self.links[ix];
-                lh.state
-                    .membership_change(&self.model, now, -(streams as i64), lh.knee);
-                self.note_turbulence(ix);
-                let pos = {
-                    let hot = &self.flows.hot;
-                    self.links[ix]
-                        .flows()
-                        .binary_search_by_key(&id, |&s| hot[s as usize].id)
-                };
-                if let Ok(p) = pos {
-                    self.links[ix].remove_flow_at(p);
-                }
-                self.mark_link_dirty(ix);
-            }
+            self.route_membership(slot, false);
             self.total_bytes_completed += bytes;
             self.total_flows_completed += 1;
             if let Some(o) = &mut self.obs {
@@ -1433,8 +1443,6 @@ impl Network {
         }
 
         // 4. Collect the connected component(s) around the dirty links.
-        self.comp_flows.clear();
-        self.comp_links.clear();
         self.bfs_stack.clear();
         for i in 0..self.dirty_links.len() {
             let seed = self.dirty_links[i];
@@ -1443,38 +1451,7 @@ impl Network {
                 self.bfs_stack.push(seed);
             }
         }
-        while let Some(ix) = self.bfs_stack.pop() {
-            self.comp_links.push(ix);
-            for m in 0..self.links[ix].flow_count() {
-                let slot = self.links[ix].flow_at(m);
-                let si = slot as usize;
-                if !self.flows.hot[si].seen {
-                    self.flows.hot[si].seen = true;
-                    self.comp_flows.push(slot);
-                    let route = self.flows.cold[si].route;
-                    for k in 0..route.len() {
-                        let other = self.routes.link_at(route, k);
-                        if !self.links[other].seen {
-                            self.links[other].seen = true;
-                            self.bfs_stack.push(other);
-                        }
-                    }
-                }
-            }
-        }
-        // Deterministic iteration orders: flows ascending by id (matching
-        // the order the full pass uses), links ascending by index.
-        {
-            let hot = &self.flows.hot;
-            sort_small_by_key(&mut self.comp_flows, |&s| hot[s as usize].id);
-        }
-        sort_small_by_key(&mut self.comp_links, |&ix| ix);
-        for i in 0..self.comp_links.len() {
-            self.links[self.comp_links[i]].seen = false;
-        }
-        for i in 0..self.comp_flows.len() {
-            self.flows.hot[self.comp_flows[i] as usize].seen = false;
-        }
+        self.collect_component();
 
         // 5. Progressive filling over the component only.
         if self.comp_flows.len() == 1 {
@@ -1509,11 +1486,11 @@ impl Network {
             // not just the flow's own route (which carries the rate).
             let effective = self.flows.hot[si].rate;
             for i in 0..self.comp_links.len() {
-                self.links[self.comp_links[i]].throughput = 0.0;
+                self.link_throughput[self.comp_links[i]] = 0.0;
             }
             for k in 0..route.len() {
                 let ix = self.routes.link_at(route, k);
-                self.links[ix].throughput += effective;
+                self.link_throughput[ix] += effective;
             }
         } else if !self.comp_flows.is_empty() {
             self.stats.component_runs += 1;
@@ -1521,8 +1498,12 @@ impl Network {
             self.stats.links_allocated += self.comp_links.len() as u64;
             // The allocator stays in place (moving its 216 bytes out of
             // `self` and back was two `memcpy` calls per recompute); its
-            // rates are read back by index below.
-            self.alloc.begin(self.links.len());
+            // rates are read back by index below. It works in the
+            // component's own link space — a link's position in the sorted
+            // `comp_links` — so its scratch is as small as the component;
+            // it still meets the links in first-touch order, which fixes
+            // every reduction and tie-break.
+            self.alloc.begin(self.comp_links.len());
             self.comp_caps.clear();
             for i in 0..self.comp_flows.len() {
                 let si = self.comp_flows[i] as usize;
@@ -1530,21 +1511,22 @@ impl Network {
                 let age = now.since(self.flows.hot[si].activated_at);
                 let cold = &self.flows.cold[si];
                 let cap = self.model.flow_cap(cold.streams(), age, cold.route.rtt);
-                self.alloc.push_flow(
-                    self.flows.hot[si].weight,
-                    cap,
-                    self.routes.links(cold.route),
-                );
+                let comp_links = &self.comp_links;
+                let local = self.routes.links(cold.route).iter().map(|&l| {
+                    let at = comp_links.binary_search(&(l as usize));
+                    at.expect("a component flow's links are in the component") as u32
+                });
+                self.alloc.push_flow(self.flows.hot[si].weight, cap, local);
                 self.comp_caps.push(cap);
             }
-            let links = &self.links;
-            self.alloc.allocate(|l| links[l].capacity);
+            let (links, comp_links) = (&self.links, &self.comp_links);
+            self.alloc.allocate(|l| links[comp_links[l]].capacity);
 
             // 6. Write rates back and rebuild the component's running
             //    throughput totals (links outside the component are exact
             //    already — nothing on them changed).
             for i in 0..self.comp_links.len() {
-                self.links[self.comp_links[i]].throughput = 0.0;
+                self.link_throughput[self.comp_links[i]] = 0.0;
             }
             for i in 0..self.comp_flows.len() {
                 let slot = self.comp_flows[i];
@@ -1554,14 +1536,14 @@ impl Network {
                 let route = self.flows.cold[si].route;
                 for k in 0..route.len() {
                     let ix = self.routes.link_at(route, k);
-                    self.links[ix].throughput += effective;
+                    self.link_throughput[ix] += effective;
                 }
             }
         } else {
             // Dirty links with no remaining flows (e.g. the last flow on a
             // cluster finished): their allocation drops to zero.
             for i in 0..self.comp_links.len() {
-                self.links[self.comp_links[i]].throughput = 0.0;
+                self.link_throughput[self.comp_links[i]] = 0.0;
             }
         }
 
@@ -1570,7 +1552,7 @@ impl Network {
             for &ix in &self.comp_links {
                 let (streams_gauge, throughput_gauge) = &o.link_gauges[ix];
                 streams_gauge.set(f64::from(self.links[ix].state.streams));
-                throughput_gauge.set(self.links[ix].throughput);
+                throughput_gauge.set(self.link_throughput[ix]);
             }
         }
 
@@ -1581,6 +1563,45 @@ impl Network {
         }
         self.dirty_links.clear();
         self.record_timelines();
+    }
+
+    /// The connected component(s) of the flow↔link index around the seed
+    /// links on `bfs_stack` (already marked `seen`): their flows into
+    /// `comp_flows` sorted by id (the order the full pass uses), their links
+    /// into `comp_links` ascending. Leaves every `seen` marker clear.
+    fn collect_component(&mut self) {
+        self.comp_flows.clear();
+        self.comp_links.clear();
+        while let Some(ix) = self.bfs_stack.pop() {
+            self.comp_links.push(ix);
+            for m in 0..self.member_count(ix) {
+                let slot = self.member_at(ix, m);
+                let si = slot as usize;
+                if !self.flows.hot[si].seen {
+                    self.flows.hot[si].seen = true;
+                    self.comp_flows.push(slot);
+                    let route = self.flows.cold[si].route;
+                    for k in 0..route.len() {
+                        let other = self.routes.link_at(route, k);
+                        if !self.links[other].seen {
+                            self.links[other].seen = true;
+                            self.bfs_stack.push(other);
+                        }
+                    }
+                }
+            }
+        }
+        {
+            let hot = &self.flows.hot;
+            sort_small_by_key(&mut self.comp_flows, |&s| hot[s as usize].id);
+        }
+        sort_small_by_key(&mut self.comp_links, |&ix| ix);
+        for i in 0..self.comp_links.len() {
+            self.links[self.comp_links[i]].seen = false;
+        }
+        for i in 0..self.comp_flows.len() {
+            self.flows.hot[self.comp_flows[i] as usize].seen = false;
+        }
     }
 
     /// Feed watched timelines from the running per-link totals (O(watched),
@@ -1599,7 +1620,7 @@ impl Network {
                 turbulence: self
                     .model
                     .decay_turbulence(lh.state.turbulence, now.since(lh.state.updated_at)),
-                throughput: lh.throughput,
+                throughput: self.link_throughput[link.0 as usize],
             });
         }
     }
@@ -1700,19 +1721,17 @@ impl Network {
         }
         // Keep the running totals coherent in full mode too, so timelines
         // and gauges read from one source of truth.
-        for lh in self.links.iter_mut() {
-            lh.throughput = 0.0;
-        }
+        self.link_throughput.fill(0.0);
         for (d, r) in demands.iter().zip(rates.iter()) {
             for &ix in &d.links {
-                self.links[ix].throughput += *r;
+                self.link_throughput[ix] += *r;
             }
         }
         // Refresh per-link gauges with the fresh allocation.
         if let Some(o) = &self.obs {
             for (ix, (streams_gauge, throughput_gauge)) in o.link_gauges.iter().enumerate() {
                 streams_gauge.set(f64::from(self.links[ix].state.streams));
-                throughput_gauge.set(self.links[ix].throughput);
+                throughput_gauge.set(self.link_throughput[ix]);
             }
         }
         // Feed watched timelines with the fresh rates.

@@ -3,10 +3,12 @@
 //! A flow's route is fixed by its endpoints, and a workload starts many
 //! flows between few pairs. [`RouteTable`] resolves a pair through
 //! [`Topology::route`] the first time it is asked for, appends the links to
-//! one shared pool, and answers every later ask from a per-source list
-//! sorted by destination — a binary search over a few entries instead of
-//! hashing into the topology's route map and copying the links out. A flow
-//! row keeps the returned [`Route`] (a pool range plus the precomputed RTT),
+//! one shared pool, and answers every later ask from the table instead of
+//! hashing into the topology's route map and copying the links out. Each
+//! source's first destination sits in one flat per-source array, so the
+//! common ask (a source that sends to one place) is a single load; further
+//! destinations go to a per-source list sorted by destination. A flow row
+//! keeps the returned [`Route`] (a pool range plus the precomputed RTT),
 //! never a copy of its links.
 
 use crate::topology::{HostId, Topology};
@@ -38,11 +40,18 @@ impl Route {
     }
 }
 
+/// `RouteTable::first` destination marking a source with no route yet.
+const NO_DST: u32 = u32::MAX;
+
 /// Every host pair's route asked for so far, interned.
 #[derive(Debug, Default)]
 pub struct RouteTable {
-    /// Per source host: `(destination, route)` sorted by destination.
-    by_src: Vec<Vec<(u32, Route)>>,
+    /// Per source host: its first-interned `(destination, route)`, or
+    /// `NO_DST` when it has none.
+    first: Vec<(u32, Route)>,
+    /// Per source host: every later `(destination, route)`, sorted by
+    /// destination; empty for a source with one destination.
+    rest: Vec<Vec<(u32, Route)>>,
     /// The links of every interned route, as raw link indices, back to back.
     pool: Vec<u32>,
 }
@@ -59,9 +68,14 @@ impl RouteTable {
     #[inline]
     pub fn resolve(&mut self, topology: &Topology, src: HostId, dst: HostId) -> Route {
         let s = src.0 as usize;
-        if let Some(row) = self.by_src.get(s) {
-            if let Ok(i) = row.binary_search_by_key(&dst.0, |&(d, _)| d) {
-                return row[i].1;
+        if let Some(&(d, route)) = self.first.get(s) {
+            if d == dst.0 {
+                return route;
+            }
+            if let Some(row) = self.rest.get(s) {
+                if let Ok(i) = row.binary_search_by_key(&dst.0, |&(d, _)| d) {
+                    return row[i].1;
+                }
             }
         }
         self.intern(topology, src, dst)
@@ -70,6 +84,7 @@ impl RouteTable {
     /// First ask for a pair: resolve it and keep it.
     #[cold]
     fn intern(&mut self, topology: &Topology, src: HostId, dst: HostId) -> Route {
+        assert_ne!(dst.0, NO_DST, "host id reserved as the no-route marker");
         let path = topology.route(src, dst);
         let route = Route {
             start: self.pool.len() as u32,
@@ -78,10 +93,17 @@ impl RouteTable {
         };
         self.pool.extend(path.iter().map(|l| l.0));
         let s = src.0 as usize;
-        if self.by_src.len() <= s {
-            self.by_src.resize_with(s + 1, Vec::new);
+        if self.first.len() <= s {
+            self.first.resize(s + 1, (NO_DST, route));
         }
-        let row = &mut self.by_src[s];
+        if self.first[s].0 == NO_DST {
+            self.first[s] = (dst.0, route);
+            return route;
+        }
+        if self.rest.len() <= s {
+            self.rest.resize_with(s + 1, Vec::new);
+        }
+        let row = &mut self.rest[s];
         let at = row.partition_point(|&(d, _)| d < dst.0);
         row.insert(at, (dst.0, route));
         route

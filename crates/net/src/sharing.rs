@@ -215,12 +215,14 @@ impl RateAllocator {
         self.active.clear();
     }
 
-    /// Add one flow. `links` holds raw link indices into the capacity space
-    /// declared to [`RateAllocator::begin`] (`u32`, matching how callers
-    /// store routes in their packed per-flow rows).
-    pub fn push_flow(&mut self, weight: f64, cap: f64, links: &[u32]) {
+    /// Add one flow. `links` yields indices into the link space declared to
+    /// [`RateAllocator::begin`] (`u32`, matching how callers store routes in
+    /// their packed per-flow rows). The space is the caller's to number: the
+    /// engine numbers a component's own links, so the per-link scratch is
+    /// the component's size, not the network's.
+    pub fn push_flow(&mut self, weight: f64, cap: f64, links: impl IntoIterator<Item = u32>) {
         let start = self.links_flat.len() as u32;
-        for &l in links {
+        for l in links {
             self.links_flat.push(l);
             let l = l as usize;
             if !self.scratch[l].touched {
@@ -549,7 +551,7 @@ mod tests {
         let mut alloc = RateAllocator::new();
         alloc.begin(caps.len());
         for f in flows {
-            alloc.push_flow(f.weight, f.cap, &links_u32(&f.links));
+            alloc.push_flow(f.weight, f.cap, links_u32(&f.links));
         }
         alloc.allocate(|l| caps[l]).to_vec()
     }
@@ -595,13 +597,13 @@ mod tests {
         let mut alloc = RateAllocator::new();
         // Round 1: two flows on link 0.
         alloc.begin(3);
-        alloc.push_flow(1.0, 100.0, &[0u32]);
-        alloc.push_flow(1.0, 100.0, &[0u32]);
+        alloc.push_flow(1.0, 100.0, [0u32]);
+        alloc.push_flow(1.0, 100.0, [0u32]);
         let r = alloc.allocate(|l| [12.0, 5.0, 7.0][l]);
         assert!((r[0] - 6.0).abs() < 1e-9);
         // Round 2: different shape; stale state must not bleed through.
         alloc.begin(3);
-        alloc.push_flow(2.0, 100.0, &[1u32, 2]);
+        alloc.push_flow(2.0, 100.0, [1u32, 2]);
         assert_eq!(alloc.flow_count(), 1);
         let r = alloc.allocate(|l| [12.0, 5.0, 7.0][l]);
         assert!((r[0] - 5.0).abs() < 1e-9, "{r:?}");
@@ -650,8 +652,7 @@ mod equivalence_proptests {
             let mut alloc = RateAllocator::new();
             alloc.begin(caps.len());
             for f in &flows {
-                let links: Vec<u32> = f.links.iter().map(|&l| l as u32).collect();
-                alloc.push_flow(f.weight, f.cap, &links);
+                alloc.push_flow(f.weight, f.cap, f.links.iter().map(|&l| l as u32));
             }
             let fast = alloc.allocate(|l| caps[l]);
             for (i, (a, b)) in reference.iter().zip(fast).enumerate() {
@@ -690,12 +691,12 @@ mod equivalence_proptests {
             let mut alloc = RateAllocator::new();
             alloc.begin(caps.len());
             for f in &flows_a {
-                alloc.push_flow(f.weight, f.cap, &to_u32(&f.links));
+                alloc.push_flow(f.weight, f.cap, to_u32(&f.links));
             }
             let ra = alloc.allocate(|l| caps[l]).to_vec();
             alloc.begin(caps.len());
             for f in &shifted_b {
-                alloc.push_flow(f.weight, f.cap, &to_u32(&f.links));
+                alloc.push_flow(f.weight, f.cap, to_u32(&f.links));
             }
             let rb = alloc.allocate(|l| caps[l]).to_vec();
 

@@ -25,31 +25,37 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
 
     /// Construct from milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
     }
 
     /// Construct from fractional seconds (saturating at zero for negatives).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime(secs_to_micros(s))
     }
 
     /// Raw microseconds since simulation start.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Time since start as fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -57,11 +63,13 @@ impl SimTime {
     /// Duration elapsed since `earlier`. Saturates to zero if `earlier` is
     /// actually later, which keeps bookkeeping code panic-free in the face of
     /// simultaneous events.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Checked addition of a duration; `None` on overflow.
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
@@ -74,46 +82,55 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 
     /// Construct from milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
 
     /// Construct from fractional seconds (negative values clamp to zero).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration(secs_to_micros(s))
     }
 
     /// Raw microseconds.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// True when the duration is exactly zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// Scale the duration by a non-negative factor, saturating on overflow.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(factor >= 0.0, "duration scale factor must be non-negative");
         let scaled = self.0 as f64 * factor;
@@ -130,6 +147,7 @@ impl SimDuration {
 /// `us - t` is computed without error, so the comparison with 0.5 is the
 /// true fractional part's; from 2^53 up every `f64` is an integer and the
 /// fraction is zero.
+#[inline]
 fn secs_to_micros(s: f64) -> u64 {
     if s <= 0.0 {
         0
@@ -150,12 +168,14 @@ fn secs_to_micros(s: f64) -> u64 {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -163,6 +183,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -170,6 +191,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
@@ -177,12 +199,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -190,12 +214,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -203,6 +229,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
     }
@@ -210,6 +237,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

@@ -89,15 +89,26 @@ bench_floor() {
 
 # Simulator floor: 5000 flows in 2500 pair clusters under the clean stream
 # model, every completion replaced (`netsim_churn`), must advance at least
-# 1 000 000 events/s; the last three trajectories measured ~2.2-2.3 M,
-# ~2.8-2.9 M once routes were interned per host pair (2 vCPUs, shared).
-# Losing the O(1) ladder queue or the one-line flow rows costs integer
-# factors, and the incremental engine silently falling back to full
-# recomputes costs orders of magnitude (a 1k-flow churn ran at ~400
-# events/s that way). Looking each new flow's route up in the topology's
-# hash map again (and copying its links out) takes ~2.8 M back to ~2.4 M;
-# the libc-free shifts are worth under 1 % on this workload.
+# 1 000 000 events/s. With one-line link rows, one-load route lookups and
+# allocator scratch the size of a component, the same machine measures
+# ~3.2 M (2 vCPUs, shared; ~2.9 M before those three). Of that step, the
+# one-load route lookup is ~5 %, the component-sized scratch and the
+# clean-model short-circuits ~1.5 % each; padding the link row back to two
+# lines measures inside the noise here. Losing the O(1) ladder queue or the
+# one-line flow rows costs integer factors, and the incremental engine
+# silently falling back to full recomputes costs orders of magnitude (a
+# 1k-flow churn ran at ~400 events/s that way). Looking each new flow's
+# route up in the topology's hash map again (and copying its links out)
+# costs ~15 %.
 bench_floor netsim_churn 1000000 events/s
+
+# The same engine at 100 000 flows in 50 000 clusters (`netsim_churn_100k`)
+# must advance at least 650 000 events/s. Its hot rows no longer fit a core's
+# cache, so it follows the host's memory latency and moves most with the
+# size of what one event touches: ~1.2 M with two-line link rows and
+# network-wide allocator scratch, ~1.45 M with one-line rows and
+# component-sized scratch. This is the shape behind the 1 M events/s bar.
+bench_floor netsim_churn_100k 650000 events/s
 
 # Advice floor: the Policy Service front end with 10k files resident on 4
 # shards (`advice_hot`) must answer at least 16 500 requests/s. Every lookup
@@ -214,7 +225,9 @@ fi
 # "incomplete", same error on every head except those it refuses on purpose.
 # The simulator's interned routes are held to `Topology::route`/`route_rtt`
 # over random topologies (crates/net/tests/interned_routes.rs, 128 cases by
-# default), beside the queue suite.
+# default), and its link membership — inline slots spilling to a side table
+# and back — to a sorted-`Vec` reference with the component BFS
+# (crates/net/tests/link_membership.rs, 128 cases), beside the queue suite.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
@@ -223,6 +236,8 @@ PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-net --test interned_routes
+PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
+  -p pwm-net --test link_membership
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
 

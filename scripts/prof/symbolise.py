@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolise a scripts/prof/shim.c dump: flat by function, by crate per thread,
-by source line. Usage: symbolise.py PROF_OUT [top N, default 30]"""
-import bisect, collections, re, subprocess, sys
+inclusive by function for the busiest thread, by source line.
+Usage: symbolise.py PROF_OUT [top N, default 30]"""
+import bisect, collections, functools, re, subprocess, sys
 
 path, top = sys.argv[1], int(sys.argv[2]) if len(sys.argv) > 2 else 30
 samples, maps = [], []  # (tid, [addr..]) ; (lo, hi, file offset, path)
@@ -45,6 +46,7 @@ def locate(addr):
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def function(addr):
     where = locate(addr)
     if not where:
@@ -89,6 +91,16 @@ threads = collections.Counter(tid for tid, _ in samples)
 for tid, n in threads.most_common():
     if n * 50 >= len(samples):  # threads under 2 % of the samples are set-up noise
         table(f"thread {tid} by crate", collections.Counter({c: k for (t, c), k in by_crate.items() if t == tid}), n)
+
+# Inclusive, busiest thread: a function counts once per sample whose walked
+# stack contains it (recursion counted once), so a caller shows what it costs
+# with everything it calls. Percentages are of all samples, like the flat table.
+busiest = threads.most_common(1)[0][0]
+inclusive = collections.Counter()
+for tid, stack in samples:
+    if tid == busiest:
+        inclusive.update({function(a)[0] for a in stack})
+table(f"thread {busiest} inclusive by function (of all samples)", inclusive, len(samples))
 
 # By source line: the innermost inlined frame that is this repository's code
 # (a sample inside an inlined `Vec::push` counts for the line that pushed).

@@ -7,7 +7,8 @@
 # the benchmark's build is untouched), runs it pinned to the last CPU exactly
 # as benchmark/run.sh does, with scripts/prof/shim.c preloaded, and prints
 # scripts/prof/symbolise.py's tables: flat by function, by crate per thread
-# (libc split into send / recv / poll / other), by source line. Needs gcc, nm,
+# (libc split into send / recv / poll / other), inclusive by function for the
+# busiest thread, by source line. Needs gcc, nm,
 # addr2line and python3; says so and exits 0 when one is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
