@@ -249,16 +249,11 @@ impl MontageExperiment {
             seed,
             staging_job_limit: self.staging_job_limit,
             retries: 5,
-            runtime_jitter: 0.15,
             policy_call_latency: latency,
-            job_init_overhead: SimDuration::from_secs(2),
-            inter_transfer_gap: SimDuration::from_millis(100),
-            cleanup_duration: SimDuration::from_millis(500),
             transfer_failure_prob: self.transfer_failure_prob,
             workflow_id: WorkflowId(seed),
             watch_link: Some(world.wan),
             watch_timeline: true,
-            cleanup_job_limit: None,
             clock,
             obs,
             ..ExecutorConfig::default()

@@ -19,7 +19,10 @@
 //!   policy traffic goes through one port (`policy_port`), which owns the
 //!   `pwm_core::transport::PolicyTransport`, sends the completion reports
 //!   of one simulated instant as one call, and resends what an outage
-//!   dropped;
+//!   dropped. Three planes attach to it only when configured, each owning
+//!   its state and answering the core at fixed points: [`recovery`]
+//!   (faults, checksums, re-planning), [`StorageRuntime`] (backend
+//!   placement and dollars) and the sim-time tracer (`trace`);
 //! * [`stats`] — per-run statistics (makespan, staging goodput, retries,
 //!   peak WAN streams) consumed by the benchmark harness.
 
@@ -35,11 +38,13 @@ mod policy_port;
 pub mod recovery;
 pub mod report;
 pub mod stats;
+mod storage;
+mod trace;
 
 pub use catalog::{ComputeSite, Replica, ReplicaCatalog};
 pub use dag::{AbstractJob, AbstractWorkflow, JobIx, WorkflowError};
 pub use dax::{parse_dax, to_dax, DaxError};
-pub use executor::{ExecutorConfig, StorageRuntime, WorkflowExecutor};
+pub use executor::{ExecutorConfig, WorkflowExecutor};
 pub use multi::merge_plans;
 pub use planner::{
     plan, ExecutablePlan, PlanError, PlanJob, PlanJobId, PlanJobKind, PlannedTransfer,
@@ -50,3 +55,4 @@ pub use recovery::{
 };
 pub use report::render_report;
 pub use stats::RunStats;
+pub use storage::StorageRuntime;

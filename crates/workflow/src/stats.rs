@@ -10,7 +10,7 @@ use pwm_storage::StorageCostReport;
 /// `PartialEq` compares every field (floats exactly): two same-seed runs of
 /// a deterministic experiment must produce `==` stats, and the determinism
 /// suite asserts exactly that.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Wall-clock (virtual) time from release of the first job to completion
     /// of the last — the quantity plotted in Figures 5–9.
@@ -100,22 +100,8 @@ mod tests {
         RunStats {
             makespan: SimDuration::from_secs(100),
             success: true,
-            compute_jobs: 0,
-            staging_jobs: 0,
-            cleanup_jobs: 0,
-            bytes_staged: 0.0,
-            transfers: Vec::new(),
-            transfers_skipped: 0,
-            transfer_retries: 0,
-            failed_jobs: 0,
-            policy_calls: 0,
-            compute_core_seconds: 0.0,
-            peak_wan_streams: None,
-            peak_scratch_bytes: 0.0,
-            final_scratch_bytes: 0.0,
             finished_at: SimTime::from_secs(100),
-            storage: None,
-            recovery: None,
+            ..RunStats::default()
         }
     }
 

@@ -42,7 +42,7 @@ cargo test --release --offline --test alloc_budget -- --nocapture
 # `_bucket` lines stripped) is pinned by scripts/metrics_series.txt, so a
 # renamed metric or a changed label fails here instead of passing silently.
 # `repro` is the one pwm-bench front end: built once here, it also serves
-# the crash job and the two bench-smoke jobs below.
+# the crash job and the parent-identity job below.
 echo "== repro --trace + /metrics scrape =="
 cargo build -q --release --offline -p pwm-bench --bin repro
 TRACE_OUT="$(mktemp /tmp/pwm-trace.XXXXXX.json)"
@@ -165,9 +165,16 @@ bench_floor netsim_turbulent 135000 events/s
 # build of its parent commit (HEAD^, or HEAD while the tree has uncommitted
 # source changes). Everything compared must be byte-identical: `table4`,
 # `fig5 1`, the series set of the /metrics scrape, `repro chaos 7`,
-# `repro crash 7`, and the traced paper run — the `--trace` file itself, so
-# no policy call may be added, merged or reordered. A change that means to
-# move one of these says so here and compares what is left of that output; a
+# `repro crash 7`, the traced paper run — the `--trace` file itself, so no
+# policy call may be added, merged or reordered — and the full storage and
+# resilience suites, whose reports must also equal the committed
+# BENCH_storage.json and BENCH_resilience.json. `repro storage` exits nonzero
+# on a cost-invariant violation (component sums, metered != staged bytes, a
+# non-monotone makespan-vs-dollars frontier, no policy-picked run beating the
+# worst fixed backend); `repro resilience` on an incomplete workflow, a
+# same-seed mismatch, staged bytes != one clean copy per input, or a
+# turbulent guided-vs-naive speedup under 1.2x. A change that means to move
+# one of these says so here and compares what is left of that output; a
 # change that does not (a refactor, an allocation cut, a recompute the
 # simulator no longer repeats) has nothing to filter, and nothing is filtered.
 echo "== parent identity (simulated results vs a build of the parent commit) =="
@@ -193,10 +200,17 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
     "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
     "$repro" chaos 7 > "$out/chaos.txt"
     "$repro" crash 7 > "$out/crash.txt"
+    timeout 120 "$repro" storage --out "$out/BENCH_storage.json" > /dev/null
+    timeout 120 "$repro" resilience --out "$out/BENCH_resilience.json" > /dev/null
   done
-  for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt; do
+  for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
+    BENCH_storage.json BENCH_resilience.json; do
     cmp "target/identity/parent/$f" "target/identity/change/$f" \
       || { echo "$f differs from the parent commit ($parent_rev)" >&2; exit 1; }
+  done
+  for f in BENCH_storage.json BENCH_resilience.json; do
+    cmp "$f" "target/identity/change/$f" \
+      || { echo "$f differs from the committed file" >&2; exit 1; }
   done
 else
   echo "no parent commit to compare with; skipped"
@@ -240,33 +254,6 @@ PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-net --test link_membership
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
-
-# Storagebench job (`repro storage`): the storage-backend frontier smoke —
-# three fixed-backend comparators (NFS / parallel FS / object store)
-# against the three policy-picked runs over the same trio. It exits
-# nonzero on any cost-invariant violation: inconsistent accounting
-# (component sums, metered bytes != staged bytes), a non-monotone
-# makespan-vs-dollars Pareto frontier, or no policy-picked run beating
-# the worst fixed backend on cost at equal-or-better makespan. The full
-# suite's JSON is committed as BENCH_storage.json.
-echo "== storagebench smoke (backend cost frontier) =="
-mkdir -p target/storagebench
-timeout 120 ./target/release/repro storage smoke \
-  --out target/storagebench/BENCH_storage.json > /dev/null
-test -s target/storagebench/BENCH_storage.json || { echo "storagebench report is empty" >&2; exit 1; }
-
-# Resiliencebench job (`repro resilience`): the failure-domain sweep smoke —
-# the fault-intensity ladder (calm / rough / turbulent) × policy-guided vs
-# naive-retry recovery, every cell run twice. It exits nonzero on any
-# incomplete workflow at any swept intensity, any same-seed determinism
-# mismatch, staged bytes differing from one clean copy per input, or a
-# turbulent-cell policy-guided speedup below the committed 1.2x floor.
-# The full suite's JSON is committed as BENCH_resilience.json.
-echo "== resiliencebench smoke (failure domains, guided vs naive) =="
-mkdir -p target/resiliencebench
-timeout 120 ./target/release/repro resilience smoke \
-  --out target/resiliencebench/BENCH_resilience.json > /dev/null
-test -s target/resiliencebench/BENCH_resilience.json || { echo "resiliencebench report is empty" >&2; exit 1; }
 
 # E2ebench job: the whole-stack benchmark's own gate (benchmark/check.sh) —
 # its unit tests (incl. BENCHMARK.json-vs-tables equality), then two smoke
