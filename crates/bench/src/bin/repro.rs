@@ -15,8 +15,8 @@
 //! repro validate-trace <path>       # check a Chrome-trace export (CI gate)
 //! repro scrape-metrics              # run + scrape /metrics over HTTP (CI gate)
 //!
-//! repro storage    [smoke] [--out PATH]
-//! repro resilience [smoke] [--out PATH]
+//! repro storage    [--out PATH]
+//! repro resilience [--out PATH]
 //! ```
 //!
 //! Every result is simulated time: seeded, and byte-identical run to run.
@@ -25,27 +25,21 @@
 //! error (exit 2), and so is a numeric argument that is present but does not
 //! parse.
 //!
-//! The two bench subcommands print their JSON report on stdout and, with
-//! `--out`, also write it to PATH (conventionally `BENCH_storage.json`,
-//! `BENCH_resilience.json`); `smoke` runs the reduced CI configuration.
-//! They exit 1 when an invariant is missed and 2 on a usage error:
-//!
-//! * `storage` — fixed-backend comparators against policy-picked staging
-//!   (`pwm_bench::storagebench`); fails on any cost-accounting or
-//!   frontier-shape violation.
-//! * `resilience` — the fault-intensity ladder, policy-guided against naive
-//!   recovery, every cell run twice (`pwm_bench::resilience`); fails on an
-//!   incomplete workflow, a determinism mismatch, a staged-bytes mismatch,
-//!   or a turbulent speedup below the committed floor.
+//! `chaos`, `crash`, `storage` and `resilience` are the four fault and cost
+//! suites. Each prints its text — the two cost suites their JSON report,
+//! which `--out` also writes to PATH (conventionally `BENCH_storage.json`,
+//! `BENCH_resilience.json`) — then logs every invariant it missed and exits
+//! 1 if there was one. What each checks is documented on its module
+//! (`pwm_bench::{chaos, crash, storagebench, resilience}`).
 //!
 //! Progress and diagnostics (each suite's per-row results included) go to
 //! stderr through the `pwm-obs` leveled logger
 //! (`PWM_LOG=error|warn|info|debug`); results stay on stdout.
 
 use pwm_bench::{
-    chaos_ablation, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_ablation,
-    render_crash, render_csv, render_figure, render_table4, resilience, run_chaos, run_crash,
-    storagebench, table4_analytic, table4_via_service, ChaosConfig, CrashConfig, Figure,
+    chaos, crash, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_csv, render_figure,
+    render_table4, resilience, storagebench, table4_analytic, table4_via_service, Figure,
+    SuiteOutput,
 };
 use pwm_obs::global_logger;
 
@@ -88,10 +82,20 @@ const SUBCOMMANDS: [(&str, Handler); 17] = [
     }),
     ("shapes", |rest| shapes(seeds(rest))),
     ("timeline", |rest| timeline(arg_or(rest.first(), 100))),
-    ("chaos", |rest| chaos(arg_or(rest.first(), 7))),
-    ("crash", |rest| crash(arg_or(rest.first(), 7))),
-    ("storage", |rest| bench("storage", rest)),
-    ("resilience", |rest| bench("resilience", rest)),
+    ("chaos", |rest| {
+        finish("chaos", chaos::repro(arg_or(rest.first(), 7)), None)
+    }),
+    ("crash", |rest| {
+        finish("crash", crash::repro(arg_or(rest.first(), 7)), None)
+    }),
+    ("storage", |rest| {
+        let out = out_path("storage", rest);
+        finish("storage", storagebench::repro(), out)
+    }),
+    ("resilience", |rest| {
+        let out = out_path("resilience", rest);
+        finish("resilience", resilience::repro(), out)
+    }),
     ("validate-trace", |rest| match rest.first() {
         Some(path) => validate_trace(path),
         None => die(2, "validate-trace requires a path"),
@@ -154,79 +158,43 @@ fn main() {
     }
 }
 
-/// What follows `repro storage|resilience` on the command line.
-#[derive(Debug, Default, PartialEq)]
-struct BenchArgs {
-    smoke: bool,
-    out: Option<String>,
-}
-
-fn bench_usage(sub: &str) -> String {
-    format!("usage: repro {sub} [smoke] [--out PATH]")
-}
-
-/// The one parser behind the bench subcommands. `Err` is a usage error
-/// (exit 2).
-fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
-    let mut parsed = BenchArgs::default();
+/// What follows `repro storage|resilience`: nothing, or `--out PATH`.
+/// `Err` is a usage error (exit 2).
+fn parse_out(args: &[String]) -> Result<Option<String>, String> {
+    let mut out = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "smoke" => parsed.smoke = true,
-            "--out" => {
-                parsed.out = Some(it.next().ok_or("--out requires a path argument")?.clone());
-            }
+            "--out" => out = Some(it.next().ok_or("--out requires a path argument")?.clone()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(parsed)
+    Ok(out)
 }
 
-/// Run one layer benchmark: parse, run the suite (each logs its own
-/// progress and per-row results), then the shared tail — the JSON report on
-/// stdout and in `--out`, every invariant miss logged, exit 1 if there was
-/// one.
-fn bench(sub: &str, args: &[String]) {
+/// [`parse_out`], with a parse failure reported as a usage error (exit 2).
+fn out_path(sub: &str, args: &[String]) -> Option<String> {
+    parse_out(args).unwrap_or_else(|e| die(2, &format!("{e}; usage: repro {sub} [--out PATH]")))
+}
+
+/// The tail every fault and cost suite shares: print its text and JSON
+/// report, write the report to `out`, log every invariant miss, and exit 1
+/// if there was one.
+fn finish(sub: &str, suite: SuiteOutput, out: Option<String>) {
     let log = global_logger();
-    let parsed = parse_bench_args(args).unwrap_or_else(|message| {
-        log.error(&message);
-        eprintln!("{}", bench_usage(sub));
-        std::process::exit(2)
-    });
-    let (doc, violations) = match sub {
-        "storage" => {
-            let s = if parsed.smoke {
-                storagebench::smoke_scenario()
-            } else {
-                storagebench::standard_scenario()
-            };
-            let points = storagebench::run_suite(&s);
-            let doc = storagebench::report_json(&s, &points);
-            (doc, storagebench::check_invariants(&points))
+    print!("{}", suite.text);
+    if let Some(json) = &suite.json {
+        println!("{json}");
+        if let Some(path) = &out {
+            std::fs::write(path, format!("{json}\n"))
+                .unwrap_or_else(|e| die(1, &format!("failed to write {path}: {e}")));
+            log.info(&format!("repro {sub}: report written to {path}"));
         }
-        "resilience" => {
-            let s = if parsed.smoke {
-                resilience::smoke_scenario()
-            } else {
-                resilience::standard_scenario()
-            };
-            let cells = resilience::run_suite(&s);
-            let doc = resilience::report_json(&s, &cells);
-            (doc, resilience::check_invariants(&s, &cells))
-        }
-        _ => unreachable!("bench() serves the two bench subcommands only"),
-    };
-    let text = doc.render();
-    println!("{text}");
-    if let Some(path) = &parsed.out {
-        std::fs::write(path, format!("{text}\n"))
-            .unwrap_or_else(|e| die(1, &format!("failed to write {path}: {e}")));
-        log.info(&format!("repro {sub}: report written to {path}"));
     }
-    for v in &violations {
+    for v in &suite.violations {
         log.error(&format!("repro {sub}: {v}"));
     }
-    if !violations.is_empty() {
+    if !suite.violations.is_empty() {
         std::process::exit(1);
     }
 }
@@ -339,59 +307,6 @@ fn timeline(extra_mb: u64) {
     println!();
 }
 
-/// Chaos scenario: one full fault-injected run plus the per-class ablation.
-fn chaos(seed: u64) {
-    let cfg = ChaosConfig::default();
-    let report = run_chaos(&cfg, seed);
-    println!(
-        "Chaos scenario, seed {seed}: Montage under WAN flaps/degradations and a policy-service outage"
-    );
-    println!("  injected faults:");
-    for ev in &report.fault_events {
-        println!("    {ev}");
-    }
-    println!(
-        "  outcome: success={} makespan {:.0}s  transfer retries {}  failovers {}",
-        report.stats.success,
-        report.makespan_secs(),
-        report.stats.transfer_retries,
-        report.failovers
-    );
-    println!(
-        "  policy service: {} calls passed, {} failures injected; final scratch {:.0} bytes",
-        report.service_calls_passed,
-        report.injected_service_failures,
-        report.stats.final_scratch_bytes
-    );
-    println!();
-    println!("Ablation (same seed, fault classes toggled; inflation vs fault-free):");
-    print!("{}", render_ablation(&chaos_ablation(&cfg, seed)));
-    println!();
-}
-
-/// Crash scenario: mid-run policy-service death, cold vs warm recovery.
-/// Exits nonzero if any recovery invariant is violated (CI gate).
-fn crash(seed: u64) {
-    let cfg = CrashConfig::default();
-    let report = run_crash(&cfg, seed);
-    println!(
-        "Crash scenario, seed {seed}: primary policy service dies mid-run; \
-         backup takes over cold (empty memory) vs warm (log-shipped)"
-    );
-    print!("{}", render_crash(&report));
-    let violations = report.violations();
-    if violations.is_empty() {
-        println!("recovery invariants: all hold");
-        println!();
-    } else {
-        let log = global_logger();
-        for v in &violations {
-            log.error(&format!("recovery invariant violated: {v}"));
-        }
-        std::process::exit(1);
-    }
-}
-
 fn table4() {
     println!("{}", render_table4(&table4_analytic()));
     println!(
@@ -454,21 +369,20 @@ fn shapes(seeds: usize) {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_bench_args(&args)
-    }
-
     #[test]
-    fn smoke_out_and_strays_parse_alike_for_every_bench_subcommand() {
-        assert_eq!(parse(&[]), Ok(BenchArgs::default()));
-        let parsed = parse(&["smoke", "--out", "r.json"]).unwrap();
-        assert!(parsed.smoke && parsed.out.as_deref() == Some("r.json"));
-        let err = parse(&["smoke", "--out"]).unwrap_err();
-        assert_eq!(err, "--out requires a path argument");
-        let err = parse(&["smoke", "--frobnicate"]).unwrap_err();
-        assert_eq!(err, "unknown argument: --frobnicate");
-        assert!(bench_usage("storage").ends_with("repro storage [smoke] [--out PATH]"));
+    fn out_and_strays_parse_alike_for_every_bench_subcommand() {
+        let parse =
+            |args: &[&str]| parse_out(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--out", "r.json"]), Ok(Some("r.json".into())));
+        assert_eq!(
+            parse(&["--out"]).unwrap_err(),
+            "--out requires a path argument"
+        );
+        for strays in [&["smoke"][..], &["--out", "r.json", "--frobnicate"]] {
+            let err = parse(strays).unwrap_err();
+            assert_eq!(err, format!("unknown argument: {}", strays.last().unwrap()));
+        }
     }
 
     #[test]

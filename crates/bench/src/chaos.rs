@@ -16,19 +16,122 @@
 //! [`run_chaos`] reports makespan, recovery statistics, and a fault-event
 //! fingerprint that two same-seed runs must reproduce exactly;
 //! [`chaos_ablation`] reruns the same seed under each fault class alone to
-//! attribute the makespan inflation.
+//! attribute the makespan inflation; [`repro`] is `repro chaos`: both, and
+//! the invariants they must keep.
+//!
+//! [`run_faulted`] builds the stack this scenario and [`crate::crash`]
+//! share: replica failover and warm log replay are the same run, configured
+//! two ways.
 
 use crate::experiment::PaperWorld;
+use crate::SuiteOutput;
 use pwm_core::chaos::{ChaosTransport, ServiceFault, SharedSimClock};
 use pwm_core::transport::{InProcessTransport, PolicyTransport};
 use pwm_core::{
-    AllocationPolicy, FailoverTransport, MemorySnapshot, PolicyConfig, PolicyController,
-    WorkflowId, DEFAULT_SESSION,
+    AllocationPolicy, DurabilityConfig, FailoverTransport, MemorySnapshot, PolicyConfig,
+    PolicyController, WorkflowId, DEFAULT_SESSION,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{Network, StreamModel};
 use pwm_sim::{seeded_windows, FaultPlan, SimDuration, SimRng, SimTime};
 use pwm_workflow::{ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
+use std::fmt::Write;
+
+/// Default (and fallback) streams per transfer in both fault scenarios.
+pub(crate) const DEFAULT_STREAMS: u32 = 4;
+/// Greedy host-pair threshold in both fault scenarios.
+pub(crate) const THRESHOLD: u32 = 50;
+
+/// Called with the backup replica just before its first request.
+pub(crate) type WarmHook = Box<dyn FnMut(&PolicyController) + Send>;
+
+/// One Montage-under-faults run, as [`run_faulted`] builds it.
+pub(crate) struct FaultedMontage {
+    /// Extra WAN-staged bytes per staging job.
+    pub extra_file_bytes: u64,
+    /// Seeds the plan, the network and the executor.
+    pub seed: u64,
+    /// Transient transfer-failure probability (retried with backoff).
+    pub transfer_failure_prob: f64,
+    /// Windows on the WAN link.
+    pub link_faults: FaultPlan<LinkFault>,
+    /// Windows in which the primary replica's transport fails.
+    pub service_faults: FaultPlan<ServiceFault>,
+    /// Put a backup replica behind the primary in a failover chain.
+    pub backup: bool,
+    /// Run the primary's session durable (WAL, snapshots, crash point).
+    pub durable: Option<DurabilityConfig>,
+    /// Warms the backup (only with `backup`).
+    pub warm: Option<WarmHook>,
+}
+
+/// Build and run the stack both fault scenarios share: `world`'s Montage
+/// plan, a greedy primary behind a [`ChaosTransport`], optionally a backup
+/// behind a [`FailoverTransport`], and the paper's 75 ms callout on the
+/// shared clock with the WAN watched.
+pub(crate) fn run_faulted(world: PaperWorld, run: FaultedMontage) -> ChaosReport {
+    let seed = run.seed;
+    let mut fault_events = run.link_faults.describe();
+    fault_events.extend(run.service_faults.describe());
+    let executable = world.plan_montage(run.extra_file_bytes, seed, &PlannerConfig::default());
+    let mut network = Network::with_seed(world.topology, StreamModel::default(), seed);
+    network.set_fault_plan(run.link_faults);
+
+    let policy = PolicyConfig::default()
+        .with_default_streams(DEFAULT_STREAMS)
+        .with_threshold(THRESHOLD)
+        .with_allocation(AllocationPolicy::Greedy);
+    let primary = PolicyController::new(policy.clone());
+    if let Some(durability) = run.durable {
+        primary
+            .create_durable_session(DEFAULT_SESSION, policy.clone(), durability)
+            .expect("durable primary session");
+    }
+    let clock = SharedSimClock::new();
+    let chaotic = ChaosTransport::new(
+        Box::new(InProcessTransport::new(primary, DEFAULT_SESSION)),
+        clock.clone(),
+        run.service_faults,
+    );
+    let chaos = chaotic.probe();
+    let backup = run.backup.then(|| PolicyController::new(policy));
+    let (transport, failover_probe): (Box<dyn PolicyTransport>, _) = match &backup {
+        Some(backup) => {
+            let mut chain = FailoverTransport::new(vec![
+                Box::new(chaotic),
+                Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION)),
+            ]);
+            if let Some(mut warm) = run.warm {
+                let backup = backup.clone();
+                chain = chain.with_warm_recovery(move |_ix| warm(&backup));
+            }
+            let probe = chain.probe();
+            (Box::new(chain), Some(probe))
+        }
+        None => (Box::new(chaotic), None),
+    };
+
+    let exec_cfg = ExecutorConfig {
+        seed,
+        transfer_failure_prob: run.transfer_failure_prob,
+        fallback_streams: DEFAULT_STREAMS,
+        policy_call_latency: SimDuration::from_millis(75),
+        clock: Some(clock),
+        workflow_id: WorkflowId(seed),
+        watch_link: Some(world.wan),
+        ..ExecutorConfig::default()
+    };
+    let executor = WorkflowExecutor::new(&executable, &world.site, network, transport, exec_cfg);
+    let (stats, _network) = executor.run();
+    ChaosReport {
+        stats,
+        fault_events,
+        injected_service_failures: chaos.injected_failures(),
+        service_calls_passed: chaos.calls_passed(),
+        failovers: failover_probe.map_or(0, |p| p.failovers()),
+        backup_snapshot: backup.map(|c| c.snapshot(DEFAULT_SESSION).expect("backup snapshot")),
+    }
+}
 
 /// Everything that parameterizes a chaos run (the faults themselves are
 /// derived from these knobs plus the run seed).
@@ -36,24 +139,16 @@ use pwm_workflow::{ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 pub struct ChaosConfig {
     /// Extra WAN-staged bytes per staging job (as in the paper setup).
     pub extra_file_bytes: u64,
-    /// Default/fallback streams per transfer.
-    pub default_streams: u32,
-    /// Greedy host-pair threshold.
-    pub threshold: u32,
     /// Inject link faults (flaps + degradations) on the WAN bottleneck.
     pub link_faults: bool,
     /// Inject policy-service faults (outage + timeout glitches).
     pub service_faults: bool,
-    /// Number of WAN flaps (short full outages), seeded over the horizon.
+    /// Number of WAN flaps (short full outages, 5–20 s), seeded over the
+    /// horizon.
     pub flaps: usize,
-    /// Flap duration range.
-    pub flap_duration: (SimDuration, SimDuration),
-    /// Number of WAN degradation windows, seeded over the horizon.
+    /// Number of WAN degradation windows (30–60 s at 35 % capacity), seeded
+    /// over the horizon.
     pub degradations: usize,
-    /// Degradation duration range.
-    pub degrade_duration: (SimDuration, SimDuration),
-    /// WAN capacity multiplier while degraded.
-    pub degrade_factor: f64,
     /// Window over which seeded link faults are placed.
     pub fault_horizon: SimDuration,
     /// Replica-crash outage start.
@@ -68,35 +163,46 @@ pub struct ChaosConfig {
     pub replicas: usize,
     /// Transient transfer-failure probability (retried with backoff).
     pub transfer_failure_prob: f64,
-    /// Probability a failed transfer is fatal (job fails immediately).
-    pub fatal_failure_prob: f64,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             extra_file_bytes: crate::mb(10),
-            default_streams: 4,
-            threshold: 50,
             link_faults: true,
             service_faults: true,
             flaps: 3,
-            flap_duration: (SimDuration::from_secs(5), SimDuration::from_secs(20)),
             degradations: 2,
-            degrade_duration: (SimDuration::from_secs(30), SimDuration::from_secs(60)),
-            degrade_factor: 0.35,
             fault_horizon: SimDuration::from_secs(400),
             outage_start: SimTime::from_secs(90),
             outage_duration: SimDuration::from_secs(120),
             timeout_glitches: 2,
             replicas: 2,
             transfer_failure_prob: 0.05,
-            fatal_failure_prob: 0.0,
         }
     }
 }
 
-/// What a chaos run observed.
+impl ChaosConfig {
+    /// A compact scenario so debug-mode tests stay quick: two WAN flaps,
+    /// one degradation window, and a 45 s replica-crash outage early in
+    /// the run.
+    pub fn compact() -> Self {
+        ChaosConfig {
+            extra_file_bytes: crate::mb(2),
+            flaps: 2,
+            degradations: 1,
+            fault_horizon: SimDuration::from_secs(150),
+            outage_start: SimTime::from_secs(30),
+            outage_duration: SimDuration::from_secs(45),
+            timeout_glitches: 1,
+            transfer_failure_prob: 0.0,
+            ..ChaosConfig::default()
+        }
+    }
+}
+
+/// What a Montage-under-faults run observed.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// The workflow run statistics.
@@ -111,19 +217,43 @@ pub struct ChaosReport {
     pub service_calls_passed: u64,
     /// Failovers performed by the replica chain (0 without a backup).
     pub failovers: u64,
-    /// Primary replica's policy memory after the run. May retain stale
-    /// in-progress entries for work whose completion was reported to the
-    /// backup after a failover (advisory degradation, not a leak).
-    pub primary_snapshot: MemorySnapshot,
     /// Backup replica's policy memory after the run (`None` with 1
     /// replica). The post-failover active replica: its ledgers must drain.
     pub backup_snapshot: Option<MemorySnapshot>,
 }
 
 impl ChaosReport {
-    /// Makespan in seconds.
-    pub fn makespan_secs(&self) -> f64 {
-        self.stats.makespan_secs()
+    /// Invariants a chaos run must keep; each breach is one line. The run
+    /// completes, every staged byte is cleaned up again, and the backup
+    /// replica's ledger drains. Without a backup the surviving primary may
+    /// keep entries whose reports an outage swallowed, so only the
+    /// executor's side is checked.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if !self.stats.success {
+            v.push("run did not complete".into());
+        }
+        if self.stats.final_scratch_bytes != 0.0 {
+            v.push(format!(
+                "{} bytes left on scratch",
+                self.stats.final_scratch_bytes
+            ));
+        }
+        if let Some(b) = &self.backup_snapshot {
+            let streams: u32 = b.host_pairs.iter().map(|hp| hp.allocated).sum();
+            let (transfers, staging, cleanups) = (
+                b.in_progress_transfers,
+                b.staging_files,
+                b.in_progress_cleanups,
+            );
+            if (transfers, staging, cleanups, streams) != (0, 0, 0, 0) {
+                v.push(format!(
+                    "backup ledger not drained: {transfers} transfers, {staging} files staging, \
+                     {cleanups} cleanups in progress, {streams} streams allocated"
+                ));
+            }
+        }
+        v
     }
 }
 
@@ -134,21 +264,22 @@ fn link_plan(cfg: &ChaosConfig, seed: u64, wan: pwm_net::LinkId) -> FaultPlan<Li
         return plan;
     }
     for (component, count, (shortest, longest), kind) in [
-        (
-            "chaos-link-flaps",
-            cfg.flaps,
-            cfg.flap_duration,
-            LinkFaultKind::Down,
-        ),
+        ("chaos-link-flaps", cfg.flaps, (5, 20), LinkFaultKind::Down),
         (
             "chaos-link-degrade",
             cfg.degradations,
-            cfg.degrade_duration,
-            LinkFaultKind::Degrade(cfg.degrade_factor),
+            (30, 60),
+            LinkFaultKind::Degrade(0.35),
         ),
     ] {
         let mut rng = SimRng::for_component(seed, component);
-        for w in seeded_windows(&mut rng, count, cfg.fault_horizon, shortest, longest) {
+        for w in seeded_windows(
+            &mut rng,
+            count,
+            cfg.fault_horizon,
+            SimDuration::from_secs(shortest),
+            SimDuration::from_secs(longest),
+        ) {
             plan.add(w.start, w.duration, LinkFault { link: wan, kind });
         }
     }
@@ -178,172 +309,116 @@ fn service_plan(cfg: &ChaosConfig, seed: u64) -> FaultPlan<ServiceFault> {
 /// Run the chaos scenario once.
 pub fn run_chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
     let world = PaperWorld::testbed();
-    let executable = world.plan_montage(cfg.extra_file_bytes, seed, &PlannerConfig::default());
-
-    let links = link_plan(cfg, seed, world.wan);
-    let services = service_plan(cfg, seed);
-    let mut fault_events = links.describe();
-    fault_events.extend(services.describe());
-
-    let mut network = Network::with_seed(world.topology, StreamModel::default(), seed);
-    network.set_fault_plan(links);
-
-    let policy = PolicyConfig::default()
-        .with_default_streams(cfg.default_streams)
-        .with_threshold(cfg.threshold)
-        .with_allocation(AllocationPolicy::Greedy);
-    let clock = SharedSimClock::new();
-    let primary_controller = PolicyController::new(policy.clone());
-    let chaotic = ChaosTransport::new(
-        Box::new(InProcessTransport::new(
-            primary_controller.clone(),
-            DEFAULT_SESSION,
-        )),
-        clock.clone(),
-        services,
-    );
-    let chaos_probe = chaotic.probe();
-    let backup_controller = (cfg.replicas > 1).then(|| PolicyController::new(policy));
-    let (transport, failover_probe): (Box<dyn PolicyTransport>, _) = match &backup_controller {
-        Some(backup) => {
-            let chain = FailoverTransport::new(vec![
-                Box::new(chaotic),
-                Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION)),
-            ]);
-            let probe = chain.probe();
-            (Box::new(chain), Some(probe))
-        }
-        None => (Box::new(chaotic), None),
-    };
-
-    let exec_cfg = ExecutorConfig {
-        seed,
-        transfer_failure_prob: cfg.transfer_failure_prob,
-        fatal_failure_prob: cfg.fatal_failure_prob,
-        fallback_streams: cfg.default_streams,
-        policy_call_latency: SimDuration::from_millis(75),
-        clock: Some(clock),
-        workflow_id: WorkflowId(seed),
-        watch_link: Some(world.wan),
-        ..ExecutorConfig::default()
-    };
-    let executor = WorkflowExecutor::new(&executable, &world.site, network, transport, exec_cfg);
-    let (stats, _network) = executor.run();
-
-    ChaosReport {
-        stats,
-        fault_events,
-        injected_service_failures: chaos_probe.injected_failures(),
-        service_calls_passed: chaos_probe.calls_passed(),
-        failovers: failover_probe.map(|p| p.failovers()).unwrap_or(0),
-        primary_snapshot: primary_controller
-            .snapshot(DEFAULT_SESSION)
-            .expect("primary snapshot"),
-        backup_snapshot: backup_controller
-            .map(|c| c.snapshot(DEFAULT_SESSION).expect("backup snapshot")),
-    }
-}
-
-/// One row of the chaos ablation table.
-#[derive(Debug, Clone)]
-pub struct ChaosRow {
-    /// Fault classes active in this row.
-    pub label: &'static str,
-    /// Makespan in seconds.
-    pub makespan_secs: f64,
-    /// Makespan divided by the fault-free makespan.
-    pub inflation: f64,
-    /// Transfer retries performed.
-    pub retries: u64,
-    /// Replica failovers.
-    pub failovers: u64,
-    /// Policy calls failed by injection.
-    pub injected: u64,
-    /// Whether the workflow completed successfully.
-    pub success: bool,
+    let link_faults = link_plan(cfg, seed, world.wan);
+    run_faulted(
+        world,
+        FaultedMontage {
+            extra_file_bytes: cfg.extra_file_bytes,
+            seed,
+            transfer_failure_prob: cfg.transfer_failure_prob,
+            link_faults,
+            service_faults: service_plan(cfg, seed),
+            backup: cfg.replicas > 1,
+            durable: None,
+            warm: None,
+        },
+    )
 }
 
 /// Rerun `seed` with each fault class toggled: none, link-only,
 /// service-only, both. The first row is the fault-free baseline.
-pub fn chaos_ablation(cfg: &ChaosConfig, seed: u64) -> Vec<ChaosRow> {
-    let variants: [(&'static str, bool, bool); 4] = [
+pub fn chaos_ablation(cfg: &ChaosConfig, seed: u64) -> Vec<(&'static str, ChaosReport)> {
+    [
         ("none", false, false),
         ("link", true, false),
         ("service", false, true),
         ("link+service", true, true),
-    ];
-    let mut rows = Vec::new();
-    let mut baseline = None;
-    for (label, link, service) in variants {
-        let mut v = cfg.clone();
-        v.link_faults = link;
-        v.service_faults = service;
-        let report = run_chaos(&v, seed);
-        let makespan = report.makespan_secs();
-        let base = *baseline.get_or_insert(makespan);
-        rows.push(ChaosRow {
-            label,
-            makespan_secs: makespan,
-            inflation: if base > 0.0 { makespan / base } else { 1.0 },
-            retries: report.stats.transfer_retries,
-            failovers: report.failovers,
-            injected: report.injected_service_failures,
-            success: report.stats.success,
-        });
-    }
-    rows
+    ]
+    .map(|(label, link_faults, service_faults)| {
+        let cfg = ChaosConfig {
+            link_faults,
+            service_faults,
+            ..cfg.clone()
+        };
+        (label, run_chaos(&cfg, seed))
+    })
+    .into()
 }
 
-/// Render the ablation as an aligned text table.
-pub fn render_ablation(rows: &[ChaosRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// Render the ablation as an aligned text table, each makespan also as
+/// its inflation over the first row's.
+pub fn render_ablation(rows: &[(&str, ChaosReport)]) -> String {
+    let mut out = format!(
         "{:<14} {:>12} {:>10} {:>9} {:>10} {:>9} {:>8}\n",
         "faults", "makespan[s]", "inflation", "retries", "failovers", "injected", "success"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:>12.1} {:>9.2}x {:>9} {:>10} {:>9} {:>8}\n",
-            r.label, r.makespan_secs, r.inflation, r.retries, r.failovers, r.injected, r.success
-        ));
+    );
+    let base = rows.first().map_or(0.0, |(_, r)| r.stats.makespan_secs());
+    for (label, r) in rows {
+        let makespan = r.stats.makespan_secs();
+        let inflation = if base > 0.0 { makespan / base } else { 1.0 };
+        let _ = writeln!(
+            out,
+            "{label:<14} {makespan:>12.1} {inflation:>9.2}x {:>9} {:>10} {:>9} {:>8}",
+            r.stats.transfer_retries, r.failovers, r.injected_service_failures, r.stats.success
+        );
     }
     out
+}
+
+/// `repro chaos`: one full fault-injected run plus the per-class ablation,
+/// and every run's [`ChaosReport::violations`].
+pub fn repro(seed: u64) -> SuiteOutput {
+    let cfg = ChaosConfig::default();
+    let report = run_chaos(&cfg, seed);
+    let rows = chaos_ablation(&cfg, seed);
+    let mut text = format!(
+        "Chaos scenario, seed {seed}: Montage under WAN flaps/degradations and a policy-service outage\n  injected faults:\n"
+    );
+    for ev in &report.fault_events {
+        let _ = writeln!(text, "    {ev}");
+    }
+    let _ = write!(
+        text,
+        "  outcome: success={} makespan {:.0}s  transfer retries {}  failovers {}\n  \
+         policy service: {} calls passed, {} failures injected; final scratch {:.0} bytes\n\n\
+         Ablation (same seed, fault classes toggled; inflation vs fault-free):\n{}\n",
+        report.stats.success,
+        report.stats.makespan_secs(),
+        report.stats.transfer_retries,
+        report.failovers,
+        report.service_calls_passed,
+        report.injected_service_failures,
+        report.stats.final_scratch_bytes,
+        render_ablation(&rows),
+    );
+    let mut violations = report.violations();
+    for (label, row) in &rows {
+        violations.extend(
+            row.violations()
+                .iter()
+                .map(|v| format!("ablation {label}: {v}")),
+        );
+    }
+    SuiteOutput {
+        text,
+        json: None,
+        violations,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A small chaos configuration so debug-mode tests stay quick.
-    fn small() -> ChaosConfig {
-        ChaosConfig {
-            extra_file_bytes: crate::mb(2),
-            flaps: 2,
-            degradations: 1,
-            fault_horizon: SimDuration::from_secs(150),
-            outage_start: SimTime::from_secs(30),
-            outage_duration: SimDuration::from_secs(45),
-            timeout_glitches: 1,
-            transfer_failure_prob: 0.0,
-            ..ChaosConfig::default()
-        }
-    }
-
-    #[test]
-    fn chaos_run_completes_and_reports_injections() {
-        let report = run_chaos(&small(), 3);
-        assert!(report.stats.success, "chaos must not break the workflow");
-        assert!(!report.fault_events.is_empty());
-        assert!(report.makespan_secs() > 0.0);
-    }
-
     #[test]
     fn fault_free_variant_matches_shape_of_paper_run() {
-        let mut cfg = small();
-        cfg.link_faults = false;
-        cfg.service_faults = false;
+        let cfg = ChaosConfig {
+            link_faults: false,
+            service_faults: false,
+            ..ChaosConfig::compact()
+        };
         let report = run_chaos(&cfg, 3);
-        assert!(report.stats.success);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
         assert!(report.fault_events.is_empty());
         assert_eq!(report.injected_service_failures, 0);
         assert_eq!(report.failovers, 0);
@@ -351,12 +426,24 @@ mod tests {
 
     #[test]
     fn ablation_has_a_baseline_first_row() {
-        let rows = chaos_ablation(&small(), 5);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].label, "none");
-        assert!((rows[0].inflation - 1.0).abs() < 1e-9);
-        assert!(rows.iter().all(|r| r.success));
+        let rows = chaos_ablation(&ChaosConfig::compact(), 5);
+        let labels: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
+        assert_eq!(labels, ["none", "link", "service", "link+service"]);
+        assert!(rows.iter().all(|(_, r)| r.violations().is_empty()));
         let rendered = render_ablation(&rows);
-        assert!(rendered.contains("link+service"));
+        assert!(rendered.lines().nth(1).unwrap().contains(" 1.00x "));
+    }
+
+    #[test]
+    fn violations_name_an_undrained_backup_ledger() {
+        let mut report = run_chaos(&ChaosConfig::compact(), 3);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        let backup = report.backup_snapshot.as_mut().expect("two replicas");
+        backup.in_progress_cleanups = 2;
+        report.stats.final_scratch_bytes = 5.0;
+        let v = report.violations();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].contains("5 bytes left on scratch"));
+        assert!(v[1].contains("2 cleanups in progress"));
     }
 }

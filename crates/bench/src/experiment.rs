@@ -196,48 +196,41 @@ impl MontageExperiment {
             },
         );
         let network = Network::with_seed(world.topology, StreamModel::default(), seed);
-        // Traced runs share one Obs across executor, network, and policy
-        // service; the shared clock lets the service stamp its evaluation
-        // instants with the executor's virtual time.
         let clock = obs.as_ref().map(|_| SharedSimClock::new());
-        let attach = |controller: &PolicyController| {
-            if let (Some(obs), Some(clock)) = (&obs, &clock) {
-                controller
-                    .attach_obs(DEFAULT_SESSION, obs.clone())
-                    .expect("default session exists");
-                controller
-                    .set_sim_clock(DEFAULT_SESSION, clock.clone())
-                    .expect("default session exists");
-            }
-        };
-        let (transport, latency): (Box<dyn PolicyTransport>, SimDuration) = match self.mode {
-            PolicyMode::NoPolicy => (
-                Box::new(NoPolicyTransport::new(self.default_streams)),
-                SimDuration::ZERO,
+        let base = PolicyConfig::default().with_default_streams(self.default_streams);
+        let policy = match self.mode {
+            PolicyMode::NoPolicy => None,
+            PolicyMode::Greedy { threshold } => Some(
+                base.with_threshold(threshold)
+                    .with_allocation(AllocationPolicy::Greedy),
             ),
-            PolicyMode::Greedy { threshold } => {
-                let config = PolicyConfig::default()
-                    .with_default_streams(self.default_streams)
-                    .with_threshold(threshold)
-                    .with_allocation(AllocationPolicy::Greedy);
-                let controller = PolicyController::new(config);
-                attach(&controller);
-                (
-                    Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
-                    self.policy_call_latency,
-                )
-            }
             PolicyMode::Balanced {
                 threshold,
                 cluster_factor,
-            } => {
-                let config = PolicyConfig::default()
-                    .with_default_streams(self.default_streams)
-                    .with_threshold(threshold)
+            } => Some(
+                base.with_threshold(threshold)
                     .with_cluster_factor(cluster_factor)
-                    .with_allocation(AllocationPolicy::Balanced);
+                    .with_allocation(AllocationPolicy::Balanced),
+            ),
+        };
+        let (transport, latency): (Box<dyn PolicyTransport>, SimDuration) = match policy {
+            None => (
+                Box::new(NoPolicyTransport::new(self.default_streams)),
+                SimDuration::ZERO,
+            ),
+            Some(config) => {
                 let controller = PolicyController::new(config);
-                attach(&controller);
+                // Traced runs share one Obs across executor, network, and
+                // policy service; the shared clock lets the service stamp
+                // its evaluation instants with the executor's virtual time.
+                if let (Some(obs), Some(clock)) = (&obs, &clock) {
+                    controller
+                        .attach_obs(DEFAULT_SESSION, obs.clone())
+                        .expect("default session exists");
+                    controller
+                        .set_sim_clock(DEFAULT_SESSION, clock.clone())
+                        .expect("default session exists");
+                }
                 (
                     Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
                     self.policy_call_latency,

@@ -20,17 +20,22 @@
 //!   per-fault-class ablation of the makespan inflation.
 //! * [`crash`] — a mid-run Policy Service death on the same run: cold
 //!   (empty-memory) versus warm (log-shipped) backup recovery and the
-//!   recovery invariants.
+//!   recovery invariants. Both Montage fault scenarios run on one stack,
+//!   built by `chaos`.
 //! * [`storagebench`] — the makespan-versus-dollar-cost frontier over the
 //!   `pwm-storage` backend trio: fixed-backend comparators against
 //!   policy-picked (greedy-cheapest / latency-floor / budget-capped)
 //!   staging (`BENCH_storage.json`).
 //! * [`resilience`] — the fault-intensity ladder, policy-guided versus
-//!   naive-retry recovery (`BENCH_resilience.json`).
+//!   naive-retry recovery (`BENCH_resilience.json`). Its cells and the
+//!   frontier's points are one storage-site run, built by `storagebench`.
+//!
+//! Each of the four suites hands `repro` one [`SuiteOutput`]: its stdout
+//! text, its JSON report if it has one, and the invariants it missed.
 //!
 //! One front end reaches all of it: `cargo run --release -p pwm-bench --bin
 //! repro -- all` prints every table/figure, `repro storage|resilience
-//! [smoke] [--out PATH]` runs a layer benchmark and prints its JSON report;
+//! [--out PATH]` runs a layer benchmark and prints its JSON report;
 //! `cargo bench` runs the Criterion benches (`table4`, `figures`,
 //! `ablations`).
 
@@ -44,11 +49,23 @@ pub mod resilience;
 pub mod storagebench;
 pub mod table4;
 
-pub use chaos::{chaos_ablation, render_ablation, run_chaos, ChaosConfig, ChaosReport, ChaosRow};
-pub use crash::{render_crash, run_crash, CrashConfig, CrashReport, CrashRunReport};
+pub use chaos::{chaos_ablation, render_ablation, run_chaos, ChaosConfig, ChaosReport};
+pub use crash::{render_crash, run_crash, CrashConfig, CrashReport, CrashRunReport, WarmRecovery};
 pub use experiment::{default_seeds, mb, MontageExperiment, PaperWorld, PolicyMode};
 pub use figures::{
     fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render as render_figure, render_csv, Figure,
     Series,
 };
 pub use table4::{render as render_table4, table4_analytic, table4_via_service, Table4Row};
+
+/// What one `repro` fault or cost suite produced.
+#[derive(Debug)]
+pub struct SuiteOutput {
+    /// Everything the suite prints on stdout before its report.
+    pub text: String,
+    /// The suite's JSON report (`BENCH_*.json`), printed and written to
+    /// `--out`.
+    pub json: Option<String>,
+    /// Every invariant the run missed, one line each.
+    pub violations: Vec<String>,
+}

@@ -24,27 +24,26 @@
 //!
 //! The sweep runs a fault-intensity ladder (calm → rough → turbulent) ×
 //! both modes, each cell twice to prove per-seed determinism, and records
-//! `BENCH_resilience.json`. Invariants enforced by the CI smoke job:
+//! `BENCH_resilience.json`. Invariants `repro resilience` enforces with a
+//! nonzero exit:
 //!
 //! * every run completes at every intensity (`success`), staging exactly
 //!   one clean copy of every input byte;
 //! * same-seed runs are bit-identical (`RunStats` equality);
 //! * in the turbulent cell, policy-guided recovery beats naive retry on
 //!   makespan by at least [`MIN_TURBULENT_SPEEDUP`].
+//!
+//! A cell is [`crate::storagebench`]'s storage-site run with a mirror
+//! source, the intensity's faults and a recovery plane attached.
 
-use crate::storagebench::{install_site, StoragebenchScenario};
-use pwm_core::{
-    InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION,
-};
-use pwm_net::fault::{LinkFault, LinkFaultKind};
-use pwm_net::{Network, StreamModel, Topology};
-use pwm_obs::{global_logger, JsonValue};
-use pwm_sim::{FaultPlan, SimDuration, SimTime};
-use pwm_storage::{ec2_trio, CorruptionModel};
-use pwm_workflow::{
-    plan, BackendOutage, CrashTarget, ExecutorConfig, HostCrash, PlannerConfig, RecoveryConfig,
-    ReplicaCatalog, RunStats, StorageRuntime, WorkflowExecutor,
-};
+use crate::storagebench::{run_site, Sources, StoragebenchScenario};
+use crate::SuiteOutput;
+use pwm_core::StoragePolicy;
+use pwm_obs::global_logger;
+use pwm_sim::{SimDuration, SimTime};
+use pwm_storage::ec2_trio;
+use pwm_workflow::RunStats;
+use serde::Serialize;
 
 /// Makespan ratio (naive / guided) the turbulent cell must reach — the
 /// headline claim the committed report asserts.
@@ -65,16 +64,6 @@ pub fn standard_scenario() -> StoragebenchScenario {
     }
 }
 
-/// The CI smoke scenario: same shape, half the jobs.
-pub fn smoke_scenario() -> StoragebenchScenario {
-    StoragebenchScenario {
-        label: "wide-8x24MB".into(),
-        jobs: 8,
-        file_bytes: 24_000_000,
-        seed: 42,
-    }
-}
-
 /// One rung of the fault-intensity ladder.
 #[derive(Debug, Clone)]
 pub struct Intensity {
@@ -88,8 +77,8 @@ pub struct Intensity {
     pub corruption_prob: f64,
 }
 
-/// The swept ladder. Fault windows start a few seconds in — staging is
-/// still running then for both the standard and the smoke scenario.
+/// The swept ladder. Fault windows start a few seconds in, while staging
+/// is still running.
 pub fn intensity_ladder() -> Vec<Intensity> {
     vec![
         Intensity {
@@ -113,135 +102,67 @@ pub fn intensity_ladder() -> Vec<Intensity> {
     ]
 }
 
-/// One (intensity, mode) cell of the sweep.
-#[derive(Debug, Clone)]
+/// The report's mode label of policy-guided recovery.
+const GUIDED: &str = "policy-guided";
+/// The report's mode label of naive retry.
+const NAIVE: &str = "naive-retry";
+
+/// One (intensity, mode) cell of the sweep, as `BENCH_resilience.json`
+/// records it.
+#[derive(Debug, Clone, Serialize)]
 pub struct ResilienceCell {
     /// Intensity rung name.
-    pub intensity: String,
-    /// True for policy-guided recovery, false for naive retry.
-    pub guided: bool,
-    /// The run's statistics (including the recovery report).
-    pub stats: RunStats,
+    pub intensity: &'static str,
+    /// `policy-guided` or `naive-retry`.
+    pub mode: &'static str,
+    /// Virtual makespan, seconds.
+    pub makespan_secs: f64,
+    /// Whether the workflow completed.
+    pub success: bool,
     /// Whether the same-seed re-run reproduced the stats bit-for-bit.
     pub deterministic: bool,
+    /// Payload bytes staged.
+    pub bytes_staged: f64,
+    /// Transfer retries performed.
+    pub transfer_retries: u64,
+    /// What the recovery plane did (all zero when nothing happened).
+    pub recovery: RecoveryCounts,
 }
 
-impl ResilienceCell {
-    /// Mode label as it appears in the report.
-    pub fn mode(&self) -> &'static str {
-        if self.guided {
-            "policy-guided"
-        } else {
-            "naive-retry"
-        }
-    }
+/// The [`pwm_workflow::RecoveryReport`] counters the report records.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct RecoveryCounts {
+    host_crashes: u32,
+    flows_killed: u32,
+    backend_outages: u32,
+    corrupt_reads: u32,
+    quarantines: u32,
+    replica_failovers: u32,
+    producer_reruns: u32,
+    health_reports: u32,
+    waits_for_restart: u32,
 }
+
+/// The sources of every cell: the preferred source is the slow path; the
+/// mirror is 4× faster, so failing over is worth it even without a fault.
+const SOURCES: Sources = Sources {
+    datasrc_bps: 12.5e6,
+    mirror_bps: Some(50.0e6),
+};
 
 /// Run one cell once. Everything physical — topology, fault windows,
 /// corruption draws — is identical across modes; only `report_health`
 /// differs.
 pub fn run_cell(s: &StoragebenchScenario, it: &Intensity, guided: bool) -> RunStats {
-    let trio = ec2_trio();
-    let mut topo = Topology::new();
-    // The preferred source is the slow path; the mirror is 4× faster, so
-    // failing over is worth it even without a fault.
-    let datasrc = topo.add_host("datasrc", 12.5e6);
-    let mirror = topo.add_host("mirrorsrc", 50.0e6);
-    let (site, layer) = install_site(&mut topo, &trio);
-    let datasrc_link = topo.host(datasrc).access_link;
-    let outage_backend = layer.backend(OUTAGE_BACKEND).expect("trio backend");
-    let outage_link = topo.host(outage_backend.host).access_link;
-    let outage_host = outage_backend.host;
-
-    // Physical fault plan: identical in both modes.
-    let mut faults = FaultPlan::new();
-    if let Some((at, downtime)) = it.crash {
-        faults.add(
-            at,
-            downtime,
-            LinkFault {
-                link: datasrc_link,
-                kind: LinkFaultKind::Down,
-            },
-        );
-    }
-    if let Some((from, duration)) = it.outage {
-        faults.add(
-            from,
-            duration,
-            LinkFault {
-                link: outage_link,
-                kind: LinkFaultKind::Down,
-            },
-        );
-    }
-    let mut network = Network::with_seed(topo, StreamModel::default(), s.seed);
-    network.set_fault_plan(faults);
-
-    let wf = s.workflow("resilience");
-    let mut rc = ReplicaCatalog::new();
-    for i in 0..s.jobs {
-        // Preferred replica first (planning uses it), mirror second
-        // (failover walks the rest).
-        rc.insert(
-            format!("in_{i}"),
-            Url::new("gsiftp", "datasrc", format!("/data/in_{i}")),
-            datasrc,
-        );
-        rc.insert(
-            format!("in_{i}"),
-            Url::new("http", "mirrorsrc", format!("/mirror/in_{i}")),
-            mirror,
-        );
-    }
-    let p = plan(&wf, &site, &rc, &PlannerConfig::default()).expect("plan resilience workflow");
-
-    let mut policy = PolicyConfig::default().with_storage(StoragePolicy::GreedyCheapest);
-    for spec in &trio {
-        policy = policy.with_backend(spec.clone(), site.storage_host_name.as_str());
-    }
-    let controller = PolicyController::new(policy);
-    let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));
-
-    let mut recovery = RecoveryConfig {
-        report_health: guided,
-        ..RecoveryConfig::default()
-    };
-    recovery.replicas = rc;
-    recovery.corruption = CorruptionModel::new(s.seed);
-    if it.corruption_prob > 0.0 {
-        recovery
-            .corruption
-            .set_host_prob("datasrc", it.corruption_prob);
-    }
-    if let Some((at, downtime)) = it.crash {
-        recovery.crashes.push(HostCrash {
-            target: CrashTarget::Host {
-                host: datasrc,
-                name: "datasrc".into(),
-            },
-            at,
-            restart_after: downtime,
-        });
-    }
-    if let Some((from, duration)) = it.outage {
-        recovery.backend_outages.push(BackendOutage {
-            backend: OUTAGE_BACKEND.into(),
-            host: outage_host,
-            from,
-            duration,
-        });
-    }
-
-    let cfg = ExecutorConfig {
-        seed: s.seed,
-        storage: Some(StorageRuntime::new(layer)),
-        recovery: Some(recovery),
-        ..ExecutorConfig::default()
-    };
-    let exec = WorkflowExecutor::new(&p, &site, network, transport, cfg);
-    let (stats, _net) = exec.run();
-    stats
+    let policy = StoragePolicy::GreedyCheapest;
+    run_site(
+        s,
+        "resilience",
+        SOURCES,
+        &ec2_trio(),
+        policy,
+        Some((it, guided)),
+    )
 }
 
 /// Run the full sweep: every intensity × both modes, each cell twice for
@@ -253,19 +174,30 @@ pub fn run_suite(s: &StoragebenchScenario) -> Vec<ResilienceCell> {
         for guided in [true, false] {
             let first = run_cell(s, &it, guided);
             let second = run_cell(s, &it, guided);
+            let rec = first.recovery.clone().unwrap_or_default();
             let cell = ResilienceCell {
-                intensity: it.name.into(),
-                guided,
+                intensity: it.name,
+                mode: if guided { GUIDED } else { NAIVE },
+                makespan_secs: first.makespan_secs(),
+                success: first.success,
                 deterministic: first == second,
-                stats: first,
+                bytes_staged: first.bytes_staged,
+                transfer_retries: first.transfer_retries,
+                recovery: RecoveryCounts {
+                    host_crashes: rec.host_crashes,
+                    flows_killed: rec.flows_killed,
+                    backend_outages: rec.backend_outages,
+                    corrupt_reads: rec.corrupt_reads,
+                    quarantines: rec.quarantines,
+                    replica_failovers: rec.replica_failovers,
+                    producer_reruns: rec.producer_reruns,
+                    health_reports: rec.health_reports,
+                    waits_for_restart: rec.waits_for_restart,
+                },
             };
             log.info(&format!(
                 "resiliencebench: {:>9}/{:<13} makespan {:8.2}s  success {}  deterministic {}",
-                it.name,
-                cell.mode(),
-                cell.stats.makespan_secs(),
-                cell.stats.success,
-                cell.deterministic
+                cell.intensity, cell.mode, cell.makespan_secs, cell.success, cell.deterministic
             ));
             cells.push(cell);
         }
@@ -276,14 +208,14 @@ pub fn run_suite(s: &StoragebenchScenario) -> Vec<ResilienceCell> {
 /// Makespan speedup (naive / guided) at one intensity; `None` when either
 /// cell is missing.
 pub fn speedup_at(cells: &[ResilienceCell], intensity: &str) -> Option<f64> {
-    let find = |guided: bool| {
+    let find = |mode: &str| {
         cells
             .iter()
-            .find(|c| c.intensity == intensity && c.guided == guided)
-            .map(|c| c.stats.makespan_secs())
+            .find(|c| c.intensity == intensity && c.mode == mode)
+            .map(|c| c.makespan_secs)
     };
-    let guided = find(true)?;
-    let naive = find(false)?;
+    let guided = find(GUIDED)?;
+    let naive = find(NAIVE)?;
     (guided > 0.0).then(|| naive / guided)
 }
 
@@ -293,8 +225,8 @@ pub fn check_invariants(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> V
     let mut violations = Vec::new();
     let expected_bytes = (s.jobs as u64 * s.file_bytes) as f64;
     for c in cells {
-        let tag = format!("{}/{}", c.intensity, c.mode());
-        if !c.stats.success {
+        let tag = format!("{}/{}", c.intensity, c.mode);
+        if !c.success {
             violations.push(format!("{tag}: workflow did not complete"));
         }
         if !c.deterministic {
@@ -302,10 +234,10 @@ pub fn check_invariants(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> V
         }
         // Byte-correctness: exactly one clean copy of every input was
         // accepted — corrupt reads never count toward staged bytes.
-        if (c.stats.bytes_staged - expected_bytes).abs() > 0.5 {
+        if (c.bytes_staged - expected_bytes).abs() > 0.5 {
             violations.push(format!(
                 "{tag}: staged {} bytes, expected exactly {expected_bytes}",
-                c.stats.bytes_staged
+                c.bytes_staged
             ));
         }
     }
@@ -319,103 +251,62 @@ pub fn check_invariants(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> V
     violations
 }
 
-fn cell_json(c: &ResilienceCell) -> JsonValue {
-    let rec = c.stats.recovery.clone().unwrap_or_default();
-    JsonValue::Obj(vec![
-        ("intensity".into(), JsonValue::Str(c.intensity.clone())),
-        ("mode".into(), JsonValue::Str(c.mode().into())),
-        (
-            "makespan_secs".into(),
-            JsonValue::Float(c.stats.makespan_secs()),
-        ),
-        ("success".into(), JsonValue::Bool(c.stats.success)),
-        ("deterministic".into(), JsonValue::Bool(c.deterministic)),
-        (
-            "bytes_staged".into(),
-            JsonValue::Float(c.stats.bytes_staged),
-        ),
-        (
-            "transfer_retries".into(),
-            JsonValue::Int(c.stats.transfer_retries as i64),
-        ),
-        (
-            "recovery".into(),
-            JsonValue::Obj(vec![
-                (
-                    "host_crashes".into(),
-                    JsonValue::Int(rec.host_crashes as i64),
-                ),
-                (
-                    "flows_killed".into(),
-                    JsonValue::Int(rec.flows_killed as i64),
-                ),
-                (
-                    "backend_outages".into(),
-                    JsonValue::Int(rec.backend_outages as i64),
-                ),
-                (
-                    "corrupt_reads".into(),
-                    JsonValue::Int(rec.corrupt_reads as i64),
-                ),
-                ("quarantines".into(), JsonValue::Int(rec.quarantines as i64)),
-                (
-                    "replica_failovers".into(),
-                    JsonValue::Int(rec.replica_failovers as i64),
-                ),
-                (
-                    "producer_reruns".into(),
-                    JsonValue::Int(rec.producer_reruns as i64),
-                ),
-                (
-                    "health_reports".into(),
-                    JsonValue::Int(rec.health_reports as i64),
-                ),
-                (
-                    "waits_for_restart".into(),
-                    JsonValue::Int(rec.waits_for_restart as i64),
-                ),
-            ]),
-        ),
-    ])
+/// The `BENCH_resilience.json` document.
+#[derive(Serialize)]
+struct Report {
+    bench: &'static str,
+    units: &'static str,
+    scenario: String,
+    jobs: usize,
+    file_bytes: u64,
+    seed: u64,
+    min_turbulent_speedup: f64,
+    speedups: Vec<SpeedupRow>,
+    cells: Vec<ResilienceCell>,
+}
+
+/// Naive over guided makespan at one intensity.
+#[derive(Serialize)]
+struct SpeedupRow {
+    intensity: &'static str,
+    naive_over_guided: f64,
 }
 
 /// Render a result set as the `BENCH_resilience.json` document.
-pub fn report_json(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> JsonValue {
-    let speedups: Vec<JsonValue> = intensity_ladder()
-        .iter()
-        .filter_map(|it| {
-            speedup_at(cells, it.name).map(|ratio| {
-                JsonValue::Obj(vec![
-                    ("intensity".into(), JsonValue::Str(it.name.into())),
-                    ("naive_over_guided".into(), JsonValue::Float(ratio)),
-                ])
+pub fn report_json(s: &StoragebenchScenario, cells: &[ResilienceCell]) -> String {
+    let report = Report {
+        bench: "resiliencebench",
+        units: "makespan_secs: virtual seconds; speedup: naive-retry makespan / \
+                policy-guided makespan at the same fault intensity",
+        scenario: s.label.clone(),
+        jobs: s.jobs,
+        file_bytes: s.file_bytes,
+        seed: s.seed,
+        min_turbulent_speedup: MIN_TURBULENT_SPEEDUP,
+        speedups: intensity_ladder()
+            .iter()
+            .filter_map(|it| {
+                speedup_at(cells, it.name).map(|naive_over_guided| SpeedupRow {
+                    intensity: it.name,
+                    naive_over_guided,
+                })
             })
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        ("bench".into(), JsonValue::Str("resiliencebench".into())),
-        (
-            "units".into(),
-            JsonValue::Str(
-                "makespan_secs: virtual seconds; speedup: naive-retry makespan / \
-                 policy-guided makespan at the same fault intensity"
-                    .into(),
-            ),
-        ),
-        ("scenario".into(), JsonValue::Str(s.label.clone())),
-        ("jobs".into(), JsonValue::Int(s.jobs as i64)),
-        ("file_bytes".into(), JsonValue::Int(s.file_bytes as i64)),
-        ("seed".into(), JsonValue::Int(s.seed as i64)),
-        (
-            "min_turbulent_speedup".into(),
-            JsonValue::Float(MIN_TURBULENT_SPEEDUP),
-        ),
-        ("speedups".into(), JsonValue::Arr(speedups)),
-        (
-            "cells".into(),
-            JsonValue::Arr(cells.iter().map(cell_json).collect()),
-        ),
-    ])
+            .collect(),
+        cells: cells.to_vec(),
+    };
+    serde_json::to_string(&report).expect("resilience report serializes")
+}
+
+/// `repro resilience`: the standard sweep as `BENCH_resilience.json`, and
+/// every [`check_invariants`] miss.
+pub fn repro() -> SuiteOutput {
+    let s = standard_scenario();
+    let cells = run_suite(&s);
+    SuiteOutput {
+        text: String::new(),
+        json: Some(report_json(&s, &cells)),
+        violations: check_invariants(&s, &cells),
+    }
 }
 
 #[cfg(test)]
@@ -472,29 +363,28 @@ mod tests {
     #[test]
     fn invariants_pass_on_a_sound_synthetic_sweep() {
         let s = tiny();
-        let stats_with = |makespan: f64| {
-            let mut st = run_cell(&s, &intensity_ladder()[0], true);
-            st.makespan = pwm_sim::SimDuration::from_secs_f64(makespan);
-            st
-        };
-        let mk = |intensity: &str, guided: bool, makespan: f64| ResilienceCell {
-            intensity: intensity.into(),
-            guided,
-            stats: stats_with(makespan),
+        let mk = |intensity, mode, makespan_secs| ResilienceCell {
+            intensity,
+            mode,
+            makespan_secs,
+            success: true,
             deterministic: true,
+            bytes_staged: (s.jobs as u64 * s.file_bytes) as f64,
+            transfer_retries: 0,
+            recovery: RecoveryCounts::default(),
         };
         let cells = vec![
-            mk("calm", true, 30.0),
-            mk("calm", false, 30.0),
-            mk("turbulent", true, 40.0),
-            mk("turbulent", false, 90.0),
+            mk("calm", GUIDED, 30.0),
+            mk("calm", NAIVE, 30.0),
+            mk("turbulent", GUIDED, 40.0),
+            mk("turbulent", NAIVE, 90.0),
         ];
         assert!(check_invariants(&s, &cells).is_empty());
         assert!((speedup_at(&cells, "turbulent").unwrap() - 2.25).abs() < 1e-9);
 
         // Break the speedup floor and the determinism bit.
         let mut bad = cells.clone();
-        bad[2].stats.makespan = pwm_sim::SimDuration::from_secs(89);
+        bad[2].makespan_secs = 89.0;
         bad[3].deterministic = false;
         let violations = check_invariants(&s, &bad);
         assert!(violations.iter().any(|v| v.contains("speedup")));

@@ -42,7 +42,7 @@ cargo test --release --offline --test alloc_budget -- --nocapture
 # `_bucket` lines stripped) is pinned by scripts/metrics_series.txt, so a
 # renamed metric or a changed label fails here instead of passing silently.
 # `repro` is the one pwm-bench front end: built once here, it also serves
-# the crash job and the parent-identity job below.
+# the parent-identity job below.
 echo "== repro --trace + /metrics scrape =="
 cargo build -q --release --offline -p pwm-bench --bin repro
 TRACE_OUT="$(mktemp /tmp/pwm-trace.XXXXXX.json)"
@@ -56,12 +56,10 @@ test -s "$TRACE_OUT" || { echo "trace export is empty" >&2; exit 1; }
 
 # Crash-recovery job: the durability acceptance suite in release mode
 # (seeded WAL crash points, warm-failover invariants, recovery
-# determinism), then the cold-vs-warm recovery scenario through the repro
-# binary — it exits nonzero if any recovery invariant is violated.
+# determinism). `repro crash 7`, which exits nonzero on a violated
+# recovery invariant, runs in the parent-identity job below.
 echo "== cargo test --release (crash recovery) =="
 cargo test -q --release --offline --test crash_recovery
-echo "== repro crash =="
-./target/release/repro crash 7 > /dev/null
 
 # Throughput floors. Wall-clock is measured in one place, the whole-stack
 # benchmark (benchmark/run.sh); a floor here is one 5-second run of one of
@@ -168,16 +166,41 @@ bench_floor netsim_turbulent 135000 events/s
 # `repro crash 7`, the traced paper run — the `--trace` file itself, so no
 # policy call may be added, merged or reordered — and the full storage and
 # resilience suites, whose reports must also equal the committed
-# BENCH_storage.json and BENCH_resilience.json. `repro storage` exits nonzero
-# on a cost-invariant violation (component sums, metered != staged bytes, a
-# non-monotone makespan-vs-dollars frontier, no policy-picked run beating the
-# worst fixed backend); `repro resilience` on an incomplete workflow, a
+# BENCH_storage.json and BENCH_resilience.json. `repro chaos` exits nonzero
+# on an incomplete run or ablation row, bytes left on scratch or an
+# undrained backup ledger; `repro crash` on a recovery invariant (a failed
+# warm replay included); `repro storage` on a cost-invariant violation
+# (component sums, metered != staged bytes, a non-monotone
+# makespan-vs-dollars frontier, no policy-picked run beating the worst fixed
+# backend); `repro resilience` on an incomplete workflow, a
 # same-seed mismatch, staged bytes != one clean copy per input, or a
 # turbulent guided-vs-naive speedup under 1.2x. A change that means to move
 # one of these says so here and compares what is left of that output; a
 # change that does not (a refactor, an allocation cut, a recompute the
 # simulator no longer repeats) has nothing to filter, and nothing is filtered.
 echo "== parent identity (simulated results vs a build of the parent commit) =="
+series() { grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort; }
+# Every identity output of one `repro` build into one directory. Each suite
+# exits nonzero on its own invariants, so the change side runs even when
+# there is no parent to compare with.
+identity_outputs() {
+  local repro="$1" out="$2"
+  mkdir -p "$out"
+  "$repro" table4 > "$out/table4.txt"
+  "$repro" fig5 1 > "$out/fig5.txt"
+  "$repro" scrape-metrics | series > "$out/series.txt"
+  "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
+  "$repro" chaos 7 > "$out/chaos.txt"
+  "$repro" crash 7 > "$out/crash.txt"
+  timeout 120 "$repro" storage --out "$out/BENCH_storage.json" > /dev/null
+  timeout 120 "$repro" resilience --out "$out/BENCH_resilience.json" > /dev/null
+}
+rm -rf target/identity
+identity_outputs target/release/repro target/identity/change
+for f in BENCH_storage.json BENCH_resilience.json; do
+  cmp "$f" "target/identity/change/$f" \
+    || { echo "$f differs from the committed file" >&2; exit 1; }
+done
 if git status --porcelain -- Cargo.toml Cargo.lock src crates third_party | grep -q .; then
   parent_rev=HEAD
 else
@@ -185,35 +208,18 @@ else
 fi
 if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
   rm -rf target/parent-src
-  mkdir -p target/parent-src target/identity
+  mkdir -p target/parent-src
   git archive "$parent_rev" | tar -x -C target/parent-src
   CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
-  series() { grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort; }
-  for side in parent change; do
-    if [ "$side" = parent ]; then repro=target/parent/release/repro; else repro=target/release/repro; fi
-    out="target/identity/$side"
-    mkdir -p "$out"
-    "$repro" table4 > "$out/table4.txt"
-    "$repro" fig5 1 > "$out/fig5.txt"
-    "$repro" scrape-metrics | series > "$out/series.txt"
-    "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
-    "$repro" chaos 7 > "$out/chaos.txt"
-    "$repro" crash 7 > "$out/crash.txt"
-    timeout 120 "$repro" storage --out "$out/BENCH_storage.json" > /dev/null
-    timeout 120 "$repro" resilience --out "$out/BENCH_resilience.json" > /dev/null
-  done
+  identity_outputs target/parent/release/repro target/identity/parent
   for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
     BENCH_storage.json BENCH_resilience.json; do
     cmp "target/identity/parent/$f" "target/identity/change/$f" \
       || { echo "$f differs from the parent commit ($parent_rev)" >&2; exit 1; }
   done
-  for f in BENCH_storage.json BENCH_resilience.json; do
-    cmp "$f" "target/identity/change/$f" \
-      || { echo "$f differs from the committed file" >&2; exit 1; }
-  done
 else
-  echo "no parent commit to compare with; skipped"
+  echo "no parent commit to compare with; the suites ran, the comparison is skipped"
 fi
 
 # Differential job: the arena fact store and the ladder event queue are

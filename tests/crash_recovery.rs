@@ -24,7 +24,7 @@ use pwm_core::{
     TransferAdvice, TransferId, TransferOutcome, TransferSpec, TransportError, Url, WalCommand,
     WorkflowId, DEFAULT_SESSION,
 };
-use pwm_sim::{SimDuration, SimRng, SimTime};
+use pwm_sim::{SimRng, SimTime};
 use std::path::PathBuf;
 
 /// Unique scratch directory (no tempfile crate in the dependency set).
@@ -355,8 +355,6 @@ fn scenario() -> CrashConfig {
         max_crash_append: 20,
         snapshot_every: 8,
         outage_start: SimTime::from_secs(30),
-        outage_duration: SimDuration::from_secs(100_000),
-        ..CrashConfig::default()
     }
 }
 
@@ -370,7 +368,7 @@ fn crash_failover_scenario_holds_recovery_invariants_end_to_end() {
         violations.join("\n")
     );
     // The warm hook really replayed the primary's log.
-    assert!(report.warm.recovered_records.is_some());
+    assert!(report.warm.recovered().is_some());
     assert!(report.warm.failovers >= 1);
 }
 
@@ -382,8 +380,9 @@ fn crash_recovery_outcome_is_a_pure_function_of_the_seed() {
     assert_eq!(a.crash, b.crash);
     assert_eq!(a.cold.stats.makespan, b.cold.stats.makespan);
     assert_eq!(a.warm.stats.makespan, b.warm.stats.makespan);
-    assert_eq!(a.warm.recovered_records, b.warm.recovered_records);
-    assert_eq!(a.warm.recovered_staged_files, b.warm.recovered_staged_files);
+    let recovered =
+        |r: &pwm_bench::CrashReport| r.warm.recovered().map(|w| (w.records, w.snapshot.clone()));
+    assert_eq!(recovered(&a), recovered(&b));
 }
 
 #[test]
