@@ -11,6 +11,7 @@
 //! repro timeline [MB]     # WAN utilization of one greedy-50 run
 //! repro chaos [seed]      # fault-injection scenario + per-fault-class ablation
 //! repro crash [seed]      # mid-run policy-service crash: cold vs warm recovery
+//! repro ablations         # six design-choice studies (clustering .. workload shapes)
 //! repro --trace <out.json> [seed]   # traced paper-setup run → Chrome-trace JSON
 //! repro validate-trace <path>       # check a Chrome-trace export (CI gate)
 //! repro scrape-metrics              # run + scrape /metrics over HTTP (CI gate)
@@ -26,20 +27,21 @@
 //! parse.
 //!
 //! `chaos`, `crash`, `storage` and `resilience` are the four fault and cost
-//! suites. Each prints its text — the two cost suites their JSON report,
-//! which `--out` also writes to PATH (conventionally `BENCH_storage.json`,
-//! `BENCH_resilience.json`) — then logs every invariant it missed and exits
-//! 1 if there was one. What each checks is documented on its module
-//! (`pwm_bench::{chaos, crash, storagebench, resilience}`).
+//! suites; `ablations` goes through the same tail. Each prints its text —
+//! the two cost suites their JSON report, which `--out` also writes to PATH
+//! (conventionally `BENCH_storage.json`, `BENCH_resilience.json`) — then
+//! logs every invariant it missed and exits 1 if there was one. What each
+//! checks is documented on its module
+//! (`pwm_bench::{chaos, crash, storagebench, resilience, ablations}`).
 //!
 //! Progress and diagnostics (each suite's per-row results included) go to
 //! stderr through the `pwm-obs` leveled logger
 //! (`PWM_LOG=error|warn|info|debug`); results stay on stdout.
 
 use pwm_bench::{
-    chaos, crash, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_csv, render_figure,
-    render_table4, resilience, storagebench, table4_analytic, table4_via_service, Figure,
-    SuiteOutput,
+    ablations, chaos, crash, fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render_csv,
+    render_figure, render_table4, resilience, storagebench, table4_analytic, table4_via_service,
+    Figure, SuiteOutput,
 };
 use pwm_obs::global_logger;
 
@@ -59,7 +61,7 @@ const FIGURES: [(&str, FigureFn); 6] = [
 
 /// Every subcommand. `main` dispatches through this table and [`usage`] is
 /// built from it, so the usage line cannot fall behind what is accepted.
-const SUBCOMMANDS: [(&str, Handler); 17] = [
+const SUBCOMMANDS: [(&str, Handler); 18] = [
     ("table4", |_| table4()),
     ("fig5", |rest| figure(fig5(seeds(rest)))),
     ("fig6", |rest| figure(fig6(seeds(rest)))),
@@ -87,6 +89,10 @@ const SUBCOMMANDS: [(&str, Handler); 17] = [
     }),
     ("crash", |rest| {
         finish("crash", crash::repro(arg_or(rest.first(), 7)), None)
+    }),
+    ("ablations", |rest| {
+        no_args(rest).unwrap_or_else(|e| die(2, &format!("{e}; usage: repro ablations")));
+        finish("ablations", ablations::repro(), None)
     }),
     ("storage", |rest| {
         let out = out_path("storage", rest);
@@ -170,6 +176,14 @@ fn parse_out(args: &[String]) -> Result<Option<String>, String> {
         }
     }
     Ok(out)
+}
+
+/// What follows `repro ablations`: nothing. `Err` is a usage error (exit 2).
+fn no_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("unknown argument: {arg}")),
+    }
 }
 
 /// [`parse_out`], with a parse failure reported as a usage error (exit 2).
@@ -383,6 +397,12 @@ mod tests {
             let err = parse(strays).unwrap_err();
             assert_eq!(err, format!("unknown argument: {}", strays.last().unwrap()));
         }
+        // `repro ablations` takes no argument at all.
+        assert_eq!(no_args(&[]), Ok(()));
+        assert_eq!(
+            no_args(&["3".to_string()]),
+            Err("unknown argument: 3".into())
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The experiment runner shared by the Criterion benches, the `repro`
-//! binary, and the integration tests.
+//! The experiment runner shared by the `repro` binary, the ablation
+//! studies, and the integration tests.
 //!
 //! One experiment point = the paper's experimental setup (Section V):
 //! augmented 1-degree Montage (89 staging jobs) on the paper testbed

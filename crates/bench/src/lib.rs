@@ -30,17 +30,22 @@
 //!   naive-retry recovery (`BENCH_resilience.json`). Its cells and the
 //!   frontier's points are one storage-site run, built by `storagebench`.
 //!
-//! Each of the four suites hands `repro` one [`SuiteOutput`]: its stdout
-//! text, its JSON report if it has one, and the invariants it missed.
+//! * [`ablations`] — six sim-time studies of the design choices: clustering
+//!   factor, greedy vs balanced, priorities, shared staging across
+//!   workflows, policy callout latency, and workload shapes.
+//!
+//! Each of the four suites, and the ablation studies, hands `repro` one
+//! [`SuiteOutput`]: its stdout text, its JSON report if it has one, and the
+//! invariants it missed.
 //!
 //! One front end reaches all of it: `cargo run --release -p pwm-bench --bin
 //! repro -- all` prints every table/figure, `repro storage|resilience
-//! [--out PATH]` runs a layer benchmark and prints its JSON report;
-//! `cargo bench` runs the Criterion benches (`table4`, `figures`,
-//! `ablations`).
+//! [--out PATH]` runs a layer benchmark and prints its JSON report, and
+//! `repro ablations` prints the six studies.
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod chaos;
 pub mod crash;
 pub mod experiment;

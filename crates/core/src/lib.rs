@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod advice;
 pub mod audit;
 pub mod balanced;
@@ -63,7 +62,6 @@ pub mod shard;
 pub mod storage_rules;
 pub mod transport;
 
-pub use adaptive::{ThresholdTuner, TransferObservation};
 pub use advice::{
     CleanupAction, CleanupAdvice, CleanupOutcome, TransferAction, TransferAdvice, TransferOutcome,
 };

@@ -35,17 +35,6 @@ pub struct AllocStats {
     pub unchanged_writes: u64,
 }
 
-impl AllocStats {
-    /// Mean flows per progressive-filling run (0 when none ran).
-    pub fn mean_flows_per_run(&self) -> f64 {
-        if self.component_runs == 0 {
-            0.0
-        } else {
-            self.flows_allocated as f64 / self.component_runs as f64
-        }
-    }
-}
-
 /// Accumulates completed transfers for post-run analysis.
 #[derive(Debug, Default)]
 pub struct TransferLedger {

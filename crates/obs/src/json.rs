@@ -100,14 +100,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an `i64`, if it is an integral number.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -48,11 +48,6 @@ impl PollFd {
     pub fn readable(&self) -> bool {
         self.revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
     }
-
-    /// Whether the descriptor accepts writes.
-    pub fn writable(&self) -> bool {
-        self.revents & (POLL_OUT | POLL_ERR | POLL_HUP) != 0
-    }
 }
 
 extern "C" {

@@ -340,22 +340,12 @@ impl<Ctx> Session<Ctx> {
         self
     }
 
-    /// Toggle firing-log capture at runtime.
-    pub fn set_firing_log(&mut self, enabled: bool) {
-        self.log_firings = enabled;
-    }
-
     /// Install a rule. Order of installation breaks salience ties.
     pub fn add_rule(&mut self, mut rule: Rule<Ctx>) {
         rule.resolve(&mut self.wm);
         self.rules.push(rule);
         self.states.push(RuleState::default());
         self.order_valid = false;
-    }
-
-    /// Number of installed rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Cumulative per-rule counters, in installation order.

@@ -67,16 +67,6 @@ pub enum PlanJobKind {
     },
 }
 
-impl PlanJobKind {
-    /// True for stage-in/stage-out jobs (they occupy staging-job slots).
-    pub fn is_staging(&self) -> bool {
-        matches!(
-            self,
-            PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. }
-        )
-    }
-}
-
 /// One node of the executable plan.
 #[derive(Debug, Clone)]
 pub struct PlanJob {

@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+# `--all-targets` is libs, bins, tests and examples: the workspace has no
+# bench targets (wall-clock is measured only by benchmark/, checked below).
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -164,12 +166,14 @@ bench_floor netsim_turbulent 135000 events/s
 # source changes). Everything compared must be byte-identical: `table4`,
 # `fig5 1`, the series set of the /metrics scrape, `repro chaos 7`,
 # `repro crash 7`, the traced paper run — the `--trace` file itself, so no
-# policy call may be added, merged or reordered — and the full storage and
-# resilience suites, whose reports must also equal the committed
-# BENCH_storage.json and BENCH_resilience.json. `repro chaos` exits nonzero
-# on an incomplete run or ablation row, bytes left on scratch or an
-# undrained backup ledger; `repro crash` on a recovery invariant (a failed
-# warm replay included); `repro storage` on a cost-invariant violation
+# policy call may be added, merged or reordered — the six ablation studies
+# (`repro ablations`), and the full storage and resilience suites, whose
+# reports must also equal the committed BENCH_storage.json and
+# BENCH_resilience.json. `repro ablations` exits nonzero on a run that did
+# not complete or a second sharing workflow that staged any byte;
+# `repro chaos` on an incomplete run or ablation row, bytes left on scratch
+# or an undrained backup ledger; `repro crash` on a recovery invariant
+# (a failed warm replay included); `repro storage` on a cost-invariant violation
 # (component sums, metered != staged bytes, a non-monotone
 # makespan-vs-dollars frontier, no policy-picked run beating the worst fixed
 # backend); `repro resilience` on an incomplete workflow, a
@@ -180,6 +184,13 @@ bench_floor netsim_turbulent 135000 events/s
 # simulator no longer repeats) has nothing to filter, and nothing is filtered.
 echo "== parent identity (simulated results vs a build of the parent commit) =="
 series() { grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort; }
+# Whether `repro` build $1 accepts subcommand $2: its usage line, printed on
+# an unknown target, lists every subcommand.
+has_subcommand() {
+  local usage
+  usage="$("$1" no-such-subcommand 2>&1 || true)"
+  [[ "$usage" =~ [\[\|]"$2"[\]\|] ]]
+}
 # Every identity output of one `repro` build into one directory. Each suite
 # exits nonzero on its own invariants, so the change side runs even when
 # there is no parent to compare with.
@@ -192,6 +203,14 @@ identity_outputs() {
   "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
   "$repro" chaos 7 > "$out/chaos.txt"
   "$repro" crash 7 > "$out/crash.txt"
+  # A parent older than `repro ablations` has the six studies only as a
+  # wall-clock bench target, which this job does not run: say so, compare
+  # the rest.
+  if has_subcommand "$repro" ablations; then
+    "$repro" ablations > "$out/ablations.txt"
+  else
+    echo "ablations.txt: not compared, $repro has no \`repro ablations\`" >&2
+  fi
   timeout 120 "$repro" storage --out "$out/BENCH_storage.json" > /dev/null
   timeout 120 "$repro" resilience --out "$out/BENCH_resilience.json" > /dev/null
 }
@@ -214,7 +233,9 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
   identity_outputs target/parent/release/repro target/identity/parent
   for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
-    BENCH_storage.json BENCH_resilience.json; do
+    ablations.txt BENCH_storage.json BENCH_resilience.json; do
+    # Only a parent without `repro ablations` lacks a file (logged above).
+    [ "$f" = ablations.txt ] && [ ! -e "target/identity/parent/$f" ] && continue
     cmp "target/identity/parent/$f" "target/identity/change/$f" \
       || { echo "$f differs from the parent commit ($parent_rev)" >&2; exit 1; }
   done

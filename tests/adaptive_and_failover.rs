@@ -1,44 +1,14 @@
-//! Integration: the future-work extensions running against the full stack —
-//! the adaptive threshold tuner fed by real simulated transfers, and the
-//! replicated-policy failover transport driving a whole workflow.
+//! Integration: the replicated-policy failover transport (a future-work
+//! extension) driving a whole workflow through a mid-run primary crash.
 
-use pwm_bench::{mb, MontageExperiment, PolicyMode};
 use pwm_core::transport::{InProcessTransport, PolicyTransport, TransportError};
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, FailoverTransport, PolicyConfig, PolicyController,
-    ThresholdTuner, TransferAdvice, TransferObservation, TransferOutcome, TransferSpec,
-    DEFAULT_SESSION,
+    TransferAdvice, TransferOutcome, TransferSpec, DEFAULT_SESSION,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{paper_testbed, Network, StreamModel};
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor};
-
-/// The tuner, fed by real simulated campaigns, must end up preferring a
-/// threshold at or below 100 (the healthy region) over 200.
-#[test]
-fn tuner_learns_the_healthy_region_from_real_runs() {
-    let mut tuner = ThresholdTuner::new(vec![50, 200], 3)
-        .with_min_samples(80)
-        .with_epsilon(0.0);
-    for episode in 0..6 {
-        let threshold = tuner.active_threshold();
-        let exp = MontageExperiment::paper_setup(mb(10), 8, PolicyMode::Greedy { threshold });
-        let stats = exp.run_once(500 + episode);
-        assert!(stats.success);
-        for t in stats.transfers.iter().filter(|t| t.bytes >= 9.0e6) {
-            tuner.observe(TransferObservation {
-                goodput: t.goodput(),
-                concurrent: 20,
-            });
-        }
-    }
-    assert_eq!(
-        tuner.best_threshold(),
-        50,
-        "estimates: {:?}",
-        tuner.estimates()
-    );
-}
 
 /// A transport that fails after `live_calls` successful calls, simulating a
 /// policy-service crash mid-workflow.
