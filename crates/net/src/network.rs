@@ -622,6 +622,12 @@ impl Network {
         self.flows.len()
     }
 
+    /// The event queue's health snapshot: pending events by area and the
+    /// bucket capacity it retains.
+    pub fn queue_health(&self) -> pwm_sim::QueueHealth {
+        self.sched.health()
+    }
+
     /// Peak concurrent streams ever observed on `link` (Table IV check).
     pub fn peak_streams(&self, link: LinkId) -> u32 {
         self.links[link.0 as usize].state.peak_streams

@@ -20,6 +20,11 @@ pub struct QueueHealth {
     pub overflow_events: usize,
     /// Rungs currently spawned.
     pub active_rungs: usize,
+    /// Entries the queue has room for across every bucket `Vec` it holds,
+    /// pending or kept empty for reuse: what it retains, counted in
+    /// entries rather than bytes. Summed over every bucket when the
+    /// snapshot is taken; not exported as a metric series.
+    pub retained_capacity: usize,
 }
 
 /// Identifies a scheduled event so it can be cancelled or rescheduled

@@ -54,6 +54,17 @@
 //! an O(1) `swap_remove` from a bucket (or an ordered remove from the small
 //! current bucket); reschedule is remove + re-place with a fresh sequence
 //! number, exactly cancel-plus-schedule semantics.
+//!
+//! ## Retained memory
+//!
+//! Bucket `Vec`s never change hands: a promoted bucket's entries move into
+//! the current bucket's own buffer, and a consumed bucket keeps its buffer
+//! in its slot, as a retired rung's buckets do in their array. Whenever a
+//! bucket empties it keeps its buffer only if that has room for at most
+//! `CUR_SPLIT + 4 * len / NB` entries (`LadderQueue::recycle_cap`); a
+//! larger one is freed. So the queue holds capacity in proportion to what
+//! is pending, not to the largest burst it has seen, and
+//! [`QueueHealth::retained_capacity`] reports the total.
 
 use crate::event::{EventHandle, QueueHealth};
 use crate::time::{SimDuration, SimTime};
@@ -163,11 +174,8 @@ pub struct LadderQueue<E> {
     len: usize,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
     cancelled: u64,
-    /// Retired bucket `Vec`s, kept to recycle their capacity.
-    spare_buckets: Vec<Vec<Entry<E>>>,
-    /// Retired rung bucket arrays, ditto.
+    /// Retired rung bucket arrays, kept to recycle their buckets' capacity.
     spare_rungs: Vec<Vec<Vec<Entry<E>>>>,
 }
 
@@ -190,9 +198,7 @@ impl<E> LadderQueue<E> {
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
             cancelled: 0,
-            spare_buckets: Vec::new(),
             spare_rungs: Vec::new(),
         }
     }
@@ -200,11 +206,6 @@ impl<E> LadderQueue<E> {
     /// Current virtual time (time of the most recently popped event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events popped so far (diagnostic).
-    pub fn events_processed(&self) -> u64 {
-        self.popped
     }
 
     /// Number of live events still pending. Exact: cancellation removes
@@ -332,7 +333,6 @@ impl<E> LadderQueue<E> {
         self.len -= 1;
         debug_assert!(entry.at >= self.now, "event queue produced time travel");
         self.now = entry.at;
-        self.popped += 1;
         self.ensure_cur();
         Some((entry.at, entry.payload))
     }
@@ -358,19 +358,11 @@ impl<E> LadderQueue<E> {
             self.retire(entry.slot);
             self.len -= 1;
             self.now = entry.at;
-            self.popped += 1;
             out.push((entry.at, entry.payload));
             if self.cur.is_empty() {
                 self.ensure_cur();
             }
         }
-    }
-
-    /// Advance the clock manually (e.g. to a rate-recomputation instant
-    /// that is not itself an event). Panics if moving backwards.
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "clock cannot move backwards");
-        self.now = at;
     }
 
     /// Queue-health snapshot, including ladder geometry.
@@ -382,7 +374,26 @@ impl<E> LadderQueue<E> {
             rung_events: self.rungs.iter().map(|r| r.count).sum(),
             overflow_events: self.overflow.len(),
             active_rungs: self.rungs.len(),
+            retained_capacity: self.buckets().map(Vec::capacity).sum(),
         }
+    }
+
+    /// Every bucket `Vec` the queue holds: the current bucket, overflow,
+    /// each rung's buckets, and the retired rung arrays kept for reuse.
+    fn buckets(&self) -> impl Iterator<Item = &Vec<Entry<E>>> {
+        [&self.cur, &self.overflow]
+            .into_iter()
+            .chain(self.rungs.iter().flat_map(|r| &r.buckets))
+            .chain(self.spare_rungs.iter().flatten())
+    }
+
+    /// Largest capacity a bucket `Vec` keeps once it empties: room for a
+    /// current bucket at its split size plus four times the mean bucket of
+    /// one rung holding every pending event. A bucket that held more than
+    /// this — a burst, or a population since drained — is freed instead.
+    #[inline]
+    fn recycle_cap(&self) -> usize {
+        CUR_SPLIT + 4 * self.len / NB
     }
 
     /// Route an entry to the current bucket, the finest covering rung, or
@@ -454,6 +465,7 @@ impl<E> LadderQueue<E> {
     /// Remove and return the entry at `loc`, patching the location slab
     /// for any entry displaced by the removal. Does not retire the slot.
     fn remove_at(&mut self, loc: Loc) -> Entry<E> {
+        let cap = self.recycle_cap();
         match loc.area {
             Area::Cur => {
                 // The entry rises to the back by swaps, as in `place`.
@@ -473,6 +485,8 @@ impl<E> LadderQueue<E> {
                 if p < v.len() {
                     let moved = v[p].slot as usize;
                     self.slots[moved].loc.pos = p as u32;
+                } else if v.is_empty() {
+                    release(v, cap);
                 }
                 entry
             }
@@ -482,6 +496,8 @@ impl<E> LadderQueue<E> {
                 if p < self.overflow.len() {
                     let moved = self.overflow[p].slot as usize;
                     self.slots[moved].loc.pos = p as u32;
+                } else if self.overflow.is_empty() {
+                    release(&mut self.overflow, cap);
                 }
                 entry
             }
@@ -493,8 +509,12 @@ impl<E> LadderQueue<E> {
     /// events remain.
     #[inline]
     fn ensure_cur(&mut self) {
-        if self.cur.is_empty() && self.len > 0 {
-            self.advance_bucket();
+        if self.cur.is_empty() {
+            let cap = self.recycle_cap();
+            release(&mut self.cur, cap);
+            if self.len > 0 {
+                self.advance_bucket();
+            }
         }
     }
 
@@ -512,42 +532,53 @@ impl<E> LadderQueue<E> {
                 self.respawn_from_overflow();
                 continue;
             }
+            let cap = self.recycle_cap();
             if self.rungs.last().expect("checked non-empty").count == 0 {
-                let dead = self.rungs.pop().expect("checked non-empty");
+                let mut dead = self.rungs.pop().expect("checked non-empty");
+                for bucket in &mut dead.buckets {
+                    release(bucket, cap);
+                }
                 self.spare_rungs.push(dead.buckets);
                 continue;
             }
-            let spare = self.spare_buckets.pop().unwrap_or_default();
             let depth = self.rungs.len();
-            let (bucket, blo, bhi, width) = {
+            let (b, mut bucket, blo, bhi, width) = {
                 let r = self.rungs.last_mut().expect("checked non-empty");
                 while r.buckets[r.next].is_empty() {
                     r.next += 1;
                 }
                 let b = r.next;
-                let bucket = std::mem::replace(&mut r.buckets[b], spare);
+                let bucket = std::mem::take(&mut r.buckets[b]);
                 r.next += 1;
                 r.count -= bucket.len();
                 let blo = r.start.saturating_add((b as u64).saturating_mul(r.width));
                 let bhi = blo.saturating_add(r.width).min(r.end);
-                (bucket, blo, bhi, r.width)
+                (b, bucket, blo, bhi, r.width)
             };
-            if bucket.len() > SPAWN_THRESHOLD && width > 1 && depth < MAX_RUNGS {
-                self.spawn_rung(blo, bhi, width, bucket);
-                continue;
+            let spawn = bucket.len() > SPAWN_THRESHOLD && width > 1 && depth < MAX_RUNGS;
+            if spawn {
+                self.spawn_rung(blo, bhi, width, &mut bucket);
+            } else {
+                self.make_cur(&mut bucket, bhi);
             }
-            self.make_cur(bucket, bhi);
-            return;
+            // The consumed bucket keeps its buffer (up to the cap) in its
+            // slot, for the next rung this array serves.
+            release(&mut bucket, cap);
+            self.rungs[depth - 1].buckets[b] = bucket;
+            if !spawn {
+                return;
+            }
         }
     }
 
-    /// Sort `bucket` (descending) and install it as the current bucket
-    /// with exclusive upper edge `bhi`.
-    fn make_cur(&mut self, mut bucket: Vec<Entry<E>>, bhi: u64) {
-        bucket.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-        let old = std::mem::replace(&mut self.cur, bucket);
-        debug_assert!(old.is_empty());
-        self.spare_buckets.push(old);
+    /// Move `bucket`'s entries into the (empty) current bucket, sorted
+    /// descending, with exclusive upper edge `bhi`. The current bucket
+    /// keeps its own buffer, so no `Vec` changes hands.
+    fn make_cur(&mut self, bucket: &mut Vec<Entry<E>>, bhi: u64) {
+        debug_assert!(self.cur.is_empty());
+        self.cur.append(bucket);
+        self.cur
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
         for i in 0..self.cur.len() {
             let slot = self.cur[i].slot as usize;
             self.slots[slot].loc = Loc {
@@ -571,15 +602,17 @@ impl<E> LadderQueue<E> {
         let start = self.now.as_micros();
         let end = self.cur_hi;
         debug_assert!(end > start + 1);
-        let entries = std::mem::take(&mut self.cur);
+        let mut entries = std::mem::take(&mut self.cur);
         self.cur_hi = start;
         // span/NB-wide buckets: ceil(span / NB) keeps every index < NB.
-        self.spawn_rung(start, end, end - start, entries);
+        self.spawn_rung(start, end, end - start, &mut entries);
+        self.cur = entries;
     }
 
     /// Refine an oversized parent bucket (window `[blo, bhi)`, parent
-    /// bucket width `parent_width`) into a fresh finest rung.
-    fn spawn_rung(&mut self, blo: u64, bhi: u64, parent_width: u64, mut entries: Vec<Entry<E>>) {
+    /// bucket width `parent_width`) into a fresh finest rung, draining
+    /// `entries`.
+    fn spawn_rung(&mut self, blo: u64, bhi: u64, parent_width: u64, entries: &mut Vec<Entry<E>>) {
         let width = parent_width.div_ceil(NB as u64).max(1);
         let buckets = self.take_bucket_array();
         let ri = self.rungs.len();
@@ -604,7 +637,6 @@ impl<E> LadderQueue<E> {
             };
         }
         self.rungs.push(rung);
-        self.spare_buckets.push(entries);
     }
 
     /// Re-bin the entire overflow list into a fresh base rung sized to
@@ -643,6 +675,8 @@ impl<E> LadderQueue<E> {
             };
         }
         self.rungs.push(rung);
+        let cap = self.recycle_cap();
+        release(&mut self.overflow, cap);
     }
 
     /// A recycled (or fresh) `NB`-bucket array with every bucket empty.
@@ -699,6 +733,31 @@ impl<E> LadderQueue<E> {
             live += count;
         }
         assert_eq!(live, self.len, "len out of sync with areas");
+        // Retained capacity: a bucket `Vec` is released down to the
+        // recycling cap of the moment it empties, and no moment's live count
+        // exceeds the peak one, which is the handle slab's length.
+        let cap = CUR_SPLIT + 4 * self.slots.len() / NB;
+        for bucket in self.buckets().filter(|b| b.is_empty()) {
+            assert!(
+                bucket.capacity() <= cap,
+                "an empty bucket retains {} entries, over the recycling cap {cap}",
+                bucket.capacity()
+            );
+        }
+        assert!(
+            self.rungs.len() + self.spare_rungs.len() <= MAX_RUNGS,
+            "more rung arrays than rungs can nest"
+        );
+    }
+}
+
+/// Free an emptied bucket's buffer if it has room for more than `cap`
+/// entries; a smaller one stays for the bucket's next use.
+#[inline]
+fn release<T>(bucket: &mut Vec<T>, cap: usize) {
+    debug_assert!(bucket.is_empty());
+    if bucket.capacity() > cap {
+        *bucket = Vec::new();
     }
 }
 
@@ -930,25 +989,6 @@ mod tests {
         q.schedule_at(SimTime::from_secs(2), "alive");
         q.cancel(h);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn advance_to_moves_clock_without_events() {
-        let mut q = q();
-        q.advance_to(SimTime::from_secs(4));
-        assert_eq!(q.now(), SimTime::from_secs(4));
-        q.schedule_in(SimDuration::from_secs(1), "x");
-        assert_eq!(q.pop().unwrap().0, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn events_processed_counts_pops() {
-        let mut q = q();
-        for i in 0..5 {
-            q.schedule_at(SimTime::from_secs(i), "e");
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.events_processed(), 5);
     }
 
     #[test]

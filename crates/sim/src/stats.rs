@@ -139,15 +139,6 @@ impl Summary {
         }
         s.summary()
     }
-
-    /// Relative stddev (coefficient of variation); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 /// Percentile of a sample slice using linear interpolation between ranks.
@@ -249,14 +240,6 @@ mod tests {
         assert_eq!(s.n, 3);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.stddev - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_handles_zero_mean() {
-        let s = Summary::of(&[0.0, 0.0]);
-        assert_eq!(s.cv(), 0.0);
-        let s = Summary::of(&[10.0, 10.0]);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

@@ -427,3 +427,82 @@ fn ladder_survives_cancel_reschedule_storm_in_exact_order() {
         started.elapsed()
     );
 }
+
+/// Burst, then churn: a same-instant burst of 10 000 events drained in
+/// seq order, then steady churn at a few hundred pending in lockstep with
+/// the reference and with a twin queue that never saw the burst. The
+/// burst's buckets grow to its size; once it is gone the queue must not
+/// keep that capacity. `check_invariants` holds every empty bucket to the
+/// recycling cap, and after the churn the queue retains exactly what its
+/// twin does: the burst leaves no trace. A queue that recycles every
+/// emptied bucket at its full size keeps room for the burst for good and
+/// fails both.
+#[test]
+fn burst_capacity_is_not_kept_through_later_churn() {
+    const BURST: u32 = 10_000;
+    const PENDING: u32 = 300;
+    let burst_at = SimTime::from_micros(1_000);
+    let mut l: LadderQueue<u32> = LadderQueue::new();
+    for key in 0..BURST {
+        l.schedule_at(burst_at, key);
+    }
+    l.check_invariants();
+    assert!(l.health().retained_capacity >= BURST as usize);
+    for key in 0..BURST {
+        assert_eq!(l.pop(), Some((burst_at, key)), "burst popped out of order");
+        if key % 1_024 == 0 {
+            l.check_invariants();
+        }
+    }
+    assert!(l.is_empty());
+    l.check_invariants();
+    // The twin's clock reaches the same instant through a single event.
+    let mut twin: LadderQueue<u32> = LadderQueue::new();
+    twin.schedule_at(burst_at, 0);
+    twin.pop();
+
+    let mut r = RefQueue::new();
+    r.now = burst_at;
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let mut key = 0;
+    let mut schedule = |qs: [&mut LadderQueue<u32>; 2], r: &mut RefQueue, dt: u64| {
+        let at = r.now + SimDuration::from_micros(dt);
+        for q in qs {
+            q.schedule_at(at, key);
+        }
+        r.schedule_at(at, key);
+        key += 1;
+    };
+    for _ in 0..PENDING {
+        let dt = next(20_000);
+        schedule([&mut l, &mut twin], &mut r, dt);
+    }
+    for step in 0..50_000u32 {
+        let want = r.pop();
+        assert_eq!(l.pop(), want, "diverged at churn step {step}");
+        assert_eq!(twin.pop(), want, "twin diverged at churn step {step}");
+        // Mostly near-term replacements, one in sixteen a minute out.
+        let dt = match next(16) {
+            0 => 60_000_000 + next(1_000_000),
+            _ => next(20_000),
+        };
+        schedule([&mut l, &mut twin], &mut r, dt);
+        if step % 64 == 0 {
+            l.check_invariants();
+        }
+    }
+    l.check_invariants();
+    let (after, never) = (l.health(), twin.health());
+    assert_eq!(after.depth, PENDING as usize);
+    assert_eq!(
+        after.retained_capacity, never.retained_capacity,
+        "after the churn the queue that saw the burst retains {} entries, its twin {}",
+        after.retained_capacity, never.retained_capacity
+    );
+}

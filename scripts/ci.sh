@@ -71,19 +71,23 @@ cargo test -q --release --offline --test crash_recovery
 # inside the integer factors a structural regression costs. Judged best of
 # 3: a single cold run can land anywhere in that band, so the gate fails
 # only when every attempt misses. The run's JSON result is the last line of
-# its output.
+# its output. An optional fourth argument is a memory ceiling in MB: an
+# attempt then passes only if its `peak_rss_mb` is at or under it as well.
 bench_floor() {
-  local workload="$1" min="$2" unit="$3" attempt rate
-  echo "== ${workload} floor (${min} ${unit}, best of 3) =="
+  local workload="$1" min="$2" unit="$3" max_rss="${4:-}" attempt result rate rss
+  echo "== ${workload} floor (${min} ${unit}${max_rss:+, peak RSS <= ${max_rss} MB}, best of 3) =="
   for attempt in 1 2 3; do
-    rate="$(timeout 300 benchmark/run.sh --workload "$workload" --seed 1 --seconds 5 --trace 0 \
-      | tail -n 1 | sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' || true)"
-    echo "${workload} attempt ${attempt}: ${rate:-no result} ${unit}"
-    if [ "${rate:-0}" -ge "$min" ]; then
+    result="$(timeout 300 benchmark/run.sh --workload "$workload" --seed 1 --seconds 5 --trace 0 \
+      | tail -n 1 || true)"
+    rate="$(sed -n 's/.*"ops_per_s":{"value":\([0-9]*\).*/\1/p' <<<"$result")"
+    rss="$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<<"$result")"
+    echo "${workload} attempt ${attempt}: ${rate:-no result} ${unit}, peak RSS ${rss:-?} MB"
+    if [ "${rate:-0}" -ge "$min" ] && { [ -z "$max_rss" ] ||
+      awk -v r="${rss:-99999}" -v m="$max_rss" 'BEGIN { exit !(r + 0 <= m + 0) }'; }; then
       return 0
     fi
   done
-  echo "${workload} stayed under ${min} ${unit} 3/3 attempts" >&2
+  echo "${workload} stayed under ${min} ${unit}${max_rss:+ or over ${max_rss} MB} 3/3 attempts" >&2
   exit 1
 }
 
@@ -100,7 +104,15 @@ bench_floor() {
 # 1k-flow churn ran at ~400 events/s that way). Looking each new flow's
 # route up in the topology's hash map again (and copying its links out)
 # costs ~15 %.
-bench_floor netsim_churn 1000000 events/s
+#
+# The same runs hold the workload's peak RSS to 11 MB, the repository's
+# first memory gate. The event queue frees a bucket that empties holding
+# more room than CUR_SPLIT + 4 * pending / NB entries instead of recycling
+# it at full size; before that rule each of its ~390 bucket `Vec`s ratcheted
+# up to the largest bucket it ever held, and this workload peaked at
+# ~14.2 MB (60-80x its pending events retained as bucket capacity). With the
+# rule it peaks at ~8.7 MB (2 vCPUs, shared).
+bench_floor netsim_churn 1000000 events/s 11
 
 # The same engine at 100 000 flows in 50 000 clusters (`netsim_churn_100k`)
 # must advance at least 650 000 events/s. Its hot rows no longer fit a core's
