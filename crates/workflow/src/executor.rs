@@ -238,7 +238,7 @@ impl ReadyQueue {
 
 /// A staging job's planned transfers.
 fn planned_transfers(plan: &ExecutablePlan, job: usize) -> &[PlannedTransfer] {
-    match &plan.jobs()[job].kind {
+    match &plan.job(job).kind {
         PlanJobKind::StageIn { transfers, .. } | PlanJobKind::StageOut { transfers } => transfers,
         _ => unreachable!("job {job} is not a staging job"),
     }
@@ -318,7 +318,7 @@ impl<'p> WorkflowExecutor<'p> {
             now: SimTime::ZERO,
             rng,
             state: vec![JobState::Waiting; n],
-            pending_parents: plan.jobs().iter().map(|j| j.parents.len()).collect(),
+            pending_parents: (0..n).map(|i| plan.parents(i).len()).collect(),
             ready_compute: ReadyQueue::default(),
             ready_staging: ReadyQueue::default(),
             ready_cleanup: ReadyQueue::default(),
@@ -355,12 +355,12 @@ impl<'p> WorkflowExecutor<'p> {
         if let Some(cp) = exec.config.resume_from.take() {
             let done: std::collections::HashSet<&str> =
                 cp.completed_jobs.iter().map(Name::as_str).collect();
-            for (i, job) in plan.jobs().iter().enumerate() {
-                if done.contains(job.name.as_str()) {
+            for i in 0..n {
+                if done.contains(plan.job_name(i).to_name().as_str()) {
                     exec.state[i] = JobState::Done;
                     exec.jobs_done += 1;
-                    for child in &job.children {
-                        exec.pending_parents[child.0] -= 1;
+                    for child in plan.children(i) {
+                        exec.pending_parents[child] -= 1;
                     }
                 }
             }
@@ -375,9 +375,9 @@ impl<'p> WorkflowExecutor<'p> {
 
     /// Run to completion; returns the statistics and the network (for
     /// post-run inspection of link peaks and ledgers).
-    pub fn run(self) -> (RunStats, Network) {
-        let (stats, network, _cp) = self.run_checkpointed();
-        (stats, network)
+    pub fn run(mut self) -> (RunStats, Network) {
+        self.drive();
+        self.finish()
     }
 
     /// Like [`WorkflowExecutor::run`], additionally returning the
@@ -385,6 +385,20 @@ impl<'p> WorkflowExecutor<'p> {
     /// [`ExecutorConfig::halt_at`] stopped the run mid-DAG (and simply the
     /// full job list when it ran to completion).
     pub fn run_checkpointed(mut self) -> (RunStats, Network, Checkpoint) {
+        self.drive();
+        let checkpoint = Checkpoint {
+            completed_jobs: (0..self.plan.len())
+                .filter(|&i| self.state[i] == JobState::Done)
+                .map(|i| self.plan.job_name(i).to_name())
+                .collect(),
+            taken_at: self.now,
+        };
+        let (stats, network) = self.finish();
+        (stats, network, checkpoint)
+    }
+
+    /// The event loop: runs until the DAG finishes or `halt_at` stops it.
+    fn drive(&mut self) {
         let total = self.plan.len();
         loop {
             // With fault events scheduled past the DAG's completion, the
@@ -422,18 +436,16 @@ impl<'p> WorkflowExecutor<'p> {
         }
 
         self.policy.close_window();
+    }
+
+    /// The run's statistics and its network, once `drive` returned.
+    fn finish(mut self) -> (RunStats, Network) {
+        let total = self.plan.len();
         let finished = self.jobs_done + self.stats.failed_jobs + self.jobs_abandoned;
         debug_assert!(
             finished == total || self.halted,
             "executor stalled with jobs outstanding"
         );
-        let checkpoint = Checkpoint {
-            completed_jobs: (0..total)
-                .filter(|&i| self.state[i] == JobState::Done)
-                .map(|i| self.plan.jobs()[i].name.clone())
-                .collect(),
-            taken_at: self.now,
-        };
         let stats = RunStats {
             makespan: self.now.since(SimTime::ZERO),
             success: self.stats.failed_jobs == 0 && self.jobs_abandoned == 0 && finished == total,
@@ -447,14 +459,15 @@ impl<'p> WorkflowExecutor<'p> {
             recovery: self.recovery.take().map(|r| r.report),
             ..self.stats
         };
-        (stats, self.network, checkpoint)
+        (stats, self.network)
     }
 
     fn mark_ready(&mut self, job: usize) {
         debug_assert_eq!(self.state[job], JobState::Waiting);
         self.state[job] = JobState::Ready;
-        let priority = self.plan.jobs()[job].priority;
-        match self.plan.jobs()[job].kind {
+        let pj = self.plan.job(job);
+        let priority = pj.priority;
+        match pj.kind {
             PlanJobKind::Compute { .. } => self.ready_compute.push(priority, job),
             PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } => {
                 self.ready_staging.push(priority, job)
@@ -477,7 +490,7 @@ impl<'p> WorkflowExecutor<'p> {
 
     /// A compute job's (runtime, output bytes).
     fn compute_work(&self, job: usize) -> (f64, u64) {
-        match &self.plan.jobs()[job].kind {
+        match &self.plan.job(job).kind {
             PlanJobKind::Compute {
                 runtime_s,
                 output_bytes,
@@ -547,12 +560,12 @@ impl<'p> WorkflowExecutor<'p> {
             Ev::StagingInit(job) => {
                 let plan = self.plan;
                 let transfers = planned_transfers(plan, job);
-                let pj = &plan.jobs()[job];
+                let pj = plan.job(job);
                 let cluster = match &pj.kind {
                     PlanJobKind::StageIn { cluster, .. } => *cluster,
                     _ => None,
                 };
-                let workflow = pj.workflow.unwrap_or(self.config.workflow_id);
+                let workflow = plan.workflow(job).unwrap_or(self.config.workflow_id);
                 let specs: Vec<TransferSpec> = transfers
                     .iter()
                     .map(|pt| TransferSpec {
@@ -632,11 +645,10 @@ impl<'p> WorkflowExecutor<'p> {
                 if let Some(trace) = &mut self.trace {
                     trace.rpc_landed(job, "cleanup_rpc", self.now);
                 }
-                let pj = &self.plan.jobs()[job];
-                let PlanJobKind::Cleanup { files } = &pj.kind else {
+                let PlanJobKind::Cleanup { files } = &self.plan.job(job).kind else {
                     unreachable!("cleanup event for non-cleanup job")
                 };
-                let workflow = pj.workflow.unwrap_or(self.config.workflow_id);
+                let workflow = self.plan.workflow(job).unwrap_or(self.config.workflow_id);
                 let specs: Vec<CleanupSpec> = files
                     .iter()
                     .map(|(file, _bytes)| CleanupSpec {
@@ -657,7 +669,7 @@ impl<'p> WorkflowExecutor<'p> {
             }
             Ev::CleanupWorkDone(job) => {
                 let advice = self.cleanup_advice.remove(&job).unwrap_or_default();
-                let PlanJobKind::Cleanup { files } = &self.plan.jobs()[job].kind else {
+                let PlanJobKind::Cleanup { files } = &self.plan.job(job).kind else {
                     unreachable!("cleanup event for non-cleanup job")
                 };
                 // Free scratch space for the files actually deleted; deleted
@@ -686,7 +698,7 @@ impl<'p> WorkflowExecutor<'p> {
                 );
             }
             Ev::JobFinish(job) => {
-                match self.plan.jobs()[job].kind {
+                match self.plan.job(job).kind {
                     PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } => {
                         self.release_staging(job)
                     }
@@ -727,7 +739,7 @@ impl<'p> WorkflowExecutor<'p> {
                 let victims: Vec<usize> = (0..self.plan.len())
                     .filter(|&j| {
                         self.state[j] == JobState::Running
-                            && matches!(self.plan.jobs()[j].kind, PlanJobKind::Compute { .. })
+                            && matches!(self.plan.job(j).kind, PlanJobKind::Compute { .. })
                     })
                     .take(cores)
                     .collect();
@@ -749,7 +761,7 @@ impl<'p> WorkflowExecutor<'p> {
             FaultResponse::NodeUp { requeue, cores } => {
                 self.compute_slots_free += cores;
                 for j in requeue {
-                    self.ready_compute.push(self.plan.jobs()[j].priority, j);
+                    self.ready_compute.push(self.plan.job(j).priority, j);
                 }
             }
         }
@@ -1037,17 +1049,17 @@ impl<'p> WorkflowExecutor<'p> {
             trace.end_job(job, "done", self.now);
         }
         let plan = self.plan;
-        for child in &plan.jobs()[job].children {
-            self.pending_parents[child.0] -= 1;
-            if self.pending_parents[child.0] == 0 && self.state[child.0] == JobState::Waiting {
-                self.mark_ready(child.0);
+        for child in plan.children(job) {
+            self.pending_parents[child] -= 1;
+            if self.pending_parents[child] == 0 && self.state[child] == JobState::Waiting {
+                self.mark_ready(child);
             }
         }
     }
 
     fn fail_job(&mut self, job: usize) {
         if matches!(
-            self.plan.jobs()[job].kind,
+            self.plan.job(job).kind,
             PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. }
         ) {
             self.release_staging(job);
@@ -1058,7 +1070,7 @@ impl<'p> WorkflowExecutor<'p> {
             trace.end_job(job, "failed", self.now);
         }
         // Abandon every transitive descendant that can no longer run.
-        let mut stack: Vec<usize> = self.plan.jobs()[job].children.iter().map(|c| c.0).collect();
+        let mut stack: Vec<usize> = self.plan.children(job).collect();
         while let Some(j) = stack.pop() {
             if matches!(self.state[j], JobState::Waiting | JobState::Ready) {
                 self.state[j] = JobState::Abandoned;
@@ -1066,7 +1078,7 @@ impl<'p> WorkflowExecutor<'p> {
                 if let Some(trace) = &mut self.trace {
                     trace.end_job(j, "abandoned", self.now);
                 }
-                stack.extend(self.plan.jobs()[j].children.iter().map(|c| c.0));
+                stack.extend(self.plan.children(j));
             }
         }
     }
@@ -1480,24 +1492,21 @@ mod tests {
             .map(|(i, &priority)| PlanJob {
                 name: format!("stage_{i}").into(),
                 kind: PlanJobKind::StageIn {
-                    transfers: vec![PlannedTransfer {
+                    transfers: Box::new([PlannedTransfer {
                         file: format!("f{i}").into(),
                         bytes: (i as u64 + 1) * 1_000_000,
                         source: Url::new("gsiftp", "gridftp-vm", format!("/d/f{i}")),
                         dest: Url::new("file", "obelix-nfs", format!("/s/f{i}")),
                         src_host: gridftp,
                         dst_host: nfs,
-                    }],
+                    }]),
                     cluster: None,
                 },
-                parents: vec![],
-                children: vec![],
                 priority,
                 level: 0,
-                workflow: None,
             })
             .collect();
-        let plan = ExecutablePlan::from_jobs("prio", jobs).unwrap();
+        let plan = ExecutablePlan::from_jobs("prio", jobs, &[]).unwrap();
         let controller = PolicyController::new(PolicyConfig::default());
         let network = Network::with_seed(topo, StreamModel::default(), 1);
         let mut cfg = ExecutorConfig::default();

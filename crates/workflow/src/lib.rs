@@ -47,8 +47,8 @@ pub use dax::{parse_dax, to_dax, DaxError};
 pub use executor::{ExecutorConfig, WorkflowExecutor};
 pub use multi::merge_plans;
 pub use planner::{
-    plan, ExecutablePlan, PlanError, PlanJob, PlanJobId, PlanJobKind, PlannedTransfer,
-    PlannerConfig,
+    plan, ExecutablePlan, JobName, Jobs, JobsIter, PlanError, PlanJob, PlanJobKind,
+    PlannedTransfer, PlannerConfig,
 };
 pub use recovery::{
     BackendOutage, Checkpoint, CrashTarget, HostCrash, RecoveryConfig, RecoveryReport,

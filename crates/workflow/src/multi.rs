@@ -15,39 +15,44 @@
 //! The skipping workflow proceeds without waiting for the in-flight copy to
 //! land — the original system has the same advisory semantics.
 
-use crate::planner::{ExecutablePlan, PlanJob, PlanJobId};
+use crate::planner::{ExecutablePlan, Part};
 use pwm_core::WorkflowId;
 
 /// Merge several plans into one combined plan. Job `j` of input plan `i`
-/// becomes job `offset_i + j`; names are prefixed with the plan's workflow
-/// tag to stay unique; each job carries its originating [`WorkflowId`]
-/// (`WorkflowId(base + i)`), which the executor presents to the Policy
-/// Service instead of its own configured id.
+/// becomes job `offset_i + j`, shown as `wf{id}:{name}` to stay unique; each
+/// job carries its originating [`WorkflowId`] (`WorkflowId(base + i)`),
+/// which the executor presents to the Policy Service instead of its own
+/// configured id.
+///
+/// The merged plan is a view: it shares every input plan's jobs and edges
+/// and adds one part per plan plus a part index per job, so a campaign's
+/// plan memory is its workflows', not twice that. The prefixed names are
+/// rendered only where a name is shown ([`ExecutablePlan::job_name`]).
+///
+/// # Panics
+///
+/// When an input plan is itself merged: its jobs already carry workflow ids
+/// and prefixes. Merge the plans it was made from in one call instead. Also
+/// past 65 536 plans, the most a `u16` part index tells apart.
 pub fn merge_plans(plans: &[&ExecutablePlan], base_workflow_id: u64) -> ExecutablePlan {
-    let mut jobs: Vec<PlanJob> = Vec::with_capacity(plans.iter().map(|p| p.len()).sum());
-    let mut offset = 0usize;
+    let mut parts = Vec::with_capacity(plans.len());
     for (i, plan) in plans.iter().enumerate() {
-        let wf = WorkflowId(base_workflow_id + i as u64);
-        let shifted = |ids: &[PlanJobId]| ids.iter().map(|id| PlanJobId(id.0 + offset)).collect();
-        for job in plan.jobs() {
-            jobs.push(PlanJob {
-                name: format_args!("wf{}:{}", wf.0, job.name).into(),
-                kind: job.kind.clone(),
-                parents: shifted(&job.parents),
-                children: shifted(&job.children),
-                priority: job.priority,
-                level: job.level,
-                workflow: Some(wf),
-            });
+        let workflow = WorkflowId(base_workflow_id + i as u64);
+        for part in plan.parts() {
+            assert!(
+                part.workflow.is_none(),
+                "merge_plans: `{}` is already a merged plan; merge the plans it was made from in one call",
+                plan.name
+            );
+            parts.push(Part::new(part.body.clone(), Some(workflow)));
         }
-        offset += plan.len();
     }
     let name = plans
         .iter()
         .map(|p| p.name.as_str())
         .collect::<Vec<_>>()
         .join("+");
-    ExecutablePlan::from_jobs(name, jobs).expect("merging DAGs preserves acyclicity")
+    ExecutablePlan::from_parts(name, parts)
 }
 
 #[cfg(test)]
@@ -56,10 +61,12 @@ mod tests {
     use crate::catalog::{ComputeSite, ReplicaCatalog};
     use crate::dag::{AbstractJob, AbstractWorkflow};
     use crate::executor::{ExecutorConfig, WorkflowExecutor};
+    use crate::planner::proptests::random_plan;
     use crate::planner::{plan, PlanJobKind, PlannerConfig};
     use pwm_core::transport::InProcessTransport;
     use pwm_core::{PolicyConfig, PolicyController, DEFAULT_SESSION};
     use pwm_net::{paper_testbed, HostId, Network, StreamModel};
+    use pwm_sim::SimTime;
 
     fn site(nfs: HostId) -> ComputeSite {
         ComputeSite {
@@ -109,19 +116,30 @@ mod tests {
         assert_eq!(merged.len(), p.len() * 2);
         merged.validate().unwrap();
         // Workflow ids assigned per sub-plan.
-        let wf_ids: std::collections::BTreeSet<_> = merged
-            .jobs()
-            .iter()
-            .filter_map(|j| j.workflow)
+        let wf_ids: std::collections::BTreeSet<_> = (0..merged.len())
+            .filter_map(|i| merged.workflow(i))
             .map(|w| w.0)
             .collect();
         assert_eq!(wf_ids, [100u64, 101].into_iter().collect());
         // Second copy's parents point into the second copy's range.
-        for job in &merged.jobs()[p.len()..] {
-            for parent in &job.parents {
-                assert!(parent.0 >= p.len());
-            }
+        for i in p.len()..merged.len() {
+            assert!(merged.parents(i).all(|parent| parent >= p.len()));
         }
+        // Names keep their plan's spelling; the prefix appears where shown.
+        assert_eq!(merged.job(p.len()).name, p.job(0).name);
+        assert_eq!(p.job_name(0).to_string(), p.job(0).name.as_str());
+        let shown = format!("wf101:{}", p.job(0).name);
+        assert_eq!(merged.job_name(p.len()).to_string(), shown);
+        assert_eq!(merged.job_name(p.len()).to_name(), shown.as_str());
+    }
+
+    #[test]
+    #[should_panic(expected = "merge_plans: `a+a` is already a merged plan")]
+    fn merging_a_merged_plan_panics() {
+        let (_, mut p) = random_plan(2, 2, 0.5, 1, None);
+        p.name = "a".into();
+        let merged = merge_plans(&[&p, &p], 0);
+        merge_plans(&[&p, &merged], 10);
     }
 
     /// Two identical workflows running CONCURRENTLY against one policy
@@ -179,6 +197,70 @@ mod tests {
         let service_stats = controller.stats(DEFAULT_SESSION).unwrap();
         assert_eq!(service_stats.transfers_executed, 6);
         assert_eq!(service_stats.transfers_suppressed, 6);
+    }
+
+    /// A checkpoint of a merged run names jobs as the run showed them,
+    /// `wf{id}:{name}`, and a resume from it matches those names back.
+    #[test]
+    fn a_merged_checkpoint_uses_prefixed_names_and_resumes() {
+        let (_topo, gridftp, _apache, nfs) = paper_testbed();
+        let site = site(nfs);
+        let mut rc = ReplicaCatalog::new();
+        for i in 0..6 {
+            rc.insert(
+                format!("common_{i}.dat"),
+                pwm_core::Url::new("gsiftp", "gridftp-vm", format!("/d/common_{i}.dat")),
+                gridftp,
+            );
+        }
+        let plans: Vec<_> = ["a", "b"]
+            .map(|tag| {
+                let wf = shared_input_workflow(tag);
+                plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap()
+            })
+            .into();
+        let merged = merge_plans(&[&plans[0], &plans[1]], 3);
+        let controller = PolicyController::new(PolicyConfig::default());
+        let run = |config: ExecutorConfig| {
+            let transport = Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION));
+            let network = Network::with_seed(paper_testbed().0, StreamModel::default(), 7);
+            WorkflowExecutor::new(&merged, &site, network, transport, config).run_checkpointed()
+        };
+        let (full, _, all) = run(ExecutorConfig::default());
+        assert!(full.success);
+        assert_eq!(all.completed_jobs.len(), merged.len());
+        let shown: Vec<String> = (0..merged.len())
+            .map(|i| merged.job_name(i).to_string())
+            .collect();
+        assert!(all
+            .completed_jobs
+            .iter()
+            .all(|n| shown.contains(&n.to_string())));
+        assert!(all.completed_jobs.iter().any(|n| n.starts_with("wf3:")));
+        assert!(all.completed_jobs.iter().any(|n| n.starts_with("wf4:")));
+
+        let halt = SimTime::from_secs_f64(full.makespan_secs() * 0.5);
+        let (halted, _, cp) = run(ExecutorConfig {
+            halt_at: Some(halt),
+            ..ExecutorConfig::default()
+        });
+        assert!(!halted.success && !cp.is_empty());
+        let (resumed, _, _) = run(ExecutorConfig {
+            resume_from: Some(cp.clone()),
+            ..ExecutorConfig::default()
+        });
+        assert!(resumed.success);
+        let finished_stage_ins = cp
+            .completed_jobs
+            .iter()
+            .filter(|n| n.contains(":stage_in_"))
+            .count();
+        assert!(finished_stage_ins > 0, "the halt left finished stage-ins");
+        assert_eq!(
+            resumed.staging_jobs,
+            full.staging_jobs - finished_stage_ins,
+            "finished stage-ins do not run again"
+        );
     }
 
     #[test]
@@ -239,5 +321,94 @@ mod tests {
         assert!(stats.success);
         let peak = stats.peak_wan_streams.unwrap();
         assert!(peak <= 80, "peak {peak} exceeds 20 jobs × 4 streams");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::planner::proptests::random_plan;
+    use proptest::prelude::*;
+
+    /// Everything the executor reads of one merged job.
+    #[derive(Debug, PartialEq)]
+    struct Row {
+        name: String,
+        kind: String,
+        parents: Vec<usize>,
+        children: Vec<usize>,
+        level: usize,
+        priority: i32,
+        workflow: Option<WorkflowId>,
+    }
+
+    /// The merge as a deep copy: every job renamed `wf{id}:{name}`, its
+    /// edges shifted past the jobs of the plans before it.
+    fn deep_copy(plans: &[&ExecutablePlan], base: u64) -> Vec<Row> {
+        let mut rows = Vec::new();
+        let mut offset = 0;
+        for (i, plan) in plans.iter().enumerate() {
+            let wf = WorkflowId(base + i as u64);
+            for j in 0..plan.len() {
+                let job = plan.job(j);
+                rows.push(Row {
+                    name: format!("wf{}:{}", wf.0, job.name),
+                    kind: format!("{:?}", job.kind),
+                    parents: plan.parents(j).map(|p| p + offset).collect(),
+                    children: plan.children(j).map(|c| c + offset).collect(),
+                    level: job.level,
+                    priority: job.priority,
+                    workflow: Some(wf),
+                });
+            }
+            offset += plan.len();
+        }
+        rows
+    }
+
+    /// The same rows read through the merged view.
+    fn view(merged: &ExecutablePlan) -> Vec<Row> {
+        let rows = merged.jobs().iter().enumerate().map(|(i, job)| Row {
+            name: merged.job_name(i).to_string(),
+            kind: format!("{:?}", job.kind),
+            parents: merged.parents(i).collect(),
+            children: merged.children(i).collect(),
+            level: merged.job(i).level,
+            priority: merged.job(i).priority,
+            workflow: merged.workflow(i),
+        });
+        rows.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The merged view shows exactly the deep copy `merge_plans` used
+        /// to build, over random layered DAGs with and without clustering.
+        #[test]
+        fn merged_view_matches_a_deep_copy(
+            shapes in proptest::collection::vec(
+                (
+                    1usize..4,
+                    1usize..6,
+                    0.0f64..1.0,
+                    0u64..500,
+                    proptest::option::of(1u32..5),
+                ),
+                0..4,
+            ),
+            base in 0u64..1_000,
+        ) {
+            let plans: Vec<ExecutablePlan> = shapes
+                .iter()
+                .map(|&(levels, width, p, seed, k)| random_plan(levels, width, p, seed, k).1)
+                .collect();
+            let plans: Vec<&ExecutablePlan> = plans.iter().collect();
+            let merged = merge_plans(&plans, base);
+            prop_assert!(merged.validate().is_ok());
+            prop_assert_eq!(merged.len(), plans.iter().map(|p| p.len()).sum::<usize>());
+            prop_assert_eq!(merged.jobs().iter().count(), merged.len());
+            prop_assert_eq!(view(&merged), deep_copy(&plans, base));
+        }
     }
 }

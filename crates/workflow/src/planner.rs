@@ -10,13 +10,11 @@
 
 use crate::catalog::{ComputeSite, ReplicaCatalog};
 use crate::dag::{AbstractWorkflow, JobIx, WorkflowError};
-use pwm_core::{assign_priorities, Name, PriorityAlgorithm, Url, WorkflowGraph};
+use pwm_core::{assign_priorities, Name, PriorityAlgorithm, Url, WorkflowGraph, WorkflowId};
 use pwm_net::HostId;
 use std::collections::BTreeMap;
-
-/// Index of a job within an [`ExecutablePlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlanJobId(pub usize);
+use std::fmt;
+use std::sync::Arc;
 
 /// One file movement a staging job must perform.
 #[derive(Debug, Clone)]
@@ -41,7 +39,7 @@ pub enum PlanJobKind {
     /// Move input files to the compute site before a compute job runs.
     StageIn {
         /// Files to move, in catalog order.
-        transfers: Vec<PlannedTransfer>,
+        transfers: Box<[PlannedTransfer]>,
         /// Cluster index at this job's level (clustering enabled only).
         cluster: Option<u32>,
     },
@@ -57,80 +55,238 @@ pub enum PlanJobKind {
     /// Move final outputs to permanent storage.
     StageOut {
         /// Files to move.
-        transfers: Vec<PlannedTransfer>,
+        transfers: Box<[PlannedTransfer]>,
     },
     /// Delete files no longer needed from site scratch.
     Cleanup {
         /// Scratch URLs to delete, with their sizes (for the executor's
         /// scratch-space accounting).
-        files: Vec<(Url, u64)>,
+        files: Box<[(Url, u64)]>,
     },
 }
 
-/// One node of the executable plan.
+/// One node of the executable plan. Its edges and its workflow belong to
+/// the plan: [`ExecutablePlan::parents`], [`ExecutablePlan::children`],
+/// [`ExecutablePlan::workflow`].
 #[derive(Debug, Clone)]
 pub struct PlanJob {
-    /// Unique name ("stage_in_mProjectPP_0007").
+    /// Unique name within the plan it was planned in
+    /// ("stage_in_mProjectPP_0007"); a merged plan shows it with its
+    /// workflow's prefix through [`ExecutablePlan::job_name`].
     pub name: Name,
     /// The work.
     pub kind: PlanJobKind,
-    /// Jobs that must finish first.
-    pub parents: Vec<PlanJobId>,
-    /// Jobs waiting on this one.
-    pub children: Vec<PlanJobId>,
     /// Structure-based priority (higher runs earlier among ready jobs).
     pub priority: i32,
     /// Topological level of the originating compute job (0 for roots).
     pub level: usize,
-    /// Workflow identity presented to the policy service; `None` = use the
-    /// executor's configured id (set by `merge_plans` for concurrent
-    /// multi-workflow runs).
-    pub workflow: Option<pwm_core::WorkflowId>,
 }
 
-/// The executable workflow produced by planning.
+/// One direction of a plan's edges as compressed sparse rows: row `j` is
+/// `ix[at[j]..at[j + 1]]`, in the order the edges were added.
+#[derive(Debug)]
+struct Csr {
+    at: Box<[u32]>,
+    ix: Box<[u32]>,
+}
+
+impl Csr {
+    /// Rows over `n` jobs from `(row, entry)` pairs, stable in pair order.
+    fn build(n: usize, pairs: impl DoubleEndedIterator<Item = (u32, u32)> + Clone) -> Csr {
+        let mut at = vec![0u32; n + 1];
+        for (row, _) in pairs.clone() {
+            at[row as usize] += 1;
+        }
+        // Each `at[j]` becomes the end of row j; filling back to front then
+        // walks it down to the row's start, leaving `at[n]` the edge count.
+        let mut end = 0;
+        for a in at.iter_mut() {
+            end += *a;
+            *a = end;
+        }
+        let mut ix = vec![0u32; end as usize];
+        for (row, entry) in pairs.rev() {
+            let slot = &mut at[row as usize];
+            *slot -= 1;
+            ix[*slot as usize] = entry;
+        }
+        Csr {
+            at: at.into_boxed_slice(),
+            ix: ix.into_boxed_slice(),
+        }
+    }
+
+    fn row(&self, j: usize) -> &[u32] {
+        &self.ix[self.at[j] as usize..self.at[j + 1] as usize]
+    }
+}
+
+/// What one planning run produced: job rows and their edges. Plans share it
+/// behind an `Arc`, so a merge adds no copy of it.
+#[derive(Debug)]
+pub(crate) struct PlanBody {
+    jobs: Box<[PlanJob]>,
+    parents: Csr,
+    children: Csr,
+}
+
+/// One body's place in a plan.
+#[derive(Debug, Clone)]
+pub(crate) struct Part {
+    pub(crate) body: Arc<PlanBody>,
+    /// Plan index of the body's first job (set by `from_parts`).
+    first: usize,
+    /// Set by `merge_plans`: the identity presented to the policy service
+    /// for the part's jobs, and their `wf{id}:` name prefix.
+    pub(crate) workflow: Option<WorkflowId>,
+}
+
+impl Part {
+    /// `body`, shown as `workflow`.
+    pub(crate) fn new(body: Arc<PlanBody>, workflow: Option<WorkflowId>) -> Part {
+        Part {
+            body,
+            first: 0,
+            workflow,
+        }
+    }
+}
+
+/// The executable workflow produced by planning: one body, or — after
+/// [`crate::merge_plans`] — a view over several, each shown with its own
+/// workflow id.
 #[derive(Debug, Clone)]
 pub struct ExecutablePlan {
     /// Workflow name.
     pub name: String,
-    jobs: Vec<PlanJob>,
+    parts: Box<[Part]>,
+    /// Index into `parts` of every job.
+    part_of: Box<[u16]>,
 }
 
 impl ExecutablePlan {
-    /// Build a plan directly from a job list (programmatic construction and
-    /// tests; `plan` is the normal entry point). Validates the DAG.
-    pub fn from_jobs(name: impl Into<String>, jobs: Vec<PlanJob>) -> Result<Self, WorkflowError> {
-        let plan = ExecutablePlan {
-            name: name.into(),
-            jobs,
+    /// Build a plan from its job list and its `(parent, child)` edges
+    /// (programmatic construction and tests; `plan` is the normal entry
+    /// point). Each job's parents and children keep the order of `edges`.
+    /// Validates the DAG; an edge naming a job past the end panics.
+    pub fn from_jobs(
+        name: impl Into<String>,
+        jobs: Vec<PlanJob>,
+        edges: &[(u32, u32)],
+    ) -> Result<Self, WorkflowError> {
+        let n = jobs.len();
+        assert!(
+            u32::try_from(n.max(edges.len())).is_ok(),
+            "a plan holds fewer than 2^32 jobs and edges"
+        );
+        assert!(
+            edges
+                .iter()
+                .all(|&(p, c)| (p as usize) < n && (c as usize) < n),
+            "a plan edge names a job past the end"
+        );
+        let body = PlanBody {
+            jobs: jobs.into_boxed_slice(),
+            parents: Csr::build(n, edges.iter().map(|&(p, c)| (c, p))),
+            children: Csr::build(n, edges.iter().copied()),
         };
+        debug_assert!(
+            (0..n).all(|j| {
+                let row = body.children.row(j);
+                row.iter().enumerate().all(|(k, c)| !row[..k].contains(c))
+            }),
+            "a plan edge is listed twice"
+        );
+        let part = Part::new(Arc::new(body), None);
+        let plan = ExecutablePlan::from_parts(name.into(), vec![part]);
         plan.validate()?;
         Ok(plan)
     }
 
-    /// All jobs.
-    pub fn jobs(&self) -> &[PlanJob] {
-        &self.jobs
+    /// A plan over `parts`, in order.
+    pub(crate) fn from_parts(name: String, mut parts: Vec<Part>) -> Self {
+        let n = parts.iter().map(|p| p.body.jobs.len()).sum();
+        let mut part_of = Vec::with_capacity(n);
+        for (i, part) in parts.iter_mut().enumerate() {
+            part.first = part_of.len();
+            let i = u16::try_from(i).expect("a plan holds at most 65 536 parts");
+            part_of.resize(part_of.len() + part.body.jobs.len(), i);
+        }
+        ExecutablePlan {
+            name,
+            parts: parts.into_boxed_slice(),
+            part_of: part_of.into_boxed_slice(),
+        }
     }
 
-    /// One job.
-    pub fn job(&self, id: PlanJobId) -> &PlanJob {
-        &self.jobs[id.0]
+    /// The plan's parts, in job order.
+    pub(crate) fn parts(&self) -> &[Part] {
+        &self.parts
+    }
+
+    /// Job `i`'s part and its index within the part's body.
+    fn locate(&self, i: usize) -> (&Part, usize) {
+        let part = &self.parts[usize::from(self.part_of[i])];
+        (part, i - part.first)
+    }
+
+    /// Every job, in plan order.
+    pub fn jobs(&self) -> Jobs<'_> {
+        Jobs { plan: self }
+    }
+
+    /// Job `i`.
+    pub fn job(&self, i: usize) -> &PlanJob {
+        let (part, local) = self.locate(i);
+        &part.body.jobs[local]
+    }
+
+    /// The jobs that must finish before job `i`, in the order they were
+    /// linked.
+    pub fn parents(&self, i: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let (part, local) = self.locate(i);
+        let first = part.first;
+        let row = part.body.parents.row(local);
+        row.iter().map(move |&p| first + p as usize)
+    }
+
+    /// The jobs waiting on job `i`, in the order they were linked.
+    pub fn children(&self, i: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let (part, local) = self.locate(i);
+        let first = part.first;
+        let row = part.body.children.row(local);
+        row.iter().map(move |&c| first + c as usize)
+    }
+
+    /// Workflow identity job `i` presents to the policy service; `None` =
+    /// use the executor's configured id (a plan that was not merged).
+    pub fn workflow(&self, i: usize) -> Option<WorkflowId> {
+        self.locate(i).0.workflow
+    }
+
+    /// Job `i`'s name as traces, reports and checkpoints show it:
+    /// `wf{id}:{name}` in a merged plan, the bare name otherwise.
+    pub fn job_name(&self, i: usize) -> JobName<'_> {
+        let (part, local) = self.locate(i);
+        JobName {
+            workflow: part.workflow,
+            name: &part.body.jobs[local].name,
+        }
     }
 
     /// Number of jobs.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.part_of.len()
     }
 
     /// True when the plan has no jobs.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.part_of.is_empty()
     }
 
     /// Count of jobs matching a predicate.
     pub fn count_jobs(&self, pred: impl Fn(&PlanJob) -> bool) -> usize {
-        self.jobs.iter().filter(|j| pred(j)).count()
+        self.jobs().iter().filter(|j| pred(j)).count()
     }
 
     /// Number of stage-in jobs (the paper's "data staging jobs").
@@ -138,29 +294,18 @@ impl ExecutablePlan {
         self.count_jobs(|j| matches!(j.kind, PlanJobKind::StageIn { .. }))
     }
 
-    /// Verify the plan is a DAG with consistent parent/child lists.
+    /// Verify the plan is a DAG.
     pub fn validate(&self) -> Result<(), WorkflowError> {
-        let n = self.jobs.len();
-        let mut indegree = vec![0usize; n];
-        for (i, job) in self.jobs.iter().enumerate() {
-            // O(edges × degree): checked where tests run, not per plan of a
-            // release campaign.
-            debug_assert!(
-                job.parents
-                    .iter()
-                    .all(|p| self.jobs[p.0].children.contains(&PlanJobId(i))),
-                "parent/child lists inconsistent"
-            );
-            indegree[i] = job.parents.len();
-        }
+        let n = self.len();
+        let mut indegree: Vec<usize> = (0..n).map(|i| self.parents(i).len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut seen = 0;
         while let Some(j) = queue.pop() {
             seen += 1;
-            for c in &self.jobs[j].children {
-                indegree[c.0] -= 1;
-                if indegree[c.0] == 0 {
-                    queue.push(c.0);
+            for c in self.children(j) {
+                indegree[c] -= 1;
+                if indegree[c] == 0 {
+                    queue.push(c);
                 }
             }
         }
@@ -168,6 +313,77 @@ impl ExecutablePlan {
             Ok(())
         } else {
             Err(WorkflowError::Cycle)
+        }
+    }
+}
+
+/// A job's name as shown (see [`ExecutablePlan::job_name`]); rendered only
+/// when displayed.
+#[derive(Debug, Clone, Copy)]
+pub struct JobName<'a> {
+    workflow: Option<WorkflowId>,
+    name: &'a Name,
+}
+
+impl JobName<'_> {
+    /// The name as an owned [`Name`]: a bare name is shared, a prefixed one
+    /// is rendered.
+    pub fn to_name(self) -> Name {
+        match self.workflow {
+            None => self.name.clone(),
+            Some(wf) => format_args!("wf{}:{}", wf.0, self.name).into(),
+        }
+    }
+}
+
+impl fmt::Display for JobName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(wf) = self.workflow {
+            write!(f, "wf{}:", wf.0)?;
+        }
+        f.write_str(self.name.as_str())
+    }
+}
+
+/// Every job of a plan, in plan order (see [`ExecutablePlan::jobs`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Jobs<'a> {
+    plan: &'a ExecutablePlan,
+}
+
+impl<'a> Jobs<'a> {
+    /// Iterate the jobs.
+    pub fn iter(self) -> JobsIter<'a> {
+        JobsIter {
+            parts: self.plan.parts.iter(),
+            jobs: [].iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Jobs<'a> {
+    type Item = &'a PlanJob;
+    type IntoIter = JobsIter<'a>;
+    fn into_iter(self) -> JobsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a plan's jobs, part by part.
+#[derive(Debug, Clone)]
+pub struct JobsIter<'a> {
+    parts: std::slice::Iter<'a, Part>,
+    jobs: std::slice::Iter<'a, PlanJob>,
+}
+
+impl<'a> Iterator for JobsIter<'a> {
+    type Item = &'a PlanJob;
+    fn next(&mut self) -> Option<&'a PlanJob> {
+        loop {
+            if let Some(job) = self.jobs.next() {
+                return Some(job);
+            }
+            self.jobs = self.parts.next()?.body.jobs.iter();
         }
     }
 }
@@ -249,26 +465,20 @@ pub fn plan(
     };
 
     let mut jobs: Vec<PlanJob> = Vec::new();
-    let add_job = |jobs: &mut Vec<PlanJob>, name: Name, kind, priority, level| -> PlanJobId {
+    let add_job = |jobs: &mut Vec<PlanJob>, name: Name, kind, priority, level| -> u32 {
         jobs.push(PlanJob {
             name,
             kind,
-            parents: Vec::new(),
-            children: Vec::new(),
             priority,
             level,
-            workflow: None,
         });
-        PlanJobId(jobs.len() - 1)
+        (jobs.len() - 1) as u32
     };
-    // Every edge below is unique by construction: `edges` is deduplicated, a
-    // file lists each consumer once, and every other edge has a new job at
-    // one end.
-    let link = |jobs: &mut Vec<PlanJob>, parent: PlanJobId, child: PlanJobId| {
-        debug_assert!(!jobs[parent.0].children.contains(&child));
-        jobs[parent.0].children.push(child);
-        jobs[child.0].parents.push(parent);
-    };
+    // `(parent, child)` in link order, the order each job's parents and
+    // children keep. Every edge is unique by construction: `edges` is
+    // deduplicated, a file lists each consumer once, and every other edge
+    // has a new job at one end.
+    let mut links: Vec<(u32, u32)> = Vec::new();
 
     // Optional structure-based priorities over the compute-job graph.
     let priorities: Vec<i32> = match config.priority {
@@ -282,31 +492,29 @@ pub fn plan(
         None => vec![0; workflow.len()],
     };
 
-    // 1. Compute jobs.
-    let mut compute_ids: Vec<PlanJobId> = Vec::with_capacity(workflow.len());
+    // 1. Compute jobs, first: compute job `ix` is plan job `ix`.
     for (ix, a) in workflow.jobs().iter().enumerate() {
         let kind = PlanJobKind::Compute {
             transformation: a.transformation.clone(),
             runtime_s: a.runtime_s,
             output_bytes: workflow.job_files(ix).1.iter().map(|&f| size(f)).sum(),
         };
-        let id = add_job(&mut jobs, a.name.clone(), kind, priorities[ix], levels[ix]);
-        compute_ids.push(id);
+        add_job(&mut jobs, a.name.clone(), kind, priorities[ix], levels[ix]);
     }
-    for (a, b) in &edges {
-        link(&mut jobs, compute_ids[a.0], compute_ids[b.0]);
-    }
+    links.extend(edges.iter().map(|(a, b)| (a.0 as u32, b.0 as u32)));
 
     // 2. Stage-in jobs. Build each compute job's external-input transfer
     // list, then either emit one stage-in job per compute job (no
     // clustering) or merge them per (level, cluster slot).
-    let mut per_job_transfers: Vec<Vec<PlannedTransfer>> = vec![Vec::new(); workflow.len()];
-    for (ix, transfers) in per_job_transfers.iter_mut().enumerate() {
-        for &f in workflow.job_files(ix).0 {
+    let mut per_job_transfers: Vec<Vec<PlannedTransfer>> = Vec::with_capacity(workflow.len());
+    for ix in 0..workflow.len() {
+        let inputs = workflow.job_files(ix).0;
+        // Intermediate files live on shared scratch: only external inputs
+        // are staged.
+        let external = |f: &&usize| files[**f].producer.is_none();
+        let mut transfers = Vec::with_capacity(inputs.iter().filter(external).count());
+        for &f in inputs.iter().filter(external) {
             let file = &files[f];
-            if file.producer.is_some() {
-                continue; // intermediate file: lives on shared scratch
-            }
             let replica = replicas
                 .lookup(&file.name)
                 .ok_or_else(|| PlanError::NoReplica(file.name.to_string()))?;
@@ -319,6 +527,7 @@ pub fn plan(
                 dst_host: site.storage_host,
             });
         }
+        per_job_transfers.push(transfers);
     }
 
     match config.clustering_factor {
@@ -329,11 +538,11 @@ pub fn plan(
                 }
                 let name = format_args!("stage_in_{}", workflow.job(JobIx(ix)).name).into();
                 let kind = PlanJobKind::StageIn {
-                    transfers,
+                    transfers: transfers.into_boxed_slice(),
                     cluster: None,
                 };
                 let id = add_job(&mut jobs, name, kind, priorities[ix], levels[ix]);
-                link(&mut jobs, id, compute_ids[ix]);
+                links.push((id, ix as u32));
             }
         }
         Some(k) => {
@@ -354,10 +563,11 @@ pub fn plan(
                     if member_jobs.is_empty() {
                         continue;
                     }
-                    let transfers: Vec<PlannedTransfer> = member_jobs
-                        .iter()
-                        .flat_map(|&ix| std::mem::take(&mut per_job_transfers[ix]))
-                        .collect();
+                    let count = member_jobs.iter().map(|&ix| per_job_transfers[ix].len());
+                    let mut transfers = Vec::with_capacity(count.sum());
+                    for &ix in &member_jobs {
+                        transfers.append(&mut per_job_transfers[ix]);
+                    }
                     let priority = member_jobs
                         .iter()
                         .map(|&ix| priorities[ix])
@@ -365,13 +575,11 @@ pub fn plan(
                         .unwrap_or(0);
                     let name = format_args!("stage_in_l{level}_c{c}").into();
                     let kind = PlanJobKind::StageIn {
-                        transfers,
+                        transfers: transfers.into_boxed_slice(),
                         cluster: Some(c as u32),
                     };
                     let id = add_job(&mut jobs, name, kind, priority, level);
-                    for &ix in &member_jobs {
-                        link(&mut jobs, id, compute_ids[ix]);
-                    }
+                    links.extend(member_jobs.iter().map(|&ix| (id, ix as u32)));
                 }
             }
         }
@@ -386,7 +594,7 @@ pub fn plan(
     };
 
     // 3. Stage-out jobs for final outputs.
-    let mut stage_out_of: Vec<Option<PlanJobId>> = vec![None; files.len()];
+    let mut stage_out_of: Vec<Option<u32>> = vec![None; files.len()];
     if config.stage_out {
         let (out_host_name, out_host, out_base) =
             config.output_site.clone().ok_or(PlanError::NoOutputSite)?;
@@ -409,11 +617,11 @@ pub fn plan(
                 dst_host: out_host,
             };
             let kind = PlanJobKind::StageOut {
-                transfers: vec![transfer],
+                transfers: Box::new([transfer]),
             };
             let job_name = format_args!("stage_out_{name}").into();
             let id = add_job(&mut jobs, job_name, kind, 0, levels[producer.0] + 1);
-            link(&mut jobs, compute_ids[producer.0], id);
+            links.push((producer.0 as u32, id));
             stage_out_of[f] = Some(id);
         }
     }
@@ -425,31 +633,32 @@ pub fn plan(
     if config.cleanup {
         for &f in &scratch_files {
             let file = &files[f];
-            let mut parents: Vec<PlanJobId> =
-                file.consumers.iter().map(|ix| compute_ids[ix.0]).collect();
+            let mut parents: Vec<u32> = file.consumers.iter().map(|ix| ix.0 as u32).collect();
             if parents.is_empty() {
-                parents.extend(file.producer.map(|p| compute_ids[p.0]));
+                parents.extend(file.producer.map(|p| p.0 as u32));
             }
             parents.extend(stage_out_of[f]);
-            let level = parents.iter().map(|p| jobs[p.0].level).max().unwrap_or(0) + 1;
+            let level = parents
+                .iter()
+                .map(|&p| jobs[p as usize].level)
+                .max()
+                .unwrap_or(0)
+                + 1;
             let kind = PlanJobKind::Cleanup {
-                files: vec![(scratch_url(f), size(f))],
+                files: Box::new([(scratch_url(f), size(f))]),
             };
             let name = format_args!("cleanup_{}", file.name).into();
             // Cleanups yield to real work.
             let id = add_job(&mut jobs, name, kind, i32::MIN / 2, level);
-            for p in parents {
-                link(&mut jobs, p, id);
-            }
+            links.extend(parents.into_iter().map(|p| (p, id)));
         }
     }
 
-    let plan = ExecutablePlan {
-        name: workflow.name.clone(),
+    Ok(ExecutablePlan::from_jobs(
+        workflow.name.clone(),
         jobs,
-    };
-    plan.validate()?;
-    Ok(plan)
+        &links,
+    )?)
 }
 
 #[cfg(test)]
@@ -498,6 +707,34 @@ mod tests {
         (wf, rc)
     }
 
+    /// Index of the job named `name`.
+    fn find(plan: &ExecutablePlan, name: &str) -> usize {
+        let found = plan.jobs().iter().position(|j| j.name == name);
+        found.unwrap_or_else(|| panic!("no job {name}"))
+    }
+
+    #[test]
+    fn from_jobs_keeps_edge_order_and_rejects_cycles() {
+        let jobs = || {
+            (0..3)
+                .map(|i| PlanJob {
+                    name: format!("j{i}").into(),
+                    kind: PlanJobKind::Cleanup {
+                        files: Box::new([]),
+                    },
+                    priority: 0,
+                    level: 0,
+                })
+                .collect::<Vec<_>>()
+        };
+        let p = ExecutablePlan::from_jobs("dag", jobs(), &[(0, 2), (1, 2), (0, 1)]).unwrap();
+        assert_eq!(p.children(0).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(p.parents(2).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(p.parents(0).len(), 0);
+        let cycle = ExecutablePlan::from_jobs("cycle", jobs(), &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(cycle.unwrap_err(), WorkflowError::Cycle);
+    }
+
     #[test]
     fn no_clustering_one_stage_in_per_compute_job_with_externals() {
         let (wf, rc) = small_workflow();
@@ -516,35 +753,20 @@ mod tests {
     fn stage_in_precedes_its_compute_job() {
         let (wf, rc) = small_workflow();
         let plan = plan(&wf, &site(), &rc, &PlannerConfig::default()).unwrap();
-        let si = plan
-            .jobs()
-            .iter()
-            .position(|j| j.name == "stage_in_proj_0")
-            .unwrap();
-        let compute = plan.jobs().iter().position(|j| j.name == "proj_0").unwrap();
-        assert!(plan
-            .job(PlanJobId(si))
-            .children
-            .contains(&PlanJobId(compute)));
-        assert!(plan
-            .job(PlanJobId(compute))
-            .parents
-            .contains(&PlanJobId(si)));
+        let si = find(&plan, "stage_in_proj_0");
+        let compute = find(&plan, "proj_0");
+        assert!(plan.children(si).any(|c| c == compute));
+        assert!(plan.parents(compute).any(|p| p == si));
     }
 
     #[test]
     fn cleanup_waits_for_all_consumers() {
         let (wf, rc) = small_workflow();
         let plan = plan(&wf, &site(), &rc, &PlannerConfig::default()).unwrap();
-        let cleanup_p0 = plan
-            .jobs()
-            .iter()
-            .find(|j| j.name == "cleanup_p_0")
-            .unwrap();
+        let cleanup_p0 = find(&plan, "cleanup_p_0");
         // p_0 is consumed only by add_0.
-        assert_eq!(cleanup_p0.parents.len(), 1);
-        let parent = &plan.job(cleanup_p0.parents[0]);
-        assert_eq!(parent.name, "add_0");
+        let parents: Vec<usize> = plan.parents(cleanup_p0).collect();
+        assert_eq!(parents, [find(&plan, "add_0")]);
     }
 
     #[test]
@@ -577,15 +799,10 @@ mod tests {
             .expect("stage-out job present");
         assert_eq!(so.name, "stage_out_mosaic");
         // The mosaic cleanup must wait for the stage-out.
-        let cm = plan
-            .jobs()
-            .iter()
-            .find(|j| j.name == "cleanup_mosaic")
-            .unwrap();
-        let parent_names: Vec<&str> = cm
-            .parents
-            .iter()
-            .map(|p| plan.job(*p).name.as_str())
+        let cm = find(&plan, "cleanup_mosaic");
+        let parent_names: Vec<&str> = plan
+            .parents(cm)
+            .map(|p| plan.job(p).name.as_str())
             .collect();
         assert!(parent_names.contains(&"stage_out_mosaic"));
     }
@@ -707,7 +924,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use crate::catalog::{ComputeSite, ReplicaCatalog};
     use proptest::prelude::*;
@@ -721,6 +938,32 @@ mod proptests {
             storage_host_name: "store".into(),
             scratch_dir: "/scratch".into(),
         }
+    }
+
+    /// `pwm_montage_free_random(levels, width, edge_prob, seed)`, planned
+    /// with every external input on one source host.
+    pub(crate) fn random_plan(
+        levels: usize,
+        width: usize,
+        edge_prob: f64,
+        seed: u64,
+        clustering: Option<u32>,
+    ) -> (AbstractWorkflow, ExecutablePlan) {
+        let wf = pwm_montage_free_random(levels, width, edge_prob, seed);
+        let mut rc = ReplicaCatalog::new();
+        for f in wf.external_inputs().unwrap() {
+            rc.insert(
+                &f,
+                pwm_core::Url::new("gsiftp", "src", format!("/d/{f}")),
+                HostId(0),
+            );
+        }
+        let cfg = PlannerConfig {
+            clustering_factor: clustering,
+            ..Default::default()
+        };
+        let p = plan(&wf, &site(), &rc, &cfg).unwrap();
+        (wf, p)
     }
 
     proptest! {
@@ -737,20 +980,7 @@ mod proptests {
             seed in 0u64..500,
             clustering in proptest::option::of(1u32..5),
         ) {
-            let wf = pwm_montage_free_random(levels, width, edge_prob, seed);
-            let mut rc = ReplicaCatalog::new();
-            for f in wf.external_inputs().unwrap() {
-                rc.insert(
-                    &f,
-                    pwm_core::Url::new("gsiftp", "src", format!("/d/{f}")),
-                    HostId(0),
-                );
-            }
-            let cfg = PlannerConfig {
-                clustering_factor: clustering,
-                ..Default::default()
-            };
-            let p = plan(&wf, &site(), &rc, &cfg).unwrap();
+            let (wf, p) = random_plan(levels, width, edge_prob, seed, clustering);
             prop_assert!(p.validate().is_ok());
 
             // Every compute job appears exactly once.

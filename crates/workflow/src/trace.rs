@@ -39,7 +39,7 @@ impl<'p> JobTrace<'p> {
 
     /// The job's kind as a metric label / trace category value.
     fn kind(&self, job: usize) -> &'static str {
-        match self.plan.jobs()[job].kind {
+        match self.plan.job(job).kind {
             PlanJobKind::Compute { .. } => "compute",
             PlanJobKind::StageIn { .. } => "stage_in",
             PlanJobKind::StageOut { .. } => "stage_out",
@@ -50,7 +50,7 @@ impl<'p> JobTrace<'p> {
     /// Open the span of the job's attempt that starts now.
     pub(crate) fn start_job(&mut self, job: usize, now: SimTime) {
         let id = self.obs.tracer.start_span(
-            self.plan.jobs()[job].name.as_str(),
+            self.plan.job_name(job).to_string(),
             self.kind(job),
             None,
             now,
@@ -91,7 +91,7 @@ impl<'p> JobTrace<'p> {
                 self.job_spans[job],
                 started,
                 now,
-                &[("job", self.plan.jobs()[job].name.to_string())],
+                &[("job", self.plan.job_name(job).to_string())],
             );
         }
     }
@@ -106,7 +106,7 @@ impl<'p> JobTrace<'p> {
             "policy_fallback",
             "policy_rpc",
             now,
-            &[("job", self.plan.jobs()[job].name.to_string())],
+            &[("job", self.plan.job_name(job).to_string())],
         );
     }
 

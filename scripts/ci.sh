@@ -159,7 +159,16 @@ bench_floor advice_hot 16500 req/s
 # same loss. Losing the literal-key codec and the byte-level head scanner
 # costs ~4.5 % (~96.5 to ~92.3): the wire edge is a small slice of each
 # round trip, most of which is syscalls.
-bench_floor campaign 55 workflows/s
+#
+# The same runs hold its peak RSS to 12.5 MB, the second memory gate, next
+# to `netsim_churn`'s. The 16 plans are most of this process's heap: while
+# every job carried its own edge `Vec`s and `merge_plans` deep-copied the
+# plans under prefixed names, the workload peaked at ~15.6 MB. A plan is now
+# one shared body (job rows, CSR edges, exact-size transfer and cleanup
+# lists) and a merge is a view over the bodies, and it peaks at
+# ~10.6-10.9 MB (2 vCPUs, shared). A merge that copies again, or a per-job
+# `Vec` back in the plan, crosses the line.
+bench_floor campaign 55 workflows/s 12.5
 
 # Turbulent-simulator floor: 1000 flows in 100 clusters under the default
 # `StreamModel` — slow start, churn turbulence, weight jitter: what Figs.

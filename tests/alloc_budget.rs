@@ -2,10 +2,11 @@
 //!
 //! The `campaign` shape at small scale — seeded Montage 1° workflows planned,
 //! merged and run by one executor asking a Policy Service over loopback REST
-//! — under a counting `#[global_allocator]`. Heap allocations are counted per
-//! side (the test's thread plans, executes and speaks the client half of the
-//! wire; the server's loop thread does everything else) and held under
-//! ceilings, so a `String` creeping back into a name the request path copies
+//! — under a counting `#[global_allocator]`. Heap allocations and live bytes
+//! are counted per side (the test's thread plans, executes and speaks the
+//! client half of the wire; the server's loop thread does everything else)
+//! and held under ceilings, so a `String` creeping back into a name the
+//! request path copies, or a plan that starts copying what it could share,
 //! fails here instead of showing up as a slower benchmark three PRs later.
 //!
 //! Run with `--nocapture` to read the table.
@@ -24,14 +25,16 @@ use pwm_workflow::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Counts every allocating call (`alloc`, `alloc_zeroed`, `realloc`) against
-/// the side that made it.
+/// the side that made it, and the bytes each side holds.
 struct Counting;
 
 /// Allocations by [`DRIVER`] and by every other thread (the server loop).
 static ALLOCATIONS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+/// Bytes allocated minus bytes freed, by the same sides.
+static LIVE: [AtomicI64; 2] = [AtomicI64::new(0), AtomicI64::new(0)];
 const SERVER: usize = 0;
 const DRIVER: usize = 1;
 
@@ -42,32 +45,45 @@ thread_local! {
     static SIDE: Cell<usize> = const { Cell::new(SERVER) };
 }
 
-fn count() {
-    ALLOCATIONS[SIDE.with(Cell::get)].fetch_add(1, Ordering::Relaxed);
+/// One allocating call that moved the side's live bytes by `bytes`.
+fn count(bytes: i64) {
+    let side = SIDE.with(Cell::get);
+    ALLOCATIONS[side].fetch_add(1, Ordering::Relaxed);
+    LIVE[side].fetch_add(bytes, Ordering::Relaxed);
+}
+
+fn size(layout: Layout) -> i64 {
+    layout.size() as i64
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(size(layout));
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(size(layout));
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - size(layout));
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE[SIDE.with(Cell::get)].fetch_sub(size(layout), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Bytes the driver holds.
+fn driver_live() -> i64 {
+    LIVE[DRIVER].load(Ordering::Relaxed)
+}
 
 /// (driver, server) allocations made while `f` ran.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
@@ -77,8 +93,9 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     (out, read(DRIVER) - driver, read(SERVER) - server)
 }
 
-/// One budget line: what was measured, what it read before `pwm_core::Name`
-/// and the reused wire buffers, and its ceiling.
+/// One budget line: what was measured, what it read before the change its
+/// ceiling holds (`pwm_core::Name` and the reused wire buffers, or shared
+/// plan bodies), and its ceiling.
 struct Line {
     what: &'static str,
     measured: f64,
@@ -109,6 +126,7 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
         scratch_dir: "/scratch".into(),
     };
 
+    let live_before_plans = driver_live();
     let (plans, plan_allocs, _) = counted(|| {
         (0..WORKFLOWS)
             .map(|i| {
@@ -125,6 +143,7 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
             .collect::<Vec<_>>()
     });
     let (merged, merge_allocs, _) = counted(|| merge_plans(&plans.iter().collect::<Vec<_>>(), 1));
+    let plan_bytes = driver_live() - live_before_plans;
 
     let network = Network::with_seed(topo, StreamModel::default(), 1);
     let client = PolicyRestClient::new(server.addr(), DEFAULT_SESSION);
@@ -227,23 +246,34 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
     // `String`s, the plan's names were `String`s and every call rendered
     // into fresh buffers (`before`, release build) — or the absolute target
     // where that is lower: 10 per call on the server thread, 6 on the
-    // client's wire path. Planning is held tighter, a tenth above what it
-    // measures (3 354.5) and under what it measured (3 847.5) while `plan`
-    // cloned each transfer list into its stage-in job and derived the
-    // producer map four times: most of what is left is the plan itself, a
-    // name and two or three `Vec`s per job.
+    // client's wire path. Planning and merging are held tighter, a tenth
+    // above what they measure since a plan became one shared body (job rows,
+    // CSR edges, exact-size transfer and cleanup lists) and a merge a view
+    // over the bodies: `plan` 2 649.5 (it was 3 354.5 with a name and two or
+    // three `Vec`s per job), `merge_plans` 2.5 (1 364.0 as a deep copy; five
+    // allocations a call now, so its ceiling is one allocation above them).
+    // Plan memory is a line of its own, in bytes: what the plans and their
+    // merge hold once built, a tenth above the 160 770.5 it measures; its
+    // `before` is the 399 622.5 the deep-copying merge and the per-job
+    // `Vec`s held.
     let lines = [
         line(
             "driver: plan, per workflow",
             per_wf(plan_allocs),
             11692.5,
-            3700.0,
+            2915.0,
         ),
         line(
             "driver: merge_plans, per workflow",
             per_wf(merge_allocs),
             5405.0,
-            2970.0,
+            3.0,
+        ),
+        line(
+            "driver: bytes retained by plan + merge, per workflow",
+            per_wf(plan_bytes as u64),
+            399622.5,
+            176850.0,
         ),
         line(
             "driver: WorkflowExecutor::new + run, per workflow",
@@ -307,7 +337,7 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
         .filter(|l| l.measured > l.ceiling)
         .map(|l| {
             format!(
-                "{}: {:.1} allocations, ceiling {:.1} (it was {:.1} before names were built once)",
+                "{}: measured {:.1}, ceiling {:.1} (it was {:.1} before)",
                 l.what, l.measured, l.ceiling, l.before
             )
         })

@@ -18,6 +18,11 @@ use pwm_workflow::{
 };
 use std::fmt::Write;
 
+/// A plan index rendered as the digests were printed, when jobs held their
+/// edges as `Vec<PlanJobId>`.
+#[derive(Debug)]
+struct PlanJobId(#[allow(dead_code)] usize);
+
 /// FNV-1a over a canonical rendering of every observable field of the plan.
 fn digest(plan: &ExecutablePlan) -> u64 {
     let mut text = format!("plan {}\n", plan.name);
@@ -32,11 +37,16 @@ fn digest(plan: &ExecutablePlan) -> u64 {
             .unwrap();
         }
     };
-    for job in plan.jobs() {
+    for (i, job) in plan.jobs().iter().enumerate() {
+        let parents: Vec<PlanJobId> = plan.parents(i).map(PlanJobId).collect();
+        let children: Vec<PlanJobId> = plan.children(i).map(PlanJobId).collect();
         writeln!(
             text,
-            "job {} level {} priority {} workflow {:?} parents {:?} children {:?}",
-            job.name, job.level, job.priority, job.workflow, job.parents, job.children
+            "job {} level {} priority {} workflow {:?} parents {parents:?} children {children:?}",
+            plan.job_name(i),
+            job.level,
+            job.priority,
+            plan.workflow(i)
         )
         .unwrap();
         match &job.kind {
@@ -263,23 +273,26 @@ fn an_input_listed_twice_gets_one_edge_of_each_kind() {
     let named = |name: &str| {
         plan.jobs()
             .iter()
-            .find(|j| j.name == name)
+            .position(|j| j.name == name)
             .unwrap_or_else(|| panic!("no job {name}"))
     };
-    let names = |ids: &[pwm_workflow::PlanJobId]| -> Vec<&str> {
-        ids.iter().map(|&id| plan.job(id).name.as_str()).collect()
+    let names = |ids: &mut dyn Iterator<Item = usize>| -> Vec<&str> {
+        ids.map(|id| plan.job(id).name.as_str()).collect()
     };
-    assert_eq!(names(&named("use").parents), ["make"]);
-    assert_eq!(names(&named("cleanup_mid").parents), ["use"]);
-    assert_eq!(names(&named("cleanup_raw").parents), ["make"]);
-    assert_eq!(names(&named("make").children), ["use", "cleanup_raw"]);
+    assert_eq!(names(&mut plan.parents(named("use"))), ["make"]);
+    assert_eq!(names(&mut plan.parents(named("cleanup_mid"))), ["use"]);
+    assert_eq!(names(&mut plan.parents(named("cleanup_raw"))), ["make"]);
     assert_eq!(
-        names(&named("use").children),
+        names(&mut plan.children(named("make"))),
+        ["use", "cleanup_raw"]
+    );
+    assert_eq!(
+        names(&mut plan.children(named("use"))),
         ["cleanup_mid", "cleanup_out"]
     );
     // Each mention is still a transfer request of its own: the Policy
     // Service, not the planner, decides that the second one is a duplicate.
-    match &named("stage_in_make").kind {
+    match &plan.job(named("stage_in_make")).kind {
         PlanJobKind::StageIn { transfers, .. } => assert_eq!(transfers.len(), 2),
         other => panic!("stage_in_make is {other:?}"),
     }

@@ -139,7 +139,7 @@ fn montage_stage_in_groups(seed: u64) -> Vec<Vec<TransferSpec>> {
     let rc = montage_replicas(&wf, ("apache-isi", apache), ("gridftp-vm", gridftp));
     let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
     let mut groups = Vec::new();
-    for job in p.jobs() {
+    for (i, job) in p.jobs().iter().enumerate() {
         if let PlanJobKind::StageIn { transfers, cluster } = &job.kind {
             groups.push(
                 transfers
@@ -149,7 +149,7 @@ fn montage_stage_in_groups(seed: u64) -> Vec<Vec<TransferSpec>> {
                         dest: pt.dest.clone(),
                         bytes: pt.bytes,
                         requested_streams: None,
-                        workflow: job.workflow.unwrap_or(WorkflowId(1)),
+                        workflow: p.workflow(i).unwrap_or(WorkflowId(1)),
                         cluster: cluster.map(pwm_core::ClusterId),
                         priority: Some(job.priority),
                     })
