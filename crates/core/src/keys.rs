@@ -21,13 +21,16 @@
 //!
 //! Nothing observable depends on a digest's value: postings are
 //! handle-ordered and no index map is ever iterated, so two processes with
-//! different keys give byte-identical advice, traces and snapshots.
+//! different keys give byte-identical advice, traces and snapshots. That is
+//! also what lets a digest force its low bit to one: it is never zero, so
+//! the index's per-slot `Option` of a digest key is 8 bytes, not 16.
 
 use crate::model::{CleanupId, GroupId, TransferId, Url};
 use crate::name::Name;
 use pwm_rules::{IndexKey, MintedBuild};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
+use std::num::NonZeroU64;
 use std::sync::OnceLock;
 
 macro_rules! minted_keys {
@@ -44,14 +47,14 @@ impl IndexKey for Name {
     type Build = RandomState;
 }
 
-/// SipHash of `value` under this process's digest key.
-fn digest(value: impl Hash) -> u64 {
+/// SipHash of `value` under this process's digest key, low bit forced.
+fn digest(value: impl Hash) -> NonZeroU64 {
     static KEY: OnceLock<RandomState> = OnceLock::new();
     #[cfg(test)]
     if collide::forced() {
-        return 0;
+        return NonZeroU64::MIN;
     }
-    KEY.get_or_init(RandomState::new).hash_one(value)
+    NonZeroU64::MIN | KEY.get_or_init(RandomState::new).hash_one(value)
 }
 
 /// Keyed digest of a [`Url`]: how staged-file resources (by `dest`),
@@ -59,7 +62,7 @@ fn digest(value: impl Hash) -> u64 {
 /// records (by `file`) are bucketed, so one stored key serves every probe
 /// that joins them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct UrlKey(u64);
+pub(crate) struct UrlKey(NonZeroU64);
 
 impl UrlKey {
     pub(crate) fn of(url: &Url) -> UrlKey {
@@ -77,7 +80,7 @@ impl UrlKey {
 /// ledgers are bucketed, so a probe borrows the two names instead of
 /// building an owned `(String, String)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PairKey(u64);
+pub(crate) struct PairKey(NonZeroU64);
 
 impl PairKey {
     pub(crate) fn of(src_host: &str, dst_host: &str) -> PairKey {
@@ -105,5 +108,16 @@ pub(crate) mod collide {
         let out = f();
         FORCED.with(|c| c.set(false));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_stored_digest_key_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<UrlKey>>(), 8);
+        assert_eq!(std::mem::size_of::<Option<PairKey>>(), 8);
     }
 }

@@ -81,7 +81,7 @@ pub use ledger::{balanced_grant, greedy_grant, greedy_total_for_concurrent_jobs,
 pub use model::{
     BackendDownFact, BackendLoadFact, BackendProfileFact, CleanupId, CleanupSpec, ClusterId,
     GroupId, HealthEvent, HostDownFact, StagedOnFact, SuppressReason, SuspectReplicaFact,
-    TransferId, TransferSpec, Url, WorkflowId,
+    TransferId, TransferSpec, Url, WorkflowId, WorkflowSet,
 };
 pub use name::Name;
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};

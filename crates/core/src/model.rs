@@ -9,7 +9,7 @@
 use crate::name::Name;
 use pwm_rules::Fields;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Unique id the Policy Service assigns to each transfer "so that the
@@ -254,11 +254,108 @@ pub struct ResourceFact {
     pub source: Url,
     /// Workflows currently using the staged file.
     #[serde(with = "workflow_set_serde")]
-    pub users: BTreeSet<WorkflowId>,
+    pub users: WorkflowSet,
     /// Staging vs staged.
     pub state: ResourceState,
     /// Transfer that is currently producing the file (while `Staging`).
     pub producer: Option<TransferId>,
+}
+
+/// A sorted set of workflow ids: the users of a staged file. Nearly every
+/// staged file has one user, so one id is held inline and costs no
+/// allocation; two or more are a sorted `Vec`. 24 bytes. `Debug` prints
+/// the ids as a set, `{WorkflowId(2), WorkflowId(9)}`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct WorkflowSet(Ids);
+
+/// Always the variant of its length: `Many` holds two ids or more.
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Ids {
+    #[default]
+    Empty,
+    One(WorkflowId),
+    Many(Vec<WorkflowId>),
+}
+
+impl WorkflowSet {
+    /// The empty set.
+    pub fn new() -> WorkflowSet {
+        WorkflowSet::default()
+    }
+
+    /// Add `id`; false if it was already there.
+    pub fn insert(&mut self, id: WorkflowId) -> bool {
+        match &mut self.0 {
+            Ids::Empty => self.0 = Ids::One(id),
+            Ids::One(one) => match (*one).cmp(&id) {
+                Ordering::Equal => return false,
+                Ordering::Less => self.0 = Ids::Many(vec![*one, id]),
+                Ordering::Greater => self.0 = Ids::Many(vec![id, *one]),
+            },
+            Ids::Many(ids) => match ids.binary_search(&id) {
+                Ok(_) => return false,
+                Err(at) => ids.insert(at, id),
+            },
+        }
+        true
+    }
+
+    /// Take `id` out; false if it was not there.
+    pub fn remove(&mut self, id: &WorkflowId) -> bool {
+        match &mut self.0 {
+            Ids::One(one) if one == id => self.0 = Ids::Empty,
+            Ids::Many(ids) => {
+                let Ok(at) = ids.binary_search(id) else {
+                    return false;
+                };
+                ids.remove(at);
+                if let [last] = ids[..] {
+                    self.0 = Ids::One(last);
+                }
+            }
+            Ids::Empty | Ids::One(_) => return false,
+        }
+        true
+    }
+
+    /// True if `id` is in the set.
+    pub fn contains(&self, id: &WorkflowId) -> bool {
+        self.as_slice().binary_search(id).is_ok()
+    }
+
+    /// True if no workflow uses the file.
+    pub fn is_empty(&self) -> bool {
+        matches!(self.0, Ids::Empty)
+    }
+
+    /// The ids, ascending.
+    pub fn iter(&self) -> std::slice::Iter<'_, WorkflowId> {
+        self.as_slice().iter()
+    }
+
+    fn as_slice(&self) -> &[WorkflowId] {
+        match &self.0 {
+            Ids::Empty => &[],
+            Ids::One(one) => std::slice::from_ref(one),
+            Ids::Many(ids) => ids,
+        }
+    }
+}
+
+impl FromIterator<WorkflowId> for WorkflowSet {
+    fn from_iter<I: IntoIterator<Item = WorkflowId>>(ids: I) -> WorkflowSet {
+        let mut set = WorkflowSet::new();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for WorkflowSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
 }
 
 /// Field groups of a [`ResourceFact`]; `dest` and `source` never change.
@@ -472,17 +569,16 @@ pub enum HealthEvent {
     },
 }
 
-/// `#[serde(with)]` adapter for `BTreeSet<WorkflowId>`: the vendored serde
-/// has no set impls, so the set crosses the wire as a sorted id array.
+/// `#[serde(with)]` adapter for [`WorkflowSet`]: the set crosses the wire
+/// as a sorted id array.
 mod workflow_set_serde {
-    use super::WorkflowId;
+    use super::{WorkflowId, WorkflowSet};
     use serde::{Deserialize, Reader, Serialize, Writer};
-    use std::collections::BTreeSet;
 
     /// Set → sorted array of raw workflow ids.
-    pub fn serialize(set: &BTreeSet<WorkflowId>, w: &mut Writer) {
+    pub fn serialize(set: &WorkflowSet, w: &mut Writer) {
         w.begin_array();
-        for id in set {
+        for id in set.iter() {
             w.element();
             id.0.serialize(w);
         }
@@ -490,7 +586,7 @@ mod workflow_set_serde {
     }
 
     /// Array of raw ids → set (duplicates collapse).
-    pub fn deserialize(r: &mut Reader<'_>) -> Result<BTreeSet<WorkflowId>, serde::Error> {
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<WorkflowSet, serde::Error> {
         Ok(Vec::<u64>::deserialize(r)?
             .into_iter()
             .map(WorkflowId)
@@ -620,6 +716,39 @@ mod proptests {
                 std::cmp::Ordering::Equal => prop_assert_eq!(&a, &b),
                 std::cmp::Ordering::Less => prop_assert!(b > a),
                 std::cmp::Ordering::Greater => prop_assert!(a > b),
+            }
+        }
+
+        /// A `WorkflowSet` is the `BTreeSet<WorkflowId>` it stands for:
+        /// every return value, membership, order, emptiness, `Debug`, and
+        /// the bytes it crosses the wire as, after every operation. Ids
+        /// come from a small range so inserts repeat and removes hit.
+        #[test]
+        fn workflow_set_matches_a_btree_set(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..6), 0..64),
+        ) {
+            let mut set = WorkflowSet::new();
+            let mut oracle = std::collections::BTreeSet::new();
+            for (insert, id) in ops {
+                let id = WorkflowId(id);
+                if insert {
+                    prop_assert_eq!(set.insert(id), oracle.insert(id));
+                } else {
+                    prop_assert_eq!(set.remove(&id), oracle.remove(&id));
+                }
+                for probe in (0..6).map(WorkflowId) {
+                    prop_assert_eq!(set.contains(&probe), oracle.contains(&probe));
+                }
+                prop_assert!(set.iter().eq(oracle.iter()));
+                prop_assert_eq!(set.is_empty(), oracle.is_empty());
+                prop_assert_eq!(format!("{set:?}"), format!("{oracle:?}"));
+                let mut w = serde::Writer::compact();
+                workflow_set_serde::serialize(&set, &mut w);
+                let bytes = w.finish();
+                let ids: Vec<u64> = oracle.iter().map(|id| id.0).collect();
+                prop_assert_eq!(&bytes, &serde_json::to_string(&ids).unwrap());
+                let back = workflow_set_serde::deserialize(&mut serde::Reader::new(&bytes));
+                prop_assert_eq!(back.unwrap(), set.clone());
             }
         }
     }

@@ -9,7 +9,7 @@ use crate::ctx::PolicyCtx;
 use crate::keys::{PairKey, UrlKey};
 use crate::model::{
     CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
-    SuppressReason, TransferFact, TransferId, TransferState, Url,
+    SuppressReason, TransferFact, TransferId, TransferState, Url, WorkflowSet,
 };
 use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
 
@@ -226,7 +226,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                         t.spec.workflow,
                     )
                 };
-                let mut users = std::collections::BTreeSet::new();
+                let mut users = WorkflowSet::new();
                 users.insert(workflow);
                 wm.insert(ResourceFact {
                     dest,
@@ -747,14 +747,10 @@ mod tests {
     }
 
     fn staged_resource(s: &mut Session<PolicyCtx>, path: &str, users: &[u64]) {
-        let mut set = std::collections::BTreeSet::new();
-        for &u in users {
-            set.insert(WorkflowId(u));
-        }
         s.wm.insert(ResourceFact {
             dest: Url::new("file", "dst-host", path),
             source: Url::new("gsiftp", "src-host", path),
-            users: set,
+            users: users.iter().map(|&u| WorkflowId(u)).collect(),
             state: ResourceState::Staged,
             producer: None,
         });

@@ -1106,6 +1106,67 @@ fn golden_resource_fact_with_two_users() {
     );
 }
 
+/// No user left: the set a staged file holds once every workflow detached.
+#[test]
+fn golden_resource_fact_with_no_users() {
+    let value = ResourceFact {
+        users: WorkflowSet::new(),
+        producer: None,
+        ..resource_fact()
+    };
+    golden(
+        &value,
+        r#"{"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"users":[],"state":"Staged","producer":null}"#,
+        r#"{
+  "dest": {
+    "scheme": "file",
+    "host": "obelix-nfs",
+    "path": "/scratch/f2.dat"
+  },
+  "source": {
+    "scheme": "http",
+    "host": "apache.isi",
+    "path": "/f2.dat"
+  },
+  "users": [],
+  "state": "Staged",
+  "producer": null
+}"#,
+    );
+}
+
+/// One user, held inline: the shape of nearly every resident file.
+#[test]
+fn golden_resource_fact_with_one_user() {
+    let value = ResourceFact {
+        users: [WorkflowId(7)].into_iter().collect(),
+        state: ResourceState::Staging,
+        producer: Some(TransferId(4)),
+        ..resource_fact()
+    };
+    golden(
+        &value,
+        r#"{"dest":{"scheme":"file","host":"obelix-nfs","path":"/scratch/f2.dat"},"source":{"scheme":"http","host":"apache.isi","path":"/f2.dat"},"users":[7],"state":"Staging","producer":4}"#,
+        r#"{
+  "dest": {
+    "scheme": "file",
+    "host": "obelix-nfs",
+    "path": "/scratch/f2.dat"
+  },
+  "source": {
+    "scheme": "http",
+    "host": "apache.isi",
+    "path": "/f2.dat"
+  },
+  "users": [
+    7
+  ],
+  "state": "Staging",
+  "producer": 4
+}"#,
+    );
+}
+
 // Every advice shape, captured on the commit before the derived encoder wrote
 // keys and unit variants as precomputed literals (PR 24): one line each, the
 // pretty form with its line breaks escaped.

@@ -6,11 +6,12 @@
 //! version counters that drive the engine's refraction logic (a rule does
 //! not re-fire on a fact tuple until one of its facts changes).
 //!
-//! Facts live in *typed slabs*: one generational arena per fact type, each
-//! slot carrying the value inline plus an intrusive insertion-order list, so
-//! iteration and indexed lookups walk contiguous typed storage with **one**
-//! `TypeId` dispatch per call instead of one `Box<dyn Fact>` pointer chase
-//! and `downcast_ref` per fact. Slots are recycled through a free list; every
+//! Facts live in *typed slabs*: one generational arena per fact type, in
+//! fixed pages of slots that are never reallocated, each slot carrying the
+//! value inline plus an intrusive insertion-order list, so iteration and
+//! indexed lookups walk typed storage with **one** `TypeId` dispatch per
+//! call instead of one `Box<dyn Fact>` pointer chase and `downcast_ref` per
+//! fact. Slots are recycled through a free list; every
 //! recycle bumps the slot's generation, which is what makes [`FactId`] — a
 //! typed `(slot, generation)` pair — immune to the ABA problem: a probe
 //! through a stale id sees the generation mismatch and returns `None`, never
@@ -28,7 +29,9 @@
 //! groups meet them (insert, retract and plain `update` touch every field
 //! and so every index); it remembers each fact's key by arena slot, so a
 //! re-key compare, a removal and [`WorkingMemory::key_of`] are a `Vec` index
-//! and no hash; and its key type picks the postings map's hasher
+//! and no hash; it holds a key's single posting inline, so the common
+//! one-fact key costs its map entry and no allocation; and its key type
+//! picks the postings map's hasher
 //! ([`IndexKey`]): one multiply for keys this process mints, SipHash for
 //! keys a request or a config file can choose. Debug builds re-extract the
 //! key of every index a field-masked update skipped and panic on a
@@ -40,6 +43,7 @@
 //! preserved as the differential-test oracle in `tests/legacy/mod.rs`.
 
 use std::any::{Any, TypeId};
+use std::collections::hash_map::Entry;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -271,13 +275,21 @@ enum SlotState<T> {
     },
 }
 
+/// Slots per page of a [`TypedSlab`].
+const PAGE: usize = 64;
+
 /// Generational arena of all facts of one type, threaded with an intrusive
 /// doubly-linked list in insertion order (appends at the tail). Handles are
 /// monotone, facts are never re-inserted under an old handle, so list order
 /// is also ascending-handle order — the iteration contract the engine's
 /// match caches rely on.
+///
+/// Slots live in pages of [`PAGE`], each allocated once at full capacity
+/// and never reallocated: a fact never moves, and growing the slab by a
+/// page copies nothing and frees nothing. Slot `s` is entry `s % PAGE` of
+/// page `s / PAGE`; only the last page is partly filled.
 struct TypedSlab<T> {
-    slots: Vec<ArenaSlot<T>>,
+    pages: Vec<Vec<ArenaSlot<T>>>,
     free_head: u32,
     head: u32,
     tail: u32,
@@ -286,50 +298,64 @@ struct TypedSlab<T> {
 impl<T> TypedSlab<T> {
     fn new() -> Self {
         TypedSlab {
-            slots: Vec::new(),
+            pages: Vec::new(),
             free_head: NIL,
             head: NIL,
             tail: NIL,
         }
     }
 
-    /// Place `value` in a slot (recycling the free list) and link it at the
-    /// tail of the insertion-order list.
+    fn slot(&self, slot: u32) -> &ArenaSlot<T> {
+        let slot = slot as usize;
+        &self.pages[slot / PAGE][slot % PAGE]
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut ArenaSlot<T> {
+        let slot = slot as usize;
+        &mut self.pages[slot / PAGE][slot % PAGE]
+    }
+
+    /// `(prev, next)` of an occupied slot.
+    fn links_mut(&mut self, slot: u32) -> (&mut u32, &mut u32) {
+        match &mut self.slot_mut(slot).state {
+            SlotState::Occupied { prev, next, .. } => (prev, next),
+            SlotState::Free { .. } => unreachable!("insertion list points at free slot"),
+        }
+    }
+
+    /// Place `value` in a slot (recycling the free list, else the next
+    /// slot of the last page, else a new page) and link it at the tail of
+    /// the insertion-order list.
     fn alloc(&mut self, value: T, handle: FactHandle) -> u32 {
+        let state = SlotState::Occupied {
+            value,
+            handle,
+            version: 0,
+            prev: self.tail,
+            next: NIL,
+        };
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
-            let SlotState::Free { next_free } = self.slots[slot as usize].state else {
+            let free = self.slot_mut(slot);
+            let SlotState::Free { next_free } = free.state else {
                 unreachable!("free list points at occupied slot");
             };
+            free.state = state;
             self.free_head = next_free;
-            self.slots[slot as usize].state = SlotState::Occupied {
-                value,
-                handle,
-                version: 0,
-                prev: self.tail,
-                next: NIL,
-            };
             slot
         } else {
-            let slot = self.slots.len() as u32;
-            assert!(slot != NIL, "typed slab exhausted u32 slot space");
-            self.slots.push(ArenaSlot {
-                gen: 0,
-                state: SlotState::Occupied {
-                    value,
-                    handle,
-                    version: 0,
-                    prev: self.tail,
-                    next: NIL,
-                },
-            });
-            slot
+            if self.pages.last().is_none_or(|page| page.len() == PAGE) {
+                self.pages.push(Vec::with_capacity(PAGE));
+            }
+            let last = self.pages.len() - 1;
+            let page = &mut self.pages[last];
+            let slot = last * PAGE + page.len();
+            assert!(slot < NIL as usize, "typed slab exhausted u32 slot space");
+            page.push(ArenaSlot { gen: 0, state });
+            slot as u32
         };
         if self.tail != NIL {
-            let SlotState::Occupied { next, .. } = &mut self.slots[self.tail as usize].state else {
-                unreachable!("tail points at free slot");
-            };
-            *next = slot;
+            *self.links_mut(self.tail).1 = slot;
         } else {
             self.head = slot;
         }
@@ -340,10 +366,13 @@ impl<T> TypedSlab<T> {
     /// Unlink and vacate `slot`, bumping its generation so stale
     /// [`FactId`]s miss. Returns the evicted value.
     fn remove(&mut self, slot: u32) -> T {
+        let free_head = self.free_head;
+        let vacated = self.slot_mut(slot);
+        vacated.gen = vacated.gen.wrapping_add(1);
         let state = std::mem::replace(
-            &mut self.slots[slot as usize].state,
+            &mut vacated.state,
             SlotState::Free {
-                next_free: self.free_head,
+                next_free: free_head,
             },
         );
         let SlotState::Occupied {
@@ -353,62 +382,56 @@ impl<T> TypedSlab<T> {
             unreachable!("remove of free slot");
         };
         if prev != NIL {
-            let SlotState::Occupied { next: n, .. } = &mut self.slots[prev as usize].state else {
-                unreachable!("prev points at free slot");
-            };
-            *n = next;
+            *self.links_mut(prev).1 = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            let SlotState::Occupied { prev: p, .. } = &mut self.slots[next as usize].state else {
-                unreachable!("next points at free slot");
-            };
-            *p = prev;
+            *self.links_mut(next).0 = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[slot as usize].gen = self.slots[slot as usize].gen.wrapping_add(1);
         self.free_head = slot;
         value
     }
 
     fn value(&self, slot: u32) -> &T {
-        match &self.slots[slot as usize].state {
+        match &self.slot(slot).state {
             SlotState::Occupied { value, .. } => value,
             SlotState::Free { .. } => unreachable!("value of free slot"),
         }
     }
 
     fn value_mut(&mut self, slot: u32) -> &mut T {
-        match &mut self.slots[slot as usize].state {
+        match &mut self.slot_mut(slot).state {
             SlotState::Occupied { value, .. } => value,
             SlotState::Free { .. } => unreachable!("value_mut of free slot"),
         }
     }
 
     fn version(&self, slot: u32) -> u64 {
-        match &self.slots[slot as usize].state {
+        match &self.slot(slot).state {
             SlotState::Occupied { version, .. } => *version,
             SlotState::Free { .. } => unreachable!("version of free slot"),
         }
     }
 
     fn bump_version(&mut self, slot: u32) {
-        match &mut self.slots[slot as usize].state {
+        match &mut self.slot_mut(slot).state {
             SlotState::Occupied { version, .. } => *version += 1,
             SlotState::Free { .. } => unreachable!("bump_version of free slot"),
         }
     }
 
     fn generation_of(&self, slot: u32) -> u32 {
-        self.slots[slot as usize].gen
+        self.slot(slot).gen
     }
 
     /// Generation-checked probe: `Some` only while the slot still holds the
     /// fact the id was issued for.
     fn value_checked(&self, slot: u32, gen: u32) -> Option<&T> {
-        let s = self.slots.get(slot as usize)?;
+        let slot = slot as usize;
+        let s = self.pages.get(slot / PAGE)?.get(slot % PAGE)?;
         if s.gen != gen {
             return None;
         }
@@ -418,20 +441,27 @@ impl<T> TypedSlab<T> {
         }
     }
 
-    /// Insertion-order walk yielding `(handle, slot, &value)`.
+    /// Insertion-order walk yielding `(handle, slot, &value)`. The list
+    /// mostly stays within a page, so the walk keeps the page it is on and
+    /// goes back to the page table only when a link leaves it.
     fn iter_slots(&self) -> impl Iterator<Item = (FactHandle, u32, &T)> {
         let mut cur = self.head;
+        let mut page: (usize, &[ArenaSlot<T>]) = (usize::MAX, &[]);
         std::iter::from_fn(move || {
             if cur == NIL {
                 return None;
             }
             let slot = cur;
+            let at = slot as usize;
+            if at / PAGE != page.0 {
+                page = (at / PAGE, &self.pages[at / PAGE]);
+            }
             let SlotState::Occupied {
                 value,
                 handle,
                 next,
                 ..
-            } = &self.slots[slot as usize].state
+            } = &page.1[at % PAGE].state
             else {
                 unreachable!("insertion list points at free slot");
             };
@@ -504,6 +534,72 @@ struct IndexEntry {
     index: Box<dyn ErasedIndex>,
 }
 
+/// The postings of one key: the `(handle, slot)` of every fact bearing it,
+/// handle-ordered. Most keys of a busy index name one fact — a staged
+/// file's URL, a transfer's id — so one posting is held inline and costs
+/// no allocation; two or more share one handle-ordered map behind a
+/// pointer. Either way the value is 16 bytes.
+enum Postings {
+    One(FactHandle, u32),
+    #[allow(clippy::box_collection)] // a bare map would make the value 32 bytes
+    Many(Box<BTreeMap<FactHandle, u32>>),
+}
+
+impl Postings {
+    fn insert(&mut self, handle: FactHandle, slot: u32) {
+        match self {
+            Postings::One(h, s) if *h == handle => *s = slot,
+            Postings::One(h, s) => {
+                *self = Postings::Many(Box::new(BTreeMap::from([(*h, *s), (handle, slot)])));
+            }
+            Postings::Many(map) => {
+                map.insert(handle, slot);
+            }
+        }
+    }
+
+    /// Drop `handle`'s posting; true when none is left.
+    fn remove(&mut self, handle: FactHandle) -> bool {
+        match self {
+            Postings::One(h, _) => *h == handle,
+            // Two or more before the removal, so at least one after it.
+            Postings::Many(map) => {
+                map.remove(&handle);
+                if map.len() == 1 {
+                    let (&h, &s) = map.first_key_value().expect("one posting left");
+                    *self = Postings::One(h, s);
+                }
+                false
+            }
+        }
+    }
+
+    /// `(handle, slot)` in ascending handle order.
+    fn iter(&self) -> PostingsIter<'_> {
+        match self {
+            Postings::One(h, s) => PostingsIter::One(Some((*h, *s))),
+            Postings::Many(map) => PostingsIter::Many(map.iter()),
+        }
+    }
+}
+
+/// [`Postings::iter`]; `One(None)` is also the postings of an absent key.
+enum PostingsIter<'a> {
+    One(Option<(FactHandle, u32)>),
+    Many(std::collections::btree_map::Iter<'a, FactHandle, u32>),
+}
+
+impl Iterator for PostingsIter<'_> {
+    type Item = (FactHandle, u32);
+
+    fn next(&mut self) -> Option<(FactHandle, u32)> {
+        match self {
+            PostingsIter::One(one) => one.take(),
+            PostingsIter::Many(map) => map.next().map(|(&h, &s)| (h, s)),
+        }
+    }
+}
+
 /// Hash index from an extracted key to the handles bearing it — the alpha
 /// memory of a Rete network: equality joins probe this instead of scanning
 /// every fact of the type. Each posting also records the fact's arena slot,
@@ -514,8 +610,8 @@ struct IndexEntry {
 /// whatever its per-process key.
 struct KeyIndex<T: Fact, K: IndexKey> {
     extract: fn(&T) -> K,
-    /// key → (handle → slot), handle-ascending; hashed as `K` prescribes.
-    map: HashMap<K, BTreeMap<FactHandle, u32>, K::Build>,
+    /// key → its postings; hashed as `K` prescribes.
+    map: HashMap<K, Postings, K::Build>,
     /// Each indexed fact's current key, by arena slot (`None`: slot free),
     /// so removals and no-op re-keys never re-extract from a stale fact
     /// value and [`WorkingMemory::key_of`] reads a key without computing it.
@@ -524,10 +620,12 @@ struct KeyIndex<T: Fact, K: IndexKey> {
 
 impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
     fn link(&mut self, handle: FactHandle, slot: u32, key: K) {
-        self.map
-            .entry(key.clone())
-            .or_default()
-            .insert(handle, slot);
+        match self.map.entry(key.clone()) {
+            Entry::Occupied(postings) => postings.into_mut().insert(handle, slot),
+            Entry::Vacant(vacant) => {
+                vacant.insert(Postings::One(handle, slot));
+            }
+        }
         let slot = slot as usize;
         if slot >= self.back.len() {
             self.back.resize(slot + 1, None);
@@ -537,10 +635,9 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
 
     fn unlink(&mut self, handle: FactHandle, slot: u32) {
         if let Some(key) = self.back.get_mut(slot as usize).and_then(Option::take) {
-            if let Some(set) = self.map.get_mut(&key) {
-                set.remove(&handle);
-                if set.is_empty() {
-                    self.map.remove(&key);
+            if let Entry::Occupied(mut postings) = self.map.entry(key) {
+                if postings.get_mut().remove(handle) {
+                    postings.remove();
                 }
             }
         }
@@ -548,6 +645,12 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
 
     fn key_at(&self, slot: u32) -> Option<&K> {
         self.back.get(slot as usize)?.as_ref()
+    }
+
+    fn postings(&self, key: &K) -> PostingsIter<'_> {
+        self.map
+            .get(key)
+            .map_or(PostingsIter::One(None), Postings::iter)
     }
 
     fn extract_from(&self, fact: &dyn Any) -> K {
@@ -959,8 +1062,8 @@ impl WorkingMemory {
     }
 
     /// Iterate all facts of type `T` in handle (= insertion) order. Walks
-    /// the typed slab's intrusive list: contiguous storage, one downcast
-    /// for the whole call.
+    /// the typed slab's intrusive list: typed pages, one downcast for the
+    /// whole call.
     pub fn iter<T: Fact>(&self) -> impl Iterator<Item = (FactHandle, &T)> {
         self.table(TypeId::of::<T>())
             .into_iter()
@@ -1036,10 +1139,9 @@ impl WorkingMemory {
     pub fn lookup_by<T: Fact, K: IndexKey>(&self, key: &K) -> Vec<FactHandle> {
         self.key_index::<T, K>()
             .1
-            .map
-            .get(key)
-            .map(|set| set.keys().copied().collect())
-            .unwrap_or_default()
+            .postings(key)
+            .map(|(h, _)| h)
+            .collect()
     }
 
     /// Iterate facts of type `T` whose indexed key equals `key`, in
@@ -1054,11 +1156,8 @@ impl WorkingMemory {
         let (table, index) = self.key_index::<T, K>();
         let slab = table.slab::<T>();
         index
-            .map
-            .get(key)
-            .into_iter()
-            .flat_map(|set| set.iter())
-            .map(move |(&h, &slot)| (h, slab.value(slot)))
+            .postings(key)
+            .map(move |(h, slot)| (h, slab.value(slot)))
     }
 
     /// Handles of facts of `type_id` mutated (inserted, updated or
@@ -1079,7 +1178,7 @@ impl WorkingMemory {
     /// key-equality predicate. Panics if no such index was registered.
     pub fn find_by<T: Fact, K: IndexKey>(&self, key: &K) -> Option<(FactHandle, &T)> {
         let (table, index) = self.key_index::<T, K>();
-        let (&handle, &slot) = index.map.get(key)?.iter().next()?;
+        let (handle, slot) = index.postings(key).next()?;
         Some((handle, table.slab::<T>().value(slot)))
     }
 
@@ -1371,6 +1470,11 @@ mod tests {
         // top seven: small ids must differ in both.
         let low: HashSet<u64> = (0u32..128).map(|w| build.hash_one(w) & 127).collect();
         assert_eq!(low.len(), 128);
+    }
+
+    #[test]
+    fn a_key_s_postings_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Postings>(), 16);
     }
 
     #[test]

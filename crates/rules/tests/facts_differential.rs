@@ -25,6 +25,16 @@
 //! must return `None` via the generation mismatch, never a stale or
 //! recycled fact.
 //!
+//! A second harness drives the shapes the store's compact forms switch on.
+//! Keys come from a sparse domain, so most keys hold one posting (held
+//! inline) and joins, re-keys and retracts move keys between one posting,
+//! several and none; a fixed tour at the end of every case walks one key
+//! through none → one → many → one → none. Each case also starts from a few
+//! hundred facts of one type, several 64-slot pages of its slab, and
+//! retracts strided across the pages, so later inserts reuse slots in
+//! every page. After every command the index is held to the rebuilt index
+//! and to the oracle's scan grouped by key.
+//!
 //! The oracle lives beside this file as the `legacy` module.
 //! `PWM_PROPTEST_CASES` raises the case count for the CI differential job.
 
@@ -34,6 +44,7 @@ use legacy::LegacyWorkingMemory;
 use proptest::prelude::*;
 use pwm_rules::{FactHandle, FactId, Fields, WorkingMemory};
 use std::any::TypeId;
+use std::collections::BTreeMap;
 
 #[derive(Debug, PartialEq, Clone)]
 struct Alpha {
@@ -353,6 +364,259 @@ proptest! {
                     arena.get_id(id).is_none(),
                     "stale FactId resolved after retract (slot recycling leak)"
                 );
+            }
+        }
+    }
+}
+
+// --- sparse keys over paged slabs ----------------------------------------
+
+/// Keys of the sparse harness: wide enough that a random key is nearly
+/// always unused, so most postings are single.
+const SPARSE_KEYS: u64 = 4096;
+
+/// One lockstep command of the sparse harness. Handle-bearing variants pick
+/// from the issued handle list by index, retracted handles included.
+#[derive(Debug, Clone)]
+enum SparseCmd {
+    /// Insert `count` Alphas under keys drawn from `seed`.
+    Insert {
+        count: u8,
+        seed: u64,
+    },
+    /// Move a fact to a (nearly always) fresh key.
+    Rekey(usize, u64),
+    /// Move a fact onto another fact's key: one posting becomes several.
+    Join(usize, usize),
+    /// Retract every `stride`-th issued handle from `offset`: slots freed in
+    /// every page, reused by later inserts.
+    RetractStride {
+        stride: usize,
+        offset: usize,
+    },
+    Retract(usize),
+}
+
+fn arb_sparse_cmd() -> impl Strategy<Value = SparseCmd> {
+    prop_oneof![
+        3 => (1u8..40, any::<u64>()).prop_map(|(count, seed)| SparseCmd::Insert { count, seed }),
+        3 => (any::<usize>(), 0..SPARSE_KEYS).prop_map(|(ix, key)| SparseCmd::Rekey(ix, key)),
+        3 => (any::<usize>(), any::<usize>()).prop_map(|(ix, to)| SparseCmd::Join(ix, to)),
+        1 => (3usize..9, 0usize..9)
+            .prop_map(|(stride, offset)| SparseCmd::RetractStride { stride, offset }),
+        3 => any::<usize>().prop_map(SparseCmd::Retract),
+    ]
+}
+
+/// Lockstep pair of stores with the Alpha index registered on both.
+struct Sparse {
+    arena: WorkingMemory,
+    legacy: LegacyWorkingMemory,
+    handles: Vec<FactHandle>,
+    ids: Vec<(FactHandle, FactId<Alpha>)>,
+    n: u64,
+}
+
+impl Sparse {
+    fn new() -> Sparse {
+        let mut arena = WorkingMemory::new();
+        let mut legacy = LegacyWorkingMemory::new();
+        arena.register_index::<Alpha, u64>(KEY, |a| a.key);
+        legacy.register_index::<Alpha, u64>(|a| a.key);
+        Sparse {
+            arena,
+            legacy,
+            handles: Vec::new(),
+            ids: Vec::new(),
+            n: 0,
+        }
+    }
+
+    fn insert(&mut self, key: u64) -> FactHandle {
+        self.n += 1;
+        let ha = self.arena.insert(Alpha { n: self.n, key });
+        let hl = self.legacy.insert(Alpha { n: self.n, key });
+        assert_eq!(ha, hl, "handle numbering diverged");
+        self.ids
+            .push((ha, self.arena.fact_id::<Alpha>(ha).unwrap()));
+        self.handles.push(ha);
+        ha
+    }
+
+    /// Re-key `h` on both stores, alternating a plain update with a
+    /// field-scoped one that names the key's group.
+    fn rekey(&mut self, h: FactHandle, key: u64) {
+        let write = |a: &mut Alpha| a.key = key;
+        let ra = if key.is_multiple_of(2) {
+            self.arena.update::<Alpha>(h, write)
+        } else {
+            self.arena.update_fields::<Alpha>(h, KEY, write)
+        };
+        assert_eq!(ra, self.legacy.update::<Alpha>(h, write), "re-key diverged");
+    }
+
+    fn retract(&mut self, h: FactHandle) {
+        assert_eq!(
+            self.arena.retract(h),
+            self.legacy.retract(h),
+            "retract diverged"
+        );
+    }
+
+    fn pick(&self, ix: usize) -> Option<FactHandle> {
+        (!self.handles.is_empty()).then(|| self.handles[ix % self.handles.len()])
+    }
+
+    fn key(&self, h: FactHandle) -> Option<u64> {
+        self.legacy.get::<Alpha>(h).map(|a| a.key)
+    }
+
+    /// Run `cmd` on both stores; the keys whose postings it may have
+    /// changed.
+    fn run(&mut self, cmd: SparseCmd) -> Vec<u64> {
+        let mut touched = Vec::new();
+        match cmd {
+            SparseCmd::Insert { count, seed } => {
+                for i in 0..u64::from(count) {
+                    let key = (seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % SPARSE_KEYS;
+                    self.insert(key);
+                    touched.push(key);
+                }
+            }
+            SparseCmd::Rekey(ix, key) => {
+                if let Some(h) = self.pick(ix) {
+                    touched.extend(self.key(h));
+                    self.rekey(h, key);
+                    touched.push(key);
+                }
+            }
+            SparseCmd::Join(ix, to) => {
+                let target = self.pick(to).and_then(|to| self.key(to));
+                if let (Some(h), Some(key)) = (self.pick(ix), target) {
+                    touched.extend(self.key(h));
+                    self.rekey(h, key);
+                    touched.push(key);
+                }
+            }
+            SparseCmd::RetractStride { stride, offset } => {
+                let picked: Vec<FactHandle> = self
+                    .handles
+                    .iter()
+                    .copied()
+                    .skip(offset)
+                    .step_by(stride)
+                    .collect();
+                for h in picked {
+                    touched.extend(self.key(h));
+                    self.retract(h);
+                }
+            }
+            SparseCmd::Retract(ix) => {
+                if let Some(h) = self.pick(ix) {
+                    touched.extend(self.key(h));
+                    self.retract(h);
+                }
+            }
+        }
+        touched
+    }
+
+    /// The index against the oracle's scan grouped by key, and against an
+    /// index rebuilt from scratch, for every key in use and every key the
+    /// last command touched.
+    fn check(&mut self, touched: &[u64]) {
+        self.arena
+            .register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
+        let (arena, legacy) = (&self.arena, &self.legacy);
+        assert_eq!(arena.generation(), legacy.generation());
+        assert_eq!(arena.count::<Alpha>(), legacy.count::<Alpha>());
+        let scan: Vec<(FactHandle, Alpha)> = legacy
+            .iter::<Alpha>()
+            .map(|(h, a)| (h, a.clone()))
+            .collect();
+        let iter: Vec<(FactHandle, Alpha)> =
+            arena.iter::<Alpha>().map(|(h, a)| (h, a.clone())).collect();
+        assert_eq!(iter, scan, "Alpha iteration diverged");
+        let mut groups: BTreeMap<u64, Vec<(FactHandle, Alpha)>> =
+            touched.iter().map(|&key| (key, Vec::new())).collect();
+        for (h, a) in &scan {
+            groups.entry(a.key).or_default().push((*h, a.clone()));
+            assert_eq!(arena.key_of::<Alpha, u64>(*h), Some(&a.key));
+            assert_eq!(arena.key_of::<Alpha, Rebuilt>(*h), Some(&Rebuilt(a.key)));
+        }
+        for (key, group) in &groups {
+            let by: Vec<(FactHandle, Alpha)> = arena
+                .iter_by::<Alpha, u64>(key)
+                .map(|(h, a)| (h, a.clone()))
+                .collect();
+            assert_eq!(&by, group, "iter_by({key}) is not the grouped scan");
+            let handles: Vec<FactHandle> = group.iter().map(|(h, _)| *h).collect();
+            assert_eq!(arena.lookup_by::<Alpha, u64>(key), handles);
+            assert_eq!(arena.lookup_by::<Alpha, Rebuilt>(&Rebuilt(*key)), handles);
+            assert_eq!(
+                arena
+                    .find_by::<Alpha, u64>(key)
+                    .map(|(h, a)| (h, a.clone())),
+                group.first().cloned(),
+                "find_by({key}) is not the grouped scan's first"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: option_env!("PWM_PROPTEST_CASES")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64),
+    })]
+
+    /// Single postings, their promotion and demotion, and slots reused
+    /// across slab pages, against the oracle after every command.
+    #[test]
+    fn sparse_keys_over_paged_slabs_match_legacy_store(
+        prefill in 130u64..260,
+        seed in any::<u64>(),
+        cmds in proptest::collection::vec(arb_sparse_cmd(), 1..40),
+    ) {
+        let mut s = Sparse::new();
+        let first: Vec<u64> = (0..prefill)
+            .map(|i| (seed ^ i.wrapping_mul(0xbf58_476d_1ce4_e5b9)) % SPARSE_KEYS)
+            .collect();
+        for &key in &first {
+            s.insert(key);
+        }
+        s.check(&first);
+        for cmd in cmds {
+            let touched = s.run(cmd);
+            s.check(&touched);
+        }
+        // The tour: a key outside the domain, so unused until now, goes
+        // from no posting to one, to several, and back down to none.
+        let key = SPARSE_KEYS;
+        let tour = [key, key + 1];
+        let a = s.insert(key);
+        s.check(&tour);
+        let b = s.insert(key);
+        s.check(&tour);
+        let c = s.insert(key + 1);
+        s.rekey(c, key);
+        s.check(&tour);
+        s.retract(b);
+        s.check(&tour);
+        s.retract(a);
+        s.check(&tour);
+        prop_assert_eq!(s.arena.lookup_by::<Alpha, u64>(&key), vec![c]);
+        s.rekey(c, key + 1);
+        s.check(&tour);
+        s.retract(c);
+        s.check(&tour);
+        prop_assert!(s.arena.lookup_by::<Alpha, u64>(&key).is_empty());
+        for (h, id) in &s.ids {
+            if s.arena.contains(*h) {
+                prop_assert_eq!(s.arena.get_id(*id), s.arena.get::<Alpha>(*h));
+            } else {
+                prop_assert!(s.arena.get_id(*id).is_none(), "stale FactId resolved");
             }
         }
     }

@@ -143,7 +143,17 @@ bench_floor netsim_churn_100k 650000 events/s
 # benchmark run reports the share as `rest.batch_ratio`. Losing the
 # literal-key codec (member keys and unit variants written and matched as
 # precomputed literals) and the byte-level head scanner: ~39 000 to ~35 500.
-bench_floor advice_hot 16500 req/s
+#
+# The same runs hold its peak RSS to 14 MB, the third memory gate, next to
+# `netsim_churn`'s and `campaign`'s. The 10 000 resident files are most of
+# this process's heap. While a file's posting in the URL index was a
+# `BTreeMap` node, its one user a `BTreeSet` node and its fact a slot of a
+# `Vec` that doubled (leaving the outgrown block resident across the
+# set-ups), the workload peaked at ~15.9 MB. With one posting and one user
+# held inline and the slab in fixed 64-slot pages it peaks at ~12.9 MB
+# (2 vCPUs, shared); tests/alloc_budget.rs counts the bytes and blocks a
+# resident file holds.
+bench_floor advice_hot 16500 req/s 14
 
 # Campaign floor: the whole stack — one executor running 16 merged Montage
 # workflows against the REST Policy Service over loopback while pwm-net

@@ -9,9 +9,13 @@
 //! request path copies, or a plan that starts copying what it could share,
 //! fails here instead of showing up as a slower benchmark three PRs later.
 //!
+//! Policy memory is a row of its own: the allocations and the bytes a
+//! staged file holds for as long as it is resident in a sharded session,
+//! which is what bounds how many files the service can keep deduplicating.
+//!
 //! Run with `--nocapture` to read the table.
 
-use pwm_core::transport::PolicyTransport;
+use pwm_core::transport::{InProcessTransport, PolicyTransport};
 use pwm_core::{
     AllocationPolicy, CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, TransferOutcome,
     TransferSpec, Url, WorkflowId, DEFAULT_SESSION,
@@ -35,6 +39,8 @@ struct Counting;
 static ALLOCATIONS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 /// Bytes allocated minus bytes freed, by the same sides.
 static LIVE: [AtomicI64; 2] = [AtomicI64::new(0), AtomicI64::new(0)];
+/// Blocks allocated minus blocks freed, by the same sides.
+static BLOCKS: [AtomicI64; 2] = [AtomicI64::new(0), AtomicI64::new(0)];
 const SERVER: usize = 0;
 const DRIVER: usize = 1;
 
@@ -56,15 +62,21 @@ fn size(layout: Layout) -> i64 {
     layout.size() as i64
 }
 
+/// A new block of `bytes`.
+fn count_block(bytes: i64) {
+    BLOCKS[SIDE.with(Cell::get)].fetch_add(1, Ordering::Relaxed);
+    count(bytes);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(size(layout));
+        count_block(size(layout));
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(size(layout));
+        count_block(size(layout));
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -72,7 +84,9 @@ unsafe impl GlobalAlloc for Counting {
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE[SIDE.with(Cell::get)].fetch_sub(size(layout), Ordering::Relaxed);
+        let side = SIDE.with(Cell::get);
+        BLOCKS[side].fetch_sub(1, Ordering::Relaxed);
+        LIVE[side].fetch_sub(size(layout), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -85,6 +99,11 @@ fn driver_live() -> i64 {
     LIVE[DRIVER].load(Ordering::Relaxed)
 }
 
+/// Blocks the driver holds.
+fn driver_blocks() -> i64 {
+    BLOCKS[DRIVER].load(Ordering::Relaxed)
+}
+
 /// (driver, server) allocations made while `f` ran.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let read = |side: usize| ALLOCATIONS[side].load(Ordering::Relaxed);
@@ -94,8 +113,8 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 }
 
 /// One budget line: what was measured, what it read before the change its
-/// ceiling holds (`pwm_core::Name` and the reused wire buffers, or shared
-/// plan bodies), and its ceiling.
+/// ceiling holds (`pwm_core::Name` and the reused wire buffers, shared plan
+/// bodies, or inline postings and users in paged slabs), and its ceiling.
 struct Line {
     what: &'static str,
     measured: f64,
@@ -104,6 +123,52 @@ struct Line {
 }
 
 const WORKFLOWS: usize = 2;
+
+/// Host pairs the resident files spread over, so all four shards hold some.
+const RESIDENT_PAIRS: u64 = 16;
+
+/// Blocks and bytes the driver holds after staging `files` files through a
+/// fresh 4-shard in-process session, counted from before the session was
+/// created. Every name is at most 22 bytes, so a `Name` holds it inline and
+/// what is counted is policy memory, not text.
+fn resident_session(files: u64) -> (i64, i64) {
+    let (blocks, bytes) = (driver_blocks(), driver_live());
+    let controller = PolicyController::new(PolicyConfig::default());
+    controller.create_sharded_session("resident", PolicyConfig::default(), 4);
+    let mut transport = InProcessTransport::new(controller.clone(), "resident");
+    let specs: Vec<TransferSpec> = (0..files)
+        .map(|j| {
+            let pair = j % RESIDENT_PAIRS;
+            TransferSpec {
+                source: Url::new("gsiftp", format!("src-{pair}"), format!("/d/{j}.dat")),
+                dest: Url::new("file", format!("dst-{pair}"), format!("/s/{j}.dat")),
+                bytes: 1_000_000,
+                requested_streams: None,
+                workflow: WorkflowId(1_000_000 + j),
+                cluster: None,
+                priority: None,
+            }
+        })
+        .collect();
+    for chunk in specs.chunks(16) {
+        let outcomes = transport
+            .evaluate_transfers(chunk.to_vec())
+            .expect("advice")
+            .iter()
+            .map(|a| TransferOutcome {
+                id: a.id,
+                success: true,
+            })
+            .collect();
+        transport.report_transfers(outcomes).expect("ack");
+    }
+    drop(specs);
+    let snapshot = controller.snapshot("resident").expect("session");
+    assert_eq!(snapshot.staged_files, files as usize);
+    assert_eq!(snapshot.in_progress_transfers, 0);
+    drop(snapshot);
+    (driver_blocks() - blocks, driver_live() - bytes)
+}
 
 #[test]
 fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
@@ -234,6 +299,14 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
     });
     drop(server);
 
+    // Policy memory: what a resident staged file holds, as the difference
+    // between two warm sessions so the fixed cost of a session cancels.
+    const FEW: u64 = 2_000;
+    const MANY: u64 = 6_000;
+    let (few_blocks, few_bytes) = resident_session(FEW);
+    let (many_blocks, many_bytes) = resident_session(MANY);
+    let per_file = |many: i64, few: i64| (many - few) as f64 / (MANY - FEW) as f64;
+
     let per_wf = |n: u64| n as f64 / WORKFLOWS as f64;
     let per_call = |n: u64| n as f64 / CALLS as f64;
     let line = |what, measured, before, ceiling| Line {
@@ -255,7 +328,13 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
     // Plan memory is a line of its own, in bytes: what the plans and their
     // merge hold once built, a tenth above the 160 770.5 it measures; its
     // `before` is the 399 622.5 the deep-copying merge and the per-job
-    // `Vec`s held.
+    // `Vec`s held. Policy memory is held to what a resident file's fact
+    // costs: its slot in a page of its type's slab, its posting inline in
+    // the URL index, its one user inline in the fact, and its share of the
+    // hash tables. That measures 0.02 blocks and 382 bytes a file; `before`
+    // is 2.00 blocks (a `BTreeMap` node for the posting, a `BTreeSet` node
+    // for the user) and 765 bytes, with slabs in `Vec`s that grew by
+    // doubling.
     let lines = [
         line(
             "driver: plan, per workflow",
@@ -317,6 +396,18 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
             5.0,
             2.0,
         ),
+        line(
+            "server: allocations held per resident staged file",
+            per_file(many_blocks, few_blocks),
+            2.0,
+            0.05,
+        ),
+        line(
+            "server: live bytes per resident staged file",
+            per_file(many_bytes, few_bytes),
+            765.1,
+            450.0,
+        ),
     ];
     println!(
         "allocation budget ({WORKFLOWS} Montage 1° workflows, {} policy calls)",
@@ -328,7 +419,7 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
     );
     for l in &lines {
         println!(
-            "{:<52} {:>10.1} {:>10.1} {:>10.1}",
+            "{:<52} {:>10.2} {:>10.2} {:>10.2}",
             l.what, l.measured, l.ceiling, l.before
         );
     }
@@ -337,7 +428,7 @@ fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
         .filter(|l| l.measured > l.ceiling)
         .map(|l| {
             format!(
-                "{}: measured {:.1}, ceiling {:.1} (it was {:.1} before)",
+                "{}: measured {:.2}, ceiling {:.2} (it was {:.2} before)",
                 l.what, l.measured, l.ceiling, l.before
             )
         })
