@@ -3,12 +3,14 @@
 //!
 //! The primary policy service runs with durability enabled (WAL +
 //! snapshots) and a seeded [`CrashPoint`] injected into its durability
-//! sink: at the chosen append the sink freezes, modeling the process dying
-//! with only the on-disk log surviving (possibly with a torn tail). A
-//! service outage window then makes the primary transport fail, forcing
-//! the executor onto the backup replica. Both runs are
-//! [`crate::chaos::run_faulted`]'s stack with a durable primary; the two
-//! recovery modes differ only in what the backup knows:
+//! sink. The crash point is the death, and nothing else states it: the
+//! append that fires it freezes the log (possibly with a torn tail), and
+//! from that call on the primary's controller refuses every request
+//! ([`pwm_core::ControllerError::SessionDown`]), the firing call included,
+//! so the executor fails over to the backup replica at that call. Both runs
+//! are [`crate::chaos::run_faulted`]'s stack with a durable primary and no
+//! scheduled service faults; the two recovery modes differ only in what the
+//! backup knows:
 //!
 //! * **cold** — the backup starts with empty policy memory (the seed
 //!   repo's original failover semantics): staged files may be re-staged,
@@ -16,7 +18,8 @@
 //! * **warm** — the backup replays the primary's log just before its first
 //!   request ([`pwm_core::FailoverTransport::with_warm_recovery`] +
 //!   `PolicyController::recover_session`), inheriting dedup memory and
-//!   allocation ledgers up to the crash point.
+//!   allocation ledgers up to the crash point. Since the primary answered
+//!   nothing past it, that is every piece of advice the executor acted on.
 //!
 //! [`run_crash`] runs both modes on the same seed and reports makespans,
 //! staged bytes, policy-skip counts, and the recovery invariants;
@@ -26,18 +29,15 @@
 use crate::chaos::{run_faulted, FaultedMontage, WarmHook, DEFAULT_STREAMS, THRESHOLD};
 use crate::experiment::PaperWorld;
 use crate::SuiteOutput;
-use pwm_core::chaos::ServiceFault;
 use pwm_core::{
-    read_recovery, CrashPoint, DurabilityConfig, MemorySnapshot, PolicyController, DEFAULT_SESSION,
+    greedy_total_for_concurrent_jobs, read_recovery, CrashPoint, DurabilityConfig, MemorySnapshot,
+    PolicyController, DEFAULT_SESSION,
 };
-use pwm_sim::{FaultPlan, SimDuration, SimRng, SimTime};
-use pwm_workflow::{ExecutorConfig, RunStats};
+use pwm_sim::{FaultPlan, SimRng};
+use pwm_workflow::{ExecutablePlan, ExecutorConfig, PlanJobKind, PlannerConfig, RunStats};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// How long the primary stays dead. Failover is sticky, so anything
-/// covering a few policy calls is enough to move traffic for good.
-const OUTAGE_DURATION: SimDuration = SimDuration::from_secs(100_000);
 
 /// Everything that parameterizes a crash run.
 #[derive(Debug, Clone)]
@@ -49,8 +49,6 @@ pub struct CrashConfig {
     pub max_crash_append: u64,
     /// Snapshot/compaction cadence of the primary's durability sink.
     pub snapshot_every: u64,
-    /// When the primary process "dies" (its transport starts failing).
-    pub outage_start: SimTime,
 }
 
 impl Default for CrashConfig {
@@ -59,7 +57,6 @@ impl Default for CrashConfig {
             extra_file_bytes: crate::mb(10),
             max_crash_append: 60,
             snapshot_every: 16,
-            outage_start: SimTime::from_secs(90),
         }
     }
 }
@@ -89,6 +86,8 @@ pub struct CrashRunReport {
     pub recovery: Option<Result<WarmRecovery, String>>,
     /// Backup replica's policy memory after the run.
     pub backup_snapshot: MemorySnapshot,
+    /// Calls that reached the primary.
+    pub primary_calls: u64,
 }
 
 impl CrashRunReport {
@@ -107,14 +106,12 @@ pub struct CrashReport {
     pub cold: CrashRunReport,
     /// Run with a log-shipped (warm) backup.
     pub warm: CrashRunReport,
-    /// Upper bound on legitimate peak allocation *on top of the recovered
-    /// allocation baseline*: the greedy policy can cross the threshold
-    /// once by up to `DEFAULT_STREAMS - 1` and then hands a 1-stream
-    /// starvation grant to each concurrently running staging job (the
-    /// executor caps those at `staging_job_limit`). A warm backup starts
-    /// from the baseline its replayed ledger carries (see
-    /// [`WarmRecovery::snapshot`]); a cold backup's baseline is zero.
-    pub grant_bound: u32,
+    /// Per `(source host, destination host)` pair, the most streams the
+    /// greedy policy can have allocated *on top of the recovered allocation
+    /// baseline*: see [`grant_bounds`]. A warm backup starts from the
+    /// baseline its replayed ledger carries (see [`WarmRecovery::snapshot`]);
+    /// a cold backup's baseline is zero.
+    pub grant_bounds: BTreeMap<(String, String), u32>,
 }
 
 impl CrashReport {
@@ -128,10 +125,19 @@ impl CrashReport {
             if run.failovers == 0 {
                 v.push(format!("{label} run never failed over to the backup"));
             }
+            // Each call appends one record, and the append that fires the
+            // crash point is the primary's last call: any later one is
+            // advice no replay of its log can know.
+            if run.primary_calls > self.crash.append() {
+                v.push(format!(
+                    "{label} primary took {} calls, past its crash point ({})",
+                    run.primary_calls, self.crash
+                ));
+            }
             for hp in &run.backup_snapshot.host_pairs {
-                // Streams the backup inherited from the replayed log whose
-                // releases went to the dead primary: legitimate carry-over,
-                // not new grants.
+                // Streams the backup inherited from the replayed log (the
+                // primary's grants, an unanswered logged evaluate's
+                // included): carry-over, not new grants.
                 let baseline = run
                     .recovered()
                     .and_then(|r| {
@@ -141,15 +147,16 @@ impl CrashReport {
                             .find(|p| p.src_host == hp.src_host && p.dst_host == hp.dst_host)
                     })
                     .map_or(0, |p| p.allocated);
-                if hp.peak_allocated > baseline + self.grant_bound {
+                let pair = (hp.src_host.to_string(), hp.dst_host.to_string());
+                let bound = self.grant_bounds.get(&pair).copied().unwrap_or(0);
+                if hp.peak_allocated > baseline + bound {
                     v.push(format!(
                         "{label} backup over-granted {}->{}: peak {} > bound {} \
-                         (recovered baseline {} + threshold {THRESHOLD} + starvation allowance)",
+                         (recovered baseline {baseline} + grant bound {bound})",
                         hp.src_host,
                         hp.dst_host,
                         hp.peak_allocated,
-                        baseline + self.grant_bound,
-                        baseline,
+                        baseline + bound,
                     ));
                 }
             }
@@ -197,6 +204,50 @@ fn warm_replay(backup: &PolicyController, dir: &Path) -> Result<WarmRecovery, St
     Ok(WarmRecovery { records, snapshot })
 }
 
+/// Per host pair, the most streams the greedy policy can have allocated:
+/// Table IV's total for the most transfers the executor can have in flight
+/// on the pair at once. The executor runs at most `staging_job_limit`
+/// staging jobs, and a job has all its transfers in flight together, so
+/// that is the pair's transfer count summed over the `staging_job_limit`
+/// jobs carrying the most of them (Montage stage-in jobs carry up to two).
+///
+/// Why Table IV bounds a ledger that also sees completions: at the peak,
+/// take the last in-flight transfer granted below the threshold. It and
+/// every in-flight transfer granted before it fit under the threshold
+/// together, at most `DEFAULT_STREAMS` each; every one granted after it is a
+/// 1-stream starvation grant. That sum is largest when all of them asked
+/// at once on an empty ledger, which is Table IV's case.
+pub fn grant_bounds(
+    plan: &ExecutablePlan,
+    staging_job_limit: usize,
+) -> BTreeMap<(String, String), u32> {
+    let mut per_job: BTreeMap<(String, String), Vec<u32>> = BTreeMap::new();
+    for i in 0..plan.len() {
+        let (PlanJobKind::StageIn { transfers, .. } | PlanJobKind::StageOut { transfers }) =
+            &plan.job(i).kind
+        else {
+            continue;
+        };
+        let mut counts: BTreeMap<(String, String), u32> = BTreeMap::new();
+        for t in transfers.iter() {
+            let pair = (t.source.host.to_string(), t.dest.host.to_string());
+            *counts.entry(pair).or_default() += 1;
+        }
+        for (pair, n) in counts {
+            per_job.entry(pair).or_default().push(n);
+        }
+    }
+    per_job
+        .into_iter()
+        .map(|(pair, mut counts)| {
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            let in_flight = counts.iter().take(staging_job_limit).sum();
+            let bound = greedy_total_for_concurrent_jobs(in_flight, DEFAULT_STREAMS, THRESHOLD);
+            (pair, bound)
+        })
+        .collect()
+}
+
 /// Run the crash scenario: same seed and crash point, cold then warm.
 pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
     let mut rng = SimRng::for_component(seed, "crash-point");
@@ -213,10 +264,7 @@ pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
                 *slot.lock().expect("no other holder panics") = Some(replay);
             }) as WarmHook
         });
-        // The primary "process death": its transport fails from
-        // `outage_start`, driving sticky failover to the backup.
-        let mut outage = FaultPlan::new();
-        outage.add(cfg.outage_start, OUTAGE_DURATION, ServiceFault::Outage);
+        // No service fault is scheduled: the crash point is the death.
         let run = run_faulted(
             PaperWorld::testbed(),
             FaultedMontage {
@@ -224,7 +272,7 @@ pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
                 seed,
                 transfer_failure_prob: 0.0,
                 link_faults: FaultPlan::new(),
-                service_faults: outage,
+                service_faults: FaultPlan::new(),
                 backup: true,
                 durable: Some(
                     DurabilityConfig::new(&dir)
@@ -241,14 +289,16 @@ pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
             failovers: run.failovers,
             recovery,
             backup_snapshot: run.backup_snapshot.expect("crash runs have a backup"),
+            primary_calls: run.service_calls_passed,
         }
     });
-    let staging_job_limit = ExecutorConfig::default().staging_job_limit as u32;
+    let plan =
+        PaperWorld::testbed().plan_montage(cfg.extra_file_bytes, seed, &PlannerConfig::default());
     CrashReport {
         crash,
         cold,
         warm,
-        grant_bound: THRESHOLD + DEFAULT_STREAMS - 1 + staging_job_limit,
+        grant_bounds: grant_bounds(&plan, ExecutorConfig::default().staging_job_limit),
     }
 }
 
@@ -325,12 +375,13 @@ mod tests {
             failovers: 1,
             recovery,
             backup_snapshot: backup.snapshot(DEFAULT_SESSION).unwrap(),
+            primary_calls: 0,
         };
         let report = CrashReport {
             crash: CrashPoint::AfterAppend(1),
             cold: run(None),
             warm: run(Some(Err(err.clone()))),
-            grant_bound: THRESHOLD,
+            grant_bounds: BTreeMap::new(),
         };
         assert_eq!(
             report.violations(),

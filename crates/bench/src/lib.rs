@@ -55,7 +55,9 @@ pub mod storagebench;
 pub mod table4;
 
 pub use chaos::{chaos_ablation, render_ablation, run_chaos, ChaosConfig, ChaosReport};
-pub use crash::{render_crash, run_crash, CrashConfig, CrashReport, CrashRunReport, WarmRecovery};
+pub use crash::{
+    grant_bounds, render_crash, run_crash, CrashConfig, CrashReport, CrashRunReport, WarmRecovery,
+};
 pub use experiment::{default_seeds, mb, MontageExperiment, PaperWorld, PolicyMode};
 pub use figures::{
     fig5, fig6, fig7, fig8, fig9, fig_balanced, point, render as render_figure, render_csv, Figure,

@@ -12,8 +12,9 @@
 //!   surfaced by the transfer tool's completion checksum.
 //!
 //! Every fault is *physically identical* in both recovery modes — same
-//! link-fault windows, same crash schedule, same corruption draws. The only
-//! difference is what the executor does about it:
+//! crash and outage windows (each takes its host's access link down with
+//! it), same corruption draws. The only difference is what the executor
+//! does about it:
 //!
 //! * **policy-guided** (`report_health = true`) — health events flow to the
 //!   Policy Service, whose recovery facts steer the next advice batch:

@@ -30,15 +30,12 @@ use crate::SuiteOutput;
 use pwm_core::{
     InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION,
 };
-use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{Network, StreamModel, Topology};
 use pwm_obs::global_logger;
-use pwm_sim::FaultPlan;
 use pwm_storage::{ec2_trio, BackendSpec, CorruptionModel, StorageLayer};
 use pwm_workflow::{
-    plan, AbstractJob, AbstractWorkflow, BackendOutage, ComputeSite, CrashTarget, ExecutorConfig,
-    HostCrash, PlannerConfig, RecoveryConfig, ReplicaCatalog, RunStats, StorageRuntime,
-    WorkflowExecutor,
+    plan, AbstractJob, AbstractWorkflow, ComputeSite, CrashTarget, ExecutorConfig, PlannerConfig,
+    RecoveryConfig, ReplicaCatalog, RunStats, StorageRuntime, WorkflowExecutor,
 };
 use serde::Serialize;
 
@@ -129,8 +126,9 @@ pub(crate) struct Sources {
 /// the full ec2 trio behind it, so every run shares one network shape; only
 /// the `profiles` registered with the `policy` differ. Every staged flow's
 /// bottleneck is the chosen backend's envelope link. With `faults`, the
-/// intensity's windows land on the network and the recovery plane
-/// (policy-guided when the flag is set, naive retry otherwise).
+/// intensity's crash and outage windows go to the recovery plane
+/// (policy-guided when the flag is set, naive retry otherwise), which takes
+/// the downed hosts' access links down with them.
 pub(crate) fn run_site(
     s: &StoragebenchScenario,
     workflow: &str,
@@ -196,43 +194,35 @@ pub(crate) fn run_site(
 
     // Physical faults are identical in both recovery modes; only
     // `report_health` differs.
-    let mut link_faults = FaultPlan::new();
     let recovery = faults.map(|(it, guided)| {
-        let outage_host = layer.backend(OUTAGE_BACKEND).expect("trio backend").host;
-        let windows = [(datasrc, it.crash), (outage_host, it.outage)];
-        for (host, (at, duration)) in windows.into_iter().filter_map(|(h, w)| Some((h, w?))) {
-            let link = topo.host(host).access_link;
-            let kind = LinkFaultKind::Down;
-            link_faults.add(at, duration, LinkFault { link, kind });
-        }
         let mut corruption = CorruptionModel::new(s.seed);
         if it.corruption_prob > 0.0 {
             corruption.set_host_prob("datasrc", it.corruption_prob);
         }
-        let target = CrashTarget::Host {
-            host: datasrc,
-            name: "datasrc".into(),
-        };
-        RecoveryConfig {
+        let mut config = RecoveryConfig {
             report_health: guided,
             replicas: rc,
             corruption,
-            crashes: Vec::from_iter(it.crash.map(|(at, restart_after)| HostCrash {
-                target,
-                at,
-                restart_after,
-            })),
-            backend_outages: Vec::from_iter(it.outage.map(|(from, duration)| BackendOutage {
-                backend: OUTAGE_BACKEND.into(),
-                host: outage_host,
-                from,
-                duration,
-            })),
             ..RecoveryConfig::default()
+        };
+        if let Some((at, restart_after)) = it.crash {
+            let name = "datasrc".into();
+            let target = CrashTarget::Host {
+                host: datasrc,
+                name,
+            };
+            config.faults.add(at, restart_after, target);
         }
+        if let Some((from, duration)) = it.outage {
+            let backend = OUTAGE_BACKEND.into();
+            let host = layer.backend(OUTAGE_BACKEND).expect("trio backend").host;
+            config
+                .faults
+                .add(from, duration, CrashTarget::Backend { backend, host });
+        }
+        config
     });
-    let mut network = Network::with_seed(topo, StreamModel::default(), s.seed);
-    network.set_fault_plan(link_faults);
+    let network = Network::with_seed(topo, StreamModel::default(), s.seed);
 
     let cfg = ExecutorConfig {
         seed: s.seed,

@@ -5,7 +5,10 @@
 //! named policy sessions — each a [`ShardedPolicyService`], one shard
 //! unless the session was created with more — so that concurrent HTTP
 //! handler threads (see `pwm-rest`) can delegate requests safely, and
-//! routes each request to the right session.
+//! routes each request to the right session. A durable session whose
+//! crash point has fired is a dead process: from the call whose append
+//! fired it on, the controller refuses it with
+//! [`ControllerError::SessionDown`].
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::PolicyConfig;
@@ -28,12 +31,16 @@ pub const DEFAULT_SESSION: &str = "default";
 pub enum ControllerError {
     /// The named session does not exist.
     NoSuchSession(String),
+    /// The named session's process died at its durability crash point: it
+    /// answers nothing from the call whose append fired it on.
+    SessionDown(String),
 }
 
 impl std::fmt::Display for ControllerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ControllerError::NoSuchSession(name) => write!(f, "no such policy session: {name}"),
+            ControllerError::SessionDown(name) => write!(f, "policy session {name} is down"),
         }
     }
 }
@@ -170,18 +177,14 @@ impl PolicyController {
     /// share it).
     pub fn trace_chrome_json(&self, session: &str) -> Result<String, ControllerError> {
         let fallback = || pwm_obs::Tracer::default().chrome_trace_json();
-        Ok(self
-            .entry(session)?
-            .trace_chrome_json()
-            .unwrap_or_else(fallback))
+        self.serve(session, |s| s.trace_chrome_json().unwrap_or_else(fallback))
     }
 
     /// Redirect a session's observability onto an external handle — shared
     /// registry *and* tracer. Traced bench runs use this to merge policy
     /// spans into the same export as the executor's and network's spans.
     pub fn attach_obs(&self, session: &str, obs: Obs) -> Result<(), ControllerError> {
-        self.entry(session)?.set_obs(obs, session);
-        Ok(())
+        self.serve(session, |s| s.set_obs(obs, session))
     }
 
     /// Attach a shared sim clock to a session so its evaluations emit
@@ -192,8 +195,7 @@ impl PolicyController {
         session: &str,
         clock: crate::chaos::SharedSimClock,
     ) -> Result<(), ControllerError> {
-        self.entry(session)?.set_sim_clock(clock);
-        Ok(())
+        self.serve(session, |s| s.set_sim_clock(clock))
     }
 
     /// Delete a named session; returns whether it existed.
@@ -206,15 +208,32 @@ impl PolicyController {
         self.inner.read().keys().cloned().collect()
     }
 
-    /// Clone a session handle out of the map. The map's read lock is
-    /// released before the caller touches the session, so requests only
-    /// contend on their own session's shard locks.
-    fn entry(&self, name: &str) -> Result<Arc<ShardedPolicyService>, ControllerError> {
-        self.inner
+    /// Run `f` on a session and answer with its result. The map's read
+    /// lock is released before `f` touches the session, so requests only
+    /// contend on their own session's shard locks. A durable session whose
+    /// crash point has fired is a dead process: it refuses every call,
+    /// including the one whose append fired the crash, which died before
+    /// it could answer.
+    fn serve<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&ShardedPolicyService) -> R,
+    ) -> Result<R, ControllerError> {
+        let session = self
+            .inner
             .read()
             .get(name)
             .cloned()
-            .ok_or_else(|| ControllerError::NoSuchSession(name.to_string()))
+            .ok_or_else(|| ControllerError::NoSuchSession(name.to_string()))?;
+        let down = || ControllerError::SessionDown(name.to_string());
+        if session.durability_crashed() {
+            return Err(down());
+        }
+        let out = f(&session);
+        if session.durability_crashed() {
+            return Err(down());
+        }
+        Ok(out)
     }
 
     /// Delegate a transfer-request list to a session.
@@ -223,7 +242,7 @@ impl PolicyController {
         session: &str,
         batch: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, ControllerError> {
-        Ok(self.entry(session)?.evaluate_transfers(batch))
+        self.serve(session, |s| s.evaluate_transfers(batch))
     }
 
     /// Delegate several pipelined request groups to a session in one
@@ -235,7 +254,7 @@ impl PolicyController {
         session: &str,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Result<Vec<Vec<TransferAdvice>>, ControllerError> {
-        Ok(self.entry(session)?.evaluate_transfer_groups(groups))
+        self.serve(session, |s| s.evaluate_transfer_groups(groups))
     }
 
     /// Delegate transfer outcomes to a session.
@@ -244,8 +263,7 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<TransferOutcome>,
     ) -> Result<(), ControllerError> {
-        self.entry(session)?.report_transfers(outcomes);
-        Ok(())
+        self.serve(session, |s| s.report_transfers(outcomes))
     }
 
     /// Delegate a cleanup-request list to a session.
@@ -254,7 +272,7 @@ impl PolicyController {
         session: &str,
         batch: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, ControllerError> {
-        Ok(self.entry(session)?.evaluate_cleanups(batch))
+        self.serve(session, |s| s.evaluate_cleanups(batch))
     }
 
     /// Delegate cleanup outcomes to a session.
@@ -263,8 +281,7 @@ impl PolicyController {
         session: &str,
         outcomes: Vec<CleanupOutcome>,
     ) -> Result<(), ControllerError> {
-        self.entry(session)?.report_cleanups(outcomes);
-        Ok(())
+        self.serve(session, |s| s.report_cleanups(outcomes))
     }
 
     /// Delegate infrastructure health observations to a session (broadcast
@@ -274,23 +291,22 @@ impl PolicyController {
         session: &str,
         events: Vec<crate::model::HealthEvent>,
     ) -> Result<(), ControllerError> {
-        self.entry(session)?.report_health(events);
-        Ok(())
+        self.serve(session, |s| s.report_health(events))
     }
 
     /// Snapshot a session's policy memory (merged across shards).
     pub fn snapshot(&self, session: &str) -> Result<MemorySnapshot, ControllerError> {
-        Ok(self.entry(session)?.snapshot())
+        self.serve(session, ShardedPolicyService::snapshot)
     }
 
     /// A session's monitoring counters (summed across shards).
     pub fn stats(&self, session: &str) -> Result<ServiceStats, ControllerError> {
-        Ok(self.entry(session)?.stats())
+        self.serve(session, ShardedPolicyService::stats)
     }
 
     /// A session's per-rule engine counters (summed across shards).
     pub fn rule_stats(&self, session: &str) -> Result<Vec<RuleCounters>, ControllerError> {
-        Ok(self.entry(session)?.rule_stats())
+        self.serve(session, ShardedPolicyService::rule_stats)
     }
 
     /// A session's audit records with sequence ≥ `since` (concatenated
@@ -300,20 +316,19 @@ impl PolicyController {
         session: &str,
         since: u64,
     ) -> Result<Vec<crate::audit::AuditRecord>, ControllerError> {
-        Ok(self.entry(session)?.audit_since(since))
+        self.serve(session, |s| s.audit_since(since))
     }
 
     /// Reconfigure a session in place (all shards).
     pub fn set_config(&self, session: &str, config: PolicyConfig) -> Result<(), ControllerError> {
-        self.entry(session)?.set_config(config);
-        Ok(())
+        self.serve(session, |s| s.set_config(config))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Url, WorkflowId};
+    use crate::model::{CleanupId, HealthEvent, TransferId, Url, WorkflowId};
 
     fn spec(n: u32) -> TransferSpec {
         spec_on("", n)
@@ -534,6 +549,52 @@ mod tests {
                 "clock_first={clock_first}: no sim-time evaluation instant in {events:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_session_dies_at_its_crash_point_and_answers_nothing_after() {
+        let dir = crate::durable::scratch_dir("ctl-dies");
+        let c = PolicyController::new(PolicyConfig::default());
+        c.create_session("plain", PolicyConfig::default());
+        for (name, crash) in [("healthy", None), ("dying", Some(2))] {
+            let mut dcfg = DurabilityConfig::new(dir.join(name));
+            dcfg.crash = crash.map(pwm_sim::CrashPoint::AfterAppend);
+            c.create_durable_session(name, PolicyConfig::default(), dcfg)
+                .unwrap();
+        }
+        // One of every call, each appending to a durable session's log.
+        let round = |session: &str, n: u32| {
+            let evaluated = c.evaluate_transfers(session, vec![spec(n)]);
+            let id = evaluated.as_ref().map_or(TransferId(0), |a| a[0].id);
+            let reported = c.report_transfers(session, vec![TransferOutcome { id, success: true }]);
+            let host = "s".into();
+            let health = c.report_health(session, vec![HealthEvent::HostDown { host }]);
+            let (file, workflow) = (spec(n).dest, spec(n).workflow);
+            let cleaned = c.evaluate_cleanups(session, vec![CleanupSpec { file, workflow }]);
+            let id = cleaned.as_ref().map_or(CleanupId(0), |a| a[0].id);
+            let done = c.report_cleanups(session, vec![CleanupOutcome { id, success: true }]);
+            [
+                evaluated.map(drop),
+                reported,
+                health,
+                cleaned.map(drop),
+                done,
+            ]
+        };
+        // The report's append fires the crash: it never answered, and
+        // nothing after it does.
+        let down = Err(ControllerError::SessionDown("dying".into()));
+        let dying = round("dying", 0);
+        assert_eq!(dying[0], Ok(()));
+        assert!(dying[1..].iter().all(|r| *r == down), "{dying:?}");
+        assert_eq!(c.stats("dying").map(drop), down);
+        // No log, or a log that never crashes: nothing is refused.
+        for session in ["plain", "healthy"] {
+            for n in 0..8 {
+                assert!(round(session, n).iter().all(Result::is_ok), "{session}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -34,6 +34,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Virtual nodes per shard on the ring. More vnodes smooth the key
 /// distribution; the count is fixed so assignments are stable across
@@ -108,6 +109,8 @@ impl HashRing {
 pub struct ShardedPolicyService {
     ring: HashRing,
     shards: Vec<Mutex<PolicyService>>,
+    /// Set by the call that fires any shard's durability crash point.
+    crashed: AtomicBool,
 }
 
 impl ShardedPolicyService {
@@ -118,7 +121,11 @@ impl ShardedPolicyService {
         let shards = (0..shards)
             .map(|s| Mutex::new(PolicyService::with_shard(config.clone(), s)))
             .collect();
-        ShardedPolicyService { ring, shards }
+        ShardedPolicyService {
+            ring,
+            shards,
+            crashed: AtomicBool::new(false),
+        }
     }
 
     /// Rebuild every shard from its durability directory (the layout
@@ -135,6 +142,7 @@ impl ShardedPolicyService {
         Ok(ShardedPolicyService {
             ring,
             shards: recovered,
+            crashed: AtomicBool::new(false),
         })
     }
 
@@ -158,9 +166,16 @@ impl ShardedPolicyService {
         &self.ring
     }
 
-    /// Run `f` against one shard's engine (test and admin access).
+    /// Run `f` against one shard's engine. Every call that can append to
+    /// a shard's log goes through here, so the call that fires a crash
+    /// point is the one that marks the session crashed.
     pub fn with_shard<R>(&self, s: u16, f: impl FnOnce(&mut PolicyService) -> R) -> R {
-        f(&mut self.shards[s as usize].lock())
+        let mut shard = self.shards[s as usize].lock();
+        let out = f(&mut shard);
+        if shard.durability_crashed() {
+            self.crashed.store(true, Ordering::Relaxed);
+        }
+        out
     }
 
     /// Enable per-shard durability: shard `s` logs and snapshots under
@@ -175,9 +190,12 @@ impl ShardedPolicyService {
         Ok(())
     }
 
-    /// True when any shard's injected crash point has fired.
+    /// True when any shard's injected crash point has fired. One atomic
+    /// load, since the controller asks it around every request; `Relaxed`
+    /// because the flag publishes no other data, and a call that locked the
+    /// crashed shard after the store sees it through that lock.
     pub fn durability_crashed(&self) -> bool {
-        self.shards.iter().any(|s| s.lock().durability_crashed())
+        self.crashed.load(Ordering::Relaxed)
     }
 
     /// Attach observability: shard `s`'s metrics carry
@@ -238,8 +256,8 @@ impl ShardedPolicyService {
         &self,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Vec<Vec<TransferAdvice>> {
-        if let [only] = &self.shards[..] {
-            return only.lock().evaluate_transfer_groups(groups);
+        if self.shards.len() == 1 {
+            return self.with_shard(0, |svc| svc.evaluate_transfer_groups(groups));
         }
         let by_priority = self.shards[0].lock().config().ordering == OrderingPolicy::ByPriority;
         // Priorities for the cross-shard merge comparator (advice does not
@@ -283,7 +301,7 @@ impl ShardedPolicyService {
                 continue;
             }
             let (indices, specs): (Vec<usize>, Vec<Vec<TransferSpec>>) = subs.into_iter().unzip();
-            let advice = self.shards[s].lock().evaluate_transfer_groups(specs);
+            let advice = self.with_shard(s as u16, |svc| svc.evaluate_transfer_groups(specs));
             for (gi, slice) in indices.into_iter().zip(advice) {
                 merged[gi].push(slice);
             }
@@ -298,8 +316,8 @@ impl ShardedPolicyService {
     /// id's namespace bits. Ids outside every shard's namespace are
     /// dropped, matching the single service's treatment of unknown ids.
     pub fn report_transfers(&self, outcomes: Vec<TransferOutcome>) {
-        if let [only] = &self.shards[..] {
-            return only.lock().report_transfers(outcomes);
+        if self.shards.len() == 1 {
+            return self.with_shard(0, |svc| svc.report_transfers(outcomes));
         }
         let mut per_shard: Vec<Vec<TransferOutcome>> = vec![Vec::new(); self.shards.len()];
         for o in outcomes {
@@ -310,7 +328,7 @@ impl ShardedPolicyService {
         }
         for (s, bucket) in per_shard.into_iter().enumerate() {
             if !bucket.is_empty() {
-                self.shards[s].lock().report_transfers(bucket);
+                self.with_shard(s as u16, |svc| svc.report_transfers(bucket));
             }
         }
     }
@@ -318,8 +336,8 @@ impl ShardedPolicyService {
     /// Evaluate cleanups: each request is routed to the shard owning the
     /// file's resource; results come back in request order.
     pub fn evaluate_cleanups(&self, batch: Vec<CleanupSpec>) -> Vec<CleanupAdvice> {
-        if let [only] = &self.shards[..] {
-            return only.lock().evaluate_cleanups(batch);
+        if self.shards.len() == 1 {
+            return self.with_shard(0, |svc| svc.evaluate_cleanups(batch));
         }
         let mut per_shard: Vec<Vec<CleanupSpec>> = vec![Vec::new(); self.shards.len()];
         // The shard each request went to, in request order.
@@ -335,7 +353,8 @@ impl ShardedPolicyService {
             results.push(if bucket.is_empty() {
                 Vec::new().into_iter()
             } else {
-                self.shards[s].lock().evaluate_cleanups(bucket).into_iter()
+                self.with_shard(s as u16, |svc| svc.evaluate_cleanups(bucket))
+                    .into_iter()
             });
         }
         // A shard answers its bucket in order, so draining each shard's
@@ -348,8 +367,8 @@ impl ShardedPolicyService {
 
     /// Report cleanup outcomes, routed by id namespace.
     pub fn report_cleanups(&self, outcomes: Vec<CleanupOutcome>) {
-        if let [only] = &self.shards[..] {
-            return only.lock().report_cleanups(outcomes);
+        if self.shards.len() == 1 {
+            return self.with_shard(0, |svc| svc.report_cleanups(outcomes));
         }
         let mut per_shard: Vec<Vec<CleanupOutcome>> = vec![Vec::new(); self.shards.len()];
         for o in outcomes {
@@ -360,7 +379,7 @@ impl ShardedPolicyService {
         }
         for (s, bucket) in per_shard.into_iter().enumerate() {
             if !bucket.is_empty() {
-                self.shards[s].lock().report_cleanups(bucket);
+                self.with_shard(s as u16, |svc| svc.report_cleanups(bucket));
             }
         }
     }
@@ -372,8 +391,8 @@ impl ShardedPolicyService {
         if events.is_empty() {
             return;
         }
-        for shard in &self.shards {
-            shard.lock().report_health(events.clone());
+        for s in 0..self.ring.shards {
+            self.with_shard(s, |svc| svc.report_health(events.clone()));
         }
     }
 
@@ -448,8 +467,8 @@ impl ShardedPolicyService {
 
     /// Replace every shard's configuration.
     pub fn set_config(&self, config: PolicyConfig) {
-        for shard in &self.shards {
-            shard.lock().set_config(config.clone());
+        for s in 0..self.ring.shards {
+            self.with_shard(s, |svc| svc.set_config(config.clone()));
         }
     }
 

@@ -594,7 +594,7 @@ fn serve_batched<'a>(
         Ok(groups) => groups.into_iter(),
         Err(e) => {
             body.clear();
-            let answer = controller_error(body, e);
+            let answer = controller_error(body, WireFormat::Json, e);
             for _ in 0..requests {
                 c.push_answer(answer, body, true);
             }
@@ -646,7 +646,7 @@ fn route(
                     *body = json;
                     OK_JSON
                 }
-                Err(e) => controller_error(body, e),
+                Err(e) => controller_error(body, WireFormat::Json, e),
             }
         }
         (Method::Post, ["sessions", session, "transfers"]) => match request.format {
@@ -719,7 +719,7 @@ fn route(
         }
         (Method::Get, ["sessions", session, "log"]) => match controller.audit_since(session, 0) {
             Ok(records) => json(body, &records),
-            Err(e) => controller_error(body, e),
+            Err(e) => controller_error(body, WireFormat::Json, e),
         },
         (Method::Get, ["sessions", session, "status"]) => {
             match (
@@ -735,14 +735,19 @@ fn route(
                         rules,
                     },
                 ),
-                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => controller_error(body, e),
+                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
+                    controller_error(body, WireFormat::Json, e)
+                }
             }
         }
         (Method::Put, ["sessions", session, "config"]) => {
             with_body::<PolicyConfig>(request, body, |config, body| {
                 // PUT is an upsert: reconfigure or create.
-                if controller.set_config(session, config.clone()).is_err() {
-                    controller.create_session(*session, config);
+                match controller.set_config(session, config.clone()) {
+                    Err(ControllerError::NoSuchSession(_)) => {
+                        controller.create_session(*session, config);
+                    }
+                    answer => answer?,
                 }
                 Ok(json(body, &AckEnvelope::ok()))
             })
@@ -782,11 +787,7 @@ fn with_xml_body<T>(
                     format: WireFormat::Xml,
                 }
             }
-            Err(e) => match e {
-                ControllerError::NoSuchSession(_) => {
-                    refuse(body, WireFormat::Xml, 404, &e.to_string())
-                }
-            },
+            Err(e) => controller_error(body, WireFormat::Xml, e),
         },
         Err(e) => refuse(body, WireFormat::Xml, 400, &e.to_string()),
     }
@@ -798,15 +799,19 @@ fn with_body<T: serde::de::DeserializeOwned>(
     f: impl FnOnce(T, &mut String) -> Result<Answer, ControllerError>,
 ) -> Answer {
     match serde_json::from_slice::<T>(request.body) {
-        Ok(value) => f(value, body).unwrap_or_else(|e| controller_error(body, e)),
+        Ok(value) => f(value, body).unwrap_or_else(|e| controller_error(body, WireFormat::Json, e)),
         Err(e) => refuse(body, WireFormat::Json, 400, &format!("bad json: {e}")),
     }
 }
 
-fn controller_error(body: &mut String, e: ControllerError) -> Answer {
-    match e {
-        ControllerError::NoSuchSession(_) => refuse(body, WireFormat::Json, 404, &e.to_string()),
-    }
+/// An unknown session is 404; a session that died at its crash point is
+/// 503, as a dead process behind a live front end is.
+fn controller_error(body: &mut String, format: WireFormat, e: ControllerError) -> Answer {
+    let status = match e {
+        ControllerError::NoSuchSession(_) => 404,
+        ControllerError::SessionDown(_) => 503,
+    };
+    refuse(body, format, status, &e.to_string())
 }
 
 /// An error status with its envelope in `format`.
@@ -951,6 +956,39 @@ mod tests {
             &serde_json::to_vec(&env).unwrap(),
         );
         assert_eq!(status, 404);
+    }
+
+    #[test]
+    fn session_dead_at_its_crash_point_is_503() {
+        let dir = std::env::temp_dir().join(format!("pwm-rest-503-{}", std::process::id()));
+        let controller = PolicyController::new(PolicyConfig::default());
+        let dcfg =
+            pwm_core::DurabilityConfig::new(&dir).with_crash(pwm_core::CrashPoint::AfterAppend(1));
+        let cfg = PolicyConfig::default();
+        controller
+            .create_durable_session("dying", cfg.clone(), dcfg)
+            .unwrap();
+        let server = PolicyRestServer::start(controller).unwrap();
+        let addr = server.addr();
+        let transfers = serde_json::to_vec(&TransferRequestEnvelope { transfers: vec![] }).unwrap();
+        let cfg = serde_json::to_vec(&cfg).unwrap();
+        // The first append fires the crash: that request and every later
+        // one are refused, JSON or XML, request or monitoring, and PUT
+        // config upserts only a missing session, never a dead one.
+        for (method, path, body) in [
+            (Method::Post, "/sessions/dying/transfers", &transfers[..]),
+            (Method::Post, "/sessions/dying/transfers", &transfers[..]),
+            (Method::Get, "/sessions/dying/status", b""),
+            (Method::Put, "/sessions/dying/config", &cfg[..]),
+        ] {
+            assert_eq!(call(addr, method, path, body).0, 503, "{path}");
+        }
+        let xml = b"<transferRequest></transferRequest>";
+        assert_eq!(
+            call_xml(addr, Method::Post, "/sessions/dying/transfers", xml).0,
+            503
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,7 +25,9 @@
 use crate::catalog::ComputeSite;
 use crate::planner::{ExecutablePlan, PlanJobKind, PlannedTransfer};
 use crate::policy_port::PolicyPort;
-use crate::recovery::{Checkpoint, FaultEdge, FaultResponse, Read, RecoveryConfig, RecoveryPlane};
+use crate::recovery::{
+    Checkpoint, CrashTarget, FaultResponse, Read, RecoveryConfig, RecoveryPlane,
+};
 use crate::stats::RunStats;
 use crate::storage::StorageRuntime;
 use crate::trace::JobTrace;
@@ -35,6 +37,7 @@ use pwm_core::{
     CleanupOutcome, CleanupSpec, ClusterId, Name, SuppressReason, TransferAction, TransferAdvice,
     TransferOutcome, TransferSpec, Url, WorkflowId,
 };
+use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{FlowSpec, LinkId, Network};
 use pwm_obs::Obs;
 use pwm_sim::{LadderQueue, SimDuration, SimRng, SimTime};
@@ -181,8 +184,9 @@ enum Ev {
     /// killed by a node crash: a stale epoch means the attempt died and its
     /// completion must be ignored.
     ComputeDone(usize, u32),
-    /// A scheduled fault window opens or closes.
-    Fault(FaultEdge),
+    /// Fault window `.0` (its index in the plan) opens (`.1` true) or
+    /// closes.
+    Fault(usize, bool),
     /// Cleanup advice arrives → perform deletions.
     CleanupAdvice(usize),
     /// Cleanup deletions done → report and finish.
@@ -344,10 +348,25 @@ impl<'p> WorkflowExecutor<'p> {
         }
         // Fault windows become plain events: the run loop delivers them
         // in time order with everything else, so two same-seed runs see
-        // identical interleavings.
+        // identical interleavings. A crashed host, or a backend's store
+        // host, is unreachable: its access link is down for the window.
         if let Some(rec) = &exec.recovery {
-            for (at, edge) in rec.fault_edges() {
-                exec.events.schedule_at(at, Ev::Fault(edge));
+            for (fault, ev) in rec.faults().iter().enumerate() {
+                let window = ev.window;
+                exec.events
+                    .schedule_at(window.start, Ev::Fault(fault, true));
+                exec.events
+                    .schedule_at(window.end(), Ev::Fault(fault, false));
+                if let CrashTarget::Host { host, .. } | CrashTarget::Backend { host, .. } = ev.kind
+                {
+                    let link = exec.network.topology().host(host).access_link;
+                    let down = LinkFault {
+                        link,
+                        kind: LinkFaultKind::Down,
+                    };
+                    exec.network
+                        .inject_link_fault(window.start, window.duration, down);
+                }
             }
         }
         // Resume: jobs completed before the halt start as Done, so only the
@@ -640,7 +659,7 @@ impl<'p> WorkflowExecutor<'p> {
                 self.compute_slots_free += 1;
                 self.finish_job(job);
             }
-            Ev::Fault(edge) => self.on_fault_edge(edge),
+            Ev::Fault(fault, down) => self.on_fault_edge(fault, down),
             Ev::CleanupAdvice(job) => {
                 if let Some(trace) = &mut self.trace {
                     trace.rpc_landed(job, "cleanup_rpc", self.now);
@@ -717,9 +736,9 @@ impl<'p> WorkflowExecutor<'p> {
         }
     }
 
-    fn on_fault_edge(&mut self, edge: FaultEdge) {
+    fn on_fault_edge(&mut self, fault: usize, down: bool) {
         let rec = self.recovery.as_mut().expect("fault edges need the plane");
-        match rec.on_fault_edge(edge) {
+        match rec.on_fault_edge(fault, down) {
             FaultResponse::Hosts {
                 kill_flows_at,
                 health,
@@ -1091,7 +1110,6 @@ mod tests {
     use crate::catalog::{ComputeSite, ReplicaCatalog};
     use crate::dag::{AbstractJob, AbstractWorkflow};
     use crate::planner::{plan, PlannerConfig};
-    use crate::recovery::{BackendOutage, CrashTarget, HostCrash};
     use pwm_core::transport::{InProcessTransport, NoPolicyTransport};
     use pwm_core::{PolicyConfig, PolicyController, DEFAULT_SESSION};
     use pwm_net::{paper_testbed, HostId, StreamModel};
@@ -1648,26 +1666,19 @@ mod tests {
         (stats, controller)
     }
 
-    /// A crash of `target` at `at` seconds, down for `secs`.
-    fn crash(target: CrashTarget, at: u64, secs: u64) -> HostCrash {
+    /// `rec` with `target` down at `at` seconds for `secs`.
+    fn crash(rec: &mut RecoveryConfig, target: CrashTarget, at: u64, secs: u64) {
         let (at, restart_after) = (SimTime::from_secs(at), SimDuration::from_secs(secs));
-        HostCrash {
-            target,
-            at,
-            restart_after,
-        }
+        rec.faults.add(at, restart_after, target);
     }
 
-    fn gridftp_down(gridftp: HostId, at: u64, secs: u64) -> HostCrash {
+    fn gridftp_down(rec: &mut RecoveryConfig, gridftp: HostId, at: u64, secs: u64) {
         let name = "gridftp-vm".into();
-        crash(
-            CrashTarget::Host {
-                host: gridftp,
-                name,
-            },
-            at,
-            secs,
-        )
+        let target = CrashTarget::Host {
+            host: gridftp,
+            name,
+        };
+        crash(rec, target, at, secs);
     }
 
     #[test]
@@ -1687,7 +1698,7 @@ mod tests {
     fn host_crash_kills_flows_and_fails_over_to_mirror() {
         let (_topo, gridftp, apache, _nfs) = paper_testbed();
         let mut rec = RecoveryConfig::default();
-        rec.crashes.push(gridftp_down(gridftp, 4, 120));
+        gridftp_down(&mut rec, gridftp, 4, 120);
         rec.replicas = mirrored_replicas(8, gridftp, apache);
         let (stats, _c) = run_with_recovery(8, 40_000_000, rec, |cfg| cfg.seed = 3);
         assert!(stats.success, "failover must keep the workflow alive");
@@ -1711,7 +1722,7 @@ mod tests {
     fn host_crash_with_no_mirror_waits_for_restart() {
         let (_t, gridftp, _a, _n) = paper_testbed();
         let mut rec = RecoveryConfig::default();
-        rec.crashes.push(gridftp_down(gridftp, 4, 60));
+        gridftp_down(&mut rec, gridftp, 4, 60);
         // No alternates: the only copy lives on the crashed host.
         let (stats, _c) = run_with_recovery(6, 40_000_000, rec, |cfg| cfg.seed = 5);
         assert!(stats.success, "parked retries resume after restart");
@@ -1726,11 +1737,31 @@ mod tests {
     }
 
     #[test]
+    fn naive_retries_stall_on_a_crashed_host_until_its_restart() {
+        // No health reports and no link fault from the caller: the crash
+        // window alone takes the host's access link down, so six 4 MB
+        // inputs, seconds of WAN time, land only after the restart at 64 s.
+        let (_t, gridftp, _a, _n) = paper_testbed();
+        let mut rec = RecoveryConfig::default();
+        rec.report_health = false;
+        gridftp_down(&mut rec, gridftp, 4, 60);
+        let (stats, _c) = run_with_recovery(6, 4_000_000, rec, |cfg| cfg.seed = 5);
+        assert!(stats.success);
+        assert!(
+            stats.recovery.unwrap().flows_killed > 0,
+            "the crash lands mid-staging"
+        );
+        let (down, up) = (SimTime::from_secs(4), SimTime::from_secs(64));
+        let crossed = |t: &&pwm_net::TransferRecord| t.completed_at > down && t.completed_at < up;
+        assert_eq!(stats.transfers.iter().filter(crossed).count(), 0);
+    }
+
+    #[test]
     fn node_crash_requeues_running_compute_jobs() {
         let mut rec = RecoveryConfig::default();
         // Staging of 12 x 1 MB finishes around t=7 s and the 5 s computes
         // run from there; crash a node mid-compute.
-        rec.crashes.push(crash(CrashTarget::ComputeNode(0), 9, 15));
+        crash(&mut rec, CrashTarget::ComputeNode(0), 9, 15);
         let (stats, _c) = run_with_recovery(12, 1_000_000, rec, |cfg| cfg.seed = 7);
         assert!(stats.success);
         let report = stats.recovery.as_ref().expect("recovery report");
@@ -1753,8 +1784,7 @@ mod tests {
         cfg.obs = Some(obs.clone());
         let mut rec = RecoveryConfig::default();
         for (node, at) in [(0, 3), (1, 9)].into_iter().filter(|_| crashes) {
-            rec.crashes
-                .push(crash(CrashTarget::ComputeNode(node), at, 20));
+            crash(&mut rec, CrashTarget::ComputeNode(node), at, 20);
         }
         cfg.recovery = Some(rec);
         let network = Network::new(topo, StreamModel::default());
@@ -1865,12 +1895,12 @@ mod tests {
         // placement must route every staged byte elsewhere.
         let (stats, layer) = storage_run(5, 5_000_000, |layer, cfg| {
             let mut rec = RecoveryConfig::default();
-            rec.backend_outages.push(BackendOutage {
+            let target = CrashTarget::Backend {
                 backend: "nfs-std".into(),
                 host: layer.backend("nfs-std").expect("trio has nfs-std").host,
-                from: SimTime::ZERO,
-                duration: SimDuration::from_secs(10_000),
-            });
+            };
+            rec.faults
+                .add(SimTime::ZERO, SimDuration::from_secs(10_000), target);
             cfg.recovery = Some(rec);
         });
         let report = stats.recovery.as_ref().expect("recovery report");
@@ -1924,7 +1954,7 @@ mod tests {
         let mk = |seed| {
             let mut rec = RecoveryConfig::default();
             rec.corruption.set_host_prob("gridftp-vm", 0.4);
-            rec.crashes.push(gridftp_down(gridftp, 5, 30));
+            gridftp_down(&mut rec, gridftp, 5, 30);
             rec.replicas = mirrored_replicas(6, gridftp, apache);
             run_with_recovery(6, 10_000_000, rec, |cfg| cfg.seed = seed).0
         };

@@ -50,9 +50,7 @@ pub use planner::{
     plan, ExecutablePlan, JobName, Jobs, JobsIter, PlanError, PlanJob, PlanJobKind,
     PlannedTransfer, PlannerConfig,
 };
-pub use recovery::{
-    BackendOutage, Checkpoint, CrashTarget, HostCrash, RecoveryConfig, RecoveryReport,
-};
+pub use recovery::{Checkpoint, CrashTarget, RecoveryConfig, RecoveryReport};
 pub use report::render_report;
 pub use stats::RunStats;
 pub use storage::StorageRuntime;

@@ -58,10 +58,17 @@ test -s "$TRACE_OUT" || { echo "trace export is empty" >&2; exit 1; }
 
 # Crash-recovery job: the durability acceptance suite in release mode
 # (seeded WAL crash points, warm-failover invariants, recovery
-# determinism). `repro crash 7`, which exits nonzero on a violated
-# recovery invariant, runs in the parent-identity job below.
+# determinism), then the full-size crash scenario at seeds 1..=32 (~40 ms
+# each): `repro crash` exits nonzero on a violated recovery invariant — a
+# run that never failed over, a primary that took a call past its crash
+# point, a backup over its grant bound, a failed warm replay. `repro crash
+# 7` also runs in the parent-identity job below.
 echo "== cargo test --release (crash recovery) =="
 cargo test -q --release --offline --test crash_recovery
+for seed in $(seq 1 32); do
+  ./target/release/repro crash "$seed" > /dev/null \
+    || { echo "repro crash $seed: a recovery invariant failed" >&2; exit 1; }
+done
 
 # Throughput floors. Wall-clock is measured in one place, the whole-stack
 # benchmark (benchmark/run.sh); a floor here is one 5-second run of one of
@@ -213,6 +220,10 @@ bench_floor netsim_turbulent 135000 events/s
 # one of these says so here and compares what is left of that output; a
 # change that does not (a refactor, an allocation cut, a recompute the
 # simulator no longer repeats) has nothing to filter, and nothing is filtered.
+# Every differing file is named before the job fails, so a run shows which
+# outputs moved. The change that makes a Policy Service die at its crash
+# point differs from its own parent in `crash.txt` (the cold and warm rows)
+# and in nothing else; against any later parent nothing may differ.
 echo "== parent identity (simulated results vs a build of the parent commit) =="
 series() { grep -v -e '^#' -e '_bucket{' | sed 's/ [^ ]*$//' | LC_ALL=C sort; }
 # Whether `repro` build $1 accepts subcommand $2: its usage line, printed on
@@ -263,13 +274,17 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
   CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
   identity_outputs target/parent/release/repro target/identity/parent
+  differ=()
   for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
     ablations.txt BENCH_storage.json BENCH_resilience.json; do
     # Only a parent without `repro ablations` lacks a file (logged above).
     [ "$f" = ablations.txt ] && [ ! -e "target/identity/parent/$f" ] && continue
-    cmp "target/identity/parent/$f" "target/identity/change/$f" \
-      || { echo "$f differs from the parent commit ($parent_rev)" >&2; exit 1; }
+    cmp "target/identity/parent/$f" "target/identity/change/$f" || differ+=("$f")
   done
+  if [ "${#differ[@]}" -gt 0 ]; then
+    echo "differs from the parent commit ($parent_rev): ${differ[*]}" >&2
+    exit 1
+  fi
 else
   echo "no parent commit to compare with; the suites ran, the comparison is skipped"
 fi

@@ -9,22 +9,25 @@
 //!    survived on disk: all `n` for `AfterAppend(n)` and
 //!    `MidSnapshot { append: n }`, the first `n - 1` for a torn `n`-th
 //!    append.
-//! 2. **Warm-failover invariants** — a backup warmed from the dead
-//!    primary's log never grants a host pair past its threshold on top of
-//!    allocations that survived the crash, and never re-advises a file the
-//!    ledger already marked staged.
+//! 2. **Warm-failover invariants** — the primary dies at its crash point
+//!    and answers no call its log does not hold, so a backup warmed from
+//!    that log knows every piece of advice the executor acted on; it never
+//!    grants a host pair past its threshold on top of allocations that
+//!    survived the crash, and never re-advises a file the ledger already
+//!    marked staged.
 //! 3. **Determinism** — the full crash → failover → recovery scenario is a
 //!    pure function of its seed, and an uneventful durability sink does
 //!    not perturb the simulation it shadows.
 
-use pwm_bench::{run_crash, CrashConfig};
+use pwm_bench::{grant_bounds, run_crash, CrashConfig, PaperWorld};
 use pwm_core::{
-    CleanupId, CleanupOutcome, CleanupSpec, CrashPoint, DurabilityConfig, FailoverTransport,
-    InProcessTransport, PolicyConfig, PolicyController, PolicyService, PolicyTransport,
-    TransferAdvice, TransferId, TransferOutcome, TransferSpec, TransportError, Url, WalCommand,
-    WorkflowId, DEFAULT_SESSION,
+    AllocationPolicy, CleanupId, CleanupOutcome, CleanupSpec, CrashPoint, DurabilityConfig,
+    FailoverTransport, InProcessTransport, PolicyConfig, PolicyController, PolicyService,
+    PolicyTransport, TransferAdvice, TransferId, TransferOutcome, TransferSpec, TransportError,
+    Url, WalCommand, WorkflowId, DEFAULT_SESSION,
 };
-use pwm_sim::{SimRng, SimTime};
+use pwm_sim::SimRng;
+use pwm_workflow::{ExecutorConfig, PlanJobKind, PlannerConfig};
 use std::path::PathBuf;
 
 /// Unique scratch directory (no tempfile crate in the dependency set).
@@ -354,7 +357,6 @@ fn scenario() -> CrashConfig {
         extra_file_bytes: 2_000_000,
         max_crash_append: 20,
         snapshot_every: 8,
-        outage_start: SimTime::from_secs(30),
     }
 }
 
@@ -370,6 +372,41 @@ fn crash_failover_scenario_holds_recovery_invariants_end_to_end() {
     // The warm hook really replayed the primary's log.
     assert!(report.warm.recovered().is_some());
     assert!(report.warm.failovers >= 1);
+}
+
+/// The death is the crash point: the call whose append fires it is the last
+/// call the primary takes, and it never answers it. So the primary answered
+/// only calls its log holds, and a warm backup's replay covers every piece
+/// of advice the executor acted on.
+fn primary_answers_nothing_past_its_crash_point(seeds: std::ops::RangeInclusive<u64>) {
+    for seed in seeds {
+        let report = run_crash(&scenario(), seed);
+        for (label, run) in [("cold", &report.cold), ("warm", &report.warm)] {
+            assert!(
+                run.primary_calls <= report.crash.append(),
+                "seed {seed} {label}: the primary took {} calls, past its {}",
+                run.primary_calls,
+                report.crash
+            );
+        }
+        let violations = report.violations();
+        assert!(
+            violations.is_empty(),
+            "seed {seed}: recovery invariants violated:\n{}",
+            violations.join("\n")
+        );
+    }
+}
+
+// Seeds 1..=32, in two halves so the test harness runs them side by side.
+#[test]
+fn the_primary_answers_nothing_past_its_crash_point_seeds_1_to_16() {
+    primary_answers_nothing_past_its_crash_point(1..=16);
+}
+
+#[test]
+fn the_primary_answers_nothing_past_its_crash_point_seeds_17_to_32() {
+    primary_answers_nothing_past_its_crash_point(17..=32);
 }
 
 #[test]
@@ -408,4 +445,58 @@ fn an_uneventful_durability_sink_does_not_perturb_advice() {
     let recovered = PolicyService::recover_from(&dir).unwrap();
     assert_eq!(recovered.durable_state(), plain.durable_state());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_grant_bound_is_reached_by_a_full_wave_of_stage_ins() {
+    // The paper plan's stage-in jobs carry two Apache inputs at most, so 20
+    // running jobs hold 40 Apache transfers in flight; the GridFTP extra
+    // file is one per job.
+    let plan = PaperWorld::testbed().plan_montage(10_000_000, 12, &PlannerConfig::default());
+    let limit = ExecutorConfig::default().staging_job_limit;
+    let bounds = grant_bounds(&plan, limit);
+    let bound = |src: &str| bounds[&(src.to_string(), "obelix-nfs".to_string())];
+    assert_eq!(bound("apache-isi"), 77, "40 in flight: 12 x 4 + 2 + 27 x 1");
+    assert_eq!(bound("gridftp-vm"), 57, "20 in flight: 12 x 4 + 2 + 7 x 1");
+
+    // The crash scenario's greedy service (threshold 50, 4 streams), asked
+    // for the Apache inputs of the 20 heaviest stage-in jobs at once on an
+    // empty ledger, allocates exactly the bound.
+    let config = PolicyConfig::default()
+        .with_default_streams(4)
+        .with_threshold(50)
+        .with_allocation(AllocationPolicy::Greedy);
+    let service = PolicyController::new(config);
+    let mut jobs: Vec<Vec<TransferSpec>> = (0..plan.len())
+        .filter_map(|i| match &plan.job(i).kind {
+            PlanJobKind::StageIn { transfers, .. } => Some(transfers),
+            _ => None,
+        })
+        .map(|transfers| {
+            let apache = transfers
+                .iter()
+                .filter(|t| t.source.host.as_str() == "apache-isi");
+            apache
+                .map(|t| TransferSpec {
+                    source: t.source.clone(),
+                    dest: t.dest.clone(),
+                    bytes: t.bytes,
+                    requested_streams: None,
+                    workflow: WorkflowId(1),
+                    cluster: None,
+                    priority: None,
+                })
+                .collect()
+        })
+        .collect();
+    jobs.sort_by_key(|job| std::cmp::Reverse(job.len()));
+    for job in jobs.into_iter().take(limit) {
+        service.evaluate_transfers(DEFAULT_SESSION, job).unwrap();
+    }
+    let snapshot = service.snapshot(DEFAULT_SESSION).unwrap();
+    let apache = snapshot
+        .host_pairs
+        .iter()
+        .find(|p| p.src_host == "apache-isi");
+    assert_eq!(apache.map(|p| p.peak_allocated), Some(bound("apache-isi")));
 }
