@@ -5,7 +5,6 @@
 //! streams between two hosts" — these are the two central knobs, plus the
 //! selection of the allocation policy and the transfer-ordering policy.
 
-use crate::model::Url;
 use crate::name::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -147,11 +146,6 @@ impl PolicyConfig {
             .unwrap_or(self.default_threshold)
     }
 
-    /// Threshold for the host pair of a (source, dest) URL pair.
-    pub fn threshold_for_urls(&self, source: &Url, dest: &Url) -> u32 {
-        self.threshold_for(&source.host, &dest.host)
-    }
-
     /// Per-cluster share under the balanced policy: the pair threshold
     /// divided evenly among clusters (integer division, floor ≥ 1).
     pub fn cluster_share(&self, src_host: &str, dst_host: &str) -> u32 {
@@ -291,14 +285,6 @@ mod tests {
         assert_eq!(c.threshold_for("tacc", "isi"), 50);
         assert_eq!(c.threshold_for("isi", "tacc"), 100);
         assert_eq!(c.threshold_for("a", "b"), 100);
-    }
-
-    #[test]
-    fn threshold_for_urls_uses_hosts() {
-        let c = PolicyConfig::default().with_pair_threshold("s", "d", 7);
-        let src = Url::parse("gsiftp://s/x").unwrap();
-        let dst = Url::parse("file://d/y").unwrap();
-        assert_eq!(c.threshold_for_urls(&src, &dst), 7);
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::durable::{
 };
 use crate::greedy::install_greedy_rules;
 use crate::keys::UrlKey;
-use crate::model::SuppressReason;
 use crate::model::{
     BackendDownFact, BackendLoadFact, BackendProfileFact, CleanupFact, CleanupId, CleanupSpec,
     CleanupState, ClusterAllocFact, HealthEvent, HostDownFact, HostPairFact, ResourceFact,
@@ -345,11 +344,6 @@ pub struct PolicyService {
     /// When the occupancy gauges were last swept (throttling clock; not
     /// part of durable state — it only paces metric publication).
     last_gauge_sweep: Option<Instant>,
-    /// Whether the already-staged-duplicate short circuit is taken (see
-    /// [`PolicyService::try_fast_staged_duplicate`]). Always on in
-    /// production; tests flip it off to prove the short circuit and the
-    /// full rules pass agree.
-    fast_path: bool,
 }
 
 /// Shard ids are packed into the top bits of transfer/cleanup/group ids so
@@ -393,7 +387,6 @@ impl PolicyService {
             sim_clock: None,
             durability: None,
             last_gauge_sweep: None,
-            fast_path: true,
         };
         svc.sync_backend_profiles();
         svc
@@ -859,16 +852,6 @@ impl PolicyService {
         let mut total_firings = 0usize;
         let mut out_groups = Vec::with_capacity(groups.len());
         for batch in groups {
-            // Steady-state short circuit: a single already-staged duplicate
-            // — the dominant request once a workload's files are staged —
-            // has a rules outcome that is fully determined by indexed
-            // probes, so it skips the insert/fire/retract cycle entirely.
-            if self.fast_path && batch.len() == 1 {
-                if let Some(advice) = self.try_fast_staged_duplicate(&batch[0]) {
-                    out_groups.push(vec![advice]);
-                    continue;
-                }
-            }
             let mut handles = Vec::with_capacity(batch.len());
             for spec in batch {
                 let id = TransferId(self.next_transfer);
@@ -980,77 +963,6 @@ impl PolicyService {
         self.note_evaluation("evaluate_transfers", eval_micros, total, total_firings);
         self.maybe_snapshot();
         out_groups
-    }
-
-    /// The steady-state short circuit: answer a single-transfer request
-    /// whose file is already staged **for this workflow** without a rules
-    /// pass.
-    ///
-    /// Once a workload's files are staged, the overwhelming share of
-    /// requests are duplicates that Table I's "already staged" rule
-    /// suppresses while mutating nothing — the insert/fire/retract cycle
-    /// exists only to discover that. When every condition below holds, the
-    /// rules outcome is fully determined and byte-identical advice can be
-    /// built from three indexed probes; any doubt falls through to the
-    /// authoritative rules pass:
-    ///
-    /// - dedup is enabled (otherwise no suppression happens at all);
-    /// - no resident in-progress transfer has the same (source, dest) —
-    ///   the higher-salience "already in progress" rule would win and mark
-    ///   `AlreadyInProgress` instead;
-    /// - the destination's resource is `Staged` (a `Staging` resource
-    ///   again means the in-progress rule territory, or a half-made state
-    ///   the rules must arbitrate);
-    /// - the requesting workflow is already a user of the resource — else
-    ///   the "associate" rule would mutate the resource's user set.
-    ///
-    /// The replicated effects match the full pass exactly: a fresh id is
-    /// minted, streams are the requested-or-default value floored to one
-    /// (Table I's default + at-least-one rules fire even for suppressed
-    /// transfers), no group is assigned, and the same audit record and
-    /// suppression counter are written. Rule firing counters stay at zero
-    /// — honestly, since no rule ran.
-    fn try_fast_staged_duplicate(&mut self, spec: &TransferSpec) -> Option<TransferAdvice> {
-        if !self.ctx.config.dedup {
-            return None;
-        }
-        let wm = &self.session.wm;
-        // One digest of the destination serves both probes.
-        let key = UrlKey::of(&spec.dest);
-        let busy = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(_, u)| {
-            u.state == TransferState::InProgress
-                && u.spec.source == spec.source
-                && u.spec.dest == spec.dest
-        });
-        if busy {
-            return None;
-        }
-        let (_, r) = resource_for(wm, key, &spec.dest)?;
-        if r.state != ResourceState::Staged || !r.users.contains(&spec.workflow) {
-            return None;
-        }
-        let id = TransferId(self.next_transfer);
-        self.next_transfer += 1;
-        let streams = spec
-            .requested_streams
-            .unwrap_or(self.ctx.config.default_streams)
-            .max(1);
-        self.stats.transfers_suppressed += 1;
-        self.audit.record(PolicyEvent::TransferEvaluated {
-            id,
-            streams,
-            skipped: Some(SuppressReason::AlreadyStaged),
-        });
-        Some(TransferAdvice {
-            id,
-            source: spec.source.clone(),
-            dest: spec.dest.clone(),
-            action: TransferAction::Skip(SuppressReason::AlreadyStaged),
-            streams,
-            group: Default::default(),
-            order: 0,
-            backend: None,
-        })
     }
 
     /// Report transfer outcomes. Completed transfers release their streams
@@ -1332,7 +1244,7 @@ impl PolicyService {
 mod tests {
     use super::*;
     use crate::config::AllocationPolicy;
-    use crate::model::{Url, WorkflowId};
+    use crate::model::{SuppressReason, Url, WorkflowId};
 
     fn spec_n(n: u32, wf: u64) -> TransferSpec {
         TransferSpec {
@@ -1734,61 +1646,69 @@ mod tests {
         assert_eq!(streams, vec![4, 8, 8], "20-share: 8+8+4");
     }
 
-    /// Drive the same request history through a service with the
-    /// already-staged short circuit on and one with it forced off; every
-    /// advice row, the audit trail, and the memory snapshot must agree —
-    /// the fast path is an optimization, never a behavior change.
+    /// Stage two files, complete them, then ask again: a duplicate of a
+    /// staged file goes through the rules pass like any other request.
+    /// Pinned: the skip, the streams a suppressed transfer still gets
+    /// (default, or requested floored to one), group 0, the audit record,
+    /// the second workflow's association and the rules that fired.
     #[test]
-    fn fast_staged_duplicate_path_matches_full_rules_pass() {
-        let mut fast = greedy_service(4, 50);
-        let mut slow = greedy_service(4, 50);
-        slow.fast_path = false;
+    fn staged_duplicate_is_answered_by_the_rules_pass() {
+        use SuppressReason::*;
+        use TransferAction::{Execute, Skip};
+        let mut svc = greedy_service(4, 50);
+        let staged = svc.evaluate_transfer_groups(vec![vec![spec_n(1, 1)], vec![spec_n(2, 1)]]);
+        let done = staged.concat().into_iter().map(|a| TransferOutcome {
+            id: a.id,
+            success: true,
+        });
+        svc.report_transfers(done.collect());
 
-        let mut histories: Vec<Vec<Vec<TransferSpec>>> = Vec::new();
-        // Stage two files, complete them, then hammer duplicates: the
-        // same workflow (pure fast path), another workflow (associate
-        // rule must run -> slow), requested_streams edge cases, and an
-        // in-progress duplicate (in-progress rule must win -> slow).
-        histories.push(vec![vec![spec_n(1, 1)], vec![spec_n(2, 1)]]);
-        let mut zero = spec_n(1, 1);
-        zero.requested_streams = Some(0);
-        let mut six = spec_n(2, 1);
-        six.requested_streams = Some(6);
-        histories.push(vec![
-            vec![spec_n(1, 1)],
-            vec![spec_n(1, 2)],
-            vec![zero],
-            vec![six],
-            vec![spec_n(3, 1)], // still staging: not eligible
-            vec![spec_n(3, 2)], // duplicate of an in-progress transfer
-        ]);
+        // (file, workflow, requested streams); f3 is new, then asked for
+        // by a second workflow while it stages.
+        let asks = [(1, 1, None), (1, 2, None), (1, 1, Some(0)), (2, 1, Some(6))];
+        let asks = asks.into_iter().chain([(3, 1, None), (3, 2, None)]);
+        let groups = asks.map(|(n, wf, requested_streams)| {
+            vec![TransferSpec {
+                requested_streams,
+                ..spec_n(n, wf)
+            }]
+        });
+        let again = svc.evaluate_transfer_groups(groups.collect()).concat();
+        let row = |i: usize| (again[i].action, again[i].streams, again[i].group);
+        let skip = |reason, streams| (Skip(reason), streams, crate::model::GroupId(0));
+        let staged_skips = [4, 4, 1, 6].map(|streams| skip(AlreadyStaged, streams));
+        assert_eq!([0, 1, 2, 3].map(row), staged_skips);
+        assert_eq!(row(4).0, Execute);
+        assert_eq!(row(5), skip(AlreadyInProgress, 4));
+        assert_eq!(svc.stats().transfers_suppressed, 5);
 
-        for (round, groups) in histories.into_iter().enumerate() {
-            let a = fast.evaluate_transfer_groups(groups.clone());
-            let b = slow.evaluate_transfer_groups(groups);
-            assert_eq!(a, b, "advice must match in round {round}");
-            if round == 0 {
-                // Complete the staged files on both services identically.
-                for adv in a.iter().flatten().filter(|a| a.should_execute()) {
-                    let outcome = vec![TransferOutcome {
-                        id: adv.id,
-                        success: true,
-                    }];
-                    fast.report_transfers(outcome.clone());
-                    slow.report_transfers(outcome);
-                }
-            }
-        }
-        assert_eq!(fast.snapshot(), slow.snapshot());
-        assert_eq!(fast.audit_tail(100), slow.audit_tail(100));
-        assert_eq!(
-            fast.stats().transfers_suppressed,
-            slow.stats().transfers_suppressed
-        );
-        assert_eq!(
-            fast.stats().transfer_requests,
-            slow.stats().transfer_requests
-        );
+        // One audit record per answer, in order, with its streams and skip.
+        let skipped = [Some(AlreadyStaged); 4].into_iter();
+        let skipped = skipped.chain([None, Some(AlreadyInProgress)]);
+        let audit = again
+            .iter()
+            .zip(skipped)
+            .map(|(a, skipped)| PolicyEvent::TransferEvaluated {
+                id: a.id,
+                streams: a.streams,
+                skipped,
+            });
+        let tail = svc.audit_tail(6).into_iter().map(|r| r.event);
+        assert_eq!(tail.collect::<Vec<_>>(), audit.collect::<Vec<_>>());
+
+        // The second workflow became a user of both files it asked for.
+        let users = |n: u32| -> Vec<u64> {
+            let dest = spec_n(n, 1).dest;
+            let (_, r) = resource_for(&svc.session.wm, UrlKey::of(&dest), &dest).unwrap();
+            r.users.iter().map(|w| w.0).collect()
+        };
+        assert_eq!([users(1), users(3)], [[1, 2]; 2]);
+        assert_eq!(users(2), [1]);
+
+        let rules = svc.rule_stats();
+        let fired = |name: &str| rules.iter().find(|r| r.name == name).unwrap().firings;
+        assert_eq!(fired("remove transfers whose file is already staged"), 4);
+        assert_eq!(fired("remove transfers that are already in progress"), 1);
     }
 
     /// A history in which every digest-keyed probe has a neighbour to
@@ -1807,8 +1727,8 @@ mod tests {
             id: transfers[0].id,
             success: true,
         }]);
-        // The short circuit (f1, same workflow), then the full pass for a
-        // second workflow on both files, a duplicate of f1 in the batch.
+        // f1 again for the same workflow, then a second workflow on both
+        // files, a duplicate of f1 in the batch.
         transfers.extend(svc.evaluate_transfers(vec![spec_n(1, 1)]));
         transfers.extend(svc.evaluate_transfers(vec![spec_n(1, 2), spec_n(2, 2), spec_n(1, 2)]));
         // Cleanups: the staging f2 and the staged f1 while shared, then f1's

@@ -18,8 +18,9 @@
 //! pair's route interned once for the engine), [`model`] (the stream
 //! performance model and its knobs), [`sharing`] (weighted max-min fair
 //! allocation), [`flow`] (transfer state and records), [`network`] (the
-//! engine), [`metrics`] (post-run aggregation), [`fault`] (deterministic
-//! link outages and degradations driven by a [`pwm_sim::FaultPlan`]).
+//! engine), [`metrics`] (the allocator's work counters), [`fault`]
+//! (deterministic link outages and degradations driven by a
+//! [`pwm_sim::FaultPlan`]).
 //!
 //! ```
 //! use pwm_net::{paper_testbed, FlowSpec, Network, StreamModel};
@@ -50,7 +51,7 @@ pub mod topology;
 
 pub use fault::{LinkFault, LinkFaultKind};
 pub use flow::{Flow, FlowId, FlowPhase, FlowSpec, KilledFlow, TransferRecord};
-pub use metrics::{AllocStats, TransferLedger};
+pub use metrics::AllocStats;
 pub use model::{LinkState, StreamModel};
 pub use network::Network;
 pub use routes::{Route, RouteTable};

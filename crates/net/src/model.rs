@@ -97,20 +97,20 @@ impl Default for StreamModel {
 }
 
 impl StreamModel {
-    /// Over-subscription severity for `n` total streams against a knee:
-    /// 0 below the knee, rising along a logistic toward `overload_max`.
-    pub fn severity(&self, n_streams: f64, knee: f64) -> f64 {
-        if n_streams <= knee {
+    /// Over-subscription severity for `n` total streams on a link: 0 up to
+    /// the knee, rising along a logistic toward `overload_max`.
+    pub fn severity(&self, n_streams: f64) -> f64 {
+        if n_streams <= self.knee_streams {
             return 0.0;
         }
-        let x = (n_streams - knee - self.overload_center) / self.overload_width;
+        let x = (n_streams - self.knee_streams - self.overload_center) / self.overload_width;
         self.overload_max / (1.0 + (-x).exp())
     }
 
     /// Effective capacity multiplier for a link given total streams and the
     /// current turbulence level (`0 ≤ turbulence`, saturating at 1).
-    pub fn capacity_factor(&self, n_streams: f64, knee: f64, turbulence: f64) -> f64 {
-        let sev = self.severity(n_streams, knee);
+    pub fn capacity_factor(&self, n_streams: f64, turbulence: f64) -> f64 {
+        let sev = self.severity(n_streams);
         let agitation = self.steady_overload_frac
             + (1.0 - self.steady_overload_frac) * turbulence.clamp(0.0, 1.0);
         (1.0 - sev * agitation).max(0.05)
@@ -226,7 +226,7 @@ impl LinkState {
     /// Register a flow joining/leaving with `streams` streams: adjusts the
     /// stream count and injects turbulence proportional to how loaded the
     /// link already is (a churn event on a crowded link is more disruptive).
-    pub fn membership_change(&mut self, model: &StreamModel, now: SimTime, delta: i64, knee: f64) {
+    pub fn membership_change(&mut self, model: &StreamModel, now: SimTime, delta: i64) {
         self.settle(model, now);
         let new = (self.streams as i64 + delta).max(0) as u32;
         self.streams = new;
@@ -235,7 +235,7 @@ impl LinkState {
         // and in [0, 3], so it would add +0.0 to a level that never exceeds
         // the 1.5 clip, which changes no bit.
         if model.turbulence_per_event != 0.0 {
-            let load = (self.streams as f64 / knee.max(1.0)).min(3.0);
+            let load = (self.streams as f64 / model.knee_streams.max(1.0)).min(3.0);
             self.turbulence = (self.turbulence + model.turbulence_per_event * load).min(1.5);
         }
     }
@@ -258,18 +258,18 @@ mod tests {
     #[test]
     fn severity_is_zero_below_knee() {
         let m = m();
-        assert_eq!(m.severity(0.0, 66.0), 0.0);
-        assert_eq!(m.severity(66.0, 66.0), 0.0);
-        assert!(m.severity(67.0, 66.0) > 0.0);
+        assert_eq!(m.severity(0.0), 0.0);
+        assert_eq!(m.severity(66.0), 0.0);
+        assert!(m.severity(67.0) > 0.0);
     }
 
     #[test]
     fn severity_increases_with_streams() {
         let m = m();
-        let s80 = m.severity(80.0, 66.0);
-        let s110 = m.severity(110.0, 66.0);
-        let s160 = m.severity(160.0, 66.0);
-        let s203 = m.severity(203.0, 66.0);
+        let s80 = m.severity(80.0);
+        let s110 = m.severity(110.0);
+        let s160 = m.severity(160.0);
+        let s203 = m.severity(203.0);
         assert!(s80 < s110 && s110 < s160 && s160 < s203);
         assert!(s203 <= m.overload_max);
     }
@@ -277,20 +277,20 @@ mod tests {
     #[test]
     fn severity_saturates_at_overload_max() {
         let m = m();
-        assert!((m.severity(10_000.0, 66.0) - m.overload_max).abs() < 1e-3);
+        assert!((m.severity(10_000.0) - m.overload_max).abs() < 1e-3);
     }
 
     #[test]
     fn capacity_factor_full_when_healthy() {
         let m = m();
-        assert_eq!(m.capacity_factor(50.0, 66.0, 1.0), 1.0);
+        assert_eq!(m.capacity_factor(50.0, 1.0), 1.0);
     }
 
     #[test]
     fn capacity_factor_depends_on_turbulence() {
         let m = m();
-        let calm = m.capacity_factor(160.0, 66.0, 0.0);
-        let turbulent = m.capacity_factor(160.0, 66.0, 1.0);
+        let calm = m.capacity_factor(160.0, 0.0);
+        let turbulent = m.capacity_factor(160.0, 1.0);
         assert!(turbulent < calm, "turbulence should deepen the penalty");
         // Even calm links keep a small steady-state penalty.
         assert!(calm < 1.0);
@@ -301,7 +301,8 @@ mod tests {
         let mut m = m();
         m.overload_max = 1.0;
         m.steady_overload_frac = 1.0;
-        assert!(m.capacity_factor(10_000.0, 1.0, 1.0) >= 0.05);
+        m.knee_streams = 1.0;
+        assert!(m.capacity_factor(10_000.0, 1.0) >= 0.05);
     }
 
     #[test]
@@ -364,11 +365,11 @@ mod tests {
     fn link_state_tracks_streams_and_peak() {
         let m = m();
         let mut ls = LinkState::new();
-        ls.membership_change(&m, SimTime::from_secs(1), 8, 66.0);
-        ls.membership_change(&m, SimTime::from_secs(2), 4, 66.0);
+        ls.membership_change(&m, SimTime::from_secs(1), 8);
+        ls.membership_change(&m, SimTime::from_secs(2), 4);
         assert_eq!(ls.streams, 12);
         assert_eq!(ls.peak_streams, 12);
-        ls.membership_change(&m, SimTime::from_secs(3), -8, 66.0);
+        ls.membership_change(&m, SimTime::from_secs(3), -8);
         assert_eq!(ls.streams, 4);
         assert_eq!(ls.peak_streams, 12);
     }
@@ -377,7 +378,7 @@ mod tests {
     fn link_state_never_goes_negative() {
         let m = m();
         let mut ls = LinkState::new();
-        ls.membership_change(&m, SimTime::from_secs(1), -5, 66.0);
+        ls.membership_change(&m, SimTime::from_secs(1), -5);
         assert_eq!(ls.streams, 0);
     }
 
@@ -385,9 +386,9 @@ mod tests {
     fn membership_change_injects_turbulence_proportional_to_load() {
         let m = m();
         let mut light = LinkState::new();
-        light.membership_change(&m, SimTime::from_secs(1), 4, 66.0);
+        light.membership_change(&m, SimTime::from_secs(1), 4);
         let mut heavy = LinkState::new();
-        heavy.membership_change(&m, SimTime::from_secs(1), 200, 66.0);
+        heavy.membership_change(&m, SimTime::from_secs(1), 200);
         assert!(heavy.turbulence > light.turbulence);
         assert!(heavy.turbulence <= 1.5);
     }
@@ -396,7 +397,7 @@ mod tests {
     fn settle_decays_between_events() {
         let m = m();
         let mut ls = LinkState::new();
-        ls.membership_change(&m, SimTime::from_secs(0), 100, 66.0);
+        ls.membership_change(&m, SimTime::from_secs(0), 100);
         let t0 = ls.turbulence;
         ls.settle(&m, SimTime::from_secs(200));
         assert!(ls.turbulence < t0 * 0.05);

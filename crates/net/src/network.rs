@@ -137,9 +137,6 @@ const LINK_FLOWS_INLINE: usize = 3;
 struct LinkHot {
     /// Occupancy and turbulence (streams, peak, turbulence, updated_at).
     state: LinkState,
-    /// Congestion knee with any per-link override resolved at build time
-    /// (the topology and model are fixed for the network's lifetime).
-    knee: f64,
     /// Nominal capacity from the topology; turbulence, stream counts, and
     /// faults scale it into `capacity` below.
     base_capacity: f64,
@@ -380,7 +377,6 @@ impl Network {
                 let l = topology.link(LinkId(ix as u32));
                 LinkHot {
                     state: LinkState::new(),
-                    knee: l.knee_override.unwrap_or(model.knee_streams),
                     base_capacity: l.capacity,
                     capacity: 0.0,
                     dirty: false,
@@ -1056,8 +1052,7 @@ impl Network {
         for k in 0..route.len() {
             let ix = self.routes.link_at(route, k);
             let lh = &mut self.links[ix];
-            lh.state
-                .membership_change(&self.model, self.now, delta, lh.knee);
+            lh.state.membership_change(&self.model, self.now, delta);
             self.note_turbulence(ix);
             if join {
                 self.insert_member(ix, slot, id);
@@ -1300,9 +1295,9 @@ impl Network {
             }
             memo.1
         });
-        let factor =
-            self.model
-                .capacity_factor(lh.state.streams as f64, lh.knee, lh.state.turbulence);
+        let factor = self
+            .model
+            .capacity_factor(lh.state.streams as f64, lh.state.turbulence);
         let cap = lh.base_capacity * factor * fault_factor;
         if cap != lh.capacity {
             lh.capacity = cap;
@@ -1675,8 +1670,7 @@ impl Network {
         let model = &self.model;
         for (idx, lh) in self.links.iter_mut().enumerate() {
             lh.state.settle(model, now);
-            let factor =
-                model.capacity_factor(lh.state.streams as f64, lh.knee, lh.state.turbulence);
+            let factor = model.capacity_factor(lh.state.streams as f64, lh.state.turbulence);
             capacities.push(lh.base_capacity * factor * fault_factors[idx]);
         }
         self.prune_turbulent();

@@ -42,9 +42,6 @@ pub struct Link {
     /// Round-trip time contribution of this link (affects per-stream caps
     /// and connection setup on routes crossing it).
     pub rtt: crate::SimDuration,
-    /// Total concurrent streams this link handles without degradation.
-    /// `None` means "use the model default".
-    pub knee_override: Option<f64>,
 }
 
 /// A host with a named access link.
@@ -92,7 +89,6 @@ impl Topology {
             name: name.into(),
             capacity: capacity_bytes_per_sec,
             rtt,
-            knee_override: None,
         });
         id
     }
@@ -122,11 +118,6 @@ impl Topology {
     /// (flows); additional transfers queue until a slot frees.
     pub fn set_host_connection_limit(&mut self, host: HostId, max: u32) {
         self.hosts[host.0 as usize].max_connections = Some(max.max(1));
-    }
-
-    /// Set a custom stream knee for one link (e.g. a fragile WAN path).
-    pub fn set_link_knee(&mut self, link: LinkId, knee: f64) {
-        self.links[link.0 as usize].knee_override = Some(knee);
     }
 
     /// Declare the middle links used between `src` and `dst`, in order.
@@ -318,14 +309,5 @@ mod tests {
             .map(|&l| t.link(l).capacity)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(min_cap, 3.5e6);
-    }
-
-    #[test]
-    fn knee_override_is_stored() {
-        let mut t = Topology::new();
-        let l = t.add_link("wan", 1e6, SimDuration::ZERO);
-        assert!(t.link(l).knee_override.is_none());
-        t.set_link_knee(l, 64.0);
-        assert_eq!(t.link(l).knee_override, Some(64.0));
     }
 }

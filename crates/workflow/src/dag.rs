@@ -210,15 +210,6 @@ impl AbstractWorkflow {
         Ok(self.externals()?.map(|f| f.name.clone()).collect())
     }
 
-    /// Files produced by some job and consumed by none — workflow outputs
-    /// to be staged out.
-    pub fn final_outputs(&self) -> Result<BTreeSet<Name>, WorkflowError> {
-        self.unique_producers()?;
-        let last = |f: &&FileEntry| f.producer.is_some() && f.consumers.is_empty();
-        let names = self.files.iter().filter(last).map(|f| f.name.clone());
-        Ok(names.collect())
-    }
-
     /// Data-dependency edges `(producer, consumer)` derived from files.
     pub fn edges(&self) -> Result<Vec<(JobIx, JobIx)>, WorkflowError> {
         self.unique_producers()?;
@@ -335,12 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn external_inputs_and_final_outputs() {
+    fn external_inputs_are_consumed_and_never_produced() {
         let wf = pipeline();
         let ext: Vec<Name> = wf.external_inputs().unwrap().into_iter().collect();
         assert_eq!(ext, vec!["raw.fits"]);
-        let fin: Vec<Name> = wf.final_outputs().unwrap().into_iter().collect();
-        assert_eq!(fin, vec!["mosaic.fits"]);
     }
 
     #[test]

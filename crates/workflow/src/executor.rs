@@ -53,6 +53,14 @@ const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(30);
 /// backoff, so retry storms decorrelate without losing determinism.
 const RETRY_JITTER: f64 = 0.1;
 
+/// Staging-job startup overhead (scheduling + transfer-tool init); this is
+/// the per-job overhead that task clustering amortizes (paper Fig. 2).
+const JOB_INIT_OVERHEAD: SimDuration = SimDuration::from_secs(2);
+/// Gap between serial transfers within one staging job.
+const INTER_TRANSFER_GAP: SimDuration = SimDuration::from_millis(100);
+/// Duration of a cleanup job's file deletions.
+pub const CLEANUP_DURATION: SimDuration = SimDuration::from_millis(500);
+
 /// Un-jittered delay before retry number `attempt` (1-based): the base,
 /// multiplied by the factor per further attempt, capped.
 fn retry_backoff(attempt: u32) -> SimDuration {
@@ -75,13 +83,6 @@ pub struct ExecutorConfig {
     pub runtime_jitter: f64,
     /// One policy-service REST round-trip.
     pub policy_call_latency: SimDuration,
-    /// Staging-job startup overhead (scheduling + transfer-tool init); this
-    /// is the per-job overhead that task clustering amortizes (paper Fig. 2).
-    pub job_init_overhead: SimDuration,
-    /// Gap between serial transfers within one staging job.
-    pub inter_transfer_gap: SimDuration,
-    /// Duration of a cleanup job's file deletions.
-    pub cleanup_duration: SimDuration,
     /// Probability an executed transfer fails (failure injection).
     pub transfer_failure_prob: f64,
     /// Probability a *failed* transfer is fatal (non-transient: a missing
@@ -139,9 +140,6 @@ impl Default for ExecutorConfig {
             retries: 5,
             runtime_jitter: 0.15,
             policy_call_latency: SimDuration::from_millis(150),
-            job_init_overhead: SimDuration::from_secs(2),
-            inter_transfer_gap: SimDuration::from_millis(100),
-            cleanup_duration: SimDuration::from_millis(500),
             transfer_failure_prob: 0.0,
             fatal_failure_prob: 0.0,
             fallback_streams: 1,
@@ -546,10 +544,8 @@ impl<'p> WorkflowExecutor<'p> {
             self.staging_in_flight += 1;
             self.start_job(job);
             self.stats.staging_jobs += 1;
-            self.events.schedule_at(
-                self.now + self.config.job_init_overhead,
-                Ev::StagingInit(job),
-            );
+            self.events
+                .schedule_at(self.now + JOB_INIT_OVERHEAD, Ev::StagingInit(job));
         }
         // Cleanup jobs are lightweight local jobs, optionally throttled by a
         // DAGMan-style category limit.
@@ -678,7 +674,7 @@ impl<'p> WorkflowExecutor<'p> {
                 let (advice, fell_back) = self.policy.evaluate_cleanups(&specs);
                 self.note_fallback(job, fell_back);
                 let delay = if advice.iter().any(|a| a.should_execute()) {
-                    self.config.cleanup_duration
+                    CLEANUP_DURATION
                 } else {
                     SimDuration::ZERO
                 };
@@ -1011,10 +1007,8 @@ impl<'p> WorkflowExecutor<'p> {
                 id: run.advice[advice_ix].id,
                 success: true,
             });
-            self.events.schedule_at(
-                self.now + self.config.inter_transfer_gap,
-                Ev::TransferStart(job),
-            );
+            self.events
+                .schedule_at(self.now + INTER_TRANSFER_GAP, Ev::TransferStart(job));
         }
     }
 

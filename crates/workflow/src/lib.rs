@@ -44,7 +44,7 @@ mod trace;
 pub use catalog::{ComputeSite, Replica, ReplicaCatalog};
 pub use dag::{AbstractJob, AbstractWorkflow, JobIx, WorkflowError};
 pub use dax::{parse_dax, to_dax, DaxError};
-pub use executor::{ExecutorConfig, WorkflowExecutor};
+pub use executor::{ExecutorConfig, WorkflowExecutor, CLEANUP_DURATION};
 pub use multi::merge_plans;
 pub use planner::{
     plan, ExecutablePlan, JobName, Jobs, JobsIter, PlanError, PlanJob, PlanJobKind,

@@ -14,7 +14,7 @@ use pwm_net::{paper_testbed, Network, StreamModel};
 use pwm_sim::{SimDuration, SimTime};
 use pwm_workflow::{
     plan, Checkpoint, ComputeSite, ExecutablePlan, ExecutorConfig, PlannerConfig, RunStats,
-    WorkflowExecutor,
+    WorkflowExecutor, CLEANUP_DURATION,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -260,16 +260,15 @@ fn no_report_crosses_an_instant_and_every_evaluate_sees_earlier_outcomes() {
     let (stats, _, service, log) = recorded_run(&p, &site, None);
     assert!(stats.success);
 
-    // A cleanup job's deletions end `cleanup_duration` after its advice:
+    // A cleanup job's deletions end `CLEANUP_DURATION` after its advice:
     // that instant is when its outcomes exist, and when they must arrive.
-    let cleanup_duration = ExecutorConfig::default().cleanup_duration;
     let mut due: HashMap<u64, SimTime> = HashMap::new();
     let mut merged_windows = 0;
     for (at, call) in &log {
         match call {
             Seen::EvaluateCleanups(advice) => {
                 for a in advice.iter().filter(|a| a.should_execute()) {
-                    due.insert(a.id.0, *at + cleanup_duration);
+                    due.insert(a.id.0, *at + CLEANUP_DURATION);
                 }
             }
             Seen::ReportCleanups(outcomes) => {

@@ -15,6 +15,25 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+# Size report, informational (not a gate): first-party `.rs` lines under
+# crates/ src/ tests/ examples/ of the tree at $1, in total and outside
+# test directories (a `tests/` directory at any depth; inline
+# `#[cfg(test)]` modules count as non-test). ROADMAP item 8 tracks the
+# second number; the parent-identity job below prints the parent's too.
+rs_lines() {
+  (
+    cd "$1"
+    local dirs=() d
+    for d in crates src tests examples; do [ -d "$d" ] && dirs+=("$d"); done
+    find "${dirs[@]}" -name '*.rs' -print0 | xargs -0 cat | wc -l
+    find "${dirs[@]}" -name '*.rs' -not -path 'tests/*' -not -path '*/tests/*' -print0 \
+      | xargs -0 cat | wc -l
+  ) | paste -sd ' '
+}
+echo "== first-party .rs lines (informational) =="
+read -r rs_total rs_non_test <<<"$(rs_lines .)"
+echo "first-party .rs: ${rs_total} total, ${rs_non_test} outside test directories"
+
 # The vendored JSON codec (third_party/serde*) is excluded from the
 # workspace, so the run above never reaches its own unit tests. Its
 # conformance suite is a workspace test (crates/rest/tests/codec_conformance.rs).
@@ -271,6 +290,10 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
   rm -rf target/parent-src
   mkdir -p target/parent-src
   git archive "$parent_rev" | tar -x -C target/parent-src
+  read -r parent_total parent_non_test <<<"$(rs_lines target/parent-src)"
+  echo "first-party .rs at the parent ($parent_rev): ${parent_total} total," \
+    "${parent_non_test} outside test directories; this tree differs by" \
+    "$((rs_total - parent_total)) and $((rs_non_test - parent_non_test))"
   CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
   identity_outputs target/parent/release/repro target/identity/parent
