@@ -1,9 +1,7 @@
 //! # pwm-obs — the observability subsystem
 //!
-//! One shared layer replacing the ad-hoc instrumentation that had grown in
-//! `pwm-net` (transfer ledgers), `pwm-sim` (uniform-bucket histograms and the
-//! bounded text trace), and `pwm-rules` (per-rule counters bolted onto
-//! `FiringReport`):
+//! The workspace's one layer of metrics, traces and logs: every crate
+//! registers its counters and histograms here and records its spans here.
 //!
 //! * [`registry`] — a labeled metrics [`Registry`] of atomic counters,
 //!   gauges, and mergeable HDR-style [`Histogram`]s, cheap enough for hot
@@ -11,13 +9,12 @@
 //!   Prometheus text exposition format.
 //! * [`span`] — sim-time-aware span tracing ([`Tracer`]): parent/child spans
 //!   and instant events with deterministic sequential ids, exported as
-//!   Chrome-trace-format JSON (loadable in `chrome://tracing` or Perfetto)
-//!   or as JSONL.
+//!   Chrome-trace-format JSON (loadable in `chrome://tracing` or Perfetto).
 //! * [`logger`] — a tiny leveled stderr logger with env-controlled
 //!   verbosity (`PWM_LOG=error|warn|info|debug`) for the CLI binaries, so
 //!   machine-readable results keep stdout to themselves.
 //! * [`json`] — the self-contained JSON value writer/parser backing the
-//!   trace exporters and trace validation (the vendored `serde_json`
+//!   trace exporter and trace validation (the vendored `serde_json`
 //!   substitute has no dynamic value type).
 //!
 //! All timestamps in traces are **simulation time** ([`pwm_sim::SimTime`],

@@ -263,47 +263,6 @@ impl Tracer {
         ])
         .render()
     }
-
-    /// Export as JSONL: one JSON object per event per line, sorted by
-    /// `(start, id)`.
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events() {
-            let mut members = vec![
-                (
-                    "type".to_string(),
-                    JsonValue::Str(if e.dur.is_some() { "span" } else { "instant" }.into()),
-                ),
-                ("name".into(), JsonValue::Str(e.name.clone())),
-                ("cat".into(), JsonValue::Str(e.cat.clone())),
-                ("id".into(), JsonValue::Int(e.id as i64)),
-                (
-                    "ts_micros".into(),
-                    JsonValue::Int(e.start.as_micros() as i64),
-                ),
-            ];
-            if let Some(parent) = e.parent {
-                members.push(("parent".into(), JsonValue::Int(parent as i64)));
-            }
-            if let Some(dur) = e.dur {
-                members.push(("dur_micros".into(), JsonValue::Int(dur.as_micros() as i64)));
-            }
-            if !e.args.is_empty() {
-                members.push((
-                    "args".into(),
-                    JsonValue::Obj(
-                        e.args
-                            .iter()
-                            .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-                            .collect(),
-                    ),
-                ));
-            }
-            out.push_str(&JsonValue::Obj(members).render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Validate a Chrome-trace JSON document produced by
@@ -423,7 +382,6 @@ mod tests {
         let x = build();
         let y = build();
         assert_eq!(x.chrome_trace_json(), y.chrome_trace_json());
-        assert_eq!(x.jsonl(), y.jsonl());
         let events = x.events();
         assert!(events
             .windows(2)
@@ -455,21 +413,5 @@ mod tests {
         tr.end_span(a, t(3));
         tr.end_span(a, t(9)); // double end: ignored
         assert_eq!(tr.events()[0].dur, Some(SimDuration::from_secs(1)));
-    }
-
-    #[test]
-    fn jsonl_lines_parse_individually() {
-        let tr = Tracer::new();
-        let a = tr.start_span("a", "c", None, t(1));
-        tr.span_arg(a, "k", "v");
-        tr.end_span(a, t(2));
-        tr.instant("i", "c", t(3), &[]);
-        let jsonl = tr.jsonl();
-        let lines: Vec<_> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v = JsonValue::parse(line).unwrap();
-            assert!(v.get("type").is_some());
-        }
     }
 }

@@ -12,8 +12,8 @@
 //! * [`fault`] — deterministic fault plans ([`FaultPlan`]): seeded,
 //!   schedulable fault windows that turn the simulator into a reliability
 //!   testbed without sacrificing bit-for-bit reproducibility.
-//! * [`stats`] — Welford accumulators and summaries for the mean ± stddev
-//!   points the benchmark harness reports.
+//! * [`stats`] — the mean ± stddev [`Summary`] of one figure point, the
+//!   way the benchmark harness reports it.
 //!
 //! The kernel is intentionally *polling-style*: owners of a [`LadderQueue`]
 //! pop typed events in a loop and mutate their own state, which sidesteps the
@@ -37,7 +37,6 @@
 
 pub mod event;
 pub mod fault;
-pub mod histogram;
 pub mod ladder;
 pub mod rng;
 pub mod stats;
@@ -45,8 +44,7 @@ pub mod time;
 
 pub use event::{EventHandle, QueueHealth};
 pub use fault::{seeded_windows, CrashPoint, FaultEvent, FaultPlan, FaultWindow};
-pub use histogram::Histogram;
 pub use ladder::LadderQueue;
 pub use rng::{derive_seed, SimRng};
-pub use stats::{percentile, OnlineStats, Summary};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

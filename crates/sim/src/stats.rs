@@ -1,119 +1,8 @@
-//! Online and batch statistics used by the experiment harness.
+//! The mean ± standard deviation of one figure point.
 //!
 //! The paper reports each experimental point as the mean of at least five
-//! runs with standard-deviation error bars; [`OnlineStats`] (Welford's
-//! algorithm) provides exactly that without storing samples, and [`Summary`]
-//! is the value the harness prints per figure point.
-
-/// Numerically stable running mean/variance (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator (parallel-friendly; Chan et al.).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Snapshot into a plain [`Summary`].
-    pub fn summary(&self) -> Summary {
-        Summary {
-            n: self.n,
-            mean: self.mean(),
-            stddev: self.stddev(),
-            min: self.min(),
-            max: self.max(),
-        }
-    }
-}
+//! runs with standard-deviation error bars; [`Summary::of`] computes that
+//! in one pass (Welford's algorithm) and is the value the harness prints.
 
 /// Immutable summary of a sample set — one figure point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,33 +20,28 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarize a slice in one pass.
+    /// Summarize a slice in one pass (Welford's running mean and variance).
+    /// An empty slice gives all zeros; fewer than two samples a zero stddev.
     pub fn of(samples: &[f64]) -> Summary {
-        let mut s = OnlineStats::new();
+        let (mut n, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
         for &x in samples {
-            s.push(x);
+            n += 1;
+            let delta = x - mean;
+            mean += delta / n as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
         }
-        s.summary()
-    }
-}
-
-/// Percentile of a sample slice using linear interpolation between ranks.
-/// `q` in `[0, 1]`. Returns 0 for empty input.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        let variance = if n < 2 { 0.0 } else { m2 / (n - 1) as f64 };
+        let (min, max) = if n == 0 { (0.0, 0.0) } else { (min, max) };
+        Summary {
+            n,
+            mean,
+            stddev: variance.sqrt(),
+            min,
+            max,
+        }
     }
 }
 
@@ -167,71 +51,30 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        let s = Summary::of(&[]);
+        assert_eq!(s.n, 0);
+        assert_eq!(s.mean, 0.0);
+        assert_eq!(s.stddev, 0.0);
+        assert_eq!(s.min, 0.0);
+        assert_eq!(s.max, 0.0);
     }
 
     #[test]
     fn known_mean_and_stddev() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
+        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert!((s.mean - 5.0).abs() < 1e-12);
         // Population stddev of this classic set is 2; sample stddev is
         // sqrt(32/7).
-        assert!((s.stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
+        assert!((s.stddev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
     }
 
     #[test]
     fn single_sample_has_zero_variance() {
-        let mut s = OnlineStats::new();
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &data[..37] {
-            left.push(x);
-        }
-        for &x in &data[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a.summary();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.summary(), before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.summary(), before);
+        let s = Summary::of(&[3.5]);
+        assert_eq!(s.mean, 3.5);
+        assert_eq!(s.stddev, 0.0);
     }
 
     #[test]
@@ -242,27 +85,29 @@ mod tests {
         assert!((s.stddev - 1.0).abs() < 1e-12);
     }
 
+    /// Every figure's `mean ± stddev` comes from here, so the arithmetic is
+    /// pinned to the bit: the literals were printed by the accumulator this
+    /// function replaced, on the same inputs.
     #[test]
-    fn percentile_basics() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&data, 0.0), 1.0);
-        assert_eq!(percentile(&data, 1.0), 5.0);
-        assert_eq!(percentile(&data, 0.5), 3.0);
-        assert!((percentile(&data, 0.25) - 2.0).abs() < 1e-12);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let data = [0.0, 10.0];
-        assert!((percentile(&data, 0.75) - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_clamps_q() {
-        let data = [1.0, 2.0];
-        assert_eq!(percentile(&data, -0.5), 1.0);
-        assert_eq!(percentile(&data, 1.5), 2.0);
+    fn summary_bits_are_pinned() {
+        let bits = |s: Summary| (s.n, [s.mean, s.stddev, s.min, s.max].map(f64::to_bits));
+        assert_eq!(bits(Summary::of(&[])), (0, [0; 4]));
+        let x = 0x400d_9999_9999_999a; // 3.7
+        assert_eq!(bits(Summary::of(&[3.7])), (1, [x, 0, x, x]));
+        assert_eq!(
+            bits(Summary::of(&[
+                812.4, 0.1, 97.03, 1.0e-3, 455.5, 3.3, 61.25, 0.7
+            ])),
+            (
+                8,
+                [
+                    0x4066_591f_be76_c8b4, // 178.785125
+                    0x4072_acae_2ff6_7533, // 298.79252620956976
+                    0x3f50_624d_d2f1_a9fc, // 0.001
+                    0x4089_6333_3333_3333, // 812.4
+                ]
+            )
+        );
     }
 }
 
@@ -286,51 +131,11 @@ mod proptests {
         /// Welford matches the two-pass textbook computation.
         #[test]
         fn welford_matches_naive(xs in proptest::collection::vec(-1.0e6..1.0e6f64, 1..200)) {
-            let mut s = OnlineStats::new();
-            for &x in &xs {
-                s.push(x);
-            }
+            let s = Summary::of(&xs);
             let (mean, var) = naive_mean_var(&xs);
             let scale = 1.0 + mean.abs().max(var.abs());
-            prop_assert!((s.mean() - mean).abs() / scale < 1e-9);
-            prop_assert!((s.variance() - var).abs() / scale.powi(2).max(1.0) < 1e-6);
-        }
-
-        /// Merging any split equals processing the whole slice.
-        #[test]
-        fn merge_equals_sequential(
-            xs in proptest::collection::vec(-1.0e3..1.0e3f64, 2..120),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-            let mut whole = OnlineStats::new();
-            for &x in &xs {
-                whole.push(x);
-            }
-            let mut a = OnlineStats::new();
-            let mut b = OnlineStats::new();
-            for &x in &xs[..split] { a.push(x); }
-            for &x in &xs[split..] { b.push(x); }
-            a.merge(&b);
-            prop_assert_eq!(a.count(), whole.count());
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-6 * (1.0 + whole.variance().abs()));
-        }
-
-        /// Percentiles are monotone in q and bounded by min/max.
-        #[test]
-        fn percentile_monotone_and_bounded(
-            xs in proptest::collection::vec(-1.0e3..1.0e3f64, 1..100),
-            q1 in 0.0f64..1.0,
-            q2 in 0.0f64..1.0,
-        ) {
-            let (lo, hi) = (q1.min(q2), q1.max(q2));
-            let p_lo = percentile(&xs, lo);
-            let p_hi = percentile(&xs, hi);
-            prop_assert!(p_lo <= p_hi + 1e-12);
-            let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(p_lo >= min - 1e-12 && p_hi <= max + 1e-12);
+            prop_assert!((s.mean - mean).abs() / scale < 1e-9);
+            prop_assert!((s.stddev.powi(2) - var).abs() / scale.powi(2).max(1.0) < 1e-6);
         }
     }
 }

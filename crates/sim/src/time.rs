@@ -117,12 +117,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// True when the duration is exactly zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

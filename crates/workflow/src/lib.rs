@@ -8,8 +8,6 @@
 //!   data dependencies derived from producer/consumer relations;
 //! * [`catalog`] — site and replica catalogs (the Obelix compute site, the
 //!   Apache/GridFTP data sources);
-//! * [`dax`] — DAX-dialect XML import/export (the Pegasus interchange
-//!   format);
 //! * [`planner`] — the planning phase: stage-in / stage-out / cleanup job
 //!   insertion and horizontal task clustering with a clustering factor;
 //! * [`executor`] — a DAGMan-like engine over the `pwm-net` simulator with
@@ -30,7 +28,6 @@
 
 pub mod catalog;
 pub mod dag;
-pub mod dax;
 pub mod executor;
 pub mod multi;
 pub mod planner;
@@ -43,7 +40,6 @@ mod trace;
 
 pub use catalog::{ComputeSite, Replica, ReplicaCatalog};
 pub use dag::{AbstractJob, AbstractWorkflow, JobIx, WorkflowError};
-pub use dax::{parse_dax, to_dax, DaxError};
 pub use executor::{ExecutorConfig, WorkflowExecutor, CLEANUP_DURATION};
 pub use multi::merge_plans;
 pub use planner::{

@@ -6,7 +6,6 @@
 
 use crate::planner::{ExecutablePlan, PlanJobKind};
 use crate::stats::RunStats;
-use pwm_sim::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -84,34 +83,48 @@ pub fn render_report(plan: &ExecutablePlan, stats: &RunStats) -> String {
     );
     let _ = writeln!(out, "  policy-service wire calls: {}", stats.policy_calls);
 
-    // Distributions (WAN-scale transfers only; LAN blips would drown them).
-    let wan: Vec<_> = stats
+    // Distributions of the transfers of at least 1 MB: the many small ones
+    // would drown them.
+    let large: Vec<_> = stats
         .transfers
         .iter()
         .filter(|t| t.bytes >= 1.0e6)
         .collect();
-    if !wan.is_empty() {
-        let max_dur = wan
-            .iter()
-            .map(|t| t.total_duration().as_secs_f64())
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-        let mut durations = Histogram::new(0.0, max_dur * 1.01, 8);
-        let mut goodputs = Histogram::new(0.0, 4.0, 8); // MB/s, WAN-scale
-        for t in &wan {
-            durations.record(t.total_duration().as_secs_f64());
-            goodputs.record(t.goodput() / 1e6);
-        }
+    if !large.is_empty() {
         let _ = writeln!(
             out,
-            "\ntransfer durations (s), {} WAN transfers:",
-            wan.len()
+            "\ntransfer durations (s), {} transfers of ≥ 1 MB:",
+            large.len()
         );
-        out.push_str(&durations.render(30));
+        let durations: Vec<f64> = large
+            .iter()
+            .map(|t| t.total_duration().as_secs_f64())
+            .collect();
+        render_buckets(&mut out, &durations);
         let _ = writeln!(out, "per-transfer goodput (MB/s):");
-        out.push_str(&goodputs.render(30));
+        let goodputs: Vec<f64> = large.iter().map(|t| t.goodput() / 1e6).collect();
+        render_buckets(&mut out, &goodputs);
     }
     out
+}
+
+/// Eight uniform buckets over `[0, 1.01 × max)`, the range at least
+/// `[0, 1.01)`, so every non-negative value lands in one. A row per bucket:
+/// its range, its count, and a bar of up to 30 `#` scaled to the fullest.
+fn render_buckets(out: &mut String, values: &[f64]) {
+    const BUCKETS: usize = 8;
+    let hi = values.iter().copied().fold(0.0f64, f64::max).max(1.0) * 1.01;
+    let mut counts = [0usize; BUCKETS];
+    for &v in values {
+        counts[((v / hi * BUCKETS as f64) as usize).min(BUCKETS - 1)] += 1;
+    }
+    let fullest = counts.iter().copied().max().unwrap_or(0).max(1);
+    let width = hi / BUCKETS as f64;
+    for (i, &c) in counts.iter().enumerate() {
+        let (lo, hi) = (i as f64 * width, (i + 1) as f64 * width);
+        let bar = "#".repeat(c * 30 / fullest);
+        let _ = writeln!(out, "{lo:>10.1} - {hi:<10.1} {c:>6} {bar}");
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +191,55 @@ mod tests {
         assert!(text.contains("transfer durations"));
         assert!(text.contains("goodput"));
         assert!(text.contains("scratch footprint"));
+    }
+
+    /// The distributions count every transfer of at least 1 MB: one at
+    /// 10 MB/s, faster than any fixed goodput range made for the WAN
+    /// link, lands in the top bucket rather than outside the bars.
+    #[test]
+    fn every_large_transfer_is_in_a_bucket() {
+        use pwm_net::{FlowId, HostId, TransferRecord};
+        use pwm_sim::SimTime;
+        let (plan, mut stats) = run_small();
+        stats.transfers.push(TransferRecord {
+            flow: FlowId(999),
+            tag: 0,
+            src: HostId(0),
+            dst: HostId(1),
+            bytes: 40.0e6,
+            streams: 1,
+            requested_at: SimTime::from_secs(1),
+            activated_at: SimTime::from_secs(2),
+            completed_at: SimTime::from_secs(6),
+        });
+        let large = stats.transfers.iter().filter(|t| t.bytes >= 1.0e6).count();
+        let text = render_report(&plan, &stats);
+        assert!(
+            text.contains(&format!("{large} transfers of ≥ 1 MB:")),
+            "{text}"
+        );
+        let counts = |block: &str| -> Vec<usize> {
+            block
+                .lines()
+                .map(|row| row.split_whitespace().nth(3).unwrap().parse().unwrap())
+                .collect()
+        };
+        let (durations, goodputs) = text
+            .split_once("transfers of ≥ 1 MB:\n")
+            .unwrap()
+            .1
+            .split_once("per-transfer goodput (MB/s):\n")
+            .unwrap();
+        for block in [durations, goodputs] {
+            let counts = counts(block);
+            assert_eq!(counts.len(), 8, "{text}");
+            assert_eq!(counts.iter().sum::<usize>(), large, "{text}");
+        }
+        assert_eq!(
+            counts(goodputs)[7],
+            1,
+            "the 10 MB/s transfer is in the top bucket"
+        );
     }
 
     #[test]

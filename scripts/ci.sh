@@ -221,7 +221,7 @@ bench_floor netsim_turbulent 135000 events/s
 # Parent-identity job: the simulated results of this tree against a release
 # build of its parent commit (HEAD^, or HEAD while the tree has uncommitted
 # source changes). Everything compared must be byte-identical: `table4`,
-# `fig5 1`, the series set of the /metrics scrape, `repro chaos 7`,
+# `fig5 1` and `fig5 2`, the series set of the /metrics scrape, `repro chaos 7`,
 # `repro crash 7`, the traced paper run — the `--trace` file itself, so no
 # policy call may be added, merged or reordered — the six ablation studies
 # (`repro ablations`), and the full storage and resilience suites, whose
@@ -260,6 +260,8 @@ identity_outputs() {
   mkdir -p "$out"
   "$repro" table4 > "$out/table4.txt"
   "$repro" fig5 1 > "$out/fig5.txt"
+  # Two runs per point, so every `±` is a real sample stddev.
+  "$repro" fig5 2 > "$out/fig5_2.txt"
   "$repro" scrape-metrics | series > "$out/series.txt"
   "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
   "$repro" chaos 7 > "$out/chaos.txt"
@@ -298,7 +300,7 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
   identity_outputs target/parent/release/repro target/identity/parent
   differ=()
-  for f in table4.txt fig5.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
+  for f in table4.txt fig5.txt fig5_2.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
     ablations.txt BENCH_storage.json BENCH_resilience.json; do
     # Only a parent without `repro ablations` lacks a file (logged above).
     [ "$f" = ablations.txt ] && [ ! -e "target/identity/parent/$f" ] && continue

@@ -47,13 +47,6 @@ fn traced_montage_run_round_trips_through_chrome_trace() {
             "no {cat} events in trace"
         );
     }
-
-    // Every JSONL line parses on its own (streaming consumers).
-    let jsonl = obs.tracer.jsonl();
-    assert!(jsonl.lines().count() >= events);
-    for line in jsonl.lines().take(50) {
-        JsonValue::parse(line).expect("jsonl line parses");
-    }
 }
 
 #[test]
