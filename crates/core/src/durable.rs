@@ -245,6 +245,20 @@ impl DurabilityConfig {
     }
 }
 
+/// What a [`Durability`] sink has written since it was opened: exact
+/// counts, read-only, that price the durable path.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DurableCounts {
+    /// Log records appended whole.
+    pub appends: u64,
+    /// `sync_all` calls, on the log and on snapshot files.
+    pub fsyncs: u64,
+    /// Snapshots installed, the base one `create` writes included.
+    pub snapshots: u64,
+    /// Bytes handed to `write`, log and snapshot files together.
+    pub bytes_written: u64,
+}
+
 /// The append/snapshot sink owned by a durable [`crate::PolicyService`].
 ///
 /// After a simulated crash point fires the sink freezes: every later write
@@ -254,7 +268,7 @@ pub struct Durability {
     cfg: DurabilityConfig,
     wal: File,
     next_seq: u64,
-    appends_total: u64,
+    counts: DurableCounts,
     since_snapshot: u64,
     snapshot_pending: bool,
     crashed: bool,
@@ -275,7 +289,7 @@ impl Durability {
             cfg,
             wal,
             next_seq: state.applied_seq + 1,
-            appends_total: 0,
+            counts: DurableCounts::default(),
             since_snapshot: 0,
             snapshot_pending: false,
             crashed: false,
@@ -287,6 +301,11 @@ impl Durability {
     /// Sequence number the next [`WalRecord`] must carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// What this sink has written so far.
+    pub fn counts(&self) -> DurableCounts {
+        self.counts
     }
 
     /// True once an injected crash point has fired (writes are frozen).
@@ -308,20 +327,18 @@ impl Durability {
         }
         let payload = serde_json::to_vec(record).map_err(to_io)?;
         let frame = encode_frame(&payload);
-        let n = self.appends_total + 1;
+        let n = self.counts.appends + 1;
         if let Some(CrashPoint::TornAppend { append, keep }) = self.cfg.crash {
             if append == n {
                 // Only a prefix of the frame reaches the disk.
                 let keep = keep.min(frame.len().saturating_sub(1));
-                self.wal.write_all(&frame[..keep])?;
-                self.wal.sync_all()?;
+                write_synced(&mut self.wal, &frame[..keep], &mut self.counts)?;
                 self.crashed = true;
                 return Ok(());
             }
         }
-        self.wal.write_all(&frame)?;
-        self.wal.sync_all()?;
-        self.appends_total = n;
+        write_synced(&mut self.wal, &frame, &mut self.counts)?;
+        self.counts.appends = n;
         self.next_seq = record.seq + 1;
         self.since_snapshot += 1;
         match self.cfg.crash {
@@ -348,7 +365,7 @@ impl Durability {
         self.snapshot_pending = false;
         let tear = matches!(
             self.cfg.crash,
-            Some(CrashPoint::MidSnapshot { append }) if append <= self.appends_total
+            Some(CrashPoint::MidSnapshot { append }) if append <= self.counts.appends
         );
         self.write_snapshot_inner(state, tear)
     }
@@ -357,9 +374,7 @@ impl Durability {
         let payload = serde_json::to_vec(state).map_err(to_io)?;
         let frame = encode_frame(&payload);
         let tmp = self.cfg.dir.join(SNAPSHOT_TMP);
-        let mut f = File::create(&tmp)?;
-        f.write_all(&frame)?;
-        f.sync_all()?;
+        write_synced(&mut File::create(&tmp)?, &frame, &mut self.counts)?;
         if tear {
             // Simulated death between writing the temporary file and the
             // rename: the old snapshot + uncompacted log stay authoritative.
@@ -367,6 +382,7 @@ impl Durability {
             return Ok(());
         }
         fs::rename(&tmp, self.cfg.dir.join(SNAPSHOT_FILE))?;
+        self.counts.snapshots += 1;
         self.wal = OpenOptions::new()
             .create(true)
             .write(true)
@@ -375,6 +391,15 @@ impl Durability {
         self.since_snapshot = 0;
         Ok(())
     }
+}
+
+/// Write `bytes` to `file` and fsync it, counting both.
+fn write_synced(file: &mut File, bytes: &[u8], counts: &mut DurableCounts) -> io::Result<()> {
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    counts.bytes_written += bytes.len() as u64;
+    counts.fsyncs += 1;
+    Ok(())
 }
 
 /// What [`read_recovery`] found in a durability directory.

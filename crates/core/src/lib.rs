@@ -74,7 +74,7 @@ pub use controller::{ControllerError, PolicyController, DEFAULT_SESSION};
 pub use ctx::PolicyCtx;
 pub use durable::{
     crc32, decode_frames, encode_frame, read_recovery, CrashPoint, Durability, DurabilityConfig,
-    DurableFact, DurableState, Recovered, WalCommand, WalRecord,
+    DurableCounts, DurableFact, DurableState, Recovered, WalCommand, WalRecord,
 };
 pub use failover::{FailoverProbe, FailoverTransport};
 pub use ledger::{balanced_grant, greedy_grant, greedy_total_for_concurrent_jobs, no_policy_total};
@@ -85,6 +85,9 @@ pub use model::{
 };
 pub use name::Name;
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
+/// The hasher for maps keyed by values this process mints (job indexes,
+/// flow tags): one multiply per word, no per-process key.
+pub use pwm_rules::MintedBuild;
 pub use recovery_rules::install_recovery_rules;
 pub use service::{
     HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SHARD_ID_BITS,

@@ -16,7 +16,8 @@ use crate::chaos::SharedSimClock;
 use crate::config::{OrderingPolicy, PolicyConfig};
 use crate::ctx::PolicyCtx;
 use crate::durable::{
-    read_recovery, Durability, DurabilityConfig, DurableFact, DurableState, WalCommand, WalRecord,
+    read_recovery, Durability, DurabilityConfig, DurableCounts, DurableFact, DurableState,
+    WalCommand, WalRecord,
 };
 use crate::greedy::install_greedy_rules;
 use crate::keys::UrlKey;
@@ -480,6 +481,11 @@ impl PolicyService {
         let state = self.durable_state();
         self.durability = Some(Durability::create(cfg, &state)?);
         Ok(())
+    }
+
+    /// What the durability sink has written; `None` when durability is off.
+    pub fn durability_counts(&self) -> Option<DurableCounts> {
+        self.durability.as_ref().map(Durability::counts)
     }
 
     /// True when an injected crash point has frozen the durability sink.

@@ -202,4 +202,20 @@ mod tests {
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "hits {hits}");
     }
+
+    /// Certain outcomes draw nothing: a run that asks `chance(0.0)` (say,
+    /// `transfer_failure_prob: 0.0`) draws what a run that never asks does.
+    #[test]
+    fn chance_extremes_leave_the_stream_untouched() {
+        let mut asked = SimRng::seed_from_u64(7);
+        let mut twin = SimRng::seed_from_u64(7);
+        for _ in 0..10 {
+            assert!(!asked.chance(0.0));
+            assert!(asked.chance(1.0));
+            assert_eq!(
+                asked.uniform_u64(0, u64::MAX),
+                twin.uniform_u64(0, u64::MAX)
+            );
+        }
+    }
 }

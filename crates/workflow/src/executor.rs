@@ -34,8 +34,8 @@ use crate::trace::JobTrace;
 use pwm_core::chaos::SharedSimClock;
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{
-    CleanupOutcome, CleanupSpec, ClusterId, Name, SuppressReason, TransferAction, TransferAdvice,
-    TransferOutcome, TransferSpec, Url, WorkflowId,
+    CleanupOutcome, CleanupSpec, ClusterId, MintedBuild, Name, SuppressReason, TransferAction,
+    TransferAdvice, TransferOutcome, TransferSpec, Url, WorkflowId,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{FlowSpec, LinkId, Network};
@@ -85,10 +85,6 @@ pub struct ExecutorConfig {
     pub policy_call_latency: SimDuration,
     /// Probability an executed transfer fails (failure injection).
     pub transfer_failure_prob: f64,
-    /// Probability a *failed* transfer is fatal (non-transient: a missing
-    /// source file, a permission error). Fatal failures are not retried —
-    /// the staging job reports `Failed` immediately.
-    pub fatal_failure_prob: f64,
     /// Streams per transfer when the executor falls back to executing its
     /// submitted list because the policy service is unreachable. The
     /// paper's fail-safe used 1; chaos scenarios set this to the site's
@@ -107,9 +103,6 @@ pub struct ExecutorConfig {
     /// Also record a utilization timeline on `watch_link` (retrieve it from
     /// the returned [`Network`] after the run).
     pub watch_timeline: bool,
-    /// Max concurrent cleanup jobs (DAGMan category throttle); `None` =
-    /// unlimited, matching Pegasus' default cleanup category.
-    pub cleanup_job_limit: Option<usize>,
     /// Policy-aware storage staging (see [`StorageRuntime`]): advised
     /// backends receive the staged flows and the run's dollars are metered
     /// into [`RunStats::storage`]. `None` leaves every flow as planned.
@@ -141,13 +134,11 @@ impl Default for ExecutorConfig {
             runtime_jitter: 0.15,
             policy_call_latency: SimDuration::from_millis(150),
             transfer_failure_prob: 0.0,
-            fatal_failure_prob: 0.0,
             fallback_streams: 1,
             clock: None,
             workflow_id: WorkflowId(0),
             watch_link: None,
             watch_timeline: false,
-            cleanup_job_limit: None,
             storage: None,
             obs: None,
             recovery: None,
@@ -267,11 +258,12 @@ pub struct WorkflowExecutor<'p> {
     compute_slots_free: u32,
     cores_per_node: u32,
     staging_in_flight: usize,
-    cleanup_in_flight: usize,
-    staging_runs: HashMap<usize, StagingRun>,
-    cleanup_advice: HashMap<usize, Vec<pwm_core::CleanupAdvice>>,
+    // Keyed by job index or flow tag, values this process mints: the
+    // unkeyed hasher makes same-seed runs allocate alike.
+    staging_runs: HashMap<usize, StagingRun, MintedBuild>,
+    cleanup_advice: HashMap<usize, Vec<pwm_core::CleanupAdvice>, MintedBuild>,
     /// flow tag → (job, advice index)
-    flow_owner: HashMap<u64, (usize, usize)>,
+    flow_owner: HashMap<u64, (usize, usize), MintedBuild>,
     next_tag: u64,
     /// Set when `halt_at` stopped the loop before the DAG finished.
     halted: bool,
@@ -327,10 +319,9 @@ impl<'p> WorkflowExecutor<'p> {
             compute_slots_free: site.slots(),
             cores_per_node: site.cores_per_node,
             staging_in_flight: 0,
-            cleanup_in_flight: 0,
-            staging_runs: HashMap::new(),
-            cleanup_advice: HashMap::new(),
-            flow_owner: HashMap::new(),
+            staging_runs: HashMap::default(),
+            cleanup_advice: HashMap::default(),
+            flow_owner: HashMap::default(),
             next_tag: 0,
             halted: false,
             recovery: RecoveryPlane::attach(config.recovery.take(), n),
@@ -547,17 +538,9 @@ impl<'p> WorkflowExecutor<'p> {
             self.events
                 .schedule_at(self.now + JOB_INIT_OVERHEAD, Ev::StagingInit(job));
         }
-        // Cleanup jobs are lightweight local jobs, optionally throttled by a
-        // DAGMan-style category limit.
-        while self
-            .config
-            .cleanup_job_limit
-            .is_none_or(|limit| self.cleanup_in_flight < limit)
-        {
-            let Some(job) = self.ready_cleanup.pop() else {
-                break;
-            };
-            self.cleanup_in_flight += 1;
+        // Cleanup jobs are lightweight local jobs, unthrottled like Pegasus'
+        // default cleanup category.
+        while let Some(job) = self.ready_cleanup.pop() {
             self.start_job(job);
             self.stats.cleanup_jobs += 1;
             if let Some(trace) = &mut self.trace {
@@ -629,8 +612,8 @@ impl<'p> WorkflowExecutor<'p> {
             }
             Ev::TransferStart(job) => self.start_next_transfer(job),
             Ev::RetryEvaluate(job) => {
-                // The job may have failed fatally while this retry was in
-                // flight; its run state is gone and there is nothing to do.
+                // The job may have failed while this retry was in flight; its
+                // run state is gone and there is nothing to do.
                 let Some(run) = self.staging_runs.get_mut(&job) else {
                     return;
                 };
@@ -713,12 +696,10 @@ impl<'p> WorkflowExecutor<'p> {
                 );
             }
             Ev::JobFinish(job) => {
-                match self.plan.job(job).kind {
-                    PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } => {
-                        self.release_staging(job)
-                    }
-                    PlanJobKind::Cleanup { .. } => self.cleanup_in_flight -= 1,
-                    PlanJobKind::Compute { .. } => {}
+                if let PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } =
+                    self.plan.job(job).kind
+                {
+                    self.release_staging(job)
                 }
                 self.finish_job(job);
             }
@@ -1012,20 +993,18 @@ impl<'p> WorkflowExecutor<'p> {
         }
     }
 
-    /// An injected failure. Transient failures (lost connection, timeout)
-    /// retry after an exponential backoff with seeded jitter until the
-    /// job's budget runs out; fatal ones (missing source, permissions)
-    /// never succeed and fail the job at once.
+    /// An injected failure: a transient one (lost connection, timeout),
+    /// retried after an exponential backoff with seeded jitter until the
+    /// job's budget runs out.
     fn transfer_failed(&mut self, job: usize, advice_ix: usize, tag: u64) {
         self.stats.transfer_retries += 1;
         if let Some(trace) = &self.trace {
             trace.count_failure();
         }
         self.lose_flow(tag, "failed");
-        let fatal = self.rng.chance(self.config.fatal_failure_prob);
         self.report_failure(job, advice_ix);
         let run = self.staging_runs.get_mut(&job).expect("staging run state");
-        if fatal || run.attempts_left == 0 {
+        if run.attempts_left == 0 {
             self.fail_job(job);
             return;
         }
@@ -1237,12 +1216,15 @@ mod tests {
             .with_threshold(50);
         let mut cfg = ExecutorConfig::default();
         cfg.watch_link = wan_link();
-        let (stats, _net, controller) = run_with_policy(40, 20_000_000, policy, cfg);
+        cfg.watch_timeline = true;
+        let (stats, net, controller) = run_with_policy(40, 20_000_000, policy, cfg);
         assert!(stats.success);
         // Table IV bound: threshold 50, default 8, 20 concurrent jobs →
         // at most 63 allocated at any instant.
         let peak = stats.peak_wan_streams.unwrap();
         assert!(peak <= 63, "peak {peak} > Table IV bound 63");
+        let timeline = net.timeline(wan_link().unwrap()).expect("watched");
+        assert!((1..=peak).contains(&timeline.peak_streams()));
         let snap = controller.snapshot(DEFAULT_SESSION).unwrap();
         let policy_peak = snap.host_pairs.iter().map(|p| p.peak_allocated).max();
         assert!(policy_peak.unwrap() <= 63);
@@ -1278,23 +1260,6 @@ mod tests {
         assert!(stats.failed_jobs > 0);
         // Each job makes retries+1 attempts, every one failing: 2 jobs × 3.
         assert_eq!(stats.transfer_retries, 2 * 3);
-    }
-
-    #[test]
-    fn fatal_failures_fail_fast_without_exhausting_retries() {
-        // Every failure is fatal: each staging job dies on its first
-        // attempt and reports Failed — no retry budget is consumed, the run
-        // terminates, and retrying state never dangles.
-        let mut cfg = ExecutorConfig::default();
-        cfg.transfer_failure_prob = 1.0;
-        cfg.fatal_failure_prob = 1.0;
-        cfg.retries = 5;
-        let (stats, _net, _c) = run_with_policy(3, 1_000_000, PolicyConfig::default(), cfg);
-        assert!(!stats.success);
-        assert_eq!(stats.failed_jobs, 3, "every staging job fails");
-        // One attempt per job — fatal means no retries.
-        assert_eq!(stats.transfer_retries, 3);
-        assert!(stats.makespan_secs() > 0.0, "the run still terminates");
     }
 
     fn seeded(seed: u64) -> ExecutorConfig {
@@ -1459,22 +1424,6 @@ mod tests {
                 assert!(parent.start <= e.start, "{e:?} before {parent:?}");
             }
         }
-    }
-
-    #[test]
-    fn cleanup_category_limit_throttles() {
-        // Many cleanups with limit 1: the run still completes, and the
-        // timeline option records the WAN when requested.
-        let mut cfg = ExecutorConfig::default();
-        cfg.cleanup_job_limit = Some(1);
-        cfg.watch_link = wan_link();
-        cfg.watch_timeline = true;
-        let (stats, net, _c) = run_with_policy(10, 1_000_000, PolicyConfig::default(), cfg);
-        assert!(stats.success);
-        assert!(stats.cleanup_jobs >= 10);
-        let timeline = net.timeline(wan_link().unwrap()).expect("watched");
-        assert!(!timeline.samples().is_empty());
-        assert!(timeline.peak_streams() > 0);
     }
 
     #[test]

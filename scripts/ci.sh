@@ -47,14 +47,15 @@ cargo test -q --offline --manifest-path third_party/serde/Cargo.toml
 echo "== cargo test --release (chaos) =="
 cargo test -q --release --offline --test chaos_faults
 
-# Allocation-budget job: heap allocations per workflow (plan, merge, run)
-# and per policy call (client side, server side) of a Montage run over
-# loopback REST, counted by a `#[global_allocator]` and held under ceilings.
-# Release mode because that is what the ceilings were read from, and not
-# `-q`: the table belongs in the log, so a creeping count is visible before
-# it reaches a ceiling.
-echo "== cargo test --release (allocation budget) =="
-cargo test --release --offline --test alloc_budget -- --nocapture
+# Exact-cost job: tests/costs.rs runs its four workloads (a Montage
+# campaign over loopback REST, resident policy memory, a scripted durable
+# session, simulator churn) and asserts the committed scripts/costs.txt,
+# row for row: policy calls, service and rule counters, WAL records, fsyncs
+# and bytes, heap allocations and the bytes they keep. The debug run above
+# asserts the same file, so this release run shows that the counts do not
+# depend on the build. Not `-q`: the ledger belongs in the log.
+echo "== cargo test --release (exact costs) =="
+cargo test --release --offline --test costs -- --nocapture
 
 # Observability job: a traced paper-setup run must export a valid,
 # non-empty Chrome trace, and a live /metrics scrape over the REST
@@ -177,8 +178,8 @@ bench_floor netsim_churn_100k 650000 events/s
 # `Vec` that doubled (leaving the outgrown block resident across the
 # set-ups), the workload peaked at ~15.9 MB. With one posting and one user
 # held inline and the slab in fixed 64-slot pages it peaks at ~12.9 MB
-# (2 vCPUs, shared); tests/alloc_budget.rs counts the bytes and blocks a
-# resident file holds.
+# (2 vCPUs, shared); the `resident` rows of scripts/costs.txt count the
+# bytes and blocks a resident file holds.
 bench_floor advice_hot 16500 req/s 14
 
 # Campaign floor: the whole stack — one executor running 16 merged Montage
@@ -296,6 +297,15 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
   echo "first-party .rs at the parent ($parent_rev): ${parent_total} total," \
     "${parent_non_test} outside test directories; this tree differs by" \
     "$((rs_total - parent_total)) and $((rs_non_test - parent_non_test))"
+  # The exact-cost ledger against the parent's, informational: each tree's
+  # own tests assert its file, so a row that moved is one the change
+  # re-committed, and CHANGES.md says why.
+  if [ -f target/parent-src/scripts/costs.txt ]; then
+    echo "scripts/costs.txt against the parent ($parent_rev), informational:"
+    diff target/parent-src/scripts/costs.txt scripts/costs.txt || true
+  else
+    echo "the parent ($parent_rev) has no scripts/costs.txt; no ledger to compare"
+  fi
   CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
   identity_outputs target/parent/release/repro target/identity/parent
