@@ -47,15 +47,16 @@ cargo test -q --offline --manifest-path third_party/serde/Cargo.toml
 echo "== cargo test --release (chaos) =="
 cargo test -q --release --offline --test chaos_faults
 
-# Exact-cost job: tests/costs.rs runs its four workloads (a Montage
-# campaign over loopback REST, resident policy memory, a scripted durable
-# session, simulator churn) and asserts the committed scripts/costs.txt,
-# row for row: policy calls, service and rule counters, WAL records, fsyncs
-# and bytes, heap allocations and the bytes they keep. The debug run above
+# Exact-cost job: tests/alloc_budget.rs (a Montage campaign over loopback
+# REST, resident policy memory, a scripted durable session) and
+# tests/churn_allocations.rs (simulator churn) assert their sections of the
+# committed scripts/costs.txt, row for row: policy calls, service and
+# rule counters, WAL records, fsyncs and bytes, heap allocations and the
+# bytes they keep. The debug run above
 # asserts the same file, so this release run shows that the counts do not
 # depend on the build. Not `-q`: the ledger belongs in the log.
 echo "== cargo test --release (exact costs) =="
-cargo test --release --offline --test costs -- --nocapture
+cargo test --release --offline --test alloc_budget --test churn_allocations -- --nocapture
 
 # Observability job: a traced paper-setup run must export a valid,
 # non-empty Chrome trace, and a live /metrics scrape over the REST

@@ -1,17 +1,11 @@
-//! The exact-cost ledger: what the stack costs, in counts that repeat.
-//!
-//! Four workloads run side by side, a thread each, under one counting
-//! `#[global_allocator]`: `campaign` (two Montage 1° workflows run by one
-//! executor against the REST Policy Service over loopback, then one-spec
-//! client calls), `resident` (policy memory per staged file), `durable`
-//! (what a scripted durable session writes) and `churn` (the simulator
-//! alone). Each writes one `name value` row per count, and the ledger must
-//! equal the committed `scripts/costs.txt` byte for byte, in debug and
-//! release builds alike. Rows are integers: a cost per call is a raw total
-//! over a stated number of calls. A count that cannot repeat is held under a
-//! ceiling, with its reason written beside it. Run with `--nocapture` to
-//! read the ledger.
+//! What the whole-stack path costs per workflow and per policy call: the
+//! `campaign`, `resident` and `durable` sections of the exact-cost ledger
+//! (`ledger/mod.rs`), asserted against the committed `scripts/costs.txt`.
 
+#[macro_use]
+mod ledger;
+
+use ledger::{alloc_stats, counted, held, Ledger};
 use pwm_bench::PaperWorld;
 use pwm_core::transport::{InProcessTransport, PolicyTransport};
 use pwm_core::{
@@ -20,102 +14,10 @@ use pwm_core::{
     WorkflowId, DEFAULT_SESSION,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
-use pwm_net::{FlowSpec, HostId, Network, StreamModel, Topology};
+use pwm_net::{Network, StreamModel};
 use pwm_rest::{PolicyRestClient, PolicyRestServer};
-use pwm_sim::{SimDuration, SimRng};
+use pwm_sim::SimDuration;
 use pwm_workflow::{merge_plans, plan, ExecutorConfig, PlannerConfig, WorkflowExecutor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::{Display, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The committed ledger this build must reproduce.
-const COMMITTED: &str = include_str!("../scripts/costs.txt");
-
-/// Counts every allocating call (`alloc`, `alloc_zeroed`, `realloc`). A
-/// workload thread keeps its calls, live bytes and live blocks in a
-/// thread-local, so workloads running side by side never see each other;
-/// every other thread (the REST server's loop) adds its calls to [`OTHERS`].
-struct Counting;
-
-static OTHERS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Const-initialised and without destructors, so reading them inside
-    // the allocator allocates nothing.
-    static WORKLOAD: Cell<bool> = const { Cell::new(false) };
-    static OWN: Cell<(u64, i64, i64)> = const { Cell::new((0, 0, 0)) };
-}
-
-fn count(calls: u64, bytes: i64, blocks: i64) {
-    if WORKLOAD.with(Cell::get) {
-        let (c, b, k) = OWN.with(Cell::get);
-        OWN.with(|own| own.set((c + calls, b + bytes, k + blocks)));
-    } else {
-        OTHERS.fetch_add(calls, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64, 1);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64, 1);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64, 0);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64), -1);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// (this thread's allocations, every other thread's) made while `f` ran.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let (own, others) = (OWN.with(Cell::get).0, OTHERS.load(Ordering::Relaxed));
-    let out = f();
-    let own = OWN.with(Cell::get).0 - own;
-    (out, own, OTHERS.load(Ordering::Relaxed) - others)
-}
-
-/// (blocks, bytes) this thread holds.
-fn held() -> (i64, i64) {
-    OWN.with(|own| (own.get().2, own.get().1))
-}
-
-/// One workload's rows, a line each, named `workload.row`.
-struct Ledger(&'static str, String);
-
-impl Ledger {
-    fn row(&mut self, name: impl Display, value: impl Display) {
-        writeln!(self.1, "{}.{name} {value}", self.0).unwrap();
-    }
-}
-
-/// One row per named integer field of `$value`, as `{$prefix}field`.
-macro_rules! fields {
-    ($ledger:expr, $prefix:expr, $value:expr; $($field:ident),+) => {{
-        let value = $value;
-        $($ledger.row(format_args!("{}{}", $prefix, stringify!($field)), value.$field);)+
-    }};
-}
-
-/// The `AllocStats` counters of a network, as rows.
-fn alloc_stats(l: &mut Ledger, network: &Network) {
-    fields! { l, "net.", network.alloc_stats(); recomputes, skipped, component_runs,
-    flows_allocated, links_allocated, unchanged_writes }
-}
 
 /// File `n` between the hosts of `pair` into `dir`, for `workflow`. A path
 /// of at most 22 bytes is held inline by its `Name`; a longer one, like the
@@ -328,122 +230,7 @@ fn durable() -> Ledger {
     l
 }
 
-/// Pair clusters and flows per cluster.
-const CLUSTERS: usize = 2_500;
-const FLOWS: usize = 2;
-/// Uncounted events first: connection set-up for every flow and the first
-/// generation's completions; then counted ones, sampled every 10 000.
-const WARM_UP_EVENTS: u64 = 64 * 1_024;
-const COUNTED_EVENTS: u64 = 200_000;
-/// Retained bucket capacity allowed per pending event at every sample. A
-/// queue that recycled every emptied bucket at full size kept ~80.
-const RETAINED_PER_PENDING: usize = 8;
-
-fn churn_spec(tag: usize, (src, dst): (HostId, HostId), rng: &mut SimRng) -> FlowSpec {
-    let bytes = 20.0e6 + rng.uniform_u64(0, 99) as f64 * 1.0e6;
-    let (streams, tag) = (1 + rng.uniform_u64(0, 7) as u32, tag as u64);
-    FlowSpec {
-        src,
-        dst,
-        bytes,
-        streams,
-        tag,
-    }
-}
-
-/// The `netsim_churn` shape: disjoint host pairs with heterogeneous NIC and
-/// WAN capacities on the clean stream model, driven the way the executor
-/// drives a network, every completion replaced on its pair.
-fn churn() -> Ledger {
-    let mut t = Topology::new();
-    let pairs: Vec<_> = (0..CLUSTERS)
-        .map(|i| {
-            let src = t.add_host(format!("src{i}"), 40.0e6 + (i % 7) as f64 * 15.0e6);
-            let dst = t.add_host(format!("dst{i}"), 30.0e6 + (i % 5) as f64 * 20.0e6);
-            let rtt = SimDuration::from_millis(10 + (i as u64 % 4) * 10);
-            let wan = t.add_link(format!("wan{i}"), 2.0e6 + (i % 5) as f64 * 1.5e6, rtt);
-            t.set_route(src, dst, vec![wan]);
-            (src, dst)
-        })
-        .collect();
-    let clean = StreamModel {
-        turbulence_per_event: 0.0,
-        flow_weight_jitter: 0.0,
-        ramp_tau: SimDuration::ZERO,
-        ..StreamModel::default()
-    };
-    let (mut net, mut rng) = (Network::with_seed(t, clean, 1), SimRng::seed_from_u64(1));
-    for (i, &pair) in pairs.iter().enumerate() {
-        for _ in 0..FLOWS {
-            net.start_flow(net.now(), churn_spec(i, pair, &mut rng));
-        }
-    }
-    let mut done = Vec::with_capacity(64);
-    let mut step = |net: &mut Network| {
-        net.advance(net.next_wakeup().expect("churn never runs dry"));
-        net.drain_completed_into(&mut done);
-        for r in done.drain(..) {
-            let cluster = r.tag as usize;
-            net.start_flow(net.now(), churn_spec(cluster, pairs[cluster], &mut rng));
-        }
-    };
-    (0..WARM_UP_EVENTS).for_each(|_| step(&mut net));
-    let (mut allocs, mut worst) = (0, (0, 1));
-    for sample in 0..COUNTED_EVENTS / 10_000 {
-        allocs += counted(|| (0..10_000).for_each(|_| step(&mut net))).1;
-        let h = net.queue_health();
-        assert!(h.depth > 0, "the churn keeps events pending");
-        let (retained, pending) = (h.retained_capacity, h.depth);
-        assert!(
-            retained <= RETAINED_PER_PENDING * pending,
-            "sample {sample}: the queue retains {retained} entries for {pending} pending"
-        );
-        if retained * worst.1 > worst.0 * pending {
-            worst = (retained, pending);
-        }
-    }
-    assert_eq!(net.live_flow_count(), CLUSTERS * FLOWS);
-    let mut l = Ledger("churn", String::new());
-    l.row(format_args!("allocs_per_{COUNTED_EVENTS}_events"), allocs);
-    l.row("worst_sample.retained_capacity", worst.0);
-    l.row("worst_sample.pending", worst.1);
-    alloc_stats(&mut l, &net);
-    l
-}
-
-/// `name → value` of every row, `#` lines skipped.
-fn rows(ledger: &str) -> BTreeMap<&str, &str> {
-    let rows = ledger.lines().filter(|l| !l.starts_with('#'));
-    rows.filter_map(|l| l.split_once(' ')).collect()
-}
-
 #[test]
-fn costs_match_the_committed_ledger() {
-    let workloads: [fn() -> Ledger; 4] = [campaign, resident, durable, churn];
-    let measured: String = std::thread::scope(|scope| {
-        let threads = workloads.map(|workload| {
-            scope.spawn(move || {
-                WORKLOAD.with(|w| w.set(true));
-                workload()
-            })
-        });
-        threads.into_iter().map(|t| t.join().unwrap().1).collect()
-    });
-    if measured == COMMITTED {
-        return println!("{measured}");
-    }
-    let (committed, now) = (rows(COMMITTED), rows(&measured));
-    let names: BTreeSet<_> = committed.keys().chain(now.keys()).collect();
-    let differ: Vec<_> = (names.into_iter())
-        .filter(|n| committed.get(*n) != now.get(*n))
-        .map(|n| {
-            let value = |rows: &BTreeMap<_, _>| rows.get(n).copied().unwrap_or("(none)");
-            format!("{n}: {} → {}", value(&committed), value(&now))
-        })
-        .collect();
-    panic!(
-        "the costs differ from scripts/costs.txt:\n{}\n\nthe measured ledger (commit it as \
-         scripts/costs.txt if every change is meant):\n{measured}",
-        differ.join("\n")
-    );
+fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
+    ledger::assert_committed(&[campaign, resident, durable]);
 }
