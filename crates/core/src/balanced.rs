@@ -8,6 +8,7 @@
 //! because available resources have already been reserved for use by each
 //! cluster."
 
+use crate::agenda;
 use crate::config::AllocationPolicy;
 use crate::ctx::PolicyCtx;
 use crate::ledger::balanced_grant;
@@ -42,6 +43,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: create the per-cluster ledger")
             .salience(52)
+            .agenda_group(agenda::BALANCED)
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
             )
@@ -92,6 +94,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: enforce the per-cluster threshold on a transfer")
             .salience(50)
+            .agenda_group(agenda::BALANCED)
             .requires::<ClusterAllocFact>()
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH
@@ -157,6 +160,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("balanced: release the cluster ledger on completion or failure")
             .salience(71) // must run before the Table I removal rules (70)
+            .agenda_group(agenda::BALANCED_RELEASE)
             .requires::<ClusterAllocFact>()
             .watches_fields::<TransferFact>(
                 TransferFact::STATE
@@ -401,8 +405,8 @@ mod tests {
         let advice = svc.evaluate_transfers((0..4).map(|i| spec(i, 0)).collect());
         let streams: Vec<u32> = advice.iter().map(|a| a.streams).collect();
         assert_eq!(streams, vec![8, 8, 4, 1]);
-        assert!(joins(&svc).iter().all(|&evaluations| evaluations > 0));
-        // And the release join gives the share back.
+        // And the release join gives the share back. It sits in the report
+        // pass's group, so the report is what first evaluates it.
         svc.report_transfers(
             advice
                 .iter()
@@ -412,8 +416,50 @@ mod tests {
                 })
                 .collect(),
         );
+        assert!(joins(&svc).iter().all(|&evaluations| evaluations > 0));
         let advice = svc.evaluate_transfers(vec![spec(50, 0)]);
         assert_eq!(advice[0].streams, 8);
+    }
+
+    #[test]
+    fn a_family_is_in_focus_exactly_while_the_config_selects_it() {
+        use crate::advice::{TransferAdvice, TransferOutcome};
+        use crate::service::PolicyService;
+        let evaluations = |svc: &PolicyService, family: &str| -> u64 {
+            svc.rule_stats()
+                .iter()
+                .filter(|r| r.name.starts_with(family))
+                .map(|r| r.evaluations)
+                .sum()
+        };
+        let streams =
+            |advice: &[TransferAdvice]| -> Vec<u32> { advice.iter().map(|a| a.streams).collect() };
+        let greedy = balanced_cfg(40, 2, 8).with_allocation(AllocationPolicy::Greedy);
+        let mut svc = PolicyService::new(greedy.clone());
+        let first = svc.evaluate_transfers((0..3).map(|i| spec(i, 0)).collect());
+        assert_eq!(streams(&first), [8, 8, 8]);
+        assert_eq!(evaluations(&svc, "balanced:"), 0);
+        let greedy_evaluations = evaluations(&svc, "greedy:");
+        assert!(greedy_evaluations > 0);
+        // Switched mid-session: the next batch is charged per cluster (a
+        // share of 20), and greedy's rule is no longer evaluated.
+        svc.set_config(balanced_cfg(40, 2, 8));
+        let second = svc.evaluate_transfers((10..13).map(|i| spec(i, 1)).collect());
+        assert_eq!(streams(&second), [8, 8, 4]);
+        assert!(evaluations(&svc, "balanced:") > 0);
+        assert_eq!(evaluations(&svc, "greedy:"), greedy_evaluations);
+        // And back: the balanced rules, release included, rest again.
+        svc.set_config(greedy);
+        let balanced_evaluations = evaluations(&svc, "balanced:");
+        let outcomes = first.iter().chain(&second).map(|a| TransferOutcome {
+            id: a.id,
+            success: true,
+        });
+        svc.report_transfers(outcomes.collect());
+        let third = svc.evaluate_transfers(vec![spec(20, 0)]);
+        assert_eq!(streams(&third), [8]);
+        assert_eq!(evaluations(&svc, "balanced:"), balanced_evaluations);
+        assert!(evaluations(&svc, "greedy:") > greedy_evaluations);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! host-pair threshold, enforce it, and record the charge against the ledger
 //! fact — the five rows of Table II.
 
+use crate::agenda;
 use crate::ctx::PolicyCtx;
 use crate::ledger::greedy_grant;
 use crate::model::{HostPairFact, TransferFact};
@@ -23,6 +24,7 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("greedy: enforce the parallel-streams threshold on a transfer")
             .salience(50)
+            .agenda_group(agenda::GREEDY)
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STREAMS,
             )

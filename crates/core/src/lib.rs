@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod advice;
+mod agenda;
 pub mod audit;
 pub mod balanced;
 pub mod chaos;

@@ -24,6 +24,7 @@
 //! every guard returns no matches, and behavior is byte-identical to a
 //! service without the family.
 
+use crate::agenda;
 use crate::ctx::PolicyCtx;
 use crate::model::TransferFact;
 use crate::model::{BackendDownFact, HostDownFact, SuppressReason, SuspectReplicaFact};
@@ -46,6 +47,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("recovery: suppress transfers from a quarantined replica")
             .salience(93)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .requires::<SuspectReplicaFact>()
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<SuspectReplicaFact>()
@@ -75,6 +77,7 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("recovery: suppress transfers sourced at a down host")
             .salience(92)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .requires::<HostDownFact>()
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<HostDownFact>()

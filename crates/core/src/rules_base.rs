@@ -5,6 +5,7 @@
 //! resource tracking, grouping, defaults) settles before the allocation
 //! policies (Tables II/III, salience 50) charge streams.
 
+use crate::agenda;
 use crate::ctx::PolicyCtx;
 use crate::keys::{PairKey, UrlKey};
 use crate::model::{
@@ -98,6 +99,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove duplicate transfers from the transfer list")
             .salience(100)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
@@ -133,6 +135,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove transfers that are already in progress")
             .salience(95)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STATE,
             )
@@ -171,6 +174,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove transfers whose file is already staged")
             .salience(94)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<ResourceFact>(ResourceFact::STATE)
             .when(|wm, _: &PolicyCtx| {
@@ -201,6 +205,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("create a resource for a new transfer")
             .salience(90)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<ResourceFact>(Fields::NONE)
             .when(|wm, _: &PolicyCtx| {
@@ -244,6 +249,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("associate a transfer with a resource")
             .salience(89)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH)
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
@@ -273,6 +279,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("generate a unique group ID for a host pair")
             .salience(85)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<HostPairFact>(Fields::NONE)
             .when(|wm, _: &PolicyCtx| {
@@ -315,6 +322,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("assign the group ID to a transfer")
             .salience(84)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
             )
@@ -344,6 +352,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("assign a default level of parallel streams")
             .salience(80)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .when_each_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::STREAMS,
                 |t, _: &PolicyCtx| t.in_current_batch && t.streams.is_none(),
@@ -360,6 +369,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("ensure each transfer has at least one parallel stream")
             .salience(20)
+            .agenda_group(agenda::EVALUATE_TRANSFERS)
             .when_each_fields::<TransferFact>(TransferFact::STREAMS, |t, _: &PolicyCtx| {
                 t.streams == Some(0)
             })
@@ -378,6 +388,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove a transfer that has completed")
             .salience(70)
+            .agenda_group(agenda::REPORT_TRANSFERS)
             .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
                 t.state == TransferState::Completed
             })
@@ -401,6 +412,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove a transfer that has failed")
             .salience(70)
+            .agenda_group(agenda::REPORT_TRANSFERS)
             .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
                 t.state == TransferState::Failed
             })
@@ -466,6 +478,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove duplicate cleanup requests")
             .salience(60)
+            .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
@@ -499,6 +512,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("detach a transfer from the resource on cleanup request")
             .salience(58)
+            .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
@@ -534,6 +548,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove cleanups for resources still in use")
             .salience(55)
+            .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(|wm, _: &PolicyCtx| {
@@ -562,6 +577,7 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("remove a cleanup that has completed")
             .salience(54)
+            .agenda_group(agenda::REPORT_CLEANUPS)
             .when_each::<CleanupFact>(|c, _: &PolicyCtx| c.state == CleanupState::Completed)
             .then(|wm, _, m| {
                 let c = wm.get::<CleanupFact>(m[0]).expect("matched cleanup");

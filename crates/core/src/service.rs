@@ -10,6 +10,7 @@
 use crate::advice::{
     CleanupAction, CleanupAdvice, CleanupOutcome, TransferAction, TransferAdvice, TransferOutcome,
 };
+use crate::agenda::Pass;
 use crate::audit::{AuditLog, AuditRecord, PolicyEvent};
 use crate::balanced::install_balanced_rules;
 use crate::chaos::SharedSimClock;
@@ -368,7 +369,8 @@ const GAUGE_SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 impl PolicyService {
     /// Build a service enforcing `config`. All rule sets are installed; the
     /// config's [`crate::config::AllocationPolicy`] selects which allocation
-    /// rules actually match.
+    /// rules actually match, and each rules pass focuses only the agenda
+    /// groups of its own rules and of the selected families.
     pub fn new(config: PolicyConfig) -> Self {
         let mut session = Session::new();
         install_base_rules(&mut session);
@@ -632,7 +634,7 @@ impl PolicyService {
     /// Rebuild a service from a snapshot. Facts are re-inserted in their
     /// original global order, so the fresh handles preserve iteration
     /// order. The restored memory is quiescent: every rule guard requires
-    /// an in-batch or just-reported fact, so the next `fire_all` fires
+    /// an in-batch or just-reported fact, so the next rules pass fires
     /// nothing until new requests arrive.
     pub fn from_durable_state(state: DurableState) -> Self {
         let mut svc = PolicyService::new(state.config.clone());
@@ -769,7 +771,8 @@ impl PolicyService {
         self.sync_backend_profiles();
         // Rule matchers read the config through ctx, which the engine (like
         // Drools globals) does not watch — flush the cached agenda so the
-        // new config is observed.
+        // new config is observed. A family the config now selects is in
+        // focus from the next pass on, and finds its rules dirty.
         self.session.invalidate_agenda();
         self.audit.record(PolicyEvent::ConfigChanged);
         self.maybe_snapshot();
@@ -878,7 +881,8 @@ impl PolicyService {
                 handles.push(h);
             }
 
-            let report = self.session.fire_all(&mut self.ctx);
+            let focus = Pass::EvaluateTransfers.focus(&self.ctx.config);
+            let report = self.session.fire(&mut self.ctx, focus);
             total_firings += report.firings;
             debug_assert!(!report.budget_exhausted, "policy rules did not converge");
 
@@ -1006,7 +1010,8 @@ impl PolicyService {
             }
         }
         let eval_start = Instant::now();
-        let report = self.session.fire_all(&mut self.ctx);
+        let focus = Pass::ReportTransfers.focus(&self.ctx.config);
+        let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
         self.session.maybe_gc_refraction();
@@ -1035,7 +1040,8 @@ impl PolicyService {
         }
         let batch_len = handles.len();
         let eval_start = Instant::now();
-        let report = self.session.fire_all(&mut self.ctx);
+        let focus = Pass::EvaluateCleanups.focus(&self.ctx.config);
+        let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
 
@@ -1114,7 +1120,8 @@ impl PolicyService {
             }
         }
         let eval_start = Instant::now();
-        let report = self.session.fire_all(&mut self.ctx);
+        let focus = Pass::ReportCleanups.focus(&self.ctx.config);
+        let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
         self.session.maybe_gc_refraction();

@@ -22,6 +22,7 @@
 //! matches and, with no profiles configured, neither rule can ever fire:
 //! the family is inert and pre-storage behavior is byte-identical.
 
+use crate::agenda;
 use crate::config::StoragePolicy;
 use crate::ctx::PolicyCtx;
 use crate::keys::UrlKey;
@@ -129,6 +130,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("storage: pick the staging backend for a transfer")
             .salience(40)
+            .agenda_group(agenda::STORAGE)
             .requires::<BackendProfileFact>()
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::RELEASE,
@@ -207,6 +209,13 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
     session.add_rule(
         Rule::new("storage: release the backend charge of a finished transfer")
             .salience(72)
+            .agenda_group(agenda::REPORT_TRANSFERS)
+            // Only a transfer the pick charged has anything to release, and
+            // the pick inserts the backend's ledger before it sets
+            // `backend`: nothing is evaluated while storage never ran, and a
+            // charge in flight keeps the rule awake after storage is off.
+            .requires::<BackendLoadFact>()
+            .watches_fields::<BackendLoadFact>(Fields::NONE)
             .when_each_fields::<TransferFact>(
                 TransferFact::STATE | TransferFact::RELEASE,
                 |t, _: &PolicyCtx| {
@@ -375,6 +384,68 @@ mod tests {
         // The storage facts survive a snapshot/restore round trip.
         let restored = PolicyService::from_durable_state(state.clone());
         assert_eq!(restored.durable_state().facts, state.facts);
+    }
+
+    /// (active charges on the backend ledgers, `StagedOn` records).
+    fn load_and_staged(svc: &PolicyService) -> (u32, usize) {
+        let mut out = (0, 0);
+        for f in &svc.durable_state().facts {
+            match f {
+                crate::durable::DurableFact::BackendLoad(l) => out.0 += l.active,
+                crate::durable::DurableFact::StagedOn(_) => out.1 += 1,
+                _ => {}
+            }
+        }
+        out
+    }
+
+    fn evaluations(svc: &PolicyService, rule: &str) -> u64 {
+        let stats = svc.rule_stats();
+        stats
+            .iter()
+            .find(|r| r.name.starts_with(rule))
+            .unwrap()
+            .evaluations
+    }
+
+    /// A charged transfer is in flight when the config switches storage
+    /// off: the pick leaves focus, the release stays awake on the charge.
+    fn charged_then_switched_off() -> (PolicyService, TransferOutcome) {
+        let mut svc = storage_service(StoragePolicy::BudgetCapped {
+            budget_dollars: 1.0,
+        });
+        let charged = svc.evaluate_transfers(vec![spec_named(0, 5_000_000)]);
+        assert!(charged[0].backend.is_some());
+        assert_eq!(load_and_staged(&svc), (1, 0));
+        assert_eq!(evaluations(&svc, "storage: release"), 0);
+        let off = svc.config().clone().with_storage(StoragePolicy::Off);
+        svc.set_config(off);
+        let picks = evaluations(&svc, "storage: pick");
+        let uncharged = svc.evaluate_transfers(vec![spec_named(1, 5_000_000)]);
+        assert_eq!(uncharged[0].backend, None);
+        assert_eq!(evaluations(&svc, "storage: pick"), picks);
+        let outcome = TransferOutcome {
+            id: charged[0].id,
+            success: true,
+        };
+        (svc, outcome)
+    }
+
+    #[test]
+    fn a_charge_in_flight_is_released_after_storage_is_switched_off() {
+        let (mut svc, outcome) = charged_then_switched_off();
+        svc.report_transfers(vec![outcome]);
+        assert_eq!(load_and_staged(&svc), (0, 1));
+        assert!(evaluations(&svc, "storage: release") > 0);
+    }
+
+    #[test]
+    fn a_session_recovered_with_a_charge_in_flight_releases_it() {
+        let (svc, outcome) = charged_then_switched_off();
+        let mut restored = PolicyService::from_durable_state(svc.durable_state());
+        assert_eq!(restored.config().storage, StoragePolicy::Off);
+        restored.report_transfers(vec![outcome]);
+        assert_eq!(load_and_staged(&restored), (0, 1));
     }
 
     #[test]

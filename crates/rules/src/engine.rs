@@ -3,10 +3,13 @@
 //! [`Session`] owns a [`WorkingMemory`], a rule set, and the *fired set*
 //! implementing refraction. Conflict resolution is Drools' default modulo
 //! recency: salience (descending), then rule installation order, then tuple
-//! order within a rule's matches. [`Session::fire_all`] fires the first
-//! eligible activation, then repeats until quiescence or a firing budget is
+//! order within a rule's matches. [`Session::fire`] fires the first eligible
+//! activation among the rules of the [agenda groups](crate::AgendaGroup) in
+//! its [`Focus`], then repeats until quiescence or a firing budget is
 //! exhausted (a guard against non-converging rule sets, which Drools leaves
-//! to the author).
+//! to the author); [`Session::fire_all`] is the same pass with every group
+//! in focus. A rule outside the focus is neither visited nor evaluated, and
+//! whatever changed under it is served by the next pass that focuses it.
 //!
 //! # Incremental agenda
 //!
@@ -17,25 +20,31 @@
 //! [`Fields`](crate::Fields) of one — has been mutated since that stamp;
 //! [`WorkingMemory`] maintains the per-type and per-field dirty generations,
 //! fed by `insert`/`update`/`update_fields`/`retract`, and a rule reads them
-//! through table positions resolved when it was installed. A rule whose
-//! cached segment has been fully refracted is marked *exhausted* and skipped
-//! in O(1) until it turns dirty again, so quiescence checks no longer pay
-//! O(rules × facts) per firing. Because live refraction entries are never
-//! removed (GC only drops entries with retracted facts) and fact versions
-//! only move when a watched type is mutated, a per-rule scan cursor
-//! additionally skips already-refracted tuples without re-hashing them; a
-//! mutation the matcher does not read keeps the segment but rewinds the
-//! cursor, since it bumped a version and may have re-armed a tuple. A rule
-//! that [requires](crate::RuleBuilder::requires) a fact type is passed over
-//! outright while no such fact is live.
+//! through table positions resolved when it was installed. Because live
+//! refraction entries are never removed (GC only drops entries with
+//! retracted facts) and fact versions only move when a watched type is
+//! mutated, a per-rule scan cursor skips already-refracted tuples without
+//! re-hashing them; a mutation the matcher does not read keeps the segment
+//! but rewinds the cursor, since it bumped a version and may have re-armed a
+//! tuple. A rule that [requires](crate::RuleBuilder::requires) a fact type
+//! is passed over outright while no such fact is live.
+//!
+//! A firing visits only the rules of its *wake set*: a bitset over the
+//! salience order, filled from the type tables whose generation moved since
+//! the last look (each table wakes the rules watching it) and cleared for a
+//! rule when a visit finds it guarded or its cached segment exhausted. A
+//! quiescence check therefore costs the rules that something woke, not
+//! O(rules) per firing.
 //!
 //! Debug builds check every one of these shortcuts: whenever the engine
-//! decides about a rule without running its matcher, it also runs the
-//! matcher from scratch and panics, naming the rule, unless the first live
-//! un-refracted tuple is the one the shortcut chose (none, for a skipped
-//! rule). That is exactly the condition under which the shortcut cannot
-//! change which rule fires next, so an under-declared watch fails the first
-//! test that exercises it.
+//! decides about a rule without running its matcher — guarded, served from
+//! its cache, asleep, or out of focus — it also runs the matcher from
+//! scratch and panics, naming the rule, unless the first live un-refracted
+//! tuple is the one the shortcut chose (none, for a rule passed over). That
+//! is exactly the condition under which the shortcut cannot change which
+//! rule fires next, so an under-declared watch, or a rule in a group its
+//! caller does not focus while it could fire, fails the first test that
+//! exercises it.
 //!
 //! Matchers must be pure functions of (working memory, ctx). The engine
 //! deliberately does **not** watch `Ctx`: like Drools globals, a ctx change
@@ -50,7 +59,7 @@
 //! pairwise joins) are stored inline without heap allocation.
 
 use crate::memory::{FactHandle, MintedBuild, WorkingMemory};
-use crate::rule::{Freshness, Match, Rule};
+use crate::rule::{Focus, Freshness, Match, Rule, Watch};
 use pwm_obs::{Counter, Registry};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -134,7 +143,7 @@ pub struct RuleStats {
     pub eval_nanos: u64,
 }
 
-/// Outcome of a [`Session::fire_all`] run.
+/// Outcome of a [`Session::fire`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringReport {
     /// Total rule firings performed.
@@ -169,15 +178,12 @@ struct RuleState {
     spare: Vec<Match>,
     /// Working-memory generation `matches` was computed at.
     valid_at: u64,
-    /// Generation `matches` was last scanned at (≥ `valid_at`): `exhausted`
-    /// and `scan_from` hold while no watched type is mutated after it.
+    /// Generation `matches` was last scanned at (≥ `valid_at`): `scan_from`
+    /// holds while no watched type is mutated after it.
     seen_at: u64,
     /// False until the matcher has run at least once (or after
     /// [`Session::invalidate_agenda`]).
     computed: bool,
-    /// True when every tuple in `matches` is refracted or stale; cleared on
-    /// re-evaluation and refraction reset.
-    exhausted: bool,
     /// Index of the first tuple in `matches` that might still be eligible;
     /// everything before it is known refracted or stale for this cache.
     scan_from: usize,
@@ -196,6 +202,50 @@ impl RuleState {
             self.firings,
             self.eval_nanos,
         ]
+    }
+}
+
+/// A set of rule positions, one bit each.
+#[derive(Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// Make room for positions below `n`, keeping the set.
+    fn grow(&mut self, n: usize) {
+        self.0.resize(n.div_ceil(64), 0);
+    }
+
+    /// Make the set empty, with room for positions below `n`.
+    fn reset(&mut self, n: usize) {
+        self.0.clear();
+        self.grow(n);
+    }
+
+    /// Make the set hold every position below `n`.
+    fn fill(&mut self, n: usize) {
+        self.reset(n);
+        for i in 0..n {
+            self.insert(i);
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & 1 << (i % 64) != 0
+    }
+
+    fn union_with(&mut self, other: &Bits) {
+        for (word, other) in self.0.iter_mut().zip(&other.0) {
+            *word |= other;
+        }
     }
 }
 
@@ -220,49 +270,69 @@ struct SessionObs {
 }
 
 impl SessionObs {
-    /// Add what every rule's counters moved since the last publish. A rule
-    /// whose series exist and whose counters stood still — the common case
-    /// under incremental matching — costs one array compare.
-    fn publish<Ctx>(&mut self, rules: &[Rule<Ctx>], states: &[RuleState]) {
+    /// Add what the counters of the rules in `moved` (installation
+    /// indices) moved since the last publish, and empty `moved`. A rule is
+    /// in it after its counters moved, and from its installation or the
+    /// attachment until its series are first created.
+    fn publish<Ctx>(&mut self, rules: &[Rule<Ctx>], states: &[RuleState], moved: &mut Bits) {
         let SessionObs {
             registry,
             labels,
             per_rule,
         } = self;
         per_rule.resize_with(rules.len(), RuleObs::default);
-        for ((rule, state), obs) in rules.iter().zip(states).zip(per_rule) {
-            let now = state.counters();
-            if obs.metrics.is_some() && now == obs.published {
-                continue;
+        for (w, word) in moved.0.iter_mut().enumerate() {
+            while *word != 0 {
+                let idx = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                Self::publish_rule(
+                    registry,
+                    labels,
+                    &rules[idx],
+                    &states[idx],
+                    &mut per_rule[idx],
+                );
             }
-            let metrics = obs.metrics.get_or_insert_with(|| {
-                let mut labels: Vec<(&str, &str)> = labels
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                labels.push(("rule", rule.name()));
-                [
-                    (
-                        "pwm_rules_evaluations_total",
-                        "Matcher (re-)evaluations per rule",
-                    ),
-                    (
-                        "pwm_rules_matches_total",
-                        "Fact tuples returned by matchers per rule",
-                    ),
-                    ("pwm_rules_firings_total", "Rule action firings per rule"),
-                    (
-                        "pwm_rules_eval_nanos_total",
-                        "Wall-clock nanoseconds spent in matchers per rule, estimated from one timed evaluation in 16",
-                    ),
-                ]
-                .map(|(name, help)| registry.counter(name, help, &labels))
-            });
-            for ((counter, now), was) in metrics.iter().zip(now).zip(obs.published) {
-                counter.add(now - was);
-            }
-            obs.published = now;
         }
+    }
+
+    /// Add what `rule`'s counters moved since its last publish, creating
+    /// its series the first time.
+    fn publish_rule<Ctx>(
+        registry: &Registry,
+        labels: &[(String, String)],
+        rule: &Rule<Ctx>,
+        state: &RuleState,
+        obs: &mut RuleObs,
+    ) {
+        let now = state.counters();
+        let metrics = obs.metrics.get_or_insert_with(|| {
+            let mut labels: Vec<(&str, &str)> = labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            labels.push(("rule", rule.name()));
+            [
+                (
+                    "pwm_rules_evaluations_total",
+                    "Matcher (re-)evaluations per rule",
+                ),
+                (
+                    "pwm_rules_matches_total",
+                    "Fact tuples returned by matchers per rule",
+                ),
+                ("pwm_rules_firings_total", "Rule action firings per rule"),
+                (
+                    "pwm_rules_eval_nanos_total",
+                    "Wall-clock nanoseconds spent in matchers per rule, estimated from one timed evaluation in 16",
+                ),
+            ]
+            .map(|(name, help)| registry.counter(name, help, &labels))
+        });
+        for ((counter, now), was) in metrics.iter().zip(now).zip(obs.published) {
+            counter.add(now - was);
+        }
+        obs.published = now;
     }
 }
 
@@ -277,9 +347,26 @@ pub struct Session<Ctx> {
     /// Scratch for [`Session::delta_refresh`]'s changed-handle list.
     changed: Vec<FactHandle>,
     /// Rule indices sorted by (salience desc, installation order); rebuilt
-    /// lazily after `add_rule` instead of per firing.
+    /// lazily after `add_rule` instead of per firing. The bitsets below
+    /// hold positions in this order.
     order: Vec<usize>,
     order_valid: bool,
+    /// The wake set: rules a firing visits. A rule leaves it when a visit
+    /// finds it guarded or its cached matches exhausted, and comes back
+    /// when a table it watches moves past `looked_at`.
+    awake: Bits,
+    /// Per watched table position, the rules watching it.
+    wakes_on: Vec<(u32, Bits)>,
+    /// Rules that watch every type ([`Watch::All`]).
+    wakes_on_any: Bits,
+    /// Working-memory generation the wake set was last filled at.
+    looked_at: u64,
+    /// Rules in the groups of `focused`.
+    in_focus: Bits,
+    focused: Option<Focus>,
+    /// Rules (installation indices) whose counters moved since the last
+    /// publish.
+    moved: Bits,
     max_firings: usize,
     log_firings: bool,
     gc_watermark: usize,
@@ -297,6 +384,13 @@ impl<Ctx> Session<Ctx> {
             changed: Vec::new(),
             order: Vec::new(),
             order_valid: true,
+            awake: Bits::default(),
+            wakes_on: Vec::new(),
+            wakes_on_any: Bits::default(),
+            looked_at: 0,
+            in_focus: Bits::default(),
+            focused: None,
+            moved: Bits::default(),
             max_firings: 100_000,
             log_firings: false,
             gc_watermark: GC_MIN_WATERMARK,
@@ -307,8 +401,8 @@ impl<Ctx> Session<Ctx> {
     /// Publish per-rule counters (`pwm_rules_evaluations_total`,
     /// `pwm_rules_matches_total`, `pwm_rules_firings_total`,
     /// `pwm_rules_eval_nanos_total`) to `registry` at the end of every
-    /// [`Session::fire_all`], each series labeled with the rule name plus
-    /// the given base labels (e.g. the owning policy session).
+    /// [`Session::fire`], each series labeled with the rule name plus the
+    /// given base labels (e.g. the owning policy session).
     pub fn set_obs(&mut self, registry: Registry, base_labels: &[(&str, &str)]) {
         self.obs = Some(SessionObs {
             registry,
@@ -325,6 +419,8 @@ impl<Ctx> Session<Ctx> {
                 })
                 .collect(),
         });
+        // Every rule's series is created by the next publish.
+        self.moved.fill(self.rules.len());
     }
 
     /// Override the firing budget.
@@ -346,6 +442,8 @@ impl<Ctx> Session<Ctx> {
         self.rules.push(rule);
         self.states.push(RuleState::default());
         self.order_valid = false;
+        self.moved.grow(self.rules.len());
+        self.moved.insert(self.rules.len() - 1);
     }
 
     /// Cumulative per-rule counters, in installation order.
@@ -370,10 +468,10 @@ impl<Ctx> Session<Ctx> {
     pub fn invalidate_agenda(&mut self) {
         for state in &mut self.states {
             state.computed = false;
-            state.exhausted = false;
             state.scan_from = 0;
             state.matches.clear();
         }
+        self.awake.fill(self.order.len());
     }
 
     /// Forget all refraction state (e.g. at the start of a fresh request
@@ -381,16 +479,16 @@ impl<Ctx> Session<Ctx> {
     pub fn reset_refraction(&mut self) {
         self.fired.clear();
         for state in &mut self.states {
-            state.exhausted = false;
             state.scan_from = 0;
         }
+        self.awake.fill(self.order.len());
     }
 
     /// Drop refraction entries that reference retracted facts (the fired set
     /// otherwise grows for the lifetime of a long policy session).
     ///
     /// This never removes an entry whose facts are all live, so cached
-    /// agenda segments (including scan cursors and exhausted marks) remain
+    /// agenda segments (including scan cursors and the wake set) remain
     /// valid across a sweep.
     pub fn gc_refraction(&mut self) {
         let wm = &self.wm;
@@ -409,8 +507,19 @@ impl<Ctx> Session<Ctx> {
         }
     }
 
-    /// Run rules to quiescence. Returns what fired.
+    /// Run the rules of every agenda group to quiescence: [`Session::fire`]
+    /// with [`Focus::ALL`].
     pub fn fire_all(&mut self, ctx: &mut Ctx) -> FiringReport {
+        self.fire(ctx, Focus::ALL)
+    }
+
+    /// Run the rules of the groups in `focus` to quiescence (Drools'
+    /// `setFocus` then `fireAllRules`). Returns what fired. Rules of other
+    /// groups are not visited; what changed under them waits for a pass
+    /// that focuses them.
+    pub fn fire(&mut self, ctx: &mut Ctx, focus: Focus) -> FiringReport {
+        self.ensure_order();
+        self.set_focus(focus);
         let mut firings = 0;
         let mut log = Vec::new();
         let mut budget_exhausted = false;
@@ -423,6 +532,7 @@ impl<Ctx> Session<Ctx> {
                 Some((rule_idx, m, key)) => {
                     self.fired.insert(key);
                     self.states[rule_idx].firings += 1;
+                    self.moved.insert(rule_idx);
                     let rule = &mut self.rules[rule_idx];
                     if self.log_firings && log.len() < LOG_CAP {
                         log.push(rule.name_arc());
@@ -434,7 +544,7 @@ impl<Ctx> Session<Ctx> {
             }
         }
         if let Some(obs) = &mut self.obs {
-            obs.publish(&self.rules, &self.states);
+            obs.publish(&self.rules, &self.states, &mut self.moved);
         }
         FiringReport {
             firings,
@@ -510,92 +620,189 @@ impl<Ctx> Session<Ctx> {
         true
     }
 
-    /// Rebuild the salience order if `add_rule` invalidated it.
+    /// Rebuild the salience order and the per-table wake lists if
+    /// `add_rule` invalidated them; every rule starts awake.
     fn ensure_order(&mut self) {
-        if !self.order_valid {
-            self.order = (0..self.rules.len()).collect();
-            self.order.sort_by_key(|&i| (-self.rules[i].salience(), i));
-            self.order_valid = true;
+        if self.order_valid {
+            return;
         }
+        self.order = (0..self.rules.len()).collect();
+        self.order.sort_by_key(|&i| (-self.rules[i].salience(), i));
+        let n = self.order.len();
+        self.wakes_on.clear();
+        self.wakes_on_any.reset(n);
+        for (oi, &idx) in self.order.iter().enumerate() {
+            let Watch::Types(types) = self.rules[idx].watch() else {
+                self.wakes_on_any.insert(oi);
+                continue;
+            };
+            for watched in types {
+                let position = watched.position();
+                let at = match self.wakes_on.iter().position(|(p, _)| *p == position) {
+                    Some(at) => at,
+                    None => {
+                        let mut rules = Bits::default();
+                        rules.reset(n);
+                        self.wakes_on.push((position, rules));
+                        self.wakes_on.len() - 1
+                    }
+                };
+                self.wakes_on[at].1.insert(oi);
+            }
+        }
+        self.awake.fill(n);
+        self.focused = None;
+        self.order_valid = true;
     }
 
-    /// Find the highest-priority non-refracted activation.
-    ///
-    /// Semantically identical to re-matching every rule against the current
-    /// memory in (salience desc, installation) order and returning the first
-    /// non-refracted live tuple; the cache/dirty machinery only skips work
-    /// whose outcome cannot have changed.
-    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
-        self.ensure_order();
-        for oi in 0..self.order.len() {
-            let idx = self.order[oi];
-            let rule = &self.rules[idx];
-            let state = &mut self.states[idx];
-            if rule.cannot_match(&self.wm) {
-                // Left as it is: the insert that lifts the guard dirties it.
-                #[cfg(debug_assertions)]
-                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "guarded");
-                continue;
-            }
-            let freshness = if state.computed {
-                rule.watch()
-                    .freshness(&self.wm, state.valid_at, state.seen_at)
-            } else {
-                Freshness::Dirty
-            };
-            if freshness == Freshness::Dirty {
-                let started = state
-                    .evaluations
-                    .is_multiple_of(EVAL_TIMING_SAMPLE)
-                    .then(Instant::now);
-                if !Self::delta_refresh(rule, state, &self.wm, ctx, &mut self.changed) {
-                    state.matches = rule.matches(&self.wm, ctx);
-                }
-                if let Some(started) = started {
-                    state.eval_nanos += EVAL_TIMING_SAMPLE * started.elapsed().as_nanos() as u64;
-                }
-                state.evaluations += 1;
-                state.matched += state.matches.len() as u64;
-                state.valid_at = self.wm.generation();
-                state.computed = true;
-            } else if freshness == Freshness::Clean && state.exhausted {
-                #[cfg(debug_assertions)]
-                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "clean");
-                continue;
-            }
-            if freshness != Freshness::Clean {
-                state.seen_at = self.wm.generation();
-                state.exhausted = false;
-                state.scan_from = 0;
-            }
-            let mut pos = state.scan_from;
-            let mut found = None;
-            while pos < state.matches.len() {
-                let m = &state.matches[pos];
-                // Skip refracted tuples, and tuples holding a stale handle:
-                // a matcher may have returned one another firing retracted.
-                match RefractionKey::new(idx, m, &self.wm) {
-                    Some(key) if !self.fired.contains(&key) => {
-                        found = Some((idx, m.clone(), key));
-                        break;
-                    }
-                    _ => pos += 1,
-                }
-            }
-            // The caller refracts a found tuple before firing, so the next
-            // scan may resume at it.
-            state.scan_from = pos;
-            state.exhausted = found.is_none();
-            #[cfg(debug_assertions)]
-            if freshness != Freshness::Dirty {
-                let chosen = found.as_ref().map(|(_, m, _)| m);
-                Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, chosen, "cached");
-            }
-            if found.is_some() {
-                return found;
+    /// Point `in_focus` at the rules of `focus`'s groups.
+    fn set_focus(&mut self, focus: Focus) {
+        if self.focused == Some(focus) {
+            return;
+        }
+        self.in_focus.reset(self.order.len());
+        for (oi, &idx) in self.order.iter().enumerate() {
+            if focus.contains(self.rules[idx].agenda_group()) {
+                self.in_focus.insert(oi);
             }
         }
+        self.focused = Some(focus);
+    }
+
+    /// Add to the wake set the rules watching a table mutated since the
+    /// last look.
+    fn wake(&mut self) {
+        let now = self.wm.generation();
+        if now == self.looked_at {
+            return;
+        }
+        for (position, rules) in &self.wakes_on {
+            if self.wm.table_at(*position).generation() > self.looked_at {
+                self.awake.union_with(rules);
+            }
+        }
+        self.awake.union_with(&self.wakes_on_any);
+        self.looked_at = now;
+    }
+
+    /// Find the highest-priority non-refracted activation in focus.
+    ///
+    /// Semantically identical to re-matching every rule of the focus
+    /// against the current memory in (salience desc, installation) order
+    /// and returning the first non-refracted live tuple; the wake set and
+    /// the cache/dirty machinery only skip work whose outcome cannot have
+    /// changed.
+    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+        self.wake();
+        // First position the debug oracle has not yet accounted for.
+        #[cfg(debug_assertions)]
+        let mut passed = 0;
+        for w in 0..self.awake.0.len() {
+            let mut candidates = self.awake.0[w] & self.in_focus.0[w];
+            while candidates != 0 {
+                let oi = w * 64 + candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                #[cfg(debug_assertions)]
+                {
+                    self.check_passed_over(ctx, passed..oi);
+                    passed = oi + 1;
+                }
+                let found = self.visit(oi, ctx);
+                if found.is_some() {
+                    return found;
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_passed_over(ctx, passed..self.order.len());
         None
+    }
+
+    /// Visit the awake rule at salience position `oi`: refresh its cached
+    /// matches if something it reads changed, then return its first live
+    /// un-refracted tuple, or put it to sleep.
+    fn visit(&mut self, oi: usize, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+        let idx = self.order[oi];
+        let rule = &self.rules[idx];
+        let state = &mut self.states[idx];
+        if rule.cannot_match(&self.wm) {
+            // Asleep, state untouched: the insert that lifts the guard
+            // moves a watched table, which wakes and dirties it.
+            self.awake.remove(oi);
+            #[cfg(debug_assertions)]
+            Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "guarded");
+            return None;
+        }
+        let freshness = if state.computed {
+            rule.watch()
+                .freshness(&self.wm, state.valid_at, state.seen_at)
+        } else {
+            Freshness::Dirty
+        };
+        if freshness == Freshness::Dirty {
+            let started = state
+                .evaluations
+                .is_multiple_of(EVAL_TIMING_SAMPLE)
+                .then(Instant::now);
+            if !Self::delta_refresh(rule, state, &self.wm, ctx, &mut self.changed) {
+                state.matches = rule.matches(&self.wm, ctx);
+            }
+            if let Some(started) = started {
+                state.eval_nanos += EVAL_TIMING_SAMPLE * started.elapsed().as_nanos() as u64;
+            }
+            state.evaluations += 1;
+            state.matched += state.matches.len() as u64;
+            state.valid_at = self.wm.generation();
+            state.computed = true;
+            self.moved.insert(idx);
+        }
+        if freshness != Freshness::Clean {
+            state.seen_at = self.wm.generation();
+            state.scan_from = 0;
+        }
+        let mut pos = state.scan_from;
+        let mut found = None;
+        while pos < state.matches.len() {
+            let m = &state.matches[pos];
+            // Skip refracted tuples, and tuples holding a stale handle:
+            // a matcher may have returned one another firing retracted.
+            match RefractionKey::new(idx, m, &self.wm) {
+                Some(key) if !self.fired.contains(&key) => {
+                    found = Some((idx, m.clone(), key));
+                    break;
+                }
+                _ => pos += 1,
+            }
+        }
+        // The caller refracts a found tuple before firing, so the next
+        // scan may resume at it.
+        state.scan_from = pos;
+        if found.is_none() {
+            // Exhausted: asleep until a watched table moves.
+            self.awake.remove(oi);
+        }
+        #[cfg(debug_assertions)]
+        if freshness != Freshness::Dirty {
+            let chosen = found.as_ref().map(|(_, m, _)| m);
+            Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, chosen, "cached");
+        }
+        found
+    }
+
+    /// The debug oracle for the rules at salience positions `passed`, which
+    /// a firing did not visit: each was asleep or out of focus, so none may
+    /// have a live un-refracted tuple.
+    #[cfg(debug_assertions)]
+    fn check_passed_over(&self, ctx: &Ctx, passed: std::ops::Range<usize>) {
+        for oi in passed {
+            let idx = self.order[oi];
+            let why = if self.in_focus.contains(oi) {
+                "asleep"
+            } else {
+                "out of focus"
+            };
+            Self::check_shortcut(&self.rules[idx], idx, &self.wm, ctx, &self.fired, None, why);
+        }
     }
 
     /// The debug oracle: `rule` was decided on without running its matcher —
@@ -603,7 +810,8 @@ impl<Ctx> Session<Ctx> {
     /// Run the matcher from scratch; the first live un-refracted tuple must
     /// be `chosen`, or the rule's `watches`/`requires`, or an
     /// `update_fields` it depends on, declare less than is read or written
-    /// (or ctx changed under the matcher with no `invalidate_agenda`).
+    /// (or ctx changed under the matcher with no `invalidate_agenda`, or the
+    /// rule could fire in a group its caller left out of focus).
     #[cfg(debug_assertions)]
     fn check_shortcut(
         rule: &Rule<Ctx>,
@@ -622,7 +830,8 @@ impl<Ctx> Session<Ctx> {
             fresh.as_deref() == chosen.map(|m| &**m),
             "rule `{}` was {why} and not re-evaluated, which chose {chosen:?}, but its matcher \
              now yields {fresh:?} first: a watch, a `requires` or an `update_fields` \
-             under-declares what it reads or writes, or ctx changed without `invalidate_agenda`",
+             under-declares what it reads or writes, ctx changed without `invalidate_agenda`, \
+             or a pass left out of focus a rule that could fire",
             rule.name(),
         );
     }
@@ -638,7 +847,7 @@ impl<Ctx> Default for Session<Ctx> {
 mod tests {
     use super::*;
     use crate::memory::Fields;
-    use crate::rule::{Watch, WatchedType};
+    use crate::rule::{AgendaGroup, Watch, WatchedType};
 
     #[derive(Debug)]
     struct Counter(u64);
@@ -1244,5 +1453,132 @@ mod tests {
         s.wm.update::<Counter>(ch, |c| c.0 += 1);
         s.fire_all(&mut fired);
         assert_eq!(fired, 2, "updating a watched join input must re-arm");
+    }
+
+    const FIRST: AgendaGroup = AgendaGroup::new(1);
+    const SECOND: AgendaGroup = AgendaGroup::new(2);
+
+    /// One rule per group: `counters` in `FIRST` fires on counters of 10
+    /// or more, `items` in `SECOND` on items of priority 1, `zeros` in
+    /// `MAIN` on items of priority 0.
+    fn grouped_session() -> Session<Vec<&'static str>> {
+        let mut s = Session::new().with_firing_log();
+        s.add_rule(
+            Rule::new("counters")
+                .agenda_group(FIRST)
+                .when_each::<Counter>(|c, _| c.0 >= 10)
+                .then(|_, log: &mut Vec<&'static str>, _| log.push("counters")),
+        );
+        s.add_rule(
+            Rule::new("items")
+                .salience(5)
+                .agenda_group(SECOND)
+                .when_each::<Item>(|i, _| i.priority == Some(1))
+                .then(|_, log: &mut Vec<&'static str>, _| log.push("items")),
+        );
+        s.add_rule(
+            Rule::new("zeros")
+                .when_each::<Item>(|i, _| i.priority == Some(0))
+                .then(|_, log: &mut Vec<&'static str>, _| log.push("zeros")),
+        );
+        s
+    }
+
+    fn evaluations(s: &Session<Vec<&'static str>>, rule: &str) -> u64 {
+        let stats = s.rule_stats();
+        stats.iter().find(|r| &*r.name == rule).unwrap().evaluations
+    }
+
+    #[test]
+    fn a_rule_out_of_focus_is_not_evaluated_and_its_dirt_waits_for_focus() {
+        let mut s = grouped_session();
+        let mut log = Vec::new();
+        let item = s.wm.insert(Item { priority: None });
+        s.wm.insert(Counter(10));
+        assert_eq!(s.fire(&mut log, Focus::on(FIRST)).firings, 1);
+        assert_eq!(evaluations(&s, "items"), 0, "out of focus, yet evaluated");
+        assert_eq!(evaluations(&s, "zeros"), 0);
+        assert_eq!(s.fire(&mut log, Focus::on(SECOND)).firings, 0);
+        assert_eq!(evaluations(&s, "items"), 1);
+        // A write the rule reads, made while it is out of focus, is served
+        // by the next pass that focuses it, and only then.
+        s.wm.update::<Item>(item, |i| i.priority = Some(2));
+        s.fire(&mut log, Focus::on(FIRST));
+        assert_eq!(evaluations(&s, "items"), 1);
+        s.wm.update::<Item>(item, |i| i.priority = Some(1));
+        assert_eq!(s.fire(&mut log, Focus::on(SECOND)).firings, 1);
+        assert_eq!(evaluations(&s, "items"), 2);
+        assert_eq!(s.fire_all(&mut log).firings, 0);
+        assert_eq!(log, ["counters", "items"]);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_focus_holds_back_an_activation_until_a_pass_focuses_its_group() {
+        // Drools' semantics, which release builds keep; a debug build's
+        // oracle rejects such a pass (see the test below).
+        let mut s = grouped_session();
+        let mut log = Vec::new();
+        s.wm.insert(Item { priority: Some(1) });
+        assert_eq!(s.fire(&mut log, Focus::on(FIRST)).firings, 0);
+        assert_eq!(s.fire(&mut log, Focus::NONE).firings, 0);
+        assert_eq!(s.fire(&mut log, Focus::on(SECOND)).firings, 1);
+        assert_eq!(s.fire_all(&mut log).firings, 0);
+        assert_eq!(log, ["items"]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rule `items` was out of focus")]
+    fn the_debug_oracle_names_a_rule_left_out_of_focus_that_could_fire() {
+        let mut s = grouped_session();
+        s.wm.insert(Item { priority: Some(1) });
+        s.fire(&mut Vec::new(), Focus::on(FIRST).and(AgendaGroup::MAIN));
+    }
+
+    #[test]
+    fn fire_all_is_a_pass_with_every_group_focused() {
+        let run = |focus: Option<Focus>| {
+            let mut s = grouped_session();
+            let mut log = Vec::new();
+            let mut reports = Vec::new();
+            for n in 0..4 {
+                s.wm.insert(Counter(8 + n));
+                s.wm.insert(Item {
+                    priority: Some(n as u32 % 2),
+                });
+                reports.push(match focus {
+                    Some(focus) => s.fire(&mut log, focus),
+                    None => s.fire_all(&mut log),
+                });
+            }
+            (log, reports, s.rule_stats())
+        };
+        let every = Focus::on(FIRST).and(SECOND).and(AgendaGroup::MAIN);
+        let (log, reports, mut stats) = run(None);
+        let (focused_log, focused_reports, mut focused_stats) = run(Some(every));
+        assert_eq!(log.len(), 6);
+        assert_eq!((&log, &reports), (&focused_log, &focused_reports));
+        for stats in [&mut stats, &mut focused_stats] {
+            for rule in stats.iter_mut() {
+                rule.eval_nanos = 0;
+            }
+        }
+        assert_eq!(stats, focused_stats);
+    }
+
+    #[test]
+    fn a_rule_out_of_focus_still_publishes_its_series() {
+        let registry = Registry::new();
+        let mut s = grouped_session();
+        s.set_obs(registry.clone(), &[("session", "default")]);
+        s.wm.insert(Counter(10));
+        s.fire(&mut Vec::new(), Focus::on(FIRST));
+        let text = registry.render_prometheus();
+        assert!(
+            text.contains("pwm_rules_evaluations_total{rule=\"items\",session=\"default\"} 0"),
+            "unexpected exposition:\n{text}"
+        );
+        assert!(text.contains("pwm_rules_firings_total{rule=\"counters\",session=\"default\"} 1"));
     }
 }

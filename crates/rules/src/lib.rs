@@ -11,7 +11,9 @@
 //! * a [`Session`] that fires rules to quiescence with Drools-style
 //!   *refraction* (a rule fires once per fact tuple until one of the facts
 //!   is updated), salience-descending conflict resolution, and a firing
-//!   budget guarding against divergent rule sets.
+//!   budget guarding against divergent rule sets,
+//! * Drools' *agenda groups*: each rule sits in one [`AgendaGroup`], and
+//!   [`Session::fire`] runs a pass over the groups of a [`Focus`] only.
 //!
 //! Matching is *incremental*: each rule declares which fact types its
 //! matcher reads ([`rule::Watch`]; `when_each` infers it, join rules use
@@ -57,4 +59,4 @@ pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
 pub use memory::{Fact, FactHandle, FactId, Fields, IndexKey, MintedBuild, WorkingMemory};
-pub use rule::{Match, Rule, RuleBuilder, Watch, WatchedType};
+pub use rule::{AgendaGroup, Focus, Match, Rule, RuleBuilder, Watch, WatchedType};

@@ -733,8 +733,18 @@ impl TypeLog {
         if gen < self.floor {
             return None;
         }
-        let start = self.entries.partition_point(|&(g, _)| g <= gen);
-        Some(&self.entries[start..])
+        // A reader asks about a generation near the end far more often than
+        // not: gallop back from the last entry in doubling steps, then
+        // search the last step. Everything from `hi` on is after `gen`.
+        let entries = &self.entries;
+        let (mut hi, mut step) = (entries.len(), 1);
+        while step <= hi && entries[hi - step].0 > gen {
+            hi -= step;
+            step *= 2;
+        }
+        let lo = hi.saturating_sub(step);
+        let start = lo + entries[lo..hi].partition_point(|&(g, _)| g <= gen);
+        Some(&entries[start..])
     }
 }
 
@@ -1226,6 +1236,24 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Cleanup {
         file: String,
+    }
+
+    #[test]
+    fn a_type_log_galloping_from_its_tail_finds_what_a_search_finds() {
+        let mut log = TypeLog::default();
+        // Odd generations only, so a reader can ask about one between two
+        // entries; enough to compact once and raise the floor.
+        for g in 0..1500u64 {
+            log.push(2 * g + 1, FactHandle(g % 7));
+        }
+        assert!(log.floor > 0);
+        for gen in 0..3005 {
+            let expected = (gen >= log.floor).then(|| {
+                let start = log.entries.partition_point(|&(g, _)| g <= gen);
+                &log.entries[start..]
+            });
+            assert_eq!(log.since(gen), expected, "since({gen})");
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Reference evaluator for equivalence testing.
 //!
-//! [`NaiveSession`] is the pre-incremental engine kept verbatim: every call
-//! to `next_activation` re-evaluates every rule's matcher against the
-//! current working memory and re-sorts the salience order. It is the oracle
-//! the incremental agenda in [`crate::engine`] is tested against — randomized
-//! scripts of inserts/updates/retracts/firings must produce bit-identical
-//! firing sequences and final memory state on both engines.
+//! [`NaiveSession`] is the pre-incremental engine: every call to
+//! `next_activation` re-evaluates the matcher of every rule in focus against
+//! the current working memory and re-sorts the salience order. It is the
+//! oracle the incremental agenda in [`crate::engine`] is tested against —
+//! randomized scripts of inserts/updates/retracts/focused firings must
+//! produce bit-identical firing sequences and final memory state on both
+//! engines.
 //!
 //! Test-only: compiled under `#[cfg(test)]` from `lib.rs`.
 
 use crate::memory::{FactHandle, WorkingMemory};
-use crate::rule::{Match, Rule};
+use crate::rule::{Focus, Match, Rule};
 use std::collections::HashSet;
 
 type RefractionKey = (usize, Vec<(FactHandle, u64)>);
@@ -21,6 +22,11 @@ pub(crate) struct NaiveReport {
     pub firings: usize,
     pub log: Vec<String>,
     pub budget_exhausted: bool,
+    /// True when, at some firing, a rule out of focus ranked above the one
+    /// chosen (above every rule, at quiescence) had a live un-refracted
+    /// tuple: the focus held back an activation `fire_all` would have
+    /// weighed, which is what the incremental engine's debug oracle rejects.
+    pub held_back: bool,
 }
 
 /// The O(firings × rules × facts) engine this crate used to ship.
@@ -60,14 +66,15 @@ impl<Ctx> NaiveSession<Ctx> {
             .retain(|(_, tuple)| tuple.iter().all(|(h, _)| wm.contains(*h)));
     }
 
-    pub fn fire_all(&mut self, ctx: &mut Ctx) -> NaiveReport {
+    pub fn fire(&mut self, ctx: &mut Ctx, focus: Focus) -> NaiveReport {
         let mut report = NaiveReport {
             firings: 0,
             log: Vec::new(),
             budget_exhausted: false,
+            held_back: false,
         };
         while report.firings < self.max_firings {
-            match self.next_activation(ctx) {
+            match self.next_activation(ctx, focus, &mut report.held_back) {
                 Some((rule_idx, m, key)) => {
                     self.fired.insert(key);
                     let rule = &mut self.rules[rule_idx];
@@ -82,23 +89,31 @@ impl<Ctx> NaiveSession<Ctx> {
         report
     }
 
-    fn next_activation(&self, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+    fn next_activation(
+        &self,
+        ctx: &Ctx,
+        focus: Focus,
+        held_back: &mut bool,
+    ) -> Option<(usize, Match, RefractionKey)> {
         let mut order: Vec<usize> = (0..self.rules.len()).collect();
         order.sort_by_key(|&i| (-self.rules[i].salience(), i));
         for idx in order {
             let rule = &self.rules[idx];
-            for m in rule.matches(&self.wm, ctx) {
+            let first = rule.matches(&self.wm, ctx).into_iter().find_map(|m| {
                 if m.iter().any(|h| !self.wm.contains(*h)) {
-                    continue;
+                    return None;
                 }
                 let key: Vec<(FactHandle, u64)> = m
                     .iter()
                     .map(|h| (*h, self.wm.version(*h).unwrap_or(0)))
                     .collect();
                 let full_key = (idx, key);
-                if !self.fired.contains(&full_key) {
-                    return Some((idx, m, full_key));
-                }
+                (!self.fired.contains(&full_key)).then_some((idx, m, full_key))
+            });
+            if !focus.contains(rule.agenda_group()) {
+                *held_back |= first.is_some();
+            } else if first.is_some() {
+                return first;
             }
         }
         None
@@ -107,13 +122,22 @@ impl<Ctx> NaiveSession<Ctx> {
 
 /// Randomized equivalence: the incremental agenda must be observationally
 /// identical to the naive engine on arbitrary fact/firing scripts. The naive
-/// engine ignores `watches_fields` and `requires` — it runs every matcher —
-/// so identical firing logs show the declarations only ever skip work.
+/// engine ignores `watches_fields` and `requires` and keeps no wake set — it
+/// runs every matcher in focus — so identical firing logs show the
+/// declarations only ever skip work, and that a rule out of focus keeps what
+/// changed under it for the next pass that focuses it.
+///
+/// A focused pass that holds back an activation is Drools' semantics and
+/// what release builds run; a debug build's oracle rejects it by design
+/// (the Policy Service promises its focus never does). So a debug build
+/// checks that the oracle panics, naming a rule out of focus, at the first
+/// such pass of a script, and ends the script there.
+/// `PWM_PROPTEST_CASES` raises the case count for CI's release run.
 mod equivalence {
     use super::NaiveSession;
     use crate::engine::Session;
     use crate::memory::{FactHandle, Fields};
-    use crate::rule::Rule;
+    use crate::rule::{AgendaGroup, Focus, Rule};
     use proptest::prelude::*;
 
     /// `n` drives most rules; `tag` only the tag rule.
@@ -148,13 +172,28 @@ mod equivalence {
         TagA(usize),
         UpdateB(usize),
         Retract(usize),
-        Fire,
+        /// A pass over the groups of [`GROUPS`] whose bit is set in the mask.
+        Fire(u32),
         ResetRefraction,
         GcRefraction,
     }
 
+    /// The groups the rules below sit in: `A`'s chain, `B`'s rules, and
+    /// the rest.
+    const GROUPS: [AgendaGroup; 3] = [AgendaGroup::new(1), AgendaGroup::new(2), AgendaGroup::MAIN];
+
+    fn focus(mask: u32) -> Focus {
+        let mut focus = Focus::NONE;
+        for (bit, group) in GROUPS.iter().enumerate() {
+            if mask & 1 << bit != 0 {
+                focus = focus.and(*group);
+            }
+        }
+        focus
+    }
+
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u32..12).prop_map(|(tag, n)| match tag {
+        (0u8..11, 0u32..12).prop_map(|(tag, n)| match tag {
             0 => Op::InsertA(n),
             1 => Op::InsertB(n),
             2 => Op::UpdateA(n as usize),
@@ -164,7 +203,9 @@ mod equivalence {
             6 => Op::GcRefraction,
             7 => Op::BumpA(n as usize),
             8 => Op::TagA(n as usize),
-            _ => Op::Fire,
+            // Every group, or a subset (possibly none).
+            9 => Op::Fire(7),
+            _ => Op::Fire(n % 8),
         })
     }
 
@@ -174,10 +215,12 @@ mod equivalence {
     /// other, a high-salience retraction rule, a `when_once`, and a
     /// negative-salience observer that reads no field at all — it stays
     /// refracted until *any* write re-arms it, the case a field-clean rule
-    /// must rewind its cursor for. Installed identically into both engines.
+    /// must rewind its cursor for. Installed identically into both engines,
+    /// in the three groups of [`GROUPS`].
     fn install_rules(add: &mut dyn FnMut(Rule<Ctx>)) {
         add(Rule::new("bump-small-a")
             .salience(5)
+            .agenda_group(GROUPS[0])
             .when_each_fields::<A>(A::N, |a, _| a.n < 3)
             .then(|wm, ctx: &mut Ctx, m| {
                 wm.update_fields::<A>(m[0], A::N, |a| a.n += 1);
@@ -185,6 +228,7 @@ mod equivalence {
             }));
         add(Rule::new("even-out-odd-tags")
             .salience(4)
+            .agenda_group(GROUPS[0])
             .when_each_fields::<A>(A::TAG, |a, _| a.tag % 2 == 1)
             .then(|wm, ctx: &mut Ctx, m| {
                 wm.update_fields::<A>(m[0], A::TAG, |a| a.tag += 1);
@@ -192,12 +236,14 @@ mod equivalence {
             }));
         add(Rule::new("retract-large-b")
             .salience(8)
+            .agenda_group(GROUPS[1])
             .when_each::<B>(|b, _| b.0 >= 10)
             .then(|wm, ctx: &mut Ctx, m| {
                 wm.retract(m[0]);
                 ctx.push("retract".into());
             }));
         add(Rule::new("parity-join")
+            .agenda_group(GROUPS[1])
             .requires::<B>()
             .watches_fields::<A>(A::N)
             .watches::<B>()
@@ -240,7 +286,11 @@ mod equivalence {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig {
+            cases: option_env!("PWM_PROPTEST_CASES")
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(256),
+        })]
         #[test]
         fn incremental_matches_naive_on_random_scripts(
             ops in proptest::collection::vec(op_strategy(), 0..40)
@@ -257,6 +307,8 @@ mod equivalence {
             let pick = |handles: &Vec<FactHandle>, i: usize| {
                 handles.get(i % handles.len().max(1)).copied()
             };
+            // Set when a debug build's oracle ended the script (see above).
+            let mut held_back = false;
             for op in &ops {
                 match *op {
                     Op::InsertA(n) => {
@@ -306,9 +358,27 @@ mod equivalence {
                             prop_assert_eq!(a, b);
                         }
                     }
-                    Op::Fire => {
-                        let ri = inc.fire_all(&mut ctx_inc);
-                        let rn = nai.fire_all(&mut ctx_nai);
+                    Op::Fire(mask) => {
+                        let focus = focus(mask);
+                        let rn = nai.fire(&mut ctx_nai, focus);
+                        if rn.held_back && cfg!(debug_assertions) {
+                            let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                inc.fire(&mut ctx_inc, focus)
+                            }));
+                            let message = pass
+                                .err()
+                                .and_then(|e| e.downcast::<String>().ok())
+                                .map(|m| *m)
+                                .unwrap_or_default();
+                            prop_assert!(
+                                message.contains("was out of focus"),
+                                "a pass holding back an activation got past the oracle: {}",
+                                message
+                            );
+                            held_back = true;
+                            break;
+                        }
+                        let ri = inc.fire(&mut ctx_inc, focus);
                         prop_assert_eq!(ri.firings, rn.firings);
                         prop_assert_eq!(ri.budget_exhausted, rn.budget_exhausted);
                         let inc_log: Vec<&str> = ri.log.iter().map(|n| n.as_ref()).collect();
@@ -325,12 +395,14 @@ mod equivalence {
                     }
                 }
             }
-            // Drain to quiescence, then compare every observable.
-            let ri = inc.fire_all(&mut ctx_inc);
-            let rn = nai.fire_all(&mut ctx_nai);
-            prop_assert_eq!(ri.firings, rn.firings);
-            prop_assert_eq!(&ctx_inc, &ctx_nai, "action effects on ctx diverged");
-            prop_assert_eq!(dump(&inc.wm), dump(&nai.wm), "final memories diverged");
+            // Drain every group to quiescence, then compare every observable.
+            if !held_back {
+                let ri = inc.fire_all(&mut ctx_inc);
+                let rn = nai.fire(&mut ctx_nai, Focus::ALL);
+                prop_assert_eq!(ri.firings, rn.firings);
+                prop_assert_eq!(&ctx_inc, &ctx_nai, "action effects on ctx diverged");
+                prop_assert_eq!(dump(&inc.wm), dump(&nai.wm), "final memories diverged");
+            }
         }
     }
 }

@@ -17,6 +17,10 @@
 //! ([`RuleBuilder::watches_fields`], [`RuleBuilder::when_each_fields`]) and
 //! a rule can name a type without which it cannot match
 //! ([`RuleBuilder::requires`]).
+//!
+//! Each rule belongs to one [`AgendaGroup`] (Drools' `agenda-group`;
+//! [`AgendaGroup::MAIN`] unless set with [`RuleBuilder::agenda_group`]), and
+//! a [`Focus`] names the groups a rules pass may visit.
 
 use crate::memory::{Fact, FactHandle, Fields, WorkingMemory};
 use std::any::TypeId;
@@ -137,6 +141,11 @@ impl WatchedType {
             fields,
         }
     }
+
+    /// Position of the watched type's table, once the rule is installed.
+    pub(crate) fn position(&self) -> u32 {
+        self.table.position
+    }
 }
 
 impl PartialEq for WatchedType {
@@ -148,6 +157,50 @@ impl PartialEq for WatchedType {
 impl std::fmt::Debug for WatchedType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:?}/{:?}", self.table.type_id, self.fields)
+    }
+}
+
+/// The agenda group a rule belongs to (Drools' `agenda-group`). A session
+/// fires a pass with a [`Focus`] on some groups; a rule outside it is
+/// neither visited nor evaluated by that pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AgendaGroup(u8);
+
+impl AgendaGroup {
+    /// Where a rule with no declared group sits (Drools' `MAIN`).
+    pub const MAIN: AgendaGroup = AgendaGroup(0);
+
+    /// Group number `n`, below 64 (a [`Focus`] is one bit per group).
+    pub const fn new(n: u8) -> AgendaGroup {
+        assert!(n < 64, "agenda group out of range");
+        AgendaGroup(n)
+    }
+}
+
+/// A set of [`AgendaGroup`]s: what one rules pass visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Focus(u64);
+
+impl Focus {
+    /// Every group: what [`crate::Session::fire_all`] fires.
+    pub const ALL: Focus = Focus(u64::MAX);
+
+    /// No group: a pass that fires nothing.
+    pub const NONE: Focus = Focus(0);
+
+    /// Only `group`.
+    pub const fn on(group: AgendaGroup) -> Focus {
+        Focus(1 << group.0)
+    }
+
+    /// This focus and `group`.
+    pub const fn and(self, group: AgendaGroup) -> Focus {
+        Focus(self.0 | 1 << group.0)
+    }
+
+    /// True when `group` is in focus.
+    pub const fn contains(self, group: AgendaGroup) -> bool {
+        self.0 & 1 << group.0 != 0
     }
 }
 
@@ -217,6 +270,7 @@ impl Watch {
 pub struct Rule<Ctx> {
     name: Arc<str>,
     salience: i32,
+    group: AgendaGroup,
     matcher: Matcher<Ctx>,
     action: Action<Ctx>,
     watch: Watch,
@@ -231,6 +285,7 @@ impl<Ctx> Rule<Ctx> {
         RuleBuilder {
             name: name.into(),
             salience: 0,
+            group: AgendaGroup::MAIN,
             matcher: None,
             action: None,
             watched_types: None,
@@ -253,6 +308,11 @@ impl<Ctx> Rule<Ctx> {
     /// Firing priority; higher fires first.
     pub fn salience(&self) -> i32 {
         self.salience
+    }
+
+    /// The agenda group the rule belongs to.
+    pub fn agenda_group(&self) -> AgendaGroup {
+        self.group
     }
 
     /// The facts this rule's matcher reads.
@@ -299,6 +359,7 @@ impl<Ctx> std::fmt::Debug for Rule<Ctx> {
         f.debug_struct("Rule")
             .field("name", &self.name)
             .field("salience", &self.salience)
+            .field("group", &self.group)
             .field("watch", &self.watch)
             .finish()
     }
@@ -308,6 +369,7 @@ impl<Ctx> std::fmt::Debug for Rule<Ctx> {
 pub struct RuleBuilder<Ctx> {
     name: String,
     salience: i32,
+    group: AgendaGroup,
     matcher: Option<Matcher<Ctx>>,
     action: Option<Action<Ctx>>,
     /// `None` = never declared (→ [`Watch::All`] unless `when_each` infers);
@@ -321,6 +383,12 @@ impl<Ctx> RuleBuilder<Ctx> {
     /// Set the salience (default 0; higher fires first).
     pub fn salience(mut self, salience: i32) -> Self {
         self.salience = salience;
+        self
+    }
+
+    /// Put the rule in `group` (default [`AgendaGroup::MAIN`]).
+    pub fn agenda_group(mut self, group: AgendaGroup) -> Self {
+        self.group = group;
         self
     }
 
@@ -445,6 +513,7 @@ impl<Ctx> RuleBuilder<Ctx> {
         Rule {
             name: Arc::from(self.name.as_str()),
             salience: self.salience,
+            group: self.group,
             matcher: self.matcher.expect("rule needs a `when` clause"),
             action: self.action.expect("rule needs a `then` clause"),
             watch: match self.watched_types {
@@ -524,6 +593,7 @@ mod tests {
         let _: Rule<()> = RuleBuilder {
             name: "broken".into(),
             salience: 0,
+            group: AgendaGroup::MAIN,
             matcher: None,
             action: None,
             watched_types: None,

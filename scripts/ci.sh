@@ -171,6 +171,11 @@ bench_floor netsim_churn_100k 650000 events/s
 # benchmark run reports the share as `rest.batch_ratio`. Losing the
 # literal-key codec (member keys and unit variants written and matched as
 # precomputed literals) and the byte-level head scanner: ~39 000 to ~35 500.
+# Losing the agenda groups and the wake set — every pass visiting all 23
+# rules of all five families on every firing, the report passes re-running
+# the batch matchers — takes the rules from ~31 back to ~66 matcher
+# evaluations per request and the workload from ~41 700 back to ~36 000
+# (medians of 10 alternating 30 s runs each).
 #
 # The same runs hold its peak RSS to 14 MB, the third memory gate, next to
 # `netsim_churn`'s and `campaign`'s. The 10 000 resident files are most of
@@ -336,9 +341,11 @@ fi
 # *compile* time (option_env!), so it is set on the cargo invocation, not
 # the binary. The rule engine's own unit tests run here too: a debug build
 # checks every matcher evaluation the agenda skips against a from-scratch
-# match and panics first, so only a release build compares the engine as
-# shipped — field-level watches, `requires` guards, no oracle — with the
-# naive evaluator's firing logs. The same holds for the fact store's indexes:
+# match and panics first (and on any focused pass that holds back an
+# activation, which ends a debug script), so only a release build compares
+# the engine as shipped — field-level watches, `requires` guards, the wake
+# set, focused passes, no oracle — with the naive evaluator's firing logs,
+# here at 8x its 256 scripts. The same holds for the fact store's indexes:
 # a debug `update_fields` re-extracts the key of every index it skipped and
 # panics on a stale one, so only the release run of `facts_differential`
 # shows the field-masked re-keying agreeing with the legacy store and with an
@@ -354,7 +361,7 @@ fi
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
-cargo test -q --release --offline -p pwm-rules --lib
+PWM_PROPTEST_CASES=2048 cargo test -q --release --offline -p pwm-rules --lib
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-sim --test event_differential
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \

@@ -12,7 +12,8 @@
 //!    must show zero additional evaluations in the per-rule counters.
 //! 3. **A firing re-evaluates the rules that read what it wrote.** One
 //!    transfer group's matcher evaluations stay under a pinned count that
-//!    type-level watches exceed.
+//!    type-level watches exceed, and an outcome report evaluates only the
+//!    rules of its own agenda group.
 //! 4. **Cleanup routing does not scan policy memory.** A sharded session
 //!    finds the shard owning a cleanup's file by probing each shard's
 //!    resource index; 10× the resident staged files must leave the cost of
@@ -162,7 +163,8 @@ fn a_transfer_group_evaluates_only_the_rules_its_firings_concern() {
     // Two new transfers and one duplicate of a staged file: 11 firings, each
     // writing one or two fields of one fact. Re-evaluating every rule that
     // watches the written fact's type after each firing takes 111 matcher
-    // evaluations; field-level watches and `requires` guards take 33.
+    // evaluations; field-level watches and `requires` guards take 33, and
+    // a pass that visits only its own agenda groups 27.
     let mut service = service_with_resident_files(20);
     let evaluations = |service: &PolicyService| -> u64 {
         service.rule_stats().iter().map(|r| r.evaluations).sum()
@@ -177,7 +179,52 @@ fn a_transfer_group_evaluates_only_the_rules_its_firings_concern() {
     assert_eq!(advice.iter().filter(|a| a.should_execute()).count(), 2);
     assert_eq!(service.stats().rule_firings - firings_before, 11);
     let spent = evaluations(&service) - before;
-    assert!(spent <= 40, "{spent} matcher evaluations for one group");
+    assert!(spent <= 27, "{spent} matcher evaluations for one group");
+}
+
+#[test]
+fn a_report_pass_evaluates_only_the_rules_of_its_group() {
+    // The rules an outcome report can fire: the two completion removals
+    // and the two releases. Every batch rule — transfer or cleanup — sits
+    // in another agenda group, which a report pass does not visit.
+    const REPORT_RULES: [&str; 4] = [
+        "remove a transfer that has completed",
+        "remove a transfer that has failed",
+        "balanced: release the cluster ledger on completion or failure",
+        "storage: release the backend charge of a finished transfer",
+    ];
+    let mut service = service_with_resident_files(20);
+    lifecycle(&mut service, 0);
+    let advice = service.evaluate_transfers(vec![spec("fresh_a", 7), spec("fresh_b", 7)]);
+    // (evaluations of the report rules, of every other rule)
+    let split = |service: &PolicyService| -> (u64, u64) {
+        let mut sums = (0, 0);
+        for rule in service.rule_stats() {
+            if REPORT_RULES.contains(&rule.name.as_str()) {
+                sums.0 += rule.evaluations;
+            } else {
+                sums.1 += rule.evaluations;
+            }
+        }
+        sums
+    };
+    let (report_before, other_before) = split(&service);
+    service.report_transfers(vec![
+        TransferOutcome {
+            id: advice[0].id,
+            success: true,
+        },
+        TransferOutcome {
+            id: advice[1].id,
+            success: false,
+        },
+    ]);
+    let (report_after, other_after) = split(&service);
+    assert_eq!(
+        other_after, other_before,
+        "a report pass evaluated an evaluate-transfers or cleanup rule"
+    );
+    assert!(report_after > report_before, "the removals never ran");
 }
 
 fn spread_spec(n: usize, workflow: u64) -> TransferSpec {
