@@ -8,7 +8,9 @@
 //! the transfer rules. The rules of a policy family that only matches while
 //! [`PolicyConfig`] selects it — greedy or balanced allocation, backend
 //! selection — sit in a group of their own, which the pass focuses only
-//! while the family is selected.
+//! while the family is selected. A family's release sits in the report
+//! group whatever is selected: a charge made under one configuration is
+//! returned under the next.
 //!
 //! A grouping is an optimisation, never a change of meaning: debug builds
 //! check at every firing that no rule left out of focus could fire.
@@ -24,14 +26,12 @@ pub(crate) const GREEDY: AgendaGroup = AgendaGroup::new(2);
 pub(crate) const BALANCED: AgendaGroup = AgendaGroup::new(3);
 /// Storage's backend pick.
 pub(crate) const STORAGE: AgendaGroup = AgendaGroup::new(4);
-/// The two completion removals and storage's release.
+/// The two completion removals, and the balanced and storage releases.
 pub(crate) const REPORT_TRANSFERS: AgendaGroup = AgendaGroup::new(5);
-/// Balanced's cluster-ledger release.
-pub(crate) const BALANCED_RELEASE: AgendaGroup = AgendaGroup::new(6);
 /// The three cleanup rules of Table I that judge a cleanup batch.
-pub(crate) const EVALUATE_CLEANUPS: AgendaGroup = AgendaGroup::new(7);
+pub(crate) const EVALUATE_CLEANUPS: AgendaGroup = AgendaGroup::new(6);
 /// The completed-cleanup removal.
-pub(crate) const REPORT_CLEANUPS: AgendaGroup = AgendaGroup::new(8);
+pub(crate) const REPORT_CLEANUPS: AgendaGroup = AgendaGroup::new(7);
 
 /// A rules pass of the Policy Service.
 #[derive(Clone, Copy)]
@@ -57,9 +57,6 @@ impl Pass {
                 } else {
                     focus.and(STORAGE)
                 }
-            }
-            Pass::ReportTransfers if config.allocation == AllocationPolicy::Balanced => {
-                Focus::on(REPORT_TRANSFERS).and(BALANCED_RELEASE)
             }
             Pass::ReportTransfers => Focus::on(REPORT_TRANSFERS),
             Pass::EvaluateCleanups => Focus::on(EVALUATE_CLEANUPS),

@@ -156,11 +156,16 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
 
     // Release of cluster-ledger streams on completion/failure: the Table I
     // completion rules release the host-pair ledger; this companion releases
-    // the per-cluster one before the transfer fact disappears.
+    // the per-cluster one before the transfer fact disappears. It does so
+    // whichever allocation policy is selected when the outcome arrives: a
+    // charge made under balanced is owed to its cluster's ledger after a
+    // switch to greedy too. A greedy charge never touched a cluster ledger,
+    // and greedy's enforce rule marks it `cluster_released` as it makes it.
     session.add_rule(
         Rule::new("balanced: release the cluster ledger on completion or failure")
             .salience(71) // must run before the Table I removal rules (70)
-            .agenda_group(agenda::BALANCED_RELEASE)
+            .agenda_group(agenda::REPORT_TRANSFERS)
+            // Nothing is evaluated in a session that never ran balanced.
             .requires::<ClusterAllocFact>()
             .watches_fields::<TransferFact>(
                 TransferFact::STATE
@@ -169,10 +174,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     | TransferFact::RELEASE,
             )
             .watches::<ClusterAllocFact>()
-            .when(|wm, ctx: &PolicyCtx| {
-                if ctx.config.allocation != AllocationPolicy::Balanced {
-                    return Vec::new();
-                }
+            .when(|wm, _: &PolicyCtx| {
                 let mut out = Vec::new();
                 for (h, t) in wm.iter::<TransferFact>() {
                     use crate::model::TransferState::*;
@@ -219,6 +221,7 @@ impl TransferFact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::{TransferAdvice, TransferOutcome};
     use crate::config::PolicyConfig;
     use crate::model::*;
     use crate::rules_base::install_base_rules;
@@ -423,7 +426,6 @@ mod tests {
 
     #[test]
     fn a_family_is_in_focus_exactly_while_the_config_selects_it() {
-        use crate::advice::{TransferAdvice, TransferOutcome};
         use crate::service::PolicyService;
         let evaluations = |svc: &PolicyService, family: &str| -> u64 {
             svc.rule_stats()
@@ -432,8 +434,6 @@ mod tests {
                 .map(|r| r.evaluations)
                 .sum()
         };
-        let streams =
-            |advice: &[TransferAdvice]| -> Vec<u32> { advice.iter().map(|a| a.streams).collect() };
         let greedy = balanced_cfg(40, 2, 8).with_allocation(AllocationPolicy::Greedy);
         let mut svc = PolicyService::new(greedy.clone());
         let first = svc.evaluate_transfers((0..3).map(|i| spec(i, 0)).collect());
@@ -448,18 +448,80 @@ mod tests {
         assert_eq!(streams(&second), [8, 8, 4]);
         assert!(evaluations(&svc, "balanced:") > 0);
         assert_eq!(evaluations(&svc, "greedy:"), greedy_evaluations);
-        // And back: the balanced rules, release included, rest again.
+        // And back: the ledger and enforce rules rest again. The release
+        // does not: it sits in every report pass, and returns the balanced
+        // batch's charges to cluster 1's ledger under greedy too.
         svc.set_config(greedy);
-        let balanced_evaluations = evaluations(&svc, "balanced:");
-        let outcomes = first.iter().chain(&second).map(|a| TransferOutcome {
-            id: a.id,
-            success: true,
-        });
-        svc.report_transfers(outcomes.collect());
+        let release = "balanced: release";
+        let batch_rules =
+            |svc: &PolicyService| evaluations(svc, "balanced:") - evaluations(svc, release);
+        let batch_evaluations = batch_rules(&svc);
+        let release_evaluations = evaluations(&svc, release);
+        svc.report_transfers([outcomes(&first), outcomes(&second)].concat());
+        assert!(evaluations(&svc, release) > release_evaluations);
         let third = svc.evaluate_transfers(vec![spec(20, 0)]);
         assert_eq!(streams(&third), [8]);
-        assert_eq!(evaluations(&svc, "balanced:"), balanced_evaluations);
+        assert_eq!(batch_rules(&svc), batch_evaluations);
         assert!(evaluations(&svc, "greedy:") > greedy_evaluations);
+    }
+
+    fn streams(advice: &[TransferAdvice]) -> Vec<u32> {
+        advice.iter().map(|a| a.streams).collect()
+    }
+
+    /// Every transfer of `advice`, reported complete.
+    fn outcomes(advice: &[TransferAdvice]) -> Vec<TransferOutcome> {
+        advice
+            .iter()
+            .map(|a| TransferOutcome {
+                id: a.id,
+                success: true,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_balanced_charge_is_released_after_a_switch_to_greedy() {
+        use crate::service::PolicyService;
+        let mut svc = PolicyService::new(balanced_cfg(40, 2, 8));
+        let first = svc.evaluate_transfers((0..3).map(|i| spec(i, 1)).collect());
+        assert_eq!(streams(&first), [8, 8, 4]);
+        // The batch completes while greedy is selected: cluster 1's share is
+        // still returned, so back under balanced it is whole again.
+        svc.set_config(balanced_cfg(40, 2, 8).with_allocation(AllocationPolicy::Greedy));
+        svc.report_transfers(outcomes(&first));
+        svc.set_config(balanced_cfg(40, 2, 8));
+        let second = svc.evaluate_transfers((3..6).map(|i| spec(i, 1)).collect());
+        assert_eq!(streams(&second), [8, 8, 4]);
+    }
+
+    #[test]
+    fn a_greedy_charge_is_never_released_from_a_cluster_ledger() {
+        use crate::durable::DurableFact;
+        use crate::service::PolicyService;
+        let ledgers = |svc: &PolicyService| -> Vec<ClusterAllocFact> {
+            let state = svc.durable_state();
+            let ledgers = state.facts.into_iter().filter_map(|f| match f {
+                DurableFact::ClusterAlloc(c) => Some(c),
+                _ => None,
+            });
+            ledgers.collect()
+        };
+        let greedy = balanced_cfg(40, 2, 8).with_allocation(AllocationPolicy::Greedy);
+        let mut svc = PolicyService::new(greedy);
+        let early = svc.evaluate_transfers(vec![spec(0, 1)]);
+        assert_eq!(early[0].streams, 8);
+        // Under balanced, the same cluster on the same host pair gets a
+        // ledger of its own, charged 16.
+        svc.set_config(balanced_cfg(40, 2, 8));
+        svc.evaluate_transfers((1..3).map(|i| spec(i, 1)).collect());
+        let before = ledgers(&svc);
+        assert_eq!(before.len(), 1);
+        assert_eq!(before[0].allocated, 16);
+        // The greedy transfer completes: its 8 streams were never charged to
+        // that ledger, so nothing comes off it.
+        svc.report_transfers(outcomes(&early));
+        assert_eq!(ledgers(&svc), before);
     }
 
     #[test]

@@ -64,9 +64,13 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
                     p.allocated += grant;
                     p.peak_allocated = p.peak_allocated.max(p.allocated);
                 });
-                wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
+                // The charge is the host pair's alone: no cluster ledger is
+                // owed it, whatever policy is selected when it completes.
+                let fields = TransferFact::STREAMS | TransferFact::RELEASE;
+                wm.update_fields::<TransferFact>(m[0], fields, |t| {
                     t.streams = Some(grant);
                     t.charged_streams = grant;
+                    t.cluster_released = true;
                 });
             }),
     );

@@ -182,9 +182,13 @@ pub struct TransferFact {
     pub in_current_batch: bool,
     /// Set when the dedup rules decide this request must not execute.
     pub suppressed: Option<SuppressReason>,
-    /// Guard so the balanced policy releases a transfer's cluster-ledger
-    /// charge exactly once (the host-pair charge is released separately by
-    /// the Table I completion/failure rules).
+    /// True once the transfer owes no cluster-ledger charge: set by the
+    /// balanced release as it returns the charge, and by greedy's enforce
+    /// rule as it charges the host pair alone. The balanced release runs
+    /// whatever policy is selected, so this guard is what releases a
+    /// balanced charge exactly once and a greedy one never (the host-pair
+    /// charge is released separately by the Table I completion/failure
+    /// rules).
     pub cluster_released: bool,
     /// Staging backend the storage policy family picked (None when the
     /// family is off or no backend profile matches the destination site).

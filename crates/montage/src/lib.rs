@@ -6,8 +6,8 @@
 //!   sized so the no-clustering plan has exactly the paper's **89 data
 //!   staging jobs**, with the augmentation knob that adds one extra
 //!   WAN-staged file (10 MB – 1 GB in the experiments) per staging job;
-//! * [`synthetic`] — pipelines, fork-joins, and seeded random layered DAGs
-//!   for tests and secondary experiments;
+//! * [`synthetic`] — pipelines and fork-joins for tests and secondary
+//!   experiments;
 //! * [`workloads`] — CyberShake-like (sharing-heavy) and Epigenomics-like
 //!   (pipeline-parallel) shapes for cross-workload studies.
 
@@ -18,5 +18,5 @@ pub mod synthetic;
 pub mod workloads;
 
 pub use montage::{montage_one_degree, montage_replicas, montage_workflow, MontageConfig};
-pub use synthetic::{chain, fork_join, random_layered, single_source_replicas, RandomDagConfig};
+pub use synthetic::{chain, fork_join, single_source_replicas};
 pub use workloads::{cybershake_like, epigenomics_like, CyberShakeConfig, EpigenomicsConfig};

@@ -1,11 +1,9 @@
 //! Synthetic workload generators.
 //!
 //! Smaller, parameterized DAG shapes used by tests, examples, and ablation
-//! benches: pipelines, fork-joins, and seeded random layered DAGs (the shape
-//! family of the Bharathi et al. workflow generator the Pegasus group uses).
+//! benches: pipelines and fork-joins.
 
 use pwm_core::Name;
-use pwm_sim::SimRng;
 use pwm_workflow::{AbstractJob, AbstractWorkflow, ReplicaCatalog};
 
 fn job(
@@ -94,72 +92,6 @@ pub fn fork_join(width: usize, input_bytes: u64) -> AbstractWorkflow {
     wf
 }
 
-/// Parameters for [`random_layered`].
-#[derive(Debug, Clone)]
-pub struct RandomDagConfig {
-    /// Number of levels.
-    pub levels: usize,
-    /// Jobs per level.
-    pub width: usize,
-    /// Probability of an edge between a job and each job of the previous
-    /// level (at least one edge is always created).
-    pub edge_prob: f64,
-    /// Size of each level-0 external input.
-    pub input_bytes: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for RandomDagConfig {
-    fn default() -> Self {
-        RandomDagConfig {
-            levels: 4,
-            width: 8,
-            edge_prob: 0.3,
-            input_bytes: 5_000_000,
-            seed: 0,
-        }
-    }
-}
-
-/// A seeded random layered DAG: `levels × width` jobs, edges only between
-/// adjacent levels (acyclic by construction).
-pub fn random_layered(config: &RandomDagConfig) -> AbstractWorkflow {
-    assert!(config.levels >= 1 && config.width >= 1);
-    let mut rng = SimRng::for_component(config.seed, "random-dag");
-    let mut wf = AbstractWorkflow::new(format!(
-        "random-{}x{}-s{}",
-        config.levels, config.width, config.seed
-    ));
-    for level in 0..config.levels {
-        for slot in 0..config.width {
-            let name: Name = format_args!("job_l{level}_s{slot}").into();
-            let out: Name = format_args!("out_l{level}_s{slot}").into();
-            wf.set_file_size(&out, 1_000_000);
-            let mut inputs = Vec::new();
-            if level == 0 {
-                let external: Name = format_args!("in_s{slot}").into();
-                wf.set_file_size(&external, config.input_bytes);
-                inputs.push(external);
-            } else {
-                for parent_slot in 0..config.width {
-                    if rng.chance(config.edge_prob) {
-                        inputs.push(format_args!("out_l{}_s{parent_slot}", level - 1).into());
-                    }
-                }
-                if inputs.is_empty() {
-                    // Guarantee connectivity to the previous level.
-                    let parent_slot = rng.uniform_u64(0, config.width as u64 - 1);
-                    inputs.push(format_args!("out_l{}_s{parent_slot}", level - 1).into());
-                }
-            }
-            let runtime = rng.uniform(2.0, 12.0);
-            wf.add_job(job(name, "synthetic", runtime, inputs, vec![out]));
-        }
-    }
-    wf
-}
-
 /// Register every external input of `workflow` on one source host.
 pub fn single_source_replicas(
     workflow: &AbstractWorkflow,
@@ -201,34 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn random_layered_is_acyclic_and_connected() {
-        for seed in 0..5 {
-            let wf = random_layered(&RandomDagConfig {
-                seed,
-                ..Default::default()
-            });
-            let levels = wf.validate().unwrap();
-            assert_eq!(wf.len(), 32);
-            // Every non-root level job depends on something above it.
-            assert_eq!(*levels.iter().max().unwrap(), 3);
-        }
-    }
-
-    #[test]
-    fn random_layered_is_deterministic() {
-        let cfg = RandomDagConfig {
-            seed: 9,
-            ..Default::default()
-        };
-        let a = random_layered(&cfg);
-        let b = random_layered(&cfg);
-        for (ja, jb) in a.jobs().iter().zip(b.jobs()) {
-            assert_eq!(ja.inputs, jb.inputs);
-            assert_eq!(ja.runtime_s, jb.runtime_s);
-        }
-    }
-
-    #[test]
     fn single_source_replicas_cover_externals() {
         let wf = fork_join(3, 1_000);
         let rc = single_source_replicas(&wf, "src", pwm_net::HostId(0));
@@ -242,24 +146,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn random_dags_always_validate(
-            levels in 1usize..6,
-            width in 1usize..10,
-            edge_prob in 0.0f64..1.0,
-            seed in 0u64..1000,
-        ) {
-            let wf = random_layered(&RandomDagConfig {
-                levels,
-                width,
-                edge_prob,
-                input_bytes: 1_000,
-                seed,
-            });
-            prop_assert!(wf.validate().is_ok());
-            prop_assert_eq!(wf.len(), levels * width);
-        }
-
         #[test]
         fn chains_external_bytes_match(n in 1usize..20, bytes in 1u64..1_000_000) {
             let wf = chain(n, bytes);

@@ -55,7 +55,7 @@ pub use metrics::AllocStats;
 pub use model::{LinkState, StreamModel};
 pub use network::Network;
 pub use routes::{Route, RouteTable};
-pub use sharing::{max_min_rates, FlowDemand, RateAllocator};
+pub use sharing::RateAllocator;
 pub use timeline::{LinkTimeline, UtilizationSample};
 pub use topology::{paper_testbed, Host, HostId, Link, LinkId, Topology};
 

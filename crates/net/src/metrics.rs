@@ -2,8 +2,8 @@
 //! the `pwm-obs` handle attached with `Network::set_obs`.
 
 /// Counters describing how much work the rate allocator actually did —
-/// the observable difference between the full-recompute baseline and the
-/// incremental, component-local engine (see `DESIGN.md` §8).
+/// the observable difference between the incremental, component-local
+/// engine and its test-only from-scratch reference (see `DESIGN.md` §8).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AllocStats {
     /// Rate-recomputation entry points taken (one per integration step with
@@ -13,8 +13,8 @@ pub struct AllocStats {
     pub skipped: u64,
     /// Component-local progressive-filling runs performed.
     pub component_runs: u64,
-    /// Flows passed through progressive filling, summed over all runs. Under
-    /// full recompute this is `recomputes × live flows`; component-local
+    /// Flows passed through progressive filling, summed over all runs. For
+    /// the from-scratch reference this is `recomputes × live flows`; component-local
     /// allocation only pays for flows in dirty components.
     pub flows_allocated: u64,
     /// Links touched by progressive filling, summed over all runs.

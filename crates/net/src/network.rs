@@ -31,9 +31,13 @@
 //! same cluster size.
 //!
 //! Determinism: every order-sensitive iteration (activation candidates,
-//! completion processing, component allocation, the full-recompute baseline)
-//! sorts by monotonically increasing [`FlowId`], so floating-point
-//! reductions are identical across runs with the same schedule.
+//! completion processing, component allocation) sorts by monotonically
+//! increasing [`FlowId`], so floating-point reductions are identical across
+//! runs with the same schedule.
+//!
+//! The engine is held to a from-scratch reference — every flow, every link,
+//! no skips — that lives in the test-only `reference` child module; only
+//! `cargo test` builds it, and only a network it builds takes its path.
 
 use crate::fault::{LinkFault, LinkFaultKind};
 use crate::flow::{FlowId, FlowSpec, KilledFlow, TransferRecord};
@@ -41,12 +45,15 @@ use crate::flow_table::{FlowCold, FlowTable, Phase};
 use crate::metrics::AllocStats;
 use crate::model::{LinkState, StreamModel};
 use crate::routes::RouteTable;
-use crate::sharing::{max_min_rates, FlowDemand, RateAllocator};
+use crate::sharing::RateAllocator;
 use crate::timeline::{LinkTimeline, UtilizationSample};
 use crate::topology::{LinkId, Topology};
 use pwm_obs::{Counter, Gauge, Obs, SpanId};
 use pwm_sim::{FaultEvent, FaultPlan, LadderQueue, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Completion slop: a flow whose remaining bytes drop below this is done.
 const BYTE_EPS: f64 = 0.5;
@@ -274,9 +281,10 @@ pub struct Network {
     join_scratch: Vec<u32>,
     /// Allocation-work counters (see [`AllocStats`]).
     stats: AllocStats,
-    /// Benchmark/testing escape hatch: when true, every recompute takes the
-    /// full path (all flows, all links, fresh buffers).
-    full_recompute: bool,
+    /// Built by `Network::reference`: every recompute takes the test-only
+    /// reference path.
+    #[cfg(test)]
+    reference: bool,
     /// The instant the rates were last recomputed at, until something other
     /// than a link's membership (which `dirty_links` already tells) makes
     /// that recompute stale: a fault-plan edit, a newly watched link.
@@ -434,18 +442,11 @@ impl Network {
             complete_scratch: Vec::new(),
             join_scratch: Vec::new(),
             stats: AllocStats::default(),
-            full_recompute: false,
+            #[cfg(test)]
+            reference: false,
             rates_as_of: None,
             decay_memo: (SimDuration::ZERO, 1.0),
         }
-    }
-
-    /// Force every rate recomputation down the full path (every flow, every
-    /// link, fresh buffers). The reference side of the equivalence tests;
-    /// choose a mode before starting flows and keep it for the network's
-    /// lifetime.
-    pub fn set_full_recompute(&mut self, on: bool) {
-        self.full_recompute = on;
     }
 
     /// Allocation-work counters accumulated since construction.
@@ -951,11 +952,13 @@ impl Network {
     /// same caps and capacities, [`Network::apply_rate`]'s hysteresis keeps
     /// every rate it kept. So one that ran at this instant stands until a
     /// link's membership changes (`dirty_links`) or `rates_as_of` is cleared.
-    /// Full-recompute mode never skips: it is the reference of the tests.
+    /// A test's reference network never skips.
     fn recompute_or_skip(&mut self) {
-        let ran_at_this_instant = !self.full_recompute
-            && self.rates_as_of == Some(self.now)
-            && self.dirty_links.is_empty();
+        #[cfg(test)]
+        if self.reference {
+            return self.recompute_rates_full();
+        }
+        let ran_at_this_instant = self.rates_as_of == Some(self.now) && self.dirty_links.is_empty();
         if ran_at_this_instant || self.recompute_is_noop() {
             self.stats.skipped += 1;
         } else {
@@ -968,11 +971,9 @@ impl Network {
     /// every rate, capacity, and timeline untouched: no dirty links, no
     /// ramping flows (rising caps), no turbulent links (decaying factors),
     /// no fault plan (discontinuous capacities), and no watched timelines
-    /// to sample. Full-recompute mode never short-circuits — it is the
-    /// pre-change baseline and must keep the old engine's cost profile.
+    /// to sample.
     fn recompute_is_noop(&self) -> bool {
-        !self.full_recompute
-            && self.dirty_links.is_empty()
+        self.dirty_links.is_empty()
             && self.ramping.is_empty()
             && self.turb_links.is_empty()
             && self.faults.events().is_empty()
@@ -1381,10 +1382,6 @@ impl Network {
     /// value *and their pending ETA event*, so numerically-unchanged
     /// allocations cannot cascade queue churn.
     fn recompute_rates(&mut self) {
-        if self.full_recompute {
-            self.recompute_rates_full();
-            return;
-        }
         let now = self.now;
         self.stats.recomputes += 1;
 
@@ -1568,8 +1565,8 @@ impl Network {
 
     /// The connected component(s) of the flow↔link index around the seed
     /// links on `bfs_stack` (already marked `seen`): their flows into
-    /// `comp_flows` sorted by id (the order the full pass uses), their links
-    /// into `comp_links` ascending. Leaves every `seen` marker clear.
+    /// `comp_flows` sorted by id (the order the reference pass uses), their
+    /// links into `comp_links` ascending. Leaves every `seen` marker clear.
     fn collect_component(&mut self) {
         self.comp_flows.clear();
         self.comp_links.clear();
@@ -1624,118 +1621,6 @@ impl Network {
                 throughput: self.link_throughput[link.0 as usize],
             });
         }
-    }
-
-    /// Write-back for the full path: rates land unconditionally, but the
-    /// ETA event and lazy-integration anchor are only disturbed when the
-    /// rate's bits actually changed.
-    fn write_rate_full(&mut self, slot: u32, now: SimTime, new_rate: f64) {
-        let si = slot as usize;
-        if new_rate != self.flows.hot[si].rate {
-            let rem = self.remaining_at(si, now);
-            let row = &mut self.flows.hot[si];
-            row.remaining = rem;
-            row.rate_since = now;
-            row.rate = new_rate;
-            if new_rate > 0.0 {
-                let eta = now + SimDuration::from_secs_f64(rem / new_rate);
-                // Re-key the pending completion in place when one exists;
-                // a fresh event is only needed after a zero-rate stall.
-                match row.eta() {
-                    Some(h) if self.sched.reschedule(h, eta) => {}
-                    _ => {
-                        let h = self.sched.schedule_at(eta, NetEvent::complete(slot));
-                        self.flows.hot[si].set_eta(Some(h));
-                    }
-                }
-            } else if let Some(h) = row.take_eta() {
-                self.sched.cancel(h);
-            }
-        }
-    }
-
-    /// The full recompute: every flow, every link, fresh buffers on each
-    /// call. Kept as the reference side of the equivalence tests
-    /// (`tests/net_incremental.rs`).
-    fn recompute_rates_full(&mut self) {
-        let now = self.now;
-        self.stats.recomputes += 1;
-        // Fault multipliers first: the state loop below borrows the link
-        // rows mutably, and faults depend only on the plan and the clock.
-        let fault_factors: Vec<f64> = (0..self.links.len())
-            .map(|idx| self.fault_capacity_factor(LinkId(idx as u32), now))
-            .collect();
-        // Effective capacity per link under current occupancy/turbulence.
-        let mut capacities = Vec::with_capacity(self.links.len());
-        let model = &self.model;
-        for (idx, lh) in self.links.iter_mut().enumerate() {
-            lh.state.settle(model, now);
-            let factor = model.capacity_factor(lh.state.streams as f64, lh.state.turbulence);
-            capacities.push(lh.base_capacity * factor * fault_factors[idx]);
-        }
-        self.prune_turbulent();
-
-        // Full pass consumes all accumulated dirt.
-        for i in 0..self.dirty_links.len() {
-            let ix = self.dirty_links[i];
-            self.links[ix].dirty = false;
-        }
-        self.dirty_links.clear();
-
-        // Retire finished ramps so `next_wakeup`'s refresh signal converges
-        // in full mode too.
-        let (model, hot) = (&self.model, &self.flows.hot);
-        self.ramping
-            .retain(|&(_, slot)| !model.ramp_done(now.since(hot[slot as usize].activated_at)));
-
-        let mut slots: Vec<u32> = Vec::new();
-        let mut demands = Vec::new();
-        for (_, slot) in self.flows.iter() {
-            let si = slot as usize;
-            if self.flows.hot[si].phase == Phase::Active {
-                let cold = &self.flows.cold[si];
-                let rtt = self.topology.route_rtt(cold.spec.src, cold.spec.dst);
-                let age = now.since(self.flows.hot[si].activated_at);
-                slots.push(slot);
-                demands.push(FlowDemand {
-                    weight: self.flows.hot[si].weight,
-                    cap: self.model.flow_cap(cold.streams(), age, rtt),
-                    links: self
-                        .routes
-                        .links(cold.route)
-                        .iter()
-                        .map(|&l| l as usize)
-                        .collect(),
-                });
-            }
-        }
-        if slots.is_empty() {
-            return;
-        }
-        self.stats.component_runs += 1;
-        self.stats.flows_allocated += slots.len() as u64;
-        self.stats.links_allocated += capacities.len() as u64;
-        let rates = max_min_rates(&capacities, &demands);
-        for (i, &slot) in slots.iter().enumerate() {
-            self.write_rate_full(slot, now, rates[i]);
-        }
-        // Keep the running totals coherent in full mode too, so timelines
-        // and gauges read from one source of truth.
-        self.link_throughput.fill(0.0);
-        for (d, r) in demands.iter().zip(rates.iter()) {
-            for &ix in &d.links {
-                self.link_throughput[ix] += *r;
-            }
-        }
-        // Refresh per-link gauges with the fresh allocation.
-        if let Some(o) = &self.obs {
-            for (ix, (streams_gauge, throughput_gauge)) in o.link_gauges.iter().enumerate() {
-                streams_gauge.set(f64::from(self.links[ix].state.streams));
-                throughput_gauge.set(self.link_throughput[ix]);
-            }
-        }
-        // Feed watched timelines with the fresh rates.
-        self.record_timelines();
     }
 
     /// Run the network by itself until all flows complete or `horizon` is

@@ -11,130 +11,12 @@
 //! TCP: fast to recompute at every membership change and accurate at the
 //! tens-of-seconds timescales the workflow experiments care about.
 
-/// A flow's demand as seen by the allocator.
-#[derive(Debug, Clone)]
-pub struct FlowDemand {
-    /// Fair-share weight (parallel streams).
-    pub weight: f64,
-    /// Upper bound on the flow's rate (bytes/sec).
-    pub cap: f64,
-    /// Indices into the `capacities` slice of the links this flow crosses.
-    pub links: Vec<usize>,
-}
-
-/// Compute weighted max-min rates.
-///
-/// `capacities[l]` is the effective capacity of link `l` in bytes/sec.
-/// Returns one rate per flow, in input order. Flows with zero weight or an
-/// empty link list receive their cap directly (they consume no shared
-/// resource in this model).
-pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand]) -> Vec<f64> {
-    const EPS: f64 = 1e-9;
-    let mut rates = vec![0.0f64; flows.len()];
-    let mut fixed = vec![false; flows.len()];
-    let mut residual: Vec<f64> = capacities.to_vec();
-
-    // Flows that use no links are bounded only by their cap.
-    for (i, f) in flows.iter().enumerate() {
-        if f.links.is_empty() || f.weight <= 0.0 {
-            rates[i] = f.cap.max(0.0);
-            fixed[i] = true;
-        }
-    }
-
-    loop {
-        // Residual weight per link over unfixed flows.
-        let mut link_weight = vec![0.0f64; capacities.len()];
-        let mut any_unfixed = false;
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            any_unfixed = true;
-            for &l in &f.links {
-                link_weight[l] += f.weight;
-            }
-        }
-        if !any_unfixed {
-            break;
-        }
-
-        // The binding constraint: the smallest per-weight share offered by
-        // any loaded link, or the smallest per-weight cap of any unfixed flow.
-        let mut limit = f64::INFINITY;
-        let mut limit_is_link = false;
-        let mut limit_link = usize::MAX;
-        for (l, &w) in link_weight.iter().enumerate() {
-            if w > EPS {
-                let share = residual[l].max(0.0) / w;
-                if share < limit - EPS {
-                    limit = share;
-                    limit_is_link = true;
-                    limit_link = l;
-                }
-            }
-        }
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let cap_share = (f.cap - rates[i]).max(0.0) / f.weight;
-            if cap_share < limit - EPS {
-                limit = cap_share;
-                limit_is_link = false;
-            }
-        }
-        if !limit.is_finite() {
-            // No loaded links and no finite caps: flows are unconstrained;
-            // freeze them at their (infinite) caps — callers always pass
-            // finite caps, so treat as done.
-            break;
-        }
-
-        // Grow every unfixed flow by weight × limit.
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let inc = f.weight * limit;
-            rates[i] += inc;
-            for &l in &f.links {
-                residual[l] -= inc;
-            }
-        }
-
-        // Freeze flows that hit the binding constraint.
-        let mut froze = false;
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let at_cap = rates[i] >= f.cap - EPS;
-            let on_saturated = limit_is_link && f.links.contains(&limit_link);
-            let on_any_saturated = f.links.iter().any(|&l| residual[l] <= EPS);
-            if at_cap || on_saturated || on_any_saturated {
-                fixed[i] = true;
-                froze = true;
-            }
-        }
-        if !froze {
-            // Numerical corner: freeze everything touching the tightest link
-            // to guarantee progress.
-            for (i, f) in flows.iter().enumerate() {
-                if !fixed[i] && (f.links.contains(&limit_link) || !limit_is_link) {
-                    fixed[i] = true;
-                }
-            }
-        }
-    }
-    rates
-}
-
 /// A reusable progressive-filling allocator.
 ///
-/// Semantically equivalent to [`max_min_rates`] (the naive reference kept
-/// for tests and baseline benchmarks), but engineered for the recompute hot
-/// path:
+/// Semantically equivalent to naive progressive filling (kept as the
+/// test-only reference `max_min_rates` in the `network::reference` module,
+/// which the tests below hold this allocator to), but engineered for the
+/// recompute hot path:
 ///
 /// * **No per-call allocation.** All working state — residual capacities,
 ///   per-link residual weights, flow tables, the flattened link lists — lives
@@ -188,7 +70,7 @@ struct LinkScratch {
 }
 
 impl RateAllocator {
-    /// Numerical slop shared with [`max_min_rates`].
+    /// Numerical slop shared with the reference `max_min_rates`.
     const EPS: f64 = 1e-9;
 
     /// Fresh allocator with empty buffers.
@@ -318,7 +200,7 @@ impl RateAllocator {
             }
             if !froze {
                 // Numerical corner: freeze everything touching the tightest
-                // link to guarantee progress (mirrors `max_min_rates`).
+                // link to guarantee progress (mirrors the reference).
                 for &i in &self.active {
                     let (s, e) = self.spans[i];
                     let links = &self.links_flat[s as usize..e as usize];
@@ -364,10 +246,10 @@ impl RateAllocator {
     /// bit* — same `EPS` guards, same `weight * limit` rounding, same
     /// iteration order over `capacities` as the `touched` list would have —
     /// so callers can take this shortcut without perturbing a single ULP
-    /// relative to running the full allocator (the incremental-vs-full
-    /// equivalence suites compare rates exactly). `capacities` must yield
-    /// the flow's links in route order (the order `push_flow` would have
-    /// touched them).
+    /// relative to running the full allocator (the rate digests of
+    /// `crates/net/tests/interned_routes.rs` and `link_membership.rs` pin
+    /// the engine's rates bit for bit). `capacities` must yield the flow's
+    /// links in route order (the order `push_flow` would have touched them).
     pub fn single_flow_rate(
         weight: f64,
         cap: f64,
@@ -400,6 +282,7 @@ impl RateAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::reference::{max_min_rates, FlowDemand};
 
     fn demand(weight: f64, cap: f64, links: &[usize]) -> FlowDemand {
         FlowDemand {
@@ -613,6 +496,7 @@ mod tests {
 #[cfg(test)]
 mod equivalence_proptests {
     use super::*;
+    use crate::network::reference::{max_min_rates, FlowDemand};
     use proptest::prelude::*;
 
     /// Random abstract topologies: up to 12 links, up to 24 flows each

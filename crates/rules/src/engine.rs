@@ -474,16 +474,6 @@ impl<Ctx> Session<Ctx> {
         self.awake.fill(self.order.len());
     }
 
-    /// Forget all refraction state (e.g. at the start of a fresh request
-    /// evaluation, for one-shot `when_once` rules).
-    pub fn reset_refraction(&mut self) {
-        self.fired.clear();
-        for state in &mut self.states {
-            state.scan_from = 0;
-        }
-        self.awake.fill(self.order.len());
-    }
-
     /// Drop refraction entries that reference retracted facts (the fired set
     /// otherwise grows for the lifetime of a long policy session).
     ///
@@ -1006,22 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_refraction_allows_refire() {
-        let mut s: Session<u64> = Session::new();
-        s.wm.insert(Counter(0));
-        s.add_rule(
-            Rule::new("observe")
-                .when_each::<Counter>(|_, _| true)
-                .then(|_, fired: &mut u64, _| *fired += 1),
-        );
-        let mut fired = 0;
-        s.fire_all(&mut fired);
-        s.reset_refraction();
-        s.fire_all(&mut fired);
-        assert_eq!(fired, 2);
-    }
-
-    #[test]
     fn gc_refraction_drops_stale_entries() {
         let mut s: Session<()> = Session::new();
         let h = s.wm.insert(Counter(0));
@@ -1035,21 +1009,6 @@ mod tests {
         s.wm.retract(h);
         s.gc_refraction();
         assert!(s.fired.is_empty());
-    }
-
-    #[test]
-    fn when_once_rule_fires_single_time() {
-        let mut s: Session<u64> = Session::new();
-        s.wm.insert(Counter(0));
-        s.add_rule(
-            Rule::new("setup")
-                .when_once(|wm, _| wm.count::<Counter>() > 0)
-                .then(|_, fired: &mut u64, _| *fired += 1),
-        );
-        let mut fired = 0;
-        s.fire_all(&mut fired);
-        s.fire_all(&mut fired);
-        assert_eq!(fired, 1);
     }
 
     #[test]

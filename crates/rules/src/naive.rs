@@ -56,10 +56,6 @@ impl<Ctx> NaiveSession<Ctx> {
         self.rules.push(rule);
     }
 
-    pub fn reset_refraction(&mut self) {
-        self.fired.clear();
-    }
-
     pub fn gc_refraction(&mut self) {
         let wm = &self.wm;
         self.fired
@@ -174,7 +170,6 @@ mod equivalence {
         Retract(usize),
         /// A pass over the groups of [`GROUPS`] whose bit is set in the mask.
         Fire(u32),
-        ResetRefraction,
         GcRefraction,
     }
 
@@ -193,18 +188,17 @@ mod equivalence {
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..11, 0u32..12).prop_map(|(tag, n)| match tag {
+        (0u8..10, 0u32..12).prop_map(|(tag, n)| match tag {
             0 => Op::InsertA(n),
             1 => Op::InsertB(n),
             2 => Op::UpdateA(n as usize),
             3 => Op::UpdateB(n as usize),
             4 => Op::Retract(n as usize),
-            5 => Op::ResetRefraction,
-            6 => Op::GcRefraction,
-            7 => Op::BumpA(n as usize),
-            8 => Op::TagA(n as usize),
+            5 => Op::GcRefraction,
+            6 => Op::BumpA(n as usize),
+            7 => Op::TagA(n as usize),
             // Every group, or a subset (possibly none).
-            9 => Op::Fire(7),
+            8 => Op::Fire(7),
             _ => Op::Fire(n % 8),
         })
     }
@@ -212,8 +206,8 @@ mod equivalence {
     /// The shared rule set, exercising every matcher form and declaration:
     /// chaining `when_each` rules over one field group each, a two-type join
     /// that requires one of its types and reads one field group of the
-    /// other, a high-salience retraction rule, a `when_once`, and a
-    /// negative-salience observer that reads no field at all — it stays
+    /// other, a high-salience retraction rule, and a negative-salience
+    /// observer that reads no field at all — it stays
     /// refracted until *any* write re-arms it, the case a field-clean rule
     /// must rewind its cursor for. Installed identically into both engines,
     /// in the three groups of [`GROUPS`].
@@ -266,9 +260,6 @@ mod equivalence {
                 });
                 ctx.push("join".into());
             }));
-        add(Rule::new("once-any-a")
-            .when_once(|wm, _| wm.count::<A>() > 0)
-            .then(|_, ctx: &mut Ctx, _| ctx.push("once".into())));
         add(Rule::new("observe-a")
             .salience(-1)
             .when_each_fields::<A>(Fields::NONE, |_, _| true)
@@ -384,10 +375,6 @@ mod equivalence {
                         let inc_log: Vec<&str> = ri.log.iter().map(|n| n.as_ref()).collect();
                         let nai_log: Vec<&str> = rn.log.iter().map(|n| n.as_str()).collect();
                         prop_assert_eq!(inc_log, nai_log, "firing sequences diverged");
-                    }
-                    Op::ResetRefraction => {
-                        inc.reset_refraction();
-                        nai.reset_refraction();
                     }
                     Op::GcRefraction => {
                         inc.gc_refraction();

@@ -477,24 +477,6 @@ impl<Ctx> RuleBuilder<Ctx> {
         self.watches_fields::<T>(fields)
     }
 
-    /// Matcher that fires once (empty tuple) when a condition over the whole
-    /// memory holds. Refraction note: an empty tuple has no versions, so the
-    /// rule will not re-fire until the engine's fired-set is reset — use for
-    /// one-shot setup rules.
-    pub fn when_once(
-        mut self,
-        pred: impl Fn(&WorkingMemory, &Ctx) -> bool + Send + 'static,
-    ) -> Self {
-        self.matcher = Some(Box::new(move |wm, ctx| {
-            if pred(wm, ctx) {
-                vec![[].into()]
-            } else {
-                vec![]
-            }
-        }));
-        self
-    }
-
     /// The action body; completes the rule.
     pub fn then(
         mut self,
@@ -562,18 +544,6 @@ mod tests {
         for m in &ms {
             assert_eq!(m.len(), 1);
         }
-    }
-
-    #[test]
-    fn when_once_fires_zero_or_one() {
-        let mut wm = WorkingMemory::new();
-        let r: Rule<()> = Rule::new("any-big")
-            .when_once(|wm, _| wm.iter::<Num>().any(|(_, n)| n.0 > 10))
-            .then(|_, _, _| {});
-        assert!(r.matches(&wm, &()).is_empty());
-        wm.insert(Num(20));
-        let ms = r.matches(&wm, &());
-        assert!(ms.len() == 1 && ms[0].is_empty(), "one empty tuple");
     }
 
     #[test]

@@ -358,6 +358,11 @@ fi
 # default), and its link membership — inline slots spilling to a side table
 # and back — to a sorted-`Vec` reference with the component BFS
 # (crates/net/tests/link_membership.rs, 128 cases), beside the queue suite.
+# Its incremental rate engine is held to the from-scratch reference that
+# lives only in test code (`pwm-net`'s `network::reference` module): the
+# proptest `repeating_an_advance_at_one_instant_changes_nothing` (48 cases
+# by default) repeats advances at one instant on both paths and compares
+# each flow's fate across them.
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
@@ -368,6 +373,8 @@ PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-net --test interned_routes
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-net --test link_membership
+PWM_PROPTEST_CASES=384 cargo test -q --release --offline \
+  -p pwm-net --lib network::reference
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
 

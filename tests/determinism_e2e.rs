@@ -8,7 +8,8 @@
 //! the full stack (workflow → policy → network → trace export) must be
 //! *bit-identical*, not merely statistically close.
 //!
-//! Two probes:
+//! Three probes:
+//! - an untraced Montage run (`run_once`): full `RunStats` equality;
 //! - a traced Montage run: full [`RunStats`] equality (every field, floats
 //!   exact, including the per-transfer record stream) plus a byte-identical
 //!   Chrome-trace export;
@@ -19,6 +20,18 @@
 //! trivially satisfied by an empty or constant artifact.
 
 use pwm_bench::{mb, run_chaos, ChaosConfig, MontageExperiment, PolicyMode};
+
+/// Same-seed `MontageExperiment::run_once` is exactly reproducible: every
+/// field of `RunStats`, including each transfer record, compares equal.
+#[test]
+fn same_seed_run_once_produces_identical_run_stats() {
+    let exp = MontageExperiment::paper_setup(100_000_000, 8, PolicyMode::Greedy { threshold: 50 });
+    let a = exp.run_once(1234);
+    let b = exp.run_once(1234);
+    assert_eq!(a, b, "same-seed runs diverged");
+    assert!(a.success);
+    assert!(!a.transfers.is_empty());
+}
 
 #[test]
 fn same_seed_traced_runs_are_bit_identical() {
