@@ -9,9 +9,11 @@
 //! * **link degradations** — longer windows where the WAN runs at a
 //!   fraction of its capacity (in-flight flows re-share),
 //! * **policy-service faults** — one replica-crash outage window plus
-//!   seeded advice-timeout glitches, driving either
+//!   seeded advice-timeout glitches on the primary replica, driving either
 //!   [`FailoverTransport`] recovery (with a backup replica) or the
-//!   executor's default-stream fallback (without one).
+//!   executor's default-stream fallback (without one). Each is a
+//!   [`CrashTarget::PolicyReplica`] window of the executor's recovery
+//!   plan, like every other crash.
 //!
 //! [`run_chaos`] reports makespan, recovery statistics, and a fault-event
 //! fingerprint that two same-seed runs must reproduce exactly;
@@ -25,16 +27,17 @@
 
 use crate::experiment::PaperWorld;
 use crate::SuiteOutput;
-use pwm_core::chaos::{ChaosTransport, ServiceFault, SharedSimClock};
 use pwm_core::transport::{InProcessTransport, PolicyTransport};
 use pwm_core::{
     AllocationPolicy, DurabilityConfig, FailoverTransport, MemorySnapshot, PolicyConfig,
-    PolicyController, WorkflowId, DEFAULT_SESSION,
+    PolicyController, ServiceFault, WorkflowId, DEFAULT_SESSION,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{Network, StreamModel};
 use pwm_sim::{seeded_windows, FaultPlan, SimDuration, SimRng, SimTime};
-use pwm_workflow::{ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
+use pwm_workflow::{
+    CrashTarget, ExecutorConfig, PlannerConfig, RecoveryConfig, RunStats, WorkflowExecutor,
+};
 use std::fmt::Write;
 
 /// Default (and fallback) streams per transfer in both fault scenarios.
@@ -55,7 +58,7 @@ pub(crate) struct FaultedMontage {
     pub transfer_failure_prob: f64,
     /// Windows on the WAN link.
     pub link_faults: FaultPlan<LinkFault>,
-    /// Windows in which the primary replica's transport fails.
+    /// Windows in which the primary replica refuses calls.
     pub service_faults: FaultPlan<ServiceFault>,
     /// Put a backup replica behind the primary in a failover chain.
     pub backup: bool,
@@ -66,9 +69,10 @@ pub(crate) struct FaultedMontage {
 }
 
 /// Build and run the stack both fault scenarios share: `world`'s Montage
-/// plan, a greedy primary behind a [`ChaosTransport`], optionally a backup
-/// behind a [`FailoverTransport`], and the paper's 75 ms callout on the
-/// shared clock with the WAN watched.
+/// plan, a greedy primary (optionally followed by a backup) in a
+/// [`FailoverTransport`] chain, the primary's service faults as windows of
+/// the executor's recovery plan, and the paper's 75 ms callout with the
+/// WAN watched.
 pub(crate) fn run_faulted(world: PaperWorld, run: FaultedMontage) -> ChaosReport {
     let seed = run.seed;
     let mut fault_events = run.link_faults.describe();
@@ -87,48 +91,50 @@ pub(crate) fn run_faulted(world: PaperWorld, run: FaultedMontage) -> ChaosReport
             .create_durable_session(DEFAULT_SESSION, policy.clone(), durability)
             .expect("durable primary session");
     }
-    let clock = SharedSimClock::new();
-    let chaotic = ChaosTransport::new(
-        Box::new(InProcessTransport::new(primary, DEFAULT_SESSION)),
-        clock.clone(),
-        run.service_faults,
-    );
-    let chaos = chaotic.probe();
     let backup = run.backup.then(|| PolicyController::new(policy));
-    let (transport, failover_probe): (Box<dyn PolicyTransport>, _) = match &backup {
-        Some(backup) => {
-            let mut chain = FailoverTransport::new(vec![
-                Box::new(chaotic),
-                Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION)),
-            ]);
-            if let Some(mut warm) = run.warm {
-                let backup = backup.clone();
-                chain = chain.with_warm_recovery(move |_ix| warm(&backup));
-            }
-            let probe = chain.probe();
-            (Box::new(chain), Some(probe))
-        }
-        None => (Box::new(chaotic), None),
-    };
+    let replicas = [Some(&primary), backup.as_ref()]
+        .into_iter()
+        .flatten()
+        .map(|c| Box::new(InProcessTransport::new(c.clone(), DEFAULT_SESSION)) as _)
+        .collect();
+    let mut chain = FailoverTransport::new(replicas);
+    if let (Some(backup), Some(mut warm)) = (&backup, run.warm) {
+        let backup = backup.clone();
+        chain = chain.with_warm_recovery(move |_ix| warm(&backup));
+    }
+    let probe = chain.probe();
+    let mut faults = FaultPlan::new();
+    for ev in run.service_faults.events() {
+        let target = CrashTarget::PolicyReplica {
+            chain: probe.clone(),
+            replica: 0,
+            fault: ev.kind,
+        };
+        faults.add(ev.window.start, ev.window.duration, target);
+    }
 
     let exec_cfg = ExecutorConfig {
         seed,
         transfer_failure_prob: run.transfer_failure_prob,
         fallback_streams: DEFAULT_STREAMS,
         policy_call_latency: SimDuration::from_millis(75),
-        clock: Some(clock),
         workflow_id: WorkflowId(seed),
         watch_link: Some(world.wan),
+        recovery: Some(RecoveryConfig {
+            faults,
+            ..RecoveryConfig::default()
+        }),
         ..ExecutorConfig::default()
     };
+    let transport: Box<dyn PolicyTransport> = Box::new(chain);
     let executor = WorkflowExecutor::new(&executable, &world.site, network, transport, exec_cfg);
     let (stats, _network) = executor.run();
     ChaosReport {
         stats,
         fault_events,
-        injected_service_failures: chaos.injected_failures(),
-        service_calls_passed: chaos.calls_passed(),
-        failovers: failover_probe.map_or(0, |p| p.failovers()),
+        injected_service_failures: probe.refused(),
+        service_calls_passed: probe.calls(0),
+        failovers: probe.failovers(),
         backup_snapshot: backup.map(|c| c.snapshot(DEFAULT_SESSION).expect("backup snapshot")),
     }
 }
@@ -211,9 +217,10 @@ pub struct ChaosReport {
     /// service plan, one line per event). Two same-seed runs must produce
     /// identical fingerprints.
     pub fault_events: Vec<String>,
-    /// Policy calls failed by an active service-fault window.
+    /// Policy calls refused because a service-fault window held the
+    /// primary down.
     pub injected_service_failures: u64,
-    /// Policy calls that passed through the chaos transport.
+    /// Policy calls that reached the primary.
     pub service_calls_passed: u64,
     /// Failovers performed by the replica chain (0 without a backup).
     pub failovers: u64,
@@ -445,5 +452,70 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].contains("5 bytes left on scratch"));
         assert!(v[1].contains("2 cleanups in progress"));
+    }
+
+    /// The compact scenario with service faults alone: the outage at
+    /// `[30 s, 75 s)` and `glitches` timeout glitches.
+    fn service_only(replicas: usize, glitches: usize) -> ChaosConfig {
+        ChaosConfig {
+            replicas,
+            link_faults: false,
+            timeout_glitches: glitches,
+            ..ChaosConfig::compact()
+        }
+    }
+
+    #[test]
+    fn calls_pass_outside_fault_windows() {
+        // The outage opens long after the run ends: every call reaches
+        // the primary.
+        let cfg = ChaosConfig {
+            outage_start: SimTime::from_secs(10_000),
+            ..service_only(1, 0)
+        };
+        let report = run_chaos(&cfg, 3);
+        assert_eq!(
+            report.fault_events,
+            ["[10000.000000s, 10045.000000s) Outage"]
+        );
+        assert_eq!(report.injected_service_failures, 0);
+        assert_eq!(report.service_calls_passed, report.stats.policy_calls);
+    }
+
+    #[test]
+    fn calls_fail_inside_the_window_and_are_logged() {
+        // One replica: each call is either refused by the outage or
+        // reaches the replica, and the run still completes.
+        let report = run_chaos(&service_only(1, 0), 3);
+        assert_eq!(report.fault_events, ["[30.000000s, 75.000000s) Outage"]);
+        assert!(report.injected_service_failures > 0, "the outage hit");
+        assert!(report.service_calls_passed > 0, "calls outside it passed");
+        assert_eq!(
+            report.injected_service_failures + report.service_calls_passed,
+            report.stats.policy_calls
+        );
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+    }
+
+    #[test]
+    fn timeout_faults_are_distinguishable_in_the_log() {
+        let report = run_chaos(&service_only(2, 2), 3);
+        let kinds: Vec<&str> = (report.fault_events.iter())
+            .filter_map(|e| e.rsplit(' ').next())
+            .collect();
+        let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
+        assert_eq!((count("Outage"), count("Timeout")), (1, 2), "{kinds:?}");
+    }
+
+    #[test]
+    fn replica_crash_drives_failover_and_recovery_is_possible() {
+        // The primary is down for [30 s, 75 s): the chain fails over to the
+        // backup once and sticks there, so the primary refuses one call,
+        // and the backup's ledger drains by the end of the run.
+        let report = run_chaos(&service_only(2, 0), 3);
+        assert_eq!(report.failovers, 1);
+        assert_eq!(report.injected_service_failures, 1);
+        assert!(report.service_calls_passed > 0, "the primary served first");
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
     }
 }

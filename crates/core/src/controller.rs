@@ -193,7 +193,7 @@ impl PolicyController {
     pub fn set_sim_clock(
         &self,
         session: &str,
-        clock: crate::chaos::SharedSimClock,
+        clock: crate::SharedSimClock,
     ) -> Result<(), ControllerError> {
         self.serve(session, |s| s.set_sim_clock(clock))
     }
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn sim_clock_and_obs_attach_in_either_order() {
-        use crate::chaos::SharedSimClock;
+        use crate::SharedSimClock;
         for clock_first in [true, false] {
             let c = PolicyController::new(PolicyConfig::default());
             let obs = Obs::new();

@@ -25,20 +25,72 @@
 //! primary's allocation ledgers and dedup memory, so it never grants past
 //! the per-host-pair threshold on top of surviving allocations and never
 //! re-advises a transfer the ledger already marked staged.
+//!
+//! A replica can also be held down from outside: the chain's
+//! [`FailoverProbe`] marks replica `ix` down for a [`ServiceFault`] and up
+//! again (the workflow executor's recovery plane does so for each
+//! policy-replica window of its fault plan). While any fault holds a replica down, the chain answers
+//! its calls with [`TransportError::Io`] without invoking it, exactly what
+//! a crashed or unresponsive replica looks like to the client, and fails
+//! over past it. Faults on one replica nest: it is up again only when the
+//! last of them is lifted.
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
-use crate::chaos::SharedSimClock;
 use crate::model::{CleanupSpec, TransferSpec};
 use crate::transport::{PolicyTransport, TransportError};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// How a replica that a fault holds down fails its callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServiceFault {
+    /// The replica is down: connections are refused outright.
+    Outage,
+    /// The replica accepts the connection but advice never arrives in
+    /// time; the client sees a timeout. Indistinguishable from `Outage`
+    /// in effect, but labelled separately in fault plans and errors.
+    Timeout,
+}
+
+impl ServiceFault {
+    /// The error a call to replica `ix` meets while this fault holds it.
+    fn error(self, ix: usize) -> TransportError {
+        TransportError::Io(match self {
+            ServiceFault::Outage => format!("replica {ix} is down: connection refused"),
+            ServiceFault::Timeout => format!("replica {ix}: advice timeout"),
+        })
+    }
+}
+
+/// What a chain shares with its probes.
+#[derive(Debug, Default)]
+struct Health {
+    failovers: u64,
+    refused: u64,
+    /// Per replica: calls that reached it.
+    calls: Vec<u64>,
+    /// Per replica: the faults holding it down, in the order they came.
+    down: Vec<Vec<ServiceFault>>,
+}
+
+impl Health {
+    /// A call for replica `ix`: the fault that refuses it, or `None` after
+    /// counting that it reaches the replica.
+    fn admit(&mut self, ix: usize) -> Option<ServiceFault> {
+        let fault = self.down[ix].first().copied();
+        match fault {
+            Some(_) => self.refused += 1,
+            None => self.calls[ix] += 1,
+        }
+        fault
+    }
+}
 
 /// A transport that fails over across policy-service replicas.
 pub struct FailoverTransport {
     replicas: Vec<Box<dyn PolicyTransport>>,
     active: usize,
-    failovers: Arc<AtomicU64>,
-    obs: Option<(pwm_obs::Obs, Option<SharedSimClock>)>,
+    health: Arc<Mutex<Health>>,
     /// Which replicas have already been warmed (or started warm, like the
     /// initial primary).
     warmed: Vec<bool>,
@@ -47,19 +99,46 @@ pub struct FailoverTransport {
     warm_hook: Option<Box<dyn FnMut(usize) + Send>>,
 }
 
-/// A cloneable handle onto a [`FailoverTransport`]'s failover counter.
+/// A cloneable handle onto a [`FailoverTransport`]: its counters, and the
+/// switch that holds a replica down.
 ///
-/// The transport itself is typically moved into an executor; the probe lets
-/// chaos harnesses read how many failovers happened after the run.
+/// The transport itself is typically moved into an executor; the probe
+/// keeps working after the move, so a fault plan can take replicas down
+/// and a harness can read the counts after the run.
 #[derive(Debug, Clone)]
 pub struct FailoverProbe {
-    failovers: Arc<AtomicU64>,
+    health: Arc<Mutex<Health>>,
 }
 
 impl FailoverProbe {
     /// How many failovers have occurred so far.
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.health.lock().failovers
+    }
+
+    /// Calls refused because a fault held their replica down.
+    pub fn refused(&self) -> u64 {
+        self.health.lock().refused
+    }
+
+    /// Calls that reached replica `ix`, whatever it answered.
+    pub fn calls(&self, ix: usize) -> u64 {
+        self.health.lock().calls[ix]
+    }
+
+    /// Hold replica `ix` down for `fault` until [`FailoverProbe::mark_up`]
+    /// lifts it.
+    pub fn mark_down(&self, ix: usize, fault: ServiceFault) {
+        self.health.lock().down[ix].push(fault);
+    }
+
+    /// Lift one `fault` from replica `ix`. The replica serves again once no
+    /// fault holds it.
+    pub fn mark_up(&self, ix: usize, fault: ServiceFault) {
+        let down = &mut self.health.lock().down[ix];
+        if let Some(pos) = down.iter().position(|&f| f == fault) {
+            down.remove(pos);
+        }
     }
 }
 
@@ -70,13 +149,17 @@ impl FailoverTransport {
     /// Panics if `replicas` is empty.
     pub fn new(replicas: Vec<Box<dyn PolicyTransport>>) -> Self {
         assert!(!replicas.is_empty(), "failover needs at least one replica");
-        let mut warmed = vec![false; replicas.len()];
+        let n = replicas.len();
+        let mut warmed = vec![false; n];
         warmed[0] = true; // the initial primary is authoritative by definition
         FailoverTransport {
             replicas,
             active: 0,
-            failovers: Arc::new(AtomicU64::new(0)),
-            obs: None,
+            health: Arc::new(Mutex::new(Health {
+                calls: vec![0; n],
+                down: vec![Vec::new(); n],
+                ..Health::default()
+            })),
             warmed,
             warm_hook: None,
         }
@@ -92,14 +175,6 @@ impl FailoverTransport {
         self
     }
 
-    /// Attach observability: each failover increments
-    /// `pwm_failover_total` and, when a sim clock is supplied, emits a
-    /// sim-time trace instant naming the replica taking over.
-    pub fn with_obs(mut self, obs: pwm_obs::Obs, clock: Option<SharedSimClock>) -> Self {
-        self.obs = Some((obs, clock));
-        self
-    }
-
     /// Index of the replica currently serving requests.
     pub fn active_replica(&self) -> usize {
         self.active
@@ -107,18 +182,19 @@ impl FailoverTransport {
 
     /// How many failovers have occurred.
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.health.lock().failovers
     }
 
-    /// A probe that keeps counting after the transport is moved elsewhere.
+    /// A probe that keeps working after the transport is moved elsewhere.
     pub fn probe(&self) -> FailoverProbe {
         FailoverProbe {
-            failovers: Arc::clone(&self.failovers),
+            health: Arc::clone(&self.health),
         }
     }
 
     /// Try the active replica, then fail over through the rest. `op` is
-    /// retried at most once per replica.
+    /// retried at most once per replica, and never on a replica a fault
+    /// holds down.
     fn with_failover<R>(
         &mut self,
         mut op: impl FnMut(&mut dyn PolicyTransport) -> Result<R, TransportError>,
@@ -136,28 +212,16 @@ impl FailoverTransport {
                     hook(ix);
                 }
             }
-            match op(self.replicas[ix].as_mut()) {
+            let refused = self.health.lock().admit(ix);
+            let result = match refused {
+                Some(fault) => Err(fault.error(ix)),
+                None => op(self.replicas[ix].as_mut()),
+            };
+            match result {
                 Ok(r) => {
                     if ix != self.active {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
+                        self.health.lock().failovers += 1;
                         self.active = ix;
-                        if let Some((obs, clock)) = &self.obs {
-                            obs.registry
-                                .counter(
-                                    "pwm_failover_total",
-                                    "Failovers to another policy-service replica",
-                                    &[],
-                                )
-                                .inc();
-                            if let Some(clock) = clock {
-                                obs.tracer.instant(
-                                    "failover",
-                                    "chaos",
-                                    clock.now(),
-                                    &[("replica", ix.to_string())],
-                                );
-                            }
-                        }
                     }
                     return Ok(r);
                 }
@@ -206,29 +270,7 @@ mod tests {
     use crate::controller::{PolicyController, DEFAULT_SESSION};
     use crate::model::{Url, WorkflowId};
     use crate::transport::InProcessTransport;
-
-    /// A replica that always fails.
-    struct Dead;
-    impl PolicyTransport for Dead {
-        fn evaluate_transfers(
-            &mut self,
-            _b: Vec<TransferSpec>,
-        ) -> Result<Vec<TransferAdvice>, TransportError> {
-            Err(TransportError::Io("dead".into()))
-        }
-        fn report_transfers(&mut self, _o: Vec<TransferOutcome>) -> Result<(), TransportError> {
-            Err(TransportError::Io("dead".into()))
-        }
-        fn evaluate_cleanups(
-            &mut self,
-            _b: Vec<CleanupSpec>,
-        ) -> Result<Vec<CleanupAdvice>, TransportError> {
-            Err(TransportError::Io("dead".into()))
-        }
-        fn report_cleanups(&mut self, _o: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-            Err(TransportError::Io("dead".into()))
-        }
-    }
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn spec(n: u32) -> TransferSpec {
         TransferSpec {
@@ -248,6 +290,15 @@ mod tests {
             Box::new(InProcessTransport::new(c.clone(), DEFAULT_SESSION)),
             c,
         )
+    }
+
+    /// A chain over `replicas` whose first `dead` an outage holds down.
+    fn chain(replicas: Vec<Box<dyn PolicyTransport>>, dead: usize) -> FailoverTransport {
+        let t = FailoverTransport::new(replicas);
+        for ix in 0..dead {
+            t.probe().mark_down(ix, ServiceFault::Outage);
+        }
+        t
     }
 
     #[test]
@@ -271,7 +322,7 @@ mod tests {
     #[test]
     fn fails_over_to_backup_and_sticks() {
         let (backup, c2) = live();
-        let mut t = FailoverTransport::new(vec![Box::new(Dead), backup]);
+        let mut t = chain(vec![live().0, backup], 1);
         let advice = t.evaluate_transfers(vec![spec(1)]).unwrap();
         assert_eq!(advice.len(), 1);
         assert_eq!(t.active_replica(), 1);
@@ -285,7 +336,7 @@ mod tests {
     #[test]
     fn probe_observes_failovers_after_the_transport_moves() {
         let (backup, _c) = live();
-        let t = FailoverTransport::new(vec![Box::new(Dead), backup]);
+        let t = chain(vec![live().0, backup], 1);
         let probe = t.probe();
         // Move the transport behind a trait object, as the executor does.
         let mut boxed: Box<dyn PolicyTransport> = Box::new(t);
@@ -294,27 +345,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_counts_failovers_with_sim_time_instant() {
-        let clock = SharedSimClock::new();
-        clock.set(pwm_sim::SimTime::from_secs(42));
-        let obs = pwm_obs::Obs::new();
-        let (backup, _c) = live();
-        let mut t =
-            FailoverTransport::new(vec![Box::new(Dead), backup]).with_obs(obs.clone(), Some(clock));
-        t.evaluate_transfers(vec![spec(1)]).unwrap();
-        assert!(obs
-            .registry
-            .render_prometheus()
-            .contains("pwm_failover_total 1"));
-        let events = obs.tracer.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "failover");
-        assert_eq!(events[0].start, pwm_sim::SimTime::from_secs(42));
-    }
-
-    #[test]
     fn all_replicas_dead_surfaces_the_error() {
-        let mut t = FailoverTransport::new(vec![Box::new(Dead), Box::new(Dead)]);
+        let mut t = chain(vec![live().0, live().0], 2);
         let err = t.evaluate_transfers(vec![spec(1)]).unwrap_err();
         assert!(matches!(err, TransportError::Io(_)));
     }
@@ -336,7 +368,7 @@ mod tests {
             .unwrap();
         // Same request through the backup directly (simulating a failover):
         let (backup2, _c3) = live();
-        let mut after = FailoverTransport::new(vec![Box::new(Dead), backup2]);
+        let mut after = chain(vec![live().0, backup2], 1);
         let again = after.evaluate_transfers(vec![spec(1)]).unwrap();
         assert!(again[0].should_execute(), "fresh backup re-stages safely");
     }
@@ -346,10 +378,9 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&calls);
         let (backup, _c) = live();
-        let mut t =
-            FailoverTransport::new(vec![Box::new(Dead), backup]).with_warm_recovery(move |_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
+        let mut t = chain(vec![live().0, backup], 1).with_warm_recovery(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         t.evaluate_transfers(vec![spec(1)]).unwrap();
         t.evaluate_transfers(vec![spec(2)]).unwrap();
         // The initial primary starts warm, so only the backup triggered the
@@ -388,11 +419,8 @@ mod tests {
         let backup = PolicyController::new(config.clone());
         let hook_backup = backup.clone();
         let hook_dir = dir.clone();
-        let mut t = FailoverTransport::new(vec![
-            Box::new(Dead),
-            Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION)),
-        ])
-        .with_warm_recovery(move |_ix| {
+        let backup_replica = Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION));
+        let mut t = chain(vec![Box::new(live), backup_replica], 1).with_warm_recovery(move |_ix| {
             hook_backup
                 .recover_session(DEFAULT_SESSION, &hook_dir)
                 .unwrap();
@@ -421,7 +449,7 @@ mod tests {
     #[test]
     fn cleanup_path_fails_over_too() {
         let (backup, _c) = live();
-        let mut t = FailoverTransport::new(vec![Box::new(Dead), backup]);
+        let mut t = chain(vec![live().0, backup], 1);
         let advice = t
             .evaluate_cleanups(vec![crate::model::CleanupSpec {
                 file: Url::new("file", "d", "/f1"),
@@ -431,5 +459,26 @@ mod tests {
         assert_eq!(advice.len(), 1);
         t.report_cleanups(vec![]).unwrap();
         assert_eq!(t.active_replica(), 1);
+    }
+
+    #[test]
+    fn faults_on_one_replica_nest() {
+        // An outage with a timeout inside it: lifting the timeout leaves
+        // the replica down, and no refused call reaches it.
+        let (primary, c) = live();
+        let t = FailoverTransport::new(vec![primary]);
+        let probe = t.probe();
+        let mut boxed: Box<dyn PolicyTransport> = Box::new(t);
+        probe.mark_down(0, ServiceFault::Outage);
+        probe.mark_down(0, ServiceFault::Timeout);
+        probe.mark_up(0, ServiceFault::Timeout);
+        let err = boxed.evaluate_transfers(vec![spec(1)]).unwrap_err();
+        assert!(err.to_string().contains("connection refused"), "{err}");
+        assert_eq!((probe.refused(), probe.calls(0)), (1, 0));
+        assert_eq!(c.stats(DEFAULT_SESSION).unwrap().transfer_requests, 0);
+        probe.mark_up(0, ServiceFault::Outage);
+        boxed.evaluate_transfers(vec![spec(2)]).unwrap();
+        assert_eq!((probe.refused(), probe.calls(0)), (1, 1));
+        assert_eq!(probe.failovers(), 0, "a one-replica chain has no backup");
     }
 }

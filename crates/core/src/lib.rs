@@ -44,7 +44,6 @@ pub mod advice;
 mod agenda;
 pub mod audit;
 pub mod balanced;
-pub mod chaos;
 pub mod config;
 pub mod controller;
 pub mod ctx;
@@ -67,7 +66,6 @@ pub use advice::{
     CleanupAction, CleanupAdvice, CleanupOutcome, TransferAction, TransferAdvice, TransferOutcome,
 };
 pub use audit::{AuditLog, AuditRecord, PolicyEvent};
-pub use chaos::{ChaosProbe, ChaosTransport, ServiceFault, SharedSimClock};
 pub use config::{
     AllocationPolicy, BackendProfileCfg, OrderingPolicy, PolicyConfig, StoragePolicy,
 };
@@ -77,7 +75,7 @@ pub use durable::{
     crc32, decode_frames, encode_frame, read_recovery, CrashPoint, Durability, DurabilityConfig,
     DurableCounts, DurableFact, DurableState, Recovered, WalCommand, WalRecord,
 };
-pub use failover::{FailoverProbe, FailoverTransport};
+pub use failover::{FailoverProbe, FailoverTransport, ServiceFault};
 pub use ledger::{balanced_grant, greedy_grant, greedy_total_for_concurrent_jobs, no_policy_total};
 pub use model::{
     BackendDownFact, BackendLoadFact, BackendProfileFact, CleanupId, CleanupSpec, ClusterId,
@@ -91,7 +89,8 @@ pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
 pub use pwm_rules::MintedBuild;
 pub use recovery_rules::install_recovery_rules;
 pub use service::{
-    HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SHARD_ID_BITS,
+    HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SharedSimClock,
+    SHARD_ID_BITS,
 };
 pub use shard::{fnv1a64, HashRing, ShardedPolicyService, RING_VNODES};
 pub use storage_rules::{estimated_dollars, estimated_seconds, install_storage_rules};

@@ -13,7 +13,6 @@ use crate::advice::{
 use crate::agenda::Pass;
 use crate::audit::{AuditLog, AuditRecord, PolicyEvent};
 use crate::balanced::install_balanced_rules;
-use crate::chaos::SharedSimClock;
 use crate::config::{OrderingPolicy, PolicyConfig};
 use crate::ctx::PolicyCtx;
 use crate::durable::{
@@ -34,10 +33,13 @@ use crate::rules_base::{host_pair_for, install_base_rules, resource_for};
 use crate::storage_rules::install_storage_rules;
 use pwm_obs::{Counter, Gauge, Histogram, Obs};
 use pwm_rules::{FactHandle, Session};
+use pwm_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counters the service keeps for monitoring and tests.
@@ -325,6 +327,32 @@ impl ServiceObs {
         for (gauge, count) in gauges.iter().zip(counts) {
             gauge.set(count as f64);
         }
+    }
+}
+
+/// A cloneable view of the simulation clock. The workflow executor
+/// publishes its time here each scheduling step
+/// (`pwm_workflow::ExecutorConfig::clock`), and a service given the clock
+/// with [`PolicyService::set_sim_clock`] stamps its trace instants with it.
+#[derive(Debug, Clone, Default)]
+pub struct SharedSimClock {
+    micros: Arc<AtomicU64>,
+}
+
+impl SharedSimClock {
+    /// A clock starting at `t = 0`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Publish the current simulation time.
+    pub fn set(&self, now: SimTime) {
+        self.micros.store(now.as_micros(), Ordering::Relaxed);
+    }
+
+    /// The most recently published simulation time.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_micros(self.micros.load(Ordering::Relaxed))
     }
 }
 

@@ -211,7 +211,7 @@ impl ShardedPolicyService {
     }
 
     /// Attach a shared sim clock to every shard.
-    pub fn set_sim_clock(&self, clock: crate::chaos::SharedSimClock) {
+    pub fn set_sim_clock(&self, clock: crate::SharedSimClock) {
         for shard in &self.shards {
             shard.lock().set_sim_clock(clock.clone());
         }

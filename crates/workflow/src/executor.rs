@@ -31,11 +31,10 @@ use crate::recovery::{
 use crate::stats::RunStats;
 use crate::storage::StorageRuntime;
 use crate::trace::JobTrace;
-use pwm_core::chaos::SharedSimClock;
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{
-    CleanupOutcome, CleanupSpec, ClusterId, MintedBuild, Name, SuppressReason, TransferAction,
-    TransferAdvice, TransferOutcome, TransferSpec, Url, WorkflowId,
+    CleanupOutcome, CleanupSpec, ClusterId, MintedBuild, Name, SharedSimClock, SuppressReason,
+    TransferAction, TransferAdvice, TransferOutcome, TransferSpec, Url, WorkflowId,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{FlowSpec, LinkId, Network};
@@ -91,9 +90,10 @@ pub struct ExecutorConfig {
     /// default streams so an outage degrades to default-stream advice.
     pub fallback_streams: u32,
     /// When set, the executor publishes its virtual clock here each
-    /// scheduling step, so time-windowed fault injectors (e.g.
-    /// `pwm_core::chaos::ChaosTransport`) deep in the transport chain see
-    /// the current simulation time.
+    /// scheduling step, so a policy service given the same clock
+    /// (`PolicyController::set_sim_clock`) stamps its trace instants in
+    /// simulation time. Faults never read it: they are windows of
+    /// [`RecoveryConfig::faults`].
     pub clock: Option<SharedSimClock>,
     /// Workflow identity presented to the policy service.
     pub workflow_id: WorkflowId,
@@ -340,7 +340,7 @@ impl<'p> WorkflowExecutor<'p> {
         // identical interleavings. A crashed host, or a backend's store
         // host, is unreachable: its access link is down for the window.
         if let Some(rec) = &exec.recovery {
-            for (fault, ev) in rec.faults().iter().enumerate() {
+            for (fault, ev) in rec.scheduled_faults() {
                 let window = ev.window;
                 exec.events
                     .schedule_at(window.start, Ev::Fault(fault, true));
@@ -435,6 +435,9 @@ impl<'p> WorkflowExecutor<'p> {
             self.now = t;
             if let Some(clock) = &self.config.clock {
                 clock.set(t);
+            }
+            if let Some(rec) = &mut self.recovery {
+                rec.replicas_at(t);
             }
             self.network.advance(t);
             self.drain_network_completions();

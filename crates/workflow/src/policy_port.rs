@@ -14,8 +14,8 @@
 //!    report closes it first), so the service has seen every earlier outcome
 //!    when it answers;
 //! 2. by the run loop before simulated time moves to a later instant, so no
-//!    report crosses an instant and time-windowed fault injectors see it at
-//!    the instant it was produced;
+//!    report crosses an instant and a policy-replica fault window refuses
+//!    or passes it as the windows stand at the instant it was produced;
 //! 3. when the run returns (completion or `halt_at`).
 //!
 //! A report the transport fails to deliver is queued whole for **resync**:

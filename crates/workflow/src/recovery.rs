@@ -13,7 +13,8 @@
 //! byte-identical to a build without it.
 //!
 //! Each fault is stated once, as one window (DESIGN.md §13 details the
-//! physics):
+//! physics). Windows on one target nest: it goes down with the first
+//! window that opens and comes back with the last one that closes.
 //!
 //! * **host crash** ([`CrashTarget::Host`]) — every flow endpointed at the
 //!   host dies at the crash instant
@@ -27,6 +28,10 @@
 //!   at the restart.
 //! * **backend outage** ([`CrashTarget::Backend`]) — the backend's store
 //!   host is down for the window: its access link too.
+//! * **policy-replica fault** ([`CrashTarget::PolicyReplica`]) — one
+//!   replica of a [`pwm_core::FailoverTransport`] chain refuses every call
+//!   for the window, so the chain fails over past it (or, with no replica
+//!   left, the executor falls back to its fail-safe advice).
 //! * **silent corruption** ([`pwm_storage::CorruptionModel`]) — a landed
 //!   transfer fails the transfer tool's checksum; a pure function of `(seed,
 //!   source host, file, attempt)`, and files regenerated by a producer re-run
@@ -41,18 +46,19 @@
 
 use crate::catalog::{Replica, ReplicaCatalog};
 use crate::executor::RETRY_BACKOFF_BASE;
-use pwm_core::{HealthEvent, Name, Url};
+use pwm_core::{FailoverProbe, HealthEvent, Name, ServiceFault, Url};
 use pwm_net::HostId;
 use pwm_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 use pwm_storage::CorruptionModel;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Modeled wall time of a producer re-run when corruption survives with no
 /// clean replica (the regenerated file's next read is clean).
 const PRODUCER_RERUN_DELAY: SimDuration = SimDuration::from_secs(30);
 
 /// What a window of [`RecoveryConfig::faults`] takes down.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum CrashTarget {
     /// One worker node of the compute site (0-based index): kills up to
     /// `cores_per_node` running compute jobs and removes the node's slots
@@ -76,6 +82,17 @@ pub enum CrashTarget {
         backend: String,
         /// The backend's store host in the network simulator.
         host: HostId,
+    },
+    /// One replica of a [`pwm_core::FailoverTransport`] chain: while the
+    /// window is open the chain refuses the replica's calls with `fault`'s
+    /// error, without invoking it.
+    PolicyReplica {
+        /// The chain's handle ([`pwm_core::FailoverTransport::probe`]).
+        chain: FailoverProbe,
+        /// The replica's index in the chain.
+        replica: usize,
+        /// What the replica's callers see.
+        fault: ServiceFault,
     },
 }
 
@@ -184,9 +201,9 @@ pub(crate) enum FaultResponse {
         kill_flows_at: Option<HostId>,
         health: Option<HealthEvent>,
     },
-    /// Fault `.0` took a compute node down: kill its running attempts,
-    /// withhold its cores, and hand both to [`RecoveryPlane::park`].
-    NodeDown(usize),
+    /// Compute node `.0` went down: kill its running attempts, withhold
+    /// its cores, and hand both to [`RecoveryPlane::park`].
+    NodeDown(u32),
     /// A compute node restarted: re-queue these jobs and return `cores`.
     NodeUp { requeue: Vec<usize>, cores: u32 },
 }
@@ -217,16 +234,25 @@ pub(crate) struct RecoveryPlane {
     /// Per-compute-job attempt epoch; bumped when a node crash kills the
     /// running attempt so its stale completion is ignored.
     compute_epoch: Vec<u32>,
-    /// Per node crash (by fault index): the jobs it killed and the cores
+    /// Per crashed compute node: the jobs its crash killed and the cores
     /// it withholds until restart.
-    crash_requeue: HashMap<usize, (Vec<usize>, u32)>,
-    /// Host name → scheduled restart instant, while the host is down.
-    down_hosts: HashMap<Name, SimTime>,
+    crash_requeue: HashMap<u32, (Vec<usize>, u32)>,
+    /// Compute node → its open windows (and the last of their ends), while
+    /// it is down.
+    down_nodes: HashMap<u32, (u32, SimTime)>,
+    /// Host name → its open windows and the last of their ends (the
+    /// scheduled restart), while the host is down.
+    down_hosts: HashMap<Name, (u32, SimTime)>,
+    /// The same for backends.
+    down_backends: HashMap<String, (u32, SimTime)>,
     /// Checksum strikes per (source host, source path).
     strikes: HashMap<(Name, Name), u32>,
     /// Producer-re-run generation per logical file (generation > 0 reads
     /// clean).
     file_generation: HashMap<Name, u32>,
+    /// The policy-replica windows, by fault index, and whether each is
+    /// applied as open.
+    replica_windows: Vec<(usize, bool)>,
 }
 
 impl RecoveryPlane {
@@ -235,21 +261,49 @@ impl RecoveryPlane {
     /// hook.
     pub(crate) fn attach(config: Option<RecoveryConfig>, jobs: usize) -> Option<Self> {
         let config = config.filter(|c| !c.is_inert())?;
+        let replica_windows = (config.faults.events().iter().enumerate())
+            .filter(|(_, ev)| matches!(ev.kind, CrashTarget::PolicyReplica { .. }))
+            .map(|(fault, _)| (fault, false))
+            .collect();
         Some(RecoveryPlane {
             config,
             report: RecoveryReport::default(),
             compute_epoch: vec![0; jobs],
             crash_requeue: HashMap::new(),
+            down_nodes: HashMap::new(),
             down_hosts: HashMap::new(),
+            down_backends: HashMap::new(),
             strikes: HashMap::new(),
             file_generation: HashMap::new(),
+            replica_windows,
         })
     }
 
-    /// The fault windows, in plan order. The executor schedules each one's
-    /// down and up edge in this order, so edges at one instant pop in it.
-    pub(crate) fn faults(&self) -> &[FaultEvent<CrashTarget>] {
-        self.config.faults.events()
+    /// The fault windows the executor schedules as events, with their
+    /// indexes, in plan order: it schedules each one's down and up edge in
+    /// this order, so edges at one instant pop in it. Policy-replica
+    /// windows are not among them (see [`RecoveryPlane::replicas_at`]).
+    pub(crate) fn scheduled_faults(
+        &self,
+    ) -> impl Iterator<Item = (usize, &FaultEvent<CrashTarget>)> {
+        (self.config.faults.events().iter().enumerate())
+            .filter(|(_, ev)| !matches!(ev.kind, CrashTarget::PolicyReplica { .. }))
+    }
+
+    /// Open and close the policy-replica windows as they stand at `now`;
+    /// the executor calls this each time its clock moves. A replica's edge
+    /// is no executor event, since nothing in the executor reacts to it:
+    /// the executor learns of an outage, or of the recovery, only from its
+    /// next call, which sees each replica as its windows have it then.
+    pub(crate) fn replicas_at(&mut self, now: SimTime) {
+        for i in 0..self.replica_windows.len() {
+            let (fault, was_open) = self.replica_windows[i];
+            let open = self.config.faults.events()[fault].window.contains(now);
+            if open != was_open {
+                self.replica_windows[i].1 = open;
+                self.on_fault_edge(fault, open);
+            }
+        }
     }
 
     /// Policy-guided runs report health observations; naive-retry runs
@@ -262,28 +316,45 @@ impl RecoveryPlane {
     }
 
     /// Fault `fault` (its index in the plan) goes down, or comes back up.
+    /// A target that an earlier window still holds down stays down: only
+    /// the first window's down edge and the last window's up edge act on
+    /// it.
     pub(crate) fn on_fault_edge(&mut self, fault: usize, down: bool) -> FaultResponse {
         let ev = &self.config.faults.events()[fault];
         let (target, up_at) = (ev.kind.clone(), ev.window.end());
+        let nothing = FaultResponse::Hosts {
+            kill_flows_at: None,
+            health: None,
+        };
         match (target, down) {
-            (CrashTarget::ComputeNode(_), true) => {
+            (CrashTarget::ComputeNode(node), true) => {
                 self.report.host_crashes += 1;
-                FaultResponse::NodeDown(fault)
+                if !open(&mut self.down_nodes, node, up_at) {
+                    return nothing;
+                }
+                FaultResponse::NodeDown(node)
             }
-            (CrashTarget::ComputeNode(_), false) => {
-                let (requeue, cores) = self.crash_requeue.remove(&fault).unwrap_or_default();
+            (CrashTarget::ComputeNode(node), false) => {
+                if !close(&mut self.down_nodes, &node) {
+                    return nothing;
+                }
+                let (requeue, cores) = self.crash_requeue.remove(&node).unwrap_or_default();
                 FaultResponse::NodeUp { requeue, cores }
             }
             (CrashTarget::Host { host, name }, true) => {
                 self.report.host_crashes += 1;
-                self.down_hosts.insert(name.clone(), up_at);
+                if !open(&mut self.down_hosts, name.clone(), up_at) {
+                    return nothing;
+                }
                 FaultResponse::Hosts {
                     kill_flows_at: Some(host),
                     health: self.health(HealthEvent::HostDown { host: name }),
                 }
             }
             (CrashTarget::Host { name, .. }, false) => {
-                self.down_hosts.remove(&name);
+                if !close(&mut self.down_hosts, &name) {
+                    return nothing;
+                }
                 FaultResponse::Hosts {
                     kill_flows_at: None,
                     health: self.health(HealthEvent::HostUp { host: name }),
@@ -291,6 +362,9 @@ impl RecoveryPlane {
             }
             (CrashTarget::Backend { backend, host }, true) => {
                 self.report.backend_outages += 1;
+                if !open(&mut self.down_backends, backend.clone(), up_at) {
+                    return nothing;
+                }
                 // Policy-guided: kill the doomed flows now and let
                 // re-planning steer them to a live backend; the BackendDown
                 // fact removes the backend from the selection candidates.
@@ -302,10 +376,30 @@ impl RecoveryPlane {
                     health,
                 }
             }
-            (CrashTarget::Backend { backend, .. }, false) => FaultResponse::Hosts {
-                kill_flows_at: None,
-                health: self.health(HealthEvent::BackendUp { backend }),
-            },
+            (CrashTarget::Backend { backend, .. }, false) => {
+                if !close(&mut self.down_backends, &backend) {
+                    return nothing;
+                }
+                FaultResponse::Hosts {
+                    kill_flows_at: None,
+                    health: self.health(HealthEvent::BackendUp { backend }),
+                }
+            }
+            (
+                CrashTarget::PolicyReplica {
+                    chain,
+                    replica,
+                    fault,
+                },
+                down,
+            ) => {
+                if down {
+                    chain.mark_down(replica, fault);
+                } else {
+                    chain.mark_up(replica, fault);
+                }
+                nothing
+            }
         }
     }
 
@@ -314,14 +408,14 @@ impl RecoveryPlane {
         self.compute_epoch[job]
     }
 
-    /// Node crash `crash` (a fault index) killed the attempts of `victims`
+    /// The crash of compute node `node` killed the attempts of `victims`
     /// and withholds `cores` cores until its restart.
-    pub(crate) fn park(&mut self, crash: usize, victims: Vec<usize>, cores: u32) {
+    pub(crate) fn park(&mut self, node: u32, victims: Vec<usize>, cores: u32) {
         for &j in &victims {
             self.compute_epoch[j] += 1;
             self.report.compute_reruns += 1;
         }
-        self.crash_requeue.insert(crash, (victims, cores));
+        self.crash_requeue.insert(node, (victims, cores));
     }
 
     fn is_quarantined(&self, host: &Name, path: &Name) -> bool {
@@ -371,7 +465,7 @@ impl RecoveryPlane {
         }
         self.report.waits_for_restart += 1;
         let wait = match self.down_hosts.get(&source.host) {
-            Some(up_at) => up_at.since(now),
+            Some((_, up_at)) => up_at.since(now),
             None => RETRY_BACKOFF_BASE,
         };
         Replan {
@@ -408,6 +502,26 @@ impl RecoveryPlane {
     }
 }
 
+/// A window on `key` ending at `until` opens. True when it takes `key`
+/// down, false when an earlier window already holds it down.
+fn open<K: Hash + Eq>(down: &mut HashMap<K, (u32, SimTime)>, key: K, until: SimTime) -> bool {
+    let (windows, end) = down.entry(key).or_insert((0, until));
+    *windows += 1;
+    *end = (*end).max(until);
+    *windows == 1
+}
+
+/// A window on `key` closes. True when it was the last one, so `key` is up.
+fn close<K: Hash + Eq>(down: &mut HashMap<K, (u32, SimTime)>, key: &K) -> bool {
+    let (windows, _) = down.get_mut(key).expect("a window closes after it opened");
+    *windows -= 1;
+    if *windows > 0 {
+        return false;
+    }
+    down.remove(key);
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,5 +550,64 @@ mod tests {
         };
         assert!(!r.is_empty());
         assert!(Checkpoint::default().is_empty());
+    }
+
+    /// What the edge of `fault` does to its target.
+    fn edge(plane: &mut RecoveryPlane, fault: usize, down: bool) -> &'static str {
+        match plane.on_fault_edge(fault, down) {
+            FaultResponse::Hosts {
+                kill_flows_at: Some(_),
+                health: Some(_),
+            }
+            | FaultResponse::NodeDown(_) => "down",
+            FaultResponse::Hosts {
+                kill_flows_at: None,
+                health: Some(_),
+            }
+            | FaultResponse::NodeUp { .. } => "up",
+            FaultResponse::Hosts {
+                kill_flows_at: None,
+                health: None,
+            } => "nothing",
+            FaultResponse::Hosts { .. } => unreachable!("a kill without a report"),
+        }
+    }
+
+    #[test]
+    fn overlapping_windows_on_one_target_nest() {
+        // On a host, a backend and a compute node, [10 s, 60 s) with
+        // [20 s, 30 s) inside it: only the outer window's edges act, and a
+        // transfer blocked at 25 s waits for the host's restart at 60 s.
+        let mut config = RecoveryConfig::default();
+        let host = Name::from("gridftp-vm");
+        let targets = [
+            CrashTarget::Host {
+                host: HostId(0),
+                name: host.clone(),
+            },
+            CrashTarget::Backend {
+                backend: "obj-s3".into(),
+                host: HostId(1),
+            },
+            CrashTarget::ComputeNode(0),
+        ];
+        for (at, secs) in [(10, 50), (20, 10)] {
+            for target in &targets {
+                let (at, secs) = (SimTime::from_secs(at), SimDuration::from_secs(secs));
+                config.faults.add(at, secs, target.clone());
+            }
+        }
+        let mut plane = RecoveryPlane::attach(Some(config), 0).expect("a fault can fire");
+        let mut edges = |faults: [usize; 3], down| faults.map(|f| edge(&mut plane, f, down));
+        // Faults 0..3 are the outer windows, 3..6 the inner ones.
+        assert_eq!(edges([0, 1, 2], true), ["down"; 3]);
+        assert_eq!(edges([3, 4, 5], true), ["nothing"; 3]);
+        let source = Url::new("gsiftp", host.as_str(), "/data/f1");
+        let replan = plane.replan_blocked(&"f1".into(), &source, false, SimTime::from_secs(25));
+        assert_eq!(replan.wait, SimDuration::from_secs(35));
+        let mut edges = |faults: [usize; 3], down| faults.map(|f| edge(&mut plane, f, down));
+        assert_eq!(edges([3, 4, 5], false), ["nothing"; 3]);
+        assert_eq!(edges([0, 1, 2], false), ["up"; 3]);
+        assert_eq!(plane.report.host_crashes + plane.report.backend_outages, 6);
     }
 }

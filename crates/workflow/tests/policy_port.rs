@@ -3,8 +3,8 @@
 //! no report crosses a simulated instant, every evaluate sees every earlier
 //! outcome, a dropped window is resent whole, and a halt closes the window.
 
-use pwm_core::chaos::SharedSimClock;
 use pwm_core::transport::{InProcessTransport, PolicyTransport};
+use pwm_core::SharedSimClock;
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, TransferAdvice,
     TransferOutcome, TransferSpec, TransportError, DEFAULT_SESSION,

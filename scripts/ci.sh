@@ -17,18 +17,41 @@ cargo test -q --workspace --offline
 
 # Size report, informational (not a gate): first-party `.rs` lines under
 # crates/ src/ tests/ examples/ of the tree at $1, in total and outside
-# test directories (a `tests/` directory at any depth; inline
-# `#[cfg(test)]` modules count as non-test). ROADMAP item 8 tracks the
+# test code. Test code is a `tests/` directory at any depth, and a file
+# that compiles only under a `#[cfg(test)] mod name;` declaration (a
+# reference engine kept beside the module it checks); inline
+# `#[cfg(test)]` modules count as non-test. ROADMAP item 8 tracks the
 # second number; the parent-identity job below prints the parent's too.
+# The files under $@ that only a `#[cfg(test)]` module declaration pulls in.
+cfg_test_files() {
+  local f m dir c
+  find "$@" -name '*.rs' -not -path 'tests/*' -not -path '*/tests/*' -print0 |
+    while IFS= read -r -d '' f; do
+      awk '/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { t = 1; next }
+           t && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ { sub(/;.*/, ""); print $NF }
+           { t = 0 }' "$f" |
+        while read -r m; do
+          case "$f" in
+            */lib.rs | */main.rs | */mod.rs) dir="${f%/*}" ;;
+            *) dir="${f%.rs}" ;;
+          esac
+          for c in "$dir/$m.rs" "$dir/$m/mod.rs"; do
+            if [ -f "$c" ]; then echo "$c"; fi
+          done
+        done
+    done
+}
 rs_lines() {
   (
     cd "$1"
-    local dirs=() d
+    local dirs=() d all non_test test_only
     for d in crates src tests examples; do [ -d "$d" ] && dirs+=("$d"); done
-    find "${dirs[@]}" -name '*.rs' -print0 | xargs -0 cat | wc -l
-    find "${dirs[@]}" -name '*.rs' -not -path 'tests/*' -not -path '*/tests/*' -print0 \
-      | xargs -0 cat | wc -l
-  ) | paste -sd ' '
+    all="$(find "${dirs[@]}" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+    non_test="$(find "${dirs[@]}" -name '*.rs' -not -path 'tests/*' -not -path '*/tests/*' -print0 \
+      | xargs -0 cat | wc -l)"
+    test_only="$(cfg_test_files "${dirs[@]}" | xargs -r cat | wc -l)"
+    echo "$all $((non_test - test_only))"
+  )
 }
 echo "== first-party .rs lines (informational) =="
 read -r rs_total rs_non_test <<<"$(rs_lines .)"
@@ -82,8 +105,8 @@ test -s "$TRACE_OUT" || { echo "trace export is empty" >&2; exit 1; }
 # determinism), then the full-size crash scenario at seeds 1..=32 (~40 ms
 # each): `repro crash` exits nonzero on a violated recovery invariant — a
 # run that never failed over, a primary that took a call past its crash
-# point, a backup over its grant bound, a failed warm replay. `repro crash
-# 7` also runs in the parent-identity job below.
+# point, a backup over its grant bound, a failed warm replay. The
+# parent-identity job below compares the same 32 seeds with the parent's.
 echo "== cargo test --release (crash recovery) =="
 cargo test -q --release --offline --test crash_recovery
 for seed in $(seq 1 32); do
@@ -228,8 +251,8 @@ bench_floor netsim_turbulent 135000 events/s
 # Parent-identity job: the simulated results of this tree against a release
 # build of its parent commit (HEAD^, or HEAD while the tree has uncommitted
 # source changes). Everything compared must be byte-identical: `table4`,
-# `fig5 1` and `fig5 2`, the series set of the /metrics scrape, `repro chaos 7`,
-# `repro crash 7`, the traced paper run — the `--trace` file itself, so no
+# `fig5 1` and `fig5 2`, the series set of the /metrics scrape, `repro chaos`
+# and `repro crash` at seeds 1..=32, the traced paper run — the `--trace` file itself, so no
 # policy call may be added, merged or reordered — the six ablation studies
 # (`repro ablations`), and the full storage and resilience suites, whose
 # reports must also equal the committed BENCH_storage.json and
@@ -271,8 +294,10 @@ identity_outputs() {
   "$repro" fig5 2 > "$out/fig5_2.txt"
   "$repro" scrape-metrics | series > "$out/series.txt"
   "$repro" --trace "$out/run.trace.json" 1 | sed -E 's/^trace [^ ]+ /trace /' > "$out/trace_stdout.txt"
-  "$repro" chaos 7 > "$out/chaos.txt"
-  "$repro" crash 7 > "$out/crash.txt"
+  # Seeds 1..=32 of each fault suite, concatenated (~0.04 s a seed).
+  local seed
+  for seed in $(seq 1 32); do "$repro" chaos "$seed"; done > "$out/chaos.txt"
+  for seed in $(seq 1 32); do "$repro" crash "$seed"; done > "$out/crash.txt"
   # A parent older than `repro ablations` has the six studies only as a
   # wall-clock bench target, which this job does not run: say so, compare
   # the rest.

@@ -4,7 +4,8 @@
 //! must still complete and keep [`ChaosReport::violations`]' invariants:
 //! every staged byte cleaned up, the surviving replica's policy memory
 //! drained — and two runs with the same seed must reproduce the identical
-//! fault sequence and makespan.
+//! fault sequence and makespan. With one replica, the makespan and the
+//! policy calls a nested outage refused are pinned.
 //!
 //! [`ChaosReport::violations`]: pwm_bench::ChaosReport::violations
 
@@ -60,4 +61,45 @@ fn policy_outage_degrades_to_default_streams_without_aborting() {
     assert!(report.injected_service_failures > 0);
     assert_eq!(report.failovers, 0, "no backup replica to fail over to");
     assert!(report.stats.bytes_staged > 0.0);
+}
+
+/// `[start, end)` of a fault fingerprint line such as
+/// `[30.000000s, 75.000000s) Outage`, in seconds.
+fn window(line: &str) -> (f64, f64) {
+    let (start, rest) = line
+        .trim_start_matches('[')
+        .split_once("s, ")
+        .expect("a window");
+    let end = rest.split_once("s)").expect("a window").0;
+    (start.parse().unwrap(), end.parse().unwrap())
+}
+
+#[test]
+fn one_replica_golden_holds_the_replica_down_through_a_nested_timeout() {
+    // One replica, so every call the outage refuses reaches the executor's
+    // fallback, and seed 5 puts the timeout glitch inside the outage: the
+    // glitch's end must not bring the replica back. The three values were
+    // printed by the build whose policy faults were a wrapper transport
+    // reading a shared clock; never regenerate them to make a change pass.
+    let cfg = ChaosConfig {
+        replicas: 1,
+        ..ChaosConfig::compact()
+    };
+    let report = run_chaos(&cfg, 5);
+    let service: Vec<&String> = report
+        .fault_events
+        .iter()
+        .filter(|e| !e.contains("LinkFault"))
+        .collect();
+    assert_eq!(service.len(), 2, "{service:?}");
+    let (outage, glitch) = (window(service[0]), window(service[1]));
+    assert!(service[0].ends_with("Outage") && service[1].ends_with("Timeout"));
+    assert!(
+        outage.0 < glitch.0 && glitch.1 < outage.1,
+        "the timeout {glitch:?} lies inside the outage {outage:?}"
+    );
+    assert!(report.violations().is_empty(), "{:?}", report.violations());
+    assert_eq!(report.injected_service_failures, 1717);
+    assert_eq!(report.service_calls_passed, 341);
+    assert_eq!(report.stats.makespan, SimDuration::from_micros(143_842_528));
 }
