@@ -203,11 +203,6 @@ impl PolicyController {
         self.inner.write().remove(name).is_some()
     }
 
-    /// Names of all live sessions.
-    pub fn session_names(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
-    }
-
     /// Run `f` on a session and answer with its result. The map's read
     /// lock is released before `f` touches the session, so requests only
     /// contend on their own session's shard locks. A durable session whose
@@ -351,7 +346,8 @@ mod tests {
     #[test]
     fn default_session_exists() {
         let c = PolicyController::new(PolicyConfig::default());
-        assert_eq!(c.session_names(), vec![DEFAULT_SESSION.to_string()]);
+        let names: Vec<String> = c.inner.read().keys().cloned().collect();
+        assert_eq!(names, vec![DEFAULT_SESSION.to_string()]);
         let advice = c
             .evaluate_transfers(DEFAULT_SESSION, vec![spec(1)])
             .unwrap();
@@ -602,7 +598,7 @@ mod tests {
         let dir = crate::durable::scratch_dir("ctl-empty");
         let c = PolicyController::new(PolicyConfig::default());
         assert!(c.recover_session("x", &dir).is_err());
-        assert!(!c.session_names().contains(&"x".to_string()));
+        assert!(!c.inner.read().contains_key("x"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -175,11 +175,6 @@ impl FailoverTransport {
         self
     }
 
-    /// Index of the replica currently serving requests.
-    pub fn active_replica(&self) -> usize {
-        self.active
-    }
-
     /// How many failovers have occurred.
     pub fn failovers(&self) -> u64 {
         self.health.lock().failovers
@@ -312,8 +307,9 @@ mod tests {
         let (primary, c) = live();
         let (backup, c2) = live();
         let mut t = FailoverTransport::new(vec![primary, backup]);
+        let probe = t.probe();
         t.evaluate_transfers(vec![spec(1)]).unwrap();
-        assert_eq!(t.active_replica(), 0);
+        assert_eq!((probe.calls(0), probe.calls(1)), (1, 0));
         assert_eq!(t.failovers(), 0);
         assert_eq!(c.stats(DEFAULT_SESSION).unwrap().transfer_requests, 1);
         assert_eq!(c2.stats(DEFAULT_SESSION).unwrap().transfer_requests, 0);
@@ -323,12 +319,14 @@ mod tests {
     fn fails_over_to_backup_and_sticks() {
         let (backup, c2) = live();
         let mut t = chain(vec![live().0, backup], 1);
+        let probe = t.probe();
         let advice = t.evaluate_transfers(vec![spec(1)]).unwrap();
         assert_eq!(advice.len(), 1);
-        assert_eq!(t.active_replica(), 1);
+        assert_eq!((probe.refused(), probe.calls(1)), (1, 1));
         assert_eq!(t.failovers(), 1);
         // Next request goes straight to the backup (sticky).
         t.evaluate_transfers(vec![spec(2)]).unwrap();
+        assert_eq!((probe.refused(), probe.calls(1)), (1, 2));
         assert_eq!(t.failovers(), 1, "no second failover");
         assert_eq!(c2.stats(DEFAULT_SESSION).unwrap().transfer_requests, 2);
     }
@@ -450,6 +448,7 @@ mod tests {
     fn cleanup_path_fails_over_too() {
         let (backup, _c) = live();
         let mut t = chain(vec![live().0, backup], 1);
+        let probe = t.probe();
         let advice = t
             .evaluate_cleanups(vec![crate::model::CleanupSpec {
                 file: Url::new("file", "d", "/f1"),
@@ -458,7 +457,7 @@ mod tests {
             .unwrap();
         assert_eq!(advice.len(), 1);
         t.report_cleanups(vec![]).unwrap();
-        assert_eq!(t.active_replica(), 1);
+        assert_eq!((probe.refused(), probe.calls(1)), (1, 2));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Flow (single file transfer) state.
 
-use crate::topology::{HostId, LinkId};
+use crate::topology::HostId;
 use pwm_sim::{SimDuration, SimTime};
 
 /// Identifies a flow within one [`crate::Network`].
@@ -21,66 +21,6 @@ pub struct FlowSpec {
     pub streams: u32,
     /// Opaque tag for correlating with workflow-level transfers.
     pub tag: u64,
-}
-
-/// Lifecycle phase of a flow.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowPhase {
-    /// Connection setup in progress; streams not yet occupying links.
-    Connecting {
-        /// When the data channels open.
-        until: SimTime,
-    },
-    /// Connection setup finished but the transfer server at one endpoint is
-    /// at its connection limit; waiting for a slot.
-    Queued,
-    /// Moving bytes.
-    Active {
-        /// When the data channels opened (for ramp age).
-        activated_at: SimTime,
-        /// Bytes still to move (fluid).
-        remaining: f64,
-        /// Rate assigned at the last recompute (bytes/sec).
-        rate: f64,
-    },
-    /// All bytes delivered (awaiting collection).
-    Done,
-}
-
-/// A flow plus its routing and bookkeeping.
-#[derive(Debug, Clone)]
-pub struct Flow {
-    /// Immutable request.
-    pub spec: FlowSpec,
-    /// Current phase.
-    pub phase: FlowPhase,
-    /// Links the flow occupies when active.
-    pub route: Vec<LinkId>,
-    /// `route` projected to raw link indices — cached at creation so the
-    /// rate-recompute hot path never rebuilds it.
-    pub links: Vec<usize>,
-    /// Round-trip time of `route`, cached at creation (the route is fixed
-    /// for the flow's lifetime, and therefore so is its RTT).
-    pub route_rtt: SimDuration,
-    /// When `start_flow` was called.
-    pub requested_at: SimTime,
-    /// Per-flow fair-share multiplier (TCP unfairness), drawn at start.
-    pub weight_factor: f64,
-}
-
-impl Flow {
-    /// Effective stream count (floor of 1).
-    pub fn streams(&self) -> u32 {
-        self.spec.streams.max(1)
-    }
-
-    /// Age since activation (zero while connecting).
-    pub fn age(&self, now: SimTime) -> SimDuration {
-        match &self.phase {
-            FlowPhase::Active { activated_at, .. } => now.since(*activated_at),
-            _ => SimDuration::ZERO,
-        }
-    }
 }
 
 /// A flow torn down by [`crate::Network::kill_flows_touching`] before it
@@ -178,71 +118,5 @@ mod tests {
     fn instant_transfer_has_zero_goodput() {
         let r = record(5, 5, 5, 10.0);
         assert_eq!(r.goodput(), 0.0);
-    }
-
-    #[test]
-    fn flow_streams_floor_at_one() {
-        let f = Flow {
-            spec: FlowSpec {
-                src: HostId(0),
-                dst: HostId(1),
-                bytes: 1.0,
-                streams: 0,
-                tag: 0,
-            },
-            phase: FlowPhase::Done,
-            route: vec![],
-            links: vec![],
-            route_rtt: SimDuration::ZERO,
-            requested_at: SimTime::ZERO,
-            weight_factor: 1.0,
-        };
-        assert_eq!(f.streams(), 1);
-    }
-
-    #[test]
-    fn age_is_zero_while_connecting() {
-        let f = Flow {
-            spec: FlowSpec {
-                src: HostId(0),
-                dst: HostId(1),
-                bytes: 1.0,
-                streams: 2,
-                tag: 0,
-            },
-            phase: FlowPhase::Connecting {
-                until: SimTime::from_secs(3),
-            },
-            route: vec![],
-            links: vec![],
-            route_rtt: SimDuration::ZERO,
-            requested_at: SimTime::ZERO,
-            weight_factor: 1.0,
-        };
-        assert_eq!(f.age(SimTime::from_secs(2)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn age_counts_from_activation() {
-        let f = Flow {
-            spec: FlowSpec {
-                src: HostId(0),
-                dst: HostId(1),
-                bytes: 1.0,
-                streams: 2,
-                tag: 0,
-            },
-            phase: FlowPhase::Active {
-                activated_at: SimTime::from_secs(3),
-                remaining: 1.0,
-                rate: 0.0,
-            },
-            route: vec![],
-            links: vec![],
-            route_rtt: SimDuration::ZERO,
-            requested_at: SimTime::ZERO,
-            weight_factor: 1.0,
-        };
-        assert_eq!(f.age(SimTime::from_secs(10)), SimDuration::from_secs(7));
     }
 }

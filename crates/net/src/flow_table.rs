@@ -27,8 +27,8 @@ use crate::routes::Route;
 use pwm_sim::{EventHandle, SimTime};
 use std::collections::VecDeque;
 
-/// Lifecycle phase of a slot. Mirrors [`crate::flow::FlowPhase`] minus the
-/// payload fields, which live in the rest of the [`FlowHot`] row.
+/// Lifecycle phase of a slot. What a phase carries lives in the rest of the
+/// [`FlowHot`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {

@@ -50,7 +50,7 @@ pub mod timeline;
 pub mod topology;
 
 pub use fault::{LinkFault, LinkFaultKind};
-pub use flow::{Flow, FlowId, FlowPhase, FlowSpec, KilledFlow, TransferRecord};
+pub use flow::{FlowId, FlowSpec, KilledFlow, TransferRecord};
 pub use metrics::AllocStats;
 pub use model::{LinkState, StreamModel};
 pub use network::Network;

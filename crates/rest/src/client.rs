@@ -250,12 +250,6 @@ impl PolicyRestClient {
         self
     }
 
-    /// Override the socket timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Run `op` against the persistent connection. A reused connection may
     /// be stale (the server timed it out between calls), so a failure on a
     /// reused connection that shows the request went [unanswered] is retried
@@ -626,8 +620,8 @@ mod tests {
         let (mut server, _client) = start();
         let addr = server.addr();
         server.shutdown();
-        let mut client =
-            PolicyRestClient::new(addr, DEFAULT_SESSION).with_timeout(Duration::from_millis(500));
+        let mut client = PolicyRestClient::new(addr, DEFAULT_SESSION);
+        client.timeout = Duration::from_millis(500);
         let err = client.evaluate_transfers(vec![spec(1)]);
         assert!(err.is_err());
     }
@@ -848,8 +842,8 @@ mod tests {
             let resent_here = matches!(conn.read(&mut [0u8; 1]), Ok(n) if n > 0);
             2 + usize::from(resent_here) + usize::from(listener.accept().is_ok())
         });
-        let mut client =
-            PolicyRestClient::new(addr, DEFAULT_SESSION).with_timeout(Duration::from_millis(200));
+        let mut client = PolicyRestClient::new(addr, DEFAULT_SESSION);
+        client.timeout = Duration::from_millis(200);
         client.evaluate_transfers(vec![spec(1)]).unwrap();
         let err = client.evaluate_transfers(vec![spec(2)]).unwrap_err();
         assert!(matches!(err, TransportError::Io(_)), "{err:?}");

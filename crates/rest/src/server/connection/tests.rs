@@ -1,0 +1,244 @@
+//! The connection core's test harness, shared with the server's tests, and
+//! the split-invariance fuzzer.
+
+use super::*;
+use crate::http::{render_request, try_parse_response};
+use proptest::prelude::*;
+use pwm_core::{CleanupId, CleanupOutcome, CleanupSpec, HealthEvent, TransferId};
+use pwm_core::{TransferOutcome, Url, WorkflowId};
+
+/// A server's connection core at one instant: connections are opened
+/// on it and fed bytes directly, with no socket and no clock.
+pub(crate) struct Core {
+    pub(crate) handler: Handler,
+    pub(crate) now: Instant,
+}
+
+impl Core {
+    pub(crate) fn new(controller: PolicyController) -> Core {
+        Core::with_limits(controller, ServerLimits::default())
+    }
+
+    pub(crate) fn with_limits(controller: PolicyController, limits: ServerLimits) -> Core {
+        Core {
+            handler: Handler::new(controller, limits),
+            now: Instant::now(),
+        }
+    }
+
+    pub(crate) fn connect(&self) -> Connection {
+        Connection::new(self.now, &self.handler)
+    }
+
+    /// One read turn in which `wire` arrives on `conn`; the responses
+    /// it completed.
+    pub(crate) fn send(&mut self, conn: &mut Connection, wire: &[u8]) -> Vec<(u16, Vec<u8>)> {
+        conn.receive(wire);
+        conn.serve(self.now, false, &mut self.handler);
+        responses(conn)
+    }
+
+    /// One `Connection: close` request on a fresh connection: one
+    /// answer, then the connection is done.
+    pub(crate) fn call_in(
+        &mut self,
+        format: WireFormat,
+        method: Method,
+        path: &str,
+        body: &[u8],
+    ) -> (u16, Vec<u8>) {
+        let mut conn = self.connect();
+        let wire = render_request(format, method, path, body, false);
+        let mut answers = self.send(&mut conn, &wire);
+        assert!(conn.finished(), "{path}: the connection must close");
+        assert_eq!(answers.len(), 1, "{path}");
+        answers.remove(0)
+    }
+
+    pub(crate) fn call(&mut self, method: Method, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+        self.call_in(WireFormat::Json, method, path, body)
+    }
+}
+
+/// Every response `conn` has queued, taken as written.
+pub(crate) fn responses(conn: &mut Connection) -> Vec<(u16, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while let Some((status, body, len)) = try_parse_response(&conn.output()[at..]).unwrap() {
+        out.push((status, body));
+        at += len;
+    }
+    assert_eq!(at, conn.output().len(), "only whole responses are queued");
+    conn.wrote(at);
+    out
+}
+
+/// `other` exists once a config request created it; `missing` never does.
+const SESSIONS: [&str; 3] = ["default", "other", "missing"];
+
+fn spec(file: u32) -> TransferSpec {
+    let path = format!("/split/f{file}.dat");
+    TransferSpec {
+        source: Url::new("gsiftp", "src", &path),
+        dest: Url::new("file", "dst", &path),
+        bytes: 1 << 20,
+        requested_streams: None,
+        workflow: WorkflowId(1 + u64::from(file % 2)),
+        cluster: None,
+        priority: None,
+    }
+}
+
+/// One keep-alive request of a fuzzed script, drawn as (kind, session, n,
+/// flag). Transfers and undecodable bodies are drawn most: runs of them are
+/// what batching touches. `flag` picks XML where the route speaks it.
+fn request((kind, session, n, flag): (u8, usize, u32, bool)) -> Vec<u8> {
+    let path = |s: usize, route: &str| format!("/sessions/{}/{route}", SESSIONS[s]);
+    let json = |body: Vec<u8>| (WireFormat::Json, body);
+    let either = |body: Vec<u8>, xml: String| match flag {
+        true => (WireFormat::Xml, xml.into_bytes()),
+        false => (WireFormat::Json, body),
+    };
+    let id = u64::from(n);
+    let (method, path, (format, body)) = match kind {
+        0..=3 => {
+            let transfers = vec![spec(n)];
+            let xml = xml::transfer_request_to_xml(&transfers);
+            let body = serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap();
+            let body = if kind == 0 {
+                either(body, xml)
+            } else {
+                json(body)
+            };
+            (Method::Post, path(session, "transfers"), body)
+        }
+        4 | 5 => {
+            let body = br#"{"transfers":[{"source":"#.to_vec();
+            (Method::Post, path(session, "transfers"), json(body))
+        }
+        6 => {
+            let success = id % 3 != 2;
+            let outcomes = vec![TransferOutcome {
+                id: TransferId(id),
+                success,
+            }];
+            let xml = xml::transfer_completion_to_xml(&outcomes);
+            let body = serde_json::to_vec(&TransferCompletionEnvelope { outcomes }).unwrap();
+            (
+                Method::Post,
+                path(0, "transfers/complete"),
+                either(body, xml),
+            )
+        }
+        7 => {
+            let file = spec(n);
+            let cleanups = vec![CleanupSpec {
+                file: file.dest,
+                workflow: file.workflow,
+            }];
+            let xml = xml::cleanup_request_to_xml(&cleanups);
+            let body = serde_json::to_vec(&CleanupRequestEnvelope { cleanups }).unwrap();
+            (Method::Post, path(0, "cleanups"), either(body, xml))
+        }
+        8 => {
+            let outcomes = vec![CleanupOutcome {
+                id: CleanupId(id),
+                success: true,
+            }];
+            let xml = xml::cleanup_completion_to_xml(&outcomes);
+            let body = serde_json::to_vec(&CleanupCompletionEnvelope { outcomes }).unwrap();
+            (
+                Method::Post,
+                path(0, "cleanups/complete"),
+                either(body, xml),
+            )
+        }
+        9 => (Method::Get, "/health".into(), json(Vec::new())),
+        10 => {
+            let host = "src".into();
+            let event = match flag {
+                true => HealthEvent::HostDown { host },
+                false => HealthEvent::HostUp { host },
+            };
+            let body = serde_json::to_vec(&HealthReportEnvelope {
+                events: vec![event],
+            })
+            .unwrap();
+            (Method::Post, path(0, "health"), json(body))
+        }
+        _ => {
+            let config = PolicyConfig::default().with_threshold(1 + n * 100);
+            let body = serde_json::to_vec(&config).unwrap();
+            (Method::Put, path(session % 2, "config"), json(body))
+        }
+    };
+    render_request(format, method, &path, &body, true)
+}
+
+/// What follows the script's requests on the wire.
+const TAILS: [&[u8]; 5] = [
+    b"",
+    b"BREW /health HTTP/1.1\r\n\r\n",
+    b"POST /sessions/default/transfers HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    b"POST /sessions/default/transfers HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+    b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\nGET /health HTTP/1.1\r\n\r\n",
+];
+
+/// Feed `wire` to a fresh core in the pieces `cuts` makes of it, one
+/// read turn each, then end as `end` says: 0 leaves the connection
+/// open, 1 half-closes it, 2 shuts the server down. The response bytes
+/// and whether the connection still reads.
+fn replay(wire: &[u8], cuts: &[usize], end: u8) -> (Vec<u8>, bool) {
+    let mut core = Core::new(PolicyController::new(PolicyConfig::default()));
+    let mut conn = core.connect();
+    let mut out = Vec::new();
+    let mut at = 0;
+    for &cut in cuts.iter().chain([&wire.len()]) {
+        conn.receive(&wire[at..cut]);
+        conn.serve(core.now, false, &mut core.handler);
+        out.extend_from_slice(conn.output());
+        conn.wrote(conn.output().len());
+        at = cut;
+    }
+    match end {
+        1 => conn.serve(core.now, true, &mut core.handler),
+        2 => conn.shut_down(&mut core.handler),
+        _ => {}
+    }
+    out.extend_from_slice(conn.output());
+    (out, conn.reading())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: option_env!("PWM_PROPTEST_CASES")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64),
+    })]
+
+    /// A pipelined script of requests to every session route but the
+    /// wall-clock ones (`/metrics`, `/trace`, `/status`) gets the same
+    /// response bytes and the same close decision whole and cut into
+    /// reads anywhere: batching a run never shows.
+    #[test]
+    fn answers_do_not_depend_on_how_the_bytes_arrived(
+        draws in proptest::collection::vec((0u8..12, 0usize..3, 0u32..4, any::<bool>()), 1..12),
+        tail in 0usize..TAILS.len(),
+        cuts in proptest::collection::vec(0usize..1 << 16, 0..6),
+        end in 0u8..3,
+    ) {
+        let mut wire: Vec<u8> = draws.into_iter().flat_map(request).collect();
+        wire.extend_from_slice(TAILS[tail]);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        cuts.sort_unstable();
+        let whole = replay(&wire, &[], end);
+        let split = replay(&wire, &cuts, end);
+        prop_assert!(
+            whole == split,
+            "{}\ncut at {cuts:?}, end {end}:\n{}\n---\n{}",
+            String::from_utf8_lossy(&wire),
+            String::from_utf8_lossy(&whole.0),
+            String::from_utf8_lossy(&split.0)
+        );
+    }
+}

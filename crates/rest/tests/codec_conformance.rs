@@ -11,8 +11,9 @@
 //! 2. **Decoding rules**, one case each: what is accepted, what is refused,
 //!    and which error wins.
 //! 3. **Round trips** over the wire envelopes with hostile strings.
-//! 4. **A pipelined window with a malformed middle request** through a live
-//!    server: the good groups keep their own advice.
+//! 4. **URL fields around `Name`'s inline limit** through every codec.
+//! 5. **Heads two ends could frame differently**, refused by the scanner and
+//!    by the client (the server's answer is a test of its connection core).
 
 #![allow(clippy::too_many_lines)]
 
@@ -1741,80 +1742,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 4. A malformed request in the middle of a pipelined window
-// ---------------------------------------------------------------------------
-
-#[test]
-fn a_malformed_middle_request_leaves_its_neighbours_their_own_advice() {
-    use std::io::{Read, Write};
-    let server = PolicyRestServer::start(PolicyController::new(PolicyConfig::default())).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    let post = |body: &[u8]| {
-        http::render_request(
-            WireFormat::Json,
-            Method::Post,
-            "/sessions/default/transfers",
-            body,
-            true,
-        )
-    };
-    // The first group takes the fast codec, the last one (escapes) the
-    // general one; both are moved, not copied, into the one rules pass.
-    let first = vec![plain_spec(), plain_spec()];
-    let last = vec![full_spec()];
-    let mut wire = post(
-        &serde_json::to_vec(&TransferRequestEnvelope {
-            transfers: first.clone(),
-        })
-        .unwrap(),
-    );
-    wire.extend_from_slice(&post(br#"{"transfers":[{"source":"#));
-    wire.extend_from_slice(&post(
-        &serde_json::to_vec(&TransferRequestEnvelope {
-            transfers: last.clone(),
-        })
-        .unwrap(),
-    ));
-    stream.write_all(&wire).unwrap();
-
-    let mut buf = Vec::new();
-    let mut responses = Vec::new();
-    while responses.len() < 3 {
-        if let Some((status, body, consumed)) = http::try_parse_response(&buf).unwrap() {
-            buf.drain(..consumed);
-            responses.push((status, body));
-            continue;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "server closed mid-window");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let statuses: Vec<u16> = responses.iter().map(|(status, _)| *status).collect();
-    assert_eq!(statuses, [200, 400, 200]);
-    let advice_of = |body: &[u8]| {
-        serde_json::from_slice::<TransferResponseEnvelope>(body)
-            .unwrap()
-            .advice
-    };
-    let (a, c) = (advice_of(&responses[0].1), advice_of(&responses[2].1));
-    assert_eq!(a.len(), 2);
-    assert!(a
-        .iter()
-        .all(|advice| advice.source == first[0].source && advice.dest == first[0].dest));
-    assert!(
-        a[0].should_execute() && !a[1].should_execute(),
-        "duplicate within the group"
-    );
-    assert_eq!(c.len(), 1);
-    assert_eq!((&c[0].source, &c[0].dest), (&last[0].source, &last[0].dest));
-    assert!(c[0].should_execute());
-    let refused: ErrorEnvelope = serde_json::from_slice(&responses[1].1).unwrap();
-    assert!(refused.error.starts_with("bad json: "), "{}", refused.error);
-}
-
-// ---------------------------------------------------------------------------
-// 5. URL fields around the 22-byte inline limit of `pwm_core::Name`
+// 4. URL fields around the 22-byte inline limit of `pwm_core::Name`
 // ---------------------------------------------------------------------------
 
 /// A 22-byte host (the longest held inline) staging to a 23-byte one (the
@@ -1910,7 +1838,7 @@ fn url_fields_at_the_inline_limit_cross_every_codec_unchanged() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Heads two ends could frame differently (RFC 9112 §6.3)
+// 5. Heads two ends could frame differently (RFC 9112 §6.3)
 // ---------------------------------------------------------------------------
 
 /// A keep-alive connection frames each message by its Content-Length, so a
@@ -1955,29 +1883,6 @@ fn a_response_with_a_signed_or_conflicting_length_is_refused() {
         let wire = format!("{head}\r\n\r\n{{}}x");
         assert!(http::try_parse_response(wire.as_bytes()).is_err(), "{head}");
     }
-}
-
-/// The server answers an ambiguous head with one 400 and closes: nothing
-/// after it on the connection is framed as a request of its own.
-#[test]
-fn the_server_answers_a_chunked_request_once_and_closes() {
-    use std::io::{Read, Write};
-    let server = PolicyRestServer::start(PolicyController::new(PolicyConfig::default())).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream
-        .write_all(
-            b"POST /sessions/default/transfers HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
-              3\r\nabc\r\n0\r\n\r\n",
-        )
-        .unwrap();
-    let mut wire = Vec::new();
-    stream.read_to_end(&mut wire).unwrap();
-    let (status, _, consumed) = http::try_parse_response(&wire).unwrap().unwrap();
-    assert_eq!(
-        (status, consumed),
-        (400, wire.len()),
-        "one answer, then EOF"
-    );
 }
 
 /// The client refuses a response it cannot frame as an I/O error, like a

@@ -148,16 +148,10 @@ pub struct RuleStats {
 pub struct FiringReport {
     /// Total rule firings performed.
     pub firings: usize,
-    /// Rule names in firing order (capped at `LOG_CAP` entries). Empty
-    /// unless the session opted in via [`Session::with_firing_log`]; names
-    /// are shared `Arc<str>`s, so logging does not allocate per firing.
-    pub log: Vec<Arc<str>>,
     /// True if the engine stopped due to the firing budget rather than
     /// quiescence.
     pub budget_exhausted: bool,
 }
-
-const LOG_CAP: usize = 10_000;
 
 /// One matcher evaluation in this many is timed (per rule, starting with the
 /// first) and charged that many times over: two clock reads cost about as
@@ -367,8 +361,8 @@ pub struct Session<Ctx> {
     /// Rules (installation indices) whose counters moved since the last
     /// publish.
     moved: Bits,
-    max_firings: usize,
-    log_firings: bool,
+    /// Firings one pass may make before it stops (`budget_exhausted`).
+    pub(crate) max_firings: usize,
     gc_watermark: usize,
     obs: Option<SessionObs>,
 }
@@ -392,7 +386,6 @@ impl<Ctx> Session<Ctx> {
             focused: None,
             moved: Bits::default(),
             max_firings: 100_000,
-            log_firings: false,
             gc_watermark: GC_MIN_WATERMARK,
             obs: None,
         }
@@ -421,19 +414,6 @@ impl<Ctx> Session<Ctx> {
         });
         // Every rule's series is created by the next publish.
         self.moved.fill(self.rules.len());
-    }
-
-    /// Override the firing budget.
-    pub fn with_max_firings(mut self, max: usize) -> Self {
-        self.max_firings = max.max(1);
-        self
-    }
-
-    /// Record rule names in [`FiringReport::log`] (off by default; the
-    /// firings counter and per-rule stats are always maintained).
-    pub fn with_firing_log(mut self) -> Self {
-        self.log_firings = true;
-        self
     }
 
     /// Install a rule. Order of installation breaks salience ties.
@@ -480,7 +460,7 @@ impl<Ctx> Session<Ctx> {
     /// This never removes an entry whose facts are all live, so cached
     /// agenda segments (including scan cursors and the wake set) remain
     /// valid across a sweep.
-    pub fn gc_refraction(&mut self) {
+    pub(crate) fn gc_refraction(&mut self) {
         let wm = &self.wm;
         self.fired
             .retain(|key| key.facts().iter().all(|(h, _)| wm.contains(*h)));
@@ -511,7 +491,6 @@ impl<Ctx> Session<Ctx> {
         self.ensure_order();
         self.set_focus(focus);
         let mut firings = 0;
-        let mut log = Vec::new();
         let mut budget_exhausted = false;
         loop {
             if firings >= self.max_firings {
@@ -523,11 +502,7 @@ impl<Ctx> Session<Ctx> {
                     self.fired.insert(key);
                     self.states[rule_idx].firings += 1;
                     self.moved.insert(rule_idx);
-                    let rule = &mut self.rules[rule_idx];
-                    if self.log_firings && log.len() < LOG_CAP {
-                        log.push(rule.name_arc());
-                    }
-                    rule.fire(&mut self.wm, ctx, &m);
+                    self.rules[rule_idx].fire(&mut self.wm, ctx, &m);
                     firings += 1;
                 }
                 None => break,
@@ -538,7 +513,6 @@ impl<Ctx> Session<Ctx> {
         }
         FiringReport {
             firings,
-            log,
             budget_exhausted,
         }
     }
@@ -920,7 +894,7 @@ mod tests {
 
     #[test]
     fn salience_orders_firing() {
-        let mut s: Session<Vec<&'static str>> = Session::new().with_firing_log();
+        let mut s: Session<Vec<&'static str>> = Session::new();
         s.wm.insert(Counter(0));
         s.add_rule(
             Rule::new("low")
@@ -935,10 +909,8 @@ mod tests {
                 .then(|_, log: &mut Vec<&'static str>, _| log.push("high")),
         );
         let mut log = Vec::new();
-        let report = s.fire_all(&mut log);
+        assert_eq!(s.fire_all(&mut log).firings, 2);
         assert_eq!(log, vec!["high", "low"]);
-        let logged: Vec<&str> = report.log.iter().map(|n| n.as_ref()).collect();
-        assert_eq!(logged, vec!["high", "low"]);
     }
 
     #[test]
@@ -959,7 +931,7 @@ mod tests {
 
     #[test]
     fn budget_stops_runaway_rules() {
-        let mut s: Session<()> = Session::new().with_max_firings(50);
+        let mut s: Session<()> = Session::new();
         s.wm.insert(Counter(0));
         s.add_rule(
             Rule::new("forever")
@@ -969,7 +941,7 @@ mod tests {
                 }),
         );
         let r = s.fire_all(&mut ());
-        assert_eq!(r.firings, 50);
+        assert_eq!(r.firings, 100_000);
         assert!(r.budget_exhausted);
     }
 
@@ -1047,7 +1019,6 @@ mod tests {
         );
         let r = s.fire_all(&mut ());
         assert_eq!(r.firings, 1);
-        assert!(r.log.is_empty());
     }
 
     #[test]
@@ -1421,7 +1392,7 @@ mod tests {
     /// or more, `items` in `SECOND` on items of priority 1, `zeros` in
     /// `MAIN` on items of priority 0.
     fn grouped_session() -> Session<Vec<&'static str>> {
-        let mut s = Session::new().with_firing_log();
+        let mut s = Session::new();
         s.add_rule(
             Rule::new("counters")
                 .agenda_group(FIRST)

@@ -369,8 +369,8 @@ fi
 # match and panics first (and on any focused pass that holds back an
 # activation, which ends a debug script), so only a release build compares
 # the engine as shipped — field-level watches, `requires` guards, the wake
-# set, focused passes, no oracle — with the naive evaluator's firing logs,
-# here at 8x its 256 scripts. The same holds for the fact store's indexes:
+# set, focused passes, no oracle — with the naive evaluator's firing
+# sequences, here at 8x its 256 scripts. The same holds for the fact store's indexes:
 # a debug `update_fields` re-extracts the key of every index it skipped and
 # panics on a stale one, so only the release run of `facts_differential`
 # shows the field-masked re-keying agreeing with the legacy store and with an
@@ -387,7 +387,10 @@ fi
 # lives only in test code (`pwm-net`'s `network::reference` module): the
 # proptest `repeating_an_advance_at_one_instant_changes_nothing` (48 cases
 # by default) repeats advances at one instant on both paths and compares
-# each flow's fate across them.
+# each flow's fate across them. The REST server's connection core answers a
+# pipelined script of requests with the same bytes and the same close
+# decision whole and cut into reads anywhere (`pwm-rest`'s
+# `server::connection` tests, 64 scripts by default).
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
@@ -402,6 +405,8 @@ PWM_PROPTEST_CASES=384 cargo test -q --release --offline \
   -p pwm-net --lib network::reference
 PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
+PWM_PROPTEST_CASES=512 cargo test -q --release --offline \
+  -p pwm-rest --lib server::connection
 
 # E2ebench job: the whole-stack benchmark's own gate (benchmark/check.sh) —
 # its unit tests (incl. BENCHMARK.json-vs-tables equality), then two smoke
