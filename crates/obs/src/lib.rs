@@ -4,8 +4,8 @@
 //! registers its counters and histograms here and records its spans here.
 //!
 //! * [`registry`] — a labeled metrics [`Registry`] of atomic counters,
-//!   gauges, and mergeable HDR-style [`Histogram`]s, cheap enough for hot
-//!   paths (lock-free handles, sharded histogram buckets), rendered in
+//!   gauges, and HDR-style [`Histogram`]s, cheap enough for hot paths
+//!   (lock-free handles, one atomic per histogram bucket), rendered in
 //!   Prometheus text exposition format.
 //! * [`span`] — sim-time-aware span tracing ([`Tracer`]): parent/child spans
 //!   and instant events with deterministic sequential ids, exported as
@@ -43,7 +43,7 @@ pub mod span;
 
 pub use json::{JsonError, JsonValue};
 pub use logger::{global as global_logger, Level, Logger};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use span::{validate_chrome_trace, SpanId, TraceEvent, Tracer};
 
 /// A cheaply cloneable handle bundling the metrics [`Registry`] and the span

@@ -1,4 +1,4 @@
-//! The labeled metrics registry: counters, gauges, and mergeable HDR-style
+//! The labeled metrics registry: counters, gauges, and HDR-style
 //! histograms, rendered in Prometheus text exposition format.
 //!
 //! Handles returned by the registry are `Arc`-backed and lock-free to
@@ -7,7 +7,7 @@
 //! takes a lock; callers cache handles.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
@@ -60,8 +60,6 @@ const SUB_BITS: u32 = 3;
 const SUB: u64 = 1 << SUB_BITS;
 /// Bucket count covering all of `u64` (indexes `0..=bucket_index(u64::MAX)`).
 const BUCKETS: usize = ((64 - SUB_BITS as usize) * SUB as usize) + SUB as usize;
-/// Stripes to spread contended updates across threads.
-const SHARDS: usize = 4;
 
 /// HDR-style log-bucketed bucket index for `v`; monotone in `v`.
 fn bucket_index(v: u64) -> usize {
@@ -86,159 +84,44 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 #[derive(Debug)]
-struct HistogramShard {
+struct HistogramCells {
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
 }
 
-impl HistogramShard {
-    fn new() -> HistogramShard {
-        HistogramShard {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A mergeable HDR-style histogram of `u64` observations (log-bucketed,
-/// ≤ 12.5% relative error), sharded across stripes so concurrent recorders
-/// don't contend on the same cache lines.
+/// An HDR-style histogram of `u64` observations (log-bucketed, ≤ 12.5%
+/// relative error), one atomic per bucket. Its recorders in this workspace
+/// record under their shard's lock, so the buckets see no contention to
+/// spread.
 ///
 /// Record values in integer units (microseconds, bytes); the metric name
 /// carries the unit (`*_micros`, `*_bytes`).
 #[derive(Debug, Clone)]
-pub struct Histogram {
-    shards: Arc<Vec<HistogramShard>>,
-}
+pub struct Histogram(Arc<HistogramCells>);
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            shards: Arc::new((0..SHARDS).map(|_| HistogramShard::new()).collect()),
-        }
+        Histogram(Arc::new(HistogramCells {
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+        }))
     }
-}
-
-/// Round-robin stripe assignment, one stripe per recording thread.
-fn shard_for_thread() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
 }
 
 impl Histogram {
-    /// Fresh, empty histogram (detached from any registry).
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        let shard = &self.shards[shard_for_thread()];
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        self.0.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Merge all shards into an owned snapshot (which is itself mergeable).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; BUCKETS];
-        let mut sum = 0u64;
-        for shard in self.shards.iter() {
-            for (acc, b) in buckets.iter_mut().zip(&shard.buckets) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
-        }
-        HistogramSnapshot { buckets, sum }
-    }
-}
-
-/// An owned, mergeable copy of a [`Histogram`]'s state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    sum: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; BUCKETS],
-            sum: 0,
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// An empty snapshot (the merge identity).
-    pub fn new() -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-
-    /// Add one observation (for building expectations in tests or merging
-    /// scalar sources).
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.sum = self.sum.wrapping_add(v);
-    }
-
-    /// Add another snapshot's observations into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (acc, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *acc += b;
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
-    /// containing that rank; `None` when empty. Relative error is bounded
-    /// by the bucket resolution (≤ 12.5%).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(bucket_upper(i));
-            }
-        }
-        None
-    }
-
-    /// Non-empty `(upper_bound_inclusive, count)` buckets, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
+    /// The bucket counts, each read once, so the exposition's buckets and
+    /// count agree.
+    fn counts(&self) -> Vec<u64> {
+        self.0
+            .buckets
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
+            .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
 }
@@ -413,27 +296,18 @@ impl Registry {
                         let _ = writeln!(out, "{}{} {}", name, braced(labels), g.get());
                     }
                     Series::Histogram(h) => {
-                        let snap = h.snapshot();
                         let mut cumulative = 0u64;
-                        for (upper, count) in snap.nonzero_buckets() {
+                        let counts = h.counts().into_iter().enumerate();
+                        for (i, count) in counts.filter(|&(_, count)| count > 0) {
                             cumulative += count;
-                            let _ = writeln!(
-                                out,
-                                "{}_bucket{} {}",
-                                name,
-                                braced_with(labels, "le", &upper.to_string()),
-                                cumulative
-                            );
+                            let le = braced_with(labels, "le", &bucket_upper(i).to_string());
+                            let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
                         }
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            name,
-                            braced_with(labels, "le", "+Inf"),
-                            snap.count()
-                        );
-                        let _ = writeln!(out, "{}_sum{} {}", name, braced(labels), snap.sum());
-                        let _ = writeln!(out, "{}_count{} {}", name, braced(labels), snap.count());
+                        let le = braced_with(labels, "le", "+Inf");
+                        let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
+                        let (labels, sum) = (braced(labels), h.0.sum.load(Ordering::Relaxed));
+                        let _ = writeln!(out, "{name}_sum{labels} {sum}");
+                        let _ = writeln!(out, "{name}_count{labels} {cumulative}");
                     }
                 }
             }
@@ -488,52 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_are_within_resolution() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1000);
-        assert_eq!(snap.sum(), 500_500);
-        let p50 = snap.quantile(0.5).unwrap() as f64;
-        let p99 = snap.quantile(0.99).unwrap() as f64;
-        assert!((p50 / 500.0 - 1.0).abs() <= 0.125, "p50 {p50}");
-        assert!((p99 / 990.0 - 1.0).abs() <= 0.125, "p99 {p99}");
-        assert_eq!(snap.quantile(0.0), snap.quantile(0.001));
-        assert!(snap.quantile(1.0).unwrap() >= 1000);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = HistogramSnapshot::new();
-        let mut b = HistogramSnapshot::new();
-        let mut combined = HistogramSnapshot::new();
-        for v in [1u64, 5, 9, 100, 10_000, 123_456] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [2u64, 9, 64, 1 << 40] {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        assert_eq!(a.count(), 10);
-        assert_eq!(a.quantile(0.5), combined.quantile(0.5));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantile() {
-        let snap = Histogram::new().snapshot();
-        assert_eq!(snap.count(), 0);
-        assert_eq!(snap.quantile(0.5), None);
-        assert_eq!(snap.mean(), 0.0);
-    }
-
-    #[test]
     fn concurrent_recording_loses_nothing() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let h = h.clone();
@@ -547,7 +377,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(h.snapshot().count(), 80_000);
+        assert_eq!(h.counts().iter().sum::<u64>(), 80_000);
     }
 
     #[test]
@@ -642,19 +472,6 @@ mod proptests {
             if i > 0 {
                 prop_assert!(bucket_upper(i - 1) < v);
             }
-        }
-
-        /// Merging two snapshots equals recording the union.
-        #[test]
-        fn merge_is_union(xs in proptest::collection::vec(any::<u64>(), 0..64),
-                          ys in proptest::collection::vec(any::<u64>(), 0..64)) {
-            let mut a = HistogramSnapshot::new();
-            let mut b = HistogramSnapshot::new();
-            let mut u = HistogramSnapshot::new();
-            for &x in &xs { a.record(x); u.record(x); }
-            for &y in &ys { b.record(y); u.record(y); }
-            a.merge(&b);
-            prop_assert_eq!(a, u);
         }
     }
 }

@@ -1,19 +1,16 @@
 //! The RESTful web interface (client side).
 //!
 //! [`PolicyRestClient`] is the blocking HTTP client the modified Pegasus
-//! Transfer Tool uses: it serializes request lists to JSON, POSTs them to
-//! the Policy Service, and deserializes the advice. It also implements
-//! [`PolicyTransport`], so the workflow substrate can swap between
-//! in-process and over-the-wire policy callouts without code changes.
+//! Transfer Tool uses: it encodes request lists in JSON or XML (the
+//! envelopes' codec, [`crate::wire`]), POSTs them to the Policy Service,
+//! and decodes the advice. It also implements [`PolicyTransport`], so the
+//! workflow substrate can swap between in-process and over-the-wire policy
+//! callouts without code changes.
 //!
 //! The client keeps one HTTP/1.1 connection alive across calls and
 //! reconnects transparently when the server has closed it (one retry, and
 //! only when the failure shows no live server took the request: these calls
 //! are not idempotent).
-//! [`PolicyRestClient::evaluate_transfers_pipelined`] writes a whole window
-//! of requests before reading any response — the server batches such a
-//! window into a single rules pass (counted by
-//! `pwm_rest_batched_requests_total`).
 
 use crate::http::{frame_response, write_request, HttpError, Method, WireFormat};
 use crate::wire::*;
@@ -289,15 +286,16 @@ impl PolicyRestClient {
     }
 
     /// One round trip over the persistent connection: `encode` writes the
-    /// request body into the connection's buffer, `decode` reads the body
-    /// of a 200 where it was received. Neither buffer outlives the call, so
-    /// a call allocates what `decode` returns and nothing else. A transport
-    /// failure drops the connection; a refusal by the service does not.
+    /// request body in `format` (nothing for a GET) into the connection's
+    /// buffer, `decode` reads the body of a 200 where it was received.
+    /// Neither buffer outlives the call, so a call allocates what `decode`
+    /// returns and nothing else. A transport failure drops the connection;
+    /// a refusal by the service does not.
     fn exchange<R>(
         &self,
-        format: WireFormat,
         method: Method,
         path: &str,
+        format: WireFormat,
         encode: impl Fn(&mut String),
         decode: impl Fn(&[u8]) -> Result<R, TransportError>,
     ) -> Result<R, TransportError> {
@@ -308,211 +306,112 @@ impl PolicyRestClient {
         })?
     }
 
-    /// Evaluate several request groups in one pipelined window: all
-    /// requests are written back to back before any response is read, so
-    /// the event-driven server drains them into a single batched rules
-    /// pass. Returns one advice list per group, in order.
-    pub fn evaluate_transfers_pipelined(
+    /// A request carrying `request` in `format`, its answer read in the
+    /// same format.
+    fn call<Req: Codec, Resp: Codec>(
         &self,
-        groups: &[Vec<TransferSpec>],
-    ) -> Result<Vec<Vec<TransferAdvice>>, TransportError> {
-        if groups.is_empty() {
-            return Ok(Vec::new());
-        }
-        let responses = self.with_conn(|conn| {
-            for group in groups {
-                conn.render(
-                    WireFormat::Json,
-                    Method::Post,
-                    &self.paths.transfers,
-                    |body| TransferRequestEnvelope::encode_borrowed(group, body),
-                );
-            }
-            conn.send()?;
-            let mut responses = Vec::with_capacity(groups.len());
-            for _ in groups {
-                responses.push(conn.read_one(|status, body| {
-                    answer(status, body, decode_json::<TransferResponseEnvelope>)
-                })?);
-            }
-            Ok(responses)
-        })?;
-        responses
-            .into_iter()
-            .map(|response| response.map(|env| env.advice))
-            .collect()
-    }
-
-    fn call<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
-        &self,
+        format: WireFormat,
         method: Method,
         path: &str,
-        payload: &Req,
+        request: &Req,
     ) -> Result<Resp, TransportError> {
         self.exchange(
-            WireFormat::Json,
             method,
             path,
-            |body| serde_json::to_string_onto(payload, body),
-            decode_json,
-        )
-    }
-
-    /// A request without a body.
-    fn get<R>(
-        &self,
-        path: &str,
-        decode: impl Fn(&[u8]) -> Result<R, TransportError>,
-    ) -> Result<R, TransportError> {
-        self.exchange(WireFormat::Json, Method::Get, path, |_| {}, decode)
-    }
-
-    fn call_xml<T>(
-        &self,
-        path: &str,
-        body: String,
-        decode: impl Fn(&str) -> Result<T, crate::xml::XmlError>,
-    ) -> Result<T, TransportError> {
-        self.exchange(
-            WireFormat::Xml,
-            Method::Post,
-            path,
-            |out| out.push_str(&body),
-            |response| {
-                let text = std::str::from_utf8(response)
-                    .map_err(|e| TransportError::Io(format!("non-utf8 xml response: {e}")))?;
-                decode(text).map_err(|e| TransportError::Io(format!("decode: {e}")))
+            format,
+            |body| {
+                request.encode(format, body);
+            },
+            |body| {
+                Resp::decode(format, body).map_err(|e| TransportError::Io(format!("decode: {e}")))
             },
         )
     }
 
     /// GET `/health`; true when the service answers.
     pub fn health(&self) -> bool {
-        #[derive(serde::Deserialize)]
-        struct Health {
-            status: String,
-        }
-        matches!(self.get("/health", decode_json::<Health>), Ok(h) if h.status == "ok")
+        let answer = self.exchange(
+            Method::Get,
+            "/health",
+            WireFormat::Json,
+            |_| {},
+            decode_json,
+        );
+        matches!(answer, Ok(AckEnvelope { status }) if status == "ok")
     }
 
     /// PUT the session's policy configuration (creates the session if new).
     pub fn put_config(&self, config: &PolicyConfig) -> Result<(), TransportError> {
-        let _: AckEnvelope = self.call(
-            Method::Put,
-            &format!("/sessions/{}/config", self.session),
-            config,
-        )?;
+        let path = format!("/sessions/{}/config", self.session);
+        let _: AckEnvelope = self.call(WireFormat::Json, Method::Put, &path, config)?;
         Ok(())
     }
 
     /// GET `/metrics` — the Prometheus text exposition covering every
     /// session on the server.
     pub fn metrics(&self) -> Result<String, TransportError> {
-        self.get("/metrics", |body| decode_text("metrics", body))
+        let decode = |body: &[u8]| decode_text("metrics", body);
+        self.exchange(Method::Get, "/metrics", WireFormat::Json, |_| {}, decode)
     }
 
     /// GET the session's span trace as Chrome-trace JSON (viewable in
     /// Perfetto / `chrome://tracing`).
     pub fn trace(&self) -> Result<String, TransportError> {
         let path = format!("/sessions/{}/trace", self.session);
-        self.get(&path, |body| decode_text("trace", body))
+        let decode = |body: &[u8]| decode_text("trace", body);
+        self.exchange(Method::Get, &path, WireFormat::Json, |_| {}, decode)
     }
 
     /// GET the session's status (snapshot + stats).
     pub fn status(&self) -> Result<StatusEnvelope, TransportError> {
-        self.get(&format!("/sessions/{}/status", self.session), decode_json)
+        let path = format!("/sessions/{}/status", self.session);
+        self.exchange(Method::Get, &path, WireFormat::Json, |_| {}, decode_json)
     }
 }
 
 impl PolicyTransport for PolicyRestClient {
     fn evaluate_transfers(
         &mut self,
-        batch: Vec<TransferSpec>,
+        transfers: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, TransportError> {
+        let request = TransferRequestEnvelope { transfers };
         let path = &self.paths.transfers;
-        match self.format {
-            WireFormat::Json | WireFormat::Text => {
-                let resp: TransferResponseEnvelope = self.call(
-                    Method::Post,
-                    path,
-                    &TransferRequestEnvelope { transfers: batch },
-                )?;
-                Ok(resp.advice)
-            }
-            WireFormat::Xml => self.call_xml(
-                path,
-                crate::xml::transfer_request_to_xml(&batch),
-                crate::xml::transfer_response_from_xml,
-            ),
-        }
+        let answer: TransferResponseEnvelope =
+            self.call(self.format, Method::Post, path, &request)?;
+        Ok(answer.advice)
     }
 
     fn report_transfers(&mut self, outcomes: Vec<TransferOutcome>) -> Result<(), TransportError> {
+        let request = TransferCompletionEnvelope { outcomes };
         let path = &self.paths.transfers_complete;
-        match self.format {
-            WireFormat::Json | WireFormat::Text => {
-                let _: AckEnvelope =
-                    self.call(Method::Post, path, &TransferCompletionEnvelope { outcomes })?;
-            }
-            WireFormat::Xml => {
-                self.call_xml(
-                    path,
-                    crate::xml::transfer_completion_to_xml(&outcomes),
-                    |_ack| Ok(()),
-                )?;
-            }
-        }
+        let _: AckEnvelope = self.call(self.format, Method::Post, path, &request)?;
         Ok(())
     }
 
     fn evaluate_cleanups(
         &mut self,
-        batch: Vec<CleanupSpec>,
+        cleanups: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, TransportError> {
+        let request = CleanupRequestEnvelope { cleanups };
         let path = &self.paths.cleanups;
-        match self.format {
-            WireFormat::Json | WireFormat::Text => {
-                let resp: CleanupResponseEnvelope = self.call(
-                    Method::Post,
-                    path,
-                    &CleanupRequestEnvelope { cleanups: batch },
-                )?;
-                Ok(resp.advice)
-            }
-            WireFormat::Xml => self.call_xml(
-                path,
-                crate::xml::cleanup_request_to_xml(&batch),
-                crate::xml::cleanup_response_from_xml,
-            ),
-        }
+        let answer: CleanupResponseEnvelope =
+            self.call(self.format, Method::Post, path, &request)?;
+        Ok(answer.advice)
     }
 
     fn report_cleanups(&mut self, outcomes: Vec<CleanupOutcome>) -> Result<(), TransportError> {
+        let request = CleanupCompletionEnvelope { outcomes };
         let path = &self.paths.cleanups_complete;
-        match self.format {
-            WireFormat::Json | WireFormat::Text => {
-                let _: AckEnvelope =
-                    self.call(Method::Post, path, &CleanupCompletionEnvelope { outcomes })?;
-            }
-            WireFormat::Xml => {
-                self.call_xml(
-                    path,
-                    crate::xml::cleanup_completion_to_xml(&outcomes),
-                    |_ack| Ok(()),
-                )?;
-            }
-        }
+        let _: AckEnvelope = self.call(self.format, Method::Post, path, &request)?;
         Ok(())
     }
 
     /// JSON regardless of [`Self::with_format`]: the recovery family has no
     /// XML schema.
     fn report_health(&mut self, events: Vec<HealthEvent>) -> Result<(), TransportError> {
-        let _: AckEnvelope = self.call(
-            Method::Post,
-            &self.paths.health,
-            &HealthReportEnvelope { events },
-        )?;
+        let request = HealthReportEnvelope { events };
+        let path = &self.paths.health;
+        let _: AckEnvelope = self.call(WireFormat::Json, Method::Post, path, &request)?;
         Ok(())
     }
 }
@@ -691,28 +590,6 @@ mod tests {
             client.evaluate_transfers(vec![spec(n)]).unwrap();
         }
         assert_eq!(client.status().unwrap().stats.transfer_requests, 5);
-    }
-
-    #[test]
-    fn pipelined_evaluate_returns_group_aligned_advice() {
-        let (_server, client) = start();
-        let groups: Vec<Vec<TransferSpec>> = (0..8).map(|n| vec![spec(n)]).collect();
-        let advice = client.evaluate_transfers_pipelined(&groups).unwrap();
-        assert_eq!(advice.len(), 8);
-        assert!(advice.iter().all(|g| g.len() == 1 && g[0].should_execute()));
-        // A second pipelined window: every transfer is now a duplicate.
-        let advice = client.evaluate_transfers_pipelined(&groups).unwrap();
-        assert!(advice.iter().all(|g| !g[0].should_execute()));
-        assert_eq!(client.status().unwrap().stats.transfer_requests, 16);
-    }
-
-    #[test]
-    fn pipelined_window_deduplicates_within_itself() {
-        let (_server, client) = start();
-        let groups = vec![vec![spec(1)], vec![spec(1)], vec![spec(1)]];
-        let advice = client.evaluate_transfers_pipelined(&groups).unwrap();
-        let executed = advice.iter().filter(|g| g[0].should_execute()).count();
-        assert_eq!(executed, 1, "same file three times in one window");
     }
 
     /// A hand-driven server: `script` gets the listener, and returns how

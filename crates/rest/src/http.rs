@@ -157,23 +157,15 @@ impl Response {
 
     /// An error status with a JSON error envelope.
     pub fn error(status: u16, message: &str) -> Response {
+        use crate::wire::{Codec, ErrorEnvelope};
+        let mut body = String::new();
+        let error = message.to_string();
+        ErrorEnvelope { error }.encode(WireFormat::Json, &mut body);
         Response {
             status,
-            body: error_body(WireFormat::Json, message).into_bytes(),
+            body: body.into_bytes(),
             format: WireFormat::Json,
         }
-    }
-}
-
-/// The error envelope carrying `message`, in `format`.
-pub(crate) fn error_body(format: WireFormat, message: &str) -> String {
-    match format {
-        WireFormat::Json => serde_json::to_string(&crate::wire::ErrorEnvelope {
-            error: message.to_string(),
-        })
-        .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string()),
-        WireFormat::Xml => crate::xml::error_xml(message),
-        WireFormat::Text => message.to_string(),
     }
 }
 

@@ -224,16 +224,16 @@ fn event_loop(
         // each connection drain within the grace period.
         if drain_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
             drain_deadline = Some(now + limits.read_timeout);
-            for (stream, c) in conns.iter_mut().filter(|(_, c)| c.reading()) {
+            for (stream, c) in conns.iter_mut() {
                 read_into(stream, c, &mut chunk);
-                c.shut_down(&mut handler);
+                c.shut_down(now, &mut handler);
             }
         }
 
         for (stream, c) in conns.iter_mut() {
             c.tick(now);
             if !c.output().is_empty() {
-                write_from(stream, c);
+                write_from(stream, c, now, &mut handler);
             }
         }
         // Past the drain's grace deadline, what is left unflushed is dropped.
@@ -248,13 +248,13 @@ fn event_loop(
     }
 }
 
-/// Hand `conn` what the socket holds, read through `chunk`. A read that
-/// does not fill `chunk` emptied the socket, so no second `read` is issued
-/// just to see `WouldBlock`: `poll` is level-triggered and reports anything
-/// that arrives later, end of stream included, on the next turn. True when
-/// the peer closed its write side.
+/// Hand `conn` what the socket holds, read through `chunk`, while it takes
+/// bytes. A read that does not fill `chunk` emptied the socket, so no second
+/// `read` is issued just to see `WouldBlock`: `poll` is level-triggered and
+/// reports anything that arrives later, end of stream included, on the next
+/// turn. True when the peer closed its write side.
 fn read_into(stream: &mut TcpStream, conn: &mut Connection, chunk: &mut [u8]) -> bool {
-    loop {
+    while conn.reading() {
         match stream.read(chunk) {
             Ok(0) => return true,
             Ok(n) => {
@@ -268,10 +268,11 @@ fn read_into(stream: &mut TcpStream, conn: &mut Connection, chunk: &mut [u8]) ->
             Err(_) => return true,
         }
     }
+    false
 }
 
-/// Write as much of `conn`'s output as the socket accepts.
-fn write_from(stream: &mut TcpStream, conn: &mut Connection) {
+/// Write as much of `conn`'s output as the socket accepts, at `now`.
+fn write_from(stream: &mut TcpStream, conn: &mut Connection, now: Instant, handler: &mut Handler) {
     let mut written = 0;
     while written < conn.output().len() {
         match stream.write(&conn.output()[written..]) {
@@ -282,7 +283,7 @@ fn write_from(stream: &mut TcpStream, conn: &mut Connection) {
             Err(_) => return conn.lost(),
         }
     }
-    conn.wrote(written);
+    conn.wrote(written, now, handler);
 }
 
 #[cfg(test)]

@@ -2,21 +2,25 @@
 //!
 //! A [`Connection`] takes what the poll loop sees of a connection: bytes
 //! that arrived, the end of a read turn with the peer's half-close, the
-//! clock and a shutdown. It gives back response bytes and whether it is
-//! done, calling the [`PolicyController`] of the [`Handler`] it is handed;
-//! every status and every close is decided here. A pipelined run of two or
-//! more JSON transfer evaluations for one session, received in one turn, is
-//! one batched `evaluate_transfer_groups` call whose sequential mini-passes
-//! give each request the advice it would get alone, so the answers and the
-//! close decision do not depend on how the bytes were cut into reads.
+//! clock, writes and a shutdown. It gives back response bytes and whether
+//! it is done, calling the [`PolicyController`] of the [`Handler`] it is
+//! handed; every status and every close is decided here. A pipelined run of
+//! two or more transfer evaluations for one session, received in one turn,
+//! is one batched `evaluate_transfer_groups` call whose sequential
+//! mini-passes give each request the advice it would get alone, in JSON or
+//! XML alike, so the answers and the close decision do not depend on how
+//! the bytes were cut into reads. Answers wait unsent only up to a bound:
+//! past `max_body` bytes of them the connection answers and takes nothing
+//! more until the peer reads, and a peer that reads nothing for
+//! `read_timeout` loses the connection.
 
 use super::ServerLimits;
 use crate::http::{
-    error_body, frame_request, write_response, HttpError, Method, Request, RequestFrame, WireFormat,
+    frame_request, write_response, HttpError, Method, Request, RequestFrame, WireFormat,
 };
 use crate::wire::*;
-use crate::xml;
 use pwm_core::{ControllerError, PolicyConfig, PolicyController, TransferSpec};
+use serde::Serialize;
 use std::time::Instant;
 
 /// What every connection of one server answers with: the controller, the
@@ -60,28 +64,37 @@ impl Handler {
 
 /// One connection's state machine.
 pub(crate) struct Connection {
-    /// Received bytes not yet framed into a request.
+    /// Received bytes not yet answered: a partial request, or complete ones
+    /// held back while the output is over its bound.
     rbuf: Vec<u8>,
     /// Response bytes not yet written.
     wbuf: Vec<u8>,
     /// Requests answered (tells a connection that never spoke, which gets
     /// 408 at its deadline, from an idle keep-alive one, closed silently).
     served: u64,
-    /// When an open connection is timed out if nothing arrives before.
+    /// When an open connection with no answer waiting is timed out if
+    /// nothing arrives before.
     deadline: Instant,
+    /// When a connection with answers waiting is dropped if none of their
+    /// bytes is written before.
+    write_deadline: Instant,
     /// False once nothing more is read: flush the output, then close.
     open: bool,
+    limits: ServerLimits,
 }
 
 impl Connection {
     /// A connection accepted at `now`.
     pub(crate) fn new(now: Instant, handler: &Handler) -> Connection {
+        let limits = handler.limits;
         Connection {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             served: 0,
-            deadline: now + handler.limits.read_timeout,
+            deadline: now + limits.read_timeout,
+            write_deadline: now + limits.read_timeout,
             open: true,
+            limits,
         }
     }
 
@@ -93,22 +106,30 @@ impl Connection {
         }
     }
 
-    /// End a read turn at `now`: restart the read deadline, answer every
-    /// complete request received, and stop reading if the peer half-closed
+    /// End a read turn at `now`: restart the read deadline, answer the
+    /// complete requests received, and stop reading if the peer half-closed
     /// (`eof`); a partial request it left is dropped unanswered.
     pub(crate) fn serve(&mut self, now: Instant, eof: bool, handler: &mut Handler) {
         if self.open {
-            self.deadline = now + handler.limits.read_timeout;
+            self.start_write_clock(now);
+            self.deadline = now + self.limits.read_timeout;
             self.answer(handler);
             self.open &= !eof;
         }
     }
 
-    /// The clock reached `now`. Past the read deadline, a request left
-    /// unfinished (slow loris) or never sent gets 408; an idle keep-alive
-    /// connection is closed silently.
+    /// The clock reached `now`. While answers wait unsent, a connection
+    /// that wrote none of them for `read_timeout` is dropped. Otherwise,
+    /// past the read deadline, a request left unfinished (slow loris) or
+    /// never sent gets 408, and an idle keep-alive connection is closed
+    /// silently.
     pub(crate) fn tick(&mut self, now: Instant) {
-        if self.open && now >= self.deadline {
+        self.start_write_clock(now);
+        if !self.wbuf.is_empty() {
+            if now >= self.write_deadline {
+                self.lost();
+            }
+        } else if self.open && now >= self.deadline {
             if !self.rbuf.is_empty() || self.served == 0 {
                 self.close_with(408, "request read timed out");
             } else {
@@ -117,10 +138,11 @@ impl Connection {
         }
     }
 
-    /// The server shuts down: answer every complete request received, 503
-    /// a partial one, and stop reading.
-    pub(crate) fn shut_down(&mut self, handler: &mut Handler) {
+    /// The server shuts down at `now`: answer the complete requests
+    /// received, 503 what is left, and stop reading.
+    pub(crate) fn shut_down(&mut self, now: Instant, handler: &mut Handler) {
         if self.open {
+            self.start_write_clock(now);
             self.answer(handler);
             if !self.rbuf.is_empty() {
                 self.close_with(503, "server shutting down");
@@ -134,25 +156,40 @@ impl Connection {
         &self.wbuf
     }
 
-    /// The first `n` bytes of [`Connection::output`] were written.
-    pub(crate) fn wrote(&mut self, n: usize) {
+    /// The first `n` bytes of [`Connection::output`] were written at `now`.
+    /// Output that falls back under its bound answers what was held back.
+    pub(crate) fn wrote(&mut self, n: usize, now: Instant, handler: &mut Handler) {
+        let held = self.holding();
         self.wbuf.drain(..n);
+        if n > 0 {
+            self.write_deadline = now + self.limits.read_timeout;
+        }
+        if held && !self.holding() {
+            self.deadline = now + self.limits.read_timeout;
+            self.answer(handler);
+        }
     }
 
     /// The peer is gone: nothing is left to write, and nothing is read.
     pub(crate) fn lost(&mut self) {
         self.wbuf.clear();
+        self.rbuf.clear();
         self.open = false;
     }
 
-    /// Whether the connection still reads.
+    /// Whether the connection takes bytes: it reads, and its output is
+    /// within its bound.
     pub(crate) fn reading(&self) -> bool {
-        self.open
+        self.open && !self.holding()
     }
 
-    /// When [`Connection::tick`] acts next, while the connection reads.
+    /// When [`Connection::tick`] acts next, if it will.
     pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.open.then_some(self.deadline)
+        if !self.wbuf.is_empty() {
+            Some(self.write_deadline)
+        } else {
+            self.open.then_some(self.deadline)
+        }
     }
 
     /// Nothing more is read and everything was written: close it.
@@ -160,10 +197,25 @@ impl Connection {
         !self.open && self.wbuf.is_empty()
     }
 
+    /// More than `max_body` bytes of answers wait unsent: no request is
+    /// answered and no byte taken until the peer reads some.
+    fn holding(&self) -> bool {
+        self.wbuf.len() > self.limits.max_body
+    }
+
+    /// Answers queued at `now` on an empty output have `read_timeout` to
+    /// make their first write.
+    fn start_write_clock(&mut self, now: Instant) {
+        if self.wbuf.is_empty() {
+            self.write_deadline = now + self.limits.read_timeout;
+        }
+    }
+
     /// Answer what was received with an error status, and stop reading.
     fn close_with(&mut self, status: u16, message: &str) {
-        let body = error_body(WireFormat::Json, message);
-        self.push_answer((status, WireFormat::Json), &body, false);
+        let mut body = String::new();
+        let answer = refuse(&mut body, WireFormat::Json, status, message);
+        self.push_answer(answer, &body, false);
         self.rbuf.clear();
     }
 
@@ -173,14 +225,15 @@ impl Connection {
         self.open &= keep_alive;
     }
 
-    /// Frame every complete request received, then answer them in order.
-    /// Runs of ≥ 2 consecutive pipelined JSON transfer-evaluate requests for
-    /// the same session collapse into one batched controller call.
+    /// Frame every complete request received, then answer them in order
+    /// until the output is over its bound; the rest waits in the read
+    /// buffer. Runs of ≥ 2 consecutive pipelined transfer-evaluate requests
+    /// for the same session collapse into one batched controller call.
     fn answer(&mut self, handler: &mut Handler) {
         let frames = &mut handler.frames;
         frames.clear();
         let mut consumed = 0;
-        let fatal = loop {
+        let mut fatal = loop {
             match frame_request(&self.rbuf[consumed..], handler.limits.max_body) {
                 Ok(Some((frame, len))) => {
                     frames.push((consumed, frame));
@@ -191,7 +244,6 @@ impl Connection {
                 Err(e) => break Some((400, format!("bad request: {e}"))),
             }
         };
-        handler.requests.add(frames.len() as u64);
 
         // The requests borrow the read buffer while their answers go to the
         // write buffer: lend the read buffer out for the pass.
@@ -209,6 +261,10 @@ impl Connection {
         let mut next = None;
         let mut i = 0;
         while i < handler.frames.len() {
+            if self.holding() {
+                (consumed, fatal) = (handler.frames[i].0, None);
+                break;
+            }
             let (first, (all, len)) = next.take().unwrap_or_else(|| routed(i));
             let segments = &all[..len];
             // A pipelined run: maximal stretch of batchable transfer-evaluate
@@ -228,6 +284,7 @@ impl Connection {
                     let (controller, batched) = (&handler.controller, &handler.batched);
                     self.serve_batched(run, session, controller, batched, &mut handler.body);
                     self.served += (j - i) as u64;
+                    handler.requests.add((j - i) as u64);
                     i = j;
                     continue;
                 }
@@ -237,6 +294,7 @@ impl Connection {
             let answer = route(&first, segments, &handler.controller, body);
             self.push_answer(answer, body, first.keep_alive);
             self.served += 1;
+            handler.requests.inc();
             i += 1;
             if !first.keep_alive {
                 // Pipelined bytes after an explicit close are undefined
@@ -253,9 +311,10 @@ impl Connection {
     }
 
     /// Answer a run of pipelined transfer-evaluate requests with one batched
-    /// rules pass. A request whose body fails to decode gets its own 400
-    /// whatever the call returns, and no call is made when no body decoded;
-    /// response order matches request order (HTTP pipelining contract).
+    /// rules pass, each in its own request's format. A request whose body
+    /// fails to decode gets its own 400 whatever the call returns, and no
+    /// call is made when no body decoded; response order matches request
+    /// order (HTTP pipelining contract).
     fn serve_batched<'a>(
         &mut self,
         run: impl ExactSizeIterator<Item = Request<'a>>,
@@ -265,17 +324,17 @@ impl Connection {
         body: &mut String,
     ) {
         // Each decoded group moves into the one batched call; what stays
-        // behind per request is only why it was refused, if it was.
+        // behind per request is its format and why it was refused, if it was.
         let requests = run.len();
         let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(requests);
-        let refused: Vec<Option<String>> = run
+        let refused: Vec<(WireFormat, Option<String>)> = run
             .map(
-                |r| match serde_json::from_slice::<TransferRequestEnvelope>(r.body) {
+                |r| match TransferRequestEnvelope::decode(r.format, r.body) {
                     Ok(env) => {
                         groups.push(env.transfers);
-                        None
+                        (r.format, None)
                     }
-                    Err(e) => Some(format!("bad json: {e}")),
+                    Err(message) => (r.format, Some(message)),
                 },
             )
             .collect();
@@ -288,31 +347,27 @@ impl Connection {
             }
             advice.map(Vec::into_iter)
         };
-        for r in refused {
+        for (format, refused) in refused {
             body.clear();
-            let answer = match (r, &mut advice) {
-                (Some(message), _) => refuse(body, WireFormat::Json, 400, &message),
+            let answer = match (refused, &mut advice) {
+                (Some(message), _) => refuse(body, format, 400, &message),
                 (None, Ok(groups)) => {
                     let advice = groups.next().unwrap_or_default();
-                    json(body, &TransferResponseEnvelope { advice })
+                    ok(body, format, &TransferResponseEnvelope { advice })
                 }
-                (None, Err(e)) => controller_error(body, WireFormat::Json, e.clone()),
+                (None, Err(e)) => controller_error(body, format, e.clone()),
             };
             self.push_answer(answer, body, true);
         }
     }
 }
 
-/// Is this request eligible for the batched advice path? JSON POSTs to
+/// Is this request eligible for the batched advice path? POSTs to
 /// `/sessions/{s}/transfers` on a keep-alive connection; returns the
 /// session name.
 fn batchable_session<'a>(request: &Request<'a>, segments: &[&'a str]) -> Option<&'a str> {
-    match (request.method, request.format, segments) {
-        (Method::Post, WireFormat::Json | WireFormat::Text, ["sessions", session, "transfers"])
-            if request.keep_alive =>
-        {
-            Some(session)
-        }
+    match (request.method, segments) {
+        (Method::Post, ["sessions", session, "transfers"]) if request.keep_alive => Some(session),
         _ => None,
     }
 }
@@ -336,13 +391,15 @@ type Answer = (u16, WireFormat);
 const OK_JSON: Answer = (200, WireFormat::Json);
 
 /// Render the answer to `request`, whose path splits into `segments`, into
-/// `body` (empty on entry).
+/// `body` (empty on entry). The staging routes speak the request's format;
+/// the others speak JSON.
 fn route(
     request: &Request<'_>,
     segments: &[&str],
     controller: &PolicyController,
     body: &mut String,
 ) -> Answer {
+    let format = request.format;
     match (request.method, segments) {
         (Method::Get, ["health"]) => {
             body.push_str(r#"{"status":"ok"}"#);
@@ -361,74 +418,39 @@ fn route(
                 Err(e) => controller_error(body, WireFormat::Json, e),
             }
         }
-        (Method::Post, ["sessions", session, "transfers"]) => match request.format {
-            WireFormat::Json | WireFormat::Text => {
-                with_body::<TransferRequestEnvelope>(request, body, |env, body| {
-                    let advice = controller.evaluate_transfers(session, env.transfers)?;
-                    Ok(json(body, &TransferResponseEnvelope { advice }))
-                })
-            }
-            WireFormat::Xml => {
-                with_xml_body(request, body, xml::transfer_request_from_xml, |transfers| {
-                    let advice = controller.evaluate_transfers(session, transfers)?;
-                    Ok(xml::transfer_response_to_xml(&advice))
-                })
-            }
-        },
-        (Method::Post, ["sessions", session, "transfers", "complete"]) => match request.format {
-            WireFormat::Json | WireFormat::Text => {
-                with_body::<TransferCompletionEnvelope>(request, body, |env, body| {
-                    controller.report_transfers(session, env.outcomes)?;
-                    Ok(json(body, &AckEnvelope::ok()))
-                })
-            }
-            WireFormat::Xml => with_xml_body(
-                request,
-                body,
-                xml::transfer_completion_from_xml,
-                |outcomes| {
-                    controller.report_transfers(session, outcomes)?;
-                    Ok(xml::ack_xml())
-                },
-            ),
-        },
-        (Method::Post, ["sessions", session, "cleanups"]) => match request.format {
-            WireFormat::Json | WireFormat::Text => {
-                with_body::<CleanupRequestEnvelope>(request, body, |env, body| {
-                    let advice = controller.evaluate_cleanups(session, env.cleanups)?;
-                    Ok(json(body, &CleanupResponseEnvelope { advice }))
-                })
-            }
-            WireFormat::Xml => {
-                with_xml_body(request, body, xml::cleanup_request_from_xml, |cleanups| {
-                    let advice = controller.evaluate_cleanups(session, cleanups)?;
-                    Ok(xml::cleanup_response_to_xml(&advice))
-                })
-            }
-        },
-        (Method::Post, ["sessions", session, "cleanups", "complete"]) => match request.format {
-            WireFormat::Json | WireFormat::Text => {
-                with_body::<CleanupCompletionEnvelope>(request, body, |env, body| {
-                    controller.report_cleanups(session, env.outcomes)?;
-                    Ok(json(body, &AckEnvelope::ok()))
-                })
-            }
-            WireFormat::Xml => with_xml_body(
-                request,
-                body,
-                xml::cleanup_completion_from_xml,
-                |outcomes| {
-                    controller.report_cleanups(session, outcomes)?;
-                    Ok(xml::ack_xml())
-                },
-            ),
-        },
-        (Method::Post, ["sessions", session, "health"]) => {
-            with_body::<HealthReportEnvelope>(request, body, |env, body| {
-                controller.report_health(session, env.events)?;
-                Ok(json(body, &AckEnvelope::ok()))
+        (Method::Post, ["sessions", session, "transfers"]) => {
+            with_body(request, format, body, |env: TransferRequestEnvelope| {
+                let advice = controller.evaluate_transfers(session, env.transfers)?;
+                Ok(TransferResponseEnvelope { advice })
             })
         }
+        (Method::Post, ["sessions", session, "transfers", "complete"]) => {
+            with_body(request, format, body, |env: TransferCompletionEnvelope| {
+                controller.report_transfers(session, env.outcomes)?;
+                Ok(AckEnvelope::ok())
+            })
+        }
+        (Method::Post, ["sessions", session, "cleanups"]) => {
+            with_body(request, format, body, |env: CleanupRequestEnvelope| {
+                let advice = controller.evaluate_cleanups(session, env.cleanups)?;
+                Ok(CleanupResponseEnvelope { advice })
+            })
+        }
+        (Method::Post, ["sessions", session, "cleanups", "complete"]) => {
+            with_body(request, format, body, |env: CleanupCompletionEnvelope| {
+                controller.report_cleanups(session, env.outcomes)?;
+                Ok(AckEnvelope::ok())
+            })
+        }
+        (Method::Post, ["sessions", session, "health"]) => with_body(
+            request,
+            WireFormat::Json,
+            body,
+            |env: HealthReportEnvelope| {
+                controller.report_health(session, env.events)?;
+                Ok(AckEnvelope::ok())
+            },
+        ),
         (Method::Get, ["sessions", session, "log"]) => {
             json_or(body, controller.audit_since(session, 0))
         }
@@ -443,7 +465,7 @@ fn route(
             json_or(body, status())
         }
         (Method::Put, ["sessions", session, "config"]) => {
-            with_body::<PolicyConfig>(request, body, |config, body| {
+            with_body(request, WireFormat::Json, body, |config: PolicyConfig| {
                 // PUT is an upsert: reconfigure or create.
                 match controller.set_config(session, config.clone()) {
                     Err(ControllerError::NoSuchSession(_)) => {
@@ -451,12 +473,12 @@ fn route(
                     }
                     answer => answer?,
                 }
-                Ok(json(body, &AckEnvelope::ok()))
+                Ok(AckEnvelope::ok())
             })
         }
         (Method::Delete, ["sessions", session]) => {
             if controller.drop_session(session) {
-                json(body, &AckEnvelope::ok())
+                ok(body, WireFormat::Json, &AckEnvelope::ok())
             } else {
                 let message = format!("no such policy session: {session}");
                 refuse(body, WireFormat::Json, 404, &message)
@@ -469,34 +491,19 @@ fn route(
     }
 }
 
-/// Decode an XML body, run the handler, and answer in XML.
-fn with_xml_body<T>(
+/// Decode the request's body in `format`, run the handler, and answer in
+/// `format`: 400 for a body that does not decode, the controller's error
+/// status for a refused call.
+fn with_body<Req: Codec, Resp: Codec>(
     request: &Request<'_>,
+    format: WireFormat,
     body: &mut String,
-    decode: impl FnOnce(&str) -> Result<T, crate::xml::XmlError>,
-    f: impl FnOnce(T) -> Result<String, ControllerError>,
+    f: impl FnOnce(Req) -> Result<Resp, ControllerError>,
 ) -> Answer {
-    let Ok(text) = std::str::from_utf8(request.body) else {
-        return refuse(body, WireFormat::Xml, 400, "body is not utf-8");
-    };
-    match decode(text).map(f) {
-        Ok(Ok(answer)) => {
-            *body = answer;
-            (200, WireFormat::Xml)
-        }
-        Ok(Err(e)) => controller_error(body, WireFormat::Xml, e),
-        Err(e) => refuse(body, WireFormat::Xml, 400, &e.to_string()),
-    }
-}
-
-fn with_body<T: serde::de::DeserializeOwned>(
-    request: &Request<'_>,
-    body: &mut String,
-    f: impl FnOnce(T, &mut String) -> Result<Answer, ControllerError>,
-) -> Answer {
-    match serde_json::from_slice::<T>(request.body) {
-        Ok(value) => f(value, body).unwrap_or_else(|e| controller_error(body, WireFormat::Json, e)),
-        Err(e) => refuse(body, WireFormat::Json, 400, &format!("bad json: {e}")),
+    match Req::decode(format, request.body).map(f) {
+        Ok(Ok(answer)) => ok(body, format, &answer),
+        Ok(Err(e)) => controller_error(body, format, e),
+        Err(message) => refuse(body, format, 400, &message),
     }
 }
 
@@ -512,19 +519,22 @@ fn controller_error(body: &mut String, format: WireFormat, e: ControllerError) -
 
 /// An error status with its envelope in `format`.
 fn refuse(body: &mut String, format: WireFormat, status: u16, message: &str) -> Answer {
-    body.push_str(&error_body(format, message));
-    (status, format)
+    let error = message.to_string();
+    (status, ErrorEnvelope { error }.encode(format, body))
 }
 
-fn json<T: serde::Serialize>(body: &mut String, value: &T) -> Answer {
-    serde_json::to_string_onto(value, body);
-    OK_JSON
+/// A 200 with `value` in `format`.
+fn ok<T: Codec>(body: &mut String, format: WireFormat, value: &T) -> Answer {
+    (200, value.encode(format, body))
 }
 
 /// A controller's answer in JSON, or the status of its error.
-fn json_or<T: serde::Serialize>(body: &mut String, answer: Result<T, ControllerError>) -> Answer {
+fn json_or<T: Serialize>(body: &mut String, answer: Result<T, ControllerError>) -> Answer {
     match answer {
-        Ok(value) => json(body, &value),
+        Ok(value) => {
+            serde_json::to_string_onto(&value, body);
+            OK_JSON
+        }
         Err(e) => controller_error(body, WireFormat::Json, e),
     }
 }

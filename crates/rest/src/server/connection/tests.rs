@@ -3,9 +3,11 @@
 
 use super::*;
 use crate::http::{render_request, try_parse_response};
+use crate::xml;
 use proptest::prelude::*;
 use pwm_core::{CleanupId, CleanupOutcome, CleanupSpec, HealthEvent, TransferId};
 use pwm_core::{TransferOutcome, Url, WorkflowId};
+use std::time::Duration;
 
 /// A server's connection core at one instant: connections are opened
 /// on it and fed bytes directly, with no socket and no clock.
@@ -35,7 +37,20 @@ impl Core {
     pub(crate) fn send(&mut self, conn: &mut Connection, wire: &[u8]) -> Vec<(u16, Vec<u8>)> {
         conn.receive(wire);
         conn.serve(self.now, false, &mut self.handler);
-        responses(conn)
+        self.responses(conn)
+    }
+
+    /// Every response `conn` has queued, taken as written.
+    pub(crate) fn responses(&mut self, conn: &mut Connection) -> Vec<(u16, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some((status, body, len)) = try_parse_response(&conn.output()[at..]).unwrap() {
+            out.push((status, body));
+            at += len;
+        }
+        assert_eq!(at, conn.output().len(), "only whole responses are queued");
+        conn.wrote(at, self.now, &mut self.handler);
+        out
     }
 
     /// One `Connection: close` request on a fresh connection: one
@@ -58,19 +73,6 @@ impl Core {
     pub(crate) fn call(&mut self, method: Method, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
         self.call_in(WireFormat::Json, method, path, body)
     }
-}
-
-/// Every response `conn` has queued, taken as written.
-pub(crate) fn responses(conn: &mut Connection) -> Vec<(u16, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut at = 0;
-    while let Some((status, body, len)) = try_parse_response(&conn.output()[at..]).unwrap() {
-        out.push((status, body));
-        at += len;
-    }
-    assert_eq!(at, conn.output().len(), "only whole responses are queued");
-    conn.wrote(at);
-    out
 }
 
 /// `other` exists once a config request created it; `missing` never does.
@@ -197,12 +199,12 @@ fn replay(wire: &[u8], cuts: &[usize], end: u8) -> (Vec<u8>, bool) {
         conn.receive(&wire[at..cut]);
         conn.serve(core.now, false, &mut core.handler);
         out.extend_from_slice(conn.output());
-        conn.wrote(conn.output().len());
+        conn.wrote(conn.output().len(), core.now, &mut core.handler);
         at = cut;
     }
     match end {
         1 => conn.serve(core.now, true, &mut core.handler),
-        2 => conn.shut_down(&mut core.handler),
+        2 => conn.shut_down(core.now, &mut core.handler),
         _ => {}
     }
     out.extend_from_slice(conn.output());
@@ -240,5 +242,172 @@ proptest! {
             String::from_utf8_lossy(&whole.0),
             String::from_utf8_lossy(&split.0)
         );
+    }
+}
+
+fn bounded_core(read_timeout: Duration, max_body: usize) -> Core {
+    let limits = ServerLimits {
+        read_timeout,
+        max_body,
+    };
+    Core::with_limits(PolicyController::new(PolicyConfig::default()), limits)
+}
+
+/// A peer pipelines status requests and reads slowly: the core answers
+/// while its unsent output is within `max_body`, so the output never passes
+/// it by more than one answer, takes no byte while over it, and answers
+/// what it held back as the peer reads.
+#[test]
+fn unsent_answers_stay_within_max_body_plus_one_answer() {
+    const MAX_BODY: usize = 4096;
+    let mut core = bounded_core(Duration::from_secs(5), MAX_BODY);
+    let mut conn = core.connect();
+    let status = "/sessions/default/status";
+    let status = render_request(WireFormat::Json, Method::Get, status, b"", true);
+    let sent = 64;
+    conn.receive(&status.repeat(sent));
+    conn.serve(core.now, false, &mut core.handler);
+    assert!(!conn.reading(), "the first turn passes the bound");
+    // Every answer is the same status document.
+    let one = try_parse_response(conn.output()).unwrap().unwrap().2;
+    let mut answered = 0;
+    while answered < sent {
+        let waiting = conn.output().len();
+        assert!(
+            waiting > 0,
+            "held requests are answered as the output drains"
+        );
+        assert!(waiting <= MAX_BODY + one, "{waiting} bytes wait");
+        assert_eq!(conn.reading(), waiting <= MAX_BODY);
+        answered += core.responses(&mut conn).len();
+    }
+    assert_eq!(answered, sent);
+    assert!(conn.output().is_empty() && conn.reading());
+}
+
+/// A peer that reads none of its answers loses the connection
+/// `read_timeout` after they were queued, whether the connection still
+/// reads or was asked to close; a write that makes progress restarts the
+/// clock.
+#[test]
+fn a_peer_that_reads_nothing_is_dropped_after_read_timeout() {
+    let timeout = Duration::from_millis(200);
+    let mut core = bounded_core(timeout, 16 << 20);
+    let health =
+        |keep_alive| render_request(WireFormat::Json, Method::Get, "/health", b"", keep_alive);
+    for keep_alive in [true, false] {
+        let mut conn = core.connect();
+        conn.receive(&health(keep_alive));
+        conn.serve(core.now, false, &mut core.handler);
+        assert_eq!(conn.reading(), keep_alive);
+        assert_eq!(conn.deadline(), Some(core.now + timeout));
+        conn.tick(core.now + timeout - Duration::from_millis(1));
+        assert!(!conn.finished(), "not before its deadline");
+        conn.tick(core.now + timeout);
+        assert!(conn.finished(), "keep-alive {keep_alive}: dropped");
+    }
+    let mut conn = core.connect();
+    conn.receive(&health(true).repeat(2));
+    conn.serve(core.now, false, &mut core.handler);
+    let progress = core.now + timeout / 2;
+    conn.wrote(1, progress, &mut core.handler);
+    conn.tick(core.now + timeout);
+    assert!(!conn.finished(), "a write restarted the clock");
+    assert_eq!(conn.deadline(), Some(progress + timeout));
+    conn.tick(progress + timeout);
+    assert!(conn.finished());
+}
+
+/// A pipelined window of transfer evaluations alternating JSON and XML is
+/// one batched pass: each answer is in its request's format and holds its
+/// own group's advice, and a second window finds every file in progress.
+#[test]
+fn pipelined_evaluate_returns_group_aligned_advice() {
+    let mut core = Core::new(PolicyController::new(PolicyConfig::default()));
+    let mut conn = core.connect();
+    let format = |n: u32| [WireFormat::Json, WireFormat::Xml][n as usize % 2];
+    let wire: Vec<u8> = (0..8)
+        .flat_map(|n| request((0, 0, n, n % 2 == 1)))
+        .collect();
+    for window in 0..2 {
+        let answers = core.send(&mut conn, &wire);
+        assert_eq!(answers.len(), 8);
+        for ((status, body), n) in answers.into_iter().zip(0..) {
+            assert_eq!(status, 200);
+            let advice = TransferResponseEnvelope::decode(format(n), &body)
+                .unwrap()
+                .advice;
+            assert_eq!(advice.len(), 1);
+            assert_eq!(advice[0].source, spec(n).source);
+            assert_eq!(advice[0].should_execute(), window == 0);
+        }
+    }
+    assert_eq!(core.handler.batched.get(), 16);
+}
+
+/// The split fuzzer's staging kinds, transfer evaluations drawn most:
+/// evaluations, their reports, cleanup evaluations and their reports.
+const STAGING: [u8; 6] = [0, 0, 0, 6, 7, 8];
+
+/// Run `script`, drawn as (staging kind, session, n, turn), on a fresh
+/// controller in XML or JSON; a request whose `turn` is under 3 starts a
+/// read turn and the others join the turn before it, so evaluations
+/// pipeline. Half
+/// the requests go to the default session, the rest to sessions that do
+/// not exist. Each answer's status and its body transcoded to JSON, and how
+/// many requests batched passes answered.
+fn run_script(script: &[(usize, usize, u32, u8)], xml: bool) -> (Vec<(u16, String)>, u64) {
+    let mut core = Core::new(PolicyController::new(PolicyConfig::default()));
+    let mut conn = core.connect();
+    let format = [WireFormat::Json, WireFormat::Xml][usize::from(xml)];
+    let (mut answers, mut kinds, mut wire) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, &(kind, session, n, _)) in script.iter().enumerate() {
+        wire.extend(request((STAGING[kind], session.saturating_sub(1), n, xml)));
+        kinds.push(STAGING[kind]);
+        if script.get(i + 1).is_none_or(|next| next.3 < 3) {
+            answers.extend(core.send(&mut conn, &std::mem::take(&mut wire)));
+        }
+    }
+    fn as_json<T: Codec>(format: WireFormat, body: &[u8]) -> String {
+        let mut json = String::new();
+        let value = T::decode(format, body).expect("an answer decodes in its request's format");
+        value.encode(WireFormat::Json, &mut json);
+        json
+    }
+    let said = answers
+        .into_iter()
+        .zip(kinds)
+        .map(|((status, body), kind)| {
+            let json = match (status, kind) {
+                (200, 0) => as_json::<TransferResponseEnvelope>(format, &body),
+                (200, 7) => as_json::<CleanupResponseEnvelope>(format, &body),
+                (200, _) => as_json::<AckEnvelope>(format, &body),
+                _ => as_json::<ErrorEnvelope>(format, &body),
+            };
+            (status, json)
+        });
+    (said.collect(), core.handler.batched.get())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: option_env!("PWM_PROPTEST_CASES")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64),
+    })]
+
+    /// The same script of staging requests, pipelined runs and unknown
+    /// sessions included, gets the same statuses, advice, acks and refusals
+    /// in JSON and in XML, and its XML runs batch as its JSON runs do.
+    #[test]
+    fn json_and_xml_scripts_get_the_same_answers(
+        script in proptest::collection::vec(
+            (0usize..6, 0usize..4, 0u32..6, 0u8..10),
+            1..16,
+        ),
+    ) {
+        let json = run_script(&script, false);
+        prop_assert_eq!(json.0.len(), script.len());
+        prop_assert_eq!(json, run_script(&script, true));
     }
 }

@@ -2,7 +2,7 @@
 //! other connection behaviour is a direct call on the connection core, with
 //! no listener, no thread, no sleep and no real timeout.
 
-use super::connection::tests::{responses, Core};
+use super::connection::tests::Core;
 use super::*;
 use crate::http::{render_request, try_parse_response, Method, WireFormat};
 use crate::wire::*;
@@ -405,19 +405,19 @@ fn stalled_client_gets_408() {
     conn.tick(core.now + Duration::from_millis(199));
     assert!(conn.reading(), "not before its deadline");
     conn.tick(core.now + Duration::from_millis(200));
-    assert_eq!(statuses(&responses(&mut conn)), [408]);
+    assert_eq!(statuses(&core.responses(&mut conn)), [408]);
     assert!(conn.finished());
 
     // A connection that never spoke gets 408 too; an idle keep-alive
     // connection that was answered is closed silently.
     let mut mute = core.connect();
     mute.tick(core.now + Duration::from_millis(200));
-    assert_eq!(statuses(&responses(&mut mute)), [408]);
+    assert_eq!(statuses(&core.responses(&mut mute)), [408]);
     let mut idle = core.connect();
     let wire = render_request(WireFormat::Json, Method::Get, "/health", b"", true);
     assert_eq!(statuses(&core.send(&mut idle, &wire)), [200]);
     idle.tick(core.now + Duration::from_millis(200));
-    assert!(idle.finished() && responses(&mut idle).is_empty());
+    assert!(idle.finished() && core.responses(&mut idle).is_empty());
 }
 
 #[test]
@@ -430,8 +430,8 @@ fn shutdown_drains_inflight_connections() {
     // between: the complete request is answered, the partial one gets
     // a clean 503, and the connection closes.
     conn.receive(&wire);
-    conn.shut_down(&mut core.handler);
-    assert_eq!(statuses(&responses(&mut conn)), [200, 503]);
+    conn.shut_down(core.now, &mut core.handler);
+    assert_eq!(statuses(&core.responses(&mut conn)), [200, 503]);
     assert!(conn.finished());
 }
 
@@ -622,6 +622,6 @@ fn client_that_half_closes_after_its_last_request_is_answered_then_closed() {
     // are answered, and then the connection closes.
     conn.receive(&wire);
     conn.serve(core.now, true, &mut core.handler);
-    assert_eq!(statuses(&responses(&mut conn)), [200, 200]);
+    assert_eq!(statuses(&core.responses(&mut conn)), [200, 200]);
     assert!(conn.finished(), "nothing follows the last response");
 }

@@ -18,8 +18,9 @@
 //! ```
 
 use pwm_core::{
-    CleanupAction, CleanupAdvice, CleanupId, CleanupOutcome, CleanupSpec, GroupId, SuppressReason,
-    TransferAction, TransferAdvice, TransferId, TransferOutcome, TransferSpec, Url, WorkflowId,
+    CleanupAction, CleanupAdvice, CleanupId, CleanupOutcome, CleanupSpec, GroupId, Name,
+    SuppressReason, TransferAction, TransferAdvice, TransferId, TransferOutcome, TransferSpec, Url,
+    WorkflowId,
 };
 use std::fmt::Write as _;
 
@@ -60,13 +61,25 @@ pub fn ack_xml() -> String {
     "<ack status=\"ok\"/>\n".to_string()
 }
 
+/// `<root>`, a `  <.../>` line per item whose inside `leaf` writes, and
+/// `</root>`.
+fn document<T>(root: &str, items: &[T], mut leaf: impl FnMut(&mut String, &T)) -> String {
+    let mut out = format!("<{root}>\n");
+    for item in items {
+        out.push_str("  <");
+        leaf(&mut out, item);
+        out.push_str("/>\n");
+    }
+    let _ = writeln!(out, "</{root}>");
+    out
+}
+
 /// Encode a transfer-request envelope.
 pub fn transfer_request_to_xml(transfers: &[TransferSpec]) -> String {
-    let mut out = String::from("<transferRequest>\n");
-    for t in transfers {
+    document("transferRequest", transfers, |out, t| {
         let _ = write!(
             out,
-            "  <transfer source=\"{}\" dest=\"{}\" bytes=\"{}\" workflow=\"{}\"",
+            "transfer source=\"{}\" dest=\"{}\" bytes=\"{}\" workflow=\"{}\"",
             escape(&t.source.to_string()),
             escape(&t.dest.to_string()),
             t.bytes,
@@ -81,10 +94,7 @@ pub fn transfer_request_to_xml(transfers: &[TransferSpec]) -> String {
         if let Some(p) = t.priority {
             let _ = write!(out, " priority=\"{p}\"");
         }
-        out.push_str("/>\n");
-    }
-    out.push_str("</transferRequest>\n");
-    out
+    })
 }
 
 fn reason_str(reason: SuppressReason) -> &'static str {
@@ -114,11 +124,10 @@ fn reason_from_str(s: &str) -> Result<SuppressReason, XmlError> {
 
 /// Encode a transfer-response envelope.
 pub fn transfer_response_to_xml(advice: &[TransferAdvice]) -> String {
-    let mut out = String::from("<transferResponse>\n");
-    for a in advice {
+    document("transferResponse", advice, |out, a| {
         let _ = write!(
             out,
-            "  <advice id=\"{}\" source=\"{}\" dest=\"{}\" streams=\"{}\" group=\"{}\" order=\"{}\"",
+            "advice id=\"{}\" source=\"{}\" dest=\"{}\" streams=\"{}\" group=\"{}\" order=\"{}\"",
             a.id.0,
             escape(&a.source.to_string()),
             escape(&a.dest.to_string()),
@@ -135,75 +144,43 @@ pub fn transfer_response_to_xml(advice: &[TransferAdvice]) -> String {
                 let _ = write!(out, " action=\"skip\" reason=\"{}\"", reason_str(reason));
             }
         }
-        out.push_str("/>\n");
-    }
-    out.push_str("</transferResponse>\n");
-    out
+    })
 }
 
 /// Encode a transfer-completion envelope.
 pub fn transfer_completion_to_xml(outcomes: &[TransferOutcome]) -> String {
-    let mut out = String::from("<completionReport>\n");
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "  <outcome id=\"{}\" success=\"{}\"/>",
-            o.id.0, o.success
-        );
-    }
-    out.push_str("</completionReport>\n");
-    out
+    document("completionReport", outcomes, |out, o| {
+        let _ = write!(out, "outcome id=\"{}\" success=\"{}\"", o.id.0, o.success);
+    })
 }
 
 /// Encode a cleanup-request envelope.
 pub fn cleanup_request_to_xml(cleanups: &[CleanupSpec]) -> String {
-    let mut out = String::from("<cleanupRequest>\n");
-    for c in cleanups {
-        let _ = writeln!(
-            out,
-            "  <cleanup file=\"{}\" workflow=\"{}\"/>",
-            escape(&c.file.to_string()),
-            c.workflow.0
-        );
-    }
-    out.push_str("</cleanupRequest>\n");
-    out
+    document("cleanupRequest", cleanups, |out, c| {
+        let file = escape(&c.file.to_string());
+        let _ = write!(out, "cleanup file=\"{file}\" workflow=\"{}\"", c.workflow.0);
+    })
 }
 
 /// Encode a cleanup-response envelope.
 pub fn cleanup_response_to_xml(advice: &[CleanupAdvice]) -> String {
-    let mut out = String::from("<cleanupResponse>\n");
-    for a in advice {
-        let _ = write!(
-            out,
-            "  <advice id=\"{}\" file=\"{}\"",
-            a.id.0,
-            escape(&a.file.to_string())
-        );
+    document("cleanupResponse", advice, |out, a| {
+        let file = escape(&a.file.to_string());
+        let _ = write!(out, "advice id=\"{}\" file=\"{file}\"", a.id.0);
         match a.action {
             CleanupAction::Execute => out.push_str(" action=\"execute\""),
             CleanupAction::Skip(reason) => {
                 let _ = write!(out, " action=\"skip\" reason=\"{}\"", reason_str(reason));
             }
         }
-        out.push_str("/>\n");
-    }
-    out.push_str("</cleanupResponse>\n");
-    out
+    })
 }
 
 /// Encode a cleanup-completion envelope.
 pub fn cleanup_completion_to_xml(outcomes: &[CleanupOutcome]) -> String {
-    let mut out = String::from("<cleanupCompletionReport>\n");
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "  <outcome id=\"{}\" success=\"{}\"/>",
-            o.id.0, o.success
-        );
-    }
-    out.push_str("</cleanupCompletionReport>\n");
-    out
+    document("cleanupCompletionReport", outcomes, |out, o| {
+        let _ = write!(out, "outcome id=\"{}\" success=\"{}\"", o.id.0, o.success);
+    })
 }
 
 // ---------------------------------------------------------------- decoding
@@ -239,27 +216,43 @@ impl Element {
     }
 }
 
+/// `text` past its `<?...?>` prolog, if it has one.
+fn skip_prolog(text: &str) -> Result<&str, XmlError> {
+    let rest = text.trim_start();
+    if !rest.starts_with("<?") {
+        return Ok(rest);
+    }
+    match rest.find("?>") {
+        Some(end) => Ok(rest[end + 2..].trim_start()),
+        None => Err(XmlError("unterminated prolog".into())),
+    }
+}
+
 /// Parse `<root> <leaf .../>* </root>`; returns the leaves.
 fn parse_flat(text: &str, root: &str, leaf: &str) -> Result<Vec<Element>, XmlError> {
-    let mut rest = text.trim_start();
-    if rest.starts_with("<?") {
-        match rest.find("?>") {
-            Some(end) => rest = &rest[end + 2..],
-            None => return Err(XmlError("unterminated prolog".into())),
-        }
-    }
     let open = format!("<{root}>");
     let close = format!("</{root}>");
-    let rest = rest.trim_start();
-    let rest = rest
+    let rest = skip_prolog(text)?
         .strip_prefix(&open)
         .ok_or_else(|| XmlError(format!("expected {open}")))?;
-    let inner = match rest.find(&close) {
-        Some(end) => &rest[..end],
-        None => return Err(XmlError(format!("missing {close}"))),
-    };
+    match rest.find(&close) {
+        Some(end) => parse_leaves(&rest[..end], leaf),
+        None => Err(XmlError(format!("missing {close}"))),
+    }
+}
+
+/// Parse a document that is one `<leaf .../>` element.
+fn parse_one(text: &str, leaf: &str) -> Result<Element, XmlError> {
+    let mut leaves = parse_leaves(skip_prolog(text)?, leaf)?;
+    match (leaves.pop(), leaves.is_empty()) {
+        (Some(element), true) => Ok(element),
+        _ => Err(XmlError(format!("expected one <{leaf}/>"))),
+    }
+}
+
+/// Parse a run of self-closing `<leaf .../>` elements.
+fn parse_leaves(mut cursor: &str, leaf: &str) -> Result<Vec<Element>, XmlError> {
     let mut elements = Vec::new();
-    let mut cursor = inner;
     loop {
         cursor = cursor.trim_start();
         if cursor.is_empty() {
@@ -311,6 +304,16 @@ fn parse_attrs(mut s: &str) -> Result<Vec<(String, String)>, XmlError> {
     }
 }
 
+/// Decode an acknowledgement: its status.
+pub fn ack_from_xml(text: &str) -> Result<Name, XmlError> {
+    parse_one(text, "ack")?.require("status").map(Name::from)
+}
+
+/// Decode an error envelope: its message.
+pub fn error_from_xml(text: &str) -> Result<String, XmlError> {
+    parse_one(text, "error")?.require("message")
+}
+
 /// Decode a transfer-request envelope.
 pub fn transfer_request_from_xml(text: &str) -> Result<Vec<TransferSpec>, XmlError> {
     parse_flat(text, "transferRequest", "transfer")?
@@ -341,12 +344,12 @@ pub fn transfer_request_from_xml(text: &str) -> Result<Vec<TransferSpec>, XmlErr
         .collect()
 }
 
-fn action_of(e: &Element) -> Result<TransferAction, XmlError> {
+/// An advice's action attributes: `None` for execute, the reason for a
+/// skip.
+fn skipped(e: &Element) -> Result<Option<SuppressReason>, XmlError> {
     match e.require("action")?.as_str() {
-        "execute" => Ok(TransferAction::Execute),
-        "skip" => Ok(TransferAction::Skip(reason_from_str(
-            &e.require("reason")?,
-        )?)),
+        "execute" => Ok(None),
+        "skip" => Ok(Some(reason_from_str(&e.require("reason")?)?)),
         other => Err(XmlError(format!("unknown action {other:?}"))),
     }
 }
@@ -360,7 +363,7 @@ pub fn transfer_response_from_xml(text: &str) -> Result<Vec<TransferAdvice>, Xml
                 id: TransferId(e.parse_attr("id")?),
                 source: e.url("source")?,
                 dest: e.url("dest")?,
-                action: action_of(e)?,
+                action: skipped(e)?.map_or(TransferAction::Execute, TransferAction::Skip),
                 streams: e.parse_attr("streams")?,
                 group: GroupId(e.parse_attr("group")?),
                 order: e.parse_attr("order")?,
@@ -404,11 +407,7 @@ pub fn cleanup_response_from_xml(text: &str) -> Result<Vec<CleanupAdvice>, XmlEr
             Ok(CleanupAdvice {
                 id: CleanupId(e.parse_attr("id")?),
                 file: e.url("file")?,
-                action: match e.require("action")?.as_str() {
-                    "execute" => CleanupAction::Execute,
-                    "skip" => CleanupAction::Skip(reason_from_str(&e.require("reason")?)?),
-                    other => return Err(XmlError(format!("unknown action {other:?}"))),
-                },
+                action: skipped(e)?.map_or(CleanupAction::Execute, CleanupAction::Skip),
             })
         })
         .collect()
@@ -575,7 +574,12 @@ mod tests {
     #[test]
     fn ack_and_error_render() {
         assert_eq!(ack_xml(), "<ack status=\"ok\"/>\n");
-        assert!(error_xml("no such \"session\"").contains("&quot;session&quot;"));
+        assert_eq!(ack_from_xml(&ack_xml()).unwrap(), "ok");
+        let error = error_xml("no such \"session\"");
+        assert!(error.contains("&quot;session&quot;"));
+        assert_eq!(error_from_xml(&error).unwrap(), "no such \"session\"");
+        assert!(ack_from_xml("<ack status=\"ok\"/><ack status=\"ok\"/>").is_err());
+        assert!(error_from_xml("<ack status=\"ok\"/>").is_err());
     }
 
     use proptest::prelude::*;

@@ -51,6 +51,8 @@ const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(30);
 /// Multiplicative seeded jitter (±fraction) on each transient-failure
 /// backoff, so retry storms decorrelate without losing determinism.
 const RETRY_JITTER: f64 = 0.1;
+/// Multiplicative seeded jitter (±fraction) on each compute runtime.
+const RUNTIME_JITTER: f64 = 0.15;
 
 /// Staging-job startup overhead (scheduling + transfer-tool init); this is
 /// the per-job overhead that task clustering amortizes (paper Fig. 2).
@@ -78,8 +80,6 @@ pub struct ExecutorConfig {
     pub staging_job_limit: usize,
     /// Transfer retry budget per staging job — the paper's 5.
     pub retries: u32,
-    /// Multiplicative jitter applied to compute runtimes (±fraction).
-    pub runtime_jitter: f64,
     /// One policy-service REST round-trip.
     pub policy_call_latency: SimDuration,
     /// Probability an executed transfer fails (failure injection).
@@ -131,7 +131,6 @@ impl Default for ExecutorConfig {
             seed: 0,
             staging_job_limit: 20,
             retries: 5,
-            runtime_jitter: 0.15,
             policy_call_latency: SimDuration::from_millis(150),
             transfer_failure_prob: 0.0,
             fallback_streams: 1,
@@ -523,7 +522,7 @@ impl<'p> WorkflowExecutor<'p> {
             // Outputs land on scratch while the job runs; account at start
             // (conservative for peak usage).
             self.move_scratch(output_bytes as f64);
-            let actual = runtime_s * self.rng.jitter(self.config.runtime_jitter);
+            let actual = runtime_s * self.rng.jitter(RUNTIME_JITTER);
             self.stats.compute_core_seconds += actual;
             self.events.schedule_at(
                 self.now + SimDuration::from_secs_f64(actual),
@@ -1913,18 +1912,22 @@ mod tests {
 
     #[test]
     fn compute_slots_bound_parallelism() {
-        // 1 node × 1 core: 4 compute jobs of 5 s must serialize ≥ 20 s.
+        // 1 node × 1 core: 4 compute jobs of 5 s, each jittered by at most
+        // 15 %, must serialize ≥ 4 × 5 × 0.85 = 17 s.
         let (topo, gridftp, _apache, nfs) = paper_testbed();
         let mut site = obelix(1, nfs);
         site.cores_per_node = 1;
         let p = wide_plan(4, 1_000, &site, gridftp, true);
         let transport = Box::new(NoPolicyTransport::new(4));
-        let mut cfg = ExecutorConfig::default();
-        cfg.runtime_jitter = 0.0;
+        let cfg = ExecutorConfig::default();
         let network = Network::new(topo, StreamModel::default());
         let (stats, _net) = WorkflowExecutor::new(&p, &site, network, transport, cfg).run();
         assert!(stats.success);
         let makespan = stats.makespan_secs();
-        assert!(makespan >= 20.0, "makespan {makespan} < serialized compute");
+        let floor = 4.0 * 5.0 * (1.0 - RUNTIME_JITTER);
+        assert!(
+            makespan >= floor,
+            "makespan {makespan} < serialized compute"
+        );
     }
 }

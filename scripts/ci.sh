@@ -389,8 +389,9 @@ fi
 # by default) repeats advances at one instant on both paths and compares
 # each flow's fate across them. The REST server's connection core answers a
 # pipelined script of requests with the same bytes and the same close
-# decision whole and cut into reads anywhere (`pwm-rest`'s
-# `server::connection` tests, 64 scripts by default).
+# decision whole and cut into reads anywhere, and a script of staging
+# requests, pipelined runs included, with the same answers in JSON and in
+# XML (`pwm-rest`'s `server::connection` tests, 64 scripts each by default).
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential

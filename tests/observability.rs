@@ -7,7 +7,11 @@ use pwm_bench::{mb, MontageExperiment, PolicyMode};
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{PolicyConfig, PolicyController, TransferSpec, Url, WorkflowId};
 use pwm_obs::{validate_chrome_trace, JsonValue};
-use pwm_rest::{PolicyRestClient, PolicyRestServer};
+use pwm_rest::{
+    http, Method, PolicyRestClient, PolicyRestServer, TransferRequestEnvelope, WireFormat,
+};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 
 fn small_experiment() -> MontageExperiment {
     MontageExperiment::paper_setup(mb(1), 4, PolicyMode::Greedy { threshold: 50 })
@@ -135,21 +139,38 @@ fn sharded_session_metrics_carry_per_shard_labels() {
 
     // 32 requests over 32 distinct host pairs, pipelined in one window so
     // the event loop collapses them into batched rules passes.
-    let groups: Vec<Vec<TransferSpec>> = (0..32u32)
-        .map(|n| {
-            vec![TransferSpec {
-                source: Url::new("gsiftp", format!("gridftp-{n}"), format!("/d/f{n}.dat")),
-                dest: Url::new("file", format!("scratch-{n}"), format!("/s/f{n}.dat")),
-                bytes: 1_000_000,
-                requested_streams: None,
-                workflow: WorkflowId(1),
-                cluster: None,
-                priority: None,
-            }]
-        })
-        .collect();
-    let advice = client.evaluate_transfers_pipelined(&groups).unwrap();
-    assert_eq!(advice.len(), 32);
+    let mut window = Vec::new();
+    for n in 0..32u32 {
+        let transfers = vec![TransferSpec {
+            source: Url::new("gsiftp", format!("gridftp-{n}"), format!("/d/f{n}.dat")),
+            dest: Url::new("file", format!("scratch-{n}"), format!("/s/f{n}.dat")),
+            bytes: 1_000_000,
+            requested_streams: None,
+            workflow: WorkflowId(1),
+            cluster: None,
+            priority: None,
+        }];
+        let body = serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap();
+        let path = "/sessions/grid/transfers";
+        window.extend(http::render_request(
+            WireFormat::Json,
+            Method::Post,
+            path,
+            &body,
+            true,
+        ));
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&window).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let (mut received, mut answered) = (Vec::new(), 0);
+    stream.read_to_end(&mut received).unwrap();
+    while let Some((status, _, len)) = http::try_parse_response(&received).unwrap() {
+        assert_eq!(status, 200);
+        received.drain(..len);
+        answered += 1;
+    }
+    assert_eq!((answered, received.len()), (32, 0));
 
     let text = client.metrics().unwrap();
 
