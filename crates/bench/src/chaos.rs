@@ -21,7 +21,7 @@
 //! attribute the makespan inflation; [`repro`] is `repro chaos`: both, and
 //! the invariants they must keep.
 //!
-//! [`run_faulted`] builds the stack this scenario and [`crate::crash`]
+//! `run_faulted` builds the stack this scenario and [`crate::crash`]
 //! share: replica failover and warm log replay are the same run, configured
 //! two ways.
 

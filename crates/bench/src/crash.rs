@@ -8,7 +8,7 @@
 //! from that call on the primary's controller refuses every request
 //! ([`pwm_core::ControllerError::SessionDown`]), the firing call included,
 //! so the executor fails over to the backup replica at that call. Both runs
-//! are [`crate::chaos::run_faulted`]'s stack with a durable primary and no
+//! are `chaos::run_faulted`'s stack with a durable primary and no
 //! scheduled service faults; the two recovery modes differ only in what the
 //! backup knows:
 //!

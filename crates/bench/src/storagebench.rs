@@ -22,7 +22,7 @@
 //! * at least one policy-picked run beats the worst fixed backend on cost
 //!   at equal-or-better makespan — the reason the policy family exists.
 //!
-//! [`run_site`] is the one storage-site run: this frontier's points and
+//! `run_site` is the one storage-site run: this frontier's points and
 //! [`crate::resilience`]'s cells are both built by it.
 
 use crate::resilience::{Intensity, OUTAGE_BACKEND};

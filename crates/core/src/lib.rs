@@ -84,9 +84,6 @@ pub use model::{
 };
 pub use name::Name;
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
-/// The hasher for maps keyed by values this process mints (job indexes,
-/// flow tags): one multiply per word, no per-process key.
-pub use pwm_rules::MintedBuild;
 pub use recovery_rules::install_recovery_rules;
 pub use service::{
     HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SharedSimClock,

@@ -13,7 +13,7 @@
 //! transfers never contend on one lock.
 //!
 //! Identifier namespacing: shard `s` mints transfer/cleanup/group ids from
-//! base `s << `[`SHARD_ID_BITS`], so ids stay globally unique and outcome
+//! base `s << `[`SHARD_ID_BITS`](crate::SHARD_ID_BITS), so ids stay globally unique and outcome
 //! reports route back by id alone. Shard 0's base is 0 — a one-shard
 //! service assigns exactly the ids a bare [`PolicyService`] would.
 //!
@@ -238,7 +238,7 @@ impl ShardedPolicyService {
 
     /// Evaluate one request list: route by host pair, run each involved
     /// shard's rules once, and merge the per-shard advice into one list
-    /// (see [`merge_advice`]).
+    /// (see `merge_advice`).
     pub fn evaluate_transfers(&self, batch: Vec<TransferSpec>) -> Vec<TransferAdvice> {
         self.evaluate_transfer_groups(vec![batch])
             .pop()

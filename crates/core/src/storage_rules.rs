@@ -40,7 +40,7 @@ use pwm_storage::BackendSpec;
 const EST_RESIDENT_HOURS: f64 = 1.0;
 
 /// Forecast dollars for staging `bytes` through `spec`: PUT + read-once GET
-/// requests, egress for the read-back, and [`EST_RESIDENT_HOURS`] of
+/// requests, egress for the read-back, and `EST_RESIDENT_HOURS` of
 /// residency.
 pub fn estimated_dollars(spec: &BackendSpec, bytes: u64) -> f64 {
     let gb = bytes as f64 / 1e9;

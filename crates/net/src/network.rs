@@ -14,13 +14,13 @@
 //! The engine's own discontinuities — a connection finishing setup, a flow
 //! draining at its current rate — live in a [`LadderQueue`] rather
 //! than being rediscovered by per-flow scans. Flow state is a
-//! struct-of-arrays [`FlowTable`]; byte progress is integrated *lazily*
+//! struct-of-arrays `FlowTable`; byte progress is integrated *lazily*
 //! (each slot stores `(remaining, rate, rate_since)` and the engine
 //! evaluates the linear motion on demand), so advancing time is O(1) in the
 //! number of flows. When an allocation actually changes a flow's rate, its
 //! completion-ETA event is cancelled and rescheduled — the cancel-heavy
 //! workload the queue's O(1)-locate cancellation exists for. A rate
-//! that moves by less than [`RATE_EPS`] keeps both its value and its
+//! that moves by less than `RATE_EPS` keeps both its value and its
 //! pending ETA event untouched.
 //!
 //! Per-event cost is therefore O(affected component + log live-flows):
@@ -708,7 +708,7 @@ impl Network {
 
     /// Begin a transfer at time `now` (which must not precede the engine's
     /// clock). The flow first spends the model's connection-setup time in
-    /// [`Phase::Connecting`], then joins the bandwidth-sharing set.
+    /// `Phase::Connecting`, then joins the bandwidth-sharing set.
     pub fn start_flow(&mut self, now: SimTime, spec: FlowSpec) -> FlowId {
         self.start_flow_with_setup(now, spec, SimDuration::ZERO)
     }

@@ -112,14 +112,17 @@ impl ClientConn {
         })
     }
 
-    /// Read one response and hand its status and body to `read`, in place;
-    /// bytes of the next pipelined response that arrived in the same
-    /// segment stay buffered.
-    fn read_one<R>(&mut self, read: impl FnOnce(u16, &[u8]) -> R) -> Result<R, TransportError> {
+    /// Read one response and hand its status, format and body to `read`,
+    /// in place; bytes of the next pipelined response that arrived in the
+    /// same segment stay buffered.
+    fn read_one<R>(
+        &mut self,
+        read: impl FnOnce(u16, WireFormat, &[u8]) -> R,
+    ) -> Result<R, TransportError> {
         loop {
             match frame_response(&self.leftover) {
-                Ok(Some((status, body, consumed))) => {
-                    let out = read(status, &self.leftover[body]);
+                Ok(Some((status, format, body, consumed))) => {
+                    let out = read(status, format, &self.leftover[body]);
                     self.leftover.drain(..consumed);
                     return Ok(out);
                 }
@@ -140,15 +143,16 @@ impl ClientConn {
     }
 }
 
-/// What a response says: the decoded body of a 200, the service's message
-/// otherwise.
+/// What a response says: the decoded body of a 200, the message of an error
+/// envelope in the response's `format` (or the bare body) otherwise.
 fn answer<R>(
     status: u16,
+    format: WireFormat,
     body: &[u8],
     decode: impl FnOnce(&[u8]) -> Result<R, TransportError>,
 ) -> Result<R, TransportError> {
     if status != 200 {
-        let message = serde_json::from_slice::<ErrorEnvelope>(body)
+        let message = ErrorEnvelope::decode(format, body)
             .map(|e| e.error)
             .unwrap_or_else(|_| String::from_utf8_lossy(body).to_string());
         return Err(TransportError::Service(message));
@@ -302,7 +306,7 @@ impl PolicyRestClient {
         self.with_conn(|conn| {
             conn.render(format, method, path, &encode);
             conn.send()?;
-            conn.read_one(|status, body| answer(status, body, &decode))
+            conn.read_one(|status, format, body| answer(status, format, body, &decode))
         })?
     }
 
@@ -578,7 +582,8 @@ mod tests {
         let mut client =
             PolicyRestClient::new(server.addr(), "missing").with_format(WireFormat::Xml);
         let err = client.evaluate_transfers(vec![spec(1)]).unwrap_err();
-        assert!(matches!(err, TransportError::Service(_)), "{err:?}");
+        let message = "no such policy session: missing".to_string();
+        assert_eq!(err, TransportError::Service(message));
     }
 
     #[test]
@@ -750,7 +755,9 @@ mod tests {
         conn.render(WireFormat::Json, Method::Get, "/health", |_| {});
         conn.send().unwrap();
         for n in [1, 2, 40_000] {
-            let (status, got) = conn.read_one(|status, got| (status, got.to_vec())).unwrap();
+            let (status, got) = conn
+                .read_one(|status, _, got| (status, got.to_vec()))
+                .unwrap();
             assert_eq!(status, 200);
             assert_eq!(got, body(n).into_bytes());
         }

@@ -80,15 +80,6 @@ impl WireFormat {
             WireFormat::Text => "text/plain; version=0.0.4; charset=utf-8",
         }
     }
-
-    fn from_content_type(value: &str) -> WireFormat {
-        let value = value.trim();
-        if value.starts_with("application/xml") || value.starts_with("text/xml") {
-            WireFormat::Xml
-        } else {
-            WireFormat::Json
-        }
-    }
 }
 
 /// A parsed HTTP request, borrowing from the buffer it was parsed out of.
@@ -261,6 +252,7 @@ pub(crate) fn frame_request(
     // `path` is a subslice of the head, which starts where `buf` does.
     let path_start = path.as_ptr() as usize - buf.as_ptr() as usize;
     let fields = head.fields?;
+    let format = fields.format(head.text);
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; the Connection
     // header overrides either way.
     let keep_alive = match fields.connection {
@@ -283,9 +275,7 @@ pub(crate) fn frame_request(
             method,
             path: path_start..path_start + path.len(),
             body: head.body_start..end,
-            format: fields.content_type.map_or(WireFormat::Json, |value| {
-                WireFormat::from_content_type(&head.text[value])
-            }),
+            format,
             keep_alive,
         },
         end,
@@ -300,11 +290,14 @@ pub(crate) fn frame_request(
 /// Content-Length (every response this server writes does); connection-
 /// close framing is not supported.
 pub fn try_parse_response(buf: &[u8]) -> Result<Option<(u16, Vec<u8>, usize)>, HttpError> {
-    Ok(frame_response(buf)?.map(|(status, body, consumed)| (status, buf[body].to_vec(), consumed)))
+    Ok(frame_response(buf)?.map(|(status, _, body, end)| (status, buf[body].to_vec(), end)))
 }
 
-/// [`try_parse_response`], locating the body instead of copying it.
-pub(crate) fn frame_response(buf: &[u8]) -> Result<Option<(u16, Range<usize>, usize)>, HttpError> {
+/// [`try_parse_response`], locating the body and naming its format.
+#[allow(clippy::type_complexity)]
+pub(crate) fn frame_response(
+    buf: &[u8],
+) -> Result<Option<(u16, WireFormat, Range<usize>, usize)>, HttpError> {
     let Some(head) = Head::scan(buf, "non-utf8 response head")? else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::Malformed("response head too large".into()));
@@ -314,8 +307,8 @@ pub(crate) fn frame_response(buf: &[u8]) -> Result<Option<(u16, Range<usize>, us
     let status: u16 = words(head.start)[1]
         .parse()
         .map_err(|_| HttpError::Malformed(format!("bad status line {:?}", head.start)))?;
-    let len = head
-        .fields?
+    let fields = head.fields?;
+    let len = fields
         .content_length
         .ok_or_else(|| HttpError::Malformed("pipelined response without content-length".into()))?;
     if len > MAX_REQUEST {
@@ -325,7 +318,8 @@ pub(crate) fn frame_response(buf: &[u8]) -> Result<Option<(u16, Range<usize>, us
     if buf.len() < end {
         return Ok(None);
     }
-    Ok(Some((status, head.body_start..end, end)))
+    let format = fields.format(head.text);
+    Ok(Some((status, format, head.body_start..end, end)))
 }
 
 /// A complete message head: everything before the first blank line, UTF-8
@@ -455,6 +449,17 @@ struct Fields {
 }
 
 impl Fields {
+    /// The body's format, as its Content-Type in `head` names it: XML for
+    /// an XML media type, JSON for any other or none.
+    fn format(&self, head: &str) -> WireFormat {
+        let value = self.content_type.clone().map_or("", |v| head[v].trim());
+        if value.starts_with("application/xml") || value.starts_with("text/xml") {
+            WireFormat::Xml
+        } else {
+            WireFormat::Json
+        }
+    }
+
     /// Take in the field line at `line` of `buf`. What would let two ends
     /// frame the same bytes differently is refused (RFC 9112 §5.1, §6.3):
     /// whitespace between a field name and its colon, a Content-Length that

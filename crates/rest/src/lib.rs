@@ -1,7 +1,7 @@
 //! # pwm-rest — the RESTful web interface of the Policy Service
 //!
 //! The paper's Fig. 1 puts the Policy Service behind "an Apache Tomcat
-//! Container ... [and] a RESTful Web Interface [that] allows access to the
+//! Container ... \[and\] a RESTful Web Interface \[that\] allows access to the
 //! policy service over the web using XML or JSON data structures". This
 //! crate is that layer, built from scratch on `std::net`:
 //!

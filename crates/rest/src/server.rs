@@ -4,7 +4,7 @@
 //! API, delegating every request to a [`PolicyController`] exactly as the
 //! paper's web interface delegates to the Policy Controller.
 //!
-//! Each connection is a [`connection::Connection`], a state machine over
+//! Each connection is a `connection::Connection`, a state machine over
 //! bytes and a clock that frames, answers (keep-alive, pipelining, one
 //! batched rules pass per pipelined run of transfer evaluations) and decides
 //! every status and every close. Around it, one thread's `poll(2)` loop (see

@@ -11,7 +11,7 @@
 //! A binary or d-ary heap walks ~log(n) scattered cache lines on every pop,
 //! which at 100k pending events dominated a network-engine run (DESIGN.md
 //! §11). This module is the calendar-queue-family answer:
-//! timestamps are binned into **rungs** of [`NB`] buckets each, buckets
+//! timestamps are binned into **rungs** of `NB` buckets each, buckets
 //! are only sorted when they become the **current bucket**, and the sorted
 //! current bucket is popped from its tail — so the steady-state cost per
 //! event is one bucket append on schedule and one `Vec::pop` on pop, both

@@ -17,10 +17,10 @@
 //! * cleanup jobs that consult the service the same way.
 //!
 //! The core keeps job states, the three ready queues and their limits, the
-//! event pump, and the staging and cleanup state machines. Three planes
-//! ride along, each attached only when configured and called at fixed
-//! points: recovery ([`crate::recovery`]), storage metering
-//! ([`StorageRuntime`]) and tracing (`JobTrace`).
+//! event pump, and the staging and cleanup state machines, keyed by plan job,
+//! advice entry and live flow. Three planes ride along, attached only when
+//! configured and called at fixed points: recovery ([`crate::recovery`]),
+//! storage metering ([`StorageRuntime`]) and tracing (`JobTrace`).
 
 use crate::catalog::ComputeSite;
 use crate::planner::{ExecutablePlan, PlanJobKind, PlannedTransfer};
@@ -29,18 +29,18 @@ use crate::recovery::{
     Checkpoint, CrashTarget, FaultResponse, Read, RecoveryConfig, RecoveryPlane,
 };
 use crate::stats::RunStats;
-use crate::storage::StorageRuntime;
+use crate::storage::{StagedFlow, StorageRuntime};
 use crate::trace::JobTrace;
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{
-    CleanupOutcome, CleanupSpec, ClusterId, MintedBuild, Name, SharedSimClock, SuppressReason,
-    TransferAction, TransferAdvice, TransferOutcome, TransferSpec, Url, WorkflowId,
+    CleanupAdvice, CleanupOutcome, CleanupSpec, ClusterId, Name, SharedSimClock, SuppressReason,
+    TransferAction, TransferAdvice, TransferOutcome, TransferSpec, WorkflowId,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
-use pwm_net::{FlowSpec, LinkId, Network};
-use pwm_obs::Obs;
+use pwm_net::{FlowSpec, HostId, LinkId, Network};
+use pwm_obs::{Obs, SpanId};
 use pwm_sim::{LadderQueue, SimDuration, SimRng, SimTime};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// First retry's extra delay (beyond the policy round-trip).
 pub(crate) const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
@@ -177,40 +177,65 @@ enum Ev {
     Fault(usize, bool),
     /// Cleanup advice arrives → perform deletions.
     CleanupAdvice(usize),
-    /// Cleanup deletions done → report and finish.
-    CleanupWorkDone(usize),
+    /// Cleanup deletions done → report the advice `.1` executed; finish.
+    CleanupWorkDone(usize, Vec<CleanupAdvice>),
     /// Final callout (completion report) done → job complete.
     JobFinish(usize),
 }
 
+/// A staging job from its callout until it leaves the staging limit.
 #[derive(Default)]
 struct StagingRun {
     /// Specs submitted, aligned with the planned transfer list.
     specs: Vec<TransferSpec>,
-    /// Map (source, dest) → planned transfer index, for advice → flow
-    /// resolution.
-    by_urls: HashMap<(Url, Url), usize>,
     advice: Vec<TransferAdvice>,
+    /// Aligned with `advice`.
+    entries: Vec<Entry>,
     next_advice: usize,
     outcomes: Vec<TransferOutcome>,
     attempts_left: u32,
     /// Advice index awaiting re-evaluation after a failure.
     retrying: Option<usize>,
-    /// Times each advice entry's transfer was actually executed (drives the
-    /// integrity model's per-attempt independence and corruption backoff).
-    exec_attempts: HashMap<usize, u32>,
-    /// Replica-failover source overrides: spec index → network host of the
-    /// alternate replica (the spec's URL is rewritten alongside).
-    src_hosts: HashMap<usize, pwm_net::HostId>,
+}
+
+/// What the executor knows of one advice entry.
+struct Entry {
+    /// The planned transfer (spec) the entry answers, matched when the
+    /// advice arrives or a retry replaces it; `None` if never submitted.
+    spec: Option<usize>,
+    /// Executions so far: the integrity model's attempt number.
+    runs: u32,
+    /// The alternate replica's host after a replica failover.
+    src: Option<HostId>,
 }
 
 impl StagingRun {
-    /// The planned transfer an advice entry answers, if it answers one.
-    fn spec_of(&self, advice_ix: usize) -> Option<usize> {
-        let a = &self.advice[advice_ix];
-        let key = (a.source.clone(), a.dest.clone());
-        self.by_urls.get(&key).copied()
+    /// Empty the run for the next staging job, keeping its buffers.
+    fn clear(&mut self) {
+        self.specs.clear();
+        self.advice.clear();
+        self.entries.clear();
+        self.next_advice = 0;
+        self.outcomes.clear();
+        self.retrying = None;
     }
+}
+
+/// The spec `advice` answers: the first with its source and destination
+/// (a clustered stage-in job may list one file for several consumers).
+fn answered(specs: &[TransferSpec], advice: &TransferAdvice) -> Option<usize> {
+    (specs.iter()).position(|s| s.dest == advice.dest && s.source == advice.source)
+}
+
+/// A flow in the network, from its start until it lands or is lost.
+struct LiveFlow {
+    tag: u64,
+    job: usize,
+    advice_ix: usize,
+    /// Set when its advice named an installed backend.
+    staged: Option<StagedFlow>,
+    /// Set when the run is traced.
+    span: Option<SpanId>,
 }
 
 /// Priority-ordered ready queue: (priority desc, id asc).
@@ -257,12 +282,14 @@ pub struct WorkflowExecutor<'p> {
     compute_slots_free: u32,
     cores_per_node: u32,
     staging_in_flight: usize,
-    // Keyed by job index or flow tag, values this process mints: the
-    // unkeyed hasher makes same-seed runs allocate alike.
-    staging_runs: HashMap<usize, StagingRun, MintedBuild>,
-    cleanup_advice: HashMap<usize, Vec<pwm_core::CleanupAdvice>, MintedBuild>,
-    /// flow tag → (job, advice index)
-    flow_owner: HashMap<u64, (usize, usize), MintedBuild>,
+    /// Per plan job: its staging run, while it stages.
+    staging: Vec<Option<Box<StagingRun>>>,
+    /// Finished runs, kept for their buffers: each box goes back into a
+    /// job's slot as it is.
+    #[allow(clippy::vec_box)]
+    spare_runs: Vec<Box<StagingRun>>,
+    /// At most one per staging job, which runs its transfers serially.
+    flows: Vec<LiveFlow>,
     next_tag: u64,
     /// Set when `halt_at` stopped the loop before the DAG finished.
     halted: bool,
@@ -318,9 +345,9 @@ impl<'p> WorkflowExecutor<'p> {
             compute_slots_free: site.slots(),
             cores_per_node: site.cores_per_node,
             staging_in_flight: 0,
-            staging_runs: HashMap::default(),
-            cleanup_advice: HashMap::default(),
-            flow_owner: HashMap::default(),
+            staging: (0..n).map(|_| None).collect(),
+            spare_runs: Vec::new(),
+            flows: Vec::new(),
             next_tag: 0,
             halted: false,
             recovery: RecoveryPlane::attach(config.recovery.take(), n),
@@ -566,32 +593,18 @@ impl<'p> WorkflowExecutor<'p> {
                     _ => None,
                 };
                 let workflow = plan.workflow(job).unwrap_or(self.config.workflow_id);
-                let specs: Vec<TransferSpec> = transfers
-                    .iter()
-                    .map(|pt| TransferSpec {
-                        source: pt.source.clone(),
-                        dest: pt.dest.clone(),
-                        bytes: pt.bytes,
-                        requested_streams: None,
-                        workflow,
-                        cluster: cluster.map(ClusterId),
-                        priority: Some(pj.priority),
-                    })
-                    .collect();
-                let by_urls: HashMap<(Url, Url), usize> = transfers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, pt)| ((pt.source.clone(), pt.dest.clone()), i))
-                    .collect();
-                self.staging_runs.insert(
-                    job,
-                    StagingRun {
-                        specs,
-                        by_urls,
-                        attempts_left: self.config.retries,
-                        ..StagingRun::default()
-                    },
-                );
+                let mut run = self.spare_runs.pop().unwrap_or_default();
+                run.specs.extend(transfers.iter().map(|pt| TransferSpec {
+                    source: pt.source.clone(),
+                    dest: pt.dest.clone(),
+                    bytes: pt.bytes,
+                    requested_streams: None,
+                    workflow,
+                    cluster: cluster.map(ClusterId),
+                    priority: Some(pj.priority),
+                }));
+                run.attempts_left = self.config.retries;
+                self.staging[job] = Some(run);
                 // The callout happens now; the advice lands after a
                 // round-trip.
                 if let Some(trace) = &mut self.trace {
@@ -606,8 +619,13 @@ impl<'p> WorkflowExecutor<'p> {
                 if let Some(trace) = &mut self.trace {
                     trace.rpc_landed(job, "advice_rpc", self.now);
                 }
-                let run = self.staging_runs.get_mut(&job).expect("staging run state");
+                let run = self.staging[job].as_mut().expect("staging run state");
                 let (advice, fell_back) = self.policy.evaluate_transfers(&run.specs);
+                run.entries.extend(advice.iter().map(|a| Entry {
+                    spec: answered(&run.specs, a),
+                    runs: 0,
+                    src: None,
+                }));
                 run.advice = advice;
                 self.note_fallback(job, fell_back);
                 self.start_next_transfer(job);
@@ -616,16 +634,19 @@ impl<'p> WorkflowExecutor<'p> {
             Ev::RetryEvaluate(job) => {
                 // The job may have failed while this retry was in flight; its
                 // run state is gone and there is nothing to do.
-                let Some(run) = self.staging_runs.get_mut(&job) else {
+                let Some(run) = self.staging[job].as_mut() else {
                     return;
                 };
                 let Some(advice_ix) = run.retrying.take() else {
                     return;
                 };
-                let spec_ix = run.spec_of(advice_ix).expect("retried advice resolves");
+                let spec_ix = run.entries[advice_ix]
+                    .spec
+                    .expect("retried advice resolves");
                 let spec = run.specs[spec_ix].clone();
                 // Without a fresh answer the old advice is re-executed as-is.
                 if let Some(fresh) = self.policy.reevaluate_transfer(spec) {
+                    run.entries[advice_ix].spec = answered(&run.specs, &fresh);
                     run.advice[advice_ix] = fresh;
                 }
                 run.next_advice = advice_ix;
@@ -663,12 +684,10 @@ impl<'p> WorkflowExecutor<'p> {
                 } else {
                     SimDuration::ZERO
                 };
-                self.cleanup_advice.insert(job, advice);
                 self.events
-                    .schedule_at(self.now + delay, Ev::CleanupWorkDone(job));
+                    .schedule_at(self.now + delay, Ev::CleanupWorkDone(job, advice));
             }
-            Ev::CleanupWorkDone(job) => {
-                let advice = self.cleanup_advice.remove(&job).unwrap_or_default();
+            Ev::CleanupWorkDone(job, advice) => {
                 let PlanJobKind::Cleanup { files } = &self.plan.job(job).kind else {
                     unreachable!("cleanup event for non-cleanup job")
                 };
@@ -698,11 +717,7 @@ impl<'p> WorkflowExecutor<'p> {
                 );
             }
             Ev::JobFinish(job) => {
-                if let PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. } =
-                    self.plan.job(job).kind
-                {
-                    self.release_staging(job)
-                }
+                self.release_staging(job);
                 self.finish_job(job);
             }
         }
@@ -774,30 +789,37 @@ impl<'p> WorkflowExecutor<'p> {
             rec.report.flows_killed += killed.len() as u32;
         }
         for k in killed {
-            let Some((job, advice_ix)) = self.flow_owner.remove(&k.tag) else {
+            let Some(flow) = self.take_flow(k.tag) else {
                 continue;
             };
-            self.lose_flow(k.tag, "killed");
-            self.report_failure(job, advice_ix);
-            self.retry_after(job, advice_ix, RETRY_BACKOFF_BASE);
+            self.end_transfer(&flow, "killed");
+            self.report_failure(flow.job, flow.advice_ix);
+            self.retry_after(flow.job, flow.advice_ix, RETRY_BACKOFF_BASE);
         }
     }
 
-    /// Nothing of flow `tag` landed: drop its storage redirection and close
-    /// its transfer span with `result`.
-    fn lose_flow(&mut self, tag: u64, result: &str) {
-        if let Some(storage) = &mut self.storage {
-            storage.forget(tag);
+    /// The row of flow `tag`, out of the live flows.
+    fn take_flow(&mut self, tag: u64) -> Option<LiveFlow> {
+        let row = self.flows.iter().position(|f| f.tag == tag)?;
+        Some(self.flows.swap_remove(row))
+    }
+
+    /// Close the flow's transfer span with `result`.
+    fn end_transfer(&self, flow: &LiveFlow, result: &str) {
+        if let (Some(trace), Some(span)) = (&self.trace, flow.span) {
+            trace.end_transfer(span, result, self.now);
         }
-        if let Some(trace) = &mut self.trace {
-            trace.end_transfer(tag, result, self.now);
-        }
+    }
+
+    /// A staging job's run.
+    fn staging_run(&mut self, job: usize) -> &mut StagingRun {
+        self.staging[job].as_mut().expect("staging run state")
     }
 
     /// Report the transfer behind `advice_ix` failed, so the service clears
     /// its in-progress entry and dedup cannot mask re-advice.
     fn report_failure(&mut self, job: usize, advice_ix: usize) {
-        let id = self.staging_runs[&job].advice[advice_ix].id;
+        let id = self.staging_run(job).advice[advice_ix].id;
         self.policy
             .report_transfers(vec![TransferOutcome { id, success: false }]);
     }
@@ -805,8 +827,7 @@ impl<'p> WorkflowExecutor<'p> {
     /// Park `advice_ix` and re-ask the policy about it after `wait` plus one
     /// round trip.
     fn retry_after(&mut self, job: usize, advice_ix: usize, wait: SimDuration) {
-        let run = self.staging_runs.get_mut(&job).expect("staging run state");
-        run.retrying = Some(advice_ix);
+        self.staging_run(job).retrying = Some(advice_ix);
         self.events.schedule_at(
             self.now + self.config.policy_call_latency + wait,
             Ev::RetryEvaluate(job),
@@ -816,32 +837,26 @@ impl<'p> WorkflowExecutor<'p> {
     /// The policy suppressed this transfer's source (quarantined replica or
     /// down host): the recovery plane re-plans instead of skipping.
     fn handle_blocked_source(&mut self, job: usize, advice_ix: usize, quarantined: bool) {
-        let run = &self.staging_runs[&job];
-        let Some(spec_ix) = run.spec_of(advice_ix) else {
+        let run = self.staging[job].as_mut().expect("staging run state");
+        let Some(spec_ix) = run.entries[advice_ix].spec else {
             // Unresolvable advice — count it as skipped.
             self.stats.transfers_skipped += 1;
             self.start_next_transfer(job);
             return;
         };
         let file = &planned_transfers(self.plan, job)[spec_ix].file;
-        let source = run.advice[advice_ix].source.clone();
         let rec = self
             .recovery
             .as_mut()
             .expect("blocked sources need the plane");
-        let replan = rec.replan_blocked(file, &source, quarantined, self.now);
+        let source = &run.advice[advice_ix].source;
+        let replan = rec.replan_blocked(file, source, quarantined, self.now);
         if let Some(alt) = replan.failover {
-            // Re-stage from the alternate replica: rewrite the spec and the
-            // advice→spec resolution, then re-ask the policy. The stale
-            // advice slot keeps resolving: RetryEvaluate keys the spec
-            // lookup off the advice URLs.
-            let run = self.staging_runs.get_mut(&job).expect("staging run state");
-            let dest = run.advice[advice_ix].dest.clone();
-            run.by_urls.remove(&(source, dest.clone()));
-            run.by_urls.insert((alt.url.clone(), dest), spec_ix);
+            // Re-stage from the alternate replica: the spec re-asked about,
+            // the advice kept if no answer comes, and the source host.
             run.specs[spec_ix].source = alt.url.clone();
             run.advice[advice_ix].source = alt.url;
-            run.src_hosts.insert(spec_ix, alt.host);
+            run.entries[advice_ix].src = Some(alt.host);
         }
         if let Some(event) = replan.health {
             self.policy.report_health(vec![event]);
@@ -851,14 +866,13 @@ impl<'p> WorkflowExecutor<'p> {
 
     /// Checksum the landed transfer against the integrity model. Returns
     /// true when the read was corrupt and the failure path was taken.
-    fn read_corrupt(&mut self, job: usize, advice_ix: usize, tag: u64) -> bool {
-        let run = &self.staging_runs[&job];
-        let Some(spec_ix) = run.spec_of(advice_ix) else {
-            return false;
-        };
+    fn read_corrupt(&mut self, flow: &LiveFlow) -> bool {
+        let (job, advice_ix) = (flow.job, flow.advice_ix);
+        let run = self.staging[job].as_ref().expect("staging run state");
+        let entry = &run.entries[advice_ix];
+        let spec_ix = entry.spec.expect("a started flow answers a spec");
         let file = &planned_transfers(self.plan, job)[spec_ix].file;
-        let attempt = run.exec_attempts.get(&advice_ix).copied().unwrap_or(1);
-        let source = &run.advice[advice_ix].source;
+        let (source, attempt) = (&run.advice[advice_ix].source, entry.runs);
         let rec = self.recovery.as_mut().expect("checksums need the plane");
         let Read::Corrupt(health) = rec.checksum(file, source, attempt) else {
             return false;
@@ -867,7 +881,7 @@ impl<'p> WorkflowExecutor<'p> {
         // report the suspicion, and retry. Integrity retries back off
         // exponentially on the *execution* attempt count but never consume
         // the transient-failure budget.
-        self.lose_flow(tag, "corrupt");
+        self.end_transfer(flow, "corrupt");
         if let Some(event) = health {
             self.policy.report_health(vec![event]);
         }
@@ -882,7 +896,7 @@ impl<'p> WorkflowExecutor<'p> {
     fn start_next_transfer(&mut self, job: usize) {
         let plan = self.plan;
         loop {
-            let run = self.staging_runs.get_mut(&job).expect("staging run state");
+            let run = self.staging[job].as_mut().expect("staging run state");
             if run.next_advice >= run.advice.len() {
                 // All advice processed → completion callout (if we executed
                 // anything) and job finish.
@@ -918,94 +932,94 @@ impl<'p> WorkflowExecutor<'p> {
                 self.stats.transfers_skipped += 1;
                 continue;
             }
-            let Some(spec_ix) = run.spec_of(ix) else {
-                // Advice for a transfer we did not submit — ignore
-                // defensively.
+            let entry = &mut run.entries[ix];
+            let Some(spec_ix) = entry.spec else {
+                // Advice for a transfer we did not submit: ignore it.
                 continue;
             };
+            entry.runs += 1;
             let pt = &planned_transfers(plan, job)[spec_ix];
-            let mut src = pt.src_host;
-            if self.recovery.is_some() {
-                // Replica failover rewrote this spec's source.
-                if let Some(&host) = run.src_hosts.get(&spec_ix) {
-                    src = host;
-                }
-                *run.exec_attempts.entry(ix).or_insert(0) += 1;
-            }
+            let src = entry.src.unwrap_or(pt.src_host);
             let advice = &run.advice[ix];
             let tag = self.next_tag;
             self.next_tag += 1;
             // A policy-advised backend redirects the flow to its store host
             // and pays its per-request overhead as extra setup.
-            let (dst, extra_setup) = self
-                .storage
-                .as_mut()
-                .and_then(|s| s.redirect(tag, advice.backend.as_ref(), pt.bytes, &pt.dest))
-                .unwrap_or((pt.dst_host, SimDuration::ZERO));
-            let flow = FlowSpec {
+            let redirect = (self.storage.as_ref())
+                .and_then(|s| s.redirect(advice.backend.as_ref(), pt.bytes, &pt.dest));
+            let (dst, extra_setup, staged) = match redirect {
+                Some((host, setup, staged)) => (host, setup, Some(staged)),
+                None => (pt.dst_host, SimDuration::ZERO, None),
+            };
+            let spec = FlowSpec {
                 src,
                 dst,
                 bytes: pt.bytes as f64,
                 streams: advice.streams,
                 tag,
             };
-            self.flow_owner.insert(tag, (job, ix));
             let flow_id = self
                 .network
-                .start_flow_with_setup(self.now, flow, extra_setup);
-            if let Some(trace) = &mut self.trace {
-                let span =
-                    trace.start_transfer(job, tag, &pt.file, advice.streams, pt.bytes, self.now);
+                .start_flow_with_setup(self.now, spec, extra_setup);
+            let span = self.trace.as_ref().map(|trace| {
+                let span = trace.start_transfer(job, &pt.file, advice.streams, pt.bytes, self.now);
                 self.network.set_flow_span_parent(flow_id, span);
-            }
+                span
+            });
+            self.flows.push(LiveFlow {
+                tag,
+                job,
+                advice_ix: ix,
+                staged,
+                span,
+            });
             return;
         }
     }
 
     fn drain_network_completions(&mut self) {
         for record in self.network.take_completed() {
-            let Some((job, advice_ix)) = self.flow_owner.remove(&record.tag) else {
+            let Some(mut flow) = self.take_flow(record.tag) else {
                 continue;
             };
             if self.rng.chance(self.config.transfer_failure_prob) {
-                self.transfer_failed(job, advice_ix, record.tag);
+                self.transfer_failed(&flow);
                 continue;
             }
             // The transfer tool checksums what landed before declaring
             // victory; a mismatch takes the integrity-failure path.
-            if self.recovery.is_some() && self.read_corrupt(job, advice_ix, record.tag) {
+            if self.recovery.is_some() && self.read_corrupt(&flow) {
                 continue;
             }
             self.stats.bytes_staged += record.bytes;
             self.move_scratch(record.bytes);
-            if let Some(storage) = &mut self.storage {
-                storage.landed(record.tag, self.now);
+            if let (Some(storage), Some(staged)) = (&mut self.storage, flow.staged.take()) {
+                storage.landed(staged, self.now);
             }
-            if let Some(trace) = &mut self.trace {
-                trace.end_transfer(record.tag, "ok", self.now);
-            }
+            self.end_transfer(&flow, "ok");
             self.stats.transfers.push(record);
-            let run = self.staging_runs.get_mut(&job).expect("staging run state");
+            let run = self.staging_run(flow.job);
             run.outcomes.push(TransferOutcome {
-                id: run.advice[advice_ix].id,
+                id: run.advice[flow.advice_ix].id,
                 success: true,
             });
             self.events
-                .schedule_at(self.now + INTER_TRANSFER_GAP, Ev::TransferStart(job));
+                .schedule_at(self.now + INTER_TRANSFER_GAP, Ev::TransferStart(flow.job));
         }
     }
 
     /// An injected failure: a transient one (lost connection, timeout),
     /// retried after an exponential backoff with seeded jitter until the
     /// job's budget runs out.
-    fn transfer_failed(&mut self, job: usize, advice_ix: usize, tag: u64) {
+    fn transfer_failed(&mut self, flow: &LiveFlow) {
+        let (job, advice_ix) = (flow.job, flow.advice_ix);
         self.stats.transfer_retries += 1;
         if let Some(trace) = &self.trace {
             trace.count_failure();
         }
-        self.lose_flow(tag, "failed");
+        self.end_transfer(flow, "failed");
         self.report_failure(job, advice_ix);
-        let run = self.staging_runs.get_mut(&job).expect("staging run state");
+        let run = self.staging[job].as_mut().expect("staging run state");
         if run.attempts_left == 0 {
             self.fail_job(job);
             return;
@@ -1027,10 +1041,14 @@ impl<'p> WorkflowExecutor<'p> {
         self.stats.peak_scratch_bytes = self.stats.peak_scratch_bytes.max(*scratch);
     }
 
-    /// A staging job left the staging limit.
+    /// A staging job leaves the staging limit, and its run's buffers serve
+    /// the next one. Other jobs hold no run.
     fn release_staging(&mut self, job: usize) {
-        self.staging_in_flight -= 1;
-        self.staging_runs.remove(&job);
+        if let Some(mut run) = self.staging[job].take() {
+            self.staging_in_flight -= 1;
+            run.clear();
+            self.spare_runs.push(run);
+        }
     }
 
     fn finish_job(&mut self, job: usize) {
@@ -1052,12 +1070,7 @@ impl<'p> WorkflowExecutor<'p> {
     }
 
     fn fail_job(&mut self, job: usize) {
-        if matches!(
-            self.plan.job(job).kind,
-            PlanJobKind::StageIn { .. } | PlanJobKind::StageOut { .. }
-        ) {
-            self.release_staging(job);
-        }
+        self.release_staging(job);
         self.state[job] = JobState::Failed;
         self.stats.failed_jobs += 1;
         if let Some(trace) = &mut self.trace {
@@ -1086,7 +1099,7 @@ mod tests {
     use crate::dag::{AbstractJob, AbstractWorkflow};
     use crate::planner::{plan, PlannerConfig};
     use pwm_core::transport::{InProcessTransport, NoPolicyTransport};
-    use pwm_core::{PolicyConfig, PolicyController, DEFAULT_SESSION};
+    use pwm_core::{PolicyConfig, PolicyController, Url, DEFAULT_SESSION};
     use pwm_net::{paper_testbed, HostId, StreamModel};
     use pwm_obs::TraceEvent;
     use pwm_storage::StorageLayer;

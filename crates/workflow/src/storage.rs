@@ -5,9 +5,10 @@
 //! that backend's store host and pays its per-request overhead as extra
 //! connection setup; the bytes are metered when the flow lands and stop
 //! accruing residency when a cleanup job deletes the file. The executor
-//! calls in at four points — a flow starts, lands, is lost (failed, killed
-//! or corrupt), or its file is cleaned up — and holds no storage state of
-//! its own.
+//! calls in at three points — a flow starts, lands, or its file is cleaned
+//! up. A redirection in flight is a `StagedFlow` on the executor's row of
+//! the live flow: a lost flow (failed, killed or corrupt) drops it with the
+//! row, so a retry re-resolves whatever backend the fresh advice names.
 
 use pwm_core::Url;
 use pwm_net::HostId;
@@ -16,10 +17,9 @@ use pwm_sim::{SimDuration, SimTime};
 use pwm_storage::{BackendSpec, CostMeter, StorageCostReport, StorageLayer};
 use std::collections::HashMap;
 
-/// A staged flow redirected to a storage backend, keyed by flow tag until
-/// the network reports completion.
-#[derive(Debug, Clone)]
-struct StagedFlow {
+/// A staged flow redirected to a storage backend, held on the flow's row
+/// until it lands.
+pub(crate) struct StagedFlow {
     backend: String,
     bytes: u64,
     /// Destination URL — the key cleanup jobs will delete by.
@@ -36,8 +36,6 @@ struct StagedFlow {
 pub struct StorageRuntime {
     layer: StorageLayer,
     meter: CostMeter,
-    /// flow tag → backend redirection in flight.
-    flows: HashMap<u64, StagedFlow>,
     /// dest URL → (backend, bytes) for files resident on a backend.
     resident: HashMap<Url, (String, u64)>,
 }
@@ -50,7 +48,6 @@ impl StorageRuntime {
         StorageRuntime {
             layer,
             meter,
-            flows: HashMap::new(),
             resident: HashMap::new(),
         }
     }
@@ -64,47 +61,33 @@ impl StorageRuntime {
         self.meter.attach_obs(obs);
     }
 
-    /// A flow starts. When the advised `backend` is installed, remember the
-    /// redirection under `tag` and return the store host to send to plus
-    /// the backend's per-request overhead as extra setup. Unknown names
-    /// (stale advice after a reconfiguration) keep the planned destination.
+    /// A flow starts: when the advised `backend` is installed, the store host
+    /// to send to, the backend's per-request overhead as extra setup, and the
+    /// redirection for [`StorageRuntime::landed`]. Unknown names (stale
+    /// advice after a reconfiguration) keep the planned destination.
     pub(crate) fn redirect(
-        &mut self,
-        tag: u64,
+        &self,
         backend: Option<&String>,
         bytes: u64,
         dest: &Url,
-    ) -> Option<(HostId, SimDuration)> {
+    ) -> Option<(HostId, SimDuration, StagedFlow)> {
         let name = backend?;
         let b = self.layer.backend(name)?;
-        self.flows.insert(
-            tag,
-            StagedFlow {
-                backend: name.clone(),
-                bytes,
-                dest: dest.clone(),
-            },
-        );
-        Some((b.host, b.spec.extra_setup(bytes)))
+        let staged = StagedFlow {
+            backend: name.clone(),
+            bytes,
+            dest: dest.clone(),
+        };
+        Some((b.host, b.spec.extra_setup(bytes), staged))
     }
 
     /// The flow landed: meter the put and start the file's residency.
-    pub(crate) fn landed(&mut self, tag: u64, now: SimTime) {
-        let Some(staged) = self.flows.remove(&tag) else {
-            return;
-        };
+    pub(crate) fn landed(&mut self, staged: StagedFlow, now: SimTime) {
         if let Some(b) = self.layer.backend(&staged.backend) {
             self.meter.on_put(&b.spec, staged.bytes, now);
         }
         self.resident
             .insert(staged.dest, (staged.backend, staged.bytes));
-    }
-
-    /// Nothing landed (the flow failed, was killed, or read corrupt): drop
-    /// the redirection so a retry re-resolves whatever backend the fresh
-    /// advice names.
-    pub(crate) fn forget(&mut self, tag: u64) {
-        self.flows.remove(&tag);
     }
 
     /// A cleanup job deleted `file`: its residency stops accruing dollars.

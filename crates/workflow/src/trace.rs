@@ -3,23 +3,21 @@
 //!
 //! The executor holds a [`JobTrace`] only when the run is observed and
 //! calls into it at each lifecycle point; an unobserved run pays one branch
-//! per point and keeps no span bookkeeping.
+//! per point and keeps no span bookkeeping. A transfer span lives on the
+//! executor's row of its flow, which hands it back to end it.
 
 use crate::planner::{ExecutablePlan, PlanJobKind};
 use pwm_core::Name;
 use pwm_obs::{Obs, SpanId};
 use pwm_sim::SimTime;
-use std::collections::HashMap;
 
-/// Span bookkeeping of one observed run.
+/// Span bookkeeping of one observed run, by plan job.
 pub(crate) struct JobTrace<'p> {
     plan: &'p ExecutablePlan,
     obs: Obs,
     job_spans: Vec<Option<SpanId>>,
-    /// flow tag → transfer span.
-    transfer_spans: HashMap<u64, SpanId>,
-    /// job → when its in-flight policy callout was issued.
-    rpc_started: HashMap<usize, SimTime>,
+    /// When the job's in-flight policy callout was issued.
+    rpc_started: Vec<Option<SimTime>>,
 }
 
 impl<'p> JobTrace<'p> {
@@ -28,8 +26,7 @@ impl<'p> JobTrace<'p> {
             plan,
             obs,
             job_spans: vec![None; plan.len()],
-            transfer_spans: HashMap::new(),
-            rpc_started: HashMap::new(),
+            rpc_started: vec![None; plan.len()],
         }
     }
 
@@ -78,13 +75,13 @@ impl<'p> JobTrace<'p> {
 
     /// The job issued a policy callout.
     pub(crate) fn rpc_issued(&mut self, job: usize, now: SimTime) {
-        self.rpc_started.insert(job, now);
+        self.rpc_started[job] = Some(now);
     }
 
     /// The callout's answer landed: record the round trip as a span under
     /// the job's span.
     pub(crate) fn rpc_landed(&mut self, job: usize, name: &'static str, now: SimTime) {
-        if let Some(started) = self.rpc_started.remove(&job) {
+        if let Some(started) = self.rpc_started[job].take() {
             self.obs.tracer.complete_span(
                 name,
                 "policy_rpc",
@@ -110,12 +107,11 @@ impl<'p> JobTrace<'p> {
         );
     }
 
-    /// Open the span of a transfer the job just started as flow `tag`;
-    /// the flow's own span nests under the returned one.
+    /// Open the span of a transfer the job just started; the flow's own
+    /// span nests under the returned one.
     pub(crate) fn start_transfer(
-        &mut self,
+        &self,
         job: usize,
-        tag: u64,
         file: &Name,
         streams: u32,
         bytes: u64,
@@ -125,16 +121,13 @@ impl<'p> JobTrace<'p> {
         let span = tracer.start_span(format!("xfer {file}"), "transfer", self.job_spans[job], now);
         tracer.span_arg(span, "streams", streams.to_string());
         tracer.span_arg(span, "bytes", bytes.to_string());
-        self.transfer_spans.insert(tag, span);
         span
     }
 
-    /// Close flow `tag`'s transfer span with its `result`.
-    pub(crate) fn end_transfer(&mut self, tag: u64, result: &str, now: SimTime) {
-        if let Some(span) = self.transfer_spans.remove(&tag) {
-            self.obs.tracer.span_arg(span, "result", result);
-            self.obs.tracer.end_span(span, now);
-        }
+    /// Close a transfer span with its `result`.
+    pub(crate) fn end_transfer(&self, span: SpanId, result: &str, now: SimTime) {
+        self.obs.tracer.span_arg(span, "result", result);
+        self.obs.tracer.end_span(span, now);
     }
 
     /// Count an injected transfer failure.

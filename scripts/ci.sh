@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc: every intra-doc link resolves and no public item's docs link to
+# a private one. Moving or deleting an item is what leaves a link dangling.
+echo "== cargo doc (workspace, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
