@@ -11,33 +11,13 @@
 use crate::agenda;
 use crate::config::AllocationPolicy;
 use crate::ctx::PolicyCtx;
+use crate::indexes::PolicyIndexes;
 use crate::ledger::balanced_grant;
 use crate::model::{ClusterAllocFact, ClusterId, GroupId, HostPairFact, TransferFact};
-use crate::rules_base::batch_transfers;
-use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
-
-/// Indexed probe: the stream ledger of one cluster on one host pair's group,
-/// if any ("create the per-cluster ledger" keeps them unique).
-fn cluster_ledger_for(
-    wm: &WorkingMemory,
-    group: GroupId,
-    cluster: ClusterId,
-) -> Option<(FactHandle, &ClusterAllocFact)> {
-    wm.find_by::<ClusterAllocFact, (GroupId, ClusterId)>(&(group, cluster))
-}
+use pwm_rules::{Fields, Rule, Session};
 
 /// Install the balanced allocation rules.
-pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
-    // Alpha memories for the joins below: cluster ledgers by (group,
-    // cluster), host-pair ledgers by the group minted for them.
-    session
-        .wm
-        .register_index::<ClusterAllocFact, (GroupId, ClusterId)>(Fields::NONE, |c| {
-            (c.group, c.cluster)
-        });
-    session
-        .wm
-        .register_index::<HostPairFact, GroupId>(Fields::NONE, |p| p.group);
+pub(crate) fn install_balanced_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
     // "Retrieve the number of clusters used in the system" + create the
     // per-cluster ledger the first time a cluster appears on a host pair.
     session.add_rule(
@@ -48,34 +28,32 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
             )
             .watches::<ClusterAllocFact>()
-            .when(|wm, ctx: &PolicyCtx| {
+            .when(move |wm, ctx: &PolicyCtx, out| {
                 if ctx.config.allocation != AllocationPolicy::Balanced {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
                 let mut pending: Vec<(GroupId, ClusterId)> = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
                     let (Some(group), cluster) = (t.group, t.cluster_or_default()) else {
                         continue;
                     };
-                    let exists = cluster_ledger_for(wm, group, cluster).is_some()
+                    let exists = ix.cluster_ledger_for(wm, group, cluster).is_some()
                         || pending.contains(&(group, cluster));
                     if !exists {
                         pending.push((group, cluster));
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let (group, cluster) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (t.group.expect("grouped"), t.cluster_or_default())
                 };
-                if cluster_ledger_for(wm, group, cluster).is_none() {
+                if ix.cluster_ledger_for(wm, group, cluster).is_none() {
                     wm.insert(ClusterAllocFact {
                         group,
                         cluster,
@@ -104,28 +82,26 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
             )
             .watches::<ClusterAllocFact>()
             .watches_fields::<HostPairFact>(Fields::NONE)
-            .when(|wm, ctx: &PolicyCtx| {
+            .when(move |wm, ctx: &PolicyCtx, out| {
                 if ctx.config.allocation != AllocationPolicy::Balanced {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() || t.charged_streams > 0 || t.streams.is_none() {
                         continue;
                     }
                     let Some(group) = t.group else { continue };
                     let cluster = t.cluster_or_default();
-                    let Some((ch, _)) = cluster_ledger_for(wm, group, cluster) else {
+                    let Some((ch, _)) = ix.cluster_ledger_for(wm, group, cluster) else {
                         continue;
                     };
-                    let Some((ph, _)) = wm.find_by::<HostPairFact, GroupId>(&group) else {
+                    let Some((ph, _)) = wm.find_by(ix.pair_by_group, &group) else {
                         continue;
                     };
                     out.push([h, ch, ph].into());
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 let (requested, src_host, dst_host) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (
@@ -174,8 +150,7 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     | TransferFact::RELEASE,
             )
             .watches::<ClusterAllocFact>()
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
+            .when(move |wm, _: &PolicyCtx, out| {
                 for (h, t) in wm.iter::<TransferFact>() {
                     use crate::model::TransferState::*;
                     if !matches!(t.state, Completed | Failed)
@@ -186,13 +161,12 @@ pub fn install_balanced_rules(session: &mut Session<PolicyCtx>) {
                     }
                     let Some(group) = t.group else { continue };
                     let cluster = t.cluster_or_default();
-                    if let Some((ch, _)) = cluster_ledger_for(wm, group, cluster) {
+                    if let Some((ch, _)) = ix.cluster_ledger_for(wm, group, cluster) {
                         out.push([h, ch].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let charged = wm
                     .get::<TransferFact>(m[0])
                     .expect("matched transfer")
@@ -240,8 +214,9 @@ mod tests {
 
     fn run_batch(cfg: PolicyConfig, specs: Vec<TransferSpec>) -> Vec<(u32, u32)> {
         let mut s: Session<PolicyCtx> = Session::new();
-        install_base_rules(&mut s);
-        install_balanced_rules(&mut s);
+        let ix = crate::indexes::PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
+        install_balanced_rules(&mut s, ix);
         let mut ctx = PolicyCtx::new(cfg);
         for (i, sp) in specs.into_iter().enumerate() {
             s.wm.insert(TransferFact {
@@ -303,8 +278,9 @@ mod tests {
     fn greedy_would_starve_where_balanced_does_not() {
         // Same arrival pattern under greedy: the late cluster gets 1 stream.
         let mut s: Session<PolicyCtx> = Session::new();
-        install_base_rules(&mut s);
-        crate::greedy::install_greedy_rules(&mut s);
+        let ix = crate::indexes::PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
+        crate::greedy::install_greedy_rules(&mut s, ix);
         let cfg = PolicyConfig::default()
             .with_threshold(40)
             .with_default_streams(8)
@@ -350,8 +326,9 @@ mod tests {
     #[test]
     fn cluster_ledger_releases_on_completion() {
         let mut s: Session<PolicyCtx> = Session::new();
-        install_base_rules(&mut s);
-        install_balanced_rules(&mut s);
+        let ix = crate::indexes::PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
+        install_balanced_rules(&mut s, ix);
         let mut ctx = PolicyCtx::new(balanced_cfg(40, 2, 20));
         s.wm.insert(TransferFact {
             id: TransferId(0),

@@ -16,6 +16,7 @@ use crate::durable::DurabilityConfig;
 use crate::model::{CleanupSpec, TransferSpec};
 use crate::service::{MemorySnapshot, RuleCounters, ServiceStats};
 use crate::shard::ShardedPolicyService;
+use crate::window::{CleanupWindow, TransferWindow};
 use parking_lot::RwLock;
 use pwm_obs::Obs;
 use std::collections::BTreeMap;
@@ -250,6 +251,44 @@ impl PolicyController {
         groups: Vec<Vec<TransferSpec>>,
     ) -> Result<Vec<Vec<TransferAdvice>>, ControllerError> {
         self.serve(session, |s| s.evaluate_transfer_groups(groups))
+    }
+
+    /// Evaluate a window of pipelined request groups in place (see
+    /// [`ShardedPolicyService::evaluate_window`]): the caller keeps the
+    /// window, and with it every buffer the call fills.
+    pub fn evaluate_window(
+        &self,
+        session: &str,
+        window: &mut TransferWindow,
+    ) -> Result<(), ControllerError> {
+        self.serve(session, |s| s.evaluate_window(window))
+    }
+
+    /// Delegate borrowed transfer outcomes to a session.
+    pub fn report_transfer_outcomes(
+        &self,
+        session: &str,
+        outcomes: &[TransferOutcome],
+    ) -> Result<(), ControllerError> {
+        self.serve(session, |s| s.report_transfer_outcomes(outcomes))
+    }
+
+    /// Evaluate one cleanup request in a window the caller keeps.
+    pub fn evaluate_cleanup_window(
+        &self,
+        session: &str,
+        window: &mut CleanupWindow,
+    ) -> Result<(), ControllerError> {
+        self.serve(session, |s| s.evaluate_cleanup_window(window))
+    }
+
+    /// Delegate borrowed cleanup outcomes to a session.
+    pub fn report_cleanup_outcomes(
+        &self,
+        session: &str,
+        outcomes: &[CleanupOutcome],
+    ) -> Result<(), ControllerError> {
+        self.serve(session, |s| s.report_cleanup_outcomes(outcomes))
     }
 
     /// Delegate transfer outcomes to a session.

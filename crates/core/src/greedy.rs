@@ -9,14 +9,14 @@
 
 use crate::agenda;
 use crate::ctx::PolicyCtx;
+use crate::indexes::PolicyIndexes;
 use crate::ledger::greedy_grant;
 use crate::model::{HostPairFact, TransferFact};
-use crate::rules_base::{batch_transfers, host_pair_for};
 use pwm_rules::{Fields, Rule, Session};
 
 /// Install the greedy allocation rules (salience 50, i.e. after all Table I
 /// bookkeeping has settled for the batch).
-pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
+pub(crate) fn install_greedy_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
     // One rule implements the "retrieve threshold / enforce maximum / clip
     // at the boundary / single stream past saturation / record the charge"
     // sequence atomically per transfer; transfers are charged in working-
@@ -29,23 +29,22 @@ pub fn install_greedy_rules(session: &mut Session<PolicyCtx>) {
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STREAMS,
             )
             .watches_fields::<HostPairFact>(Fields::NONE)
-            .when(|wm, ctx: &PolicyCtx| {
+            .when(move |wm, ctx: &PolicyCtx, out| {
                 if ctx.config.allocation != crate::config::AllocationPolicy::Greedy {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() || t.charged_streams > 0 || t.streams.is_none() {
                         continue;
                     }
-                    if let Some((ph, _)) = host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
+                    if let Some((ph, _)) =
+                        ix.host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
                     {
                         out.push([h, ph].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 let (requested, src_host, dst_host) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (
@@ -97,8 +96,9 @@ mod tests {
 
     fn session_with(config: PolicyConfig) -> (Session<PolicyCtx>, PolicyCtx) {
         let mut s = Session::new();
-        install_base_rules(&mut s);
-        install_greedy_rules(&mut s);
+        let ix = crate::indexes::PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
+        install_greedy_rules(&mut s, ix);
         (s, PolicyCtx::new(config))
     }
 

@@ -50,6 +50,7 @@ pub mod ctx;
 pub mod durable;
 pub mod failover;
 pub mod greedy;
+mod indexes;
 mod keys;
 pub mod ledger;
 pub mod model;
@@ -61,6 +62,7 @@ pub mod service;
 pub mod shard;
 pub mod storage_rules;
 pub mod transport;
+mod window;
 
 pub use advice::{
     CleanupAction, CleanupAdvice, CleanupOutcome, TransferAction, TransferAdvice, TransferOutcome,
@@ -84,11 +86,11 @@ pub use model::{
 };
 pub use name::Name;
 pub use priority::{assign_priorities, PriorityAlgorithm, WorkflowGraph};
-pub use recovery_rules::install_recovery_rules;
 pub use service::{
     HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats, SharedSimClock,
     SHARD_ID_BITS,
 };
 pub use shard::{fnv1a64, HashRing, ShardedPolicyService, RING_VNODES};
-pub use storage_rules::{estimated_dollars, estimated_seconds, install_storage_rules};
+pub use storage_rules::{estimated_dollars, estimated_seconds};
 pub use transport::{InProcessTransport, NoPolicyTransport, PolicyTransport, TransportError};
+pub use window::{CleanupWindow, TransferWindow};

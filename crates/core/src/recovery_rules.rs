@@ -3,7 +3,7 @@
 //! Failure avoidance flows through advice like everything else. Execution
 //! environments report health observations ([`crate::model::HealthEvent`])
 //! via [`crate::service::PolicyService::report_health`]; the service upserts
-//! them into three recovery facts — [`HostDownFact`], [`BackendDownFact`],
+//! them into three recovery facts — [`HostDownFact`], [`BackendDownFact`](crate::model::BackendDownFact),
 //! and [`SuspectReplicaFact`] — and the rules here consult those facts when
 //! the next advice batch is evaluated:
 //!
@@ -17,7 +17,7 @@
 //!   host currently reported down is suppressed with
 //!   [`SuppressReason::SourceHostDown`];
 //! * the storage family's selection rule (see [`crate::storage_rules`])
-//!   additionally excludes backends with a live [`BackendDownFact`] from
+//!   additionally excludes backends with a live [`BackendDownFact`](crate::model::BackendDownFact) from
 //!   its candidate set, so placement steers around outages.
 //!
 //! Always installed; with no health reports the fact population is empty,
@@ -26,23 +26,16 @@
 
 use crate::agenda;
 use crate::ctx::PolicyCtx;
+use crate::indexes::PolicyIndexes;
 use crate::model::TransferFact;
-use crate::model::{BackendDownFact, HostDownFact, SuppressReason, SuspectReplicaFact};
-use crate::name::Name;
-use crate::rules_base::batch_transfers;
-use pwm_rules::{Fields, Rule, Session};
+use crate::model::{HostDownFact, SuppressReason, SuspectReplicaFact};
+use pwm_rules::{Rule, Session};
 
 /// Install the recovery policy family (two suppression rules and the
 /// alpha-memory indexes the family probes).
-pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
-    // All equality joins: down hosts by name, down backends by name, suspect
-    // replicas by (host, file).
-    let wm = &mut session.wm;
-    wm.register_index::<HostDownFact, Name>(Fields::NONE, |h| h.host.clone());
-    wm.register_index::<BackendDownFact, String>(Fields::NONE, |b| b.backend.clone());
-    wm.register_index::<SuspectReplicaFact, (Name, Name)>(Fields::NONE, |s| {
-        (s.host.clone(), s.file.clone())
-    });
+pub(crate) fn install_recovery_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
+    // All equality joins: down hosts by name, suspect replicas by (host,
+    // file) (see `crate::indexes`).
 
     session.add_rule(
         Rule::new("recovery: suppress transfers from a quarantined replica")
@@ -51,23 +44,21 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
             .requires::<SuspectReplicaFact>()
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<SuspectReplicaFact>()
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
                     let key = (t.spec.source.host.clone(), t.spec.source.path.clone());
                     let quarantined = wm
-                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
+                        .find_by(ix.suspect_replica, &key)
                         .is_some_and(|(_, s)| s.quarantined);
                     if quarantined {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                     t.suppressed = Some(SuppressReason::SourceQuarantined);
                 });
@@ -81,22 +72,17 @@ pub fn install_recovery_rules(session: &mut Session<PolicyCtx>) {
             .requires::<HostDownFact>()
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches::<HostDownFact>()
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    if wm
-                        .find_by::<HostDownFact, Name>(&t.spec.source.host)
-                        .is_some()
-                    {
+                    if wm.find_by(ix.host_down, &t.spec.source.host).is_some() {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                     t.suppressed = Some(SuppressReason::SourceHostDown);
                 });

@@ -7,64 +7,12 @@
 
 use crate::agenda;
 use crate::ctx::PolicyCtx;
-use crate::keys::{PairKey, UrlKey};
+use crate::indexes::PolicyIndexes;
 use crate::model::{
-    CleanupFact, CleanupId, CleanupState, HostPairFact, ResourceFact, ResourceState,
-    SuppressReason, TransferFact, TransferId, TransferState, Url, WorkflowSet,
+    CleanupFact, CleanupState, HostPairFact, ResourceFact, ResourceState, SuppressReason,
+    TransferFact, TransferId, TransferState, WorkflowSet,
 };
 use pwm_rules::{FactHandle, Fields, Rule, Session, WorkingMemory};
-
-/// Indexed probe: the resource tracking the staged file at `dest`, whose
-/// digest is `key`, if any. Resources are unique per destination ("create a
-/// resource" guards on it); bucket hits re-verify the URL, so a digest
-/// collision costs a compare, never a wrong match.
-pub(crate) fn resource_for<'a>(
-    wm: &'a WorkingMemory,
-    key: UrlKey,
-    dest: &Url,
-) -> Option<(FactHandle, &'a ResourceFact)> {
-    wm.iter_by::<ResourceFact, UrlKey>(&key)
-        .find(|(_, r)| r.dest == *dest)
-}
-
-/// The digest a live transfer is bucketed under: of its `spec.dest`,
-/// computed once when the fact was inserted. The same key probes the
-/// transfers sharing the destination (the dedup rules, which re-verify
-/// source and destination) and the destination's resource.
-pub(crate) fn dest_key(wm: &WorkingMemory, transfer: FactHandle) -> UrlKey {
-    *wm.key_of::<TransferFact, UrlKey>(transfer)
-        .expect("live transfer is indexed by destination")
-}
-
-/// The digest a live cleanup is bucketed under: of its `spec.file`.
-fn file_key(wm: &WorkingMemory, cleanup: FactHandle) -> UrlKey {
-    *wm.key_of::<CleanupFact, UrlKey>(cleanup)
-        .expect("live cleanup is indexed by file")
-}
-
-/// Iterate only the transfers of the batch currently under evaluation —
-/// the indexed equivalent of `iter::<TransferFact>()` + an
-/// `in_current_batch` filter, O(batch) instead of O(resident transfers).
-pub(crate) fn batch_transfers<'a>(
-    wm: &'a WorkingMemory,
-) -> impl Iterator<Item = (FactHandle, &'a TransferFact)> + 'a {
-    wm.iter_by::<TransferFact, bool>(&true)
-}
-
-/// Indexed probe: the allocation ledger for a (source, destination) host
-/// pair, if any. Pairs are unique ("generate a unique group ID" guards).
-/// Ledgers are bucketed by the keyed digest of the two host names — the
-/// same policy as URLs, since a request chooses its hosts — so a probe
-/// borrows them instead of building an owned `(String, String)`; bucket hits
-/// re-verify the names.
-pub(crate) fn host_pair_for<'a>(
-    wm: &'a WorkingMemory,
-    src_host: &str,
-    dst_host: &str,
-) -> Option<(FactHandle, &'a HostPairFact)> {
-    wm.iter_by::<HostPairFact, PairKey>(&PairKey::of(src_host, dst_host))
-        .find(|(_, p)| p.src_host == src_host && p.dst_host == dst_host)
-}
 
 /// Install the Table I rules into a session.
 ///
@@ -72,27 +20,14 @@ pub(crate) fn host_pair_for<'a>(
 /// the groups it writes (see [`pwm_rules::Fields`]): a batch of transfers is
 /// walked by a dozen rules that each care about one or two fields of it, and
 /// a write to `group` or `streams` should not re-run the dedup matchers.
-pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
-    // Alpha memories for the equality joins below: rules probe resources by
-    // destination and ledgers by host pair instead of scanning the full fact
-    // population on every re-evaluation. Every key but the batch flag reads
-    // identity fields only, so no `update_fields` re-keys it.
-    let wm = &mut session.wm;
-    wm.register_index::<ResourceFact, UrlKey>(Fields::NONE, |r| UrlKey::of(&r.dest));
-    wm.register_index::<HostPairFact, PairKey>(Fields::NONE, |p| {
-        PairKey::of(&p.src_host, &p.dst_host)
-    });
-    // Dedup support: transfers bucketed by destination so the duplicate /
-    // already-in-progress rules compare against the handful of transfers
-    // sharing one instead of the whole population (and reuse the key for the
-    // destination's resource), cleanups by file likewise, and transfers by
-    // the current-batch flag so every batch-scoped rule walks O(batch) facts.
-    wm.register_index::<TransferFact, UrlKey>(Fields::NONE, |t| UrlKey::of(&t.spec.dest));
-    wm.register_index::<CleanupFact, UrlKey>(Fields::NONE, |c| UrlKey::of(&c.spec.file));
-    wm.register_index::<TransferFact, bool>(TransferFact::BATCH, |t| t.in_current_batch);
-    // Outcome reports name their fact by the id the service minted.
-    wm.register_index::<TransferFact, TransferId>(Fields::NONE, |t| t.id);
-    wm.register_index::<CleanupFact, CleanupId>(Fields::NONE, |c| c.id);
+pub(crate) fn install_base_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
+    // Rules probe resources by destination and ledgers by host pair instead
+    // of scanning the full fact population on every re-evaluation; the
+    // dedup rules compare against the handful of transfers sharing a
+    // destination (and reuse its key for the destination's resource),
+    // cleanups by file likewise, and every batch-scoped rule walks the
+    // batch index, O(batch) facts (see `crate::indexes`).
+
     // "Remove duplicate transfers from the transfer list": a batch transfer
     // whose (source, dest) already appears earlier in the same batch is
     // suppressed.
@@ -101,14 +36,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .salience(100)
             .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = dest_key(wm, h);
-                    let earlier_dup = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(uh, u)| {
+                    let key = ix.dest_key(wm, h);
+                    let earlier_dup = wm.iter_by(ix.transfer_by_dest, &key).any(|(uh, u)| {
                         uh < h
                             && u.in_current_batch
                             && u.suppressed.is_none()
@@ -119,9 +53,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 if ctx.config.dedup {
                     wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::DuplicateInBatch);
@@ -139,14 +72,13 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .watches_fields::<TransferFact>(
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::STATE,
             )
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let key = dest_key(wm, h);
-                    let in_progress = wm.iter_by::<TransferFact, UrlKey>(&key).any(|(uh, u)| {
+                    let key = ix.dest_key(wm, h);
+                    let in_progress = wm.iter_by(ix.transfer_by_dest, &key).any(|(uh, u)| {
                         uh != h
                             && !u.in_current_batch
                             && u.state == TransferState::InProgress
@@ -157,9 +89,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 if ctx.config.dedup {
                     wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::AlreadyInProgress);
@@ -177,21 +108,20 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<ResourceFact>(ResourceFact::STATE)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let staged = resource_for(wm, dest_key(wm, h), &t.spec.dest)
+                    let staged = ix
+                        .resource_for(wm, ix.dest_key(wm, h), &t.spec.dest)
                         .is_some_and(|(_, r)| r.state == ResourceState::Staged);
                     if staged {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 if ctx.config.dedup {
                     wm.update_fields::<TransferFact>(m[0], TransferFact::SUPPRESSED, |t| {
                         t.suppressed = Some(SuppressReason::AlreadyStaged);
@@ -208,20 +138,20 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<ResourceFact>(Fields::NONE)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
-                    let exists = resource_for(wm, dest_key(wm, h), &t.spec.dest).is_some();
+                    let exists = ix
+                        .resource_for(wm, ix.dest_key(wm, h), &t.spec.dest)
+                        .is_some();
                     if !exists {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let (id, source, dest, workflow) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (
@@ -252,18 +182,16 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH)
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
-                    if let Some((rh, r)) = resource_for(wm, dest_key(wm, h), &t.spec.dest) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
+                    if let Some((rh, r)) = ix.resource_for(wm, ix.dest_key(wm, h), &t.spec.dest) {
                         if !r.users.contains(&t.spec.workflow) {
                             out.push([h, rh].into());
                         }
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let workflow = wm
                     .get::<TransferFact>(m[0])
                     .expect("matched transfer")
@@ -282,29 +210,27 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_TRANSFERS)
             .watches_fields::<TransferFact>(TransferFact::BATCH | TransferFact::SUPPRESSED)
             .watches_fields::<HostPairFact>(Fields::NONE)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
+            .when(move |wm, _: &PolicyCtx, out| {
                 let mut seen: Vec<(&str, &str)> = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() {
                         continue;
                     }
                     let pair = (t.spec.source.host.as_str(), t.spec.dest.host.as_str());
-                    if host_pair_for(wm, pair.0, pair.1).is_none() && !seen.contains(&pair) {
+                    if ix.host_pair_for(wm, pair.0, pair.1).is_none() && !seen.contains(&pair) {
                         seen.push(pair);
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 let (src_host, dst_host) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (t.spec.source.host.clone(), t.spec.dest.host.clone())
                 };
                 // Guard against a pair created by an earlier firing in the
                 // same cascade.
-                if host_pair_for(wm, &src_host, &dst_host).is_none() {
+                if ix.host_pair_for(wm, &src_host, &dst_host).is_none() {
                     let group = ctx.fresh_group();
                     wm.insert(HostPairFact {
                         src_host,
@@ -327,20 +253,19 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::GROUP,
             )
             .watches_fields::<HostPairFact>(Fields::NONE)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+            .when(move |wm, _: &PolicyCtx, out| {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.group.is_some() || t.suppressed.is_some() {
                         continue;
                     }
-                    if let Some((ph, _)) = host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
+                    if let Some((ph, _)) =
+                        ix.host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host)
                     {
                         out.push([h, ph].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let group = wm.get::<HostPairFact>(m[1]).expect("matched pair").group;
                 wm.update_fields::<TransferFact>(m[0], TransferFact::GROUP, |t| {
                     t.group = Some(group)
@@ -357,7 +282,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
                 TransferFact::BATCH | TransferFact::STREAMS,
                 |t, _: &PolicyCtx| t.in_current_batch && t.streams.is_none(),
             )
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 let default = ctx.config.default_streams;
                 wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
                     t.streams = Some(t.spec.requested_streams.unwrap_or(default));
@@ -373,7 +298,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .when_each_fields::<TransferFact>(TransferFact::STREAMS, |t, _: &PolicyCtx| {
                 t.streams == Some(0)
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 wm.update_fields::<TransferFact>(m[0], TransferFact::STREAMS, |t| {
                     t.streams = Some(1)
                 });
@@ -392,8 +317,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
                 t.state == TransferState::Completed
             })
-            .then(|wm, _, m| {
-                let done = Finished::of(wm, m[0]);
+            .then(move |wm, _, m| {
+                let done = Finished::of(wm, ix, m[0]);
                 done.release_streams(wm);
                 if let Some(rh) = done.resource {
                     wm.update_fields::<ResourceFact>(rh, ResourceFact::STATE, |r| {
@@ -416,8 +341,8 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             .when_each_fields::<TransferFact>(TransferFact::STATE, |t, _: &PolicyCtx| {
                 t.state == TransferState::Failed
             })
-            .then(|wm, _, m| {
-                let done = Finished::of(wm, m[0]);
+            .then(move |wm, _, m| {
+                let done = Finished::of(wm, ix, m[0]);
                 done.release_streams(wm);
                 if let Some(rh) = done.resource {
                     let r = wm.get::<ResourceFact>(rh).expect("probed resource");
@@ -429,7 +354,7 @@ pub fn install_base_rules(session: &mut Session<PolicyCtx>) {
             }),
     );
 
-    install_cleanup_rules(session);
+    install_cleanup_rules(session, ix);
 }
 
 /// What settling a finished (completed or failed) transfer writes, probed
@@ -444,13 +369,15 @@ struct Finished {
 }
 
 impl Finished {
-    fn of(wm: &WorkingMemory, transfer: FactHandle) -> Finished {
+    fn of(wm: &WorkingMemory, ix: PolicyIndexes, transfer: FactHandle) -> Finished {
         let t = wm.get::<TransferFact>(transfer).expect("matched transfer");
         let ledger = (t.charged_streams != 0)
-            .then(|| host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host))
+            .then(|| ix.host_pair_for(wm, &t.spec.source.host, &t.spec.dest.host))
             .flatten()
             .map(|(ph, _)| ph);
-        let resource = resource_for(wm, dest_key(wm, transfer), &t.spec.dest).map(|(rh, _)| rh);
+        let resource = ix
+            .resource_for(wm, ix.dest_key(wm, transfer), &t.spec.dest)
+            .map(|(rh, _)| rh);
         Finished {
             id: t.id,
             charged: t.charged_streams,
@@ -471,7 +398,7 @@ impl Finished {
 }
 
 /// The cleanup-related rows of Table I.
-fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
+fn install_cleanup_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
     // Duplicate cleanup: "If there is a duplicate cleanup request and the
     // cleanup operation is in progress or completed, the Policy Service
     // removes the current operation from the cleanup list."
@@ -480,14 +407,13 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
             .salience(60)
             .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
+            .when(move |wm, _: &PolicyCtx, out| {
                 for (h, c) in wm.iter::<CleanupFact>() {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    let key = file_key(wm, h);
-                    let dup = wm.iter_by::<CleanupFact, UrlKey>(&key).any(|(uh, u)| {
+                    let key = ix.file_key(wm, h);
+                    let dup = wm.iter_by(ix.cleanup_by_file, &key).any(|(uh, u)| {
                         uh != h
                             && u.spec.file == c.spec.file
                             && u.suppressed.is_none()
@@ -498,9 +424,8 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 wm.update_fields::<CleanupFact>(m[0], CleanupFact::SUPPRESSED, |c| {
                     c.suppressed = Some(SuppressReason::DuplicateCleanup);
                 });
@@ -515,21 +440,19 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
+            .when(move |wm, _: &PolicyCtx, out| {
                 for (h, c) in wm.iter::<CleanupFact>() {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    if let Some((rh, r)) = resource_for(wm, file_key(wm, h), &c.spec.file) {
+                    if let Some((rh, r)) = ix.resource_for(wm, ix.file_key(wm, h), &c.spec.file) {
                         if r.users.contains(&c.spec.workflow) {
                             out.push([h, rh].into());
                         }
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let workflow = wm
                     .get::<CleanupFact>(m[0])
                     .expect("matched cleanup")
@@ -551,21 +474,19 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
             .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
-            .when(|wm, _: &PolicyCtx| {
-                let mut out = Vec::new();
+            .when(move |wm, _: &PolicyCtx, out| {
                 for (h, c) in wm.iter::<CleanupFact>() {
                     if !c.in_current_batch || c.suppressed.is_some() {
                         continue;
                     }
-                    if let Some((_, r)) = resource_for(wm, file_key(wm, h), &c.spec.file) {
+                    if let Some((_, r)) = ix.resource_for(wm, ix.file_key(wm, h), &c.spec.file) {
                         if !r.users.is_empty() {
                             out.push([h].into());
                         }
                     }
                 }
-                out
             })
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 wm.update_fields::<CleanupFact>(m[0], CleanupFact::SUPPRESSED, |c| {
                     c.suppressed = Some(SuppressReason::ResourceInUse);
                 });
@@ -579,9 +500,10 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>) {
             .salience(54)
             .agenda_group(agenda::REPORT_CLEANUPS)
             .when_each::<CleanupFact>(|c, _: &PolicyCtx| c.state == CleanupState::Completed)
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let c = wm.get::<CleanupFact>(m[0]).expect("matched cleanup");
-                let unused = resource_for(wm, file_key(wm, m[0]), &c.spec.file)
+                let unused = ix
+                    .resource_for(wm, ix.file_key(wm, m[0]), &c.spec.file)
                     .filter(|(_, r)| r.users.is_empty())
                     .map(|(rh, _)| rh);
                 if let Some(rh) = unused {
@@ -603,7 +525,8 @@ mod tests {
 
     fn session() -> (Session<PolicyCtx>, PolicyCtx) {
         let mut s = Session::new();
-        install_base_rules(&mut s);
+        let ix = PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
         (s, PolicyCtx::new(PolicyConfig::default()))
     }
 
@@ -667,7 +590,8 @@ mod tests {
     #[test]
     fn rule_dedup_disabled_by_config() {
         let mut s = Session::new();
-        install_base_rules(&mut s);
+        let ix = PolicyIndexes::register(&mut s.wm);
+        install_base_rules(&mut s, ix);
         let mut cfg = PolicyConfig::default();
         cfg.dedup = false;
         let mut ctx = PolicyCtx::new(cfg);

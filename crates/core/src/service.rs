@@ -20,6 +20,7 @@ use crate::durable::{
     WalCommand, WalRecord,
 };
 use crate::greedy::install_greedy_rules;
+use crate::indexes::PolicyIndexes;
 use crate::keys::UrlKey;
 use crate::model::{
     BackendDownFact, BackendLoadFact, BackendProfileFact, CleanupFact, CleanupId, CleanupSpec,
@@ -29,8 +30,9 @@ use crate::model::{
 };
 use crate::name::Name;
 use crate::recovery_rules::install_recovery_rules;
-use crate::rules_base::{host_pair_for, install_base_rules, resource_for};
+use crate::rules_base::install_base_rules;
 use crate::storage_rules::install_storage_rules;
+use crate::window::{CleanupWindow, TransferWindow};
 use pwm_obs::{Counter, Gauge, Histogram, Obs};
 use pwm_rules::{FactHandle, Session};
 use pwm_sim::SimTime;
@@ -223,12 +225,12 @@ struct ServiceObs {
     pairs: HashMap<FactHandle, [Gauge; 2]>,
 }
 
-/// Label pairs as the borrowed slice shape the registry expects.
+/// Label pairs as the borrowed slice shape the registry expects, with room
+/// for two more.
 fn label_refs(labels: &[(String, String)]) -> Vec<(&str, &str)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
+    let mut refs = Vec::with_capacity(labels.len() + 2);
+    refs.extend(labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    refs
 }
 
 impl ServiceObs {
@@ -359,6 +361,8 @@ impl SharedSimClock {
 /// The policy engine: rule session + policy memory + request orchestration.
 pub struct PolicyService {
     session: Session<PolicyCtx>,
+    /// Where the session's indexes are (the rules captured the same).
+    ix: PolicyIndexes,
     ctx: PolicyCtx,
     next_transfer: u64,
     next_cleanup: u64,
@@ -374,6 +378,17 @@ pub struct PolicyService {
     /// When the occupancy gauges were last swept (throttling clock; not
     /// part of durable state — it only paces metric publication).
     last_gauge_sweep: Option<Instant>,
+    /// Scratch of one evaluation pass, kept from one call to the next: the
+    /// facts of the group under evaluation and their advice rows.
+    handles: Vec<FactHandle>,
+    rows: Vec<AdviceRow>,
+}
+
+/// One evaluated transfer while its group's advice is put in order.
+struct AdviceRow {
+    handle: FactHandle,
+    advice: TransferAdvice,
+    priority: i32,
 }
 
 /// Shard ids are packed into the top bits of transfer/cleanup/group ids so
@@ -401,14 +416,16 @@ impl PolicyService {
     /// groups of its own rules and of the selected families.
     pub fn new(config: PolicyConfig) -> Self {
         let mut session = Session::new();
-        install_base_rules(&mut session);
-        install_greedy_rules(&mut session);
-        install_balanced_rules(&mut session);
-        install_storage_rules(&mut session);
-        install_recovery_rules(&mut session);
+        let ix = PolicyIndexes::register(&mut session.wm);
+        install_base_rules(&mut session, ix);
+        install_greedy_rules(&mut session, ix);
+        install_balanced_rules(&mut session, ix);
+        install_storage_rules(&mut session, ix);
+        install_recovery_rules(&mut session, ix);
         let audit = AuditLog::with_capacity(config.audit_retention());
         let mut svc = PolicyService {
             session,
+            ix,
             ctx: PolicyCtx::new(config),
             next_transfer: 0,
             next_cleanup: 0,
@@ -418,6 +435,8 @@ impl PolicyService {
             sim_clock: None,
             durability: None,
             last_gauge_sweep: None,
+            handles: Vec::new(),
+            rows: Vec::new(),
         };
         svc.sync_backend_profiles();
         svc
@@ -471,7 +490,7 @@ impl PolicyService {
     /// [`PolicyService::has_resource`] for a caller probing several shards
     /// with one digest of `file`.
     pub(crate) fn has_resource_keyed(&self, key: UrlKey, file: &crate::model::Url) -> bool {
-        resource_for(&self.session.wm, key, file).is_some()
+        self.ix.resource_for(&self.session.wm, key, file).is_some()
     }
 
     /// Attach observability: service counters, gauges, and advice-latency
@@ -833,9 +852,9 @@ impl PolicyService {
         if self.durability.is_some() {
             self.log_command(WalCommand::EvaluateTransfers(batch.clone()));
         }
-        self.evaluate_groups_inner(vec![batch])
-            .pop()
-            .unwrap_or_default()
+        let mut window = TransferWindow::from_groups(vec![batch]);
+        self.evaluate_window_inner(&mut window);
+        window.into_advice_groups().pop().unwrap_or_default()
     }
 
     /// Evaluate several pipelined request groups in **one** call.
@@ -856,10 +875,19 @@ impl PolicyService {
         &mut self,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Vec<Vec<TransferAdvice>> {
+        let mut window = TransferWindow::from_groups(groups);
+        self.evaluate_window(&mut window);
+        window.into_advice_groups()
+    }
+
+    /// [`PolicyService::evaluate_transfer_groups`] over a window the caller
+    /// keeps: the specs are moved into facts and the advice written back
+    /// into it, group by group.
+    pub fn evaluate_window(&mut self, window: &mut TransferWindow) {
         if self.durability.is_some() {
-            self.log_command(WalCommand::EvaluateTransferGroups(groups.clone()));
+            self.log_command(WalCommand::EvaluateTransferGroups(window.spec_groups()));
         }
-        self.evaluate_groups_inner(groups)
+        self.evaluate_window_inner(window);
     }
 
     /// Shared core of the single-batch and grouped evaluation paths: each
@@ -867,25 +895,20 @@ impl PolicyService {
     /// (so pipelined groups observe exactly the sequential semantics),
     /// while the call-level bookkeeping — WAL record, latency histogram,
     /// refraction GC, snapshot check — happens once for the whole window.
-    fn evaluate_groups_inner(
-        &mut self,
-        groups: Vec<Vec<TransferSpec>>,
-    ) -> Vec<Vec<TransferAdvice>> {
-        let total: usize = groups.iter().map(Vec::len).sum();
+    fn evaluate_window_inner(&mut self, window: &mut TransferWindow) {
+        let total = window.specs.len();
         self.stats.transfer_requests += total as u64;
 
-        struct Row {
-            handle: FactHandle,
-            advice: TransferAdvice,
-            priority: i32,
-        }
         let by_priority = self.ctx.config.ordering == OrderingPolicy::ByPriority;
         let eval_start = Instant::now();
         let mut total_firings = 0usize;
-        let mut out_groups = Vec::with_capacity(groups.len());
-        for batch in groups {
-            let mut handles = Vec::with_capacity(batch.len());
-            for spec in batch {
+        window.advice.clear();
+        let mut specs = std::mem::take(&mut window.specs);
+        let mut incoming = specs.drain(..);
+        let mut start = 0;
+        for &end in &window.ends {
+            self.handles.clear();
+            for spec in incoming.by_ref().take(end - start) {
                 let id = TransferId(self.next_transfer);
                 self.next_transfer += 1;
                 let h = self.session.wm.insert(TransferFact {
@@ -901,8 +924,9 @@ impl PolicyService {
                     backend: None,
                     backend_released: false,
                 });
-                handles.push(h);
+                self.handles.push(h);
             }
+            start = end;
 
             let focus = Pass::EvaluateTransfers.focus(&self.ctx.config);
             let report = self.session.fire(&mut self.ctx, focus);
@@ -910,8 +934,8 @@ impl PolicyService {
             debug_assert!(!report.budget_exhausted, "policy rules did not converge");
 
             // Snapshot the group's facts for advice building.
-            let mut rows: Vec<Row> = Vec::with_capacity(handles.len());
-            for h in &handles {
+            self.rows.clear();
+            for h in &self.handles {
                 let t = self
                     .session
                     .wm
@@ -921,7 +945,7 @@ impl PolicyService {
                     Some(reason) => TransferAction::Skip(reason),
                     None => TransferAction::Execute,
                 };
-                rows.push(Row {
+                self.rows.push(AdviceRow {
                     handle: *h,
                     advice: TransferAdvice {
                         id: t.id,
@@ -938,8 +962,10 @@ impl PolicyService {
             }
 
             // Ordering policy: executing transfers first (sorted), skips
-            // after — applied within each group independently.
-            rows.sort_by(|a, b| {
+            // after — applied within each group independently. Ids are
+            // unique, so the order is total and an unstable sort (which
+            // needs no scratch) gives the one answer.
+            self.rows.sort_unstable_by(|a, b| {
                 let exec_a = a.advice.should_execute();
                 let exec_b = b.advice.should_execute();
                 exec_b
@@ -960,8 +986,7 @@ impl PolicyService {
             // Commit states: executing facts leave the batch as InProgress;
             // suppressed facts are removed (their bookkeeping side effects —
             // resource refcounts — already happened).
-            let mut out = Vec::with_capacity(rows.len());
-            for (i, mut row) in rows.into_iter().enumerate() {
+            for (i, mut row) in self.rows.drain(..).enumerate() {
                 row.advice.order = i as u32;
                 let skipped = match row.advice.action {
                     TransferAction::Execute => None,
@@ -986,16 +1011,16 @@ impl PolicyService {
                     self.stats.transfers_suppressed += 1;
                     self.session.wm.retract(row.handle);
                 }
-                out.push(row.advice);
+                window.advice.push(row.advice);
             }
-            out_groups.push(out);
         }
+        drop(incoming);
+        window.specs = specs;
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += total_firings as u64;
         self.session.maybe_gc_refraction();
         self.note_evaluation("evaluate_transfers", eval_micros, total, total_firings);
         self.maybe_snapshot();
-        out_groups
     }
 
     /// Report transfer outcomes. Completed transfers release their streams
@@ -1003,16 +1028,22 @@ impl PolicyService {
     /// drop the half-staged resource so retries are not treated as
     /// duplicates.
     pub fn report_transfers(&mut self, outcomes: Vec<TransferOutcome>) {
+        self.report_transfer_outcomes(outcomes.iter());
+    }
+
+    /// [`PolicyService::report_transfers`] over borrowed outcomes.
+    pub fn report_transfer_outcomes<'a>(
+        &mut self,
+        outcomes: impl Iterator<Item = &'a TransferOutcome> + Clone,
+    ) {
         if self.durability.is_some() {
-            self.log_command(WalCommand::ReportTransfers(outcomes.clone()));
+            let logged = outcomes.clone().copied().collect();
+            self.log_command(WalCommand::ReportTransfers(logged));
         }
-        let batch_len = outcomes.len();
+        let mut batch_len = 0;
         for outcome in outcomes {
-            if let Some((h, _)) = self
-                .session
-                .wm
-                .find_by::<TransferFact, TransferId>(&outcome.id)
-            {
+            batch_len += 1;
+            if let Some((h, _)) = self.session.wm.find_by(self.ix.transfer_by_id, &outcome.id) {
                 let wm = &mut self.session.wm;
                 wm.update_fields::<TransferFact>(h, TransferFact::STATE, |t| {
                     t.state = if outcome.success {
@@ -1045,15 +1076,23 @@ impl PolicyService {
     /// Evaluate a list of cleanup requests; duplicates and in-use files are
     /// marked skipped.
     pub fn evaluate_cleanups(&mut self, batch: Vec<CleanupSpec>) -> Vec<CleanupAdvice> {
+        let mut window = CleanupWindow::from_specs(batch);
+        self.evaluate_cleanup_window(&mut window);
+        window.into_advice()
+    }
+
+    /// [`PolicyService::evaluate_cleanups`] over a window the caller keeps:
+    /// the specs are moved into facts and the advice written back into it.
+    pub fn evaluate_cleanup_window(&mut self, window: &mut CleanupWindow) {
         if self.durability.is_some() {
-            self.log_command(WalCommand::EvaluateCleanups(batch.clone()));
+            self.log_command(WalCommand::EvaluateCleanups(window.specs.clone()));
         }
-        self.stats.cleanup_requests += batch.len() as u64;
-        let mut handles = Vec::with_capacity(batch.len());
-        for spec in batch {
+        self.stats.cleanup_requests += window.specs.len() as u64;
+        self.handles.clear();
+        for spec in window.specs.drain(..) {
             let id = CleanupId(self.next_cleanup);
             self.next_cleanup += 1;
-            handles.push(self.session.wm.insert(CleanupFact {
+            self.handles.push(self.session.wm.insert(CleanupFact {
                 id,
                 spec,
                 state: CleanupState::Pending,
@@ -1061,15 +1100,15 @@ impl PolicyService {
                 suppressed: None,
             }));
         }
-        let batch_len = handles.len();
+        let batch_len = self.handles.len();
         let eval_start = Instant::now();
         let focus = Pass::EvaluateCleanups.focus(&self.ctx.config);
         let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
 
-        let mut out = Vec::with_capacity(handles.len());
-        for h in handles {
+        window.advice.clear();
+        for &h in &self.handles {
             let c = self
                 .session
                 .wm
@@ -1105,28 +1144,33 @@ impl PolicyService {
                 self.stats.cleanups_suppressed += 1;
                 self.session.wm.retract(h);
             }
-            out.push(advice);
+            window.advice.push(advice);
         }
         self.session.maybe_gc_refraction();
         self.note_evaluation("evaluate_cleanups", eval_micros, batch_len, report.firings);
         self.maybe_snapshot();
-        out
     }
 
     /// Report cleanup outcomes. Successful cleanups remove the cleanup and
     /// its resource from policy memory; failed ones are forgotten so the
     /// client may retry.
     pub fn report_cleanups(&mut self, outcomes: Vec<CleanupOutcome>) {
+        self.report_cleanup_outcomes(outcomes.iter());
+    }
+
+    /// [`PolicyService::report_cleanups`] over borrowed outcomes.
+    pub fn report_cleanup_outcomes<'a>(
+        &mut self,
+        outcomes: impl Iterator<Item = &'a CleanupOutcome> + Clone,
+    ) {
         if self.durability.is_some() {
-            self.log_command(WalCommand::ReportCleanups(outcomes.clone()));
+            let logged = outcomes.clone().copied().collect();
+            self.log_command(WalCommand::ReportCleanups(logged));
         }
-        let batch_len = outcomes.len();
+        let mut batch_len = 0;
         for outcome in outcomes {
-            if let Some((h, _)) = self
-                .session
-                .wm
-                .find_by::<CleanupFact, CleanupId>(&outcome.id)
-            {
+            batch_len += 1;
+            if let Some((h, _)) = self.session.wm.find_by(self.ix.cleanup_by_id, &outcome.id) {
                 if outcome.success {
                     self.session
                         .wm
@@ -1164,29 +1208,27 @@ impl PolicyService {
         if self.durability.is_some() {
             self.log_command(WalCommand::ReportHealth(events.clone()));
         }
+        let ix = self.ix;
         for event in events {
             let wm = &mut self.session.wm;
             match event {
                 HealthEvent::HostDown { host } => {
-                    if wm.find_by::<HostDownFact, Name>(&host).is_none() {
+                    if wm.find_by(ix.host_down, &host).is_none() {
                         wm.insert(HostDownFact { host });
                     }
                 }
                 HealthEvent::HostUp { host } => {
-                    if let Some(h) = wm.find_by::<HostDownFact, Name>(&host).map(|(h, _)| h) {
+                    if let Some(h) = wm.find_by(ix.host_down, &host).map(|(h, _)| h) {
                         wm.retract(h);
                     }
                 }
                 HealthEvent::BackendDown { backend } => {
-                    if wm.find_by::<BackendDownFact, String>(&backend).is_none() {
+                    if wm.find_by(ix.backend_down, &backend).is_none() {
                         wm.insert(BackendDownFact { backend });
                     }
                 }
                 HealthEvent::BackendUp { backend } => {
-                    if let Some(h) = wm
-                        .find_by::<BackendDownFact, String>(&backend)
-                        .map(|(h, _)| h)
-                    {
+                    if let Some(h) = wm.find_by(ix.backend_down, &backend).map(|(h, _)| h) {
                         wm.retract(h);
                     }
                 }
@@ -1196,10 +1238,7 @@ impl PolicyService {
                     quarantine,
                 } => {
                     let key = (host.clone(), file.clone());
-                    if let Some(h) = wm
-                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
-                        .map(|(h, _)| h)
-                    {
+                    if let Some(h) = wm.find_by(ix.suspect_replica, &key).map(|(h, _)| h) {
                         wm.update::<SuspectReplicaFact>(h, |s| {
                             s.strikes += 1;
                             s.quarantined |= quarantine;
@@ -1215,10 +1254,7 @@ impl PolicyService {
                 }
                 HealthEvent::ReplicaCleared { host, file } => {
                     let key = (host, file);
-                    if let Some(h) = wm
-                        .find_by::<SuspectReplicaFact, (Name, Name)>(&key)
-                        .map(|(h, _)| h)
-                    {
+                    if let Some(h) = wm.find_by(ix.suspect_replica, &key).map(|(h, _)| h) {
                         wm.retract(h);
                     }
                 }
@@ -1229,12 +1265,16 @@ impl PolicyService {
 
     /// Streams currently allocated between a host pair.
     pub fn allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.allocated)
+        self.ix
+            .host_pair_for(&self.session.wm, src_host, dst_host)
+            .map_or(0, |(_, p)| p.allocated)
     }
 
     /// Peak streams ever allocated between a host pair (Table IV).
     pub fn peak_allocated(&self, src_host: &str, dst_host: &str) -> u32 {
-        host_pair_for(&self.session.wm, src_host, dst_host).map_or(0, |(_, p)| p.peak_allocated)
+        self.ix
+            .host_pair_for(&self.session.wm, src_host, dst_host)
+            .map_or(0, |(_, p)| p.peak_allocated)
     }
 
     /// Chrome-trace JSON of this service's tracer, or `None` when no
@@ -1736,7 +1776,10 @@ mod tests {
         // The second workflow became a user of both files it asked for.
         let users = |n: u32| -> Vec<u64> {
             let dest = spec_n(n, 1).dest;
-            let (_, r) = resource_for(&svc.session.wm, UrlKey::of(&dest), &dest).unwrap();
+            let (_, r) = svc
+                .ix
+                .resource_for(&svc.session.wm, UrlKey::of(&dest), &dest)
+                .unwrap();
             r.users.iter().map(|w| w.0).collect()
         };
         assert_eq!([users(1), users(3)], [[1, 2]; 2]);

@@ -30,6 +30,7 @@ use crate::durable::DurabilityConfig;
 use crate::keys::UrlKey;
 use crate::model::{CleanupSpec, TransferSpec, Url};
 use crate::service::{HostPairSnapshot, MemorySnapshot, PolicyService, RuleCounters, ServiceStats};
+use crate::window::{CleanupWindow, TransferWindow};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
@@ -45,7 +46,14 @@ pub const RING_VNODES: u32 = 64;
 /// platforms (never use `std`'s `DefaultHasher` for placement: its seed
 /// changes per process).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_onto(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes` continued from the hash `h` of what came before them:
+/// hashing pieces one after another gives the hash of their concatenation.
+fn fnv1a64_onto(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -92,14 +100,21 @@ impl HashRing {
     /// The shard owning `key`: the first ring point at or after the key's
     /// hash, wrapping at the top.
     pub fn shard_for_key(&self, key: &str) -> u16 {
-        let h = fnv1a64(key.as_bytes());
-        let ix = self.points.partition_point(|(p, _)| *p < h);
-        self.points[ix % self.points.len()].1
+        self.shard_for_hash(fnv1a64(key.as_bytes()))
     }
 
-    /// The shard owning a `(source host, destination host)` pair.
+    /// The shard owning a `(source host, destination host)` pair: the
+    /// shard of the key `"{src_host}\u{1f}{dst_host}"`, hashed piece by
+    /// piece so that no key string is built.
     pub fn shard_for_pair(&self, src_host: &str, dst_host: &str) -> u16 {
-        self.shard_for_key(&format!("{src_host}\u{1f}{dst_host}"))
+        let h = fnv1a64_onto(FNV_OFFSET, src_host.as_bytes());
+        let h = fnv1a64_onto(h, &[0x1f]);
+        self.shard_for_hash(fnv1a64_onto(h, dst_host.as_bytes()))
+    }
+
+    fn shard_for_hash(&self, h: u64) -> u16 {
+        let ix = self.points.partition_point(|(p, _)| *p < h);
+        self.points[ix % self.points.len()].1
     }
 }
 
@@ -238,7 +253,7 @@ impl ShardedPolicyService {
 
     /// Evaluate one request list: route by host pair, run each involved
     /// shard's rules once, and merge the per-shard advice into one list
-    /// (see `merge_advice`).
+    /// (see [`ShardedPolicyService::evaluate_window`]).
     pub fn evaluate_transfers(&self, batch: Vec<TransferSpec>) -> Vec<TransferAdvice> {
         self.evaluate_transfer_groups(vec![batch])
             .pop()
@@ -246,18 +261,31 @@ impl ShardedPolicyService {
     }
 
     /// Batched advice: evaluate several pipelined request groups with at
-    /// most **one rules pass per involved shard** (each shard sees its
-    /// slice of every group as one
-    /// [`PolicyService::evaluate_transfer_groups`] call). Group boundaries
-    /// are preserved: the result aligns 1:1 with `groups`. With one shard
-    /// there is nothing to partition or merge, so the only engine's answer
-    /// is the result.
+    /// most **one rules pass per involved shard** (see
+    /// [`ShardedPolicyService::evaluate_window`]). The result aligns 1:1
+    /// with `groups`.
     pub fn evaluate_transfer_groups(
         &self,
         groups: Vec<Vec<TransferSpec>>,
     ) -> Vec<Vec<TransferAdvice>> {
+        let mut window = TransferWindow::from_groups(groups);
+        self.evaluate_window(&mut window);
+        window.into_advice_groups()
+    }
+
+    /// Evaluate a window of pipelined request groups in place: each
+    /// involved shard sees its slice of every group as one
+    /// [`PolicyService::evaluate_window`] call, and each group's slices are
+    /// merged back into the group's advice, ordered the way the
+    /// single-domain service orders a batch: executing transfers first,
+    /// then (under the priority policy) priority descending, then
+    /// `(source, dest)`, then id. With one shard there is nothing to
+    /// partition or merge, so the only engine answers in the window itself.
+    /// The partition lives in the window, so a caller that keeps its
+    /// window keeps it too.
+    pub fn evaluate_window(&self, window: &mut TransferWindow) {
         if self.shards.len() == 1 {
-            return self.with_shard(0, |svc| svc.evaluate_transfer_groups(groups));
+            return self.with_shard(0, |svc| svc.evaluate_window(window));
         }
         let by_priority = self.shards[0].lock().config().ordering == OrderingPolicy::ByPriority;
         // Priorities for the cross-shard merge comparator (advice does not
@@ -265,70 +293,61 @@ impl ShardedPolicyService {
         // comparator looks them up by reference.
         let mut priorities: Priorities = BTreeMap::new();
         if by_priority {
-            for g in &groups {
-                for spec in g {
-                    priorities
-                        .entry(spec.source.clone())
-                        .or_default()
-                        .insert(spec.dest.clone(), spec.priority.unwrap_or(0));
-                }
+            for spec in &window.specs {
+                priorities
+                    .entry(spec.source.clone())
+                    .or_default()
+                    .insert(spec.dest.clone(), spec.priority.unwrap_or(0));
             }
         }
-
-        // Partition every group across shards, preserving in-group order.
-        // sub_groups[s] holds (group index, specs) pairs for shard s.
         let n = self.shards.len();
-        let group_count = groups.len();
-        let mut sub_groups: Vec<Vec<(usize, Vec<TransferSpec>)>> = vec![Vec::new(); n];
-        for (gi, group) in groups.into_iter().enumerate() {
-            let mut per_shard: Vec<Vec<TransferSpec>> = vec![Vec::new(); n];
-            for spec in group {
-                per_shard[self.shard_for_transfer(&spec) as usize].push(spec);
-            }
-            for (s, specs) in per_shard.into_iter().enumerate() {
-                if !specs.is_empty() {
-                    sub_groups[s].push((gi, specs));
-                }
+        window.partition(n, |spec| self.shard_for_transfer(spec) as usize);
+        for s in 0..n {
+            if let Some(slice) = window.slice(s) {
+                self.with_shard(s as u16, |svc| svc.evaluate_window(slice));
             }
         }
-
-        // One batched pass per involved shard, then stitch each group's
-        // per-shard slices back together (an empty group keeps its place
-        // with no slices).
-        let mut merged: Vec<Vec<Vec<TransferAdvice>>> = vec![Vec::new(); group_count];
-        for (s, subs) in sub_groups.into_iter().enumerate() {
-            if subs.is_empty() {
-                continue;
-            }
-            let (indices, specs): (Vec<usize>, Vec<Vec<TransferSpec>>) = subs.into_iter().unzip();
-            let advice = self.with_shard(s as u16, |svc| svc.evaluate_transfer_groups(specs));
-            for (gi, slice) in indices.into_iter().zip(advice) {
-                merged[gi].push(slice);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|slices| merge_advice(slices, by_priority, &priorities))
-            .collect()
+        let prio = |a: &TransferAdvice| -> i32 {
+            priorities
+                .get(&a.source)
+                .and_then(|by_dest| by_dest.get(&a.dest))
+                .copied()
+                .unwrap_or(0)
+        };
+        window.merge(n, |a, b| {
+            b.should_execute()
+                .cmp(&a.should_execute())
+                .then_with(|| {
+                    if by_priority {
+                        prio(b).cmp(&prio(a))
+                    } else {
+                        std::cmp::Ordering::Equal
+                    }
+                })
+                .then_with(|| (&a.source, &a.dest).cmp(&(&b.source, &b.dest)))
+                .then_with(|| a.id.cmp(&b.id))
+        });
     }
 
     /// Report transfer outcomes, routed back to the minting shard by the
     /// id's namespace bits. Ids outside every shard's namespace are
     /// dropped, matching the single service's treatment of unknown ids.
     pub fn report_transfers(&self, outcomes: Vec<TransferOutcome>) {
+        self.report_transfer_outcomes(&outcomes);
+    }
+
+    /// [`ShardedPolicyService::report_transfers`] over borrowed outcomes:
+    /// each shard is handed the ones it minted, in report order.
+    pub fn report_transfer_outcomes(&self, outcomes: &[TransferOutcome]) {
         if self.shards.len() == 1 {
-            return self.with_shard(0, |svc| svc.report_transfers(outcomes));
+            return self.with_shard(0, |svc| svc.report_transfer_outcomes(outcomes.iter()));
         }
-        let mut per_shard: Vec<Vec<TransferOutcome>> = vec![Vec::new(); self.shards.len()];
-        for o in outcomes {
-            let s = PolicyService::shard_of_transfer(o.id) as usize;
-            if let Some(bucket) = per_shard.get_mut(s) {
-                bucket.push(o);
-            }
-        }
-        for (s, bucket) in per_shard.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                self.with_shard(s as u16, |svc| svc.report_transfers(bucket));
+        for s in 0..self.ring.shards {
+            let mine = |o: &&TransferOutcome| PolicyService::shard_of_transfer(o.id) == s;
+            if outcomes.iter().any(|o| mine(&o)) {
+                self.with_shard(s, |svc| {
+                    svc.report_transfer_outcomes(outcomes.iter().filter(mine))
+                });
             }
         }
     }
@@ -336,50 +355,43 @@ impl ShardedPolicyService {
     /// Evaluate cleanups: each request is routed to the shard owning the
     /// file's resource; results come back in request order.
     pub fn evaluate_cleanups(&self, batch: Vec<CleanupSpec>) -> Vec<CleanupAdvice> {
+        let mut window = CleanupWindow::from_specs(batch);
+        self.evaluate_cleanup_window(&mut window);
+        window.into_advice()
+    }
+
+    /// [`ShardedPolicyService::evaluate_cleanups`] over a window the caller
+    /// keeps, its partition included.
+    pub fn evaluate_cleanup_window(&self, window: &mut CleanupWindow) {
         if self.shards.len() == 1 {
-            return self.with_shard(0, |svc| svc.evaluate_cleanups(batch));
+            return self.with_shard(0, |svc| svc.evaluate_cleanup_window(window));
         }
-        let mut per_shard: Vec<Vec<CleanupSpec>> = vec![Vec::new(); self.shards.len()];
-        // The shard each request went to, in request order.
-        let mut route = Vec::with_capacity(batch.len());
-        for spec in batch {
-            let s = self.shard_for_cleanup(&spec.file) as usize;
-            route.push(s);
-            per_shard[s].push(spec);
+        let n = self.shards.len();
+        window.partition(n, |spec| self.shard_for_cleanup(&spec.file) as usize);
+        for s in 0..n {
+            if let Some(slice) = window.slice(s) {
+                self.with_shard(s as u16, |svc| svc.evaluate_cleanup_window(slice));
+            }
         }
-        let mut results: Vec<std::vec::IntoIter<CleanupAdvice>> =
-            Vec::with_capacity(per_shard.len());
-        for (s, bucket) in per_shard.into_iter().enumerate() {
-            results.push(if bucket.is_empty() {
-                Vec::new().into_iter()
-            } else {
-                self.with_shard(s as u16, |svc| svc.evaluate_cleanups(bucket))
-                    .into_iter()
-            });
-        }
-        // A shard answers its bucket in order, so draining each shard's
-        // answers along the route restores request order.
-        route
-            .into_iter()
-            .map(|s| results[s].next().expect("one advice per routed cleanup"))
-            .collect()
+        window.merge();
     }
 
     /// Report cleanup outcomes, routed by id namespace.
     pub fn report_cleanups(&self, outcomes: Vec<CleanupOutcome>) {
+        self.report_cleanup_outcomes(&outcomes);
+    }
+
+    /// [`ShardedPolicyService::report_cleanups`] over borrowed outcomes.
+    pub fn report_cleanup_outcomes(&self, outcomes: &[CleanupOutcome]) {
         if self.shards.len() == 1 {
-            return self.with_shard(0, |svc| svc.report_cleanups(outcomes));
+            return self.with_shard(0, |svc| svc.report_cleanup_outcomes(outcomes.iter()));
         }
-        let mut per_shard: Vec<Vec<CleanupOutcome>> = vec![Vec::new(); self.shards.len()];
-        for o in outcomes {
-            let s = PolicyService::shard_of_cleanup(o.id) as usize;
-            if let Some(bucket) = per_shard.get_mut(s) {
-                bucket.push(o);
-            }
-        }
-        for (s, bucket) in per_shard.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                self.with_shard(s as u16, |svc| svc.report_cleanups(bucket));
+        for s in 0..self.ring.shards {
+            let mine = |o: &&CleanupOutcome| PolicyService::shard_of_cleanup(o.id) == s;
+            if outcomes.iter().any(|o| mine(&o)) {
+                self.with_shard(s, |svc| {
+                    svc.report_cleanup_outcomes(outcomes.iter().filter(mine))
+                });
             }
         }
     }
@@ -495,44 +507,6 @@ impl ShardedPolicyService {
 /// Requested priority by source, then destination URL.
 type Priorities = BTreeMap<Url, BTreeMap<Url, i32>>;
 
-/// Merge per-shard advice slices of one request group into a single list
-/// ordered like the single-domain service orders a batch: executing
-/// transfers first, then (under the priority policy) priority descending,
-/// then `(source, dest)`, then id. Each shard's slice is already
-/// internally ordered this way, so the merge re-sorts the concatenation
-/// and renumbers `order`.
-fn merge_advice(
-    slices: Vec<Vec<TransferAdvice>>,
-    by_priority: bool,
-    priorities: &Priorities,
-) -> Vec<TransferAdvice> {
-    let mut all: Vec<TransferAdvice> = slices.into_iter().flatten().collect();
-    let prio = |a: &TransferAdvice| -> i32 {
-        priorities
-            .get(&a.source)
-            .and_then(|by_dest| by_dest.get(&a.dest))
-            .copied()
-            .unwrap_or(0)
-    };
-    all.sort_by(|a, b| {
-        b.should_execute()
-            .cmp(&a.should_execute())
-            .then_with(|| {
-                if by_priority {
-                    prio(b).cmp(&prio(a))
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .then_with(|| (&a.source, &a.dest).cmp(&(&b.source, &b.dest)))
-            .then_with(|| a.id.cmp(&b.id))
-    });
-    for (i, a) in all.iter_mut().enumerate() {
-        a.order = i as u32;
-    }
-    all
-}
-
 /// Sort host-pair snapshots the way [`ShardedPolicyService::snapshot`]
 /// does (helper for tests comparing sharded and single-domain views).
 pub fn sort_host_pairs(pairs: &mut [HostPairSnapshot]) {
@@ -563,6 +537,63 @@ mod tests {
         for i in 0..200 {
             let key = format!("host-{i}");
             assert_eq!(a.shard_for_key(&key), b.shard_for_key(&key));
+        }
+    }
+
+    /// Routing never drifts: ids are namespaced by shard, so a pair that
+    /// moved would move every sharded advice id. The streamed hash of a
+    /// pair is the hash of the key string the ring once built for it, over
+    /// a few thousand generated pairs and ring sizes, and a short table of
+    /// pairs keeps the shards that key string gave them.
+    #[test]
+    fn pair_routing_is_the_key_string_s_routing() {
+        for shards in [1u16, 2, 4, 7, 16, 64] {
+            let ring = HashRing::new(shards);
+            for i in 0..1500u32 {
+                let src = format!("gridftp-{}.site{}", i % 97, i % 5);
+                let dst = match i % 3 {
+                    0 => format!("scratch-{i}"),
+                    1 => String::new(),
+                    _ => format!("\u{e9}dst\u{1f}{}", i * 7),
+                };
+                assert_eq!(
+                    ring.shard_for_pair(&src, &dst),
+                    ring.shard_for_key(&format!("{src}\u{1f}{dst}")),
+                    "{shards} shards: {src:?} -> {dst:?}"
+                );
+            }
+        }
+        let table = [
+            ("gridftp-0", "scratch-0", 4, 3),
+            ("gridftp-1", "scratch-1", 4, 1),
+            ("gridftp-2", "scratch-2", 4, 0),
+            ("gridftp-5", "scratch-5", 4, 2),
+            ("gridftp-17", "scratch-17", 4, 3),
+            ("gridftp-63", "scratch-63", 4, 0),
+            ("apache-isi", "isi", 4, 3),
+            ("gridftp-vm", "isi", 4, 3),
+            ("src", "dst", 4, 3),
+            ("", "", 4, 3),
+            ("a\u{1f}b", "c", 4, 2),
+            ("gridftp-0", "scratch-0", 16, 8),
+            ("gridftp-1", "scratch-1", 16, 1),
+            ("gridftp-2", "scratch-2", 16, 0),
+            ("gridftp-5", "scratch-5", 16, 15),
+            ("gridftp-17", "scratch-17", 16, 14),
+            ("gridftp-63", "scratch-63", 16, 0),
+            ("apache-isi", "isi", 16, 11),
+            ("gridftp-vm", "isi", 16, 14),
+            ("src", "dst", 16, 8),
+            ("", "", 16, 3),
+            ("a\u{1f}b", "c", 16, 2),
+        ];
+        for (src, dst, shards, shard) in table {
+            let ring = HashRing::new(shards);
+            assert_eq!(
+                ring.shard_for_pair(src, dst),
+                shard,
+                "{src:?} -> {dst:?} on {shards}"
+            );
         }
     }
 

@@ -25,12 +25,10 @@
 use crate::agenda;
 use crate::config::StoragePolicy;
 use crate::ctx::PolicyCtx;
-use crate::keys::UrlKey;
+use crate::indexes::PolicyIndexes;
 use crate::model::{
     BackendLoadFact, BackendProfileFact, StagedOnFact, TransferFact, TransferState,
 };
-use crate::name::Name;
-use crate::rules_base::{batch_transfers, dest_key};
 use pwm_rules::{Fields, Rule, Session};
 use pwm_storage::BackendSpec;
 
@@ -115,14 +113,10 @@ fn select_backend<'a>(
 /// Install the storage policy family (selection + release rules and the
 /// alpha-memory indexes they probe). Always installed; inert until backend
 /// profiles are configured and a [`StoragePolicy`] other than `Off` is set.
-pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
+pub(crate) fn install_storage_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
     // Profiles probed by destination site, ledgers and staged-on records by
     // backend name / file digest: all equality joins, all indexed, all on
-    // fields never written after insertion.
-    let wm = &mut session.wm;
-    wm.register_index::<BackendProfileFact, Name>(Fields::NONE, |b| b.site.clone());
-    wm.register_index::<BackendLoadFact, String>(Fields::NONE, |l| l.backend.clone());
-    wm.register_index::<StagedOnFact, UrlKey>(Fields::NONE, |s| UrlKey::of(&s.file));
+    // fields never written after insertion (see `crate::indexes`).
 
     // Selection: after dedup/grouping/allocation have settled (salience 40 <
     // the allocation families' 50), assign each executing batch transfer a
@@ -136,41 +130,36 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                 TransferFact::BATCH | TransferFact::SUPPRESSED | TransferFact::RELEASE,
             )
             .watches::<BackendProfileFact>()
-            .when(|wm, ctx: &PolicyCtx| {
+            .when(move |wm, ctx: &PolicyCtx, out| {
                 if ctx.config.storage == StoragePolicy::Off {
-                    return Vec::new();
+                    return;
                 }
-                let mut out = Vec::new();
-                for (h, t) in batch_transfers(wm) {
+                for (h, t) in ix.batch_transfers(wm) {
                     if t.suppressed.is_some() || t.backend.is_some() {
                         continue;
                     }
                     if wm
-                        .iter_by::<BackendProfileFact, Name>(&t.spec.dest.host)
+                        .iter_by(ix.profile_by_site, &t.spec.dest.host)
                         .next()
                         .is_some()
                     {
                         out.push([h].into());
                     }
                 }
-                out
             })
-            .then(|wm, ctx, m| {
+            .then(move |wm, ctx, m| {
                 let (site, bytes) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (t.spec.dest.host.clone(), t.spec.bytes)
                 };
                 let mut candidates: Vec<BackendSpec> = wm
-                    .iter_by::<BackendProfileFact, Name>(&site)
+                    .iter_by(ix.profile_by_site, &site)
                     .map(|(_, b)| b.profile.clone())
                     .collect();
                 // Recovery family: a backend reported down is not a
                 // candidate — placement steers around the outage until a
                 // BackendUp health report clears the fact.
-                candidates.retain(|s| {
-                    wm.find_by::<crate::model::BackendDownFact, String>(&s.name)
-                        .is_none()
-                });
+                candidates.retain(|s| wm.find_by(ix.backend_down, &s.name).is_none());
                 candidates.sort_by(|a, b| a.name.cmp(&b.name));
                 let committed: f64 = wm
                     .iter::<BackendLoadFact>()
@@ -182,7 +171,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                 };
                 let name = pick.name.clone();
                 let est = estimated_dollars(pick, bytes);
-                if let Some((lh, _)) = wm.find_by::<BackendLoadFact, String>(&name) {
+                if let Some((lh, _)) = wm.find_by(ix.load_by_backend, &name) {
                     wm.update::<BackendLoadFact>(lh, |l| {
                         l.active += 1;
                         l.bytes_assigned += bytes as f64;
@@ -224,7 +213,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         && matches!(t.state, TransferState::Completed | TransferState::Failed)
                 },
             )
-            .then(|wm, _, m| {
+            .then(move |wm, _, m| {
                 let (backend, bytes, file, workflow, completed) = {
                     let t = wm.get::<TransferFact>(m[0]).expect("matched transfer");
                     (
@@ -235,7 +224,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                         t.state == TransferState::Completed,
                     )
                 };
-                if let Some((lh, _)) = wm.find_by::<BackendLoadFact, String>(&backend) {
+                if let Some((lh, _)) = wm.find_by(ix.load_by_backend, &backend) {
                     wm.update::<BackendLoadFact>(lh, |l| {
                         l.active = l.active.saturating_sub(1);
                         l.bytes_assigned = (l.bytes_assigned - bytes as f64).max(0.0);
@@ -243,7 +232,7 @@ pub fn install_storage_rules(session: &mut Session<PolicyCtx>) {
                 }
                 if completed {
                     let staged_on = wm
-                        .iter_by::<StagedOnFact, UrlKey>(&dest_key(wm, m[0]))
+                        .iter_by(ix.staged_on_by_file, &ix.dest_key(wm, m[0]))
                         .find(|(_, s)| s.file == file)
                         .map(|(sh, _)| sh);
                     if let Some(sh) = staged_on {

@@ -171,9 +171,20 @@ pub struct Registry {
 }
 
 /// Render a label set as it appears inside `{}`: keys sorted, values
-/// escaped.
+/// escaped. Up to eight labels are sorted on the stack and every value is
+/// escaped straight into the key, so the key's own buffer is all a lookup
+/// allocates.
 fn label_key(labels: &[(&str, &str)]) -> String {
-    let mut sorted: Vec<_> = labels.to_vec();
+    let mut few = [("", ""); 8];
+    let mut many = Vec::new();
+    let sorted = match labels.len() {
+        n @ 0..=8 => &mut few[..n],
+        n => {
+            many.resize(n, ("", ""));
+            &mut many[..]
+        }
+    };
+    sorted.copy_from_slice(labels);
     sorted.sort_unstable();
     let mut out = String::new();
     for (i, (k, v)) in sorted.iter().enumerate() {
@@ -182,7 +193,7 @@ fn label_key(labels: &[(&str, &str)]) -> String {
         }
         out.push_str(k);
         out.push_str("=\"");
-        out.push_str(&escape_label_value(v));
+        escape_label_value_onto(v, &mut out);
         out.push('"');
     }
     out
@@ -192,6 +203,11 @@ fn label_key(labels: &[(&str, &str)]) -> String {
 /// quote, and newline.
 pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
+    escape_label_value_onto(v, &mut out);
+    out
+}
+
+fn escape_label_value_onto(v: &str, out: &mut String) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -200,7 +216,6 @@ pub fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Escape a HELP string per the Prometheus text format: backslash and
@@ -232,11 +247,15 @@ impl Registry {
         make: impl FnOnce() -> Series,
     ) -> Series {
         let mut families = self.families.lock().expect("registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            series: BTreeMap::new(),
-        });
+        if !families.contains_key(name) {
+            let family = Family {
+                help: help.to_string(),
+                kind,
+                series: BTreeMap::new(),
+            };
+            families.insert(name.to_string(), family);
+        }
+        let family = families.get_mut(name).expect("inserted above");
         assert_eq!(
             family.kind, kind,
             "metric {name:?} registered twice with different kinds"

@@ -13,15 +13,41 @@
 //! past `max_body` bytes of them the connection answers and takes nothing
 //! more until the peer reads, and a peer that reads nothing for
 //! `read_timeout` loses the connection.
+//!
+//! Answering allocates no buffer of its own. A connection reads into and
+//! writes from its own two byte buffers; the handler decodes every request
+//! into envelopes and windows it keeps, the service answers into the same
+//! windows, and the answer is rendered into one body string. Each buffer
+//! grows with the calls, keeps what it grew to up to a cap
+//! ([`RETAINED_BYTES`], [`RETAINED_ITEMS`]), and is shrunk back to the cap
+//! at the end of the turn an outsized call grew it past it. None is made
+//! larger than a call needs: capacity held but not used is heap the
+//! server's other allocations cannot reuse.
 
 use super::ServerLimits;
 use crate::http::{
     frame_request, write_response, HttpError, Method, Request, RequestFrame, WireFormat,
 };
 use crate::wire::*;
-use pwm_core::{ControllerError, PolicyConfig, PolicyController, TransferSpec};
+use pwm_core::{CleanupWindow, ControllerError, PolicyConfig, PolicyController, TransferWindow};
 use serde::Serialize;
 use std::time::Instant;
+
+/// The most bytes a connection's read and write buffers and the handler's
+/// response body each keep after a call that grew them.
+pub(crate) const RETAINED_BYTES: usize = 64 << 10;
+
+/// The most entries each of the handler's typed buffers (framed requests,
+/// decoded specs and outcomes, advice, the shards' slices of a window)
+/// keeps.
+pub(crate) const RETAINED_ITEMS: usize = 256;
+
+/// Shrink `v` back to `cap` if a call grew it and what it holds now fits.
+fn trim<T>(v: &mut Vec<T>, cap: usize) {
+    if v.capacity() > cap && v.len() <= cap {
+        v.shrink_to(cap);
+    }
+}
 
 /// What every connection of one server answers with: the controller, the
 /// limits, two of the loop's counters, and the scratch a request is answered
@@ -34,8 +60,71 @@ pub(crate) struct Handler {
     batched: pwm_obs::Counter,
     /// Each framed request with the offset of the bytes it was framed in.
     frames: Vec<(usize, RequestFrame)>,
+    calls: Calls,
+}
+
+/// The buffers a call is decoded into, evaluated in and rendered from.
+struct Calls {
     /// The body of the response being rendered.
     body: String,
+    /// The transfer groups of a request or a pipelined run, and their
+    /// advice (with the partition of a sharded session).
+    window: TransferWindow,
+    /// One cleanup request and its advice.
+    cleanups: CleanupWindow,
+    /// Envelopes a request body is decoded into in place.
+    transfer_request: TransferRequestEnvelope,
+    transfer_outcomes: TransferCompletionEnvelope,
+    cleanup_request: CleanupRequestEnvelope,
+    cleanup_outcomes: CleanupCompletionEnvelope,
+    /// Per request of a pipelined run: its format and, if its body did not
+    /// decode, why.
+    run: Vec<(WireFormat, Option<String>)>,
+}
+
+impl Calls {
+    fn new() -> Calls {
+        Calls {
+            body: String::new(),
+            window: TransferWindow::default(),
+            cleanups: CleanupWindow::default(),
+            transfer_request: TransferRequestEnvelope {
+                transfers: Vec::new(),
+            },
+            transfer_outcomes: TransferCompletionEnvelope {
+                outcomes: Vec::new(),
+            },
+            cleanup_request: CleanupRequestEnvelope {
+                cleanups: Vec::new(),
+            },
+            cleanup_outcomes: CleanupCompletionEnvelope {
+                outcomes: Vec::new(),
+            },
+            run: Vec::new(),
+        }
+    }
+
+    /// Empty what the turn's calls left and shrink what an outsized call
+    /// grew back to the retained capacities.
+    fn trim(&mut self) {
+        self.body.clear();
+        self.window.clear();
+        self.cleanups.clear();
+        self.transfer_request.transfers.clear();
+        self.transfer_outcomes.outcomes.clear();
+        self.cleanup_request.cleanups.clear();
+        self.cleanup_outcomes.outcomes.clear();
+        if self.body.capacity() > RETAINED_BYTES {
+            self.body.shrink_to(RETAINED_BYTES);
+        }
+        self.window.trim(RETAINED_ITEMS);
+        self.cleanups.trim(RETAINED_ITEMS);
+        trim(&mut self.transfer_request.transfers, RETAINED_ITEMS);
+        trim(&mut self.transfer_outcomes.outcomes, RETAINED_ITEMS);
+        trim(&mut self.cleanup_request.cleanups, RETAINED_ITEMS);
+        trim(&mut self.cleanup_outcomes.outcomes, RETAINED_ITEMS);
+        trim(&mut self.run, RETAINED_ITEMS);
+    }
 }
 
 impl Handler {
@@ -57,8 +146,26 @@ impl Handler {
             requests,
             batched,
             frames: Vec::new(),
-            body: String::new(),
+            calls: Calls::new(),
         }
+    }
+
+    /// (bytes, entries): the largest capacity of the handler's byte buffer
+    /// and of its typed buffers.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> (usize, usize) {
+        let c = &self.calls;
+        let items = [
+            self.frames.capacity(),
+            c.window.capacity(),
+            c.cleanups.capacity(),
+            c.transfer_request.transfers.capacity(),
+            c.transfer_outcomes.outcomes.capacity(),
+            c.cleanup_request.cleanups.capacity(),
+            c.cleanup_outcomes.outcomes.capacity(),
+            c.run.capacity(),
+        ];
+        (c.body.capacity(), items.into_iter().max().unwrap_or(0))
     }
 }
 
@@ -161,6 +268,7 @@ impl Connection {
     pub(crate) fn wrote(&mut self, n: usize, now: Instant, handler: &mut Handler) {
         let held = self.holding();
         self.wbuf.drain(..n);
+        trim(&mut self.wbuf, RETAINED_BYTES);
         if n > 0 {
             self.write_deadline = now + self.limits.read_timeout;
         }
@@ -174,7 +282,15 @@ impl Connection {
     pub(crate) fn lost(&mut self) {
         self.wbuf.clear();
         self.rbuf.clear();
+        trim(&mut self.wbuf, RETAINED_BYTES);
+        trim(&mut self.rbuf, RETAINED_BYTES);
         self.open = false;
+    }
+
+    /// The larger capacity of the connection's two byte buffers.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.rbuf.capacity().max(self.wbuf.capacity())
     }
 
     /// Whether the connection takes bytes: it reads, and its output is
@@ -217,6 +333,7 @@ impl Connection {
         let answer = refuse(&mut body, WireFormat::Json, status, message);
         self.push_answer(answer, &body, false);
         self.rbuf.clear();
+        trim(&mut self.rbuf, RETAINED_BYTES);
     }
 
     /// Queue an answer whose body was rendered into the handler's body.
@@ -229,7 +346,15 @@ impl Connection {
     /// until the output is over its bound; the rest waits in the read
     /// buffer. Runs of ≥ 2 consecutive pipelined transfer-evaluate requests
     /// for the same session collapse into one batched controller call.
+    /// Whatever the turn grew past its retained capacity shrinks back.
     fn answer(&mut self, handler: &mut Handler) {
+        self.answer_framed(handler);
+        trim(&mut self.rbuf, RETAINED_BYTES);
+        trim(&mut handler.frames, RETAINED_ITEMS);
+        handler.calls.trim();
+    }
+
+    fn answer_framed(&mut self, handler: &mut Handler) {
         let frames = &mut handler.frames;
         frames.clear();
         let mut consumed = 0;
@@ -282,23 +407,25 @@ impl Connection {
                 if j - i >= 2 {
                     let run = (i..j).map(&request);
                     let (controller, batched) = (&handler.controller, &handler.batched);
-                    self.serve_batched(run, session, controller, batched, &mut handler.body);
+                    self.serve_batched(run, session, controller, batched, &mut handler.calls);
                     self.served += (j - i) as u64;
                     handler.requests.add((j - i) as u64);
                     i = j;
                     continue;
                 }
             }
-            let body = &mut handler.body;
-            body.clear();
-            let answer = route(&first, segments, &handler.controller, body);
-            self.push_answer(answer, body, first.keep_alive);
+            let calls = &mut handler.calls;
+            calls.body.clear();
+            let answer = route(&first, segments, &handler.controller, calls);
+            self.push_answer(answer, &calls.body, first.keep_alive);
             self.served += 1;
             handler.requests.inc();
             i += 1;
             if !first.keep_alive {
                 // Pipelined bytes after an explicit close are undefined
-                // behavior per HTTP; drop them with the lent buffer.
+                // behavior per HTTP; drop them, and keep the lent buffer.
+                self.rbuf = rbuf;
+                self.rbuf.clear();
                 return;
             }
         }
@@ -317,43 +444,53 @@ impl Connection {
     /// order (HTTP pipelining contract).
     fn serve_batched<'a>(
         &mut self,
-        run: impl ExactSizeIterator<Item = Request<'a>>,
+        run: impl Iterator<Item = Request<'a>>,
         session: &str,
         controller: &PolicyController,
         batched: &pwm_obs::Counter,
-        body: &mut String,
+        calls: &mut Calls,
     ) {
-        // Each decoded group moves into the one batched call; what stays
+        // Each decoded body becomes one group of the window; what stays
         // behind per request is its format and why it was refused, if it was.
-        let requests = run.len();
-        let mut groups: Vec<Vec<TransferSpec>> = Vec::with_capacity(requests);
-        let refused: Vec<(WireFormat, Option<String>)> = run
-            .map(
-                |r| match TransferRequestEnvelope::decode(r.format, r.body) {
-                    Ok(env) => {
-                        groups.push(env.transfers);
-                        (r.format, None)
-                    }
-                    Err(message) => (r.format, Some(message)),
-                },
-            )
-            .collect();
-        let mut advice = if groups.is_empty() {
-            Ok(Vec::new().into_iter())
-        } else {
-            let advice = controller.evaluate_transfer_groups(session, groups);
-            if advice.is_ok() {
-                batched.add(requests as u64);
+        let Calls {
+            body,
+            window,
+            transfer_request: decoded,
+            run: requests,
+            ..
+        } = calls;
+        window.clear();
+        requests.clear();
+        for r in run {
+            match TransferRequestEnvelope::decode_into(r.format, r.body, decoded) {
+                Ok(()) => {
+                    window.push_group(decoded.transfers.drain(..));
+                    requests.push((r.format, None));
+                }
+                Err(message) => requests.push((r.format, Some(message))),
             }
-            advice.map(Vec::into_iter)
+        }
+        let evaluated = if window.groups() == 0 {
+            Ok(())
+        } else {
+            let evaluated = controller.evaluate_window(session, window);
+            if evaluated.is_ok() {
+                batched.add(requests.len() as u64);
+            }
+            evaluated
         };
-        for (format, refused) in refused {
+        let mut group = 0;
+        for (format, refused) in requests.drain(..) {
             body.clear();
-            let answer = match (refused, &mut advice) {
+            let answer = match (refused, &evaluated) {
                 (Some(message), _) => refuse(body, format, 400, &message),
-                (None, Ok(groups)) => {
-                    let advice = groups.next().unwrap_or_default();
-                    ok(body, format, &TransferResponseEnvelope { advice })
+                (None, Ok(())) => {
+                    group += 1;
+                    let advice = window.advice(group - 1);
+                    (
+                        200,
+                        TransferResponseEnvelope::encode_advice(advice, format, body),
+                    )
                 }
                 (None, Err(e)) => controller_error(body, format, e.clone()),
             };
@@ -391,15 +528,26 @@ type Answer = (u16, WireFormat);
 const OK_JSON: Answer = (200, WireFormat::Json);
 
 /// Render the answer to `request`, whose path splits into `segments`, into
-/// `body` (empty on entry). The staging routes speak the request's format;
-/// the others speak JSON.
+/// `calls.body` (empty on entry). The staging routes speak the request's
+/// format, decode into `calls`' envelopes and are answered from its
+/// windows; the others speak JSON.
 fn route(
     request: &Request<'_>,
     segments: &[&str],
     controller: &PolicyController,
-    body: &mut String,
+    calls: &mut Calls,
 ) -> Answer {
     let format = request.format;
+    let Calls {
+        body,
+        window,
+        cleanups,
+        transfer_request,
+        transfer_outcomes,
+        cleanup_request,
+        cleanup_outcomes,
+        ..
+    } = calls;
     match (request.method, segments) {
         (Method::Get, ["health"]) => {
             body.push_str(r#"{"status":"ok"}"#);
@@ -419,27 +567,50 @@ fn route(
             }
         }
         (Method::Post, ["sessions", session, "transfers"]) => {
-            with_body(request, format, body, |env: TransferRequestEnvelope| {
-                let advice = controller.evaluate_transfers(session, env.transfers)?;
-                Ok(TransferResponseEnvelope { advice })
-            })
+            match TransferRequestEnvelope::decode_into(format, request.body, transfer_request) {
+                Ok(()) => {
+                    window.clear();
+                    window.push_group(transfer_request.transfers.drain(..));
+                    match controller.evaluate_window(session, window) {
+                        Ok(()) => {
+                            let advice = window.advice(0);
+                            (
+                                200,
+                                TransferResponseEnvelope::encode_advice(advice, format, body),
+                            )
+                        }
+                        Err(e) => controller_error(body, format, e),
+                    }
+                }
+                Err(message) => refuse(body, format, 400, &message),
+            }
         }
         (Method::Post, ["sessions", session, "transfers", "complete"]) => {
-            with_body(request, format, body, |env: TransferCompletionEnvelope| {
-                controller.report_transfers(session, env.outcomes)?;
-                Ok(AckEnvelope::ok())
+            with_body_in(request, format, body, transfer_outcomes, |env| {
+                controller.report_transfer_outcomes(session, &env.outcomes)
             })
         }
         (Method::Post, ["sessions", session, "cleanups"]) => {
-            with_body(request, format, body, |env: CleanupRequestEnvelope| {
-                let advice = controller.evaluate_cleanups(session, env.cleanups)?;
-                Ok(CleanupResponseEnvelope { advice })
-            })
+            match CleanupRequestEnvelope::decode_into(format, request.body, cleanup_request) {
+                Ok(()) => {
+                    cleanups.fill(cleanup_request.cleanups.drain(..));
+                    match controller.evaluate_cleanup_window(session, cleanups) {
+                        Ok(()) => {
+                            let advice = cleanups.advice();
+                            (
+                                200,
+                                CleanupResponseEnvelope::encode_advice(advice, format, body),
+                            )
+                        }
+                        Err(e) => controller_error(body, format, e),
+                    }
+                }
+                Err(message) => refuse(body, format, 400, &message),
+            }
         }
         (Method::Post, ["sessions", session, "cleanups", "complete"]) => {
-            with_body(request, format, body, |env: CleanupCompletionEnvelope| {
-                controller.report_cleanups(session, env.outcomes)?;
-                Ok(AckEnvelope::ok())
+            with_body_in(request, format, body, cleanup_outcomes, |env| {
+                controller.report_cleanup_outcomes(session, &env.outcomes)
             })
         }
         (Method::Post, ["sessions", session, "health"]) => with_body(
@@ -502,6 +673,22 @@ fn with_body<Req: Codec, Resp: Codec>(
 ) -> Answer {
     match Req::decode(format, request.body).map(f) {
         Ok(Ok(answer)) => ok(body, format, &answer),
+        Ok(Err(e)) => controller_error(body, format, e),
+        Err(message) => refuse(body, format, 400, &message),
+    }
+}
+
+/// [`with_body`] for a report: the body is decoded into `place`, which the
+/// handler keeps, and a call that succeeds is acknowledged.
+fn with_body_in<Req: Codec>(
+    request: &Request<'_>,
+    format: WireFormat,
+    body: &mut String,
+    place: &mut Req,
+    f: impl FnOnce(&Req) -> Result<(), ControllerError>,
+) -> Answer {
+    match Req::decode_into(format, request.body, place).map(|()| f(place)) {
+        Ok(Ok(())) => ok(body, format, &AckEnvelope::ok()),
         Ok(Err(e)) => controller_error(body, format, e),
         Err(message) => refuse(body, format, 400, &message),
     }

@@ -6,7 +6,7 @@ use crate::http::{render_request, try_parse_response};
 use crate::xml;
 use proptest::prelude::*;
 use pwm_core::{CleanupId, CleanupOutcome, CleanupSpec, HealthEvent, TransferId};
-use pwm_core::{TransferOutcome, Url, WorkflowId};
+use pwm_core::{TransferOutcome, TransferSpec, Url, WorkflowId};
 use std::time::Duration;
 
 /// A server's connection core at one instant: connections are opened
@@ -42,6 +42,13 @@ impl Core {
 
     /// Every response `conn` has queued, taken as written.
     pub(crate) fn responses(&mut self, conn: &mut Connection) -> Vec<(u16, Vec<u8>)> {
+        let out = self.responses_unwritten(conn);
+        conn.wrote(conn.output().len(), self.now, &mut self.handler);
+        out
+    }
+
+    /// Every response `conn` has queued, left queued.
+    pub(crate) fn responses_unwritten(&self, conn: &Connection) -> Vec<(u16, Vec<u8>)> {
         let mut out = Vec::new();
         let mut at = 0;
         while let Some((status, body, len)) = try_parse_response(&conn.output()[at..]).unwrap() {
@@ -49,7 +56,6 @@ impl Core {
             at += len;
         }
         assert_eq!(at, conn.output().len(), "only whole responses are queued");
-        conn.wrote(at, self.now, &mut self.handler);
         out
     }
 
@@ -193,6 +199,33 @@ const TAILS: [&[u8]; 5] = [
 fn replay(wire: &[u8], cuts: &[usize], end: u8) -> (Vec<u8>, bool) {
     let mut core = Core::new(PolicyController::new(PolicyConfig::default()));
     let mut conn = core.connect();
+    replay_on(&mut core, &mut conn, wire, cuts, end)
+}
+
+/// [`replay`], then the same again on the same core — and on the same
+/// connection while it still reads — after its sessions were put back as
+/// they started. The handler's buffers, and the connection's, answer the
+/// second time from what the first left in them.
+fn replay_twice(wire: &[u8], cuts: &[usize], end: u8) -> [(Vec<u8>, bool); 2] {
+    let controller = PolicyController::new(PolicyConfig::default());
+    let mut core = Core::new(controller.clone());
+    let mut conn = core.connect();
+    let first = replay_on(&mut core, &mut conn, wire, cuts, end);
+    controller.create_session(SESSIONS[0], PolicyConfig::default());
+    controller.drop_session(SESSIONS[1]);
+    if !conn.reading() {
+        conn = core.connect();
+    }
+    [first, replay_on(&mut core, &mut conn, wire, cuts, end)]
+}
+
+fn replay_on(
+    core: &mut Core,
+    conn: &mut Connection,
+    wire: &[u8],
+    cuts: &[usize],
+    end: u8,
+) -> (Vec<u8>, bool) {
     let mut out = Vec::new();
     let mut at = 0;
     for &cut in cuts.iter().chain([&wire.len()]) {
@@ -221,7 +254,9 @@ proptest! {
     /// A pipelined script of requests to every session route but the
     /// wall-clock ones (`/metrics`, `/trace`, `/status`) gets the same
     /// response bytes and the same close decision whole and cut into
-    /// reads anywhere: batching a run never shows.
+    /// reads anywhere: batching a run never shows. Replayed a second time
+    /// through the buffers the first replay left, it gets them again: no
+    /// byte of one request is carried into the next.
     #[test]
     fn answers_do_not_depend_on_how_the_bytes_arrived(
         draws in proptest::collection::vec((0u8..12, 0usize..3, 0u32..4, any::<bool>()), 1..12),
@@ -234,13 +269,20 @@ proptest! {
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
         cuts.sort_unstable();
         let whole = replay(&wire, &[], end);
-        let split = replay(&wire, &cuts, end);
+        let [split, again] = replay_twice(&wire, &cuts, end);
         prop_assert!(
             whole == split,
             "{}\ncut at {cuts:?}, end {end}:\n{}\n---\n{}",
             String::from_utf8_lossy(&wire),
             String::from_utf8_lossy(&whole.0),
             String::from_utf8_lossy(&split.0)
+        );
+        prop_assert!(
+            again == split,
+            "{}\nreplayed through reused buffers, cut at {cuts:?}, end {end}:\n{}\n---\n{}",
+            String::from_utf8_lossy(&wire),
+            String::from_utf8_lossy(&split.0),
+            String::from_utf8_lossy(&again.0)
         );
     }
 }
@@ -283,6 +325,80 @@ fn unsent_answers_stay_within_max_body_plus_one_answer() {
     }
     assert_eq!(answered, sent);
     assert!(conn.output().is_empty() && conn.reading());
+}
+
+/// A request near `max_body` grows the connection's and the handler's
+/// buffers for the turn that answers it; the next turn gives back all they
+/// hold past their retained capacities, so a long-lived server's resident
+/// set stays where its steady traffic puts it.
+#[test]
+fn buffers_an_outsized_request_grew_shrink_back_on_the_next_turn() {
+    const MAX_BODY: usize = 1 << 20;
+    let mut core = bounded_core(Duration::from_secs(5), MAX_BODY);
+    let mut conn = core.connect();
+    let post = |route: &str, body: Vec<u8>| {
+        let path = format!("/sessions/default/{route}");
+        render_request(WireFormat::Json, Method::Post, &path, &body, true)
+    };
+    // Advice for 400 transfers is a body past RETAINED_BYTES.
+    let transfers: Vec<_> = (0..400).map(spec).collect();
+    let transfers = serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap();
+    // Outcomes for ids never minted: a report that only decodes and looks up.
+    let outcome = |id| TransferOutcome {
+        id: TransferId(id),
+        success: true,
+    };
+    let report = |n| {
+        let outcomes = vec![outcome(1 << 40); n];
+        serde_json::to_vec(&TransferCompletionEnvelope { outcomes }).unwrap()
+    };
+    let each = report(2).len() - report(1).len();
+    let report = report((MAX_BODY - report(0).len()) / each);
+    assert!((MAX_BODY - each..=MAX_BODY).contains(&report.len()));
+    conn.receive(
+        &[
+            post("transfers", transfers),
+            post("transfers/complete", report),
+        ]
+        .concat(),
+    );
+    assert!(
+        conn.retained() > MAX_BODY,
+        "the read buffer holds both requests"
+    );
+    conn.serve(core.now, false, &mut core.handler);
+    let statuses: Vec<_> = core
+        .responses_unwritten(&conn)
+        .iter()
+        .map(|a| a.0)
+        .collect();
+    assert_eq!(statuses, [200, 200]);
+    // The handler gives back what the turn grew as the turn ends; the
+    // answers it queued hold the write buffer until they are written.
+    let (bytes, items) = core.handler.retained();
+    assert!(
+        bytes <= RETAINED_BYTES && items <= RETAINED_ITEMS,
+        "{bytes}, {items}"
+    );
+    assert!(
+        conn.retained() > RETAINED_BYTES,
+        "{} bytes queued",
+        conn.retained()
+    );
+    core.responses(&mut conn);
+    let answers = core.send(
+        &mut conn,
+        &post("transfers", b"{\"transfers\":[]}".to_vec()),
+    );
+    assert_eq!(answers.len(), 1);
+    assert!(
+        conn.retained() <= RETAINED_BYTES,
+        "connection holds {}",
+        conn.retained()
+    );
+    let (bytes, items) = core.handler.retained();
+    assert!(bytes <= RETAINED_BYTES, "handler holds {bytes} bytes");
+    assert!(items <= RETAINED_ITEMS, "handler holds {items} entries");
 }
 
 /// A peer that reads none of its answers loses the connection

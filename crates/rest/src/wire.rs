@@ -37,6 +37,20 @@ impl TransferResponseEnvelope {
     pub(crate) fn encode_borrowed(advice: &[TransferAdvice], out: &mut String) {
         serde_json::to_string_onto(&OneMember("\"advice\":", advice), out);
     }
+
+    /// [`Codec::encode`] of an envelope holding `advice`, from the borrow.
+    pub(crate) fn encode_advice(
+        advice: &[TransferAdvice],
+        format: WireFormat,
+        out: &mut String,
+    ) -> WireFormat {
+        if format == WireFormat::Xml {
+            out.push_str(&xml::transfer_response_to_xml(advice));
+            return WireFormat::Xml;
+        }
+        Self::encode_borrowed(advice, out);
+        WireFormat::Json
+    }
 }
 
 /// A one-member envelope around a borrowed value, keyed by its member
@@ -73,6 +87,22 @@ pub struct CleanupRequestEnvelope {
 pub struct CleanupResponseEnvelope {
     /// The modified cleanup list.
     pub advice: Vec<CleanupAdvice>,
+}
+
+impl CleanupResponseEnvelope {
+    /// [`Codec::encode`] of an envelope holding `advice`, from the borrow.
+    pub(crate) fn encode_advice(
+        advice: &[CleanupAdvice],
+        format: WireFormat,
+        out: &mut String,
+    ) -> WireFormat {
+        if format == WireFormat::Xml {
+            out.push_str(&xml::cleanup_response_to_xml(advice));
+            return WireFormat::Xml;
+        }
+        serde_json::to_string_onto(&OneMember("\"advice\":", advice), out);
+        WireFormat::Json
+    }
 }
 
 /// POST `/sessions/{name}/cleanups/complete` request body.
@@ -156,6 +186,17 @@ pub(crate) trait Codec: Serialize + Deserialize {
                 (form.read)(text).map_err(|e| e.to_string())
             }
             _ => serde_json::from_slice(body).map_err(|e| format!("bad json: {e}")),
+        }
+    }
+
+    /// [`Codec::decode`] into `place`: JSON is read in place, so a handler
+    /// decoding one request after another into the same envelope keeps its
+    /// buffers; XML replaces it. Refuses what `decode` refuses, with the
+    /// same message.
+    fn decode_into(format: WireFormat, body: &[u8], place: &mut Self) -> Result<(), String> {
+        match (format, Self::XML) {
+            (WireFormat::Xml, Some(_)) => Self::decode(format, body).map(|value| *place = value),
+            _ => serde_json::from_slice_into(body, place).map_err(|e| format!("bad json: {e}")),
         }
     }
 }
@@ -254,6 +295,51 @@ mod tests {
                 (xml, xml)
             );
             assert_eq!(T::decode(format, out.as_bytes()).as_ref(), Ok(&value));
+        }
+    }
+
+    /// `decode_into` a reused envelope answers what `decode` answers, for
+    /// bodies that decode and bodies that do not, in either format.
+    #[test]
+    fn decoding_in_place_is_decoding() {
+        let spec = |n: u32| TransferSpec {
+            source: Url::parse(&format!("gsiftp://src/a{n}")).unwrap(),
+            dest: Url::parse(&format!("file:///dst/a{n}")).unwrap(),
+            bytes: 42,
+            requested_streams: Some(n),
+            workflow: WorkflowId(7),
+            cluster: None,
+            priority: None,
+        };
+        let envelope = |n| TransferRequestEnvelope {
+            transfers: (0..n).map(spec).collect(),
+        };
+        let mut bodies: Vec<(WireFormat, Vec<u8>)> = Vec::new();
+        for n in [3, 0, 5, 1] {
+            for format in [WireFormat::Json, WireFormat::Xml] {
+                let mut out = String::new();
+                envelope(n).encode(format, &mut out);
+                bodies.push((format, out.into_bytes()));
+            }
+        }
+        for bad in [
+            &b"{"[..],
+            b"{\"transfers\":[{}]}",
+            b"{\"other\":1}",
+            b"[]",
+            b"\xff",
+        ] {
+            bodies.push((WireFormat::Json, bad.to_vec()));
+            bodies.push((WireFormat::Xml, bad.to_vec()));
+        }
+        let mut place = envelope(2);
+        for (format, body) in &bodies {
+            let fresh = TransferRequestEnvelope::decode(*format, body);
+            let into = TransferRequestEnvelope::decode_into(*format, body, &mut place);
+            match fresh {
+                Ok(fresh) => assert_eq!((into, &place), (Ok(()), &fresh)),
+                Err(message) => assert_eq!(into, Err(message)),
+            }
         }
     }
 

@@ -301,11 +301,9 @@ impl SessionObs {
     ) {
         let now = state.counters();
         let metrics = obs.metrics.get_or_insert_with(|| {
-            let mut labels: Vec<(&str, &str)> = labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            labels.push(("rule", rule.name()));
+            let mut refs: Vec<(&str, &str)> = Vec::with_capacity(labels.len() + 1);
+            refs.extend(labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            refs.push(("rule", rule.name()));
             [
                 (
                     "pwm_rules_evaluations_total",
@@ -321,7 +319,7 @@ impl SessionObs {
                     "Wall-clock nanoseconds spent in matchers per rule, estimated from one timed evaluation in 16",
                 ),
             ]
-            .map(|(name, help)| registry.counter(name, help, &labels))
+            .map(|(name, help)| registry.counter(name, help, &refs))
         });
         for ((counter, now), was) in metrics.iter().zip(now).zip(obs.published) {
             counter.add(now - was);
@@ -709,7 +707,8 @@ impl<Ctx> Session<Ctx> {
                 .is_multiple_of(EVAL_TIMING_SAMPLE)
                 .then(Instant::now);
             if !Self::delta_refresh(rule, state, &self.wm, ctx, &mut self.changed) {
-                state.matches = rule.matches(&self.wm, ctx);
+                state.matches.clear();
+                rule.matches_into(&self.wm, ctx, &mut state.matches);
             }
             if let Some(started) = started {
                 state.eval_nanos += EVAL_TIMING_SAMPLE * started.elapsed().as_nanos() as u64;
@@ -786,10 +785,9 @@ impl<Ctx> Session<Ctx> {
         chosen: Option<&Match>,
         why: &str,
     ) {
-        let fresh = rule
-            .matches(wm, ctx)
-            .into_iter()
-            .find(|m| RefractionKey::new(idx, m, wm).is_some_and(|key| !fired.contains(&key)));
+        let eligible =
+            |m: &Match| RefractionKey::new(idx, m, wm).is_some_and(|key| !fired.contains(&key));
+        let fresh = rule.first_match(wm, ctx, &eligible);
         assert!(
             fresh.as_deref() == chosen.map(|m| &**m),
             "rule `{}` was {why} and not re-evaluated, which chose {chosen:?}, but its matcher \
@@ -992,14 +990,12 @@ mod tests {
         s.wm.insert(Item { priority: None });
         s.add_rule(
             Rule::new("join")
-                .when(|wm, _| {
-                    let mut out = Vec::new();
+                .when(|wm, _, out| {
                     for (ch, _) in wm.iter::<Counter>() {
                         for (ih, _) in wm.iter::<Item>() {
                             out.push([ch, ih].into());
                         }
                     }
-                    out
                 })
                 .then(|_, pairs: &mut u64, _| *pairs += 1),
         );
@@ -1126,12 +1122,10 @@ mod tests {
         s.wm.insert(Counter(3));
         s.add_rule(
             Rule::new("triple")
-                .when(|wm, _| {
+                .when(|wm, _, out| {
                     let hs = wm.handles::<Counter>();
                     if hs.len() == 3 {
-                        vec![hs[..].into()]
-                    } else {
-                        vec![]
+                        out.push(hs[..].into());
                     }
                 })
                 .then(|_, fired: &mut u64, _| *fired += 1),
@@ -1260,14 +1254,12 @@ mod tests {
                 .requires::<Item>()
                 .watches::<Counter>()
                 .watches::<Item>()
-                .when(|wm, _| {
-                    let mut out = Vec::new();
+                .when(|wm, _, out| {
                     for (c, _) in wm.iter::<Counter>() {
                         for (i, _) in wm.iter::<Item>() {
                             out.push([c, i].into());
                         }
                     }
-                    out
                 })
                 .then(|_, fired: &mut u64, _| *fired += 1),
         );
@@ -1350,14 +1342,12 @@ mod tests {
             Rule::new("join")
                 .watches::<Counter>()
                 .watches::<Item>()
-                .when(|wm, _| {
-                    let mut out = Vec::new();
+                .when(|wm, _, out| {
                     for (c, _) in wm.iter::<Counter>() {
                         for (i, _) in wm.iter::<Item>() {
                             out.push([c, i].into());
                         }
                     }
-                    out
                 })
                 .then(|_, fired: &mut u64, _| *fired += 1),
         );

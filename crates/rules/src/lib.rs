@@ -58,5 +58,7 @@ mod naive;
 pub mod rule;
 
 pub use engine::{FiringReport, RuleStats, Session};
-pub use memory::{Fact, FactHandle, FactId, Fields, IndexKey, MintedBuild, WorkingMemory};
-pub use rule::{AgendaGroup, Focus, Match, Rule, RuleBuilder, Watch, WatchedType};
+pub use memory::{
+    Fact, FactHandle, FactId, Fields, IndexKey, IndexPos, MintedBuild, WorkingMemory,
+};
+pub use rule::{AgendaGroup, Focus, Match, Matches, Rule, RuleBuilder, Watch, WatchedType};

@@ -20,8 +20,15 @@
 //! Everything kept per fact type — the slab, the dirty generation, the
 //! change log and the secondary indexes — sits in one `TypeTable` record.
 //! A handle resolves to `(table, slot)` through the store's only other map,
-//! so a handle-based operation pays one probe and a type-based one (`iter`,
-//! `find_by`, `type_generation`) one probe of a map with a dozen entries.
+//! so a handle-based operation pays one probe and a whole-type one (`iter`,
+//! `count`, `type_generation`) one probe of a map with a dozen entries. A
+//! keyed probe pays neither: [`WorkingMemory::register_index`] returns the
+//! index's typed position ([`IndexPos`]), which the caller keeps (a rule
+//! captures it when it is built), and `iter_by`/`find_by`/`lookup_by`/
+//! `key_of` index the table and its index with it; a [`FactId`] carries its
+//! table the same way. The type map is consulted when a type is first used,
+//! as Rete's object-type nodes dispatch on type once, when the network is
+//! built.
 //!
 //! A secondary index (`KeyIndex`) costs a write only what that write can
 //! change. It declares the [`Fields`] its key reads, so
@@ -30,7 +37,9 @@
 //! and so every index); it remembers each fact's key by arena slot, so a
 //! re-key compare, a removal and [`WorkingMemory::key_of`] are a `Vec` index
 //! and no hash; it holds a key's single posting inline, so the common
-//! one-fact key costs its map entry and no allocation; and its key type
+//! one-fact key costs its map entry and no allocation; a partial index
+//! ([`WorkingMemory::register_partial_index`]) keeps no posting at all for
+//! the facts nothing probes it for; and its key type
 //! picks the postings map's hasher
 //! ([`IndexKey`]): one multiply for keys this process mints, SipHash for
 //! keys a request or a config file can choose. Debug builds re-extract the
@@ -45,7 +54,7 @@
 use std::any::{Any, TypeId};
 use std::collections::hash_map::Entry;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
@@ -211,13 +220,16 @@ impl std::ops::BitOr for Fields {
 /// Sentinel slot index for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Typed generational id of one fact: arena slot plus the slot's generation
-/// at issue time. Unlike [`FactHandle`] (which routes through a hash lookup
-/// and works for any type), a `FactId<T>` indexes its typed slab directly —
+/// Typed generational id of one fact: its table, the arena slot and the
+/// slot's generation at issue time. Unlike [`FactHandle`] (which routes
+/// through a hash lookup and works for any type), a `FactId<T>` indexes its
+/// typed slab directly —
 /// and it can never resurrect: retracting the fact bumps the slot
 /// generation, so probing a stale id returns `None` even after the slot is
 /// recycled for a new fact.
 pub struct FactId<T> {
+    /// Position of `T`'s table, resolved when the id was issued.
+    table: u32,
     slot: u32,
     gen: u32,
     _marker: PhantomData<fn() -> T>,
@@ -251,6 +263,37 @@ impl<T> fmt::Debug for FactId<T> {
             std::any::type_name::<T>(),
             self.slot,
             self.gen
+        )
+    }
+}
+
+/// Typed position of one index: the table of `T` and the place of its
+/// `K`-keyed index in it, as [`WorkingMemory::register_index`] returned
+/// them. The keyed probes take it instead of resolving `T` and `K` through
+/// type maps on every call. A position is valid in the memory that returned
+/// it, and in any memory whose types and indexes were first used and
+/// registered in the same order (every session a service builds).
+pub struct IndexPos<T, K> {
+    table: u32,
+    index: u32,
+    _marker: PhantomData<fn() -> (T, K)>,
+}
+
+impl<T, K> Clone for IndexPos<T, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T, K> Copy for IndexPos<T, K> {}
+impl<T, K> fmt::Debug for IndexPos<T, K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "IndexPos<{}, {}>({}.{})",
+            std::any::type_name::<T>(),
+            std::any::type_name::<K>(),
+            self.table,
+            self.index
         )
     }
 }
@@ -537,37 +580,58 @@ struct IndexEntry {
 /// The postings of one key: the `(handle, slot)` of every fact bearing it,
 /// handle-ordered. Most keys of a busy index name one fact — a staged
 /// file's URL, a transfer's id — so one posting is held inline and costs
-/// no allocation; two or more share one handle-ordered map behind a
-/// pointer. Either way the value is 16 bytes.
+/// no allocation; two or more share one handle-sorted vector behind a
+/// pointer. Either way the value is 16 bytes. A key that goes from one
+/// posting to several and back again, as a batch comes and goes, takes
+/// the vector its index kept from the last time ([`KeyIndex::spare`]), so
+/// its churn allocates nothing.
 enum Postings {
     One(FactHandle, u32),
-    #[allow(clippy::box_collection)] // a bare map would make the value 32 bytes
-    Many(Box<BTreeMap<FactHandle, u32>>),
+    #[allow(clippy::box_collection)] // a bare vector would make the value 32 bytes
+    Many(Box<Vec<(FactHandle, u32)>>),
 }
 
+/// An emptied [`Postings::Many`] vector, kept for the next key that needs
+/// one.
+type Spare = Option<Box<Vec<(FactHandle, u32)>>>;
+
 impl Postings {
-    fn insert(&mut self, handle: FactHandle, slot: u32) {
+    fn insert(&mut self, handle: FactHandle, slot: u32, spare: &mut Spare) {
         match self {
             Postings::One(h, s) if *h == handle => *s = slot,
             Postings::One(h, s) => {
-                *self = Postings::Many(Box::new(BTreeMap::from([(*h, *s), (handle, slot)])));
+                let mut many = spare.take().unwrap_or_default();
+                let (first, second) = ((*h, *s), (handle, slot));
+                many.extend(if first.0 < handle {
+                    [first, second]
+                } else {
+                    [second, first]
+                });
+                *self = Postings::Many(many);
             }
-            Postings::Many(map) => {
-                map.insert(handle, slot);
-            }
+            Postings::Many(many) => match many.binary_search_by_key(&handle, |p| p.0) {
+                Ok(at) => many[at].1 = slot,
+                Err(at) => many.insert(at, (handle, slot)),
+            },
         }
     }
 
     /// Drop `handle`'s posting; true when none is left.
-    fn remove(&mut self, handle: FactHandle) -> bool {
+    fn remove(&mut self, handle: FactHandle, spare: &mut Spare) -> bool {
         match self {
             Postings::One(h, _) => *h == handle,
             // Two or more before the removal, so at least one after it.
-            Postings::Many(map) => {
-                map.remove(&handle);
-                if map.len() == 1 {
-                    let (&h, &s) = map.first_key_value().expect("one posting left");
-                    *self = Postings::One(h, s);
+            Postings::Many(many) => {
+                if let Ok(at) = many.binary_search_by_key(&handle, |p| p.0) {
+                    many.remove(at);
+                }
+                if let [(h, s)] = many[..] {
+                    if let Postings::Many(mut emptied) =
+                        std::mem::replace(self, Postings::One(h, s))
+                    {
+                        emptied.clear();
+                        *spare = Some(emptied);
+                    }
                 }
                 false
             }
@@ -578,7 +642,7 @@ impl Postings {
     fn iter(&self) -> PostingsIter<'_> {
         match self {
             Postings::One(h, s) => PostingsIter::One(Some((*h, *s))),
-            Postings::Many(map) => PostingsIter::Many(map.iter()),
+            Postings::Many(many) => PostingsIter::Many(many.iter()),
         }
     }
 }
@@ -586,7 +650,7 @@ impl Postings {
 /// [`Postings::iter`]; `One(None)` is also the postings of an absent key.
 enum PostingsIter<'a> {
     One(Option<(FactHandle, u32)>),
-    Many(std::collections::btree_map::Iter<'a, FactHandle, u32>),
+    Many(std::slice::Iter<'a, (FactHandle, u32)>),
 }
 
 impl Iterator for PostingsIter<'_> {
@@ -595,9 +659,16 @@ impl Iterator for PostingsIter<'_> {
     fn next(&mut self) -> Option<(FactHandle, u32)> {
         match self {
             PostingsIter::One(one) => one.take(),
-            PostingsIter::Many(map) => map.next().map(|(&h, &s)| (h, s)),
+            PostingsIter::Many(many) => many.next().copied(),
         }
     }
+}
+
+/// How a [`KeyIndex`] reads a fact's key: every fact has one, or — a
+/// partial index — only the facts it is ever probed for.
+enum Extract<T, K> {
+    Total(fn(&T) -> K),
+    Partial(fn(&T) -> Option<K>),
 }
 
 /// Hash index from an extracted key to the handles bearing it — the alpha
@@ -609,19 +680,29 @@ impl Iterator for PostingsIter<'_> {
 /// same insertion order as [`WorkingMemory::iter`], whatever the hasher and
 /// whatever its per-process key.
 struct KeyIndex<T: Fact, K: IndexKey> {
-    extract: fn(&T) -> K,
+    extract: Extract<T, K>,
     /// key → its postings; hashed as `K` prescribes.
     map: HashMap<K, Postings, K::Build>,
-    /// Each indexed fact's current key, by arena slot (`None`: slot free),
-    /// so removals and no-op re-keys never re-extract from a stale fact
-    /// value and [`WorkingMemory::key_of`] reads a key without computing it.
+    /// Each indexed fact's current key, by arena slot (`None`: slot free,
+    /// or a fact a partial index keeps no key for), so removals and no-op
+    /// re-keys never re-extract from a stale fact value and
+    /// [`WorkingMemory::key_of`] reads a key without computing it.
     back: Vec<Option<K>>,
+    /// The vector the last key to fall back to one posting gave up.
+    spare: Spare,
 }
 
 impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
+    fn key(&self, fact: &T) -> Option<K> {
+        match self.extract {
+            Extract::Total(extract) => Some(extract(fact)),
+            Extract::Partial(extract) => extract(fact),
+        }
+    }
+
     fn link(&mut self, handle: FactHandle, slot: u32, key: K) {
         match self.map.entry(key.clone()) {
-            Entry::Occupied(postings) => postings.into_mut().insert(handle, slot),
+            Entry::Occupied(postings) => postings.into_mut().insert(handle, slot, &mut self.spare),
             Entry::Vacant(vacant) => {
                 vacant.insert(Postings::One(handle, slot));
             }
@@ -636,7 +717,7 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
     fn unlink(&mut self, handle: FactHandle, slot: u32) {
         if let Some(key) = self.back.get_mut(slot as usize).and_then(Option::take) {
             if let Entry::Occupied(mut postings) = self.map.entry(key) {
-                if postings.get_mut().remove(handle) {
+                if postings.get_mut().remove(handle, &mut self.spare) {
                     postings.remove();
                 }
             }
@@ -653,14 +734,16 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
             .map_or(PostingsIter::One(None), Postings::iter)
     }
 
-    fn extract_from(&self, fact: &dyn Any) -> K {
-        (self.extract)(fact.downcast_ref::<T>().expect("index fact type"))
+    fn extract_from(&self, fact: &dyn Any) -> Option<K> {
+        self.key(fact.downcast_ref::<T>().expect("index fact type"))
     }
 }
 
 impl<T: Fact, K: IndexKey> ErasedIndex for KeyIndex<T, K> {
     fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
-        self.link(handle, slot, self.extract_from(fact));
+        if let Some(key) = self.extract_from(fact) {
+            self.link(handle, slot, key);
+        }
     }
 
     fn on_remove(&mut self, handle: FactHandle, slot: u32) {
@@ -669,17 +752,19 @@ impl<T: Fact, K: IndexKey> ErasedIndex for KeyIndex<T, K> {
 
     fn on_update(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
         let key = self.extract_from(fact);
-        if self.key_at(slot) == Some(&key) {
+        if self.key_at(slot) == key.as_ref() {
             return;
         }
         self.unlink(handle, slot);
-        self.link(handle, slot, key);
+        if let Some(key) = key {
+            self.link(handle, slot, key);
+        }
     }
 
     #[cfg(debug_assertions)]
     fn assert_key_unchanged(&self, slot: u32, fact: &dyn Any, written: Fields) {
         assert!(
-            self.key_at(slot) == Some(&self.extract_from(fact)),
+            self.key_at(slot) == self.extract_from(fact).as_ref(),
             "index over {} keyed by {} was skipped by an update of {written:?} that changed \
              its key: register_index must declare every field group the key reads",
             std::any::type_name::<T>(),
@@ -781,17 +866,11 @@ impl TypeTable {
             .expect("slab type")
     }
 
-    /// This table's index keyed by `K`, if one was registered.
-    fn index<T: Fact, K: IndexKey>(&self) -> Option<&KeyIndex<T, K>> {
+    /// Position of this table's index keyed by `K`, if one was registered.
+    fn index_of<K: IndexKey>(&self) -> Option<u32> {
         let key_type = TypeId::of::<K>();
-        let entry = self.indexes.iter().find(|e| e.key_type == key_type)?;
-        Some(
-            entry
-                .index
-                .as_any()
-                .downcast_ref::<KeyIndex<T, K>>()
-                .expect("index shape matches its registration key"),
-        )
+        let at = self.indexes.iter().position(|e| e.key_type == key_type)?;
+        Some(at as u32)
     }
 
     /// Stamp a mutation of `handle`'s `fields` at global generation `gen`.
@@ -837,7 +916,8 @@ impl TypeTable {
 
 fn no_index<T, K>() -> ! {
     panic!(
-        "no index over {} keyed by {}; call register_index first",
+        "no index over {} keyed by {} at this position; probe with the position \
+         register_index returned",
         std::any::type_name::<T>(),
         std::any::type_name::<K>()
     )
@@ -971,20 +1051,23 @@ impl WorkingMemory {
     /// stale or names a different type. The id supports direct slab probes
     /// via [`WorkingMemory::get_id`] with ABA-safe staleness detection.
     pub fn fact_id<T: Fact>(&self, handle: FactHandle) -> Option<FactId<T>> {
-        let (table, slot) = self.locate::<T>(handle)?;
-        Some(FactId {
-            slot,
-            gen: table.slab::<T>().generation_of(slot),
+        let entry = self.handle_index.get(&handle.0)?;
+        let table = &self.tables[entry.table as usize];
+        (table.type_id == TypeId::of::<T>()).then(|| FactId {
+            table: entry.table,
+            slot: entry.slot,
+            gen: table.slab::<T>().generation_of(entry.slot),
             _marker: PhantomData,
         })
     }
 
-    /// Probe by typed id: direct slab indexing, no handle lookup, no
-    /// downcast-per-fact. Returns `None` once the fact has been retracted —
-    /// the slot generation was bumped, so even a recycled slot cannot serve
-    /// a stale id.
+    /// Probe by typed id: direct table and slab indexing, no handle lookup,
+    /// no type map, no downcast-per-fact. Returns `None` once the fact has
+    /// been retracted — the slot generation was bumped, so even a recycled
+    /// slot cannot serve a stale id.
     pub fn get_id<T: Fact>(&self, id: FactId<T>) -> Option<&T> {
-        self.table(TypeId::of::<T>())?
+        self.tables
+            .get(id.table as usize)?
             .slab::<T>()
             .value_checked(id.slot, id.gen)
     }
@@ -1099,71 +1182,129 @@ impl WorkingMemory {
     /// are back-filled, and the index is maintained on every insert,
     /// retract, plain update and every [`WorkingMemory::update_fields`]
     /// naming a group in `reads`. One index per (fact type, key type) pair;
-    /// re-registering replaces the index.
+    /// re-registering replaces the index and keeps its position.
     ///
-    /// Equality joins probe the index via [`WorkingMemory::find_by`] in O(1)
-    /// instead of scanning every fact of the type — the alpha memory of a
-    /// Rete network.
-    pub fn register_index<T: Fact, K: IndexKey>(&mut self, reads: Fields, extract: fn(&T) -> K) {
+    /// Returns the index's typed position, which every keyed probe
+    /// ([`WorkingMemory::iter_by`], [`WorkingMemory::find_by`],
+    /// [`WorkingMemory::lookup_by`], [`WorkingMemory::key_of`]) takes:
+    /// equality joins probe the index in O(1) instead of scanning every
+    /// fact of the type — the alpha memory of a Rete network — and resolve
+    /// no type on the way.
+    pub fn register_index<T: Fact, K: IndexKey>(
+        &mut self,
+        reads: Fields,
+        extract: fn(&T) -> K,
+    ) -> IndexPos<T, K> {
+        self.install_index(reads, Extract::Total(extract))
+    }
+
+    /// [`WorkingMemory::register_index`] for an index probed for some keys
+    /// only: a fact whose `extract` is `None` keeps no posting and no key,
+    /// so a key nothing looks up (the `false` of a flag whose `true` facts
+    /// are all a caller walks) costs no index upkeep.
+    pub fn register_partial_index<T: Fact, K: IndexKey>(
+        &mut self,
+        reads: Fields,
+        extract: fn(&T) -> Option<K>,
+    ) -> IndexPos<T, K> {
+        self.install_index(reads, Extract::Partial(extract))
+    }
+
+    fn install_index<T: Fact, K: IndexKey>(
+        &mut self,
+        reads: Fields,
+        extract: Extract<T, K>,
+    ) -> IndexPos<T, K> {
         let mut index = KeyIndex::<T, K> {
             extract,
             map: HashMap::default(),
             back: Vec::new(),
+            spare: None,
         };
         let table_ix = self.table_index_or_new::<T>();
         let table = &mut self.tables[table_ix as usize];
         for (h, slot, t) in table.slab::<T>().iter_slots() {
-            index.link(h, slot, extract(t));
+            if let Some(key) = index.key(t) {
+                index.link(h, slot, key);
+            }
         }
-        let key_type = TypeId::of::<K>();
-        table.indexes.retain(|e| e.key_type != key_type);
-        table.indexes.push(IndexEntry {
-            key_type,
+        let entry = IndexEntry {
+            key_type: TypeId::of::<K>(),
             reads,
             index: Box::new(index),
-        });
+        };
+        let index = match table.index_of::<K>() {
+            Some(at) => {
+                table.indexes[at as usize] = entry;
+                at
+            }
+            None => {
+                table.indexes.push(entry);
+                (table.indexes.len() - 1) as u32
+            }
+        };
+        IndexPos {
+            table: table_ix,
+            index,
+            _marker: PhantomData,
+        }
     }
 
-    /// `T`'s table and its index keyed by `K`. Panics if no such index was
-    /// registered.
-    fn key_index<T: Fact, K: IndexKey>(&self) -> (&TypeTable, &KeyIndex<T, K>) {
-        self.table(TypeId::of::<T>())
-            .and_then(|table| Some((table, table.index::<T, K>()?)))
-            .unwrap_or_else(|| no_index::<T, K>())
+    /// The table and the index `at` names. Panics with "no index" if this
+    /// memory has no such index there (a position from another memory).
+    fn key_index<T: Fact, K: IndexKey>(&self, at: IndexPos<T, K>) -> (&TypeTable, &KeyIndex<T, K>) {
+        let found = self.tables.get(at.table as usize).and_then(|table| {
+            let entry = table.indexes.get(at.index as usize)?;
+            Some((table, entry.index.as_any().downcast_ref()?))
+        });
+        found.unwrap_or_else(|| no_index::<T, K>())
+    }
+
+    /// The `T`-table / `K`-index pair the type maps resolve to, as keyed
+    /// probes did before they took positions: the reference the unit tests
+    /// hold [`WorkingMemory::key_index`] to.
+    #[cfg(test)]
+    fn key_index_by_type<T: Fact, K: IndexKey>(&self) -> (&TypeTable, &KeyIndex<T, K>) {
+        let found = self.table(TypeId::of::<T>()).and_then(|table| {
+            let entry = &table.indexes[table.index_of::<K>()? as usize];
+            Some((table, entry.index.as_any().downcast_ref()?))
+        });
+        found.unwrap_or_else(|| no_index::<T, K>())
     }
 
     /// The key `handle`'s fact is currently indexed under, read back from
     /// the index instead of re-extracted (a digest key is computed once per
-    /// fact, at insertion). `None` if the handle is stale or names another
-    /// type. Panics if no such index was registered.
-    pub fn key_of<T: Fact, K: IndexKey>(&self, handle: FactHandle) -> Option<&K> {
-        let (table, slot) = self.locate::<T>(handle)?;
-        table
-            .index::<T, K>()
-            .unwrap_or_else(|| no_index::<T, K>())
-            .key_at(slot)
+    /// fact, at insertion). `None` if the handle is stale, names another
+    /// type, or (a partial index) its fact has no key.
+    pub fn key_of<T: Fact, K: IndexKey>(
+        &self,
+        at: IndexPos<T, K>,
+        handle: FactHandle,
+    ) -> Option<&K> {
+        let entry = self.handle_index.get(&handle.0)?;
+        if entry.table != at.table {
+            return None;
+        }
+        self.key_index(at).1.key_at(entry.slot)
     }
 
     /// Handles of facts of type `T` whose indexed key equals `key`, in
-    /// insertion order. Panics if no such index was registered.
-    pub fn lookup_by<T: Fact, K: IndexKey>(&self, key: &K) -> Vec<FactHandle> {
-        self.key_index::<T, K>()
-            .1
-            .postings(key)
-            .map(|(h, _)| h)
-            .collect()
+    /// insertion order.
+    pub fn lookup_by<T: Fact, K: IndexKey>(&self, at: IndexPos<T, K>, key: &K) -> Vec<FactHandle> {
+        self.key_index(at).1.postings(key).map(|(h, _)| h).collect()
     }
 
     /// Iterate facts of type `T` whose indexed key equals `key`, in
-    /// insertion order, without allocating. Panics if no such index was
-    /// registered. This is the alpha-memory join path: the index posting
-    /// carries each fact's arena slot, so resolution is direct typed-slab
-    /// indexing — one downcast per call, not per fact.
+    /// insertion order, without allocating. This is the alpha-memory join
+    /// path: the index posting carries each fact's arena slot, so
+    /// resolution is direct typed-slab indexing — one downcast per call, not
+    /// per fact.
     pub fn iter_by<'a, T: Fact, K: IndexKey>(
         &'a self,
+        at: IndexPos<T, K>,
         key: &K,
     ) -> impl Iterator<Item = (FactHandle, &'a T)> + 'a {
-        let (table, index) = self.key_index::<T, K>();
+        let (table, index) = self.key_index(at);
         let slab = table.slab::<T>();
         index
             .postings(key)
@@ -1185,9 +1326,13 @@ impl WorkingMemory {
 
     /// First (lowest-handle) fact of type `T` whose indexed key equals
     /// `key` — the indexed equivalent of [`WorkingMemory::find`] with a
-    /// key-equality predicate. Panics if no such index was registered.
-    pub fn find_by<T: Fact, K: IndexKey>(&self, key: &K) -> Option<(FactHandle, &T)> {
-        let (table, index) = self.key_index::<T, K>();
+    /// key-equality predicate.
+    pub fn find_by<T: Fact, K: IndexKey>(
+        &self,
+        at: IndexPos<T, K>,
+        key: &K,
+    ) -> Option<(FactHandle, &T)> {
+        let (table, index) = self.key_index(at);
         let (handle, slot) = index.postings(key).next()?;
         Some((handle, table.slab::<T>().value(slot)))
     }
@@ -1373,50 +1518,117 @@ mod tests {
     fn index_backfills_and_tracks_mutations() {
         let mut wm = WorkingMemory::new();
         let h1 = wm.insert(Cleanup { file: "a".into() });
-        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let by_file = wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
         // Back-filled.
-        assert_eq!(
-            wm.find_by::<Cleanup, String>(&"a".to_string()).unwrap().0,
-            h1
-        );
+        assert_eq!(wm.find_by(by_file, &"a".to_string()).unwrap().0, h1);
         // Maintained on insert.
         let h2 = wm.insert(Cleanup { file: "b".into() });
-        assert_eq!(
-            wm.find_by::<Cleanup, String>(&"b".to_string()).unwrap().0,
-            h2
-        );
+        assert_eq!(wm.find_by(by_file, &"b".to_string()).unwrap().0, h2);
         // Maintained on key-changing update.
         wm.update::<Cleanup>(h1, |c| c.file = "c".into());
-        assert!(wm.find_by::<Cleanup, String>(&"a".to_string()).is_none());
-        assert_eq!(
-            wm.find_by::<Cleanup, String>(&"c".to_string()).unwrap().0,
-            h1
-        );
+        assert!(wm.find_by(by_file, &"a".to_string()).is_none());
+        assert_eq!(wm.find_by(by_file, &"c".to_string()).unwrap().0, h1);
         // Maintained on retract.
         wm.retract(h2);
-        assert!(wm.find_by::<Cleanup, String>(&"b".to_string()).is_none());
+        assert!(wm.find_by(by_file, &"b".to_string()).is_none());
     }
 
     #[test]
     fn index_lookup_is_insertion_ordered() {
         let mut wm = WorkingMemory::new();
-        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let by_file = wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
         let h1 = wm.insert(Cleanup { file: "x".into() });
         let h2 = wm.insert(Cleanup { file: "x".into() });
         wm.insert(Cleanup { file: "y".into() });
-        assert_eq!(
-            wm.lookup_by::<Cleanup, String>(&"x".to_string()),
-            vec![h1, h2]
-        );
+        assert_eq!(wm.lookup_by(by_file, &"x".to_string()), vec![h1, h2]);
         // find_by returns the lowest handle, like a linear `find` would.
-        assert_eq!(
-            wm.find_by::<Cleanup, String>(&"x".to_string()).unwrap().0,
-            h1
-        );
+        assert_eq!(wm.find_by(by_file, &"x".to_string()).unwrap().0, h1);
         // Indexes on other types are untouched by Cleanup traffic.
-        wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.id);
+        let by_id = wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.id);
         let ht = wm.insert(Transfer { id: 7, streams: 0 });
-        assert_eq!(wm.find_by::<Transfer, u32>(&7).unwrap().0, ht);
+        assert_eq!(wm.find_by(by_id, &7).unwrap().0, ht);
+    }
+
+    /// A probe by typed position reads the index the `TypeId` maps resolve
+    /// to: same table, same index, same answers, through re-registration.
+    #[test]
+    fn a_typed_position_probes_what_the_type_maps_resolve() {
+        let mut wm = WorkingMemory::new();
+        wm.insert(Transfer { id: 1, streams: 0 });
+        let by_streams = wm.register_index::<Transfer, u64>(STREAMS, |t| u64::from(t.streams));
+        let by_file = wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let by_id = wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.id);
+        for n in 0..40u32 {
+            let h = wm.insert(Transfer {
+                id: n % 7,
+                streams: n % 3,
+            });
+            wm.insert(Cleanup {
+                file: format!("f{}", n % 5),
+            });
+            if n % 4 == 0 {
+                wm.update_fields::<Transfer>(h, STREAMS, |t| t.streams += 1);
+            }
+            if n % 6 == 0 {
+                wm.retract(h);
+            }
+        }
+        // Re-registering replaces the index in place: the position holds.
+        let again = wm.register_index::<Transfer, u32>(Fields::NONE, |t| t.id);
+        assert_eq!((again.table, again.index), (by_id.table, by_id.index));
+        fn agree<T: Fact + PartialEq + fmt::Debug, K: IndexKey + fmt::Debug>(
+            wm: &WorkingMemory,
+            at: IndexPos<T, K>,
+            keys: impl Iterator<Item = K>,
+        ) {
+            let (typed_table, typed) = wm.key_index(at);
+            let (mapped_table, mapped) = wm.key_index_by_type::<T, K>();
+            assert!(
+                std::ptr::eq(typed_table, mapped_table),
+                "{at:?}: another table"
+            );
+            assert!(std::ptr::eq(typed, mapped), "{at:?}: another index");
+            for key in keys {
+                let by_type: Vec<_> = (mapped.postings(&key))
+                    .map(|(h, slot)| (h, mapped_table.slab::<T>().value(slot)))
+                    .collect();
+                assert_eq!(wm.iter_by(at, &key).collect::<Vec<_>>(), by_type);
+                assert_eq!(wm.find_by(at, &key), by_type.first().copied());
+                let handles: Vec<_> = by_type.iter().map(|(h, _)| *h).collect();
+                assert_eq!(wm.lookup_by(at, &key), handles);
+                for h in handles {
+                    let slot = wm.handle_index[&h.0].slot;
+                    assert_eq!(wm.key_of(at, h), mapped.key_at(slot));
+                    assert_eq!(wm.key_of(at, h), Some(&key));
+                }
+            }
+        }
+        agree(&wm, by_streams, 0..5);
+        agree(&wm, by_id, 0..8);
+        agree(&wm, by_file, (0..6).map(|n| format!("f{n}")));
+    }
+
+    #[test]
+    fn a_partial_index_keeps_no_posting_for_a_fact_without_a_key() {
+        let mut wm = WorkingMemory::new();
+        let h1 = wm.insert(Transfer { id: 1, streams: 0 });
+        let busy = wm
+            .register_partial_index::<Transfer, bool>(STREAMS, |t| (t.streams > 0).then_some(true));
+        let h2 = wm.insert(Transfer { id: 2, streams: 4 });
+        assert_eq!(wm.lookup_by(busy, &true), vec![h2]);
+        assert_eq!(
+            (wm.key_of(busy, h1), wm.key_of(busy, h2)),
+            (None, Some(&true))
+        );
+        wm.update_fields::<Transfer>(h1, STREAMS, |t| t.streams = 2);
+        wm.update_fields::<Transfer>(h2, STREAMS, |t| t.streams = 0);
+        assert_eq!(wm.lookup_by(busy, &true), vec![h1]);
+        assert_eq!(wm.key_of(busy, h2), None);
+        let index = wm.key_index(busy).1;
+        assert_eq!(index.map.len(), 1, "no bucket for the keyless facts");
+        wm.retract(h1);
+        assert!(wm.lookup_by(busy, &true).is_empty());
+        assert!(wm.key_index(busy).1.map.is_empty());
     }
 
     /// Field groups of [`Transfer`]: `id` is identity, `streams` a group.
@@ -1428,7 +1640,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static EXTRACTS: AtomicUsize = AtomicUsize::new(0);
         let mut wm = WorkingMemory::new();
-        wm.register_index::<Transfer, u32>(STREAMS, |t| {
+        let by_streams = wm.register_index::<Transfer, u32>(STREAMS, |t| {
             EXTRACTS.fetch_add(1, Ordering::Relaxed);
             t.streams
         });
@@ -1443,11 +1655,11 @@ mod tests {
         assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), oracle);
         assert!(wm.update_fields::<Transfer>(h, STREAMS, |t| t.streams = 8));
         assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), 1, "a named group");
-        assert_eq!(wm.lookup_by::<Transfer, u32>(&8), vec![h]);
-        assert!(wm.lookup_by::<Transfer, u32>(&4).is_empty());
+        assert_eq!(wm.lookup_by(by_streams, &8), vec![h]);
+        assert!(wm.lookup_by(by_streams, &4).is_empty());
         assert!(wm.update::<Transfer>(h, |t| t.streams = 2));
         assert_eq!(EXTRACTS.swap(0, Ordering::Relaxed), 1, "a plain update");
-        assert_eq!(wm.key_of::<Transfer, u32>(h), Some(&2));
+        assert_eq!(wm.key_of(by_streams, h), Some(&2));
     }
 
     #[test]
@@ -1464,21 +1676,21 @@ mod tests {
     #[test]
     fn key_of_reads_the_stored_key_and_slot_reuse_does_not_leak_it() {
         let mut wm = WorkingMemory::new();
-        wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let by_file = wm.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
         let h1 = wm.insert(Cleanup { file: "a".into() });
         let ht = wm.insert(Transfer { id: 1, streams: 0 });
-        assert_eq!(wm.key_of::<Cleanup, String>(h1), Some(&"a".to_string()));
-        assert_eq!(wm.key_of::<Cleanup, String>(ht), None, "another type");
+        assert_eq!(wm.key_of(by_file, h1), Some(&"a".to_string()));
+        assert_eq!(wm.key_of(by_file, ht), None, "another type");
         wm.retract(h1);
-        assert_eq!(wm.key_of::<Cleanup, String>(h1), None, "stale handle");
+        assert_eq!(wm.key_of(by_file, h1), None, "stale handle");
         // The next Cleanup recycles h1's slot; the old key must be gone from
         // the reverse map and the postings alike.
         let h2 = wm.insert(Cleanup { file: "b".into() });
-        assert_eq!(wm.key_of::<Cleanup, String>(h2), Some(&"b".to_string()));
-        assert!(wm.lookup_by::<Cleanup, String>(&"a".to_string()).is_empty());
-        assert_eq!(wm.lookup_by::<Cleanup, String>(&"b".to_string()), vec![h2]);
+        assert_eq!(wm.key_of(by_file, h2), Some(&"b".to_string()));
+        assert!(wm.lookup_by(by_file, &"a".to_string()).is_empty());
+        assert_eq!(wm.lookup_by(by_file, &"b".to_string()), vec![h2]);
         wm.retract(h2);
-        assert!(wm.lookup_by::<Cleanup, String>(&"b".to_string()).is_empty());
+        assert!(wm.lookup_by(by_file, &"b".to_string()).is_empty());
     }
 
     #[test]
@@ -1505,11 +1717,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<Postings>(), 16);
     }
 
+    /// A position names an index of the memory that returned it; probing a
+    /// memory that has no index there panics instead of reading another.
     #[test]
     #[should_panic(expected = "no index")]
     fn unregistered_index_lookup_panics() {
-        let wm = WorkingMemory::new();
-        wm.find_by::<Cleanup, String>(&"a".to_string());
+        let mut other = WorkingMemory::new();
+        let by_file = other.register_index::<Cleanup, String>(Fields::NONE, |c| c.file.clone());
+        let mut wm = WorkingMemory::new();
+        wm.insert(Cleanup { file: "a".into() });
+        wm.find_by(by_file, &"a".to_string());
     }
 
     #[test]

@@ -226,8 +226,7 @@ mod equivalence {
             .requires::<B>()
             .watches_fields::<A>(A::N)
             .watches::<B>()
-            .when(|wm, _| {
-                let mut out = Vec::new();
+            .when(|wm, _, out| {
                 for (ah, a) in wm.iter::<A>() {
                     for (bh, b) in wm.iter::<B>() {
                         if a.n % 2 == b.0 % 2 {
@@ -235,7 +234,6 @@ mod equivalence {
                         }
                     }
                 }
-                out
             })
             .then(|wm, ctx: &mut Ctx, m| {
                 wm.update::<B>(m[1], |b| {

@@ -1,7 +1,9 @@
 //! Rule definition and builder.
 //!
-//! A [`Rule`] pairs a *matcher* (the `when` part: scan working memory,
-//! produce zero or more matched fact tuples) with an *action* (the `then`
+//! A [`Rule`] pairs a *matcher* (the `when` part: scan working memory, push
+//! zero or more matched fact tuples into the [`Matches`] it is handed — the
+//! engine's buffer for that rule, kept from one evaluation to the next) with
+//! an *action* (the `then`
 //! part: mutate working memory and/or the shared globals). Rules carry a
 //! *salience* — higher fires first, mirroring Drools — and are generic over a
 //! `Ctx` type standing in for Drools globals (the Policy Service passes its
@@ -82,7 +84,40 @@ impl<const N: usize> From<[FactHandle; N]> for Match {
     }
 }
 
-type Matcher<Ctx> = Box<dyn Fn(&WorkingMemory, &Ctx) -> Vec<Match> + Send>;
+/// Where a matcher puts the tuples it finds.
+///
+/// The engine hands a rule's matcher the rule's own match buffer, emptied,
+/// so an evaluation allocates only when it finds more tuples than any
+/// evaluation of the rule before it. The debug oracle hands it a probe that
+/// keeps the first tuple it would fire on and drops the rest, so checking a
+/// shortcut allocates nothing either.
+pub struct Matches<'a>(Sink<'a>);
+
+enum Sink<'a> {
+    All(&'a mut Vec<Match>),
+    #[cfg(debug_assertions)]
+    First {
+        eligible: &'a dyn Fn(&Match) -> bool,
+        found: Option<Match>,
+    },
+}
+
+impl Matches<'_> {
+    /// Add a matched tuple, after every tuple pushed before it.
+    pub fn push(&mut self, m: Match) {
+        match &mut self.0 {
+            Sink::All(out) => out.push(m),
+            #[cfg(debug_assertions)]
+            Sink::First { eligible, found } => {
+                if found.is_none() && eligible(&m) {
+                    *found = Some(m);
+                }
+            }
+        }
+    }
+}
+
+type Matcher<Ctx> = Box<dyn Fn(&WorkingMemory, &Ctx, &mut Matches<'_>) + Send>;
 type Action<Ctx> = Box<dyn FnMut(&mut WorkingMemory, &mut Ctx, &Match) + Send>;
 type EachProbe<Ctx> = Box<dyn Fn(&WorkingMemory, &Ctx, FactHandle) -> bool + Send>;
 
@@ -340,8 +375,36 @@ impl<Ctx> Rule<Ctx> {
             .any(|required| wm.table_at(required.position).live() == 0)
     }
 
+    /// Run the matcher, appending its tuples to `out`.
+    pub(crate) fn matches_into(&self, wm: &WorkingMemory, ctx: &Ctx, out: &mut Vec<Match>) {
+        (self.matcher)(wm, ctx, &mut Matches(Sink::All(out)));
+    }
+
+    /// The first tuple of a fresh matcher run that `eligible` accepts.
+    #[cfg(debug_assertions)]
+    pub(crate) fn first_match(
+        &self,
+        wm: &WorkingMemory,
+        ctx: &Ctx,
+        eligible: &dyn Fn(&Match) -> bool,
+    ) -> Option<Match> {
+        let mut first = Matches(Sink::First {
+            eligible,
+            found: None,
+        });
+        (self.matcher)(wm, ctx, &mut first);
+        match first.0 {
+            Sink::First { found, .. } => found,
+            Sink::All(_) => unreachable!("a first-match probe"),
+        }
+    }
+
+    /// Every tuple of a fresh matcher run.
+    #[cfg(test)]
     pub(crate) fn matches(&self, wm: &WorkingMemory, ctx: &Ctx) -> Vec<Match> {
-        (self.matcher)(wm, ctx)
+        let mut out = Vec::new();
+        self.matches_into(wm, ctx, &mut out);
+        out
     }
 
     /// Delta-evaluation hook for `when_each` rules (None for join rules).
@@ -434,10 +497,10 @@ impl<Ctx> RuleBuilder<Ctx> {
         self
     }
 
-    /// Full matcher: return every fact tuple this rule should fire on.
+    /// Full matcher: push every fact tuple this rule should fire on.
     pub fn when(
         mut self,
-        matcher: impl Fn(&WorkingMemory, &Ctx) -> Vec<Match> + Send + 'static,
+        matcher: impl Fn(&WorkingMemory, &Ctx, &mut Matches<'_>) + Send + 'static,
     ) -> Self {
         self.matcher = Some(Box::new(matcher));
         self
@@ -462,11 +525,12 @@ impl<Ctx> RuleBuilder<Ctx> {
     ) -> Self {
         let pred = Arc::new(pred);
         let scan_pred = Arc::clone(&pred);
-        self.matcher = Some(Box::new(move |wm, ctx| {
-            wm.iter::<T>()
-                .filter(|(_, t)| scan_pred(t, ctx))
-                .map(|(h, _)| [h].into())
-                .collect()
+        self.matcher = Some(Box::new(move |wm, ctx, out| {
+            for (h, t) in wm.iter::<T>() {
+                if scan_pred(t, ctx) {
+                    out.push([h].into());
+                }
+            }
         }));
         // The same predicate, re-runnable for one handle: the engine's
         // delta path refreshes a stale cache by probing only changed facts.
@@ -599,7 +663,7 @@ mod tests {
 
     #[test]
     fn undeclared_when_watches_all() {
-        let r: Rule<()> = Rule::new("join").when(|_, _| vec![]).then(|_, _, _| {});
+        let r: Rule<()> = Rule::new("join").when(|_, _, _| {}).then(|_, _, _| {});
         assert_eq!(r.watch(), &Watch::All);
     }
 
@@ -609,7 +673,7 @@ mod tests {
             .watches::<Num>()
             .watches::<Other>()
             .watches::<Num>()
-            .when(|_, _| vec![])
+            .when(|_, _, _| {})
             .then(|_, _, _| {});
         assert_eq!(
             r.watch(),
@@ -626,7 +690,7 @@ mod tests {
             .watches_fields::<Num>(Fields::bit(0))
             .watches_fields::<Num>(Fields::bit(2))
             .watches_fields::<Other>(Fields::NONE)
-            .when(|_, _| vec![])
+            .when(|_, _, _| {})
             .then(|_, _, _| {});
         assert_eq!(
             r.watch(),
@@ -643,7 +707,7 @@ mod tests {
         let _: Rule<()> = Rule::new("never-woken")
             .requires::<Other>()
             .watches::<Num>()
-            .when(|_, _| vec![])
+            .when(|_, _, _| {})
             .then(|_, _, _| {});
     }
 

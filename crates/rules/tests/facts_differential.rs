@@ -42,7 +42,7 @@ mod legacy;
 
 use legacy::LegacyWorkingMemory;
 use proptest::prelude::*;
-use pwm_rules::{FactHandle, FactId, Fields, WorkingMemory};
+use pwm_rules::{FactHandle, FactId, Fields, IndexPos, WorkingMemory};
 use std::any::TypeId;
 use std::collections::BTreeMap;
 
@@ -120,6 +120,7 @@ fn arb_cmd() -> impl Strategy<Value = Cmd> {
 fn assert_index_matches_scan<T, K>(
     arena: &WorkingMemory,
     legacy: &LegacyWorkingMemory,
+    at: IndexPos<T, K>,
     key: &K,
     extract: fn(&T) -> K,
 ) where
@@ -132,20 +133,28 @@ fn assert_index_matches_scan<T, K>(
         .map(|(h, t)| (h, t.clone()))
         .collect();
     let by: Vec<(FactHandle, T)> = arena
-        .iter_by::<T, K>(key)
+        .iter_by(at, key)
         .map(|(h, t)| (h, t.clone()))
         .collect();
     assert_eq!(by, scan, "iter_by({key:?}) is not the filtered scan");
     assert_eq!(
-        arena.lookup_by::<T, K>(key),
+        arena.lookup_by(at, key),
         scan.iter().map(|(h, _)| *h).collect::<Vec<_>>(),
         "lookup_by({key:?}) is not the filtered scan"
     );
     assert_eq!(
-        arena.find_by::<T, K>(key).map(|(h, t)| (h, t.clone())),
+        arena.find_by(at, key).map(|(h, t)| (h, t.clone())),
         scan.first().cloned(),
         "find_by({key:?}) is not the scan's first hit"
     );
+}
+
+/// The arena's indexes: Alpha by key, maintained and rebuilt, and Beta by
+/// string once it is registered.
+struct Positions {
+    key: IndexPos<Alpha, u64>,
+    rebuilt: IndexPos<Alpha, Rebuilt>,
+    beta: Option<IndexPos<Beta, String>>,
 }
 
 /// Compare every engine-visible observable of the two stores.
@@ -153,7 +162,7 @@ fn assert_stores_agree(
     arena: &WorkingMemory,
     legacy: &LegacyWorkingMemory,
     checkpoint: u64,
-    beta_indexed: bool,
+    at: &Positions,
 ) {
     assert_eq!(arena.len(), legacy.len());
     assert_eq!(arena.is_empty(), legacy.is_empty());
@@ -188,39 +197,39 @@ fn assert_stores_agree(
             "changed_since diverged"
         );
     }
-    if beta_indexed {
+    if let Some(beta) = at.beta {
         for n in 0..50u64 {
-            assert_index_matches_scan::<Beta, String>(arena, legacy, &format!("b{n}"), |b| {
+            assert_index_matches_scan(arena, legacy, beta, &format!("b{n}"), |b: &Beta| {
                 b.s.clone()
             });
         }
     }
     for (h, _) in legacy.iter::<Alpha>() {
         assert_eq!(
-            arena.key_of::<Alpha, u64>(h),
+            arena.key_of(at.key, h),
             legacy.key_of::<Alpha, u64>(h),
             "key_of({h:?}) diverged"
         );
         assert_eq!(
-            arena.key_of::<Alpha, u64>(h),
-            arena.key_of::<Alpha, Rebuilt>(h).map(|k| &k.0),
+            arena.key_of(at.key, h),
+            arena.key_of(at.rebuilt, h).map(|k| &k.0),
             "key_of({h:?}) is not the rebuilt index's"
         );
     }
     for key in 0..8u64 {
-        assert_index_matches_scan::<Alpha, u64>(arena, legacy, &key, |a| a.key);
+        assert_index_matches_scan(arena, legacy, at.key, &key, |a| a.key);
         assert_eq!(
-            arena.lookup_by::<Alpha, u64>(&key),
-            arena.lookup_by::<Alpha, Rebuilt>(&Rebuilt(key)),
+            arena.lookup_by(at.key, &key),
+            arena.lookup_by(at.rebuilt, &Rebuilt(key)),
             "lookup_by({key}) is not the rebuilt index's"
         );
         assert_eq!(
-            arena.lookup_by::<Alpha, u64>(&key),
+            arena.lookup_by(at.key, &key),
             legacy.lookup_by::<Alpha, u64>(&key),
             "lookup_by({key}) diverged"
         );
         let a_by: Vec<(FactHandle, Alpha)> = arena
-            .iter_by::<Alpha, u64>(&key)
+            .iter_by(at.key, &key)
             .map(|(h, a)| (h, a.clone()))
             .collect();
         let l_by: Vec<(FactHandle, Alpha)> = legacy
@@ -229,9 +238,7 @@ fn assert_stores_agree(
             .collect();
         assert_eq!(a_by, l_by, "iter_by({key}) diverged");
         assert_eq!(
-            arena
-                .find_by::<Alpha, u64>(&key)
-                .map(|(h, a)| (h, a.clone())),
+            arena.find_by(at.key, &key).map(|(h, a)| (h, a.clone())),
             legacy
                 .find_by::<Alpha, u64>(&key)
                 .map(|(h, a)| (h, a.clone())),
@@ -253,14 +260,14 @@ proptest! {
     fn arena_store_matches_legacy_store(cmds in proptest::collection::vec(arb_cmd(), 1..120)) {
         let mut arena = WorkingMemory::new();
         let mut legacy = LegacyWorkingMemory::new();
-        arena.register_index::<Alpha, u64>(KEY, |a| a.key);
+        let key_ix = arena.register_index::<Alpha, u64>(KEY, |a| a.key);
         legacy.register_index::<Alpha, u64>(|a| a.key);
         let mut handles: Vec<FactHandle> = Vec::new();
         // Ids of every Alpha ever inserted, with the handle they named;
         // retired ones must probe to None at the end.
         let mut ids: Vec<(FactHandle, FactId<Alpha>)> = Vec::new();
         let mut checkpoint = 0u64;
-        let mut beta_indexed = false;
+        let mut beta = None;
         for cmd in cmds {
             match cmd {
                 Cmd::InsertA(n, key) => {
@@ -333,14 +340,13 @@ proptest! {
                 }
                 Cmd::LookupByKey(key) => {
                     prop_assert_eq!(
-                        arena.lookup_by::<Alpha, u64>(&key),
+                        arena.lookup_by(key_ix, &key),
                         legacy.lookup_by::<Alpha, u64>(&key)
                     );
                 }
                 Cmd::Checkpoint => checkpoint = arena.generation(),
                 Cmd::IndexBeta => {
-                    arena.register_index::<Beta, String>(Fields::NONE, |b| b.s.clone());
-                    beta_indexed = true;
+                    beta = Some(arena.register_index::<Beta, String>(Fields::NONE, |b| b.s.clone()));
                 }
                 // Handle-bearing commands before the first insert: no-ops.
                 Cmd::UpdateA(..)
@@ -351,8 +357,9 @@ proptest! {
             }
             // Re-registering replaces the index with one back-filled from
             // the facts as they stand: the maintained index's reference.
-            arena.register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
-            assert_stores_agree(&arena, &legacy, checkpoint, beta_indexed);
+            let rebuilt = arena.register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
+            let at = Positions { key: key_ix, rebuilt, beta };
+            assert_stores_agree(&arena, &legacy, checkpoint, &at);
         }
         // Use-after-retract: every id whose handle is gone must miss via
         // generation mismatch; every live one must still resolve.
@@ -412,6 +419,7 @@ fn arb_sparse_cmd() -> impl Strategy<Value = SparseCmd> {
 struct Sparse {
     arena: WorkingMemory,
     legacy: LegacyWorkingMemory,
+    key_ix: IndexPos<Alpha, u64>,
     handles: Vec<FactHandle>,
     ids: Vec<(FactHandle, FactId<Alpha>)>,
     n: u64,
@@ -421,11 +429,12 @@ impl Sparse {
     fn new() -> Sparse {
         let mut arena = WorkingMemory::new();
         let mut legacy = LegacyWorkingMemory::new();
-        arena.register_index::<Alpha, u64>(KEY, |a| a.key);
+        let key_ix = arena.register_index::<Alpha, u64>(KEY, |a| a.key);
         legacy.register_index::<Alpha, u64>(|a| a.key);
         Sparse {
             arena,
             legacy,
+            key_ix,
             handles: Vec::new(),
             ids: Vec::new(),
             n: 0,
@@ -525,9 +534,8 @@ impl Sparse {
     /// index rebuilt from scratch, for every key in use and every key the
     /// last command touched.
     fn check(&mut self, touched: &[u64]) {
-        self.arena
-            .register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
-        let (arena, legacy) = (&self.arena, &self.legacy);
+        let rebuilt = (self.arena).register_index::<Alpha, Rebuilt>(KEY, |a| Rebuilt(a.key));
+        let (arena, legacy, key_ix) = (&self.arena, &self.legacy, self.key_ix);
         assert_eq!(arena.generation(), legacy.generation());
         assert_eq!(arena.count::<Alpha>(), legacy.count::<Alpha>());
         let scan: Vec<(FactHandle, Alpha)> = legacy
@@ -541,22 +549,20 @@ impl Sparse {
             touched.iter().map(|&key| (key, Vec::new())).collect();
         for (h, a) in &scan {
             groups.entry(a.key).or_default().push((*h, a.clone()));
-            assert_eq!(arena.key_of::<Alpha, u64>(*h), Some(&a.key));
-            assert_eq!(arena.key_of::<Alpha, Rebuilt>(*h), Some(&Rebuilt(a.key)));
+            assert_eq!(arena.key_of(key_ix, *h), Some(&a.key));
+            assert_eq!(arena.key_of(rebuilt, *h), Some(&Rebuilt(a.key)));
         }
         for (key, group) in &groups {
             let by: Vec<(FactHandle, Alpha)> = arena
-                .iter_by::<Alpha, u64>(key)
+                .iter_by(key_ix, key)
                 .map(|(h, a)| (h, a.clone()))
                 .collect();
             assert_eq!(&by, group, "iter_by({key}) is not the grouped scan");
             let handles: Vec<FactHandle> = group.iter().map(|(h, _)| *h).collect();
-            assert_eq!(arena.lookup_by::<Alpha, u64>(key), handles);
-            assert_eq!(arena.lookup_by::<Alpha, Rebuilt>(&Rebuilt(*key)), handles);
+            assert_eq!(arena.lookup_by(key_ix, key), handles);
+            assert_eq!(arena.lookup_by(rebuilt, &Rebuilt(*key)), handles);
             assert_eq!(
-                arena
-                    .find_by::<Alpha, u64>(key)
-                    .map(|(h, a)| (h, a.clone())),
+                arena.find_by(key_ix, key).map(|(h, a)| (h, a.clone())),
                 group.first().cloned(),
                 "find_by({key}) is not the grouped scan's first"
             );
@@ -606,12 +612,12 @@ proptest! {
         s.check(&tour);
         s.retract(a);
         s.check(&tour);
-        prop_assert_eq!(s.arena.lookup_by::<Alpha, u64>(&key), vec![c]);
+        prop_assert_eq!(s.arena.lookup_by(s.key_ix, &key), vec![c]);
         s.rekey(c, key + 1);
         s.check(&tour);
         s.retract(c);
         s.check(&tour);
-        prop_assert!(s.arena.lookup_by::<Alpha, u64>(&key).is_empty());
+        prop_assert!(s.arena.lookup_by(s.key_ix, &key).is_empty());
         for (h, id) in &s.ids {
             if s.arena.contains(*h) {
                 prop_assert_eq!(s.arena.get_id(*id), s.arena.get::<Alpha>(*h));

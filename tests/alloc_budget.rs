@@ -1,6 +1,7 @@
 //! What the whole-stack path costs per workflow and per policy call: the
-//! `campaign`, `resident` and `durable` sections of the exact-cost ledger
-//! (`ledger/mod.rs`), asserted against the committed `scripts/costs.txt`.
+//! `campaign`, `sharded`, `resident` and `durable` sections of the
+//! exact-cost ledger (`ledger/mod.rs`), asserted against the committed
+//! `scripts/costs.txt`.
 
 #[macro_use]
 mod ledger;
@@ -15,9 +16,22 @@ use pwm_core::{
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{Network, StreamModel};
-use pwm_rest::{PolicyRestClient, PolicyRestServer};
+use pwm_rest::http::{render_request, try_parse_response};
+use pwm_rest::{
+    CleanupCompletionEnvelope, CleanupRequestEnvelope, CleanupResponseEnvelope, Method,
+    PolicyRestClient, PolicyRestServer, TransferCompletionEnvelope, TransferRequestEnvelope,
+    TransferResponseEnvelope, WireFormat,
+};
 use pwm_sim::SimDuration;
 use pwm_workflow::{merge_plans, plan, ExecutorConfig, PlannerConfig, WorkflowExecutor};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Mutex;
+
+/// Held by a workload while a REST server of its own answers calls: the
+/// ledger counts every thread that is no workload's (a server loop) in one
+/// total, so two servers must not answer at the same time.
+static SERVING: Mutex<()> = Mutex::new(());
 
 /// File `n` between the hosts of `pair` into `dir`, for `workflow`. A path
 /// of at most 22 bytes is held inline by its `Name`; a longer one, like the
@@ -36,11 +50,12 @@ fn transfer(dir: &str, pair: u64, n: u64, workflow: u64) -> TransferSpec {
 
 const WORKFLOWS: u64 = 2;
 const CALLS: u64 = 64;
-/// Allocations the server's loop may make per policy call. Not exact: a read
-/// takes what has arrived, so its buffers grow a turn more or less.
-const SERVER_ALLOCS_PER_CALL: u64 = 10;
+/// What the server may allocate answering the campaign's 1 148 calls (see
+/// the row's comment for why it is a ceiling).
+const SERVER_ALLOCS_PER_CAMPAIGN: u64 = 2325;
 
 fn campaign() -> Ledger {
+    let _serving = SERVING.lock().unwrap_or_else(|e| e.into_inner());
     let controller = PolicyController::new(
         PolicyConfig::default()
             .with_default_streams(8)
@@ -48,6 +63,9 @@ fn campaign() -> Ledger {
             .with_allocation(AllocationPolicy::Greedy),
     );
     let server = PolicyRestServer::start(controller.clone()).expect("loopback server");
+    // The loop thread makes its counters and buffers as it starts: one
+    // answered call puts that behind us before anything is counted.
+    assert!(PolicyRestClient::new(server.addr(), DEFAULT_SESSION).health());
     let world = PaperWorld::testbed();
     let bytes_before_plans = held().1;
     let (plans, plan_allocs, _) = counted(|| {
@@ -107,14 +125,19 @@ fn campaign() -> Ledger {
     let run = new_allocs + run_allocs;
     l.row(format_args!("executor.new_run.allocs_{per_wf}"), run);
     l.row(format_args!("plans.bytes_held_{per_wf}"), plan_bytes);
-    l.1 += "# not exact: a server read takes what has arrived, so the loop's buffers\n\
-            # grow a turn more or less (7 863-7 887 allocations over 1 148 calls)\n";
-    let bound = if server_allocs <= SERVER_ALLOCS_PER_CALL * calls {
-        format!("<={SERVER_ALLOCS_PER_CALL}")
-    } else {
-        format!("{server_allocs}/{calls}")
+    l.1 += "# the loop's buffers are made when it starts, a connection's when it is\n\
+            # accepted. What remains makes state the session keeps: a Name for each path\n\
+            # longer than 22 bytes (a transfer's source and destination, a cleanup's file;\n\
+            # ~1 400), the metric series its first calls publish (~700), and its tables\n\
+            # growing to their peak. Not exact, by one table growth or so: the URL indexes\n\
+            # hash a per-process keyed digest, so which removals leave tombstones, and so\n\
+            # when a table that churns must grow, differs from run to run (2 316-2 318)\n";
+    let bound = SERVER_ALLOCS_PER_CAMPAIGN;
+    let measured = match server_allocs {
+        n if n <= bound => format!("<={bound}"),
+        n => n.to_string(),
     };
-    l.row("server.allocs_per_policy_call", bound);
+    l.row(format_args!("server.allocs_per_{calls}_calls"), measured);
 
     // The client half of each kind of call, alone: a report carries nothing
     // back, and a one-transfer evaluate carries one advice entry.
@@ -143,6 +166,217 @@ fn campaign() -> Ledger {
     l.row(format_args!("client.report_transfers.{per}"), report);
     l.row(format_args!("client.evaluate_cleanups.{per}"), cleanup);
     l.row(format_args!("client.report_cleanups.{per}"), done);
+    l
+}
+
+/// Host pairs the sharded cycles spread over: every cycle stages one file
+/// on each, so the warm-up cycle creates every pair's ledger.
+const PAIRS: u64 = 16;
+/// Request groups of one pipelined window, as in `advice_hot`.
+const WINDOW: u64 = 8;
+/// Cycles counted after the warm-up cycle.
+const CYCLES: u64 = 10;
+
+/// File `k` of group `g` of cycle `cycle`: its host pair and a path of the
+/// length `advice_hot`'s take, past what a `Name` holds inline.
+fn cycle_file(cycle: u64, g: u64, k: u64, workflow: u64) -> TransferSpec {
+    let pair = (2 * g + k) % PAIRS;
+    let file = format!(
+        "c{cycle}/{g}-{k}-{:06x}.dat",
+        (cycle * 31 + g * 7 + k) * 2_654_435
+    );
+    TransferSpec {
+        source: Url::new("gsiftp", format!("gridftp-{pair}"), format!("/data/{file}")),
+        dest: Url::new(
+            "file",
+            format!("scratch-{pair}"),
+            format!("/scratch/{file}"),
+        ),
+        bytes: 1_000_000 + g,
+        requested_streams: None,
+        workflow: WorkflowId(workflow),
+        cluster: None,
+        priority: None,
+    }
+}
+
+/// One keep-alive connection to the sharded server, as `advice_hot`'s
+/// callers drive it: each exchange is one write, then its answers.
+struct Caller {
+    stream: TcpStream,
+    rbuf: Vec<u8>,
+}
+
+impl Caller {
+    fn post(wire: &mut Vec<u8>, route: &str, body: Vec<u8>) {
+        let path = format!("/sessions/sharded/{route}");
+        wire.extend(render_request(
+            WireFormat::Json,
+            Method::Post,
+            &path,
+            &body,
+            true,
+        ));
+    }
+
+    /// Send `wire` in one write; the bodies of its `responses` answers.
+    fn exchange(&mut self, wire: &[u8], responses: usize) -> Vec<Vec<u8>> {
+        self.stream.write_all(wire).expect("send");
+        let mut bodies = Vec::new();
+        let mut chunk = [0u8; 16 << 10];
+        while bodies.len() < responses {
+            match try_parse_response(&self.rbuf).expect("a response") {
+                Some((200, body, len)) => {
+                    bodies.push(body);
+                    self.rbuf.drain(..len);
+                }
+                Some((status, body, _)) => panic!("{status}: {}", String::from_utf8_lossy(&body)),
+                None => {
+                    let n = self.stream.read(&mut chunk).expect("receive");
+                    assert!(n > 0, "the server closed the connection");
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                }
+            }
+        }
+        bodies
+    }
+}
+
+/// `advice_hot`'s path over loopback, one caller: a 4-shard session, then
+/// cycles of a pipelined window of 8 three-spec groups (two new files for
+/// one workflow, then the first again for a second: one cross-workflow
+/// duplicate each), the completion report, each workflow's cleanups and
+/// the cleanup report. One warm-up cycle makes every buffer and ledger the
+/// cycles use; the server's allocations in the cycles after it are counted,
+/// per kind of exchange.
+fn sharded() -> Ledger {
+    let _serving = SERVING.lock().unwrap_or_else(|e| e.into_inner());
+    let controller = PolicyController::new(PolicyConfig::default());
+    let config = PolicyConfig::default().with_default_streams(4);
+    controller.create_sharded_session("sharded", config, 4);
+    let server = PolicyRestServer::start(controller.clone()).expect("loopback server");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut caller = Caller {
+        stream,
+        rbuf: Vec::new(),
+    };
+    // [window, report, first cleanups, second cleanups, cleanup report]
+    let mut counts = [0u64; 5];
+    let (mut executed, mut suppressed) = (0, 0);
+    for cycle in 0..=CYCLES {
+        let (staging, sharing) = (2 * cycle, 2 * cycle + 1);
+        let mut window = Vec::new();
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        for g in 0..WINDOW {
+            let mut transfers: Vec<_> = (0..2).map(|k| cycle_file(cycle, g, k, staging)).collect();
+            let mut shared = transfers[0].clone();
+            shared.workflow = WorkflowId(sharing);
+            first.extend(transfers.iter().map(|t| CleanupSpec {
+                file: t.dest.clone(),
+                workflow: t.workflow,
+            }));
+            second.push(CleanupSpec {
+                file: shared.dest.clone(),
+                workflow: shared.workflow,
+            });
+            transfers.push(shared);
+            Caller::post(
+                &mut window,
+                "transfers",
+                serde_json::to_vec(&TransferRequestEnvelope { transfers }).unwrap(),
+            );
+        }
+        let mut calls = [0u64; 5];
+        let (answers, _, server) = counted(|| caller.exchange(&window, WINDOW as usize));
+        calls[0] = server;
+        let mut outcomes = Vec::new();
+        for body in answers {
+            let advice = serde_json::from_slice::<TransferResponseEnvelope>(&body).unwrap();
+            for a in advice.advice {
+                if a.should_execute() {
+                    outcomes.push(TransferOutcome {
+                        id: a.id,
+                        success: true,
+                    });
+                } else {
+                    suppressed += 1;
+                }
+            }
+        }
+        executed += outcomes.len() as u64;
+        let mut wire = Vec::new();
+        Caller::post(
+            &mut wire,
+            "transfers/complete",
+            serde_json::to_vec(&TransferCompletionEnvelope { outcomes }).unwrap(),
+        );
+        (_, _, calls[1]) = counted(|| caller.exchange(&wire, 1));
+        let mut done = Vec::new();
+        for (i, cleanups) in [first, second].into_iter().enumerate() {
+            let mut wire = Vec::new();
+            Caller::post(
+                &mut wire,
+                "cleanups",
+                serde_json::to_vec(&CleanupRequestEnvelope { cleanups }).unwrap(),
+            );
+            let (answer, _, server) = counted(|| caller.exchange(&wire, 1));
+            calls[2 + i] = server;
+            let advice = serde_json::from_slice::<CleanupResponseEnvelope>(&answer[0]).unwrap();
+            let executed = advice.advice.iter().filter(|a| a.should_execute());
+            done.extend(executed.map(|a| CleanupOutcome {
+                id: a.id,
+                success: true,
+            }));
+        }
+        assert_eq!(done.len() as u64, 2 * WINDOW, "every file is deleted once");
+        let mut wire = Vec::new();
+        Caller::post(
+            &mut wire,
+            "cleanups/complete",
+            serde_json::to_vec(&CleanupCompletionEnvelope { outcomes: done }).unwrap(),
+        );
+        (_, _, calls[4]) = counted(|| caller.exchange(&wire, 1));
+        if cycle > 0 {
+            for (total, n) in counts.iter_mut().zip(calls) {
+                *total += n;
+            }
+        }
+    }
+    assert_eq!(
+        (executed, suppressed),
+        (2 * WINDOW * (CYCLES + 1), WINDOW * (CYCLES + 1))
+    );
+    let memory = controller.snapshot("sharded").unwrap();
+    assert_eq!((memory.staged_files, memory.in_progress_transfers), (0, 0));
+    let mut l = Ledger("sharded", String::new());
+    let [window, report, first, second, done] = counts;
+    let requests = CYCLES * (WINDOW + 4);
+    l.1 += "# exact. What remains makes state the session keeps: a Name for each path a\n\
+            # cycle names (48 in its window, 24 in its cleanups), the second user of each\n\
+            # shared file's resource (8 a window), and the first cycles' growth of the\n\
+            # shards' tables to their peak (the rest)\n";
+    l.row(
+        format_args!("server.allocs_per_{requests}_requests"),
+        counts.iter().sum::<u64>(),
+    );
+    l.row(
+        format_args!("server.window.allocs_per_{CYCLES}_windows"),
+        window,
+    );
+    l.row(
+        format_args!("server.report_transfers.allocs_per_{CYCLES}_calls"),
+        report,
+    );
+    let cleanups = 2 * CYCLES;
+    l.row(
+        format_args!("server.evaluate_cleanups.allocs_per_{cleanups}_calls"),
+        first + second,
+    );
+    l.row(
+        format_args!("server.report_cleanups.allocs_per_{CYCLES}_calls"),
+        done,
+    );
     l
 }
 
@@ -232,5 +466,5 @@ fn durable() -> Ledger {
 
 #[test]
 fn allocations_per_workflow_and_per_policy_call_stay_under_budget() {
-    ledger::assert_committed(&[campaign, resident, durable]);
+    ledger::assert_committed(&[campaign, sharded, resident, durable]);
 }
