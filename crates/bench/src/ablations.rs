@@ -20,12 +20,13 @@
 
 use crate::experiment::{mb, MontageExperiment, PaperWorld, PolicyMode};
 use crate::SuiteOutput;
-use pwm_core::transport::{InProcessTransport, NoPolicyTransport, PolicyTransport};
+use pwm_core::transport::{NoPolicyTransport, PolicyTransport};
 use pwm_core::{PolicyConfig, PolicyController, PriorityAlgorithm, WorkflowId, DEFAULT_SESSION};
 use pwm_montage::{
     cybershake_like, epigenomics_like, single_source_replicas, CyberShakeConfig, EpigenomicsConfig,
 };
 use pwm_net::{Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_sim::{SimDuration, Summary};
 use pwm_workflow::{plan, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor};
 use std::fmt::Write;
@@ -164,7 +165,7 @@ fn sharing_runs() -> Vec<RunStats> {
         .map(|wf| {
             let network =
                 Network::with_seed(world.topology.clone(), StreamModel::default(), wf + 1);
-            let transport = Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION));
+            let transport = Box::new(PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION));
             let cfg = ExecutorConfig {
                 seed: wf + 1,
                 workflow_id: WorkflowId(wf),
@@ -252,7 +253,7 @@ fn workload_shapes(s: &mut Studies) {
                         .with_default_streams(8)
                         .with_threshold(50),
                 );
-                Box::new(InProcessTransport::new(controller, DEFAULT_SESSION))
+                Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION))
             } else {
                 Box::new(NoPolicyTransport::new(4))
             };

@@ -27,13 +27,14 @@
 
 use crate::experiment::PaperWorld;
 use crate::SuiteOutput;
-use pwm_core::transport::{InProcessTransport, PolicyTransport};
+use pwm_core::transport::PolicyTransport;
 use pwm_core::{
     AllocationPolicy, DurabilityConfig, FailoverTransport, MemorySnapshot, PolicyConfig,
     PolicyController, ServiceFault, WorkflowId, DEFAULT_SESSION,
 };
 use pwm_net::fault::{LinkFault, LinkFaultKind};
 use pwm_net::{Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_sim::{seeded_windows, FaultPlan, SimDuration, SimRng, SimTime};
 use pwm_workflow::{
     CrashTarget, ExecutorConfig, PlannerConfig, RecoveryConfig, RunStats, WorkflowExecutor,
@@ -95,7 +96,7 @@ pub(crate) fn run_faulted(world: PaperWorld, run: FaultedMontage) -> ChaosReport
     let replicas = [Some(&primary), backup.as_ref()]
         .into_iter()
         .flatten()
-        .map(|c| Box::new(InProcessTransport::new(c.clone(), DEFAULT_SESSION)) as _)
+        .map(|c| Box::new(PolicyRestClient::pipe(c.clone(), DEFAULT_SESSION)) as _)
         .collect();
     let mut chain = FailoverTransport::new(replicas);
     if let (Some(backup), Some(mut warm)) = (&backup, run.warm) {

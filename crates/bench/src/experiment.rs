@@ -7,7 +7,7 @@
 //! enabled, with a selectable staging policy — run over ≥ 5 seeds and
 //! summarized as mean ± stddev, exactly as the paper's error bars.
 
-use pwm_core::transport::{InProcessTransport, NoPolicyTransport, PolicyTransport};
+use pwm_core::transport::{NoPolicyTransport, PolicyTransport};
 use pwm_core::{
     AllocationPolicy, PolicyConfig, PolicyController, PriorityAlgorithm, SharedSimClock,
     WorkflowId, DEFAULT_SESSION,
@@ -15,6 +15,7 @@ use pwm_core::{
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{paper_testbed, HostId, LinkId, Network, StreamModel, Topology};
 use pwm_obs::Obs;
+use pwm_rest::PolicyRestClient;
 use pwm_sim::{SimDuration, Summary};
 use pwm_workflow::{
     plan, ComputeSite, ExecutablePlan, ExecutorConfig, PlannerConfig, RunStats, WorkflowExecutor,
@@ -232,7 +233,7 @@ impl MontageExperiment {
                         .expect("default session exists");
                 }
                 (
-                    Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
+                    Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION)),
                     self.policy_call_latency,
                 )
             }

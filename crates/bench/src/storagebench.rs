@@ -27,11 +27,10 @@
 
 use crate::resilience::{Intensity, OUTAGE_BACKEND};
 use crate::SuiteOutput;
-use pwm_core::{
-    InProcessTransport, PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION,
-};
+use pwm_core::{PolicyConfig, PolicyController, StoragePolicy, Url, DEFAULT_SESSION};
 use pwm_net::{Network, StreamModel, Topology};
 use pwm_obs::global_logger;
+use pwm_rest::PolicyRestClient;
 use pwm_storage::{ec2_trio, BackendSpec, CorruptionModel, StorageLayer};
 use pwm_workflow::{
     plan, AbstractJob, AbstractWorkflow, ComputeSite, CrashTarget, ExecutorConfig, PlannerConfig,
@@ -187,7 +186,7 @@ pub(crate) fn run_site(
     for spec in profiles {
         config = config.with_backend(spec.clone(), site.storage_host_name.as_str());
     }
-    let transport = Box::new(InProcessTransport::new(
+    let transport = Box::new(PolicyRestClient::pipe(
         PolicyController::new(config),
         DEFAULT_SESSION,
     ));

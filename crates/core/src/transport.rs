@@ -2,16 +2,17 @@
 //! Service.
 //!
 //! The paper's PTT talks to the service "via HTTP using its RESTful Web
-//! Interface". Inside the simulator we don't want real sockets on the hot
-//! path, so clients program against [`PolicyTransport`] and choose:
+//! Interface". Clients program against [`PolicyTransport`]:
 //!
-//! * [`InProcessTransport`] — direct calls into a shared
-//!   [`PolicyController`] (the simulator models the HTTP round-trip latency
-//!   separately, as the paper notes the callout overhead explicitly);
-//! * `RestTransport` in `pwm-rest` — real loopback HTTP + JSON;
+//! * `PolicyRestClient` in `pwm-rest` — JSON or XML over HTTP, through a
+//!   loopback socket or, in every simulated run, a socket-free pipe (the
+//!   simulator models the round trip's latency separately, as the paper
+//!   notes the callout overhead explicitly);
 //! * [`NoPolicyTransport`] — the paper's "default Pegasus with no policy"
 //!   comparator: every transfer is approved unchanged with a fixed number
-//!   of streams and nothing is tracked.
+//!   of streams and nothing is tracked;
+//! * [`InProcessTransport`] — direct calls into a [`PolicyController`],
+//!   for this crate's tests, which cannot reach `pwm-rest`.
 
 use crate::advice::{
     CleanupAction, CleanupAdvice, CleanupOutcome, TransferAction, TransferAdvice, TransferOutcome,

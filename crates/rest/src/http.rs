@@ -214,7 +214,8 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-/// Upper bound on header + body size (sanity guard, 64 MiB).
+/// Upper bound on header + body size (sanity guard, 64 MiB); a head past it
+/// is refused whether or not its end has arrived.
 const MAX_REQUEST: usize = 64 << 20;
 
 /// Try to parse one complete request off the front of `buf`.
@@ -237,7 +238,8 @@ pub(crate) fn frame_request(
     buf: &[u8],
     max_body: usize,
 ) -> Result<Option<(RequestFrame, usize)>, HttpError> {
-    let Some(head) = Head::scan(buf, "non-utf8 header block")? else {
+    let head = Head::scan(buf, "non-utf8 header block")?;
+    let Some(head) = head.filter(|head| head.body_start <= MAX_REQUEST) else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::TooLarge("headers too large".into()));
         }
@@ -298,7 +300,8 @@ pub fn try_parse_response(buf: &[u8]) -> Result<Option<(u16, Vec<u8>, usize)>, H
 pub(crate) fn frame_response(
     buf: &[u8],
 ) -> Result<Option<(u16, WireFormat, Range<usize>, usize)>, HttpError> {
-    let Some(head) = Head::scan(buf, "non-utf8 response head")? else {
+    let head = Head::scan(buf, "non-utf8 response head")?;
+    let Some(head) = head.filter(|head| head.body_start <= MAX_REQUEST) else {
         if buf.len() > MAX_REQUEST {
             return Err(HttpError::Malformed("response head too large".into()));
         }

@@ -23,8 +23,8 @@
 //!   rules pass,
 //! * [`client`] — [`PolicyRestClient`], the blocking keep-alive client the
 //!   modified Pegasus Transfer Tool uses; it implements
-//!   `pwm_core::transport::PolicyTransport` so the workflow substrate can
-//!   switch between in-process and over-the-wire callouts.
+//!   `pwm_core::transport::PolicyTransport` over a socket or, in every
+//!   simulated run, a socket-free pipe into the server's connection core.
 //!
 //! ```
 //! use pwm_core::{PolicyConfig, PolicyController, PolicyTransport, DEFAULT_SESSION};

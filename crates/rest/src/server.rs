@@ -9,7 +9,8 @@
 //! batched rules pass per pipelined run of transfer evaluations) and decides
 //! every status and every close. Around it, one thread's `poll(2)` loop (see
 //! [`crate::poller`]) only accepts, polls, reads, writes and reaps; a
-//! shutdown wakes it through the poller's self-pipe.
+//! shutdown wakes it through the poller's self-pipe. A `Pipe` serves one
+//! connection on its caller's thread instead, with no socket.
 //!
 //! Routes:
 //!
@@ -120,6 +121,33 @@ impl PolicyRestServer {
 impl Drop for PolicyRestServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// One connection served on the caller's thread, with no socket. Its clock
+/// is never ticked, so no read or write deadline fires.
+pub(crate) struct Pipe {
+    conn: Connection,
+    handler: Handler,
+}
+
+impl Pipe {
+    pub(crate) fn new(controller: PolicyController) -> Pipe {
+        let handler = Handler::new(controller, ServerLimits::default());
+        let conn = Connection::new(Instant::now(), &handler);
+        Pipe { conn, handler }
+    }
+
+    /// Serve `request` now and append every answer to `answers`; a closed
+    /// connection takes nothing and answers nothing.
+    pub(crate) fn exchange(&mut self, request: &[u8], answers: &mut Vec<u8>) {
+        let now = Instant::now();
+        self.conn.receive(request);
+        self.conn.serve(now, false, &mut self.handler);
+        while let written @ 1.. = self.conn.output().len() {
+            answers.extend_from_slice(self.conn.output());
+            self.conn.wrote(written, now, &mut self.handler);
+        }
     }
 }
 

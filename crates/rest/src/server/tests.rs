@@ -392,6 +392,18 @@ fn oversized_body_is_rejected_with_413() {
     assert!(conn.finished());
 }
 
+/// A head past the 64 MiB bound is refused whether or not its blank line
+/// came in the same read: the answer does not depend on the cut.
+#[test]
+fn a_head_past_the_bound_is_refused_even_when_it_is_whole() {
+    let mut wire = b"GET /health HTTP/1.1\r\nX: ".to_vec();
+    wire.resize((64 << 20) + 1, b'a');
+    wire.extend_from_slice(b"\r\n\r\n");
+    let mut core = core();
+    let mut conn = core.connect();
+    assert_eq!(statuses(&core.send(&mut conn, &wire)), [413]);
+}
+
 #[test]
 fn stalled_client_gets_408() {
     let limits = ServerLimits {

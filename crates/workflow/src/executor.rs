@@ -1098,10 +1098,11 @@ mod tests {
     use crate::catalog::{ComputeSite, ReplicaCatalog};
     use crate::dag::{AbstractJob, AbstractWorkflow};
     use crate::planner::{plan, PlannerConfig};
-    use pwm_core::transport::{InProcessTransport, NoPolicyTransport};
+    use pwm_core::transport::NoPolicyTransport;
     use pwm_core::{PolicyConfig, PolicyController, Url, DEFAULT_SESSION};
     use pwm_net::{paper_testbed, HostId, StreamModel};
     use pwm_obs::TraceEvent;
+    use pwm_rest::PolicyRestClient;
     use pwm_storage::StorageLayer;
 
     /// The paper's Obelix site with `nodes` × 6 cores.
@@ -1155,8 +1156,8 @@ mod tests {
         (Network::new(topo, StreamModel::default()), site, p)
     }
 
-    fn in_process(controller: &PolicyController) -> Box<dyn PolicyTransport> {
-        Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION))
+    fn piped(controller: &PolicyController) -> Box<dyn PolicyTransport> {
+        Box::new(PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION))
     }
 
     fn wan_link() -> Option<LinkId> {
@@ -1173,7 +1174,7 @@ mod tests {
     ) -> (RunStats, Network, PolicyController) {
         let (network, site, p) = testbed(n, bytes);
         let controller = PolicyController::new(policy);
-        let transport = in_process(&controller);
+        let transport = piped(&controller);
         let (stats, net) = WorkflowExecutor::new(&p, &site, network, transport, exec_cfg).run();
         (stats, net, controller)
     }
@@ -1402,7 +1403,7 @@ mod tests {
         let controller = PolicyController::new(PolicyConfig::default());
         let network = Network::new(topo, StreamModel::default());
         let cfg = ExecutorConfig::default();
-        let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), cfg);
+        let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), cfg);
         let (stats, _net) = exec.run();
         assert!(stats.success);
         // One of the two staging attempts was suppressed...
@@ -1487,7 +1488,7 @@ mod tests {
         let network = Network::with_seed(topo, StreamModel::default(), 1);
         let mut cfg = ExecutorConfig::default();
         cfg.staging_job_limit = 1;
-        let transport = in_process(&controller);
+        let transport = piped(&controller);
         let (stats, _) =
             WorkflowExecutor::new(&plan, &obelix(1, nfs), network, transport, cfg).run();
         assert!(stats.success);
@@ -1509,7 +1510,7 @@ mod tests {
             let controller = PolicyController::new(PolicyConfig::default());
             let network = Network::new(topo, StreamModel::default());
             let cfg = ExecutorConfig::default();
-            let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), cfg);
+            let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), cfg);
             let (stats, _) = exec.run();
             assert!(stats.success);
             stats
@@ -1552,7 +1553,7 @@ mod tests {
         cfg.storage = Some(StorageRuntime::new(layer.clone()));
         tweak(&layer, &mut cfg);
         let network = Network::new(topo, StreamModel::default());
-        let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), cfg);
+        let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), cfg);
         let (stats, _net) = exec.run();
         assert!(stats.success);
         (stats, layer)
@@ -1746,7 +1747,7 @@ mod tests {
         }
         cfg.recovery = Some(rec);
         let network = Network::new(topo, StreamModel::default());
-        let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), cfg);
+        let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), cfg);
         let (stats, _net) = exec.run();
         assert!(stats.success);
         (stats, obs.tracer.events())
@@ -1888,7 +1889,7 @@ mod tests {
         // 85% of the makespan; halt just after, mid-compute, so the
         // checkpoint holds the stage-in frontier.
         halting.halt_at = Some(SimTime::from_secs_f64(full.makespan_secs() * 0.92));
-        let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), halting);
+        let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), halting);
         let (halted, _net, cp) = exec.run_checkpointed();
         assert!(!halted.success, "halted mid-DAG");
         assert!(!cp.is_empty(), "something completed before the halt");
@@ -1896,7 +1897,7 @@ mod tests {
 
         let network = Network::new(paper_testbed().0, StreamModel::default());
         cfg.resume_from = Some(cp);
-        let exec = WorkflowExecutor::new(&p, &site, network, in_process(&controller), cfg);
+        let exec = WorkflowExecutor::new(&p, &site, network, piped(&controller), cfg);
         let (resumed, _net) = exec.run();
         assert!(resumed.success, "resume completes the remaining frontier");
         // Finished jobs did not re-run and already-staged files were

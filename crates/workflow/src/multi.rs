@@ -63,9 +63,9 @@ mod tests {
     use crate::executor::{ExecutorConfig, WorkflowExecutor};
     use crate::planner::proptests::random_plan;
     use crate::planner::{plan, PlanJobKind, PlannerConfig};
-    use pwm_core::transport::InProcessTransport;
     use pwm_core::{PolicyConfig, PolicyController, DEFAULT_SESSION};
     use pwm_net::{paper_testbed, HostId, Network, StreamModel};
+    use pwm_rest::PolicyRestClient;
     use pwm_sim::SimTime;
 
     fn site(nfs: HostId) -> ComputeSite {
@@ -175,7 +175,7 @@ mod tests {
                 .with_default_streams(8)
                 .with_threshold(50),
         );
-        let transport = Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION));
+        let transport = Box::new(PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION));
         let network = Network::with_seed(topo, StreamModel::default(), 7);
         let exec = WorkflowExecutor::new(
             &merged,
@@ -222,7 +222,7 @@ mod tests {
         let merged = merge_plans(&[&plans[0], &plans[1]], 3);
         let controller = PolicyController::new(PolicyConfig::default());
         let run = |config: ExecutorConfig| {
-            let transport = Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION));
+            let transport = Box::new(PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION));
             let network = Network::with_seed(paper_testbed().0, StreamModel::default(), 7);
             WorkflowExecutor::new(&merged, &site, network, transport, config).run_checkpointed()
         };
@@ -304,7 +304,7 @@ mod tests {
                 .with_default_streams(4)
                 .with_threshold(1_000_000),
         );
-        let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));
+        let transport = Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION));
         let (topo2, _, _, _) = paper_testbed();
         let wan = topo2
             .links()

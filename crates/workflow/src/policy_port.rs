@@ -230,8 +230,8 @@ impl PolicyPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwm_core::transport::InProcessTransport;
     use pwm_core::{PolicyConfig, PolicyController, Url, WorkflowId, DEFAULT_SESSION};
+    use pwm_rest::PolicyRestClient;
     use std::sync::{Arc, Mutex};
 
     fn transfer(n: u32) -> TransferSpec {
@@ -267,10 +267,10 @@ mod tests {
         Health(usize),
     }
 
-    /// Forwards to an in-process service, failing the next `failures_left`
+    /// Forwards to a service through the pipe, failing the next `failures_left`
     /// report calls, and records every call that arrives.
     struct FlakyReports {
-        inner: InProcessTransport,
+        inner: PolicyRestClient,
         failures_left: usize,
         arrivals: Arc<Mutex<Vec<Arrival>>>,
     }
@@ -325,7 +325,7 @@ mod tests {
         let controller = PolicyController::new(PolicyConfig::default());
         let arrivals = Arc::new(Mutex::new(Vec::new()));
         let transport = FlakyReports {
-            inner: InProcessTransport::new(controller.clone(), DEFAULT_SESSION),
+            inner: PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION),
             failures_left: failures,
             arrivals: arrivals.clone(),
         };
@@ -358,28 +358,11 @@ mod tests {
 
     #[test]
     fn fallback_streams_are_configurable() {
-        struct Dead;
-        impl PolicyTransport for Dead {
-            fn evaluate_transfers(
-                &mut self,
-                _b: Vec<TransferSpec>,
-            ) -> Result<Vec<TransferAdvice>, TransportError> {
-                Err(down())
-            }
-            fn report_transfers(&mut self, _o: Vec<TransferOutcome>) -> Result<(), TransportError> {
-                Err(down())
-            }
-            fn evaluate_cleanups(
-                &mut self,
-                _b: Vec<CleanupSpec>,
-            ) -> Result<Vec<CleanupAdvice>, TransportError> {
-                Err(down())
-            }
-            fn report_cleanups(&mut self, _o: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-                Err(down())
-            }
-        }
-        let mut port = PolicyPort::new(Box::new(Dead), 4, None);
+        // A dead service: the session asked for does not exist, so every
+        // call errors.
+        let dead = PolicyController::new(PolicyConfig::default());
+        let dead = PolicyRestClient::pipe(dead, "down");
+        let mut port = PolicyPort::new(Box::new(dead), 4, None);
         let specs = [transfer(0), transfer(1), transfer(2)];
         let (advice, fell_back) = port.evaluate_transfers(&specs);
         assert!(fell_back, "a dead service is answered by the fail-safe");

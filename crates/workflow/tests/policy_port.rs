@@ -3,7 +3,7 @@
 //! no report crosses a simulated instant, every evaluate sees every earlier
 //! outcome, a dropped window is resent whole, and a halt closes the window.
 
-use pwm_core::transport::{InProcessTransport, PolicyTransport};
+use pwm_core::transport::PolicyTransport;
 use pwm_core::SharedSimClock;
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, TransferAdvice,
@@ -11,6 +11,7 @@ use pwm_core::{
 };
 use pwm_montage::{montage_one_degree, montage_replicas};
 use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_sim::{SimDuration, SimTime};
 use pwm_workflow::{
     plan, Checkpoint, ComputeSite, ExecutablePlan, ExecutorConfig, PlannerConfig, RunStats,
@@ -47,7 +48,7 @@ fn controller() -> PolicyController {
 }
 
 fn in_process(controller: &PolicyController) -> Box<dyn PolicyTransport> {
-    Box::new(InProcessTransport::new(controller.clone(), DEFAULT_SESSION))
+    Box::new(PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION))
 }
 
 fn config(clock: Option<SharedSimClock>) -> ExecutorConfig {

@@ -3,7 +3,7 @@
 //! order the entries come in, and each transfer span ends once, with the
 //! result whose counter counts it.
 
-use pwm_core::transport::{InProcessTransport, NoPolicyTransport, PolicyTransport};
+use pwm_core::transport::{NoPolicyTransport, PolicyTransport};
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, SuppressReason,
     TransferAction, TransferAdvice, TransferOutcome, TransferSpec, TransportError, Url,
@@ -11,6 +11,7 @@ use pwm_core::{
 };
 use pwm_net::{paper_testbed, HostId, Network, StreamModel};
 use pwm_obs::Obs;
+use pwm_rest::PolicyRestClient;
 use pwm_sim::{SimDuration, SimTime};
 use pwm_workflow::{
     plan, AbstractJob, AbstractWorkflow, ComputeSite, CrashTarget, ExecutablePlan, ExecutorConfig,
@@ -174,7 +175,7 @@ fn every_transfer_span_ends_once_with_the_result_its_counter_counts() {
         ..ExecutorConfig::default()
     };
     let controller = PolicyController::new(PolicyConfig::default());
-    let transport = Box::new(InProcessTransport::new(controller, DEFAULT_SESSION));
+    let transport = Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION));
     let network = Network::new(topo, StreamModel::default());
     let (stats, _) = WorkflowExecutor::new(&plan, &site, network, transport, cfg).run();
     assert!(stats.success);

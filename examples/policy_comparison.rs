@@ -6,12 +6,13 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use pwm_core::transport::{InProcessTransport, NoPolicyTransport, PolicyTransport};
+use pwm_core::transport::{NoPolicyTransport, PolicyTransport};
 use pwm_core::{
     AllocationPolicy, PolicyConfig, PolicyController, PriorityAlgorithm, DEFAULT_SESSION,
 };
 use pwm_montage::{fork_join, single_source_replicas};
 use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor};
 
 fn main() {
@@ -75,7 +76,7 @@ fn main() {
         run(
             &format!("greedy threshold {threshold}"),
             PlannerConfig::default(),
-            Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
+            Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION)),
         );
     }
 
@@ -93,7 +94,7 @@ fn main() {
             clustering_factor: Some(4),
             ..Default::default()
         },
-        Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
+        Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION)),
     );
 
     // 4. Structure-based priorities (greedy 50 underneath).
@@ -116,7 +117,7 @@ fn main() {
                 priority: Some(algo),
                 ..Default::default()
             },
-            Box::new(InProcessTransport::new(controller, DEFAULT_SESSION)),
+            Box::new(PolicyRestClient::pipe(controller, DEFAULT_SESSION)),
         );
     }
 }

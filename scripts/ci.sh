@@ -330,8 +330,16 @@ identity_outputs() {
   timeout 120 "$repro" storage --out "$out/BENCH_storage.json" > /dev/null
   timeout 120 "$repro" resilience --out "$out/BENCH_resilience.json" > /dev/null
 }
+# Wall-clock of one `identity_outputs` run, printed for the change and the
+# parent: what the wire costs the simulated suites (informational).
+timed_identity_outputs() {
+  local start
+  start=$(date +%s%N)
+  identity_outputs "$@"
+  echo "identity outputs of $1: $((($(date +%s%N) - start) / 1000000)) ms"
+}
 rm -rf target/identity
-identity_outputs target/release/repro target/identity/change
+timed_identity_outputs target/release/repro target/identity/change
 for f in BENCH_storage.json BENCH_resilience.json; do
   cmp "$f" "target/identity/change/$f" \
     || { echo "$f differs from the committed file" >&2; exit 1; }
@@ -360,7 +368,7 @@ if git rev-parse -q --verify "${parent_rev}^{commit}" > /dev/null; then
   fi
   CARGO_TARGET_DIR="$PWD/target/parent" cargo build -q --release --offline \
     --manifest-path target/parent-src/Cargo.toml -p pwm-bench --bin repro
-  identity_outputs target/parent/release/repro target/identity/parent
+  timed_identity_outputs target/parent/release/repro target/identity/parent
   differ=()
   for f in table4.txt fig5.txt fig5_2.txt series.txt trace_stdout.txt run.trace.json chaos.txt crash.txt \
     ablations.txt BENCH_storage.json BENCH_resilience.json; do
@@ -413,6 +421,9 @@ fi
 # decision whole and cut into reads anywhere, and a script of staging
 # requests, pipelined runs included, with the same answers in JSON and in
 # XML (`pwm-rest`'s `server::connection` tests, 64 scripts each by default).
+# The client's framing core frames a pipelined stream of responses (advice in
+# JSON and XML, acks, error envelopes) into the same responses whole and cut
+# anywhere (`pwm-rest`'s `client` tests, 64 streams by default).
 echo "== differential suites (release, 8x case budget) =="
 PWM_PROPTEST_CASES=1024 cargo test -q --release --offline \
   -p pwm-rules --test facts_differential
@@ -429,6 +440,8 @@ PWM_PROPTEST_CASES=2048 cargo test -q --release --offline \
   -p pwm-rest --test http_differential
 PWM_PROPTEST_CASES=512 cargo test -q --release --offline \
   -p pwm-rest --lib server::connection
+PWM_PROPTEST_CASES=512 cargo test -q --release --offline \
+  -p pwm-rest --lib client::tests::responses_do_not_depend_on_how_the_bytes_arrived
 
 # E2ebench job: the whole-stack benchmark's own gate (benchmark/check.sh) —
 # its unit tests (incl. BENCHMARK.json-vs-tables equality), then two smoke

@@ -1,29 +1,31 @@
 //! Integration: the replicated-policy failover transport (a future-work
 //! extension) driving a whole workflow through a mid-run primary crash.
 
-use pwm_core::transport::{InProcessTransport, PolicyTransport, TransportError};
+use pwm_core::transport::{PolicyTransport, TransportError};
 use pwm_core::{
     CleanupAdvice, CleanupOutcome, CleanupSpec, FailoverTransport, PolicyConfig, PolicyController,
     TransferAdvice, TransferOutcome, TransferSpec, DEFAULT_SESSION,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor};
 
 /// A transport that fails after `live_calls` successful calls, simulating a
 /// policy-service crash mid-workflow.
 struct DiesAfter {
-    inner: InProcessTransport,
+    inner: PolicyRestClient,
     live_calls: u32,
 }
 
 impl DiesAfter {
-    fn dead(&mut self) -> bool {
+    /// The service, while it is alive.
+    fn live(&mut self) -> Result<&mut PolicyRestClient, TransportError> {
         if self.live_calls == 0 {
-            return true;
+            return Err(TransportError::Io("crashed".into()));
         }
         self.live_calls -= 1;
-        false
+        Ok(&mut self.inner)
     }
 }
 
@@ -32,31 +34,19 @@ impl PolicyTransport for DiesAfter {
         &mut self,
         batch: Vec<TransferSpec>,
     ) -> Result<Vec<TransferAdvice>, TransportError> {
-        if self.dead() {
-            return Err(TransportError::Io("crashed".into()));
-        }
-        self.inner.evaluate_transfers(batch)
+        self.live()?.evaluate_transfers(batch)
     }
     fn report_transfers(&mut self, outcomes: Vec<TransferOutcome>) -> Result<(), TransportError> {
-        if self.dead() {
-            return Err(TransportError::Io("crashed".into()));
-        }
-        self.inner.report_transfers(outcomes)
+        self.live()?.report_transfers(outcomes)
     }
     fn evaluate_cleanups(
         &mut self,
         batch: Vec<CleanupSpec>,
     ) -> Result<Vec<CleanupAdvice>, TransportError> {
-        if self.dead() {
-            return Err(TransportError::Io("crashed".into()));
-        }
-        self.inner.evaluate_cleanups(batch)
+        self.live()?.evaluate_cleanups(batch)
     }
     fn report_cleanups(&mut self, outcomes: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-        if self.dead() {
-            return Err(TransportError::Io("crashed".into()));
-        }
-        self.inner.report_cleanups(outcomes)
+        self.live()?.report_cleanups(outcomes)
     }
 }
 
@@ -85,10 +75,10 @@ fn workflow_survives_policy_primary_crash_via_failover() {
     let primary_ctl = PolicyController::new(PolicyConfig::default());
     let backup_ctl = PolicyController::new(PolicyConfig::default());
     let primary = DiesAfter {
-        inner: InProcessTransport::new(primary_ctl, DEFAULT_SESSION),
+        inner: PolicyRestClient::pipe(primary_ctl, DEFAULT_SESSION),
         live_calls: 25, // crash mid-workflow
     };
-    let backup = InProcessTransport::new(backup_ctl.clone(), DEFAULT_SESSION);
+    let backup = PolicyRestClient::pipe(backup_ctl.clone(), DEFAULT_SESSION);
     let transport = FailoverTransport::new(vec![Box::new(primary), Box::new(backup)]);
 
     let network = Network::with_seed(topo, StreamModel::default(), 8);

@@ -8,7 +8,7 @@ mod ledger;
 
 use ledger::{alloc_stats, counted, held, Ledger};
 use pwm_bench::PaperWorld;
-use pwm_core::transport::{InProcessTransport, PolicyTransport};
+use pwm_core::transport::PolicyTransport;
 use pwm_core::{
     AllocationPolicy, CleanupOutcome, CleanupSpec, DurabilityConfig, PolicyConfig,
     PolicyController, PolicyService, TransferAction, TransferOutcome, TransferSpec, Url,
@@ -381,21 +381,25 @@ fn sharded() -> Ledger {
 }
 
 /// (blocks, bytes) this thread holds after staging `files` files through a
-/// fresh 4-shard in-process session over 16 host pairs, counted from before
-/// the session was created.
+/// fresh 4-shard session over 16 host pairs, called directly (what a session
+/// holds, not what a transport does), counted from before the session was
+/// created.
 fn resident_session(files: u64) -> (i64, i64) {
     let (blocks, bytes) = held();
     let controller = PolicyController::new(PolicyConfig::default());
     controller.create_sharded_session("resident", PolicyConfig::default(), 4);
-    let mut transport = InProcessTransport::new(controller.clone(), "resident");
     let specs: Vec<_> = (0..files).map(|j| transfer("/s", j % 16, j, j)).collect();
     for chunk in specs.chunks(16) {
-        let advice = transport.evaluate_transfers(chunk.to_vec()).unwrap();
+        let advice = controller
+            .evaluate_transfers("resident", chunk.to_vec())
+            .unwrap();
         let done = advice
             .iter()
             .map(|a| a.id)
             .map(|id| TransferOutcome { id, success: true });
-        transport.report_transfers(done.collect()).expect("ack");
+        controller
+            .report_transfers("resident", done.collect())
+            .expect("ack");
     }
     drop(specs);
     let memory = controller.snapshot("resident").expect("session");

@@ -22,10 +22,10 @@
 use pwm_bench::{grant_bounds, run_crash, CrashConfig, PaperWorld};
 use pwm_core::{
     AllocationPolicy, CleanupId, CleanupOutcome, CleanupSpec, CrashPoint, DurabilityConfig,
-    FailoverTransport, InProcessTransport, PolicyConfig, PolicyController, PolicyService,
-    PolicyTransport, TransferAdvice, TransferId, TransferOutcome, TransferSpec, TransportError,
-    Url, WalCommand, WorkflowId, DEFAULT_SESSION,
+    FailoverTransport, PolicyConfig, PolicyController, PolicyService, PolicyTransport, TransferId,
+    TransferOutcome, TransferSpec, Url, WalCommand, WorkflowId, DEFAULT_SESSION,
 };
+use pwm_rest::PolicyRestClient;
 use pwm_sim::SimRng;
 use pwm_workflow::{ExecutorConfig, PlanJobKind, PlannerConfig};
 use std::path::PathBuf;
@@ -247,30 +247,6 @@ fn every_crash_class_recovers_its_documented_prefix() {
     }
 }
 
-/// A replica that is already dead: every request fails at the transport.
-struct Dead;
-
-impl PolicyTransport for Dead {
-    fn evaluate_transfers(
-        &mut self,
-        _batch: Vec<TransferSpec>,
-    ) -> Result<Vec<TransferAdvice>, TransportError> {
-        Err(TransportError::Io("primary crashed".into()))
-    }
-    fn report_transfers(&mut self, _outcomes: Vec<TransferOutcome>) -> Result<(), TransportError> {
-        Err(TransportError::Io("primary crashed".into()))
-    }
-    fn evaluate_cleanups(
-        &mut self,
-        _batch: Vec<CleanupSpec>,
-    ) -> Result<Vec<pwm_core::CleanupAdvice>, TransportError> {
-        Err(TransportError::Io("primary crashed".into()))
-    }
-    fn report_cleanups(&mut self, _outcomes: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-        Err(TransportError::Io("primary crashed".into()))
-    }
-}
-
 fn stage_spec(n: u64) -> TransferSpec {
     TransferSpec {
         source: Url::new("gsiftp", "srcA", format!("/data/g{n}")),
@@ -300,7 +276,7 @@ fn warm_failover_never_overgrants_and_never_restages() {
             DurabilityConfig::new(&dir).with_snapshot_every(3),
         )
         .unwrap();
-    let mut live = InProcessTransport::new(primary.clone(), DEFAULT_SESSION);
+    let mut live = PolicyRestClient::pipe(primary.clone(), DEFAULT_SESSION);
     let staged = live.evaluate_transfers(vec![stage_spec(1)]).unwrap();
     live.report_transfers(vec![TransferOutcome {
         id: staged[0].id,
@@ -315,9 +291,11 @@ fn warm_failover_never_overgrants_and_never_restages() {
     let backup = PolicyController::new(config.clone());
     let hook_backup = backup.clone();
     let hook_dir = dir.clone();
+    // The dead primary: a replica with no session refuses every call.
+    let dead = PolicyController::new(config.clone());
     let mut chain = FailoverTransport::new(vec![
-        Box::new(Dead),
-        Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION)),
+        Box::new(PolicyRestClient::pipe(dead, "down")),
+        Box::new(PolicyRestClient::pipe(backup.clone(), DEFAULT_SESSION)),
     ])
     .with_warm_recovery(move |_ix| {
         hook_backup

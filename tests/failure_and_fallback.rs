@@ -3,12 +3,10 @@
 //! service is unreachable.
 
 use pwm_bench::{mb, MontageExperiment, PolicyMode};
-use pwm_core::transport::{PolicyTransport, TransportError};
-use pwm_core::{
-    CleanupAdvice, CleanupOutcome, CleanupSpec, TransferAdvice, TransferOutcome, TransferSpec,
-};
+use pwm_core::{PolicyConfig, PolicyController};
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::{paper_testbed, Network, StreamModel};
+use pwm_rest::PolicyRestClient;
 use pwm_workflow::{plan, ComputeSite, ExecutorConfig, PlannerConfig, WorkflowExecutor};
 
 #[test]
@@ -36,31 +34,6 @@ fn persistent_failures_fail_the_workflow_without_hanging() {
     assert!(stats.makespan_secs() > 0.0);
 }
 
-/// A transport whose policy service is down: every call errors. The PTT must
-/// fall back to executing its submitted list (fail-safe, not fail-stop).
-struct DeadService;
-
-impl PolicyTransport for DeadService {
-    fn evaluate_transfers(
-        &mut self,
-        _batch: Vec<TransferSpec>,
-    ) -> Result<Vec<TransferAdvice>, TransportError> {
-        Err(TransportError::Io("connection refused".into()))
-    }
-    fn report_transfers(&mut self, _outcomes: Vec<TransferOutcome>) -> Result<(), TransportError> {
-        Err(TransportError::Io("connection refused".into()))
-    }
-    fn evaluate_cleanups(
-        &mut self,
-        _batch: Vec<CleanupSpec>,
-    ) -> Result<Vec<CleanupAdvice>, TransportError> {
-        Err(TransportError::Io("connection refused".into()))
-    }
-    fn report_cleanups(&mut self, _outcomes: Vec<CleanupOutcome>) -> Result<(), TransportError> {
-        Err(TransportError::Io("connection refused".into()))
-    }
-}
-
 #[test]
 fn unreachable_policy_service_degrades_to_one_stream_execution() {
     let (topo, gridftp, apache, nfs) = paper_testbed();
@@ -81,11 +54,15 @@ fn unreachable_policy_service_degrades_to_one_stream_execution() {
     let rc = montage_replicas(&wf, ("apache-isi", apache), ("gridftp-vm", gridftp));
     let p = plan(&wf, &site, &rc, &PlannerConfig::default()).unwrap();
     let network = Network::with_seed(topo, StreamModel::default(), 5);
+    // A service that is down: the session asked for does not exist, so
+    // every call errors. The PTT must fall back to executing its submitted
+    // list (fail-safe, not fail-stop).
+    let dead = PolicyRestClient::pipe(PolicyController::new(PolicyConfig::default()), "down");
     let exec = WorkflowExecutor::new(
         &p,
         &site,
         network,
-        Box::new(DeadService),
+        Box::new(dead),
         ExecutorConfig {
             seed: 5,
             ..Default::default()

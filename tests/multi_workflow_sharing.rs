@@ -2,11 +2,12 @@
 //! staged files safely" — duplicate staging is suppressed across workflows
 //! and cleanup is deferred until the last user releases a file.
 
-use pwm_core::transport::{InProcessTransport, PolicyTransport};
+use pwm_core::transport::PolicyTransport;
 use pwm_core::{
     CleanupSpec, PolicyConfig, PolicyController, TransferOutcome, TransferSpec, Url, WorkflowId,
     DEFAULT_SESSION,
 };
+use pwm_rest::PolicyRestClient;
 
 fn spec(file: &str, wf: u64) -> TransferSpec {
     TransferSpec {
@@ -30,8 +31,8 @@ fn cleanup(file: &str, wf: u64) -> CleanupSpec {
 #[test]
 fn two_workflows_share_one_staged_file_lifecycle() {
     let controller = PolicyController::new(PolicyConfig::default());
-    let mut wf1 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
-    let mut wf2 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+    let mut wf1 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
+    let mut wf2 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
 
     // wf1 stages the file.
     let advice1 = wf1.evaluate_transfers(vec![spec("big.dat", 1)]).unwrap();
@@ -71,8 +72,8 @@ fn two_workflows_share_one_staged_file_lifecycle() {
 #[test]
 fn concurrent_request_for_in_flight_file_is_skipped_and_protected() {
     let controller = PolicyController::new(PolicyConfig::default());
-    let mut wf1 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
-    let mut wf2 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+    let mut wf1 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
+    let mut wf2 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
 
     // wf1's transfer is in progress (not yet reported).
     let advice1 = wf1
@@ -110,8 +111,8 @@ fn concurrent_request_for_in_flight_file_is_skipped_and_protected() {
 #[test]
 fn failed_staging_does_not_poison_sharing() {
     let controller = PolicyController::new(PolicyConfig::default());
-    let mut wf1 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
-    let mut wf2 = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+    let mut wf1 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
+    let mut wf2 = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
 
     let advice1 = wf1.evaluate_transfers(vec![spec("flaky.dat", 1)]).unwrap();
     wf1.report_transfers(vec![TransferOutcome {
@@ -131,7 +132,7 @@ fn failed_staging_does_not_poison_sharing() {
 #[test]
 fn many_workflows_one_transfer() {
     let controller = PolicyController::new(PolicyConfig::default());
-    let mut first = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+    let mut first = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
     let advice = first
         .evaluate_transfers(vec![spec("popular.dat", 0)])
         .unwrap();
@@ -143,7 +144,7 @@ fn many_workflows_one_transfer() {
         .unwrap();
 
     for wf in 1..=10 {
-        let mut t = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+        let mut t = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
         let a = t.evaluate_transfers(vec![spec("popular.dat", wf)]).unwrap();
         assert!(
             !a[0].should_execute(),
@@ -157,7 +158,7 @@ fn many_workflows_one_transfer() {
     // Cleanups: the first nine are suppressed, the tenth (last user left
     // after wf0 and wf1..=9 detach one by one) executes.
     for wf in 0..=9 {
-        let mut t = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+        let mut t = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
         let c = t
             .evaluate_cleanups(vec![cleanup("popular.dat", wf)])
             .unwrap();
@@ -166,7 +167,7 @@ fn many_workflows_one_transfer() {
             "wf{wf}'s cleanup should be suppressed"
         );
     }
-    let mut last = InProcessTransport::new(controller.clone(), DEFAULT_SESSION);
+    let mut last = PolicyRestClient::pipe(controller.clone(), DEFAULT_SESSION);
     let c = last
         .evaluate_cleanups(vec![cleanup("popular.dat", 10)])
         .unwrap();

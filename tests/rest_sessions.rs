@@ -75,8 +75,8 @@ fn json_and_xml_clients_share_one_session() {
 }
 
 /// Health reports reach a REST-backed session: after `HostDown` goes over
-/// the wire, a transfer sourced at that host is suppressed, exactly as with
-/// the in-process transport.
+/// the wire, a transfer sourced at that host is suppressed, exactly as when
+/// the session is called directly.
 #[test]
 fn health_reports_reach_the_service_over_rest() {
     use pwm_core::{HealthEvent, SuppressReason, TransferAction};
@@ -259,7 +259,7 @@ fn graceful_shutdown_under_pipelined_load() {
 #[test]
 fn audit_log_can_be_polled_incrementally() {
     let controller = PolicyController::new(PolicyConfig::default());
-    let mut t = pwm_core::transport::InProcessTransport::new(controller.clone(), "default");
+    let mut t = PolicyRestClient::pipe(controller.clone(), "default");
 
     t.evaluate_transfers(vec![spec(1)]).unwrap();
     let first_batch = controller.audit_since("default", 0).unwrap();
