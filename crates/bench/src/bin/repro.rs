@@ -250,7 +250,8 @@ fn validate_trace(path: &str) {
 }
 
 /// Drive a few policy calls through the REST stack and scrape `/metrics`;
-/// nonzero exit when the scrape fails or lacks the expected families.
+/// nonzero exit when the scrape fails, lacks the expected families, or
+/// reads an occupancy or host-pair gauge other than `/status` reports.
 fn scrape_metrics() {
     use pwm_core::{PolicyConfig, PolicyController, PolicyTransport, DEFAULT_SESSION};
     use pwm_rest::{PolicyRestClient, PolicyRestServer};
@@ -275,6 +276,38 @@ fn scrape_metrics() {
         .unwrap_or_else(|e| die(1, &format!("/metrics scrape failed: {e}")));
     if !text.contains("pwm_policy_transfer_requests_total{session=\"default\"} 1") {
         die(1, &format!("scrape missing expected counter:\n{text}"));
+    }
+    let memory = client
+        .status()
+        .unwrap_or_else(|e| die(1, &format!("/status failed: {e}")))
+        .snapshot;
+    if memory.in_progress_transfers != 1 {
+        die(1, &format!("one evaluate left {memory:?} in progress"));
+    }
+    let session = "session=\"default\"";
+    let mut expected = [
+        ("in_progress_transfers", memory.in_progress_transfers),
+        ("staged_files", memory.staged_files),
+        ("staging_files", memory.staging_files),
+        ("in_progress_cleanups", memory.in_progress_cleanups),
+    ]
+    .map(|(name, n)| format!("pwm_policy_{name}{{{session}}} {n}"))
+    .to_vec();
+    for p in &memory.host_pairs {
+        let labels = format!("dst=\"{}\",{session},src=\"{}\"", p.dst_host, p.src_host);
+        let (allocated, peak) = (p.allocated, p.peak_allocated);
+        expected.push(format!(
+            "pwm_policy_allocated_streams{{{labels}}} {allocated}"
+        ));
+        expected.push(format!(
+            "pwm_policy_peak_allocated_streams{{{labels}}} {peak}"
+        ));
+    }
+    if let Some(line) = expected.iter().find(|e| !text.lines().any(|l| l == *e)) {
+        die(
+            1,
+            &format!("scrape lacks `{line}`, which /status reports:\n{text}"),
+        );
     }
     global_logger().info("scrape ok");
     print!("{text}");

@@ -169,8 +169,16 @@ impl PolicyController {
         &self.obs
     }
 
-    /// Render the shared metrics registry in Prometheus text format.
+    /// Render the shared metrics registry in Prometheus text format. First
+    /// every shard of every session sets its occupancy and host-pair gauges
+    /// from one snapshot of its memory, into the registry it publishes to
+    /// (an attached one, after [`PolicyController::attach_obs`]): gauges are
+    /// read when scraped, and a policy call publishes only its counters and
+    /// latency.
     pub fn render_metrics(&self) -> String {
+        for session in self.inner.read().values() {
+            session.publish_gauges();
+        }
         self.obs.registry.render_prometheus()
     }
 
@@ -341,6 +349,12 @@ impl PolicyController {
     /// A session's per-rule engine counters (summed across shards).
     pub fn rule_stats(&self, session: &str) -> Result<Vec<RuleCounters>, ControllerError> {
         self.serve(session, ShardedPolicyService::rule_stats)
+    }
+
+    /// Facts a session's memory has yielded to whole-type walks (summed
+    /// across shards; see [`pwm_rules::WorkingMemory::facts_walked`]).
+    pub fn facts_walked(&self, session: &str) -> Result<u64, ControllerError> {
+        self.serve(session, ShardedPolicyService::facts_walked)
     }
 
     /// A session's audit records with sequence ≥ `since` (concatenated

@@ -33,16 +33,15 @@ use crate::recovery_rules::install_recovery_rules;
 use crate::rules_base::install_base_rules;
 use crate::storage_rules::install_storage_rules;
 use crate::window::{CleanupWindow, TransferWindow};
-use pwm_obs::{Counter, Gauge, Histogram, Obs};
+use pwm_obs::{Counter, Histogram, Obs};
 use pwm_rules::{FactHandle, Session};
 use pwm_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Counters the service keeps for monitoring and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,8 +129,8 @@ pub struct HostPairSnapshot {
     pub peak_allocated: u32,
 }
 
-/// The occupancy gauges, in the order [`PolicyService::note_evaluation`]
-/// counts them.
+/// The occupancy gauges, in the order [`ServiceObs::publish_memory`] sets
+/// them.
 const OCCUPANCY_GAUGES: [(&str, &str); 4] = [
     (
         "pwm_policy_in_progress_transfers",
@@ -145,6 +144,18 @@ const OCCUPANCY_GAUGES: [(&str, &str); 4] = [
     (
         "pwm_policy_in_progress_cleanups",
         "Cleanups handed out and not yet reported",
+    ),
+];
+
+/// A host pair's gauges: its allocated and its peak-allocated streams.
+const PAIR_GAUGES: [(&str, &str); 2] = [
+    (
+        "pwm_policy_allocated_streams",
+        "Streams currently allocated between a host pair",
+    ),
+    (
+        "pwm_policy_peak_allocated_streams",
+        "High-water mark of streams allocated between a host pair",
     ),
 ];
 
@@ -219,10 +230,6 @@ struct ServiceObs {
     latency: Vec<(&'static str, Histogram)>,
     counters: [Option<Counter>; 9],
     audit_dropped: Option<Counter>,
-    occupancy: Option<[Gauge; 4]>,
-    /// Allocated and peak-allocated stream gauges per host-pair ledger,
-    /// keyed by the ledger fact's handle.
-    pairs: HashMap<FactHandle, [Gauge; 2]>,
 }
 
 /// Label pairs as the borrowed slice shape the registry expects, with room
@@ -250,29 +257,6 @@ impl ServiceObs {
             self.latency.len() - 1
         });
         &self.latency[at].1
-    }
-
-    /// The allocated / peak-allocated stream gauges of one host-pair ledger.
-    fn pair_gauges(&mut self, handle: FactHandle, pair: &HostPairFact) -> &[Gauge; 2] {
-        let ServiceObs {
-            pairs, labels, obs, ..
-        } = self;
-        pairs.entry(handle).or_insert_with(|| {
-            let mut labels = label_refs(labels);
-            labels.push(("src", &pair.src_host));
-            labels.push(("dst", &pair.dst_host));
-            [
-                (
-                    "pwm_policy_allocated_streams",
-                    "Streams currently allocated between a host pair",
-                ),
-                (
-                    "pwm_policy_peak_allocated_streams",
-                    "High-water mark of streams allocated between a host pair",
-                ),
-            ]
-            .map(|(name, help)| obs.registry.gauge(name, help, &labels))
-        })
     }
 
     /// Publish the delta between `stats` and the last published snapshot
@@ -314,20 +298,30 @@ impl ServiceObs {
         }
     }
 
-    /// Set the four occupancy gauges, in [`OCCUPANCY_GAUGES`] order.
-    fn set_occupancy(&mut self, counts: [usize; 4]) {
-        let ServiceObs {
-            occupancy,
-            labels,
-            obs,
-            ..
-        } = self;
-        let gauges = occupancy.get_or_insert_with(|| {
-            let labels = label_refs(labels);
-            OCCUPANCY_GAUGES.map(|(name, help)| obs.registry.gauge(name, help, &labels))
-        });
-        for (gauge, count) in gauges.iter().zip(counts) {
-            gauge.set(count as f64);
+    /// Set the occupancy gauges and each host pair's [`PAIR_GAUGES`] from
+    /// `memory`. A scrape's work: each registry lookup takes a lock and
+    /// formats the label set.
+    fn publish_memory(&self, memory: &MemorySnapshot) {
+        let gauge = |(name, help), labels: &[(&str, &str)], value: f64| {
+            self.obs.registry.gauge(name, help, labels).set(value);
+        };
+        let labels = label_refs(&self.labels);
+        let occupancy = [
+            memory.in_progress_transfers,
+            memory.staged_files,
+            memory.staging_files,
+            memory.in_progress_cleanups,
+        ];
+        for (series, count) in OCCUPANCY_GAUGES.into_iter().zip(occupancy) {
+            gauge(series, &labels, count as f64);
+        }
+        for pair in &memory.host_pairs {
+            let mut labels = labels.clone();
+            labels.extend([("src", &*pair.src_host), ("dst", &*pair.dst_host)]);
+            let streams = [pair.allocated, pair.peak_allocated];
+            for (series, n) in PAIR_GAUGES.into_iter().zip(streams) {
+                gauge(series, &labels, f64::from(n));
+            }
         }
     }
 }
@@ -375,9 +369,6 @@ pub struct PolicyService {
     /// re-attaching observability does not drop the clock.
     sim_clock: Option<SharedSimClock>,
     durability: Option<Durability>,
-    /// When the occupancy gauges were last swept (throttling clock; not
-    /// part of durable state — it only paces metric publication).
-    last_gauge_sweep: Option<Instant>,
     /// Scratch of one evaluation pass, kept from one call to the next: the
     /// facts of the group under evaluation and their advice rows.
     handles: Vec<FactHandle>,
@@ -396,18 +387,6 @@ struct AdviceRow {
 /// outcome reports can be routed back by id alone. Shard 0's base is 0, so
 /// a single-shard service is bit-identical to an unsharded one.
 pub const SHARD_ID_BITS: u32 = 48;
-
-/// Resident-fact count up to which occupancy gauges are refreshed on every
-/// evaluation pass, so unit tests and small sessions always scrape fresh
-/// values (above it the sweep is time-throttled — see
-/// [`GAUGE_SWEEP_INTERVAL`]).
-const GAUGE_SWEEP_RESIDENT_CAP: usize = 512;
-
-/// Once policy memory outgrows [`GAUGE_SWEEP_RESIDENT_CAP`], the O(memory)
-/// gauge sweep runs at most once per this interval. Gauges feed scrapes,
-/// which arrive on a seconds cadence — refreshing them per evaluation
-/// would put an O(resident facts) sweep on every advice request.
-const GAUGE_SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 impl PolicyService {
     /// Build a service enforcing `config`. All rule sets are installed; the
@@ -434,7 +413,6 @@ impl PolicyService {
             obs: None,
             sim_clock: None,
             durability: None,
-            last_gauge_sweep: None,
             handles: Vec::new(),
             rows: Vec::new(),
         };
@@ -514,8 +492,6 @@ impl PolicyService {
             latency: Vec::new(),
             counters: Default::default(),
             audit_dropped: None,
-            occupancy: None,
-            pairs: HashMap::new(),
         });
     }
 
@@ -744,45 +720,13 @@ impl PolicyService {
     }
 
     /// Record one evaluation pass on the attached observability sinks:
-    /// latency histogram, stats counter deltas, occupancy gauges, and (with
-    /// a sim clock) a trace instant.
+    /// latency histogram, stats counter deltas, and (with a sim clock) a
+    /// trace instant. Occupancy is read when scraped
+    /// ([`PolicyService::publish_gauges`]), not walked per call.
     fn note_evaluation(&mut self, kind: &'static str, micros: u64, batch: usize, firings: usize) {
         let Some(o) = &mut self.obs else { return };
         o.advice_latency(kind).record(micros);
         o.publish_stats(self.stats, self.audit.dropped());
-        // Occupancy gauges require a sweep over every resident fact, which
-        // is O(memory) work per evaluation — the dominant cost once policy
-        // memory holds tens of thousands of facts. Publish them on every
-        // pass while memory is small (so tests and small sessions observe
-        // fresh gauges), then decimate. Counters and latency histograms
-        // stay per-pass.
-        let wm = &self.session.wm;
-        if wm.len() <= GAUGE_SWEEP_RESIDENT_CAP
-            || self
-                .last_gauge_sweep
-                .is_none_or(|t| t.elapsed() >= GAUGE_SWEEP_INTERVAL)
-        {
-            self.last_gauge_sweep = Some(Instant::now());
-            o.set_occupancy([
-                wm.iter::<TransferFact>()
-                    .filter(|(_, t)| t.state == TransferState::InProgress)
-                    .count(),
-                wm.iter::<ResourceFact>()
-                    .filter(|(_, r)| r.state == ResourceState::Staged)
-                    .count(),
-                wm.iter::<ResourceFact>()
-                    .filter(|(_, r)| r.state == ResourceState::Staging)
-                    .count(),
-                wm.iter::<CleanupFact>()
-                    .filter(|(_, c)| c.state == CleanupState::InProgress)
-                    .count(),
-            ]);
-            for (h, pair) in wm.iter::<HostPairFact>() {
-                let [allocated, peak] = o.pair_gauges(h, pair);
-                allocated.set(f64::from(pair.allocated));
-                peak.set(f64::from(pair.peak_allocated));
-            }
-        }
         if let Some(clock) = &self.sim_clock {
             o.obs.tracer.instant(
                 kind,
@@ -1281,6 +1225,21 @@ impl PolicyService {
     /// observability is attached.
     pub fn trace_chrome_json(&self) -> Option<String> {
         self.obs.as_ref().map(|o| o.obs.tracer.chrome_trace_json())
+    }
+
+    /// Set this service's occupancy and host-pair gauges from one
+    /// [`PolicyService::snapshot`]; a no-op without observability. A
+    /// `/metrics` scrape calls it ([`crate::PolicyController::render_metrics`]).
+    pub fn publish_gauges(&self) {
+        if let Some(o) = &self.obs {
+            o.publish_memory(&self.snapshot());
+        }
+    }
+
+    /// Facts policy memory has yielded to whole-type walks so far
+    /// ([`pwm_rules::WorkingMemory::facts_walked`]).
+    pub fn facts_walked(&self) -> u64 {
+        self.session.wm.facts_walked()
     }
 
     /// Snapshot of policy memory for monitoring.

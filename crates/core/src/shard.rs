@@ -451,6 +451,19 @@ impl ShardedPolicyService {
         merged
     }
 
+    /// Have every shard set its own gauges from its own snapshot
+    /// ([`PolicyService::publish_gauges`]).
+    pub fn publish_gauges(&self) {
+        for shard in &self.shards {
+            shard.lock().publish_gauges();
+        }
+    }
+
+    /// Facts yielded to whole-type walks, summed across shards.
+    pub fn facts_walked(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().facts_walked()).sum()
+    }
+
     /// Per-rule counters summed across shards, in installation order —
     /// which every shard shares, each being built by [`PolicyService::new`].
     pub fn rule_stats(&self) -> Vec<RuleCounters> {

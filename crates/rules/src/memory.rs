@@ -52,6 +52,7 @@
 //! preserved as the differential-test oracle in `tests/legacy/mod.rs`.
 
 use std::any::{Any, TypeId};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -939,6 +940,36 @@ pub struct WorkingMemory {
     /// Bumped on every insert/update/retract; engines watch it to detect
     /// quiescence.
     generation: u64,
+    /// Facts yielded by whole-type walks so far ([`WorkingMemory::facts_walked`]).
+    pub(crate) walked: Cell<u64>,
+}
+
+/// A whole-type walk: counts the facts it yields and adds the count to its
+/// store's total once, when it is dropped.
+struct Walk<'a, I> {
+    facts: I,
+    yielded: u64,
+    total: &'a Cell<u64>,
+}
+
+impl<I: Iterator> Iterator for Walk<'_, I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let fact = self.facts.next()?;
+        self.yielded += 1;
+        Some(fact)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.facts.size_hint()
+    }
+}
+
+impl<I> Drop for Walk<'_, I> {
+    fn drop(&mut self) {
+        self.total.set(self.total.get() + self.yielded);
+    }
 }
 
 impl fmt::Debug for WorkingMemory {
@@ -1158,9 +1189,20 @@ impl WorkingMemory {
     /// the typed slab's intrusive list: typed pages, one downcast for the
     /// whole call.
     pub fn iter<T: Fact>(&self) -> impl Iterator<Item = (FactHandle, &T)> {
-        self.table(TypeId::of::<T>())
-            .into_iter()
-            .flat_map(|table| table.slab::<T>().iter_slots().map(|(h, _, t)| (h, t)))
+        let facts = (self.table(TypeId::of::<T>()).into_iter())
+            .flat_map(|table| table.slab::<T>().iter_slots().map(|(h, _, t)| (h, t)));
+        Walk {
+            facts,
+            yielded: 0,
+            total: &self.walked,
+        }
+    }
+
+    /// Facts yielded so far by whole-type walks: [`WorkingMemory::iter`] and
+    /// what is built on it (`handles`, `find`, `retract_all`). A keyed probe
+    /// walks none.
+    pub fn facts_walked(&self) -> u64 {
+        self.walked.get()
     }
 
     /// Handles of all facts of type `T`, insertion order.

@@ -122,12 +122,12 @@ done
 # Throughput floors. Wall-clock is measured in one place, the whole-stack
 # benchmark (benchmark/run.sh); a floor here is one 5-second run of one of
 # its workloads whose `ops_per_s` must reach <min>. Each floor against the
-# last reading of its workload on a shared 2-vCPU host (medians of ten 30 s
+# last reading of its workload on a shared 2-vCPU host (medians of 10-20 30 s
 # runs for the three benchmark workloads, two 5 s runs for the others):
 #   netsim_churn       1 000 000 / ~3 070 000 events/s  ~0.33
 #   netsim_churn_100k    650 000 /   ~790 000 events/s  ~0.82 (see its entry)
 #   advice_hot            16 500 /    ~46 600 req/s     ~0.35
-#   campaign                  55 /      ~99.5 wf/s      ~0.55
+#   campaign                  55 /        ~99 wf/s      ~0.56
 #   netsim_turbulent     135 000 /   ~260 000 events/s  ~0.52
 # The host moves across a ~2x band minute to minute: a floor at a third or a
 # half of its reading sits outside that noise and inside the integer factors
@@ -235,17 +235,25 @@ bench_floor advice_hot 16500 req/s 14
 # Campaign floor: the whole stack — one executor running 16 merged Montage
 # workflows against the REST Policy Service over loopback while pwm-net
 # simulates the transfers (`campaign`) — must finish at least 55
-# workflows/s. 80 % of that wall-clock is policy round trips, each a fixed
-# five syscalls, so the rate follows the number of wire calls: with the
-# executor's report window (DESIGN.md section 4: the cleanup jobs ending at
-# one instant report in one call, 574 wire calls per workflow) the same
-# machine measured ~80, and ~85 once the driver thread stopped doing derived
-# work twice (one rate recompute per simulated instant, one file index per
-# workflow); one report per cleanup job (792 calls) took it to ~61, and a
-# window that closes on every event instead of where the clock moves is the
-# same loss. Losing the literal-key codec and the byte-level head scanner
-# costs ~4.5 % (~96.5 to ~92.3): the wire edge is a small slice of each
-# round trip, most of which is syscalls.
+# workflows/s. Most of that wall-clock is policy round trips, and a round
+# trip is not a fixed cost: in a traced run transport is ~0.8 of
+# `executor.run`, and a round trip's ~17 us is a residual of ~11-12 us
+# (syscalls, poll wake-ups, thread hand-off), the codecs' ~2.2-2.6 us and the
+# service's ~2.9 us (3.6-3.9 us while each call also walked policy memory for
+# its gauges); in a profile (scripts/profile.sh campaign) `send`, `recv` and
+# `poll` take ~44 % of the samples (~37 % beside that walk's ~7 %). So the
+# rate moves with the number of wire calls and with what the server does in
+# each. With the executor's report window (DESIGN.md section 4: the cleanup
+# jobs ending at one instant report in one call, 574 wire calls per
+# workflow) the same machine measured ~80, and ~85 once the driver thread
+# stopped doing derived work twice (one rate recompute per simulated
+# instant, one file index per workflow); one report per cleanup job (792
+# calls) took it to ~61, and a window that closes on every event instead of
+# where the clock moves is the same loss.
+# Losing the literal-key codec and the byte-level head scanner costs ~4.5 %
+# (~96.5 to ~92.3). That walk of all policy memory on every call, to refresh
+# gauges that are now read when scraped, takes it from ~99 back to ~90
+# (medians of twenty alternating 30 s pairs, 19 of them faster without it).
 #
 # The same runs hold its peak RSS to 12.5 MB, the second memory gate, next
 # to `netsim_churn`'s. The 16 plans are most of this process's heap: while

@@ -52,7 +52,7 @@ const WORKFLOWS: u64 = 2;
 const CALLS: u64 = 64;
 /// What the server may allocate answering the campaign's 1 148 calls (see
 /// the row's comment for why it is a ceiling).
-const SERVER_ALLOCS_PER_CAMPAIGN: u64 = 2325;
+const SERVER_ALLOCS_PER_CAMPAIGN: u64 = 2265;
 
 fn campaign() -> Ledger {
     let _serving = SERVING.lock().unwrap_or_else(|e| e.into_inner());
@@ -96,8 +96,10 @@ fn campaign() -> Ledger {
     };
     let (executor, new_allocs, _) =
         counted(|| WorkflowExecutor::new(&merged, &world.site, network, Box::new(client), config));
+    let walked = controller.facts_walked(DEFAULT_SESSION).unwrap();
     let ((stats, network), run_allocs, server_allocs) = counted(|| executor.run());
     assert!(stats.success, "the ledger reads a clean run");
+    let walked = controller.facts_walked(DEFAULT_SESSION).unwrap() - walked;
     let memory = controller.snapshot(DEFAULT_SESSION).unwrap();
     assert_eq!(memory.staged_files, 0, "cleanup removed every staged file");
 
@@ -128,16 +130,22 @@ fn campaign() -> Ledger {
     l.1 += "# the loop's buffers are made when it starts, a connection's when it is\n\
             # accepted. What remains makes state the session keeps: a Name for each path\n\
             # longer than 22 bytes (a transfer's source and destination, a cleanup's file;\n\
-            # ~1 400), the metric series its first calls publish (~700), and its tables\n\
+            # ~1 400), the metric series its first calls publish (~640), and its tables\n\
             # growing to their peak. Not exact, by one table growth or so: the URL indexes\n\
             # hash a per-process keyed digest, so which removals leave tombstones, and so\n\
-            # when a table that churns must grow, differs from run to run (2 316-2 318)\n";
+            # when a table that churns must grow, differs from run to run (2 257-2 258)\n";
     let bound = SERVER_ALLOCS_PER_CAMPAIGN;
     let measured = match server_allocs {
         n if n <= bound => format!("<={bound}"),
         n => n.to_string(),
     };
     l.row(format_args!("server.allocs_per_{calls}_calls"), measured);
+    l.1 += "# exact: facts the session's whole-type walks yield, all of them the cleanup\n\
+            # rules' scans of every cleanup fact; gauges are read when scraped\n";
+    l.row(
+        format_args!("server.facts_walked_per_{calls}_calls"),
+        walked,
+    );
 
     // The client half of each kind of call, alone: a report carries nothing
     // back, and a one-transfer evaluate carries one advice entry.
@@ -263,8 +271,11 @@ fn sharded() -> Ledger {
     };
     // [window, report, first cleanups, second cleanups, cleanup report]
     let mut counts = [0u64; 5];
-    let (mut executed, mut suppressed) = (0, 0);
+    let (mut executed, mut suppressed, mut walked) = (0, 0, 0);
     for cycle in 0..=CYCLES {
+        if cycle == 1 {
+            walked = controller.facts_walked("sharded").unwrap();
+        }
         let (staging, sharing) = (2 * cycle, 2 * cycle + 1);
         let mut window = Vec::new();
         let (mut first, mut second) = (Vec::new(), Vec::new());
@@ -347,6 +358,7 @@ fn sharded() -> Ledger {
         (executed, suppressed),
         (2 * WINDOW * (CYCLES + 1), WINDOW * (CYCLES + 1))
     );
+    let walked = controller.facts_walked("sharded").unwrap() - walked;
     let memory = controller.snapshot("sharded").unwrap();
     assert_eq!((memory.staged_files, memory.in_progress_transfers), (0, 0));
     let mut l = Ledger("sharded", String::new());
@@ -359,6 +371,10 @@ fn sharded() -> Ledger {
     l.row(
         format_args!("server.allocs_per_{requests}_requests"),
         counts.iter().sum::<u64>(),
+    );
+    l.row(
+        format_args!("server.facts_walked_per_{requests}_requests"),
+        walked,
     );
     l.row(
         format_args!("server.window.allocs_per_{CYCLES}_windows"),

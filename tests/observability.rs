@@ -5,11 +5,15 @@
 
 use pwm_bench::{mb, MontageExperiment, PolicyMode};
 use pwm_core::transport::PolicyTransport;
-use pwm_core::{PolicyConfig, PolicyController, TransferSpec, Url, WorkflowId};
+use pwm_core::{
+    CleanupOutcome, CleanupSpec, PolicyConfig, PolicyController, TransferOutcome, TransferSpec,
+    Url, WorkflowId, DEFAULT_SESSION,
+};
 use pwm_obs::{validate_chrome_trace, JsonValue};
 use pwm_rest::{
     http, Method, PolicyRestClient, PolicyRestServer, TransferRequestEnvelope, WireFormat,
 };
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 
@@ -243,4 +247,171 @@ fn queue_health_series_reach_the_metrics_render() {
             .unwrap_or_else(|| panic!("{name} must render a numeric sample"));
         assert!(v.is_finite() && v >= 0.0, "{name} rendered {v}");
     }
+}
+
+/// Every sample of the metric `name` in a Prometheus render: its labels and
+/// its value.
+fn samples<'a>(text: &'a str, name: &str) -> Vec<(BTreeMap<&'a str, &'a str>, f64)> {
+    let parse = |line: &'a str| {
+        let (series, value) = line.rsplit_once(' ')?;
+        let labels = series.strip_prefix(name)?.strip_prefix('{')?;
+        let labels = (labels.strip_suffix('}')?.split(','))
+            .filter_map(|pair| pair.split_once('='))
+            .map(|(k, v)| (k, v.trim_matches('"')))
+            .collect();
+        Some((labels, value.parse().ok()?))
+    };
+    text.lines().filter_map(parse).collect()
+}
+
+/// A scrape reads `session`'s snapshot as it stands: each occupancy gauge
+/// summed over the session's series (one per shard), and each host pair's
+/// allocated and peak-allocated streams. Returns the shard labels seen.
+fn assert_scrape_reads_snapshot(c: &PolicyController, session: &str, after: &str) -> Vec<String> {
+    let text = c.render_metrics();
+    let memory = c.snapshot(session).unwrap();
+    let of_session = |name: &str| {
+        let all = samples(&text, name).into_iter();
+        all.filter(|(labels, _)| labels["session"] == session)
+    };
+    let occupancy = [
+        ("in_progress_transfers", memory.in_progress_transfers),
+        ("staged_files", memory.staged_files),
+        ("staging_files", memory.staging_files),
+        ("in_progress_cleanups", memory.in_progress_cleanups),
+    ];
+    for (name, n) in occupancy {
+        let total: f64 = of_session(&format!("pwm_policy_{name}"))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(total, n as f64, "{name} after {after}:\n{text}");
+    }
+    let pairs = |name: &str| {
+        let mut pairs: Vec<_> = of_session(&format!("pwm_policy_{name}"))
+            .map(|(labels, v)| (labels["src"].to_string(), labels["dst"].to_string(), v))
+            .collect();
+        pairs.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        pairs
+    };
+    let snapshot = |streams: fn(&pwm_core::HostPairSnapshot) -> u32| {
+        (memory.host_pairs.iter())
+            .map(|p| {
+                (
+                    p.src_host.to_string(),
+                    p.dst_host.to_string(),
+                    streams(p).into(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let allocated = snapshot(|p| p.allocated);
+    assert_eq!(pairs("allocated_streams"), allocated, "after {after}");
+    let peak = snapshot(|p| p.peak_allocated);
+    assert_eq!(pairs("peak_allocated_streams"), peak, "after {after}");
+    let mut shards: Vec<_> = of_session("pwm_policy_staged_files")
+        .filter_map(|(labels, _)| Some(labels.get("shard")?.to_string()))
+        .collect();
+    shards.sort();
+    shards
+}
+
+/// File `n` between the hosts of `pair`, for workflow `n`.
+fn file(pair: u32, n: u32) -> TransferSpec {
+    TransferSpec {
+        source: Url::new("gsiftp", format!("gridftp-{pair}"), format!("/d/f{n}.dat")),
+        dest: Url::new("file", format!("scratch-{pair}"), format!("/s/f{n}.dat")),
+        bytes: 1_000_000,
+        requested_streams: None,
+        workflow: WorkflowId(u64::from(n)),
+        cluster: None,
+        priority: None,
+    }
+}
+
+/// Evaluate `specs` on `session` and report every executed transfer done.
+fn stage(c: &PolicyController, session: &str, specs: Vec<TransferSpec>) {
+    let advice = c.evaluate_transfers(session, specs).unwrap();
+    let done = advice.iter().filter(|a| a.should_execute());
+    let done = done.map(|a| TransferOutcome {
+        id: a.id,
+        success: true,
+    });
+    c.report_transfers(session, done.collect()).unwrap();
+}
+
+/// Gauges are read when scraped, so a scrape after each call of a burst
+/// reads policy memory as that call left it, however many facts the memory
+/// holds and however close together the calls come.
+#[test]
+fn a_scrape_reads_occupancy_as_it_stands() {
+    let c = PolicyController::new(PolicyConfig::default());
+    let specs: Vec<_> = (0..600).map(|n| file(n % 4, n)).collect();
+    for chunk in specs.chunks(50) {
+        stage(&c, DEFAULT_SESSION, chunk.to_vec());
+    }
+    assert_eq!(c.snapshot(DEFAULT_SESSION).unwrap().staged_files, 600);
+    let shards = assert_scrape_reads_snapshot(&c, DEFAULT_SESSION, "600 staged files");
+    assert!(shards.is_empty(), "a one-shard session has no shard label");
+
+    let advice = c.evaluate_transfers(DEFAULT_SESSION, vec![file(1, 600)]);
+    let advice = advice.unwrap().remove(0);
+    assert!(advice.should_execute());
+    assert_scrape_reads_snapshot(&c, DEFAULT_SESSION, "an evaluate");
+    let done = vec![TransferOutcome {
+        id: advice.id,
+        success: true,
+    }];
+    c.report_transfers(DEFAULT_SESSION, done).unwrap();
+    assert_scrape_reads_snapshot(&c, DEFAULT_SESSION, "its report");
+    let cleanup = CleanupSpec {
+        file: advice.dest,
+        workflow: WorkflowId(600),
+    };
+    let cleanup = c.evaluate_cleanups(DEFAULT_SESSION, vec![cleanup]);
+    let cleanup = cleanup.unwrap().remove(0);
+    assert!(cleanup.should_execute());
+    assert_scrape_reads_snapshot(&c, DEFAULT_SESSION, "a cleanup");
+    let done = vec![CleanupOutcome {
+        id: cleanup.id,
+        success: true,
+    }];
+    c.report_cleanups(DEFAULT_SESSION, done).unwrap();
+    assert_scrape_reads_snapshot(&c, DEFAULT_SESSION, "its report");
+    assert_eq!(c.snapshot(DEFAULT_SESSION).unwrap().staged_files, 600);
+}
+
+/// Each shard of a sharded session sets its own `shard="N"` gauges: summed,
+/// they read the session's merged snapshot, and its host-pair series are the
+/// snapshot's host pairs, each under the one shard that owns it.
+#[test]
+fn a_sharded_scrape_sums_to_the_session_snapshot() {
+    let c = PolicyController::new(PolicyConfig::default());
+    c.create_sharded_session("grid", PolicyConfig::default(), 4);
+    // 48 files over 16 host pairs: the first 32 staged, the last 16 left in
+    // progress, and cleanups of the first 8 left in progress too.
+    let specs: Vec<_> = (0..48).map(|n| file(n % 16, n)).collect();
+    stage(&c, "grid", specs[..32].to_vec());
+    let advice = c.evaluate_transfers("grid", specs[32..].to_vec()).unwrap();
+    assert!(advice.iter().all(|a| a.should_execute()));
+    let cleanups = (specs[..8].iter()).map(|t| CleanupSpec {
+        file: t.dest.clone(),
+        workflow: t.workflow,
+    });
+    let cleanups = c.evaluate_cleanups("grid", cleanups.collect()).unwrap();
+    assert!(cleanups.iter().all(|a| a.should_execute()));
+    let memory = c.snapshot("grid").unwrap();
+    assert_eq!(
+        (memory.staged_files, memory.in_progress_transfers),
+        (32, 16)
+    );
+    assert_eq!(
+        (memory.in_progress_cleanups, memory.host_pairs.len()),
+        (8, 16)
+    );
+    let shards = assert_scrape_reads_snapshot(&c, "grid", "the traffic");
+    assert_eq!(
+        shards,
+        ["0", "1", "2", "3"],
+        "every shard publishes its own"
+    );
 }
