@@ -63,7 +63,8 @@ pub(crate) struct FaultedMontage {
     pub service_faults: FaultPlan<ServiceFault>,
     /// Put a backup replica behind the primary in a failover chain.
     pub backup: bool,
-    /// Run the primary's session durable (WAL, snapshots, crash point).
+    /// Run the primary's session durable (WAL and snapshots on the
+    /// config's disk, whose scripted failure is the primary's death).
     pub durable: Option<DurabilityConfig>,
     /// Warms the backup (only with `backup`).
     pub warm: Option<WarmHook>,

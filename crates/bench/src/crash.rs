@@ -2,22 +2,24 @@
 //! recovery, under the paper's Montage workload.
 //!
 //! The primary policy service runs with durability enabled (WAL +
-//! snapshots) and a seeded [`CrashPoint`] injected into its durability
-//! sink. The crash point is the death, and nothing else states it: the
-//! append that fires it freezes the log (possibly with a torn tail), and
-//! from that call on the primary's controller refuses every request
-//! ([`pwm_core::ControllerError::SessionDown`]), the firing call included,
-//! so the executor fails over to the backup replica at that call. Both runs
-//! are `chaos::run_faulted`'s stack with a durable primary and no
-//! scheduled service faults; the two recovery modes differ only in what the
-//! backup knows:
+//! snapshots) on a [`SimDisk`] scripted by a seeded [`CrashPoint`]
+//! (`DiskFault::from`: a death at the n-th log sync, or a torn n-th log
+//! write). The disk's failure is the death, and nothing else states it: it
+//! freezes the log (possibly with a torn tail), and from that call on the
+//! primary's controller refuses every request
+//! ([`pwm_core::ControllerError::SessionDown`]), the failing call
+//! included, so the executor fails over to the backup replica at that call.
+//! Both runs are `chaos::run_faulted`'s stack with a durable primary and
+//! no scheduled service faults; the two recovery modes differ only in what
+//! the backup knows:
 //!
 //! * **cold** — the backup starts with empty policy memory (the seed
 //!   repo's original failover semantics): staged files may be re-staged,
 //!   host-pair ledgers restart empty.
 //! * **warm** — the backup replays the primary's log just before its first
 //!   request ([`pwm_core::FailoverTransport::with_warm_recovery`] +
-//!   `PolicyController::recover_session`), inheriting dedup memory and
+//!   `PolicyController::recover_sharded_session_on`, from the same
+//!   simulated disk), inheriting dedup memory and
 //!   allocation ledgers up to the crash point. Since the primary answered
 //!   nothing past it, that is every piece of advice the executor acted on.
 //!
@@ -31,12 +33,12 @@ use crate::experiment::PaperWorld;
 use crate::SuiteOutput;
 use pwm_core::{
     greedy_total_for_concurrent_jobs, read_recovery, CrashPoint, DurabilityConfig, MemorySnapshot,
-    PolicyController, DEFAULT_SESSION,
+    PolicyController, SimDisk, DEFAULT_SESSION,
 };
 use pwm_sim::{FaultPlan, SimRng};
 use pwm_workflow::{ExecutablePlan, ExecutorConfig, PlanJobKind, PlannerConfig, RunStats};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Everything that parameterizes a crash run.
@@ -178,25 +180,23 @@ impl CrashReport {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "pwm-crash-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+/// The primary's durability directory on its simulated disk.
+const WAL_DIR: &str = "primary";
 
-/// The warm hook's work: replay the log in `dir` into `backup` and report
-/// what it knows afterwards. An `Err` names the step that failed.
-fn warm_replay(backup: &PolicyController, dir: &Path) -> Result<WarmRecovery, String> {
-    let records = read_recovery(dir)
+/// The warm hook's work: replay the log in `dir` on `disk` into `backup`
+/// and report what it knows afterwards. An `Err` names the step that
+/// failed.
+fn warm_replay(
+    backup: &PolicyController,
+    disk: &SimDisk,
+    dir: &Path,
+) -> Result<WarmRecovery, String> {
+    let records = read_recovery(disk, dir)
         .map_err(|e| format!("reading the log: {e}"))?
         .records
         .len();
     backup
-        .recover_session(DEFAULT_SESSION, dir)
+        .recover_sharded_session_on(DEFAULT_SESSION, 1, disk, dir)
         .map_err(|e| format!("replaying the log: {e}"))?;
     let snapshot = backup
         .snapshot(DEFAULT_SESSION)
@@ -253,14 +253,14 @@ pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
     let mut rng = SimRng::for_component(seed, "crash-point");
     let crash = CrashPoint::seeded(&mut rng, cfg.max_crash_append);
     let [cold, warm] = [false, true].map(|warm| {
-        // The WAL dir is per-run so cold and warm replay identical logs
+        // The disk is per-run so cold and warm replay identical logs
         // independently.
-        let dir = scratch_dir(if warm { "warm" } else { "cold" });
+        let disk = SimDisk::failing(crash);
         let slot = Arc::new(Mutex::new(None));
         let hook = warm.then(|| {
-            let (dir, slot) = (dir.clone(), slot.clone());
+            let (disk, slot) = (disk.clone(), slot.clone());
             Box::new(move |backup: &PolicyController| {
-                let replay = warm_replay(backup, &dir);
+                let replay = warm_replay(backup, &disk, Path::new(WAL_DIR));
                 *slot.lock().expect("no other holder panics") = Some(replay);
             }) as WarmHook
         });
@@ -275,14 +275,11 @@ pub fn run_crash(cfg: &CrashConfig, seed: u64) -> CrashReport {
                 service_faults: FaultPlan::new(),
                 backup: true,
                 durable: Some(
-                    DurabilityConfig::new(&dir)
-                        .with_snapshot_every(cfg.snapshot_every)
-                        .with_crash(crash),
+                    DurabilityConfig::on(disk, WAL_DIR).with_snapshot_every(cfg.snapshot_every),
                 ),
                 warm: hook,
             },
         );
-        std::fs::remove_dir_all(&dir).ok();
         let recovery = slot.lock().expect("no other holder panics").take();
         CrashRunReport {
             stats: run.stats,
@@ -364,7 +361,7 @@ mod tests {
         // first step, and the report carries that error instead of an
         // empty recovery.
         let backup = PolicyController::new(pwm_core::PolicyConfig::default());
-        let err = warm_replay(&backup, &scratch_dir("missing")).unwrap_err();
+        let err = warm_replay(&backup, &SimDisk::new(), Path::new("missing")).unwrap_err();
         assert!(err.starts_with("reading the log: "), "{err}");
 
         let run = |recovery| CrashRunReport {

@@ -5,13 +5,14 @@
 //! named policy sessions — each a [`ShardedPolicyService`], one shard
 //! unless the session was created with more — so that concurrent HTTP
 //! handler threads (see `pwm-rest`) can delegate requests safely, and
-//! routes each request to the right session. A durable session whose
-//! crash point has fired is a dead process: from the call whose append
-//! fired it on, the controller refuses it with
-//! [`ControllerError::SessionDown`].
+//! routes each request to the right session. A durable session whose disk
+//! failed (`ENOSPC`, a failed sync, a torn write, a scripted death) is a
+//! dead process: from the call that met the failure on, the controller
+//! refuses it with [`ControllerError::SessionDown`].
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::PolicyConfig;
+use crate::disk::{Disk, FsDisk};
 use crate::durable::DurabilityConfig;
 use crate::model::{CleanupSpec, TransferSpec};
 use crate::service::{MemorySnapshot, RuleCounters, ServiceStats};
@@ -32,8 +33,8 @@ pub const DEFAULT_SESSION: &str = "default";
 pub enum ControllerError {
     /// The named session does not exist.
     NoSuchSession(String),
-    /// The named session's process died at its durability crash point: it
-    /// answers nothing from the call whose append fired it on.
+    /// The named session's disk failed: it answers nothing from the call
+    /// that met the failure on.
     SessionDown(String),
 }
 
@@ -116,22 +117,31 @@ impl PolicyController {
     }
 
     /// Recover a session from the durability directories a `shards`-shard
-    /// durable session wrote under `dir` (snapshot + log replay) without
-    /// resuming logging — the warm-failover path, where a successor
-    /// replica replays the failed primary's log. Use
+    /// durable session wrote under `dir` on `disk` (snapshot + log replay)
+    /// without resuming logging — the warm-failover path, where a
+    /// successor replica replays the failed primary's log. Use
     /// [`PolicyController::resume_durable_session`] when the recovered
     /// session should keep persisting itself.
+    pub fn recover_sharded_session_on(
+        &self,
+        name: impl Into<String>,
+        shards: u16,
+        disk: &dyn Disk,
+        dir: &Path,
+    ) -> io::Result<()> {
+        let service = ShardedPolicyService::recover_from(disk, dir, shards)?;
+        self.install(name.into(), service);
+        Ok(())
+    }
+
+    /// [`PolicyController::recover_sharded_session_on`] on the real filesystem.
     pub fn recover_sharded_session(
         &self,
         name: impl Into<String>,
         shards: u16,
         dir: &Path,
     ) -> io::Result<()> {
-        self.install(
-            name.into(),
-            ShardedPolicyService::recover_from(dir, shards)?,
-        );
-        Ok(())
+        self.recover_sharded_session_on(name, shards, &FsDisk::default(), dir)
     }
 
     /// [`PolicyController::create_sharded_durable_session`] with one shard.
@@ -144,20 +154,21 @@ impl PolicyController {
         self.create_sharded_durable_session(name, config, 1, dcfg)
     }
 
-    /// [`PolicyController::recover_sharded_session`] with one shard.
+    /// [`PolicyController::recover_sharded_session_on`] with one shard, on
+    /// the real filesystem.
     pub fn recover_session(&self, name: impl Into<String>, dir: &Path) -> io::Result<()> {
-        self.recover_sharded_session(name, 1, dir)
+        self.recover_sharded_session_on(name, 1, &FsDisk::default(), dir)
     }
 
-    /// Recover a one-shard session from `dcfg.dir` and resume durable
-    /// operation. Re-enabling compacts naturally: the resumed log starts
-    /// from a fresh snapshot of the recovered state.
+    /// Recover a one-shard session from `dcfg.dir` on its disk and resume
+    /// durable operation. Re-enabling compacts naturally: the resumed log
+    /// starts from a fresh snapshot of the recovered state.
     pub fn resume_durable_session(
         &self,
         name: impl Into<String>,
         dcfg: DurabilityConfig,
     ) -> io::Result<()> {
-        let service = ShardedPolicyService::recover_from(&dcfg.dir, 1)?;
+        let service = ShardedPolicyService::recover_from(dcfg.disk(), &dcfg.dir, 1)?;
         service.enable_durability(&dcfg)?;
         self.install(name.into(), service);
         Ok(())
@@ -215,9 +226,8 @@ impl PolicyController {
     /// Run `f` on a session and answer with its result. The map's read
     /// lock is released before `f` touches the session, so requests only
     /// contend on their own session's shard locks. A durable session whose
-    /// crash point has fired is a dead process: it refuses every call,
-    /// including the one whose append fired the crash, which died before
-    /// it could answer.
+    /// disk has failed is a dead process: it refuses every call, including
+    /// the one that met the failure, which died before it could answer.
     fn serve<R>(
         &self,
         name: &str,
@@ -230,11 +240,11 @@ impl PolicyController {
             .cloned()
             .ok_or_else(|| ControllerError::NoSuchSession(name.to_string()))?;
         let down = || ControllerError::SessionDown(name.to_string());
-        if session.durability_crashed() {
+        if session.durability_down() {
             return Err(down());
         }
         let out = f(&session);
-        if session.durability_crashed() {
+        if session.durability_down() {
             return Err(down());
         }
         Ok(out)
@@ -376,6 +386,7 @@ impl PolicyController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{DiskFault, DiskOp, FaultKind, SimDisk};
     use crate::model::{CleanupId, HealthEvent, TransferId, Url, WorkflowId};
 
     fn spec(n: u32) -> TransferSpec {
@@ -476,14 +487,11 @@ mod tests {
 
     #[test]
     fn durable_session_survives_controller_restart() {
-        let dir = crate::durable::scratch_dir("ctl-restart");
+        let (disk, dir) = (SimDisk::new(), Path::new("restart"));
+        let dcfg = || DurabilityConfig::on(disk.clone(), dir);
         let c = PolicyController::new(PolicyConfig::default());
-        c.create_durable_session(
-            "durable",
-            PolicyConfig::default(),
-            DurabilityConfig::new(&dir),
-        )
-        .unwrap();
+        c.create_durable_session("durable", PolicyConfig::default(), dcfg())
+            .unwrap();
         let advice = c.evaluate_transfers("durable", vec![spec(1)]).unwrap();
         c.report_transfers(
             "durable",
@@ -495,13 +503,12 @@ mod tests {
         .unwrap();
         let before = c.snapshot("durable").unwrap();
         // One shard logs in `dir` itself, where a bare engine reads it.
-        let bare = crate::PolicyService::recover_from(&dir).unwrap();
+        let bare = crate::PolicyService::recover_from(&disk, dir).unwrap();
         assert_eq!(bare.snapshot(), before);
 
         // A brand-new controller (the restarted process) recovers it.
         let c2 = PolicyController::new(PolicyConfig::default());
-        c2.resume_durable_session("durable", DurabilityConfig::new(&dir))
-            .unwrap();
+        c2.resume_durable_session("durable", dcfg()).unwrap();
         assert_eq!(c2.snapshot("durable").unwrap(), before);
         // Dedup memory survived the restart.
         let again = c2.evaluate_transfers("durable", vec![spec(1)]).unwrap();
@@ -509,22 +516,18 @@ mod tests {
         // And the resumed session keeps logging: a third controller can
         // recover the post-restart state too.
         let c3 = PolicyController::new(PolicyConfig::default());
-        c3.recover_session("durable", &dir).unwrap();
+        c3.recover_sharded_session_on("durable", 1, &disk, dir)
+            .unwrap();
         assert_eq!(c3.stats("durable").unwrap(), c2.stats("durable").unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_durable_session_recovers_into_a_fresh_controller() {
-        let dir = crate::durable::scratch_dir("ctl-sharded-recover");
+        let (disk, dir) = (SimDisk::new(), Path::new("grid"));
         let c = PolicyController::new(PolicyConfig::default());
-        c.create_sharded_durable_session(
-            "grid",
-            PolicyConfig::default(),
-            4,
-            DurabilityConfig::new(&dir).with_snapshot_every(3),
-        )
-        .unwrap();
+        let dcfg = DurabilityConfig::on(disk.clone(), dir).with_snapshot_every(3);
+        c.create_sharded_durable_session("grid", PolicyConfig::default(), 4, dcfg)
+            .unwrap();
         // Stage 16 files over 16 host pairs, complete them all, then clean
         // half of them up.
         let batch: Vec<TransferSpec> = (0..16).map(|i| spec_on(&i.to_string(), i)).collect();
@@ -550,11 +553,15 @@ mod tests {
             .collect();
         c.report_cleanups("grid", outcomes).unwrap();
         for s in 0..4 {
-            assert!(dir.join(format!("shard-{s}")).is_dir(), "shard {s} WAL dir");
+            let wal = dir
+                .join(format!("shard-{s}"))
+                .join(crate::durable::WAL_FILE);
+            assert!(disk.read(&wal).is_ok(), "shard {s} WAL");
         }
 
         let c2 = PolicyController::new(PolicyConfig::default());
-        c2.recover_sharded_session("grid", 4, &dir).unwrap();
+        c2.recover_sharded_session_on("grid", 4, &disk, dir)
+            .unwrap();
         assert_eq!(c2.snapshot("grid").unwrap(), c.snapshot("grid").unwrap());
         assert_eq!(c2.stats("grid").unwrap(), c.stats("grid").unwrap());
         assert_eq!(c2.snapshot("grid").unwrap().staged_files, 8);
@@ -569,7 +576,6 @@ mod tests {
         };
         assert!(!executes(&batch[12]), "staged file must stay suppressed");
         assert!(executes(&batch[2]), "cleaned-up file must stage again");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -600,59 +606,111 @@ mod tests {
         }
     }
 
+    /// One of every call on `session`, each appending to a durable
+    /// session's log.
+    fn round(c: &PolicyController, session: &str, n: u32) -> [Result<(), ControllerError>; 5] {
+        let evaluated = c.evaluate_transfers(session, vec![spec(n)]);
+        let id = evaluated.as_ref().map_or(TransferId(0), |a| a[0].id);
+        let reported = c.report_transfers(session, vec![TransferOutcome { id, success: true }]);
+        let host = "s".into();
+        let health = c.report_health(session, vec![HealthEvent::HostDown { host }]);
+        let (file, workflow) = (spec(n).dest, spec(n).workflow);
+        let cleaned = c.evaluate_cleanups(session, vec![CleanupSpec { file, workflow }]);
+        let id = cleaned.as_ref().map_or(CleanupId(0), |a| a[0].id);
+        let done = c.report_cleanups(session, vec![CleanupOutcome { id, success: true }]);
+        [
+            evaluated.map(drop),
+            reported,
+            health,
+            cleaned.map(drop),
+            done,
+        ]
+    }
+
+    /// A durable session on a disk failing on `fault`, compacting every
+    /// `every` appends: two rounds of calls answer up to call `fails`
+    /// (0-based), which met the failure and never answered, and nothing
+    /// answers after it.
+    fn down_from_the_failing_call(fault: impl Into<DiskFault>, every: u64, fails: usize) {
+        let c = PolicyController::new(PolicyConfig::default());
+        let dcfg =
+            DurabilityConfig::on(SimDisk::failing(fault), "dying").with_snapshot_every(every);
+        c.create_durable_session("dying", PolicyConfig::default(), dcfg)
+            .unwrap();
+        let answers: Vec<_> = (0..2).flat_map(|n| round(&c, "dying", n)).collect();
+        let down = Err(ControllerError::SessionDown("dying".into()));
+        assert!(answers[..fails].iter().all(Result::is_ok), "{answers:?}");
+        assert!(answers[fails..].iter().all(|r| *r == down), "{answers:?}");
+        assert_eq!(c.stats("dying").map(drop), down);
+    }
+
     #[test]
     fn a_session_dies_at_its_crash_point_and_answers_nothing_after() {
-        let dir = crate::durable::scratch_dir("ctl-dies");
-        let c = PolicyController::new(PolicyConfig::default());
-        c.create_session("plain", PolicyConfig::default());
-        for (name, crash) in [("healthy", None), ("dying", Some(2))] {
-            let mut dcfg = DurabilityConfig::new(dir.join(name));
-            dcfg.crash = crash.map(pwm_sim::CrashPoint::AfterAppend);
-            c.create_durable_session(name, PolicyConfig::default(), dcfg)
-                .unwrap();
-        }
-        // One of every call, each appending to a durable session's log.
-        let round = |session: &str, n: u32| {
-            let evaluated = c.evaluate_transfers(session, vec![spec(n)]);
-            let id = evaluated.as_ref().map_or(TransferId(0), |a| a[0].id);
-            let reported = c.report_transfers(session, vec![TransferOutcome { id, success: true }]);
-            let host = "s".into();
-            let health = c.report_health(session, vec![HealthEvent::HostDown { host }]);
-            let (file, workflow) = (spec(n).dest, spec(n).workflow);
-            let cleaned = c.evaluate_cleanups(session, vec![CleanupSpec { file, workflow }]);
-            let id = cleaned.as_ref().map_or(CleanupId(0), |a| a[0].id);
-            let done = c.report_cleanups(session, vec![CleanupOutcome { id, success: true }]);
-            [
-                evaluated.map(drop),
-                reported,
-                health,
-                cleaned.map(drop),
-                done,
-            ]
-        };
         // The report's append fires the crash: it never answered, and
         // nothing after it does.
-        let down = Err(ControllerError::SessionDown("dying".into()));
-        let dying = round("dying", 0);
-        assert_eq!(dying[0], Ok(()));
-        assert!(dying[1..].iter().all(|r| *r == down), "{dying:?}");
-        assert_eq!(c.stats("dying").map(drop), down);
-        // No log, or a log that never crashes: nothing is refused.
+        down_from_the_failing_call(pwm_sim::CrashPoint::AfterAppend(2), 64, 1);
+        // No log, or a log that never fails: nothing is refused.
+        let c = PolicyController::new(PolicyConfig::default());
+        c.create_session("plain", PolicyConfig::default());
+        let dcfg = DurabilityConfig::on(SimDisk::new(), "healthy");
+        c.create_durable_session("healthy", PolicyConfig::default(), dcfg)
+            .unwrap();
         for session in ["plain", "healthy"] {
             for n in 0..8 {
-                assert!(round(session, n).iter().all(Result::is_ok), "{session}");
+                assert!(round(&c, session, n).iter().all(Result::is_ok), "{session}");
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn no_space_on_an_append_takes_the_session_down() {
+        let fault = DiskFault::on_log(DiskOp::Write, 3, FaultKind::NoSpace);
+        down_from_the_failing_call(fault, 64, 2);
+    }
+
+    #[test]
+    fn no_space_on_the_snapshot_file_takes_the_session_down() {
+        // Snapshot 1 is the base one; the compaction after the second
+        // append cannot write its temporary file.
+        let fault = DiskFault {
+            file: crate::durable::SNAPSHOT_TMP,
+            op: DiskOp::Write,
+            nth: 2,
+            kind: FaultKind::NoSpace,
+        };
+        down_from_the_failing_call(fault, 2, 1);
+    }
+
+    #[test]
+    fn a_failed_sync_takes_the_session_down() {
+        let fault = DiskFault::on_log(DiskOp::Sync, 4, FaultKind::IoError);
+        down_from_the_failing_call(fault, 64, 3);
+    }
+
+    #[test]
+    fn a_removed_durability_directory_takes_the_session_down() {
+        // On the real filesystem: the log's open file still takes the
+        // first two appends, and the compaction after the second cannot
+        // create its temporary file. No call after that one answers.
+        let dir = FsDisk::scratch_dir("ctl-removed");
+        let c = PolicyController::new(PolicyConfig::default());
+        let dcfg = DurabilityConfig::new(&dir).with_snapshot_every(2);
+        c.create_durable_session("gone", PolicyConfig::default(), dcfg)
+            .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let answers: Vec<_> = (0..4)
+            .map(|n| c.evaluate_transfers("gone", vec![spec(n)]).map(drop))
+            .collect();
+        let down = Err(ControllerError::SessionDown("gone".into()));
+        assert_eq!(answers, [Ok(()), down.clone(), down.clone(), down]);
     }
 
     #[test]
     fn recover_session_from_empty_dir_errors() {
-        let dir = crate::durable::scratch_dir("ctl-empty");
         let c = PolicyController::new(PolicyConfig::default());
-        assert!(c.recover_session("x", &dir).is_err());
+        let empty = c.recover_sharded_session_on("x", 1, &SimDisk::new(), Path::new("empty"));
+        assert!(empty.is_err());
         assert!(!c.inner.read().contains_key("x"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,41 +2,42 @@
 //!
 //! The durability layer is a classic redo scheme. Every *input* that
 //! mutates a session — transfer/cleanup evaluation batches, outcome
-//! reports, config changes — is appended to a write-ahead log before it is
-//! applied, and a full [`DurableState`] snapshot is written every
-//! `snapshot_every` appends, after which the log is compacted. Because the
-//! rule engine is deterministic, replaying the surviving log suffix over
-//! the last snapshot reproduces the pre-crash policy memory exactly:
-//! `PartialEq`-identical facts, assigned ids, allocation ledgers, stats,
-//! and audit numbering.
+//! reports, health reports, config changes — is appended to a write-ahead
+//! log before it is applied, and a full [`DurableState`] snapshot is
+//! written every `snapshot_every` appends, after which the log is
+//! compacted. Because the rule engine is deterministic, replaying the
+//! surviving log suffix over the last snapshot reproduces the pre-crash
+//! policy memory exactly: `PartialEq`-identical facts, assigned ids,
+//! allocation ledgers, stats, and audit numbering.
 //!
-//! On-disk format (dependency-free, like `pwm-obs`'s JSON module): frames
-//! of `[len: u32 LE][crc32: u32 LE][payload]` where the payload is the
-//! JSON encoding of a [`WalRecord`] (in `wal.log`) or a [`DurableState`]
-//! (in `snapshot.bin`, written via `snapshot.tmp` + rename). Recovery
-//! reads the longest valid frame prefix and discards a torn or corrupt
-//! tail — the torn-tail rule: a crash may lose the last in-flight command,
-//! but never corrupts the recovered state and never panics on garbage.
+//! On-disk format: frames of `[len: u32 LE][crc32: u32 LE][payload]`,
+//! where the payload is the `serde_json` encoding of a [`WalRecord`] (in
+//! `wal.log`) or a [`DurableState`] (in `snapshot.bin`, written via
+//! `snapshot.tmp` + rename); the frame and its CRC are this module's own
+//! code. Recovery reads the longest valid frame prefix and discards a
+//! torn or corrupt tail — the torn-tail rule: a crash may lose the last
+//! in-flight command, but never corrupts the recovered state and never
+//! panics on garbage.
 //!
-//! Crash injection is deterministic: a [`CrashPoint`] (from `pwm-sim`)
-//! freezes the sink at a seeded place in the append sequence — the
-//! simulated process is dead, so all later writes are silently dropped
-//! while the in-memory service (the "ghost" of the doomed process)
-//! continues.
+//! [`Durability`] decides what to write and writes it through a
+//! [`Disk`]: [`crate::FsDisk`] in production, [`crate::SimDisk`] where a
+//! test or a scenario scripts a disk failure. A disk failure of any kind
+//! — `ENOSPC`, a failed sync, a torn write, a scripted death — has one
+//! meaning: the first error freezes the sink, and from the call that met
+//! it on, its session is down.
 
 use crate::advice::{CleanupOutcome, TransferOutcome};
 use crate::audit::AuditRecord;
 use crate::config::PolicyConfig;
+use crate::disk::{Disk, FsDisk};
 use crate::model::{
     BackendDownFact, BackendLoadFact, CleanupFact, CleanupSpec, ClusterAllocFact, HealthEvent,
     HostDownFact, HostPairFact, ResourceFact, StagedOnFact, SuspectReplicaFact, TransferFact,
     TransferSpec,
 };
 use crate::service::{MemorySnapshot, ServiceStats};
-pub use pwm_sim::CrashPoint;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Log file name inside a durability directory.
@@ -218,17 +219,23 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Appends between snapshots (log compaction period).
     pub snapshot_every: u64,
-    /// Deterministic crash injection for tests and the chaos harness.
-    pub crash: Option<CrashPoint>,
+    /// The disk `dir` is on.
+    disk: Box<dyn Disk>,
 }
 
 impl DurabilityConfig {
-    /// Durability in `dir` with the default compaction period.
+    /// Durability in `dir` on the real filesystem, with the default
+    /// compaction period.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DurabilityConfig::on(FsDisk::default(), dir)
+    }
+
+    /// Durability in `dir` on `disk`, with the default compaction period.
+    pub fn on(disk: impl Disk + 'static, dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             snapshot_every: 64,
-            crash: None,
+            disk: Box::new(disk),
         }
     }
 
@@ -238,10 +245,9 @@ impl DurabilityConfig {
         self
     }
 
-    /// Builder-style: inject a deterministic crash point.
-    pub fn with_crash(mut self, point: CrashPoint) -> Self {
-        self.crash = Some(point);
-        self
+    /// The disk `dir` is on.
+    pub fn disk(&self) -> &dyn Disk {
+        &*self.disk
     }
 }
 
@@ -251,27 +257,35 @@ impl DurabilityConfig {
 pub struct DurableCounts {
     /// Log records appended whole.
     pub appends: u64,
-    /// `sync_all` calls, on the log and on snapshot files.
+    /// Syncs, on the log and on snapshot files.
     pub fsyncs: u64,
     /// Snapshots installed, the base one `create` writes included.
     pub snapshots: u64,
-    /// Bytes handed to `write`, log and snapshot files together.
+    /// Bytes written, log and snapshot files together.
     pub bytes_written: u64,
 }
 
 /// The append/snapshot sink owned by a durable [`crate::PolicyService`].
 ///
-/// After a simulated crash point fires the sink freezes: every later write
-/// is silently dropped (the process is "dead"), while the in-memory
-/// service continues as the reference for what was lost.
+/// The first error from its disk, whatever its cause, takes the sink
+/// down: from then on every call fails without touching the disk, so the
+/// log ends where the failure left it. The service reports its session
+/// down from that call on.
 pub struct Durability {
-    cfg: DurabilityConfig,
-    wal: File,
+    disk: Box<dyn Disk>,
+    files: Files,
+    snapshot_every: u64,
     next_seq: u64,
     counts: DurableCounts,
     since_snapshot: u64,
-    snapshot_pending: bool,
-    crashed: bool,
+    down: bool,
+}
+
+/// The three files of a durability directory.
+struct Files {
+    wal: PathBuf,
+    tmp: PathBuf,
+    snapshot: PathBuf,
 }
 
 impl Durability {
@@ -279,22 +293,26 @@ impl Durability {
     /// and starting an empty log — so a recovery directory always holds a
     /// snapshot, even if the process dies before the first append.
     pub fn create(cfg: DurabilityConfig, state: &DurableState) -> io::Result<Durability> {
-        fs::create_dir_all(&cfg.dir)?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(cfg.dir.join(WAL_FILE))?;
+        let DurabilityConfig {
+            dir,
+            snapshot_every,
+            mut disk,
+        } = cfg;
+        disk.create_dir_all(&dir)?;
         let mut d = Durability {
-            cfg,
-            wal,
+            disk,
+            files: Files {
+                wal: dir.join(WAL_FILE),
+                tmp: dir.join(SNAPSHOT_TMP),
+                snapshot: dir.join(SNAPSHOT_FILE),
+            },
+            snapshot_every,
             next_seq: state.applied_seq + 1,
             counts: DurableCounts::default(),
             since_snapshot: 0,
-            snapshot_pending: false,
-            crashed: false,
+            down: false,
         };
-        d.write_snapshot_inner(state, false)?;
+        d.write_snapshot(state)?;
         Ok(d)
     }
 
@@ -308,98 +326,59 @@ impl Durability {
         self.counts
     }
 
-    /// True once an injected crash point has fired (writes are frozen).
-    pub fn crashed(&self) -> bool {
-        self.crashed
+    /// True once a disk operation has failed (the sink writes no more).
+    pub fn is_down(&self) -> bool {
+        self.down
     }
 
     /// True when a snapshot is due after the current command's effects
     /// have been applied.
     pub fn snapshot_pending(&self) -> bool {
-        !self.crashed && self.snapshot_pending
+        !self.down && self.since_snapshot >= self.snapshot_every
     }
 
-    /// Append one record to the log (write-ahead: callers log *before*
-    /// applying). Ok after a simulated crash — the write is just dropped.
+    /// Append one record to the log and sync it (write-ahead: callers log
+    /// *before* applying).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        if self.crashed {
-            return Ok(());
-        }
-        let payload = serde_json::to_vec(record).map_err(to_io)?;
-        let frame = encode_frame(&payload);
-        let n = self.counts.appends + 1;
-        if let Some(CrashPoint::TornAppend { append, keep }) = self.cfg.crash {
-            if append == n {
-                // Only a prefix of the frame reaches the disk.
-                let keep = keep.min(frame.len().saturating_sub(1));
-                write_synced(&mut self.wal, &frame[..keep], &mut self.counts)?;
-                self.crashed = true;
-                return Ok(());
-            }
-        }
-        write_synced(&mut self.wal, &frame, &mut self.counts)?;
-        self.counts.appends = n;
+        let frame = encode_frame(&serde_json::to_vec(record).map_err(to_io)?);
+        self.io(|d, f| d.append(&f.wal, &frame))?;
+        self.counts.bytes_written += frame.len() as u64;
+        self.io(|d, f| d.sync(&f.wal))?;
+        self.counts.fsyncs += 1;
+        self.counts.appends += 1;
         self.next_seq = record.seq + 1;
         self.since_snapshot += 1;
-        match self.cfg.crash {
-            Some(CrashPoint::AfterAppend(at)) if at == n => self.crashed = true,
-            // Force the follow-up snapshot so the mid-snapshot tear fires
-            // deterministically regardless of the compaction period.
-            Some(CrashPoint::MidSnapshot { append }) if append == n => self.snapshot_pending = true,
-            _ => {}
-        }
-        if self.since_snapshot >= self.cfg.snapshot_every {
-            self.snapshot_pending = true;
-        }
         Ok(())
     }
 
     /// Write `state` as the new base snapshot and compact the log:
-    /// `snapshot.tmp` → fsync → rename over `snapshot.bin` → truncate
-    /// `wal.log`. A crash between rename and truncate is tolerated because
-    /// replay skips records with `seq <= applied_seq`.
+    /// `snapshot.tmp` → sync → rename over `snapshot.bin` → truncate
+    /// `wal.log`. A death before the rename leaves the old snapshot and the
+    /// whole log; one between rename and truncate leaves the new snapshot
+    /// and a log whose records replay skips (`seq <= applied_seq`).
     pub fn write_snapshot(&mut self, state: &DurableState) -> io::Result<()> {
-        if self.crashed {
-            return Ok(());
-        }
-        self.snapshot_pending = false;
-        let tear = matches!(
-            self.cfg.crash,
-            Some(CrashPoint::MidSnapshot { append }) if append <= self.counts.appends
-        );
-        self.write_snapshot_inner(state, tear)
-    }
-
-    fn write_snapshot_inner(&mut self, state: &DurableState, tear: bool) -> io::Result<()> {
-        let payload = serde_json::to_vec(state).map_err(to_io)?;
-        let frame = encode_frame(&payload);
-        let tmp = self.cfg.dir.join(SNAPSHOT_TMP);
-        write_synced(&mut File::create(&tmp)?, &frame, &mut self.counts)?;
-        if tear {
-            // Simulated death between writing the temporary file and the
-            // rename: the old snapshot + uncompacted log stay authoritative.
-            self.crashed = true;
-            return Ok(());
-        }
-        fs::rename(&tmp, self.cfg.dir.join(SNAPSHOT_FILE))?;
+        let frame = encode_frame(&serde_json::to_vec(state).map_err(to_io)?);
+        self.io(|d, f| d.write_new(&f.tmp, &frame))?;
+        self.counts.bytes_written += frame.len() as u64;
+        self.io(|d, f| d.sync(&f.tmp))?;
+        self.counts.fsyncs += 1;
+        self.io(|d, f| d.rename(&f.tmp, &f.snapshot))?;
         self.counts.snapshots += 1;
-        self.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.cfg.dir.join(WAL_FILE))?;
+        self.io(|d, f| d.truncate(&f.wal))?;
         self.since_snapshot = 0;
         Ok(())
     }
-}
 
-/// Write `bytes` to `file` and fsync it, counting both.
-fn write_synced(file: &mut File, bytes: &[u8], counts: &mut DurableCounts) -> io::Result<()> {
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    counts.bytes_written += bytes.len() as u64;
-    counts.fsyncs += 1;
-    Ok(())
+    /// Run one disk operation, unless an earlier one failed; its error
+    /// takes the sink down.
+    fn io(&mut self, op: impl FnOnce(&mut dyn Disk, &Files) -> io::Result<()>) -> io::Result<()> {
+        if self.down {
+            return Err(io::Error::other("durability sink is down"));
+        }
+        let out = op(&mut *self.disk, &self.files);
+        self.down = out.is_err();
+        out
+    }
 }
 
 /// What [`read_recovery`] found in a durability directory.
@@ -413,11 +392,12 @@ pub struct Recovered {
     pub discarded_bytes: usize,
 }
 
-/// Read a durability directory: the snapshot plus the surviving log
-/// suffix. Errors only on a missing/unreadable snapshot or an I/O failure;
-/// log corruption truncates, never fails.
-pub fn read_recovery(dir: &Path) -> io::Result<Recovered> {
-    let snap_bytes = fs::read(dir.join(SNAPSHOT_FILE))?;
+/// Read a durability directory on `disk`: the snapshot plus the surviving
+/// log suffix. Errors only on a missing/unreadable snapshot or an I/O
+/// failure; log corruption truncates, never fails. A `snapshot.tmp` is
+/// never read: until its rename it is not the snapshot.
+pub fn read_recovery(disk: &dyn Disk, dir: &Path) -> io::Result<Recovered> {
+    let snap_bytes = disk.read(&dir.join(SNAPSHOT_FILE))?;
     let (snap_frames, _) = decode_frames(&snap_bytes);
     let Some(snap_payload) = snap_frames.first() else {
         return Err(io::Error::new(
@@ -427,7 +407,7 @@ pub fn read_recovery(dir: &Path) -> io::Result<Recovered> {
     };
     let state: DurableState = serde_json::from_slice(snap_payload).map_err(to_io)?;
 
-    let wal_bytes = match fs::read(dir.join(WAL_FILE)) {
+    let wal_bytes = match disk.read(&dir.join(WAL_FILE)) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
@@ -455,23 +435,10 @@ fn to_io(e: serde_json::Error) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Unique scratch directory for crate tests, without the tempfile crate.
-#[cfg(test)]
-pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pwm-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{CrashPoint, DiskFault, DiskOp, FaultKind, SimDisk};
     use crate::model::{Url, WorkflowId};
 
     fn record(seq: u64) -> WalRecord {
@@ -568,103 +535,187 @@ mod tests {
         assert_eq!(r, back);
     }
 
+    /// A sink on `disk` in `dir`, compacting every `every` appends.
+    fn sink(disk: &SimDisk, every: u64) -> Durability {
+        let cfg = DurabilityConfig::on(disk.clone(), "d").with_snapshot_every(every);
+        Durability::create(cfg, &empty_state(0)).unwrap()
+    }
+
+    fn recover(disk: &SimDisk) -> Recovered {
+        read_recovery(disk, Path::new("d")).unwrap()
+    }
+
     #[test]
     fn append_then_recover_returns_records_after_applied_seq() {
-        let dir = scratch_dir("wal");
-        let mut d = Durability::create(DurabilityConfig::new(&dir), &empty_state(0)).unwrap();
+        let disk = SimDisk::new();
+        let mut d = sink(&disk, 64);
         for seq in 1..=3 {
             assert_eq!(d.next_seq(), seq);
             d.append(&record(seq)).unwrap();
         }
-        let rec = read_recovery(&dir).unwrap();
+        let rec = recover(&disk);
         assert_eq!(rec.state, empty_state(0));
         assert_eq!(rec.records, vec![record(1), record(2), record(3)]);
         assert_eq!(rec.discarded_bytes, 0);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_compacts_the_log() {
-        let dir = scratch_dir("compact");
-        let mut d = Durability::create(
-            DurabilityConfig::new(&dir).with_snapshot_every(2),
-            &empty_state(0),
-        )
-        .unwrap();
+        let disk = SimDisk::new();
+        let mut d = sink(&disk, 2);
         d.append(&record(1)).unwrap();
         assert!(!d.snapshot_pending());
         d.append(&record(2)).unwrap();
         assert!(d.snapshot_pending());
         d.write_snapshot(&empty_state(2)).unwrap();
         d.append(&record(3)).unwrap();
-        let rec = read_recovery(&dir).unwrap();
+        let rec = recover(&disk);
         assert_eq!(rec.state.applied_seq, 2);
         assert_eq!(rec.records, vec![record(3)], "compacted records skipped");
-        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Appends records 1..=5 to a sink whose disk fails on `fault`; each
+    /// append's result, in order.
+    fn append_five(disk: &SimDisk, every: u64) -> (Durability, Vec<bool>) {
+        let mut d = sink(disk, every);
+        let ok = (1..=5)
+            .map(|seq| {
+                let ok = d.append(&record(seq)).is_ok();
+                if d.snapshot_pending() {
+                    d.write_snapshot(&empty_state(seq)).ok();
+                }
+                ok
+            })
+            .collect();
+        (d, ok)
     }
 
     #[test]
     fn after_append_crash_freezes_the_sink() {
-        let dir = scratch_dir("crash-after");
-        let mut d = Durability::create(
-            DurabilityConfig::new(&dir).with_crash(CrashPoint::AfterAppend(2)),
-            &empty_state(0),
-        )
-        .unwrap();
-        for seq in 1..=5 {
-            d.append(&record(seq)).unwrap();
-        }
-        assert!(d.crashed());
-        let rec = read_recovery(&dir).unwrap();
-        assert_eq!(rec.records, vec![record(1), record(2)]);
-        fs::remove_dir_all(&dir).ok();
+        // A death at the second log sync: record 2 is whole on disk, its
+        // call failed, and nothing after it is written.
+        let disk = SimDisk::failing(CrashPoint::AfterAppend(2));
+        let (d, ok) = append_five(&disk, 64);
+        assert!(d.is_down());
+        assert_eq!(ok, [true, false, false, false, false]);
+        assert_eq!(recover(&disk).records, vec![record(1), record(2)]);
     }
 
     #[test]
     fn torn_append_crash_leaves_recoverable_prefix() {
-        let dir = scratch_dir("crash-torn");
-        let mut d = Durability::create(
-            DurabilityConfig::new(&dir).with_crash(CrashPoint::TornAppend { append: 3, keep: 9 }),
-            &empty_state(0),
-        )
-        .unwrap();
-        for seq in 1..=4 {
-            d.append(&record(seq)).unwrap();
-        }
-        let rec = read_recovery(&dir).unwrap();
+        let disk = SimDisk::failing(CrashPoint::TornAppend { append: 3, keep: 9 });
+        let (d, ok) = append_five(&disk, 64);
+        assert!(d.is_down());
+        assert_eq!(ok, [true, true, false, false, false]);
+        let rec = recover(&disk);
         assert_eq!(rec.records, vec![record(1), record(2)]);
-        assert!(rec.discarded_bytes > 0, "the torn bytes were discarded");
-        fs::remove_dir_all(&dir).ok();
+        assert_eq!(rec.discarded_bytes, 9, "the torn bytes were discarded");
+    }
+
+    #[test]
+    fn no_space_and_a_failed_sync_freeze_the_sink_at_that_append() {
+        // ENOSPC lands nothing of record 3; a failed sync leaves it written.
+        for (kind, op, kept) in [
+            (FaultKind::NoSpace, DiskOp::Write, 2),
+            (FaultKind::IoError, DiskOp::Sync, 3),
+        ] {
+            let disk = SimDisk::failing(DiskFault::on_log(op, 3, kind));
+            let (d, ok) = append_five(&disk, 64);
+            assert!(d.is_down(), "{kind:?}");
+            assert_eq!(ok, [true, true, false, false, false], "{kind:?}");
+            let records: Vec<WalRecord> = (1..=kept).map(record).collect();
+            assert_eq!(recover(&disk).records, records, "{kind:?}");
+        }
+    }
+
+    /// A torn `snapshot.tmp` beside the directory, as a death while writing
+    /// it leaves one: recovery never reads it.
+    fn tear_tmp(disk: &SimDisk) {
+        let mut disk = disk.clone();
+        let torn = &encode_frame(b"a snapshot cut short")[..11];
+        disk.write_new(&Path::new("d").join(SNAPSHOT_TMP), torn)
+            .unwrap();
     }
 
     #[test]
     fn mid_snapshot_crash_keeps_old_snapshot_and_full_log() {
-        let dir = scratch_dir("crash-snap");
-        let mut d = Durability::create(
-            DurabilityConfig::new(&dir)
-                .with_snapshot_every(1000)
-                .with_crash(CrashPoint::MidSnapshot { append: 2 }),
-            &empty_state(0),
-        )
-        .unwrap();
-        d.append(&record(1)).unwrap();
-        d.append(&record(2)).unwrap();
-        assert!(d.snapshot_pending(), "mid-snapshot point forces a snapshot");
-        d.write_snapshot(&empty_state(2)).unwrap();
-        assert!(d.crashed());
-        // The tmp file exists but the live snapshot is still the base one.
-        assert!(dir.join(SNAPSHOT_TMP).exists());
-        let rec = read_recovery(&dir).unwrap();
+        // Snapshot 1 is the base one; the death is at the compaction after
+        // record 2, between its temporary file and the rename.
+        let fault = DiskFault {
+            file: SNAPSHOT_TMP,
+            op: DiskOp::Rename,
+            nth: 2,
+            kind: FaultKind::Die,
+        };
+        let disk = SimDisk::failing(fault);
+        let (d, ok) = append_five(&disk, 2);
+        assert!(d.is_down());
+        assert_eq!(ok, [true, true, false, false, false]);
+        assert!(disk.read(&Path::new("d").join(SNAPSHOT_TMP)).is_ok());
+        tear_tmp(&disk);
+        let rec = recover(&disk);
         assert_eq!(rec.state.applied_seq, 0, "old snapshot still authoritative");
         assert_eq!(rec.records, vec![record(1), record(2)]);
-        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_death_between_rename_and_truncate_replays_nothing_twice() {
+        // Truncate 1 is the base snapshot's; the death is at the
+        // compaction after record 2, once the new snapshot is renamed in.
+        let fault = DiskFault::on_log(DiskOp::Truncate, 2, FaultKind::Die);
+        let disk = SimDisk::failing(fault);
+        let (d, ok) = append_five(&disk, 2);
+        assert!(d.is_down());
+        assert_eq!(ok, [true, true, false, false, false]);
+        tear_tmp(&disk);
+        let rec = recover(&disk);
+        assert_eq!(rec.state.applied_seq, 2, "the new snapshot is installed");
+        assert!(rec.records.is_empty(), "records 1-2 are in the snapshot");
+        assert_eq!(rec.discarded_bytes, 0);
+    }
+
+    #[test]
+    fn no_space_on_the_snapshot_file_keeps_the_old_snapshot() {
+        let fault = DiskFault {
+            file: SNAPSHOT_TMP,
+            op: DiskOp::Write,
+            nth: 2,
+            kind: FaultKind::NoSpace,
+        };
+        let disk = SimDisk::failing(fault);
+        let (d, ok) = append_five(&disk, 2);
+        assert!(d.is_down());
+        assert_eq!(ok, [true, true, false, false, false]);
+        let rec = recover(&disk);
+        assert_eq!(rec.state.applied_seq, 0);
+        assert_eq!(rec.records, vec![record(1), record(2)]);
     }
 
     #[test]
     fn missing_snapshot_errors_cleanly() {
-        let dir = scratch_dir("nosnap");
-        assert!(read_recovery(&dir).is_err());
-        fs::remove_dir_all(&dir).ok();
+        let err = read_recovery(&SimDisk::new(), Path::new("d")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn the_fs_disk_runs_the_snapshot_protocol() {
+        let dir = FsDisk::scratch_dir("fs-disk");
+        let cfg = DurabilityConfig::new(&dir).with_snapshot_every(2);
+        let mut d = Durability::create(cfg, &empty_state(0)).unwrap();
+        for seq in 1..=3 {
+            d.append(&record(seq)).unwrap();
+            if d.snapshot_pending() {
+                d.write_snapshot(&empty_state(seq)).unwrap();
+            }
+        }
+        assert!(
+            !dir.join(SNAPSHOT_TMP).exists(),
+            "renamed over the snapshot"
+        );
+        let rec = read_recovery(&FsDisk::default(), &dir).unwrap();
+        assert_eq!(rec.state.applied_seq, 2);
+        assert_eq!(rec.records, vec![record(3)]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -18,8 +18,10 @@
 //! With [`FailoverTransport::with_warm_recovery`] the transport upgrades to
 //! *warm* failover by log shipping: just before a replica serves its first
 //! request, a caller-supplied hook replays the failed primary's durability
-//! log into it (typically `controller.recover_session(session, dir)` over
-//! the primary's WAL directory). Each replica is warmed at most once —
+//! log into it (typically `controller.recover_sharded_session_on(session,
+//! shards, disk, dir)` over the primary's WAL directory, or
+//! `recover_session(session, dir)` when that directory is on the real
+//! filesystem). Each replica is warmed at most once —
 //! re-replaying a stale log over a replica that has since served requests
 //! of its own would clobber newer state. A warmed successor inherits the
 //! primary's allocation ledgers and dedup memory, so it never grants past
@@ -168,8 +170,9 @@ impl FailoverTransport {
     /// Upgrade to warm failover by log shipping: `hook(ix)` runs once per
     /// replica, just before its first request, and is expected to replay
     /// the primary's durability log into replica `ix` (e.g. via
-    /// [`crate::PolicyController::recover_session`] over the primary's WAL
-    /// directory). See the module docs for the warm-failover invariants.
+    /// [`crate::PolicyController::recover_sharded_session_on`] over the
+    /// primary's WAL directory). See the module docs for the warm-failover
+    /// invariants.
     pub fn with_warm_recovery(mut self, hook: impl FnMut(usize) + Send + 'static) -> Self {
         self.warm_hook = Some(Box::new(hook));
         self
@@ -388,7 +391,7 @@ mod tests {
 
     #[test]
     fn warm_failover_restores_primary_memory_from_its_log() {
-        let dir = crate::durable::scratch_dir("warm-failover");
+        let disk = crate::SimDisk::new();
         let config = PolicyConfig::default()
             .with_default_streams(8)
             .with_threshold(10);
@@ -397,7 +400,7 @@ mod tests {
             .create_durable_session(
                 DEFAULT_SESSION,
                 config.clone(),
-                crate::durable::DurabilityConfig::new(&dir),
+                crate::durable::DurabilityConfig::on(disk.clone(), "warm"),
             )
             .unwrap();
         let mut live = InProcessTransport::new(primary.clone(), DEFAULT_SESSION);
@@ -416,11 +419,11 @@ mod tests {
         // just before serving its first request.
         let backup = PolicyController::new(config.clone());
         let hook_backup = backup.clone();
-        let hook_dir = dir.clone();
         let backup_replica = Box::new(InProcessTransport::new(backup.clone(), DEFAULT_SESSION));
         let mut t = chain(vec![Box::new(live), backup_replica], 1).with_warm_recovery(move |_ix| {
+            let dir = std::path::Path::new("warm");
             hook_backup
-                .recover_session(DEFAULT_SESSION, &hook_dir)
+                .recover_sharded_session_on(DEFAULT_SESSION, 1, &disk, dir)
                 .unwrap();
         });
 
@@ -441,7 +444,6 @@ mod tests {
             b[0].streams
         );
         assert_eq!(t.failovers(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

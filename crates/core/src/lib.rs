@@ -47,6 +47,7 @@ pub mod balanced;
 pub mod config;
 pub mod controller;
 pub mod ctx;
+pub mod disk;
 pub mod durable;
 pub mod failover;
 pub mod greedy;
@@ -73,9 +74,10 @@ pub use config::{
 };
 pub use controller::{ControllerError, PolicyController, DEFAULT_SESSION};
 pub use ctx::PolicyCtx;
+pub use disk::{CrashPoint, Disk, DiskFault, DiskOp, FaultKind, FsDisk, SimDisk};
 pub use durable::{
-    crc32, decode_frames, encode_frame, read_recovery, CrashPoint, Durability, DurabilityConfig,
-    DurableCounts, DurableFact, DurableState, Recovered, WalCommand, WalRecord,
+    crc32, decode_frames, encode_frame, read_recovery, Durability, DurabilityConfig, DurableCounts,
+    DurableFact, DurableState, Recovered, WalCommand, WalRecord,
 };
 pub use failover::{FailoverProbe, FailoverTransport, ServiceFault};
 pub use ledger::{balanced_grant, greedy_grant, greedy_total_for_concurrent_jobs, no_policy_total};

@@ -15,6 +15,7 @@ use crate::audit::{AuditLog, AuditRecord, PolicyEvent};
 use crate::balanced::install_balanced_rules;
 use crate::config::{OrderingPolicy, PolicyConfig};
 use crate::ctx::PolicyCtx;
+use crate::disk::Disk;
 use crate::durable::{
     read_recovery, Durability, DurabilityConfig, DurableCounts, DurableFact, DurableState,
     WalCommand, WalRecord,
@@ -230,6 +231,11 @@ struct ServiceObs {
     latency: Vec<(&'static str, Histogram)>,
     counters: [Option<Counter>; 9],
     audit_dropped: Option<Counter>,
+}
+
+/// Log the disk failure that took a durable session down.
+fn session_down(what: &str, e: &io::Error) {
+    pwm_obs::global_logger().error(&format!("{what} failed; durable session down: {e}"));
 }
 
 /// Label pairs as the borrowed slice shape the registry expects, with room
@@ -513,19 +519,25 @@ impl PolicyService {
         self.durability.as_ref().map(Durability::counts)
     }
 
-    /// True when an injected crash point has frozen the durability sink.
-    pub fn durability_crashed(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| d.crashed())
+    /// True when a disk failure has taken the durability sink down: the
+    /// log ends at the call that met it, and the session is down.
+    pub fn durability_down(&self) -> bool {
+        self.durability.as_ref().is_some_and(Durability::is_down)
     }
 
-    /// Rebuild a service from a durability directory: load the last
-    /// snapshot and replay the surviving log suffix through the
+    /// True while a durability sink is attached and still writing.
+    fn logging(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| !d.is_down())
+    }
+
+    /// Rebuild a service from a durability directory on `disk`: load the
+    /// last snapshot and replay the surviving log suffix through the
     /// deterministic engine. The result is `PartialEq`-identical (facts,
     /// ids, ledgers, stats, audit numbering) to the uninterrupted service
     /// at the last durable command. Durability is *not* re-enabled; call
     /// [`PolicyService::enable_durability`] to resume logging.
-    pub fn recover_from(dir: &Path) -> io::Result<PolicyService> {
-        let recovered = read_recovery(dir)?;
+    pub fn recover_from(disk: &dyn Disk, dir: &Path) -> io::Result<PolicyService> {
+        let recovered = read_recovery(disk, dir)?;
         let mut svc = PolicyService::from_durable_state(recovered.state);
         for record in recovered.records {
             svc.apply_command(record.cmd);
@@ -534,8 +546,7 @@ impl PolicyService {
     }
 
     /// Append a mutating command to the WAL before applying it (redo
-    /// logging). A write failure disables durability rather than failing
-    /// the advisory service.
+    /// logging). A failed append takes the sink, and so the session, down.
     fn log_command(&mut self, cmd: WalCommand) {
         if let Some(d) = &mut self.durability {
             let record = WalRecord {
@@ -543,9 +554,7 @@ impl PolicyService {
                 cmd,
             };
             if let Err(e) = d.append(&record) {
-                pwm_obs::global_logger()
-                    .error(&format!("WAL append failed; durability disabled: {e}"));
-                self.durability = None;
+                session_down("WAL append", &e);
             }
         }
     }
@@ -565,9 +574,7 @@ impl PolicyService {
         let state = self.durable_state();
         if let Some(d) = &mut self.durability {
             if let Err(e) = d.write_snapshot(&state) {
-                pwm_obs::global_logger()
-                    .error(&format!("snapshot write failed; durability disabled: {e}"));
-                self.durability = None;
+                session_down("snapshot write", &e);
             }
         }
     }
@@ -748,7 +755,7 @@ impl PolicyService {
     /// Replace the configuration (an administrator reconfiguring the
     /// service between workflows).
     pub fn set_config(&mut self, config: PolicyConfig) {
-        if self.durability.is_some() {
+        if self.logging() {
             self.log_command(WalCommand::SetConfig(config.clone()));
         }
         if config.audit_retention() != self.audit.capacity() {
@@ -793,7 +800,7 @@ impl PolicyService {
     /// get stream/group advice, and the list is ordered per the ordering
     /// policy.
     pub fn evaluate_transfers(&mut self, batch: Vec<TransferSpec>) -> Vec<TransferAdvice> {
-        if self.durability.is_some() {
+        if self.logging() {
             self.log_command(WalCommand::EvaluateTransfers(batch.clone()));
         }
         let mut window = TransferWindow::from_groups(vec![batch]);
@@ -828,7 +835,7 @@ impl PolicyService {
     /// keeps: the specs are moved into facts and the advice written back
     /// into it, group by group.
     pub fn evaluate_window(&mut self, window: &mut TransferWindow) {
-        if self.durability.is_some() {
+        if self.logging() {
             self.log_command(WalCommand::EvaluateTransferGroups(window.spec_groups()));
         }
         self.evaluate_window_inner(window);
@@ -980,7 +987,7 @@ impl PolicyService {
         &mut self,
         outcomes: impl Iterator<Item = &'a TransferOutcome> + Clone,
     ) {
-        if self.durability.is_some() {
+        if self.logging() {
             let logged = outcomes.clone().copied().collect();
             self.log_command(WalCommand::ReportTransfers(logged));
         }
@@ -1028,7 +1035,7 @@ impl PolicyService {
     /// [`PolicyService::evaluate_cleanups`] over a window the caller keeps:
     /// the specs are moved into facts and the advice written back into it.
     pub fn evaluate_cleanup_window(&mut self, window: &mut CleanupWindow) {
-        if self.durability.is_some() {
+        if self.logging() {
             self.log_command(WalCommand::EvaluateCleanups(window.specs.clone()));
         }
         self.stats.cleanup_requests += window.specs.len() as u64;
@@ -1107,7 +1114,7 @@ impl PolicyService {
         &mut self,
         outcomes: impl Iterator<Item = &'a CleanupOutcome> + Clone,
     ) {
-        if self.durability.is_some() {
+        if self.logging() {
             let logged = outcomes.clone().copied().collect();
             self.log_command(WalCommand::ReportCleanups(logged));
         }
@@ -1149,7 +1156,7 @@ impl PolicyService {
         if events.is_empty() {
             return;
         }
-        if self.durability.is_some() {
+        if self.logging() {
             self.log_command(WalCommand::ReportHealth(events.clone()));
         }
         let ix = self.ix;
@@ -1623,10 +1630,11 @@ mod tests {
 
     #[test]
     fn durable_session_recovers_from_disk() {
-        let dir = crate::durable::scratch_dir("svc-recover");
+        let disk = crate::SimDisk::new();
+        let dir = Path::new("svc");
         let mut svc = greedy_service(4, 50);
-        svc.enable_durability(crate::durable::DurabilityConfig::new(&dir).with_snapshot_every(2))
-            .unwrap();
+        let cfg = DurabilityConfig::on(disk.clone(), dir).with_snapshot_every(2);
+        svc.enable_durability(cfg).unwrap();
         let a = svc.evaluate_transfers(vec![spec_n(1, 1), spec_n(2, 1)]);
         svc.report_transfers(vec![TransferOutcome {
             id: a[0].id,
@@ -1634,7 +1642,7 @@ mod tests {
         }]);
         svc.evaluate_transfers(vec![spec_n(3, 1)]);
 
-        let mut recovered = PolicyService::recover_from(&dir).unwrap();
+        let mut recovered = PolicyService::recover_from(&disk, dir).unwrap();
         assert_eq!(recovered.snapshot(), svc.snapshot());
         assert_eq!(recovered.stats(), svc.stats());
         assert_eq!(recovered.durable_state(), {
@@ -1645,7 +1653,6 @@ mod tests {
         // Dedup memory survived: the staged file is not re-advised.
         let again = recovered.evaluate_transfers(vec![spec_n(1, 2)]);
         assert!(!again[0].should_execute());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

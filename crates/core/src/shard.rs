@@ -26,6 +26,7 @@
 
 use crate::advice::{CleanupAdvice, CleanupOutcome, TransferAdvice, TransferOutcome};
 use crate::config::{OrderingPolicy, PolicyConfig};
+use crate::disk::Disk;
 use crate::durable::DurabilityConfig;
 use crate::keys::UrlKey;
 use crate::model::{CleanupSpec, TransferSpec, Url};
@@ -124,8 +125,8 @@ impl HashRing {
 pub struct ShardedPolicyService {
     ring: HashRing,
     shards: Vec<Mutex<PolicyService>>,
-    /// Set by the call that fires any shard's durability crash point.
-    crashed: AtomicBool,
+    /// Set by the call during which any shard's disk failed.
+    down: AtomicBool,
 }
 
 impl ShardedPolicyService {
@@ -139,25 +140,25 @@ impl ShardedPolicyService {
         ShardedPolicyService {
             ring,
             shards,
-            crashed: AtomicBool::new(false),
+            down: AtomicBool::new(false),
         }
     }
 
-    /// Rebuild every shard from its durability directory (the layout
-    /// [`ShardedPolicyService::enable_durability`] writes). Durability is
-    /// *not* re-enabled on the recovered shards.
-    pub fn recover_from(base: &Path, shards: u16) -> io::Result<Self> {
+    /// Rebuild every shard from its durability directory on `disk` (the
+    /// layout [`ShardedPolicyService::enable_durability`] writes).
+    /// Durability is *not* re-enabled on the recovered shards.
+    pub fn recover_from(disk: &dyn Disk, base: &Path, shards: u16) -> io::Result<Self> {
         assert!(shards > 0, "a sharded service needs at least one shard");
         let ring = HashRing::new(shards);
         let mut recovered = Vec::with_capacity(shards as usize);
         for s in 0..shards {
             let dir = Self::shard_dir(base, s, shards);
-            recovered.push(Mutex::new(PolicyService::recover_from(&dir)?));
+            recovered.push(Mutex::new(PolicyService::recover_from(disk, &dir)?));
         }
         Ok(ShardedPolicyService {
             ring,
             shards: recovered,
-            crashed: AtomicBool::new(false),
+            down: AtomicBool::new(false),
         })
     }
 
@@ -181,21 +182,21 @@ impl ShardedPolicyService {
         &self.ring
     }
 
-    /// Run `f` against one shard's engine. Every call that can append to
-    /// a shard's log goes through here, so the call that fires a crash
-    /// point is the one that marks the session crashed.
+    /// Run `f` against one shard's engine. Every call that can write to
+    /// a shard's log goes through here, so the call during which a disk
+    /// fails is the one that marks the session down.
     pub fn with_shard<R>(&self, s: u16, f: impl FnOnce(&mut PolicyService) -> R) -> R {
         let mut shard = self.shards[s as usize].lock();
         let out = f(&mut shard);
-        if shard.durability_crashed() {
-            self.crashed.store(true, Ordering::Relaxed);
+        if shard.durability_down() {
+            self.down.store(true, Ordering::Relaxed);
         }
         out
     }
 
     /// Enable per-shard durability: shard `s` logs and snapshots under
-    /// `cfg.dir/shard-s` (a one-shard service under `cfg.dir` itself),
-    /// inheriting `cfg`'s compaction period and crash injection.
+    /// `cfg.dir/shard-s` (a one-shard service under `cfg.dir` itself) on
+    /// its own handle of `cfg`'s disk, with `cfg`'s compaction period.
     pub fn enable_durability(&self, cfg: &DurabilityConfig) -> io::Result<()> {
         for (s, shard) in self.shards.iter().enumerate() {
             let mut scfg = cfg.clone();
@@ -205,12 +206,12 @@ impl ShardedPolicyService {
         Ok(())
     }
 
-    /// True when any shard's injected crash point has fired. One atomic
-    /// load, since the controller asks it around every request; `Relaxed`
-    /// because the flag publishes no other data, and a call that locked the
-    /// crashed shard after the store sees it through that lock.
-    pub fn durability_crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
+    /// True when any shard's disk has failed. One atomic load, since the
+    /// controller asks it around every request; `Relaxed` because the flag
+    /// publishes no other data, and a call that locked the failed shard
+    /// after the store sees it through that lock.
+    pub fn durability_down(&self) -> bool {
+        self.down.load(Ordering::Relaxed)
     }
 
     /// Attach observability: shard `s`'s metrics carry
@@ -768,11 +769,11 @@ mod tests {
 
     #[test]
     fn per_shard_durability_recovers_every_shard() {
-        let base = crate::durable::scratch_dir("sharded-wal");
+        let disk = crate::SimDisk::new();
+        let base = Path::new("sharded");
         let sharded = ShardedPolicyService::new(PolicyConfig::default(), 3);
-        sharded
-            .enable_durability(&DurabilityConfig::new(&base).with_snapshot_every(2))
-            .unwrap();
+        let cfg = DurabilityConfig::on(disk.clone(), base).with_snapshot_every(2);
+        sharded.enable_durability(&cfg).unwrap();
         let batch: Vec<TransferSpec> = (0..12)
             .map(|i| spec(&format!("s{i}"), &format!("d{i}"), i, 1))
             .collect();
@@ -788,7 +789,7 @@ mod tests {
                 .collect(),
         );
 
-        let recovered = ShardedPolicyService::recover_from(&base, 3).unwrap();
+        let recovered = ShardedPolicyService::recover_from(&disk, base, 3).unwrap();
         assert_eq!(recovered.stats(), sharded.stats());
         assert_eq!(recovered.snapshot(), sharded.snapshot());
         for s in 0..3 {
@@ -800,6 +801,5 @@ mod tests {
             let rec = recovered.with_shard(s, |svc| svc.durable_state());
             assert_eq!(rec, live, "shard {s} must recover identically");
         }
-        std::fs::remove_dir_all(&base).ok();
     }
 }

@@ -117,20 +117,12 @@ fn pipelined_window_larger_than_one_read_is_answered_in_full() {
 
 #[test]
 fn server_restarts_from_log_with_state_preserved() {
-    let dir = std::env::temp_dir().join(format!(
-        "pwm-rest-restart-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+    let disk = pwm_core::SimDisk::new();
+    let dcfg = || pwm_core::DurabilityConfig::on(disk.clone(), "restart");
     let cfg = PolicyConfig::default();
     let controller = PolicyController::new(cfg.clone());
     controller
-        .create_durable_session(
-            pwm_core::DEFAULT_SESSION,
-            cfg.clone(),
-            pwm_core::DurabilityConfig::new(&dir),
-        )
+        .create_durable_session(pwm_core::DEFAULT_SESSION, cfg.clone(), dcfg())
         .unwrap();
     let mut server = PolicyRestServer::start(controller).unwrap();
     let evaluate = transfers_body(vec![spec_for("/f1")]);
@@ -161,10 +153,7 @@ fn server_restarts_from_log_with_state_preserved() {
     // server binds a new port. The staged file must still be known.
     let controller2 = PolicyController::new(cfg.clone());
     controller2
-        .resume_durable_session(
-            pwm_core::DEFAULT_SESSION,
-            pwm_core::DurabilityConfig::new(&dir),
-        )
+        .resume_durable_session(pwm_core::DEFAULT_SESSION, dcfg())
         .unwrap();
     let server2 = PolicyRestServer::start(controller2).unwrap();
     let (status, body) = call_socket(
@@ -185,7 +174,6 @@ fn server_restarts_from_log_with_state_preserved() {
         status_env.stats.transfer_requests, 2,
         "pre-restart traffic counts in post-restart stats"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -258,35 +246,51 @@ fn unknown_session_is_404() {
 
 #[test]
 fn session_dead_at_its_crash_point_is_503() {
-    let dir = std::env::temp_dir().join(format!("pwm-rest-503-{}", std::process::id()));
-    let controller = PolicyController::new(PolicyConfig::default());
-    let dcfg =
-        pwm_core::DurabilityConfig::new(&dir).with_crash(pwm_core::CrashPoint::AfterAppend(1));
-    let cfg = PolicyConfig::default();
-    controller
-        .create_durable_session("dying", cfg.clone(), dcfg)
-        .unwrap();
-    let mut core = Core::new(controller);
-    let transfers = transfers_body(vec![]);
-    let cfg = serde_json::to_vec(&cfg).unwrap();
-    // The first append fires the crash: that request and every later
-    // one are refused, JSON or XML, request or monitoring, and PUT
-    // config upserts only a missing session, never a dead one.
-    for (method, path, body) in [
-        (Method::Post, "/sessions/dying/transfers", &transfers[..]),
-        (Method::Post, "/sessions/dying/transfers", &transfers[..]),
-        (Method::Get, "/sessions/dying/status", b""),
-        (Method::Put, "/sessions/dying/config", &cfg[..]),
+    use pwm_core::{CrashPoint, DiskFault, DiskOp, FaultKind};
+    // Each disk fails at the first call: a death once the first append is
+    // synced, ENOSPC on that append, a failed sync of it, and ENOSPC on the
+    // compaction that follows it.
+    let on_tmp = DiskFault {
+        file: pwm_core::durable::SNAPSHOT_TMP,
+        op: DiskOp::Write,
+        nth: 2,
+        kind: FaultKind::NoSpace,
+    };
+    for fault in [
+        DiskFault::from(CrashPoint::AfterAppend(1)),
+        DiskFault::on_log(DiskOp::Write, 1, FaultKind::NoSpace),
+        DiskFault::on_log(DiskOp::Sync, 1, FaultKind::IoError),
+        on_tmp,
     ] {
-        assert_eq!(core.call(method, path, body).0, 503, "{path}");
+        let controller = PolicyController::new(PolicyConfig::default());
+        let disk = pwm_core::SimDisk::failing(fault);
+        let dcfg = pwm_core::DurabilityConfig::on(disk, "dying").with_snapshot_every(1);
+        let cfg = PolicyConfig::default();
+        controller
+            .create_durable_session("dying", cfg.clone(), dcfg)
+            .unwrap();
+        let mut core = Core::new(controller);
+        let transfers = transfers_body(vec![]);
+        let cfg = serde_json::to_vec(&cfg).unwrap();
+        // The first call meets the failure: that request and every later
+        // one are refused, JSON or XML, request or monitoring, and PUT
+        // config upserts only a missing session, never a dead one.
+        for (method, path, body) in [
+            (Method::Post, "/sessions/dying/transfers", &transfers[..]),
+            (Method::Post, "/sessions/dying/transfers", &transfers[..]),
+            (Method::Get, "/sessions/dying/status", b""),
+            (Method::Put, "/sessions/dying/config", &cfg[..]),
+        ] {
+            assert_eq!(core.call(method, path, body).0, 503, "{fault:?}: {path}");
+        }
+        let xml = b"<transferRequest></transferRequest>";
+        let path = "/sessions/dying/transfers";
+        assert_eq!(
+            core.call_in(WireFormat::Xml, Method::Post, path, xml).0,
+            503,
+            "{fault:?}"
+        );
     }
-    let xml = b"<transferRequest></transferRequest>";
-    let path = "/sessions/dying/transfers";
-    assert_eq!(
-        core.call_in(WireFormat::Xml, Method::Post, path, xml).0,
-        503
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -558,10 +562,9 @@ fn an_undecodable_request_in_a_run_to_an_unknown_session_keeps_its_400() {
 /// durable session logs nothing for it, as for the requests sent apart.
 #[test]
 fn an_undecodable_run_appends_no_wal_record() {
-    let dir = std::env::temp_dir().join(format!("pwm-rest-wal-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let disk = pwm_core::SimDisk::new();
     let controller = PolicyController::new(PolicyConfig::default());
-    let dcfg = pwm_core::DurabilityConfig::new(&dir);
+    let dcfg = pwm_core::DurabilityConfig::on(disk.clone(), "logged");
     controller
         .create_durable_session("logged", PolicyConfig::default(), dcfg)
         .unwrap();
@@ -570,9 +573,8 @@ fn an_undecodable_run_appends_no_wal_record() {
     let mut wire = post("/sessions/logged/transfers", b"[");
     wire.extend_from_slice(&post("/sessions/logged/transfers", b"{"));
     assert_eq!(statuses(&core.send(&mut conn, &wire)), [400, 400]);
-    let recovered = pwm_core::read_recovery(&dir).unwrap();
+    let recovered = pwm_core::read_recovery(&disk, std::path::Path::new("logged")).unwrap();
     assert!(recovered.records.is_empty(), "{:?}", recovered.records);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An ambiguous head is answered with one 400, and nothing after it on

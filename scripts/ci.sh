@@ -106,14 +106,17 @@ test -s "$TRACE_OUT" || { echo "trace export is empty" >&2; exit 1; }
   | diff scripts/metrics_series.txt -
 
 # Crash-recovery job: the durability acceptance suite in release mode
-# (seeded WAL crash points, warm-failover invariants, recovery
-# determinism), then the full-size crash scenario at seeds 1..=32 (~40 ms
+# (seeded disk faults — crash points, ENOSPC, failed syncs — on a
+# simulated disk, warm-failover invariants, recovery determinism), its
+# seeded equivalence test at 8x its 10 seeds through PWM_PROPTEST_CASES
+# (read at compile time, as in the differential block), then the
+# full-size crash scenario at seeds 1..=32 (~40 ms
 # each): `repro crash` exits nonzero on a violated recovery invariant — a
 # run that never failed over, a primary that took a call past its crash
 # point, a backup over its grant bound, a failed warm replay. The
 # parent-identity job below compares the same 32 seeds with the parent's.
 echo "== cargo test --release (crash recovery) =="
-cargo test -q --release --offline --test crash_recovery
+PWM_PROPTEST_CASES=80 cargo test -q --release --offline --test crash_recovery
 for seed in $(seq 1 32); do
   ./target/release/repro crash "$seed" > /dev/null \
     || { echo "repro crash $seed: a recovery invariant failed" >&2; exit 1; }

@@ -11,7 +11,7 @@ use pwm_bench::PaperWorld;
 use pwm_core::transport::PolicyTransport;
 use pwm_core::{
     AllocationPolicy, CleanupOutcome, CleanupSpec, DurabilityConfig, PolicyConfig,
-    PolicyController, PolicyService, TransferAction, TransferOutcome, TransferSpec, Url,
+    PolicyController, PolicyService, SimDisk, TransferAction, TransferOutcome, TransferSpec, Url,
     WorkflowId, DEFAULT_SESSION,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
@@ -26,6 +26,7 @@ use pwm_sim::SimDuration;
 use pwm_workflow::{merge_plans, plan, ExecutorConfig, PlannerConfig, WorkflowExecutor};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::Mutex;
 
 /// Held by a workload while a REST server of its own answers calls: the
@@ -442,9 +443,9 @@ fn resident() -> Ledger {
 /// the third round on evaluate and report cleanups of the files asked for
 /// two rounds before.
 fn durable() -> Ledger {
-    let dir = std::env::temp_dir().join(format!("pwm-costs-durable-{}", std::process::id()));
+    let (disk, dir) = (SimDisk::new(), Path::new("durable"));
     let mut service = PolicyService::new(PolicyConfig::default());
-    let config = DurabilityConfig::new(&dir);
+    let config = DurabilityConfig::on(disk.clone(), dir);
     service.enable_durability(config).expect("durable");
     let mut calls = 0;
     for round in 0..40u64 {
@@ -470,13 +471,12 @@ fn durable() -> Ledger {
         }
     }
     let written = service.durability_counts().expect("durable");
-    let recovered = PolicyService::recover_from(&dir).expect("recovery");
+    let recovered = PolicyService::recover_from(&disk, dir).expect("recovery");
     // A recovered service does not log, so it stamps no applied sequence.
     let mut live = service.durable_state();
     live.applied_seq = 0;
     assert_eq!(recovered.durable_state(), live);
     assert_eq!(recovered.snapshot(), service.snapshot());
-    std::fs::remove_dir_all(&dir).ok();
     let mut l = Ledger("durable", String::new());
     l.row("calls", calls);
     l.row("wal_records", written.appends);

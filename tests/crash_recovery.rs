@@ -2,13 +2,13 @@
 //!
 //! The acceptance criteria for the durability layer:
 //!
-//! 1. **Recovery equivalence** — for seeded crash points,
-//!    [`PolicyService::recover_from`] rebuilds a service that is
-//!    `PartialEq`-identical (facts, ids, ledgers, stats, audit numbering)
-//!    to an uninterrupted service that applied exactly the commands that
-//!    survived on disk: all `n` for `AfterAppend(n)` and
-//!    `MidSnapshot { append: n }`, the first `n - 1` for a torn `n`-th
-//!    append.
+//! 1. **Recovery equivalence** — for seeded disk faults (crash points,
+//!    `ENOSPC` on an append, a failed sync), [`PolicyService::recover_from`]
+//!    rebuilds a service that is `PartialEq`-identical (facts, ids,
+//!    ledgers, stats, audit numbering) to an uninterrupted service that
+//!    applied exactly the commands that survived on the [`SimDisk`]: all
+//!    `n` for `AfterAppend(n)`, `MidSnapshot { append: n }` and a failed
+//!    `n`-th sync, the first `n - 1` for a torn or `ENOSPC` `n`-th append.
 //! 2. **Warm-failover invariants** — the primary dies at its crash point
 //!    and answers no call its log does not hold, so a backup warmed from
 //!    that log knows every piece of advice the executor acted on; it never
@@ -21,27 +21,18 @@
 
 use pwm_bench::{grant_bounds, run_crash, CrashConfig, PaperWorld};
 use pwm_core::{
-    AllocationPolicy, CleanupId, CleanupOutcome, CleanupSpec, CrashPoint, DurabilityConfig,
-    FailoverTransport, PolicyConfig, PolicyController, PolicyService, PolicyTransport, TransferId,
-    TransferOutcome, TransferSpec, Url, WalCommand, WorkflowId, DEFAULT_SESSION,
+    AllocationPolicy, CleanupId, CleanupOutcome, CleanupSpec, CrashPoint, DiskFault, DiskOp,
+    DurabilityConfig, FailoverTransport, FaultKind, PolicyConfig, PolicyController, PolicyService,
+    PolicyTransport, SimDisk, TransferId, TransferOutcome, TransferSpec, Url, WalCommand,
+    WorkflowId, DEFAULT_SESSION,
 };
 use pwm_rest::PolicyRestClient;
 use pwm_sim::SimRng;
 use pwm_workflow::{ExecutorConfig, PlanJobKind, PlannerConfig};
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Unique scratch directory (no tempfile crate in the dependency set).
-fn scratch_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pwm-it-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+/// The durability directory every test here writes, on its own disk.
+const DIR: &str = "wal";
 
 /// A deterministic, seed-derived script of service commands: staged and
 /// re-requested files (exercising dedup), successes and failures, cleanups,
@@ -132,118 +123,94 @@ fn apply(svc: &mut PolicyService, cmd: &WalCommand) {
     }
 }
 
-/// How many commands of the script the disk still holds after `crash`.
-fn surviving_prefix(crash: CrashPoint) -> usize {
-    match crash {
-        // The n-th record hit the disk whole before the process died.
-        CrashPoint::AfterAppend(n) => n as usize,
-        // The n-th frame is partial: the torn-tail rule drops exactly it.
-        CrashPoint::TornAppend { append, .. } => (append - 1) as usize,
-        // The snapshot after record n tore before its rename, so the old
-        // snapshot plus the uncompacted log — all n records — stay
-        // authoritative.
-        CrashPoint::MidSnapshot { append } => append as usize,
+/// How many commands of the script the disk still holds after `fault`,
+/// which lands on the log.
+fn surviving_prefix(fault: DiskFault) -> usize {
+    let n = fault.nth as usize;
+    match fault.op {
+        // `ENOSPC` lands nothing of the n-th frame, a torn write a part
+        // that the torn-tail rule drops: exactly record n is lost.
+        DiskOp::Write => n - 1,
+        // A failed sync, or a death at it (`AfterAppend`, `MidSnapshot`),
+        // leaves the n-th record whole: `SimDisk` holds no unsynced bytes.
+        DiskOp::Sync => n,
+        DiskOp::Rename | DiskOp::Truncate => unreachable!("{fault:?} is not on the log"),
     }
+}
+
+/// Feed all of `cmds` to a durable service on a disk failing on `fault`,
+/// compacting every `every` appends — past the failure too, as the
+/// golden reference for what was lost — and check that recovery equals
+/// an uninterrupted service that applied the documented prefix.
+fn recovers_its_prefix(cmds: &[WalCommand], fault: DiskFault, every: u64) {
+    let disk = SimDisk::failing(fault);
+    let mut durable = PolicyService::new(PolicyConfig::default());
+    durable
+        .enable_durability(DurabilityConfig::on(disk.clone(), DIR).with_snapshot_every(every))
+        .unwrap();
+    for cmd in cmds {
+        apply(&mut durable, cmd);
+    }
+    assert!(durable.durability_down(), "{fault:?} never fired");
+
+    let survived = surviving_prefix(fault);
+    let mut reference = PolicyService::new(PolicyConfig::default());
+    for cmd in &cmds[..survived] {
+        apply(&mut reference, cmd);
+    }
+    let recovered = PolicyService::recover_from(&disk, Path::new(DIR)).unwrap();
+    assert_eq!(
+        recovered.durable_state(),
+        reference.durable_state(),
+        "recovery after {fault:?} must equal the uninterrupted {survived}-command prefix"
+    );
+    assert_eq!(recovered.snapshot(), reference.snapshot());
 }
 
 #[test]
 fn recovery_equals_uninterrupted_prefix_for_seeded_crash_points() {
-    for seed in 1..=10u64 {
+    // CI's release run raises the seed count through PWM_PROPTEST_CASES.
+    let seeds = option_env!("PWM_PROPTEST_CASES")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(10u64);
+    for seed in 1..=seeds {
         let mut script_rng = SimRng::for_component(seed, "crash-recovery-script");
         let cmds = command_script(&mut script_rng, 32);
+        let len = cmds.len() as u64;
         let crash = CrashPoint::seeded(
             &mut SimRng::for_component(seed, "crash-recovery-point"),
-            cmds.len() as u64,
+            len,
         );
-
-        // Live service with the seeded crash injected into its sink; keep
-        // feeding it after the "death" — the frozen sink drops the writes,
-        // exactly like a process that died mid-run.
-        let dir = scratch_dir("crash-recovery");
-        let mut durable = PolicyService::new(PolicyConfig::default());
-        durable
-            .enable_durability(
-                DurabilityConfig::new(&dir)
-                    .with_snapshot_every(5)
-                    .with_crash(crash),
-            )
-            .unwrap();
-        for cmd in &cmds {
-            apply(&mut durable, cmd);
+        let mut fault_rng = SimRng::for_component(seed, "crash-recovery-disk-fault");
+        let mut at = || fault_rng.uniform_u64(1, len);
+        for fault in [
+            DiskFault::from(crash),
+            DiskFault::on_log(DiskOp::Write, at(), FaultKind::NoSpace),
+            DiskFault::on_log(DiskOp::Sync, at(), FaultKind::IoError),
+        ] {
+            recovers_its_prefix(&cmds, fault, 5);
         }
-        assert!(
-            durable.durability_crashed(),
-            "seed {seed}: crash point {crash:?} never fired"
-        );
-
-        // The reference: a never-crashed service that applied exactly the
-        // prefix the disk retained.
-        let survived = surviving_prefix(crash);
-        let mut reference = PolicyService::new(PolicyConfig::default());
-        for cmd in &cmds[..survived] {
-            apply(&mut reference, cmd);
-        }
-
-        let recovered = PolicyService::recover_from(&dir).unwrap();
-        assert_eq!(
-            recovered.durable_state(),
-            reference.durable_state(),
-            "seed {seed}: recovery after {crash:?} must equal the \
-             uninterrupted {survived}-command prefix"
-        );
-        assert_eq!(recovered.snapshot(), reference.snapshot());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn every_crash_class_recovers_its_documented_prefix() {
+    let torn = |keep| CrashPoint::TornAppend { append: 10, keep };
     let cases = [
-        (CrashPoint::AfterAppend(10), 10),
-        (
-            CrashPoint::TornAppend {
-                append: 10,
-                keep: 7,
-            },
-            9,
-        ),
+        (DiskFault::from(CrashPoint::AfterAppend(10)), 10),
+        (DiskFault::from(torn(7)), 9),
         // keep = 0: the torn frame left zero bytes — still only record 10
         // is lost.
-        (
-            CrashPoint::TornAppend {
-                append: 10,
-                keep: 0,
-            },
-            9,
-        ),
-        (CrashPoint::MidSnapshot { append: 10 }, 10),
+        (DiskFault::from(torn(0)), 9),
+        (DiskFault::from(CrashPoint::MidSnapshot { append: 10 }), 10),
+        (DiskFault::on_log(DiskOp::Write, 10, FaultKind::NoSpace), 9),
+        (DiskFault::on_log(DiskOp::Sync, 10, FaultKind::IoError), 10),
     ];
     let mut rng = SimRng::for_component(99, "crash-class-script");
     let cmds = command_script(&mut rng, 16);
-    for (crash, survived) in cases {
-        let dir = scratch_dir("crash-class");
-        let mut durable = PolicyService::new(PolicyConfig::default());
-        durable
-            .enable_durability(
-                DurabilityConfig::new(&dir)
-                    .with_snapshot_every(4)
-                    .with_crash(crash),
-            )
-            .unwrap();
-        for cmd in &cmds {
-            apply(&mut durable, cmd);
-        }
-        let recovered = PolicyService::recover_from(&dir).unwrap();
-        let mut reference = PolicyService::new(PolicyConfig::default());
-        for cmd in &cmds[..survived] {
-            apply(&mut reference, cmd);
-        }
-        assert_eq!(
-            recovered.durable_state(),
-            reference.durable_state(),
-            "{crash:?} must recover exactly {survived} commands"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    for (fault, survived) in cases {
+        assert_eq!(surviving_prefix(fault), survived, "{fault:?}");
+        recovers_its_prefix(&cmds, fault, 4);
     }
 }
 
@@ -261,7 +228,7 @@ fn stage_spec(n: u64) -> TransferSpec {
 
 #[test]
 fn warm_failover_never_overgrants_and_never_restages() {
-    let dir = scratch_dir("warm-invariants");
+    let disk = SimDisk::new();
     let config = PolicyConfig::default()
         .with_default_streams(6)
         .with_threshold(10);
@@ -273,7 +240,7 @@ fn warm_failover_never_overgrants_and_never_restages() {
         .create_durable_session(
             DEFAULT_SESSION,
             config.clone(),
-            DurabilityConfig::new(&dir).with_snapshot_every(3),
+            DurabilityConfig::on(disk.clone(), DIR).with_snapshot_every(3),
         )
         .unwrap();
     let mut live = PolicyRestClient::pipe(primary.clone(), DEFAULT_SESSION);
@@ -290,7 +257,6 @@ fn warm_failover_never_overgrants_and_never_restages() {
     // request.
     let backup = PolicyController::new(config.clone());
     let hook_backup = backup.clone();
-    let hook_dir = dir.clone();
     // The dead primary: a replica with no session refuses every call.
     let dead = PolicyController::new(config.clone());
     let mut chain = FailoverTransport::new(vec![
@@ -299,7 +265,7 @@ fn warm_failover_never_overgrants_and_never_restages() {
     ])
     .with_warm_recovery(move |_ix| {
         hook_backup
-            .recover_session(DEFAULT_SESSION, &hook_dir)
+            .recover_sharded_session_on(DEFAULT_SESSION, 1, &disk, Path::new(DIR))
             .unwrap();
     });
 
@@ -326,7 +292,6 @@ fn warm_failover_never_overgrants_and_never_restages() {
     );
     assert!(inflight[0].streams + fresh[0].streams <= 10);
     assert_eq!(chain.failovers(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A compact crash scenario so debug-mode integration runs stay quick.
@@ -406,23 +371,22 @@ fn an_uneventful_durability_sink_does_not_perturb_advice() {
     // crash point never fires: byte-identical policy memory afterwards.
     let mut rng = SimRng::for_component(55, "no-perturb-script");
     let cmds = command_script(&mut rng, 24);
-    let dir = scratch_dir("no-perturb");
+    let disk = SimDisk::new();
     let mut plain = PolicyService::new(PolicyConfig::default());
     let mut durable = PolicyService::new(PolicyConfig::default());
     durable
-        .enable_durability(DurabilityConfig::new(&dir).with_snapshot_every(6))
+        .enable_durability(DurabilityConfig::on(disk.clone(), DIR).with_snapshot_every(6))
         .unwrap();
     for cmd in &cmds {
         apply(&mut plain, cmd);
         apply(&mut durable, cmd);
     }
-    assert!(!durable.durability_crashed());
+    assert!(!durable.durability_down());
     assert_eq!(plain.snapshot(), durable.snapshot());
     assert_eq!(plain.stats(), durable.stats());
     // And the disk image round-trips to the same memory.
-    let recovered = PolicyService::recover_from(&dir).unwrap();
+    let recovered = PolicyService::recover_from(&disk, Path::new(DIR)).unwrap();
     assert_eq!(recovered.durable_state(), plain.durable_state());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

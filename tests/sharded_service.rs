@@ -10,22 +10,23 @@
 //!    advice and audit outcomes as the single-domain service for a
 //!    same-seed Montage session, with per-shard ordering preserved; a
 //!    one-shard sharded service is bit-identical to the unsharded one.
-//! 3. **Per-shard crash recovery** — with a seeded `CrashPoint` injected
-//!    into every shard's WAL, each shard freezes independently after its
-//!    own N-th append, and `ShardedPolicyService::recover_from` rebuilds
+//! 3. **Per-shard crash recovery** — on a `SimDisk` scripted by a
+//!    `CrashPoint`, whose ordinals count per log file, each shard's sink
+//!    freezes independently at its own N-th append, and
+//!    `ShardedPolicyService::recover_from` rebuilds
 //!    every shard `PartialEq`-identical to an uninterrupted reference
 //!    that applied exactly the commands that shard's disk retained.
 
 use pwm_core::{
     AuditRecord, CrashPoint, DurabilityConfig, HashRing, OrderingPolicy, PolicyConfig, PolicyEvent,
-    PolicyService, ShardedPolicyService, TransferAction, TransferAdvice, TransferOutcome,
+    PolicyService, ShardedPolicyService, SimDisk, TransferAction, TransferAdvice, TransferOutcome,
     TransferSpec, Url, WorkflowId,
 };
 use pwm_montage::{montage_replicas, montage_workflow, MontageConfig};
 use pwm_net::paper_testbed;
 use pwm_workflow::{plan, ComputeSite, PlanJobKind, PlannerConfig};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // 1. Consistent-hash ring properties.
@@ -353,19 +354,6 @@ fn empty_groups_keep_their_place_in_sharded_and_single_sessions() {
 // 3. Per-shard WAL crash recovery.
 // ---------------------------------------------------------------------------
 
-/// Unique scratch directory (no tempfile crate in the dependency set).
-fn scratch_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pwm-it-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// One logged command, replayed against a reference shard's public API.
 enum ShardCmd {
     Evaluate(Vec<Vec<TransferSpec>>),
@@ -374,7 +362,7 @@ enum ShardCmd {
 
 #[test]
 fn every_shard_recovers_identically_from_its_seeded_crash_point() {
-    // Each shard's sink freezes after its own N-th append (TornAppend
+    // Each shard's sink freezes at its own N-th append (TornAppend
     // additionally tears the N-th frame, losing it).
     let cases: [(CrashPoint, u64); 2] = [
         (CrashPoint::AfterAppend(6), 6),
@@ -385,15 +373,11 @@ fn every_shard_recovers_identically_from_its_seeded_crash_point() {
         let config = PolicyConfig::default()
             .with_default_streams(4)
             .with_threshold(50);
-        let dir = scratch_dir("shard-crash");
+        let (disk, dir) = (SimDisk::failing(crash), Path::new("shards"));
 
         let live = ShardedPolicyService::new(config.clone(), shards);
-        live.enable_durability(
-            &DurabilityConfig::new(&dir)
-                .with_snapshot_every(4)
-                .with_crash(crash),
-        )
-        .unwrap();
+        live.enable_durability(&DurabilityConfig::on(disk.clone(), dir).with_snapshot_every(4))
+            .unwrap();
 
         // Mirror of what each shard's WAL receives: the sharded dispatcher
         // partitions every call per shard (order preserved), appending one
@@ -460,14 +444,14 @@ fn every_shard_recovers_identically_from_its_seeded_crash_point() {
             live.report_transfers(outcomes);
         }
         assert!(
-            live.durability_crashed(),
+            live.durability_down(),
             "{crash:?}: every shard got 20 appends, all must have crashed"
         );
 
         // Recover all shards from disk and compare each against an
         // uninterrupted reference that applied exactly the surviving
         // prefix of that shard's command stream.
-        let recovered = ShardedPolicyService::recover_from(&dir, shards).unwrap();
+        let recovered = ShardedPolicyService::recover_from(&disk, dir, shards).unwrap();
         for s in 0..shards {
             let mut reference = PolicyService::with_shard(config.clone(), s);
             for cmd in logs[s as usize].iter().take(survived as usize) {
@@ -492,6 +476,5 @@ fn every_shard_recovers_identically_from_its_seeded_crash_point() {
                 "shard {s}: snapshot diverged"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
