@@ -154,12 +154,6 @@ impl PolicyController {
         self.create_sharded_durable_session(name, config, 1, dcfg)
     }
 
-    /// [`PolicyController::recover_sharded_session_on`] with one shard, on
-    /// the real filesystem.
-    pub fn recover_session(&self, name: impl Into<String>, dir: &Path) -> io::Result<()> {
-        self.recover_sharded_session_on(name, 1, &FsDisk::default(), dir)
-    }
-
     /// Recover a one-shard session from `dcfg.dir` on its disk and resume
     /// durable operation. Re-enabling compacts naturally: the resumed log
     /// starts from a fresh snapshot of the recovered state.
@@ -630,8 +624,12 @@ mod tests {
     /// A durable session on a disk failing on `fault`, compacting every
     /// `every` appends: two rounds of calls answer up to call `fails`
     /// (0-based), which met the failure and never answered, and nothing
-    /// answers after it.
-    fn down_from_the_failing_call(fault: impl Into<DiskFault>, every: u64, fails: usize) {
+    /// answers after it. Returns the controller, with "dying" down.
+    fn down_from_the_failing_call(
+        fault: impl Into<DiskFault>,
+        every: u64,
+        fails: usize,
+    ) -> PolicyController {
         let c = PolicyController::new(PolicyConfig::default());
         let dcfg =
             DurabilityConfig::on(SimDisk::failing(fault), "dying").with_snapshot_every(every);
@@ -642,15 +640,16 @@ mod tests {
         assert!(answers[..fails].iter().all(Result::is_ok), "{answers:?}");
         assert!(answers[fails..].iter().all(|r| *r == down), "{answers:?}");
         assert_eq!(c.stats("dying").map(drop), down);
+        c
     }
 
     #[test]
     fn a_session_dies_at_its_crash_point_and_answers_nothing_after() {
         // The report's append fires the crash: it never answered, and
         // nothing after it does.
-        down_from_the_failing_call(pwm_sim::CrashPoint::AfterAppend(2), 64, 1);
-        // No log, or a log that never fails: nothing is refused.
-        let c = PolicyController::new(PolicyConfig::default());
+        let c = down_from_the_failing_call(pwm_sim::CrashPoint::AfterAppend(2), 64, 1);
+        // On the same controller, no log or a log that never fails:
+        // nothing is refused, and "dying" stays down.
         c.create_session("plain", PolicyConfig::default());
         let dcfg = DurabilityConfig::on(SimDisk::new(), "healthy");
         c.create_durable_session("healthy", PolicyConfig::default(), dcfg)
@@ -660,6 +659,8 @@ mod tests {
                 assert!(round(&c, session, n).iter().all(Result::is_ok), "{session}");
             }
         }
+        let down = Err(ControllerError::SessionDown("dying".into()));
+        assert_eq!(c.stats("dying").map(drop), down);
     }
 
     #[test]

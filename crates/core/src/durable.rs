@@ -340,7 +340,8 @@ impl Durability {
     /// Append one record to the log and sync it (write-ahead: callers log
     /// *before* applying).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let frame = encode_frame(&serde_json::to_vec(record).map_err(to_io)?);
+        let frame =
+            self.io(|_, _| Ok(encode_frame(&serde_json::to_vec(record).map_err(to_io)?)))?;
         self.io(|d, f| d.append(&f.wal, &frame))?;
         self.counts.bytes_written += frame.len() as u64;
         self.io(|d, f| d.sync(&f.wal))?;
@@ -357,7 +358,7 @@ impl Durability {
     /// whole log; one between rename and truncate leaves the new snapshot
     /// and a log whose records replay skips (`seq <= applied_seq`).
     pub fn write_snapshot(&mut self, state: &DurableState) -> io::Result<()> {
-        let frame = encode_frame(&serde_json::to_vec(state).map_err(to_io)?);
+        let frame = self.io(|_, _| Ok(encode_frame(&serde_json::to_vec(state).map_err(to_io)?)))?;
         self.io(|d, f| d.write_new(&f.tmp, &frame))?;
         self.counts.bytes_written += frame.len() as u64;
         self.io(|d, f| d.sync(&f.tmp))?;
@@ -369,9 +370,9 @@ impl Durability {
         Ok(())
     }
 
-    /// Run one disk operation, unless an earlier one failed; its error
-    /// takes the sink down.
-    fn io(&mut self, op: impl FnOnce(&mut dyn Disk, &Files) -> io::Result<()>) -> io::Result<()> {
+    /// Run one disk operation (or a frame's encoding), unless an earlier
+    /// one failed; its error takes the sink down.
+    fn io<T>(&mut self, op: impl FnOnce(&mut dyn Disk, &Files) -> io::Result<T>) -> io::Result<T> {
         if self.down {
             return Err(io::Error::other("durability sink is down"));
         }

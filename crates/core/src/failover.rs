@@ -20,8 +20,8 @@
 //! request, a caller-supplied hook replays the failed primary's durability
 //! log into it (typically `controller.recover_sharded_session_on(session,
 //! shards, disk, dir)` over the primary's WAL directory, or
-//! `recover_session(session, dir)` when that directory is on the real
-//! filesystem). Each replica is warmed at most once —
+//! `recover_sharded_session(session, shards, dir)` when that directory is
+//! on the real filesystem). Each replica is warmed at most once —
 //! re-replaying a stale log over a replica that has since served requests
 //! of its own would clobber newer state. A warmed successor inherits the
 //! primary's allocation ledgers and dedup memory, so it never grants past

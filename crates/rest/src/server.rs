@@ -108,7 +108,7 @@ impl PolicyRestServer {
     /// accepting, answer every request that was fully received, 503 the
     /// partial ones, flush, and join the loop thread. After this returns,
     /// no request is mid-flight — safe to recover the controller's state
-    /// elsewhere (see `recover_session` / `resume_durable_session`).
+    /// elsewhere (see `recover_sharded_session` / `resume_durable_session`).
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
