@@ -361,6 +361,12 @@ impl PolicyController {
         self.serve(session, ShardedPolicyService::facts_walked)
     }
 
+    /// Refraction records a session's memory holds (summed across shards;
+    /// see [`pwm_rules::WorkingMemory::refraction_records`]).
+    pub fn refraction_records(&self, session: &str) -> Result<usize, ControllerError> {
+        self.serve(session, ShardedPolicyService::refraction_records)
+    }
+
     /// A session's audit records with sequence ≥ `since` (concatenated
     /// shard by shard — each shard numbers its own ring).
     pub fn audit_since(
@@ -691,19 +697,25 @@ mod tests {
     #[test]
     fn a_removed_durability_directory_takes_the_session_down() {
         // On the real filesystem: the log's open file still takes the
-        // first two appends, and the compaction after the second cannot
-        // create its temporary file. No call after that one answers.
-        let dir = FsDisk::scratch_dir("ctl-removed");
-        let c = PolicyController::new(PolicyConfig::default());
-        let dcfg = DurabilityConfig::new(&dir).with_snapshot_every(2);
-        c.create_durable_session("gone", PolicyConfig::default(), dcfg)
-            .unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        let answers: Vec<_> = (0..4)
-            .map(|n| c.evaluate_transfers("gone", vec![spec(n)]).map(drop))
-            .collect();
-        let down = Err(ControllerError::SessionDown("gone".into()));
-        assert_eq!(answers, [Ok(()), down.clone(), down.clone(), down]);
+        // first append after the removal, and the sync after it finds the
+        // file unlinked, whether a compaction is near or not. No call from
+        // that one on answers.
+        for every in [None, Some(2)] {
+            let dir = FsDisk::scratch_dir("ctl-removed");
+            let c = PolicyController::new(PolicyConfig::default());
+            let mut dcfg = DurabilityConfig::new(&dir);
+            if let Some(n) = every {
+                dcfg = dcfg.with_snapshot_every(n);
+            }
+            c.create_durable_session("gone", PolicyConfig::default(), dcfg)
+                .unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            let answers: Vec<_> = (0..4)
+                .map(|n| c.evaluate_transfers("gone", vec![spec(n)]).map(drop))
+                .collect();
+            let down = Err(ControllerError::SessionDown("gone".into()));
+            assert_eq!(answers, vec![down; 4], "snapshot_every {every:?}");
+        }
     }
 
     #[test]

@@ -106,10 +106,18 @@ impl Disk for FsDisk {
     }
 
     fn sync(&mut self, path: &Path) -> io::Result<()> {
-        match self.kept(path) {
-            Some(f) => f.sync_all(),
-            None => File::open(path)?.sync_all(),
+        let Some(f) = self.kept(path) else {
+            return File::open(path)?.sync_all();
+        };
+        f.sync_all()?;
+        // The kept descriptor still takes writes once the file is unlinked
+        // (its directory removed, say), and no recovery will read them.
+        #[cfg(unix)]
+        if std::os::unix::fs::MetadataExt::nlink(&f.metadata()?) == 0 {
+            let gone = format!("{} was unlinked", path.display());
+            return Err(io::Error::new(io::ErrorKind::NotFound, gone));
         }
+        Ok(())
     }
 
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {

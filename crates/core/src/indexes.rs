@@ -32,6 +32,8 @@ pub(crate) struct PolicyIndexes {
     pub(crate) cleanup_by_file: IndexPos<CleanupFact, UrlKey>,
     /// The transfers of the batch under evaluation, all under `true`.
     pub(crate) batch: IndexPos<TransferFact, bool>,
+    /// The cleanups of the batch under evaluation, likewise.
+    pub(crate) cleanup_batch: IndexPos<CleanupFact, bool>,
     /// Transfers and cleanups by the id the service minted (outcome
     /// reports name their fact by it).
     pub(crate) transfer_by_id: IndexPos<TransferFact, TransferId>,
@@ -53,10 +55,10 @@ pub(crate) struct PolicyIndexes {
 }
 
 impl PolicyIndexes {
-    /// Register every index in `wm`. Every key but the batch flag reads
+    /// Register every index in `wm`. Every key but the batch flags reads
     /// identity fields only, so no `update_fields` re-keys it; the batch
-    /// flag's index is partial: only `true` is ever probed, so a transfer
-    /// that left its batch keeps no posting.
+    /// flags' indexes are partial: only `true` is ever probed, so a transfer
+    /// or cleanup that left its batch keeps no posting.
     pub(crate) fn register(wm: &mut WorkingMemory) -> PolicyIndexes {
         let id = Fields::NONE;
         PolicyIndexes {
@@ -67,6 +69,9 @@ impl PolicyIndexes {
             cleanup_by_file: wm.register_index(id, |c: &CleanupFact| UrlKey::of(&c.spec.file)),
             batch: wm.register_partial_index(TransferFact::BATCH, |t: &TransferFact| {
                 t.in_current_batch.then_some(true)
+            }),
+            cleanup_batch: wm.register_partial_index(CleanupFact::BATCH, |c: &CleanupFact| {
+                c.in_current_batch.then_some(true)
             }),
             transfer_by_id: wm.register_index(id, |t: &TransferFact| t.id),
             cleanup_by_id: wm.register_index(id, |c: &CleanupFact| c.id),
@@ -119,6 +124,15 @@ impl PolicyIndexes {
         wm: &'a WorkingMemory,
     ) -> impl Iterator<Item = (FactHandle, &'a TransferFact)> + 'a {
         wm.iter_by(self.batch, &true)
+    }
+
+    /// Only the cleanups of the batch currently under evaluation, in
+    /// insertion order: [`PolicyIndexes::batch_transfers`] for cleanups.
+    pub(crate) fn batch_cleanups<'a>(
+        &self,
+        wm: &'a WorkingMemory,
+    ) -> impl Iterator<Item = (FactHandle, &'a CleanupFact)> + 'a {
+        wm.iter_by(self.cleanup_batch, &true)
     }
 
     /// The allocation ledger for a (source, destination) host pair, if

@@ -25,8 +25,8 @@ pub(crate) fn install_base_rules(session: &mut Session<PolicyCtx>, ix: PolicyInd
     // of scanning the full fact population on every re-evaluation; the
     // dedup rules compare against the handful of transfers sharing a
     // destination (and reuse its key for the destination's resource),
-    // cleanups by file likewise, and every batch-scoped rule walks the
-    // batch index, O(batch) facts (see `crate::indexes`).
+    // cleanups by file likewise, and every batch-scoped rule walks its
+    // type's batch index, O(batch) facts (see `crate::indexes`).
 
     // "Remove duplicate transfers from the transfer list": a batch transfer
     // whose (source, dest) already appears earlier in the same batch is
@@ -408,8 +408,8 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
             .agenda_group(agenda::EVALUATE_CLEANUPS)
             .watches::<CleanupFact>()
             .when(move |wm, _: &PolicyCtx, out| {
-                for (h, c) in wm.iter::<CleanupFact>() {
-                    if !c.in_current_batch || c.suppressed.is_some() {
+                for (h, c) in ix.batch_cleanups(wm) {
+                    if c.suppressed.is_some() {
                         continue;
                     }
                     let key = ix.file_key(wm, h);
@@ -441,8 +441,8 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(move |wm, _: &PolicyCtx, out| {
-                for (h, c) in wm.iter::<CleanupFact>() {
-                    if !c.in_current_batch || c.suppressed.is_some() {
+                for (h, c) in ix.batch_cleanups(wm) {
+                    if c.suppressed.is_some() {
                         continue;
                     }
                     if let Some((rh, r)) = ix.resource_for(wm, ix.file_key(wm, h), &c.spec.file) {
@@ -475,8 +475,8 @@ fn install_cleanup_rules(session: &mut Session<PolicyCtx>, ix: PolicyIndexes) {
             .watches::<CleanupFact>()
             .watches_fields::<ResourceFact>(ResourceFact::USERS)
             .when(move |wm, _: &PolicyCtx, out| {
-                for (h, c) in wm.iter::<CleanupFact>() {
-                    if !c.in_current_batch || c.suppressed.is_some() {
+                for (h, c) in ix.batch_cleanups(wm) {
+                    if c.suppressed.is_some() {
                         continue;
                     }
                     if let Some((_, r)) = ix.resource_for(wm, ix.file_key(wm, h), &c.spec.file) {

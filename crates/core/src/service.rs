@@ -969,7 +969,6 @@ impl PolicyService {
         window.specs = specs;
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += total_firings as u64;
-        self.session.maybe_gc_refraction();
         self.note_evaluation("evaluate_transfers", eval_micros, total, total_firings);
         self.maybe_snapshot();
     }
@@ -1019,7 +1018,6 @@ impl PolicyService {
         let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
-        self.session.maybe_gc_refraction();
         self.note_evaluation("report_transfers", eval_micros, batch_len, report.firings);
         self.maybe_snapshot();
     }
@@ -1097,7 +1095,6 @@ impl PolicyService {
             }
             window.advice.push(advice);
         }
-        self.session.maybe_gc_refraction();
         self.note_evaluation("evaluate_cleanups", eval_micros, batch_len, report.firings);
         self.maybe_snapshot();
     }
@@ -1142,7 +1139,6 @@ impl PolicyService {
         let report = self.session.fire(&mut self.ctx, focus);
         let eval_micros = eval_start.elapsed().as_micros() as u64;
         self.stats.rule_firings += report.firings as u64;
-        self.session.maybe_gc_refraction();
         self.note_evaluation("report_cleanups", eval_micros, batch_len, report.firings);
         self.maybe_snapshot();
     }
@@ -1247,6 +1243,12 @@ impl PolicyService {
     /// ([`pwm_rules::WorkingMemory::facts_walked`]).
     pub fn facts_walked(&self) -> u64 {
         self.session.wm.facts_walked()
+    }
+
+    /// Refraction records policy memory holds
+    /// ([`pwm_rules::WorkingMemory::refraction_records`]).
+    pub fn refraction_records(&self) -> usize {
+        self.session.wm.refraction_records()
     }
 
     /// Snapshot of policy memory for monitoring.

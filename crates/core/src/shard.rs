@@ -465,6 +465,14 @@ impl ShardedPolicyService {
         self.shards.iter().map(|s| s.lock().facts_walked()).sum()
     }
 
+    /// Refraction records held, summed across shards.
+    pub fn refraction_records(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().refraction_records())
+            .sum()
+    }
+
     /// Per-rule counters summed across shards, in installation order —
     /// which every shard shares, each being built by [`PolicyService::new`].
     pub fn rule_stats(&self) -> Vec<RuleCounters> {

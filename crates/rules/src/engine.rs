@@ -1,15 +1,16 @@
 //! The forward-chaining engine.
 //!
-//! [`Session`] owns a [`WorkingMemory`], a rule set, and the *fired set*
-//! implementing refraction. Conflict resolution is Drools' default modulo
-//! recency: salience (descending), then rule installation order, then tuple
-//! order within a rule's matches. [`Session::fire`] fires the first eligible
-//! activation among the rules of the [agenda groups](crate::AgendaGroup) in
-//! its [`Focus`], then repeats until quiescence or a firing budget is
-//! exhausted (a guard against non-converging rule sets, which Drools leaves
-//! to the author); [`Session::fire_all`] is the same pass with every group
-//! in focus. A rule outside the focus is neither visited nor evaluated, and
-//! whatever changed under it is served by the next pass that focuses it.
+//! [`Session`] owns a [`WorkingMemory`] and a rule set; the memory keeps the
+//! refraction records on the facts they name. Conflict resolution is Drools'
+//! default modulo recency: salience (descending), then rule installation
+//! order, then tuple order within a rule's matches. [`Session::fire`] fires
+//! the first eligible activation among the rules of the [agenda
+//! groups](crate::AgendaGroup) in its [`Focus`], then repeats until
+//! quiescence or a firing budget is exhausted (a guard against
+//! non-converging rule sets, which Drools leaves to the author);
+//! [`Session::fire_all`] is the same pass with every group in focus. A rule
+//! outside the focus is neither visited nor evaluated, and whatever changed
+//! under it is served by the next pass that focuses it.
 //!
 //! # Incremental agenda
 //!
@@ -20,14 +21,14 @@
 //! [`Fields`](crate::Fields) of one — has been mutated since that stamp;
 //! [`WorkingMemory`] maintains the per-type and per-field dirty generations,
 //! fed by `insert`/`update`/`update_fields`/`retract`, and a rule reads them
-//! through table positions resolved when it was installed. Because live
-//! refraction entries are never removed (GC only drops entries with
-//! retracted facts) and fact versions only move when a watched type is
+//! through table positions resolved when it was installed. Because a
+//! refraction record is only dropped when its tuple can no longer match at
+//! the versions it names, and fact versions only move when a watched type is
 //! mutated, a per-rule scan cursor skips already-refracted tuples without
-//! re-hashing them; a mutation the matcher does not read keeps the segment
-//! but rewinds the cursor, since it bumped a version and may have re-armed a
-//! tuple. A rule that [requires](crate::RuleBuilder::requires) a fact type
-//! is passed over outright while no such fact is live.
+//! looking them up again; a mutation the matcher does not read keeps the
+//! segment but rewinds the cursor, since it bumped a version and may have
+//! re-armed a tuple. A rule that [requires](crate::RuleBuilder::requires) a
+//! fact type is passed over outright while no such fact is live.
 //!
 //! A firing visits only the rules of its *wake set*: a bitset over the
 //! salience order, filled from the type tables whose generation moved since
@@ -52,76 +53,23 @@
 //! observe (e.g. a config change between requests) must call
 //! [`Session::invalidate_agenda`].
 //!
-//! Refraction key: `(rule, tuple handles, tuple fact versions)`. Updating a
-//! fact bumps its version, which re-arms every rule matching it — exactly
-//! the Drools `update()` semantics the paper's policy rules rely on. Keys
-//! for tuples of up to two facts (the common case: `when_each` rules and
-//! pairwise joins) are stored inline without heap allocation.
+//! Refraction: a rule does not fire twice on one tuple of handles at the
+//! same fact versions. Updating a fact bumps its version, which re-arms
+//! every rule matching it — exactly the Drools `update()` semantics the
+//! paper's policy rules rely on. A firing is recorded on the slot of the
+//! tuple's first fact, with the versions of the others, and the record
+//! lives until that fact is updated or retracted: no tuple at the versions
+//! it names can match after that, so nothing ever sweeps the records, and a
+//! check reads the first fact's slot, not a hash set. A rule whose first
+//! fact outlives the others it fires with holds one record per such firing
+//! until the first fact moves; the policy rules bind the request's own
+//! transfer or cleanup first.
 
-use crate::memory::{FactHandle, MintedBuild, WorkingMemory};
+use crate::memory::{FactHandle, WorkingMemory};
 use crate::rule::{Focus, Freshness, Match, Rule, Watch};
 use pwm_obs::{Counter, Registry};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Fact tuples up to this length get allocation-free refraction keys.
-const INLINE_FACTS: usize = 2;
-
-/// Refraction key: (rule index, matched handles with their versions).
-///
-/// Small tuples are stored inline; only joins wider than [`INLINE_FACTS`]
-/// facts pay a heap allocation per candidate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum RefractionKey {
-    /// Tuple of at most [`INLINE_FACTS`] facts, padded with zeroes (the
-    /// `len` discriminant keeps padded keys distinct from genuine ones).
-    Inline {
-        rule: u32,
-        len: u8,
-        facts: [(FactHandle, u64); INLINE_FACTS],
-    },
-    /// Wider join tuple.
-    Heap {
-        rule: u32,
-        facts: Box<[(FactHandle, u64)]>,
-    },
-}
-
-impl RefractionKey {
-    /// The key of `m` at its facts' current versions, or `None` when a
-    /// handle in the tuple is no longer live.
-    fn new(rule: usize, m: &Match, wm: &WorkingMemory) -> Option<Self> {
-        let rule = rule as u32;
-        if m.len() <= INLINE_FACTS {
-            let mut facts = [(FactHandle(0), 0u64); INLINE_FACTS];
-            for (slot, h) in facts.iter_mut().zip(m.iter()) {
-                *slot = (*h, wm.version(*h)?);
-            }
-            Some(RefractionKey::Inline {
-                rule,
-                len: m.len() as u8,
-                facts,
-            })
-        } else {
-            Some(RefractionKey::Heap {
-                rule,
-                facts: m
-                    .iter()
-                    .map(|h| Some((*h, wm.version(*h)?)))
-                    .collect::<Option<_>>()?,
-            })
-        }
-    }
-
-    /// The (handle, version) pairs the key binds (without inline padding).
-    fn facts(&self) -> &[(FactHandle, u64)] {
-        match self {
-            RefractionKey::Inline { len, facts, .. } => &facts[..*len as usize],
-            RefractionKey::Heap { facts, .. } => facts,
-        }
-    }
-}
 
 /// Per-rule observability counters (cumulative over the session).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,10 +105,6 @@ pub struct FiringReport {
 /// first) and charged that many times over: two clock reads cost about as
 /// much as a typical policy matcher.
 const EVAL_TIMING_SAMPLE: u64 = 16;
-
-/// Refraction GC threshold: `maybe_gc_refraction` does nothing until the
-/// fired set reaches this size (then doubles the watermark after each sweep).
-const GC_MIN_WATERMARK: usize = 256;
 
 /// Cached agenda state for one rule.
 #[derive(Default)]
@@ -328,14 +272,13 @@ impl SessionObs {
     }
 }
 
-/// A rule session: working memory + rules + refraction state.
+/// A rule session: working memory + rules + agenda state.
 pub struct Session<Ctx> {
     /// The fact store. Public so callers can insert/inspect facts directly,
     /// as Drools callers do with a `KieSession`.
     pub wm: WorkingMemory,
     rules: Vec<Rule<Ctx>>,
     states: Vec<RuleState>,
-    fired: HashSet<RefractionKey, MintedBuild>,
     /// Scratch for [`Session::delta_refresh`]'s changed-handle list.
     changed: Vec<FactHandle>,
     /// Rule indices sorted by (salience desc, installation order); rebuilt
@@ -361,7 +304,6 @@ pub struct Session<Ctx> {
     moved: Bits,
     /// Firings one pass may make before it stops (`budget_exhausted`).
     pub(crate) max_firings: usize,
-    gc_watermark: usize,
     obs: Option<SessionObs>,
 }
 
@@ -372,7 +314,6 @@ impl<Ctx> Session<Ctx> {
             wm: WorkingMemory::new(),
             rules: Vec::new(),
             states: Vec::new(),
-            fired: HashSet::default(),
             changed: Vec::new(),
             order: Vec::new(),
             order_valid: true,
@@ -384,7 +325,6 @@ impl<Ctx> Session<Ctx> {
             focused: None,
             moved: Bits::default(),
             max_firings: 100_000,
-            gc_watermark: GC_MIN_WATERMARK,
             obs: None,
         }
     }
@@ -452,29 +392,6 @@ impl<Ctx> Session<Ctx> {
         self.awake.fill(self.order.len());
     }
 
-    /// Drop refraction entries that reference retracted facts (the fired set
-    /// otherwise grows for the lifetime of a long policy session).
-    ///
-    /// This never removes an entry whose facts are all live, so cached
-    /// agenda segments (including scan cursors and the wake set) remain
-    /// valid across a sweep.
-    pub(crate) fn gc_refraction(&mut self) {
-        let wm = &self.wm;
-        self.fired
-            .retain(|key| key.facts().iter().all(|(h, _)| wm.contains(*h)));
-    }
-
-    /// Amortized refraction GC: sweeps only once the fired set crosses a
-    /// watermark, then doubles the watermark (floored at a minimum). Call
-    /// sites on the request hot path use this instead of sweeping the whole
-    /// set on every request.
-    pub fn maybe_gc_refraction(&mut self) {
-        if self.fired.len() >= self.gc_watermark {
-            self.gc_refraction();
-            self.gc_watermark = (self.fired.len() * 2).max(GC_MIN_WATERMARK);
-        }
-    }
-
     /// Run the rules of every agenda group to quiescence: [`Session::fire`]
     /// with [`Focus::ALL`].
     pub fn fire_all(&mut self, ctx: &mut Ctx) -> FiringReport {
@@ -496,8 +413,8 @@ impl<Ctx> Session<Ctx> {
                 break;
             }
             match self.next_activation(ctx) {
-                Some((rule_idx, m, key)) => {
-                    self.fired.insert(key);
+                Some((rule_idx, m)) => {
+                    self.wm.refract(rule_idx as u32, &m);
                     self.states[rule_idx].firings += 1;
                     self.moved.insert(rule_idx);
                     self.rules[rule_idx].fire(&mut self.wm, ctx, &m);
@@ -654,7 +571,7 @@ impl<Ctx> Session<Ctx> {
     /// and returning the first non-refracted live tuple; the wake set and
     /// the cache/dirty machinery only skip work whose outcome cannot have
     /// changed.
-    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+    fn next_activation(&mut self, ctx: &Ctx) -> Option<(usize, Match)> {
         self.wake();
         // First position the debug oracle has not yet accounted for.
         #[cfg(debug_assertions)]
@@ -683,7 +600,7 @@ impl<Ctx> Session<Ctx> {
     /// Visit the awake rule at salience position `oi`: refresh its cached
     /// matches if something it reads changed, then return its first live
     /// un-refracted tuple, or put it to sleep.
-    fn visit(&mut self, oi: usize, ctx: &Ctx) -> Option<(usize, Match, RefractionKey)> {
+    fn visit(&mut self, oi: usize, ctx: &Ctx) -> Option<(usize, Match)> {
         let idx = self.order[oi];
         let rule = &self.rules[idx];
         let state = &mut self.states[idx];
@@ -692,7 +609,7 @@ impl<Ctx> Session<Ctx> {
             // moves a watched table, which wakes and dirties it.
             self.awake.remove(oi);
             #[cfg(debug_assertions)]
-            Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, None, "guarded");
+            Self::check_shortcut(rule, idx, &self.wm, ctx, None, "guarded");
             return None;
         }
         let freshness = if state.computed {
@@ -729,13 +646,11 @@ impl<Ctx> Session<Ctx> {
             let m = &state.matches[pos];
             // Skip refracted tuples, and tuples holding a stale handle:
             // a matcher may have returned one another firing retracted.
-            match RefractionKey::new(idx, m, &self.wm) {
-                Some(key) if !self.fired.contains(&key) => {
-                    found = Some((idx, m.clone(), key));
-                    break;
-                }
-                _ => pos += 1,
+            if self.wm.refracted(idx as u32, m) == Some(false) {
+                found = Some((idx, m.clone()));
+                break;
             }
+            pos += 1;
         }
         // The caller refracts a found tuple before firing, so the next
         // scan may resume at it.
@@ -746,8 +661,8 @@ impl<Ctx> Session<Ctx> {
         }
         #[cfg(debug_assertions)]
         if freshness != Freshness::Dirty {
-            let chosen = found.as_ref().map(|(_, m, _)| m);
-            Self::check_shortcut(rule, idx, &self.wm, ctx, &self.fired, chosen, "cached");
+            let chosen = found.as_ref().map(|(_, m)| m);
+            Self::check_shortcut(rule, idx, &self.wm, ctx, chosen, "cached");
         }
         found
     }
@@ -764,7 +679,7 @@ impl<Ctx> Session<Ctx> {
             } else {
                 "out of focus"
             };
-            Self::check_shortcut(&self.rules[idx], idx, &self.wm, ctx, &self.fired, None, why);
+            Self::check_shortcut(&self.rules[idx], idx, &self.wm, ctx, None, why);
         }
     }
 
@@ -781,12 +696,10 @@ impl<Ctx> Session<Ctx> {
         idx: usize,
         wm: &WorkingMemory,
         ctx: &Ctx,
-        fired: &HashSet<RefractionKey, MintedBuild>,
         chosen: Option<&Match>,
         why: &str,
     ) {
-        let eligible =
-            |m: &Match| RefractionKey::new(idx, m, wm).is_some_and(|key| !fired.contains(&key));
+        let eligible = |m: &Match| wm.refracted(idx as u32, m) == Some(false);
         // The oracle's walks are no work of the engine's: a release build
         // makes none, and the count reads the same in both.
         let walked = wm.walked.get();
@@ -970,19 +883,111 @@ mod tests {
     }
 
     #[test]
-    fn gc_refraction_drops_stale_entries() {
-        let mut s: Session<()> = Session::new();
-        let h = s.wm.insert(Counter(0));
+    fn a_fact_that_moves_or_goes_holds_no_refraction_record() {
+        let mut s: Session<u64> = Session::new();
+        let a = s.wm.insert(Counter(0));
+        let b = s.wm.insert(Counter(1));
         s.add_rule(
-            Rule::new("noop")
+            Rule::new("observe")
                 .when_each::<Counter>(|_, _| true)
-                .then(|_, _, _| {}),
+                .then(|_, fired: &mut u64, _| *fired += 1),
         );
-        s.fire_all(&mut ());
-        assert_eq!(s.fired.len(), 1);
-        s.wm.retract(h);
-        s.gc_refraction();
-        assert!(s.fired.is_empty());
+        let mut fired = 0;
+        s.fire_all(&mut fired);
+        assert_eq!((fired, s.wm.refraction_records()), (2, 2));
+        s.wm.update::<Counter>(a, |c| c.0 += 1);
+        assert_eq!(s.wm.refraction_records(), 1, "updated: its record went");
+        s.fire_all(&mut fired);
+        assert_eq!((fired, s.wm.refraction_records()), (3, 2));
+        s.wm.retract(b);
+        assert_eq!(s.wm.refraction_records(), 1, "retracted: its record went");
+        // A fact recycling the slot starts with no record, and fires.
+        s.wm.insert(Counter(2));
+        s.fire_all(&mut fired);
+        assert_eq!((fired, s.wm.refraction_records()), (4, 2));
+        s.wm.retract(a);
+        s.wm.retract_all::<Counter>();
+        assert_eq!(s.wm.refraction_records(), 0);
+    }
+
+    /// On/off switch a matcher reads beside the facts it binds.
+    #[derive(Debug)]
+    struct Switch(bool);
+
+    /// A one-fact rule over every `Counter`, matching only while the
+    /// `Switch` is on: the switch moves the tuple out of and back into the
+    /// rule's matches without touching the counter.
+    fn switched_session() -> Session<u64> {
+        let mut s = Session::new();
+        s.add_rule(
+            Rule::new("switched")
+                .watches::<Counter>()
+                .watches::<Switch>()
+                .when(|wm, _, out| {
+                    if wm.iter::<Switch>().any(|(_, on)| on.0) {
+                        for (h, _) in wm.iter::<Counter>() {
+                            out.push([h].into());
+                        }
+                    }
+                })
+                .then(|_, fired: &mut u64, _| *fired += 1),
+        );
+        s
+    }
+
+    #[test]
+    fn a_tuple_that_leaves_and_returns_at_the_same_versions_stays_refracted() {
+        let mut s = switched_session();
+        let counter = s.wm.insert(Counter(0));
+        let switch = s.wm.insert(Switch(true));
+        let mut fired = 0;
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 1);
+        s.wm.update::<Switch>(switch, |on| on.0 = false);
+        s.fire_all(&mut fired);
+        s.wm.update::<Switch>(switch, |on| on.0 = true);
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 1, "the counter came back at the version it fired at");
+        // Its own update re-arms it.
+        s.wm.update::<Counter>(counter, |c| c.0 += 1);
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 2);
+        s.fire_all(&mut fired);
+        assert_eq!(fired, 2);
+    }
+
+    /// A rule over every `Counter` tuple of width `n`, in insertion order.
+    fn join_session(n: usize) -> (Session<u64>, Vec<FactHandle>) {
+        let mut s = Session::new();
+        let handles = (0..n as u64).map(|i| s.wm.insert(Counter(i))).collect();
+        s.add_rule(
+            Rule::new("join")
+                .watches::<Counter>()
+                .when(move |wm, _, out| {
+                    let hs = wm.handles::<Counter>();
+                    if hs.len() == n {
+                        out.push(hs[..].into());
+                    }
+                })
+                .then(|_, fired: &mut u64, _| *fired += 1),
+        );
+        (s, handles)
+    }
+
+    #[test]
+    fn a_join_tuple_rearms_when_only_its_last_fact_moves() {
+        for n in [2, 3] {
+            let (mut s, handles) = join_session(n);
+            let mut fired = 0;
+            s.fire_all(&mut fired);
+            s.fire_all(&mut fired);
+            assert_eq!(fired, 1, "{n} facts");
+            s.wm.update::<Counter>(handles[n - 1], |c| c.0 += 1);
+            s.fire_all(&mut fired);
+            assert_eq!(fired, 2, "{n} facts: the last one moved");
+            s.fire_all(&mut fired);
+            assert_eq!(fired, 2, "{n} facts");
+        }
     }
 
     #[test]
@@ -1096,30 +1101,9 @@ mod tests {
     }
 
     #[test]
-    fn maybe_gc_keeps_fired_set_bounded() {
-        let mut s: Session<()> = Session::new();
-        s.add_rule(
-            Rule::new("noop")
-                .when_each::<Counter>(|_, _| true)
-                .then(|_, _, _| {}),
-        );
-        for i in 0..600 {
-            let h = s.wm.insert(Counter(i));
-            s.fire_all(&mut ());
-            s.wm.retract(h);
-            s.maybe_gc_refraction();
-        }
-        assert!(
-            s.fired.len() < 600,
-            "watermark GC never swept ({} entries)",
-            s.fired.len()
-        );
-    }
-
-    #[test]
     fn wide_join_tuples_use_heap_keys() {
-        // A 3-fact join exceeds the inline key capacity; refraction must
-        // still hold (fires once per distinct triple).
+        // A 3-fact join's record spans two nodes; refraction must still
+        // hold (fires once per distinct triple).
         let mut s: Session<u64> = Session::new();
         s.wm.insert(Counter(1));
         s.wm.insert(Counter(2));
@@ -1138,28 +1122,7 @@ mod tests {
         s.fire_all(&mut fired);
         s.fire_all(&mut fired);
         assert_eq!(fired, 1);
-        assert!(s
-            .fired
-            .iter()
-            .all(|k| matches!(k, RefractionKey::Heap { .. })));
-        assert_eq!(s.fired.iter().next().unwrap().facts().len(), 3);
-    }
-
-    #[test]
-    fn refraction_keys_differing_only_in_len_hash_apart() {
-        use std::hash::BuildHasher;
-        // A one-fact tuple over (handle 0, version 0) and the zero padding
-        // of an empty tuple carry the same words; only `len` — a `u8`, one
-        // multiply under `MintedHasher` — tells them apart.
-        let key = |len| RefractionKey::Inline {
-            rule: 3,
-            len,
-            facts: [(FactHandle(0), 0); INLINE_FACTS],
-        };
-        let build = MintedBuild::default();
-        assert_ne!(key(0), key(1));
-        assert_ne!(build.hash_one(key(0)), build.hash_one(key(1)));
-        assert_ne!(build.hash_one(key(1)), build.hash_one(key(2)));
+        assert_eq!(s.wm.refraction_records(), 1);
     }
 
     #[test]

@@ -6,29 +6,39 @@
 //! version counters that drive the engine's refraction logic (a rule does
 //! not re-fire on a fact tuple until one of its facts changes).
 //!
-//! Facts live in *typed slabs*: one generational arena per fact type, in
-//! fixed pages of slots that are never reallocated, each slot carrying the
-//! value inline plus an intrusive insertion-order list, so iteration and
-//! indexed lookups walk typed storage with **one** `TypeId` dispatch per
-//! call instead of one `Box<dyn Fact>` pointer chase and `downcast_ref` per
-//! fact. Slots are recycled through a free list; every
-//! recycle bumps the slot's generation, which is what makes [`FactId`] — a
-//! typed `(slot, generation)` pair — immune to the ABA problem: a probe
-//! through a stale id sees the generation mismatch and returns `None`, never
-//! another fact that happens to reuse the slot.
+//! Facts live in *typed slabs*: one arena per fact type, in fixed pages of
+//! slots that are never reallocated, each slot carrying the value inline
+//! plus an intrusive insertion-order list, so iteration and indexed lookups
+//! walk typed storage with **one** `TypeId` dispatch per call instead of one
+//! `Box<dyn Fact>` pointer chase and `downcast_ref` per fact. Slots are
+//! recycled through a free list.
+//!
+//! A [`FactHandle`] names where its fact lives — the type table and the slab
+//! slot — and the insertion sequence number that orders it, so every
+//! operation on a handle (`get`, `version`, `contains`, `update`, `retract`,
+//! `key_of`) indexes the slab directly, with no map between. The slot keeps
+//! the sequence number of the fact it holds; a handle whose fact was
+//! retracted finds its slot free or holding a later fact under another
+//! number and misses, so a recycled slot never answers for a stale handle.
+//! [`FactId`] is the same handle with its type fixed at compile time.
 //!
 //! Everything kept per fact type — the slab, the dirty generation, the
-//! change log and the secondary indexes — sits in one `TypeTable` record.
-//! A handle resolves to `(table, slot)` through the store's only other map,
-//! so a handle-based operation pays one probe and a whole-type one (`iter`,
-//! `count`, `type_generation`) one probe of a map with a dozen entries. A
-//! keyed probe pays neither: [`WorkingMemory::register_index`] returns the
-//! index's typed position ([`IndexPos`]), which the caller keeps (a rule
-//! captures it when it is built), and `iter_by`/`find_by`/`lookup_by`/
-//! `key_of` index the table and its index with it; a [`FactId`] carries its
-//! table the same way. The type map is consulted when a type is first used,
-//! as Rete's object-type nodes dispatch on type once, when the network is
-//! built.
+//! change log and the secondary indexes — sits in one `TypeTable` record. A
+//! whole-type operation (`iter`, `count`, `type_generation`) probes the
+//! store's only map, `TypeId → table`, with a dozen entries. A keyed probe
+//! does not: [`WorkingMemory::register_index`] returns the index's typed
+//! position ([`IndexPos`]), which the caller keeps (a rule captures it when
+//! it is built), and `iter_by`/`find_by`/`lookup_by`/`key_of` index the table
+//! and its index with it. The type map is consulted when a type is first
+//! used, as Rete's object-type nodes dispatch on type once, when the network
+//! is built.
+//!
+//! The slot also holds the engine's refraction records for its fact: a rule
+//! that fired on a tuple is recorded on the tuple's first fact, with the
+//! versions of the others, and the record is dropped when that fact's
+//! version moves or its slot is vacated. Versions only grow and sequence
+//! numbers are never reused, so no tuple at a dropped record's versions can
+//! match again: dropping it is unobservable, and no sweep is needed.
 //!
 //! A secondary index (`KeyIndex`) costs a write only what that write can
 //! change. It declares the [`Fields`] its key reads, so
@@ -46,8 +56,8 @@
 //! key of every index a field-masked update skipped and panic on a
 //! difference — the index counterpart of the engine's skip oracle.
 //!
-//! Iteration order is insertion order (handles are monotonically increasing
-//! and the per-slab list appends at the tail), so rule evaluation is
+//! Iteration order is insertion order (sequence numbers grow with every
+//! insert and the per-slab list appends at the tail), so rule evaluation is
 //! reproducible and exactly matches the legacy `BTreeMap` store, which is
 //! preserved as the differential-test oracle in `tests/legacy/mod.rs`.
 
@@ -59,12 +69,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
+use std::num::NonZeroU64;
 
 /// Multiply-rotate hasher (the FxHash recipe) for tables whose keys this
-/// process mints itself: `TypeId`s and [`FactHandle`]s here, refraction keys
-/// in the engine, and index keys that are service-minted ids or keyed
-/// digests ([`IndexKey`]). Nothing a request body can choose reaches it —
-/// such keys keep std's keyed SipHash. Every fixed-width integer a derived
+/// process mints itself: `TypeId`s here, and index keys that are
+/// service-minted ids or keyed digests ([`IndexKey`]). Nothing a request
+/// body can choose reaches it — such keys keep std's keyed SipHash. Every
+/// fixed-width integer a derived
 /// `Hash` emits (fields, lengths, enum discriminants) is one multiply; only
 /// byte strings take the chunked path.
 #[derive(Default, Clone, Copy)]
@@ -156,9 +167,48 @@ impl<T: Any + fmt::Debug + Send> Fact for T {
     }
 }
 
-/// Stable identifier of one fact in a [`WorkingMemory`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FactHandle(pub u64);
+/// Stable identifier of one fact in a [`WorkingMemory`]: the fact's
+/// insertion sequence number and where it lives (its type table and slab
+/// slot). Handles order by sequence number, which is insertion order; the
+/// memory never issues a number twice, so a handle outlives its fact only
+/// as a handle that misses.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FactHandle {
+    /// Insertion sequence number, from 1. First, so the derived order is
+    /// insertion order.
+    seq: NonZeroU64,
+    table: u32,
+    slot: u32,
+}
+
+impl FactHandle {
+    /// Fills the unused places of a fixed-size tuple; names no fact.
+    pub(crate) const PAD: FactHandle = FactHandle {
+        seq: NonZeroU64::MAX,
+        table: u32::MAX,
+        slot: u32::MAX,
+    };
+
+    /// The fact's insertion sequence number: 1 for a memory's first fact,
+    /// one more for each insert after it.
+    pub fn seq(self) -> u64 {
+        self.seq.get()
+    }
+
+    fn at(seq: NonZeroU64, table: u32, slot: u32) -> FactHandle {
+        FactHandle { seq, table, slot }
+    }
+}
+
+impl fmt::Debug for FactHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "FactHandle(#{} at {}.{})",
+            self.seq, self.table, self.slot
+        )
+    }
+}
 
 /// A set of *field groups* of one fact type — the unit of property
 /// reactivity. A fact type names its groups as constants
@@ -221,23 +271,16 @@ impl std::ops::BitOr for Fields {
 /// Sentinel slot index for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Typed generational id of one fact: its table, the arena slot and the
-/// slot's generation at issue time. Unlike [`FactHandle`] (which routes
-/// through a hash lookup and works for any type), a `FactId<T>` indexes its
-/// typed slab directly —
-/// and it can never resurrect: retracting the fact bumps the slot
-/// generation, so probing a stale id returns `None` even after the slot is
-/// recycled for a new fact.
+/// A [`FactHandle`] whose fact type is known at compile time. It probes its
+/// slab as the handle does ([`WorkingMemory::get_id`]), and misses the same
+/// way once the fact is retracted, even after the slot is recycled.
 pub struct FactId<T> {
-    /// Position of `T`'s table, resolved when the id was issued.
-    table: u32,
-    slot: u32,
-    gen: u32,
+    handle: FactHandle,
     _marker: PhantomData<fn() -> T>,
 }
 
 // Manual impls: derives would demand `T: Copy` etc., but the id itself is
-// always a plain (u32, u32) regardless of the fact type.
+// always a plain handle regardless of the fact type.
 impl<T> Clone for FactId<T> {
     fn clone(&self) -> Self {
         *self
@@ -246,24 +289,22 @@ impl<T> Clone for FactId<T> {
 impl<T> Copy for FactId<T> {}
 impl<T> PartialEq for FactId<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.slot == other.slot && self.gen == other.gen
+        self.handle == other.handle
     }
 }
 impl<T> Eq for FactId<T> {}
 impl<T> Hash for FactId<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.slot.hash(state);
-        self.gen.hash(state);
+        self.handle.hash(state);
     }
 }
 impl<T> fmt::Debug for FactId<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "FactId<{}>({}g{})",
+            "FactId<{}>({:?})",
             std::any::type_name::<T>(),
-            self.slot,
-            self.gen
+            self.handle
         )
     }
 }
@@ -299,34 +340,35 @@ impl<T, K> fmt::Debug for IndexPos<T, K> {
     }
 }
 
-/// One arena slot: either a live fact with its intrusive-list links or a
-/// link in the free list. `gen` increments each time the slot is vacated.
-struct ArenaSlot<T> {
-    gen: u32,
-    state: SlotState<T>,
+/// What a slot keeps about its live fact besides the value — the same for
+/// every fact type, so the store reads it without knowing the type.
+struct Meta {
+    /// The fact's insertion sequence number: a handle whose number differs
+    /// names an earlier fact of the slot.
+    seq: NonZeroU64,
+    /// Bumped by every update.
+    version: u64,
+    /// First refraction record on the fact ([`NIL`]: none).
+    fired: u32,
+    /// Insertion-order neighbours.
+    prev: u32,
+    next: u32,
 }
 
-enum SlotState<T> {
-    Occupied {
-        value: T,
-        handle: FactHandle,
-        version: u64,
-        prev: u32,
-        next: u32,
-    },
-    Free {
-        next_free: u32,
-    },
+/// One arena slot: a live fact, or a link in the free list.
+enum ArenaSlot<T> {
+    Live { meta: Meta, value: T },
+    Free { next_free: u32 },
 }
 
 /// Slots per page of a [`TypedSlab`].
 const PAGE: usize = 64;
 
-/// Generational arena of all facts of one type, threaded with an intrusive
-/// doubly-linked list in insertion order (appends at the tail). Handles are
-/// monotone, facts are never re-inserted under an old handle, so list order
-/// is also ascending-handle order — the iteration contract the engine's
-/// match caches rely on.
+/// Arena of all facts of one type, threaded with an intrusive
+/// doubly-linked list in insertion order (appends at the tail). Sequence
+/// numbers are monotone and a fact is never re-inserted under an old one,
+/// so list order is also ascending-handle order — the iteration contract
+/// the engine's match caches rely on.
 ///
 /// Slots live in pages of [`PAGE`], each allocated once at full capacity
 /// and never reallocated: a fact never moves, and growing the slab by a
@@ -349,42 +391,58 @@ impl<T> TypedSlab<T> {
         }
     }
 
-    fn slot(&self, slot: u32) -> &ArenaSlot<T> {
-        let slot = slot as usize;
-        &self.pages[slot / PAGE][slot % PAGE]
-    }
-
     fn slot_mut(&mut self, slot: u32) -> &mut ArenaSlot<T> {
         let slot = slot as usize;
         &mut self.pages[slot / PAGE][slot % PAGE]
     }
 
-    /// `(prev, next)` of an occupied slot.
-    fn links_mut(&mut self, slot: u32) -> (&mut u32, &mut u32) {
-        match &mut self.slot_mut(slot).state {
-            SlotState::Occupied { prev, next, .. } => (prev, next),
-            SlotState::Free { .. } => unreachable!("insertion list points at free slot"),
+    /// The fact `seq` names and its metadata, if `slot` holds it.
+    fn live(&self, slot: u32, seq: NonZeroU64) -> Option<(&Meta, &T)> {
+        let slot = slot as usize;
+        match self.pages.get(slot / PAGE)?.get(slot % PAGE)? {
+            ArenaSlot::Live { meta, value } if meta.seq == seq => Some((meta, value)),
+            _ => None,
         }
     }
 
-    /// Place `value` in a slot (recycling the free list, else the next
+    /// [`TypedSlab::live`], mutably.
+    fn live_mut(&mut self, slot: u32, seq: NonZeroU64) -> Option<(&mut Meta, &mut T)> {
+        let slot = slot as usize;
+        match self.pages.get_mut(slot / PAGE)?.get_mut(slot % PAGE)? {
+            ArenaSlot::Live { meta, value } if meta.seq == seq => Some((meta, value)),
+            _ => None,
+        }
+    }
+
+    /// Metadata of an occupied slot.
+    fn meta_mut(&mut self, slot: u32) -> &mut Meta {
+        match self.slot_mut(slot) {
+            ArenaSlot::Live { meta, .. } => meta,
+            ArenaSlot::Free { .. } => unreachable!("insertion list points at free slot"),
+        }
+    }
+
+    /// Place fact `seq` in a slot (recycling the free list, else the next
     /// slot of the last page, else a new page) and link it at the tail of
     /// the insertion-order list.
-    fn alloc(&mut self, value: T, handle: FactHandle) -> u32 {
-        let state = SlotState::Occupied {
+    fn alloc(&mut self, value: T, seq: NonZeroU64) -> u32 {
+        let live = ArenaSlot::Live {
+            meta: Meta {
+                seq,
+                version: 0,
+                fired: NIL,
+                prev: self.tail,
+                next: NIL,
+            },
             value,
-            handle,
-            version: 0,
-            prev: self.tail,
-            next: NIL,
         };
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
             let free = self.slot_mut(slot);
-            let SlotState::Free { next_free } = free.state else {
+            let ArenaSlot::Free { next_free } = *free else {
                 unreachable!("free list points at occupied slot");
             };
-            free.state = state;
+            *free = live;
             self.free_head = next_free;
             slot
         } else {
@@ -395,11 +453,11 @@ impl<T> TypedSlab<T> {
             let page = &mut self.pages[last];
             let slot = last * PAGE + page.len();
             assert!(slot < NIL as usize, "typed slab exhausted u32 slot space");
-            page.push(ArenaSlot { gen: 0, state });
+            page.push(live);
             slot as u32
         };
         if self.tail != NIL {
-            *self.links_mut(self.tail).1 = slot;
+            self.meta_mut(self.tail).next = slot;
         } else {
             self.head = slot;
         }
@@ -407,88 +465,48 @@ impl<T> TypedSlab<T> {
         slot
     }
 
-    /// Unlink and vacate `slot`, bumping its generation so stale
-    /// [`FactId`]s miss. Returns the evicted value.
-    fn remove(&mut self, slot: u32) -> T {
+    /// Unlink and vacate `slot` if it holds fact `seq`. Returns the
+    /// fact's first refraction record.
+    fn remove(&mut self, slot: u32, seq: NonZeroU64) -> Option<u32> {
+        self.live(slot, seq)?;
         let free_head = self.free_head;
-        let vacated = self.slot_mut(slot);
-        vacated.gen = vacated.gen.wrapping_add(1);
-        let state = std::mem::replace(
-            &mut vacated.state,
-            SlotState::Free {
+        let vacated = std::mem::replace(
+            self.slot_mut(slot),
+            ArenaSlot::Free {
                 next_free: free_head,
             },
         );
-        let SlotState::Occupied {
-            value, prev, next, ..
-        } = state
-        else {
-            unreachable!("remove of free slot");
+        let ArenaSlot::Live { meta, .. } = vacated else {
+            unreachable!("checked live");
         };
-        if prev != NIL {
-            *self.links_mut(prev).1 = next;
+        if meta.prev != NIL {
+            self.meta_mut(meta.prev).next = meta.next;
         } else {
-            self.head = next;
+            self.head = meta.next;
         }
-        if next != NIL {
-            *self.links_mut(next).0 = prev;
+        if meta.next != NIL {
+            self.meta_mut(meta.next).prev = meta.prev;
         } else {
-            self.tail = prev;
+            self.tail = meta.prev;
         }
         self.free_head = slot;
-        value
+        Some(meta.fired)
     }
 
+    /// The value of an occupied slot.
     fn value(&self, slot: u32) -> &T {
-        match &self.slot(slot).state {
-            SlotState::Occupied { value, .. } => value,
-            SlotState::Free { .. } => unreachable!("value of free slot"),
-        }
-    }
-
-    fn value_mut(&mut self, slot: u32) -> &mut T {
-        match &mut self.slot_mut(slot).state {
-            SlotState::Occupied { value, .. } => value,
-            SlotState::Free { .. } => unreachable!("value_mut of free slot"),
-        }
-    }
-
-    fn version(&self, slot: u32) -> u64 {
-        match &self.slot(slot).state {
-            SlotState::Occupied { version, .. } => *version,
-            SlotState::Free { .. } => unreachable!("version of free slot"),
-        }
-    }
-
-    fn bump_version(&mut self, slot: u32) {
-        match &mut self.slot_mut(slot).state {
-            SlotState::Occupied { version, .. } => *version += 1,
-            SlotState::Free { .. } => unreachable!("bump_version of free slot"),
-        }
-    }
-
-    fn generation_of(&self, slot: u32) -> u32 {
-        self.slot(slot).gen
-    }
-
-    /// Generation-checked probe: `Some` only while the slot still holds the
-    /// fact the id was issued for.
-    fn value_checked(&self, slot: u32, gen: u32) -> Option<&T> {
         let slot = slot as usize;
-        let s = self.pages.get(slot / PAGE)?.get(slot % PAGE)?;
-        if s.gen != gen {
-            return None;
-        }
-        match &s.state {
-            SlotState::Occupied { value, .. } => Some(value),
-            SlotState::Free { .. } => None,
+        match &self.pages[slot / PAGE][slot % PAGE] {
+            ArenaSlot::Live { value, .. } => value,
+            ArenaSlot::Free { .. } => unreachable!("value of free slot"),
         }
     }
 
-    /// Insertion-order walk yielding `(handle, slot, &value)`. The list
-    /// mostly stays within a page, so the walk keeps the page it is on and
-    /// goes back to the page table only when a link leaves it.
-    fn iter_slots(&self) -> impl Iterator<Item = (FactHandle, u32, &T)> {
+    /// Insertion-order walk yielding `(handle, &value)`, the handles in
+    /// `table`. The list mostly stays within a page, so the walk keeps the
+    /// page it is on and goes back to the page table only when a link
+    /// leaves it.
+    fn iter_slots(&self, table: u32) -> impl Iterator<Item = (FactHandle, &T)> {
         let mut cur = self.head;
         let mut page: (usize, &[ArenaSlot<T>]) = (usize::MAX, &[]);
         std::iter::from_fn(move || {
@@ -500,37 +518,38 @@ impl<T> TypedSlab<T> {
             if at / PAGE != page.0 {
                 page = (at / PAGE, &self.pages[at / PAGE]);
             }
-            let SlotState::Occupied {
-                value,
-                handle,
-                next,
-                ..
-            } = &page.1[at % PAGE].state
-            else {
+            let ArenaSlot::Live { meta, value } = &page.1[at % PAGE] else {
                 unreachable!("insertion list points at free slot");
             };
-            cur = *next;
-            Some((*handle, slot, value))
+            cur = meta.next;
+            Some((FactHandle::at(meta.seq, table, slot), value))
         })
     }
 }
 
 /// Object-safe face of a [`TypedSlab`], so [`WorkingMemory`] can hold slabs
 /// of arbitrary fact types and service untyped operations (retract,
-/// version queries) without knowing `T`.
+/// version queries, refraction) without knowing `T`.
 trait ErasedSlab: Send {
-    fn remove_slot(&mut self, slot: u32);
-    fn version_of(&self, slot: u32) -> u64;
+    /// [`TypedSlab::remove`].
+    fn remove(&mut self, slot: u32, seq: NonZeroU64) -> Option<u32>;
+    /// Metadata of fact `seq`, if `slot` holds it.
+    fn meta(&self, slot: u32, seq: NonZeroU64) -> Option<&Meta>;
+    /// [`ErasedSlab::meta`], mutably.
+    fn meta_mut(&mut self, slot: u32, seq: NonZeroU64) -> Option<&mut Meta>;
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<T: Fact> ErasedSlab for TypedSlab<T> {
-    fn remove_slot(&mut self, slot: u32) {
-        let _ = self.remove(slot);
+    fn remove(&mut self, slot: u32, seq: NonZeroU64) -> Option<u32> {
+        TypedSlab::remove(self, slot, seq)
     }
-    fn version_of(&self, slot: u32) -> u64 {
-        self.version(slot)
+    fn meta(&self, slot: u32, seq: NonZeroU64) -> Option<&Meta> {
+        self.live(slot, seq).map(|(meta, _)| meta)
+    }
+    fn meta_mut(&mut self, slot: u32, seq: NonZeroU64) -> Option<&mut Meta> {
+        self.live_mut(slot, seq).map(|(meta, _)| meta)
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -540,27 +559,19 @@ impl<T: Fact> ErasedSlab for TypedSlab<T> {
     }
 }
 
-/// Where one handle's fact lives: which type table, and which slot of its
-/// slab.
-#[derive(Clone, Copy)]
-struct HandleEntry {
-    table: u32,
-    slot: u32,
-}
-
 /// Type-erased secondary index, maintained on insert, retract and every
 /// update that can change its key. The concrete type is always
 /// [`KeyIndex<T, K>`]; erasure lets [`WorkingMemory`] hold indexes over
-/// arbitrary fact/key type pairs. The callbacks carry the fact's arena slot:
-/// it addresses the index's reverse map, and lookups later jump through it
-/// straight into the typed slab.
+/// arbitrary fact/key type pairs. The handle's slot addresses the index's
+/// reverse map, and lookups later jump through it straight into the typed
+/// slab.
 trait ErasedIndex: Send {
-    fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any);
-    fn on_remove(&mut self, handle: FactHandle, slot: u32);
+    fn on_insert(&mut self, handle: FactHandle, fact: &dyn Any);
+    fn on_remove(&mut self, handle: FactHandle);
     /// Re-key after an in-place mutation. The index remembers each slot's
     /// current key, so an update whose key did not change is an extract and
     /// a compare instead of a remove + insert.
-    fn on_update(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any);
+    fn on_update(&mut self, handle: FactHandle, fact: &dyn Any);
     /// Debug oracle for an `update_fields` that skipped this index: the key
     /// extracted from the written fact must still be the stored one.
     #[cfg(debug_assertions)]
@@ -578,58 +589,55 @@ struct IndexEntry {
     index: Box<dyn ErasedIndex>,
 }
 
-/// The postings of one key: the `(handle, slot)` of every fact bearing it,
-/// handle-ordered. Most keys of a busy index name one fact — a staged
-/// file's URL, a transfer's id — so one posting is held inline and costs
-/// no allocation; two or more share one handle-sorted vector behind a
-/// pointer. Either way the value is 16 bytes. A key that goes from one
-/// posting to several and back again, as a batch comes and goes, takes
-/// the vector its index kept from the last time ([`KeyIndex::spare`]), so
-/// its churn allocates nothing.
+/// The postings of one key: the handle of every fact bearing it, in handle
+/// order. Most keys of a busy index name one fact — a staged file's URL, a
+/// transfer's id — so one posting is held inline and costs no allocation;
+/// two or more share one handle-sorted vector behind a pointer. Either way
+/// the value is 16 bytes. A key that goes from one posting to several and
+/// back again, as a batch comes and goes, takes the vector its index kept
+/// from the last time ([`KeyIndex::spare`]), so its churn allocates nothing.
 enum Postings {
-    One(FactHandle, u32),
+    One(FactHandle),
     #[allow(clippy::box_collection)] // a bare vector would make the value 32 bytes
-    Many(Box<Vec<(FactHandle, u32)>>),
+    Many(Box<Vec<FactHandle>>),
 }
 
 /// An emptied [`Postings::Many`] vector, kept for the next key that needs
 /// one.
-type Spare = Option<Box<Vec<(FactHandle, u32)>>>;
+type Spare = Option<Box<Vec<FactHandle>>>;
 
 impl Postings {
-    fn insert(&mut self, handle: FactHandle, slot: u32, spare: &mut Spare) {
+    fn insert(&mut self, handle: FactHandle, spare: &mut Spare) {
         match self {
-            Postings::One(h, s) if *h == handle => *s = slot,
-            Postings::One(h, s) => {
+            Postings::One(h) if *h == handle => {}
+            Postings::One(h) => {
                 let mut many = spare.take().unwrap_or_default();
-                let (first, second) = ((*h, *s), (handle, slot));
-                many.extend(if first.0 < handle {
-                    [first, second]
+                many.extend(if *h < handle {
+                    [*h, handle]
                 } else {
-                    [second, first]
+                    [handle, *h]
                 });
                 *self = Postings::Many(many);
             }
-            Postings::Many(many) => match many.binary_search_by_key(&handle, |p| p.0) {
-                Ok(at) => many[at].1 = slot,
-                Err(at) => many.insert(at, (handle, slot)),
-            },
+            Postings::Many(many) => {
+                if let Err(at) = many.binary_search(&handle) {
+                    many.insert(at, handle);
+                }
+            }
         }
     }
 
     /// Drop `handle`'s posting; true when none is left.
     fn remove(&mut self, handle: FactHandle, spare: &mut Spare) -> bool {
         match self {
-            Postings::One(h, _) => *h == handle,
+            Postings::One(h) => *h == handle,
             // Two or more before the removal, so at least one after it.
             Postings::Many(many) => {
-                if let Ok(at) = many.binary_search_by_key(&handle, |p| p.0) {
+                if let Ok(at) = many.binary_search(&handle) {
                     many.remove(at);
                 }
-                if let [(h, s)] = many[..] {
-                    if let Postings::Many(mut emptied) =
-                        std::mem::replace(self, Postings::One(h, s))
-                    {
+                if let [h] = many[..] {
+                    if let Postings::Many(mut emptied) = std::mem::replace(self, Postings::One(h)) {
                         emptied.clear();
                         *spare = Some(emptied);
                     }
@@ -639,10 +647,10 @@ impl Postings {
         }
     }
 
-    /// `(handle, slot)` in ascending handle order.
+    /// The handles, ascending.
     fn iter(&self) -> PostingsIter<'_> {
         match self {
-            Postings::One(h, s) => PostingsIter::One(Some((*h, *s))),
+            Postings::One(h) => PostingsIter::One(Some(*h)),
             Postings::Many(many) => PostingsIter::Many(many.iter()),
         }
     }
@@ -650,14 +658,14 @@ impl Postings {
 
 /// [`Postings::iter`]; `One(None)` is also the postings of an absent key.
 enum PostingsIter<'a> {
-    One(Option<(FactHandle, u32)>),
-    Many(std::slice::Iter<'a, (FactHandle, u32)>),
+    One(Option<FactHandle>),
+    Many(std::slice::Iter<'a, FactHandle>),
 }
 
 impl Iterator for PostingsIter<'_> {
-    type Item = (FactHandle, u32);
+    type Item = FactHandle;
 
-    fn next(&mut self) -> Option<(FactHandle, u32)> {
+    fn next(&mut self) -> Option<FactHandle> {
         match self {
             PostingsIter::One(one) => one.take(),
             PostingsIter::Many(many) => many.next().copied(),
@@ -674,9 +682,9 @@ enum Extract<T, K> {
 
 /// Hash index from an extracted key to the handles bearing it — the alpha
 /// memory of a Rete network: equality joins probe this instead of scanning
-/// every fact of the type. Each posting also records the fact's arena slot,
-/// so [`WorkingMemory::iter_by`] resolves facts by direct slab indexing:
-/// one slab downcast per *call*, zero downcasts per fact. Postings are
+/// every fact of the type. A posting's handle names the fact's slot, so
+/// [`WorkingMemory::iter_by`] resolves facts by direct slab indexing: one
+/// slab downcast per *call*, zero downcasts per fact. Postings are
 /// handle-ordered — never hash-ordered — so indexed lookups see facts in the
 /// same insertion order as [`WorkingMemory::iter`], whatever the hasher and
 /// whatever its per-process key.
@@ -701,22 +709,26 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
         }
     }
 
-    fn link(&mut self, handle: FactHandle, slot: u32, key: K) {
+    fn link(&mut self, handle: FactHandle, key: K) {
         match self.map.entry(key.clone()) {
-            Entry::Occupied(postings) => postings.into_mut().insert(handle, slot, &mut self.spare),
+            Entry::Occupied(postings) => postings.into_mut().insert(handle, &mut self.spare),
             Entry::Vacant(vacant) => {
-                vacant.insert(Postings::One(handle, slot));
+                vacant.insert(Postings::One(handle));
             }
         }
-        let slot = slot as usize;
+        let slot = handle.slot as usize;
         if slot >= self.back.len() {
             self.back.resize(slot + 1, None);
         }
         self.back[slot] = Some(key);
     }
 
-    fn unlink(&mut self, handle: FactHandle, slot: u32) {
-        if let Some(key) = self.back.get_mut(slot as usize).and_then(Option::take) {
+    fn unlink(&mut self, handle: FactHandle) {
+        if let Some(key) = self
+            .back
+            .get_mut(handle.slot as usize)
+            .and_then(Option::take)
+        {
             if let Entry::Occupied(mut postings) = self.map.entry(key) {
                 if postings.get_mut().remove(handle, &mut self.spare) {
                     postings.remove();
@@ -741,24 +753,24 @@ impl<T: Fact, K: IndexKey> KeyIndex<T, K> {
 }
 
 impl<T: Fact, K: IndexKey> ErasedIndex for KeyIndex<T, K> {
-    fn on_insert(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
+    fn on_insert(&mut self, handle: FactHandle, fact: &dyn Any) {
         if let Some(key) = self.extract_from(fact) {
-            self.link(handle, slot, key);
+            self.link(handle, key);
         }
     }
 
-    fn on_remove(&mut self, handle: FactHandle, slot: u32) {
-        self.unlink(handle, slot);
+    fn on_remove(&mut self, handle: FactHandle) {
+        self.unlink(handle);
     }
 
-    fn on_update(&mut self, handle: FactHandle, slot: u32, fact: &dyn Any) {
+    fn on_update(&mut self, handle: FactHandle, fact: &dyn Any) {
         let key = self.extract_from(fact);
-        if self.key_at(slot) == key.as_ref() {
+        if self.key_at(handle.slot) == key.as_ref() {
             return;
         }
-        self.unlink(handle, slot);
+        self.unlink(handle);
         if let Some(key) = key {
-            self.link(handle, slot, key);
+            self.link(handle, key);
         }
     }
 
@@ -834,12 +846,86 @@ impl TypeLog {
     }
 }
 
+/// One node of a refraction record. The record of an `n`-fact tuple is a
+/// head node, which names the rule and holds the tuple's second fact, and
+/// `n - 2` more nodes, one per further fact; a one-fact record is its head
+/// alone. The tuple's first fact is the fact the record hangs on.
+struct RecordNode {
+    /// Head: the rule that fired.
+    rule: u32,
+    /// Head: facts in the tuple.
+    len: u32,
+    /// Head: the next record on the same fact. Free node: the next free one.
+    next: u32,
+    /// The node holding the tuple's next fact ([`NIL`]: none).
+    more: u32,
+    /// A fact of the tuple after the first, with its version when the rule
+    /// fired (unused in a one-fact record).
+    seq: u64,
+    version: u64,
+}
+
+/// The refraction records of a memory's facts: nodes in one pool, each
+/// fact's records a list from its slot ([`Meta::fired`]), the free nodes a
+/// list of their own. Records are released when their fact moves or goes,
+/// so the pool stops growing at the most records the facts ever held at
+/// once, and recording a firing past that point allocates nothing.
+struct Refraction {
+    nodes: Vec<RecordNode>,
+    free: u32,
+    /// Records held (not nodes).
+    held: usize,
+}
+
+impl Default for Refraction {
+    fn default() -> Self {
+        Refraction {
+            nodes: Vec::new(),
+            free: NIL,
+            held: 0,
+        }
+    }
+}
+
+impl Refraction {
+    fn node(&self, at: u32) -> &RecordNode {
+        &self.nodes[at as usize]
+    }
+
+    /// Place `node` in a free node, or a new one; its index.
+    fn alloc(&mut self, node: RecordNode) -> u32 {
+        if self.free == NIL {
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let at = self.free;
+        self.free = self.node(at).next;
+        self.nodes[at as usize] = node;
+        at
+    }
+
+    /// Free every record of the list starting at `record`.
+    fn release(&mut self, mut record: u32) {
+        while record != NIL {
+            let next_record = self.node(record).next;
+            let mut node = record;
+            while node != NIL {
+                let more = self.node(node).more;
+                self.nodes[node as usize].next = self.free;
+                self.free = node;
+                node = more;
+            }
+            self.held -= 1;
+            record = next_record;
+        }
+    }
+}
+
 /// Everything the store keeps about one fact type, so an operation that
 /// knows its type (or its handle) reaches the slab, the dirty marks, the
 /// change log and the indexes through one lookup.
 pub(crate) struct TypeTable {
-    type_id: TypeId,
-    /// The generational arena holding the facts (a `TypedSlab<T>`).
+    /// The arena holding the facts (a `TypedSlab<T>`).
     slab: Box<dyn ErasedSlab>,
     /// Dirty mark: the global generation at which a fact of this type was
     /// last inserted/updated/retracted (0 = never). The incremental engine
@@ -931,10 +1017,10 @@ pub struct WorkingMemory {
     tables: Vec<TypeTable>,
     /// Fact type → position in `tables`.
     table_of: HashMap<TypeId, u32, MintedBuild>,
-    /// handle → (table, slot). Entries are removed on retract, so membership
-    /// doubles as liveness and the map never grows past the live fact count.
-    handle_index: HashMap<u64, HandleEntry, MintedBuild>,
-    next_handle: u64,
+    /// Sequence number of the last fact inserted (0: none yet).
+    last_seq: u64,
+    /// The engine's refraction records, kept on the facts they name.
+    refraction: Refraction,
     /// Live facts across all slabs.
     live: usize,
     /// Bumped on every insert/update/retract; engines watch it to detect
@@ -1000,7 +1086,6 @@ impl WorkingMemory {
         let type_id = TypeId::of::<T>();
         *self.table_of.entry(type_id).or_insert_with(|| {
             self.tables.push(TypeTable {
-                type_id,
                 slab: Box::new(TypedSlab::<T>::new()),
                 generation: 0,
                 structural: 0,
@@ -1018,53 +1103,43 @@ impl WorkingMemory {
         &self.tables[position as usize]
     }
 
-    /// The table and slot a live handle of type `T` resolves to.
-    fn locate<T: Fact>(&self, handle: FactHandle) -> Option<(&TypeTable, u32)> {
-        let entry = self.handle_index.get(&handle.0)?;
-        let table = &self.tables[entry.table as usize];
-        (table.type_id == TypeId::of::<T>()).then_some((table, entry.slot))
+    /// Metadata of the live fact `handle` names, whatever its type.
+    fn meta(&self, handle: FactHandle) -> Option<&Meta> {
+        let table = self.tables.get(handle.table as usize)?;
+        table.slab.meta(handle.slot, handle.seq)
     }
 
     /// Insert a fact, returning its handle.
     pub fn insert<T: Fact>(&mut self, fact: T) -> FactHandle {
-        let handle = FactHandle(self.next_handle);
-        self.next_handle += 1;
+        self.last_seq += 1;
+        let seq = NonZeroU64::new(self.last_seq).expect("sequence numbers start at 1");
         self.generation += 1;
         let table_ix = self.table_index_or_new::<T>();
         let table = &mut self.tables[table_ix as usize];
-        let slab = table
-            .slab
-            .as_any_mut()
-            .downcast_mut::<TypedSlab<T>>()
-            .expect("slab type");
-        let slot = slab.alloc(fact, handle);
-        let value: &T = slab.value(slot);
+        let slab = (table.slab.as_any_mut().downcast_mut::<TypedSlab<T>>()).expect("slab type");
+        let handle = FactHandle::at(seq, table_ix, slab.alloc(fact, seq));
+        let value: &T = slab.value(handle.slot);
         for entry in &mut table.indexes {
-            entry.index.on_insert(handle, slot, value);
+            entry.index.on_insert(handle, value);
         }
         table.touch(self.generation, handle, Fields::ALL);
         table.live += 1;
-        self.handle_index.insert(
-            handle.0,
-            HandleEntry {
-                table: table_ix,
-                slot,
-            },
-        );
         self.live += 1;
         handle
     }
 
     /// Remove a fact. Returns `true` if it existed.
     pub fn retract(&mut self, handle: FactHandle) -> bool {
-        let Some(entry) = self.handle_index.remove(&handle.0) else {
+        let Some(table) = self.tables.get_mut(handle.table as usize) else {
             return false;
         };
+        let Some(fired) = table.slab.remove(handle.slot, handle.seq) else {
+            return false;
+        };
+        self.refraction.release(fired);
         self.generation += 1;
-        let table = &mut self.tables[entry.table as usize];
-        table.slab.remove_slot(entry.slot);
         for index in &mut table.indexes {
-            index.index.on_remove(handle, entry.slot);
+            index.index.on_remove(handle);
         }
         table.touch(self.generation, handle, Fields::ALL);
         table.live -= 1;
@@ -1074,33 +1149,27 @@ impl WorkingMemory {
 
     /// Immutable access to a fact of known type.
     pub fn get<T: Fact>(&self, handle: FactHandle) -> Option<&T> {
-        let (table, slot) = self.locate::<T>(handle)?;
-        Some(table.slab::<T>().value(slot))
+        let slab = self.tables.get(handle.table as usize)?.slab.as_any();
+        let (_, value) = slab
+            .downcast_ref::<TypedSlab<T>>()?
+            .live(handle.slot, handle.seq)?;
+        Some(value)
     }
 
-    /// Typed generational id of a live fact, or `None` if the handle is
-    /// stale or names a different type. The id supports direct slab probes
-    /// via [`WorkingMemory::get_id`] with ABA-safe staleness detection.
+    /// The typed id of a live fact, or `None` if the handle is stale or
+    /// names a different type.
     pub fn fact_id<T: Fact>(&self, handle: FactHandle) -> Option<FactId<T>> {
-        let entry = self.handle_index.get(&handle.0)?;
-        let table = &self.tables[entry.table as usize];
-        (table.type_id == TypeId::of::<T>()).then(|| FactId {
-            table: entry.table,
-            slot: entry.slot,
-            gen: table.slab::<T>().generation_of(entry.slot),
+        self.get::<T>(handle).map(|_| FactId {
+            handle,
             _marker: PhantomData,
         })
     }
 
-    /// Probe by typed id: direct table and slab indexing, no handle lookup,
-    /// no type map, no downcast-per-fact. Returns `None` once the fact has
-    /// been retracted — the slot generation was bumped, so even a recycled
-    /// slot cannot serve a stale id.
+    /// Probe by typed id: direct table and slab indexing, as a handle
+    /// probes. Returns `None` once the fact has been retracted, even after
+    /// its slot is recycled.
     pub fn get_id<T: Fact>(&self, id: FactId<T>) -> Option<&T> {
-        self.tables
-            .get(id.table as usize)?
-            .slab::<T>()
-            .value_checked(id.slot, id.gen)
+        self.get(id.handle)
     }
 
     /// Mutate a fact in place; bumps its version (making rules eligible to
@@ -1125,30 +1194,30 @@ impl WorkingMemory {
         fields: Fields,
         f: impl FnOnce(&mut T),
     ) -> bool {
-        let Some(&HandleEntry { table, slot }) = self.handle_index.get(&handle.0) else {
+        let Some(table) = self.tables.get_mut(handle.table as usize) else {
             return false;
         };
-        let table = &mut self.tables[table as usize];
-        if table.type_id != TypeId::of::<T>() {
+        let Some(slab) = table.slab.as_any_mut().downcast_mut::<TypedSlab<T>>() else {
             return false;
-        }
-        let slab = table
-            .slab
-            .as_any_mut()
-            .downcast_mut::<TypedSlab<T>>()
-            .expect("slab type");
-        f(slab.value_mut(slot));
-        slab.bump_version(slot);
+        };
+        let Some((meta, value)) = slab.live_mut(handle.slot, handle.seq) else {
+            return false;
+        };
+        f(value);
+        meta.version += 1;
+        // No tuple at the old version can match again.
+        self.refraction
+            .release(std::mem::replace(&mut meta.fired, NIL));
         // Re-key under the post-update value the indexes whose key the
         // closure may have changed. The index compares against the slot's
         // stored key, so an unchanged key costs one extract.
-        let value: &T = slab.value(slot);
+        let value: &T = slab.value(handle.slot);
         for entry in &mut table.indexes {
             if fields == Fields::ALL || entry.reads.meets(fields) {
-                entry.index.on_update(handle, slot, value);
+                entry.index.on_update(handle, value);
             } else {
                 #[cfg(debug_assertions)]
-                entry.index.assert_key_unchanged(slot, value, fields);
+                entry.index.assert_key_unchanged(handle.slot, value, fields);
             }
         }
         self.generation += 1;
@@ -1159,12 +1228,7 @@ impl WorkingMemory {
     /// Current version of a fact (None if retracted). Handles start at 0 and
     /// bump on each [`WorkingMemory::update`].
     pub fn version(&self, handle: FactHandle) -> Option<u64> {
-        let entry = self.handle_index.get(&handle.0)?;
-        Some(
-            self.tables[entry.table as usize]
-                .slab
-                .version_of(entry.slot),
-        )
+        self.meta(handle).map(|meta| meta.version)
     }
 
     /// Monotone counter over all mutations.
@@ -1189,8 +1253,8 @@ impl WorkingMemory {
     /// the typed slab's intrusive list: typed pages, one downcast for the
     /// whole call.
     pub fn iter<T: Fact>(&self) -> impl Iterator<Item = (FactHandle, &T)> {
-        let facts = (self.table(TypeId::of::<T>()).into_iter())
-            .flat_map(|table| table.slab::<T>().iter_slots().map(|(h, _, t)| (h, t)));
+        let facts = (self.table_of.get(&TypeId::of::<T>()).into_iter())
+            .flat_map(|&position| self.table_at(position).slab::<T>().iter_slots(position));
         Walk {
             facts,
             yielded: 0,
@@ -1265,9 +1329,9 @@ impl WorkingMemory {
         };
         let table_ix = self.table_index_or_new::<T>();
         let table = &mut self.tables[table_ix as usize];
-        for (h, slot, t) in table.slab::<T>().iter_slots() {
+        for (h, t) in table.slab::<T>().iter_slots(table_ix) {
             if let Some(key) = index.key(t) {
-                index.link(h, slot, key);
+                index.link(h, key);
             }
         }
         let entry = IndexEntry {
@@ -1323,17 +1387,18 @@ impl WorkingMemory {
         at: IndexPos<T, K>,
         handle: FactHandle,
     ) -> Option<&K> {
-        let entry = self.handle_index.get(&handle.0)?;
-        if entry.table != at.table {
+        if handle.table != at.table {
             return None;
         }
-        self.key_index(at).1.key_at(entry.slot)
+        let (table, index) = self.key_index(at);
+        table.slab.meta(handle.slot, handle.seq)?;
+        index.key_at(handle.slot)
     }
 
     /// Handles of facts of type `T` whose indexed key equals `key`, in
     /// insertion order.
     pub fn lookup_by<T: Fact, K: IndexKey>(&self, at: IndexPos<T, K>, key: &K) -> Vec<FactHandle> {
-        self.key_index(at).1.postings(key).map(|(h, _)| h).collect()
+        self.key_index(at).1.postings(key).collect()
     }
 
     /// Iterate facts of type `T` whose indexed key equals `key`, in
@@ -1348,9 +1413,7 @@ impl WorkingMemory {
     ) -> impl Iterator<Item = (FactHandle, &'a T)> + 'a {
         let (table, index) = self.key_index(at);
         let slab = table.slab::<T>();
-        index
-            .postings(key)
-            .map(move |(h, slot)| (h, slab.value(slot)))
+        index.postings(key).map(move |h| (h, slab.value(h.slot)))
     }
 
     /// Handles of facts of `type_id` mutated (inserted, updated or
@@ -1375,8 +1438,8 @@ impl WorkingMemory {
         key: &K,
     ) -> Option<(FactHandle, &T)> {
         let (table, index) = self.key_index(at);
-        let (handle, slot) = index.postings(key).next()?;
-        Some((handle, table.slab::<T>().value(slot)))
+        let handle = index.postings(key).next()?;
+        Some((handle, table.slab::<T>().value(handle.slot)))
     }
 
     /// Number of facts of type `T`.
@@ -1396,7 +1459,77 @@ impl WorkingMemory {
 
     /// True if the handle refers to a live fact.
     pub fn contains(&self, handle: FactHandle) -> bool {
-        self.handle_index.contains_key(&handle.0)
+        self.meta(handle).is_some()
+    }
+
+    /// Whether rule `rule` fired on `tuple` with every fact at its current
+    /// version, or `None` when a fact of the tuple is no longer live. The
+    /// records on the tuple's first fact are all at that fact's current
+    /// version, so only the others' versions are compared.
+    pub(crate) fn refracted(&self, rule: u32, tuple: &[FactHandle]) -> Option<bool> {
+        let (first, others) = tuple.split_first().expect("a match binds a fact");
+        let mut record = self.meta(*first)?.fired;
+        for h in others {
+            self.meta(*h)?;
+        }
+        while record != NIL {
+            let head = self.refraction.node(record);
+            if head.rule == rule && head.len as usize == tuple.len() && self.holds(record, others) {
+                return Some(true);
+            }
+            record = head.next;
+        }
+        Some(false)
+    }
+
+    /// True when the nodes of the record at `node` hold `others`, each at
+    /// its current version.
+    fn holds(&self, mut node: u32, others: &[FactHandle]) -> bool {
+        others.iter().all(|h| {
+            let at = self.refraction.node(node);
+            node = at.more;
+            at.seq == h.seq() && Some(at.version) == self.version(*h)
+        })
+    }
+
+    /// Record that rule `rule` fired on `tuple`, every fact of which is live,
+    /// at the facts' current versions: on the first fact, until it moves or
+    /// goes.
+    pub(crate) fn refract(&mut self, rule: u32, tuple: &[FactHandle]) {
+        let (first, others) = tuple.split_first().expect("a match binds a fact");
+        let mut more = NIL;
+        for h in others.iter().skip(1).rev() {
+            let version = self.version(*h).expect("refracted fact is live");
+            more = self.refraction.alloc(RecordNode {
+                rule,
+                len: 0,
+                next: NIL,
+                more,
+                seq: h.seq(),
+                version,
+            });
+        }
+        let (seq, version) = match others.first() {
+            Some(h) => (h.seq(), self.version(*h).expect("refracted fact is live")),
+            None => (0, 0),
+        };
+        let table = &mut self.tables[first.table as usize];
+        let meta = (table.slab.meta_mut(first.slot, first.seq)).expect("refracted fact is live");
+        meta.fired = self.refraction.alloc(RecordNode {
+            rule,
+            len: tuple.len() as u32,
+            next: meta.fired,
+            more,
+            seq,
+            version,
+        });
+        self.refraction.held += 1;
+    }
+
+    /// Refraction records the facts hold: one per firing whose first fact
+    /// has neither moved nor gone since.
+    pub fn refraction_records(&self) -> usize {
+        self.refraction.held
     }
 
     /// Retract every fact of type `T`; returns how many were removed.
@@ -1431,7 +1564,8 @@ mod tests {
         // Odd generations only, so a reader can ask about one between two
         // entries; enough to compact once and raise the floor.
         for g in 0..1500u64 {
-            log.push(2 * g + 1, FactHandle(g % 7));
+            let seq = NonZeroU64::new(g % 7 + 1).unwrap();
+            log.push(2 * g + 1, FactHandle::at(seq, 0, 0));
         }
         assert!(log.floor > 0);
         for gen in 0..3005 {
@@ -1632,15 +1766,14 @@ mod tests {
             assert!(std::ptr::eq(typed, mapped), "{at:?}: another index");
             for key in keys {
                 let by_type: Vec<_> = (mapped.postings(&key))
-                    .map(|(h, slot)| (h, mapped_table.slab::<T>().value(slot)))
+                    .map(|h| (h, mapped_table.slab::<T>().value(h.slot)))
                     .collect();
                 assert_eq!(wm.iter_by(at, &key).collect::<Vec<_>>(), by_type);
                 assert_eq!(wm.find_by(at, &key), by_type.first().copied());
                 let handles: Vec<_> = by_type.iter().map(|(h, _)| *h).collect();
                 assert_eq!(wm.lookup_by(at, &key), handles);
                 for h in handles {
-                    let slot = wm.handle_index[&h.0].slot;
-                    assert_eq!(wm.key_of(at, h), mapped.key_at(slot));
+                    assert_eq!(wm.key_of(at, h), mapped.key_at(h.slot));
                     assert_eq!(wm.key_of(at, h), Some(&key));
                 }
             }

@@ -46,7 +46,11 @@ impl<Ctx> NaiveSession<Ctx> {
         }
     }
 
-    pub fn add_rule(&mut self, rule: Rule<Ctx>) {
+    /// Install a rule. Its watched types get their tables as the engine's
+    /// `add_rule` gives them, so a handle names the same fact in both
+    /// memories; the naive engine reads no watch.
+    pub fn add_rule(&mut self, mut rule: Rule<Ctx>) {
+        rule.resolve(&mut self.wm);
         self.rules.push(rule);
     }
 
@@ -155,7 +159,9 @@ mod equivalence {
         Retract(usize),
         /// A pass over the groups of [`GROUPS`] whose bit is set in the mask.
         Fire(u32),
-        GcRefraction,
+        /// Retract a fact and insert a copy of it, which takes the freed
+        /// slot: the old handle stays in the script, stale.
+        Recycle(usize),
     }
 
     /// The groups the rules below sit in: `A`'s chain, `B`'s rules, and
@@ -179,7 +185,7 @@ mod equivalence {
             2 => Op::UpdateA(n as usize),
             3 => Op::UpdateB(n as usize),
             4 => Op::Retract(n as usize),
-            5 => Op::GcRefraction,
+            5 => Op::Recycle(n as usize),
             6 => Op::BumpA(n as usize),
             7 => Op::TagA(n as usize),
             // Every group, or a subset (possibly none).
@@ -252,8 +258,8 @@ mod equivalence {
     fn dump(wm: &crate::memory::WorkingMemory) -> Vec<(u64, String)> {
         let mut out: Vec<(u64, String)> = wm
             .iter::<A>()
-            .map(|(h, a)| (h.0, format!("{a:?}")))
-            .chain(wm.iter::<B>().map(|(h, b)| (h.0, format!("{b:?}"))))
+            .map(|(h, a)| (h.seq(), format!("{a:?}")))
+            .chain(wm.iter::<B>().map(|(h, b)| (h.seq(), format!("{b:?}"))))
             .collect();
         out.sort();
         out
@@ -362,10 +368,24 @@ mod equivalence {
                         // Every action appends its rule's mark to the context.
                         prop_assert_eq!(&ctx_inc, &ctx_nai, "firing sequences diverged");
                     }
-                    // A sweep drops only entries of retracted facts, whose
-                    // handles never come back: the naive engine, which never
-                    // sweeps, must not tell the difference.
-                    Op::GcRefraction => inc.gc_refraction(),
+                    // The copy may fire where the original was refracted;
+                    // the original's records went with it, and its handle,
+                    // now naming a recycled slot, must miss on both.
+                    Op::Recycle(i) => {
+                        let Some(h) = pick(&handles, i) else { continue };
+                        let a = inc.wm.get::<A>(h).map(|a| (a.n, a.tag));
+                        let b = inc.wm.get::<B>(h).map(|b| b.0);
+                        prop_assert_eq!(inc.wm.retract(h), nai.wm.retract(h));
+                        let (hi, hn) = match (a, b) {
+                            (Some((n, tag)), _) => {
+                                (inc.wm.insert(A { n, tag }), nai.wm.insert(A { n, tag }))
+                            }
+                            (_, Some(n)) => (inc.wm.insert(B(n)), nai.wm.insert(B(n))),
+                            (None, None) => continue,
+                        };
+                        prop_assert_eq!(hi, hn);
+                        handles.push(hi);
+                    }
                 }
             }
             // Drain every group to quiescence, then compare every observable.

@@ -33,14 +33,15 @@ use std::sync::Arc;
 /// heap.
 const INLINE_HANDLES: usize = 3;
 
-/// A matched fact tuple: the handles a rule instance binds to, readable as a
-/// `[FactHandle]` slice. Build one from an array or a slice
-/// (`[h].into()`, `[h, other].into()`); tuples of up to three handles are
-/// stored inline, so matchers and the engine's match caches allocate nothing
-/// per tuple.
+/// A matched fact tuple: the handles a rule instance binds to, at least
+/// one, readable as a `[FactHandle]` slice. Build one from an array or a
+/// slice (`[h].into()`, `[h, other].into()`); tuples of up to three handles
+/// are stored inline, so matchers and the engine's match caches allocate
+/// nothing per tuple.
 ///
-/// The engine keys refraction on `(rule, handles, versions-of-handles)`, so a
-/// rule re-fires on a tuple only after one of its facts is updated.
+/// The engine refracts on `(rule, handles, versions-of-handles)`, recorded
+/// on the first fact, so a rule re-fires on a tuple only after one of its
+/// facts is updated.
 #[derive(Debug, Clone)]
 pub struct Match(Tuple);
 
@@ -65,8 +66,9 @@ impl std::ops::Deref for Match {
 
 impl From<&[FactHandle]> for Match {
     fn from(tuple: &[FactHandle]) -> Match {
+        assert!(!tuple.is_empty(), "a match binds at least one fact");
         if tuple.len() <= INLINE_HANDLES {
-            let mut handles = [FactHandle(0); INLINE_HANDLES];
+            let mut handles = [FactHandle::PAD; INLINE_HANDLES];
             handles[..tuple.len()].copy_from_slice(tuple);
             Match(Tuple::Inline {
                 len: tuple.len() as u8,

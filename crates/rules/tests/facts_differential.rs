@@ -115,6 +115,35 @@ fn arb_cmd() -> impl Strategy<Value = Cmd> {
     ]
 }
 
+/// Arena handles as the oracle names their facts: by sequence number.
+fn seqs(handles: impl IntoIterator<Item = FactHandle>) -> Vec<u64> {
+    handles.into_iter().map(FactHandle::seq).collect()
+}
+
+/// A handle of either store.
+trait Seq: Copy {
+    /// The fact's insertion sequence number.
+    fn seq_of(self) -> u64;
+}
+
+impl Seq for FactHandle {
+    fn seq_of(self) -> u64 {
+        self.seq()
+    }
+}
+
+impl Seq for u64 {
+    fn seq_of(self) -> u64 {
+        self
+    }
+}
+
+/// `(handle, fact)` pairs of either store with the handles as the oracle
+/// names them.
+fn by_seq<'a, H: Seq, T: Clone + 'a>(facts: impl Iterator<Item = (H, &'a T)>) -> Vec<(u64, T)> {
+    facts.map(|(h, t)| (h.seq_of(), t.clone())).collect()
+}
+
 /// The indexed lookups of `arena` under `key` against a filtered scan of the
 /// oracle: same facts in insertion order, `find_by` the lowest handle.
 fn assert_index_matches_scan<T, K>(
@@ -127,23 +156,20 @@ fn assert_index_matches_scan<T, K>(
     T: pwm_rules::Fact + Clone + PartialEq,
     K: pwm_rules::IndexKey + std::fmt::Debug,
 {
-    let scan: Vec<(FactHandle, T)> = legacy
+    let scan: Vec<(u64, T)> = legacy
         .iter::<T>()
         .filter(|(_, t)| extract(t) == *key)
         .map(|(h, t)| (h, t.clone()))
         .collect();
-    let by: Vec<(FactHandle, T)> = arena
-        .iter_by(at, key)
-        .map(|(h, t)| (h, t.clone()))
-        .collect();
+    let by = by_seq(arena.iter_by(at, key));
     assert_eq!(by, scan, "iter_by({key:?}) is not the filtered scan");
     assert_eq!(
-        arena.lookup_by(at, key),
+        seqs(arena.lookup_by(at, key)),
         scan.iter().map(|(h, _)| *h).collect::<Vec<_>>(),
         "lookup_by({key:?}) is not the filtered scan"
     );
     assert_eq!(
-        arena.find_by(at, key).map(|(h, t)| (h, t.clone())),
+        arena.find_by(at, key).map(|(h, t)| (h.seq(), t.clone())),
         scan.first().cloned(),
         "find_by({key:?}) is not the scan's first hit"
     );
@@ -177,23 +203,24 @@ fn assert_stores_agree(
         arena.type_generation_of::<Beta>(),
         legacy.type_generation_of::<Beta>()
     );
-    let a_iter: Vec<(FactHandle, Alpha)> =
-        arena.iter::<Alpha>().map(|(h, a)| (h, a.clone())).collect();
-    let l_iter: Vec<(FactHandle, Alpha)> = legacy
-        .iter::<Alpha>()
-        .map(|(h, a)| (h, a.clone()))
-        .collect();
-    assert_eq!(a_iter, l_iter, "Alpha iteration diverged");
-    let a_beta: Vec<(FactHandle, Beta)> =
-        arena.iter::<Beta>().map(|(h, b)| (h, b.clone())).collect();
-    let l_beta: Vec<(FactHandle, Beta)> =
-        legacy.iter::<Beta>().map(|(h, b)| (h, b.clone())).collect();
-    assert_eq!(a_beta, l_beta, "Beta iteration diverged");
+    let l_iter = by_seq(legacy.iter::<Alpha>());
+    assert_eq!(
+        by_seq(arena.iter::<Alpha>()),
+        l_iter,
+        "Alpha iteration diverged"
+    );
+    let l_beta = by_seq(legacy.iter::<Beta>());
+    assert_eq!(
+        by_seq(arena.iter::<Beta>()),
+        l_beta,
+        "Beta iteration diverged"
+    );
     for ty in [TypeId::of::<Alpha>(), TypeId::of::<Beta>()] {
         assert_eq!(arena.type_generation(ty), legacy.type_generation(ty));
+        let changed = arena.changed_since(ty, checkpoint);
         assert_eq!(
-            arena.changed_since(ty, checkpoint),
-            legacy.changed_since(ty, checkpoint),
+            changed.map(|log| log.iter().map(|&(g, h)| (g, h.seq())).collect::<Vec<_>>()),
+            legacy.changed_since(ty, checkpoint).map(<[_]>::to_vec),
             "changed_since diverged"
         );
     }
@@ -204,10 +231,11 @@ fn assert_stores_agree(
             });
         }
     }
-    for (h, _) in legacy.iter::<Alpha>() {
+    // The arena's handles, which iterate as the oracle's (checked above).
+    for (h, _) in arena.iter::<Alpha>() {
         assert_eq!(
             arena.key_of(at.key, h),
-            legacy.key_of::<Alpha, u64>(h),
+            legacy.key_of::<Alpha, u64>(h.seq()),
             "key_of({h:?}) diverged"
         );
         assert_eq!(
@@ -224,21 +252,20 @@ fn assert_stores_agree(
             "lookup_by({key}) is not the rebuilt index's"
         );
         assert_eq!(
-            arena.lookup_by(at.key, &key),
+            seqs(arena.lookup_by(at.key, &key)),
             legacy.lookup_by::<Alpha, u64>(&key),
             "lookup_by({key}) diverged"
         );
-        let a_by: Vec<(FactHandle, Alpha)> = arena
-            .iter_by(at.key, &key)
-            .map(|(h, a)| (h, a.clone()))
-            .collect();
-        let l_by: Vec<(FactHandle, Alpha)> = legacy
-            .iter_by::<Alpha, u64>(&key)
-            .map(|(h, a)| (h, a.clone()))
-            .collect();
-        assert_eq!(a_by, l_by, "iter_by({key}) diverged");
+        let l_by = by_seq(legacy.iter_by::<Alpha, u64>(&key));
         assert_eq!(
-            arena.find_by(at.key, &key).map(|(h, a)| (h, a.clone())),
+            by_seq(arena.iter_by(at.key, &key)),
+            l_by,
+            "iter_by({key}) diverged"
+        );
+        assert_eq!(
+            arena
+                .find_by(at.key, &key)
+                .map(|(h, a)| (h.seq(), a.clone())),
             legacy
                 .find_by::<Alpha, u64>(&key)
                 .map(|(h, a)| (h, a.clone())),
@@ -273,21 +300,21 @@ proptest! {
                 Cmd::InsertA(n, key) => {
                     let ha = arena.insert(Alpha { n, key });
                     let hl = legacy.insert(Alpha { n, key });
-                    prop_assert_eq!(ha, hl, "handle numbering diverged");
+                    prop_assert_eq!(ha.seq(), hl, "handle numbering diverged");
                     ids.push((ha, arena.fact_id::<Alpha>(ha).unwrap()));
                     handles.push(ha);
                 }
                 Cmd::InsertB(n) => {
                     let ha = arena.insert(Beta { s: format!("b{n}") });
                     let hl = legacy.insert(Beta { s: format!("b{n}") });
-                    prop_assert_eq!(ha, hl, "handle numbering diverged");
+                    prop_assert_eq!(ha.seq(), hl, "handle numbering diverged");
                     handles.push(ha);
                 }
                 Cmd::UpdateA(ix, key) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
                     // A plain update touches every field, the key included.
                     let ra = arena.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
-                    let rl = legacy.update::<Alpha>(h, |a| { a.n += 1; a.key = key; });
+                    let rl = legacy.update::<Alpha>(h.seq(), |a| { a.n += 1; a.key = key; });
                     prop_assert_eq!(ra, rl, "update result diverged");
                 }
                 Cmd::UpdateFieldsA(ix, groups, key) if !handles.is_empty() => {
@@ -309,7 +336,7 @@ proptest! {
                         }
                     };
                     let ra = arena.update_fields::<Alpha>(h, mask, write);
-                    let rl = legacy.update::<Alpha>(h, write);
+                    let rl = legacy.update::<Alpha>(h.seq(), write);
                     prop_assert_eq!(ra, rl, "update_fields result diverged");
                 }
                 Cmd::UpdateWrongType(ix) if !handles.is_empty() => {
@@ -317,12 +344,12 @@ proptest! {
                     // Against an Alpha handle this must fail on both sides
                     // without bumping any version or generation.
                     let ra = arena.update::<Beta>(h, |b| b.s.push('!'));
-                    let rl = legacy.update::<Beta>(h, |b| b.s.push('!'));
+                    let rl = legacy.update::<Beta>(h.seq(), |b| b.s.push('!'));
                     prop_assert_eq!(ra, rl, "wrong-type update diverged");
                 }
                 Cmd::Retract(ix) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
-                    prop_assert_eq!(arena.retract(h), legacy.retract(h), "retract diverged");
+                    prop_assert_eq!(arena.retract(h), legacy.retract(h.seq()), "retract diverged");
                 }
                 Cmd::RetractAllB => {
                     prop_assert_eq!(
@@ -333,14 +360,15 @@ proptest! {
                 }
                 Cmd::Probe(ix) if !handles.is_empty() => {
                     let h = handles[ix % handles.len()];
-                    prop_assert_eq!(arena.get::<Alpha>(h), legacy.get::<Alpha>(h));
-                    prop_assert_eq!(arena.get::<Beta>(h), legacy.get::<Beta>(h));
-                    prop_assert_eq!(arena.version(h), legacy.version(h));
-                    prop_assert_eq!(arena.contains(h), legacy.contains(h));
+                    let l = h.seq();
+                    prop_assert_eq!(arena.get::<Alpha>(h), legacy.get::<Alpha>(l));
+                    prop_assert_eq!(arena.get::<Beta>(h), legacy.get::<Beta>(l));
+                    prop_assert_eq!(arena.version(h), legacy.version(l));
+                    prop_assert_eq!(arena.contains(h), legacy.contains(l));
                 }
                 Cmd::LookupByKey(key) => {
                     prop_assert_eq!(
-                        arena.lookup_by(key_ix, &key),
+                        seqs(arena.lookup_by(key_ix, &key)),
                         legacy.lookup_by::<Alpha, u64>(&key)
                     );
                 }
@@ -445,7 +473,7 @@ impl Sparse {
         self.n += 1;
         let ha = self.arena.insert(Alpha { n: self.n, key });
         let hl = self.legacy.insert(Alpha { n: self.n, key });
-        assert_eq!(ha, hl, "handle numbering diverged");
+        assert_eq!(ha.seq(), hl, "handle numbering diverged");
         self.ids
             .push((ha, self.arena.fact_id::<Alpha>(ha).unwrap()));
         self.handles.push(ha);
@@ -461,13 +489,14 @@ impl Sparse {
         } else {
             self.arena.update_fields::<Alpha>(h, KEY, write)
         };
-        assert_eq!(ra, self.legacy.update::<Alpha>(h, write), "re-key diverged");
+        let rl = self.legacy.update::<Alpha>(h.seq(), write);
+        assert_eq!(ra, rl, "re-key diverged");
     }
 
     fn retract(&mut self, h: FactHandle) {
         assert_eq!(
             self.arena.retract(h),
-            self.legacy.retract(h),
+            self.legacy.retract(h.seq()),
             "retract diverged"
         );
     }
@@ -477,7 +506,7 @@ impl Sparse {
     }
 
     fn key(&self, h: FactHandle) -> Option<u64> {
-        self.legacy.get::<Alpha>(h).map(|a| a.key)
+        self.legacy.get::<Alpha>(h.seq()).map(|a| a.key)
     }
 
     /// Run `cmd` on both stores; the keys whose postings it may have
@@ -538,13 +567,14 @@ impl Sparse {
         let (arena, legacy, key_ix) = (&self.arena, &self.legacy, self.key_ix);
         assert_eq!(arena.generation(), legacy.generation());
         assert_eq!(arena.count::<Alpha>(), legacy.count::<Alpha>());
-        let scan: Vec<(FactHandle, Alpha)> = legacy
-            .iter::<Alpha>()
-            .map(|(h, a)| (h, a.clone()))
-            .collect();
-        let iter: Vec<(FactHandle, Alpha)> =
+        let scan: Vec<(FactHandle, Alpha)> =
             arena.iter::<Alpha>().map(|(h, a)| (h, a.clone())).collect();
-        assert_eq!(iter, scan, "Alpha iteration diverged");
+        let oracle = by_seq(legacy.iter::<Alpha>());
+        assert_eq!(
+            by_seq(scan.iter().map(|(h, a)| (*h, a))),
+            oracle,
+            "Alpha iteration diverged"
+        );
         let mut groups: BTreeMap<u64, Vec<(FactHandle, Alpha)>> =
             touched.iter().map(|&key| (key, Vec::new())).collect();
         for (h, a) in &scan {
@@ -633,36 +663,46 @@ proptest! {
 /// The store operations a (miniature) rule engine needs. Both stores
 /// implement it with the same inherent methods, so the impls are mechanical.
 trait Store {
-    fn insert_a(&mut self, a: Alpha) -> FactHandle;
-    fn update_a(&mut self, h: FactHandle, bump: u64) -> bool;
-    fn retract_fact(&mut self, h: FactHandle) -> bool;
-    fn contains_fact(&self, h: FactHandle) -> bool;
-    fn version_of(&self, h: FactHandle) -> Option<u64>;
-    fn snapshot_a(&self) -> Vec<(FactHandle, Alpha)>;
+    /// How the store names a fact.
+    type Handle: Copy + Eq + std::hash::Hash;
+    fn insert_a(&mut self, a: Alpha) -> Self::Handle;
+    fn update_a(&mut self, h: Self::Handle, bump: u64) -> bool;
+    fn retract_fact(&mut self, h: Self::Handle) -> bool;
+    fn contains_fact(&self, h: Self::Handle) -> bool;
+    fn version_of(&self, h: Self::Handle) -> Option<u64>;
+    /// Facts by sequence number, in iteration order.
+    fn snapshot_a(&self) -> Vec<(u64, Alpha)>;
+    /// Handles of the Alphas whose `n` is odd, in iteration order.
+    fn odd_a(&self) -> Vec<Self::Handle>;
     fn gen_now(&self) -> u64;
     fn type_gen_a(&self) -> u64;
 }
 
 macro_rules! impl_store {
-    ($ty:ty) => {
+    ($ty:ty, $handle:ty) => {
         impl Store for $ty {
-            fn insert_a(&mut self, a: Alpha) -> FactHandle {
+            type Handle = $handle;
+            fn insert_a(&mut self, a: Alpha) -> $handle {
                 self.insert(a)
             }
-            fn update_a(&mut self, h: FactHandle, bump: u64) -> bool {
+            fn update_a(&mut self, h: $handle, bump: u64) -> bool {
                 self.update::<Alpha>(h, |a| a.n += bump)
             }
-            fn retract_fact(&mut self, h: FactHandle) -> bool {
+            fn retract_fact(&mut self, h: $handle) -> bool {
                 self.retract(h)
             }
-            fn contains_fact(&self, h: FactHandle) -> bool {
+            fn contains_fact(&self, h: $handle) -> bool {
                 self.contains(h)
             }
-            fn version_of(&self, h: FactHandle) -> Option<u64> {
+            fn version_of(&self, h: $handle) -> Option<u64> {
                 self.version(h)
             }
-            fn snapshot_a(&self) -> Vec<(FactHandle, Alpha)> {
-                self.iter::<Alpha>().map(|(h, a)| (h, a.clone())).collect()
+            fn snapshot_a(&self) -> Vec<(u64, Alpha)> {
+                by_seq(self.iter::<Alpha>())
+            }
+            fn odd_a(&self) -> Vec<$handle> {
+                let odd = self.iter::<Alpha>().filter(|(_, a)| a.n % 2 == 1);
+                odd.map(|(h, _)| h).collect()
             }
             fn gen_now(&self) -> u64 {
                 self.generation()
@@ -673,8 +713,8 @@ macro_rules! impl_store {
         }
     };
 }
-impl_store!(WorkingMemory);
-impl_store!(LegacyWorkingMemory);
+impl_store!(WorkingMemory, FactHandle);
+impl_store!(LegacyWorkingMemory, legacy::FactHandle);
 
 /// The counters `pwm_rules::FiringReport` aggregates per rule, reproduced
 /// by the mini evaluator so they can be compared across stores.
@@ -692,18 +732,13 @@ struct Counters {
 /// "while `n` is odd, add `step`".
 fn fire_to_quiescence<S: Store>(store: &mut S, step: u64) -> Counters {
     let mut c = Counters::default();
-    let mut fired: std::collections::HashSet<(FactHandle, u64)> = std::collections::HashSet::new();
+    let mut fired: std::collections::HashSet<(S::Handle, u64)> = std::collections::HashSet::new();
     let mut cache_gen = 0u64;
-    let mut agenda: Vec<FactHandle> = Vec::new();
+    let mut agenda: Vec<S::Handle> = Vec::new();
     for _ in 0..10_000 {
         if store.type_gen_a() > cache_gen {
             c.evaluations += 1;
-            agenda = store
-                .snapshot_a()
-                .iter()
-                .filter(|(_, a)| a.n % 2 == 1)
-                .map(|(h, _)| *h)
-                .collect();
+            agenda = store.odd_a();
             c.matches += agenda.len() as u64;
             cache_gen = store.gen_now();
         }
@@ -742,13 +777,13 @@ fn firing_counters_match_across_stores() {
             };
             let ha = arena.insert_a(a.clone());
             let hl = legacy.insert_a(a);
-            assert_eq!(ha, hl);
+            assert_eq!(ha.seq(), hl);
             handles.push(ha);
         }
         if retract_every > 0 {
             for (i, h) in handles.iter().enumerate() {
                 if i % retract_every == 0 {
-                    assert_eq!(arena.retract_fact(*h), legacy.retract_fact(*h));
+                    assert_eq!(arena.retract_fact(*h), legacy.retract_fact(h.seq()));
                 }
             }
         }

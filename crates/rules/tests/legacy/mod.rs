@@ -5,18 +5,23 @@
 //! fact behind its own heap allocation, every typed access paying a
 //! `downcast_ref`, iteration hopping through per-type `BTreeSet`s. It is
 //! deliberately kept byte-for-byte semantically identical to the store it
-//! was — same handle numbering, same insertion-order iteration, same
+//! was — same insertion-order iteration, same
 //! generation/type-generation/changed-log behaviour — so the facts
 //! differential suite (`tests/facts_differential.rs`, whose module this is)
 //! can drive both stores through identical command sequences and fail
-//! loudly on any observable divergence in the arena rewrite. It needs only
-//! the public [`Fact`] trait and [`FactHandle`]'s public `u64`.
+//! loudly on any observable divergence in the arena rewrite. It names a
+//! fact by its insertion sequence number, as [`pwm_rules::FactHandle::seq`]
+//! numbers the arena's (from 1, one more per insert), and needs only the
+//! public [`Fact`] trait besides.
 
-use pwm_rules::{Fact, FactHandle};
+use pwm_rules::Fact;
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::Hash;
+
+/// A fact's insertion sequence number: the legacy store's handle.
+pub type FactHandle = u64;
 
 struct Slot {
     fact: Box<dyn Fact>,
@@ -125,7 +130,7 @@ impl TypeLog {
 pub struct LegacyWorkingMemory {
     slots: BTreeMap<FactHandle, Slot>,
     by_type: HashMap<TypeId, BTreeSet<FactHandle>>,
-    next_handle: u64,
+    last_seq: u64,
     generation: u64,
     type_gen: HashMap<TypeId, u64>,
     indexes: HashMap<(TypeId, TypeId), Box<dyn ErasedIndex>>,
@@ -149,8 +154,8 @@ impl LegacyWorkingMemory {
 
     /// Insert a fact, returning its handle.
     pub fn insert<T: Fact>(&mut self, fact: T) -> FactHandle {
-        let handle = FactHandle(self.next_handle);
-        self.next_handle += 1;
+        self.last_seq += 1;
+        let handle = self.last_seq;
         let type_id = TypeId::of::<T>();
         for (_, idx) in self
             .indexes

@@ -222,7 +222,10 @@ bench_floor netsim_churn_100k 650000 events/s
 # handler, a shard and a rule keep from one call to the next (39 server
 # allocations a request back instead of 7.4) and the typed index positions
 # (a type-map probe on every keyed lookup) takes it from ~46 600 back to
-# ~42 100 (the same protocol).
+# ~42 100 (the same protocol). Resolving every handle through a
+# `handle → (table, slot)` map and every refraction check through a
+# session-wide hash set, instead of the slot the handle names, takes it from
+# ~59 500 back to ~55 600 (the same protocol, 9 of 10 pairs faster).
 #
 # The same runs hold its peak RSS to 14 MB, the third memory gate, next to
 # `netsim_churn`'s and `campaign`'s. The 10 000 resident files are most of
